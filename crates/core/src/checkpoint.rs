@@ -802,7 +802,6 @@ impl PipelineCheckpoint {
             }
             let baseline = interner.len();
 
-            let kb_index = kb.label_index(class);
             let rows = class_rows_in_arrival_order(&corpus, &mapping, class);
             let contexts = build_row_contexts(&corpus, &mapping, &rows, &mut interner);
 
@@ -827,7 +826,8 @@ impl PipelineCheckpoint {
                 contexts,
                 dump.clusters.clone(),
             );
-            let implicit = ImplicitAttributes::build(&corpus, &mapping, kb, class, &kb_index);
+            let implicit =
+                ImplicitAttributes::build(&corpus, &mapping, kb, class, kb.class_label_index(class));
             let kbt = if config.fusion.scoring == ScoringMethod::Kbt {
                 kbt_scores_for_tables(&corpus, &mapping, kb, class, &all_tables)
             } else {
@@ -843,7 +843,6 @@ impl PipelineCheckpoint {
             states.push(ClassState {
                 class,
                 interner,
-                kb_index,
                 clusterer,
                 phi,
                 implicit,

@@ -359,8 +359,8 @@ pub fn table07_row_clustering_ablation(config: &ExperimentConfig) -> Vec<Table7R
         }
         let contexts = build_row_contexts(&corpus, &mapping, &rows, &mut interner);
         let phi = PhiTableVectors::build(&corpus, &contexts);
-        let index = kb.label_index(class);
-        let implicit = ImplicitAttributes::build(&corpus, &mapping, kb, class, &index);
+        let index = kb.class_label_index(class);
+        let implicit = ImplicitAttributes::build(&corpus, &mapping, kb, class, index);
 
         // Grouped split of the gold clusters: fold 0 is the test portion.
         let groups = gold.cluster_fold_groups();
@@ -496,8 +496,8 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
     let mut interner = Interner::new();
     for gold in &golds {
         let class = gold.class;
-        let index = kb.label_index(class);
-        let implicit = ImplicitAttributes::build(&corpus, &mapping, kb, class, &index);
+        let index = kb.class_label_index(class);
+        let implicit = ImplicitAttributes::build(&corpus, &mapping, kb, class, index);
 
         // Entities from the gold clusters (the Table 8 evaluation isolates
         // new detection by using gold clustering).
@@ -530,7 +530,7 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
                 &train_contexts,
                 &train_truth,
                 kb,
-                &index,
+                index,
                 metrics,
                 &config.pipeline.entity_training,
                 &mut interner,
@@ -544,7 +544,7 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
             let results = detect_new(
                 &test_contexts,
                 kb,
-                &index,
+                index,
                 &model,
                 &config.pipeline.newdetect,
                 &mut interner,
@@ -640,8 +640,8 @@ pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<
     for gold in &golds {
         let class = gold.class;
         let Some(class_output) = output.class(class) else { continue };
-        let index = kb.label_index(class);
-        let implicit = ImplicitAttributes::build(&corpus, &output.mapping, kb, class, &index);
+        let index = kb.class_label_index(class);
+        let implicit = ImplicitAttributes::build(&corpus, &output.mapping, kb, class, index);
 
         // --- "GS" clustering: entities fused from the gold clusters. -------
         let gs_clusters: Vec<Vec<RowRef>> = gold.clusters.iter().map(|c| c.rows.clone()).collect();
@@ -655,7 +655,7 @@ pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<
         let gs_results = detect_new(
             &gs_contexts,
             kb,
-            &index,
+            index,
             &pipeline.models().entity_model,
             &config.pipeline.newdetect,
             &mut interner,

@@ -36,9 +36,10 @@
 //!
 //! ## Class sharding
 //!
-//! Each class's accumulated state — streaming clusterer, KB label index,
-//! implicit attributes, KBT cache **and its own interner** — is fully
-//! self-contained, so ingest groups the class states into the shard
+//! Each class's accumulated state — streaming clusterer, implicit
+//! attributes, KBT cache **and its own interner** — is fully
+//! self-contained (the KB label indexes are read-only data memoised on the
+//! shared knowledge base), so ingest groups the class states into the shard
 //! buckets of [`crate::ShardPlan`] and runs the buckets concurrently on
 //! the work-stealing pool: once for matching statistics + delta
 //! clustering, once for fusion + new detection. The shard grouping is
@@ -51,7 +52,6 @@ use ltee_clustering::{
     build_row_contexts, ImplicitAttributes, StreamingClusterer, StreamingPhi,
 };
 use ltee_fusion::Entity;
-use ltee_index::LabelIndex;
 use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{match_corpus, CorpusMapping};
@@ -96,6 +96,9 @@ pub(crate) fn class_rows_in_arrival_order(
 /// Self-contained by construction — every field (the interner included) is
 /// touched only by this class's processing — which is what lets shard
 /// buckets of states ingest concurrently without sharing anything mutable.
+/// Nothing here is derived from the knowledge base alone: the label index
+/// over the class's KB instances lives on the (frozen) knowledge base, see
+/// [`KnowledgeBase::class_label_index`].
 #[derive(Debug, Clone)]
 pub(crate) struct ClassState {
     pub(crate) class: ClassKey,
@@ -107,9 +110,6 @@ pub(crate) struct ClassState {
     /// output. Syms are never persisted — checkpoints store the strings in
     /// mint order and a restoring process re-interns from scratch.
     pub(crate) interner: Interner,
-    /// Label index over the knowledge base instances of the class, built
-    /// once at load time (the KB is frozen during serving).
-    pub(crate) kb_index: LabelIndex,
     pub(crate) clusterer: StreamingClusterer,
     pub(crate) phi: StreamingPhi,
     pub(crate) implicit: ImplicitAttributes,
@@ -177,7 +177,6 @@ impl<'a> IncrementalPipeline<'a> {
             .map(|&class| ClassState {
                 class,
                 interner: Interner::new(),
-                kb_index: kb.label_index(class),
                 clusterer: StreamingClusterer::new(config.clustering.clone()),
                 phi: StreamingPhi::new(),
                 implicit: ImplicitAttributes::default(),
@@ -440,7 +439,7 @@ fn ingest_class_delta(
 
     let contexts = build_row_contexts(batch, batch_mapping, &rows, &mut state.interner);
     let implicit_delta =
-        ImplicitAttributes::build(batch, batch_mapping, kb, class, &state.kb_index);
+        ImplicitAttributes::build(batch, batch_mapping, kb, class, kb.class_label_index(class));
     state.implicit.merge(implicit_delta);
     if config.fusion.scoring == ltee_fusion::ScoringMethod::Kbt {
         let batch_tables: Vec<_> = batch.tables().iter().map(|t| t.id).collect();
@@ -523,7 +522,7 @@ fn refresh_touched_clusters(
         kb,
         class,
         &state.implicit,
-        &state.kb_index,
+        kb.class_label_index(class),
         models,
         config,
         Some(&state.kbt),

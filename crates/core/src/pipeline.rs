@@ -174,20 +174,27 @@ pub fn train_models(
     // A first-iteration mapping to derive row features for training.
     let mapping = match_corpus(corpus, kb, &matcher_weights, &config.schema, None);
 
+    // Implicit attributes of each gold class, shared by both models below.
+    let implicits: Vec<ImplicitAttributes> = golds
+        .iter()
+        .map(|gold| {
+            let index = kb.class_label_index(gold.class);
+            ImplicitAttributes::build(corpus, &mapping, kb, gold.class, index)
+        })
+        .collect();
+
     // Row similarity model: pool pair datasets over all classes.
     let mut row_dataset: Option<ltee_ml::Dataset> = None;
-    for gold in golds {
+    for (gold, implicit) in golds.iter().zip(&implicits) {
         let rows = mapping.class_rows(corpus, gold.class);
         let contexts = build_row_contexts(corpus, &mapping, &rows, &mut interner);
         let phi = PhiTableVectors::build(corpus, &contexts);
-        let index = kb.label_index(gold.class);
-        let implicit = ImplicitAttributes::build(corpus, &mapping, kb, gold.class, &index);
         let ds = build_pair_dataset(
             &contexts,
             gold,
             &config.row_metrics,
             &phi,
-            &implicit,
+            implicit,
             &config.row_training,
             &interner,
         );
@@ -210,14 +217,12 @@ pub fn train_models(
     // Entity similarity model: entities fused from the gold clusters, paired
     // with knowledge base candidates.
     let mut entity_dataset: Option<ltee_ml::Dataset> = None;
-    for gold in golds {
-        let index = kb.label_index(gold.class);
-        let implicit = ImplicitAttributes::build(corpus, &mapping, kb, gold.class, &index);
+    for (gold, implicit) in golds.iter().zip(&implicits) {
         let clusters: Vec<Vec<RowRef>> = gold.clusters.iter().map(|c| c.rows.clone()).collect();
         let entities = create_entities(&clusters, corpus, &mapping, kb, gold.class, &config.fusion);
         let contexts: Vec<EntityContext> = entities
             .into_iter()
-            .map(|e| EntityContext::build(e, corpus, &implicit, &mut interner))
+            .map(|e| EntityContext::build(e, corpus, implicit, &mut interner))
             .collect();
         let truth: Vec<Option<ltee_kb::InstanceId>> =
             gold.clusters.iter().map(|c| c.kb_instance).collect();
@@ -225,7 +230,7 @@ pub fn train_models(
             &contexts,
             &truth,
             kb,
-            &index,
+            kb.class_label_index(gold.class),
             &config.entity_metrics,
             &config.entity_training,
             &mut interner,
@@ -432,8 +437,8 @@ pub fn run_class_batch(
     }
     let contexts = build_row_contexts(corpus, mapping, &rows, interner);
     let phi = PhiTableVectors::build(corpus, &contexts);
-    let index = kb.label_index(class);
-    let implicit = ImplicitAttributes::build(corpus, mapping, kb, class, &index);
+    let index = kb.class_label_index(class);
+    let implicit = ImplicitAttributes::build(corpus, mapping, kb, class, index);
 
     let clustering = cluster_rows(
         &contexts,
@@ -446,7 +451,7 @@ pub fn run_class_batch(
     let clusters = clustering.to_row_refs(&contexts);
 
     let (entities, results) = fuse_and_detect(
-        &clusters, corpus, mapping, kb, class, &implicit, &index, models, config, None, interner,
+        &clusters, corpus, mapping, kb, class, &implicit, index, models, config, None, interner,
     );
     Some(ClassOutput { class, clusters, entities, results })
 }

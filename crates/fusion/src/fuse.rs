@@ -53,6 +53,11 @@ impl Default for EntityCreationConfig {
     }
 }
 
+/// How many of a property's first values (a prefix of the knowledge base's
+/// KB-Overlap sample, [`ltee_kb::KB_OVERLAP_SAMPLE`]) KBT scoring compares a
+/// column against.
+const KBT_SAMPLE: usize = 300;
+
 /// Knowledge-Based-Trust scores per (table, column): the fraction of the
 /// column's parsed values that overlap with any knowledge base value of the
 /// matched property.
@@ -75,7 +80,6 @@ pub fn kbt_scores_for_tables(
     class: ClassKey,
     tables: &[TableId],
 ) -> HashMap<(TableId, usize), f64> {
-    let eq = EquivalenceConfig::default();
     let mut scores = HashMap::new();
     for &table_id in tables {
         let Some(tm) = mapping.table(table_id) else { continue };
@@ -85,8 +89,7 @@ pub fn kbt_scores_for_tables(
         let Some(table) = corpus.table(tm.table) else { continue };
         for (col, m) in tm.matched_columns() {
             let Some(prop) = kb.property_by_name(class, &m.property) else { continue };
-            let kb_values = kb.property_values(prop.id);
-            let sample: Vec<_> = kb_values.iter().take(300).collect();
+            let Some(sample) = kb.property_value_sample(prop.id) else { continue };
             let mut total = 0usize;
             let mut hits = 0usize;
             for cell in &table.columns[col].cells {
@@ -94,10 +97,12 @@ pub fn kbt_scores_for_tables(
                     continue;
                 }
                 total += 1;
-                if let Some(v) = ltee_types::parse_cell_as(cell, m.data_type) {
-                    if sample.iter().any(|kv| value_equivalent(&v, kv, m.data_type, &eq)) {
-                        hits += 1;
-                    }
+                // A matched column carries its property's data type, the
+                // one the sample was digested under.
+                if ltee_types::parse_cell_as(cell, prop.data_type)
+                    .is_some_and(|v| sample.prefix_contains_equivalent(&v, KBT_SAMPLE))
+                {
+                    hits += 1;
                 }
             }
             let score = if total == 0 { 0.0 } else { hits as f64 / total as f64 };
@@ -483,6 +488,22 @@ mod tests {
         assert_eq!(full.len(), piecewise.len());
         for (key, value) in &full {
             assert_eq!(piecewise.get(key).map(|v| v.to_bits()), Some(value.to_bits()));
+        }
+        // Every score equals the raw scan over the property's first values.
+        let eq = EquivalenceConfig::default();
+        for (&(table_id, col), score) in &full {
+            let m = mapping.table(table_id).unwrap().correspondences[col].as_ref().unwrap();
+            let prop = world.kb().property_by_name(class, &m.property).unwrap();
+            let kb_values = world.kb().property_values(prop.id);
+            let cells = &corpus.table(table_id).unwrap().columns[col].cells;
+            let filled = cells.iter().filter(|c| !c.trim().is_empty());
+            let hit = |cell: &&String| {
+                ltee_types::parse_cell_as(cell, m.data_type).is_some_and(|v| {
+                    kb_values.iter().take(KBT_SAMPLE).any(|kv| value_equivalent(&v, kv, m.data_type, &eq))
+                })
+            };
+            let expected = filled.clone().filter(hit).count() as f64 / filled.count() as f64;
+            assert_eq!(score.to_bits(), expected.to_bits());
         }
         // Tables of other classes and unknown tables contribute nothing.
         assert!(kbt_scores_for_tables(&corpus, &mapping, world.kb(), class, &[TableId(u64::MAX)])

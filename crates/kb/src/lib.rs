@@ -35,6 +35,6 @@ pub mod schema;
 
 pub use generator::{generate_world, GeneratorConfig, Scale, World, WorldEntity};
 pub use ids::{ClassId, EntityId, InstanceId, PropertyId};
-pub use model::{Fact, Instance, KnowledgeBase, KnowledgeBaseClass, Property};
+pub use model::{Fact, Instance, KnowledgeBase, KnowledgeBaseClass, Property, KB_OVERLAP_SAMPLE};
 pub use profile::{ClassProfile, PropertyDensity};
 pub use schema::{class_schema, ClassKey, PropertySpec, CLASS_KEYS};

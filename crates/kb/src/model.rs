@@ -1,13 +1,20 @@
 //! The in-memory knowledge base: classes, properties, instances and facts.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use ltee_index::LabelIndex;
-use ltee_types::{DataType, Value};
+use ltee_types::{DataType, EquivalenceSet, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ClassId, InstanceId, PropertyId};
-use crate::schema::ClassKey;
+use crate::schema::{ClassKey, CLASS_KEYS};
+
+/// How many values of a property — the **first** this many in instance
+/// order, duplicates included — the KB-Overlap matcher and KBT scoring
+/// compare a column against. The prefix is part of the matcher's
+/// definition: a later value that would have matched does not count.
+pub const KB_OVERLAP_SAMPLE: usize = 400;
 
 /// A class in the knowledge base with its position in the hierarchy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,6 +83,44 @@ impl Instance {
     }
 }
 
+/// Where the facts of one property sit, plus the digested KB-Overlap sample.
+#[derive(Debug)]
+struct PropertyFacts {
+    /// `(instance index, fact index)` of every fact, in instance order.
+    positions: Vec<(u32, u32)>,
+    /// The first [`KB_OVERLAP_SAMPLE`] values, digested under the
+    /// property's data type.
+    sample: EquivalenceSet,
+}
+
+/// Data derived from the knowledge base alone, memoised on first use.
+///
+/// Each part is built lazily and independently (building a KB calls
+/// `class_properties` long before anyone needs a label index) and is
+/// immutable once built, so clones of the KB share it; every `&mut self`
+/// mutator replaces the whole struct with an empty one.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    /// One label index per class, in [`CLASS_KEYS`] order.
+    class_label_indexes: Memo<Vec<(ClassKey, LabelIndex)>>,
+    /// The properties of each class, in [`CLASS_KEYS`] order.
+    class_properties: Memo<Vec<(ClassKey, Vec<Property>)>>,
+    /// Indexed by property id.
+    property_facts: Memo<Vec<PropertyFacts>>,
+}
+
+/// Built at most once, then shared by every clone of its owner.
+type Memo<T> = OnceLock<Arc<T>>;
+
+/// A class's position in [`CLASS_KEYS`], the order of the per-class memos.
+fn class_slot(class: ClassKey) -> usize {
+    CLASS_KEYS.iter().position(|&c| c == class).expect("CLASS_KEYS lists every ClassKey")
+}
+
+fn of_class<T>(per_class: &[(ClassKey, T)], class: ClassKey) -> &T {
+    &per_class[class_slot(class)].1
+}
+
 /// The knowledge base: the DBpedia stand-in the pipeline extends.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KnowledgeBase {
@@ -88,6 +133,8 @@ pub struct KnowledgeBase {
     /// (class, property name) -> property id.
     #[serde(skip)]
     property_lookup: HashMap<(ClassKey, String), PropertyId>,
+    #[serde(skip)]
+    derived: Derived,
 }
 
 impl KnowledgeBase {
@@ -98,6 +145,7 @@ impl KnowledgeBase {
 
     /// Register a class.
     pub fn add_class(&mut self, key: ClassKey) -> ClassId {
+        self.derived = Derived::default();
         let id = ClassId(self.classes.len() as u64);
         self.classes.push(KnowledgeBaseClass {
             id,
@@ -110,6 +158,7 @@ impl KnowledgeBase {
 
     /// Register a property of a class.
     pub fn add_property(&mut self, class: ClassKey, name: &str, data_type: DataType, label: &str) -> PropertyId {
+        self.derived = Derived::default();
         let id = PropertyId(self.properties.len() as u64);
         self.properties.push(Property {
             id,
@@ -131,6 +180,7 @@ impl KnowledgeBase {
         page_links: u64,
         facts: Vec<Fact>,
     ) -> InstanceId {
+        self.derived = Derived::default();
         let id = InstanceId(self.instances.len() as u64);
         self.instance_lookup.insert(id, self.instances.len());
         self.instances.push(Instance { id, class, labels, abstract_text, page_links, facts });
@@ -139,6 +189,7 @@ impl KnowledgeBase {
 
     /// Rebuild the internal lookup tables (needed after deserialisation).
     pub fn rebuild_lookups(&mut self) {
+        self.derived = Derived::default();
         self.instance_lookup =
             self.instances.iter().enumerate().map(|(i, inst)| (inst.id, i)).collect();
         self.property_lookup = self
@@ -160,7 +211,17 @@ impl KnowledgeBase {
 
     /// Properties of one class.
     pub fn class_properties(&self, class: ClassKey) -> Vec<&Property> {
-        self.properties.iter().filter(|p| p.class == class).collect()
+        self.class_property_slice(class).iter().collect()
+    }
+
+    /// Properties of one class, in registration order, borrowed from the
+    /// memo (see [`KnowledgeBase::class_label_indexes`]).
+    pub fn class_property_slice(&self, class: ClassKey) -> &[Property] {
+        let per_class = self.derived.class_properties.get_or_init(|| {
+            let of = |class| self.properties.iter().filter(|p| p.class == class).cloned().collect();
+            Arc::new(CLASS_KEYS.iter().map(|&c| (c, of(c))).collect())
+        });
+        of_class(per_class, class).as_slice()
     }
 
     /// Look up a property by class and name.
@@ -207,28 +268,78 @@ impl KnowledgeBase {
         self.instances.iter().filter(|i| i.class == class).map(|i| i.facts.len()).sum()
     }
 
-    /// Build a label index over all instances of a class (used by new
-    /// detection candidate selection and by the IMPLICIT_ATT metric).
-    pub fn label_index(&self, class: ClassKey) -> LabelIndex {
-        let mut idx = LabelIndex::new();
-        for inst in self.instances.iter().filter(|i| i.class == class) {
-            for label in &inst.labels {
-                idx.insert(inst.id.raw(), label);
+    /// The label indexes over the instances of each class, in
+    /// [`CLASS_KEYS`] order (used by table-to-class matching, new detection
+    /// candidate selection and the IMPLICIT_ATT metric).
+    ///
+    /// Like everything derived from the knowledge base alone, they are
+    /// built on first use and kept until the next mutation: a KB that is
+    /// frozen for serving pays for them once, however many micro-batches
+    /// it matches.
+    pub fn class_label_indexes(&self) -> &[(ClassKey, LabelIndex)] {
+        self.derived.class_label_indexes.get_or_init(|| {
+            let mut indexes: Vec<(ClassKey, LabelIndex)> =
+                CLASS_KEYS.iter().map(|&c| (c, LabelIndex::new())).collect();
+            for inst in &self.instances {
+                let (_, index) = &mut indexes[class_slot(inst.class)];
+                for label in &inst.labels {
+                    index.insert(inst.id.raw(), label);
+                }
             }
-        }
-        idx
+            Arc::new(indexes)
+        })
     }
 
-    /// All distinct values of a property across the knowledge base, used by
-    /// the KB-Overlap matcher to test whether a column's values "generally
-    /// fit" a property.
+    /// The memoised label index of one class.
+    pub fn class_label_index(&self, class: ClassKey) -> &LabelIndex {
+        of_class(self.class_label_indexes(), class)
+    }
+
+    /// An owned copy of [`KnowledgeBase::class_label_index`].
+    pub fn label_index(&self, class: ClassKey) -> LabelIndex {
+        self.class_label_index(class).clone()
+    }
+
+    fn property_facts(&self, property: PropertyId) -> Option<&PropertyFacts> {
+        let per_property = self.derived.property_facts.get_or_init(|| {
+            let mut positions = vec![Vec::new(); self.properties.len()];
+            for (i, inst) in self.instances.iter().enumerate() {
+                for (f, fact) in inst.facts.iter().enumerate() {
+                    if let Some(of_property) = positions.get_mut(fact.property.0 as usize) {
+                        of_property.push((i as u32, f as u32));
+                    }
+                }
+            }
+            let digested = positions.into_iter().zip(&self.properties).map(|(positions, property)| {
+                let sample = positions.iter().take(KB_OVERLAP_SAMPLE).map(|&at| self.value_at(at));
+                PropertyFacts { sample: EquivalenceSet::build(sample, property.data_type), positions }
+            });
+            Arc::new(digested.collect())
+        });
+        per_property.get(property.0 as usize)
+    }
+
+    fn value_at(&self, (instance, fact): (u32, u32)) -> &Value {
+        &self.instances[instance as usize].facts[fact as usize].value
+    }
+
+    /// All values of a property across the knowledge base, one per fact in
+    /// instance order — **not** deduplicated. Facts of a property id that
+    /// was never registered with [`KnowledgeBase::add_property`] are not
+    /// reachable.
     pub fn property_values(&self, property: PropertyId) -> Vec<&Value> {
-        self.instances
-            .iter()
-            .flat_map(|i| i.facts.iter())
-            .filter(|f| f.property == property)
-            .map(|f| &f.value)
-            .collect()
+        self.property_facts(property)
+            .map(|facts| facts.positions.iter().map(|&at| self.value_at(at)).collect())
+            .unwrap_or_default()
+    }
+
+    /// The first [`KB_OVERLAP_SAMPLE`] values of a property (the prefix of
+    /// [`KnowledgeBase::property_values`]), digested under the property's
+    /// data type: what the KB-Overlap matcher and KBT scoring test a
+    /// column's values against to see whether they "generally fit" the
+    /// property. `None` for an unregistered property id.
+    pub fn property_value_sample(&self, property: PropertyId) -> Option<&EquivalenceSet> {
+        self.property_facts(property).map(|facts| &facts.sample)
     }
 }
 
@@ -312,6 +423,95 @@ mod tests {
         let kb = tiny_kb();
         let artist = kb.property_by_name(ClassKey::Song, "musicalArtist").unwrap().id;
         assert_eq!(kb.property_values(artist).len(), 2);
+    }
+
+    #[test]
+    fn property_values_keep_duplicates_and_instance_order() {
+        let mut kb = tiny_kb();
+        let runtime = kb.property_by_name(ClassKey::Song, "runtime").unwrap().id;
+        let runtime_fact = |seconds| Fact { property: runtime, value: Value::Quantity(seconds) };
+        kb.add_instance(
+            ClassKey::Song,
+            vec!["Hey Jude".into()],
+            String::new(),
+            900,
+            vec![runtime_fact(431.0), runtime_fact(159.0)],
+        );
+        let values: Vec<f64> = kb.property_values(runtime).iter().filter_map(|v| v.as_f64()).collect();
+        assert_eq!(values, [159.0, 431.0, 159.0]);
+        assert!(kb.property_values(PropertyId(99)).is_empty());
+        assert!(kb.property_value_sample(PropertyId(99)).is_none());
+    }
+
+    #[test]
+    fn value_sample_is_the_first_values_in_instance_order() {
+        let mut kb = KnowledgeBase::new();
+        kb.add_class(ClassKey::Song);
+        let runtime = kb.add_property(ClassKey::Song, "runtime", DataType::Quantity, "length");
+        for i in 0..KB_OVERLAP_SAMPLE + 1 {
+            let fact = Fact { property: runtime, value: Value::Quantity(1.5f64.powi(i as i32)) };
+            kb.add_instance(ClassKey::Song, vec![format!("song {i}")], String::new(), 0, vec![fact]);
+        }
+        let sample = kb.property_value_sample(runtime).unwrap();
+        assert_eq!(sample.len(), KB_OVERLAP_SAMPLE);
+        assert!(sample.contains_equivalent(&Value::Quantity(1.5f64.powi(KB_OVERLAP_SAMPLE as i32 - 1))));
+        // The value past the cut-off is in the KB but not in the sample.
+        assert_eq!(kb.property_values(runtime).len(), KB_OVERLAP_SAMPLE + 1);
+        assert!(!sample.contains_equivalent(&Value::Quantity(1.5f64.powi(KB_OVERLAP_SAMPLE as i32))));
+    }
+
+    #[test]
+    fn mutation_drops_the_memoised_data() {
+        let mut kb = tiny_kb();
+        let artist = kb.property_by_name(ClassKey::Song, "musicalArtist").unwrap().id;
+        let stones = Value::InstanceRef("the rolling stones".into());
+        assert!(kb.class_label_index(ClassKey::Song).exact_block("paint it black").is_empty());
+        assert!(!kb.property_value_sample(artist).unwrap().contains_equivalent(&stones));
+        assert_eq!(kb.class_property_slice(ClassKey::Song).len(), 2);
+
+        let id = kb.add_instance(
+            ClassKey::Song,
+            vec!["Paint It Black".into()],
+            String::new(),
+            700,
+            vec![Fact { property: artist, value: Value::InstanceRef("The Rolling Stones".into()) }],
+        );
+        assert_eq!(kb.class_label_index(ClassKey::Song).exact_block("paint it black")[0].id, id.raw());
+        assert_eq!(kb.label_index(ClassKey::Song).len(), 4);
+        assert!(kb.property_value_sample(artist).unwrap().contains_equivalent(&stones));
+        assert_eq!(kb.property_values(artist).len(), 3);
+
+        let album = kb.add_property(ClassKey::Song, "album", DataType::InstanceReference, "album");
+        assert_eq!(kb.class_property_slice(ClassKey::Song).len(), 3);
+        assert_eq!(kb.class_properties(ClassKey::Song).last().unwrap().id, album);
+        assert!(kb.property_value_sample(album).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_clone_mutated_afterwards_does_not_disturb_the_original() {
+        let kb = tiny_kb();
+        let artist = kb.property_by_name(ClassKey::Song, "musicalArtist").unwrap().id;
+        // Build the memo first, so the clone starts out sharing it.
+        assert_eq!(kb.class_label_index(ClassKey::Song).len(), 3);
+        assert_eq!(kb.property_values(artist).len(), 2);
+
+        let mut clone = kb.clone();
+        clone.add_property(ClassKey::Song, "album", DataType::InstanceReference, "album");
+        clone.add_instance(
+            ClassKey::Song,
+            vec!["Paint It Black".into()],
+            String::new(),
+            700,
+            vec![Fact { property: artist, value: Value::InstanceRef("The Rolling Stones".into()) }],
+        );
+        assert_eq!(clone.class_label_index(ClassKey::Song).len(), 4);
+        assert_eq!(clone.property_values(artist).len(), 3);
+        assert_eq!(clone.class_property_slice(ClassKey::Song).len(), 3);
+
+        assert_eq!(kb.class_label_index(ClassKey::Song).len(), 3);
+        assert!(kb.class_label_index(ClassKey::Song).exact_block("paint it black").is_empty());
+        assert_eq!(kb.property_values(artist).len(), 2);
+        assert_eq!(kb.class_property_slice(ClassKey::Song).len(), 2);
     }
 
     #[test]

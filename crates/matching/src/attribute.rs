@@ -20,7 +20,7 @@ use ltee_webtables::{Corpus, GoldStandard, WebTable};
 use serde::{Deserialize, Serialize};
 
 use crate::mapping::{AttributeMatch, CorpusFeedback};
-use crate::matchers::{self, HeaderStatistics, MatcherKind};
+use crate::matchers::{self, HeaderStatistics, KbOverlapFn, MatcherKind};
 
 /// Configuration of the attribute-to-property matcher.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -40,8 +40,8 @@ impl Default for AttributeMatcherConfig {
 pub struct MatcherWeights {
     /// Per-class weights over [`MatcherKind::ALL`] in order.
     pub class_weights: HashMap<ClassKey, Vec<f64>>,
-    /// Per-property decision thresholds, keyed by `(class, property name)`.
-    pub property_thresholds: HashMap<(ClassKey, String), f64>,
+    /// Per-property decision thresholds, by class and property name.
+    pub property_thresholds: HashMap<ClassKey, HashMap<String, f64>>,
 }
 
 impl Default for MatcherWeights {
@@ -58,16 +58,15 @@ impl Default for MatcherWeights {
 
 impl MatcherWeights {
     /// The weights for a class (falling back to uniform weights).
-    pub fn weights_for(&self, class: ClassKey) -> Vec<f64> {
-        self.class_weights
-            .get(&class)
-            .cloned()
-            .unwrap_or_else(|| vec![1.0 / MatcherKind::ALL.len() as f64; MatcherKind::ALL.len()])
+    pub fn weights_for(&self, class: ClassKey) -> &[f64] {
+        const UNIFORM: [f64; MatcherKind::ALL.len()] =
+            [1.0 / MatcherKind::ALL.len() as f64; MatcherKind::ALL.len()];
+        self.class_weights.get(&class).map_or(&UNIFORM, Vec::as_slice)
     }
 
     /// The threshold for a property, falling back to `default`.
     pub fn threshold_for(&self, class: ClassKey, property: &str, default: f64) -> f64 {
-        self.property_thresholds.get(&(class, property.to_string())).copied().unwrap_or(default)
+        self.property_thresholds.get(&class).and_then(|t| t.get(property)).copied().unwrap_or(default)
     }
 
     /// Serialise the learned weights and thresholds into the writer.
@@ -83,14 +82,17 @@ impl MatcherWeights {
             w.write_u8(class.code());
             w.write_f64_slice(weights);
         }
-        let mut thresholds: Vec<(&(ClassKey, String), &f64)> =
-            self.property_thresholds.iter().collect();
-        thresholds.sort_by_key(|((c, p), _)| (c.code(), p.clone()));
+        let mut thresholds: Vec<(u8, &str, f64)> = self
+            .property_thresholds
+            .iter()
+            .flat_map(|(class, of_class)| of_class.iter().map(|(p, t)| (class.code(), p.as_str(), *t)))
+            .collect();
+        thresholds.sort_by_key(|&(class, property, _)| (class, property));
         w.write_len(thresholds.len());
-        for ((class, property), threshold) in thresholds {
-            w.write_u8(class.code());
+        for (class, property, threshold) in thresholds {
+            w.write_u8(class);
             w.write_str(property);
-            w.write_f64(*threshold);
+            w.write_f64(threshold);
         }
     }
 
@@ -105,14 +107,14 @@ impl MatcherWeights {
             class_weights.insert(class, r.read_f64_vec("matcher.weights")?);
         }
         let threshold_count = r.read_len("matcher.thresholds", 13)?;
-        let mut property_thresholds = HashMap::new();
+        let mut property_thresholds: HashMap<ClassKey, HashMap<String, f64>> = HashMap::new();
         for _ in 0..threshold_count {
             let code = r.read_u8("matcher.threshold.class")?;
             let class = ClassKey::from_code(code)
                 .ok_or(CodecError::InvalidTag { what: "matcher.threshold.class", tag: code })?;
             let property = r.read_str("matcher.threshold.property")?;
             let threshold = r.read_f64("matcher.threshold.value")?;
-            property_thresholds.insert((class, property), threshold);
+            property_thresholds.entry(class).or_default().insert(property, threshold);
         }
         Ok(Self { class_weights, property_thresholds })
     }
@@ -137,6 +139,9 @@ impl MatcherWeights {
 /// Matchers that require feedback return 0.0 when no feedback is available
 /// (the first pipeline iteration), matching the paper's setup where "the
 /// duplicate-based methods are not included in the first iteration".
+///
+/// `kb_overlap` is always [`matchers::kb_overlap`] outside this crate's
+/// tests (see [`KbOverlapFn`]).
 #[allow(clippy::too_many_arguments)]
 pub fn matcher_scores(
     table: &WebTable,
@@ -146,8 +151,9 @@ pub fn matcher_scores(
     corpus: Option<&Corpus>,
     feedback: Option<&CorpusFeedback>,
     header_stats: Option<&HeaderStatistics>,
+    kb_overlap: KbOverlapFn,
 ) -> [f64; 5] {
-    let kb_overlap = matchers::kb_overlap(table, column, property, kb);
+    let kb_overlap = kb_overlap(table, column, property, kb);
     let kb_label = matchers::kb_label(table, column, property);
     let kb_duplicate = feedback
         .map(|fb| matchers::kb_duplicate(table, column, property, kb, fb))
@@ -178,6 +184,7 @@ pub fn match_attributes(
     config: &AttributeMatcherConfig,
     feedback: Option<&CorpusFeedback>,
     header_stats: Option<&HeaderStatistics>,
+    kb_overlap: KbOverlapFn,
 ) -> Vec<Option<AttributeMatch>> {
     let class_weights = weights.weights_for(class);
     // Only matchers that can actually produce a signal participate in the
@@ -200,7 +207,7 @@ pub fn match_attributes(
         .map(|(w, _)| *w)
         .sum::<f64>()
         .max(1e-9);
-    let properties = kb.class_properties(class);
+    let properties = kb.class_property_slice(class);
     let mut result: Vec<Option<AttributeMatch>> = vec![None; table.num_columns()];
 
     for (column, &dtype) in detected.iter().enumerate() {
@@ -208,13 +215,12 @@ pub fn match_attributes(
             continue;
         }
         // Candidate property selection by data type.
-        let candidates: Vec<&&Property> = properties
-            .iter()
-            .filter(|p| dtype.candidate_property_types().contains(&p.data_type))
-            .collect();
+        let candidates =
+            properties.iter().filter(|p| dtype.candidate_property_types().contains(&p.data_type));
         let mut best: Option<(f64, &Property)> = None;
         for prop in candidates {
-            let scores = matcher_scores(table, column, prop, kb, corpus, feedback, header_stats);
+            let scores =
+                matcher_scores(table, column, prop, kb, corpus, feedback, header_stats, kb_overlap);
             let aggregated: f64 = scores
                 .iter()
                 .zip(class_weights.iter())
@@ -256,22 +262,35 @@ pub fn learn_weights(
     feedback: Option<&CorpusFeedback>,
     genetic: &GeneticConfig,
 ) -> MatcherWeights {
+    learn_weights_with(corpus, kb, golds, feedback, genetic, matchers::kb_overlap)
+}
+
+/// [`learn_weights`] over a given KB-Overlap implementation.
+pub(crate) fn learn_weights_with(
+    corpus: &Corpus,
+    kb: &KnowledgeBase,
+    golds: &[&GoldStandard],
+    feedback: Option<&CorpusFeedback>,
+    genetic: &GeneticConfig,
+    kb_overlap: KbOverlapFn,
+) -> MatcherWeights {
     let header_stats = feedback.map(|fb| HeaderStatistics::build(corpus, fb));
     let mut weights = MatcherWeights { class_weights: HashMap::new(), property_thresholds: HashMap::new() };
 
     for gold in golds {
         let class = gold.class;
+        let properties = kb.class_property_slice(class);
         // Gold correspondences keyed by (table, column).
-        let gold_map: HashMap<(ltee_webtables::TableId, usize), String> = gold
+        let gold_map: HashMap<(ltee_webtables::TableId, usize), &str> = gold
             .attributes
             .iter()
-            .map(|a| ((a.table, a.column), a.property.clone()))
+            .map(|a| ((a.table, a.column), a.property.as_str()))
             .collect();
 
         let feature_names: Vec<String> = MatcherKind::ALL.iter().map(|m| m.name().to_string()).collect();
         let mut dataset = Dataset::new(feature_names);
         // Remember (scores, property, is_gold) to derive thresholds later.
-        let mut scored_pairs: Vec<([f64; 5], String, bool)> = Vec::new();
+        let mut scored_pairs: Vec<([f64; 5], &str, bool)> = Vec::new();
 
         for &table_id in &gold.tables {
             let Some(table) = corpus.table(table_id) else { continue };
@@ -281,21 +300,29 @@ pub fn learn_weights(
                 if column == label_column {
                     continue;
                 }
-                for prop in kb.class_properties(class) {
+                for prop in properties {
                     if !dtype.candidate_property_types().contains(&prop.data_type) {
                         continue;
                     }
-                    let scores =
-                        matcher_scores(table, column, prop, kb, Some(corpus), feedback, header_stats.as_ref());
-                    let is_gold = gold_map.get(&(table_id, column)).map(|p| p == &prop.name).unwrap_or(false);
+                    let scores = matcher_scores(
+                        table,
+                        column,
+                        prop,
+                        kb,
+                        Some(corpus),
+                        feedback,
+                        header_stats.as_ref(),
+                        kb_overlap,
+                    );
+                    let is_gold = gold_map.get(&(table_id, column)) == Some(&prop.name.as_str());
                     dataset.push(Sample::new(scores.to_vec(), if is_gold { 1.0 } else { 0.0 }));
-                    scored_pairs.push((scores, prop.name.clone(), is_gold));
+                    scored_pairs.push((scores, &prop.name, is_gold));
                 }
             }
         }
 
         if dataset.positives() == 0 || dataset.negatives() == 0 {
-            weights.class_weights.insert(class, MatcherWeights::default().weights_for(class));
+            weights.class_weights.insert(class, MatcherWeights::default().weights_for(class).to_vec());
             continue;
         }
 
@@ -305,11 +332,11 @@ pub fn learn_weights(
 
         // Per-property threshold: grid search maximising F1 of "aggregated
         // score >= threshold" per property.
-        let mut per_property: HashMap<String, Vec<(f64, bool)>> = HashMap::new();
+        let mut per_property: HashMap<&str, Vec<(f64, bool)>> = HashMap::new();
         for (scores, prop, is_gold) in &scored_pairs {
             let agg: f64 = scores.iter().zip(class_weights.iter()).map(|(s, w)| s * w).sum::<f64>()
                 / class_weights.iter().sum::<f64>().max(1e-9);
-            per_property.entry(prop.clone()).or_default().push((agg, *is_gold));
+            per_property.entry(prop).or_default().push((agg, *is_gold));
         }
         for (prop, pairs) in per_property {
             let positives = pairs.iter().filter(|(_, g)| *g).count();
@@ -332,7 +359,7 @@ pub fn learn_weights(
                     best = (threshold, f1);
                 }
             }
-            weights.property_thresholds.insert((class, prop), best.0);
+            weights.property_thresholds.entry(class).or_default().insert(prop.to_string(), best.0);
         }
         weights.class_weights.insert(class, class_weights);
     }
@@ -357,8 +384,9 @@ mod tests {
     fn threshold_falls_back_to_default() {
         let mut w = MatcherWeights::default();
         assert_eq!(w.threshold_for(ClassKey::Song, "genre", 0.3), 0.3);
-        w.property_thresholds.insert((ClassKey::Song, "genre".into()), 0.55);
+        w.property_thresholds.entry(ClassKey::Song).or_default().insert("genre".into(), 0.55);
         assert_eq!(w.threshold_for(ClassKey::Song, "genre", 0.3), 0.55);
+        assert_eq!(w.threshold_for(ClassKey::Settlement, "genre", 0.3), 0.3);
     }
 
     #[test]
@@ -380,9 +408,9 @@ mod tests {
     #[test]
     fn codec_round_trip_is_exact_and_byte_stable() {
         let mut w = MatcherWeights::default();
-        w.property_thresholds.insert((ClassKey::Song, "genre".into()), 0.55);
-        w.property_thresholds.insert((ClassKey::Settlement, "country".into()), 0.40);
-        w.property_thresholds.insert((ClassKey::Song, "album".into()), 0.35);
+        w.property_thresholds.entry(ClassKey::Song).or_default().insert("genre".into(), 0.55);
+        w.property_thresholds.entry(ClassKey::Settlement).or_default().insert("country".into(), 0.40);
+        w.property_thresholds.entry(ClassKey::Song).or_default().insert("album".into(), 0.35);
 
         let mut writer = ByteWriter::new();
         w.encode_into(&mut writer);

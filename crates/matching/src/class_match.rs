@@ -33,6 +33,7 @@ pub fn match_table_class(
     let mut best: Option<(ClassKey, f64)> = None;
 
     for (class, index) in class_indexes {
+        let properties = kb.class_property_slice(*class);
         let mut row_hits = 0usize;
         let mut duplicate_cells = 0usize;
 
@@ -60,7 +61,7 @@ pub fn match_table_class(
                 if cell.trim().is_empty() {
                     continue;
                 }
-                for prop in kb.class_properties(*class) {
+                for prop in properties {
                     if !cell_type.candidate_property_types().contains(&prop.data_type) {
                         continue;
                     }
@@ -93,7 +94,7 @@ pub fn match_table_class(
 mod tests {
     use super::*;
     use crate::label_attr::{detect_column_types, detect_label_attribute};
-    use ltee_kb::{generate_world, GeneratorConfig, Scale, CLASS_KEYS};
+    use ltee_kb::{generate_world, GeneratorConfig, Scale};
     use ltee_webtables::{generate_corpus, CorpusConfig};
 
     #[test]
@@ -101,15 +102,14 @@ mod tests {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 31));
         let corpus = generate_corpus(&world, &CorpusConfig::tiny());
         let kb = world.kb();
-        let indexes: Vec<(ClassKey, LabelIndex)> =
-            CLASS_KEYS.iter().map(|&c| (c, kb.label_index(c))).collect();
+        let indexes = kb.class_label_indexes();
 
         let mut correct = 0usize;
         let mut decided = 0usize;
         for table in corpus.tables() {
             let detected = detect_column_types(table);
             let label_col = detect_label_attribute(table, &detected);
-            let (class, _) = match_table_class(table, label_col, &detected, kb, &indexes);
+            let (class, _) = match_table_class(table, label_col, &detected, kb, indexes);
             if let Some(c) = class {
                 decided += 1;
                 if c == table.truth.class {
@@ -126,8 +126,7 @@ mod tests {
     fn empty_table_matches_nothing() {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 1));
         let kb = world.kb();
-        let indexes: Vec<(ClassKey, LabelIndex)> =
-            CLASS_KEYS.iter().map(|&c| (c, kb.label_index(c))).collect();
+        let indexes = kb.class_label_indexes();
         let table = ltee_webtables::WebTable {
             id: ltee_webtables::TableId(99),
             columns: vec![ltee_webtables::Column { header: "x".into(), cells: vec!["zzz qqq".into()] }],
@@ -139,7 +138,7 @@ mod tests {
             },
         };
         let detected = detect_column_types(&table);
-        let (class, score) = match_table_class(&table, 0, &detected, kb, &indexes);
+        let (class, score) = match_table_class(&table, 0, &detected, kb, indexes);
         assert!(class.is_none());
         assert_eq!(score, 0.0);
     }

@@ -31,6 +31,8 @@ pub mod class_match;
 pub mod label_attr;
 pub mod mapping;
 pub mod matchers;
+#[cfg(test)]
+mod naive;
 
 pub use attribute::{learn_weights, AttributeMatcherConfig, MatcherWeights};
 pub use class_match::match_table_class;
@@ -60,11 +62,25 @@ pub fn match_corpus(
     config: &SchemaMatchingConfig,
     feedback: Option<&CorpusFeedback>,
 ) -> CorpusMapping {
-    use rayon::prelude::*;
+    // Everything matching derives from the knowledge base alone — the
+    // per-class label indexes here, the KB-Overlap samples and the
+    // per-class property slices further down — is memoised on the KB.
+    let class_indexes = kb.class_label_indexes();
+    match_corpus_with(corpus, kb, weights, config, feedback, class_indexes, matchers::kb_overlap)
+}
 
-    // Per-class label indexes for table-to-class matching, built once.
-    let class_indexes: Vec<(ltee_kb::ClassKey, ltee_index::LabelIndex)> =
-        ltee_kb::CLASS_KEYS.iter().map(|&c| (c, kb.label_index(c))).collect();
+/// [`match_corpus`] over given per-class label indexes and a given
+/// KB-Overlap implementation.
+fn match_corpus_with(
+    corpus: &Corpus,
+    kb: &KnowledgeBase,
+    weights: &MatcherWeights,
+    config: &SchemaMatchingConfig,
+    feedback: Option<&CorpusFeedback>,
+    class_indexes: &[(ltee_kb::ClassKey, ltee_index::LabelIndex)],
+    kb_overlap: matchers::KbOverlapFn,
+) -> CorpusMapping {
+    use rayon::prelude::*;
 
     // Corpus-level header statistics (WT-Label) need a preliminary mapping;
     // they are only available when feedback from a previous iteration exists.
@@ -77,7 +93,7 @@ pub fn match_corpus(
             let detected = detect_column_types(table);
             let label_column = detect_label_attribute(table, &detected);
             let (class, class_score) =
-                match_table_class(table, label_column, &detected, kb, &class_indexes);
+                match_table_class(table, label_column, &detected, kb, class_indexes);
             let correspondences = match class {
                 Some(class) => attribute::match_attributes(
                     table,
@@ -90,6 +106,7 @@ pub fn match_corpus(
                     &config.attribute,
                     feedback,
                     header_stats.as_ref(),
+                    kb_overlap,
                 ),
                 None => vec![None; table.num_columns()],
             };

@@ -63,20 +63,19 @@ impl MatcherKind {
     }
 }
 
-/// Maximum number of knowledge base values sampled by the KB-Overlap matcher
-/// per property (keeps the matcher linear in the column size).
-const KB_OVERLAP_SAMPLE: usize = 400;
+/// The signature of [`kb_overlap`]. [`crate::attribute::matcher_scores`] and
+/// its callers take the matcher as a value so that this crate's tests can
+/// run whole matching passes against the naive scan it replaced.
+pub type KbOverlapFn = fn(&WebTable, usize, &Property, &KnowledgeBase) -> f64;
 
 /// KB-Overlap: the proportion of non-empty column cells whose parsed value
 /// is equivalent to *some* value of the candidate property in the knowledge
-/// base.
+/// base — more precisely, to one of its first
+/// [`ltee_kb::KB_OVERLAP_SAMPLE`] values in instance order, which keeps the
+/// matcher linear in the column size. The sample is digested once per
+/// knowledge base ([`KnowledgeBase::property_value_sample`]), not per call.
 pub fn kb_overlap(table: &WebTable, column: usize, property: &Property, kb: &KnowledgeBase) -> f64 {
-    let eq = EquivalenceConfig::default();
-    let kb_values = kb.property_values(property.id);
-    if kb_values.is_empty() {
-        return 0.0;
-    }
-    let sample: Vec<_> = kb_values.iter().take(KB_OVERLAP_SAMPLE).collect();
+    let Some(sample) = kb.property_value_sample(property.id) else { return 0.0 };
     let mut total = 0usize;
     let mut hits = 0usize;
     for cell in &table.columns[column].cells {
@@ -84,10 +83,8 @@ pub fn kb_overlap(table: &WebTable, column: usize, property: &Property, kb: &Kno
             continue;
         }
         total += 1;
-        if let Some(value) = parse_cell_as(cell, property.data_type) {
-            if sample.iter().any(|kv| value_equivalent(&value, kv, property.data_type, &eq)) {
-                hits += 1;
-            }
+        if parse_cell_as(cell, property.data_type).is_some_and(|value| sample.contains_equivalent(&value)) {
+            hits += 1;
         }
     }
     if total == 0 {

@@ -345,42 +345,74 @@ impl TreeBuilder<'_> {
         candidates.truncate(self.features_per_split);
 
         let parent_var = variance_target(self.dataset, indices, mean) * indices.len() as f64;
-        // (feature, threshold, weighted child variance, left rows, right rows)
-        type SplitCandidate = (usize, f64, f64, Vec<usize>, Vec<usize>);
-        let mut best: Option<SplitCandidate> = None;
+        // (feature, threshold, gain)
+        let mut best: Option<(usize, f64, f64)> = None;
 
+        // Every candidate threshold is scored over two gathered slices —
+        // the node's targets and the feature's values, both in `indices`
+        // order — without materialising its partition. Each side's sums
+        // visit their rows in that same order, exactly as `mean_target` /
+        // `variance_target` would over the partitioned index lists, so
+        // gains (and therefore tie-breaks) are bit-identical to
+        // partitioning first. (`Sum` may start from -0.0 where these
+        // accumulators start from 0.0; that can only flip the sign of a
+        // zero side mean, which its squared deviations cannot see.)
+        let targets: Vec<f64> = indices.iter().map(|&i| self.dataset.samples[i].target).collect();
+        let mut values: Vec<f64> = Vec::with_capacity(indices.len());
+        let mut distinct: Vec<f64> = Vec::with_capacity(indices.len());
         for &feature in &candidates {
-            let mut values: Vec<f64> = indices
-                .iter()
-                .map(|&i| self.dataset.samples[i].features.get(feature).copied().unwrap_or(0.0))
-                .collect();
-            values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            values.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-            if values.len() < 2 {
+            values.clear();
+            values.extend(indices.iter().map(|&i| self.feature_value(i, feature)));
+            distinct.clear();
+            distinct.extend_from_slice(&values);
+            // `total_cmp`, so a NaN feature value cannot make the sort panic
+            // on an inconsistent order; NaNs land at the ends, where every
+            // threshold they produce is NaN and splits nothing off.
+            distinct.sort_by(f64::total_cmp);
+            distinct.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+            if distinct.len() < 2 {
                 continue;
             }
             // Candidate thresholds: midpoints between consecutive distinct values.
-            for w in values.windows(2) {
+            for w in distinct.windows(2) {
                 let threshold = (w[0] + w[1]) / 2.0;
-                let (left, right): (Vec<usize>, Vec<usize>) = indices.iter().partition(|&&i| {
-                    self.dataset.samples[i].features.get(feature).copied().unwrap_or(0.0) <= threshold
-                });
-                if left.is_empty() || right.is_empty() {
+                let (mut left_len, mut left_sum, mut right_sum) = (0usize, 0.0f64, 0.0f64);
+                for (&t, &v) in targets.iter().zip(&values) {
+                    if v <= threshold {
+                        left_len += 1;
+                        left_sum += t;
+                    } else {
+                        right_sum += t;
+                    }
+                }
+                let right_len = values.len() - left_len;
+                if left_len == 0 || right_len == 0 {
                     continue;
                 }
-                let lm = mean_target(self.dataset, &left);
-                let rm = mean_target(self.dataset, &right);
-                let child_var = variance_target(self.dataset, &left, lm) * left.len() as f64
-                    + variance_target(self.dataset, &right, rm) * right.len() as f64;
+                let lm = left_sum / left_len as f64;
+                let rm = right_sum / right_len as f64;
+                let (mut left_sq, mut right_sq) = (0.0f64, 0.0f64);
+                for (&t, &v) in targets.iter().zip(&values) {
+                    if v <= threshold {
+                        left_sq += (t - lm).powi(2);
+                    } else {
+                        right_sq += (t - rm).powi(2);
+                    }
+                }
+                let left_var = left_sq / left_len as f64;
+                let right_var = right_sq / right_len as f64;
+                let child_var = left_var * left_len as f64 + right_var * right_len as f64;
                 let gain = parent_var - child_var;
-                if best.as_ref().map(|b| gain > b.2).unwrap_or(gain > 1e-12) {
-                    best = Some((feature, threshold, gain, left, right));
+                if best.map(|b| gain > b.2).unwrap_or(gain > 1e-12) {
+                    best = Some((feature, threshold, gain));
                 }
             }
         }
 
         match best {
-            Some((feature, threshold, gain, left, right)) => {
+            Some((feature, threshold, gain)) => {
+                let (left, right): (Vec<usize>, Vec<usize>) =
+                    indices.iter().partition(|&&i| self.feature_value(i, feature) <= threshold);
                 let node_idx = self.push(Node::Split { feature, threshold, gain, left: 0, right: 0 });
                 let left_idx = self.build(&left, depth + 1);
                 let right_idx = self.build(&right, depth + 1);
@@ -392,6 +424,11 @@ impl TreeBuilder<'_> {
             }
             None => self.push(Node::Leaf { prediction: mean }),
         }
+    }
+
+    /// A sample's value for a feature (missing features read as zero).
+    fn feature_value(&self, sample: usize, feature: usize) -> f64 {
+        self.dataset.samples[sample].features.get(feature).copied().unwrap_or(0.0)
     }
 
     fn push(&mut self, node: Node) -> usize {
@@ -584,6 +621,97 @@ mod tests {
         bytes.clear();
     }
 
+    impl TreeBuilder<'_> {
+        /// The split search `build` replaced, kept as its oracle: every
+        /// candidate threshold partitions `indices` into two fresh index
+        /// lists and scores them with `mean_target` / `variance_target`.
+        fn build_by_partition(&mut self, indices: &[usize], depth: usize) -> usize {
+            let mean = mean_target(self.dataset, indices);
+            if depth >= self.config.max_depth
+                || indices.len() < self.config.min_samples_split
+                || variance_target(self.dataset, indices, mean) < 1e-12
+            {
+                return self.push(Node::Leaf { prediction: mean });
+            }
+
+            let num_features = self.dataset.num_features();
+            let mut candidates: Vec<usize> = (0..num_features).collect();
+            for i in 0..self.features_per_split.min(num_features) {
+                let j = self.rng.gen_range(i..num_features);
+                candidates.swap(i, j);
+            }
+            candidates.truncate(self.features_per_split);
+
+            let parent_var = variance_target(self.dataset, indices, mean) * indices.len() as f64;
+            type SplitCandidate = (usize, f64, f64, Vec<usize>, Vec<usize>);
+            let mut best: Option<SplitCandidate> = None;
+
+            for &feature in &candidates {
+                let mut values: Vec<f64> =
+                    indices.iter().map(|&i| self.feature_value(i, feature)).collect();
+                values.sort_by(f64::total_cmp);
+                values.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+                if values.len() < 2 {
+                    continue;
+                }
+                for w in values.windows(2) {
+                    let threshold = (w[0] + w[1]) / 2.0;
+                    let (left, right): (Vec<usize>, Vec<usize>) =
+                        indices.iter().partition(|&&i| self.feature_value(i, feature) <= threshold);
+                    if left.is_empty() || right.is_empty() {
+                        continue;
+                    }
+                    let lm = mean_target(self.dataset, &left);
+                    let rm = mean_target(self.dataset, &right);
+                    let child_var = variance_target(self.dataset, &left, lm) * left.len() as f64
+                        + variance_target(self.dataset, &right, rm) * right.len() as f64;
+                    let gain = parent_var - child_var;
+                    if best.as_ref().map(|b| gain > b.2).unwrap_or(gain > 1e-12) {
+                        best = Some((feature, threshold, gain, left, right));
+                    }
+                }
+            }
+
+            match best {
+                Some((feature, threshold, gain, left, right)) => {
+                    let node_idx = self.push(Node::Split { feature, threshold, gain, left: 0, right: 0 });
+                    let left_idx = self.build_by_partition(&left, depth + 1);
+                    let right_idx = self.build_by_partition(&right, depth + 1);
+                    if let Node::Split { left: l, right: r, .. } = &mut self.nodes[node_idx] {
+                        *l = left_idx;
+                        *r = right_idx;
+                    }
+                    node_idx
+                }
+                None => self.push(Node::Leaf { prediction: mean }),
+            }
+        }
+    }
+
+    /// A dataset built to provoke what could tell the two split searches
+    /// apart: few distinct feature values (equal-gain ties between
+    /// thresholds and between features), a constant feature, NaN feature
+    /// values, and ±1, real-valued or {-0.0, 1.0} targets.
+    fn awkward_dataset(rng: &mut ChaCha8Rng, n: usize, target_kind: usize) -> Dataset {
+        let mut ds = Dataset::new(["coarse", "coarse twin", "constant", "fine", "holes"]);
+        for _ in 0..n {
+            let coarse = rng.gen_range(0..4) as f64 / 4.0;
+            let fine = rng.gen_range(0..1000) as f64 / 1000.0;
+            let holes = if rng.gen_range(0..5) == 0 { f64::NAN } else { rng.gen_range(0..6) as f64 };
+            let features = vec![coarse, 1.0 - coarse, 0.5, fine, holes];
+            let high = coarse + fine > 0.9;
+            let target = match target_kind {
+                0 => coarse - fine + rng.gen_range(0..7) as f64 / 10.0,
+                1 if high => 1.0,
+                1 => -1.0,
+                _ if high => 1.0,
+                _ => -0.0,
+            };
+            ds.push(Sample::new(features, target));
+        }
+        ds
+    }
+
     proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
         #[test]
@@ -595,6 +723,37 @@ mod tests {
                 let p = forest.predict(&[x, 0.5]);
                 prop_assert!((-1.0..=1.0).contains(&p));
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn split_search_builds_the_same_tree_as_partitioning(
+            n in 5usize..120,
+            seed in 0u64..1_000_000,
+            features_per_split in 1usize..6,
+            target_kind in 0usize..3,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let ds = awkward_dataset(&mut rng, n, target_kind);
+            let config = RandomForestConfig { min_samples_split: 2, ..Default::default() };
+            // A bootstrap sample: indices repeat, in no particular order.
+            let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            let builder = || TreeBuilder {
+                dataset: &ds,
+                config: &config,
+                features_per_split,
+                rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5eed),
+                nodes: Vec::new(),
+            };
+            let (mut fast, mut oracle) = (builder(), builder());
+            fast.build(&indices, 0);
+            oracle.build_by_partition(&indices, 0);
+            // Through `Debug`, which (unlike `==`) tells -0.0 from 0.0.
+            prop_assert_eq!(format!("{:?}", fast.nodes), format!("{:?}", oracle.nodes));
+            // With every feature a candidate, a node of this size splits.
+            prop_assert!(n < 20 || features_per_split < 5 || fast.nodes.len() > 1);
         }
     }
 }

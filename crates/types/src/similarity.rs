@@ -7,11 +7,13 @@
 //! grouping step and the facts-found evaluation (which additionally uses a
 //! learned tolerance range for quantities).
 
+use std::collections::HashMap;
+
 use ltee_text::{clamp_unit, monge_elkan_similarity, normalize_label};
 use serde::{Deserialize, Serialize};
 
 use crate::datatype::DataType;
-use crate::value::{DateGranularity, Value};
+use crate::value::{Date, DateGranularity, Value};
 
 /// Thresholds and tolerances controlling when two values of a given data
 /// type are considered *equivalent*.
@@ -137,7 +139,11 @@ pub fn value_similarity(a: &Value, b: &Value, dtype: DataType) -> f64 {
 /// given the equivalence configuration.
 pub fn value_equivalent(a: &Value, b: &Value, dtype: DataType, cfg: &EquivalenceConfig) -> bool {
     match dtype {
-        DataType::Text => value_similarity(a, b, dtype) >= cfg.text_threshold,
+        DataType::Text => match (a.as_str(), b.as_str()) {
+            (Some(x), Some(y)) => text_equivalent(&normalize_label(x), &normalize_label(y), cfg),
+            // Mismatched payloads have similarity 0.
+            _ => 0.0 >= cfg.text_threshold,
+        },
         DataType::NominalString | DataType::InstanceReference => {
             match (a.as_str(), b.as_str()) {
                 (Some(x), Some(y)) => normalize_label(x) == normalize_label(y),
@@ -145,30 +151,144 @@ pub fn value_equivalent(a: &Value, b: &Value, dtype: DataType, cfg: &Equivalence
             }
         }
         DataType::Date => match (a.as_date(), b.as_date()) {
-            (Some(x), Some(y)) => {
-                if x.granularity == DateGranularity::Year || y.granularity == DateGranularity::Year {
-                    x.year == y.year
-                } else {
-                    (x.approximate_days() - y.approximate_days()).abs() <= cfg.date_day_tolerance_days
-                }
-            }
+            (Some(x), Some(y)) => date_equivalent(x, y, cfg),
             _ => false,
         },
         DataType::Quantity => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => {
-                let max = x.abs().max(y.abs());
-                if max < f64::EPSILON {
-                    true
-                } else {
-                    (x - y).abs() / max <= cfg.quantity_tolerance
-                }
-            }
+            (Some(x), Some(y)) => quantity_equivalent(x, y, cfg),
             _ => false,
         },
         DataType::NominalInteger => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => (x.round() - y.round()).abs() < f64::EPSILON,
+            (Some(x), Some(y)) => nominal_integer_equivalent(x, y),
             _ => false,
         },
+    }
+}
+
+// The per-type kernels of `value_equivalent`, over already extracted (and,
+// for text, already normalised) payloads. `EquivalenceSet` probes run the
+// same kernels against payloads it extracted once, which is what makes the
+// two agree by construction.
+
+fn text_equivalent(x_normalized: &str, y_normalized: &str, cfg: &EquivalenceConfig) -> bool {
+    clamp_unit(monge_elkan_similarity(x_normalized, y_normalized)) >= cfg.text_threshold
+}
+
+fn date_equivalent(x: Date, y: Date, cfg: &EquivalenceConfig) -> bool {
+    if x.granularity == DateGranularity::Year || y.granularity == DateGranularity::Year {
+        x.year == y.year
+    } else {
+        (x.approximate_days() - y.approximate_days()).abs() <= cfg.date_day_tolerance_days
+    }
+}
+
+fn quantity_equivalent(x: f64, y: f64, cfg: &EquivalenceConfig) -> bool {
+    let max = x.abs().max(y.abs());
+    if max < f64::EPSILON {
+        true
+    } else {
+        (x - y).abs() / max <= cfg.quantity_tolerance
+    }
+}
+
+fn nominal_integer_equivalent(x: f64, y: f64) -> bool {
+    (x.round() - y.round()).abs() < f64::EPSILON
+}
+
+/// A sample of values of one data type, digested once so that the question
+/// "is *some* sample value equivalent to `v`?" no longer re-derives
+/// anything about the sample per probe.
+///
+/// By definition, for a set built from `sample` under `dtype`,
+/// [`EquivalenceSet::contains_equivalent`]`(v)` equals
+/// `sample.iter().any(|s| value_equivalent(v, s, dtype, &EquivalenceConfig::default()))`
+/// and [`EquivalenceSet::prefix_contains_equivalent`]`(v, n)` equals the
+/// same scan over `sample.iter().take(n)`. The duplicate-free string types
+/// answer from a hash map of pre-normalised strings; text keeps its
+/// pre-normalised strings and scans them with Monge-Elkan; dates and
+/// numbers keep their payloads in a plain array. Sample values whose
+/// payload does not fit `dtype` can never be equivalent to anything and
+/// only occupy their position.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EquivalenceSet {
+    len: usize,
+    digest: Digest,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Digest {
+    /// Normalised string → position of its first occurrence in the sample.
+    Exact(HashMap<String, usize>),
+    /// Normalised strings, by sample position.
+    Text(Vec<Option<String>>),
+    Dates(Vec<Option<Date>>),
+    Quantities(Vec<Option<f64>>),
+    NominalIntegers(Vec<Option<f64>>),
+}
+
+impl EquivalenceSet {
+    /// Digest `sample` (in order) for comparisons under `dtype`.
+    pub fn build<'a>(sample: impl IntoIterator<Item = &'a Value>, dtype: DataType) -> Self {
+        let mut len = 0;
+        let sample = sample.into_iter().inspect(|_| len += 1);
+        let normalized = |v: &Value| v.as_str().map(normalize_label);
+        let digest = match dtype {
+            DataType::NominalString | DataType::InstanceReference => {
+                let mut first_position = HashMap::new();
+                for (position, value) in sample.enumerate() {
+                    if let Some(s) = normalized(value) {
+                        first_position.entry(s).or_insert(position);
+                    }
+                }
+                Digest::Exact(first_position)
+            }
+            DataType::Text => Digest::Text(sample.map(normalized).collect()),
+            DataType::Date => Digest::Dates(sample.map(Value::as_date).collect()),
+            DataType::Quantity => Digest::Quantities(sample.map(Value::as_f64).collect()),
+            DataType::NominalInteger => Digest::NominalIntegers(sample.map(Value::as_f64).collect()),
+        };
+        Self { len, digest }
+    }
+
+    /// Number of sample values the set was built from.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the sample was empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether some sample value is equivalent to `value` under the
+    /// default [`EquivalenceConfig`].
+    pub fn contains_equivalent(&self, value: &Value) -> bool {
+        self.prefix_contains_equivalent(value, self.len)
+    }
+
+    /// [`EquivalenceSet::contains_equivalent`] restricted to the first
+    /// `limit` sample values.
+    pub fn prefix_contains_equivalent(&self, value: &Value, limit: usize) -> bool {
+        let cfg = EquivalenceConfig::default();
+        match &self.digest {
+            Digest::Exact(first_position) => value
+                .as_str()
+                .and_then(|x| first_position.get(&normalize_label(x)))
+                .is_some_and(|&position| position < limit),
+            Digest::Text(sample) => value.as_str().is_some_and(|x| {
+                let x = normalize_label(x);
+                sample.iter().take(limit).flatten().any(|y| text_equivalent(&x, y, &cfg))
+            }),
+            Digest::Dates(sample) => value
+                .as_date()
+                .is_some_and(|x| sample.iter().take(limit).flatten().any(|&y| date_equivalent(x, y, &cfg))),
+            Digest::Quantities(sample) => value.as_f64().is_some_and(|x| {
+                sample.iter().take(limit).flatten().any(|&y| quantity_equivalent(x, y, &cfg))
+            }),
+            Digest::NominalIntegers(sample) => value
+                .as_f64()
+                .is_some_and(|x| sample.iter().take(limit).flatten().any(|&y| nominal_integer_equivalent(x, y))),
+        }
     }
 }
 
@@ -278,6 +398,47 @@ mod tests {
         assert!(value_equivalent(&a, &b, DataType::Quantity, &EquivalenceConfig::lenient()));
     }
 
+    /// A value drawn from small pools chosen to collide: labels differing
+    /// only in case / spacing / one edit, empty and whitespace-only strings,
+    /// Year- and Day-granularity dates a day or a year apart, quantities
+    /// around the 2 % tolerance (zero, negative zero and negatives
+    /// included) — and every variant, so each data type also sees payloads
+    /// it cannot interpret.
+    fn pool_value(code: usize) -> Value {
+        const STRINGS: [&str; 12] = [
+            "", "   ", "Green Bay Packers", "green  bay packers", "Packers", "Tom Brady",
+            "Tom Bradey", "TOM BRADY", "Peyton Manning", "New York", "new-york", "54321",
+        ];
+        const QUANTITIES: [f64; 12] =
+            [0.0, -0.0, 1e-20, 100.0, 101.0, 102.5, -100.0, -101.0, 5.4, 5.5, 1e9, 1.019e9];
+        let n = code / 7;
+        match code % 7 {
+            0 => Value::Text(STRINGS[n % STRINGS.len()].into()),
+            1 => Value::Nominal(STRINGS[n % STRINGS.len()].into()),
+            2 => Value::InstanceRef(STRINGS[n % STRINGS.len()].into()),
+            3 => Value::Date(Date::year(1990 + (n % 4) as i32)),
+            4 => Value::Date(Date::day(1990 + (n % 3) as i32, 1 + (n / 3 % 2) as u8, 1 + (n / 6 % 4) as u8)),
+            5 => Value::Quantity(QUANTITIES[n % QUANTITIES.len()]),
+            _ => Value::NominalInt(n as i64 % 9 - 4),
+        }
+    }
+
+    /// The definition `EquivalenceSet` must reproduce.
+    fn oracle(probe: &Value, sample: &[Value], limit: usize, dtype: DataType) -> bool {
+        sample.iter().take(limit).any(|s| value_equivalent(probe, s, dtype, &cfg()))
+    }
+
+    #[test]
+    fn equivalence_set_of_nothing_contains_nothing() {
+        for dtype in DataType::ALL {
+            let set = EquivalenceSet::build([], dtype);
+            assert!(set.is_empty());
+            for code in 0..84 {
+                assert!(!set.contains_equivalent(&pool_value(code)));
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn similarity_in_unit_interval(x in -1e6f64..1e6, y in -1e6f64..1e6) {
@@ -308,6 +469,33 @@ mod tests {
             let v = Value::Text(s.clone());
             let sim = value_similarity(&v, &v, DataType::Text);
             prop_assert!(sim > 0.999);
+        }
+
+        #[test]
+        fn equivalence_set_agrees_with_the_scan(
+            sample_codes in proptest::collection::vec(0usize..840, 0usize..60),
+            probe_codes in proptest::collection::vec(0usize..840, 1usize..40),
+            cutoff in 0usize..70,
+            limit in 0usize..70,
+        ) {
+            let sample: Vec<Value> = sample_codes.iter().map(|&c| pool_value(c)).collect();
+            for dtype in DataType::ALL {
+                // Built from a cut-off prefix, as the knowledge base does.
+                let set = EquivalenceSet::build(sample.iter().take(cutoff), dtype);
+                prop_assert_eq!(set.len(), cutoff.min(sample.len()));
+                for probe in probe_codes.iter().map(|&c| pool_value(c)) {
+                    prop_assert_eq!(
+                        set.contains_equivalent(&probe),
+                        oracle(&probe, &sample, cutoff, dtype),
+                        "{:?} in first {} of {:?} as {:?}", probe, cutoff, sample, dtype
+                    );
+                    prop_assert_eq!(
+                        set.prefix_contains_equivalent(&probe, limit),
+                        oracle(&probe, &sample, cutoff.min(limit), dtype),
+                        "{:?} in first {} of {:?} as {:?}", probe, cutoff.min(limit), sample, dtype
+                    );
+                }
+            }
         }
     }
 }
