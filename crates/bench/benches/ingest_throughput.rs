@@ -16,15 +16,8 @@
 
 use std::time::Instant;
 
+use ltee_bench::support::env_usize;
 use ltee_core::prelude::*;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn fingerprint(output: &PipelineOutput) -> usize {
     output
@@ -87,7 +80,6 @@ fn main() {
         "incremental equivalence contract violated"
     );
 
-    // Hand-rolled JSON: the vendored serde shim has no real serialisation.
     let mut batches_json = String::new();
     for (i, tables, rows, secs, rps) in &per_batch {
         if !batches_json.is_empty() {

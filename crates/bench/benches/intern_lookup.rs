@@ -11,8 +11,8 @@
 //! twice — once with the real `ltee_index::LabelIndex` (pruned candidate
 //! generation: document-at-a-time merge, length-bucket upper bounds,
 //! top-k early termination, bounded bit-parallel Levenshtein) and once
-//! with a faithful copy of the pre-pruning interned flat scan (score
-//! every candidate, full sort) — and replays an identical deterministic
+//! with the unpruned reference scan `ltee_index::reference` (score every
+//! candidate, full sort) — and replays an identical deterministic
 //! query stream (exact labels, typos, partial labels) against both.
 //!
 //! Before any timing, the two paths are asserted **id-for-id and
@@ -25,154 +25,14 @@
 //! sublinearly as the corpus grows 5k → 500k (×100 labels must cost far
 //! less than ×100 work), recorded as `"sublinear_candidates"`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use ltee_bench::support::{allocated_bytes, CountingAlloc};
+use ltee_index::reference::ScanIndex;
 use ltee_index::{metrics, LabelIndex};
-use ltee_intern::{Interner, Sym, TokenSeq};
-use ltee_text::{levenshtein_similarity, normalize_label, tokenize, tokenize_interned};
-
-/// System allocator wrapper counting every allocated byte.
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocated_bytes() -> u64 {
-    ALLOCATED.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
-// Scan baseline: a faithful copy of the pre-pruning interned lookup —
-// sym-keyed postings, hit-count HashMap over all candidates, full
-// per-candidate scoring with a per-query sym memo, sort, dedup. This is
-// the implementation this PR's pruned path replaced.
-// ---------------------------------------------------------------------------
-
-struct ScanEntry {
-    id: u64,
-    normalized: Sym,
-    tokens: TokenSeq,
-}
-
-#[derive(Default)]
-struct ScanIndex {
-    interner: Interner,
-    entries: Vec<ScanEntry>,
-    postings: HashMap<Sym, Vec<u32>>,
-    /// `levenshtein_similarity` invocations across all lookups.
-    edit_calls: Cell<u64>,
-}
-
-impl ScanIndex {
-    fn insert(&mut self, id: u64, label: &str) {
-        let normalized_str = normalize_label(label);
-        let normalized = self.interner.intern(&normalized_str);
-        let tokens = tokenize_interned(&normalized_str, &mut self.interner);
-        let entry_pos = self.entries.len() as u32;
-        for &token in tokens.tokens() {
-            self.postings.entry(token).or_default().push(entry_pos);
-        }
-        self.entries.push(ScanEntry { id, normalized, tokens });
-    }
-
-    fn lookup(&self, label: &str, k: usize) -> Vec<(u64, Sym, f64)> {
-        if k == 0 || self.entries.is_empty() {
-            return Vec::new();
-        }
-        let normalized = normalize_label(label);
-        let query_tokens = tokenize(&normalized);
-        if query_tokens.is_empty() {
-            return Vec::new();
-        }
-        let query_syms: Vec<Option<Sym>> =
-            query_tokens.iter().map(|t| self.interner.get(t)).collect();
-
-        let mut hits: HashMap<u32, usize> = HashMap::new();
-        for sym in query_syms.iter().flatten() {
-            if let Some(postings) = self.postings.get(sym) {
-                for &pos in postings {
-                    *hits.entry(pos).or_insert(0) += 1;
-                }
-            }
-        }
-        if hits.is_empty() {
-            return Vec::new();
-        }
-
-        let mut sim_memo: Vec<HashMap<Sym, f64>> = vec![HashMap::new(); query_tokens.len()];
-        let mut scored: Vec<(u64, Sym, f64, u32)> = hits
-            .into_iter()
-            .map(|(pos, exact_hits)| {
-                let entry = &self.entries[pos as usize];
-                let mut total = 0.0;
-                for ((qt, qsym), memo) in
-                    query_tokens.iter().zip(&query_syms).zip(&mut sim_memo)
-                {
-                    let best = match qsym {
-                        Some(sym) if entry.tokens.contains(*sym) => 1.0,
-                        _ => {
-                            let mut best: f64 = 0.0;
-                            for &ct in entry.tokens.tokens() {
-                                let s = *memo.entry(ct).or_insert_with(|| {
-                                    self.edit_calls.set(self.edit_calls.get() + 1);
-                                    levenshtein_similarity(qt, self.interner.resolve(ct))
-                                });
-                                if s > best {
-                                    best = s;
-                                }
-                            }
-                            best
-                        }
-                    };
-                    total += best;
-                }
-                let coverage = total / query_tokens.len() as f64;
-                let len_penalty = {
-                    let q = query_tokens.len() as f64;
-                    let c = entry.tokens.len() as f64;
-                    1.0 - (q - c).abs() / (q + c)
-                };
-                let bonus = exact_hits as f64 * 1e-6;
-                let score = (coverage * 0.8 + len_penalty * 0.2 + bonus).min(1.0);
-                (entry.id, entry.normalized, score, pos)
-            })
-            .collect();
-
-        scored.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-                .then_with(|| a.3.cmp(&b.3))
-        });
-        let mut seen = std::collections::HashSet::new();
-        let mut out: Vec<(u64, Sym, f64)> = scored
-            .into_iter()
-            .filter_map(|(id, n, s, _)| seen.insert(id).then_some((id, n, s)))
-            .collect();
-        out.truncate(k);
-        out
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Deterministic corpora + query streams.
@@ -280,29 +140,26 @@ fn run_size(size: usize) -> SizeResult {
     let pruned_build_secs = build_start.elapsed().as_secs_f64();
 
     let build_start = Instant::now();
-    let mut scan = ScanIndex::default();
-    for (i, label) in labels.iter().enumerate() {
-        scan.insert(i as u64, label);
-    }
+    let scan = ScanIndex::build(labels.iter().enumerate().map(|(i, l)| (i as u64, l.as_str())));
     let scan_build_secs = build_start.elapsed().as_secs_f64();
 
     // Parity: every query, ids and score bits identical, before any
     // timing means anything.
     for q in &queries {
         let a = pruned.lookup(q, TOP_K);
-        let b = scan.lookup(q, TOP_K);
+        let (b, _) = scan.lookup(q, TOP_K);
         assert_eq!(a.len(), b.len(), "{size} labels: result count diverges for {q:?}");
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.0, "{size} labels: ids diverge for {q:?}");
+            assert_eq!(x.id, y.id, "{size} labels: ids diverge for {q:?}");
             assert_eq!(
                 x.score.to_bits(),
-                y.2.to_bits(),
+                y.score.to_bits(),
                 "{size} labels: score bits diverge for {q:?} (id {})",
                 x.id
             );
             assert_eq!(
                 pruned.resolve(x.normalized),
-                scan.interner.resolve(y.1),
+                y.normalized,
                 "{size} labels: surfaced label diverges for {q:?}"
             );
         }
@@ -311,18 +168,19 @@ fn run_size(size: usize) -> SizeResult {
     // Warm-up (scan last so any cache warming favours the baseline).
     let mut sink = 0usize;
     for q in queries.iter().take(100) {
-        sink += pruned.lookup(q, TOP_K).len() + scan.lookup(q, TOP_K).len();
+        sink += pruned.lookup(q, TOP_K).len() + scan.lookup(q, TOP_K).0.len();
     }
 
-    let scan_calls_before = scan.edit_calls.get();
+    let mut scan_calls = 0u64;
     let alloc_before = allocated_bytes();
     let start = Instant::now();
     for q in &queries {
-        sink += scan.lookup(q, TOP_K).len();
+        let (hits, edit_calls) = scan.lookup(q, TOP_K);
+        sink += hits.len();
+        scan_calls += edit_calls;
     }
     let scan_secs = start.elapsed().as_secs_f64();
     let scan_bytes = allocated_bytes() - alloc_before;
-    let scan_calls = scan.edit_calls.get() - scan_calls_before;
 
     metrics::reset();
     let alloc_before = allocated_bytes();
@@ -411,7 +269,6 @@ fn main() {
          {size_growth:.0}x label growth"
     );
 
-    // Hand-rolled JSON: the vendored serde shim has no real serialisation.
     let mut sizes_json = String::new();
     for (i, r) in results.iter().enumerate() {
         if i > 0 {

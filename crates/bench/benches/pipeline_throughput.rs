@@ -86,7 +86,6 @@ fn main() {
     }
     println!("bench: pipeline_throughput speedup {speedup:.2}x ({host_cores} host cores)");
 
-    // Hand-rolled JSON: the vendored serde shim has no real serialisation.
     let json = format!(
         "{{\n  \"bench\": \"pipeline_throughput\",\n  \"corpus_rows\": {rows},\n  \"host_cores\": {host_cores},\n  \"samples\": {SAMPLES},\n  \"threads_1\": {{ \"threads\": 1, \"secs_per_run\": {:.6}, \"rows_per_sec\": {:.2} }},\n  \"threads_n\": {{ \"threads\": {}, \"secs_per_run\": {:.6}, \"rows_per_sec\": {:.2} }},\n  \"speedup\": {speedup:.4}\n}}\n",
         single.secs_per_run,

@@ -177,7 +177,6 @@ fn main() {
          matching/scoring/fusion, so losing means the checkpoint path regressed"
     );
 
-    // Hand-rolled JSON: the vendored serde shim has no real serialisation.
     let mut scale_json = Vec::new();
     for r in &results {
         let ckpt_mb_per_s = r.checkpoint_bytes as f64 / (1024.0 * 1024.0) / r.checkpoint_secs.max(1e-6);

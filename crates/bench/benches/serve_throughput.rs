@@ -26,17 +26,10 @@
 
 use std::time::Instant;
 
+use ltee_bench::support::env_usize;
 use ltee_core::prelude::*;
 use ltee_serve::{Query, QueryOutput, ServePipeline, SnapshotReader};
 use ltee_webtables::TableId;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// A mixed workload derived from what the snapshot actually serves: exact
 /// lookups of served labels, fuzzy lookups of typo'd labels (prefix-
@@ -87,7 +80,7 @@ fn run_reader(reader: &SnapshotReader, workload: &[Query], passes: usize) -> (us
         let outputs = snap.execute_batch(workload);
         busy += start.elapsed().as_secs_f64();
         executed += workload.len();
-        fp = fp.wrapping_mul(0x0000_0100_0000_01b3) ^ fingerprint(&outputs);
+        fp = ltee_intern::fnv1a64_extend(fp, &fingerprint(&outputs).to_le_bytes());
     }
     (executed, busy, fp)
 }
@@ -267,7 +260,6 @@ fn main() {
          {final_resident}, window {retention_window})"
     );
 
-    // Hand-rolled JSON: the vendored serde shim has no real serialisation.
     let json = format!(
         "{{\n  \"bench\": \"serve_throughput\",\n  \"host_cores\": {host_cores},\n  \"readers\": {readers},\n  \"workload_queries\": {},\n  \"passes\": {passes},\n  \"single_reader\": {{ \"queries\": {}, \"secs\": {:.6}, \"queries_per_sec\": {:.2} }},\n  \"multi_reader\": {{ \"queries\": {multi_total}, \"secs\": {wall:.6}, \"queries_per_sec\": {multi_qps:.2}, \"speedup_vs_single\": {:.4} }},\n  \"during_ingest\": {{ \"queries\": {during_total}, \"secs\": {wall_during:.6}, \"queries_per_sec\": {during_qps:.2}, \"ingest_secs\": {ingest_secs:.6}, \"final_version\": {} }},\n  \"sustained_ingest\": {{ \"ingests\": {ingests}, \"ingest_secs\": {sustain_secs:.6}, \"ingests_per_sec\": {ingests_per_sec:.2}, \"queries\": {sustain_queries}, \"queries_per_sec\": {sustain_qps:.2}, \"retention_window\": {retention_window}, \"max_resident_versions\": {max_resident}, \"final_resident_versions\": {final_resident}, \"versions_reclaimed\": {}, \"resident_bounded\": {resident_bounded} }}\n}}\n",
         workload.len(),

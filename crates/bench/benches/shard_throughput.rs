@@ -25,16 +25,9 @@
 
 use std::time::Instant;
 
+use ltee_bench::support::env_usize;
 use ltee_core::prelude::*;
 use ltee_serve::{Query, QueryOutput, ServePipeline};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// Fuzzy-only workload over everything the snapshot serves: typo'd
 /// (prefix-mangled) labels with class `None`, so every query fans out
@@ -115,7 +108,8 @@ fn main() {
             queries += workload.len();
             // Chain, don't XOR: XOR cancels a stable-but-wrong result to 0
             // whenever the pass count is even.
-            result_fp = result_fp.wrapping_mul(0x0000_0100_0000_01b3) ^ fingerprint(&outputs);
+            result_fp =
+                ltee_intern::fnv1a64_extend(result_fp, &fingerprint(&outputs).to_le_bytes());
         }
         let fuzzy_secs = fuzzy_start.elapsed().as_secs_f64();
 
@@ -164,7 +158,6 @@ fn main() {
         scaling, host_cores
     );
 
-    // Hand-rolled JSON: the vendored serde shim has no real serialisation.
     let mut shard_entries = String::new();
     for (i, run) in runs.iter().enumerate() {
         if i > 0 {

@@ -14,6 +14,9 @@
 //! The helpers here format experiment rows so the benches and the
 //! `EXPERIMENTS.md` workflow print identical tables.
 
+#[doc(hidden)]
+pub mod support;
+
 use ltee_core::experiments::{
     DensityRow, Table10Row, Table11Row, Table1Row, Table4Row, Table5Row, Table6Row, Table7Row,
     Table8Row, Table9Row,

@@ -6,7 +6,6 @@ use ltee_index::LabelIndex;
 use ltee_intern::{Interner, Sym};
 use ltee_webtables::RowRef;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::context::{ImplicitAttributes, RowContext};
 use crate::metrics::{PhiTableVectors, RowSimilarityModel};
@@ -18,7 +17,7 @@ use crate::metrics::{PhiTableVectors, RowSimilarityModel};
 const MIN_PARALLEL_MERGE_PAIRS: usize = 256;
 
 /// Configuration of the clustering algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusteringConfig {
     /// Whether blocking is applied (rows are only compared to clusters
     /// sharing a block). Disable to measure blocking's effect.
@@ -54,7 +53,7 @@ impl Default for ClusteringConfig {
 
 /// The result of clustering: clusters of row indices (into the context
 /// slice) plus the corresponding row references.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Clustering {
     /// Clusters as indices into the input row slice.
     pub clusters: Vec<Vec<usize>>,

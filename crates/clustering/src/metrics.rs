@@ -8,12 +8,11 @@ use ltee_ml::PairwiseModel;
 use ltee_text::{cosine_similarity, monge_elkan_tokens};
 use ltee_types::{value_similarity, Value};
 use ltee_webtables::{Corpus, TableId};
-use serde::{Deserialize, Serialize};
 
 use crate::context::{ImplicitAttributes, RowContext};
 
 /// The six row similarity metrics of paper Section 3.2, in feature order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowMetricKind {
     /// Monge-Elkan similarity of the row labels.
     Label,
@@ -378,24 +377,18 @@ impl RowSimilarityModel {
 
     /// Serialise the model (metric set + aggregation model) into the writer.
     pub fn encode_into(&self, w: &mut ltee_ml::ByteWriter) {
-        w.write_len(self.metrics.len());
-        for metric in &self.metrics {
-            w.write_u8(metric.code());
-        }
+        w.write_seq(&self.metrics, |w, metric| w.write_u8(metric.code()));
         self.model.encode_into(w);
     }
 
     /// Decode a model previously written by
     /// [`RowSimilarityModel::encode_into`].
     pub fn decode_from(r: &mut ltee_ml::ByteReader<'_>) -> Result<Self, ltee_ml::CodecError> {
-        let count = r.read_len("row_model.metrics", 1)?;
-        let mut metrics = Vec::with_capacity(count);
-        for _ in 0..count {
-            let code = r.read_u8("row_model.metric")?;
-            metrics.push(RowMetricKind::from_code(code).ok_or(
-                ltee_ml::CodecError::InvalidTag { what: "row_model.metric", tag: code },
-            )?);
-        }
+        let metrics = r.read_seq("row_model.metrics", 1, |r| {
+            let tag = r.read_u8("row_model.metric")?;
+            RowMetricKind::from_code(tag)
+                .ok_or(ltee_ml::CodecError::InvalidTag { what: "row_model.metric", tag })
+        })?;
         let model = PairwiseModel::decode_from(r)?;
         Ok(Self { metrics, model })
     }

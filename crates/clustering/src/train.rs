@@ -10,13 +10,12 @@ use ltee_intern::Interner;
 use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, PairwiseTrainingConfig, Sample};
 use ltee_webtables::{GoldStandard, RowRef};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::context::{ImplicitAttributes, RowContext};
 use crate::metrics::{metric_feature_names, metric_features, PhiTableVectors, RowMetricKind, RowSimilarityModel};
 
 /// Training configuration for the row similarity model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowModelTrainingConfig {
     /// Which aggregation approach to train.
     pub aggregation: AggregationMethod,

@@ -11,16 +11,10 @@
 //!
 //! ## File format (version 1)
 //!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"LTEEART\x01"
-//! 8       4     format version (u32 LE) — currently 1
-//! 12      8     config fingerprint (u64 LE, see `config_fingerprint`)
-//! 20      8     payload length in bytes (u64 LE)
-//! 28      8     payload FNV-1a64 checksum (u64 LE)
-//! 36      …     payload: MatcherWeights · RowSimilarityModel ·
-//!               EntitySimilarityModel, encoded via `ltee_ml::codec`
-//! ```
+//! The envelope of [`ltee_ml::codec`] (see its module docs)
+//! with magic `b"LTEEART\x01"`, format version 1 and one header word, the
+//! config fingerprint (see [`config_fingerprint`]). The payload is
+//! `MatcherWeights · RowSimilarityModel · EntitySimilarityModel`.
 //!
 //! Every `f64` in the payload is stored as its IEEE-754 bit pattern, so a
 //! decoded artifact reproduces the in-memory models **bit-for-bit**: the
@@ -46,7 +40,7 @@ use std::path::Path;
 
 use ltee_clustering::RowSimilarityModel;
 use ltee_matching::MatcherWeights;
-use ltee_ml::codec::{fnv1a64, ByteReader, ByteWriter, CodecError};
+use ltee_ml::codec::{self, fnv1a64, ByteReader, ByteWriter, CodecError};
 use ltee_newdetect::EntitySimilarityModel;
 
 use crate::pipeline::{PipelineConfig, TrainedModels};
@@ -114,7 +108,12 @@ impl std::error::Error for ArtifactError {
 
 impl From<CodecError> for ArtifactError {
     fn from(e: CodecError) -> Self {
-        ArtifactError::Decode(e)
+        match e {
+            CodecError::BadMagic => ArtifactError::BadMagic,
+            CodecError::UnsupportedVersion(v) => ArtifactError::UnsupportedVersion(v),
+            CodecError::Corrupted(why) => ArtifactError::Corrupted(why),
+            field => ArtifactError::Decode(field),
+        }
     }
 }
 
@@ -182,46 +181,13 @@ impl ModelArtifact {
         self.models.matcher_weights.encode_into(&mut payload);
         self.models.row_model.encode_into(&mut payload);
         self.models.entity_model.encode_into(&mut payload);
-        let payload = payload.into_bytes();
-
-        let mut out = Vec::with_capacity(36 + payload.len());
-        out.extend_from_slice(&ARTIFACT_MAGIC);
-        out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        codec::seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[self.fingerprint], &payload.into_bytes())
     }
 
     /// Decode an artifact from bytes, validating magic, version, length and
     /// checksum before interpreting any payload field.
     pub fn decode(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        if bytes.len() < 8 || bytes[..8] != ARTIFACT_MAGIC {
-            return Err(ArtifactError::BadMagic);
-        }
-        let mut header = ByteReader::new(&bytes[8..]);
-        let version = header.read_u32("artifact.version")?;
-        if version != ARTIFACT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion(version));
-        }
-        let fingerprint = header.read_u64("artifact.fingerprint")?;
-        let payload_len = header.read_u64("artifact.payload_len")? as usize;
-        let checksum = header.read_u64("artifact.checksum")?;
-        let payload = &bytes[36..];
-        if payload.len() != payload_len {
-            return Err(ArtifactError::Corrupted(format!(
-                "payload length mismatch: header says {payload_len} bytes, file holds {}",
-                payload.len()
-            )));
-        }
-        let actual = fnv1a64(payload);
-        if actual != checksum {
-            return Err(ArtifactError::Corrupted(format!(
-                "payload checksum mismatch: header {checksum:#018x}, computed {actual:#018x}"
-            )));
-        }
-
+        let ([fingerprint], payload) = codec::open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
         let mut r = ByteReader::new(payload);
         let matcher_weights = MatcherWeights::decode_from(&mut r)?;
         let row_model = RowSimilarityModel::decode_from(&mut r)?;

@@ -32,17 +32,11 @@
 //!
 //! ## File format (version 2)
 //!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"LTEECKP\x01"
-//! 8       4     format version (u32 LE) — currently 2
-//! 12      8     config fingerprint (u64 LE, `config_fingerprint`)
-//! 20      8     applied batches (u64 LE) — non-empty ingests == snapshot version
-//! 28      8     payload length in bytes (u64 LE)
-//! 36      8     payload FNV-1a64 checksum (u64 LE)
-//! 44      …     payload: corpus · mapping · per-class interner strings /
-//!               clusters/entities/results, encoded via `ltee_ml::codec`
-//! ```
+//! The envelope of [`ltee_ml::codec`] (see its module docs)
+//! with magic `b"LTEECKP\x01"`, format version 2 and two header words: the
+//! config fingerprint ([`config_fingerprint`]) and the applied-batch count
+//! (non-empty ingests == snapshot version). The payload is `corpus ·
+//! mapping · per-class interner strings / clusters / entities / results`.
 //!
 //! Version 2 (the class-sharding PR) moved the single pipeline-wide
 //! interner arena into the per-class sections: each class owns its interner
@@ -72,7 +66,7 @@ use ltee_fusion::{kbt_scores_for_tables, Entity, ScoringMethod};
 use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{AttributeMatch, CorpusMapping, TableMapping};
-use ltee_ml::codec::{fnv1a64, ByteReader, ByteWriter, CodecError};
+use ltee_ml::codec::{self, ByteReader, ByteWriter, CodecError};
 use ltee_newdetect::{NewDetectionOutcome, NewDetectionResult};
 use ltee_types::{DataType, Date, DateGranularity, DetectedType, Value};
 use ltee_webtables::{Column, Corpus, RowRef, TableId, TableTruth, WebTable};
@@ -89,7 +83,7 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
-pub const CHECKPOINT_PAYLOAD_START: usize = 44;
+pub const CHECKPOINT_PAYLOAD_START: usize = codec::sealed_header_len(2);
 
 /// Errors raised while encoding, decoding, validating or restoring a
 /// checkpoint.
@@ -149,7 +143,12 @@ impl std::error::Error for CheckpointError {
 
 impl From<CodecError> for CheckpointError {
     fn from(e: CodecError) -> Self {
-        CheckpointError::Decode(e)
+        match e {
+            CodecError::BadMagic => CheckpointError::BadMagic,
+            CodecError::UnsupportedVersion(v) => CheckpointError::UnsupportedVersion(v),
+            CodecError::Corrupted(why) => CheckpointError::Corrupted(why),
+            field => CheckpointError::Decode(field),
+        }
     }
 }
 
@@ -264,51 +263,32 @@ fn class_key_from_code(code: u8) -> Result<ClassKey, CodecError> {
 
 fn encode_table_into(table: &WebTable, w: &mut ByteWriter) {
     w.write_u64(table.id.raw());
-    w.write_len(table.columns.len());
-    for column in &table.columns {
+    w.write_seq(&table.columns, |w, column| {
         w.write_str(&column.header);
         w.write_str_slice(&column.cells);
-    }
+    });
     w.write_u8(table.truth.class.code());
     w.write_usize(table.truth.label_column);
-    w.write_len(table.truth.column_property.len());
-    for prop in &table.truth.column_property {
-        w.write_bool(prop.is_some());
-        if let Some(p) = prop {
-            w.write_str(p);
-        }
-    }
-    w.write_len(table.truth.row_entity.len());
-    for entity in &table.truth.row_entity {
-        w.write_u64(entity.raw());
-    }
+    w.write_seq(&table.truth.column_property, |w, prop| {
+        w.write_opt(prop.as_ref(), |w, p| w.write_str(p));
+    });
+    w.write_seq(&table.truth.row_entity, |w, entity| w.write_u64(entity.raw()));
 }
 
 fn decode_table_from(r: &mut ByteReader<'_>) -> Result<WebTable, CheckpointError> {
     let id = TableId(r.read_u64("table id")?);
-    let num_columns = r.read_len("table columns", 8)?;
-    let mut columns = Vec::with_capacity(num_columns);
-    for _ in 0..num_columns {
+    let columns = r.read_seq("table columns", 8, |r| {
         let header = r.read_str("column header")?;
-        let cells = r.read_str_vec("column cells")?;
-        columns.push(Column { header, cells });
-    }
+        Ok::<_, CodecError>(Column { header, cells: r.read_str_vec("column cells")? })
+    })?;
     let class = class_key_from_code(r.read_u8("truth class")?)?;
     let label_column = r.read_usize("truth label column")?;
-    let num_props = r.read_len("truth column properties", 1)?;
-    let mut column_property = Vec::with_capacity(num_props);
-    for _ in 0..num_props {
-        column_property.push(if r.read_bool("truth property flag")? {
-            Some(r.read_str("truth property")?)
-        } else {
-            None
-        });
-    }
-    let num_entities = r.read_len("truth row entities", 8)?;
-    let mut row_entity = Vec::with_capacity(num_entities);
-    for _ in 0..num_entities {
-        row_entity.push(ltee_kb::EntityId(r.read_u64("truth row entity")?));
-    }
+    let column_property = r.read_seq("truth column properties", 1, |r| {
+        r.read_opt::<_, CodecError>("truth property flag", |r| r.read_str("truth property"))
+    })?;
+    let row_entity = r.read_seq("truth row entities", 8, |r| {
+        r.read_u64("truth row entity").map(ltee_kb::EntityId)
+    })?;
     let table = WebTable {
         id,
         columns,
@@ -330,10 +310,7 @@ pub fn encode_corpus(corpus: &Corpus) -> Vec<u8> {
 }
 
 fn encode_corpus_into(corpus: &Corpus, w: &mut ByteWriter) {
-    w.write_len(corpus.len());
-    for table in corpus.tables() {
-        encode_table_into(table, w);
-    }
+    w.write_seq(corpus.tables(), |w, table| encode_table_into(table, w));
 }
 
 /// Decode a corpus encoded by [`encode_corpus`], validating every table and
@@ -346,10 +323,8 @@ pub fn decode_corpus(bytes: &[u8]) -> Result<Corpus, CheckpointError> {
 }
 
 fn decode_corpus_from(r: &mut ByteReader<'_>) -> Result<Corpus, CheckpointError> {
-    let num_tables = r.read_len("corpus tables", 16)?;
-    let mut tables = Vec::with_capacity(num_tables);
     let mut seen = HashSet::new();
-    for _ in 0..num_tables {
+    let tables = r.read_seq("corpus tables", 16, |r| {
         let table = decode_table_from(r)?;
         if !seen.insert(table.id) {
             return Err(CheckpointError::Corrupted(format!(
@@ -357,96 +332,72 @@ fn decode_corpus_from(r: &mut ByteReader<'_>) -> Result<Corpus, CheckpointError>
                 table.id.raw()
             )));
         }
-        tables.push(table);
-    }
+        Ok(table)
+    })?;
     Ok(Corpus::from_tables(tables))
 }
 
 fn encode_mapping_into(mapping: &TableMapping, w: &mut ByteWriter) {
     w.write_u64(mapping.table.raw());
-    w.write_bool(mapping.class.is_some());
-    if let Some(class) = mapping.class {
-        w.write_u8(class.code());
-    }
+    w.write_opt(mapping.class, |w, class| w.write_u8(class.code()));
     w.write_f64(mapping.class_score);
     w.write_usize(mapping.label_column);
-    w.write_len(mapping.detected_types.len());
-    for &dt in &mapping.detected_types {
-        w.write_u8(detected_type_tag(dt));
-    }
-    w.write_len(mapping.correspondences.len());
-    for c in &mapping.correspondences {
-        w.write_bool(c.is_some());
-        if let Some(m) = c {
+    w.write_seq(&mapping.detected_types, |w, &dt| w.write_u8(detected_type_tag(dt)));
+    w.write_seq(&mapping.correspondences, |w, c| {
+        w.write_opt(c.as_ref(), |w, m| {
             w.write_str(&m.property);
             w.write_u8(data_type_tag(m.data_type));
             w.write_f64(m.score);
-        }
-    }
+        });
+    });
 }
 
-fn decode_mapping_from(r: &mut ByteReader<'_>) -> Result<TableMapping, CheckpointError> {
+fn decode_mapping_from(r: &mut ByteReader<'_>) -> Result<TableMapping, CodecError> {
     let table = TableId(r.read_u64("mapping table id")?);
-    let class = if r.read_bool("mapping class flag")? {
-        Some(class_key_from_code(r.read_u8("mapping class")?)?)
-    } else {
-        None
-    };
+    let class = r.read_opt("mapping class flag", |r| {
+        class_key_from_code(r.read_u8("mapping class")?)
+    })?;
     let class_score = r.read_f64("mapping class score")?;
     let label_column = r.read_usize("mapping label column")?;
-    let num_types = r.read_len("mapping detected types", 1)?;
-    let mut detected_types = Vec::with_capacity(num_types);
-    for _ in 0..num_types {
-        detected_types.push(detected_type_from_tag(r.read_u8("detected type")?)?);
-    }
-    let num_cols = r.read_len("mapping correspondences", 1)?;
-    let mut correspondences = Vec::with_capacity(num_cols);
-    for _ in 0..num_cols {
-        correspondences.push(if r.read_bool("correspondence flag")? {
+    let detected_types = r.read_seq("mapping detected types", 1, |r| {
+        detected_type_from_tag(r.read_u8("detected type")?)
+    })?;
+    let correspondences = r.read_seq("mapping correspondences", 1, |r| {
+        r.read_opt("correspondence flag", |r| {
             let property = r.read_str("correspondence property")?;
             let data_type = data_type_from_tag(r.read_u8("correspondence data type")?)?;
             let score = r.read_f64("correspondence score")?;
-            Some(AttributeMatch { property, data_type, score })
-        } else {
-            None
-        });
-    }
+            Ok::<_, CodecError>(AttributeMatch { property, data_type, score })
+        })
+    })?;
     Ok(TableMapping { table, class, class_score, label_column, detected_types, correspondences })
 }
 
 fn encode_entity_into(entity: &Entity, w: &mut ByteWriter) {
     // The class is implied by the per-class section the entity sits in.
-    w.write_len(entity.rows.len());
-    for row in &entity.rows {
+    w.write_seq(&entity.rows, |w, row| {
         w.write_u64(row.table.raw());
         w.write_usize(row.row);
-    }
+    });
     w.write_str_slice(&entity.labels);
-    w.write_len(entity.facts.len());
-    for (property, value, score) in &entity.facts {
+    w.write_seq(&entity.facts, |w, (property, value, score)| {
         w.write_str(property);
         encode_value_into(value, w);
         w.write_f64(*score);
-    }
+    });
 }
 
-fn decode_entity_from(r: &mut ByteReader<'_>, class: ClassKey) -> Result<Entity, CheckpointError> {
-    let num_rows = r.read_len("entity rows", 16)?;
-    let mut rows = Vec::with_capacity(num_rows);
-    for _ in 0..num_rows {
+fn decode_entity_from(r: &mut ByteReader<'_>, class: ClassKey) -> Result<Entity, CodecError> {
+    let rows = r.read_seq("entity rows", 16, |r| {
         let table = TableId(r.read_u64("entity row table")?);
-        let row = r.read_usize("entity row index")?;
-        rows.push(RowRef::new(table, row));
-    }
+        Ok::<_, CodecError>(RowRef::new(table, r.read_usize("entity row index")?))
+    })?;
     let labels = r.read_str_vec("entity labels")?;
-    let num_facts = r.read_len("entity facts", 14)?;
-    let mut facts = Vec::with_capacity(num_facts);
-    for _ in 0..num_facts {
+    let facts = r.read_seq("entity facts", 14, |r| {
         let property = r.read_str("fact property")?;
         let value = decode_value_from(r)?;
-        let score = r.read_f64("fact score")?;
-        facts.push((property, value, score));
-    }
+        Ok::<_, CodecError>((property, value, r.read_f64("fact score")?))
+    })?;
     Ok(Entity { class, rows, labels, facts })
 }
 
@@ -463,12 +414,12 @@ fn encode_result_into(result: &NewDetectionResult, w: &mut ByteWriter) {
     w.write_usize(result.candidate_count);
 }
 
-fn decode_result_from(r: &mut ByteReader<'_>) -> Result<NewDetectionResult, CheckpointError> {
+fn decode_result_from(r: &mut ByteReader<'_>) -> Result<NewDetectionResult, CodecError> {
     let entity = r.read_usize("result entity")?;
     let outcome = match r.read_u8("result outcome")? {
         0 => NewDetectionOutcome::New,
         1 => NewDetectionOutcome::Existing(ltee_kb::InstanceId(r.read_u64("result instance")?)),
-        tag => return Err(CodecError::InvalidTag { what: "detection outcome", tag }.into()),
+        tag => return Err(CodecError::InvalidTag { what: "detection outcome", tag }),
     };
     let best_score = r.read_f64("result best score")?;
     let candidate_count = r.read_usize("result candidate count")?;
@@ -542,44 +493,22 @@ impl PipelineCheckpoint {
     /// Encode the checkpoint into its binary file format.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.write_len(self.tables.len());
-        for table in &self.tables {
-            encode_table_into(table, &mut w);
-        }
-        w.write_len(self.mappings.len());
-        for mapping in &self.mappings {
-            encode_mapping_into(mapping, &mut w);
-        }
-        w.write_len(self.classes.len());
-        for dump in &self.classes {
+        w.write_seq(&self.tables, |w, table| encode_table_into(table, w));
+        w.write_seq(&self.mappings, |w, mapping| encode_mapping_into(mapping, w));
+        w.write_seq(&self.classes, |w, dump| {
             w.write_str_slice(&dump.interner);
-            w.write_len(dump.clusters.len());
-            for cluster in &dump.clusters {
-                w.write_len(cluster.len());
-                for &row in cluster {
-                    w.write_u32(row as u32);
-                }
-            }
-            w.write_len(dump.entities.len());
-            for entity in &dump.entities {
-                encode_entity_into(entity, &mut w);
-            }
-            w.write_len(dump.results.len());
-            for result in &dump.results {
-                encode_result_into(result, &mut w);
-            }
-        }
-        let payload = w.into_bytes();
-
-        let mut out = Vec::with_capacity(CHECKPOINT_PAYLOAD_START + payload.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.applied_batches.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+            w.write_seq(&dump.clusters, |w, cluster| {
+                w.write_seq(cluster, |w, &row| w.write_u32(row as u32));
+            });
+            w.write_seq(&dump.entities, |w, entity| encode_entity_into(entity, w));
+            w.write_seq(&dump.results, |w, result| encode_result_into(result, w));
+        });
+        codec::seal(
+            &CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION,
+            &[self.fingerprint, self.applied_batches],
+            &w.into_bytes(),
+        )
     }
 
     /// Decode and fully validate a checkpoint from bytes.
@@ -592,47 +521,22 @@ impl PipelineCheckpoint {
     /// results parallel to clusters. Anything else is a typed rejection,
     /// never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < 8 || bytes[..8] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let mut header = ByteReader::new(&bytes[8..CHECKPOINT_PAYLOAD_START.min(bytes.len())]);
-        let version = header.read_u32("checkpoint.version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let fingerprint = header.read_u64("checkpoint.fingerprint")?;
-        let applied_batches = header.read_u64("checkpoint.applied_batches")?;
-        let payload_len = header.read_u64("checkpoint.payload_len")? as usize;
-        let checksum = header.read_u64("checkpoint.checksum")?;
-        let payload = &bytes[CHECKPOINT_PAYLOAD_START..];
-        if payload.len() != payload_len {
-            return Err(CheckpointError::Corrupted(format!(
-                "payload length mismatch: header says {payload_len} bytes, file holds {}",
-                payload.len()
-            )));
-        }
-        let actual = fnv1a64(payload);
-        if actual != checksum {
-            return Err(CheckpointError::Corrupted(format!(
-                "payload checksum mismatch: header {checksum:#018x}, computed {actual:#018x}"
-            )));
-        }
+        let ([fingerprint, applied_batches], payload) =
+            codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
 
         let mut r = ByteReader::new(payload);
         let corpus = decode_corpus_from(&mut r)?;
-        let num_mappings = r.read_len("corpus mappings", 16)?;
-        let mut mappings = Vec::with_capacity(num_mappings);
         let mut seen = HashSet::new();
-        for _ in 0..num_mappings {
-            let mapping = decode_mapping_from(&mut r)?;
+        let mappings = r.read_seq("corpus mappings", 16, |r| {
+            let mapping = decode_mapping_from(r)?;
             if !seen.insert(mapping.table) {
                 return Err(CheckpointError::Corrupted(format!(
                     "duplicate mapping for table {}",
                     mapping.table.raw()
                 )));
             }
-            mappings.push(mapping);
-        }
+            Ok(mapping)
+        })?;
         let num_classes = r.read_len("class states", 12)?;
         if num_classes != CLASS_KEYS.len() {
             return Err(CheckpointError::Corrupted(format!(
@@ -640,40 +544,20 @@ impl PipelineCheckpoint {
                 CLASS_KEYS.len()
             )));
         }
+        // The per-class sections are in CLASS_KEYS order.
         let mut classes = Vec::with_capacity(num_classes);
-        for _ in 0..num_classes {
+        for class in CLASS_KEYS {
             let interner = r.read_str_vec("class interner strings")?;
-            let num_clusters = r.read_len("clusters", 4)?;
-            let mut clusters = Vec::with_capacity(num_clusters);
-            for _ in 0..num_clusters {
-                let num_rows = r.read_len("cluster rows", 4)?;
-                let mut cluster = Vec::with_capacity(num_rows);
-                for _ in 0..num_rows {
-                    cluster.push(r.read_u32("cluster row index")? as usize);
-                }
-                clusters.push(cluster);
-            }
-            let num_entities = r.read_len("entities", 12)?;
-            let mut entities = Vec::with_capacity(num_entities);
-            for _ in 0..num_entities {
-                entities.push(decode_entity_from(&mut r, ClassKey::Song)?);
-            }
-            let num_results = r.read_len("results", 25)?;
-            let mut results = Vec::with_capacity(num_results);
-            for _ in 0..num_results {
-                results.push(decode_result_from(&mut r)?);
-            }
+            let clusters = r.read_seq("clusters", 4, |r| {
+                r.read_seq("cluster rows", 4, |r| {
+                    r.read_u32("cluster row index").map(|row| row as usize)
+                })
+            })?;
+            let entities = r.read_seq("entities", 12, |r| decode_entity_from(r, class))?;
+            let results = r.read_seq("results", 25, decode_result_from)?;
             classes.push(ClassDump { interner, clusters, entities, results });
         }
         r.expect_eof()?;
-
-        // Patch in the real class keys (the per-class sections are in
-        // CLASS_KEYS order; the entity decoder used a placeholder).
-        for (class, dump) in CLASS_KEYS.iter().zip(classes.iter_mut()) {
-            for entity in &mut dump.entities {
-                entity.class = *class;
-            }
-        }
 
         let checkpoint = PipelineCheckpoint {
             fingerprint,

@@ -25,7 +25,6 @@ use ltee_newdetect::{
     build_entity_pair_dataset, detect_new, train_entity_model, EntityMetricKind,
 };
 use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, CorpusProfile, GoldStandard, RowRef};
-use serde::{Deserialize, Serialize};
 
 use crate::pipeline::{train_models, Pipeline, PipelineConfig};
 
@@ -92,7 +91,7 @@ impl ExperimentConfig {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Class name.
     pub class: String,
@@ -114,7 +113,7 @@ pub fn table01_kb_profile(world: &World) -> Vec<Table1Row> {
 }
 
 /// One row of Table 2 (and Table 12).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DensityRow {
     /// Class name.
     pub class: String,
@@ -157,7 +156,7 @@ pub fn table03_corpus_stats(corpus: &Corpus) -> CorpusProfile {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// Class name.
     pub class: String,
@@ -210,7 +209,7 @@ pub fn table04_value_correspondences(corpus: &Corpus, mapping: &CorpusMapping) -
 // ---------------------------------------------------------------------------
 
 /// One row of Table 5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table5Row {
     /// Class name.
     pub class: String,
@@ -234,7 +233,7 @@ pub fn table05_gold_standard(world: &World, corpus: &Corpus) -> Vec<Table5Row> {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table6Row {
     /// Iteration number (1-based).
     pub iteration: usize,
@@ -318,7 +317,7 @@ pub fn table06_schema_matching_iterations(config: &ExperimentConfig, iterations:
 // ---------------------------------------------------------------------------
 
 /// One row of Table 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table7Row {
     /// The last metric added (the run uses all metrics up to this one).
     pub added_metric: String,
@@ -463,7 +462,7 @@ fn restrict_gold(gold: &GoldStandard, cluster_indices: &[usize]) -> GoldStandard
 // ---------------------------------------------------------------------------
 
 /// One row of Table 8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table8Row {
     /// The last metric added.
     pub added_metric: String,
@@ -592,7 +591,7 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
 // ---------------------------------------------------------------------------
 
 /// One row of Table 9.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table9Row {
     /// Class name.
     pub class: String,
@@ -608,7 +607,7 @@ pub struct Table9Row {
 }
 
 /// One row of Table 10.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table10Row {
     /// Class name.
     pub class: String,
@@ -723,7 +722,7 @@ pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<
 // ---------------------------------------------------------------------------
 
 /// One row of Table 11.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table11Row {
     /// Class name.
     pub class: String,
@@ -749,7 +748,7 @@ pub struct Table11Row {
 
 /// The output of the large-scale profiling run: Table 11 rows plus the
 /// per-property densities of the new entities (Table 12).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProfilingResult {
     /// Table 11 rows.
     pub table11: Vec<Table11Row>,

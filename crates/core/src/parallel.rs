@@ -7,10 +7,8 @@
 //! benches and tests pin the thread count programmatically instead of via
 //! the `LTEE_NUM_THREADS` / `RAYON_NUM_THREADS` environment variables.
 
-use serde::{Deserialize, Serialize};
-
 /// How many worker threads the pipeline's parallel stages use.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Resolve from the environment: `LTEE_NUM_THREADS`, then
     /// `RAYON_NUM_THREADS`, then the machine's available parallelism.

@@ -20,13 +20,13 @@
 //! to a shards × threads matrix. For the same reason checkpoints persist
 //! logical per-class state and restore under any shard count.
 
+use ltee_intern::fnv1a64;
 use ltee_kb::{ClassKey, CLASS_KEYS};
-use serde::{Deserialize, Serialize};
 
 /// How the per-class serve states are grouped into concurrently-ingesting
 /// shards. Results are bit-identical at every setting; see the
 /// [module docs](self).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ShardPlan {
     /// Resolve from the environment: `LTEE_NUM_SHARDS`, else a single
     /// shard (every class in one bucket — the pre-sharding behaviour).
@@ -64,10 +64,7 @@ impl ShardPlan {
     /// plan always produces the same grouping — which keeps bench and test
     /// runs comparable, even though the grouping never affects results.
     pub fn shard_of(class: ClassKey, num_shards: usize) -> usize {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        hash ^= class.code() as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        (hash % num_shards.max(1) as u64) as usize
+        (fnv1a64(&[class.code()]) % num_shards.max(1) as u64) as usize
     }
 
     /// The classes of each shard bucket under this plan, resolved now.

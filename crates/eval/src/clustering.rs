@@ -3,12 +3,11 @@
 use std::collections::{HashMap, HashSet};
 
 use ltee_webtables::RowRef;
-use serde::{Deserialize, Serialize};
 
 use crate::f1;
 
 /// Result of evaluating a clustering against the gold clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusteringEvaluation {
     /// Penalised clustering precision (PCP).
     pub penalized_precision: f64,

@@ -6,13 +6,12 @@ use ltee_kb::{ClassKey, KnowledgeBase};
 use ltee_newdetect::NewDetectionOutcome;
 use ltee_types::{value_equivalent, EquivalenceConfig};
 use ltee_webtables::GoldStandard;
-use serde::{Deserialize, Serialize};
 
 use crate::f1;
 use crate::instances::entity_gold_cluster;
 
 /// Result of the facts-found evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactsEvaluation {
     /// Precision of the returned facts.
     pub precision: f64,

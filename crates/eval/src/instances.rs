@@ -5,12 +5,11 @@ use std::collections::{HashMap, HashSet};
 use ltee_fusion::Entity;
 use ltee_newdetect::NewDetectionOutcome;
 use ltee_webtables::{GoldStandard, RowRef};
-use serde::{Deserialize, Serialize};
 
 use crate::f1;
 
 /// Result of the new-instances-found evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewInstancesEvaluation {
     /// Precision: fraction of entities returned as new that correctly match
     /// a new instance of the gold standard.

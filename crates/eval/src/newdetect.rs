@@ -2,12 +2,11 @@
 
 use ltee_kb::InstanceId;
 use ltee_newdetect::NewDetectionOutcome;
-use serde::{Deserialize, Serialize};
 
 use crate::f1;
 
 /// Ground truth for one evaluated entity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntityTruth {
     /// Whether the entity truly describes a new instance.
     pub is_new: bool,
@@ -17,7 +16,7 @@ pub struct EntityTruth {
 }
 
 /// Evaluation result of the new detection component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewDetectionEvaluation {
     /// Fraction of entities classified correctly (existing entities must
     /// additionally be matched to the correct instance).

@@ -1,10 +1,8 @@
 //! Ranked evaluation (MAP@k, P@k) used for the set-expansion comparison in
 //! paper Section 6.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a ranked evaluation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedEvaluation {
     /// Mean average precision with the given cut-off.
     pub map: f64,

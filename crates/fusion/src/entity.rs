@@ -3,10 +3,9 @@
 use ltee_kb::ClassKey;
 use ltee_types::Value;
 use ltee_webtables::RowRef;
-use serde::{Deserialize, Serialize};
 
 /// A candidate value for a property, before fusion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateValue {
     /// The property the candidate belongs to.
     pub property: String,
@@ -19,7 +18,7 @@ pub struct CandidateValue {
 }
 
 /// An entity created from a row cluster: labels plus fused facts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entity {
     /// The class of the entity.
     pub class: ClassKey,

@@ -6,12 +6,11 @@ use ltee_kb::{ClassKey, KnowledgeBase};
 use ltee_matching::CorpusMapping;
 use ltee_types::{value_equivalent, DataType, EquivalenceConfig, Value};
 use ltee_webtables::{Corpus, RowRef, TableId};
-use serde::{Deserialize, Serialize};
 
 use crate::entity::{CandidateValue, Entity};
 
 /// The candidate scoring approaches of Section 3.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScoringMethod {
     /// All candidate values receive an equal score of 1.0.
     Voting,
@@ -39,7 +38,7 @@ impl ScoringMethod {
 }
 
 /// Configuration of entity creation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntityCreationConfig {
     /// The candidate scoring method.
     pub scoring: ScoringMethod,

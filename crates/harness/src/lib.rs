@@ -23,9 +23,8 @@
 //!    reader-churn phase with threads joining and leaving mid-ingest, and
 //!    a sustained-ingest soak. Metrics ([`metrics`]) count only
 //!    deterministic facts — hit counts, fingerprints, invariant booleans.
-//! 4. [`report`] — a tiny canonical JSON writer (the vendored serde shim
-//!    cannot serialise): fixed key order, fixed float formatting,
-//!    fingerprints as hex strings.
+//! 4. [`report`] — a tiny canonical JSON writer: fixed key order, fixed
+//!    float formatting, fingerprints as hex strings.
 //!
 //! ## The determinism contract
 //!

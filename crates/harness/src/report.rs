@@ -1,13 +1,13 @@
 //! A tiny canonical JSON writer.
 //!
-//! The vendored serde shim has no real serialisation, so the report is
-//! built from this value type and rendered by hand. "Canonical" means the
-//! bytes are a pure function of the value: object keys appear in
-//! insertion order (which the runner fixes in code), floats always render
-//! with four decimals, fingerprints render as fixed-width hex strings,
-//! and indentation is two spaces throughout. Rendering the same report
-//! twice — or from runs at different thread counts — yields identical
-//! bytes, which the CI smoke job checks with a plain byte comparison.
+//! The report is built from this value type and rendered by hand.
+//! "Canonical" means the bytes are a pure function of the value: object
+//! keys appear in insertion order (which the runner fixes in code), floats
+//! always render with four decimals, fingerprints render as fixed-width
+//! hex strings, and indentation is two spaces throughout. Rendering the
+//! same report twice — or from runs at different thread counts — yields
+//! identical bytes, which the CI smoke job checks with a plain byte
+//! comparison.
 
 use std::fmt::Write as _;
 

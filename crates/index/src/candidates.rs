@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 
-use ltee_intern::{Interner, Sym, TokenSeq};
+use ltee_intern::{fnv1a64, fnv1a64_extend, Interner, Sym, TokenSeq};
 
 /// Tokens longer than this many chars skip deletion-neighborhood
 /// indexing (and probing): the one-time cost is quadratic in token
@@ -76,7 +76,7 @@ impl CandidateIndex {
                 let len = s.chars().count() as u32;
                 self.char_len[raw] = len;
                 self.vocab_len_mask |= 1u64 << ((len as usize).min(64) - 1);
-                self.del1.entry(fnv1a_full(s)).or_default().push(t);
+                self.del1.entry(fnv1a64(s.as_bytes())).or_default().push(t);
                 if (len as usize) <= DEL1_MAX_CHARS {
                     for_each_deletion_hash(s, |h| self.del1.entry(h).or_default().push(t));
                 }
@@ -109,7 +109,7 @@ impl CandidateIndex {
                 out.extend_from_slice(syms);
             }
         };
-        probe(fnv1a_full(query));
+        probe(fnv1a64(query.as_bytes()));
         if query_chars <= DEL1_MAX_CHARS {
             for_each_deletion_hash(query, &mut probe);
         }
@@ -119,32 +119,13 @@ impl CandidateIndex {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a_update(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// FNV-1a of a whole string.
-#[inline]
-fn fnv1a_full(s: &str) -> u64 {
-    fnv1a_update(FNV_OFFSET, s.as_bytes())
-}
-
 /// FNV-1a of every one-character deletion of `s`, without materialising
 /// the variants: each is hashed as the two byte ranges around the char.
 fn for_each_deletion_hash(s: &str, mut f: impl FnMut(u64)) {
     let bytes = s.as_bytes();
     for (start, c) in s.char_indices() {
         let end = start + c.len_utf8();
-        let h = fnv1a_update(FNV_OFFSET, &bytes[..start]);
-        f(fnv1a_update(h, &bytes[end..]));
+        f(fnv1a64_extend(fnv1a64(&bytes[..start]), &bytes[end..]));
     }
 }
 

@@ -1153,76 +1153,23 @@ mod tests {
         assert_eq!(idx.resolve(m.normalized), "paris");
     }
 
-    /// String-level reimplementation of the pre-pruning flat scan: score
-    /// every entry sharing a token, full `levenshtein_similarity` per
-    /// near-miss token, sort, dedup by id, truncate. The pruned lookup
-    /// must reproduce it bit-for-bit.
+    /// The string-level flat scan ([`crate::reference`]) as `LabelMatch`es
+    /// of `idx`. The pruned lookup must reproduce it bit-for-bit.
     fn reference_lookup(
         items: &[(u64, String)],
         idx: &LabelIndex,
         label: &str,
         k: usize,
     ) -> Vec<LabelMatch> {
-        use ltee_text::{levenshtein_similarity, normalize_label, tokenize};
-        if k == 0 {
-            return Vec::new();
-        }
-        let q = normalize_label(label);
-        let qts = tokenize(&q);
-        if qts.is_empty() {
-            return Vec::new();
-        }
-        let mut scored: Vec<(LabelMatch, u32)> = Vec::new();
-        for (pos, (id, lab)) in items.iter().enumerate() {
-            let n = normalize_label(lab);
-            let cts = tokenize(&n);
-            if cts.is_empty() {
-                continue;
-            }
-            let exact_hits: usize =
-                qts.iter().map(|qt| cts.iter().filter(|ct| *ct == qt).count()).sum();
-            if exact_hits == 0 {
-                continue;
-            }
-            let mut total = 0.0;
-            for qt in &qts {
-                let best = if cts.iter().any(|ct| ct == qt) {
-                    1.0
-                } else {
-                    let mut b = 0.0f64;
-                    for ct in &cts {
-                        let s = levenshtein_similarity(qt, ct);
-                        if s > b {
-                            b = s;
-                        }
-                    }
-                    b
-                };
-                total += best;
-            }
-            let coverage = total / qts.len() as f64;
-            let len_penalty = {
-                let qn = qts.len() as f64;
-                let cn = cts.len() as f64;
-                1.0 - (qn - cn).abs() / (qn + cn)
-            };
-            let score =
-                (coverage * 0.8 + len_penalty * 0.2 + exact_hits as f64 * 1e-6).min(1.0);
-            let normalized = idx.interner().get(&n).expect("inserted label is interned");
-            scored.push((LabelMatch { id: *id, normalized, score }, pos as u32));
-        }
-        scored.sort_by(|(a, ap), (b, bp)| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id.cmp(&b.id))
-                .then_with(|| ap.cmp(bp))
-        });
-        let mut seen = std::collections::HashSet::new();
-        let mut out: Vec<LabelMatch> =
-            scored.into_iter().filter_map(|(m, _)| seen.insert(m.id).then_some(m)).collect();
-        out.truncate(k);
-        out
+        let scan = crate::reference::ScanIndex::build(items.iter().map(|(id, l)| (*id, l.as_str())));
+        let (hits, _) = scan.lookup(label, k);
+        hits.into_iter()
+            .map(|hit| LabelMatch {
+                id: hit.id,
+                normalized: idx.interner().get(&hit.normalized).expect("inserted label is interned"),
+                score: hit.score,
+            })
+            .collect()
     }
 
     #[test]

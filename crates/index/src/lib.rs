@@ -39,6 +39,8 @@
 mod candidates;
 pub mod label_index;
 pub mod metrics;
+#[doc(hidden)]
+pub mod reference;
 
 pub use label_index::{LabelEntry, LabelIndex, LabelMatch, SharedLabelIndex};
 pub use metrics::LookupMetrics;

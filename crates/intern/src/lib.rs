@@ -53,13 +53,22 @@ impl Sym {
     }
 }
 
-/// FNV-1a 64-bit hash (used to bucket arena spans without storing a second
-/// copy of every string).
+/// 64-bit FNV-1a hash — the workspace's one stable, dependency-free hash:
+/// interner buckets, payload checksums, config fingerprints, seed streams
+/// and shard buckets all go through it, so its values are part of the
+/// on-disk formats. Collision resistance beyond accident detection is not
+/// a goal.
 #[inline]
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes: for any split of `bytes` into
+/// `a ‖ b`, `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(bytes)`.
+#[inline]
+pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        hash ^= b as u64;
+        hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
@@ -415,6 +424,17 @@ mod tests {
 
     fn seq(interner: &mut Interner, tokens: &[&str]) -> TokenSeq {
         TokenSeq::from_syms(tokens.iter().map(|t| interner.intern(t)).collect())
+    }
+
+    #[test]
+    fn fnv1a64_known_answers_and_split_anywhere() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        let whole = "héllo wörld".as_bytes();
+        for cut in 0..=whole.len() {
+            assert_eq!(fnv1a64_extend(fnv1a64(&whole[..cut]), &whole[cut..]), fnv1a64(whole));
+        }
     }
 
     #[test]

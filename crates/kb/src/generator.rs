@@ -10,7 +10,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{EntityId, InstanceId};
 use crate::model::{Fact, KnowledgeBase};
@@ -18,7 +17,7 @@ use crate::names;
 use crate::schema::{class_schema, ClassKey, CLASS_KEYS};
 
 /// How large to make the synthetic world.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Entities per class that are projected into the knowledge base
     /// ("head" / notable entities).
@@ -57,7 +56,7 @@ impl Scale {
 }
 
 /// Configuration of the world generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// World size.
     pub scale: Scale,
@@ -83,7 +82,7 @@ impl GeneratorConfig {
 }
 
 /// An entity of the synthetic world with its full ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldEntity {
     /// World-wide identifier.
     pub id: EntityId,
@@ -124,7 +123,7 @@ impl WorldEntity {
 
 /// The generated world: all entities plus the knowledge base projected from
 /// the head entities.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     /// Every entity of the world (including confusables).
     pub entities: Vec<WorldEntity>,

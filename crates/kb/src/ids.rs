@@ -1,13 +1,9 @@
 //! Strongly typed identifiers for knowledge base and world objects.
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub u64);
 
         impl $name {

@@ -5,7 +5,6 @@ use std::sync::{Arc, OnceLock};
 
 use ltee_index::LabelIndex;
 use ltee_types::{DataType, EquivalenceSet, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{ClassId, InstanceId, PropertyId};
 use crate::schema::{ClassKey, CLASS_KEYS};
@@ -17,7 +16,7 @@ use crate::schema::{ClassKey, CLASS_KEYS};
 pub const KB_OVERLAP_SAMPLE: usize = 400;
 
 /// A class in the knowledge base with its position in the hierarchy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnowledgeBaseClass {
     /// Class identifier.
     pub id: ClassId,
@@ -30,7 +29,7 @@ pub struct KnowledgeBaseClass {
 }
 
 /// A property of a knowledge base class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Property {
     /// Property identifier.
     pub id: PropertyId,
@@ -45,7 +44,7 @@ pub struct Property {
 }
 
 /// A fact: a typed value for one property of one instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fact {
     /// The property the value belongs to.
     pub property: PropertyId,
@@ -54,7 +53,7 @@ pub struct Fact {
 }
 
 /// An instance of the knowledge base.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Instance identifier.
     pub id: InstanceId,
@@ -122,18 +121,15 @@ fn of_class<T>(per_class: &[(ClassKey, T)], class: ClassKey) -> &T {
 }
 
 /// The knowledge base: the DBpedia stand-in the pipeline extends.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
     classes: Vec<KnowledgeBaseClass>,
     properties: Vec<Property>,
     instances: Vec<Instance>,
     /// instance id -> index into `instances`.
-    #[serde(skip)]
     instance_lookup: HashMap<InstanceId, usize>,
     /// (class, property name) -> property id.
-    #[serde(skip)]
     property_lookup: HashMap<(ClassKey, String), PropertyId>,
-    #[serde(skip)]
     derived: Derived,
 }
 

@@ -1,12 +1,10 @@
 //! Knowledge base profiling: the statistics reported in paper Tables 1 and 2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::KnowledgeBase;
 use crate::schema::{class_schema, ClassKey};
 
 /// Per-property density information (paper Table 2 rows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PropertyDensity {
     /// Property name.
     pub property: String,
@@ -17,7 +15,7 @@ pub struct PropertyDensity {
 }
 
 /// Per-class profile (paper Table 1 rows plus Table 2 density breakdown).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassProfile {
     /// The class.
     pub class: ClassKey,

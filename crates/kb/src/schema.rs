@@ -7,10 +7,9 @@
 //! their densities, which the synthetic generator reproduces.
 
 use ltee_types::DataType;
-use serde::{Deserialize, Serialize};
 
 /// The three target classes of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ClassKey {
     /// dbo:GridironFootballPlayer (first-level class Agent).
     GridironFootballPlayer,
@@ -104,7 +103,7 @@ impl std::fmt::Display for ClassKey {
 }
 
 /// Specification of a property of one of the target classes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PropertySpec {
     /// Property name (DBpedia-style camelCase).
     pub name: &'static str,

@@ -17,13 +17,12 @@ use ltee_ml::codec::{ByteReader, ByteWriter, CodecError};
 use ltee_ml::{Dataset, GeneticConfig, Sample, WeightedAverageModel};
 use ltee_types::DetectedType;
 use ltee_webtables::{Corpus, GoldStandard, WebTable};
-use serde::{Deserialize, Serialize};
 
 use crate::mapping::{AttributeMatch, CorpusFeedback};
 use crate::matchers::{self, HeaderStatistics, KbOverlapFn, MatcherKind};
 
 /// Configuration of the attribute-to-property matcher.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeMatcherConfig {
     /// Default threshold used for properties without a learned threshold.
     pub default_threshold: f64,
@@ -36,7 +35,7 @@ impl Default for AttributeMatcherConfig {
 }
 
 /// Learned matcher weights (per class) and per-property thresholds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatcherWeights {
     /// Per-class weights over [`MatcherKind::ALL`] in order.
     pub class_weights: HashMap<ClassKey, Vec<f64>>,
@@ -77,46 +76,42 @@ impl MatcherWeights {
     pub fn encode_into(&self, w: &mut ByteWriter) {
         let mut classes: Vec<(&ClassKey, &Vec<f64>)> = self.class_weights.iter().collect();
         classes.sort_by_key(|(c, _)| c.code());
-        w.write_len(classes.len());
-        for (class, weights) in classes {
+        w.write_seq(&classes, |w, (class, weights)| {
             w.write_u8(class.code());
             w.write_f64_slice(weights);
-        }
+        });
         let mut thresholds: Vec<(u8, &str, f64)> = self
             .property_thresholds
             .iter()
             .flat_map(|(class, of_class)| of_class.iter().map(|(p, t)| (class.code(), p.as_str(), *t)))
             .collect();
         thresholds.sort_by_key(|&(class, property, _)| (class, property));
-        w.write_len(thresholds.len());
-        for (class, property, threshold) in thresholds {
+        w.write_seq(&thresholds, |w, &(class, property, threshold)| {
             w.write_u8(class);
             w.write_str(property);
             w.write_f64(threshold);
-        }
+        });
     }
 
     /// Decode weights previously written by [`MatcherWeights::encode_into`].
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let class_count = r.read_len("matcher.class_weights", 5)?;
-        let mut class_weights = HashMap::new();
-        for _ in 0..class_count {
-            let code = r.read_u8("matcher.class")?;
-            let class = ClassKey::from_code(code)
-                .ok_or(CodecError::InvalidTag { what: "matcher.class", tag: code })?;
-            class_weights.insert(class, r.read_f64_vec("matcher.weights")?);
+        fn class(r: &mut ByteReader<'_>, what: &'static str) -> Result<ClassKey, CodecError> {
+            let tag = r.read_u8(what)?;
+            ClassKey::from_code(tag).ok_or(CodecError::InvalidTag { what, tag })
         }
-        let threshold_count = r.read_len("matcher.thresholds", 13)?;
-        let mut property_thresholds: HashMap<ClassKey, HashMap<String, f64>> = HashMap::new();
-        for _ in 0..threshold_count {
-            let code = r.read_u8("matcher.threshold.class")?;
-            let class = ClassKey::from_code(code)
-                .ok_or(CodecError::InvalidTag { what: "matcher.threshold.class", tag: code })?;
+        let class_weights = r.read_seq("matcher.class_weights", 5, |r| {
+            Ok::<_, CodecError>((class(r, "matcher.class")?, r.read_f64_vec("matcher.weights")?))
+        })?;
+        let thresholds = r.read_seq("matcher.thresholds", 13, |r| {
+            let class = class(r, "matcher.threshold.class")?;
             let property = r.read_str("matcher.threshold.property")?;
-            let threshold = r.read_f64("matcher.threshold.value")?;
+            Ok::<_, CodecError>((class, property, r.read_f64("matcher.threshold.value")?))
+        })?;
+        let mut property_thresholds: HashMap<ClassKey, HashMap<String, f64>> = HashMap::new();
+        for (class, property, threshold) in thresholds {
             property_thresholds.entry(class).or_default().insert(property, threshold);
         }
-        Ok(Self { class_weights, property_thresholds })
+        Ok(Self { class_weights: class_weights.into_iter().collect(), property_thresholds })
     }
 
     /// The averaged weight of each matcher across classes (reported when

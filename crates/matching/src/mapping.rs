@@ -6,10 +6,9 @@ use std::collections::HashMap;
 use ltee_kb::{ClassKey, InstanceId, KnowledgeBase};
 use ltee_types::{parse_cell_as, DataType, DetectedType, Value};
 use ltee_webtables::{Corpus, RowRef, TableId, WebTable};
-use serde::{Deserialize, Serialize};
 
 /// A correspondence between a table column and a knowledge base property.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeMatch {
     /// The matched property name.
     pub property: String,
@@ -21,7 +20,7 @@ pub struct AttributeMatch {
 }
 
 /// Schema matching result for one table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableMapping {
     /// The table.
     pub table: TableId,
@@ -55,7 +54,7 @@ impl TableMapping {
 }
 
 /// Values of one row, extracted according to the schema mapping.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RowValues {
     /// The row's label (from the label attribute).
     pub label: String,
@@ -72,7 +71,7 @@ impl RowValues {
 }
 
 /// The schema matching result for a whole corpus.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusMapping {
     tables: HashMap<TableId, TableMapping>,
 }
@@ -160,7 +159,7 @@ pub fn extract_row_values(table: &WebTable, mapping: &TableMapping, row: usize) 
 
 /// Feedback produced by a previous pipeline iteration, consumed by the
 /// duplicate-based and corpus-level matchers in the next iteration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusFeedback {
     /// The previous iteration's schema mapping (used by WT-Label to derive
     /// header-label statistics).

@@ -11,12 +11,11 @@ use std::collections::HashMap;
 use ltee_kb::{KnowledgeBase, Property};
 use ltee_types::{parse_cell_as, value_equivalent, EquivalenceConfig};
 use ltee_webtables::{Corpus, RowRef, WebTable};
-use serde::{Deserialize, Serialize};
 
 use crate::mapping::CorpusFeedback;
 
 /// The five matcher kinds, in the feature order used for weight learning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatcherKind {
     /// Proportion of column values that fit the candidate property anywhere
     /// in the knowledge base.

@@ -16,8 +16,6 @@
 //! inside the learned random forest regression tree and the weights in the
 //! learned weighted average function".
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::dataset::{Dataset, Sample};
 use crate::forest::{RandomForest, RandomForestConfig};
@@ -25,7 +23,7 @@ use crate::genetic::GeneticConfig;
 use crate::weighted::WeightedAverageModel;
 
 /// Which aggregation approach to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregationMethod {
     /// Learned weighted average over similarity scores only.
     WeightedAverage,
@@ -73,7 +71,7 @@ impl AggregationMethod {
 }
 
 /// Importance of one metric in the final aggregated model (Tables 7/8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricImportance {
     /// Metric (feature) name.
     pub name: String,
@@ -83,7 +81,7 @@ pub struct MetricImportance {
 }
 
 /// Hyperparameters shared by pairwise model training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairwiseTrainingConfig {
     /// Genetic algorithm settings for the weighted average.
     pub genetic: GeneticConfig,
@@ -106,7 +104,7 @@ impl Default for PairwiseTrainingConfig {
 /// scores (used only by the random forest, mirroring the paper where "in
 /// this case, attached confidence scores are not considered" for the
 /// weighted average).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairwiseModel {
     method: AggregationMethod,
     num_similarities: usize,
@@ -304,14 +302,8 @@ impl PairwiseModel {
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.write_u8(self.method.code());
         w.write_usize(self.num_similarities);
-        w.write_bool(self.weighted.is_some());
-        if let Some(weighted) = &self.weighted {
-            weighted.encode_into(w);
-        }
-        w.write_bool(self.forest.is_some());
-        if let Some(forest) = &self.forest {
-            forest.encode_into(w);
-        }
+        w.write_opt(self.weighted.as_ref(), |w, weighted| weighted.encode_into(w));
+        w.write_opt(self.forest.as_ref(), |w, forest| forest.encode_into(w));
         w.write_f64(self.combine_weight);
         w.write_str_slice(&self.feature_names);
     }
@@ -322,12 +314,8 @@ impl PairwiseModel {
         let method = AggregationMethod::from_code(method_code)
             .ok_or(CodecError::InvalidTag { what: "pairwise.method", tag: method_code })?;
         let num_similarities = r.read_usize("pairwise.num_similarities")?;
-        let weighted = r
-            .read_bool("pairwise.weighted.some")?
-            .then(|| WeightedAverageModel::decode_from(r))
-            .transpose()?;
-        let forest =
-            r.read_bool("pairwise.forest.some")?.then(|| RandomForest::decode_from(r)).transpose()?;
+        let weighted = r.read_opt("pairwise.weighted.some", WeightedAverageModel::decode_from)?;
+        let forest = r.read_opt("pairwise.forest.some", RandomForest::decode_from)?;
         let combine_weight = r.read_f64("pairwise.combine_weight")?;
         let feature_names = r.read_str_vec("pairwise.feature_names")?;
         Ok(Self { method, num_similarities, weighted, forest, combine_weight, feature_names })

@@ -1,13 +1,12 @@
-//! Minimal hand-rolled binary codec used to persist learned models.
+//! The workspace's one binary codec: every on-disk format (model artifact,
+//! state checkpoint, write-ahead log) is written and read through it.
 //!
-//! The workspace's `serde` dependency is an offline no-op shim (see
-//! `vendor/serde`), so model persistence cannot rely on derived
-//! serialisation. This module provides the small, dependency-free
-//! primitives the model encoders are built on: a [`ByteWriter`] that
-//! appends fixed-width little-endian scalars and length-prefixed strings
-//! to a buffer, a bounds-checked [`ByteReader`] that reads them back, and
-//! the [`fnv1a64`] hash used both for payload checksums and for config
-//! fingerprints.
+//! Three layers, all dependency-free: a [`ByteWriter`] that appends
+//! fixed-width little-endian scalars, length-prefixed strings, sequences
+//! and options to a buffer; a bounds-checked [`ByteReader`] that reads them
+//! back; and the [`seal`] / [`open`] pair that frames a payload in the
+//! shared file envelope. [`fnv1a64`] (defined in `ltee-intern`, re-exported
+//! here) is the payload checksum and the config-fingerprint hash.
 //!
 //! Layout conventions shared by every encoder in the workspace:
 //!
@@ -18,10 +17,24 @@
 //! * options are a `bool` presence flag followed by the value,
 //! * enums are encoded as stable `u8` tags owned by the enum itself
 //!   (never by discriminant order, which is free to change).
+//!
+//! The envelope ([`seal`] / [`open`]), with `N` format-specific header
+//! words, is `magic(8) · version(u32) · N header words(u64) ·
+//! payload_len(u64) · FNV-1a64(payload) · payload`; byte offsets per format
+//! are tabulated in `docs/ARCHITECTURE.md`, "On-disk formats".
 
-/// Errors produced while decoding a model byte stream.
+pub use ltee_intern::fnv1a64;
+
+/// Errors produced while decoding a byte stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
+    /// [`open`]: the input does not start with the expected magic.
+    BadMagic,
+    /// [`open`]: the envelope carries a format version other than the
+    /// expected one.
+    UnsupportedVersion(u32),
+    /// [`open`]: the payload failed its length or checksum check.
+    Corrupted(String),
     /// The stream ended before a read could complete.
     UnexpectedEof {
         /// What was being read when the stream ran out.
@@ -54,6 +67,9 @@ pub enum CodecError {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CodecError::BadMagic => write!(f, "bad magic header"),
+            CodecError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            CodecError::Corrupted(why) => write!(f, "{why}"),
             CodecError::UnexpectedEof { what, needed, remaining } => write!(
                 f,
                 "unexpected end of stream reading {what}: needed {needed} bytes, {remaining} left"
@@ -81,6 +97,11 @@ impl ByteWriter {
     /// Create an empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Create an empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self { buf: Vec::with_capacity(bytes) }
     }
 
     /// Consume the writer and return the encoded bytes.
@@ -134,26 +155,42 @@ impl ByteWriter {
         self.write_u32(len as u32);
     }
 
+    /// Append raw bytes (no length prefix).
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Append a length-prefixed UTF-8 string.
     pub fn write_str(&mut self, s: &str) {
         self.write_len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// Append a length-prefixed sequence: the `u32` element count, then
+    /// every element through `item`.
+    pub fn write_seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.write_len(items.len());
+        for it in items {
+            item(self, it);
+        }
+    }
+
+    /// Append an option: the presence flag, then the value through `some`.
+    pub fn write_opt<T>(&mut self, value: Option<T>, some: impl FnOnce(&mut Self, T)) {
+        self.write_bool(value.is_some());
+        if let Some(v) = value {
+            some(self, v);
+        }
     }
 
     /// Append a length-prefixed slice of `f64` values.
     pub fn write_f64_slice(&mut self, vs: &[f64]) {
-        self.write_len(vs.len());
-        for &v in vs {
-            self.write_f64(v);
-        }
+        self.write_seq(vs, |w, &v| w.write_f64(v));
     }
 
     /// Append a length-prefixed slice of strings.
     pub fn write_str_slice<S: AsRef<str>>(&mut self, vs: &[S]) {
-        self.write_len(vs.len());
-        for v in vs {
-            self.write_str(v.as_ref());
-        }
+        self.write_seq(vs, |w, v| w.write_str(v.as_ref()));
     }
 }
 
@@ -184,7 +221,8 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
+    /// Read the next `n` raw bytes.
+    pub fn read_bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof { what, needed: n, remaining: self.remaining() });
         }
@@ -195,18 +233,18 @@ impl<'a> ByteReader<'a> {
 
     /// Read one byte.
     pub fn read_u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.read_bytes(1, what)?[0])
     }
 
     /// Read a little-endian `u32`.
     pub fn read_u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        let b = self.take(4, what)?;
+        let b = self.read_bytes(4, what)?;
         Ok(u32::from_le_bytes(b.try_into().expect("slice is 4 bytes")))
     }
 
     /// Read a little-endian `u64`.
     pub fn read_u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        let b = self.take(8, what)?;
+        let b = self.read_bytes(8, what)?;
         Ok(u64::from_le_bytes(b.try_into().expect("slice is 8 bytes")))
     }
 
@@ -243,36 +281,109 @@ impl<'a> ByteReader<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn read_str(&mut self, what: &'static str) -> Result<String, CodecError> {
         let len = self.read_len(what, 1)?;
-        let bytes = self.take(len, what)?;
+        let bytes = self.read_bytes(len, what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
+    }
+
+    /// Read a length-prefixed sequence written by [`ByteWriter::write_seq`]:
+    /// the element count goes through [`ByteReader::read_len`] before
+    /// anything is allocated, then every element is read through `item`.
+    pub fn read_seq<T, E: From<CodecError>>(
+        &mut self,
+        what: &'static str,
+        min_element_size: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let len = self.read_len(what, min_element_size)?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Read an option written by [`ByteWriter::write_opt`].
+    pub fn read_opt<T, E: From<CodecError>>(
+        &mut self,
+        what: &'static str,
+        some: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<Option<T>, E> {
+        if self.read_bool(what)? {
+            some(self).map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     /// Read a length-prefixed `f64` vector.
     pub fn read_f64_vec(&mut self, what: &'static str) -> Result<Vec<f64>, CodecError> {
-        let len = self.read_len(what, 8)?;
-        (0..len).map(|_| self.read_f64(what)).collect()
+        self.read_seq(what, 8, |r| r.read_f64(what))
     }
 
     /// Read a length-prefixed string vector.
     pub fn read_str_vec(&mut self, what: &'static str) -> Result<Vec<String>, CodecError> {
-        let len = self.read_len(what, 4)?;
-        (0..len).map(|_| self.read_str(what)).collect()
+        self.read_seq(what, 4, |r| r.read_str(what))
     }
 }
 
-/// 64-bit FNV-1a hash, used for payload checksums and config fingerprints.
-///
-/// Deliberately simple and dependency-free; collision resistance beyond
-/// accident detection is not a goal (artifacts are trusted inputs).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
+/// Bytes [`seal`] puts in front of the payload when the format carries
+/// `words` header words.
+pub const fn sealed_header_len(words: usize) -> usize {
+    8 + 4 + 8 * words + 8 + 8
+}
+
+/// Frame `payload` in the file envelope described in the [module
+/// docs](self): magic, version, the format's header words, then the
+/// payload's length and FNV-1a64 checksum, then the payload itself.
+pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], payload: &[u8]) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(sealed_header_len(words.len()) + payload.len());
+    w.write_bytes(magic);
+    w.write_u32(version);
+    for &word in words {
+        w.write_u64(word);
     }
-    hash
+    w.write_usize(payload.len());
+    w.write_u64(fnv1a64(payload));
+    w.write_bytes(payload);
+    w.into_bytes()
+}
+
+/// Inverse of [`seal`]: validate magic, version, payload length and
+/// checksum — in that order, before any payload byte is interpreted — and
+/// return the `N` header words plus the payload.
+pub fn open<'a, const N: usize>(
+    magic: &[u8; 8],
+    version: u32,
+    bytes: &'a [u8],
+) -> Result<([u64; N], &'a [u8]), CodecError> {
+    let mut r = ByteReader::new(bytes);
+    if r.read_bytes(8, "envelope magic").ok() != Some(&magic[..]) {
+        return Err(CodecError::BadMagic);
+    }
+    let found = r.read_u32("envelope version")?;
+    if found != version {
+        return Err(CodecError::UnsupportedVersion(found));
+    }
+    let mut words = [0u64; N];
+    for word in &mut words {
+        *word = r.read_u64("envelope header word")?;
+    }
+    let payload_len = r.read_usize("envelope payload length")?;
+    let checksum = r.read_u64("envelope checksum")?;
+    let payload = r.read_bytes(r.remaining(), "envelope payload")?;
+    if payload.len() != payload_len {
+        return Err(CodecError::Corrupted(format!(
+            "payload length mismatch: header says {payload_len} bytes, file holds {}",
+            payload.len()
+        )));
+    }
+    let actual = fnv1a64(payload);
+    if actual != checksum {
+        return Err(CodecError::Corrupted(format!(
+            "payload checksum mismatch: header {checksum:#018x}, computed {actual:#018x}"
+        )));
+    }
+    Ok((words, payload))
 }
 
 #[cfg(test)]

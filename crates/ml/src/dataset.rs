@@ -4,14 +4,13 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A single training sample: a feature vector and a regression target.
 ///
 /// For pairwise matching tasks the target is `1.0` for a matching pair and
 /// `-1.0` (random forest) or `0.0` (weighted average / F1 learning) for a
 /// non-matching pair; the dataset does not interpret it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Feature values, one per metric / matcher (missing features as 0.0).
     pub features: Vec<f64>,
@@ -40,7 +39,7 @@ impl Sample {
 }
 
 /// A collection of samples with named features.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// Feature names, parallel to every sample's feature vector.
     pub feature_names: Vec<String>,

@@ -13,13 +13,12 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::dataset::Dataset;
 
 /// Hyperparameters of the random forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForestConfig {
     /// Number of trees.
     pub num_trees: usize,
@@ -49,7 +48,7 @@ impl Default for RandomForestConfig {
 }
 
 /// A node of a regression tree, stored in a flat arena.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         prediction: f64,
@@ -67,7 +66,7 @@ enum Node {
 }
 
 /// A single regression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Tree {
     nodes: Vec<Node>,
 }
@@ -96,7 +95,7 @@ impl Tree {
 }
 
 /// A trained random forest regressor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     config: RandomForestConfig,
     trees: Vec<Tree>,
@@ -237,26 +236,22 @@ impl RandomForest {
         w.write_usize(self.config.features_per_split.unwrap_or(0));
         w.write_f64(self.config.bootstrap_fraction);
         w.write_u64(self.config.seed);
-        w.write_len(self.trees.len());
-        for tree in &self.trees {
-            w.write_len(tree.nodes.len());
-            for node in &tree.nodes {
-                match node {
-                    Node::Leaf { prediction } => {
-                        w.write_u8(0);
-                        w.write_f64(*prediction);
-                    }
-                    Node::Split { feature, threshold, gain, left, right } => {
-                        w.write_u8(1);
-                        w.write_usize(*feature);
-                        w.write_f64(*threshold);
-                        w.write_f64(*gain);
-                        w.write_usize(*left);
-                        w.write_usize(*right);
-                    }
+        w.write_seq(&self.trees, |w, tree| {
+            w.write_seq(&tree.nodes, |w, node| match node {
+                Node::Leaf { prediction } => {
+                    w.write_u8(0);
+                    w.write_f64(*prediction);
                 }
-            }
-        }
+                Node::Split { feature, threshold, gain, left, right } => {
+                    w.write_u8(1);
+                    w.write_usize(*feature);
+                    w.write_f64(*threshold);
+                    w.write_f64(*gain);
+                    w.write_usize(*left);
+                    w.write_usize(*right);
+                }
+            })
+        });
         w.write_str_slice(&self.feature_names);
         w.write_f64(self.oob_error);
     }
@@ -276,13 +271,9 @@ impl RandomForest {
             bootstrap_fraction: r.read_f64("forest.bootstrap_fraction")?,
             seed: r.read_u64("forest.seed")?,
         };
-        let tree_count = r.read_len("forest.trees", 4)?;
-        let mut trees = Vec::with_capacity(tree_count);
-        for _ in 0..tree_count {
-            let node_count = r.read_len("forest.tree.nodes", 9)?;
-            let mut nodes = Vec::with_capacity(node_count);
-            for _ in 0..node_count {
-                let node = match r.read_u8("forest.node.tag")? {
+        let trees = r.read_seq("forest.trees", 4, |r| {
+            let nodes = r.read_seq("forest.tree.nodes", 9, |r| {
+                Ok(match r.read_u8("forest.node.tag")? {
                     0 => Node::Leaf { prediction: r.read_f64("forest.node.prediction")? },
                     1 => Node::Split {
                         feature: r.read_usize("forest.node.feature")?,
@@ -292,9 +283,8 @@ impl RandomForest {
                         right: r.read_usize("forest.node.right")?,
                     },
                     tag => return Err(CodecError::InvalidTag { what: "forest.node", tag }),
-                };
-                nodes.push(node);
-            }
+                })
+            })?;
             // Child indices must be strictly forward references inside the
             // arena: the tree builder always pushes a split before its
             // children, so every legitimate encoding satisfies this, and it
@@ -307,8 +297,8 @@ impl RandomForest {
                     }
                 }
             }
-            trees.push(Tree { nodes });
-        }
+            Ok::<_, CodecError>(Tree { nodes })
+        })?;
         let feature_names = r.read_str_vec("forest.feature_names")?;
         let oob_error = r.read_f64("forest.oob_error")?;
         Ok(RandomForest { config, trees, feature_names, oob_error })

@@ -22,8 +22,7 @@
 //!
 //! All three model families serialise through the hand-rolled binary
 //! [`codec`] (`encode_into` / `decode_from`), which is what the train-once /
-//! serve-many model artifact in `ltee-core` is built on — the workspace's
-//! `serde` is an offline no-op shim, so persistence cannot use derives.
+//! serve-many model artifact in `ltee-core` is built on.
 
 pub mod aggregate;
 pub mod codec;

@@ -6,14 +6,12 @@
 //! rows describe the same instance. This threshold is used to normalize the
 //! similarity metric to −1.0 and 1.0."
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::dataset::Dataset;
 use crate::genetic::{GeneticConfig, GeneticOptimizer};
 
 /// A weighted average over feature scores with a decision threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedAverageModel {
     /// Per-feature weights; non-negative, normalised to sum to 1.
     pub weights: Vec<f64>,

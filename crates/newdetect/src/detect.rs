@@ -6,12 +6,11 @@ use ltee_index::LabelIndex;
 use ltee_intern::Interner;
 use ltee_kb::{InstanceId, KnowledgeBase};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{EntityContext, EntitySimilarityModel, InstanceContext};
 
 /// Configuration of the new detection component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NewDetectionConfig {
     /// Number of candidate instances retrieved per entity.
     pub candidates: usize,
@@ -33,7 +32,7 @@ impl Default for NewDetectionConfig {
 }
 
 /// Classification outcome for one entity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NewDetectionOutcome {
     /// The entity describes an instance not present in the knowledge base.
     New,
@@ -57,7 +56,7 @@ impl NewDetectionOutcome {
 }
 
 /// The result of new detection for one entity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NewDetectionResult {
     /// Index of the entity in the input slice.
     pub entity: usize,

@@ -7,13 +7,12 @@ use ltee_ml::PairwiseModel;
 use ltee_text::{cosine_similarity, monge_elkan_tokens, normalize_label, tokenize_interned, BowVector};
 use ltee_types::{value_similarity, Value};
 use ltee_webtables::Corpus;
-use serde::{Deserialize, Serialize};
 
 use ltee_clustering::ImplicitAttributes;
 
 /// The six entity-to-instance similarity metrics of paper Section 3.4, in
 /// feature order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntityMetricKind {
     /// Monge-Elkan similarity between entity labels and instance labels.
     Label,
@@ -356,24 +355,18 @@ impl EntitySimilarityModel {
 
     /// Serialise the model (metric set + aggregation model) into the writer.
     pub fn encode_into(&self, w: &mut ltee_ml::ByteWriter) {
-        w.write_len(self.metrics.len());
-        for metric in &self.metrics {
-            w.write_u8(metric.code());
-        }
+        w.write_seq(&self.metrics, |w, metric| w.write_u8(metric.code()));
         self.model.encode_into(w);
     }
 
     /// Decode a model previously written by
     /// [`EntitySimilarityModel::encode_into`].
     pub fn decode_from(r: &mut ltee_ml::ByteReader<'_>) -> Result<Self, ltee_ml::CodecError> {
-        let count = r.read_len("entity_model.metrics", 1)?;
-        let mut metrics = Vec::with_capacity(count);
-        for _ in 0..count {
-            let code = r.read_u8("entity_model.metric")?;
-            metrics.push(EntityMetricKind::from_code(code).ok_or(
-                ltee_ml::CodecError::InvalidTag { what: "entity_model.metric", tag: code },
-            )?);
-        }
+        let metrics = r.read_seq("entity_model.metrics", 1, |r| {
+            let tag = r.read_u8("entity_model.metric")?;
+            EntityMetricKind::from_code(tag)
+                .ok_or(ltee_ml::CodecError::InvalidTag { what: "entity_model.metric", tag })
+        })?;
         let model = PairwiseModel::decode_from(r)?;
         Ok(Self { metrics, model })
     }

@@ -4,7 +4,6 @@ use ltee_index::LabelIndex;
 use ltee_intern::Interner;
 use ltee_kb::{InstanceId, KnowledgeBase};
 use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, PairwiseTrainingConfig, Sample};
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{
     entity_metric_feature_names, entity_metric_features, EntityContext, EntityMetricKind,
@@ -12,7 +11,7 @@ use crate::metrics::{
 };
 
 /// Training configuration for the entity similarity model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntityModelTrainingConfig {
     /// Aggregation approach.
     pub aggregation: AggregationMethod,

@@ -34,6 +34,8 @@
 //!   config fingerprint* is a hard typed error — silently mixing
 //!   configurations would poison the state.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -375,6 +377,9 @@ pub mod crashpoints {
     ///
     /// Panics if `bytes` is not a clean WAL (the harness enumerates crash
     /// points of the *uncrashed* run's log).
+    // Test-harness entry point: its input is the log the harness itself
+    // just wrote, so a malformed one is a bug in the caller, not input.
+    #[allow(clippy::expect_used)]
     pub fn wal_crash_prefixes(bytes: &[u8]) -> Vec<usize> {
         let scan = scan_wal(bytes).expect("crash-point enumeration needs a well-formed WAL");
         assert!(
@@ -400,7 +405,7 @@ pub mod crashpoints {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltee_ml::codec::{fnv1a64, ByteWriter};
+    use ltee_ml::codec::{seal, ByteWriter};
 
     /// Hand-build an encoded empty checkpoint (no tables, no state) with
     /// the given fingerprint and applied-batch count, exercising the real
@@ -417,15 +422,12 @@ mod tests {
             w.write_len(0); // entities
             w.write_len(0); // results
         }
-        let payload = w.into_bytes();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&ltee_core::checkpoint::CHECKPOINT_MAGIC);
-        bytes.extend_from_slice(&ltee_core::checkpoint::CHECKPOINT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&fingerprint.to_le_bytes());
-        bytes.extend_from_slice(&applied.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let bytes = seal(
+            &ltee_core::checkpoint::CHECKPOINT_MAGIC,
+            ltee_core::checkpoint::CHECKPOINT_VERSION,
+            &[fingerprint, applied],
+            &w.into_bytes(),
+        );
         PipelineCheckpoint::decode(&bytes).expect("hand-built checkpoint must decode")
     }
 

@@ -33,7 +33,7 @@
 //! valid header) — that is the legitimate crash point during store
 //! creation, reported as an empty log with a truncated tail.
 
-use ltee_ml::codec::fnv1a64;
+use ltee_ml::codec::{fnv1a64, ByteReader, ByteWriter, CodecError};
 
 use crate::StoreError;
 
@@ -51,21 +51,21 @@ pub const WAL_RECORD_HEADER_LEN: usize = 20;
 
 /// Encode the WAL file header for a store minted under `fingerprint`.
 pub fn encode_wal_header(fingerprint: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_HEADER_LEN);
-    out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out
+    let mut w = ByteWriter::new();
+    w.write_bytes(&WAL_MAGIC);
+    w.write_u32(WAL_VERSION);
+    w.write_u64(fingerprint);
+    w.into_bytes()
 }
 
 /// Encode one WAL record carrying `payload` as batch number `seq`.
 pub fn encode_wal_record(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_RECORD_HEADER_LEN + payload.len());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = ByteWriter::with_capacity(WAL_RECORD_HEADER_LEN + payload.len());
+    w.write_u64(seq);
+    w.write_len(payload.len());
+    w.write_u64(fnv1a64(payload));
+    w.write_bytes(payload);
+    w.into_bytes()
 }
 
 /// One checksummed record recovered from the log's valid prefix.
@@ -123,54 +123,44 @@ impl WalScan {
 /// [module docs](self): hard typed errors for foreign or incompatible
 /// headers, a valid prefix + truncated tail for everything else.
 pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, StoreError> {
-    if bytes.len() < WAL_HEADER_LEN {
+    let mut r = ByteReader::new(bytes);
+    let magic_len = bytes.len().min(WAL_MAGIC.len());
+    if bytes[..magic_len] != WAL_MAGIC[..magic_len] {
+        return Err(StoreError::BadWalMagic);
+    }
+    let Ok((version, fingerprint)) = read_header(&mut r) else {
         // A torn header is only acceptable if what *is* there is a prefix
-        // of a real header (magic, then version bytes); anything else is a
-        // foreign file.
-        let magic_prefix = &WAL_MAGIC[..bytes.len().min(8)];
-        if &bytes[..bytes.len().min(8)] != magic_prefix {
-            return Err(StoreError::BadWalMagic);
-        }
+        // of a real header (magic, then version bytes), checked above;
+        // anything else is a foreign file.
         return Ok(WalScan {
             fingerprint: None,
             records: Vec::new(),
             tail: WalTail::Truncated { offset: 0, reason: "torn file header".into() },
         });
-    }
-    if bytes[..8] != WAL_MAGIC {
-        return Err(StoreError::BadWalMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    };
     if version != WAL_VERSION {
         return Err(StoreError::UnsupportedWalVersion(version));
     }
-    let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
 
     let mut records = Vec::new();
-    let mut offset = WAL_HEADER_LEN;
     let mut expected_seq: Option<u64> = None;
     let tail = loop {
-        if offset == bytes.len() {
+        let offset = bytes.len() - r.remaining();
+        if r.remaining() == 0 {
             break WalTail::Clean;
         }
-        let remaining = bytes.len() - offset;
-        if remaining < WAL_RECORD_HEADER_LEN {
+        let Ok((seq, len, checksum)) = read_record_header(&mut r) else {
             break WalTail::Truncated { offset, reason: "torn record header".into() };
-        }
-        let seq = u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap());
-        let len =
-            u32::from_le_bytes(bytes[offset + 8..offset + 12].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(bytes[offset + 12..offset + 20].try_into().unwrap());
-        if len > remaining - WAL_RECORD_HEADER_LEN {
+        };
+        let Ok(payload) = r.read_bytes(len, "wal record payload") else {
             break WalTail::Truncated {
                 offset,
                 reason: format!(
                     "torn record payload: header declares {len} bytes, {} remain",
-                    remaining - WAL_RECORD_HEADER_LEN
+                    r.remaining()
                 ),
             };
-        }
-        let payload = &bytes[offset + WAL_RECORD_HEADER_LEN..offset + WAL_RECORD_HEADER_LEN + len];
+        };
         if fnv1a64(payload) != checksum {
             break WalTail::Truncated { offset, reason: "record checksum mismatch".into() };
         }
@@ -185,12 +175,27 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, StoreError> {
             break WalTail::Truncated { offset, reason: "batch numbers are 1-based".into() };
         }
         expected_seq = Some(seq + 1);
-        let end_offset = offset + WAL_RECORD_HEADER_LEN + len;
+        let end_offset = bytes.len() - r.remaining();
         records.push(WalRecord { seq, payload: payload.to_vec(), end_offset });
-        offset = end_offset;
     };
 
     Ok(WalScan { fingerprint: Some(fingerprint), records, tail })
+}
+
+/// `magic · version · fingerprint`; the caller has already compared the
+/// magic bytes that are present.
+fn read_header(r: &mut ByteReader<'_>) -> Result<(u32, u64), CodecError> {
+    r.read_bytes(WAL_MAGIC.len(), "wal magic")?;
+    Ok((r.read_u32("wal version")?, r.read_u64("wal fingerprint")?))
+}
+
+/// `seq · payload length · payload checksum`.
+fn read_record_header(r: &mut ByteReader<'_>) -> Result<(u64, usize, u64), CodecError> {
+    Ok((
+        r.read_u64("wal record seq")?,
+        r.read_u32("wal record payload length")? as usize,
+        r.read_u64("wal record checksum")?,
+    ))
 }
 
 #[cfg(test)]

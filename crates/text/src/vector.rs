@@ -9,15 +9,13 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::normalize::tokenize;
 
 /// A binary bag-of-words vector: the set of distinct terms observed.
 ///
 /// Terms are stored in a sorted set so that intersection is linear and the
 /// representation is deterministic (important for reproducible experiments).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BowVector {
     terms: BTreeSet<String>,
 }

@@ -1,13 +1,11 @@
 //! The six knowledge base data types and the coarse detected types.
 
-use serde::{Deserialize, Serialize};
-
 /// The six data types used throughout the pipeline (paper Section 3.1).
 ///
 /// Each knowledge base property is declared with one of these types; web
 /// table attribute columns acquire one of them once they are matched to a
 /// property (before that they only carry a [`DetectedType`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataType {
     /// Free text where two strings do not need to be exactly equal to be
     /// considered similar (e.g. the label of an instance).
@@ -99,7 +97,7 @@ impl std::fmt::Display for DataType {
 ///
 /// The remaining three [`DataType`]s require semantic understanding of the
 /// attribute and are only assigned by the attribute-to-property matcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DetectedType {
     /// Free-form textual content.
     Text,

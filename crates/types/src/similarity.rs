@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 
 use ltee_text::{clamp_unit, monge_elkan_similarity, normalize_label};
-use serde::{Deserialize, Serialize};
 
 use crate::datatype::DataType;
 use crate::value::{Date, DateGranularity, Value};
@@ -21,7 +20,7 @@ use crate::value::{Date, DateGranularity, Value};
 /// The defaults mirror the behaviour described in the paper; the quantity
 /// tolerance is the knob the facts-found evaluation learns per property
 /// ("a learned tolerance range", Section 4.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EquivalenceConfig {
     /// Minimum Monge-Elkan similarity for two text values to be equivalent.
     pub text_threshold: f64,

@@ -1,12 +1,10 @@
 //! Typed values: knowledge base facts and normalised web table cells.
 
-use serde::{Deserialize, Serialize};
-
 use crate::datatype::DataType;
 
 /// Granularity of a [`Date`] value (paper: "date with two possible
 /// granularities: year or specific day").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DateGranularity {
     /// Only the year is known (e.g. a draft year).
     Year,
@@ -15,7 +13,7 @@ pub enum DateGranularity {
 }
 
 /// A calendar date with explicit granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Date {
     /// Calendar year.
     pub year: i32,
@@ -68,7 +66,7 @@ impl std::fmt::Display for Date {
 /// represented as `Value`s, which is what allows the `ATTRIBUTE` metrics,
 /// the duplicate-based schema matchers and the fusion component to compare
 /// them with data-type specific similarity functions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Free text.
     Text(String),

@@ -3,15 +3,13 @@
 use std::collections::HashMap;
 
 use ltee_kb::ClassKey;
-use serde::{Deserialize, Serialize};
 
 use crate::table::{RowRef, TableId, WebTable};
 
 /// A corpus of web tables, the unit the pipeline operates on.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Corpus {
     tables: Vec<WebTable>,
-    #[serde(skip)]
     by_id: HashMap<TableId, usize>,
 }
 

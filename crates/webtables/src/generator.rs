@@ -15,13 +15,12 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::Corpus;
 use crate::table::{Column, TableId, TableTruth, WebTable};
 
 /// Noise knobs of the corpus generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseConfig {
     /// Probability that a label cell contains a typo.
     pub label_typo_rate: f64,
@@ -62,7 +61,7 @@ impl NoiseConfig {
 }
 
 /// Configuration of the corpus generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// Number of tables generated per class.
     pub tables_per_class: usize,

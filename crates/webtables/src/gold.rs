@@ -14,13 +14,12 @@ use std::collections::{BTreeMap, HashMap};
 
 use ltee_kb::{class_schema, ClassKey, EntityId, InstanceId, World};
 use ltee_types::{parse_cell_as, value_equivalent, EquivalenceConfig, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::Corpus;
 use crate::table::{RowRef, TableId};
 
 /// A gold cluster: the set of rows that describe one world entity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldCluster {
     /// The described world entity.
     pub entity: EntityId,
@@ -49,7 +48,7 @@ impl GoldCluster {
 }
 
 /// An attribute-to-property correspondence annotation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributeCorrespondence {
     /// The table.
     pub table: TableId,
@@ -60,7 +59,7 @@ pub struct AttributeCorrespondence {
 }
 
 /// A gold fact: for one cluster and property, the correct value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldFact {
     /// Index of the cluster within [`GoldStandard::clusters`].
     pub cluster: usize,
@@ -75,7 +74,7 @@ pub struct GoldFact {
 }
 
 /// Summary statistics of a gold standard (one row of paper Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoldStandardStats {
     /// Number of annotated tables.
     pub tables: usize,
@@ -98,7 +97,7 @@ pub struct GoldStandardStats {
 }
 
 /// The gold standard for one class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldStandard {
     /// The class the gold standard covers.
     pub class: ClassKey,

@@ -1,11 +1,9 @@
 //! Corpus profiling: the characteristics reported in paper Table 3.
 
-use serde::{Deserialize, Serialize};
-
 use crate::corpus::Corpus;
 
 /// Summary statistics of one dimension (rows or columns) of a corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DimensionStats {
     /// Mean value.
     pub average: f64,
@@ -35,7 +33,7 @@ impl DimensionStats {
 }
 
 /// The web table corpus characteristics of paper Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorpusProfile {
     /// Number of tables in the corpus.
     pub tables: usize,

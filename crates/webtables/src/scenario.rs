@@ -22,6 +22,7 @@
 //! pipeline runs, incremental ingest, golden tests and harness workloads.
 
 use ltee_kb::{class_schema, ClassKey, EntityId, World, CLASS_KEYS};
+use ltee_ml::codec::fnv1a64;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -52,7 +53,9 @@ impl ScenarioSeed {
         self.seed
     }
 
-    /// A deterministic RNG stream keyed by `topic`.
+    /// A deterministic RNG stream keyed by `topic`. The topic is hashed
+    /// with FNV-1a, which is stable across platforms and Rust versions
+    /// (std's `DefaultHasher` is not) — what a seed derivation needs.
     pub fn stream(self, topic: &str) -> ChaCha8Rng {
         let topic_hash = fnv1a64(topic.as_bytes());
         let mut seed_bytes = [0u8; 32];
@@ -60,17 +63,6 @@ impl ScenarioSeed {
         seed_bytes[8..16].copy_from_slice(&topic_hash.to_le_bytes());
         ChaCha8Rng::from_seed(seed_bytes)
     }
-}
-
-/// FNV-1a — stable across platforms and Rust versions (std's `DefaultHasher`
-/// is not), which is exactly the property a seed derivation needs.
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Size knobs of a scenario corpus.

@@ -1,10 +1,9 @@
 //! The relational web table model.
 
 use ltee_kb::{ClassKey, EntityId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a table within a corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u64);
 
 impl TableId {
@@ -15,7 +14,7 @@ impl TableId {
 }
 
 /// A reference to one row of one table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowRef {
     /// The table.
     pub table: TableId,
@@ -37,7 +36,7 @@ impl std::fmt::Display for RowRef {
 }
 
 /// One attribute column of a web table: a header label and raw string cells.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// The header row label of the column.
     pub header: String,
@@ -50,7 +49,7 @@ pub struct Column {
 /// Only the corpus generator writes this, and only the gold standard and the
 /// evaluation read it; pipeline components operate exclusively on the raw
 /// [`Column`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableTruth {
     /// The class the table is about.
     pub class: ClassKey,
@@ -64,7 +63,7 @@ pub struct TableTruth {
 }
 
 /// A relational web table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebTable {
     /// Identifier within the corpus.
     pub id: TableId,

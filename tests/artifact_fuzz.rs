@@ -42,7 +42,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
+use ltee_core::artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
+use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
+use ltee_ml::codec::{open, seal};
 use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, WalTail};
 use rand::{RngCore, SeedableRng};
@@ -51,9 +54,6 @@ use rand_chacha::ChaCha8Rng;
 /// Byte range of the config fingerprint in the artifact header (opaque
 /// data: changing it cannot make decoding fail).
 const FINGERPRINT_BYTES: std::ops::Range<usize> = 12..20;
-/// Offset where the payload starts (after magic, version, fingerprint,
-/// payload length and checksum).
-const PAYLOAD_START: usize = 36;
 
 fn artifact_bytes() -> Vec<u8> {
     let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2718));
@@ -65,14 +65,12 @@ fn artifact_bytes() -> Vec<u8> {
     ModelArtifact::new(models, &config).encode()
 }
 
-/// Rebuild a valid header around a (possibly corrupted) payload so the
-/// corruption reaches the model decoders instead of the checksum check.
-fn with_fixed_header(original: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut out = original[..PAYLOAD_START].to_vec();
-    out[20..28].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    out[28..36].copy_from_slice(&ltee_ml::codec::fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Split a valid artifact into its header word (the fingerprint) and its
+/// payload. Re-`seal`ing a corrupted payload under the same word gives the
+/// corruption a valid envelope, so it reaches the model decoders instead
+/// of the checksum check.
+fn artifact_parts(valid: &[u8]) -> ([u64; 1], &[u8]) {
+    open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, valid).expect("the uncorrupted artifact opens")
 }
 
 /// Decode under `catch_unwind`: `Ok(result)` when the decoder returned,
@@ -86,8 +84,6 @@ fn decode_caught(bytes: &[u8]) -> Result<Result<ModelArtifact, ArtifactError>, (
 /// the config / the WAL later, not at decode time), so flip/substitution
 /// families skip them.
 const CHECKPOINT_OPAQUE_BYTES: std::ops::Range<usize> = 12..28;
-/// Payload offset of the checkpoint format (see `ltee_core::checkpoint`).
-const CHECKPOINT_PAYLOAD_START: usize = 44;
 
 /// One trained serve run, shared by the durability fuzz tests: the encoded
 /// checkpoint after three ingested micro-batches, plus the WAL those
@@ -115,15 +111,10 @@ fn durability_bytes() -> &'static (Vec<u8>, Vec<u8>) {
     })
 }
 
-/// Rebuild a valid checkpoint header around a (possibly corrupted) payload
-/// — the checkpoint layout puts the length at 28..36 and the checksum at
-/// 36..44.
-fn with_fixed_checkpoint_header(original: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut out = original[..CHECKPOINT_PAYLOAD_START].to_vec();
-    out[28..36].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    out[36..44].copy_from_slice(&ltee_ml::codec::fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Split a valid checkpoint into its header words (fingerprint, applied
+/// batches) and payload, for re-`seal`ing like [`artifact_parts`].
+fn checkpoint_parts(valid: &[u8]) -> ([u64; 2], &[u8]) {
+    open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, valid).expect("the uncorrupted checkpoint opens")
 }
 
 fn decode_checkpoint_caught(
@@ -137,7 +128,8 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
     let (valid, _) = durability_bytes();
     assert!(PipelineCheckpoint::decode(valid).is_ok(), "the uncorrupted checkpoint must decode");
     let len = valid.len();
-    let payload_len = len - CHECKPOINT_PAYLOAD_START;
+    let (words, payload) = checkpoint_parts(valid);
+    let payload_len = payload.len();
     assert!(payload_len > 4096, "fuzz corpus assumes a non-trivial payload, got {payload_len}");
 
     let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
@@ -200,10 +192,7 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
     //    clusters against the decoded corpus) must reject the short stream.
     for i in 0..40 {
         let cut = i * payload_len / 40;
-        let bytes = with_fixed_checkpoint_header(
-            valid,
-            &valid[CHECKPOINT_PAYLOAD_START..CHECKPOINT_PAYLOAD_START + cut],
-        );
+        let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &payload[..cut]);
         corpus.push((format!("payload truncate[..{cut}] (checksum fixed)"), bytes));
     }
 
@@ -228,7 +217,8 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
 #[test]
 fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     let (valid, _) = durability_bytes();
-    let payload_len = valid.len() - CHECKPOINT_PAYLOAD_START;
+    let (words, valid_payload) = checkpoint_parts(valid);
+    let payload_len = valid_payload.len();
 
     // Splice u32::MAX over 4 bytes at 32 evenly spaced payload offsets and
     // re-fix the header. Unlike the model artifact (whose payload is mostly
@@ -237,9 +227,9 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     // successful decode is tolerated; panics and large allocations are not.
     for i in 0..32 {
         let pos = i * (payload_len - 4) / 31;
-        let mut payload = valid[CHECKPOINT_PAYLOAD_START..].to_vec();
+        let mut payload = valid_payload.to_vec();
         payload[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let bytes = with_fixed_checkpoint_header(valid, &payload);
+        let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &payload);
         if decode_checkpoint_caught(&bytes).is_err() {
             panic!("length bomb at payload offset {pos} panicked the decoder");
         }
@@ -248,9 +238,9 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     // The canonical bomb: the first payload bytes are the interner-string
     // count — declaring ~4 billion strings must be a typed LengthOverflow,
     // not a 4 GiB allocation.
-    let mut payload = valid[CHECKPOINT_PAYLOAD_START..].to_vec();
+    let mut payload = valid_payload.to_vec();
     payload[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let bytes = with_fixed_checkpoint_header(valid, &payload);
+    let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &payload);
     match PipelineCheckpoint::decode(&bytes) {
         Err(CheckpointError::Decode(_)) => {}
         other => panic!("a length bomb on the first prefix must be a decode error, got {other:?}"),
@@ -296,7 +286,7 @@ fn one_hundred_mutated_wals_always_recover_a_strict_record_prefix() {
     //    length field and at assorted payload offsets — the scanner must
     //    truncate, never allocate the declared size.
     let mut splices = Vec::new();
-    let mut start = 20; // WAL_HEADER_LEN
+    let mut start = ltee_store::wal::WAL_HEADER_LEN;
     for record in &reference.records {
         splices.push(start + 8); // the length field of this record header
         start = record.end_offset;
@@ -363,7 +353,8 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     let valid = artifact_bytes();
     assert!(ModelArtifact::decode(&valid).is_ok(), "the uncorrupted artifact must decode");
     let len = valid.len();
-    let payload_len = len - PAYLOAD_START;
+    let (words, payload) = artifact_parts(&valid);
+    let payload_len = payload.len();
     assert!(payload_len > 256, "fuzz corpus assumes a non-trivial payload, got {payload_len}");
 
     // (case label, corrupted bytes) — built fully deterministically.
@@ -426,7 +417,7 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     //    so the model decoders themselves must reject the short stream.
     for i in 0..40 {
         let cut = i * payload_len / 40;
-        let bytes = with_fixed_header(&valid, &valid[PAYLOAD_START..PAYLOAD_START + cut]);
+        let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &payload[..cut]);
         corpus.push((format!("payload truncate[..{cut}] (checksum fixed)"), bytes));
     }
 
@@ -451,7 +442,8 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
 #[test]
 fn length_prefix_bombs_never_panic_and_never_allocate_the_declared_size() {
     let valid = artifact_bytes();
-    let payload_len = valid.len() - PAYLOAD_START;
+    let (words, valid_payload) = artifact_parts(&valid);
+    let payload_len = valid_payload.len();
 
     // Splice u32::MAX over 4 bytes at 32 evenly spaced payload offsets and
     // re-fix the header. A splice landing on a collection length prefix
@@ -462,9 +454,9 @@ fn length_prefix_bombs_never_panic_and_never_allocate_the_declared_size() {
     // through encode without panicking.
     for i in 0..32 {
         let pos = i * (payload_len - 4) / 31;
-        let mut payload = valid[PAYLOAD_START..].to_vec();
+        let mut payload = valid_payload.to_vec();
         payload[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let bytes = with_fixed_header(&valid, &payload);
+        let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &payload);
         match decode_caught(&bytes) {
             Err(()) => panic!("length bomb at payload offset {pos} panicked the decoder"),
             Ok(Err(_typed_rejection)) => {}
@@ -479,9 +471,9 @@ fn length_prefix_bombs_never_panic_and_never_allocate_the_declared_size() {
 
     // The canonical bomb: the very first payload bytes are a collection
     // length prefix, so this one must be a typed rejection.
-    let mut payload = valid[PAYLOAD_START..].to_vec();
+    let mut payload = valid_payload.to_vec();
     payload[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let bytes = with_fixed_header(&valid, &payload);
+    let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &payload);
     match ModelArtifact::decode(&bytes) {
         Err(ArtifactError::Decode(_)) => {}
         other => panic!("a length bomb on the first prefix must be a decode error, got {other:?}"),

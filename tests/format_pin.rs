@@ -1,0 +1,297 @@
+//! Format pin for the three on-disk formats (model artifact, state
+//! checkpoint, write-ahead log).
+//!
+//! Every byte below is spelled out with scalar writes only — no training,
+//! no float arithmetic, so nothing here depends on libm or the platform —
+//! and each file is checked three ways: the documented header offsets are
+//! read back literally, the production decoder accepts the hand-written
+//! bytes and the production encoder reproduces them exactly, and the
+//! FNV-1a64 of the whole file equals a constant generated before the codec
+//! consolidation (PR 13). A change to any of these constants is a format
+//! change and needs a version bump, not an edit here.
+
+use ltee_core::{decode_corpus, encode_corpus, ModelArtifact, PipelineCheckpoint};
+use ltee_ml::codec::{fnv1a64, ByteWriter};
+use ltee_store::wal::{encode_wal_header, encode_wal_record};
+use ltee_store::{scan_wal, WalTail};
+
+const ARTIFACT_FNV: u64 = 0xde7aa557b610faef;
+const CHECKPOINT_FNV: u64 = 0x6924272ac95ff308;
+const WAL_FNV: u64 = 0x968f7a21aa810d77;
+
+fn u32_at(bytes: &[u8], offset: usize) -> u32 {
+    u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap())
+}
+
+fn u64_at(bytes: &[u8], offset: usize) -> u64 {
+    u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap())
+}
+
+/// `magic · version · header words · payload length · checksum · payload`,
+/// written out literally (this is the layout under test, so it must not
+/// come from the code under test).
+fn framed(magic: &[u8; 8], version: u32, words: &[u64], payload: &[u8]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    for word in words {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+fn strs(w: &mut ByteWriter, values: &[&str]) {
+    w.write_u32(values.len() as u32);
+    for v in values {
+        w.write_str(v);
+    }
+}
+
+fn f64s(w: &mut ByteWriter, values: &[f64]) {
+    w.write_u32(values.len() as u32);
+    for &v in values {
+        w.write_f64(v);
+    }
+}
+
+/// One table of class Song (code 1): two columns, two rows.
+fn table_bytes(w: &mut ByteWriter) {
+    w.write_u64(7); // table id
+    w.write_u32(2); // columns
+    w.write_str("song");
+    strs(w, &["Yellow Submarine", ""]);
+    w.write_str("year");
+    strs(w, &["1966", "n/a"]);
+    w.write_u8(1); // truth class
+    w.write_u64(0); // truth label column
+    w.write_u32(2); // truth column properties
+    w.write_bool(false);
+    w.write_bool(true);
+    w.write_str("releaseYear");
+    w.write_u32(2); // truth row entities
+    w.write_u64(11);
+    w.write_u64(12);
+}
+
+fn checkpoint_payload() -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.write_u32(1); // tables
+    table_bytes(&mut w);
+
+    w.write_u32(1); // mappings
+    w.write_u64(7); // table id
+    w.write_bool(true);
+    w.write_u8(1); // class Song
+    w.write_f64(0.75); // class score
+    w.write_u64(0); // label column
+    w.write_u32(2); // detected types
+    w.write_u8(0); // Text
+    w.write_u8(1); // Date
+    w.write_u32(2); // correspondences
+    w.write_bool(false);
+    w.write_bool(true);
+    w.write_str("releaseYear");
+    w.write_u8(3); // DataType::Date
+    w.write_f64(0.5);
+
+    w.write_u32(3); // class states, CLASS_KEYS order
+    for _ in 0..4 {
+        w.write_u32(0); // GridironFootballPlayer: no strings/clusters/entities/results
+    }
+    strs(&mut w, &["yellow", "submarine"]); // Song interner arena
+    w.write_u32(1); // clusters
+    w.write_u32(2);
+    w.write_u32(0);
+    w.write_u32(1);
+    w.write_u32(1); // entities
+    w.write_u32(2); // entity rows: (table, row)
+    w.write_u64(7);
+    w.write_u64(0);
+    w.write_u64(7);
+    w.write_u64(1);
+    strs(&mut w, &["Yellow Submarine"]);
+    w.write_u32(8); // facts: property · tagged value · score, one per Value encoding
+    w.write_str("comment");
+    w.write_u8(0); // Text
+    w.write_str("héllo world");
+    w.write_f64(1.0);
+    w.write_str("isrc");
+    w.write_u8(1); // Nominal
+    w.write_str("US-07302");
+    w.write_f64(0.5);
+    w.write_str("artist");
+    w.write_u8(2); // InstanceRef
+    w.write_str("The Beatles");
+    w.write_f64(0.25);
+    w.write_str("written");
+    w.write_u8(3); // Date: year (i32 as u32) · month · day · granularity
+    w.write_u32(-44i32 as u32);
+    w.write_u8(1);
+    w.write_u8(1);
+    w.write_u8(0); // Year
+    w.write_f64(0.125);
+    w.write_str("releaseDate");
+    w.write_u8(3);
+    w.write_u32(1966);
+    w.write_u8(8);
+    w.write_u8(5);
+    w.write_u8(1); // Day
+    w.write_f64(2.0);
+    w.write_str("drift");
+    w.write_u8(4); // Quantity, IEEE-754 bits
+    w.write_f64(-0.0);
+    w.write_f64(-0.0);
+    w.write_str("tempo");
+    w.write_u8(4);
+    w.write_f64(f64::NAN);
+    w.write_f64(f64::NAN);
+    w.write_str("chart");
+    w.write_u8(5); // NominalInt (i64 as u64)
+    w.write_u64(-12i64 as u64);
+    w.write_f64(0.0);
+    w.write_u32(1); // results
+    w.write_u64(0); // entity index
+    w.write_u8(1); // Existing
+    w.write_u64(99); // instance id
+    w.write_f64(0.875); // best score
+    w.write_u64(3); // candidate count
+    for _ in 0..4 {
+        w.write_u32(0); // Settlement: empty
+    }
+    w.into_bytes()
+}
+
+/// Weighted-average branch of a pairwise model.
+fn weighted_bytes(w: &mut ByteWriter, weights: &[f64], names: &[&str]) {
+    f64s(w, weights);
+    w.write_f64(0.5); // threshold
+    strs(w, names);
+}
+
+fn artifact_payload() -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    // MatcherWeights
+    w.write_u32(1); // class weights
+    w.write_u8(1); // Song
+    f64s(&mut w, &[0.125, 0.25, 0.25, 0.25, 0.125]);
+    w.write_u32(1); // property thresholds
+    w.write_u8(1);
+    w.write_str("releaseYear");
+    w.write_f64(0.25);
+
+    // RowSimilarityModel: metric codes, then the pairwise model
+    w.write_u32(2);
+    w.write_u8(0); // LABEL
+    w.write_u8(5); // SAME_TABLE
+    w.write_u8(2); // AggregationMethod::Combined
+    w.write_u64(2); // similarities
+    w.write_bool(true);
+    weighted_bytes(&mut w, &[0.5, 0.5], &["LABEL", "SAME_TABLE"]);
+    w.write_bool(true); // forest
+    w.write_u64(1); // num_trees
+    w.write_u64(4); // max_depth
+    w.write_u64(2); // min_samples_split
+    w.write_bool(false); // features_per_split: flag, then the value slot
+    w.write_u64(0);
+    w.write_f64(1.0); // bootstrap fraction
+    w.write_u64(9); // seed
+    w.write_u32(1); // trees
+    w.write_u32(3); // nodes
+    w.write_u8(1); // split: feature · threshold · gain · left · right
+    w.write_u64(0);
+    w.write_f64(0.5);
+    w.write_f64(0.125);
+    w.write_u64(1);
+    w.write_u64(2);
+    w.write_u8(0); // leaf
+    w.write_f64(-1.0);
+    w.write_u8(0);
+    w.write_f64(1.0);
+    strs(&mut w, &["LABEL", "SAME_TABLE"]);
+    w.write_f64(0.0); // oob error
+    w.write_f64(0.5); // combine weight
+    strs(&mut w, &["LABEL", "SAME_TABLE"]);
+
+    // EntitySimilarityModel
+    w.write_u32(1);
+    w.write_u8(0); // LABEL
+    w.write_u8(0); // AggregationMethod::WeightedAverage
+    w.write_u64(1);
+    w.write_bool(true);
+    weighted_bytes(&mut w, &[1.0], &["LABEL"]);
+    w.write_bool(false); // no forest
+    w.write_f64(1.0);
+    strs(&mut w, &["LABEL"]);
+    w.into_bytes()
+}
+
+#[test]
+fn on_disk_formats_are_pinned() {
+    // ── model artifact: one header word (config fingerprint) ─────────────
+    let payload = artifact_payload();
+    let artifact = framed(b"LTEEART\x01", 1, &[0xA11C_E5ED_0BAD_F00D], &payload);
+    assert_eq!(&artifact[0..8], b"LTEEART\x01");
+    assert_eq!(u32_at(&artifact, 8), 1);
+    assert_eq!(u64_at(&artifact, 12), 0xA11C_E5ED_0BAD_F00D);
+    assert_eq!(u64_at(&artifact, 20), payload.len() as u64);
+    assert_eq!(u64_at(&artifact, 28), fnv1a64(&payload));
+    assert_eq!(&artifact[36..], &payload[..]);
+    let decoded = ModelArtifact::decode(&artifact).expect("hand-written artifact decodes");
+    assert_eq!(decoded.fingerprint, 0xA11C_E5ED_0BAD_F00D);
+    assert_eq!(decoded.encode(), artifact);
+    assert_eq!(fnv1a64(&artifact), ARTIFACT_FNV, "artifact bytes: {:#018x}", fnv1a64(&artifact));
+
+    // ── state checkpoint: two header words (fingerprint, applied batches) ─
+    let payload = checkpoint_payload();
+    let checkpoint = framed(b"LTEECKP\x01", 2, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    assert_eq!(&checkpoint[0..8], b"LTEECKP\x01");
+    assert_eq!(u32_at(&checkpoint, 8), 2);
+    assert_eq!(u64_at(&checkpoint, 12), 0x0123_4567_89AB_CDEF);
+    assert_eq!(u64_at(&checkpoint, 20), 5);
+    assert_eq!(u64_at(&checkpoint, 28), payload.len() as u64);
+    assert_eq!(u64_at(&checkpoint, 36), fnv1a64(&payload));
+    assert_eq!(&checkpoint[44..], &payload[..]);
+    let decoded = PipelineCheckpoint::decode(&checkpoint).expect("hand-written checkpoint decodes");
+    assert_eq!((decoded.fingerprint, decoded.applied_batches), (0x0123_4567_89AB_CDEF, 5));
+    assert_eq!(decoded.encode(), checkpoint);
+    assert_eq!(
+        fnv1a64(&checkpoint),
+        CHECKPOINT_FNV,
+        "checkpoint bytes: {:#018x}",
+        fnv1a64(&checkpoint)
+    );
+
+    // ── write-ahead log: 20-byte header, then 20-byte record headers ─────
+    let mut batch = ByteWriter::new();
+    batch.write_u32(1);
+    table_bytes(&mut batch);
+    let batch = batch.into_bytes();
+    assert_eq!(encode_corpus(&decode_corpus(&batch).expect("hand-written batch decodes")), batch);
+    let empty_batch = 0u32.to_le_bytes();
+
+    let mut wal = encode_wal_header(0x0123_4567_89AB_CDEF);
+    wal.extend_from_slice(&encode_wal_record(1, &batch));
+    wal.extend_from_slice(&encode_wal_record(2, &empty_batch));
+    assert_eq!(&wal[0..8], b"LTEEWAL\x01");
+    assert_eq!(u32_at(&wal, 8), 1);
+    assert_eq!(u64_at(&wal, 12), 0x0123_4567_89AB_CDEF);
+    assert_eq!(u64_at(&wal, 20), 1); // record 1: seq · payload length (u32) · checksum · payload
+    assert_eq!(u32_at(&wal, 28), batch.len() as u32);
+    assert_eq!(u64_at(&wal, 32), fnv1a64(&batch));
+    assert_eq!(&wal[40..40 + batch.len()], &batch[..]);
+    let second = 40 + batch.len();
+    assert_eq!(u64_at(&wal, second), 2);
+    assert_eq!(u32_at(&wal, second + 8), 4);
+    assert_eq!(u64_at(&wal, second + 12), fnv1a64(&empty_batch));
+    assert_eq!(&wal[second + 20..], &empty_batch[..]);
+    let scan = scan_wal(&wal).expect("hand-built WAL scans");
+    assert_eq!(scan.fingerprint, Some(0x0123_4567_89AB_CDEF));
+    assert_eq!(scan.tail, WalTail::Clean);
+    assert_eq!(
+        scan.records.iter().map(|r| (r.seq, &r.payload[..], r.end_offset)).collect::<Vec<_>>(),
+        vec![(1, &batch[..], second), (2, &empty_batch[..], wal.len())]
+    );
+    assert_eq!(fnv1a64(&wal), WAL_FNV, "WAL bytes: {:#018x}", fnv1a64(&wal));
+}

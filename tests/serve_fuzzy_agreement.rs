@@ -3,8 +3,10 @@
 //! order — with a brute-force Levenshtein scan over the same snapshot's
 //! entity records.
 //!
-//! The brute force reimplements the documented scoring semantics purely on
-//! strings (no interner, no postings, no memoisation): a record label is a
+//! The brute force (`ltee_index::reference`, shared with the index's own
+//! property tests and the `intern_lookup` bench) spells the documented
+//! scoring semantics out on strings (no interner, no bounds, no pruning,
+//! every candidate scored in full): a record label is a
 //! candidate iff it shares ≥ 1 exact token with the query; each query
 //! token contributes 1.0 on exact membership, else its best Levenshtein
 //! similarity against the candidate's tokens; the mean is blended with a
@@ -35,7 +37,8 @@ use std::sync::{Arc, OnceLock};
 use ltee::scenario::{with_long_labels, Scenario, TrainedWorld};
 use ltee_core::prelude::*;
 use ltee_serve::{ClassSnapshot, KbSnapshot, ServePipeline};
-use ltee_text::{levenshtein_similarity, normalize_label, tokenize};
+use ltee_index::reference::{Hit as BruteHit, ScanIndex};
+use ltee_text::{normalize_label, tokenize};
 use proptest::prelude::*;
 
 static SNAPSHOT: OnceLock<Arc<KbSnapshot>> = OnceLock::new();
@@ -100,82 +103,17 @@ fn snapshot() -> Arc<KbSnapshot> {
         .clone()
 }
 
-/// A brute-force hit: record position, score, surfaced normalised label.
-#[derive(Debug, Clone, PartialEq)]
-struct BruteHit {
-    id: u32,
-    score: f64,
-    normalized: String,
-}
-
-/// Score every (record, label) pair of a class by scanning the records
-/// directly — mirroring the documented lookup semantics with plain string
-/// operations only.
+/// Score every (record, label) pair of a class with the string-level
+/// reference scan. Entry order mirrors snapshot construction (records in
+/// cluster order, labels in frequency order), so it is the
+/// insertion-order tie-break; hit ids are record positions.
 fn brute_force_lookup(slice: &ClassSnapshot, query: &str, k: usize) -> Vec<BruteHit> {
-    if k == 0 || slice.is_empty() {
-        return Vec::new();
-    }
-    let normalized_query = normalize_label(query);
-    let query_tokens = tokenize(&normalized_query);
-    if query_tokens.is_empty() {
-        return Vec::new();
-    }
-
-    // Entry iteration order mirrors snapshot construction (records in
-    // cluster order, labels in frequency order), so push order is the
-    // insertion-order tie-break.
-    let mut scored: Vec<BruteHit> = Vec::new();
-    for (id, record) in slice.records().iter().enumerate() {
-        for label in &record.labels {
-            let normalized = normalize_label(label);
-            // Text-order tokens, duplicates preserved (token-count penalty
-            // and posting multiplicity both count duplicates).
-            let candidate_tokens = tokenize(&normalized);
-            if candidate_tokens.is_empty() {
-                continue;
-            }
-            let exact_hits: usize = query_tokens
-                .iter()
-                .map(|qt| candidate_tokens.iter().filter(|ct| *ct == qt).count())
-                .sum();
-            if exact_hits == 0 {
-                continue; // not a candidate: shares no exact token
-            }
-            let mut total = 0.0f64;
-            for qt in &query_tokens {
-                let best = if candidate_tokens.iter().any(|ct| ct == qt) {
-                    1.0
-                } else {
-                    candidate_tokens
-                        .iter()
-                        .map(|ct| levenshtein_similarity(qt, ct))
-                        .fold(0.0f64, f64::max)
-                };
-                total += best;
-            }
-            let coverage = total / query_tokens.len() as f64;
-            let len_penalty = {
-                let q = query_tokens.len() as f64;
-                let c = candidate_tokens.len() as f64;
-                1.0 - (q - c).abs() / (q + c)
-            };
-            let score = (coverage * 0.8 + len_penalty * 0.2 + exact_hits as f64 * 1e-6).min(1.0);
-            scored.push(BruteHit { id: id as u32, score, normalized });
-        }
-    }
-
-    // (score desc, id asc, insertion order) — the stable sort supplies the
-    // insertion-order tie-break; then the best entry per id survives.
-    scored.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.id.cmp(&b.id))
-    });
-    let mut seen = std::collections::HashSet::new();
-    scored.retain(|h| seen.insert(h.id));
-    scored.truncate(k);
-    scored
+    let entries = slice
+        .records()
+        .iter()
+        .enumerate()
+        .flat_map(|(id, record)| record.labels.iter().map(move |label| (id as u64, label.as_str())));
+    ScanIndex::build(entries).lookup(query, k).0
 }
 
 /// Assert one class's snapshot lookup equals the brute force,
@@ -192,7 +130,7 @@ fn assert_class_agreement(snap: &KbSnapshot, slice: &ClassSnapshot, query: &str,
         slice.class()
     );
     for (i, (a, e)) in actual.iter().zip(&expected).enumerate() {
-        assert_eq!(a.id as u32, e.id, "{} lookup({query:?}, {k})[{i}]: id", slice.class());
+        assert_eq!(a.id, e.id, "{} lookup({query:?}, {k})[{i}]: id", slice.class());
         assert_eq!(
             a.score.to_bits(),
             e.score.to_bits(),
@@ -214,7 +152,7 @@ fn assert_class_agreement(snap: &KbSnapshot, slice: &ClassSnapshot, query: &str,
     let hits = snap.fuzzy_lookup(Some(slice.class()), query, k);
     assert_eq!(hits.len(), expected.len());
     for (h, e) in hits.iter().zip(&expected) {
-        assert_eq!((h.entity.class, h.entity.id), (slice.class(), e.id));
+        assert_eq!((h.entity.class, u64::from(h.entity.id)), (slice.class(), e.id));
         assert_eq!(h.score.to_bits(), e.score.to_bits());
         assert_eq!(h.label, e.normalized);
     }
@@ -240,7 +178,11 @@ fn assert_merged_agreement(snap: &KbSnapshot, query: &str, k: usize) {
     let actual = snap.fuzzy_lookup(None, query, k);
     assert_eq!(actual.len(), expected.len(), "merged lookup({query:?}, {k}): count");
     for (a, (class, e)) in actual.iter().zip(&expected) {
-        assert_eq!((a.entity.class, a.entity.id), (*class, e.id), "merged lookup({query:?})");
+        assert_eq!(
+            (a.entity.class, u64::from(a.entity.id)),
+            (*class, e.id),
+            "merged lookup({query:?})"
+        );
         assert_eq!(a.score.to_bits(), e.score.to_bits());
         assert_eq!(a.label, e.normalized);
     }
