@@ -8,7 +8,7 @@ use ltee_webtables::RowRef;
 use rayon::prelude::*;
 
 use crate::context::{ImplicitAttributes, RowContext};
-use crate::metrics::{PhiTableVectors, RowSimilarityModel};
+use crate::metrics::{PhiTableVectors, RowProbe, RowSimilarityModel};
 
 /// Minimum number of member pairs before the KLj merge scan scores a
 /// cluster pair on the thread pool; smaller cross-products are cheaper than
@@ -142,6 +142,7 @@ pub fn cluster_rows(
             .par_iter()
             .map(|&row_idx| {
                 let row_blocks = &blocks[row_idx];
+                let probe = RowProbe::new(&contexts[row_idx], implicit);
                 let mut best: Option<(usize, f64)> = None;
                 for (cluster_idx, members) in clusters.iter().enumerate() {
                     if config.use_blocking && row_blocks.is_disjoint(&cluster_blocks[cluster_idx]) {
@@ -149,9 +150,7 @@ pub fn cluster_rows(
                     }
                     let score: f64 = members
                         .iter()
-                        .map(|&m| {
-                            model.score(&contexts[row_idx], &contexts[m], phi, implicit, interner)
-                        })
+                        .map(|&m| model.score(&probe, &contexts[m], phi, interner))
                         .sum();
                     if score > 0.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
                         best = Some((cluster_idx, score));
@@ -205,10 +204,11 @@ fn row_to_cluster_score(
     implicit: &ImplicitAttributes,
     interner: &Interner,
 ) -> f64 {
+    let probe = RowProbe::new(&contexts[row], implicit);
     members
         .iter()
         .filter(|&&m| m != row)
-        .map(|&m| model.score(&contexts[row], &contexts[m], phi, implicit, interner))
+        .map(|&m| model.score(&probe, &contexts[m], phi, interner))
         .sum()
 }
 
@@ -320,9 +320,10 @@ fn refine_klj(
                 // every thread count.
                 let right = &clusters[j];
                 let score_row = |&a: &usize| {
+                    let probe = RowProbe::new(&contexts[a], implicit);
                     right
                         .iter()
-                        .map(|&b| model.score(&contexts[a], &contexts[b], phi, implicit, interner))
+                        .map(|&b| model.score(&probe, &contexts[b], phi, interner))
                         .sum::<f64>()
                 };
                 let cross: f64 = if member_pairs >= MIN_PARALLEL_MERGE_PAIRS {
@@ -388,16 +389,8 @@ mod tests {
     }
 
     fn ctx(interner: &mut ltee_intern::Interner, table: u64, row: usize, label: &str) -> RowContext {
-        let normalized_label = ltee_text::normalize_label(label);
-        let label_tokens = ltee_text::tokenize_interned(&normalized_label, interner);
-        RowContext {
-            row: RowRef::new(TableId(table), row),
-            label: label.to_string(),
-            normalized_label,
-            label_tokens,
-            bow: BowVector::from_text(label),
-            values: RowValues { label: label.to_string(), values: vec![] },
-        }
+        let values = RowValues { label: label.to_string(), values: vec![] };
+        RowContext::new(RowRef::new(TableId(table), row), values, BowVector::from_text(label), interner)
     }
 
     fn run(

@@ -8,7 +8,7 @@ use ltee_intern::{Interner, TokenSeq};
 use ltee_kb::{ClassKey, InstanceId, KnowledgeBase};
 use ltee_matching::{CorpusMapping, RowValues};
 use ltee_text::{normalize_label, tokenize_interned, BowVector};
-use ltee_types::{value_equivalent, EquivalenceConfig, Value};
+use ltee_types::{value_equivalent, EquivalenceConfig, PreparedValue, Value};
 use ltee_webtables::{Corpus, RowRef, TableId};
 
 /// Everything the row similarity metrics need to know about one row,
@@ -27,8 +27,53 @@ pub struct RowContext {
     pub label_tokens: TokenSeq,
     /// Binary bag-of-words vector over all cells of the row.
     pub bow: BowVector,
+    /// Schema-mapped values of the row (read through
+    /// [`RowContext::values`]).
+    values: RowValues,
+    /// `values.values` prepared for similarity scoring, position by
+    /// position: the `ATTRIBUTE` / `IMPLICIT_ATT` metrics compare these, so
+    /// a value's normal form is derived once per row instead of once per
+    /// scored pair. Only [`RowContext::new`] writes this and `values`, so
+    /// the two cannot fall out of step. Derived data — checkpoints persist
+    /// the table cells, and restoring rebuilds the contexts through
+    /// [`build_row_contexts`].
+    prepared: Vec<PreparedValue>,
+}
+
+impl RowContext {
+    /// Derive a row's context from its schema-mapped values and the
+    /// bag-of-words vector of its cells, interning the label's tokens into
+    /// the run interner.
+    pub fn new(row: RowRef, values: RowValues, bow: BowVector, interner: &mut Interner) -> Self {
+        let normalized_label = normalize_label(&values.label);
+        let label_tokens = tokenize_interned(&normalized_label, interner);
+        let prepared = values.values.iter().map(|(_, value)| PreparedValue::new(value)).collect();
+        RowContext {
+            row,
+            label: values.label.clone(),
+            normalized_label,
+            label_tokens,
+            bow,
+            values,
+            prepared,
+        }
+    }
+
     /// Schema-mapped values of the row.
-    pub values: RowValues,
+    pub fn values(&self) -> &RowValues {
+        &self.values
+    }
+
+    /// The row's (property, value, prepared value) triples, in
+    /// `values().values` order.
+    pub(crate) fn prepared_values(&self) -> impl Iterator<Item = (&str, &Value, &PreparedValue)> {
+        self.values.values.iter().zip(&self.prepared).map(|((p, v), prepared)| (p.as_str(), v, prepared))
+    }
+
+    /// The prepared form of the row's value for `property`, if it has one.
+    pub(crate) fn prepared_value(&self, property: &str) -> Option<&PreparedValue> {
+        self.values.values.iter().position(|(p, _)| p == property).map(|i| &self.prepared[i])
+    }
 }
 
 /// Build the row contexts for a set of rows under a corpus mapping,
@@ -45,16 +90,7 @@ pub fn build_row_contexts(
             let values = mapping.row_values(corpus, row);
             let cells = corpus.row_cells(row);
             let bow = BowVector::from_texts(cells.iter().copied());
-            let normalized_label = normalize_label(&values.label);
-            let label_tokens = tokenize_interned(&normalized_label, interner);
-            RowContext {
-                row,
-                label: values.label.clone(),
-                normalized_label,
-                label_tokens,
-                bow,
-                values,
-            }
+            RowContext::new(row, values, bow, interner)
         })
         .collect()
 }
@@ -70,8 +106,17 @@ pub fn build_row_contexts(
 /// with a score above a certain threshold."
 #[derive(Debug, Clone, Default)]
 pub struct ImplicitAttributes {
-    /// table → list of (property name, value, confidence score).
-    per_table: HashMap<TableId, Vec<(String, Value, f64)>>,
+    per_table: HashMap<TableId, TableAttributes>,
+}
+
+/// The implicit attributes of one table.
+#[derive(Debug, Clone, Default)]
+struct TableAttributes {
+    /// (property name, value, confidence score).
+    attributes: Vec<(String, Value, f64)>,
+    /// The values of `attributes` prepared for similarity scoring, position
+    /// by position.
+    prepared: Vec<PreparedValue>,
 }
 
 impl ImplicitAttributes {
@@ -150,14 +195,24 @@ impl ImplicitAttributes {
                     deduped.push((prop, value, score));
                 }
             }
-            per_table.insert(table_mapping.table, deduped);
+            let prepared = deduped.iter().map(|(_, value, _)| PreparedValue::new(value)).collect();
+            per_table.insert(table_mapping.table, TableAttributes { attributes: deduped, prepared });
         }
         Self { per_table }
     }
 
     /// The implicit attributes of a table.
     pub fn of_table(&self, table: TableId) -> &[(String, Value, f64)] {
-        self.per_table.get(&table).map(Vec::as_slice).unwrap_or(&[])
+        self.prepared_of_table(table).0
+    }
+
+    /// The implicit attributes of a table and, position by position, their
+    /// values prepared for similarity scoring.
+    pub(crate) fn prepared_of_table(&self, table: TableId) -> (&[(String, Value, f64)], &[PreparedValue]) {
+        match self.per_table.get(&table) {
+            Some(table) => (&table.attributes, &table.prepared),
+            None => (&[], &[]),
+        }
     }
 
     /// Absorb another instance's per-table attributes (later entries win on
@@ -171,7 +226,7 @@ impl ImplicitAttributes {
 
     /// Number of tables with at least one implicit attribute.
     pub fn tables_with_attributes(&self) -> usize {
-        self.per_table.values().filter(|v| !v.is_empty()).count()
+        self.per_table.values().filter(|table| !table.attributes.is_empty()).count()
     }
 }
 

@@ -18,10 +18,11 @@
 //!   where a batch boundary fell.
 //! * [`StreamingClusterer`] runs a strictly row-sequential greedy
 //!   correlation clustering: each row is blocked against the labels of the
-//!   rows before it and scored against every existing cluster (in parallel,
-//!   with ordered reduction), then assigned. Because each decision depends
-//!   only on the rows that came before, clustering a corpus in one batch or
-//!   in K micro-batches yields bit-identical clusters.
+//!   rows before it and scored, on the calling thread, against every
+//!   cluster blocking admits, then assigned. Because each
+//!   decision depends only on the rows that came before, clustering a
+//!   corpus in one batch or in K micro-batches yields bit-identical
+//!   clusters.
 //!
 //! The trade-offs versus the batch path are deliberate and documented:
 //! blocking is prefix-based (a row cannot share a block with a label that
@@ -34,11 +35,10 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use ltee_index::LabelIndex;
 use ltee_intern::{Interner, Sym};
 use ltee_webtables::{RowRef, TableId};
-use rayon::prelude::*;
 
 use crate::cluster::ClusteringConfig;
 use crate::context::{ImplicitAttributes, RowContext};
-use crate::metrics::{PhiTableVectors, RowSimilarityModel};
+use crate::metrics::{PhiTableVectors, RowProbe, RowSimilarityModel};
 
 /// Incrementally built PHI table vectors with per-table freezing.
 ///
@@ -221,10 +221,11 @@ impl StreamingClusterer {
     /// cluster (or founding a new one). Returns the sorted indices of the
     /// clusters that were created or extended.
     ///
-    /// Rows are processed strictly in order; each row's candidate-cluster
-    /// scores are computed in parallel with an ordered reduction, so the
-    /// assignment is bit-identical at every thread count. `interner` is the
-    /// pipeline interner behind the contexts' interned label tokens.
+    /// Rows are processed strictly in order and scored on the calling
+    /// thread: a pair scores in microseconds and blocking admits a few
+    /// dozen pairs per row, so a scoped spawn-and-join per row costs more
+    /// than it shares out. `interner` is the pipeline interner behind the
+    /// contexts' interned label tokens.
     pub fn ingest(
         &mut self,
         new_contexts: Vec<RowContext>,
@@ -234,10 +235,13 @@ impl StreamingClusterer {
         interner: &Interner,
     ) -> Vec<usize> {
         let mut touched: BTreeSet<usize> = BTreeSet::new();
+        // Per-row scratch, reused from row to row.
+        let mut blocks: HashSet<Sym> = HashSet::new();
         for ctx in new_contexts {
             let row_idx = self.contexts.len();
             self.contexts.push(ctx);
-            let label = self.contexts[row_idx].normalized_label.clone();
+            let Self { config, contexts, clusters, cluster_blocks, block_index } = &mut *self;
+            let label = contexts[row_idx].normalized_label.as_str();
 
             // Blocks: the row's own label plus similar labels among the
             // rows ingested before it — as integer syms of the prefix
@@ -245,64 +249,49 @@ impl StreamingClusterer {
             // (interning never changes lookup results) so its block key
             // exists even though the row itself is only indexed below,
             // after the assignment decision.
-            let mut blocks: HashSet<Sym> = HashSet::new();
+            blocks.clear();
             if !label.is_empty() {
-                blocks.insert(self.block_index.intern_label(&label));
-                if self.config.use_blocking {
-                    for m in self.block_index.lookup(&label, self.config.block_candidates) {
+                blocks.insert(block_index.intern_label(label));
+                if config.use_blocking {
+                    for m in block_index.lookup(label, config.block_candidates) {
                         blocks.insert(m.normalized);
                     }
                 }
             }
 
-            // Score every gated cluster in parallel against the immutable
-            // prefix state.
-            let contexts = &self.contexts;
-            let clusters = &self.clusters;
-            let cluster_blocks = &self.cluster_blocks;
-            let use_blocking = self.config.use_blocking;
-            let row_blocks = &blocks;
-            let scores: Vec<Option<f64>> = (0..clusters.len())
-                .into_par_iter()
-                .map(|ci| {
-                    if use_blocking && row_blocks.is_disjoint(&cluster_blocks[ci]) {
-                        return None;
-                    }
-                    let score: f64 = clusters[ci]
-                        .iter()
-                        .map(|&m| {
-                            model.score(&contexts[row_idx], &contexts[m], phi, implicit, interner)
-                        })
-                        .sum();
-                    Some(score)
-                })
-                .collect();
-
-            // Best strictly-positive score wins; ties go to the lowest
-            // cluster index (scan order, strict `>`), matching the batch
-            // greedy pass.
+            // Score the row against the members, in member order, of each
+            // cluster blocking admits — a small share of all clusters. Best
+            // strictly-positive score wins; ties go to the lowest cluster
+            // index (scan order, strict `>`), matching the batch greedy
+            // pass.
+            let probe = RowProbe::new(&contexts[row_idx], implicit);
             let mut best: Option<(usize, f64)> = None;
-            for (ci, score) in scores.into_iter().enumerate() {
-                if let Some(score) = score {
-                    if score > 0.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
-                        best = Some((ci, score));
-                    }
+            for ci in 0..clusters.len() {
+                if config.use_blocking && blocks.is_disjoint(&cluster_blocks[ci]) {
+                    continue;
+                }
+                let score: f64 = clusters[ci]
+                    .iter()
+                    .map(|&m| model.score(&probe, &contexts[m], phi, interner))
+                    .sum();
+                if score > 0.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
+                    best = Some((ci, score));
                 }
             }
             match best {
                 Some((ci, _)) => {
-                    self.clusters[ci].push(row_idx);
-                    self.cluster_blocks[ci].extend(blocks);
+                    clusters[ci].push(row_idx);
+                    cluster_blocks[ci].extend(blocks.iter().copied());
                     touched.insert(ci);
                 }
                 None => {
-                    self.clusters.push(vec![row_idx]);
-                    self.cluster_blocks.push(blocks);
-                    touched.insert(self.clusters.len() - 1);
+                    clusters.push(vec![row_idx]);
+                    cluster_blocks.push(blocks.clone());
+                    touched.insert(clusters.len() - 1);
                 }
             }
             if !label.is_empty() {
-                self.block_index.insert(row_idx as u64, &label);
+                block_index.insert(row_idx as u64, label);
             }
         }
         touched.into_iter().collect()
@@ -377,16 +366,8 @@ mod tests {
     }
 
     fn ctx(interner: &mut Interner, table: u64, row: usize, label: &str) -> RowContext {
-        let normalized_label = ltee_text::normalize_label(label);
-        let label_tokens = ltee_text::tokenize_interned(&normalized_label, interner);
-        RowContext {
-            row: RowRef::new(TableId(table), row),
-            label: label.to_string(),
-            normalized_label,
-            label_tokens,
-            bow: BowVector::from_text(label),
-            values: RowValues { label: label.to_string(), values: vec![] },
-        }
+        let values = RowValues { label: label.to_string(), values: vec![] };
+        RowContext::new(RowRef::new(TableId(table), row), values, BowVector::from_text(label), interner)
     }
 
     fn sample_rows(interner: &mut Interner) -> Vec<RowContext> {

@@ -35,7 +35,7 @@ pub mod train;
 pub use cluster::{cluster_rows, Clustering, ClusteringConfig};
 pub use context::{build_row_contexts, ImplicitAttributes, RowContext};
 pub use incremental::{StreamingClusterer, StreamingPhi};
-pub use metrics::{metric_features, RowMetricKind, RowSimilarityModel};
+pub use metrics::{metric_features, RowMetricKind, RowProbe, RowSimilarityModel};
 pub use train::{build_pair_dataset, train_row_model, RowModelTrainingConfig};
 
 pub use ltee_ml::AggregationMethod;

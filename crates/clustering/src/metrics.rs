@@ -4,9 +4,9 @@
 use std::collections::HashMap;
 
 use ltee_intern::Interner;
-use ltee_ml::PairwiseModel;
+use ltee_ml::{PairFeatures, PairwiseModel};
 use ltee_text::{cosine_similarity, monge_elkan_tokens};
-use ltee_types::{value_similarity, Value};
+use ltee_types::{PreparedValue, Value};
 use ltee_webtables::{Corpus, TableId};
 
 use crate::context::{ImplicitAttributes, RowContext};
@@ -86,10 +86,25 @@ impl RowMetricKind {
 /// the cosine of their tables' vectors.
 #[derive(Debug, Clone, Default)]
 pub struct PhiTableVectors {
-    // Sparse vectors sorted by label so dot products and norms always sum
-    // in the same order: float addition is not associative, and summing in
-    // hash order would make scores differ between processes.
-    vectors: HashMap<TableId, Vec<(String, f64)>>,
+    vectors: HashMap<TableId, PhiVector>,
+}
+
+/// One table's sparse PHI vector.
+#[derive(Debug, Clone)]
+struct PhiVector {
+    // Sorted by label so dot products and norms always sum in the same
+    // order: float addition is not associative, and summing in hash order
+    // would make scores differ between processes.
+    entries: Vec<(String, f64)>,
+    /// Euclidean norm of `entries`, summed in entry order.
+    norm: f64,
+}
+
+impl PhiVector {
+    fn new(entries: Vec<(String, f64)>) -> Self {
+        let norm = entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
+        Self { entries, norm }
+    }
 }
 
 impl PhiTableVectors {
@@ -161,7 +176,7 @@ impl PhiTableVectors {
             let mut sorted: Vec<(String, f64)> =
                 acc.into_iter().map(|(k, v)| (k, v / count)).collect();
             sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            vectors.insert(*table, sorted);
+            vectors.insert(*table, PhiVector::new(sorted));
         }
         Self { vectors }
     }
@@ -172,7 +187,7 @@ impl PhiTableVectors {
     /// [`PhiTableVectors::build`] remains the batch path.
     pub fn insert_vector(&mut self, table: TableId, vector: Vec<(String, f64)>) {
         debug_assert!(vector.windows(2).all(|w| w[0].0 < w[1].0), "vector must be label-sorted");
-        self.vectors.insert(table, vector);
+        self.vectors.insert(table, PhiVector::new(vector));
     }
 
     /// Number of tables with a vector.
@@ -190,7 +205,8 @@ impl PhiTableVectors {
         if a == b {
             return 1.0;
         }
-        let (Some(va), Some(vb)) = (self.vectors.get(&a), self.vectors.get(&b)) else { return 0.0 };
+        let (Some(a), Some(b)) = (self.vectors.get(&a), self.vectors.get(&b)) else { return 0.0 };
+        let (va, vb) = (&a.entries, &b.entries);
         if va.is_empty() || vb.is_empty() {
             return 0.0;
         }
@@ -208,105 +224,160 @@ impl PhiTableVectors {
                 }
             }
         }
-        let norm_a: f64 = va.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
-        let norm_b: f64 = vb.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
-        if norm_a < 1e-12 || norm_b < 1e-12 {
+        if a.norm < 1e-12 || b.norm < 1e-12 {
             0.0
         } else {
-            (dot / (norm_a * norm_b)).clamp(-1.0, 1.0).max(0.0)
+            (dot / (a.norm * b.norm)).clamp(-1.0, 1.0).max(0.0)
         }
     }
 }
 
-/// Compute the similarity (and confidence) of one metric for a row pair.
-///
-/// `interner` is the run interner that minted both contexts'
-/// `label_tokens`; the `LABEL` metric scores those interned tokens
-/// directly (bit-identical to the string path, no re-tokenisation).
-pub fn metric_score(
-    kind: RowMetricKind,
-    a: &RowContext,
-    b: &RowContext,
-    phi: &PhiTableVectors,
-    implicit: &ImplicitAttributes,
-    interner: &Interner,
-) -> (f64, f64) {
-    match kind {
-        RowMetricKind::Label => (monge_elkan_tokens(&a.label_tokens, &b.label_tokens, interner), 1.0),
-        RowMetricKind::Bow => (cosine_similarity(&a.bow, &b.bow), 1.0),
-        RowMetricKind::Phi => (phi.table_similarity(a.row.table, b.row.table), 1.0),
-        RowMetricKind::Attribute => attribute_score(a, b),
-        RowMetricKind::ImplicitAtt => implicit_score(a, b, implicit),
-        RowMetricKind::SameTable => {
-            if a.row.table == b.row.table {
-                (0.0, 1.0)
-            } else {
-                (1.0, 1.0)
+/// The left row of the pairs being scored, with everything that depends on
+/// it alone looked up once: a row is scored against every member of every
+/// admitted cluster, and its table's implicit attributes and its own value
+/// per property do not change from one member to the next.
+pub struct RowProbe<'a> {
+    ctx: &'a RowContext,
+    /// Every table's implicit attributes (the other row's are looked up
+    /// per pair).
+    all_implicit: &'a ImplicitAttributes,
+    /// The implicit attributes of the row's table…
+    implicit: &'a [(String, Value, f64)],
+    /// …and their prepared values, position by position.
+    implicit_prepared: &'a [PreparedValue],
+    /// What the row has to say about a property: its explicit (column)
+    /// values, then its table's implicit ones. The first entry for a
+    /// property is the one `IMPLICIT_ATT` compares against.
+    own_values: Vec<(&'a str, &'a PreparedValue)>,
+}
+
+impl<'a> RowProbe<'a> {
+    /// Look up what scoring reads of `ctx`'s table.
+    pub fn new(ctx: &'a RowContext, all_implicit: &'a ImplicitAttributes) -> Self {
+        let (implicit, implicit_prepared) = all_implicit.prepared_of_table(ctx.row.table);
+        let explicit = ctx.prepared_values().map(|(p, _, prepared)| (p, prepared));
+        let own_values =
+            explicit.chain(implicit.iter().map(|(p, _, _)| p.as_str()).zip(implicit_prepared)).collect();
+        Self { ctx, all_implicit, implicit, implicit_prepared, own_values }
+    }
+
+    /// The similarity (and confidence) of one metric for the pair
+    /// (this row, `b`).
+    ///
+    /// `interner` is the run interner that minted both contexts'
+    /// `label_tokens`; the `LABEL` metric scores those interned tokens
+    /// directly (bit-identical to the string path, no re-tokenisation).
+    pub fn metric_score(
+        &self,
+        kind: RowMetricKind,
+        b: &RowContext,
+        phi: &PhiTableVectors,
+        interner: &Interner,
+    ) -> (f64, f64) {
+        let a = self.ctx;
+        match kind {
+            RowMetricKind::Label => (monge_elkan_tokens(&a.label_tokens, &b.label_tokens, interner), 1.0),
+            RowMetricKind::Bow => (cosine_similarity(&a.bow, &b.bow), 1.0),
+            RowMetricKind::Phi => (phi.table_similarity(a.row.table, b.row.table), 1.0),
+            RowMetricKind::Attribute => self.attribute_score(b),
+            RowMetricKind::ImplicitAtt => self.implicit_score(b),
+            RowMetricKind::SameTable => {
+                if a.row.table == b.row.table {
+                    (0.0, 1.0)
+                } else {
+                    (1.0, 1.0)
+                }
             }
         }
     }
-}
 
-/// `ATTRIBUTE`: average data-type equality over overlapping value pairs,
-/// confidence = number of compared pairs.
-fn attribute_score(a: &RowContext, b: &RowContext) -> (f64, f64) {
-    let mut compared = 0usize;
-    let mut total = 0.0;
-    for (prop, va) in &a.values.values {
-        if let Some(vb) = b.values.value(prop) {
-            let dtype = va.data_type();
-            let sim = value_similarity(va, vb, dtype);
-            // The paper assigns 1.0 / 0.0 per pair based on data type
-            // equality; we use the similarity function's own equality notion.
-            total += if sim >= 0.95 { 1.0 } else { 0.0 };
-            compared += 1;
-        }
-    }
-    if compared == 0 {
-        (0.0, 0.0)
-    } else {
-        (total / compared as f64, compared as f64)
-    }
-}
-
-/// `IMPLICIT_ATT`: compare the implicit attributes of each row's table with
-/// the overlapping implicit and explicit attributes of the other row.
-fn implicit_score(a: &RowContext, b: &RowContext, implicit: &ImplicitAttributes) -> (f64, f64) {
-    let a_imp = implicit.of_table(a.row.table);
-    let b_imp = implicit.of_table(b.row.table);
-    let mut total = 0.0;
-    let mut confidence = 0.0;
-    let mut compared = 0usize;
-
-    let mut compare_side = |from: &[(String, Value, f64)], other: &RowContext, other_imp: &[(String, Value, f64)]| {
-        for (prop, value, score) in from {
-            // Overlap with the other row's explicit (column) attributes…
-            let explicit = other.values.value(prop);
-            // …or with the other table's implicit attributes.
-            let implicit_other = other_imp.iter().find(|(p, _, _)| p == prop).map(|(_, v, _)| v);
-            if let Some(other_value) = explicit.or(implicit_other) {
-                let dtype = value.data_type();
-                let sim = value_similarity(value, other_value, dtype);
-                total += if sim >= 0.95 { 1.0 } else { 0.0 };
-                confidence += score;
-                compared += 1;
+    /// `ATTRIBUTE`: average data-type equality over overlapping value pairs,
+    /// confidence = number of compared pairs (a sum of ones).
+    fn attribute_score(&self, b: &RowContext) -> (f64, f64) {
+        let mut agreement = Agreement::default();
+        for (prop, va, prepared) in self.ctx.prepared_values() {
+            if let Some(vb) = b.prepared_value(prop) {
+                agreement.compare(prepared, vb, va, 1.0);
             }
         }
-    };
-    compare_side(a_imp, b, b_imp);
-    compare_side(b_imp, a, a_imp);
+        agreement.score()
+    }
 
-    if compared == 0 {
-        (0.0, 0.0)
-    } else {
-        (total / compared as f64, confidence)
+    /// `IMPLICIT_ATT`: compare the implicit attributes of each row's table
+    /// with the overlapping implicit and explicit attributes of the other
+    /// row.
+    fn implicit_score(&self, b: &RowContext) -> (f64, f64) {
+        let (b_implicit, b_implicit_prepared) = self.all_implicit.prepared_of_table(b.row.table);
+        let mut agreement = Agreement::default();
+        for ((prop, value, score), prepared) in self.implicit.iter().zip(self.implicit_prepared) {
+            // Overlap with the other row's explicit (column) attributes, or
+            // with the other table's implicit attributes.
+            let other = b.prepared_value(prop).or_else(|| {
+                b_implicit.iter().position(|(p, _, _)| p == prop).map(|i| &b_implicit_prepared[i])
+            });
+            if let Some(other) = other {
+                agreement.compare(prepared, other, value, *score);
+            }
+        }
+        for ((prop, value, score), prepared) in b_implicit.iter().zip(b_implicit_prepared) {
+            if let Some((_, own)) = self.own_values.iter().find(|(p, _)| p == prop) {
+                agreement.compare(prepared, own, value, *score);
+            }
+        }
+        agreement.score()
+    }
+
+    /// The feature vector of the pair (this row, `b`) for a set of metrics:
+    /// first the similarity of every metric, then the confidences of the
+    /// metrics that have one (in metric order). This is the layout expected
+    /// by [`RowSimilarityModel`].
+    pub fn metric_features(
+        &self,
+        metrics: &[RowMetricKind],
+        b: &RowContext,
+        phi: &PhiTableVectors,
+        interner: &Interner,
+    ) -> PairFeatures {
+        PairFeatures::from_scores(metrics.iter().map(|&kind| {
+            let (similarity, confidence) = self.metric_score(kind, b, phi, interner);
+            (similarity, kind.has_confidence().then_some(confidence))
+        }))
     }
 }
 
-/// Compute the feature vector of a row pair for a set of metrics: first the
-/// similarity of every metric, then the confidences of the metrics that have
-/// one (in metric order). This is the layout expected by
-/// [`RowSimilarityModel`].
+/// Running tally of compared value pairs.
+#[derive(Default)]
+struct Agreement {
+    compared: usize,
+    agreeing: f64,
+    confidence: f64,
+}
+
+impl Agreement {
+    /// Compare one value pair under the data type of `value` (the
+    /// unprepared form of `a`). The paper assigns 1.0 / 0.0 per pair based
+    /// on data type equality; we use the similarity function's own equality
+    /// notion.
+    fn compare(&mut self, a: &PreparedValue, b: &PreparedValue, value: &Value, confidence: f64) {
+        self.agreeing += if a.similarity(b, value.data_type()) >= 0.95 { 1.0 } else { 0.0 };
+        self.confidence += confidence;
+        self.compared += 1;
+    }
+
+    /// (share of agreeing pairs, summed confidence), or zeros if nothing
+    /// was compared.
+    fn score(&self) -> (f64, f64) {
+        if self.compared == 0 {
+            (0.0, 0.0)
+        } else {
+            (self.agreeing / self.compared as f64, self.confidence)
+        }
+    }
+}
+
+/// Compute the feature vector of a row pair for a set of metrics (see
+/// [`RowProbe::metric_features`], which callers scoring one row against
+/// many should use directly).
 pub fn metric_features(
     metrics: &[RowMetricKind],
     a: &RowContext,
@@ -314,18 +385,8 @@ pub fn metric_features(
     phi: &PhiTableVectors,
     implicit: &ImplicitAttributes,
     interner: &Interner,
-) -> Vec<f64> {
-    let mut sims = Vec::with_capacity(metrics.len() + 2);
-    let mut confs = Vec::new();
-    for &kind in metrics {
-        let (sim, conf) = metric_score(kind, a, b, phi, implicit, interner);
-        sims.push(sim);
-        if kind.has_confidence() {
-            confs.push(conf);
-        }
-    }
-    sims.extend(confs);
-    sims
+) -> PairFeatures {
+    RowProbe::new(a, implicit).metric_features(metrics, b, phi, interner)
 }
 
 /// Feature names corresponding to [`metric_features`].
@@ -350,18 +411,10 @@ pub struct RowSimilarityModel {
 }
 
 impl RowSimilarityModel {
-    /// Score a row pair: positive means "same instance". `interner` is the
-    /// run interner behind both contexts' interned tokens.
-    pub fn score(
-        &self,
-        a: &RowContext,
-        b: &RowContext,
-        phi: &PhiTableVectors,
-        implicit: &ImplicitAttributes,
-        interner: &Interner,
-    ) -> f64 {
-        let features = metric_features(&self.metrics, a, b, phi, implicit, interner);
-        self.model.score(&features)
+    /// Score the pair (`probe`'s row, `b`): positive means "same instance".
+    /// `interner` is the run interner behind both contexts' interned tokens.
+    pub fn score(&self, probe: &RowProbe<'_>, b: &RowContext, phi: &PhiTableVectors, interner: &Interner) -> f64 {
+        self.model.score(&probe.metric_features(&self.metrics, b, phi, interner))
     }
 
     /// Importance of every metric in the aggregated model (Table 7, MI
@@ -389,6 +442,13 @@ impl RowSimilarityModel {
             RowMetricKind::from_code(tag)
                 .ok_or(ltee_ml::CodecError::InvalidTag { what: "row_model.metric", tag })
         })?;
+        // Scoring lays a metric set's features out inline.
+        if metrics.len() > PairFeatures::MAX_METRICS {
+            return Err(ltee_ml::CodecError::LengthOverflow {
+                what: "row_model.metrics",
+                declared: metrics.len(),
+            });
+        }
         let model = PairwiseModel::decode_from(r)?;
         Ok(Self { metrics, model })
     }
@@ -411,19 +471,27 @@ mod tests {
     ) -> RowContext {
         let mut bow = BowVector::from_text(label);
         bow.add_text(extra_terms);
-        let normalized_label = ltee_text::normalize_label(label);
-        let label_tokens = ltee_text::tokenize_interned(&normalized_label, interner);
-        RowContext {
-            row: RowRef::new(TableId(table), row),
+        let values = RowValues {
             label: label.to_string(),
-            normalized_label,
-            label_tokens,
-            bow,
-            values: RowValues {
-                label: label.to_string(),
-                values: values.into_iter().map(|(p, v)| (p.to_string(), v)).collect(),
-            },
-        }
+            values: values.into_iter().map(|(p, v)| (p.to_string(), v)).collect(),
+        };
+        RowContext::new(RowRef::new(TableId(table), row), values, bow, interner)
+    }
+
+    fn metric_score(
+        kind: RowMetricKind,
+        a: &RowContext,
+        b: &RowContext,
+        phi: &PhiTableVectors,
+        implicit: &ImplicitAttributes,
+        interner: &Interner,
+    ) -> (f64, f64) {
+        RowProbe::new(a, implicit).metric_score(kind, b, phi, interner)
+    }
+
+    fn attribute_score(a: &RowContext, b: &RowContext, interner: &Interner) -> (f64, f64) {
+        let (phi, implicit) = (PhiTableVectors::default(), ImplicitAttributes::default());
+        metric_score(RowMetricKind::Attribute, a, b, &phi, &implicit, interner)
     }
 
     #[test]
@@ -478,7 +546,7 @@ mod tests {
         let mut interner = Interner::new();
         let a = ctx(&mut interner, 1, 0, "X", vec![("team", Value::InstanceRef("Packers".into())), ("number", Value::NominalInt(4))], "");
         let b = ctx(&mut interner, 2, 0, "X", vec![("team", Value::InstanceRef("Packers".into())), ("number", Value::NominalInt(12))], "");
-        let (sim, conf) = attribute_score(&a, &b);
+        let (sim, conf) = attribute_score(&a, &b, &interner);
         assert!((sim - 0.5).abs() < 1e-12);
         assert_eq!(conf, 2.0);
     }
@@ -488,7 +556,7 @@ mod tests {
         let mut interner = Interner::new();
         let a = ctx(&mut interner, 1, 0, "X", vec![("team", Value::InstanceRef("Packers".into()))], "");
         let b = ctx(&mut interner, 2, 0, "X", vec![("number", Value::NominalInt(12))], "");
-        let (sim, conf) = attribute_score(&a, &b);
+        let (sim, conf) = attribute_score(&a, &b, &interner);
         assert_eq!(sim, 0.0);
         assert_eq!(conf, 0.0);
     }

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use ltee_intern::Interner;
-use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, PairwiseTrainingConfig, Sample};
+use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseModel, PairwiseTrainingConfig, Sample};
 use ltee_webtables::{GoldStandard, RowRef};
 use rayon::prelude::*;
 
@@ -56,6 +56,8 @@ impl RowModelTrainingConfig {
 /// Positive pairs are all within-cluster row pairs; negative pairs are
 /// cross-cluster pairs with similar labels (hard negatives) plus a few
 /// random ones, capped at `negatives_per_positive` times the positives.
+///
+/// Panics if `metrics` lists more than [`PairFeatures::MAX_METRICS`].
 pub fn build_pair_dataset(
     contexts: &[RowContext],
     gold: &GoldStandard,
@@ -65,6 +67,7 @@ pub fn build_pair_dataset(
     config: &RowModelTrainingConfig,
     interner: &Interner,
 ) -> Dataset {
+    PairFeatures::assert_metric_count(metrics.len());
     let names = metric_feature_names(metrics);
     let mut dataset = Dataset::new(names);
 
@@ -149,7 +152,7 @@ pub fn build_pair_dataset(
         .par_iter()
         .map(|&(i, j)| {
             Sample::new(
-                metric_features(metrics, &contexts[i], &contexts[j], phi, implicit, interner),
+                metric_features(metrics, &contexts[i], &contexts[j], phi, implicit, interner).to_vec(),
                 1.0,
             )
         })
@@ -158,7 +161,7 @@ pub fn build_pair_dataset(
         .par_iter()
         .map(|&(i, j)| {
             Sample::new(
-                metric_features(metrics, &contexts[i], &contexts[j], phi, implicit, interner),
+                metric_features(metrics, &contexts[i], &contexts[j], phi, implicit, interner).to_vec(),
                 0.0,
             )
         })
@@ -170,11 +173,14 @@ pub fn build_pair_dataset(
 }
 
 /// Train a row similarity model on a pair dataset.
+///
+/// Panics if `metrics` lists more than [`PairFeatures::MAX_METRICS`].
 pub fn train_row_model(
     dataset: &Dataset,
     metrics: Vec<RowMetricKind>,
     config: &RowModelTrainingConfig,
 ) -> RowSimilarityModel {
+    PairFeatures::assert_metric_count(metrics.len());
     let model = PairwiseModel::train(dataset, metrics.len(), config.aggregation, &config.pairwise);
     RowSimilarityModel { metrics, model }
 }
@@ -187,6 +193,12 @@ mod tests {
     use ltee_webtables::{generate_corpus, CorpusConfig};
 
     fn setup() -> (Vec<RowContext>, GoldStandard, PhiTableVectors, ImplicitAttributes, Interner) {
+        setup_class(ClassKey::GridironFootballPlayer)
+    }
+
+    fn setup_class(
+        class: ClassKey,
+    ) -> (Vec<RowContext>, GoldStandard, PhiTableVectors, ImplicitAttributes, Interner) {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 51));
         let corpus = generate_corpus(&world, &CorpusConfig::tiny());
         let mapping = match_corpus(
@@ -196,7 +208,6 @@ mod tests {
             &SchemaMatchingConfig::default(),
             None,
         );
-        let class = ClassKey::GridironFootballPlayer;
         let gold = GoldStandard::build(&world, &corpus, class);
         let rows = mapping.class_rows(&corpus, class);
         let mut interner = Interner::new();
@@ -215,6 +226,36 @@ mod tests {
         assert!(ds.positives() > 0, "need positive pairs");
         assert!(ds.negatives() > 0, "need negative pairs");
         assert_eq!(ds.num_features(), 8);
+    }
+
+    /// Bit pin of the six row metrics: FNV-1a64 over the bits of
+    /// `metric_features` for every row pair of the fixture, class by class.
+    /// The constant was generated before pair scoring moved to prepared
+    /// values, stored PHI norms and inline feature vectors (PR 14); a
+    /// change to it is a change to what the row model is trained on and
+    /// scores.
+    #[test]
+    fn metric_features_are_bit_pinned_on_the_fixture() {
+        let mut bytes = Vec::new();
+        let (mut pairs, mut attribute_overlaps, mut implicit_overlaps) = (0, 0, 0);
+        for class in ltee_kb::CLASS_KEYS {
+            let (contexts, _, phi, implicit, interner) = setup_class(class);
+            for (i, a) in contexts.iter().enumerate() {
+                for b in &contexts[i + 1..] {
+                    let features = metric_features(&RowMetricKind::ALL, a, b, &phi, &implicit, &interner);
+                    assert_eq!(features.len(), 8);
+                    pairs += 1;
+                    attribute_overlaps += usize::from(features[6] > 0.0);
+                    implicit_overlaps += usize::from(features[7] > 0.0);
+                    for value in features.iter() {
+                        bytes.extend_from_slice(&value.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+        // Both confidence-carrying metrics must actually fire on the fixture.
+        assert!(attribute_overlaps > 100 && implicit_overlaps > 100, "{attribute_overlaps} / {implicit_overlaps}");
+        assert_eq!(ltee_ml::fnv1a64(&bytes), 0xd66bd84bea9b8022, "{pairs} pairs");
     }
 
     #[test]

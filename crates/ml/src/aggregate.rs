@@ -97,6 +97,73 @@ impl Default for PairwiseTrainingConfig {
     }
 }
 
+/// The feature vector of one pair in the layout [`PairwiseModel`] scores —
+/// every metric's similarity, then the confidences of the metrics that have
+/// one, both in metric order — held inline, because the serve path builds
+/// one per scored pair. Dereferences to the feature slice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairFeatures {
+    values: [f64; Self::CAPACITY],
+    len: usize,
+}
+
+impl PairFeatures {
+    /// Most metrics a metric set may list (the paper's models have six).
+    pub const MAX_METRICS: usize = 6;
+
+    /// Most features held: a similarity and a confidence per metric.
+    pub const CAPACITY: usize = 2 * Self::MAX_METRICS;
+
+    /// Panic, naming the limit, unless a set of `metrics` metrics fits.
+    /// Dataset builders and model constructors call this up front, where
+    /// [`PairwiseModel::train`] asserts its own preconditions, so an
+    /// oversized set (a list with a repeated metric) is refused on the
+    /// calling thread before any pair is scored; model decoders return a
+    /// [`CodecError`] instead.
+    pub fn assert_metric_count(metrics: usize) {
+        assert!(
+            metrics <= Self::MAX_METRICS,
+            "a metric set lists at most {} metrics, got {metrics}",
+            Self::MAX_METRICS
+        );
+    }
+
+    /// Lay out one `(similarity, confidence)` per metric, in metric order;
+    /// `confidence` is `None` for metrics that do not have one.
+    ///
+    /// Panics if there are more than [`PairFeatures::MAX_METRICS`] metrics
+    /// (an internal invariant: see [`PairFeatures::assert_metric_count`]).
+    pub fn from_scores(scores: impl IntoIterator<Item = (f64, Option<f64>)>) -> Self {
+        let mut values = [0.0; Self::CAPACITY];
+        let mut confidences = [0.0; Self::MAX_METRICS];
+        let (mut similarity_count, mut confidence_count) = (0, 0);
+        for (similarity, confidence) in scores {
+            assert!(
+                similarity_count < Self::MAX_METRICS,
+                "a metric set lists at most {} metrics",
+                Self::MAX_METRICS
+            );
+            values[similarity_count] = similarity;
+            similarity_count += 1;
+            if let Some(confidence) = confidence {
+                confidences[confidence_count] = confidence;
+                confidence_count += 1;
+            }
+        }
+        let len = similarity_count + confidence_count;
+        values[similarity_count..len].copy_from_slice(&confidences[..confidence_count]);
+        Self { values, len }
+    }
+}
+
+impl std::ops::Deref for PairFeatures {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.values[..self.len]
+    }
+}
+
 /// A trained pairwise matching model.
 ///
 /// The feature layout is: the first `num_similarities` features are
@@ -347,6 +414,28 @@ mod tests {
             forest: RandomForestConfig { num_trees: 15, max_depth: 6, ..Default::default() },
             upsample_seed: 3,
         }
+    }
+
+    #[test]
+    fn pair_features_put_similarities_before_confidences() {
+        let scores = [(0.1, None), (0.2, Some(3.0)), (0.3, None), (0.4, Some(0.5))];
+        assert_eq!(*PairFeatures::from_scores(scores), [0.1, 0.2, 0.3, 0.4, 3.0, 0.5]);
+        assert!(PairFeatures::from_scores([]).is_empty());
+        let full = PairFeatures::from_scores([(1.0, Some(2.0)); PairFeatures::MAX_METRICS]);
+        assert_eq!(full.len(), PairFeatures::CAPACITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 6 metrics")]
+    fn pair_features_reject_an_oversized_metric_set() {
+        PairFeatures::from_scores([(0.0, None); PairFeatures::MAX_METRICS + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 6 metrics, got 7")]
+    fn metric_count_is_checked_at_entry() {
+        PairFeatures::assert_metric_count(PairFeatures::MAX_METRICS);
+        PairFeatures::assert_metric_count(PairFeatures::MAX_METRICS + 1);
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub mod forest;
 pub mod genetic;
 pub mod weighted;
 
-pub use aggregate::{AggregationMethod, CombinedModel, MetricImportance, PairwiseModel, PairwiseTrainingConfig};
+pub use aggregate::{
+    AggregationMethod, CombinedModel, MetricImportance, PairFeatures, PairwiseModel, PairwiseTrainingConfig,
+};
 pub use codec::{fnv1a64, ByteReader, ByteWriter, CodecError};
 pub use dataset::{Dataset, Sample};
 pub use folds::{grouped_k_folds, FoldSplit};

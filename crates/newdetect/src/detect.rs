@@ -166,8 +166,8 @@ pub fn detect_new(
 /// Whether an instance of `class` is a valid candidate for `entity`: same
 /// class, or the two classes share an ancestor.
 fn class_compatible(class: ltee_kb::ClassKey, entity: &EntityContext) -> bool {
-    class == entity.entity.class
-        || class.ancestors().iter().any(|a| entity.entity.class.ancestors().contains(a))
+    class == entity.entity().class
+        || class.ancestors().iter().any(|a| entity.entity().class.ancestors().contains(a))
 }
 
 /// Gather the candidate instance ids of an entity: label-index lookups for
@@ -179,7 +179,7 @@ fn candidate_ids(
     config: &NewDetectionConfig,
 ) -> Vec<InstanceId> {
     let mut ids: Vec<InstanceId> = Vec::new();
-    for label in &entity.entity.labels {
+    for label in &entity.entity().labels {
         for m in label_index.lookup(label, config.candidates) {
             if m.score < config.min_candidate_label_score {
                 continue;

@@ -3,9 +3,9 @@
 use ltee_fusion::Entity;
 use ltee_intern::{Interner, TokenSeq};
 use ltee_kb::{ClassKey, Instance, KnowledgeBase};
-use ltee_ml::PairwiseModel;
+use ltee_ml::{PairFeatures, PairwiseModel};
 use ltee_text::{cosine_similarity, monge_elkan_tokens, normalize_label, tokenize_interned, BowVector};
-use ltee_types::{value_similarity, Value};
+use ltee_types::{PreparedValue, Value};
 use ltee_webtables::Corpus;
 
 use ltee_clustering::ImplicitAttributes;
@@ -81,8 +81,9 @@ impl EntityMetricKind {
 /// Precomputed view of a created entity used by the metrics.
 #[derive(Debug, Clone)]
 pub struct EntityContext {
-    /// The created entity.
-    pub entity: Entity,
+    /// The created entity (read through [`EntityContext::entity`]; its
+    /// facts have prepared forms below, so it is fixed once assembled).
+    entity: Entity,
     /// Interned tokens of each normalised entity label, memoised once so
     /// candidate scoring neither re-normalises nor re-tokenises the same
     /// labels for every candidate instance (parallel workers score many
@@ -94,8 +95,16 @@ pub struct EntityContext {
     pub class_hierarchy: Vec<&'static str>,
     /// Combined bag-of-words vector of all the entity's rows.
     pub bow: BowVector,
-    /// Entity-level implicit attributes: (property, value, confidence).
-    pub implicit: Vec<(String, Value, f64)>,
+    /// Entity-level implicit attributes: (property, value, confidence);
+    /// read through [`EntityContext::implicit`].
+    implicit: Vec<(String, Value, f64)>,
+    /// The values of `entity.facts` and of `implicit`, prepared for
+    /// similarity scoring position by position: the `ATTRIBUTE` /
+    /// `IMPLICIT_ATT` metrics compare these against every candidate
+    /// instance. Only [`EntityContext::from_parts`] writes the four fields,
+    /// so the prepared forms cannot fall out of step with their sources.
+    prepared_facts: Vec<PreparedValue>,
+    prepared_implicit: Vec<PreparedValue>,
 }
 
 impl EntityContext {
@@ -113,7 +122,19 @@ impl EntityContext {
             .map(|l| tokenize_interned(&normalize_label(l), interner))
             .collect();
         let class_hierarchy = class_hierarchy_of(entity.class);
-        Self { entity, label_tokens, class_hierarchy, bow, implicit }
+        let prepared_facts = entity.facts.iter().map(|(_, value, _)| PreparedValue::new(value)).collect();
+        let prepared_implicit = implicit.iter().map(|(_, value, _)| PreparedValue::new(value)).collect();
+        Self { entity, label_tokens, class_hierarchy, bow, implicit, prepared_facts, prepared_implicit }
+    }
+
+    /// The created entity.
+    pub fn entity(&self) -> &Entity {
+        &self.entity
+    }
+
+    /// Entity-level implicit attributes: (property, value, confidence).
+    pub fn implicit(&self) -> &[(String, Value, f64)] {
+        &self.implicit
     }
 
     /// Build the context of an entity from the corpus and the table-level
@@ -134,11 +155,18 @@ impl EntityContext {
         // equal (property, value) combinations over the entity's rows and
         // divide by the number of rows.
         let mut acc: Vec<(String, Value, f64)> = Vec::new();
+        // How each entry of `acc` renders: combinations are equal when
+        // their properties and rendered values are.
+        let mut renders: Vec<String> = Vec::new();
         for row in &entity.rows {
             for (prop, value, score) in implicit.of_table(row.table) {
-                match acc.iter_mut().find(|(p, v, _)| p == prop && v.render() == value.render()) {
-                    Some((_, _, s)) => *s += score,
-                    None => acc.push((prop.clone(), value.clone(), *score)),
+                let render = value.render();
+                match acc.iter().zip(&renders).position(|((p, _, _), r)| p == prop && *r == render) {
+                    Some(i) => acc[i].2 += score,
+                    None => {
+                        acc.push((prop.clone(), value.clone(), *score));
+                        renders.push(render);
+                    }
                 }
             }
         }
@@ -171,8 +199,13 @@ pub struct InstanceContext {
     pub class: ClassKey,
     /// Class ancestors (including the class itself).
     pub class_hierarchy: Vec<&'static str>,
-    /// Facts of the instance: (property name, value).
-    pub facts: Vec<(String, Value)>,
+    /// Facts of the instance: (property name, value); read through
+    /// [`InstanceContext::fact`].
+    facts: Vec<(String, Value)>,
+    /// The values of `facts` prepared for similarity scoring, position by
+    /// position; written together with `facts`, by
+    /// [`InstanceContext::build`] alone.
+    prepared_facts: Vec<PreparedValue>,
     /// Page-link popularity.
     pub page_links: u64,
     /// The instance id.
@@ -194,6 +227,7 @@ impl InstanceContext {
                 facts.push((prop.name.clone(), fact.value.clone()));
             }
         }
+        let prepared_facts = facts.iter().map(|(_, value)| PreparedValue::new(value)).collect();
         Self {
             label_tokens: instance
                 .labels
@@ -204,6 +238,7 @@ impl InstanceContext {
             class: instance.class,
             class_hierarchy: class_hierarchy_of(instance.class),
             facts,
+            prepared_facts,
             page_links: instance.page_links,
             id: instance.id,
         }
@@ -212,6 +247,29 @@ impl InstanceContext {
     /// The fact value for a property.
     pub fn fact(&self, property: &str) -> Option<&Value> {
         self.facts.iter().find(|(p, _)| p == property).map(|(_, v)| v)
+    }
+
+    /// Share of `values` — (property, confidence, prepared value) — that
+    /// agree with this instance's fact for the same property, under the
+    /// fact's data type, and the summed confidence of the values that had a
+    /// fact to compare with; zeros if none had.
+    fn agreement<'a>(&self, values: impl Iterator<Item = (&'a str, f64, &'a PreparedValue)>) -> (f64, f64) {
+        let mut compared = 0usize;
+        let mut total = 0.0;
+        let mut confidence = 0.0;
+        for (prop, score, value) in values {
+            if let Some(i) = self.facts.iter().position(|(p, _)| p == prop) {
+                let dtype = self.facts[i].1.data_type();
+                total += if value.similarity(&self.prepared_facts[i], dtype) >= 0.95 { 1.0 } else { 0.0 };
+                confidence += score;
+                compared += 1;
+            }
+        }
+        if compared == 0 {
+            (0.0, 0.0)
+        } else {
+            (total / compared as f64, confidence)
+        }
     }
 }
 
@@ -249,40 +307,14 @@ pub fn entity_metric_score(
             (overlap as f64 / entity.class_hierarchy.len().max(1) as f64, 1.0)
         }
         EntityMetricKind::Bow => (cosine_similarity(&entity.bow, &instance.bow), 1.0),
-        EntityMetricKind::Attribute => {
-            let mut compared = 0usize;
-            let mut total = 0.0;
-            for (prop, value, _) in &entity.entity.facts {
-                if let Some(fact) = instance.fact(prop) {
-                    let dtype = fact.data_type();
-                    total += if value_similarity(value, fact, dtype) >= 0.95 { 1.0 } else { 0.0 };
-                    compared += 1;
-                }
-            }
-            if compared == 0 {
-                (0.0, 0.0)
-            } else {
-                (total / compared as f64, compared as f64)
-            }
-        }
-        EntityMetricKind::ImplicitAtt => {
-            let mut compared = 0usize;
-            let mut total = 0.0;
-            let mut confidence = 0.0;
-            for (prop, value, score) in &entity.implicit {
-                if let Some(fact) = instance.fact(prop) {
-                    let dtype = fact.data_type();
-                    total += if value_similarity(value, fact, dtype) >= 0.95 { 1.0 } else { 0.0 };
-                    confidence += score;
-                    compared += 1;
-                }
-            }
-            if compared == 0 {
-                (0.0, 0.0)
-            } else {
-                (total / compared as f64, confidence)
-            }
-        }
+        // Confidence: the number of overlapping properties (a sum of ones).
+        EntityMetricKind::Attribute => instance.agreement(
+            entity.entity.facts.iter().zip(&entity.prepared_facts).map(|((p, _, _), v)| (p.as_str(), 1.0, v)),
+        ),
+        // Confidence: the summed scores of the overlapping implicit attributes.
+        EntityMetricKind::ImplicitAtt => instance.agreement(
+            entity.implicit.iter().zip(&entity.prepared_implicit).map(|((p, _, s), v)| (p.as_str(), *s, v)),
+        ),
         EntityMetricKind::Popularity => (popularity_score, 1.0),
     }
 }
@@ -294,18 +326,12 @@ pub fn entity_metric_features(
     instance: &InstanceContext,
     popularity_score: f64,
     interner: &Interner,
-) -> Vec<f64> {
-    let mut sims = Vec::with_capacity(metrics.len() + 2);
-    let mut confs = Vec::new();
-    for &kind in metrics {
-        let (sim, conf) = entity_metric_score(kind, entity, instance, popularity_score, interner);
-        sims.push(sim);
-        if kind.has_confidence() {
-            confs.push(conf);
-        }
-    }
-    sims.extend(confs);
-    sims
+) -> PairFeatures {
+    PairFeatures::from_scores(metrics.iter().map(|&kind| {
+        let (similarity, confidence) =
+            entity_metric_score(kind, entity, instance, popularity_score, interner);
+        (similarity, kind.has_confidence().then_some(confidence))
+    }))
 }
 
 /// Feature names corresponding to [`entity_metric_features`].
@@ -367,6 +393,13 @@ impl EntitySimilarityModel {
             EntityMetricKind::from_code(tag)
                 .ok_or(ltee_ml::CodecError::InvalidTag { what: "entity_model.metric", tag })
         })?;
+        // Scoring lays a metric set's features out inline.
+        if metrics.len() > PairFeatures::MAX_METRICS {
+            return Err(ltee_ml::CodecError::LengthOverflow {
+                what: "entity_model.metrics",
+                declared: metrics.len(),
+            });
+        }
         let model = PairwiseModel::decode_from(r)?;
         Ok(Self { metrics, model })
     }
@@ -404,12 +437,14 @@ mod tests {
         for (_, v) in &facts {
             bow.add_text(&v.render());
         }
+        let facts: Vec<(String, Value)> = facts.into_iter().map(|(p, v)| (p.to_string(), v)).collect();
         InstanceContext {
             label_tokens: vec![tokenize_interned(&normalize_label(label), interner)],
             bow,
             class,
             class_hierarchy: super::class_hierarchy_of(class),
-            facts: facts.into_iter().map(|(p, v)| (p.to_string(), v)).collect(),
+            prepared_facts: facts.iter().map(|(_, v)| PreparedValue::new(v)).collect(),
+            facts,
             page_links: links,
             id: ltee_kb::InstanceId(0),
         }
@@ -506,8 +541,9 @@ mod tests {
     #[test]
     fn implicit_metric_uses_entity_level_attributes() {
         let mut interner = Interner::new();
-        let mut e = entity_ctx(&mut interner, ClassKey::Song, "Hey Jude", vec![]);
-        e.implicit = vec![("musicalArtist".into(), Value::InstanceRef("The Beatles".into()), 0.8)];
+        let plain = entity_ctx(&mut interner, ClassKey::Song, "Hey Jude", vec![]);
+        let implicit = vec![("musicalArtist".into(), Value::InstanceRef("The Beatles".into()), 0.8)];
+        let e = EntityContext::from_parts(plain.entity, plain.bow, implicit, &mut interner);
         let matching = instance_ctx(
             &mut interner,
             ClassKey::Song,

@@ -3,7 +3,7 @@
 use ltee_index::LabelIndex;
 use ltee_intern::Interner;
 use ltee_kb::{InstanceId, KnowledgeBase};
-use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, PairwiseTrainingConfig, Sample};
+use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseModel, PairwiseTrainingConfig, Sample};
 
 use crate::metrics::{
     entity_metric_feature_names, entity_metric_features, EntityContext, EntityMetricKind,
@@ -48,6 +48,8 @@ impl EntityModelTrainingConfig {
 /// entity truly corresponds to (`None` for new entities). Positive samples
 /// are (entity, true instance) pairs; negative samples are (entity, other
 /// candidate) pairs.
+///
+/// Panics if `metrics` lists more than [`PairFeatures::MAX_METRICS`].
 pub fn build_entity_pair_dataset(
     entities: &[EntityContext],
     truth: &[Option<InstanceId>],
@@ -58,6 +60,7 @@ pub fn build_entity_pair_dataset(
     interner: &mut Interner,
 ) -> Dataset {
     assert_eq!(entities.len(), truth.len(), "one truth entry per entity");
+    PairFeatures::assert_metric_count(metrics.len());
     let mut dataset = Dataset::new(entity_metric_feature_names(metrics));
 
     // Each distinct candidate instance is materialised (and its labels
@@ -68,7 +71,7 @@ pub fn build_entity_pair_dataset(
     for (entity, true_instance) in entities.iter().zip(truth.iter()) {
         // Candidate instances via the label index (as at detection time).
         let mut ids: Vec<InstanceId> = Vec::new();
-        for label in &entity.entity.labels {
+        for label in &entity.entity().labels {
             for m in label_index.lookup(label, config.candidates) {
                 let id = InstanceId(m.id);
                 if !ids.contains(&id) {
@@ -99,7 +102,7 @@ pub fn build_entity_pair_dataset(
         let n = contexts.len();
         for (rank, ctx) in contexts.iter().enumerate() {
             let popularity = if n == 1 { 1.0 } else { 1.0 / (rank + 1) as f64 };
-            let features = entity_metric_features(metrics, entity, ctx, popularity, interner);
+            let features = entity_metric_features(metrics, entity, ctx, popularity, interner).to_vec();
             let target = if Some(ctx.id) == *true_instance { 1.0 } else { 0.0 };
             dataset.push(Sample::new(features, target));
         }
@@ -108,11 +111,14 @@ pub fn build_entity_pair_dataset(
 }
 
 /// Train the entity similarity model.
+///
+/// Panics if `metrics` lists more than [`PairFeatures::MAX_METRICS`].
 pub fn train_entity_model(
     dataset: &Dataset,
     metrics: Vec<EntityMetricKind>,
     config: &EntityModelTrainingConfig,
 ) -> EntitySimilarityModel {
+    PairFeatures::assert_metric_count(metrics.len());
     let model = PairwiseModel::train(dataset, metrics.len(), config.aggregation, &config.pairwise);
     EntitySimilarityModel { metrics, model }
 }
@@ -217,6 +223,60 @@ mod tests {
         assert!(acc > 0.6, "new-detection accuracy {acc:.2}");
     }
 
+    /// Bit pin of the six entity metrics: FNV-1a64 over every feature's and
+    /// target's bits of a pair dataset built from world entities that also
+    /// carry entity-level implicit attributes (every other fact, so
+    /// `IMPLICIT_ATT` fires). The constant was generated before pair
+    /// scoring moved to prepared values and inline feature vectors (PR 14);
+    /// a change to it is a change to what the entity model is trained on
+    /// and scores.
+    #[test]
+    fn entity_metric_features_are_bit_pinned_on_the_fixture() {
+        let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 81));
+        let kb = world.kb();
+        let mut interner = Interner::new();
+        let mut bytes = Vec::new();
+        let mut samples = 0;
+        for class in ltee_kb::CLASS_KEYS {
+            let index = kb.label_index(class);
+            let mut entities = Vec::new();
+            let mut truth = Vec::new();
+            let heads = world.head_of_class(class);
+            let tails = world.long_tail_of_class(class);
+            for e in heads.iter().take(20).chain(tails.iter().take(15)) {
+                let plain = entity_from_world(&world, e, &mut interner);
+                let implicit = plain
+                    .entity()
+                    .facts
+                    .iter()
+                    .step_by(2)
+                    .enumerate()
+                    .map(|(i, (p, v, _))| (p.clone(), v.clone(), 0.5 + i as f64 / 10.0))
+                    .collect();
+                entities.push(EntityContext::from_parts(plain.entity().clone(), plain.bow, implicit, &mut interner));
+                truth.push(world.instance_for_entity(e.id));
+            }
+            let ds = build_entity_pair_dataset(
+                &entities,
+                &truth,
+                kb,
+                &index,
+                &EntityMetricKind::ALL,
+                &EntityModelTrainingConfig::fast(),
+                &mut interner,
+            );
+            assert!(ds.samples.iter().any(|s| s.features[6] > 0.0), "{class}: no ATTRIBUTE overlap");
+            assert!(ds.samples.iter().any(|s| s.features[7] > 0.0), "{class}: no IMPLICIT_ATT overlap");
+            samples += ds.len();
+            for sample in &ds.samples {
+                for value in sample.features.iter().chain([&sample.target]) {
+                    bytes.extend_from_slice(&value.to_bits().to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(ltee_ml::fnv1a64(&bytes), 0x4aa75feca1d99e17, "{samples} samples");
+    }
+
     #[test]
     fn dataset_arity_matches_metric_features() {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 82));
@@ -277,6 +337,6 @@ mod tests {
             &mut Interner::new(),
         );
         assert!(!ctx.bow.is_empty());
-        assert!(ctx.implicit.is_empty());
+        assert!(ctx.implicit().is_empty());
     }
 }

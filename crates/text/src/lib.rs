@@ -42,7 +42,7 @@ pub use interned::{monge_elkan_tokens, normalize_and_intern, tokenize_interned};
 pub use jaccard::{jaccard_similarity, token_overlap};
 pub use levenshtein::{levenshtein_distance, levenshtein_similarity};
 pub use myers::{bounded_levenshtein, within_one_edit};
-pub use monge_elkan::monge_elkan_similarity;
+pub use monge_elkan::{monge_elkan_similarity, monge_elkan_tokenized};
 pub use normalize::{clean_label, normalize_label, tokenize};
 pub use vector::{cosine_similarity, BowVector};
 

@@ -19,7 +19,7 @@ use crate::normalize::tokenize;
 /// bit-for-bit interchangeable — any change here needs the mirror change
 /// there, and `crates/text/tests/intern_agreement.rs` property-tests the
 /// equivalence.
-fn directed_monge_elkan(a_tokens: &[String], b_tokens: &[String]) -> f64 {
+fn directed_monge_elkan<S: AsRef<str>>(a_tokens: &[S], b_tokens: &[S]) -> f64 {
     if a_tokens.is_empty() {
         return if b_tokens.is_empty() { 1.0 } else { 0.0 };
     }
@@ -27,7 +27,7 @@ fn directed_monge_elkan(a_tokens: &[String], b_tokens: &[String]) -> f64 {
     for at in a_tokens {
         let mut best: f64 = 0.0;
         for bt in b_tokens {
-            let s = levenshtein_similarity(at, bt);
+            let s = levenshtein_similarity(at.as_ref(), bt.as_ref());
             if s > best {
                 best = s;
             }
@@ -44,16 +44,21 @@ fn directed_monge_elkan(a_tokens: &[String], b_tokens: &[String]) -> f64 {
 /// similarity. The inputs are tokenised with the shared pipeline
 /// tokenisation; the result is in `[0, 1]`.
 pub fn monge_elkan_similarity(a: &str, b: &str) -> f64 {
-    let a_tokens = tokenize(a);
-    let b_tokens = tokenize(b);
+    monge_elkan_tokenized(&tokenize(a), &tokenize(b))
+}
+
+/// [`monge_elkan_similarity`] of two labels already split by
+/// [`tokenize`], for callers that compare the same label many times (and
+/// may keep the tokens in whatever string type suits them).
+pub fn monge_elkan_tokenized<S: AsRef<str>>(a_tokens: &[S], b_tokens: &[S]) -> f64 {
     if a_tokens.is_empty() && b_tokens.is_empty() {
         return 1.0;
     }
     if a_tokens.is_empty() || b_tokens.is_empty() {
         return 0.0;
     }
-    let forward = directed_monge_elkan(&a_tokens, &b_tokens);
-    let backward = directed_monge_elkan(&b_tokens, &a_tokens);
+    let forward = directed_monge_elkan(a_tokens, b_tokens);
+    let backward = directed_monge_elkan(b_tokens, a_tokens);
     (forward + backward) / 2.0
 }
 

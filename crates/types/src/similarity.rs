@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use ltee_text::{clamp_unit, monge_elkan_similarity, normalize_label};
+use ltee_text::{clamp_unit, monge_elkan_similarity, monge_elkan_tokenized, normalize_label, tokenize};
 
 use crate::datatype::DataType;
 use crate::value::{Date, DateGranularity, Value};
@@ -66,36 +66,82 @@ impl EquivalenceConfig {
 /// Similarity of two values under the comparison type `dtype`, in `[0, 1]`.
 ///
 /// Values whose payloads cannot be interpreted under `dtype` score `0.0`.
+/// Prepares both values and compares them with
+/// [`PreparedValue::similarity`]; callers that score a value against many
+/// others prepare it once and call that directly.
 pub fn value_similarity(a: &Value, b: &Value, dtype: DataType) -> f64 {
-    match dtype {
-        DataType::Text => match (a.as_str(), b.as_str()) {
-            (Some(x), Some(y)) => {
-                clamp_unit(monge_elkan_similarity(&normalize_label(x), &normalize_label(y)))
+    PreparedValue::new(a).similarity(&PreparedValue::new(b), dtype)
+}
+
+/// A [`Value`] digested once for similarity scoring: string payloads in
+/// their normal form ([`normalize_label`]) and split into tokens, date and
+/// numeric payloads as they are. Everything [`value_similarity`] reads of a
+/// value is in here, so comparing two prepared values re-derives nothing.
+///
+/// Which variant a value prepares to follows its payload accessors
+/// ([`Value::as_str`], [`Value::as_date`], [`Value::as_f64`]), not its data
+/// type — the comparison type is an argument of the comparison, as it is
+/// for [`value_similarity`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum PreparedValue {
+    /// A text, nominal-string or instance-reference payload.
+    Normalized {
+        /// The payload's normal form.
+        text: Box<str>,
+        /// [`tokenize`] of `text`: what Monge-Elkan aligns. (Boxed, like
+        /// `text`: one of these is kept per stored value, for as long as
+        /// the row or table it belongs to.)
+        tokens: Box<[Box<str>]>,
+    },
+    /// A date payload.
+    Date(Date),
+    /// A quantity payload, or a nominal integer as a float.
+    Number(f64),
+}
+
+impl PreparedValue {
+    /// Prepare `value`.
+    pub fn new(value: &Value) -> Self {
+        match value {
+            Value::Text(s) | Value::Nominal(s) | Value::InstanceRef(s) => {
+                let text = normalize_label(s).into_boxed_str();
+                let tokens = tokenize(&text).into_iter().map(String::into_boxed_str).collect();
+                PreparedValue::Normalized { text, tokens }
             }
-            _ => 0.0,
-        },
-        DataType::NominalString | DataType::InstanceReference => match (a.as_str(), b.as_str()) {
-            (Some(x), Some(y)) => {
-                if normalize_label(x) == normalize_label(y) {
-                    1.0
-                } else if dtype == DataType::InstanceReference {
-                    // Instance references are compared by label; allow a high
-                    // text similarity to count partially so that e.g.
-                    // "Green Bay Packers" vs "Packers" is not a hard zero.
-                    let s = monge_elkan_similarity(&normalize_label(x), &normalize_label(y));
-                    if s >= 0.9 {
-                        s
-                    } else {
-                        0.0
-                    }
+            Value::Date(d) => PreparedValue::Date(*d),
+            Value::Quantity(q) => PreparedValue::Number(*q),
+            Value::NominalInt(i) => PreparedValue::Number(*i as f64),
+        }
+    }
+
+    /// Similarity of the two prepared values under the comparison type
+    /// `dtype`, in `[0, 1]`; `0.0` where a payload does not fit `dtype`.
+    pub fn similarity(&self, other: &PreparedValue, dtype: DataType) -> f64 {
+        use PreparedValue::{Date, Normalized, Number};
+        match (dtype, self, other) {
+            (DataType::Text, Normalized { tokens: x, .. }, Normalized { tokens: y, .. }) => {
+                clamp_unit(monge_elkan_tokenized(x, y))
+            }
+            (DataType::NominalString, Normalized { text: x, .. }, Normalized { text: y, .. }) if x == y => 1.0,
+            (
+                DataType::InstanceReference,
+                Normalized { text: x, tokens: x_tokens },
+                Normalized { text: y, tokens: y_tokens },
+            ) => {
+                if x == y {
+                    return 1.0;
+                }
+                // Instance references are compared by label; allow a high
+                // text similarity to count partially so that e.g.
+                // "Green Bay Packers" vs "Packers" is not a hard zero.
+                let s = monge_elkan_tokenized(x_tokens, y_tokens);
+                if s >= 0.9 {
+                    s
                 } else {
                     0.0
                 }
             }
-            _ => 0.0,
-        },
-        DataType::Date => match (a.as_date(), b.as_date()) {
-            (Some(x), Some(y)) => {
+            (DataType::Date, Date(x), Date(y)) => {
                 if x.granularity == DateGranularity::Year || y.granularity == DateGranularity::Year {
                     if x.year == y.year {
                         1.0
@@ -114,10 +160,7 @@ pub fn value_similarity(a: &Value, b: &Value, dtype: DataType) -> f64 {
                     }
                 }
             }
-            _ => 0.0,
-        },
-        DataType::Quantity => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => {
+            (DataType::Quantity, Number(x), Number(y)) => {
                 let max = x.abs().max(y.abs());
                 if max < f64::EPSILON {
                     return 1.0;
@@ -125,12 +168,9 @@ pub fn value_similarity(a: &Value, b: &Value, dtype: DataType) -> f64 {
                 let rel = (x - y).abs() / max;
                 clamp_unit(1.0 - rel)
             }
+            (DataType::NominalInteger, Number(x), Number(y)) if (x.round() - y.round()).abs() < f64::EPSILON => 1.0,
             _ => 0.0,
-        },
-        DataType::NominalInteger => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) if (x.round() - y.round()).abs() < f64::EPSILON => 1.0,
-            _ => 0.0,
-        },
+        }
     }
 }
 
@@ -422,6 +462,90 @@ mod tests {
         }
     }
 
+    /// `value_similarity` as it was before prepared values: every string
+    /// comparison normalises both payloads on the spot. The oracle
+    /// [`PreparedValue::similarity`] must reproduce bit for bit.
+    fn similarity_by_normalising(a: &Value, b: &Value, dtype: DataType) -> f64 {
+        match dtype {
+            DataType::Text => match (a.as_str(), b.as_str()) {
+                (Some(x), Some(y)) => {
+                    clamp_unit(monge_elkan_similarity(&normalize_label(x), &normalize_label(y)))
+                }
+                _ => 0.0,
+            },
+            DataType::NominalString | DataType::InstanceReference => match (a.as_str(), b.as_str()) {
+                (Some(x), Some(y)) => {
+                    if normalize_label(x) == normalize_label(y) {
+                        1.0
+                    } else if dtype == DataType::InstanceReference {
+                        let s = monge_elkan_similarity(&normalize_label(x), &normalize_label(y));
+                        if s >= 0.9 {
+                            s
+                        } else {
+                            0.0
+                        }
+                    } else {
+                        0.0
+                    }
+                }
+                _ => 0.0,
+            },
+            DataType::Date => match (a.as_date(), b.as_date()) {
+                (Some(x), Some(y)) => {
+                    if x.granularity == DateGranularity::Year || y.granularity == DateGranularity::Year {
+                        if x.year == y.year {
+                            1.0
+                        } else {
+                            0.0
+                        }
+                    } else {
+                        let diff = (x.approximate_days() - y.approximate_days()).abs();
+                        if diff < f64::EPSILON {
+                            1.0
+                        } else if diff <= 31.0 {
+                            1.0 - diff / 62.0
+                        } else {
+                            0.0
+                        }
+                    }
+                }
+                _ => 0.0,
+            },
+            DataType::Quantity => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) => {
+                    let max = x.abs().max(y.abs());
+                    if max < f64::EPSILON {
+                        return 1.0;
+                    }
+                    let rel = (x - y).abs() / max;
+                    clamp_unit(1.0 - rel)
+                }
+                _ => 0.0,
+            },
+            DataType::NominalInteger => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) if (x.round() - y.round()).abs() < f64::EPSILON => 1.0,
+                _ => 0.0,
+            },
+        }
+    }
+
+    #[test]
+    fn pool_has_instance_references_on_both_sides_of_the_partial_credit_cut() {
+        let sim = |a: &str, b: &str| {
+            value_similarity(
+                &Value::InstanceRef(a.into()),
+                &Value::InstanceRef(b.into()),
+                DataType::InstanceReference,
+            )
+        };
+        // Unequal normal forms, Monge-Elkan at or above 0.9: partial credit.
+        let near = sim("Tom Brady", "Tom Bradey");
+        assert!((0.9..1.0).contains(&near), "{near}");
+        // Related but below the cut: a hard zero.
+        assert!(monge_elkan_similarity("green bay packers", "packers") > 0.0);
+        assert_eq!(sim("Green Bay Packers", "Packers"), 0.0);
+    }
+
     /// The definition `EquivalenceSet` must reproduce.
     fn oracle(probe: &Value, sample: &[Value], limit: usize, dtype: DataType) -> bool {
         sample.iter().take(limit).any(|s| value_equivalent(probe, s, dtype, &cfg()))
@@ -468,6 +592,32 @@ mod tests {
             let v = Value::Text(s.clone());
             let sim = value_similarity(&v, &v, DataType::Text);
             prop_assert!(sim > 0.999);
+        }
+
+        #[test]
+        fn prepared_similarity_is_bit_identical_to_normalising_per_comparison(
+            codes in proptest::collection::vec(0usize..840 * 840, 1usize..60),
+            x in -1e6f64..1e6,
+            y in -1e6f64..1e6,
+            text in "[a-zA-Z .'-]{0,16}",
+        ) {
+            let mut pairs: Vec<(Value, Value)> =
+                codes.iter().map(|&c| (pool_value(c / 840), pool_value(c % 840))).collect();
+            pairs.push((Value::Quantity(x), Value::Quantity(y)));
+            pairs.push((Value::Quantity(x), Value::NominalInt(y as i64)));
+            pairs.push((Value::Text(text.clone()), Value::InstanceRef("Tom Brady".into())));
+            pairs.push((Value::Nominal(text.clone()), Value::Text(text.to_uppercase())));
+            for (a, b) in &pairs {
+                let (pa, pb) = (PreparedValue::new(a), PreparedValue::new(b));
+                for dtype in DataType::ALL {
+                    let expected = similarity_by_normalising(a, b, dtype);
+                    prop_assert_eq!(
+                        pa.similarity(&pb, dtype).to_bits(), expected.to_bits(),
+                        "{:?} vs {:?} as {:?}", a, b, dtype
+                    );
+                    prop_assert_eq!(value_similarity(a, b, dtype).to_bits(), expected.to_bits());
+                }
+            }
         }
 
         #[test]
