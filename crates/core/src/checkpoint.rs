@@ -20,11 +20,13 @@
 //! * rebuilt — row contexts, the prefix blocking index and per-cluster
 //!   block keys ([`StreamingClusterer::from_parts`]), frozen PHI vectors
 //!   (replayed per table in arrival order), implicit attributes and KBT
-//!   scores (both pure functions of corpus + mapping + frozen KB).
+//!   scores (both pure functions of corpus + mapping + frozen KB) — by
+//!   the same per-class statistics step ingest runs on every batch.
 //!
 //! Skipping schema matching, pair scoring and fusion on restore is what
-//! makes cold recovery decisively faster than re-ingesting the corpus
-//! (`benches/recovery_throughput.rs` gates this in CI); the incremental-
+//! makes cold recovery faster than re-ingesting the corpus (recorded, not
+//! asserted: `recover_s` beside `ingest_rows_per_s` in every `kbbench`
+//! run, `core.restore_s` in its per-layer metrics); the incremental-
 //! equivalence contract (every rebuilt structure is a deterministic
 //! function of the persisted decisions) is what makes the restored
 //! pipeline **bit-identical** to the one that wrote the checkpoint —
@@ -59,10 +61,8 @@
 use std::collections::HashSet;
 use std::path::Path;
 
-use ltee_clustering::{
-    build_row_contexts, ImplicitAttributes, StreamingClusterer, StreamingPhi,
-};
-use ltee_fusion::{kbt_scores_for_tables, Entity, ScoringMethod};
+use ltee_clustering::StreamingClusterer;
+use ltee_fusion::Entity;
 use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{AttributeMatch, CorpusMapping, TableMapping};
@@ -672,7 +672,6 @@ impl PipelineCheckpoint {
 
         let corpus = Corpus::from_tables(self.tables.clone());
         let mapping = CorpusMapping::from_tables(self.mappings.clone());
-        let all_tables: Vec<TableId> = corpus.tables().iter().map(|t| t.id).collect();
 
         let mut states = Vec::with_capacity(CLASS_KEYS.len());
         for (&class, dump) in CLASS_KEYS.iter().zip(&self.classes) {
@@ -686,54 +685,25 @@ impl PipelineCheckpoint {
             }
             let baseline = interner.len();
 
-            let rows = class_rows_in_arrival_order(&corpus, &mapping, class);
-            let contexts = build_row_contexts(&corpus, &mapping, &rows, &mut interner);
-
-            // Replay the frozen PHI vectors per table, in arrival order —
-            // the same per-table label sequences ingest fed to add_table.
-            let mut phi = StreamingPhi::new();
-            for table in corpus.tables() {
-                if mapping.table(table.id).map(|tm| tm.class) != Some(Some(class)) {
-                    continue;
-                }
-                let labels: Vec<String> = contexts
-                    .iter()
-                    .filter(|c| c.row.table == table.id)
-                    .filter(|c| !c.normalized_label.is_empty())
-                    .map(|c| c.normalized_label.clone())
-                    .collect();
-                phi.add_table(table.id, &labels);
-            }
-
-            let clusterer = StreamingClusterer::from_parts(
+            // The step ingest runs per batch, over the whole restored
+            // corpus: PHI vectors replay per table in arrival order.
+            let mut state = ClassState::new(class, interner, &config);
+            let contexts = state.absorb_corpus_statistics(&corpus, &mapping, kb, &config);
+            state.clusterer = StreamingClusterer::from_parts(
                 config.clustering.clone(),
                 contexts,
                 dump.clusters.clone(),
             );
-            let implicit =
-                ImplicitAttributes::build(&corpus, &mapping, kb, class, kb.class_label_index(class));
-            let kbt = if config.fusion.scoring == ScoringMethod::Kbt {
-                kbt_scores_for_tables(&corpus, &mapping, kb, class, &all_tables)
-            } else {
-                std::collections::HashMap::new()
-            };
-            if interner.len() != baseline {
+            if state.interner.len() != baseline {
                 return Err(CheckpointError::Corrupted(format!(
                     "{class}: state rebuild minted {} new interned strings — the checkpointed \
                      interner does not cover the class's corpus vocabulary",
-                    interner.len() - baseline
+                    state.interner.len() - baseline
                 )));
             }
-            states.push(ClassState {
-                class,
-                interner,
-                clusterer,
-                phi,
-                implicit,
-                kbt,
-                entities: dump.entities.clone(),
-                results: dump.results.clone(),
-            });
+            state.entities = dump.entities.clone();
+            state.results = dump.results.clone();
+            states.push(state);
         }
 
         Ok(IncrementalPipeline { kb, models, config, corpus, mapping, states })

@@ -1,6 +1,6 @@
 //! The experiment harness: one function per paper table (plus the Section 6
-//! ranked evaluation). Every function returns plain row structs so that
-//! benches, examples and the EXPERIMENTS.md generator can print them.
+//! ranked evaluation). Every function returns plain row structs, which the
+//! umbrella crate's `paper_tables` example prints.
 
 use std::collections::HashMap;
 

@@ -49,7 +49,7 @@
 //! at every (shard count × thread count).
 
 use ltee_clustering::{
-    build_row_contexts, ImplicitAttributes, StreamingClusterer, StreamingPhi,
+    build_row_contexts, ImplicitAttributes, RowContext, StreamingClusterer, StreamingPhi,
 };
 use ltee_fusion::Entity;
 use ltee_intern::Interner;
@@ -123,6 +123,72 @@ pub(crate) struct ClassState {
     pub(crate) results: Vec<NewDetectionResult>,
 }
 
+impl ClassState {
+    /// An empty state for `class` over `interner` (fresh for a new
+    /// pipeline, pre-minted in stored order on checkpoint restore).
+    pub(crate) fn new(class: ClassKey, interner: Interner, config: &PipelineConfig) -> Self {
+        Self {
+            class,
+            interner,
+            clusterer: StreamingClusterer::new(config.clustering.clone()),
+            phi: StreamingPhi::new(),
+            implicit: ImplicitAttributes::default(),
+            kbt: std::collections::HashMap::new(),
+            entities: Vec::new(),
+            results: Vec::new(),
+        }
+    }
+
+    /// Absorb the per-class corpus statistics of `tables` — per-table
+    /// implicit attributes, KBT scores and frozen PHI vectors, all functions
+    /// of the table and the frozen KB alone, so batch-invariant — and return
+    /// the contexts of the class's rows in arrival order, ready to cluster
+    /// (none: the state is untouched). Ingest calls this per micro-batch,
+    /// checkpoint restore once over the whole restored corpus; sharing the
+    /// one copy is what keeps a restored state bit-identical.
+    pub(crate) fn absorb_corpus_statistics(
+        &mut self,
+        tables: &Corpus,
+        mapping: &CorpusMapping,
+        kb: &KnowledgeBase,
+        config: &PipelineConfig,
+    ) -> Vec<RowContext> {
+        let class = self.class;
+        let rows = class_rows_in_arrival_order(tables, mapping, class);
+        if rows.is_empty() {
+            return Vec::new();
+        }
+
+        let contexts = build_row_contexts(tables, mapping, &rows, &mut self.interner);
+        self.implicit.merge(ImplicitAttributes::build(
+            tables,
+            mapping,
+            kb,
+            class,
+            kb.class_label_index(class),
+        ));
+        if config.fusion.scoring == ltee_fusion::ScoringMethod::Kbt {
+            let table_ids: Vec<_> = tables.tables().iter().map(|t| t.id).collect();
+            self.kbt.extend(ltee_fusion::kbt_scores_for_tables(tables, mapping, kb, class, &table_ids));
+        }
+        // Freeze PHI vectors table by table, in arrival order (the same
+        // order the rows cluster in).
+        for table in tables.tables() {
+            if mapping.table(table.id).map(|tm| tm.class) != Some(Some(class)) {
+                continue;
+            }
+            let labels: Vec<String> = contexts
+                .iter()
+                .filter(|c| c.row.table == table.id)
+                .filter(|c| !c.normalized_label.is_empty())
+                .map(|c| c.normalized_label.clone())
+                .collect();
+            self.phi.add_table(table.id, &labels);
+        }
+        contexts
+    }
+}
+
 /// Summary of one [`IncrementalPipeline::ingest`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
@@ -174,16 +240,7 @@ impl<'a> IncrementalPipeline<'a> {
     pub fn new(kb: &'a KnowledgeBase, models: TrainedModels, config: PipelineConfig) -> Self {
         let states = CLASS_KEYS
             .iter()
-            .map(|&class| ClassState {
-                class,
-                interner: Interner::new(),
-                clusterer: StreamingClusterer::new(config.clustering.clone()),
-                phi: StreamingPhi::new(),
-                implicit: ImplicitAttributes::default(),
-                kbt: std::collections::HashMap::new(),
-                entities: Vec::new(),
-                results: Vec::new(),
-            })
+            .map(|&class| ClassState::new(class, Interner::new(), &config))
             .collect();
         Self { kb, models, config, corpus: Corpus::new(), mapping: CorpusMapping::default(), states }
     }
@@ -387,6 +444,7 @@ impl<'a> IncrementalPipeline<'a> {
 
 /// What phase 1 of an ingest produced for one class; folded into the
 /// [`IngestReport`] in state order after the shard fan-out joins.
+#[derive(Default)]
 struct ClassDelta {
     mapped_rows: usize,
     new_clusters: usize,
@@ -414,10 +472,9 @@ fn shard_buckets<'s>(
     buckets
 }
 
-/// Phase 1 for one class: corpus statistics for the delta (per-table
-/// implicit attributes, KBT scores and frozen PHI vectors — all functions
-/// of the table and the frozen KB alone, so batch-invariant), then delta
-/// clustering against all accumulated state. Mutates only `state`.
+/// Phase 1 for one class: corpus statistics for the delta
+/// ([`ClassState::absorb_corpus_statistics`]), then delta clustering
+/// against all accumulated state. Mutates only `state`.
 fn ingest_class_delta(
     state: &mut ClassState,
     batch: &Corpus,
@@ -427,44 +484,11 @@ fn ingest_class_delta(
     config: &PipelineConfig,
 ) -> ClassDelta {
     let class = state.class;
-    let rows = class_rows_in_arrival_order(batch, batch_mapping, class);
-    if rows.is_empty() {
-        return ClassDelta {
-            mapped_rows: 0,
-            new_clusters: 0,
-            updated_clusters: 0,
-            touched: Vec::new(),
-        };
+    let contexts = state.absorb_corpus_statistics(batch, batch_mapping, kb, config);
+    if contexts.is_empty() {
+        return ClassDelta::default();
     }
-
-    let contexts = build_row_contexts(batch, batch_mapping, &rows, &mut state.interner);
-    let implicit_delta =
-        ImplicitAttributes::build(batch, batch_mapping, kb, class, kb.class_label_index(class));
-    state.implicit.merge(implicit_delta);
-    if config.fusion.scoring == ltee_fusion::ScoringMethod::Kbt {
-        let batch_tables: Vec<_> = batch.tables().iter().map(|t| t.id).collect();
-        state.kbt.extend(ltee_fusion::kbt_scores_for_tables(
-            batch,
-            batch_mapping,
-            kb,
-            class,
-            &batch_tables,
-        ));
-    }
-    // Freeze PHI vectors table by table, in arrival order (the same order
-    // the rows cluster in).
-    for table in batch.tables() {
-        if batch_mapping.table(table.id).map(|tm| tm.class) != Some(Some(class)) {
-            continue;
-        }
-        let labels: Vec<String> = contexts
-            .iter()
-            .filter(|c| c.row.table == table.id)
-            .filter(|c| !c.normalized_label.is_empty())
-            .map(|c| c.normalized_label.clone())
-            .collect();
-        state.phi.add_table(table.id, &labels);
-    }
+    let mapped_rows = contexts.len();
 
     // Delta clustering against all accumulated state.
     let touched = state.clusterer.ingest(
@@ -495,7 +519,7 @@ fn ingest_class_delta(
         });
     }
 
-    ClassDelta { mapped_rows: rows.len(), new_clusters, updated_clusters, touched }
+    ClassDelta { mapped_rows, new_clusters, updated_clusters, touched }
 }
 
 /// Phase 2 for one class: fuse and re-classify the clusters the batch

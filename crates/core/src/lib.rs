@@ -67,8 +67,8 @@
 //! ## Experiments
 //!
 //! [`experiments`] regenerates paper Tables 1–12 (and the Section 6 ranked
-//! evaluation); every function returns plain serialisable row structs that
-//! the benches and the `EXPERIMENTS.md` generator print.
+//! evaluation); every function returns plain row structs, which the
+//! umbrella crate's `paper_tables` example prints.
 
 #![warn(missing_docs)]
 

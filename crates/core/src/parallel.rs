@@ -4,8 +4,8 @@
 //! work-stealing pool, whose determinism contract guarantees bit-identical
 //! results at every thread count (fixed chunking, ordered collection,
 //! chunk-wise reductions). [`Parallelism`] lets experiments, examples,
-//! benches and tests pin the thread count programmatically instead of via
-//! the `LTEE_NUM_THREADS` / `RAYON_NUM_THREADS` environment variables.
+//! tests and workload drivers pin the thread count programmatically instead
+//! of via the `LTEE_NUM_THREADS` / `RAYON_NUM_THREADS` environment variables.
 
 /// How many worker threads the pipeline's parallel stages use.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,6 +1,5 @@
 //! String-level reference for [`crate::LabelIndex::lookup`], shared by the
-//! index's own property tests, `tests/serve_fuzzy_agreement.rs` and the
-//! `intern_lookup` bench baseline.
+//! index's own property tests and `tests/serve_fuzzy_agreement.rs`.
 //!
 //! It is the lookup contract spelled out with plain strings and no
 //! pruning: every entry sharing at least one exact token with the query is

@@ -42,7 +42,7 @@ impl Scale {
         Self { kb_entities_per_class: 140, long_tail_per_class: 90, confusable_per_class: 15 }
     }
 
-    /// Profiling scale used by the Table 11/12 benches: large enough that
+    /// Profiling scale used by the Table 11/12 experiments: large enough that
     /// relative increases and density shapes are meaningful, small enough to
     /// run in CI minutes.
     pub fn profiling() -> Self {

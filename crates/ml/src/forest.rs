@@ -6,7 +6,7 @@
 //! out-of-bag error with different out-of-bag rates on the learning set"
 //! (Section 3.2). This module implements the same learner from scratch:
 //! bagged CART-style regression trees with random feature subsets at each
-//! split, variance-reduction split criterion, out-of-bag error estimation
+//! split, splits chosen by variance reduction, out-of-bag error estimation
 //! and impurity-based feature importances.
 
 use rand::Rng;

@@ -10,10 +10,16 @@
 //! not just when a human happens to re-run an example.
 
 use std::io::{self, Write};
+use std::time::Instant;
 
+use ltee_core::experiments::{
+    DensityRow, Table10Row, Table11Row, Table1Row, Table4Row, Table5Row, Table6Row, Table7Row,
+    Table8Row, Table9Row,
+};
 use ltee_core::prelude::*;
 use ltee_eval::{evaluate_facts, evaluate_new_instances};
 use ltee_fusion::{create_entities, EntityCreationConfig};
+use ltee_matching::{match_corpus, MatcherWeights};
 use ltee_serve::ServePipeline;
 
 use crate::scenario::{novel_row_share, Scenario, TrainedWorld};
@@ -428,4 +434,227 @@ pub fn near_duplicate_flood(w: &mut dyn Write) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Run `compute` and report its wall-clock seconds under `label` on
+/// `timings`.
+fn timed<T>(timings: &mut dyn Write, label: &str, compute: impl FnOnce() -> T) -> io::Result<T> {
+    let start = Instant::now();
+    let value = compute();
+    writeln!(timings, "{label}: {:.3} s", start.elapsed().as_secs_f64())?;
+    Ok(value)
+}
+
+/// Body of `examples/paper_tables.rs`: regenerate paper Tables 1–12 and the
+/// Section 6 ranked evaluation on [`ExperimentConfig::tiny`]. The tables go
+/// to `w` (deterministic, like every other example body); each table's
+/// elapsed seconds go to `timings`, which is the repository's reading of
+/// the batch `match_corpus` / `Pipeline::run` cost.
+pub fn paper_tables(w: &mut dyn Write, timings: &mut dyn Write) -> io::Result<()> {
+    let config = ExperimentConfig::tiny();
+    let (world, corpus) = config.materialize();
+
+    let t1 = timed(timings, "table 1", || experiments::table01_kb_profile(&world))?;
+    writeln!(w, "{}", format_table1(&t1))?;
+    let t2 = timed(timings, "table 2", || experiments::table02_property_density(&world))?;
+    writeln!(w, "{}", format_density("Table 2", &t2))?;
+    let t3 = timed(timings, "table 3", || experiments::table03_corpus_stats(&corpus))?;
+    writeln!(
+        w,
+        "Table 3 — rows avg {:.2} / median {} / min {} / max {}; columns avg {:.2} / median {} / min {} / max {}\n",
+        t3.rows.average, t3.rows.median, t3.rows.min, t3.rows.max,
+        t3.columns.average, t3.columns.median, t3.columns.min, t3.columns.max
+    )?;
+    let mapping = timed(timings, "match_corpus (first iteration)", || {
+        match_corpus(&corpus, world.kb(), &MatcherWeights::default(), &Default::default(), None)
+    })?;
+    let t4 = timed(timings, "table 4", || {
+        experiments::table04_value_correspondences(&corpus, &mapping)
+    })?;
+    writeln!(w, "{}", format_table4(&t4))?;
+    let t5 = timed(timings, "table 5", || experiments::table05_gold_standard(&world, &corpus))?;
+    writeln!(w, "{}", format_table5(&t5))?;
+
+    // Two iterations, as in the paper's conclusion that a third adds almost
+    // nothing.
+    let t6 = timed(timings, "table 6", || {
+        experiments::table06_schema_matching_iterations(&config, 2)
+    })?;
+    writeln!(w, "{}", format_table6(&t6))?;
+
+    let t7 = timed(timings, "table 7", || experiments::table07_row_clustering_ablation(&config))?;
+    writeln!(w, "{}", format_table7(&t7))?;
+    let t8 = timed(timings, "table 8", || experiments::table08_new_detection_ablation(&config))?;
+    writeln!(w, "{}", format_table8(&t8))?;
+
+    let (t9, t10) = timed(timings, "tables 9-10", || experiments::table09_10_end_to_end(&config))?;
+    writeln!(w, "{}", format_table9(&t9))?;
+    writeln!(w, "{}", format_table10(&t10))?;
+    let profiling = timed(timings, "tables 11-12", || experiments::table11_12_profiling(&config))?;
+    writeln!(w, "{}", format_table11(&profiling.table11))?;
+    writeln!(w, "{}", format_density("Table 12", &profiling.table12))?;
+    let ranked = timed(timings, "section 6", || experiments::ranked_set_expansion_eval(&config))?;
+    writeln!(
+        w,
+        "Section 6 ranked evaluation — MAP@{}: {:.2}, P@5: {:.2}, P@20: {:.2}\n",
+        ranked.cutoff, ranked.map, ranked.p_at_5, ranked.p_at_20
+    )?;
+    Ok(())
+}
+
+/// Format Table 1 rows.
+fn format_table1(rows: &[Table1Row]) -> String {
+    let mut out = String::from("Table 1 — class, instances, facts\n");
+    for r in rows {
+        out.push_str(&format!("  {:<12} {:>8} {:>8}\n", r.class, r.instances, r.facts));
+    }
+    out
+}
+
+/// Format density rows (Tables 2 and 12).
+fn format_density(title: &str, rows: &[DensityRow]) -> String {
+    let mut out = format!("{title} — class, property, facts, density\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  {:<12} {:<18} {:>7} {:>7.2} %\n",
+            r.class,
+            r.property,
+            r.facts,
+            r.density * 100.0
+        ));
+    }
+    out
+}
+
+/// Format Table 4 rows.
+fn format_table4(rows: &[Table4Row]) -> String {
+    let mut out = String::from("Table 4 — class, tables, matched values, unmatched values\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  {:<12} {:>6} {:>10} {:>10}\n",
+            r.class, r.tables, r.matched_values, r.unmatched_values
+        ));
+    }
+    out
+}
+
+/// Format Table 5 rows.
+fn format_table5(rows: &[Table5Row]) -> String {
+    let mut out =
+        String::from("Table 5 — class, tables, attributes, rows, existing, new, values, groups, correct-present\n");
+    for r in rows {
+        let s = &r.stats;
+        out.push_str(&format!(
+            "  {:<12} {:>5} {:>6} {:>6} {:>5} {:>5} {:>7} {:>6} {:>6}\n",
+            r.class,
+            s.tables,
+            s.attributes,
+            s.rows,
+            s.existing_clusters,
+            s.new_clusters,
+            s.matched_values,
+            s.value_groups,
+            s.correct_value_present
+        ));
+    }
+    out
+}
+
+/// Format Table 6 rows.
+fn format_table6(rows: &[Table6Row]) -> String {
+    let mut out = String::from("Table 6 — iteration, P, R, F1\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  {:<4} {:>6.3} {:>6.3} {:>6.3}\n",
+            r.iteration, r.precision, r.recall, r.f1
+        ));
+    }
+    out
+}
+
+/// Format Table 7 rows.
+fn format_table7(rows: &[Table7Row]) -> String {
+    let mut out = String::from("Table 7 — + metric, PCP, AR, F1, MI\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  + {:<13} {:>5.2} {:>5.2} {:>5.2} {:>5.2}\n",
+            r.added_metric, r.pcp, r.ar, r.f1, r.importance
+        ));
+    }
+    out
+}
+
+/// Format Table 8 rows.
+fn format_table8(rows: &[Table8Row]) -> String {
+    let mut out = String::from("Table 8 — + metric, ACC, F1-existing, F1-new, MI\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  + {:<13} {:>5.2} {:>5.2} {:>5.2} {:>5.2}\n",
+            r.added_metric, r.accuracy, r.f1_existing, r.f1_new, r.importance
+        ));
+    }
+    out
+}
+
+/// Format Table 9 rows.
+fn format_table9(rows: &[Table9Row]) -> String {
+    let mut out = String::from("Table 9 — class, clustering, P, R, F1\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  {:<12} {:<4} {:>5.2} {:>5.2} {:>5.2}\n",
+            r.class, r.clustering, r.precision, r.recall, r.f1
+        ));
+    }
+    out
+}
+
+/// Format Table 10 rows.
+fn format_table10(rows: &[Table10Row]) -> String {
+    let mut out = String::from("Table 10 — class, setting, F1 VOTING, F1 KBT, F1 MATCHING\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  {:<12} {:<8} {:>5.2} {:>5.2} {:>5.2}\n",
+            r.class, r.setting, r.f1_voting, r.f1_kbt, r.f1_matching
+        ));
+    }
+    out
+}
+
+/// Format Table 11 rows.
+fn format_table11(rows: &[Table11Row]) -> String {
+    let mut out = String::from(
+        "Table 11 — class, rows, existing, matched KB, new entities, new facts, +inst %, +facts %, e.acc, f.acc\n",
+    );
+    for r in rows {
+        out.push_str(&format!(
+            "  {:<12} {:>7} {:>8} {:>8} {:>7} {:>8} {:>7.1} {:>7.1} {:>5.2} {:>5.2}\n",
+            r.class,
+            r.total_rows,
+            r.existing_entities,
+            r.matched_kb_instances,
+            r.new_entities,
+            r.new_facts,
+            r.instance_increase * 100.0,
+            r.fact_increase * 100.0,
+            r.new_entity_accuracy,
+            r.new_fact_accuracy
+        ));
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn formatting_smoke_test() {
+        let (world, corpus) = ExperimentConfig::tiny().materialize();
+        let t1 = experiments::table01_kb_profile(&world);
+        assert!(format_table1(&t1).contains("GF-Player"));
+        let t2 = experiments::table02_property_density(&world);
+        assert!(format_density("Table 2", &t2).lines().count() > 20);
+        let t5 = experiments::table05_gold_standard(&world, &corpus);
+        assert!(format_table5(&t5).contains("Song"));
+    }
 }

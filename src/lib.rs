@@ -9,7 +9,6 @@
 //! For pipeline usage, start from [`prelude`] (re-exported from
 //! [`ltee_core::prelude`]).
 
-pub use ltee_bench as bench;
 pub use ltee_clustering as clustering;
 pub use ltee_core as core;
 pub use ltee_eval as eval;

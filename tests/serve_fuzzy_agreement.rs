@@ -4,7 +4,7 @@
 //! entity records.
 //!
 //! The brute force (`ltee_index::reference`, shared with the index's own
-//! property tests and the `intern_lookup` bench) spells the documented
+//! property tests) spells the documented
 //! scoring semantics out on strings (no interner, no bounds, no pruning,
 //! every candidate scored in full): a record label is a
 //! candidate iff it shares ≥ 1 exact token with the query; each query
