@@ -679,7 +679,8 @@ impl PipelineCheckpoint {
             // Sym id of that class; all interning below is re-interning of
             // already-present strings, asserted by the per-class baseline
             // check at the end of the loop body.
-            let mut interner = Interner::new();
+            let arena_bytes = dump.interner.iter().map(String::len).sum();
+            let mut interner = Interner::with_capacity(dump.interner.len(), arena_bytes);
             for s in &dump.interner {
                 interner.intern(s);
             }

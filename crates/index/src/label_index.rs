@@ -19,6 +19,7 @@ use ltee_text::{
 
 use crate::candidates::{d1_complete, CandidateIndex};
 use crate::metrics;
+use crate::postings::PostingLists;
 
 /// One indexed label. All text fields are syms of the owning
 /// [`LabelIndex`]'s interner — resolve them via [`LabelIndex::resolve`].
@@ -58,7 +59,9 @@ pub struct LabelMatch {
 /// every entry sharing at least one exact token (plus entries sharing the
 /// full normalised label), score them, and return the top-k.
 ///
-/// Postings and blocks are integer-keyed (`Sym → positions`); the index
+/// Postings and blocks are integer-keyed (`Sym → positions`) and flat: a
+/// span slot per sym plus one shared arena per table (the crate's
+/// `PostingLists`), no hashing and no allocation per key. The index
 /// owns the interner that defines those syms. Insertions mutate the
 /// interner and must be sequential; lookups are read-only and safe to run
 /// in parallel.
@@ -67,10 +70,10 @@ pub struct LabelIndex {
     /// Arena + symbol table for every raw label, normalised label and token.
     interner: Interner,
     entries: Vec<LabelEntry>,
-    /// token sym → indices into `entries`.
-    postings: HashMap<Sym, Vec<u32>>,
+    /// token sym → indices into `entries`, one per occurrence, ascending.
+    postings: PostingLists,
     /// normalised label sym → indices into `entries` (exact-label block).
-    by_label: HashMap<Sym, Vec<u32>>,
+    by_label: PostingLists,
     /// Pruning side tables (token lengths, per-entry length buckets,
     /// deletion neighborhood), maintained in lockstep with `entries`.
     cands: CandidateIndex,
@@ -102,9 +105,9 @@ impl LabelIndex {
         let tokens = tokenize_interned(&normalized_str, &mut self.interner);
         let entry_pos = self.entries.len() as u32;
         for &token in tokens.tokens() {
-            self.postings.entry(token).or_default().push(entry_pos);
+            self.postings.push(token, entry_pos);
         }
-        self.by_label.entry(normalized).or_default().push(entry_pos);
+        self.by_label.push(normalized, entry_pos);
         self.cands.add_entry(&self.interner, &tokens);
         self.entries.push(LabelEntry { id, normalized, tokens });
         normalized
@@ -161,15 +164,18 @@ impl LabelIndex {
 
     /// Freeze the index into a cheaply cloneable read-only view that can be
     /// shared across threads (see [`SharedLabelIndex`]). Insertion is
-    /// sealed; every lookup capability survives.
-    pub fn into_shared(self) -> SharedLabelIndex {
+    /// sealed; every lookup capability survives. Since nothing can be
+    /// inserted afterwards, every table gives up its growth slack first:
+    /// the view holds exactly what its entries need.
+    pub fn into_shared(mut self) -> SharedLabelIndex {
+        self.entries.shrink_to_fit();
         SharedLabelIndex {
             interner: self.interner.freeze(),
             tables: Arc::new(IndexTables {
                 entries: self.entries,
-                postings: self.postings,
-                by_label: self.by_label,
-                cands: self.cands,
+                postings: self.postings.into_sealed(),
+                by_label: self.by_label.into_sealed(),
+                cands: self.cands.into_sealed(),
             }),
         }
     }
@@ -200,8 +206,8 @@ impl LabelIndex {
 #[derive(Debug)]
 struct IndexTables {
     entries: Vec<LabelEntry>,
-    postings: HashMap<Sym, Vec<u32>>,
-    by_label: HashMap<Sym, Vec<u32>>,
+    postings: PostingLists,
+    by_label: PostingLists,
     cands: CandidateIndex,
 }
 
@@ -247,9 +253,24 @@ impl SharedLabelIndex {
 
     /// Distinct entry ids of the exact block, in insertion order.
     pub fn exact_ids(&self, label: &str) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.exact_block(label).iter().map(|e| e.id).collect();
-        let mut seen = std::collections::HashSet::new();
-        ids.retain(|id| seen.insert(*id));
+        let tables = &*self.tables;
+        let block = block_positions(self.interner.as_ref(), &tables.by_label, label);
+        let block_ids = block.iter().map(|&pos| tables.entries[pos as usize].id);
+        let mut ids: Vec<u64> = Vec::with_capacity(block.len());
+        // A block is the handful of entries sharing one normalised label
+        // (usually one): the result doubles as the seen-set, and scanning
+        // it beats hashing — up to the size where a degenerate block
+        // would make the scan quadratic.
+        if block.len() <= 64 {
+            for id in block_ids {
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+        } else {
+            let mut seen = std::collections::HashSet::with_capacity(block.len());
+            ids.extend(block_ids.filter(|id| seen.insert(*id)));
+        }
         ids
     }
 
@@ -274,18 +295,21 @@ impl SharedLabelIndex {
     }
 }
 
+/// Entry positions of `label`'s exact block, in insertion order.
+fn block_positions<'a>(interner: &Interner, by_label: &'a PostingLists, label: &str) -> &'a [u32] {
+    match interner.get(&normalize_label(label)) {
+        Some(sym) => by_label.get(sym),
+        None => &[],
+    }
+}
+
 fn exact_block_core<'a>(
     interner: &Interner,
     entries: &'a [LabelEntry],
-    by_label: &HashMap<Sym, Vec<u32>>,
+    by_label: &PostingLists,
     label: &str,
 ) -> Vec<&'a LabelEntry> {
-    let normalized = normalize_label(label);
-    let Some(sym) = interner.get(&normalized) else { return Vec::new() };
-    by_label
-        .get(&sym)
-        .map(|positions| positions.iter().map(|&p| &entries[p as usize]).collect())
-        .unwrap_or_default()
+    block_positions(interner, by_label, label).iter().map(|&p| &entries[p as usize]).collect()
 }
 
 /// Result-key ordering: score descending, then id, then entry position.
@@ -841,7 +865,7 @@ const WARM_CAP: usize = 1024;
 fn lookup_core(
     interner: &Interner,
     entries: &[LabelEntry],
-    postings: &HashMap<Sym, Vec<u32>>,
+    postings: &PostingLists,
     cands: &CandidateIndex,
     label: &str,
     k: usize,
@@ -862,11 +886,10 @@ fn lookup_core(
     // hit multiplicities match the original accumulation.
     let mut cursors: Vec<Cursor> = Vec::with_capacity(query_tokens.len());
     for (i, sym) in query_syms.iter().enumerate() {
-        if let Some(sym) = sym {
-            if let Some(list) = postings.get(sym) {
-                if !list.is_empty() {
-                    cursors.push(Cursor { token: i, list, at: 0 });
-                }
+        if let Some(sym) = *sym {
+            let list = postings.get(sym);
+            if !list.is_empty() {
+                cursors.push(Cursor { token: i, list, at: 0 });
             }
         }
     }

@@ -39,6 +39,7 @@
 mod candidates;
 pub mod label_index;
 pub mod metrics;
+mod postings;
 #[doc(hidden)]
 pub mod reference;
 

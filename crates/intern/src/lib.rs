@@ -10,7 +10,7 @@
 //! arena, so that:
 //!
 //! * equality is a `u32` compare,
-//! * hash-map postings are integer-keyed,
+//! * postings are integer-keyed (and, the keys being dense, plain tables),
 //! * token sets become sorted `Sym` slices whose intersections are
 //!   branch-predictable merge scans with **zero allocation**.
 //!
@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An interned string: a dense `u32` id into an [`Interner`].
@@ -54,7 +53,7 @@ impl Sym {
 }
 
 /// 64-bit FNV-1a hash — the workspace's one stable, dependency-free hash:
-/// interner buckets, payload checksums, config fingerprints, seed streams
+/// interner probe table, payload checksums, config fingerprints, seed streams
 /// and shard buckets all go through it, so its values are part of the
 /// on-disk formats. Collision resistance beyond accident detection is not
 /// a goal.
@@ -77,18 +76,42 @@ pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 /// A deterministic, append-only string interner.
 ///
 /// Strings live contiguously in one byte arena; each [`Sym`] is an index
-/// into a span table. Interning an already known string is a hash lookup
-/// plus a byte comparison — no allocation. Interned strings are never
-/// removed, so [`Interner::resolve`] is valid for the interner's lifetime.
+/// into a span table. Interning an already known string is a probe of one
+/// flat table plus a byte comparison — no allocation. Interned strings are
+/// never removed, so [`Interner::resolve`] is valid for the interner's
+/// lifetime.
+///
+/// The whole interner is three flat vectors, whatever it holds: the
+/// arena, the span table and an open-addressed probe table of `u32`s
+/// (linear probing, home slot `FNV-1a & mask`, equality decided by the
+/// arena bytes). The probe table's length is zero or a power of two and
+/// its **load never exceeds ½** (`2 · len() ≤ table length`), which both
+/// bounds probe sequences and guarantees every probe meets an empty
+/// slot. It stores no hashes: growing it re-hashes the arena.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     /// Concatenated UTF-8 bytes of every interned string.
     bytes: Vec<u8>,
     /// `(offset, len)` into `bytes` per sym, in insertion order.
     spans: Vec<(u32, u32)>,
-    /// FNV-1a hash → syms with that hash (collisions resolved by byte
-    /// comparison against the arena).
-    buckets: HashMap<u64, Vec<Sym>>,
+    /// Probe table: `0` is an empty slot, any other value is `sym + 1`.
+    table: Vec<u32>,
+    /// How many times the probe table was (re)built by `intern`.
+    #[cfg(test)]
+    growths: usize,
+}
+
+/// Smallest non-empty probe table.
+const MIN_TABLE_LEN: usize = 8;
+
+/// The tight probe-table length for `strings` strings: the smallest
+/// power of two that keeps the load at or below ½ (nothing for nothing).
+fn table_len_for(strings: usize) -> usize {
+    if strings == 0 {
+        0
+    } else {
+        (strings * 2).next_power_of_two().max(MIN_TABLE_LEN)
+    }
 }
 
 impl Interner {
@@ -97,13 +120,16 @@ impl Interner {
         Self::default()
     }
 
-    /// Create an interner with pre-allocated capacity for roughly
-    /// `strings` entries totalling `bytes` bytes.
+    /// Create an interner sized for `strings` entries totalling `bytes`
+    /// bytes: interning up to `strings` distinct strings of that total
+    /// size never regrows the probe table, the span table or the arena.
     pub fn with_capacity(strings: usize, bytes: usize) -> Self {
         Self {
             bytes: Vec::with_capacity(bytes),
             spans: Vec::with_capacity(strings),
-            buckets: HashMap::with_capacity(strings),
+            table: vec![0; table_len_for(strings)],
+            #[cfg(test)]
+            growths: 0,
         }
     }
 
@@ -111,31 +137,73 @@ impl Interner {
     /// string appends it to the arena; later calls return the existing sym.
     pub fn intern(&mut self, s: &str) -> Sym {
         let hash = fnv1a64(s.as_bytes());
-        if let Some(bucket) = self.buckets.get(&hash) {
-            for &sym in bucket {
-                if self.resolve(sym) == s {
-                    return sym;
-                }
-            }
+        if let Some(sym) = self.find(s, hash) {
+            return sym;
         }
         assert!(
             self.bytes.len() + s.len() <= u32::MAX as usize && self.spans.len() < u32::MAX as usize,
             "interner arena exceeded u32 address space"
         );
+        if (self.spans.len() + 1) * 2 > self.table.len() {
+            self.rebuild_table(table_len_for(self.spans.len() + 1));
+            #[cfg(test)]
+            {
+                self.growths += 1;
+            }
+        }
+        let slot = self.vacant_slot(hash);
         let offset = self.bytes.len() as u32;
         self.bytes.extend_from_slice(s.as_bytes());
         let sym = Sym(self.spans.len() as u32);
         self.spans.push((offset, s.len() as u32));
-        self.buckets.entry(hash).or_default().push(sym);
+        self.table[slot] = sym.0 + 1;
         sym
+    }
+
+    /// Walk `s`'s probe sequence up to its first empty slot: the sym
+    /// whose arena bytes equal `s`, if it was interned.
+    fn find(&self, s: &str, hash: u64) -> Option<Sym> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        while let Some(raw) = self.table[slot].checked_sub(1) {
+            if self.resolve(Sym(raw)) == s {
+                return Some(Sym(raw));
+            }
+            slot = (slot + 1) & mask;
+        }
+        None
+    }
+
+    /// The first empty slot of a hash's probe sequence (load ≤ ½, so one
+    /// exists).
+    fn vacant_slot(&self, hash: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        while self.table[slot] != 0 {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Replace the probe table by one of `len` slots (a power of two, at
+    /// least `2 · self.len()`), re-hashing every string from the arena in
+    /// sym order.
+    fn rebuild_table(&mut self, len: usize) {
+        self.table = vec![0; len];
+        for raw in 0..self.spans.len() as u32 {
+            let slot = self.vacant_slot(fnv1a64(self.resolve(Sym(raw)).as_bytes()));
+            self.table[slot] = raw + 1;
+        }
     }
 
     /// Look up the sym of a string without interning it. Returns `None`
     /// when the string has never been interned — which also means no
     /// interned token can be equal to it.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        let bucket = self.buckets.get(&fnv1a64(s.as_bytes()))?;
-        bucket.iter().copied().find(|&sym| self.resolve(sym) == s)
+        self.find(s, fnv1a64(s.as_bytes()))
     }
 
     /// The string behind a sym.
@@ -198,7 +266,14 @@ impl Interner {
     /// can be shared across threads. The sym ↔ string mapping is sealed at
     /// this point: a [`FrozenInterner`] can probe and resolve but never
     /// mint new syms, so every clone observes the same mapping forever.
-    pub fn freeze(self) -> FrozenInterner {
+    /// Nothing can be interned afterwards, so the capacity slack of all
+    /// three vectors is released first.
+    pub fn freeze(mut self) -> FrozenInterner {
+        self.bytes.shrink_to_fit();
+        self.spans.shrink_to_fit();
+        if self.table.len() > table_len_for(self.spans.len()) {
+            self.rebuild_table(table_len_for(self.spans.len()));
+        }
         FrozenInterner { inner: Arc::new(self) }
     }
 }
@@ -271,55 +346,82 @@ impl AsRef<Interner> for FrozenInterner {
 /// The text-order view drives order-sensitive measures (Monge-Elkan); the
 /// sorted view makes set measures (jaccard, containment, overlap) single
 /// merge scans without hashing or allocation.
+///
+/// Both views live in **one** exactly sized allocation: the text-order
+/// tokens followed by the sorted ones — or the text-order tokens alone
+/// when they already are strictly ascending (always the case for a
+/// label whose tokens are all new to the interner), in which case the two
+/// views are the same slice.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TokenSeq {
-    /// Tokens in original text order, duplicates preserved.
-    tokens: Vec<Sym>,
-    /// Sorted, deduplicated tokens.
-    sorted: Vec<Sym>,
+    /// `syms[..text_len]` is the text-order view (duplicates preserved),
+    /// `syms[sorted_at..]` the sorted, deduplicated one; `sorted_at` is
+    /// either `text_len` or, when the views coincide, `0`.
+    syms: Box<[Sym]>,
+    text_len: u32,
+    sorted_at: u32,
 }
 
 impl TokenSeq {
     /// Build a sequence from tokens in text order.
-    pub fn from_syms(tokens: Vec<Sym>) -> Self {
-        let mut sorted = tokens.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Self { tokens, sorted }
+    pub fn from_syms(mut tokens: Vec<Sym>) -> Self {
+        let text_len = tokens.len();
+        assert!(text_len <= u32::MAX as usize / 2, "token sequence exceeded u32 address space");
+        let sorted_at = if tokens.windows(2).all(|w| w[0] < w[1]) {
+            0
+        } else {
+            tokens.extend_from_within(..);
+            tokens[text_len..].sort_unstable();
+            // Deduplicate the sorted copy in place, behind the text view.
+            let mut end = text_len + 1;
+            for at in text_len + 1..tokens.len() {
+                if tokens[at] != tokens[end - 1] {
+                    tokens[end] = tokens[at];
+                    end += 1;
+                }
+            }
+            tokens.truncate(end);
+            text_len
+        };
+        Self {
+            syms: tokens.into_boxed_slice(),
+            text_len: text_len as u32,
+            sorted_at: sorted_at as u32,
+        }
     }
 
     /// The tokens in text order (duplicates preserved).
     #[inline]
     pub fn tokens(&self) -> &[Sym] {
-        &self.tokens
+        &self.syms[..self.text_len as usize]
     }
 
     /// The sorted, deduplicated tokens.
     #[inline]
     pub fn sorted(&self) -> &[Sym] {
-        &self.sorted
+        &self.syms[self.sorted_at as usize..]
     }
 
     /// Number of tokens in text order (counting duplicates).
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.text_len as usize
     }
 
     /// Number of distinct tokens.
     pub fn distinct_len(&self) -> usize {
-        self.sorted.len()
+        self.syms.len() - self.sorted_at as usize
     }
 
     /// True when the sequence holds no tokens.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.text_len == 0
     }
 
     /// Whether the sequence contains a token (binary search on the sorted
     /// view).
     #[inline]
     pub fn contains(&self, sym: Sym) -> bool {
-        self.sorted.binary_search(&sym).is_ok()
+        self.sorted().binary_search(&sym).is_ok()
     }
 }
 
@@ -346,24 +448,26 @@ pub fn intersection_size(a: &[Sym], b: &[Sym]) -> usize {
 /// Mirrors `ltee_text::jaccard_similarity`: two empty sets are fully
 /// similar (1.0); one empty set is fully dissimilar (0.0).
 pub fn jaccard(a: &TokenSeq, b: &TokenSeq) -> f64 {
-    if a.sorted.is_empty() && b.sorted.is_empty() {
+    let (a, b) = (a.sorted(), b.sorted());
+    if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    if a.sorted.is_empty() || b.sorted.is_empty() {
+    if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let inter = intersection_size(&a.sorted, &b.sorted);
-    let union = a.sorted.len() + b.sorted.len() - inter;
+    let inter = intersection_size(a, b);
+    let union = a.len() + b.len() - inter;
     inter as f64 / union as f64
 }
 
 /// Containment of `a` in `b`: `|A ∩ B| / |A|`. An empty `a` is fully
 /// contained (1.0).
 pub fn containment(a: &TokenSeq, b: &TokenSeq) -> f64 {
-    if a.sorted.is_empty() {
+    let (a, b) = (a.sorted(), b.sorted());
+    if a.is_empty() {
         return 1.0;
     }
-    intersection_size(&a.sorted, &b.sorted) as f64 / a.sorted.len() as f64
+    intersection_size(a, b) as f64 / a.len() as f64
 }
 
 /// Number of distinct tokens shared by the two sequences (mirrors
@@ -381,23 +485,24 @@ pub fn token_overlap(a: &TokenSeq, b: &TokenSeq) -> usize {
 /// function is id-independent or bit-for-bit reproducibility across
 /// differently-ordered interners is not required.
 pub fn weighted_overlap(a: &TokenSeq, b: &TokenSeq, mut weight: impl FnMut(Sym) -> f64) -> f64 {
-    if a.sorted.is_empty() && b.sorted.is_empty() {
+    let (a, b) = (a.sorted(), b.sorted());
+    if a.is_empty() && b.is_empty() {
         return 1.0;
     }
     let (mut i, mut j) = (0usize, 0usize);
     let (mut shared, mut union) = (0.0f64, 0.0f64);
-    while i < a.sorted.len() && j < b.sorted.len() {
-        match a.sorted[i].cmp(&b.sorted[j]) {
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => {
-                union += weight(a.sorted[i]);
+                union += weight(a[i]);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                union += weight(b.sorted[j]);
+                union += weight(b[j]);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                let w = weight(a.sorted[i]);
+                let w = weight(a[i]);
                 shared += w;
                 union += w;
                 i += 1;
@@ -405,10 +510,10 @@ pub fn weighted_overlap(a: &TokenSeq, b: &TokenSeq, mut weight: impl FnMut(Sym) 
             }
         }
     }
-    for &s in &a.sorted[i..] {
+    for &s in &a[i..] {
         union += weight(s);
     }
-    for &s in &b.sorted[j..] {
+    for &s in &b[j..] {
         union += weight(s);
     }
     if union <= 0.0 {
@@ -449,6 +554,114 @@ mod tests {
         assert_eq!(i.resolve(b), "brady");
         assert_eq!(i.len(), 2);
         assert_eq!(i.arena_bytes(), "tombrady".len());
+    }
+
+    /// Structural invariant of the probe table: empty or a power of two,
+    /// load ≤ ½, and every sym stored exactly once.
+    fn assert_table_invariant(i: &Interner) {
+        if i.table.is_empty() {
+            assert!(i.is_empty());
+            return;
+        }
+        assert!(i.table.len().is_power_of_two());
+        assert!(2 * i.len() <= i.table.len(), "load {} / {}", i.len(), i.table.len());
+        let mut stored: Vec<u32> = i.table.iter().filter(|&&s| s != 0).map(|s| s - 1).collect();
+        stored.sort_unstable();
+        assert_eq!(stored, (0..i.len() as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn probe_table_doubles_at_half_load_and_keeps_every_sym_findable() {
+        let mut i = Interner::new();
+        assert_table_invariant(&i);
+        let n = if cfg!(miri) { 70 } else { 1000 };
+        for k in 0..n {
+            let before = i.table.len();
+            assert_eq!(i.intern(&format!("w{k}")).raw(), k as u32);
+            assert_table_invariant(&i);
+            // Growth happens exactly when the new string would push the
+            // load past a half, and lands on the tight size.
+            if i.table.len() != before {
+                assert!((k + 1) * 2 > before);
+                assert_eq!(i.table.len(), table_len_for(k + 1));
+            }
+        }
+        for k in 0..n {
+            assert_eq!(i.get(&format!("w{k}")), Some(Sym(k as u32)));
+        }
+        // 8, 16, …: one build per doubling, none for re-interning.
+        assert_eq!(i.growths, (table_len_for(n) / MIN_TABLE_LEN).trailing_zeros() as usize + 1);
+        let growths = i.growths;
+        for k in 0..n {
+            i.intern(&format!("w{k}"));
+        }
+        assert_eq!(i.growths, growths);
+    }
+
+    #[test]
+    fn with_capacity_never_regrows_within_its_budget() {
+        for n in [0usize, 1, 4, 5, 8, 9, 500] {
+            let words: Vec<String> = (0..n).map(|k| format!("wörd {k}")).collect();
+            let bytes: usize = words.iter().map(String::len).sum();
+            let mut i = Interner::with_capacity(n, bytes);
+            let (arena_cap, spans_cap, table_len) =
+                (i.bytes.capacity(), i.spans.capacity(), i.table.len());
+            // Twice over: the second pass re-interns at full load.
+            for w in words.iter().chain(&words) {
+                i.intern(w);
+            }
+            assert_eq!(i.len(), n);
+            assert_eq!(i.growths, 0, "{n} strings regrew the probe table");
+            assert_eq!(
+                (i.bytes.capacity(), i.spans.capacity(), i.table.len()),
+                (arena_cap, spans_cap, table_len),
+                "{n} strings"
+            );
+            assert_table_invariant(&i);
+        }
+    }
+
+    #[test]
+    fn freeze_releases_capacity_slack() {
+        let mut i = Interner::with_capacity(1000, 10_000);
+        let syms: Vec<Sym> = ["a", "b", "c"].iter().map(|s| i.intern(s)).collect();
+        let frozen = i.freeze();
+        let inner: &Interner = frozen.as_ref();
+        assert_eq!(inner.bytes.capacity(), 3);
+        assert_eq!(inner.spans.capacity(), 3);
+        assert_eq!(inner.table.len(), MIN_TABLE_LEN);
+        assert_table_invariant(inner);
+        for (sym, s) in syms.iter().zip(["a", "b", "c"]) {
+            assert_eq!(frozen.get(s), Some(*sym));
+        }
+        assert_eq!(frozen.get("d"), None);
+        // Nothing interned: nothing held.
+        let empty = Interner::with_capacity(10, 10).freeze();
+        assert!(empty.as_ref().table.is_empty());
+        assert_eq!(empty.get(""), None);
+    }
+
+    #[test]
+    fn probe_sequences_stay_short_on_label_like_vocabulary() {
+        // FNV-1a's low bits pick the home slot; similar short strings
+        // (numeric suffixes, shared stems) must not pile up.
+        let mut i = Interner::new();
+        let n = if cfg!(miri) { 200 } else { 10_000 };
+        for k in 0..n {
+            i.intern(&format!("{k}"));
+            i.intern(&format!("label {k}"));
+            i.intern(&format!("münchen{}", k % 97));
+        }
+        let mask = i.table.len() - 1;
+        let displaced: usize = (0..i.table.len())
+            .filter(|&slot| i.table[slot] != 0)
+            .map(|slot| {
+                let home = fnv1a64(i.resolve(Sym(i.table[slot] - 1)).as_bytes()) as usize & mask;
+                slot.wrapping_sub(home) & mask
+            })
+            .sum();
+        let mean = displaced as f64 / i.len() as f64;
+        assert!(mean < 1.0, "mean displacement {mean:.2} slots at load ≤ ½");
     }
 
     #[test]
@@ -507,6 +720,35 @@ mod tests {
         assert_eq!(t.distinct_len(), 2);
         assert!(t.contains(i.get("song").unwrap()));
         assert!(!t.contains(i.intern("title")));
+    }
+
+    #[test]
+    fn token_seq_keeps_both_views_in_one_exact_slice() {
+        let s = |raw: &[u32]| TokenSeq::from_syms(raw.iter().map(|&r| Sym(r)).collect());
+        let syms = |raw: &[u32]| raw.iter().map(|&r| Sym(r)).collect::<Vec<_>>();
+        // Strictly ascending text order: the views are the same slice.
+        let ascending = s(&[2, 5, 9]);
+        assert_eq!(ascending.syms.len(), 3);
+        assert_eq!(ascending.tokens(), ascending.sorted());
+        assert_eq!((ascending.len(), ascending.distinct_len()), (3, 3));
+        // Otherwise the sorted, deduplicated view follows the text view.
+        let mixed = s(&[7, 3, 7, 1]);
+        assert_eq!(mixed.tokens(), syms(&[7, 3, 7, 1]));
+        assert_eq!(mixed.sorted(), syms(&[1, 3, 7]));
+        assert_eq!(mixed.syms.len(), 7);
+        assert_eq!((mixed.len(), mixed.distinct_len()), (4, 3));
+        // A repeated token is not strictly ascending.
+        let repeated = s(&[4, 4]);
+        assert_eq!(repeated.tokens(), syms(&[4, 4]));
+        assert_eq!(repeated.sorted(), syms(&[4]));
+        // Equal sequences are equal however they were allocated.
+        let mut roomy = Vec::with_capacity(32);
+        roomy.extend(syms(&[7, 3, 7, 1]));
+        assert_eq!(TokenSeq::from_syms(roomy), mixed);
+        assert_ne!(mixed, ascending);
+        let empty = s(&[]);
+        assert_eq!(empty, TokenSeq::default());
+        assert!(empty.is_empty() && empty.sorted().is_empty() && !empty.contains(Sym(0)));
     }
 
     #[test]
