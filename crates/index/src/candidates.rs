@@ -26,7 +26,7 @@
 //!   themselves carry almost all near-miss score mass, so seeding them
 //!   first lets the scoring loop reject everything else cheaply.
 
-use ltee_intern::{fnv1a64, fnv1a64_extend, Interner, Sym, TokenSeq};
+use ltee_intern::{fnv1a64, fnv1a64_extend, home_slot, Interner, Sym, TokenSeq};
 
 /// Tokens longer than this many chars skip deletion-neighborhood
 /// indexing (and probing): the one-time cost is quadratic in token
@@ -70,14 +70,14 @@ struct Del1Node {
 }
 
 /// The deletion neighborhood as a chained hash multimap in two flat
-/// vectors: `heads[hash & mask]` starts a chain through `nodes` of every
-/// pair whose hash shares those low bits. Pairs are never removed and one
-/// hash may carry several syms (a deletion shared by several tokens), so
-/// a probe walks the whole chain and keeps the full-hash matches. The
-/// bucket count is zero or a power of two and never below the pair count
-/// (**load ≤ 1**, chains average under one node); growing it re-threads
-/// the nodes from their stored hashes, in insertion order, so the layout
-/// is a pure function of the insertion sequence.
+/// vectors: `heads[home_slot(hash)]` starts a chain through `nodes` of
+/// every pair whose hash lands in that bucket. Pairs are never removed
+/// and one hash may carry several syms (a deletion shared by several
+/// tokens), so a probe walks the whole chain and keeps the full-hash
+/// matches. The bucket count is zero or a power of two and never below
+/// the pair count (**load ≤ 1**, chains average under one node); growing
+/// it re-threads the nodes from their stored hashes, in insertion order,
+/// so the layout is a pure function of the insertion sequence.
 #[derive(Debug, Default, Clone)]
 struct Del1Table {
     /// Per bucket: first node index + 1, `0` for an empty bucket.
@@ -103,7 +103,7 @@ impl Del1Table {
 
     /// Put node `at` at the head of its bucket's chain.
     fn link(&mut self, at: usize) {
-        let bucket = self.nodes[at].hash as usize & (self.heads.len() - 1);
+        let bucket = home_slot(self.nodes[at].hash, self.heads.len() - 1);
         self.nodes[at].next = self.heads[bucket];
         self.heads[bucket] = at as u32 + 1;
     }
@@ -113,7 +113,7 @@ impl Del1Table {
         if self.heads.is_empty() {
             return;
         }
-        let mut link = self.heads[hash as usize & (self.heads.len() - 1)];
+        let mut link = self.heads[home_slot(hash, self.heads.len() - 1)];
         while let Some(at) = link.checked_sub(1) {
             let node = &self.nodes[at as usize];
             if node.hash == hash {
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn near_syms_match_the_hash_map_oracle_on_the_scaling_vocabulary() {
-        let labels = crate::reference::scaling_labels(5_000);
+        let labels = crate::scaling_corpus::scaling_labels(5_000);
         let vocabulary = vocabulary_of(&labels);
         assert!(vocabulary.len() > 50);
         let unrelated = ["zzzzzz", "q", "", "tom brady", "münchen"].map(String::from);
@@ -330,7 +330,7 @@ mod tests {
     /// multimap chains are long.
     #[test]
     fn near_syms_match_the_hash_map_oracle_on_a_near_duplicate_flood() {
-        let pool = vocabulary_of(&crate::reference::scaling_labels(200));
+        let pool = vocabulary_of(&crate::scaling_corpus::scaling_labels(200));
         let mut flood = Vec::new();
         for token in pool.iter().filter(|t| t.chars().count() >= 4).take(12) {
             flood.push(token.clone());

@@ -255,21 +255,14 @@ impl SharedLabelIndex {
     pub fn exact_ids(&self, label: &str) -> Vec<u64> {
         let tables = &*self.tables;
         let block = block_positions(self.interner.as_ref(), &tables.by_label, label);
-        let block_ids = block.iter().map(|&pos| tables.entries[pos as usize].id);
+        // A block is the handful of entries sharing one normalised label:
+        // the result doubles as the seen-set.
         let mut ids: Vec<u64> = Vec::with_capacity(block.len());
-        // A block is the handful of entries sharing one normalised label
-        // (usually one): the result doubles as the seen-set, and scanning
-        // it beats hashing — up to the size where a degenerate block
-        // would make the scan quadratic.
-        if block.len() <= 64 {
-            for id in block_ids {
-                if !ids.contains(&id) {
-                    ids.push(id);
-                }
+        for &pos in block {
+            let id = tables.entries[pos as usize].id;
+            if !ids.contains(&id) {
+                ids.push(id);
             }
-        } else {
-            let mut seen = std::collections::HashSet::with_capacity(block.len());
-            ids.extend(block_ids.filter(|id| seen.insert(*id)));
         }
         ids
     }
@@ -1167,6 +1160,15 @@ mod tests {
         let shared = idx.into_shared();
         assert_eq!(shared.exact_ids("abbey road"), vec![42, 7]);
         assert!(shared.exact_ids("unknown").is_empty());
+
+        // A long block with interleaved repeats keeps first-seen order.
+        let mut idx = LabelIndex::new();
+        for n in 0..300u64 {
+            idx.insert((n * 7) % 100, "Yellow Submarine");
+            idx.insert(n, "other");
+        }
+        let first_seen: Vec<u64> = (0..100u64).map(|n| (n * 7) % 100).collect();
+        assert_eq!(idx.into_shared().exact_ids("yellow submarine"), first_seen);
     }
 
     #[test]

@@ -42,6 +42,9 @@ pub mod metrics;
 mod postings;
 #[doc(hidden)]
 pub mod reference;
+#[cfg(test)]
+#[path = "../tests/scaling_corpus/mod.rs"]
+mod scaling_corpus;
 
 pub use label_index::{LabelEntry, LabelIndex, LabelMatch, SharedLabelIndex};
 pub use metrics::LookupMetrics;

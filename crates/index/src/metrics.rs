@@ -21,12 +21,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The counters, alone on their cache lines (128 B covers the adjacent-
-/// line prefetch pair). Every candidate of every concurrent lookup writes
-/// here, so whatever else the linker placed on the same line would be
-/// invalidated in every other core's cache at that rate: as three bare
-/// statics they once landed beside `memchr`'s dispatch pointer and the
-/// thread pool's registry override, and two query clients slowed each
-/// other's p99 by 10–18 % through a line neither of them meant to share.
+/// line prefetch pair): every candidate of every concurrent lookup writes
+/// here, and hot written counters must not share a line with read-mostly
+/// globals the linker happens to place beside them.
 #[repr(align(128))]
 struct Counters {
     edit_distance_calls: AtomicU64,

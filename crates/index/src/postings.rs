@@ -23,11 +23,14 @@ pub(crate) struct PostingLists {
     /// the list owns `len.next_power_of_two()` slots from `start`.
     spans: Vec<(u32, u32)>,
     slots: Vec<u32>,
+    /// Set by [`Self::into_sealed`]: packed lists own no blocks to grow in.
+    sealed: bool,
 }
 
 impl PostingLists {
     /// Append `position` to `key`'s list.
     pub(crate) fn push(&mut self, key: Sym, position: u32) {
+        assert!(!self.sealed, "push to sealed posting lists");
         let raw = key.raw() as usize;
         if raw >= self.spans.len() {
             self.spans.resize(raw + 1, (0, 0));
@@ -58,9 +61,8 @@ impl PostingLists {
 
     /// The same lists packed end to end in key order: no block slack, no
     /// vacated blocks, no spare capacity. Sealing is final — packed lists
-    /// no longer own power-of-two blocks, so the result must never be
-    /// pushed to. Only [`crate::LabelIndex::into_shared`] calls this, and
-    /// the shared view has no insert path.
+    /// no longer own power-of-two blocks, so [`Self::push`] panics on the
+    /// result.
     pub(crate) fn into_sealed(mut self) -> Self {
         let mut packed = Vec::with_capacity(self.spans.iter().map(|s| s.1 as usize).sum());
         for span in &mut self.spans {
@@ -69,7 +71,7 @@ impl PostingLists {
             span.0 = start;
         }
         self.spans.shrink_to_fit();
-        Self { spans: self.spans, slots: packed }
+        Self { spans: self.spans, slots: packed, sealed: true }
     }
 }
 
@@ -95,6 +97,19 @@ mod tests {
         assert!(lists.get(keys[0]).is_empty());
         assert_eq!(lists.get(keys[1]), [7]);
         assert!(lists.get(keys[2]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "sealed")]
+    fn sealed_lists_refuse_pushes() {
+        let keys = syms(2);
+        let mut lists = PostingLists::default();
+        for position in 0..3 {
+            lists.push(keys[0], position);
+        }
+        lists.push(keys[1], 3);
+        // Packed, key 0's three positions sit right before key 1's.
+        lists.into_sealed().push(keys[0], 4);
     }
 
     proptest! {

@@ -1,6 +1,5 @@
 //! String-level reference for [`crate::LabelIndex::lookup`], shared by the
-//! index's own property tests and `tests/serve_fuzzy_agreement.rs` — plus
-//! the label corpus the scaling gate and the candidate-table oracle share.
+//! index's own property tests and `tests/serve_fuzzy_agreement.rs`.
 //!
 //! It is the lookup contract spelled out with plain strings and no
 //! pruning: every entry sharing at least one exact token with the query is
@@ -120,71 +119,4 @@ impl ScanIndex {
             .collect();
         (hits, edit_calls)
     }
-}
-
-const FIRST: [&str; 20] = [
-    "tom", "peyton", "eli", "aaron", "patrick", "johnny", "maria", "paris", "london", "austin",
-    "yellow", "purple", "golden", "silver", "crimson", "abbey", "penny", "norwegian", "lucy", "jude",
-];
-const LAST: [&str; 25] = [
-    "brady", "manning", "rodgers", "mahomes", "unitas", "submarine", "road", "lane", "wood",
-    "fields", "springs", "heights", "falls", "city", "creek", "song", "anthem", "ballad", "hymn",
-    "march", "texas", "ohio", "kansas", "dakota", "maine",
-];
-const QUALIFIER: [&str; 5] = ["(Remastered)", "(Live)", "(1968)", "[Demo]", "(Texas)"];
-
-/// The scaling corpus (`tests/lookup_scaling.rs`; its vocabulary also
-/// feeds the candidate-table oracle test): `size` labels over 500 name
-/// pairs with numeric volume suffixes; every seventh label gains a
-/// bracketed qualifier. All sizes share the same token shape so counter
-/// curves compare like for like.
-pub fn scaling_labels(size: usize) -> Vec<String> {
-    let mut labels = Vec::with_capacity(size);
-    let per_pair = size.div_ceil(FIRST.len() * LAST.len());
-    let mut n = 0u64;
-    'outer: for f in FIRST {
-        for l in LAST {
-            for suffix in 0..per_pair as u64 {
-                let mut label = if suffix == 0 {
-                    format!("{f} {l}")
-                } else {
-                    format!("{f} {l} {suffix}")
-                };
-                if n % 7 == 3 {
-                    label = format!("{label} {}", QUALIFIER[(n % 5) as usize]);
-                }
-                labels.push(label);
-                n += 1;
-                if labels.len() == size {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    assert_eq!(labels.len(), size, "label pool exhausted early");
-    labels
-}
-
-/// `count` queries sampled evenly from the labels: exact lookups (as when
-/// blocking rows against their own label set), typo'd variants and
-/// partial labels.
-pub fn scaling_queries(labels: &[String], count: usize) -> Vec<String> {
-    let step = (labels.len() / count).max(1);
-    let mut queries = Vec::with_capacity(count);
-    for i in 0..count {
-        let label = &labels[(i * step) % labels.len()];
-        let q = match i % 4 {
-            0 | 1 => label.clone(),
-            // Typo: drop the second character.
-            2 => {
-                let mut chars: Vec<char> = label.chars().collect();
-                chars.remove(1);
-                chars.into_iter().collect()
-            }
-            // Partial: first token only.
-            _ => label.split(' ').next().unwrap_or(label).to_string(),
-        };
-        queries.push(q);
-    }
-    queries
 }

@@ -5,8 +5,34 @@
 //! pure function of corpus and query stream. They are process-global, so
 //! this file holds a single `#[test]` — its own process, exact counts.
 
-use ltee_index::reference::{scaling_labels, scaling_queries};
 use ltee_index::{metrics, LabelIndex};
+
+mod scaling_corpus;
+use scaling_corpus::scaling_labels;
+
+/// `count` queries sampled evenly from the labels: exact lookups (as when
+/// blocking rows against their own label set), typo'd variants and
+/// partial labels.
+fn queries(labels: &[String], count: usize) -> Vec<String> {
+    let step = (labels.len() / count).max(1);
+    let mut queries = Vec::with_capacity(count);
+    for i in 0..count {
+        let label = &labels[(i * step) % labels.len()];
+        let q = match i % 4 {
+            0 | 1 => label.clone(),
+            // Typo: drop the second character.
+            2 => {
+                let mut chars: Vec<char> = label.chars().collect();
+                chars.remove(1);
+                chars.into_iter().collect()
+            }
+            // Partial: first token only.
+            _ => label.split(' ').next().unwrap_or(label).to_string(),
+        };
+        queries.push(q);
+    }
+    queries
+}
 
 const TOP_K: usize = 8;
 
@@ -14,7 +40,7 @@ const TOP_K: usize = 8;
 /// against an index of `size` labels.
 fn edit_calls_per_query(size: usize, query_count: usize) -> f64 {
     let labels = scaling_labels(size);
-    let queries = scaling_queries(&labels, query_count);
+    let queries = queries(&labels, query_count);
     let mut index = LabelIndex::new();
     for (i, label) in labels.iter().enumerate() {
         index.insert(i as u64, label);

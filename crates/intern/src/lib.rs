@@ -73,6 +73,18 @@ pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Where a hash starts in a power-of-two table (`mask = len - 1`): the
+/// high half folded into the low one before masking, so all 64 bits pick
+/// the slot. Masking FNV-1a alone would send every string whose hash
+/// agrees in its low 20 bits to one slot at every table size up to 2²⁰.
+/// The hash stays unkeyed (table layout is a pure function of the
+/// insertion sequence), so this spreads structure in the input; it is no
+/// defence against a flood computed for this very function.
+#[inline]
+pub fn home_slot(hash: u64, mask: usize) -> usize {
+    (hash ^ (hash >> 32)) as usize & mask
+}
+
 /// A deterministic, append-only string interner.
 ///
 /// Strings live contiguously in one byte arena; each [`Sym`] is an index
@@ -83,9 +95,9 @@ pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 ///
 /// The whole interner is three flat vectors, whatever it holds: the
 /// arena, the span table and an open-addressed probe table of `u32`s
-/// (linear probing, home slot `FNV-1a & mask`, equality decided by the
-/// arena bytes). The probe table's length is zero or a power of two and
-/// its **load never exceeds ½** (`2 · len() ≤ table length`), which both
+/// (linear probing from [`home_slot`], equality decided by the arena
+/// bytes). The probe table's length is zero or a power of two and its
+/// **load never exceeds ½** (`2 · len() ≤ table length`), which both
 /// bounds probe sequences and guarantees every probe meets an empty
 /// slot. It stores no hashes: growing it re-hashes the arena.
 #[derive(Debug, Clone, Default)]
@@ -167,7 +179,7 @@ impl Interner {
             return None;
         }
         let mask = self.table.len() - 1;
-        let mut slot = hash as usize & mask;
+        let mut slot = home_slot(hash, mask);
         while let Some(raw) = self.table[slot].checked_sub(1) {
             if self.resolve(Sym(raw)) == s {
                 return Some(Sym(raw));
@@ -181,7 +193,7 @@ impl Interner {
     /// exists).
     fn vacant_slot(&self, hash: u64) -> usize {
         let mask = self.table.len() - 1;
-        let mut slot = hash as usize & mask;
+        let mut slot = home_slot(hash, mask);
         while self.table[slot] != 0 {
             slot = (slot + 1) & mask;
         }
@@ -641,10 +653,23 @@ mod tests {
         assert_eq!(empty.get(""), None);
     }
 
+    /// Mean distance, in slots, between a stored sym and its home slot.
+    fn mean_displacement(i: &Interner) -> f64 {
+        let mask = i.table.len() - 1;
+        let displaced: usize = (0..i.table.len())
+            .filter(|&slot| i.table[slot] != 0)
+            .map(|slot| {
+                let home = home_slot(fnv1a64(i.resolve(Sym(i.table[slot] - 1)).as_bytes()), mask);
+                slot.wrapping_sub(home) & mask
+            })
+            .sum();
+        displaced as f64 / i.len() as f64
+    }
+
     #[test]
     fn probe_sequences_stay_short_on_label_like_vocabulary() {
-        // FNV-1a's low bits pick the home slot; similar short strings
-        // (numeric suffixes, shared stems) must not pile up.
+        // Similar short strings (numeric suffixes, shared stems) must not
+        // pile up.
         let mut i = Interner::new();
         let n = if cfg!(miri) { 200 } else { 10_000 };
         for k in 0..n {
@@ -652,15 +677,28 @@ mod tests {
             i.intern(&format!("label {k}"));
             i.intern(&format!("münchen{}", k % 97));
         }
-        let mask = i.table.len() - 1;
-        let displaced: usize = (0..i.table.len())
-            .filter(|&slot| i.table[slot] != 0)
-            .map(|slot| {
-                let home = fnv1a64(i.resolve(Sym(i.table[slot] - 1)).as_bytes()) as usize & mask;
-                slot.wrapping_sub(home) & mask
-            })
-            .sum();
-        let mean = displaced as f64 / i.len() as f64;
+        let mean = mean_displacement(&i);
+        assert!(mean < 1.0, "mean displacement {mean:.2} slots at load ≤ ½");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a brute-force search, no memory access of interest")]
+    fn strings_sharing_the_low_hash_bits_do_not_share_a_home_slot() {
+        // Every string agrees with the others in the low 12 bits of its
+        // FNV-1a hash: under a bare `hash & mask` all of them would start
+        // at one slot of the 4096-slot table they end up in, and the
+        // k-th insertion would walk k occupied slots.
+        let mut i = Interner::new();
+        let mut candidate = 0u64;
+        while i.len() < 2_000 {
+            let s = format!("row {candidate}");
+            if fnv1a64(s.as_bytes()) & 0xfff == 0x5a5 {
+                i.intern(&s);
+            }
+            candidate += 1;
+        }
+        assert_eq!(i.table.len(), 4096);
+        let mean = mean_displacement(&i);
         assert!(mean < 1.0, "mean displacement {mean:.2} slots at load ≤ ½");
     }
 

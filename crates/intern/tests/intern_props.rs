@@ -103,6 +103,9 @@ fn seq(interner: &mut Interner, tokens: &[String]) -> TokenSeq {
 }
 
 proptest! {
+    // A handful of cases under miri, which runs them ~100× slower.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
     #[test]
     fn random_scripts_agree_with_the_string_model(
         words in proptest::collection::vec(".{0,3}", 1..120),
