@@ -4,7 +4,7 @@
 //! work-stealing pool, whose determinism contract guarantees bit-identical
 //! results at every thread count (fixed chunking, ordered collection,
 //! chunk-wise reductions). [`Parallelism`] lets experiments, examples,
-//! tests and workload drivers pin the thread count programmatically instead
+//! tests and benchmarks pin the thread count programmatically instead
 //! of via the `LTEE_NUM_THREADS` / `RAYON_NUM_THREADS` environment variables.
 
 /// How many worker threads the pipeline's parallel stages use.
@@ -14,9 +14,6 @@ pub enum Parallelism {
     /// `RAYON_NUM_THREADS`, then the machine's available parallelism.
     #[default]
     Auto,
-    /// Run every parallel stage inline on the calling thread (equivalent to
-    /// `Threads(1)`; results are identical to any other setting).
-    Sequential,
     /// Pin the pool to exactly this many worker threads (minimum 1).
     Threads(usize),
 }
@@ -26,7 +23,6 @@ impl Parallelism {
     pub fn thread_count(self) -> Option<usize> {
         match self {
             Parallelism::Auto => None,
-            Parallelism::Sequential => Some(1),
             Parallelism::Threads(n) => Some(n.max(1)),
         }
     }
@@ -57,11 +53,10 @@ mod tests {
     #[test]
     fn thread_counts_resolve() {
         assert_eq!(Parallelism::Auto.thread_count(), None);
-        assert_eq!(Parallelism::Sequential.thread_count(), Some(1));
         assert_eq!(Parallelism::Threads(4).thread_count(), Some(4));
         // Zero threads makes no sense; clamp to one.
         assert_eq!(Parallelism::Threads(0).thread_count(), Some(1));
-        assert!(Parallelism::Sequential.resolve() >= 1);
+        assert_eq!(Parallelism::Threads(1).resolve(), 1);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! ## Determinism contract
 //!
 //! A shard is **pure execution placement**, never a unit of state: every
-//! class's accumulated state (streaming clusterer, label indexes, interner,
-//! fused entities) is fully self-contained, shards operate on disjoint sets
+//! class's accumulated state (streaming clusterer, interner, fused
+//! entities) is fully self-contained, shards operate on disjoint sets
 //! of classes, and the cross-shard merge reads the per-class results back
-//! in [`CLASS_KEYS`] order regardless of the grouping. Outputs are
+//! in [`ltee_kb::CLASS_KEYS`] order regardless of the grouping. Outputs are
 //! therefore **bit-identical at every (shard count × thread count)** — the
 //! same proof obligation as the thread-count contract, extended by
 //! `tests/incremental_equivalence.rs` and `tests/recovery_equivalence.rs`
@@ -21,7 +21,7 @@
 //! logical per-class state and restore under any shard count.
 
 use ltee_intern::fnv1a64;
-use ltee_kb::{ClassKey, CLASS_KEYS};
+use ltee_kb::ClassKey;
 
 /// How the per-class serve states are grouped into concurrently-ingesting
 /// shards. Results are bit-identical at every setting; see the
@@ -66,23 +66,12 @@ impl ShardPlan {
     pub fn shard_of(class: ClassKey, num_shards: usize) -> usize {
         (fnv1a64(&[class.code()]) % num_shards.max(1) as u64) as usize
     }
-
-    /// The classes of each shard bucket under this plan, resolved now.
-    /// Buckets are in shard order; classes within a bucket stay in
-    /// [`CLASS_KEYS`] order.
-    pub fn groups(self) -> Vec<Vec<ClassKey>> {
-        let num_shards = self.resolve();
-        let mut groups = vec![Vec::new(); num_shards];
-        for class in CLASS_KEYS {
-            groups[Self::shard_of(class, num_shards)].push(class);
-        }
-        groups
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltee_kb::CLASS_KEYS;
 
     #[test]
     fn shard_counts_resolve() {
@@ -105,18 +94,5 @@ mod tests {
         }
         // One shard degenerates to the unsharded pipeline.
         assert!(CLASS_KEYS.iter().all(|&c| ShardPlan::shard_of(c, 1) == 0));
-    }
-
-    #[test]
-    fn groups_partition_the_classes() {
-        for num_shards in [1usize, 2, 3, 4, 7] {
-            let groups = ShardPlan::Shards(num_shards).groups();
-            assert_eq!(groups.len(), num_shards);
-            let flattened: Vec<ClassKey> = groups.into_iter().flatten().collect();
-            let mut sorted = flattened.clone();
-            sorted.sort_by_key(|c| c.code());
-            sorted.dedup();
-            assert_eq!(sorted.len(), CLASS_KEYS.len(), "every class in exactly one bucket");
-        }
     }
 }

@@ -602,6 +602,9 @@ mod tests {
         let a = generate_corpus(&world, &CorpusConfig::tiny());
         let b = generate_corpus(&world, &CorpusConfig::tiny());
         assert_eq!(a.tables(), b.tables());
+        let reseeded = CorpusConfig { seed: CorpusConfig::tiny().seed + 1, ..CorpusConfig::tiny() };
+        let c = generate_corpus(&world, &reseeded);
+        assert_ne!(a.tables(), c.tables(), "the corpus seed must steer generation");
     }
 
     #[test]

@@ -49,7 +49,5 @@ pub use corpus::Corpus;
 pub use generator::{generate_corpus, CorpusConfig, NoiseConfig};
 pub use gold::{GoldCluster, GoldFact, GoldStandard, GoldStandardStats};
 pub use profile::CorpusProfile;
-pub use scenario::{
-    novel_row_share, with_exotic_labels, Scenario, ScenarioConfig, ScenarioSeed,
-};
+pub use scenario::{novel_row_share, with_exotic_labels, Scenario, ScenarioSeed};
 pub use table::{Column, RowRef, TableId, TableTruth, WebTable};

@@ -19,7 +19,7 @@
 //!
 //! Every scenario table carries honest [`crate::table::TableTruth`], so a
 //! scenario corpus works anywhere the base corpus does: gold standards,
-//! pipeline runs, incremental ingest, golden tests and harness workloads.
+//! pipeline runs, incremental ingest and golden tests.
 
 use ltee_kb::{class_schema, ClassKey, EntityId, World, CLASS_KEYS};
 use ltee_ml::codec::fnv1a64;
@@ -65,22 +65,12 @@ impl ScenarioSeed {
     }
 }
 
-/// Size knobs of a scenario corpus.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScenarioConfig {
-    /// Tables generated per class.
-    pub tables_per_class: usize,
-    /// Minimum rows per table.
-    pub min_rows: usize,
-    /// Maximum rows per table.
-    pub max_rows: usize,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        Self { tables_per_class: 10, min_rows: 3, max_rows: 8 }
-    }
-}
+/// Tables generated per class.
+const TABLES_PER_CLASS: usize = 10;
+/// Minimum rows per table.
+const MIN_ROWS: usize = 3;
+/// Maximum rows per table.
+const MAX_ROWS: usize = 8;
 
 /// The scenario catalog: one entry per new table domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,7 +94,7 @@ impl Scenario {
         Scenario::NearDuplicateFlood,
     ];
 
-    /// The stable kebab-case name (used by harness workloads and CLIs).
+    /// The stable kebab-case name.
     pub fn name(self) -> &'static str {
         match self {
             Scenario::MultilingualHeaders => "multilingual-headers",
@@ -114,12 +104,7 @@ impl Scenario {
         }
     }
 
-    /// Inverse of [`Scenario::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Scenario::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// One-line description for catalogs and `--list` output.
+    /// One-line description for catalogs.
     pub fn description(self) -> &'static str {
         match self {
             Scenario::MultilingualHeaders => {
@@ -137,19 +122,14 @@ impl Scenario {
         }
     }
 
-    /// Generate this scenario's corpus from a world, at the default size.
+    /// Generate this scenario's corpus from a world.
     pub fn generate(self, world: &World, seed: u64) -> Corpus {
-        self.generate_with(world, seed, &ScenarioConfig::default())
-    }
-
-    /// Generate this scenario's corpus at an explicit size.
-    pub fn generate_with(self, world: &World, seed: u64, config: &ScenarioConfig) -> Corpus {
         let seed = ScenarioSeed::new(seed);
         match self {
-            Scenario::MultilingualHeaders => multilingual_headers(world, seed, config),
-            Scenario::ScientificTables => scientific_tables(world, seed, config),
-            Scenario::NovelEntityStream => novel_entity_stream(world, seed, config),
-            Scenario::NearDuplicateFlood => near_duplicate_flood(world, seed, config),
+            Scenario::MultilingualHeaders => multilingual_headers(world, seed),
+            Scenario::ScientificTables => scientific_tables(world, seed),
+            Scenario::NovelEntityStream => novel_entity_stream(world, seed),
+            Scenario::NearDuplicateFlood => near_duplicate_flood(world, seed),
         }
     }
 }
@@ -157,11 +137,11 @@ impl Scenario {
 /// A base [`CorpusConfig`] carrying the scenario's row bounds; scenarios
 /// only use it as the noise/row-count parameter block of
 /// [`build_table`] — tables-per-class and seed are driven locally.
-fn table_params(config: &ScenarioConfig, noise: NoiseConfig) -> CorpusConfig {
+fn table_params(noise: NoiseConfig) -> CorpusConfig {
     CorpusConfig {
-        tables_per_class: config.tables_per_class,
-        min_rows: config.min_rows,
-        max_rows: config.max_rows,
+        tables_per_class: TABLES_PER_CLASS,
+        min_rows: MIN_ROWS,
+        max_rows: MAX_ROWS,
         long_tail_row_share: 0.0, // row selection is scenario-local
         confusable_table_rate: 0.0,
         noise,
@@ -250,14 +230,14 @@ const MULTILINGUAL_LABEL_HEADERS: [&str; 6] = ["nom", "nombre", "isim", "İsim",
 const MULTILINGUAL_DECORATIONS: [&str; 6] =
     ["(canlı)", "[Zürich]", "İstanbul", "— São Paulo", "(Überarbeitet)", "İzmir"];
 
-fn multilingual_headers(world: &World, seed: ScenarioSeed, config: &ScenarioConfig) -> Corpus {
-    let params = table_params(config, NoiseConfig::default());
+fn multilingual_headers(world: &World, seed: ScenarioSeed) -> Corpus {
+    let params = table_params(NoiseConfig::default());
     let mut corpus = Corpus::new();
     let mut next_id = 0u64;
     for class in CLASS_KEYS {
         let mut rng = seed.stream(&format!("multilingual/{}", class.name()));
-        for _ in 0..config.tables_per_class {
-            let n = rng.gen_range(config.min_rows..=config.max_rows);
+        for _ in 0..TABLES_PER_CLASS {
+            let n = rng.gen_range(MIN_ROWS..=MAX_ROWS);
             let selected = select_rows(world, class, n, 0.45, &mut rng);
             let published = pick_published(class, &mut rng);
             let mut table =
@@ -331,7 +311,7 @@ const SCIENTIFIC_LABEL_HEADERS: [&str; 4] = ["sample", "subject", "entity", "ite
 /// Footnote markers appended to some label cells.
 const FOOTNOTE_MARKERS: [&str; 3] = ["*", "†", "‡"];
 
-fn scientific_tables(world: &World, seed: ScenarioSeed, config: &ScenarioConfig) -> Corpus {
+fn scientific_tables(world: &World, seed: ScenarioSeed) -> Corpus {
     // Papers transcribe values carefully: fewer typos/wrong values, but
     // missing cells remain (dashes in the original print).
     let noise = NoiseConfig {
@@ -341,13 +321,13 @@ fn scientific_tables(world: &World, seed: ScenarioSeed, config: &ScenarioConfig)
         wrong_value_rate: 0.02,
         noise_column_rate: 0.0, // scenario adds its own noise columns
     };
-    let params = table_params(config, noise);
+    let params = table_params(noise);
     let mut corpus = Corpus::new();
     let mut next_id = 0u64;
     for class in CLASS_KEYS {
         let mut rng = seed.stream(&format!("scientific/{}", class.name()));
-        for table_index in 0..config.tables_per_class {
-            let n = rng.gen_range(config.min_rows..=config.max_rows);
+        for table_index in 0..TABLES_PER_CLASS {
+            let n = rng.gen_range(MIN_ROWS..=MAX_ROWS);
             let selected = select_rows(world, class, n, 0.5, &mut rng);
             let published = pick_published(class, &mut rng);
             let mut table =
@@ -401,14 +381,14 @@ fn scientific_tables(world: &World, seed: ScenarioSeed, config: &ScenarioConfig)
 /// Share of rows drawn from the long tail (entities absent from the KB).
 const NOVEL_TAIL_SHARE: f64 = 0.88;
 
-fn novel_entity_stream(world: &World, seed: ScenarioSeed, config: &ScenarioConfig) -> Corpus {
-    let params = table_params(config, NoiseConfig::default());
+fn novel_entity_stream(world: &World, seed: ScenarioSeed) -> Corpus {
+    let params = table_params(NoiseConfig::default());
     let mut corpus = Corpus::new();
     let mut next_id = 0u64;
     for class in CLASS_KEYS {
         let mut rng = seed.stream(&format!("novel/{}", class.name()));
-        for _ in 0..config.tables_per_class {
-            let n = rng.gen_range(config.min_rows..=config.max_rows);
+        for _ in 0..TABLES_PER_CLASS {
+            let n = rng.gen_range(MIN_ROWS..=MAX_ROWS);
             let selected = select_rows(world, class, n, NOVEL_TAIL_SHARE, &mut rng);
             let published = pick_published(class, &mut rng);
             let table =
@@ -449,7 +429,7 @@ pub fn novel_row_share(world: &World, corpus: &Corpus) -> f64 {
 /// index sees token collisions on top of the edit-distance crowding.
 const FLOOD_QUALIFIERS: [&str; 4] = ["(live)", "(remix)", "(v2)", "(alt)"];
 
-fn near_duplicate_flood(world: &World, seed: ScenarioSeed, config: &ScenarioConfig) -> Corpus {
+fn near_duplicate_flood(world: &World, seed: ScenarioSeed) -> Corpus {
     // Heavy label noise: almost every cell is a spelling variant.
     let noise = NoiseConfig {
         label_typo_rate: 0.85,
@@ -458,7 +438,7 @@ fn near_duplicate_flood(world: &World, seed: ScenarioSeed, config: &ScenarioConf
         wrong_value_rate: 0.05,
         noise_column_rate: 0.10,
     };
-    let params = table_params(config, noise);
+    let params = table_params(noise);
     let mut corpus = Corpus::new();
     let mut next_id = 0u64;
     for class in CLASS_KEYS {
@@ -471,9 +451,9 @@ fn near_duplicate_flood(world: &World, seed: ScenarioSeed, config: &ScenarioConf
             .map(|e| e.id)
             .collect();
         pool.shuffle(&mut rng);
-        pool.truncate((config.max_rows * 2).max(8));
-        for _ in 0..config.tables_per_class {
-            let n = rng.gen_range(config.min_rows..=config.max_rows).min(pool.len());
+        pool.truncate(MAX_ROWS * 2);
+        for _ in 0..TABLES_PER_CLASS {
+            let n = rng.gen_range(MIN_ROWS..=MAX_ROWS).min(pool.len());
             let mut picks = pool.clone();
             picks.shuffle(&mut rng);
             picks.truncate(n);
@@ -598,15 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
-        for scenario in Scenario::ALL {
-            assert_eq!(Scenario::from_name(scenario.name()), Some(scenario));
-            assert!(!scenario.description().is_empty());
-        }
-        assert_eq!(Scenario::from_name("no-such-scenario"), None);
-    }
-
-    #[test]
     fn every_scenario_is_deterministic_and_valid() {
         let world = tiny_world();
         for scenario in Scenario::ALL {
@@ -615,7 +586,7 @@ mod tests {
             assert_eq!(a.tables(), b.tables(), "{}: corpus must be a pure function of the seed", scenario.name());
             let other = scenario.generate(&world, 8);
             assert_ne!(a.tables(), other.tables(), "{}: different seeds must differ", scenario.name());
-            assert_eq!(a.len(), ScenarioConfig::default().tables_per_class * CLASS_KEYS.len());
+            assert_eq!(a.len(), TABLES_PER_CLASS * CLASS_KEYS.len());
             for table in a.tables() {
                 table.validate().unwrap_or_else(|e| {
                     panic!("{}: invalid table {}: {e}", scenario.name(), table.id.raw())

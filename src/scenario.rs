@@ -1,17 +1,15 @@
-//! Scenario building shared by the integration tests, the runnable
-//! examples and the `ltee-harness` workload runner.
+//! Scenario building shared by the integration tests and the runnable
+//! examples.
 //!
 //! Before this module existed, every example body and several tests
 //! repeated the same setup (generate a world, render the training corpus,
-//! build per-class gold standards, train the models), and the exotic-label
-//! fixture lived in a test-only `tests/common` module the harness could
-//! not reach. [`TrainedWorld`] is that boilerplate, once; the corpus-level
-//! scenario machinery ([`Scenario`], [`ScenarioSeed`], [`with_exotic_labels`])
-//! is re-exported from [`ltee_webtables::scenario`] so all three consumers
-//! import one path.
+//! build per-class gold standards, train the models). [`TrainedWorld`] is
+//! that boilerplate, once; the corpus-level scenario machinery
+//! ([`Scenario`], [`ScenarioSeed`], [`with_exotic_labels`]) is re-exported
+//! from [`ltee_webtables::scenario`] so both consumers import one path.
 
 pub use ltee_webtables::scenario::{
-    novel_row_share, with_exotic_labels, with_long_labels, Scenario, ScenarioConfig, ScenarioSeed,
+    novel_row_share, with_exotic_labels, with_long_labels, Scenario, ScenarioSeed,
 };
 
 use ltee_core::prelude::*;

@@ -60,7 +60,7 @@ fn artifact_bytes() -> Vec<u8> {
     let corpus = generate_corpus(&world, &CorpusConfig::tiny());
     let golds: Vec<GoldStandard> =
         CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = PipelineConfig { parallelism: Parallelism::Sequential, ..PipelineConfig::fast() };
+    let config = PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
     let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
     ModelArtifact::new(models, &config).encode()
 }
@@ -96,7 +96,7 @@ fn durability_bytes() -> &'static (Vec<u8>, Vec<u8>) {
         let golds: Vec<GoldStandard> =
             CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
         let config =
-            PipelineConfig { parallelism: Parallelism::Sequential, ..PipelineConfig::fast() };
+            PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
         let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
         let mut pipeline = IncrementalPipeline::new(world.kb(), models, config.clone());
         let mut wal = encode_wal_header(ltee_core::config_fingerprint(&config));

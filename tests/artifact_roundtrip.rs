@@ -14,7 +14,7 @@ fn setup() -> (World, Corpus, PipelineConfig, TrainedModels) {
     let golds: Vec<GoldStandard> =
         CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
     let config =
-        PipelineConfig { parallelism: Parallelism::Sequential, ..PipelineConfig::fast() };
+        PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
     let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
     (world, corpus, config, models)
 }

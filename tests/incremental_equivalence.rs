@@ -16,7 +16,7 @@ fn setup() -> (World, Corpus, ModelArtifact) {
     let corpus = generate_corpus(&world, &CorpusConfig::tiny());
     let golds: Vec<GoldStandard> =
         CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = config_with(Parallelism::Sequential);
+    let config = config_with(Parallelism::Threads(1));
     let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
     let artifact = ModelArtifact::new(models, &config);
     // Serve-time stream: the training corpus plus exotic (bracketed /
@@ -65,8 +65,17 @@ fn ingest_in_batches(
     artifact: &ModelArtifact,
     batches: usize,
     parallelism: Parallelism,
-) -> PipelineOutput {
+) -> (PipelineOutput, Vec<IngestReport>) {
     ingest_in_batches_sharded(world, corpus, artifact, batches, parallelism, ShardPlan::Auto)
+}
+
+/// The part of a run's reports that does not depend on where the batch
+/// boundaries fall: field-wise sums of `tables`, `rows`, `mapped_rows` and
+/// `new_clusters` (a cluster is new in exactly one batch, whatever the split).
+fn split_invariant_sums(reports: &[IngestReport]) -> [usize; 4] {
+    reports.iter().fold([0; 4], |[t, r, m, n], report| {
+        [t + report.tables, r + report.rows, m + report.mapped_rows, n + report.new_clusters]
+    })
 }
 
 fn ingest_in_batches_sharded(
@@ -76,23 +85,24 @@ fn ingest_in_batches_sharded(
     batches: usize,
     parallelism: Parallelism,
     shards: ShardPlan,
-) -> PipelineOutput {
+) -> (PipelineOutput, Vec<IngestReport>) {
     let mut serving = IncrementalPipeline::from_artifact(
         world.kb(),
         artifact,
         config_sharded(parallelism, shards),
     )
     .expect("artifact fingerprint matches");
-    let mut ingested_rows = 0usize;
+    let mut reports = Vec::with_capacity(batches);
     for batch in corpus.split_into_batches(batches) {
         let report = serving.ingest(&batch).expect("fresh table ids");
         assert_eq!(report.tables, batch.len());
         assert_eq!(report.rows, batch.total_rows());
-        ingested_rows += report.rows;
+        reports.push(report);
     }
+    let ingested_rows: usize = reports.iter().map(|r| r.rows).sum();
     assert_eq!(ingested_rows, corpus.total_rows());
     assert_eq!(serving.ingested_tables(), corpus.len());
-    serving.output()
+    (serving.output(), reports)
 }
 
 #[test]
@@ -107,20 +117,25 @@ fn micro_batched_ingest_equals_streaming_union_run_at_every_thread_count() {
     );
     let reference = pipeline.run_streaming(&corpus).expect("non-empty corpus");
 
-    // K micro-batches, multiple K, multiple thread counts: all identical.
+    // K micro-batches, multiple K, multiple thread counts: all identical,
+    // and the reports add up to the same totals however the stream is cut.
+    let mut sums = Vec::new();
     for (batches, parallelism) in [
         (1usize, Parallelism::Threads(1)),
         (4, Parallelism::Threads(1)),
         (4, Parallelism::Threads(4)),
         (9, Parallelism::Threads(4)),
     ] {
-        let output = ingest_in_batches(&world, &corpus, &artifact, batches, parallelism);
+        let (output, reports) =
+            ingest_in_batches(&world, &corpus, &artifact, batches, parallelism);
         assert_outputs_identical(
             &reference,
             &output,
             &format!("K={batches}, {parallelism:?}"),
         );
+        sums.push(split_invariant_sums(&reports));
     }
+    assert!(sums.windows(2).all(|w| w[0] == w[1]), "report sums differ across splits: {sums:?}");
 
     // The streaming union run itself must also be thread-count invariant.
     let pipeline4 = Pipeline::new(
@@ -144,10 +159,11 @@ fn output_is_bit_identical_at_every_shard_and_thread_count() {
     // The class-sharding keystone: a `ShardPlan` is pure execution
     // placement, so the full shards × threads matrix must reproduce the
     // single-shard single-thread run bit for bit — same clusters, same
-    // fused entities, same detection outcomes, same score bit patterns.
+    // fused entities, same detection outcomes, same score bit patterns,
+    // same per-batch `IngestReport`s.
     let (world, corpus, artifact) = setup();
 
-    let reference = ingest_in_batches_sharded(
+    let (reference, reference_reports) = ingest_in_batches_sharded(
         &world,
         &corpus,
         &artifact,
@@ -161,7 +177,7 @@ fn output_is_bit_identical_at_every_shard_and_thread_count() {
             if shards == 1 && threads == 1 {
                 continue; // the reference itself
             }
-            let output = ingest_in_batches_sharded(
+            let (output, reports) = ingest_in_batches_sharded(
                 &world,
                 &corpus,
                 &artifact,
@@ -169,11 +185,9 @@ fn output_is_bit_identical_at_every_shard_and_thread_count() {
                 Parallelism::Threads(threads),
                 ShardPlan::Shards(shards),
             );
-            assert_outputs_identical(
-                &reference,
-                &output,
-                &format!("shards={shards}, threads={threads}"),
-            );
+            let label = format!("shards={shards}, threads={threads}");
+            assert_outputs_identical(&reference, &output, &label);
+            assert_eq!(reference_reports, reports, "{label}: ingest reports");
         }
     }
 }
@@ -191,14 +205,14 @@ fn equivalence_holds_for_non_ascending_table_ids() {
         config_with(Parallelism::Threads(1)),
     );
     let reference = pipeline.run_streaming(&reversed).expect("non-empty corpus");
-    let batched = ingest_in_batches(&world, &reversed, &artifact, 5, Parallelism::Threads(1));
+    let (batched, _) = ingest_in_batches(&world, &reversed, &artifact, 5, Parallelism::Threads(1));
     assert_outputs_identical(&reference, &batched, "reversed ids, K=5");
 }
 
 #[test]
 fn empty_batch_is_a_no_op_and_duplicate_tables_are_rejected() {
     let (world, corpus, artifact) = setup();
-    let config = config_with(Parallelism::Sequential);
+    let config = config_with(Parallelism::Threads(1));
     let mut serving = IncrementalPipeline::from_artifact(world.kb(), &artifact, config)
         .expect("artifact fingerprint matches");
 
@@ -242,7 +256,7 @@ fn empty_batch_is_a_no_op_and_duplicate_tables_are_rejected() {
 #[test]
 fn clusters_partition_mapped_rows_in_serve_mode() {
     let (world, corpus, artifact) = setup();
-    let output = ingest_in_batches(&world, &corpus, &artifact, 3, Parallelism::Sequential);
+    let (output, _) = ingest_in_batches(&world, &corpus, &artifact, 3, Parallelism::Threads(1));
     for class_output in &output.classes {
         let mapped = output.mapping.class_rows(&corpus, class_output.class).len();
         let clustered: usize = class_output.clusters.iter().map(|c| c.len()).sum();

@@ -15,8 +15,8 @@
 //!    inconsistent in-between).
 //! 2. **Convergence** — after re-ingesting batches `R+1..K`, the recovered
 //!    process's final snapshot fingerprint and a full deterministic query
-//!    mix (exact, fuzzy, paging, stats — per class) are identical to the
-//!    reference's.
+//!    mix (exact, fuzzy, fetch, paging, stats — per class) are identical to
+//!    the reference's.
 //!
 //! Thread and shard matrix: the sweeps run under `Parallelism::Auto` and
 //! `ShardPlan::Auto`, so the CI `LTEE_NUM_THREADS=1,4` ×
@@ -36,7 +36,7 @@ use std::path::PathBuf;
 
 use ltee::scenario as common;
 use ltee_core::prelude::*;
-use ltee_serve::{CheckpointPolicy, DurableServePipeline, Query};
+use ltee_serve::{CheckpointPolicy, DurableServePipeline, EntityRef, Query};
 use ltee_store::{crashpoints, KbStore, StoreError, WalTail};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -77,8 +77,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// A deterministic query mix touching every query kind and every class:
-/// exact lookups of real stream labels, fuzzy lookups with a typo, paging
-/// and stats.
+/// exact lookups of real stream labels, fuzzy lookups with a typo (across
+/// classes and restricted to one), record fetches inside and past a
+/// class's range, paging and stats.
 fn query_mix(stream: &Corpus) -> Vec<Query> {
     let mut queries = vec![Query::Stats];
     let labels: Vec<String> = stream
@@ -100,6 +101,13 @@ fn query_mix(stream: &Corpus) -> Vec<Query> {
     for &class in CLASS_KEYS.iter() {
         queries.push(Query::List { class, offset: 0, limit: 5 });
         queries.push(Query::List { class, offset: 3, limit: 2 });
+        queries.push(Query::Entity { entity: EntityRef { class, id: 0 } });
+        queries.push(Query::Entity { entity: EntityRef { class, id: u32::MAX } });
+        let own =
+            stream.tables().iter().find(|t| t.truth.class == class).expect("a table per class");
+        let mut typo = own.cell(0, own.truth.label_column).expect("a labelled row").to_string();
+        typo.pop();
+        queries.push(Query::Fuzzy { class: Some(class), label: typo, k: 3 });
     }
     queries
 }

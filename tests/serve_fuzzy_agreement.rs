@@ -48,7 +48,7 @@ static LONG_LABEL_SNAPSHOT: OnceLock<Arc<KbSnapshot>> = OnceLock::new();
 /// Sequential-config training world shared by the scenario snapshots.
 fn sequential_trained_world(seed: u64) -> TrainedWorld {
     let config =
-        PipelineConfig { parallelism: Parallelism::Sequential, ..PipelineConfig::fast() };
+        PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
     TrainedWorld::train_with(seed, &CorpusConfig::tiny(), config)
 }
 
@@ -89,7 +89,7 @@ fn snapshot() -> Arc<KbSnapshot> {
             let golds: Vec<GoldStandard> =
                 CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
             let config = PipelineConfig {
-                parallelism: Parallelism::Sequential,
+                parallelism: Parallelism::Threads(1),
                 ..PipelineConfig::fast()
             };
             let models =
