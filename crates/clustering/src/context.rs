@@ -17,9 +17,8 @@ use ltee_webtables::{Corpus, RowRef, TableId};
 pub struct RowContext {
     /// The row.
     pub row: RowRef,
-    /// The cleaned label from the table's label attribute.
-    pub label: String,
-    /// The normalised label (blocking key).
+    /// The normalised form of `values().label`, the cleaned label from the
+    /// table's label attribute (blocking key).
     pub normalized_label: String,
     /// Interned tokens of the normalised label, minted by the pipeline
     /// run's interner. The `LABEL` metric scores these instead of
@@ -50,7 +49,6 @@ impl RowContext {
         let prepared = values.values.iter().map(|(_, value)| PreparedValue::new(value)).collect();
         RowContext {
             row,
-            label: values.label.clone(),
             normalized_label,
             label_tokens,
             bow,
@@ -259,7 +257,7 @@ mod tests {
         let mut interner = Interner::new();
         let contexts = build_row_contexts(&corpus, &mapping, &rows, &mut interner);
         assert_eq!(contexts.len(), rows.len());
-        let with_labels = contexts.iter().filter(|c| !c.label.is_empty()).count();
+        let with_labels = contexts.iter().filter(|c| !c.values().label.is_empty()).count();
         assert!(with_labels as f64 > contexts.len() as f64 * 0.9);
         assert!(contexts.iter().all(|c| !c.bow.is_empty()));
         // Interned tokens mirror the normalised labels.

@@ -18,11 +18,11 @@
 //!   where a batch boundary fell.
 //! * [`StreamingClusterer`] runs a strictly row-sequential greedy
 //!   correlation clustering: each row is blocked against the labels of the
-//!   rows before it and scored, on the calling thread, against every
-//!   cluster blocking admits, then assigned. Because each
-//!   decision depends only on the rows that came before, clustering a
-//!   corpus in one batch or in K micro-batches yields bit-identical
-//!   clusters.
+//!   rows before it and scored, on the calling thread, against the
+//!   clusters blocking admits (a cluster is dropped mid-sum once it can no
+//!   longer win), then assigned. Because each decision depends only on
+//!   the rows that came before, clustering a corpus in one batch or in K
+//!   micro-batches yields bit-identical clusters.
 //!
 //! The trade-offs versus the batch path are deliberate and documented:
 //! blocking is prefix-based (a row cannot share a block with a label that
@@ -30,7 +30,7 @@
 //! repair pass; running it per batch would make results depend on batch
 //! boundaries).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use ltee_index::LabelIndex;
 use ltee_intern::{Interner, Sym};
@@ -38,7 +38,7 @@ use ltee_webtables::{RowRef, TableId};
 
 use crate::cluster::ClusteringConfig;
 use crate::context::{ImplicitAttributes, RowContext};
-use crate::metrics::{PhiTableVectors, RowProbe, RowSimilarityModel};
+use crate::metrics::{PhiStats, PhiTableVectors, RowProbe, RowSimilarityModel};
 
 /// Incrementally built PHI table vectors with per-table freezing.
 ///
@@ -49,12 +49,9 @@ use crate::metrics::{PhiTableVectors, RowProbe, RowSimilarityModel};
 /// module docs for why.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingPhi {
-    /// Number of occurrences of each normalised label across added tables.
-    occurrences: HashMap<String, f64>,
-    /// Ordered within-table co-occurrence counts: `a → (b → count)`.
-    cooccur: HashMap<String, HashMap<String, f64>>,
-    /// Number of tables added (only tables with at least one label count).
-    tables: usize,
+    /// Label statistics of the added tables (only tables with at least one
+    /// label count), keyed by the syms of `frozen`'s label interner.
+    stats: PhiStats,
     /// The frozen per-table vectors.
     frozen: PhiTableVectors,
 }
@@ -74,48 +71,7 @@ impl StreamingPhi {
         if labels.is_empty() || self.frozen.contains(table) {
             return;
         }
-        // Update the statistics with this table first (the batch builder
-        // also counts a label's own table).
-        for i in 0..labels.len() {
-            *self.occurrences.entry(labels[i].clone()).or_insert(0.0) += 1.0;
-            for j in 0..labels.len() {
-                if i == j {
-                    continue;
-                }
-                *self
-                    .cooccur
-                    .entry(labels[i].clone())
-                    .or_default()
-                    .entry(labels[j].clone())
-                    .or_insert(0.0) += 1.0;
-            }
-        }
-        self.tables += 1;
-
-        // Freeze the table vector: average of its labels' correlation
-        // vectors under the current statistics.
-        let n = self.tables.max(1) as f64;
-        let mut acc: HashMap<String, f64> = HashMap::new();
-        for label in labels {
-            let Some(pairs) = self.cooccur.get(label) else { continue };
-            let na = self.occurrences.get(label).copied().unwrap_or(0.0);
-            for (other, nab) in pairs {
-                let nb = self.occurrences.get(other).copied().unwrap_or(0.0);
-                let denom = (na * nb * (n - na) * (n - nb)).sqrt();
-                if denom < 1e-12 {
-                    continue;
-                }
-                let phi = (n * *nab - na * nb) / denom;
-                if phi.abs() > 1e-9 {
-                    *acc.entry(other.clone()).or_insert(0.0) += phi;
-                }
-            }
-        }
-        let count = labels.len().max(1) as f64;
-        let mut sorted: Vec<(String, f64)> = acc.into_iter().map(|(k, v)| (k, v / count)).collect();
-        sorted.retain(|(_, v)| v.abs() > 0.0);
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        self.frozen.insert_vector(table, sorted);
+        self.frozen.freeze(table, labels, &mut self.stats);
     }
 
     /// The frozen vectors, in the form the row similarity metrics consume.
@@ -127,6 +83,12 @@ impl StreamingPhi {
     pub fn table_count(&self) -> usize {
         self.frozen.table_count()
     }
+
+    /// Number of distinct ordered label pairs that shared a table
+    /// (diagnostics).
+    pub fn pair_count(&self) -> usize {
+        self.stats.pair_count()
+    }
 }
 
 /// Append-only greedy correlation clusterer whose output is invariant to
@@ -136,13 +98,84 @@ pub struct StreamingClusterer {
     config: ClusteringConfig,
     contexts: Vec<RowContext>,
     clusters: Vec<Vec<usize>>,
-    /// Integer block keys per cluster: syms of `block_index`'s interner.
-    /// Sym ids are a function of row ingest order alone, so they are
-    /// identical however the stream is split into micro-batches.
-    cluster_blocks: Vec<HashSet<Sym>>,
+    /// Which clusters hold which block key (see [`BlockPostings`]).
+    block_clusters: BlockPostings,
     /// Labels of all ingested rows (prefix blocking index; owns the
     /// interner that mints the block syms).
     block_index: LabelIndex,
+}
+
+/// Block key → the clusters holding it, ascending. A cluster holds the
+/// blocks of every row assigned to it. Keys are syms of the prefix
+/// index's interner, whose ids are a function of row ingest order alone,
+/// so the postings are identical however the stream is split into
+/// micro-batches. Admitting clusters for a row reads the postings of the
+/// row's few blocks; it never walks the class's clusters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct BlockPostings {
+    /// Indexed by `Sym::raw`; empty for a sym that is no cluster's block
+    /// (the index interns tokens next to labels).
+    by_block: Vec<Vec<u32>>,
+}
+
+impl BlockPostings {
+    /// The clusters holding `block`, ascending.
+    fn clusters_of(&self, block: Sym) -> &[u32] {
+        self.by_block.get(block.raw() as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Record that `cluster` holds `blocks`.
+    fn post(&mut self, blocks: &[Sym], cluster: usize) {
+        let cluster = u32::try_from(cluster).expect("cluster index exceeded u32");
+        for block in blocks {
+            let raw = block.raw() as usize;
+            if raw >= self.by_block.len() {
+                self.by_block.resize_with(raw + 1, Vec::new);
+            }
+            let posting = &mut self.by_block[raw];
+            if let Err(at) = posting.binary_search(&cluster) {
+                posting.insert(at, cluster);
+            }
+        }
+    }
+}
+
+/// Collect a row's blocks into `blocks`: its own label and the similar
+/// labels among the rows indexed before it — as integer syms of the
+/// prefix index, each once. A row without a label has no blocks. The
+/// row's own label is interned *before* the lookup (interning never
+/// changes lookup results) so its block key exists even though the row
+/// itself is only indexed after its assignment decision.
+fn blocks_of_row(block_index: &mut LabelIndex, config: &ClusteringConfig, label: &str, blocks: &mut Vec<Sym>) {
+    blocks.clear();
+    if label.is_empty() {
+        return;
+    }
+    blocks.push(block_index.intern_label(label));
+    if config.use_blocking {
+        for m in block_index.lookup(label, config.block_candidates) {
+            if !blocks.contains(&m.normalized) {
+                blocks.push(m.normalized);
+            }
+        }
+    }
+}
+
+/// An upper bound on what the running sum `partial` can reach when `left`
+/// more pair scores are added to it, one rounded addition at a time.
+///
+/// A pair scores at most 1.0 (`ltee_ml::PairwiseModel::score` clamps to
+/// `[-1, 1]`), so in real numbers the sum ends at or below
+/// `partial + left`. The `left` rounded additions can carry the computed
+/// sum above the real one by at most `left · ε · (|partial| + left)`
+/// (the error bound of recursive summation, `γₙ ≤ n·ε` with
+/// `ε = f64::EPSILON`, over terms of magnitude at most 1.0). The margin
+/// is four times that, which also absorbs the roundings of this
+/// expression itself — so the bound is never below the finished sum, and
+/// a cluster abandoned on it could not have won.
+fn reachable(partial: f64, left: usize) -> f64 {
+    let left = left as f64;
+    partial + left + 4.0 * f64::EPSILON * left * (partial.abs() + left)
 }
 
 impl StreamingClusterer {
@@ -154,7 +187,7 @@ impl StreamingClusterer {
             config,
             contexts: Vec::new(),
             clusters: Vec::new(),
-            cluster_blocks: Vec::new(),
+            block_clusters: BlockPostings::default(),
             block_index: LabelIndex::new(),
         }
     }
@@ -165,9 +198,9 @@ impl StreamingClusterer {
     ///
     /// Used by checkpoint recovery: the assignment decisions are the
     /// expensive model-driven part of ingest, so they are persisted, while
-    /// the prefix blocking index and the per-cluster block-key sets are a
-    /// pure function of `(contexts, clusters, config)` and are replayed
-    /// here row by row — the exact sequence of `intern_label` / `lookup` /
+    /// the prefix blocking index and the block postings are a pure
+    /// function of `(contexts, clusters, config)` and are replayed here
+    /// row by row — the exact sequence of `intern_label` / `lookup` /
     /// `insert` calls ingest performed, so the rebuilt state (including
     /// every internal `Sym` id) is bit-identical to the clusterer that
     /// produced the assignments.
@@ -194,27 +227,20 @@ impl StreamingClusterer {
             "clusters must partition the rows"
         );
 
-        let mut cluster_blocks: Vec<HashSet<Sym>> = vec![HashSet::new(); clusters.len()];
+        let mut block_clusters = BlockPostings::default();
         let mut block_index = LabelIndex::new();
+        let mut blocks: Vec<Sym> = Vec::new();
         for (row_idx, ctx) in contexts.iter().enumerate() {
             let label = &ctx.normalized_label;
             // Same order of operations as ingest: block keys are computed
             // against the strict prefix, then the row itself is indexed.
-            let mut blocks: HashSet<Sym> = HashSet::new();
-            if !label.is_empty() {
-                blocks.insert(block_index.intern_label(label));
-                if config.use_blocking {
-                    for m in block_index.lookup(label, config.block_candidates) {
-                        blocks.insert(m.normalized);
-                    }
-                }
-            }
-            cluster_blocks[cluster_of_row[row_idx]].extend(blocks);
+            blocks_of_row(&mut block_index, &config, label, &mut blocks);
+            block_clusters.post(&blocks, cluster_of_row[row_idx]);
             if !label.is_empty() {
                 block_index.insert(row_idx as u64, label);
             }
         }
-        Self { config, contexts, clusters, cluster_blocks, block_index }
+        Self { config, contexts, clusters, block_clusters, block_index }
     }
 
     /// Ingest a micro-batch of rows, assigning each to the best existing
@@ -236,60 +262,76 @@ impl StreamingClusterer {
     ) -> Vec<usize> {
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         // Per-row scratch, reused from row to row.
-        let mut blocks: HashSet<Sym> = HashSet::new();
+        let mut blocks: Vec<Sym> = Vec::new();
+        let mut admitted: Vec<usize> = Vec::new();
+        // The PHI cosine is a pure function of two frozen table vectors,
+        // and a batch's rows meet the same few tables pair after pair:
+        // each table pair is computed once per call. The memo is scratch
+        // of this call, dropped at return — not a field of
+        // `PhiTableVectors`, which the batch path shares across pool
+        // workers and which therefore holds no lock and no cell.
+        let mut phi_pairs: HashMap<(TableId, TableId), f64> = HashMap::new();
+        let mut phi_of =
+            |a: TableId, b: TableId| *phi_pairs.entry((a, b)).or_insert_with(|| phi.table_similarity(a, b));
         for ctx in new_contexts {
             let row_idx = self.contexts.len();
             self.contexts.push(ctx);
-            let Self { config, contexts, clusters, cluster_blocks, block_index } = &mut *self;
+            let Self { config, contexts, clusters, block_clusters, block_index } = &mut *self;
             let label = contexts[row_idx].normalized_label.as_str();
+            blocks_of_row(block_index, config, label, &mut blocks);
 
-            // Blocks: the row's own label plus similar labels among the
-            // rows ingested before it — as integer syms of the prefix
-            // index. The row's own label is interned *before* the lookup
-            // (interning never changes lookup results) so its block key
-            // exists even though the row itself is only indexed below,
-            // after the assignment decision.
-            blocks.clear();
-            if !label.is_empty() {
-                blocks.insert(block_index.intern_label(label));
-                if config.use_blocking {
-                    for m in block_index.lookup(label, config.block_candidates) {
-                        blocks.insert(m.normalized);
-                    }
+            // The clusters blocking admits — those holding one of the
+            // row's blocks, a small share of all clusters — read off the
+            // postings, in index order.
+            admitted.clear();
+            if config.use_blocking {
+                for &block in &blocks {
+                    admitted.extend(block_clusters.clusters_of(block).iter().map(|&ci| ci as usize));
                 }
+                admitted.sort_unstable();
+                admitted.dedup();
+            } else {
+                admitted.extend(0..clusters.len());
             }
 
             // Score the row against the members, in member order, of each
-            // cluster blocking admits — a small share of all clusters. Best
-            // strictly-positive score wins; ties go to the lowest cluster
-            // index (scan order, strict `>`), matching the batch greedy
-            // pass.
+            // admitted cluster. The highest score wins, ties go to the
+            // lowest cluster index (index order, strict `>`), and only a
+            // strictly positive score wins at all — the batch greedy
+            // pass's rule. A pair scores at most 1.0, so a cluster is
+            // abandoned as soon as even that from every member still to
+            // come would not exceed the score to beat; a cluster that is
+            // finished has summed all its members in member order. The
+            // winner and its score are therefore what scoring every
+            // member of every admitted cluster would have found.
             let probe = RowProbe::new(&contexts[row_idx], implicit);
-            let mut best: Option<(usize, f64)> = None;
-            for ci in 0..clusters.len() {
-                if config.use_blocking && blocks.is_disjoint(&cluster_blocks[ci]) {
-                    continue;
+            let mut best: Option<usize> = None;
+            let mut to_beat = 0.0;
+            for &ci in &admitted {
+                let members = &clusters[ci];
+                let mut score = 0.0;
+                let mut scored = 0;
+                while scored < members.len() && reachable(score, members.len() - scored) > to_beat {
+                    score += model.score_with(&probe, &contexts[members[scored]], &mut phi_of, interner);
+                    scored += 1;
                 }
-                let score: f64 = clusters[ci]
-                    .iter()
-                    .map(|&m| model.score(&probe, &contexts[m], phi, interner))
-                    .sum();
-                if score > 0.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
-                    best = Some((ci, score));
+                if scored == members.len() && score > to_beat {
+                    best = Some(ci);
+                    to_beat = score;
                 }
             }
-            match best {
-                Some((ci, _)) => {
+            let target = match best {
+                Some(ci) => {
                     clusters[ci].push(row_idx);
-                    cluster_blocks[ci].extend(blocks.iter().copied());
-                    touched.insert(ci);
+                    ci
                 }
                 None => {
                     clusters.push(vec![row_idx]);
-                    cluster_blocks.push(blocks.clone());
-                    touched.insert(clusters.len() - 1);
+                    clusters.len() - 1
                 }
-            }
+            };
+            block_clusters.post(&blocks, target);
+            touched.insert(target);
             if !label.is_empty() {
                 block_index.insert(row_idx as u64, label);
             }
@@ -337,6 +379,7 @@ impl StreamingClusterer {
 mod tests {
     use super::*;
     use crate::metrics::{metric_feature_names, RowMetricKind};
+    use std::collections::HashSet;
     use ltee_matching::RowValues;
     use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, PairwiseTrainingConfig, Sample};
     use ltee_text::BowVector;
@@ -414,12 +457,248 @@ mod tests {
             reference.contexts().to_vec(),
             reference.clusters().to_vec(),
         );
-        assert_eq!(rebuilt.cluster_blocks, reference.cluster_blocks);
+        assert_eq!(rebuilt.block_clusters, reference.block_clusters);
         let t_ref = reference.ingest(rows[16..].to_vec(), &model, &phi, &implicit, &interner);
         let t_new = rebuilt.ingest(rows[16..].to_vec(), &model, &phi, &implicit, &interner);
         assert_eq!(t_ref, t_new);
         assert_eq!(rebuilt.clusters(), reference.clusters());
-        assert_eq!(rebuilt.cluster_blocks, reference.cluster_blocks);
+        assert_eq!(rebuilt.block_clusters, reference.block_clusters);
+    }
+
+    /// The loop the postings and the bound gate replaced, kept as the
+    /// oracle: a set of block keys per cluster, a disjointness probe of
+    /// every cluster for every row, every member of every admitted cluster
+    /// scored, clusters visited in index order under a strict `>`.
+    struct ScanEverything {
+        config: ClusteringConfig,
+        contexts: Vec<RowContext>,
+        clusters: Vec<Vec<usize>>,
+        cluster_blocks: Vec<HashSet<Sym>>,
+        block_index: LabelIndex,
+        /// Rows for which a later cluster exactly tied the best score.
+        tied_rows: usize,
+        /// Rows that were admitted somewhere and scored positive nowhere.
+        rejected_rows: usize,
+    }
+
+    impl ScanEverything {
+        fn new(config: ClusteringConfig) -> Self {
+            Self {
+                config,
+                contexts: Vec::new(),
+                clusters: Vec::new(),
+                cluster_blocks: Vec::new(),
+                block_index: LabelIndex::new(),
+                tied_rows: 0,
+                rejected_rows: 0,
+            }
+        }
+
+        fn ingest(
+            &mut self,
+            new_contexts: Vec<RowContext>,
+            model: &RowSimilarityModel,
+            phi: &PhiTableVectors,
+            implicit: &ImplicitAttributes,
+            interner: &Interner,
+        ) -> Vec<usize> {
+            let mut touched: BTreeSet<usize> = BTreeSet::new();
+            let mut blocks: HashSet<Sym> = HashSet::new();
+            for ctx in new_contexts {
+                let row_idx = self.contexts.len();
+                self.contexts.push(ctx);
+                let Self {
+                    config,
+                    contexts,
+                    clusters,
+                    cluster_blocks,
+                    block_index,
+                    tied_rows,
+                    rejected_rows,
+                } = &mut *self;
+                let label = contexts[row_idx].normalized_label.as_str();
+                blocks.clear();
+                if !label.is_empty() {
+                    blocks.insert(block_index.intern_label(label));
+                    if config.use_blocking {
+                        for m in block_index.lookup(label, config.block_candidates) {
+                            blocks.insert(m.normalized);
+                        }
+                    }
+                }
+                let probe = RowProbe::new(&contexts[row_idx], implicit);
+                let mut best: Option<(usize, f64)> = None;
+                let (mut admitted, mut tied) = (0, false);
+                for ci in 0..clusters.len() {
+                    if config.use_blocking && blocks.is_disjoint(&cluster_blocks[ci]) {
+                        continue;
+                    }
+                    admitted += 1;
+                    let score: f64 = clusters[ci]
+                        .iter()
+                        .map(|&m| model.score(&probe, &contexts[m], phi, interner))
+                        .sum();
+                    tied |= best.is_some_and(|(_, s)| score == s);
+                    if score > 0.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
+                        best = Some((ci, score));
+                        tied = false;
+                    }
+                }
+                *tied_rows += usize::from(tied);
+                *rejected_rows += usize::from(admitted > 0 && best.is_none());
+                match best {
+                    Some((ci, _)) => {
+                        clusters[ci].push(row_idx);
+                        cluster_blocks[ci].extend(blocks.iter().copied());
+                        touched.insert(ci);
+                    }
+                    None => {
+                        clusters.push(vec![row_idx]);
+                        cluster_blocks.push(blocks.clone());
+                        touched.insert(clusters.len() - 1);
+                    }
+                }
+                if !label.is_empty() {
+                    block_index.insert(row_idx as u64, label);
+                }
+            }
+            touched.into_iter().collect()
+        }
+    }
+
+    /// LABEL, BOW, PHI and SAME_TABLE under a combined model fitted to
+    /// "same label and not the same table": continuous scores of both
+    /// signs, and two rows of one table sharing a label stay apart — which
+    /// is what makes a later row of that label tie exactly between them.
+    fn mixed_model() -> RowSimilarityModel {
+        let metrics =
+            vec![RowMetricKind::Label, RowMetricKind::Bow, RowMetricKind::Phi, RowMetricKind::SameTable];
+        let mut ds = Dataset::new(metric_feature_names(&metrics));
+        let mut rng = SplitMix64(3);
+        for _ in 0..240 {
+            let (label, bow, phi) = (rng.unit(), rng.unit(), rng.unit());
+            let other_table = if rng.below(4) == 0 { 0.0 } else { 1.0 };
+            let same = label > 0.7 && other_table == 1.0;
+            ds.push(Sample::new(vec![label, bow, phi, other_table], if same { 1.0 } else { 0.0 }));
+        }
+        let model = PairwiseModel::train(
+            &ds,
+            metrics.len(),
+            AggregationMethod::Combined,
+            &PairwiseTrainingConfig {
+                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, seed: 1, ..Default::default() },
+                forest: ltee_ml::RandomForestConfig { num_trees: 12, max_depth: 6, ..Default::default() },
+                ..Default::default()
+            },
+        );
+        RowSimilarityModel { metrics, model }
+    }
+
+    /// SplitMix64: a stream depends on nothing but its seed.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A stream of small tables over a six-word vocabulary: one- and
+    /// two-word labels that repeat within and across tables, near-miss
+    /// spellings, and now and then a row without a label. Returned with
+    /// the frozen PHI vectors of its tables.
+    fn seeded_stream(seed: u64, rows: usize, interner: &mut Interner) -> (Vec<RowContext>, StreamingPhi) {
+        const WORDS: [&str; 6] = ["alpha", "alpa", "beta", "gamma", "gama", "delta"];
+        let mut rng = SplitMix64(seed);
+        let mut contexts = Vec::new();
+        let mut phi = StreamingPhi::new();
+        let mut table = 0;
+        while contexts.len() < rows {
+            table += 1;
+            let mut labels = Vec::new();
+            for row in 0..1 + rng.below(4) {
+                let label = match rng.below(10) {
+                    0 => String::new(),
+                    1..=5 => WORDS[rng.below(WORDS.len())].to_string(),
+                    _ => format!("{} {}", WORDS[rng.below(WORDS.len())], WORDS[rng.below(WORDS.len())]),
+                };
+                let context = ctx(interner, table, row, &label);
+                if !context.normalized_label.is_empty() {
+                    labels.push(context.normalized_label.clone());
+                }
+                contexts.push(context);
+            }
+            phi.add_table(TableId(table), &labels);
+        }
+        (contexts, phi)
+    }
+
+    #[test]
+    fn postings_and_bound_gate_cluster_like_the_scan_everything_loop() {
+        let models = [label_model(), mixed_model()];
+        let implicit = ImplicitAttributes::default();
+        let configs = [
+            ClusteringConfig::default(),
+            ClusteringConfig { block_candidates: 2, ..ClusteringConfig::default() },
+            ClusteringConfig { use_blocking: false, ..ClusteringConfig::default() },
+        ];
+        let (mut tied_rows, mut rejected_rows) = (0, 0);
+        for seed in 0..6u64 {
+            let mut interner = Interner::new();
+            let (rows, phi) = seeded_stream(seed, 90, &mut interner);
+            assert!(rows.iter().any(|r| r.normalized_label.is_empty()), "seed {seed}: no label-free row");
+            let model = &models[seed as usize % models.len()];
+            let config = &configs[seed as usize % configs.len()];
+            let mut oracle = ScanEverything::new(config.clone());
+            let mut clusterer = StreamingClusterer::new(config.clone());
+            for chunk in rows.chunks(1 + seed as usize * 7) {
+                let expected = oracle.ingest(chunk.to_vec(), model, phi.vectors(), &implicit, &interner);
+                let touched = clusterer.ingest(chunk.to_vec(), model, phi.vectors(), &implicit, &interner);
+                assert_eq!(touched, expected, "seed {seed}: touched");
+                assert_eq!(clusterer.clusters(), oracle.clusters, "seed {seed}: clusters");
+            }
+            // The postings are the oracle's per-cluster block sets, inverted.
+            for (ci, blocks) in oracle.cluster_blocks.iter().enumerate() {
+                for &block in blocks {
+                    assert!(clusterer.block_clusters.clusters_of(block).contains(&(ci as u32)));
+                }
+            }
+            let posted: usize = clusterer.block_clusters.by_block.iter().map(Vec::len).sum();
+            assert_eq!(posted, oracle.cluster_blocks.iter().map(HashSet::len).sum::<usize>());
+            tied_rows += oracle.tied_rows;
+            rejected_rows += oracle.rejected_rows;
+        }
+        // The streams reach the cases the selection rule exists for.
+        assert!(tied_rows > 0, "no row tied between two clusters");
+        assert!(rejected_rows > 0, "no admitted row was rejected everywhere");
+    }
+
+    #[test]
+    fn the_reachable_bound_is_never_below_the_finished_sum() {
+        // Every remaining score at its ceiling, from partial sums of both
+        // signs and magnitudes: the rounded running sum stays under the
+        // bound taken before the first addition.
+        let mut rng = SplitMix64(11);
+        for _ in 0..2_000 {
+            let partial = (rng.unit() - 0.5) * [1.0, 8.0, 1e3, 1e6][rng.below(4)];
+            let left = 1 + rng.below(2_000);
+            let bound = reachable(partial, left);
+            let finished = (0..left).fold(partial, |sum, _| sum + 1.0);
+            assert!(finished <= bound, "{partial} + {left} ones = {finished} > bound {bound}");
+            assert!(bound <= partial + left as f64 + 1e-6, "bound {bound} is loose");
+        }
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub mod cluster;
 pub mod context;
 pub mod incremental;
 pub mod metrics;
+#[cfg(test)]
+mod phi_oracle;
 pub mod train;
 
 pub use cluster::{cluster_rows, Clustering, ClusteringConfig};

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use ltee_intern::Interner;
+use ltee_intern::{Interner, Sym};
 use ltee_ml::{PairFeatures, PairwiseModel};
 use ltee_text::{cosine_similarity, monge_elkan_tokens};
 use ltee_types::{PreparedValue, Value};
@@ -84,110 +84,160 @@ impl RowMetricKind {
 /// (based on co-occurrence in tables) forms a sparse vector; a table's
 /// vector is the average of its labels' vectors; two rows are compared by
 /// the cosine of their tables' vectors.
+///
+/// Labels are syms of a **private** interner and a table's vector is one
+/// flat slice: a serving class freezes a vector per ingested table, so
+/// what a component costs is a per-row cost. None of it is persisted (a
+/// restore rebuilds it from the restored corpus), and the interner must
+/// not be the class's pipeline interner: that one's strings are
+/// checkpointed in mint order, so minting whole labels into it would
+/// change every checkpoint's bytes. No value depends on a sym's number:
+/// entries are ordered by the label *strings* and syms are only compared
+/// for equality.
 #[derive(Debug, Clone, Default)]
 pub struct PhiTableVectors {
+    /// Every label a vector (or the statistics behind it) mentions.
+    labels: Interner,
     vectors: HashMap<TableId, PhiVector>,
 }
 
 /// One table's sparse PHI vector.
 #[derive(Debug, Clone)]
 struct PhiVector {
-    // Sorted by label so dot products and norms always sum in the same
-    // order: float addition is not associative, and summing in hash order
-    // would make scores differ between processes.
-    entries: Vec<(String, f64)>,
+    // Sorted by label string so dot products and norms always sum in the
+    // same order: float addition is not associative, so summing in hash
+    // order would make scores differ between processes, and summing in
+    // sym (mint) order would not reproduce the sums every pinned digest
+    // and golden file was computed from.
+    entries: Box<[(Sym, f64)]>,
     /// Euclidean norm of `entries`, summed in entry order.
     norm: f64,
 }
 
-impl PhiVector {
-    fn new(entries: Vec<(String, f64)>) -> Self {
-        let norm = entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
-        Self { entries, norm }
+/// Label occurrence and within-table co-occurrence counts over the tables
+/// counted so far, indexed by the syms of one label interner.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PhiStats {
+    /// Occurrences of each label across the counted tables, by `Sym::raw`.
+    occurrences: Vec<u32>,
+    /// By `Sym::raw` of a label `a`: every label `b` that shared a table
+    /// with it and how many times (ordered pairs: `a` at one row, `b` at
+    /// another), ascending by sym so a pair is found by binary search.
+    cooccur: Vec<Vec<(Sym, u32)>>,
+    /// Tables counted (only tables with at least one label are).
+    tables: usize,
+}
+
+impl PhiStats {
+    /// Count one table's labels (one per labelled row, duplicates kept).
+    fn count_table(&mut self, labels: &[Sym]) {
+        let minted = labels.iter().map(|label| label.raw() as usize + 1).max().unwrap_or(0);
+        if minted > self.occurrences.len() {
+            self.occurrences.resize(minted, 0);
+            self.cooccur.resize_with(minted, Vec::new);
+        }
+        let bump = |count: &mut u32| *count = count.checked_add(1).expect("PHI count exceeded u32");
+        for (i, &a) in labels.iter().enumerate() {
+            bump(&mut self.occurrences[a.raw() as usize]);
+            let pairs = &mut self.cooccur[a.raw() as usize];
+            for (j, &b) in labels.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                match pairs.binary_search_by_key(&b, |&(other, _)| other) {
+                    Ok(at) => bump(&mut pairs[at].1),
+                    Err(at) => pairs.insert(at, (b, 1)),
+                }
+            }
+        }
+        self.tables += 1;
+    }
+
+    /// The vector of a table with these labels under the current counts:
+    /// the average of its labels' correlation vectors, ordered by label
+    /// string (`interner` resolves the syms). A component is the sum of
+    /// one term per label of the table, added in the table's label order.
+    fn table_vector(&self, labels: &[Sym], interner: &Interner) -> Vec<(Sym, f64)> {
+        let n = self.tables.max(1) as f64;
+        let mut acc: HashMap<Sym, f64> = HashMap::new();
+        for &label in labels {
+            let na = f64::from(self.occurrences[label.raw() as usize]);
+            for &(other, nab) in &self.cooccur[label.raw() as usize] {
+                let nb = f64::from(self.occurrences[other.raw() as usize]);
+                let denom = (na * nb * (n - na) * (n - nb)).sqrt();
+                if denom < 1e-12 {
+                    continue;
+                }
+                let phi = (n * f64::from(nab) - na * nb) / denom;
+                if phi.abs() > 1e-9 {
+                    *acc.entry(other).or_insert(0.0) += phi;
+                }
+            }
+        }
+        let count = labels.len().max(1) as f64;
+        let mut vector: Vec<(Sym, f64)> = acc.into_iter().map(|(k, v)| (k, v / count)).collect();
+        vector.sort_by(|a, b| interner.resolve(a.0).cmp(interner.resolve(b.0)));
+        vector
+    }
+
+    /// Number of distinct ordered label pairs that shared a table.
+    pub(crate) fn pair_count(&self) -> usize {
+        self.cooccur.iter().map(Vec::len).sum()
     }
 }
 
 impl PhiTableVectors {
-    /// Build the PHI vectors for the tables containing the given rows.
+    /// Build the PHI vectors for the tables containing the given rows,
+    /// every vector under the statistics of all of them.
     pub fn build(corpus: &Corpus, contexts: &[RowContext]) -> Self {
-        // Label occurrence sets per table and global counts.
-        let mut labels_per_table: HashMap<TableId, Vec<String>> = HashMap::new();
+        let _ = corpus; // table contents are already captured in the contexts
+        let mut built = Self::default();
+        // The tables in first-row order, each with its rows' labels.
+        let mut slots: HashMap<TableId, usize> = HashMap::new();
+        let mut tables: Vec<(TableId, Vec<Sym>)> = Vec::new();
         for ctx in contexts {
             if ctx.normalized_label.is_empty() {
                 continue;
             }
-            labels_per_table.entry(ctx.row.table).or_default().push(ctx.normalized_label.clone());
+            let slot = *slots.entry(ctx.row.table).or_insert_with(|| {
+                tables.push((ctx.row.table, Vec::new()));
+                tables.len() - 1
+            });
+            tables[slot].1.push(built.labels.intern(&ctx.normalized_label));
         }
-        let _ = corpus; // table contents are already captured in the contexts
-
-        let mut label_tables: HashMap<&str, Vec<TableId>> = HashMap::new();
-        for (table, labels) in &labels_per_table {
-            for l in labels {
-                label_tables.entry(l.as_str()).or_default().push(*table);
-            }
+        let mut stats = PhiStats::default();
+        for (_, labels) in &tables {
+            stats.count_table(labels);
         }
-        let n = labels_per_table.len().max(1) as f64;
-
-        // Pairwise co-occurrence counts (only for labels that co-occur).
-        let mut cooccur: HashMap<(&str, &str), f64> = HashMap::new();
-        for labels in labels_per_table.values() {
-            for i in 0..labels.len() {
-                for j in 0..labels.len() {
-                    if i == j {
-                        continue;
-                    }
-                    *cooccur.entry((labels[i].as_str(), labels[j].as_str())).or_insert(0.0) += 1.0;
-                }
-            }
+        for (table, labels) in &tables {
+            let vector = stats.table_vector(labels, &built.labels);
+            built.insert(*table, vector);
         }
-
-        // PHI correlation per co-occurring label pair.
-        let phi = |a: &str, b: &str, nab: f64| -> f64 {
-            let na = label_tables.get(a).map(|t| t.len() as f64).unwrap_or(0.0);
-            let nb = label_tables.get(b).map(|t| t.len() as f64).unwrap_or(0.0);
-            let denom = (na * nb * (n - na) * (n - nb)).sqrt();
-            if denom < 1e-12 {
-                return 0.0;
-            }
-            (n * nab - na * nb) / denom
-        };
-
-        // Label vector: correlations with co-occurring labels.
-        let mut label_vectors: HashMap<&str, HashMap<String, f64>> = HashMap::new();
-        for ((a, b), nab) in &cooccur {
-            let value = phi(a, b, *nab);
-            if value.abs() > 1e-9 {
-                label_vectors.entry(a).or_default().insert((*b).to_string(), value);
-            }
-        }
-
-        // Table vector: average of its labels' vectors.
-        let mut vectors = HashMap::new();
-        for (table, labels) in &labels_per_table {
-            let mut acc: HashMap<String, f64> = HashMap::new();
-            for l in labels {
-                if let Some(v) = label_vectors.get(l.as_str()) {
-                    for (k, val) in v {
-                        *acc.entry(k.clone()).or_insert(0.0) += val;
-                    }
-                }
-            }
-            let count = labels.len().max(1) as f64;
-            let mut sorted: Vec<(String, f64)> =
-                acc.into_iter().map(|(k, v)| (k, v / count)).collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            vectors.insert(*table, PhiVector::new(sorted));
-        }
-        Self { vectors }
+        built
     }
 
-    /// Insert a precomputed sparse vector for a table (must be sorted by
-    /// label). Used by [`StreamingPhi`](crate::incremental::StreamingPhi)
-    /// to freeze per-table vectors as the corpus grows;
-    /// [`PhiTableVectors::build`] remains the batch path.
-    pub fn insert_vector(&mut self, table: TableId, vector: Vec<(String, f64)>) {
-        debug_assert!(vector.windows(2).all(|w| w[0].0 < w[1].0), "vector must be label-sorted");
-        self.vectors.insert(table, PhiVector::new(vector));
+    /// Count `labels` (a table's normalised row labels, none empty) as one
+    /// more table in `stats`, then freeze the table's vector under the
+    /// counts so far — its own included, as [`PhiTableVectors::build`]
+    /// counts a label's own table — without the components that cancelled
+    /// to zero. `stats` must only ever count through this set of vectors:
+    /// it is indexed by this set's label syms.
+    pub(crate) fn freeze(&mut self, table: TableId, labels: &[String], stats: &mut PhiStats) {
+        let labels: Vec<Sym> = labels.iter().map(|label| self.labels.intern(label)).collect();
+        stats.count_table(&labels);
+        let mut vector = stats.table_vector(&labels, &self.labels);
+        vector.retain(|(_, v)| v.abs() > 0.0);
+        self.insert(table, vector);
+    }
+
+    /// Store a table's vector (ordered by label string).
+    fn insert(&mut self, table: TableId, entries: Vec<(Sym, f64)>) {
+        debug_assert!(
+            entries.windows(2).all(|w| self.labels.resolve(w[0].0) < self.labels.resolve(w[1].0)),
+            "vector must be label-sorted"
+        );
+        let norm = entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
+        self.vectors.insert(table, PhiVector { entries: entries.into_boxed_slice(), norm });
     }
 
     /// Number of tables with a vector.
@@ -200,6 +250,16 @@ impl PhiTableVectors {
         self.vectors.contains_key(&table)
     }
 
+    /// Number of vector components held, over all tables (diagnostics).
+    pub fn entry_count(&self) -> usize {
+        self.vectors.values().map(|vector| vector.entries.len()).sum()
+    }
+
+    /// Number of distinct labels interned (diagnostics).
+    pub fn label_count(&self) -> usize {
+        self.labels.len()
+    }
+
     /// Cosine similarity of two tables' PHI vectors.
     pub fn table_similarity(&self, a: TableId, b: TableId) -> f64 {
         if a == b {
@@ -210,18 +270,20 @@ impl PhiTableVectors {
         if va.is_empty() || vb.is_empty() {
             return 0.0;
         }
-        // Merge join over the key-sorted sparse vectors.
+        // Merge join over the label-sorted sparse vectors. Equal labels
+        // are equal syms; the strings are only read to tell which side of
+        // a mismatch is behind.
         let mut dot = 0.0;
         let (mut i, mut j) = (0, 0);
         while i < va.len() && j < vb.len() {
-            match va[i].0.cmp(&vb[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    dot += va[i].1 * vb[j].1;
-                    i += 1;
-                    j += 1;
-                }
+            if va[i].0 == vb[j].0 {
+                dot += va[i].1 * vb[j].1;
+                i += 1;
+                j += 1;
+            } else if self.labels.resolve(va[i].0) < self.labels.resolve(vb[j].0) {
+                i += 1;
+            } else {
+                j += 1;
             }
         }
         if a.norm < 1e-12 || b.norm < 1e-12 {
@@ -229,6 +291,15 @@ impl PhiTableVectors {
         } else {
             (dot / (a.norm * b.norm)).clamp(-1.0, 1.0).max(0.0)
         }
+    }
+}
+
+#[cfg(test)]
+impl PhiTableVectors {
+    /// A table's vector with the label strings resolved.
+    pub(crate) fn entries(&self, table: TableId) -> Option<Vec<(String, f64)>> {
+        let vector = self.vectors.get(&table)?;
+        Some(vector.entries.iter().map(|&(sym, v)| (self.labels.resolve(sym).to_string(), v)).collect())
     }
 }
 
@@ -267,18 +338,20 @@ impl<'a> RowProbe<'a> {
     /// `interner` is the run interner that minted both contexts'
     /// `label_tokens`; the `LABEL` metric scores those interned tokens
     /// directly (bit-identical to the string path, no re-tokenisation).
-    pub fn metric_score(
+    /// `phi` supplies the PHI similarity of two tables:
+    /// [`PhiTableVectors::table_similarity`] itself, or a memo of it.
+    fn metric_score(
         &self,
         kind: RowMetricKind,
         b: &RowContext,
-        phi: &PhiTableVectors,
+        phi: &mut impl FnMut(TableId, TableId) -> f64,
         interner: &Interner,
     ) -> (f64, f64) {
         let a = self.ctx;
         match kind {
             RowMetricKind::Label => (monge_elkan_tokens(&a.label_tokens, &b.label_tokens, interner), 1.0),
             RowMetricKind::Bow => (cosine_similarity(&a.bow, &b.bow), 1.0),
-            RowMetricKind::Phi => (phi.table_similarity(a.row.table, b.row.table), 1.0),
+            RowMetricKind::Phi => (phi(a.row.table, b.row.table), 1.0),
             RowMetricKind::Attribute => self.attribute_score(b),
             RowMetricKind::ImplicitAtt => self.implicit_score(b),
             RowMetricKind::SameTable => {
@@ -336,6 +409,18 @@ impl<'a> RowProbe<'a> {
         metrics: &[RowMetricKind],
         b: &RowContext,
         phi: &PhiTableVectors,
+        interner: &Interner,
+    ) -> PairFeatures {
+        self.metric_features_with(metrics, b, &mut |x, y| phi.table_similarity(x, y), interner)
+    }
+
+    /// [`RowProbe::metric_features`] with the PHI similarity of two tables
+    /// supplied by the caller.
+    fn metric_features_with(
+        &self,
+        metrics: &[RowMetricKind],
+        b: &RowContext,
+        phi: &mut impl FnMut(TableId, TableId) -> f64,
         interner: &Interner,
     ) -> PairFeatures {
         PairFeatures::from_scores(metrics.iter().map(|&kind| {
@@ -414,7 +499,20 @@ impl RowSimilarityModel {
     /// Score the pair (`probe`'s row, `b`): positive means "same instance".
     /// `interner` is the run interner behind both contexts' interned tokens.
     pub fn score(&self, probe: &RowProbe<'_>, b: &RowContext, phi: &PhiTableVectors, interner: &Interner) -> f64 {
-        self.model.score(&probe.metric_features(&self.metrics, b, phi, interner))
+        self.score_with(probe, b, &mut |x, y| phi.table_similarity(x, y), interner)
+    }
+
+    /// [`RowSimilarityModel::score`] with the PHI similarity of two tables
+    /// supplied by the caller: the streaming clusterer memoises it per
+    /// table pair for the length of one ingest call.
+    pub(crate) fn score_with(
+        &self,
+        probe: &RowProbe<'_>,
+        b: &RowContext,
+        phi: &mut impl FnMut(TableId, TableId) -> f64,
+        interner: &Interner,
+    ) -> f64 {
+        self.model.score(&probe.metric_features_with(&self.metrics, b, phi, interner))
     }
 
     /// Importance of every metric in the aggregated model (Table 7, MI
@@ -486,7 +584,7 @@ mod tests {
         implicit: &ImplicitAttributes,
         interner: &Interner,
     ) -> (f64, f64) {
-        RowProbe::new(a, implicit).metric_score(kind, b, phi, interner)
+        RowProbe::new(a, implicit).metric_score(kind, b, &mut |x, y| phi.table_similarity(x, y), interner)
     }
 
     fn attribute_score(a: &RowContext, b: &RowContext, interner: &Interner) -> (f64, f64) {

@@ -11,9 +11,9 @@
 //!
 //! * **Schema matching** is per table and runs only on the batch's tables.
 //! * **Blocking / clustering** appends the batch's rows to a
-//!   [`StreamingClusterer`], which scores each new row against the
-//!   accumulated clusters (in parallel) and either joins one or founds a
-//!   new one. Previously assigned rows never move.
+//!   [`StreamingClusterer`], which scores each new row, on the calling
+//!   thread, against the accumulated clusters blocking admits and either
+//!   joins one or founds a new one. Previously assigned rows never move.
 //! * **PHI statistics** grow via [`StreamingPhi`]: each new table's vector
 //!   is frozen at ingest time.
 //! * **Implicit attributes** are computed per new table against the frozen

@@ -7,17 +7,27 @@
 //! compares against a vector built from the labels, abstract and facts of a
 //! candidate knowledge base instance.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::fmt;
 
-use crate::normalize::tokenize;
+use crate::normalize::for_each_token;
 
 /// A binary bag-of-words vector: the set of distinct terms observed.
 ///
-/// Terms are stored in a sorted set so that intersection is linear and the
-/// representation is deterministic (important for reproducible experiments).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The terms live concatenated, in ascending order, in one byte arena with
+/// one end offset per term beside it: two heap blocks whatever the term
+/// count, and four bytes per term beyond the term bytes. A serving class
+/// keeps one bag per ingested row, so this is a per-row cost. Intersection
+/// is a linear merge of two arenas, a term is found by binary search, and
+/// the representation is canonical (equal sets have equal arenas), which
+/// keeps experiments reproducible.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct BowVector {
-    terms: BTreeSet<String>,
+    /// The distinct terms, concatenated in ascending order.
+    bytes: String,
+    /// Where each term ends in `bytes`, term by term (a term starts where
+    /// its predecessor ends).
+    ends: Vec<u32>,
 }
 
 impl BowVector {
@@ -28,71 +38,127 @@ impl BowVector {
 
     /// Build a vector from a single piece of text.
     pub fn from_text(text: &str) -> Self {
-        let mut v = Self::new();
-        v.add_text(text);
-        v
+        Self::from_texts([text])
     }
 
     /// Build a vector from several pieces of text (e.g. all cells of a row).
+    /// The result carries no growth slack: a row context keeps it as is.
     pub fn from_texts<'a, I: IntoIterator<Item = &'a str>>(texts: I) -> Self {
         let mut v = Self::new();
         for t in texts {
             v.add_text(t);
         }
+        v.bytes.shrink_to_fit();
+        v.ends.shrink_to_fit();
         v
     }
 
     /// Tokenise `text` and add its terms to the vector.
     pub fn add_text(&mut self, text: &str) {
-        for token in tokenize(text) {
-            self.terms.insert(token);
-        }
+        for_each_token(text, |token| self.insert(token));
     }
 
     /// Add a single already-normalised term.
     pub fn add_term(&mut self, term: impl Into<String>) {
-        self.terms.insert(term.into());
+        self.insert(&term.into());
     }
 
     /// Merge another vector into this one (set union).
     pub fn merge(&mut self, other: &BowVector) {
-        for t in &other.terms {
-            self.terms.insert(t.clone());
+        for term in other.terms() {
+            self.insert(term);
         }
     }
 
     /// Number of distinct terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.ends.len()
     }
 
     /// True when the vector contains no terms.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.ends.is_empty()
     }
 
     /// Whether the vector contains the given term.
     pub fn contains(&self, term: &str) -> bool {
-        self.terms.contains(term)
+        self.position(term).is_ok()
     }
 
     /// Iterate over the distinct terms in sorted order.
     pub fn terms(&self) -> impl Iterator<Item = &str> {
-        self.terms.iter().map(String::as_str)
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let term = &self.bytes[start..end as usize];
+            start = end as usize;
+            term
+        })
     }
 
     /// Number of terms shared with `other`.
     pub fn intersection_size(&self, other: &BowVector) -> usize {
-        if self.len() <= other.len() {
-            self.terms.iter().filter(|t| other.terms.contains(*t)).count()
-        } else {
-            other.terms.iter().filter(|t| self.terms.contains(*t)).count()
+        let (mut ours, mut theirs) = (self.terms(), other.terms());
+        let (mut a, mut b) = (ours.next(), theirs.next());
+        let mut shared = 0;
+        while let (Some(x), Some(y)) = (a, b) {
+            match x.cmp(y) {
+                Ordering::Less => a = ours.next(),
+                Ordering::Greater => b = theirs.next(),
+                Ordering::Equal => {
+                    shared += 1;
+                    a = ours.next();
+                    b = theirs.next();
+                }
+            }
         }
+        shared
     }
 
     /// Cosine similarity between this and another binary vector.
     pub fn cosine(&self, other: &BowVector) -> f64 {
         cosine_similarity(self, other)
+    }
+
+    /// Where the `index`-th term starts in the arena (for `index == len()`,
+    /// where the arena ends).
+    fn start_of(&self, index: usize) -> usize {
+        index.checked_sub(1).map_or(0, |before| self.ends[before] as usize)
+    }
+
+    /// The index of `term`, or the index to insert it at.
+    fn position(&self, term: &str) -> Result<usize, usize> {
+        let (mut low, mut high) = (0, self.len());
+        while low < high {
+            let mid = low + (high - low) / 2;
+            match self.bytes[self.start_of(mid)..self.ends[mid] as usize].cmp(term) {
+                Ordering::Less => low = mid + 1,
+                Ordering::Greater => high = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(low)
+    }
+
+    /// Add `term` unless it is present, keeping the arena sorted.
+    fn insert(&mut self, term: &str) {
+        let Err(at) = self.position(term) else { return };
+        let start = self.start_of(at);
+        let len = u32::try_from(term.len())
+            .ok()
+            .filter(|&len| self.bytes.len() as u64 + u64::from(len) <= u64::from(u32::MAX))
+            .expect("bag-of-words arena exceeded u32 address space");
+        self.bytes.insert_str(start, term);
+        for end in &mut self.ends[at..] {
+            *end += len;
+        }
+        self.ends.insert(at, start as u32 + len);
+    }
+}
+
+/// Prints the terms, not the arena.
+impl fmt::Debug for BowVector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.terms()).finish()
     }
 }
 
@@ -115,7 +181,9 @@ pub fn cosine_similarity(a: &BowVector, b: &BowVector) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normalize::tokenize;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn from_text_deduplicates_terms() {
@@ -173,6 +241,71 @@ mod tests {
         assert_eq!(v.len(), 4);
     }
 
+    #[test]
+    fn debug_prints_the_terms() {
+        assert_eq!(format!("{:?}", BowVector::from_text("b a b")), r#"{"a", "b"}"#);
+    }
+
+    /// The sorted set of owned strings the arena replaced, as the oracle:
+    /// one heap `String` per term in a `BTreeSet`.
+    #[derive(Default, PartialEq, Eq)]
+    struct SetOracle {
+        terms: BTreeSet<String>,
+    }
+
+    impl SetOracle {
+        fn add_text(&mut self, text: &str) {
+            self.terms.extend(tokenize(text));
+        }
+
+        fn add_term(&mut self, term: &str) {
+            self.terms.insert(term.to_string());
+        }
+
+        fn merge(&mut self, other: &SetOracle) {
+            self.terms.extend(other.terms.iter().cloned());
+        }
+
+        fn intersection_size(&self, other: &SetOracle) -> usize {
+            self.terms.intersection(&other.terms).count()
+        }
+
+        fn cosine(&self, other: &SetOracle) -> f64 {
+            let (a, b) = (self.terms.len(), other.terms.len());
+            match (a, b) {
+                (0, 0) => 1.0,
+                (0, _) | (_, 0) => 0.0,
+                _ => self.intersection_size(other) as f64 / ((a as f64).sqrt() * (b as f64).sqrt()),
+            }
+        }
+    }
+
+    /// Run one script on an arena bag and on the oracle: step `i` applies
+    /// `ops[i]` (add the text, add it as one verbatim term — spaces, the
+    /// empty string and all — or merge a bag built from it) to `texts[i]`.
+    fn run_script(texts: &[String], ops: &[usize]) -> (BowVector, SetOracle) {
+        let (mut bag, mut oracle) = (BowVector::new(), SetOracle::default());
+        for (text, op) in texts.iter().zip(ops) {
+            match op % 3 {
+                0 => {
+                    bag.add_text(text);
+                    oracle.add_text(text);
+                }
+                1 => {
+                    bag.add_term(text.as_str());
+                    oracle.add_term(text);
+                }
+                _ => {
+                    bag.merge(&BowVector::from_text(text));
+                    let mut other = SetOracle::default();
+                    other.add_text(text);
+                    oracle.merge(&other);
+                }
+            }
+        }
+        (bag, oracle)
+    }
+
     proptest! {
         #[test]
         fn cosine_symmetric(a in "[a-d ]{0,20}", b in "[a-d ]{0,20}") {
@@ -194,6 +327,38 @@ mod tests {
             let va = BowVector::from_text(&a);
             let vb = BowVector::from_text(&b);
             prop_assert!(va.intersection_size(&vb) <= va.len().min(vb.len()));
+        }
+
+        /// Few letters (two of them multi-byte, one with an upper-case
+        /// form), short texts: terms repeat within and across the bags.
+        #[test]
+        fn arena_bag_agrees_with_the_set_oracle(
+            texts in proptest::collection::vec("[abéÉ中 ]{0,6}", 0..24),
+            ops in proptest::collection::vec(0usize..3, 24usize..25),
+            split in 0usize..24,
+        ) {
+            let split = split.min(texts.len());
+            let (a, oracle_a) = run_script(&texts[..split], &ops[..split]);
+            let (b, oracle_b) = run_script(&texts[split..], &ops[split..]);
+            for (bag, oracle) in [(&a, &oracle_a), (&b, &oracle_b)] {
+                prop_assert_eq!(bag.len(), oracle.terms.len());
+                prop_assert_eq!(bag.is_empty(), oracle.terms.is_empty());
+                prop_assert!(bag.terms().eq(oracle.terms.iter().map(String::as_str)));
+                for probe in texts.iter().map(String::as_str).chain(["", "a", "zz"]) {
+                    prop_assert_eq!(bag.contains(probe), oracle.terms.contains(probe));
+                }
+            }
+            prop_assert_eq!(a.intersection_size(&b), oracle_a.intersection_size(&oracle_b));
+            prop_assert_eq!(b.intersection_size(&a), oracle_a.intersection_size(&oracle_b));
+            prop_assert_eq!(a == b, oracle_a == oracle_b);
+            prop_assert_eq!(a.cosine(&b).to_bits(), oracle_a.cosine(&oracle_b).to_bits());
+            prop_assert_eq!(cosine_similarity(&b, &a).to_bits(), oracle_b.cosine(&oracle_a).to_bits());
+            // The same set reached by another route has the same arena.
+            let mut again = BowVector::new();
+            for term in oracle_a.terms.iter().rev() {
+                again.add_term(term.as_str());
+            }
+            prop_assert!(again == a);
         }
     }
 }
