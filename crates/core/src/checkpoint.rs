@@ -454,8 +454,10 @@ pub struct PipelineCheckpoint {
     /// Number of non-empty micro-batches applied before the checkpoint was
     /// taken — equals the published snapshot version of the serve layer.
     pub applied_batches: u64,
-    tables: Vec<WebTable>,
-    mappings: Vec<TableMapping>,
+    /// Corpus and mapping in the types the pipeline holds them in, so
+    /// [`PipelineCheckpoint::restore`] moves them instead of copying.
+    corpus: Corpus,
+    mapping: CorpusMapping,
     classes: Vec<ClassDump>,
 }
 
@@ -465,16 +467,11 @@ impl IncrementalPipeline<'_> {
     /// snapshot version); the pipeline itself does not track batch
     /// boundaries, so the durability layer supplies it.
     pub fn checkpoint(&self, applied_batches: u64) -> PipelineCheckpoint {
-        let mut mappings: Vec<TableMapping> = self.mapping.tables().cloned().collect();
-        // Canonical byte stream: the mapping lives in a HashMap, so encode
-        // it sorted by table id (arrival order is already canonical for
-        // everything else).
-        mappings.sort_by_key(|m| m.table);
         PipelineCheckpoint {
             fingerprint: config_fingerprint(&self.config),
             applied_batches,
-            tables: self.corpus.tables().to_vec(),
-            mappings,
+            corpus: self.corpus.clone(),
+            mapping: self.mapping.clone(),
             classes: self
                 .states
                 .iter()
@@ -493,8 +490,13 @@ impl PipelineCheckpoint {
     /// Encode the checkpoint into its binary file format.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.write_seq(&self.tables, |w, table| encode_table_into(table, w));
-        w.write_seq(&self.mappings, |w, mapping| encode_mapping_into(mapping, w));
+        encode_corpus_into(&self.corpus, &mut w);
+        // Canonical byte stream: the mapping lives in a HashMap, so encode
+        // it sorted by table id (arrival order is already canonical for
+        // everything else).
+        let mut mappings: Vec<&TableMapping> = self.mapping.tables().collect();
+        mappings.sort_by_key(|m| m.table);
+        w.write_seq(&mappings, |w, mapping| encode_mapping_into(mapping, w));
         w.write_seq(&self.classes, |w, dump| {
             w.write_str_slice(&dump.interner);
             w.write_seq(&dump.clusters, |w, cluster| {
@@ -562,11 +564,11 @@ impl PipelineCheckpoint {
         let checkpoint = PipelineCheckpoint {
             fingerprint,
             applied_batches,
-            tables: corpus.tables().to_vec(),
-            mappings,
+            corpus,
+            mapping: CorpusMapping::from_tables(mappings),
             classes,
         };
-        checkpoint.validate_state(&corpus)?;
+        checkpoint.validate_state()?;
         Ok(checkpoint)
     }
 
@@ -575,10 +577,9 @@ impl PipelineCheckpoint {
     /// order, with entities/results parallel to the cluster list. This is
     /// what lets [`StreamingClusterer::from_parts`] assume well-formed
     /// inputs.
-    fn validate_state(&self, corpus: &Corpus) -> Result<(), CheckpointError> {
-        let mapping = CorpusMapping::from_tables(self.mappings.clone());
+    fn validate_state(&self) -> Result<(), CheckpointError> {
         for (&class, dump) in CLASS_KEYS.iter().zip(&self.classes) {
-            let rows = class_rows_in_arrival_order(corpus, &mapping, class);
+            let rows = class_rows_in_arrival_order(&self.corpus, &self.mapping, class);
             if dump.entities.len() != dump.clusters.len()
                 || dump.results.len() != dump.clusters.len()
             {
@@ -662,19 +663,21 @@ impl PipelineCheckpoint {
     /// [`CheckpointError::Corrupted`] when the rebuild detects an
     /// inconsistency the structural validation could not (vocabulary
     /// missing from the persisted interner).
+    ///
+    /// Consumes the checkpoint: corpus, mapping, clusters, entities and
+    /// results move into the pipeline, so recovery holds the decoded state
+    /// once (clone first to restore the same checkpoint twice).
     pub fn restore<'a>(
-        &self,
+        self,
         kb: &'a KnowledgeBase,
         models: TrainedModels,
         config: PipelineConfig,
     ) -> Result<IncrementalPipeline<'a>, CheckpointError> {
         self.verify_config(&config)?;
-
-        let corpus = Corpus::from_tables(self.tables.clone());
-        let mapping = CorpusMapping::from_tables(self.mappings.clone());
+        let PipelineCheckpoint { corpus, mapping, classes, .. } = self;
 
         let mut states = Vec::with_capacity(CLASS_KEYS.len());
-        for (&class, dump) in CLASS_KEYS.iter().zip(&self.classes) {
+        for (&class, dump) in CLASS_KEYS.iter().zip(classes) {
             // Re-minting the class's arena in stored order reproduces every
             // Sym id of that class; all interning below is re-interning of
             // already-present strings, asserted by the per-class baseline
@@ -693,7 +696,7 @@ impl PipelineCheckpoint {
             state.clusterer = StreamingClusterer::from_parts(
                 config.clustering.clone(),
                 contexts,
-                dump.clusters.clone(),
+                dump.clusters,
             );
             if state.interner.len() != baseline {
                 return Err(CheckpointError::Corrupted(format!(
@@ -702,8 +705,8 @@ impl PipelineCheckpoint {
                     state.interner.len() - baseline
                 )));
             }
-            state.entities = dump.entities.clone();
-            state.results = dump.results.clone();
+            state.entities = dump.entities;
+            state.results = dump.results;
             states.push(state);
         }
 
@@ -817,7 +820,7 @@ mod tests {
         let checkpoint = original.checkpoint(2);
         let decoded = PipelineCheckpoint::decode(&checkpoint.encode()).unwrap();
         assert_eq!(decoded.applied_batches, 2);
-        let mut restored = decoded.restore(world.kb(), models, config.clone()).unwrap();
+        let mut restored = decoded.clone().restore(world.kb(), models, config.clone()).unwrap();
 
         assert_eq!(restored.corpus.tables(), original.corpus.tables());
         for (a, b) in original.states.iter().zip(&restored.states) {
@@ -831,8 +834,7 @@ mod tests {
         // The decisive check: both pipelines must evolve identically.
         let ra = original.ingest(&batches[2]).unwrap();
         let rb = restored.ingest(&batches[2]).unwrap();
-        assert_eq!(ra.touched_classes, rb.touched_classes);
-        assert_eq!(ra.new_entities, rb.new_entities);
+        assert_eq!(ra, rb);
         for (a, b) in original.states.iter().zip(&restored.states) {
             assert_eq!(a.clusterer.clusters(), b.clusterer.clusters());
             assert_eq!(a.entities, b.entities);
@@ -859,8 +861,8 @@ mod tests {
         let empty = PipelineCheckpoint {
             fingerprint: 1,
             applied_batches: 0,
-            tables: vec![],
-            mappings: vec![],
+            corpus: Corpus::new(),
+            mapping: CorpusMapping::default(),
             classes: CLASS_KEYS
                 .iter()
                 .map(|_| ClassDump {

@@ -210,6 +210,12 @@ pub struct IngestReport {
     /// publishers use this to rebuild only the class projections a batch
     /// actually touched and share the rest with the previous version.
     pub touched_classes: Vec<ClassKey>,
+    /// Per entry of `touched_classes`, the cluster indexes (positions in
+    /// [`IncrementalPipeline::class_entities`]) this batch created or
+    /// extended, strictly ascending. Every other entity and result of the
+    /// class is exactly what it was before the batch, so a publisher may
+    /// keep its projection of it.
+    pub touched_clusters: Vec<Vec<usize>>,
 }
 
 /// A serving pipeline: frozen trained models plus accumulated stream state.
@@ -400,15 +406,19 @@ impl<'a> IncrementalPipeline<'a> {
                 })
                 .collect();
 
-        // Merge in state order again: `touched_classes` and the
-        // new-entities counter come out identical at every shard count.
+        // Merge in state order again: `touched_classes`, their cluster
+        // lists and the new-entities counter come out identical at every
+        // shard count.
         let mut new_per_state: Vec<Option<usize>> = vec![None; num_states];
         for (idx, new_entities) in phase2.into_iter().flatten() {
             new_per_state[idx] = Some(new_entities);
         }
-        for (state, new_entities) in self.states.iter().zip(new_per_state) {
+        for ((state, new_entities), touched) in
+            self.states.iter().zip(new_per_state).zip(touched_per_state)
+        {
             if let Some(new_entities) = new_entities {
                 report.touched_classes.push(state.class);
+                report.touched_clusters.push(touched);
                 report.new_entities += new_entities;
             }
         }

@@ -29,7 +29,7 @@ use std::path::Path;
 use ltee_core::checkpoint::{decode_corpus, encode_corpus};
 use ltee_core::{config_fingerprint, IngestReport, PipelineConfig, TrainedModels};
 use ltee_kb::KnowledgeBase;
-use ltee_store::{KbStore, StoreError, WalTail};
+use ltee_store::{KbStore, StoreError, StoreRecovery, WalTail};
 use ltee_webtables::Corpus;
 
 use crate::{IncrementalPipeline, KbSnapshot, RetentionPolicy, ServePipeline, SnapshotReader};
@@ -113,32 +113,29 @@ impl<'a> DurableServePipeline<'a> {
             assert!(n >= 1, "EveryBatches(0) would checkpoint nowhere");
         }
         let fingerprint = config_fingerprint(&config);
-        let recovery = KbStore::open(dir, fingerprint)?;
+        let StoreRecovery { store, checkpoint, tail, wal_tail } = KbStore::open(dir, fingerprint)?;
 
-        let (pipeline, from_checkpoint) = match &recovery.checkpoint {
-            Some(ckpt) => {
-                let restored = ckpt.restore(kb, models, config)?;
-                (restored, Some(ckpt.applied_batches))
-            }
-            None => (IncrementalPipeline::new(kb, models, config), None),
+        // The decoded state is held once: the checkpoint moves into the
+        // pipeline, and each WAL payload is freed as soon as it is applied.
+        let from_checkpoint = checkpoint.as_ref().map(|ckpt| ckpt.applied_batches);
+        let pipeline = match checkpoint {
+            Some(ckpt) => ckpt.restore(kb, models, config)?,
+            None => IncrementalPipeline::new(kb, models, config),
         };
         let mut serve =
             ServePipeline::from_pipeline(kb, pipeline, from_checkpoint.unwrap_or(0), retention);
 
         let mut replayed = 0u64;
-        for record in &recovery.tail {
+        for record in tail {
             let batch = decode_corpus(&record.payload)?;
+            drop(record);
             serve.ingest(&batch)?;
             replayed += 1;
         }
-        debug_assert_eq!(serve.version(), recovery.store.next_seq() - 1);
+        debug_assert_eq!(serve.version(), store.next_seq() - 1);
 
-        let report = RecoveryReport {
-            from_checkpoint,
-            replayed_batches: replayed,
-            wal_tail: recovery.wal_tail,
-        };
-        Ok((Self { serve, store: recovery.store, policy }, report))
+        let report = RecoveryReport { from_checkpoint, replayed_batches: replayed, wal_tail };
+        Ok((Self { serve, store, policy }, report))
     }
 
     /// Ingest one micro-batch durably: fsync it to the WAL, apply it, then

@@ -73,6 +73,8 @@
 #![warn(missing_docs)]
 
 pub mod cell;
+#[cfg(test)]
+mod delta_tests;
 pub mod durable;
 pub mod query;
 pub mod snapshot;
@@ -94,30 +96,9 @@ use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_webtables::Corpus;
 use rayon::prelude::*;
 
-/// Build the class projections for `classes` concurrently on the
-/// work-stealing pool, returning `(slot, projection)` pairs in input order
-/// (the pool collects in input order, so publication stays deterministic
-/// at every shard/thread count). Used by ingest-time publication — where
-/// the classes are the batch's touched classes — and by recovery, where
-/// every populated class rebuilds at once.
-fn build_class_slices(
-    kb: &KnowledgeBase,
-    pipeline: &IncrementalPipeline<'_>,
-    classes: &[ClassKey],
-) -> Vec<(usize, Arc<ClassSnapshot>)> {
-    classes
-        .par_iter()
-        .map(|&class| {
-            let slot = CLASS_KEYS
-                .iter()
-                .position(|&c| c == class)
-                .expect("projected classes come from CLASS_KEYS");
-            let (entities, results) = pipeline
-                .class_entities(class)
-                .expect("a projected class has at least one cluster");
-            (slot, Arc::new(ClassSnapshot::build(kb, class, entities, results)))
-        })
-        .collect()
+/// The [`CLASS_KEYS`] slot a class's projection lives in.
+fn class_slot(class: ClassKey) -> Option<usize> {
+    CLASS_KEYS.iter().position(|&c| c == class)
 }
 
 /// The serving end of the train-once / serve-many split: an
@@ -126,9 +107,12 @@ fn build_class_slices(
 ///
 /// Ingest is exclusive (`&mut self`); reads go through [`SnapshotReader`]
 /// handles, which are independent of the pipeline's lifetime and can be
-/// handed to any number of threads. Publication rebuilds only the
-/// per-class projections the batch touched ([`IngestReport::touched_classes`])
-/// and shares the rest with the previous version.
+/// handed to any number of threads. Publication shares every class the
+/// batch did not touch ([`IngestReport::touched_classes`]) with the
+/// previous version, and inside a touched class every record whose cluster
+/// the batch did not touch ([`IngestReport::touched_clusters`]); the
+/// touched class's label index is rebuilt, so a publish costs O(touched
+/// clusters) in records and O(touched classes' size) in index.
 #[derive(Debug)]
 pub struct ServePipeline<'a> {
     kb: &'a KnowledgeBase,
@@ -180,15 +164,15 @@ impl<'a> ServePipeline<'a> {
         version: u64,
         retention: RetentionPolicy,
     ) -> Self {
-        let mut class_cache: Vec<Option<Arc<ClassSnapshot>>> = vec![None; CLASS_KEYS.len()];
-        let populated: Vec<ClassKey> = CLASS_KEYS
-            .iter()
-            .copied()
-            .filter(|&class| pipeline.class_entities(class).is_some())
+        // Every populated class builds in full, concurrently; the pool
+        // collects in input order, so slot `i` is `CLASS_KEYS[i]`'s.
+        let class_cache: Vec<Option<Arc<ClassSnapshot>>> = CLASS_KEYS
+            .par_iter()
+            .map(|&class| {
+                let (entities, results) = pipeline.class_entities(class)?;
+                Some(Arc::new(ClassSnapshot::build(kb, class, entities, results)))
+            })
             .collect();
-        for (slot, slice) in build_class_slices(kb, &pipeline, &populated) {
-            class_cache[slot] = Some(slice);
-        }
         let initial = Arc::new(KbSnapshot::assemble(
             version,
             pipeline.ingested_tables(),
@@ -221,10 +205,25 @@ impl<'a> ServePipeline<'a> {
         if report.tables == 0 {
             return Ok(report);
         }
-        // Rebuild only the touched class projections, concurrently — the
-        // per-class builds are independent and collected in input order,
-        // so the published snapshot is identical at every pool size.
-        for (slot, slice) in build_class_slices(self.kb, &self.pipeline, &report.touched_classes) {
+        // Re-project only what the batch touched, each touched class on
+        // top of its previous slice, concurrently — the per-class builds
+        // are independent and collected in input order, so the published
+        // snapshot is identical at every pool size.
+        let (kb, pipeline, cache) = (self.kb, &self.pipeline, &self.class_cache);
+        let touched: Vec<(ClassKey, &Vec<usize>)> =
+            report.touched_classes.iter().copied().zip(&report.touched_clusters).collect();
+        let slices: Vec<(usize, Arc<ClassSnapshot>)> = touched
+            .par_iter()
+            .filter_map(|&(class, clusters)| {
+                let slot = class_slot(class)?;
+                let (entities, results) = pipeline.class_entities(class)?;
+                let previous = cache[slot].as_deref();
+                let slice =
+                    ClassSnapshot::build_delta(previous, clusters, kb, class, entities, results);
+                Some((slot, Arc::new(slice)))
+            })
+            .collect();
+        for (slot, slice) in slices {
             self.class_cache[slot] = Some(slice);
         }
         // The version is derived from the published sequence (not tracked
@@ -391,7 +390,7 @@ mod tests {
         ];
         let slice = Arc::new(ClassSnapshot::build(&kb, ClassKey::Song, &entities, &results));
         let mut classes = vec![None; CLASS_KEYS.len()];
-        let slot = CLASS_KEYS.iter().position(|&c| c == ClassKey::Song).unwrap();
+        let slot = class_slot(ClassKey::Song).unwrap();
         classes[slot] = Some(slice);
         KbSnapshot::assemble(1, 2, 3, classes)
     }

@@ -8,6 +8,8 @@
 //! are bit-identical to executing each query sequentially (the pool's
 //! determinism contract).
 
+use std::sync::Arc;
+
 use ltee_kb::ClassKey;
 use rayon::prelude::*;
 
@@ -82,8 +84,10 @@ pub enum QueryOutput {
     /// Response to [`Query::Exact`] and [`Query::Fuzzy`].
     Hits(Vec<EntityHit>),
     /// Response to [`Query::Entity`]; `None` when the reference does not
-    /// exist in this snapshot version.
-    Entity(Option<EntityRecord>),
+    /// exist in this snapshot version. The handle is the snapshot's own —
+    /// a fetch copies a pointer, and the record outlives the snapshot for
+    /// as long as the caller keeps it.
+    Entity(Option<Arc<EntityRecord>>),
     /// Response to [`Query::List`].
     Page(ClassPage),
     /// Response to [`Query::Stats`].

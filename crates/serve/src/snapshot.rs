@@ -9,8 +9,12 @@
 //!
 //! Per class the snapshot holds an [`Arc<ClassSnapshot>`]; versions that
 //! did not touch a class share the previous version's `ClassSnapshot`
-//! physically, so publishing a batch costs memory proportional to the
-//! classes it touched, not to the whole KB.
+//! physically. A touched class gets a new slice, but a served entity
+//! exists once: the slice holds one `Arc<EntityRecord>` per entity, and
+//! every entity the batch left alone is the previous version's record
+//! (`ClassSnapshot::build_delta`). What a version owns is therefore its
+//! label indexes and one pointer per entity of each class it touched; the
+//! records it owns alone are those of the clusters its batch touched.
 
 use std::sync::Arc;
 
@@ -68,6 +72,32 @@ pub struct EntityRecord {
 }
 
 impl EntityRecord {
+    /// Project one fused entity and its new-detection verdict.
+    fn project(
+        kb: &KnowledgeBase,
+        class: ClassKey,
+        entity: &Entity,
+        result: &NewDetectionResult,
+    ) -> Self {
+        let outcome = match result.outcome {
+            NewDetectionOutcome::New => LinkOutcome::New,
+            NewDetectionOutcome::Existing(instance) => LinkOutcome::Existing {
+                instance,
+                label: kb.instance_label(instance).unwrap_or_default().to_string(),
+            },
+        };
+        Self {
+            class,
+            labels: entity.labels.clone(),
+            facts: entity.facts.clone(),
+            rows: entity.rows.clone(),
+            tables: entity.provenance_tables(),
+            outcome,
+            best_score: result.best_score,
+            candidate_count: result.candidate_count,
+        }
+    }
+
     /// The canonical (most frequent) label.
     pub fn canonical_label(&self) -> &str {
         self.labels.first().map(String::as_str).unwrap_or("")
@@ -79,12 +109,22 @@ impl EntityRecord {
     }
 }
 
+/// A record compares with a shared handle to one by content, so a list of
+/// owned records can be checked against [`ClassSnapshot::records`].
+impl PartialEq<Arc<EntityRecord>> for EntityRecord {
+    fn eq(&self, other: &Arc<EntityRecord>) -> bool {
+        *self == **other
+    }
+}
+
 /// The per-class slice of a snapshot: entity records plus a frozen label
 /// index over every record label (record position = index id).
 #[derive(Debug)]
 pub struct ClassSnapshot {
     class: ClassKey,
-    records: Vec<EntityRecord>,
+    /// One handle per entity; a record is shared with every retained
+    /// version whose batch did not touch its cluster.
+    records: Vec<Arc<EntityRecord>>,
     index: SharedLabelIndex,
     /// Aggregates, computed once at build time — the slice is immutable,
     /// so stats queries must not re-scan the records per call.
@@ -93,45 +133,65 @@ pub struct ClassSnapshot {
 
 impl ClassSnapshot {
     /// Project one class's accumulated pipeline output into a
-    /// self-contained snapshot slice.
+    /// self-contained snapshot slice, every record fresh. Recovery builds
+    /// this way; ingest publishes by [`ClassSnapshot::build_delta`], which
+    /// must serve the same slice.
     pub(crate) fn build(
         kb: &KnowledgeBase,
         class: ClassKey,
         entities: &[Entity],
         results: &[NewDetectionResult],
     ) -> Self {
+        Self::build_delta(None, &[], kb, class, entities, results)
+    }
+
+    /// The slice after a batch that created or extended exactly the
+    /// clusters `touched` (ascending, as
+    /// [`ltee_core::IngestReport::touched_clusters`] lists them):
+    /// `previous`'s record for every other position, a fresh projection for
+    /// the touched and the new ones (`None`: the class's first batch, all
+    /// new). The label index is rebuilt in full, so a delta costs
+    /// O(touched) in records and O(class) in index.
+    pub(crate) fn build_delta(
+        previous: Option<&ClassSnapshot>,
+        touched: &[usize],
+        kb: &KnowledgeBase,
+        class: ClassKey,
+        entities: &[Entity],
+        results: &[NewDetectionResult],
+    ) -> Self {
+        let previous = previous.map_or(&[][..], |slice| &slice.records);
         debug_assert_eq!(entities.len(), results.len());
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched clusters ascend");
+        let mut touched = touched.iter().copied().peekable();
         let mut index = LabelIndex::new();
         let mut records = Vec::with_capacity(entities.len());
+        let mut stats =
+            ClassStats { class, entities: entities.len(), new_entities: 0, linked_entities: 0, rows: 0 };
         for (pos, (entity, result)) in entities.iter().zip(results).enumerate() {
             for label in &entity.labels {
                 index.insert(pos as u64, label);
             }
-            let outcome = match result.outcome {
-                NewDetectionOutcome::New => LinkOutcome::New,
-                NewDetectionOutcome::Existing(instance) => LinkOutcome::Existing {
-                    instance,
-                    label: kb.instance_label(instance).unwrap_or_default().to_string(),
-                },
+            let is_touched = touched.next_if_eq(&pos).is_some();
+            let record = match previous.get(pos) {
+                Some(kept) if !is_touched => {
+                    debug_assert_eq!(
+                        **kept,
+                        EntityRecord::project(kb, class, entity, result),
+                        "{class}: cluster {pos} changed but was not reported touched"
+                    );
+                    Arc::clone(kept)
+                }
+                _ => Arc::new(EntityRecord::project(kb, class, entity, result)),
             };
-            records.push(EntityRecord {
-                class,
-                labels: entity.labels.clone(),
-                facts: entity.facts.clone(),
-                rows: entity.rows.clone(),
-                tables: entity.provenance_tables(),
-                outcome,
-                best_score: result.best_score,
-                candidate_count: result.candidate_count,
-            });
+            if record.outcome.is_new() {
+                stats.new_entities += 1;
+            } else {
+                stats.linked_entities += 1;
+            }
+            stats.rows += record.rows.len();
+            records.push(record);
         }
-        let stats = ClassStats {
-            class,
-            entities: records.len(),
-            new_entities: records.iter().filter(|r| r.outcome.is_new()).count(),
-            linked_entities: records.iter().filter(|r| !r.outcome.is_new()).count(),
-            rows: records.iter().map(|r| r.rows.len()).sum(),
-        };
         Self { class, records, index: index.into_shared(), stats }
     }
 
@@ -146,13 +206,15 @@ impl ClassSnapshot {
     }
 
     /// All entity records, in cluster order (stable across versions that
-    /// extend rather than rebuild a cluster).
-    pub fn records(&self) -> &[EntityRecord] {
+    /// extend rather than rebuild a cluster). Each handle is the one copy
+    /// of its record: versions whose batches left the cluster alone hold
+    /// the same `Arc`.
+    pub fn records(&self) -> &[Arc<EntityRecord>] {
         &self.records
     }
 
     /// One record by position.
-    pub fn record(&self, id: u32) -> Option<&EntityRecord> {
+    pub fn record(&self, id: u32) -> Option<&Arc<EntityRecord>> {
         self.records.get(id as usize)
     }
 
@@ -310,8 +372,7 @@ impl KbSnapshot {
 
     /// The slice serving one class, if it has entities.
     pub fn class(&self, class: ClassKey) -> Option<&ClassSnapshot> {
-        let slot = CLASS_KEYS.iter().position(|&c| c == class)?;
-        self.classes[slot].as_deref()
+        self.classes[crate::class_slot(class)?].as_deref()
     }
 
     /// All non-empty class slices, in [`CLASS_KEYS`] order.
@@ -319,8 +380,9 @@ impl KbSnapshot {
         self.classes.iter().filter_map(|c| c.as_deref())
     }
 
-    /// Fetch one entity record.
-    pub fn entity(&self, entity: EntityRef) -> Option<&EntityRecord> {
+    /// Fetch one entity record — the snapshot's own handle, so cloning it
+    /// copies a pointer, not the record.
+    pub fn entity(&self, entity: EntityRef) -> Option<&Arc<EntityRecord>> {
         self.class(entity.class)?.record(entity.id)
     }
 
@@ -331,7 +393,10 @@ impl KbSnapshot {
         for slice in self.class_slices(class) {
             for id in slice.index().exact_ids(label) {
                 let id = id as u32;
-                let record = slice.record(id).expect("index ids are record positions");
+                // Index ids are record positions; an id past the records
+                // would be a build bug, and serving fewer hits beats a
+                // panic on the read path.
+                let Some(record) = slice.record(id) else { continue };
                 hits.push(EntityHit {
                     entity: EntityRef { class: slice.class(), id },
                     score: 1.0,

@@ -222,10 +222,12 @@ impl KbStore {
             }
         }
 
-        // Records the checkpoint already covers are dropped; the rest must
-        // connect to it without a gap.
+        // Records the checkpoint already covers are dropped; the rest move
+        // out of the scan (no second copy of their payloads) and must
+        // connect to the checkpoint without a gap.
+        let scanned = scan.records.len();
         let tail: Vec<WalRecord> =
-            scan.records.iter().filter(|r| r.seq > applied).cloned().collect();
+            scan.records.into_iter().filter(|r| r.seq > applied).collect();
         if let Some(first) = tail.first() {
             if first.seq != applied + 1 {
                 return Err(StoreError::WalGap { applied, first_seq: first.seq });
@@ -236,7 +238,7 @@ impl KbStore {
         // checkpoint covers, so future appends extend a pristine log.
         let dirty = scan.fingerprint.is_none()
             || !matches!(scan.tail, WalTail::Clean)
-            || tail.len() != scan.records.len()
+            || tail.len() != scanned
             || wal_bytes_len == 0
             || !wal_path.exists();
         if dirty {
@@ -320,11 +322,13 @@ impl KbStore {
         // Compact the WAL to what the *older* retained checkpoint cannot
         // reconstruct, so recovery can still fall back one checkpoint.
         let keep_after = all.get(1).copied().unwrap_or(checkpoint.applied_batches);
-        let bytes = fs::read(Self::wal_path(&self.dir))?;
-        let scan = scan_wal(&bytes)?;
+        // One copy of the log in memory while it is rewritten: the file's
+        // bytes go once scanned, and the kept records move out of the scan.
+        let scan = scan_wal(&fs::read(Self::wal_path(&self.dir))?)?;
+        let scanned = scan.records.len();
         let kept: Vec<WalRecord> =
-            scan.records.iter().filter(|r| r.seq > keep_after).cloned().collect();
-        if kept.len() != scan.records.len() || !matches!(scan.tail, WalTail::Clean) {
+            scan.records.into_iter().filter(|r| r.seq > keep_after).collect();
+        if kept.len() != scanned || !matches!(scan.tail, WalTail::Clean) {
             Self::rewrite_wal(&self.dir, self.fingerprint, &kept)?;
         }
         Ok(())

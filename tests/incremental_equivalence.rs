@@ -78,6 +78,25 @@ fn split_invariant_sums(reports: &[IngestReport]) -> [usize; 4] {
     })
 }
 
+/// The shape `IngestReport::touched_clusters` must have after every batch:
+/// one list per touched class, each strictly ascending and inside the
+/// class's entity list, together naming every cluster the batch created or
+/// extended exactly once.
+fn assert_touched_clusters_are_well_formed(
+    serving: &IncrementalPipeline<'_>,
+    report: &IngestReport,
+) {
+    assert_eq!(report.touched_clusters.len(), report.touched_classes.len());
+    for (&class, touched) in report.touched_classes.iter().zip(&report.touched_clusters) {
+        let (entities, _) = serving.class_entities(class).expect("a touched class has entities");
+        assert!(!touched.is_empty(), "{class}: a touched class names its clusters");
+        assert!(touched.windows(2).all(|w| w[0] < w[1]), "{class}: not ascending: {touched:?}");
+        assert!(touched.iter().all(|&c| c < entities.len()), "{class}: past the entity list");
+    }
+    let named: usize = report.touched_clusters.iter().map(Vec::len).sum();
+    assert_eq!(named, report.new_clusters + report.updated_clusters);
+}
+
 fn ingest_in_batches_sharded(
     world: &World,
     corpus: &Corpus,
@@ -97,6 +116,7 @@ fn ingest_in_batches_sharded(
         let report = serving.ingest(&batch).expect("fresh table ids");
         assert_eq!(report.tables, batch.len());
         assert_eq!(report.rows, batch.total_rows());
+        assert_touched_clusters_are_well_formed(&serving, &report);
         reports.push(report);
     }
     let ingested_rows: usize = reports.iter().map(|r| r.rows).sum();
