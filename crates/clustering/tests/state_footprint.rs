@@ -2,10 +2,9 @@
 //! row: the PHI statistics and frozen table vectors of [`StreamingPhi`],
 //! and the bag-of-words vector every row context keeps.
 //!
-//! A counting global allocator (the idiom of
-//! `crates/index/tests/index_footprint.rs`) measures live heap blocks and
-//! net live bytes. Both layouts are integer tables, so what is asserted is
-//! structural: `StreamingPhi` owns no heap block per co-occurrence pair,
+//! The workspace's counting allocator (`tests/support/counting_alloc.rs`)
+//! measures live heap blocks and net live bytes. Both layouts are integer
+//! tables, so what is asserted is structural: `StreamingPhi` owns no heap block per co-occurrence pair,
 //! per vector component or per label string — its blocks grow with the
 //! number of labels and tables only — and a `BowVector` is two blocks
 //! whatever its term count. The bytes are held under ceilings a little
@@ -18,70 +17,17 @@
 //! — its own process. It counts the test thread's allocations only and
 //! prints only after the last measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, Ordering};
-
 use ltee_clustering::StreamingPhi;
 use ltee_text::BowVector;
 use ltee_webtables::TableId;
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-static NET_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static LIVE_BLOCKS: AtomicI64 = AtomicI64::new(0);
-
-thread_local! {
-    /// Set on the test's own thread: the harness's main thread allocates
-    /// (bookkeeping for the running test) while the test runs, and those
-    /// blocks are not the state's.
-    static MEASURED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn record(blocks: i64, bytes: i64) {
-    if MEASURED.try_with(Cell::get).unwrap_or(false) {
-        LIVE_BLOCKS.fetch_add(blocks, Ordering::Relaxed);
-        NET_LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every call is forwarded to `System` with its arguments
-// unchanged; the counters only observe sizes and never touch the memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            record(1, layout.size() as i64);
-        }
-        ptr
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            record(1, layout.size() as i64);
-        }
-        ptr
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(-1, -(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() {
-            record(0, new_size as i64 - layout.size() as i64);
-        }
-        new_ptr
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// `(live blocks, net live bytes)` of this thread's allocations since it
-/// set `MEASURED`.
+/// `(live blocks, net live bytes)` of the test thread so far.
 fn heap() -> (i64, i64) {
-    (LIVE_BLOCKS.load(Ordering::Relaxed), NET_LIVE_BYTES.load(Ordering::Relaxed))
+    let heap = counting_alloc::heap();
+    (heap.blocks, heap.bytes)
 }
 
 /// SplitMix64: the stream depends on nothing but the seed.
@@ -176,7 +122,7 @@ const ARENA_BYTES_PER_TERM: i64 = 4;
 #[test]
 fn stream_state_is_integer_tables_with_no_block_per_pair_entry_or_term() {
     let tables = label_stream(SEED, TABLES);
-    MEASURED.with(|measured| measured.set(true));
+    counting_alloc::count_this_thread(true);
 
     let start = heap();
     let mut phi = StreamingPhi::new();

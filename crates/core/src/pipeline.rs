@@ -208,7 +208,7 @@ pub fn train_models(
             }
         });
     }
-    let row_dataset = row_dataset.expect("golds is non-empty (checked above)");
+    let row_dataset = row_dataset.ok_or(PipelineError::NoGoldStandards)?;
     if row_dataset.is_empty() {
         return Err(PipelineError::EmptyTrainingData { stage: "row pair dataset" });
     }
@@ -245,7 +245,7 @@ pub fn train_models(
             }
         });
     }
-    let entity_dataset = entity_dataset.expect("golds is non-empty (checked above)");
+    let entity_dataset = entity_dataset.ok_or(PipelineError::NoGoldStandards)?;
     if entity_dataset.is_empty() {
         return Err(PipelineError::EmptyTrainingData { stage: "entity pair dataset" });
     }
@@ -341,9 +341,11 @@ impl<'a> Pipeline<'a> {
         // and every scoring stage compares integers.
         let mut interner = Interner::new();
         let mut feedback: Option<CorpusFeedback> = None;
-        let mut final_output: Option<PipelineOutput> = None;
+        let mut remaining = self.config.iterations.max(1);
 
-        for _iteration in 0..self.config.iterations.max(1) {
+        // The last iteration's output is the run's: returning from inside
+        // the loop means there is no "no iteration ran" case to handle.
+        loop {
             let mapping = match_corpus(
                 corpus,
                 self.kb,
@@ -382,15 +384,12 @@ impl<'a> Pipeline<'a> {
                 classes.push(class_output);
             }
 
-            feedback = Some(CorpusFeedback {
-                mapping: mapping.clone(),
-                clusters: all_clusters,
-                cluster_instance,
-            });
-            final_output = Some(PipelineOutput { mapping, classes });
+            remaining -= 1;
+            if remaining == 0 {
+                return Ok(PipelineOutput { mapping, classes });
+            }
+            feedback = Some(CorpusFeedback { mapping, clusters: all_clusters, cluster_instance });
         }
-
-        Ok(final_output.expect("at least one iteration runs"))
     }
 
     /// Run the **streaming (serve-profile)** pipeline over a corpus in one

@@ -251,17 +251,28 @@ impl SharedLabelIndex {
         exact_block_core(self.interner.as_ref(), &self.tables.entries, &self.tables.by_label, label)
     }
 
+    /// The exact block of an already normalised query, without allocating:
+    /// a caller probing several indexes with one query (a cross-class
+    /// lookup) normalises it once. Entries come in insertion order; an id
+    /// indexed under two labels that normalise alike appears twice.
+    pub fn exact_block_normalized(
+        &self,
+        label: &NormalizedLabel,
+    ) -> impl ExactSizeIterator<Item = &LabelEntry> {
+        let tables = &*self.tables;
+        let block = block_positions(self.interner.as_ref(), &tables.by_label, &label.0);
+        block.iter().map(|&pos| &tables.entries[pos as usize])
+    }
+
     /// Distinct entry ids of the exact block, in insertion order.
     pub fn exact_ids(&self, label: &str) -> Vec<u64> {
-        let tables = &*self.tables;
-        let block = block_positions(self.interner.as_ref(), &tables.by_label, label);
+        let block = self.exact_block_normalized(&NormalizedLabel::new(label));
         // A block is the handful of entries sharing one normalised label:
         // the result doubles as the seen-set.
         let mut ids: Vec<u64> = Vec::with_capacity(block.len());
-        for &pos in block {
-            let id = tables.entries[pos as usize].id;
-            if !ids.contains(&id) {
-                ids.push(id);
+        for entry in block {
+            if !ids.contains(&entry.id) {
+                ids.push(entry.id);
             }
         }
         ids
@@ -288,9 +299,21 @@ impl SharedLabelIndex {
     }
 }
 
-/// Entry positions of `label`'s exact block, in insertion order.
-fn block_positions<'a>(interner: &Interner, by_label: &'a PostingLists, label: &str) -> &'a [u32] {
-    match interner.get(&normalize_label(label)) {
+/// A query label in the normalised form every index keys its exact blocks
+/// on ([`normalize_label`]'s).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NormalizedLabel(String);
+
+impl NormalizedLabel {
+    /// Normalise a query label.
+    pub fn new(label: &str) -> Self {
+        Self(normalize_label(label))
+    }
+}
+
+/// Entry positions of a normalised label's exact block, in insertion order.
+fn block_positions<'a>(interner: &Interner, by_label: &'a PostingLists, normalized: &str) -> &'a [u32] {
+    match interner.get(normalized) {
         Some(sym) => by_label.get(sym),
         None => &[],
     }
@@ -302,7 +325,7 @@ fn exact_block_core<'a>(
     by_label: &PostingLists,
     label: &str,
 ) -> Vec<&'a LabelEntry> {
-    block_positions(interner, by_label, label).iter().map(|&p| &entries[p as usize]).collect()
+    block_positions(interner, by_label, &normalize_label(label)).iter().map(|&p| &entries[p as usize]).collect()
 }
 
 /// Result-key ordering: score descending, then id, then entry position.

@@ -46,5 +46,5 @@ pub mod reference;
 #[path = "../tests/scaling_corpus/mod.rs"]
 mod scaling_corpus;
 
-pub use label_index::{LabelEntry, LabelIndex, LabelMatch, SharedLabelIndex};
+pub use label_index::{LabelEntry, LabelIndex, LabelMatch, NormalizedLabel, SharedLabelIndex};
 pub use metrics::LookupMetrics;

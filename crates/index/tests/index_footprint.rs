@@ -2,9 +2,9 @@
 //! for the growing [`LabelIndex`] and for the frozen [`SharedLabelIndex`]
 //! every retained snapshot version holds.
 //!
-//! A counting global allocator (the idiom of
-//! `tests/serve_reclamation_soak.rs`) measures the blocks and net bytes
-//! left live by building an index over a fixed seeded 5 000-label corpus.
+//! The workspace's counting allocator (`tests/support/counting_alloc.rs`)
+//! measures the blocks and net bytes the test thread leaves live by
+//! building an index over a fixed seeded 5 000-label corpus.
 //! Both are pure functions of the corpus: every table under a label is a
 //! flat vector whose size depends on counts only, never on hash seeds. So
 //! the **block count is asserted exactly** — one block per entry (its
@@ -16,64 +16,11 @@
 //! The counters are process-global, so this file holds a single `#[test]`
 //! — its own process — and prints only after the last measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
 use ltee_index::LabelIndex;
 
-struct CountingAlloc;
-
-static NET_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static LIVE_BLOCKS: AtomicI64 = AtomicI64::new(0);
-static ALLOCATOR_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded to `System` with its arguments
-// unchanged; the counters only observe sizes and never touch the memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            NET_LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-            LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-            ALLOCATOR_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        ptr
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            NET_LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-            LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-            ALLOCATOR_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        ptr
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        NET_LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        LIVE_BLOCKS.fetch_sub(1, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() {
-            NET_LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-            ALLOCATOR_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        new_ptr
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// `(live blocks, net live bytes, allocator calls so far)`.
-fn heap() -> (i64, i64, u64) {
-    (
-        LIVE_BLOCKS.load(Ordering::Relaxed),
-        NET_LIVE_BYTES.load(Ordering::Relaxed),
-        ALLOCATOR_CALLS.load(Ordering::Relaxed),
-    )
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::heap;
 
 /// SplitMix64: the corpus depends on nothing but the seed.
 struct SplitMix64(u64);
@@ -175,6 +122,7 @@ fn blocks_per_label_are_exact_and_bytes_per_label_stay_under_the_ceiling() {
     // normalises to no tokens at all.
     let with_tokens = labels.iter().filter(|l| l.chars().any(char::is_alphanumeric)).count() as i64;
 
+    counting_alloc::count_this_thread(true);
     let start = heap();
     let mut index = LabelIndex::new();
     for (id, label) in labels.iter().enumerate() {
@@ -186,29 +134,28 @@ fn blocks_per_label_are_exact_and_bytes_per_label_stay_under_the_ceiling() {
 
     assert_eq!(shared.len(), LABELS);
     let per_label = |value: i64| value as f64 / LABELS as f64;
-    let mutable = (built.0 - start.0, built.1 - start.1);
-    let sealed = (frozen.0 - start.0, frozen.1 - start.1);
+    let (mutable, sealed) = (built - start, frozen - start);
     println!("index footprint, {LABELS} labels (seed {SEED}), {} distinct strings", shared.interner().len());
     println!("{:<24} {:>14} {:>14}", "", "blocks/label", "bytes/label");
     for (name, (blocks, bytes)) in [
         ("parent, growing", PARENT_MUTABLE),
         ("parent, frozen", PARENT_FROZEN),
-        ("flat, growing", (per_label(mutable.0), per_label(mutable.1))),
-        ("flat, frozen", (per_label(sealed.0), per_label(sealed.1))),
+        ("flat, growing", (per_label(mutable.blocks), per_label(mutable.bytes))),
+        ("flat, frozen", (per_label(sealed.blocks), per_label(sealed.bytes))),
     ] {
         println!("{name:<24} {blocks:>14.3} {bytes:>14.1}");
     }
     println!(
         "allocator calls while building: {:.2} per label; while freezing: {}",
-        (built.2 - start.2) as f64 / LABELS as f64,
-        frozen.2 - built.2
+        mutable.calls as f64 / LABELS as f64,
+        (frozen - built).calls
     );
 
-    assert_eq!(mutable.0, with_tokens + MUTABLE_TABLE_BLOCKS, "live blocks, growing index");
-    assert_eq!(sealed.0, with_tokens + FROZEN_TABLE_BLOCKS, "live blocks, frozen index");
+    assert_eq!(mutable.blocks, with_tokens + MUTABLE_TABLE_BLOCKS, "live blocks, growing index");
+    assert_eq!(sealed.blocks, with_tokens + FROZEN_TABLE_BLOCKS, "live blocks, frozen index");
     for (name, bytes, ceiling) in [
-        ("growing", per_label(mutable.1), MUTABLE_BYTES_PER_LABEL_CEILING),
-        ("frozen", per_label(sealed.1), FROZEN_BYTES_PER_LABEL_CEILING),
+        ("growing", per_label(mutable.bytes), MUTABLE_BYTES_PER_LABEL_CEILING),
+        ("frozen", per_label(sealed.bytes), FROZEN_BYTES_PER_LABEL_CEILING),
     ] {
         assert!(bytes <= ceiling, "{name} index: {bytes:.1} B per label, ceiling {ceiling}");
     }

@@ -104,16 +104,9 @@ pub fn detect_new(
     // context build or grow the run interner's arena.
     let mut cache: HashMap<InstanceId, InstanceContext> = HashMap::new();
     for (entity, ids) in entities.iter().zip(&ids_per_entity) {
-        for &id in ids {
-            if cache.contains_key(&id) {
-                continue;
-            }
-            if let Some(instance) = kb.instance(id) {
-                if class_compatible(instance.class, entity) {
-                    cache.insert(id, InstanceContext::build(instance, kb, interner));
-                }
-            }
-        }
+        InstanceContext::build_missing(&mut cache, ids, kb, interner, |instance| {
+            class_compatible(instance.class, entity)
+        });
     }
 
     // Phase 3: rank and score.

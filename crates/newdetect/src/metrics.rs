@@ -1,8 +1,10 @@
 //! Entity-to-instance similarity metrics.
 
+use std::collections::hash_map::{Entry, HashMap};
+
 use ltee_fusion::Entity;
 use ltee_intern::{Interner, TokenSeq};
-use ltee_kb::{ClassKey, Instance, KnowledgeBase};
+use ltee_kb::{ClassKey, Instance, InstanceId, KnowledgeBase};
 use ltee_ml::{PairFeatures, PairwiseModel};
 use ltee_text::{cosine_similarity, monge_elkan_tokens, normalize_label, tokenize_interned, BowVector};
 use ltee_types::{PreparedValue, Value};
@@ -241,6 +243,26 @@ impl InstanceContext {
             prepared_facts,
             page_links: instance.page_links,
             id: instance.id,
+        }
+    }
+
+    /// Build the context of every instance among `ids` that `cache` does
+    /// not hold yet and `admit` lets through, in `ids` order: each distinct
+    /// candidate is materialised once, and its label tokens are minted into
+    /// `interner` in first-retrieval order (the order checkpoints persist).
+    pub(crate) fn build_missing(
+        cache: &mut HashMap<InstanceId, InstanceContext>,
+        ids: &[InstanceId],
+        kb: &KnowledgeBase,
+        interner: &mut Interner,
+        admit: impl Fn(&Instance) -> bool,
+    ) {
+        for &id in ids {
+            if let Entry::Vacant(slot) = cache.entry(id) {
+                if let Some(instance) = kb.instance(id).filter(|instance| admit(instance)) {
+                    slot.insert(Self::build(instance, kb, interner));
+                }
+            }
         }
     }
 

@@ -89,13 +89,7 @@ pub fn build_entity_pair_dataset(
         if ids.is_empty() {
             continue;
         }
-        for &id in &ids {
-            if let std::collections::hash_map::Entry::Vacant(slot) = cache.entry(id) {
-                if let Some(instance) = kb.instance(id) {
-                    slot.insert(InstanceContext::build(instance, kb, interner));
-                }
-            }
-        }
+        InstanceContext::build_missing(&mut cache, &ids, kb, interner, |_| true);
         let mut contexts: Vec<&InstanceContext> =
             ids.iter().filter_map(|id| cache.get(id)).collect();
         contexts.sort_by_key(|c| std::cmp::Reverse(c.page_links));

@@ -72,7 +72,7 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::snapshot::KbSnapshot;
 
@@ -191,11 +191,12 @@ pub struct ReaderSlot {
 /// Writer-side bookkeeping, behind a mutex readers never touch.
 #[derive(Debug)]
 struct Retained {
-    /// Versions inside the retention window, oldest first. Invariants:
-    /// never empty, versions contiguous ascending, and — except for the
-    /// instants inside `publish` itself, which is single-writer — the
-    /// last entry is the current version.
-    window: VecDeque<Arc<KbSnapshot>>,
+    /// The retention window's newest version: the current one, except for
+    /// the instants inside the (single-writer) `publish`. A field of its
+    /// own, so the window is never empty.
+    newest: Arc<KbSnapshot>,
+    /// The rest of the window, oldest first, contiguous up to `newest`.
+    older: VecDeque<Arc<KbSnapshot>>,
     /// Versions evicted from the window but possibly still observable by
     /// a reader mid-load: `(retire_epoch, version)`. Freed by `reclaim`
     /// once every slot is idle or pinned past `retire_epoch`.
@@ -221,7 +222,7 @@ static NEXT_CELL_ID: AtomicU64 = AtomicU64::new(1);
 pub struct SnapshotCell {
     /// Points at the data of the current version's `Arc`. The pointed-to
     /// snapshot always carries one outstanding `into_raw` count owned by
-    /// this field, *and* a strong count owned by `retained.window` — so
+    /// this field, *and* a strong count owned by the retention window — so
     /// it stays backed through the swap that supersedes it.
     current: AtomicPtr<KbSnapshot>,
     /// The global epoch: starts at 1, advanced once per publish, after
@@ -244,14 +245,13 @@ impl SnapshotCell {
     /// are only created (and written) by [`crate::ServePipeline`], which
     /// is what enforces the single-writer requirement at the type level.
     pub(crate) fn new(initial: Arc<KbSnapshot>, policy: RetentionPolicy) -> Self {
-        let mut window = VecDeque::new();
-        window.push_back(Arc::clone(&initial));
         Self {
             latest: AtomicU64::new(initial.version()),
-            current: AtomicPtr::new(Arc::into_raw(initial).cast_mut()),
+            current: AtomicPtr::new(Arc::into_raw(Arc::clone(&initial)).cast_mut()),
             epoch: AtomicU64::new(SLOT_IDLE + 1),
             retained: Mutex::new(Retained {
-                window,
+                newest: initial,
+                older: VecDeque::new(),
                 limbo: Vec::new(),
                 slots: Vec::new(),
                 reclaimed: 0,
@@ -293,7 +293,7 @@ impl SnapshotCell {
     /// [`load`]: SnapshotCell::load
     pub fn register_slot(&self) -> ReaderSlot {
         let state = Arc::new(SlotState { pinned: AtomicU64::new(SLOT_IDLE) });
-        self.retained.lock().expect("snapshot retention lock").slots.push(Arc::clone(&state));
+        self.retained().slots.push(Arc::clone(&state));
         ReaderSlot { state, cell_id: self.id, _single_thread: PhantomData }
     }
 
@@ -338,8 +338,15 @@ impl SnapshotCell {
     /// path) — the writer's own loads are setup/diagnostics, not the hot
     /// path.
     pub(crate) fn load_writer(&self) -> Arc<KbSnapshot> {
-        let retained = self.retained.lock().expect("snapshot retention lock");
-        Arc::clone(retained.window.back().expect("retention window is never empty"))
+        Arc::clone(&self.retained().newest)
+    }
+
+    /// Poisoned only if a publish or reclaim panicked while moving versions
+    /// between window and limbo, when one may have been freed under a
+    /// reader's pin: nothing sound is left to serve, so the panic spreads.
+    #[allow(clippy::expect_used)]
+    fn retained(&self) -> MutexGuard<'_, Retained> {
+        self.retained.lock().expect("snapshot retention bookkeeping panicked")
     }
 
     /// Publish a new version, retire the current one into the retention
@@ -378,13 +385,12 @@ impl SnapshotCell {
         self.latest.store(version, Ordering::Release);
 
         {
-            let mut retained = self.retained.lock().expect("snapshot retention lock");
-            retained.window.push_back(snapshot);
-            let keep = self.policy.window();
-            while retained.window.len() > keep {
-                let evicted = retained.window.pop_front().expect("len > keep ≥ 1");
-                retained.limbo.push((retire_epoch, evicted));
-            }
+            let mut retained = self.retained();
+            let Retained { newest, older, limbo, .. } = &mut *retained;
+            older.push_back(std::mem::replace(newest, snapshot));
+            // `newest` is the one window version `older` does not hold.
+            let evictions = older.len().saturating_sub(self.policy.window() - 1);
+            limbo.extend(older.drain(..evictions).map(|evicted| (retire_epoch, evicted)));
         }
         self.reclaim();
     }
@@ -397,7 +403,7 @@ impl SnapshotCell {
     pub(crate) fn reclaim(&self) {
         let mut freed: Vec<Arc<KbSnapshot>> = Vec::new();
         {
-            let mut retained = self.retained.lock().expect("snapshot retention lock");
+            let mut retained = self.retained();
             retained.slots.retain(|slot| Arc::strong_count(slot) > 1);
             // SeqCst slot loads: the scan must order against reader pins
             // and pointer loads (see the module docs' proof).
@@ -436,38 +442,38 @@ impl SnapshotCell {
     /// of the policy, not of reader timing. Takes the retention lock —
     /// meant for diagnostics and verification, not the hot query path.
     pub fn snapshot_at(&self, version: u64) -> Result<Arc<KbSnapshot>, SnapshotAtError> {
-        let retained = self.retained.lock().expect("snapshot retention lock");
-        let oldest = retained.window.front().expect("retention window is never empty").version();
-        let newest = retained.window.back().expect("retention window is never empty").version();
+        let retained = self.retained();
+        let newest = retained.newest.version();
+        let oldest = retained.older.front().map_or(newest, |oldest| oldest.version());
         if version > newest {
             return Err(SnapshotAtError::NotYetPublished { version, latest: newest });
         }
         if version < oldest {
             return Err(SnapshotAtError::VersionReclaimed { version, oldest_retained: oldest });
         }
-        // Window versions are contiguous ascending: direct index.
-        Ok(Arc::clone(&retained.window[(version - oldest) as usize]))
+        // Contiguous ascending: direct index; one past `older` is `newest`.
+        Ok(Arc::clone(retained.older.get((version - oldest) as usize).unwrap_or(&retained.newest)))
     }
 
     /// The oldest version still replayable via [`snapshot_at`].
     ///
     /// [`snapshot_at`]: SnapshotCell::snapshot_at
     pub fn oldest_retained(&self) -> u64 {
-        let retained = self.retained.lock().expect("snapshot retention lock");
-        retained.window.front().expect("retention window is never empty").version()
+        let retained = self.retained();
+        retained.older.front().unwrap_or(&retained.newest).version()
     }
 
     /// Versions currently resident: the retention window plus any limbo
     /// versions awaiting a safe free. Quiescent cells (no load in flight)
     /// report exactly `min(published, window)`.
     pub fn versions_retained(&self) -> usize {
-        let retained = self.retained.lock().expect("snapshot retention lock");
-        retained.window.len() + retained.limbo.len()
+        let retained = self.retained();
+        1 + retained.older.len() + retained.limbo.len()
     }
 
     /// Versions freed by reclamation so far.
     pub fn versions_reclaimed(&self) -> u64 {
-        self.retained.lock().expect("snapshot retention lock").reclaimed
+        self.retained().reclaimed
     }
 
     /// The cell's retention policy.

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use ltee_fusion::Entity;
-use ltee_index::{LabelIndex, SharedLabelIndex};
+use ltee_index::{LabelIndex, NormalizedLabel, SharedLabelIndex};
 use ltee_kb::{ClassKey, InstanceId, KnowledgeBase, CLASS_KEYS};
 use ltee_newdetect::{NewDetectionOutcome, NewDetectionResult};
 use ltee_types::Value;
@@ -388,20 +388,24 @@ impl KbSnapshot {
 
     /// Entities whose normalised label equals the normalised query, in one
     /// class or (with `None`) across all classes. Exact hits score 1.0.
+    /// The query is normalised once, however many class indexes it probes.
     pub fn exact_lookup(&self, class: Option<ClassKey>, label: &str) -> Vec<EntityHit> {
-        let mut hits = Vec::new();
+        let normalized = NormalizedLabel::new(label);
+        let mut hits: Vec<EntityHit> = Vec::new();
         for slice in self.class_slices(class) {
-            for id in slice.index().exact_ids(label) {
-                let id = id as u32;
+            let block = slice.index().exact_block_normalized(&normalized);
+            hits.reserve_exact(block.len());
+            for entry in block {
+                let entity = EntityRef { class: slice.class(), id: entry.id as u32 };
                 // Index ids are record positions; an id past the records
                 // would be a build bug, and serving fewer hits beats a
-                // panic on the read path.
-                let Some(record) = slice.record(id) else { continue };
-                hits.push(EntityHit {
-                    entity: EntityRef { class: slice.class(), id },
-                    score: 1.0,
-                    label: record.canonical_label().to_string(),
-                });
+                // panic on the read path. A record is in the block once
+                // per label that normalises to the query.
+                let Some(record) = slice.record(entity.id) else { continue };
+                if hits.iter().all(|hit| hit.entity != entity) {
+                    let label = record.canonical_label().to_string();
+                    hits.push(EntityHit { entity, score: 1.0, label });
+                }
             }
         }
         hits
@@ -409,33 +413,23 @@ impl KbSnapshot {
 
     /// Fuzzy top-k label lookup, in one class or (with `None`) across all
     /// classes. Within a class the ranking is exactly
-    /// [`SharedLabelIndex::lookup`]'s; across classes the query fans out
-    /// over every class index concurrently (each keeping its own DAAT
-    /// top-k bounds) and the per-class top-k lists are merged by
-    /// descending score (ties: ascending record id, then [`CLASS_KEYS`]
-    /// order) and cut to `k`.
+    /// [`SharedLabelIndex::lookup`]'s; across classes the class indexes are
+    /// looked up one after another on the calling thread (a lookup takes
+    /// microseconds, less than handing it to another thread would) and the
+    /// per-class top-k lists are merged by descending score (ties:
+    /// ascending record id, then [`CLASS_KEYS`] order) and cut to `k`.
     pub fn fuzzy_lookup(&self, class: Option<ClassKey>, label: &str, k: usize) -> Vec<EntityHit> {
-        use rayon::prelude::*;
-        let slices = self.class_slices(class);
-        // Fan out across the per-class (per-shard) indexes. Collection is
-        // ordered, so the concatenated list below is independent of how
-        // many workers ran the lookups.
-        let per_slice: Vec<Vec<EntityHit>> = slices
-            .par_iter()
-            .map(|slice| {
-                slice
-                    .index()
-                    .lookup(label, k)
-                    .into_iter()
-                    .map(|m| EntityHit {
-                        entity: EntityRef { class: slice.class(), id: m.id as u32 },
-                        score: m.score,
-                        label: slice.index().resolve(m.normalized).to_string(),
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut hits: Vec<EntityHit> = per_slice.into_iter().flatten().collect();
+        // A class returns at most `k` records, and no more than it holds.
+        let most = self.class_slices(class).map(|slice| k.min(slice.len())).sum();
+        let mut hits: Vec<EntityHit> = Vec::with_capacity(most);
+        for slice in self.class_slices(class) {
+            let index = slice.index();
+            hits.extend(index.lookup(label, k).into_iter().map(|m| EntityHit {
+                entity: EntityRef { class: slice.class(), id: m.id as u32 },
+                score: m.score,
+                label: index.resolve(m.normalized).to_string(),
+            }));
+        }
         // Per-class lists arrive sorted; the cross-class merge re-sorts by
         // the documented total order. `sort_by` is stable, so equal keys
         // keep CLASS_KEYS order.
@@ -470,11 +464,10 @@ impl KbSnapshot {
         SnapshotStats { version: self.version, tables: self.tables, rows: self.rows, classes }
     }
 
-    fn class_slices(&self, class: Option<ClassKey>) -> Vec<&ClassSnapshot> {
-        match class {
-            Some(class) => self.class(class).into_iter().collect(),
-            None => self.classes().collect(),
-        }
+    /// The slices a lookup covers, in [`CLASS_KEYS`] order: one class's
+    /// (if it has entities) or every non-empty one.
+    fn class_slices(&self, class: Option<ClassKey>) -> impl Iterator<Item = &ClassSnapshot> {
+        self.classes().filter(move |slice| class.is_none_or(|only| slice.class() == only))
     }
 }
 

@@ -19,17 +19,14 @@
 //! be shared, so a publisher that copies records (as every version did
 //! before records were shared) frees far more than the bound and fails.
 //!
-//! A counting global allocator (the idiom of
-//! `crates/index/tests/index_footprint.rs`) measures what each drop frees;
+//! The workspace's counting allocator (`tests/support/counting_alloc.rs`)
+//! measures what each drop frees;
 //! the same allocator prices the bound's parts by rebuilding an index or
 //! cloning a record under measurement. The allocator is process-global, so
 //! this file holds a single `#[test]` — its own process. It counts the test
 //! thread's calls only, and only inside [`measured`].
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use ltee_core::prelude::*;
@@ -37,84 +34,9 @@ use ltee_index::LabelIndex;
 use ltee_serve::{ClassSnapshot, EntityRecord, KbSnapshot, RetentionPolicy, ServePipeline};
 use ltee_webtables::{TableId, WebTable};
 
-struct CountingAlloc;
-
-static NET_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static LIVE_BLOCKS: AtomicI64 = AtomicI64::new(0);
-
-thread_local! {
-    /// Set on the test's own thread while [`measured`] runs: the harness's
-    /// main thread and the ingest pool allocate too, and those blocks are
-    /// not a snapshot version's.
-    static MEASURED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn record(blocks: i64, bytes: i64) {
-    if MEASURED.try_with(Cell::get).unwrap_or(false) {
-        LIVE_BLOCKS.fetch_add(blocks, Ordering::Relaxed);
-        NET_LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every call is forwarded to `System` with its arguments
-// unchanged; the counters only observe sizes and never touch the memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            record(1, layout.size() as i64);
-        }
-        ptr
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            record(1, layout.size() as i64);
-        }
-        ptr
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(-1, -(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() {
-            record(0, new_size as i64 - layout.size() as i64);
-        }
-        new_ptr
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap blocks and bytes, as a cost (what something holds live) or as a
-/// saving (what a drop freed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Heap {
-    blocks: i64,
-    bytes: i64,
-}
-
-impl std::ops::AddAssign for Heap {
-    fn add_assign(&mut self, other: Heap) {
-        self.blocks += other.blocks;
-        self.bytes += other.bytes;
-    }
-}
-
-/// Run `f` on this thread and return what it left live on the heap
-/// (negative for a drop) beside its result.
-fn measured<T>(f: impl FnOnce() -> T) -> (T, Heap) {
-    let before = (LIVE_BLOCKS.load(Ordering::Relaxed), NET_LIVE_BYTES.load(Ordering::Relaxed));
-    MEASURED.with(|m| m.set(true));
-    let out = f();
-    MEASURED.with(|m| m.set(false));
-    let blocks = LIVE_BLOCKS.load(Ordering::Relaxed) - before.0;
-    let bytes = NET_LIVE_BYTES.load(Ordering::Relaxed) - before.1;
-    (out, Heap { blocks, bytes })
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{measured, Heap};
 
 /// The strong and weak counts in front of every `Arc` payload.
 const ARC_HEADER: i64 = 2 * size_of::<usize>() as i64;
@@ -145,15 +67,15 @@ fn slice_cost(slice: &ClassSnapshot) -> Heap {
     });
     assert_eq!(index.len(), slice.index().len());
     drop(index);
-    cost += Heap { blocks: 1, bytes: size_of::<ClassSnapshot>() as i64 + ARC_HEADER };
-    cost += Heap { blocks: 1, bytes: (slice.len() * size_of::<Arc<EntityRecord>>()) as i64 };
+    cost += Heap { blocks: 1, bytes: size_of::<ClassSnapshot>() as i64 + ARC_HEADER, ..Heap::default() };
+    cost += Heap { blocks: 1, bytes: (slice.len() * size_of::<Arc<EntityRecord>>()) as i64, ..Heap::default() };
     cost
 }
 
 /// A version's own two blocks: its `Arc` box and its class slot table.
 fn version_cost() -> Heap {
     let slots = CLASS_KEYS.len() * size_of::<Option<Arc<ClassSnapshot>>>();
-    Heap { blocks: 2, bytes: size_of::<KbSnapshot>() as i64 + ARC_HEADER + slots as i64 }
+    Heap { blocks: 2, bytes: size_of::<KbSnapshot>() as i64 + ARC_HEADER + slots as i64, ..Heap::default() }
 }
 
 const BATCHES: usize = 12;
@@ -256,7 +178,7 @@ fn superseded_versions_cost_their_indexes_and_the_records_their_batches_retired(
         }
         row.bound += row.retired_cost;
         let ((), freed) = measured(|| drop(snapshot));
-        row.freed = Heap { blocks: -freed.blocks, bytes: -freed.bytes };
+        row.freed = Heap { blocks: -freed.blocks, bytes: -freed.bytes, ..Heap::default() };
         rows.push(row);
     }
     assert_eq!(rows.len(), window - 1);

@@ -2,8 +2,9 @@
 //! window — not the version count — under indefinite ingest with
 //! concurrent churning readers.
 //!
-//! Two soaks, both measured with a counting global allocator that tracks
-//! **net live bytes** (allocations minus deallocations):
+//! Two soaks, both measured with the workspace's counting allocator
+//! (`tests/support/counting_alloc.rs`), which tracks the process's **net
+//! live bytes** (allocations minus deallocations):
 //!
 //! 1. A raw [`SnapshotCell`] publishing ≥ 2000 synthetic constant-size
 //!    snapshots (32 KiB payload each) under 4 churning readers. Constant
@@ -24,51 +25,18 @@
 //! release); the cell soak always publishes at least 2000 versions. Runs
 //! under the `LTEE_NUM_THREADS=1,4` CI matrix like the rest of the suite.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ltee_core::prelude::*;
 use ltee_serve::{KbSnapshot, RetentionPolicy, ServePipeline, SnapshotAtError, SnapshotCell};
 use ltee_webtables::TableId;
 
-/// System allocator wrapper counting net live bytes — allocations minus
-/// frees, so it measures *resident* heap, the quantity the retention
-/// window is supposed to bound.
-struct CountingAlloc;
-
-static NET_LIVE: AtomicI64 = AtomicI64::new(0);
-
-// SAFETY: every call is forwarded to `System` with its arguments
-// unchanged; the counter only observes sizes and never touches the memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            NET_LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        }
-        ptr
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        NET_LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() {
-            NET_LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        }
-        new_ptr
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Bytes currently live: allocations minus frees.
-fn net_live_bytes() -> i64 {
-    NET_LIVE.load(Ordering::Relaxed)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+// Allocations minus frees on any thread: *resident* heap, the quantity the
+// retention window is supposed to bound.
+use counting_alloc::process_live_bytes as net_live_bytes;
 
 /// Byte measurements are global, so the two soaks must not interleave;
 /// the default parallel test runner would otherwise let one soak's
