@@ -32,41 +32,63 @@
 //! pipeline **bit-identical** to the one that wrote the checkpoint —
 //! `tests/recovery_equivalence.rs` proves it end to end.
 //!
-//! ## File format (version 2)
+//! ## File format (version 3)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEECKP\x01"`, format version 2 and two header words: the
+//! with magic `b"LTEECKP\x01"`, format version 3 and two header words: the
 //! config fingerprint ([`config_fingerprint`]) and the applied-batch count
-//! (non-empty ingests == snapshot version). The payload is `corpus ·
-//! mapping · per-class interner strings / clusters / entities / results`.
+//! (non-empty ingests == snapshot version). The payload is `string table ·
+//! corpus · mapping · per-class interner strings / clusters / entities /
+//! results`, in the codec's *compact* spelling: every count, id and index
+//! is a LEB128 varint, every string — header, cell, property, label, text
+//! value, interner entry — is a varint reference into the one string table
+//! at the head of the payload (each distinct string once, in first-use
+//! order, so the bytes are a function of the state alone), a cluster's
+//! ascending row indexes are its first row and the gaps between the rest,
+//! signed integers (a date's year, a nominal integer) are zigzag varints,
+//! and every `f64` is its eight-byte bit pattern. A web-table stream
+//! repeats itself — an entity's labels and facts are cells the corpus
+//! section already wrote, its properties the mapping's — so the table is
+//! where most of the bytes go away: on the benchmark's stream a quarter of
+//! the strings a checkpoint references are distinct ([`CheckpointLayout`]
+//! reports both counts and the bytes of every section).
 //!
-//! Version 2 (the class-sharding PR) moved the single pipeline-wide
-//! interner arena into the per-class sections: each class owns its interner
-//! at serve time, so the checkpoint persists one string list per class.
-//! Version-1 files are refused with
-//! [`CheckpointError::UnsupportedVersion`] — the global arena cannot be
-//! split faithfully after the fact. The payload remains **logical per-class
-//! state only**: no shard layout is ever persisted, so any process can
-//! restore a checkpoint under any [`crate::ShardPlan`] (shard and thread
-//! counts are both excluded from the config fingerprint).
+//! The per-class sections (since version 2, the class-sharding PR) hold one
+//! interner arena per class: each class owns its interner at serve time.
+//! The payload remains **logical per-class state only**: no shard layout is
+//! ever persisted, so any process can restore a checkpoint under any
+//! [`crate::ShardPlan`] (shard and thread counts are both excluded from the
+//! config fingerprint).
+//!
+//! Versions 1 and 2 are refused with
+//! [`CheckpointError::UnsupportedVersion`], by version, before a payload
+//! byte is read: version 1's global interner arena cannot be split per
+//! class after the fact, and version 2 is the fixed-width spelling of this
+//! payload — reading it would mean a second decoder, kept correct and
+//! fuzzed for as long as the first, for a store that re-ingesting its
+//! source stream rebuilds (the precedent version 1 set). The store treats
+//! an intact checkpoint of another version as a hard error, never as a
+//! corrupt file to skip (`ltee_store::KbStore::open`).
 //!
 //! Decoding validates magic, version, length and checksum before touching
 //! the payload, every collection length is bounds-checked against the
-//! remaining stream (no allocation bombs), and the decoded state is
+//! remaining stream and every string reference against the table and the
+//! stream's expansion budget (no allocation bombs), and the decoded state is
 //! cross-validated (tables well-formed, ids unique, clusters partition the
 //! mapped rows in founding order) before any of it is trusted. Restoring
 //! additionally rejects a checkpoint written under a different inference
 //! configuration ([`CheckpointError::ConfigMismatch`]).
 
 use std::collections::HashSet;
-use std::path::Path;
 
 use ltee_clustering::StreamingClusterer;
 use ltee_fusion::Entity;
 use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{AttributeMatch, CorpusMapping, TableMapping};
-use ltee_ml::codec::{self, ByteReader, ByteWriter, CodecError};
+use ltee_ml::codec::{
+    self, ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter,
+};
 use ltee_newdetect::{NewDetectionOutcome, NewDetectionResult};
 use ltee_types::{DataType, Date, DateGranularity, DetectedType, Value};
 use ltee_webtables::{Column, Corpus, RowRef, TableId, TableTruth, WebTable};
@@ -79,21 +101,19 @@ use crate::pipeline::{PipelineConfig, TrainedModels};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"LTEECKP\x01";
 
 /// The checkpoint format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
 pub const CHECKPOINT_PAYLOAD_START: usize = codec::sealed_header_len(2);
 
-/// Errors raised while encoding, decoding, validating or restoring a
-/// checkpoint.
+/// Errors raised while decoding, validating or restoring a checkpoint.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Reading or writing the checkpoint file failed.
-    Io(std::io::Error),
     /// The input does not start with the checkpoint magic.
     BadMagic,
-    /// The checkpoint was written by an unknown format version.
+    /// The file is an intact checkpoint of another format version (it
+    /// passes its own length and checksum under the version it declares).
     UnsupportedVersion(u32),
     /// The payload failed its checksum, length or cross-validation check.
     Corrupted(String),
@@ -111,7 +131,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::BadMagic => {
                 write!(f, "not an LTEE state checkpoint (bad magic header)")
             }
@@ -134,7 +153,6 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CheckpointError::Io(e) => Some(e),
             CheckpointError::Decode(e) => Some(e),
             _ => None,
         }
@@ -152,31 +170,28 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
 // ───────────────────────── value / table / mapping codecs ────────────────
+//
+// Every encoder takes the stream's string table beside the writer, every
+// decoder beside the reader: a string is a varint reference into it.
 
-fn encode_value_into(value: &Value, w: &mut ByteWriter) {
+fn encode_value_into<'a>(value: &'a Value, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
     match value {
         Value::Text(s) => {
             w.write_u8(0);
-            w.write_str(s);
+            strings.write_ref(w, s);
         }
         Value::Nominal(s) => {
             w.write_u8(1);
-            w.write_str(s);
+            strings.write_ref(w, s);
         }
         Value::InstanceRef(s) => {
             w.write_u8(2);
-            w.write_str(s);
+            strings.write_ref(w, s);
         }
         Value::Date(d) => {
             w.write_u8(3);
-            w.write_u32(d.year as u32);
+            w.write_varint_signed(i64::from(d.year));
             w.write_u8(d.month);
             w.write_u8(d.day);
             w.write_u8(match d.granularity {
@@ -190,18 +205,22 @@ fn encode_value_into(value: &Value, w: &mut ByteWriter) {
         }
         Value::NominalInt(i) => {
             w.write_u8(5);
-            w.write_u64(*i as u64);
+            w.write_varint_signed(*i);
         }
     }
 }
 
-fn decode_value_from(r: &mut ByteReader<'_>) -> Result<Value, CodecError> {
+fn decode_value_from(
+    r: &mut ByteReader<'_>,
+    strings: &mut StringTable<'_>,
+) -> Result<Value, CodecError> {
     match r.read_u8("value tag")? {
-        0 => Ok(Value::Text(r.read_str("text value")?)),
-        1 => Ok(Value::Nominal(r.read_str("nominal value")?)),
-        2 => Ok(Value::InstanceRef(r.read_str("instance-ref value")?)),
+        0 => Ok(Value::Text(strings.read_ref(r, "text value")?.to_string())),
+        1 => Ok(Value::Nominal(strings.read_ref(r, "nominal value")?.to_string())),
+        2 => Ok(Value::InstanceRef(strings.read_ref(r, "instance-ref value")?.to_string())),
         3 => {
-            let year = r.read_u32("date year")? as i32;
+            let year = i32::try_from(r.read_varint_signed("date year")?)
+                .map_err(|_| CodecError::InvalidVarint { what: "date year" })?;
             let month = r.read_u8("date month")?;
             let day = r.read_u8("date day")?;
             let granularity = match r.read_u8("date granularity")? {
@@ -212,7 +231,7 @@ fn decode_value_from(r: &mut ByteReader<'_>) -> Result<Value, CodecError> {
             Ok(Value::Date(Date { year, month, day, granularity }))
         }
         4 => Ok(Value::Quantity(r.read_f64("quantity value")?)),
-        5 => Ok(Value::NominalInt(r.read_u64("nominal-int value")? as i64)),
+        5 => Ok(Value::NominalInt(r.read_varint_signed("nominal-int value")?)),
         tag => Err(CodecError::InvalidTag { what: "value", tag }),
     }
 }
@@ -261,33 +280,41 @@ fn class_key_from_code(code: u8) -> Result<ClassKey, CodecError> {
     ClassKey::from_code(code).ok_or(CodecError::InvalidTag { what: "class key", tag: code })
 }
 
-fn encode_table_into(table: &WebTable, w: &mut ByteWriter) {
-    w.write_u64(table.id.raw());
-    w.write_seq(&table.columns, |w, column| {
-        w.write_str(&column.header);
-        w.write_str_slice(&column.cells);
+fn encode_table_into<'a>(table: &'a WebTable, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
+    w.write_varint(table.id.raw());
+    w.write_varint_seq(&table.columns, |w, column| {
+        strings.write_ref(w, &column.header);
+        w.write_varint_seq(&column.cells, |w, cell| strings.write_ref(w, cell));
     });
     w.write_u8(table.truth.class.code());
-    w.write_usize(table.truth.label_column);
-    w.write_seq(&table.truth.column_property, |w, prop| {
-        w.write_opt(prop.as_ref(), |w, p| w.write_str(p));
+    w.write_varint(table.truth.label_column as u64);
+    w.write_varint_seq(&table.truth.column_property, |w, prop| {
+        w.write_opt(prop.as_ref(), |w, p| strings.write_ref(w, p));
     });
-    w.write_seq(&table.truth.row_entity, |w, entity| w.write_u64(entity.raw()));
+    w.write_varint_seq(&table.truth.row_entity, |w, entity| w.write_varint(entity.raw()));
 }
 
-fn decode_table_from(r: &mut ByteReader<'_>) -> Result<WebTable, CheckpointError> {
-    let id = TableId(r.read_u64("table id")?);
-    let columns = r.read_seq("table columns", 8, |r| {
-        let header = r.read_str("column header")?;
-        Ok::<_, CodecError>(Column { header, cells: r.read_str_vec("column cells")? })
+fn decode_table_from(
+    r: &mut ByteReader<'_>,
+    strings: &mut StringTable<'_>,
+) -> Result<WebTable, CheckpointError> {
+    let id = TableId(r.read_varint("table id")?);
+    let columns = r.read_varint_seq("table columns", 2, |r| {
+        let header = strings.read_ref(r, "column header")?.to_string();
+        let cells = r.read_varint_seq("column cells", 1, |r| {
+            strings.read_ref(r, "column cell").map(str::to_string)
+        })?;
+        Ok::<_, CodecError>(Column { header, cells })
     })?;
     let class = class_key_from_code(r.read_u8("truth class")?)?;
-    let label_column = r.read_usize("truth label column")?;
-    let column_property = r.read_seq("truth column properties", 1, |r| {
-        r.read_opt::<_, CodecError>("truth property flag", |r| r.read_str("truth property"))
+    let label_column = r.read_varint_usize("truth label column")?;
+    let column_property = r.read_varint_seq("truth column properties", 1, |r| {
+        r.read_opt::<_, CodecError>("truth property flag", |r| {
+            strings.read_ref(r, "truth property").map(str::to_string)
+        })
     })?;
-    let row_entity = r.read_seq("truth row entities", 8, |r| {
-        r.read_u64("truth row entity").map(ltee_kb::EntityId)
+    let row_entity = r.read_varint_seq("truth row entities", 1, |r| {
+        r.read_varint("truth row entity").map(ltee_kb::EntityId)
     })?;
     let table = WebTable {
         id,
@@ -300,32 +327,38 @@ fn decode_table_from(r: &mut ByteReader<'_>) -> Result<WebTable, CheckpointError
     Ok(table)
 }
 
-/// Encode a corpus (tables in arrival order). Shared by the checkpoint
-/// payload and by WAL batch records (`ltee-store`), so a replayed batch and
-/// a checkpointed corpus go through the exact same byte layout.
+/// Encode a corpus (tables in arrival order) as `string table · tables`.
+/// This is the WAL batch payload (`ltee-store`); the checkpoint's corpus
+/// section is the same table bytes against the checkpoint's one table, so
+/// a replayed batch and a checkpointed corpus go through one table encoder.
 pub fn encode_corpus(corpus: &Corpus) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    encode_corpus_into(corpus, &mut w);
-    w.into_bytes()
+    let mut strings = StringTableWriter::new();
+    let mut body = ByteWriter::new();
+    encode_corpus_into(corpus, &mut strings, &mut body);
+    strings.into_stream(body)
 }
 
-fn encode_corpus_into(corpus: &Corpus, w: &mut ByteWriter) {
-    w.write_seq(corpus.tables(), |w, table| encode_table_into(table, w));
+fn encode_corpus_into<'a>(corpus: &'a Corpus, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
+    w.write_varint_seq(corpus.tables(), |w, table| encode_table_into(table, strings, w));
 }
 
 /// Decode a corpus encoded by [`encode_corpus`], validating every table and
 /// rejecting duplicate table ids. Requires the reader to be fully consumed.
 pub fn decode_corpus(bytes: &[u8]) -> Result<Corpus, CheckpointError> {
     let mut r = ByteReader::new(bytes);
-    let corpus = decode_corpus_from(&mut r)?;
+    let mut strings = StringTable::read_table(&mut r)?;
+    let corpus = decode_corpus_from(&mut r, &mut strings)?;
     r.expect_eof()?;
     Ok(corpus)
 }
 
-fn decode_corpus_from(r: &mut ByteReader<'_>) -> Result<Corpus, CheckpointError> {
+fn decode_corpus_from(
+    r: &mut ByteReader<'_>,
+    strings: &mut StringTable<'_>,
+) -> Result<Corpus, CheckpointError> {
     let mut seen = HashSet::new();
-    let tables = r.read_seq("corpus tables", 16, |r| {
-        let table = decode_table_from(r)?;
+    let tables = r.read_varint_seq("corpus tables", 6, |r| {
+        let table = decode_table_from(r, strings)?;
         if !seen.insert(table.id) {
             return Err(CheckpointError::Corrupted(format!(
                 "duplicate table id {} in corpus",
@@ -337,34 +370,37 @@ fn decode_corpus_from(r: &mut ByteReader<'_>) -> Result<Corpus, CheckpointError>
     Ok(Corpus::from_tables(tables))
 }
 
-fn encode_mapping_into(mapping: &TableMapping, w: &mut ByteWriter) {
-    w.write_u64(mapping.table.raw());
+fn encode_mapping_into<'a>(mapping: &'a TableMapping, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
+    w.write_varint(mapping.table.raw());
     w.write_opt(mapping.class, |w, class| w.write_u8(class.code()));
     w.write_f64(mapping.class_score);
-    w.write_usize(mapping.label_column);
-    w.write_seq(&mapping.detected_types, |w, &dt| w.write_u8(detected_type_tag(dt)));
-    w.write_seq(&mapping.correspondences, |w, c| {
+    w.write_varint(mapping.label_column as u64);
+    w.write_varint_seq(&mapping.detected_types, |w, &dt| w.write_u8(detected_type_tag(dt)));
+    w.write_varint_seq(&mapping.correspondences, |w, c| {
         w.write_opt(c.as_ref(), |w, m| {
-            w.write_str(&m.property);
+            strings.write_ref(w, &m.property);
             w.write_u8(data_type_tag(m.data_type));
             w.write_f64(m.score);
         });
     });
 }
 
-fn decode_mapping_from(r: &mut ByteReader<'_>) -> Result<TableMapping, CodecError> {
-    let table = TableId(r.read_u64("mapping table id")?);
+fn decode_mapping_from(
+    r: &mut ByteReader<'_>,
+    strings: &mut StringTable<'_>,
+) -> Result<TableMapping, CodecError> {
+    let table = TableId(r.read_varint("mapping table id")?);
     let class = r.read_opt("mapping class flag", |r| {
         class_key_from_code(r.read_u8("mapping class")?)
     })?;
     let class_score = r.read_f64("mapping class score")?;
-    let label_column = r.read_usize("mapping label column")?;
-    let detected_types = r.read_seq("mapping detected types", 1, |r| {
+    let label_column = r.read_varint_usize("mapping label column")?;
+    let detected_types = r.read_varint_seq("mapping detected types", 1, |r| {
         detected_type_from_tag(r.read_u8("detected type")?)
     })?;
-    let correspondences = r.read_seq("mapping correspondences", 1, |r| {
+    let correspondences = r.read_varint_seq("mapping correspondences", 1, |r| {
         r.read_opt("correspondence flag", |r| {
-            let property = r.read_str("correspondence property")?;
+            let property = strings.read_ref(r, "correspondence property")?.to_string();
             let data_type = data_type_from_tag(r.read_u8("correspondence data type")?)?;
             let score = r.read_f64("correspondence score")?;
             Ok::<_, CodecError>(AttributeMatch { property, data_type, score })
@@ -373,56 +409,87 @@ fn decode_mapping_from(r: &mut ByteReader<'_>) -> Result<TableMapping, CodecErro
     Ok(TableMapping { table, class, class_score, label_column, detected_types, correspondences })
 }
 
-fn encode_entity_into(entity: &Entity, w: &mut ByteWriter) {
+/// A cluster's row indexes, which are strictly ascending: the row count,
+/// the first row, then the gap to each following row.
+fn encode_cluster_into(cluster: &[usize], w: &mut ByteWriter) {
+    w.write_varint(cluster.len() as u64);
+    let mut previous = 0;
+    for &row in cluster {
+        w.write_varint((row - previous) as u64);
+        previous = row;
+    }
+}
+
+fn decode_cluster_from(r: &mut ByteReader<'_>) -> Result<Vec<usize>, CheckpointError> {
+    let len = r.read_varint_len("cluster rows", 1)?;
+    let mut rows = Vec::with_capacity(len);
+    let mut previous = 0usize;
+    for i in 0..len {
+        let gap = r.read_varint_usize("cluster row gap")?;
+        let row = previous.checked_add(gap).filter(|_| i == 0 || gap > 0);
+        previous = row
+            .ok_or_else(|| CheckpointError::Corrupted("cluster rows are not ascending".into()))?;
+        rows.push(previous);
+    }
+    Ok(rows)
+}
+
+fn encode_entity_into<'a>(entity: &'a Entity, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
     // The class is implied by the per-class section the entity sits in.
-    w.write_seq(&entity.rows, |w, row| {
-        w.write_u64(row.table.raw());
-        w.write_usize(row.row);
+    w.write_varint_seq(&entity.rows, |w, row| {
+        w.write_varint(row.table.raw());
+        w.write_varint(row.row as u64);
     });
-    w.write_str_slice(&entity.labels);
-    w.write_seq(&entity.facts, |w, (property, value, score)| {
-        w.write_str(property);
-        encode_value_into(value, w);
+    w.write_varint_seq(&entity.labels, |w, label| strings.write_ref(w, label));
+    w.write_varint_seq(&entity.facts, |w, (property, value, score)| {
+        strings.write_ref(w, property);
+        encode_value_into(value, strings, w);
         w.write_f64(*score);
     });
 }
 
-fn decode_entity_from(r: &mut ByteReader<'_>, class: ClassKey) -> Result<Entity, CodecError> {
-    let rows = r.read_seq("entity rows", 16, |r| {
-        let table = TableId(r.read_u64("entity row table")?);
-        Ok::<_, CodecError>(RowRef::new(table, r.read_usize("entity row index")?))
+fn decode_entity_from(
+    r: &mut ByteReader<'_>,
+    strings: &mut StringTable<'_>,
+    class: ClassKey,
+) -> Result<Entity, CodecError> {
+    let rows = r.read_varint_seq("entity rows", 2, |r| {
+        let table = TableId(r.read_varint("entity row table")?);
+        Ok::<_, CodecError>(RowRef::new(table, r.read_varint_usize("entity row index")?))
     })?;
-    let labels = r.read_str_vec("entity labels")?;
-    let facts = r.read_seq("entity facts", 14, |r| {
-        let property = r.read_str("fact property")?;
-        let value = decode_value_from(r)?;
+    let labels = r.read_varint_seq("entity labels", 1, |r| {
+        strings.read_ref(r, "entity label").map(str::to_string)
+    })?;
+    let facts = r.read_varint_seq("entity facts", 11, |r| {
+        let property = strings.read_ref(r, "fact property")?.to_string();
+        let value = decode_value_from(r, strings)?;
         Ok::<_, CodecError>((property, value, r.read_f64("fact score")?))
     })?;
     Ok(Entity { class, rows, labels, facts })
 }
 
 fn encode_result_into(result: &NewDetectionResult, w: &mut ByteWriter) {
-    w.write_usize(result.entity);
+    w.write_varint(result.entity as u64);
     match result.outcome {
         NewDetectionOutcome::New => w.write_u8(0),
         NewDetectionOutcome::Existing(instance) => {
             w.write_u8(1);
-            w.write_u64(instance.raw());
+            w.write_varint(instance.raw());
         }
     }
     w.write_f64(result.best_score);
-    w.write_usize(result.candidate_count);
+    w.write_varint(result.candidate_count as u64);
 }
 
 fn decode_result_from(r: &mut ByteReader<'_>) -> Result<NewDetectionResult, CodecError> {
-    let entity = r.read_usize("result entity")?;
+    let entity = r.read_varint_usize("result entity")?;
     let outcome = match r.read_u8("result outcome")? {
         0 => NewDetectionOutcome::New,
-        1 => NewDetectionOutcome::Existing(ltee_kb::InstanceId(r.read_u64("result instance")?)),
+        1 => NewDetectionOutcome::Existing(ltee_kb::InstanceId(r.read_varint("result instance")?)),
         tag => return Err(CodecError::InvalidTag { what: "detection outcome", tag }),
     };
     let best_score = r.read_f64("result best score")?;
-    let candidate_count = r.read_usize("result candidate count")?;
+    let candidate_count = r.read_varint_usize("result candidate count")?;
     Ok(NewDetectionResult { entity, outcome, best_score, candidate_count })
 }
 
@@ -431,21 +498,22 @@ fn decode_result_from(r: &mut ByteReader<'_>) -> Result<NewDetectionResult, Code
 /// The persisted per-class decisions (parallel to [`CLASS_KEYS`]).
 #[derive(Debug, Clone)]
 struct ClassDump {
-    /// The class's interner arena in mint order — re-interning reproduces
-    /// every `Sym` id of the class exactly.
-    interner: Vec<String>,
+    /// The class's interner, every string re-minted in stored order — which
+    /// reproduces every `Sym` id of the class exactly.
+    interner: Interner,
     clusters: Vec<Vec<usize>>,
     entities: Vec<Entity>,
     results: Vec<NewDetectionResult>,
 }
 
-/// A full checkpoint of [`IncrementalPipeline`] accumulated state.
+/// A full checkpoint of [`IncrementalPipeline`] accumulated state, decoded
+/// and validated.
 ///
-/// Capture one with [`IncrementalPipeline::checkpoint`], persist it with
-/// [`PipelineCheckpoint::encode`] / [`PipelineCheckpoint::save`], and bring
-/// a fresh process back to the exact pre-checkpoint state with
-/// [`PipelineCheckpoint::decode`] + [`PipelineCheckpoint::restore`]. See
-/// the [module docs](self) for the format and the persisted/rebuilt split.
+/// [`IncrementalPipeline::checkpoint`] views a live pipeline's state as a
+/// checkpoint and [`CheckpointView::encode`] writes it;
+/// [`PipelineCheckpoint::decode`] + [`PipelineCheckpoint::restore`] bring a
+/// fresh process back to the exact pre-checkpoint state. See the [module
+/// docs](self) for the format and the persisted/rebuilt split.
 #[derive(Debug, Clone)]
 pub struct PipelineCheckpoint {
     /// Fingerprint of the inference configuration the state was produced
@@ -461,56 +529,180 @@ pub struct PipelineCheckpoint {
     classes: Vec<ClassDump>,
 }
 
+/// One class's persisted state, borrowed from whoever holds it.
+#[derive(Debug, Clone, Copy)]
+struct ClassView<'a> {
+    interner: &'a Interner,
+    clusters: &'a [Vec<usize>],
+    entities: &'a [Entity],
+    results: &'a [NewDetectionResult],
+}
+
+/// Everything a checkpoint file holds, borrowed — from a live pipeline
+/// ([`IncrementalPipeline::checkpoint`]) or from a decoded checkpoint
+/// ([`PipelineCheckpoint::view`]). Encoding copies nothing but the bytes
+/// it writes.
+#[derive(Debug, Clone)]
+pub struct CheckpointView<'a> {
+    /// Fingerprint of the inference configuration the state was produced
+    /// under (see [`config_fingerprint`]).
+    pub fingerprint: u64,
+    /// Number of non-empty micro-batches applied so far.
+    pub applied_batches: u64,
+    corpus: &'a Corpus,
+    mapping: &'a CorpusMapping,
+    classes: Vec<ClassView<'a>>,
+}
+
+/// Where the bytes of one encoded checkpoint payload went, section by
+/// section (the per-class sections summed over the classes), and what the
+/// string table saved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckpointLayout {
+    /// The string table at the head of the payload.
+    pub string_table: usize,
+    /// The accumulated corpus.
+    pub corpus: usize,
+    /// The accumulated schema mapping.
+    pub mapping: usize,
+    /// Per-class interner arenas (string references in mint order).
+    pub interner: usize,
+    /// Per-class cluster assignments.
+    pub clusters: usize,
+    /// Per-class fused entities.
+    pub entities: usize,
+    /// Per-class new-detection results.
+    pub results: usize,
+    /// String references in the payload — the strings a table-less layout
+    /// would have written.
+    pub strings_written: usize,
+    /// Distinct strings, each stored once in the table.
+    pub strings_distinct: usize,
+}
+
+impl CheckpointLayout {
+    /// Payload bytes: the sections plus the one-byte class count.
+    pub fn payload_len(&self) -> usize {
+        self.string_table
+            + self.corpus
+            + self.mapping
+            + 1
+            + self.interner
+            + self.clusters
+            + self.entities
+            + self.results
+    }
+}
+
 impl IncrementalPipeline<'_> {
-    /// Capture a checkpoint of the accumulated state. `applied_batches` is
-    /// the number of non-empty batches ingested so far (the serve layer's
+    /// View the accumulated state as a checkpoint. `applied_batches` is the
+    /// number of non-empty batches ingested so far (the serve layer's
     /// snapshot version); the pipeline itself does not track batch
     /// boundaries, so the durability layer supplies it.
-    pub fn checkpoint(&self, applied_batches: u64) -> PipelineCheckpoint {
-        PipelineCheckpoint {
+    pub fn checkpoint(&self, applied_batches: u64) -> CheckpointView<'_> {
+        CheckpointView {
             fingerprint: config_fingerprint(&self.config),
             applied_batches,
-            corpus: self.corpus.clone(),
-            mapping: self.mapping.clone(),
+            corpus: &self.corpus,
+            mapping: &self.mapping,
             classes: self
                 .states
                 .iter()
-                .map(|s| ClassDump {
-                    interner: s.interner.iter().map(|(_, str)| str.to_string()).collect(),
-                    clusters: s.clusterer.clusters().to_vec(),
-                    entities: s.entities.clone(),
-                    results: s.results.clone(),
+                .map(|s| ClassView {
+                    interner: &s.interner,
+                    clusters: s.clusterer.clusters(),
+                    entities: &s.entities,
+                    results: &s.results,
                 })
                 .collect(),
         }
     }
 }
 
-impl PipelineCheckpoint {
+impl CheckpointView<'_> {
     /// Encode the checkpoint into its binary file format.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_with_layout().0
+    }
+
+    /// [`CheckpointView::encode`], also reporting where the payload's bytes
+    /// went.
+    pub fn encode_with_layout(&self) -> (Vec<u8>, CheckpointLayout) {
+        let mut strings = StringTableWriter::new();
         let mut w = ByteWriter::new();
-        encode_corpus_into(&self.corpus, &mut w);
+        let mut layout = CheckpointLayout::default();
+        // Bytes `w` grew by since the last call.
+        let mut mark = 0;
+        let mut grown = |w: &ByteWriter| {
+            let added = w.len() - mark;
+            mark = w.len();
+            added
+        };
+
+        encode_corpus_into(self.corpus, &mut strings, &mut w);
+        layout.corpus = grown(&w);
         // Canonical byte stream: the mapping lives in a HashMap, so encode
         // it sorted by table id (arrival order is already canonical for
         // everything else).
         let mut mappings: Vec<&TableMapping> = self.mapping.tables().collect();
         mappings.sort_by_key(|m| m.table);
-        w.write_seq(&mappings, |w, mapping| encode_mapping_into(mapping, w));
-        w.write_seq(&self.classes, |w, dump| {
-            w.write_str_slice(&dump.interner);
-            w.write_seq(&dump.clusters, |w, cluster| {
-                w.write_seq(cluster, |w, &row| w.write_u32(row as u32));
-            });
-            w.write_seq(&dump.entities, |w, entity| encode_entity_into(entity, w));
-            w.write_seq(&dump.results, |w, result| encode_result_into(result, w));
-        });
-        codec::seal(
+        w.write_varint_seq(&mappings, |w, &mapping| encode_mapping_into(mapping, &mut strings, w));
+        layout.mapping = grown(&w);
+        w.write_varint(self.classes.len() as u64);
+        grown(&w);
+        for class in &self.classes {
+            w.write_varint(class.interner.len() as u64);
+            for (_, s) in class.interner.iter() {
+                strings.write_ref(&mut w, s);
+            }
+            layout.interner += grown(&w);
+            w.write_varint_seq(class.clusters, |w, cluster| encode_cluster_into(cluster, w));
+            layout.clusters += grown(&w);
+            w.write_varint_seq(class.entities, |w, entity| encode_entity_into(entity, &mut strings, w));
+            layout.entities += grown(&w);
+            w.write_varint_seq(class.results, |w, result| encode_result_into(result, w));
+            layout.results += grown(&w);
+        }
+        let body_len = w.len();
+        layout.strings_written = strings.references();
+        layout.strings_distinct = strings.len();
+        let payload = strings.into_stream(w);
+        layout.string_table = payload.len() - body_len;
+        let bytes = codec::seal(
             &CHECKPOINT_MAGIC,
             CHECKPOINT_VERSION,
             &[self.fingerprint, self.applied_batches],
-            &w.into_bytes(),
-        )
+            &payload,
+        );
+        (bytes, layout)
+    }
+}
+
+impl PipelineCheckpoint {
+    /// The decoded state as a [`CheckpointView`] — the one thing that
+    /// encodes.
+    pub fn view(&self) -> CheckpointView<'_> {
+        CheckpointView {
+            fingerprint: self.fingerprint,
+            applied_batches: self.applied_batches,
+            corpus: &self.corpus,
+            mapping: &self.mapping,
+            classes: self
+                .classes
+                .iter()
+                .map(|dump| ClassView {
+                    interner: &dump.interner,
+                    clusters: &dump.clusters,
+                    entities: &dump.entities,
+                    results: &dump.results,
+                })
+                .collect(),
+        }
+    }
+
+    /// Encode the checkpoint into its binary file format.
+    pub fn encode(&self) -> Vec<u8> {
+        self.view().encode()
     }
 
     /// Decode and fully validate a checkpoint from bytes.
@@ -524,13 +716,26 @@ impl PipelineCheckpoint {
     /// never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let ([fingerprint, applied_batches], payload) =
-            codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
+            match codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes) {
+                // The envelope is the same in every version, so a file of
+                // another version is one that passes its own length and
+                // checksum under the version it declares; anything else
+                // has a damaged header, not a different format.
+                Err(CodecError::UnsupportedVersion(version)) => {
+                    return Err(match codec::open::<2>(&CHECKPOINT_MAGIC, version, bytes) {
+                        Ok(_) => CheckpointError::UnsupportedVersion(version),
+                        Err(damage) => damage.into(),
+                    });
+                }
+                opened => opened?,
+            };
 
         let mut r = ByteReader::new(payload);
-        let corpus = decode_corpus_from(&mut r)?;
+        let mut strings = StringTable::read_table(&mut r)?;
+        let corpus = decode_corpus_from(&mut r, &mut strings)?;
         let mut seen = HashSet::new();
-        let mappings = r.read_seq("corpus mappings", 16, |r| {
-            let mapping = decode_mapping_from(r)?;
+        let mappings = r.read_varint_seq("corpus mappings", 13, |r| {
+            let mapping = decode_mapping_from(r, &mut strings)?;
             if !seen.insert(mapping.table) {
                 return Err(CheckpointError::Corrupted(format!(
                     "duplicate mapping for table {}",
@@ -539,7 +744,7 @@ impl PipelineCheckpoint {
             }
             Ok(mapping)
         })?;
-        let num_classes = r.read_len("class states", 12)?;
+        let num_classes = r.read_varint_len("class states", 4)?;
         if num_classes != CLASS_KEYS.len() {
             return Err(CheckpointError::Corrupted(format!(
                 "checkpoint holds {num_classes} class states, this build has {}",
@@ -549,14 +754,24 @@ impl PipelineCheckpoint {
         // The per-class sections are in CLASS_KEYS order.
         let mut classes = Vec::with_capacity(num_classes);
         for class in CLASS_KEYS {
-            let interner = r.read_str_vec("class interner strings")?;
-            let clusters = r.read_seq("clusters", 4, |r| {
-                r.read_seq("cluster rows", 4, |r| {
-                    r.read_u32("cluster row index").map(|row| row as usize)
-                })
+            let arena = r.read_varint_seq("class interner strings", 1, |r| {
+                strings.read_ref(r, "class interner string")
             })?;
-            let entities = r.read_seq("entities", 12, |r| decode_entity_from(r, class))?;
-            let results = r.read_seq("results", 25, decode_result_from)?;
+            let mut interner =
+                Interner::with_capacity(arena.len(), arena.iter().map(|s| s.len()).sum());
+            for s in arena {
+                let minted = interner.len();
+                if interner.intern(s).raw() as usize != minted {
+                    return Err(CheckpointError::Corrupted(format!(
+                        "{class}: interner string {s:?} is stored twice"
+                    )));
+                }
+            }
+            let clusters = r.read_varint_seq("clusters", 1, decode_cluster_from)?;
+            let entities = r.read_varint_seq("entities", 3, |r| {
+                decode_entity_from(r, &mut strings, class)
+            })?;
+            let results = r.read_varint_seq("results", 11, decode_result_from)?;
             classes.push(ClassDump { interner, clusters, entities, results });
         }
         r.expect_eof()?;
@@ -604,7 +819,6 @@ impl PipelineCheckpoint {
                     )));
                 }
                 previous_founder = Some(cluster[0]);
-                let mut previous_row = None;
                 for &row in cluster {
                     if row >= rows.len() {
                         return Err(CheckpointError::Corrupted(format!(
@@ -617,13 +831,7 @@ impl PipelineCheckpoint {
                             "{class}: row {row} assigned to more than one cluster"
                         )));
                     }
-                    if previous_row.is_some_and(|p| row <= p) {
-                        return Err(CheckpointError::Corrupted(format!(
-                            "{class}: cluster {ci} rows are not ascending"
-                        )));
-                    }
                     assigned[row] = true;
-                    previous_row = Some(row);
                 }
                 if dump.results[ci].entity != ci {
                     return Err(CheckpointError::Corrupted(format!(
@@ -678,15 +886,11 @@ impl PipelineCheckpoint {
 
         let mut states = Vec::with_capacity(CLASS_KEYS.len());
         for (&class, dump) in CLASS_KEYS.iter().zip(classes) {
-            // Re-minting the class's arena in stored order reproduces every
-            // Sym id of that class; all interning below is re-interning of
+            // Decoding re-minted the class's arena in stored order, which
+            // reproduces every Sym id; all interning below is re-interning of
             // already-present strings, asserted by the per-class baseline
             // check at the end of the loop body.
-            let arena_bytes = dump.interner.iter().map(String::len).sum();
-            let mut interner = Interner::with_capacity(dump.interner.len(), arena_bytes);
-            for s in &dump.interner {
-                interner.intern(s);
-            }
+            let interner = dump.interner;
             let baseline = interner.len();
 
             // The step ingest runs per batch, over the whole restored
@@ -712,17 +916,6 @@ impl PipelineCheckpoint {
 
         Ok(IncrementalPipeline { kb, models, config, corpus, mapping, states })
     }
-
-    /// Write the checkpoint to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        std::fs::write(path, self.encode())?;
-        Ok(())
-    }
-
-    /// Read and decode a checkpoint file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        Self::decode(&std::fs::read(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -736,19 +929,24 @@ mod tests {
             Value::Nominal("US-07302".into()),
             Value::InstanceRef("New England Patriots".into()),
             Value::Date(Date::year(-44)),
+            Value::Date(Date::year(i32::MIN)),
             Value::Date(Date::day(1969, 7, 20)),
             Value::Quantity(-0.0),
             Value::Quantity(f64::NAN),
             Value::NominalInt(-12),
+            Value::NominalInt(i64::MIN),
+            Value::NominalInt(i64::MAX),
         ];
+        let mut strings = StringTableWriter::new();
         let mut w = ByteWriter::new();
         for v in &values {
-            encode_value_into(v, &mut w);
+            encode_value_into(v, &mut strings, &mut w);
         }
-        let bytes = w.into_bytes();
+        let bytes = strings.into_stream(w);
         let mut r = ByteReader::new(&bytes);
+        let mut strings = StringTable::read_table(&mut r).unwrap();
         for v in &values {
-            let decoded = decode_value_from(&mut r).unwrap();
+            let decoded = decode_value_from(&mut r, &mut strings).unwrap();
             match (v, &decoded) {
                 (Value::Quantity(a), Value::Quantity(b)) => assert_eq!(a.to_bits(), b.to_bits()),
                 _ => assert_eq!(*v, decoded),
@@ -759,10 +957,21 @@ mod tests {
 
     #[test]
     fn invalid_value_and_type_tags_are_rejected() {
-        let mut r = ByteReader::new(&[9]);
+        // An empty string table, then value tag 9.
+        let mut r = ByteReader::new(&[0, 9]);
+        let mut strings = StringTable::read_table(&mut r).unwrap();
         assert!(matches!(
-            decode_value_from(&mut r),
+            decode_value_from(&mut r, &mut strings),
             Err(CodecError::InvalidTag { what: "value", tag: 9 })
+        ));
+        // A year past i32 is a typed rejection, not a truncation.
+        let mut w = ByteWriter::new();
+        w.write_u8(3);
+        w.write_varint_signed(i64::from(i32::MAX) + 1);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            decode_value_from(&mut ByteReader::new(&bytes), &mut strings),
+            Err(CodecError::InvalidVarint { what: "date year" })
         ));
         assert!(data_type_from_tag(6).is_err());
         assert!(detected_type_from_tag(3).is_err());
@@ -791,10 +1000,8 @@ mod tests {
         let doubled = Corpus::from_tables(vec![table.clone(), table]);
         // from_tables collapses the id lookup, but the encoded stream still
         // carries both tables — decode must reject it.
-        let mut w = ByteWriter::new();
-        encode_corpus_into(&doubled, &mut w);
         assert!(matches!(
-            decode_corpus(&w.into_bytes()),
+            decode_corpus(&encode_corpus(&doubled)),
             Err(CheckpointError::Corrupted(why)) if why.contains("duplicate table id")
         ));
     }
@@ -817,9 +1024,14 @@ mod tests {
         original.ingest(&batches[0]).unwrap();
         original.ingest(&batches[1]).unwrap();
 
-        let checkpoint = original.checkpoint(2);
-        let decoded = PipelineCheckpoint::decode(&checkpoint.encode()).unwrap();
+        // One encoder body: the live pipeline's borrowed view and the
+        // decoded, owned checkpoint write the same bytes.
+        let (bytes, layout) = original.checkpoint(2).encode_with_layout();
+        let decoded = PipelineCheckpoint::decode(&bytes).unwrap();
         assert_eq!(decoded.applied_batches, 2);
+        assert_eq!(decoded.encode(), bytes);
+        assert_eq!(layout.payload_len(), bytes.len() - CHECKPOINT_PAYLOAD_START);
+        assert!(layout.strings_distinct < layout.strings_written);
         let mut restored = decoded.clone().restore(world.kb(), models, config.clone()).unwrap();
 
         assert_eq!(restored.corpus.tables(), original.corpus.tables());
@@ -866,7 +1078,7 @@ mod tests {
             classes: CLASS_KEYS
                 .iter()
                 .map(|_| ClassDump {
-                    interner: vec![],
+                    interner: Interner::new(),
                     clusters: vec![],
                     entities: vec![],
                     results: vec![],
@@ -884,6 +1096,13 @@ mod tests {
         assert!(matches!(
             PipelineCheckpoint::decode(&wrong_version),
             Err(CheckpointError::UnsupportedVersion(99))
+        ));
+        // Another version is only believed of a file that is intact under
+        // it; a version field that is itself damage is corruption.
+        *wrong_version.last_mut().unwrap() ^= 0x40;
+        assert!(matches!(
+            PipelineCheckpoint::decode(&wrong_version),
+            Err(CheckpointError::Corrupted(_))
         ));
         let mut flipped = bytes;
         let last = flipped.len() - 1;

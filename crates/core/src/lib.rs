@@ -85,7 +85,10 @@ pub mod pipeline;
 pub mod shard;
 
 pub use artifact::{config_fingerprint, ArtifactError, ModelArtifact};
-pub use checkpoint::{decode_corpus, encode_corpus, CheckpointError, PipelineCheckpoint};
+pub use checkpoint::{
+    decode_corpus, encode_corpus, CheckpointError, CheckpointLayout, CheckpointView,
+    PipelineCheckpoint,
+};
 pub use incremental::{IncrementalPipeline, IngestReport};
 pub use parallel::Parallelism;
 pub use shard::ShardPlan;

@@ -1,27 +1,49 @@
 //! The workspace's one binary codec: every on-disk format (model artifact,
 //! state checkpoint, write-ahead log) is written and read through it.
 //!
-//! Three layers, all dependency-free: a [`ByteWriter`] that appends
-//! fixed-width little-endian scalars, length-prefixed strings, sequences
-//! and options to a buffer; a bounds-checked [`ByteReader`] that reads them
-//! back; and the [`seal`] / [`open`] pair that frames a payload in the
-//! shared file envelope. [`fnv1a64`] (defined in `ltee-intern`, re-exported
-//! here) is the payload checksum and the config-fingerprint hash.
+//! Four layers, all dependency-free: a [`ByteWriter`] that appends
+//! little-endian scalars, LEB128 varints, length-prefixed strings,
+//! sequences and options to a buffer; a bounds-checked [`ByteReader`] that
+//! reads them back; the [`StringTableWriter`] / [`StringTable`] pair that
+//! stores each distinct string of a stream once; and the [`seal`] /
+//! [`open`] pair that frames a payload in the shared file envelope.
+//! [`fnv1a64`] (defined in `ltee-intern`, re-exported here) is the payload
+//! checksum and the config-fingerprint hash.
 //!
 //! Layout conventions shared by every encoder in the workspace:
 //!
-//! * integers are little-endian; collection lengths are `u32`,
 //! * `f64` values are stored as their IEEE-754 bit pattern (`to_bits`),
-//!   so round-trips are bit-identical — including NaNs and signed zeros,
-//! * strings are UTF-8 bytes prefixed by a `u32` byte length,
+//!   eight bytes little-endian, so round-trips are bit-identical —
+//!   including NaNs and signed zeros,
 //! * options are a `bool` presence flag followed by the value,
 //! * enums are encoded as stable `u8` tags owned by the enum itself
-//!   (never by discriminant order, which is free to change).
+//!   (never by discriminant order, which is free to change),
+//! * a collection is its element count followed by its elements, and a
+//!   decoder refuses a count the remaining stream cannot hold
+//!   ([`ByteReader::read_len`] / [`ByteReader::read_varint_len`]) before
+//!   it allocates anything.
+//!
+//! Integers, counts and strings come in two spellings, one per format
+//! family:
+//!
+//! * **fixed width** (the model artifact): integers are little-endian
+//!   `u32` / `u64`, collection lengths are `u32`, a string is its UTF-8
+//!   bytes behind a `u32` byte length;
+//! * **compact** (checkpoint v3, WAL v2 batch payloads): every integer,
+//!   id and count is an unsigned LEB128 varint — seven value bits per
+//!   byte, low group first, the high bit set on every byte but the last;
+//!   at most ten bytes, minimally encoded (`0x80 0x00` is refused, so a
+//!   value has exactly one spelling) — signed values are zigzag-mapped
+//!   first, and a string is a varint index into the stream's one string
+//!   table (`count · (byte length · UTF-8 bytes)*`, distinct strings in
+//!   first-use order).
 //!
 //! The envelope ([`seal`] / [`open`]), with `N` format-specific header
 //! words, is `magic(8) · version(u32) · N header words(u64) ·
 //! payload_len(u64) · FNV-1a64(payload) · payload`; byte offsets per format
 //! are tabulated in `docs/ARCHITECTURE.md`, "On-disk formats".
+
+use std::collections::HashMap;
 
 pub use ltee_intern::fnv1a64;
 
@@ -60,6 +82,27 @@ pub enum CodecError {
     },
     /// A string's bytes were not valid UTF-8.
     InvalidUtf8,
+    /// A varint ran past ten bytes, overflowed the integer type it was read
+    /// into, or was not minimally encoded.
+    InvalidVarint {
+        /// What was being read.
+        what: &'static str,
+    },
+    /// A string reference pointed past the end of the string table.
+    StringIndexOutOfRange {
+        /// What was being read.
+        what: &'static str,
+        /// The offending index.
+        index: u64,
+        /// Strings the table holds.
+        table_len: usize,
+    },
+    /// The string references of a stream expand to more than
+    /// [`STRING_EXPANSION_LIMIT`] bytes per byte of stream.
+    StringExpansion {
+        /// The stream's byte budget for decoded strings.
+        limit: usize,
+    },
     /// Trailing bytes remained after the final field was decoded.
     TrailingBytes(usize),
 }
@@ -79,6 +122,18 @@ impl std::fmt::Display for CodecError {
                 write!(f, "{what} length {declared} exceeds the remaining stream")
             }
             CodecError::InvalidUtf8 => write!(f, "string bytes are not valid UTF-8"),
+            CodecError::InvalidVarint { what } => write!(
+                f,
+                "malformed varint reading {what}: longer than 10 bytes, out of range or not minimally encoded"
+            ),
+            CodecError::StringIndexOutOfRange { what, index, table_len } => write!(
+                f,
+                "{what} references string {index} of a {table_len}-string table"
+            ),
+            CodecError::StringExpansion { limit } => write!(
+                f,
+                "string references expand past the stream's {limit}-byte budget"
+            ),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the final field"),
         }
     }
@@ -139,6 +194,21 @@ impl ByteWriter {
         self.write_u64(v as u64);
     }
 
+    /// Append a `u64` as an LEB128 varint (see the [module docs](self)).
+    pub fn write_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Append an `i64` as a zigzag-mapped varint (small magnitudes of
+    /// either sign stay short).
+    pub fn write_varint_signed(&mut self, v: i64) {
+        self.write_varint(((v << 1) ^ (v >> 63)) as u64);
+    }
+
     /// Append an `f64` as its IEEE-754 bit pattern (bit-exact round-trip).
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
@@ -170,6 +240,20 @@ impl ByteWriter {
     /// every element through `item`.
     pub fn write_seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
         self.write_len(items.len());
+        for it in items {
+            item(self, it);
+        }
+    }
+
+    /// [`ByteWriter::write_seq`] with a varint element count.
+    /// The closure sees each element at the slice's own lifetime, so it can
+    /// hand element strings to a [`StringTableWriter`].
+    pub fn write_varint_seq<'t, T>(
+        &mut self,
+        items: &'t [T],
+        mut item: impl FnMut(&mut Self, &'t T),
+    ) {
+        self.write_varint(items.len() as u64);
         for it in items {
             item(self, it);
         }
@@ -253,6 +337,39 @@ impl<'a> ByteReader<'a> {
         Ok(self.read_u64(what)? as usize)
     }
 
+    /// Read an LEB128 varint written by [`ByteWriter::write_varint`]. An
+    /// eleventh byte, bits past the 64th and a non-minimal encoding are all
+    /// [`CodecError::InvalidVarint`].
+    pub fn read_varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.read_u8(what)?;
+            let group = u64::from(byte & 0x7f);
+            if shift == 63 && group > 1 {
+                break;
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    break;
+                }
+                return Ok(value);
+            }
+        }
+        Err(CodecError::InvalidVarint { what })
+    }
+
+    /// Read a varint that must fit a `usize`.
+    pub fn read_varint_usize(&mut self, what: &'static str) -> Result<usize, CodecError> {
+        usize::try_from(self.read_varint(what)?).map_err(|_| CodecError::InvalidVarint { what })
+    }
+
+    /// Read a zigzag varint written by [`ByteWriter::write_varint_signed`].
+    pub fn read_varint_signed(&mut self, what: &'static str) -> Result<i64, CodecError> {
+        let zigzag = self.read_varint(what)?;
+        Ok((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64))
+    }
+
     /// Read an `f64` from its bit pattern.
     pub fn read_f64(&mut self, what: &'static str) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.read_u64(what)?))
@@ -272,6 +389,20 @@ impl<'a> ByteReader<'a> {
     /// (`min_element_size` is the smallest encodable element in bytes).
     pub fn read_len(&mut self, what: &'static str, min_element_size: usize) -> Result<usize, CodecError> {
         let len = self.read_u32(what)? as usize;
+        self.check_len(len, what, min_element_size)
+    }
+
+    /// [`ByteReader::read_len`] for a varint length prefix: the same guard.
+    pub fn read_varint_len(
+        &mut self,
+        what: &'static str,
+        min_element_size: usize,
+    ) -> Result<usize, CodecError> {
+        let len = self.read_varint_usize(what)?;
+        self.check_len(len, what, min_element_size)
+    }
+
+    fn check_len(&self, len: usize, what: &'static str, min_element_size: usize) -> Result<usize, CodecError> {
         if len.saturating_mul(min_element_size.max(1)) > self.remaining() {
             return Err(CodecError::LengthOverflow { what, declared: len });
         }
@@ -292,9 +423,29 @@ impl<'a> ByteReader<'a> {
         &mut self,
         what: &'static str,
         min_element_size: usize,
-        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+        item: impl FnMut(&mut Self) -> Result<T, E>,
     ) -> Result<Vec<T>, E> {
         let len = self.read_len(what, min_element_size)?;
+        self.read_items(len, item)
+    }
+
+    /// [`ByteReader::read_seq`] for a sequence written by
+    /// [`ByteWriter::write_varint_seq`].
+    pub fn read_varint_seq<T, E: From<CodecError>>(
+        &mut self,
+        what: &'static str,
+        min_element_size: usize,
+        item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let len = self.read_varint_len(what, min_element_size)?;
+        self.read_items(len, item)
+    }
+
+    fn read_items<T, E>(
+        &mut self,
+        len: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(item(self)?);
@@ -323,6 +474,118 @@ impl<'a> ByteReader<'a> {
     /// Read a length-prefixed string vector.
     pub fn read_str_vec(&mut self, what: &'static str) -> Result<Vec<String>, CodecError> {
         self.read_seq(what, 4, |r| r.read_str(what))
+    }
+}
+
+/// Decoded string bytes a stream may ask for per byte of its own length.
+///
+/// A string table is what lets a one-byte reference stand for a long
+/// string, so the "a declared count must fit the remaining stream" guard
+/// of [`ByteReader::read_len`] cannot bound what the references of a
+/// hostile stream expand to. [`StringTable`] therefore charges every
+/// resolved reference against `STRING_EXPANSION_LIMIT × stream length` and
+/// refuses the stream once that is spent. Streams this workspace writes sit
+/// below 3.
+pub const STRING_EXPANSION_LIMIT: usize = 64;
+
+/// Encode side of a stream's string table: hands out the index of each
+/// distinct string in first-use order (so the table, and with it the
+/// stream, is a function of the encoded data alone) and puts the table in
+/// front of the body once the body is encoded.
+#[derive(Debug, Default)]
+pub struct StringTableWriter<'a> {
+    index: HashMap<&'a str, u64>,
+    strings: Vec<&'a str>,
+    references: usize,
+}
+
+impl<'a> StringTableWriter<'a> {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append a reference to `s` — its varint table index — to `w`,
+    /// adding `s` to the table on first use.
+    pub fn write_ref(&mut self, w: &mut ByteWriter, s: &'a str) {
+        let next = self.strings.len() as u64;
+        let index = *self.index.entry(s).or_insert(next);
+        if index == next {
+            self.strings.push(s);
+        }
+        self.references += 1;
+        w.write_varint(index);
+    }
+
+    /// Assemble the stream: the table — `count · (byte length · UTF-8
+    /// bytes)*` — then the `body` whose references filled it, which is
+    /// where [`StringTable::read_table`] expects to find it.
+    pub fn into_stream(self, body: ByteWriter) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.write_varint_seq(&self.strings, |w, s| {
+            w.write_varint(s.len() as u64);
+            w.write_bytes(s.as_bytes());
+        });
+        w.write_bytes(&body.into_bytes());
+        w.into_bytes()
+    }
+
+    /// Distinct strings in the table.
+    pub fn len(&self) -> usize {
+        self.strings.len()
+    }
+
+    /// Whether no string has been referenced yet.
+    pub fn is_empty(&self) -> bool {
+        self.strings.is_empty()
+    }
+
+    /// References written so far (strings a table-less stream would hold).
+    pub fn references(&self) -> usize {
+        self.references
+    }
+}
+
+/// Decode side of a stream's string table: the strings borrow from the
+/// stream, and every resolved reference is charged against the stream's
+/// expansion budget (see [`STRING_EXPANSION_LIMIT`]).
+#[derive(Debug)]
+pub struct StringTable<'a> {
+    strings: Vec<&'a str>,
+    limit: usize,
+    spent: usize,
+}
+
+impl<'a> StringTable<'a> {
+    /// Read the table at the head of a stream; `r` is left at the first
+    /// byte of the body the table serves.
+    pub fn read_table(r: &mut ByteReader<'a>) -> Result<Self, CodecError> {
+        let limit = r.remaining().saturating_mul(STRING_EXPANSION_LIMIT);
+        let strings = r.read_varint_seq("string table", 1, |r| {
+            let len = r.read_varint_len("string table entry", 1)?;
+            std::str::from_utf8(r.read_bytes(len, "string table entry")?)
+                .map_err(|_| CodecError::InvalidUtf8)
+        })?;
+        Ok(Self { strings, limit, spent: 0 })
+    }
+
+    /// Read one reference written by [`StringTableWriter::write_ref`] and
+    /// resolve it.
+    pub fn read_ref(
+        &mut self,
+        r: &mut ByteReader<'_>,
+        what: &'static str,
+    ) -> Result<&'a str, CodecError> {
+        let index = r.read_varint(what)?;
+        let s = usize::try_from(index)
+            .ok()
+            .and_then(|i| self.strings.get(i).copied())
+            .ok_or(CodecError::StringIndexOutOfRange { what, index, table_len: self.strings.len() })?;
+        self.spent = self.spent.saturating_add(s.len());
+        if self.spent > self.limit {
+            return Err(CodecError::StringExpansion { limit: self.limit });
+        }
+        Ok(s)
     }
 }
 
@@ -413,6 +676,180 @@ mod tests {
         assert!(r.read_bool("g").unwrap());
         assert_eq!(r.read_str("h").unwrap(), "héllo");
         r.expect_eof().unwrap();
+    }
+
+    fn varint_bytes(v: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.write_varint(v);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn varints_are_minimal_leb128_and_round_trip_at_the_edges() {
+        assert_eq!(varint_bytes(0), [0x00]);
+        assert_eq!(varint_bytes(127), [0x7f]);
+        assert_eq!(varint_bytes(128), [0x80, 0x01]);
+        assert_eq!(varint_bytes(u64::from(u32::MAX)), [0xff, 0xff, 0xff, 0xff, 0x0f]);
+        assert_eq!(varint_bytes(u64::MAX), [0xff; 9].into_iter().chain([0x01]).collect::<Vec<_>>());
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            let bytes = varint_bytes(v);
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(r.read_varint("v").unwrap(), v);
+            r.expect_eof().unwrap();
+        }
+        for v in [0, 1, -1, 63, -64, 64, i64::from(i32::MIN), i64::MAX, i64::MIN] {
+            let mut w = ByteWriter::new();
+            w.write_varint_signed(v);
+            let bytes = w.into_bytes();
+            assert_eq!(ByteReader::new(&bytes).read_varint_signed("v").unwrap(), v);
+        }
+        // Zigzag keeps small magnitudes of either sign in one byte.
+        let mut w = ByteWriter::new();
+        w.write_varint_signed(-64);
+        assert_eq!(w.into_bytes(), [0x7f]);
+    }
+
+    #[test]
+    fn malformed_varints_are_typed_rejections() {
+        let invalid = |bytes: &[u8]| ByteReader::new(bytes).read_varint("v").unwrap_err();
+        // Overlong zero, and an overlong 127: a value has one spelling.
+        assert_eq!(invalid(&[0x80, 0x00]), CodecError::InvalidVarint { what: "v" });
+        assert_eq!(invalid(&[0xff, 0x00]), CodecError::InvalidVarint { what: "v" });
+        // Eleven bytes: ten continuation bytes never terminate a u64.
+        assert_eq!(invalid(&[0x80; 11]), CodecError::InvalidVarint { what: "v" });
+        assert_eq!(
+            invalid(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00]),
+            CodecError::InvalidVarint { what: "v" }
+        );
+        // Ten bytes whose last group carries bits past the 64th.
+        assert_eq!(
+            invalid(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]),
+            CodecError::InvalidVarint { what: "v" }
+        );
+        // Truncated mid-varint: the stream ends on a continuation byte.
+        assert_eq!(
+            invalid(&[0x80, 0x80]),
+            CodecError::UnexpectedEof { what: "v", needed: 1, remaining: 0 }
+        );
+        assert!(matches!(invalid(&[]), CodecError::UnexpectedEof { .. }));
+    }
+
+    #[test]
+    fn varint_length_prefix_keeps_the_allocation_guard() {
+        let bytes = varint_bytes(u64::MAX);
+        let mut r = ByteReader::new(&bytes);
+        let err = r.read_varint_seq("floats", 8, |r| r.read_f64("f")).unwrap_err();
+        assert!(matches!(err, CodecError::LengthOverflow { what: "floats", .. }));
+        // 3 declared one-byte elements, 2 bytes left.
+        let mut r = ByteReader::new(&[3, 0, 0]);
+        assert_eq!(
+            r.read_varint_len("items", 1).unwrap_err(),
+            CodecError::LengthOverflow { what: "items", declared: 3 }
+        );
+    }
+
+    /// SplitMix64: a seeded stream without a dev-dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn seeded_integer_and_string_sequences_round_trip() {
+        let mut seed = 0x5eed_0023;
+        for _ in 0..50 {
+            // Integers of every byte length, strings from a small pool so
+            // references repeat.
+            let ints: Vec<u64> = (0..64)
+                .map(|_| splitmix(&mut seed) >> (splitmix(&mut seed) % 64))
+                .collect();
+            let pool: Vec<String> = (0..8)
+                .map(|i| "é".repeat((splitmix(&mut seed) % 5) as usize) + &format!("s{i}"))
+                .collect();
+            let picks: Vec<&str> =
+                (0..40).map(|_| pool[(splitmix(&mut seed) % 8) as usize].as_str()).collect();
+
+            let mut strings = StringTableWriter::new();
+            let mut body = ByteWriter::new();
+            body.write_varint_seq(&ints, |w, &v| w.write_varint(v));
+            for &s in &picks {
+                strings.write_ref(&mut body, s);
+            }
+            for &v in &ints {
+                body.write_varint_signed(v as i64);
+            }
+            assert_eq!(strings.references(), picks.len());
+            assert!(strings.len() <= pool.len());
+            let stream = strings.into_stream(body);
+
+            let mut r = ByteReader::new(&stream);
+            let mut table = StringTable::read_table(&mut r).unwrap();
+            let decoded: Vec<u64> =
+                r.read_varint_seq("ints", 1, |r| r.read_varint("int")).unwrap();
+            assert_eq!(decoded, ints);
+            for &s in &picks {
+                assert_eq!(table.read_ref(&mut r, "pick").unwrap(), s);
+            }
+            for &v in &ints {
+                assert_eq!(r.read_varint_signed("signed").unwrap(), v as i64);
+            }
+            r.expect_eof().unwrap();
+        }
+    }
+
+    #[test]
+    fn string_table_rejects_bad_indexes_bad_tables_and_expansion_bombs() {
+        // Two strings, then a reference to a third.
+        let mut w = ByteWriter::new();
+        w.write_varint(2);
+        for s in ["a", "bc"] {
+            w.write_varint(s.len() as u64);
+            w.write_bytes(s.as_bytes());
+        }
+        w.write_varint(1);
+        w.write_varint(2);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let mut table = StringTable::read_table(&mut r).unwrap();
+        assert_eq!(table.read_ref(&mut r, "ref").unwrap(), "bc");
+        assert_eq!(
+            table.read_ref(&mut r, "ref").unwrap_err(),
+            CodecError::StringIndexOutOfRange { what: "ref", index: 2, table_len: 2 }
+        );
+
+        // A table that declares more entries, or a longer entry, than the
+        // stream holds is refused before anything is allocated for it.
+        for bytes in [&[200u8, 1][..], &[1, 9, b'x'][..]] {
+            assert!(matches!(
+                StringTable::read_table(&mut ByteReader::new(bytes)).unwrap_err(),
+                CodecError::LengthOverflow { .. }
+            ));
+        }
+        assert_eq!(
+            StringTable::read_table(&mut ByteReader::new(&[1, 1, 0xff])).unwrap_err(),
+            CodecError::InvalidUtf8
+        );
+
+        // One long string behind many one-byte references: the references
+        // are charged against the stream's length, not taken on faith.
+        let long = "x".repeat(1 << 12);
+        let mut w = ByteWriter::new();
+        w.write_varint(1);
+        w.write_varint(long.len() as u64);
+        w.write_bytes(long.as_bytes());
+        let refs = 4 * STRING_EXPANSION_LIMIT;
+        w.write_bytes(&vec![0u8; refs]);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let mut table = StringTable::read_table(&mut r).unwrap();
+        let err = (0..refs).find_map(|_| table.read_ref(&mut r, "ref").err()).unwrap();
+        assert_eq!(
+            err,
+            CodecError::StringExpansion { limit: bytes.len() * STRING_EXPANSION_LIMIT }
+        );
     }
 
     #[test]

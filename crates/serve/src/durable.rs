@@ -164,11 +164,11 @@ impl<'a> DurableServePipeline<'a> {
     }
 
     /// Cut a checkpoint of the current state now (retention and WAL
-    /// compaction included — see [`KbStore::write_checkpoint`]).
+    /// compaction included — see [`KbStore::write_checkpoint`]). The state
+    /// is encoded where it lives: nothing is copied but the bytes written.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         let checkpoint = self.serve.pipeline.checkpoint(self.serve.version());
-        self.store.write_checkpoint(&checkpoint)?;
-        Ok(())
+        self.store.write_checkpoint(&checkpoint)
     }
 
     /// A wait-free reader handle (see [`ServePipeline::reader`]).

@@ -1,0 +1,171 @@
+//! Footprint gate for the durable store: what a stream costs on disk.
+//!
+//! Bytes on disk per ingested row is the one cost that grows for as long
+//! as the system runs, and — unlike a timing — it is an exact function of
+//! the stream: the checkpoint and WAL encoders are deterministic, so the
+//! same seeded stream leaves the same bytes at every thread count. This
+//! gate streams two renderings of a tiny world through a
+//! [`DurableServePipeline`] under [`CheckpointPolicy::EveryBatches`],
+//! prints where the bytes of the store went, and holds three things:
+//!
+//! * the store is the regular files directly in its directory — one WAL
+//!   and the two retained checkpoints, nothing else, nowhere else;
+//! * every one of them is byte-identical at 1 and at 4 threads;
+//! * the store's size is the pinned [`STORE_BYTES`] — 166.05 B/row, under
+//!   [`BYTES_PER_ROW_CEILING`]; the fixed-width layout before checkpoint
+//!   version 3 / WAL version 2 left 99 558 bytes, 378.55 B/row, for the
+//!   same stream.
+//!
+//! A change that moves [`STORE_BYTES`] changed either what the pipeline
+//! decides (the golden files move with it) or an on-disk format (which
+//! needs a version bump and `tests/format_pin.rs`); re-pin it from the
+//! printed table in the first case only.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+use ltee_core::prelude::*;
+use ltee_core::CheckpointLayout;
+use ltee_serve::{CheckpointPolicy, DurableServePipeline};
+use ltee_store::KbStore;
+use ltee_webtables::{TableId, WebTable};
+
+/// Micro-batches in the stream: checkpoints after 4, 8 and 12 (the first
+/// is retired by retention), then a two-batch WAL tail.
+const BATCHES: usize = 14;
+const CHECKPOINT_EVERY: u64 = 4;
+
+/// Bytes of every file in the store at the end of the stream.
+const STORE_BYTES: u64 = 43_672;
+
+/// Store bytes per ingested row the gate allows.
+const BYTES_PER_ROW_CEILING: f64 = 170.0;
+
+/// Two renderings of a tiny world, the second under fresh table ids: the
+/// repetition across tables that row clustering feeds on, and that the
+/// checkpoint's string table stores once.
+fn stream(world: &World, first: &Corpus) -> Vec<Corpus> {
+    let second = generate_corpus(world, &CorpusConfig { seed: 77, ..CorpusConfig::tiny() });
+    let mut tables = first.tables().to_vec();
+    tables.extend(
+        second
+            .tables()
+            .iter()
+            .enumerate()
+            .map(|(i, table)| WebTable { id: TableId(10_000 + i as u64), ..table.clone() }),
+    );
+    Corpus::from_tables(tables).split_into_batches(BATCHES)
+}
+
+/// Every entry of the store directory as `(file name, bytes)`, sorted by
+/// name; anything that is not a regular file fails the gate.
+fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .expect("list the store")
+        .map(|entry| {
+            let entry = entry.expect("store entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            assert!(
+                entry.file_type().expect("entry type").is_file(),
+                "{name} is not a regular file: the store is flat"
+            );
+            (name, fs::read(entry.path()).expect("read store file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_stream_costs_its_pinned_bytes_on_disk_at_every_thread_count() {
+    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2024));
+    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
+    let golds: Vec<GoldStandard> =
+        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
+    let config = PipelineConfig::fast();
+    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let batches = stream(&world, &corpus);
+
+    let run = |threads: usize| -> (PathBuf, usize) {
+        let dir = std::env::temp_dir()
+            .join(format!("ltee-disk-footprint-{}-t{threads}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let config = PipelineConfig { parallelism: Parallelism::Threads(threads), ..config.clone() };
+        let (mut durable, _) = DurableServePipeline::open(
+            &dir,
+            world.kb(),
+            models.clone(),
+            config,
+            CheckpointPolicy::EveryBatches(CHECKPOINT_EVERY),
+        )
+        .expect("open a fresh store");
+        for batch in &batches {
+            durable.ingest(batch).expect("fresh table ids");
+        }
+        let rows = durable.serve().pipeline().ingested_rows();
+        (dir, rows)
+    };
+    let (dir, rows) = run(1);
+    let (dir_4, rows_4) = run(4);
+    let files = store_files(&dir);
+    assert_eq!(rows, rows_4);
+    assert!(files == store_files(&dir_4), "the store's bytes depend on the thread count");
+
+    // One WAL and the two retained checkpoints, by name.
+    let newest = BATCHES as u64 / CHECKPOINT_EVERY * CHECKPOINT_EVERY;
+    let name = |path: PathBuf| path.file_name().expect("file name").to_string_lossy().into_owned();
+    let expected = [
+        name(KbStore::checkpoint_path(&dir, newest - CHECKPOINT_EVERY)),
+        name(KbStore::checkpoint_path(&dir, newest)),
+        name(KbStore::wal_path(&dir)),
+    ];
+    assert_eq!(files.iter().map(|(name, _)| name.as_str()).collect::<Vec<_>>(), expected);
+    let [older, newest, wal] = [0, 1, 2].map(|i| files[i].1.len());
+
+    // Where the newest checkpoint's bytes went: re-encoding the decoded
+    // file reproduces it, so the layout is that of the file on disk.
+    let decoded = PipelineCheckpoint::decode(&files[1].1).expect("the newest checkpoint decodes");
+    let (reencoded, layout) = decoded.view().encode_with_layout();
+    assert!(reencoded == files[1].1);
+    let CheckpointLayout { string_table, corpus, mapping, interner, clusters, entities, results, .. } =
+        layout;
+    let envelope = newest - layout.payload_len() + 1;
+    assert_eq!(envelope, ltee_core::checkpoint::CHECKPOINT_PAYLOAD_START + 1);
+
+    let store_bytes = (older + newest + wal) as u64;
+    let per_row = store_bytes as f64 / rows as f64;
+    println!(
+        "disk footprint: {BATCHES} batches, {rows} rows, a checkpoint every {CHECKPOINT_EVERY}; \
+         the newest checkpoint by section, then the store"
+    );
+    println!("{:<28} {:>9} {:>7}", "", "bytes", "share");
+    let row = |what: &str, bytes: usize, of: usize| {
+        println!("{what:<28} {bytes:>9} {:>6.1}%", 100.0 * bytes as f64 / of as f64);
+    };
+    row("string table", string_table, newest);
+    row("corpus", corpus, newest);
+    row("mapping", mapping, newest);
+    row("interner", interner, newest);
+    row("clusters", clusters, newest);
+    row("entities", entities, newest);
+    row("results", results, newest);
+    row("envelope + class count", envelope, newest);
+    println!(
+        "strings: {} distinct over {} written ({:.1}%)",
+        layout.strings_distinct,
+        layout.strings_written,
+        100.0 * layout.strings_distinct as f64 / layout.strings_written as f64
+    );
+    let total = store_bytes as usize;
+    row(&expected[1], newest, total);
+    row(&expected[0], older, total);
+    row("wal.log", wal, total);
+    row("store", total, total);
+    println!("{per_row:.2} B/row (ceiling {BYTES_PER_ROW_CEILING})");
+
+    assert_eq!(store_bytes, STORE_BYTES, "the store's size moved: see the module docs");
+    assert!(per_row <= BYTES_PER_ROW_CEILING, "{per_row:.2} B/row");
+
+    fs::remove_dir_all(&dir).expect("remove the store");
+    fs::remove_dir_all(&dir_4).expect("remove the store");
+}

@@ -19,20 +19,24 @@
 //!   the batch on recovery; a crash during the append leaves a torn tail
 //!   the scanner drops. Either way recovery lands on a prefix of the
 //!   applied batches.
-//! * **Checkpoint**: [`KbStore::write_checkpoint`] writes to a temp file
-//!   and renames it into place — a checkpoint is either fully present or
-//!   absent, never torn-but-plausible (and a torn temp file is invisible
-//!   to recovery). Retention keeps the newest checkpoint plus one
-//!   predecessor; the WAL is then compacted down to the records the older
-//!   retained checkpoint does not cover, so a corrupt newest checkpoint
-//!   can always fall back to `older checkpoint + longer replay`.
+//! * **Checkpoint**: [`KbStore::write_checkpoint`] writes to a temp file,
+//!   renames it into place and syncs the directory — a checkpoint is
+//!   either fully present or absent, never torn-but-plausible (and a torn
+//!   temp file is invisible to recovery), and it is durably present before
+//!   anything it supersedes is deleted. Retention keeps the newest
+//!   checkpoint plus one predecessor; the WAL is then compacted down to
+//!   the records the older retained checkpoint does not cover, so a
+//!   corrupt newest checkpoint can always fall back to `older checkpoint +
+//!   longer replay`.
 //! * **Recovery**: [`KbStore::open`] picks the newest *structurally valid*
 //!   checkpoint (corrupt ones are skipped, not fatal), scans the WAL,
 //!   repairs any torn tail by truncating it, and returns the checkpoint
 //!   plus the contiguous tail of batch records still to replay. A
 //!   structurally valid checkpoint or WAL minted under a *different
 //!   config fingerprint* is a hard typed error — silently mixing
-//!   configurations would poison the state.
+//!   configurations would poison the state — and so is an intact
+//!   checkpoint or a WAL of *another format version*: skipping it as
+//!   corrupt would start a fresh store over existing data.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -40,7 +44,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use ltee_core::checkpoint::{CheckpointError, PipelineCheckpoint};
+use ltee_core::checkpoint::{CheckpointError, CheckpointView, PipelineCheckpoint};
 
 pub mod wal;
 
@@ -182,10 +186,13 @@ impl KbStore {
 
         // Newest structurally valid checkpoint wins; corrupt files are
         // skipped (falling back to an older checkpoint or a fresh start),
-        // but a valid checkpoint under the wrong config is a hard error.
+        // but a valid checkpoint under the wrong config, or an intact file
+        // of another format version, is a hard error: skipping one would
+        // open a fresh store over existing data.
         let mut checkpoint = None;
         for applied in Self::list_checkpoints(&dir)? {
-            match PipelineCheckpoint::load(Self::checkpoint_path(&dir, applied)) {
+            let bytes = fs::read(Self::checkpoint_path(&dir, applied))?;
+            match PipelineCheckpoint::decode(&bytes) {
                 Ok(ckpt) => {
                     if ckpt.fingerprint != fingerprint {
                         return Err(CheckpointError::ConfigMismatch {
@@ -197,7 +204,9 @@ impl KbStore {
                     checkpoint = Some(ckpt);
                     break;
                 }
-                Err(CheckpointError::ConfigMismatch { .. }) => unreachable!(),
+                // Written whole by another build (a damaged version field
+                // decodes as `Corrupted`, not as this).
+                Err(other @ CheckpointError::UnsupportedVersion(_)) => return Err(other.into()),
                 Err(_corrupt) => continue,
             }
         }
@@ -292,11 +301,12 @@ impl KbStore {
         Ok(())
     }
 
-    /// Durably write `checkpoint` (temp file + rename, so it is atomic),
-    /// then apply retention: keep this checkpoint plus its newest surviving
-    /// predecessor, delete older ones, and compact the WAL down to the
-    /// records the older retained checkpoint does not cover.
-    pub fn write_checkpoint(&mut self, checkpoint: &PipelineCheckpoint) -> Result<(), StoreError> {
+    /// Durably write `checkpoint` (temp file + rename + directory sync, so
+    /// it is atomic and survives power loss), then apply retention: keep
+    /// this checkpoint plus its newest surviving predecessor, delete older
+    /// ones, and compact the WAL down to the records the older retained
+    /// checkpoint does not cover.
+    pub fn write_checkpoint(&mut self, checkpoint: &CheckpointView<'_>) -> Result<(), StoreError> {
         if checkpoint.fingerprint != self.fingerprint {
             return Err(CheckpointError::ConfigMismatch {
                 checkpoint: checkpoint.fingerprint,
@@ -312,6 +322,9 @@ impl KbStore {
             file.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
+        // Retention and compaction below delete what only this checkpoint
+        // replaces, so its directory entry must be on disk first.
+        Self::sync_dir(&self.dir)?;
 
         // Retention: newest two checkpoints survive.
         let all = Self::list_checkpoints(&self.dir)?;
@@ -365,6 +378,13 @@ impl KbStore {
             file.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
+        Self::sync_dir(dir)
+    }
+
+    /// Make the renames done in `dir` durable: a rename lives in the
+    /// directory, not in the file that was fsynced before it.
+    fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+        File::open(dir)?.sync_all()?;
         Ok(())
     }
 }
@@ -409,30 +429,32 @@ pub mod crashpoints {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
     use ltee_ml::codec::{seal, ByteWriter};
 
     /// Hand-build an encoded empty checkpoint (no tables, no state) with
     /// the given fingerprint and applied-batch count, exercising the real
     /// decoder on the way in.
     fn empty_checkpoint(fingerprint: u64, applied: u64) -> PipelineCheckpoint {
-        let mut w = ByteWriter::new();
-        w.write_len(0); // corpus tables
-        w.write_len(0); // mappings
-        let num_classes = ltee_kb::CLASS_KEYS.len();
-        w.write_len(num_classes);
-        for _ in 0..num_classes {
-            w.write_len(0); // per-class interner strings
-            w.write_len(0); // clusters
-            w.write_len(0); // entities
-            w.write_len(0); // results
-        }
-        let bytes = seal(
-            &ltee_core::checkpoint::CHECKPOINT_MAGIC,
-            ltee_core::checkpoint::CHECKPOINT_VERSION,
-            &[fingerprint, applied],
-            &w.into_bytes(),
-        );
+        let bytes = empty_checkpoint_bytes(CHECKPOINT_VERSION, fingerprint, applied);
         PipelineCheckpoint::decode(&bytes).expect("hand-built checkpoint must decode")
+    }
+
+    /// The file behind [`empty_checkpoint`], sealed as format `version`.
+    fn empty_checkpoint_bytes(version: u32, fingerprint: u64, applied: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.write_varint(0); // string table
+        w.write_varint(0); // corpus tables
+        w.write_varint(0); // mappings
+        let num_classes = ltee_kb::CLASS_KEYS.len();
+        w.write_varint(num_classes as u64);
+        for _ in 0..num_classes {
+            w.write_varint(0); // per-class interner strings
+            w.write_varint(0); // clusters
+            w.write_varint(0); // entities
+            w.write_varint(0); // results
+        }
+        seal(&CHECKPOINT_MAGIC, version, &[fingerprint, applied], &w.into_bytes())
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -494,7 +516,7 @@ mod tests {
         let mut rec = KbStore::open(&dir, 9).unwrap();
         for i in 1..=6u64 {
             rec.store.append_batch(format!("batch-{i}").as_bytes()).unwrap();
-            rec.store.write_checkpoint(&empty_checkpoint(9, i)).unwrap();
+            rec.store.write_checkpoint(&empty_checkpoint(9, i).view()).unwrap();
         }
         // Newest two checkpoints survive; older ones are gone.
         let found = KbStore::list_checkpoints(&dir).unwrap();
@@ -516,9 +538,9 @@ mod tests {
         let dir = scratch_dir("fallback");
         let mut rec = KbStore::open(&dir, 3).unwrap();
         rec.store.append_batch(b"b1").unwrap();
-        rec.store.write_checkpoint(&empty_checkpoint(3, 1)).unwrap();
+        rec.store.write_checkpoint(&empty_checkpoint(3, 1).view()).unwrap();
         rec.store.append_batch(b"b2").unwrap();
-        rec.store.write_checkpoint(&empty_checkpoint(3, 2)).unwrap();
+        rec.store.write_checkpoint(&empty_checkpoint(3, 2).view()).unwrap();
 
         // Corrupt the newest checkpoint file.
         let newest = KbStore::checkpoint_path(&dir, 2);
@@ -549,9 +571,63 @@ mod tests {
         // A checkpoint under the wrong fingerprint is also rejected, even
         // with a matching WAL.
         assert!(matches!(
-            rec.store.write_checkpoint(&empty_checkpoint(99, 1)),
+            rec.store.write_checkpoint(&empty_checkpoint(99, 1).view()),
             Err(StoreError::Checkpoint(CheckpointError::ConfigMismatch { .. }))
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_intact_checkpoint_of_another_version_is_a_hard_error_not_a_fresh_store() {
+        // One old-format checkpoint and an empty WAL tail: skipping it as
+        // corrupt would open a fresh store at batch 1 over existing data.
+        let dir = scratch_dir("old-version-only");
+        let mut rec = KbStore::open(&dir, 4).unwrap();
+        rec.store.append_batch(b"b1").unwrap();
+        rec.store.write_checkpoint(&empty_checkpoint(4, 1).view()).unwrap();
+        let old = empty_checkpoint_bytes(CHECKPOINT_VERSION - 1, 4, 1);
+        fs::write(KbStore::checkpoint_path(&dir, 1), &old).unwrap();
+        let err = KbStore::open(&dir, 4).unwrap_err();
+        assert!(matches!(
+            err,
+            StoreError::Checkpoint(CheckpointError::UnsupportedVersion(v)) if v == CHECKPOINT_VERSION - 1
+        ));
+        let message = err.to_string();
+        assert!(
+            message.contains(&format!("version {}", CHECKPOINT_VERSION - 1))
+                && message.contains(&format!("version {CHECKPOINT_VERSION}")),
+            "{message}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+
+        // An old-format checkpoint ahead of a WAL tail used to surface as a
+        // misleading `WalGap { applied: 0, .. }`.
+        let dir = scratch_dir("old-version-with-tail");
+        let mut rec = KbStore::open(&dir, 4).unwrap();
+        rec.store.append_batch(b"b1").unwrap();
+        rec.store.write_checkpoint(&empty_checkpoint(4, 1).view()).unwrap();
+        rec.store.append_batch(b"b2").unwrap();
+        rec.store.write_checkpoint(&empty_checkpoint(4, 2).view()).unwrap();
+        rec.store.append_batch(b"b3").unwrap();
+        for applied in [1, 2] {
+            let old = empty_checkpoint_bytes(CHECKPOINT_VERSION - 1, 4, applied);
+            fs::write(KbStore::checkpoint_path(&dir, applied), &old).unwrap();
+        }
+        assert!(matches!(
+            KbStore::open(&dir, 4),
+            Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(_)))
+        ));
+
+        // A file whose version bytes are damage, not a version, is still
+        // just a corrupt checkpoint: recovery falls back past it.
+        let mut torn = empty_checkpoint(4, 2).encode();
+        torn[8] ^= 0x40;
+        *torn.last_mut().unwrap() ^= 0x01;
+        fs::write(KbStore::checkpoint_path(&dir, 2), &torn).unwrap();
+        fs::write(KbStore::checkpoint_path(&dir, 1), empty_checkpoint(4, 1).encode()).unwrap();
+        let rec = KbStore::open(&dir, 4).unwrap();
+        assert_eq!(rec.checkpoint.as_ref().unwrap().applied_batches, 1);
+        assert_eq!(rec.tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![2, 3]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,7 +29,11 @@
 //!
 //! The same discipline covers the durability formats (PR 8): a second
 //! 200-case corpus corrupts a *state checkpoint* (`PipelineCheckpoint`)
-//! with the same five families, and a 100-case corpus mutates a
+//! with the same five families plus a sixth the compact layout (checkpoint
+//! version 3) calls for — hand-written payloads whose only defect is a
+//! string reference past the table, a string table longer than the stream,
+//! a cluster row gap of zero, or references that expand past the stream's
+//! budget ([`crafted_checkpoint`]) — and a 100-case corpus mutates a
 //! write-ahead log, where the contract is different — the scanner must
 //! never panic and must always recover a strict prefix of the original
 //! records (mid-log corruption truncates at the last valid record rather
@@ -45,7 +49,7 @@ use std::sync::OnceLock;
 use ltee_core::artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
 use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
-use ltee_ml::codec::{open, seal};
+use ltee_ml::codec::{open, seal, ByteWriter, CodecError, STRING_EXPANSION_LIMIT};
 use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, WalTail};
 use rand::{RngCore, SeedableRng};
@@ -117,6 +121,95 @@ fn checkpoint_parts(valid: &[u8]) -> ([u64; 2], &[u8]) {
     open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, valid).expect("the uncorrupted checkpoint opens")
 }
 
+/// The one thing wrong with a [`crafted_checkpoint`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Defect {
+    /// A cell references string 3 of a 3-string table.
+    StringIndexOutOfRange,
+    /// The string table declares 2⁴⁰ entries.
+    TableLongerThanStream,
+    /// The cluster's second row repeats its first (a row gap of zero).
+    NonAscendingGap,
+    /// 256 one-byte labels each expand to a 4 KiB string.
+    ExpansionBomb,
+}
+
+const DEFECTS: [Defect; 4] = [
+    Defect::StringIndexOutOfRange,
+    Defect::TableLongerThanStream,
+    Defect::NonAscendingGap,
+    Defect::ExpansionBomb,
+];
+
+/// A minimal version-3 checkpoint written field by field — one two-row
+/// Song table, its mapping, one cluster, one entity — sealed in a valid
+/// envelope, so `defect` is the only thing a decoder can object to.
+fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
+    let long = "x".repeat(4096);
+    let label = if defect == Some(Defect::ExpansionBomb) { long.as_str() } else { "a" };
+    let mut w = ByteWriter::new();
+    w.write_varint(if defect == Some(Defect::TableLongerThanStream) { 1 << 40 } else { 3 });
+    for s in ["song", label, "b"] {
+        w.write_varint(s.len() as u64);
+        w.write_bytes(s.as_bytes());
+    }
+    // corpus: one table, id 1, one column "song" with cells "a", "b"
+    w.write_varint(1);
+    w.write_varint(1);
+    w.write_varint(1);
+    w.write_varint(0);
+    w.write_varint(2);
+    w.write_varint(if defect == Some(Defect::StringIndexOutOfRange) { 3 } else { 1 });
+    w.write_varint(2);
+    w.write_u8(ClassKey::Song.code());
+    w.write_varint(0); // truth label column
+    w.write_varint(1); // one column property: none
+    w.write_bool(false);
+    w.write_varint(2); // truth row entities
+    w.write_varint(1);
+    w.write_varint(2);
+    // mapping: table 1 is a Song table, no correspondence for its one column
+    w.write_varint(1);
+    w.write_varint(1);
+    w.write_bool(true);
+    w.write_u8(ClassKey::Song.code());
+    w.write_f64(1.0);
+    w.write_varint(0); // label column
+    w.write_varint(1); // detected types
+    w.write_u8(0);
+    w.write_varint(1); // correspondences
+    w.write_bool(false);
+    // class sections
+    w.write_varint(CLASS_KEYS.len() as u64);
+    for class in CLASS_KEYS {
+        if class != ClassKey::Song {
+            w.write_bytes(&[0; 4]);
+            continue;
+        }
+        w.write_varint(0); // interner strings
+        w.write_varint(1); // one cluster of rows 0 and 1
+        w.write_varint(2);
+        w.write_varint(0);
+        w.write_varint(if defect == Some(Defect::NonAscendingGap) { 0 } else { 1 });
+        w.write_varint(1); // one entity
+        w.write_varint(2); // its rows
+        for row in 0..2 {
+            w.write_varint(1);
+            w.write_varint(row);
+        }
+        let labels = if defect == Some(Defect::ExpansionBomb) { 4 * STRING_EXPANSION_LIMIT } else { 1 };
+        w.write_varint(labels as u64);
+        w.write_bytes(&vec![1; labels]);
+        w.write_varint(0); // facts
+        w.write_varint(1); // one result: entity 0 is new
+        w.write_varint(0);
+        w.write_u8(0);
+        w.write_f64(0.0);
+        w.write_varint(0);
+    }
+    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &w.into_bytes())
+}
+
 fn decode_checkpoint_caught(
     bytes: &[u8],
 ) -> Result<Result<PipelineCheckpoint, CheckpointError>, ()> {
@@ -181,7 +274,7 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
 
     // 4. Seeded-random garbage of assorted sizes.
     let mut rng = ChaCha8Rng::seed_from_u64(0xF423);
-    for i in 0..24 {
+    for i in 0..20 {
         let size = (i * 171) % 4096;
         let bytes: Vec<u8> = (0..size).map(|_| rng.next_u32() as u8).collect();
         corpus.push((format!("garbage #{i} ({size} B)"), bytes));
@@ -194,6 +287,12 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
         let cut = i * payload_len / 40;
         let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &payload[..cut]);
         corpus.push((format!("payload truncate[..{cut}] (checksum fixed)"), bytes));
+    }
+
+    // 6. Well-formed but for one field the compact layout must police.
+    assert!(PipelineCheckpoint::decode(&crafted_checkpoint(None)).is_ok());
+    for defect in DEFECTS {
+        corpus.push((format!("crafted {defect:?}"), crafted_checkpoint(Some(defect))));
     }
 
     assert_eq!(corpus.len(), 200, "the corpus is specified as exactly 200 cases");
@@ -221,10 +320,10 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     let payload_len = valid_payload.len();
 
     // Splice u32::MAX over 4 bytes at 32 evenly spaced payload offsets and
-    // re-fix the header. Unlike the model artifact (whose payload is mostly
-    // f64 weights), a state checkpoint is mostly structured collections —
-    // but a splice can still land inside a score or a long label, so a
-    // successful decode is tolerated; panics and large allocations are not.
+    // re-fix the header: in the compact layout that is four continuation
+    // bytes, so whatever varint the splice lands in becomes enormous. A
+    // splice can still land inside a score or a long string-table entry, so
+    // a successful decode is tolerated; panics and large allocations are not.
     for i in 0..32 {
         let pos = i * (payload_len - 4) / 31;
         let mut payload = valid_payload.to_vec();
@@ -235,15 +334,38 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
         }
     }
 
-    // The canonical bomb: the first payload bytes are the interner-string
-    // count — declaring ~4 billion strings must be a typed LengthOverflow,
-    // not a 4 GiB allocation.
+    // The canonical bomb: the first payload bytes are the string-table
+    // count — declaring billions of strings must be a typed decode error,
+    // not an allocation.
     let mut payload = valid_payload.to_vec();
     payload[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
     let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &payload);
     match PipelineCheckpoint::decode(&bytes) {
         Err(CheckpointError::Decode(_)) => {}
         other => panic!("a length bomb on the first prefix must be a decode error, got {other:?}"),
+    }
+
+    // The bombs only the compact layout has, each rejected for its reason.
+    for defect in DEFECTS {
+        let rejection = PipelineCheckpoint::decode(&crafted_checkpoint(Some(defect))).unwrap_err();
+        let as_expected = match defect {
+            Defect::StringIndexOutOfRange => matches!(
+                rejection,
+                CheckpointError::Decode(CodecError::StringIndexOutOfRange { index: 3, table_len: 3, .. })
+            ),
+            Defect::TableLongerThanStream => matches!(
+                rejection,
+                CheckpointError::Decode(CodecError::LengthOverflow { what: "string table", .. })
+            ),
+            Defect::NonAscendingGap => matches!(
+                &rejection,
+                CheckpointError::Corrupted(why) if why.contains("not ascending")
+            ),
+            Defect::ExpansionBomb => {
+                matches!(rejection, CheckpointError::Decode(CodecError::StringExpansion { .. }))
+            }
+        };
+        assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
     }
 }
 

@@ -6,9 +6,11 @@
 //! and each file is checked three ways: the documented header offsets are
 //! read back literally, the production decoder accepts the hand-written
 //! bytes and the production encoder reproduces them exactly, and the
-//! FNV-1a64 of the whole file equals a constant generated before the codec
-//! consolidation (PR 13). A change to any of these constants is a format
-//! change and needs a version bump, not an edit here.
+//! FNV-1a64 of the whole file equals a pinned constant: the artifact's was
+//! generated before the codec consolidation (PR 13), the checkpoint's and
+//! the WAL's with the formats they pin (checkpoint version 3, WAL
+//! version 2). A change to any of these constants is a format change and
+//! needs a version bump, not an edit here.
 
 use ltee_core::{decode_corpus, encode_corpus, ModelArtifact, PipelineCheckpoint};
 use ltee_ml::codec::{fnv1a64, ByteWriter};
@@ -16,8 +18,8 @@ use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, WalTail};
 
 const ARTIFACT_FNV: u64 = 0xde7aa557b610faef;
-const CHECKPOINT_FNV: u64 = 0x6924272ac95ff308;
-const WAL_FNV: u64 = 0x968f7a21aa810d77;
+const CHECKPOINT_FNV: u64 = 0xca8a87b07a76b0e6;
+const WAL_FNV: u64 = 0x88a7e3a5df23194a;
 
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
     u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap())
@@ -56,110 +58,125 @@ fn f64s(w: &mut ByteWriter, values: &[f64]) {
     }
 }
 
+/// The checkpoint's string table: every distinct string once, in the order
+/// the sections first use it. The corpus section uses the first seven, so
+/// they are also the table of the WAL batch that carries the same table.
+const STRINGS: [&str; 20] = [
+    "song",             // 0  column header
+    "Yellow Submarine", // 1  cell, later the entity's label
+    "",                 // 2
+    "year",             // 3
+    "1966",             // 4
+    "n/a",              // 5
+    "releaseYear",      // 6  truth property, later the mapping's
+    "yellow",           // 7  Song interner arena
+    "submarine",        // 8
+    "comment",          // 9  fact properties and string values
+    "héllo world",      // 10
+    "isrc",             // 11
+    "US-07302",         // 12
+    "artist",           // 13
+    "The Beatles",      // 14
+    "written",          // 15
+    "releaseDate",      // 16
+    "drift",            // 17
+    "tempo",            // 18
+    "chart",            // 19
+];
+
+/// `count · (byte length · UTF-8 bytes)*`. Every number below 128 is its
+/// own one-byte varint, so the compact layout is spelled with `write_u8`;
+/// the few larger ones are written out as their LEB128 bytes.
+fn string_table(w: &mut ByteWriter, strings: &[&str]) {
+    w.write_u8(strings.len() as u8);
+    for s in strings {
+        w.write_u8(s.len() as u8);
+        w.write_bytes(s.as_bytes());
+    }
+}
+
 /// One table of class Song (code 1): two columns, two rows.
 fn table_bytes(w: &mut ByteWriter) {
-    w.write_u64(7); // table id
-    w.write_u32(2); // columns
-    w.write_str("song");
-    strs(w, &["Yellow Submarine", ""]);
-    w.write_str("year");
-    strs(w, &["1966", "n/a"]);
+    w.write_u8(7); // table id
+    w.write_u8(2); // columns
+    w.write_u8(0); // header "song"
+    w.write_bytes(&[2, 1, 2]); // two cells: "Yellow Submarine", ""
+    w.write_u8(3); // header "year"
+    w.write_bytes(&[2, 4, 5]); // two cells: "1966", "n/a"
     w.write_u8(1); // truth class
-    w.write_u64(0); // truth label column
-    w.write_u32(2); // truth column properties
+    w.write_u8(0); // truth label column
+    w.write_u8(2); // truth column properties
     w.write_bool(false);
     w.write_bool(true);
-    w.write_str("releaseYear");
-    w.write_u32(2); // truth row entities
-    w.write_u64(11);
-    w.write_u64(12);
+    w.write_u8(6); // "releaseYear"
+    w.write_u8(2); // truth row entities
+    w.write_u8(11);
+    w.write_bytes(&[0xC5, 0x39]); // 7365 = 0x45 + (0x39 << 7), low group first
 }
 
 fn checkpoint_payload() -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.write_u32(1); // tables
+    string_table(&mut w, &STRINGS);
+
+    w.write_u8(1); // tables
     table_bytes(&mut w);
 
-    w.write_u32(1); // mappings
-    w.write_u64(7); // table id
+    w.write_u8(1); // mappings
+    w.write_u8(7); // table id
     w.write_bool(true);
     w.write_u8(1); // class Song
     w.write_f64(0.75); // class score
-    w.write_u64(0); // label column
-    w.write_u32(2); // detected types
+    w.write_u8(0); // label column
+    w.write_u8(2); // detected types
     w.write_u8(0); // Text
     w.write_u8(1); // Date
-    w.write_u32(2); // correspondences
+    w.write_u8(2); // correspondences
     w.write_bool(false);
     w.write_bool(true);
-    w.write_str("releaseYear");
+    w.write_u8(6); // "releaseYear"
     w.write_u8(3); // DataType::Date
     w.write_f64(0.5);
 
-    w.write_u32(3); // class states, CLASS_KEYS order
-    for _ in 0..4 {
-        w.write_u32(0); // GridironFootballPlayer: no strings/clusters/entities/results
-    }
-    strs(&mut w, &["yellow", "submarine"]); // Song interner arena
-    w.write_u32(1); // clusters
-    w.write_u32(2);
-    w.write_u32(0);
-    w.write_u32(1);
-    w.write_u32(1); // entities
-    w.write_u32(2); // entity rows: (table, row)
-    w.write_u64(7);
-    w.write_u64(0);
-    w.write_u64(7);
-    w.write_u64(1);
-    strs(&mut w, &["Yellow Submarine"]);
-    w.write_u32(8); // facts: property · tagged value · score, one per Value encoding
-    w.write_str("comment");
-    w.write_u8(0); // Text
-    w.write_str("héllo world");
+    w.write_u8(3); // class states, CLASS_KEYS order
+    w.write_bytes(&[0; 4]); // GridironFootballPlayer: no strings/clusters/entities/results
+    w.write_bytes(&[2, 7, 8]); // Song interner arena: "yellow", "submarine"
+    w.write_u8(1); // clusters
+    w.write_bytes(&[2, 0, 1]); // two rows: row 0, then a gap of 1
+    w.write_u8(1); // entities
+    w.write_u8(2); // entity rows: (table, row)
+    w.write_bytes(&[7, 0, 7, 1]);
+    w.write_bytes(&[1, 1]); // one label: "Yellow Submarine"
+    w.write_u8(8); // facts: property · tagged value · score, one per Value encoding
+    w.write_bytes(&[9, 0, 10]); // "comment" · Text · "héllo world"
     w.write_f64(1.0);
-    w.write_str("isrc");
-    w.write_u8(1); // Nominal
-    w.write_str("US-07302");
+    w.write_bytes(&[11, 1, 12]); // "isrc" · Nominal · "US-07302"
     w.write_f64(0.5);
-    w.write_str("artist");
-    w.write_u8(2); // InstanceRef
-    w.write_str("The Beatles");
+    w.write_bytes(&[13, 2, 14]); // "artist" · InstanceRef · "The Beatles"
     w.write_f64(0.25);
-    w.write_str("written");
-    w.write_u8(3); // Date: year (i32 as u32) · month · day · granularity
-    w.write_u32(-44i32 as u32);
-    w.write_u8(1);
-    w.write_u8(1);
-    w.write_u8(0); // Year
+    w.write_bytes(&[15, 3]); // "written" · Date: zigzag year · month · day · granularity
+    w.write_u8(87); // -44 → (44 << 1) - 1
+    w.write_bytes(&[1, 1, 0]); // Year
     w.write_f64(0.125);
-    w.write_str("releaseDate");
-    w.write_u8(3);
-    w.write_u32(1966);
-    w.write_u8(8);
-    w.write_u8(5);
-    w.write_u8(1); // Day
+    w.write_bytes(&[16, 3]); // "releaseDate" · Date
+    w.write_bytes(&[0xDC, 0x1E]); // 1966 → 3932 = 0x5C + (0x1E << 7)
+    w.write_bytes(&[8, 5, 1]); // Day
     w.write_f64(2.0);
-    w.write_str("drift");
-    w.write_u8(4); // Quantity, IEEE-754 bits
+    w.write_bytes(&[17, 4]); // "drift" · Quantity, IEEE-754 bits
     w.write_f64(-0.0);
     w.write_f64(-0.0);
-    w.write_str("tempo");
-    w.write_u8(4);
+    w.write_bytes(&[18, 4]); // "tempo" · Quantity
     w.write_f64(f64::NAN);
     w.write_f64(f64::NAN);
-    w.write_str("chart");
-    w.write_u8(5); // NominalInt (i64 as u64)
-    w.write_u64(-12i64 as u64);
+    w.write_bytes(&[19, 5]); // "chart" · NominalInt, zigzag
+    w.write_u8(23); // -12 → (12 << 1) - 1
     w.write_f64(0.0);
-    w.write_u32(1); // results
-    w.write_u64(0); // entity index
+    w.write_u8(1); // results
+    w.write_u8(0); // entity index
     w.write_u8(1); // Existing
-    w.write_u64(99); // instance id
+    w.write_bytes(&[0xAC, 0x02]); // instance id 300 = 0x2C + (2 << 7)
     w.write_f64(0.875); // best score
-    w.write_u64(3); // candidate count
-    for _ in 0..4 {
-        w.write_u32(0); // Settlement: empty
-    }
+    w.write_u8(3); // candidate count
+    w.write_bytes(&[0; 4]); // Settlement: empty
     w.into_bytes()
 }
 
@@ -245,9 +262,9 @@ fn on_disk_formats_are_pinned() {
 
     // ── state checkpoint: two header words (fingerprint, applied batches) ─
     let payload = checkpoint_payload();
-    let checkpoint = framed(b"LTEECKP\x01", 2, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    let checkpoint = framed(b"LTEECKP\x01", 3, &[0x0123_4567_89AB_CDEF, 5], &payload);
     assert_eq!(&checkpoint[0..8], b"LTEECKP\x01");
-    assert_eq!(u32_at(&checkpoint, 8), 2);
+    assert_eq!(u32_at(&checkpoint, 8), 3);
     assert_eq!(u64_at(&checkpoint, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&checkpoint, 20), 5);
     assert_eq!(u64_at(&checkpoint, 28), payload.len() as u64);
@@ -264,18 +281,21 @@ fn on_disk_formats_are_pinned() {
     );
 
     // ── write-ahead log: 20-byte header, then 20-byte record headers ─────
+    // A batch payload is `string table · tables`, the table bytes the
+    // checkpoint's corpus section holds.
     let mut batch = ByteWriter::new();
-    batch.write_u32(1);
+    string_table(&mut batch, &STRINGS[..7]);
+    batch.write_u8(1);
     table_bytes(&mut batch);
     let batch = batch.into_bytes();
     assert_eq!(encode_corpus(&decode_corpus(&batch).expect("hand-written batch decodes")), batch);
-    let empty_batch = 0u32.to_le_bytes();
+    let empty_batch = [0u8, 0]; // no strings, no tables
 
     let mut wal = encode_wal_header(0x0123_4567_89AB_CDEF);
     wal.extend_from_slice(&encode_wal_record(1, &batch));
     wal.extend_from_slice(&encode_wal_record(2, &empty_batch));
     assert_eq!(&wal[0..8], b"LTEEWAL\x01");
-    assert_eq!(u32_at(&wal, 8), 1);
+    assert_eq!(u32_at(&wal, 8), 2);
     assert_eq!(u64_at(&wal, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&wal, 20), 1); // record 1: seq · payload length (u32) · checksum · payload
     assert_eq!(u32_at(&wal, 28), batch.len() as u32);
@@ -283,7 +303,7 @@ fn on_disk_formats_are_pinned() {
     assert_eq!(&wal[40..40 + batch.len()], &batch[..]);
     let second = 40 + batch.len();
     assert_eq!(u64_at(&wal, second), 2);
-    assert_eq!(u32_at(&wal, second + 8), 4);
+    assert_eq!(u32_at(&wal, second + 8), 2);
     assert_eq!(u64_at(&wal, second + 12), fnv1a64(&empty_batch));
     assert_eq!(&wal[second + 20..], &empty_batch[..]);
     let scan = scan_wal(&wal).expect("hand-built WAL scans");
