@@ -1,15 +1,17 @@
 //! Per-row context built once before clustering, and the table-level
 //! implicit attributes.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use ltee_index::LabelIndex;
 use ltee_intern::{Interner, TokenSeq};
 use ltee_kb::{ClassKey, InstanceId, KnowledgeBase};
-use ltee_matching::{CorpusMapping, RowValues};
+use ltee_matching::{CorpusMapping, RowCandidates, RowValues, CANDIDATES_PER_ROW};
 use ltee_text::{normalize_label, tokenize_interned, BowVector};
 use ltee_types::{value_equivalent, EquivalenceConfig, PreparedValue, Value};
-use ltee_webtables::{Corpus, RowRef, TableId};
+use ltee_webtables::{Corpus, RowRef, TableId, WebTable};
+use rayon::prelude::*;
 
 /// Everything the row similarity metrics need to know about one row,
 /// precomputed once.
@@ -32,7 +34,7 @@ pub struct RowContext {
     /// `values.values` prepared for similarity scoring, position by
     /// position: the `ATTRIBUTE` / `IMPLICIT_ATT` metrics compare these, so
     /// a value's normal form is derived once per row instead of once per
-    /// scored pair. Only [`RowContext::new`] writes this and `values`, so
+    /// scored pair. Only `RowContext::body` writes this and `values`, so
     /// the two cannot fall out of step. Derived data — checkpoints persist
     /// the table cells, and restoring rebuilds the contexts through
     /// [`build_row_contexts`].
@@ -44,17 +46,28 @@ impl RowContext {
     /// bag-of-words vector of its cells, interning the label's tokens into
     /// the run interner.
     pub fn new(row: RowRef, values: RowValues, bow: BowVector, interner: &mut Interner) -> Self {
+        let mut context = Self::body(row, values, bow);
+        context.mint_label_tokens(interner);
+        context
+    }
+
+    /// Everything of the context but its label tokens: no interner
+    /// involved, so bodies can be built on the pool.
+    fn body(row: RowRef, values: RowValues, bow: BowVector) -> Self {
         let normalized_label = normalize_label(&values.label);
-        let label_tokens = tokenize_interned(&normalized_label, interner);
         let prepared = values.values.iter().map(|(_, value)| PreparedValue::new(value)).collect();
         RowContext {
             row,
             normalized_label,
-            label_tokens,
+            label_tokens: TokenSeq::default(),
             bow,
             values,
             prepared,
         }
+    }
+
+    fn mint_label_tokens(&mut self, interner: &mut Interner) {
+        self.label_tokens = tokenize_interned(&self.normalized_label, interner);
     }
 
     /// Schema-mapped values of the row.
@@ -74,21 +87,30 @@ impl RowContext {
     }
 }
 
-/// Build the row contexts for a set of rows under a corpus mapping,
-/// interning each label's tokens into the run interner (sequential — the
-/// sym ids depend only on row order, never on thread count).
+/// Build the row contexts for a set of rows under a corpus mapping: the
+/// bodies on the pool, then each label's tokens interned into the run
+/// interner in row order (sequential — the sym ids depend only on row
+/// order, never on thread count).
 pub fn build_row_contexts(
     corpus: &Corpus,
     mapping: &CorpusMapping,
     rows: &[RowRef],
     interner: &mut Interner,
 ) -> Vec<RowContext> {
-    rows.iter()
+    let bodies: Vec<RowContext> = rows
+        .par_iter()
         .map(|&row| {
             let values = mapping.row_values(corpus, row);
             let cells = corpus.row_cells(row);
             let bow = BowVector::from_texts(cells.iter().copied());
-            RowContext::new(row, values, bow, interner)
+            RowContext::body(row, values, bow)
+        })
+        .collect();
+    bodies
+        .into_iter()
+        .map(|mut context| {
+            context.mint_label_tokens(interner);
+            context
         })
         .collect()
 }
@@ -117,15 +139,76 @@ struct TableAttributes {
     prepared: Vec<PreparedValue>,
 }
 
+impl TableAttributes {
+    /// The attributes of a table of `num_rows` rows whose rows retrieved
+    /// `row_candidates`: every property-value combination held by at
+    /// least one candidate of a row, scored by the share of rows holding
+    /// it, kept above [`ImplicitAttributes::SCORE_THRESHOLD`].
+    fn derive(kb: &KnowledgeBase, num_rows: usize, row_candidates: &[Vec<InstanceId>]) -> Self {
+        let eq = EquivalenceConfig::default();
+        // For each row, the set of property-value combinations of its
+        // candidate instances, keyed by (property name, rendered value).
+        let mut combo_rows: HashMap<(&str, String), (&Value, usize)> = HashMap::new();
+        for candidates in row_candidates {
+            let mut row_combos: HashMap<(&str, String), &Value> = HashMap::new();
+            for &id in candidates {
+                let Some(instance) = kb.instance(id) else { continue };
+                for fact in &instance.facts {
+                    let Some(prop) = kb.property(fact.property) else { continue };
+                    row_combos.entry((prop.name.as_str(), fact.value.render())).or_insert(&fact.value);
+                }
+            }
+            for (key, value) in row_combos {
+                combo_rows.entry(key).or_insert((value, 0)).1 += 1;
+            }
+        }
+        let mut implicit: Vec<(String, Value, f64, String)> = combo_rows
+            .into_iter()
+            .filter_map(|((prop, render), (value, count))| {
+                let score = count as f64 / num_rows as f64;
+                (score >= ImplicitAttributes::SCORE_THRESHOLD)
+                    .then(|| (prop.to_string(), value.clone(), score, render))
+            })
+            .collect();
+        implicit.sort_by(|a, b| {
+            // Fully ordered (value render as final tiebreak): the list
+            // comes out of a HashMap, and which same-score entry survives
+            // dedup below must not depend on hash iteration order.
+            b.2.partial_cmp(&a.2)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+                .then_with(|| a.3.cmp(&b.3))
+        });
+        // Deduplicate by property, keeping the highest-scoring value, and
+        // verify consistency with the equivalence functions (two distinct
+        // renders of the same value should not produce two entries).
+        let mut attributes: Vec<(String, Value, f64)> = Vec::new();
+        for (prop, value, score, _render) in implicit {
+            let dtype = value.data_type();
+            let duplicate =
+                attributes.iter().any(|(p, v, _)| *p == prop && value_equivalent(v, &value, dtype, &eq));
+            if !duplicate {
+                attributes.push((prop, value, score));
+            }
+        }
+        let prepared = attributes.iter().map(|(_, value, _)| PreparedValue::new(value)).collect();
+        Self { attributes, prepared }
+    }
+}
+
 impl ImplicitAttributes {
     /// Minimum proportion of rows that must share a property-value
     /// combination for it to become an implicit attribute of the table.
     pub const SCORE_THRESHOLD: f64 = 0.5;
 
-    /// Number of candidate instances considered per row label.
-    const CANDIDATES_PER_ROW: usize = 3;
-
-    /// Derive the implicit attributes of every table of a class.
+    /// Derive the implicit attributes of every table of a class, looking
+    /// each row label up in the class's label index — the top
+    /// [`CANDIDATES_PER_ROW`] of the lookup, exactly the candidates the
+    /// table-to-class matcher retrieves for the row. Used where those
+    /// candidates are not at hand (checkpoint restore, the batch
+    /// pipeline); training and ingest feed a
+    /// [`ltee_matching::match_corpus_and_candidates`] result to
+    /// [`ImplicitAttributes::from_candidates`] instead.
     pub fn build(
         corpus: &Corpus,
         mapping: &CorpusMapping,
@@ -133,70 +216,60 @@ impl ImplicitAttributes {
         class: ClassKey,
         label_index: &LabelIndex,
     ) -> Self {
-        let eq = EquivalenceConfig::default();
-        let mut per_table = HashMap::new();
-        for table_mapping in mapping.tables_of_class(class) {
-            let Some(table) = corpus.table(table_mapping.table) else { continue };
-            let num_rows = table.num_rows();
-            if num_rows == 0 {
-                continue;
-            }
-            // For each row, the set of property-value combinations of its
-            // candidate instances.
-            let mut combo_rows: HashMap<(String, String), (Value, usize)> = HashMap::new();
-            for row in 0..num_rows {
-                let Some(raw) = table.cell(row, table_mapping.label_column) else { continue };
+        Self::derive(corpus, mapping, kb, class, |table, label_column| {
+            let rows = (0..table.num_rows()).map(|row| {
+                let Some(raw) = table.cell(row, label_column) else { return Vec::new() };
                 let label = ltee_text::clean_label(raw);
                 if label.is_empty() {
-                    continue;
+                    return Vec::new();
                 }
-                let mut row_combos: HashMap<(String, String), Value> = HashMap::new();
-                for m in label_index.lookup(&label, Self::CANDIDATES_PER_ROW) {
-                    let Some(instance) = kb.instance(InstanceId(m.id)) else { continue };
-                    for fact in &instance.facts {
-                        let Some(prop) = kb.property(fact.property) else { continue };
-                        let key = (prop.name.clone(), fact.value.render());
-                        row_combos.entry(key).or_insert_with(|| fact.value.clone());
-                    }
-                }
-                for (key, value) in row_combos {
-                    let entry = combo_rows.entry(key).or_insert_with(|| (value, 0));
-                    entry.1 += 1;
-                }
-            }
-            let mut implicit: Vec<(String, Value, f64, String)> = combo_rows
-                .into_iter()
-                .filter_map(|((prop, render), (value, count))| {
-                    let score = count as f64 / num_rows as f64;
-                    (score >= Self::SCORE_THRESHOLD).then_some((prop, value, score, render))
-                })
-                .collect();
-            implicit.sort_by(|a, b| {
-                // Fully ordered (value render as final tiebreak): the list
-                // comes out of a HashMap, and which same-score entry survives
-                // dedup below must not depend on hash iteration order.
-                b.2.partial_cmp(&a.2)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-                    .then_with(|| a.3.cmp(&b.3))
+                label_index.lookup(&label, CANDIDATES_PER_ROW).iter().map(|m| InstanceId(m.id)).collect()
             });
-            // Deduplicate by property, keeping the highest-scoring value, and
-            // verify consistency with the equivalence functions (two distinct
-            // renders of the same value should not produce two entries).
-            let mut deduped: Vec<(String, Value, f64)> = Vec::new();
-            for (prop, value, score, _render) in implicit {
-                let dtype = value.data_type();
-                let duplicate = deduped.iter().any(|(p, v, _)| {
-                    *p == prop && value_equivalent(v, &value, dtype, &eq)
-                });
-                if !duplicate {
-                    deduped.push((prop, value, score));
-                }
-            }
-            let prepared = deduped.iter().map(|(_, value, _)| PreparedValue::new(value)).collect();
-            per_table.insert(table_mapping.table, TableAttributes { attributes: deduped, prepared });
-        }
-        Self { per_table }
+            Cow::Owned(rows.collect())
+        })
+    }
+
+    /// Derive the implicit attributes of every table of a class from the
+    /// candidates the table-to-class matcher retrieved, without a single
+    /// lookup. `candidates` must come from the call that produced
+    /// `mapping`; a table it does not cover has no implicit attributes.
+    pub fn from_candidates(
+        corpus: &Corpus,
+        mapping: &CorpusMapping,
+        kb: &KnowledgeBase,
+        class: ClassKey,
+        candidates: &RowCandidates,
+    ) -> Self {
+        Self::derive(corpus, mapping, kb, class, |table, _| {
+            Cow::Borrowed(candidates.of_table(table.id).unwrap_or_default())
+        })
+    }
+
+    /// The one body of [`ImplicitAttributes::build`] and
+    /// [`ImplicitAttributes::from_candidates`]: per table of the class, on
+    /// the pool, the attributes of its rows' candidate instances —
+    /// `row_candidates(table, label column)`, one list per row.
+    fn derive<'c>(
+        corpus: &Corpus,
+        mapping: &CorpusMapping,
+        kb: &KnowledgeBase,
+        class: ClassKey,
+        row_candidates: impl Fn(&WebTable, usize) -> Cow<'c, [Vec<InstanceId>]> + Sync,
+    ) -> Self {
+        let tables: Vec<(&WebTable, usize)> = mapping
+            .tables_of_class(class)
+            .into_iter()
+            .filter_map(|tm| Some((corpus.table(tm.table)?, tm.label_column)))
+            .filter(|(table, _)| table.num_rows() > 0)
+            .collect();
+        let per_table: Vec<(TableId, TableAttributes)> = tables
+            .par_iter()
+            .map(|&(table, label_column)| {
+                let rows = row_candidates(table, label_column);
+                (table.id, TableAttributes::derive(kb, table.num_rows(), &rows))
+            })
+            .collect();
+        Self { per_table: per_table.into_iter().collect() }
     }
 
     /// The implicit attributes of a table.
@@ -292,6 +365,40 @@ mod tests {
                 assert!(*score >= ImplicitAttributes::SCORE_THRESHOLD);
                 assert!(*score <= 1.0 + 1e-9);
             }
+        }
+    }
+
+    /// Implicit attributes from the class matcher's candidates equal the
+    /// ones built by looking every row label up again, table by table, on
+    /// the tiny and the gold fixture.
+    #[test]
+    fn implicit_attributes_from_matcher_candidates_equal_lookups() {
+        let fixtures = [(Scale::tiny(), CorpusConfig::tiny()), (Scale::gold(), CorpusConfig::gold())];
+        for (scale, corpus_config) in fixtures {
+            let world = generate_world(&GeneratorConfig::new(scale, 41));
+            let kb = world.kb();
+            let corpus = generate_corpus(&world, &corpus_config);
+            let (mapping, candidates) = ltee_matching::match_corpus_and_candidates(
+                &corpus,
+                kb,
+                &MatcherWeights::default(),
+                &SchemaMatchingConfig::default(),
+                None,
+            );
+            let mut attributes = 0;
+            for class in CLASS_KEYS {
+                let index = kb.class_label_index(class);
+                let looked_up = ImplicitAttributes::build(&corpus, &mapping, kb, class, index);
+                let reused = ImplicitAttributes::from_candidates(&corpus, &mapping, kb, class, &candidates);
+                for tm in mapping.tables_of_class(class) {
+                    let expected = looked_up.prepared_of_table(tm.table);
+                    let got = reused.prepared_of_table(tm.table);
+                    assert_eq!(format!("{got:?}"), format!("{expected:?}"), "table {}", tm.table.raw());
+                    attributes += expected.0.len();
+                }
+                assert_eq!(reused.tables_with_attributes(), looked_up.tables_with_attributes());
+            }
+            assert!(attributes > 0, "the comparison must not be vacuous");
         }
     }
 

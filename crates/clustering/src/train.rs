@@ -71,79 +71,11 @@ pub fn build_pair_dataset(
     let names = metric_feature_names(metrics);
     let mut dataset = Dataset::new(names);
 
-    // Row → cluster index for the gold clusters, restricted to known rows.
-    let row_index: HashMap<RowRef, usize> =
-        contexts.iter().enumerate().map(|(i, c)| (c.row, i)).collect();
-    let mut cluster_of: HashMap<usize, usize> = HashMap::new();
-    for (ci, cluster) in gold.clusters.iter().enumerate() {
-        for row in &cluster.rows {
-            if let Some(&idx) = row_index.get(row) {
-                cluster_of.insert(idx, ci);
-            }
-        }
-    }
-
-    // Positive pairs: same gold cluster.
-    let mut positives: Vec<(usize, usize)> = Vec::new();
-    for cluster in &gold.clusters {
-        let members: Vec<usize> =
-            cluster.rows.iter().filter_map(|r| row_index.get(r).copied()).collect();
-        for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
-                positives.push((members[i], members[j]));
-            }
-        }
-    }
-
-    // Negative pairs: prefer pairs with similar labels but different gold
-    // clusters (these are the pairs the model must learn to separate). The
-    // O(n²) label-similarity scan is the expensive part, so left rows are
-    // processed in blocks — each block's rows scanned in parallel, then the
-    // selection pass walks the block in (i, j) order, stopping at the
-    // quota. This reproduces the sequential selection exactly while keeping
-    // the old early exit: at most one block of similarities is computed
-    // beyond what the quota needed.
-    const NEGATIVE_SCAN_BLOCK: usize = 64;
-    let mut negatives: Vec<(usize, usize)> = Vec::new();
+    let (cluster_of, positives) = gold_pairs(contexts, gold);
     let max_negatives = positives.len().max(1) * config.negatives_per_positive;
-    let mut block_start = 0;
-    'outer: while block_start < contexts.len() && negatives.len() < max_negatives {
-        let block_end = (block_start + NEGATIVE_SCAN_BLOCK).min(contexts.len());
-        let per_row_candidates: Vec<Vec<(usize, bool)>> = (block_start..block_end)
-            .into_par_iter()
-            .map(|i| {
-                let Some(&ci) = cluster_of.get(&i) else { return Vec::new() };
-                ((i + 1)..contexts.len())
-                    .filter_map(|j| {
-                        let &cj = cluster_of.get(&j)?;
-                        if ci == cj {
-                            return None;
-                        }
-                        let label_sim = ltee_text::monge_elkan_tokens(
-                            &contexts[i].label_tokens,
-                            &contexts[j].label_tokens,
-                            interner,
-                        );
-                        Some((j, label_sim >= 0.3))
-                    })
-                    .collect()
-            })
-            .collect();
-
-        for (i, candidates) in (block_start..).zip(per_row_candidates) {
-            for (j, is_hard) in candidates {
-                // Hard negatives first; everything below 0.3 is skipped
-                // unless we are short on negatives.
-                if is_hard || negatives.len() < max_negatives / 2 {
-                    negatives.push((i, j));
-                }
-                if negatives.len() >= max_negatives {
-                    break 'outer;
-                }
-            }
-        }
-        block_start = block_end;
-    }
+    let negatives = select_negatives(&cluster_of, max_negatives, |i, j| {
+        ltee_text::monge_elkan_tokens(&contexts[i].label_tokens, &contexts[j].label_tokens, interner)
+    });
 
     // Feature extraction per selected pair is embarrassingly parallel; the
     // samples are pushed in pair order so the dataset layout (and therefore
@@ -170,6 +102,110 @@ pub fn build_pair_dataset(
         dataset.push(sample);
     }
     dataset
+}
+
+/// The gold cluster of every row of `contexts` (`None` for a row the gold
+/// standard does not cover) and the positive pairs: every within-cluster
+/// pair of rows, cluster by cluster.
+fn gold_pairs(contexts: &[RowContext], gold: &GoldStandard) -> (Vec<Option<usize>>, Vec<(usize, usize)>) {
+    let row_index: HashMap<RowRef, usize> = contexts.iter().enumerate().map(|(i, c)| (c.row, i)).collect();
+    let mut cluster_of = vec![None; contexts.len()];
+    let mut positives = Vec::new();
+    for (ci, cluster) in gold.clusters.iter().enumerate() {
+        let members: Vec<usize> = cluster.rows.iter().filter_map(|r| row_index.get(r).copied()).collect();
+        for &member in &members {
+            cluster_of[member] = Some(ci);
+        }
+        for i in 0..members.len() {
+            for j in (i + 1)..members.len() {
+                positives.push((members[i], members[j]));
+            }
+        }
+    }
+    (cluster_of, positives)
+}
+
+/// Fewest similarities a negative-scan round hands to the pool; a smaller
+/// round is computed inline, where a parallel call would cost more than
+/// it shares out.
+const POOLED_SIMILARITIES: usize = 64;
+
+/// Negative pairs: cross-cluster row pairs `(i, j)`, `i < j`, walked in
+/// `(i, j)` order, taking every pair whose `label_sim` is at least 0.3 —
+/// the pairs the model must learn to separate — and, while fewer than
+/// `max_negatives / 2` are taken, every other pair too, until
+/// `max_negatives` are taken.
+///
+/// The label similarities are the expensive part, and the walk reads only
+/// some of them: none before half the quota is taken, then one per walked
+/// pair until the quota is full. Each pair taken fills one place, so with
+/// `r` places left at least the next `r` pairs are walked — the scan
+/// computes those `r` similarities ahead (on the pool when there are
+/// enough), walks them, and repeats. Every similarity computed is read.
+fn select_negatives(
+    cluster_of: &[Option<usize>],
+    max_negatives: usize,
+    label_sim: impl Fn(usize, usize) -> f64 + Sync,
+) -> Vec<(usize, usize)> {
+    let rows = cluster_of.len();
+    let mut pairs = (0..rows).filter_map(|i| Some((i, cluster_of[i]?))).flat_map(|(i, ci)| {
+        ((i + 1)..rows).filter(move |&j| cluster_of[j].is_some_and(|cj| cj != ci)).map(move |j| (i, j))
+    });
+    let mut negatives: Vec<(usize, usize)> = pairs.by_ref().take(max_negatives / 2).collect();
+    while negatives.len() < max_negatives {
+        let ahead: Vec<(usize, usize)> = pairs.by_ref().take(max_negatives - negatives.len()).collect();
+        if ahead.is_empty() {
+            break;
+        }
+        let is_hard = |&(i, j): &(usize, usize)| label_sim(i, j) >= 0.3;
+        let hard: Vec<bool> = if ahead.len() >= POOLED_SIMILARITIES {
+            ahead.par_iter().map(is_hard).collect()
+        } else {
+            ahead.iter().map(is_hard).collect()
+        };
+        negatives.extend(ahead.into_iter().zip(hard).filter_map(|(pair, hard)| hard.then_some(pair)));
+    }
+    negatives
+}
+
+/// The negative scan [`select_negatives`] replaced, kept as its oracle:
+/// blocks of 64 left rows, each block's similarities all computed on the
+/// pool, then walked in `(i, j)` order up to the quota.
+#[cfg(test)]
+fn select_negatives_in_blocks(
+    cluster_of: &[Option<usize>],
+    max_negatives: usize,
+    label_sim: impl Fn(usize, usize) -> f64 + Sync,
+) -> Vec<(usize, usize)> {
+    const NEGATIVE_SCAN_BLOCK: usize = 64;
+    let rows = cluster_of.len();
+    let mut negatives: Vec<(usize, usize)> = Vec::new();
+    let mut block_start = 0;
+    'outer: while block_start < rows && negatives.len() < max_negatives {
+        let block_end = (block_start + NEGATIVE_SCAN_BLOCK).min(rows);
+        let per_row_candidates: Vec<Vec<(usize, bool)>> = (block_start..block_end)
+            .into_par_iter()
+            .map(|i| {
+                let Some(ci) = cluster_of[i] else { return Vec::new() };
+                ((i + 1)..rows)
+                    .filter(|&j| cluster_of[j].is_some_and(|cj| cj != ci))
+                    .map(|j| (j, label_sim(i, j) >= 0.3))
+                    .collect()
+            })
+            .collect();
+        for (i, candidates) in (block_start..).zip(per_row_candidates) {
+            for (j, is_hard) in candidates {
+                if is_hard || negatives.len() < max_negatives / 2 {
+                    negatives.push((i, j));
+                }
+                if negatives.len() >= max_negatives {
+                    break 'outer;
+                }
+            }
+        }
+        block_start = block_end;
+    }
+    negatives
 }
 
 /// Train a row similarity model on a pair dataset.
@@ -298,6 +334,35 @@ mod tests {
         assert!(total > 0.0);
     }
 
+    /// The negative scan's work on the fixture: each class's quota is met
+    /// within the first rows, and the scan computes only the similarities
+    /// the selection reads where 64-row blocks computed a whole block's —
+    /// and selects the same pairs.
+    #[test]
+    fn negative_scan_computes_only_the_similarities_it_needs() {
+        let (mut lazy_total, mut blocked_total) = (0, 0);
+        for class in ltee_kb::CLASS_KEYS {
+            let (contexts, gold, _, _, interner) = setup_class(class);
+            let (cluster_of, positives) = gold_pairs(&contexts, &gold);
+            let quota = positives.len().max(1) * RowModelTrainingConfig::fast().negatives_per_positive;
+            let calls = std::sync::atomic::AtomicUsize::new(0);
+            let counted_sim = |i: usize, j: usize| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                ltee_text::monge_elkan_tokens(&contexts[i].label_tokens, &contexts[j].label_tokens, &interner)
+            };
+            let lazy = select_negatives(&cluster_of, quota, counted_sim);
+            let lazy_calls = calls.swap(0, std::sync::atomic::Ordering::Relaxed);
+            let blocked = select_negatives_in_blocks(&cluster_of, quota, counted_sim);
+            let blocked_calls = calls.into_inner();
+            assert_eq!(lazy, blocked, "{class}");
+            assert_eq!(lazy.len(), quota, "{class}: the fixture meets its quota");
+            println!("{class}: {lazy_calls} label similarities computed, {blocked_calls} in 64-row blocks");
+            lazy_total += lazy_calls;
+            blocked_total += blocked_calls;
+        }
+        assert_eq!((lazy_total, blocked_total), (259, 2_201));
+    }
+
     #[test]
     fn label_only_model_trains() {
         let (contexts, gold, phi, implicit, interner) = setup();
@@ -307,5 +372,25 @@ mod tests {
         assert_eq!(ds.num_features(), 1);
         let model = train_row_model(&ds, metrics, &config);
         assert_eq!(model.metrics.len(), 1);
+    }
+
+    proptest::proptest! {
+        /// The lazy scan selects exactly what 64-row blocks selected, on
+        /// random labels, gold clusters (rows outside the gold standard
+        /// included) and quotas — quotas never met included.
+        #[test]
+        fn lazy_negative_scan_equals_the_64_row_block_scan(
+            labels in proptest::collection::vec("[ab ]{1,6}", 0..150),
+            clusters in proptest::collection::vec(0usize..6, 150..151),
+            quota in 0usize..400,
+        ) {
+            // Cluster 5 stands for a row outside the gold standard.
+            let cluster_of: Vec<Option<usize>> =
+                clusters[..labels.len()].iter().map(|&c| (c < 5).then_some(c)).collect();
+            let sim = |i: usize, j: usize| ltee_text::monge_elkan_similarity(&labels[i], &labels[j]);
+            let lazy = select_negatives(&cluster_of, quota, sim);
+            let blocked = select_negatives_in_blocks(&cluster_of, quota, sim);
+            proptest::prop_assert_eq!(lazy, blocked);
+        }
     }
 }

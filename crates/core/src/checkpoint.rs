@@ -896,7 +896,7 @@ impl PipelineCheckpoint {
             // The step ingest runs per batch, over the whole restored
             // corpus: PHI vectors replay per table in arrival order.
             let mut state = ClassState::new(class, interner, &config);
-            let contexts = state.absorb_corpus_statistics(&corpus, &mapping, kb, &config);
+            let contexts = state.absorb_corpus_statistics(&corpus, &mapping, None, kb, &config);
             state.clusterer = StreamingClusterer::from_parts(
                 config.clustering.clone(),
                 contexts,

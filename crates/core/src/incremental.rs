@@ -54,7 +54,7 @@ use ltee_clustering::{
 use ltee_fusion::Entity;
 use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
-use ltee_matching::{match_corpus, CorpusMapping};
+use ltee_matching::{match_corpus_and_candidates, CorpusMapping, RowCandidates};
 use ltee_newdetect::NewDetectionResult;
 use ltee_webtables::Corpus;
 
@@ -143,13 +143,16 @@ impl ClassState {
     /// implicit attributes, KBT scores and frozen PHI vectors, all functions
     /// of the table and the frozen KB alone, so batch-invariant — and return
     /// the contexts of the class's rows in arrival order, ready to cluster
-    /// (none: the state is untouched). Ingest calls this per micro-batch,
-    /// checkpoint restore once over the whole restored corpus; sharing the
-    /// one copy is what keeps a restored state bit-identical.
+    /// (none: the state is untouched). Ingest calls this per micro-batch
+    /// with the class matcher's row candidates, checkpoint restore once
+    /// over the whole restored corpus without them (implicit attributes
+    /// then look the row labels up again, with the same result); sharing
+    /// the one copy is what keeps a restored state bit-identical.
     pub(crate) fn absorb_corpus_statistics(
         &mut self,
         tables: &Corpus,
         mapping: &CorpusMapping,
+        candidates: Option<&RowCandidates>,
         kb: &KnowledgeBase,
         config: &PipelineConfig,
     ) -> Vec<RowContext> {
@@ -160,13 +163,10 @@ impl ClassState {
         }
 
         let contexts = build_row_contexts(tables, mapping, &rows, &mut self.interner);
-        self.implicit.merge(ImplicitAttributes::build(
-            tables,
-            mapping,
-            kb,
-            class,
-            kb.class_label_index(class),
-        ));
+        self.implicit.merge(match candidates {
+            Some(candidates) => ImplicitAttributes::from_candidates(tables, mapping, kb, class, candidates),
+            None => ImplicitAttributes::build(tables, mapping, kb, class, kb.class_label_index(class)),
+        });
         if config.fusion.scoring == ltee_fusion::ScoringMethod::Kbt {
             let table_ids: Vec<_> = tables.tables().iter().map(|t| t.id).collect();
             self.kbt.extend(ltee_fusion::kbt_scores_for_tables(tables, mapping, kb, class, &table_ids));
@@ -326,8 +326,13 @@ impl<'a> IncrementalPipeline<'a> {
         // first-iteration matchers: the duplicate-based and corpus-level
         // matchers need full-corpus feedback, which is a batch-mode
         // (training/evaluation) feature.
-        let batch_mapping =
-            match_corpus(batch, self.kb, &self.models.matcher_weights, &self.config.schema, None);
+        let (batch_mapping, batch_candidates) = match_corpus_and_candidates(
+            batch,
+            self.kb,
+            &self.models.matcher_weights,
+            &self.config.schema,
+            None,
+        );
 
         // Phase 1 — per-class matching statistics + delta clustering,
         // shard-concurrent. Each class state (its interner included) is
@@ -345,7 +350,15 @@ impl<'a> IncrementalPipeline<'a> {
                         .map(|(idx, state)| {
                             (
                                 idx,
-                                ingest_class_delta(state, batch, &batch_mapping, kb, models, config),
+                                ingest_class_delta(
+                                    state,
+                                    batch,
+                                    &batch_mapping,
+                                    &batch_candidates,
+                                    kb,
+                                    models,
+                                    config,
+                                ),
                             )
                         })
                         .collect()
@@ -489,12 +502,13 @@ fn ingest_class_delta(
     state: &mut ClassState,
     batch: &Corpus,
     batch_mapping: &CorpusMapping,
+    batch_candidates: &RowCandidates,
     kb: &KnowledgeBase,
     models: &TrainedModels,
     config: &PipelineConfig,
 ) -> ClassDelta {
     let class = state.class;
-    let contexts = state.absorb_corpus_statistics(batch, batch_mapping, kb, config);
+    let contexts = state.absorb_corpus_statistics(batch, batch_mapping, Some(batch_candidates), kb, config);
     if contexts.is_empty() {
         return ClassDelta::default();
     }

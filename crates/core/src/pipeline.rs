@@ -11,7 +11,8 @@ use ltee_fusion::{create_entities, Entity, EntityCreationConfig};
 use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{
-    learn_weights, match_corpus, CorpusFeedback, CorpusMapping, MatcherWeights, SchemaMatchingConfig,
+    learn_weights, match_corpus, match_corpus_and_candidates, CorpusFeedback, CorpusMapping, MatcherWeights,
+    SchemaMatchingConfig,
 };
 use ltee_ml::GeneticConfig;
 use ltee_newdetect::{
@@ -171,17 +172,16 @@ pub fn train_models(
     // no feedback available).
     let matcher_weights = learn_weights(corpus, kb, &gold_refs, None, &config.matcher_genetic);
 
-    // A first-iteration mapping to derive row features for training.
-    let mapping = match_corpus(corpus, kb, &matcher_weights, &config.schema, None);
-
-    // Implicit attributes of each gold class, shared by both models below.
+    // A first-iteration mapping to derive row features for training, and
+    // the implicit attributes of each gold class — shared by both models
+    // below — from the candidates the class matcher already retrieved.
+    let (mapping, candidates) =
+        match_corpus_and_candidates(corpus, kb, &matcher_weights, &config.schema, None);
     let implicits: Vec<ImplicitAttributes> = golds
         .iter()
-        .map(|gold| {
-            let index = kb.class_label_index(gold.class);
-            ImplicitAttributes::build(corpus, &mapping, kb, gold.class, index)
-        })
+        .map(|gold| ImplicitAttributes::from_candidates(corpus, &mapping, kb, gold.class, &candidates))
         .collect();
+    drop(candidates);
 
     // Row similarity model: pool pair datasets over all classes.
     let mut row_dataset: Option<ltee_ml::Dataset> = None;

@@ -9,6 +9,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use ltee_intern::{FrozenInterner, Interner, Sym, TokenSeq};
@@ -470,6 +471,34 @@ fn max_dist_for(best: f64, max_len: usize) -> usize {
     (((1.0 - best) * max_len as f64).ceil() as usize).min(max_len)
 }
 
+/// Hasher of the memo's [`Sym`] keys: one multiply of the sym id
+/// (Fibonacci hashing). Syms are dense ids minted by the index's own
+/// interner — no adversary chooses them — so SipHash's per-probe cost
+/// buys nothing here. Only the memo's probe speed depends on it: what a
+/// lookup stores and decides is the same under any hasher.
+#[derive(Default)]
+struct SymHasher(u64);
+
+impl Hasher for SymHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Per-lookup scoring state: query-token measurements, the
 /// similarity memo and the lazily seeded deletion neighborhood.
 struct Scorer<'a> {
@@ -488,7 +517,7 @@ struct Scorer<'a> {
     /// distinct (query token, sym) pair runs the edit kernel at most a
     /// handful of times per lookup, independent of how many entries
     /// mention the sym.
-    memo: Vec<HashMap<Sym, SimBound>>,
+    memo: Vec<HashMap<Sym, SimBound, BuildHasherDefault<SymHasher>>>,
     /// Whether token `i`'s d≤1 neighborhood has been folded into `memo`.
     d1_seeded: Vec<bool>,
     /// Per query token: the largest fuzzy contribution *any* vocabulary
@@ -523,7 +552,7 @@ impl<'a> Scorer<'a> {
             q_char_lens,
             d1_sets: vec![Vec::new(); query_tokens.len()],
             cross: Vec::new(),
-            memo: vec![HashMap::new(); query_tokens.len()],
+            memo: (0..query_tokens.len()).map(|_| HashMap::default()).collect(),
             d1_seeded: vec![false; query_tokens.len()],
             gmax: vec![f64::NAN; query_tokens.len()],
             coarse_sums: Vec::new(),
@@ -886,6 +915,7 @@ fn lookup_core(
     label: &str,
     k: usize,
 ) -> Vec<LabelMatch> {
+    metrics::count_lookup();
     if k == 0 || entries.is_empty() {
         return Vec::new();
     }

@@ -26,12 +26,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// globals the linker happens to place beside them.
 #[repr(align(128))]
 struct Counters {
+    lookups: AtomicU64,
     edit_distance_calls: AtomicU64,
     candidates_scored: AtomicU64,
     candidates_skipped: AtomicU64,
 }
 
 static COUNTERS: Counters = Counters {
+    lookups: AtomicU64::new(0),
     edit_distance_calls: AtomicU64::new(0),
     candidates_scored: AtomicU64::new(0),
     candidates_skipped: AtomicU64::new(0),
@@ -40,6 +42,8 @@ static COUNTERS: Counters = Counters {
 /// A point-in-time copy of the lookup counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LookupMetrics {
+    /// Fuzzy top-k lookups run.
+    pub lookups: u64,
     /// Edit-distance kernel invocations: bounded Levenshtein runs plus
     /// the cheap one-edit verifications behind deletion-neighborhood
     /// probes. The headline sublinearity counter.
@@ -61,6 +65,7 @@ impl LookupMetrics {
     /// what the sublinearity gate divides by the query count.
     pub fn delta_since(self, earlier: LookupMetrics) -> LookupMetrics {
         LookupMetrics {
+            lookups: self.lookups.saturating_sub(earlier.lookups),
             edit_distance_calls: self
                 .edit_distance_calls
                 .saturating_sub(earlier.edit_distance_calls),
@@ -80,10 +85,16 @@ impl LookupMetrics {
 /// Read the current counter values.
 pub fn snapshot() -> LookupMetrics {
     LookupMetrics {
+        lookups: COUNTERS.lookups.load(Ordering::Relaxed),
         edit_distance_calls: COUNTERS.edit_distance_calls.load(Ordering::Relaxed),
         candidates_scored: COUNTERS.candidates_scored.load(Ordering::Relaxed),
         candidates_skipped: COUNTERS.candidates_skipped.load(Ordering::Relaxed),
     }
+}
+
+#[inline]
+pub(crate) fn count_lookup() {
+    COUNTERS.lookups.fetch_add(1, Ordering::Relaxed);
 }
 
 #[inline]

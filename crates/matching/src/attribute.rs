@@ -17,6 +17,7 @@ use ltee_ml::codec::{ByteReader, ByteWriter, CodecError};
 use ltee_ml::{Dataset, GeneticConfig, Sample, WeightedAverageModel};
 use ltee_types::DetectedType;
 use ltee_webtables::{Corpus, GoldStandard, WebTable};
+use rayon::prelude::*;
 
 use crate::mapping::{AttributeMatch, CorpusFeedback};
 use crate::matchers::{self, HeaderStatistics, KbOverlapFn, MatcherKind};
@@ -270,25 +271,56 @@ pub(crate) fn learn_weights_with(
     kb_overlap: KbOverlapFn,
 ) -> MatcherWeights {
     let header_stats = feedback.map(|fb| HeaderStatistics::build(corpus, fb));
+    // Classes learn independently, on the pool; their results are folded
+    // in gold order, so a class given twice ends as it did sequentially.
+    let learned: Vec<ClassLearning<'_>> = golds
+        .par_iter()
+        .map(|gold| learn_class(corpus, kb, gold, feedback, header_stats.as_ref(), genetic, kb_overlap))
+        .collect();
     let mut weights = MatcherWeights { class_weights: HashMap::new(), property_thresholds: HashMap::new() };
+    for (class, class_weights, thresholds) in learned {
+        for (property, threshold) in thresholds {
+            weights.property_thresholds.entry(class).or_default().insert(property.to_string(), threshold);
+        }
+        weights.class_weights.insert(class, class_weights);
+    }
+    weights
+}
 
-    for gold in golds {
-        let class = gold.class;
-        let properties = kb.class_property_slice(class);
-        // Gold correspondences keyed by (table, column).
-        let gold_map: HashMap<(ltee_webtables::TableId, usize), &str> = gold
-            .attributes
-            .iter()
-            .map(|a| ((a.table, a.column), a.property.as_str()))
-            .collect();
+/// A class's matcher weights and its per-property thresholds.
+type ClassLearning<'k> = (ClassKey, Vec<f64>, Vec<(&'k str, f64)>);
 
-        let feature_names: Vec<String> = MatcherKind::ALL.iter().map(|m| m.name().to_string()).collect();
-        let mut dataset = Dataset::new(feature_names);
-        // Remember (scores, property, is_gold) to derive thresholds later.
-        let mut scored_pairs: Vec<([f64; 5], &str, bool)> = Vec::new();
+/// One gold standard's class weights and per-property thresholds (none
+/// when its tables hold no positive or no negative pair, in which case the
+/// weights are the defaults).
+fn learn_class<'k>(
+    corpus: &Corpus,
+    kb: &'k KnowledgeBase,
+    gold: &GoldStandard,
+    feedback: Option<&CorpusFeedback>,
+    header_stats: Option<&HeaderStatistics>,
+    genetic: &GeneticConfig,
+    kb_overlap: KbOverlapFn,
+) -> ClassLearning<'k> {
+    let class = gold.class;
+    let properties = kb.class_property_slice(class);
+    // Gold correspondences keyed by (table, column).
+    let gold_map: HashMap<(ltee_webtables::TableId, usize), &str> =
+        gold.attributes.iter().map(|a| ((a.table, a.column), a.property.as_str())).collect();
 
-        for &table_id in &gold.tables {
-            let Some(table) = corpus.table(table_id) else { continue };
+    let feature_names: Vec<String> = MatcherKind::ALL.iter().map(|m| m.name().to_string()).collect();
+    let mut dataset = Dataset::new(feature_names);
+    // Remember (scores, property, is_gold) to derive thresholds later.
+    let mut scored_pairs: Vec<([f64; 5], &str, bool)> = Vec::new();
+
+    // Tables are scored on the pool and their pairs appended in table
+    // order, so the dataset is the same at every thread count.
+    let per_table: Vec<Vec<([f64; 5], &str, bool)>> = gold
+        .tables
+        .par_iter()
+        .map(|&table_id| {
+            let mut pairs = Vec::new();
+            let Some(table) = corpus.table(table_id) else { return pairs };
             let detected = crate::label_attr::detect_column_types(table);
             let label_column = crate::label_attr::detect_label_attribute(table, &detected);
             for (column, &dtype) in detected.iter().enumerate() {
@@ -299,66 +331,61 @@ pub(crate) fn learn_weights_with(
                     if !dtype.candidate_property_types().contains(&prop.data_type) {
                         continue;
                     }
-                    let scores = matcher_scores(
-                        table,
-                        column,
-                        prop,
-                        kb,
-                        Some(corpus),
-                        feedback,
-                        header_stats.as_ref(),
-                        kb_overlap,
-                    );
+                    let scores =
+                        matcher_scores(table, column, prop, kb, Some(corpus), feedback, header_stats, kb_overlap);
                     let is_gold = gold_map.get(&(table_id, column)) == Some(&prop.name.as_str());
-                    dataset.push(Sample::new(scores.to_vec(), if is_gold { 1.0 } else { 0.0 }));
-                    scored_pairs.push((scores, &prop.name, is_gold));
+                    pairs.push((scores, prop.name.as_str(), is_gold));
                 }
             }
-        }
+            pairs
+        })
+        .collect();
+    for (scores, prop, is_gold) in per_table.into_iter().flatten() {
+        dataset.push(Sample::new(scores.to_vec(), if is_gold { 1.0 } else { 0.0 }));
+        scored_pairs.push((scores, prop, is_gold));
+    }
 
-        if dataset.positives() == 0 || dataset.negatives() == 0 {
-            weights.class_weights.insert(class, MatcherWeights::default().weights_for(class).to_vec());
+    if dataset.positives() == 0 || dataset.negatives() == 0 {
+        return (class, MatcherWeights::default().weights_for(class).to_vec(), Vec::new());
+    }
+
+    let balanced = dataset.upsampled_balanced(genetic.seed);
+    let model = WeightedAverageModel::learn(&balanced, genetic);
+    let class_weights = model.weights.clone();
+
+    // Per-property threshold: grid search maximising F1 of "aggregated
+    // score >= threshold" per property.
+    let mut per_property: HashMap<&str, Vec<(f64, bool)>> = HashMap::new();
+    for (scores, prop, is_gold) in &scored_pairs {
+        let agg: f64 = scores.iter().zip(class_weights.iter()).map(|(s, w)| s * w).sum::<f64>()
+            / class_weights.iter().sum::<f64>().max(1e-9);
+        per_property.entry(prop).or_default().push((agg, *is_gold));
+    }
+    let mut thresholds = Vec::new();
+    for (prop, pairs) in per_property {
+        let positives = pairs.iter().filter(|(_, g)| *g).count();
+        if positives == 0 {
             continue;
         }
-
-        let balanced = dataset.upsampled_balanced(genetic.seed);
-        let model = WeightedAverageModel::learn(&balanced, genetic);
-        let class_weights = model.weights.clone();
-
-        // Per-property threshold: grid search maximising F1 of "aggregated
-        // score >= threshold" per property.
-        let mut per_property: HashMap<&str, Vec<(f64, bool)>> = HashMap::new();
-        for (scores, prop, is_gold) in &scored_pairs {
-            let agg: f64 = scores.iter().zip(class_weights.iter()).map(|(s, w)| s * w).sum::<f64>()
-                / class_weights.iter().sum::<f64>().max(1e-9);
-            per_property.entry(prop).or_default().push((agg, *is_gold));
-        }
-        for (prop, pairs) in per_property {
-            let positives = pairs.iter().filter(|(_, g)| *g).count();
-            if positives == 0 {
+        let mut best = (0.30, f64::MIN);
+        for step in 1..=18 {
+            let threshold = step as f64 * 0.05;
+            let tp = pairs.iter().filter(|(s, g)| *g && *s >= threshold).count();
+            let fp = pairs.iter().filter(|(s, g)| !*g && *s >= threshold).count();
+            let fn_ = positives - tp;
+            if tp == 0 {
                 continue;
             }
-            let mut best = (0.30, f64::MIN);
-            for step in 1..=18 {
-                let threshold = step as f64 * 0.05;
-                let tp = pairs.iter().filter(|(s, g)| *g && *s >= threshold).count();
-                let fp = pairs.iter().filter(|(s, g)| !*g && *s >= threshold).count();
-                let fn_ = positives - tp;
-                if tp == 0 {
-                    continue;
-                }
-                let p = tp as f64 / (tp + fp) as f64;
-                let r = tp as f64 / (tp + fn_) as f64;
-                let f1 = 2.0 * p * r / (p + r);
-                if f1 > best.1 {
-                    best = (threshold, f1);
-                }
+            let p = tp as f64 / (tp + fp) as f64;
+            let r = tp as f64 / (tp + fn_) as f64;
+            let f1 = 2.0 * p * r / (p + r);
+            if f1 > best.1 {
+                best = (threshold, f1);
             }
-            weights.property_thresholds.entry(class).or_default().insert(prop.to_string(), best.0);
         }
-        weights.class_weights.insert(class, class_weights);
+        thresholds.push((prop, best.0));
     }
-    weights
+    (class, class_weights, thresholds)
 }
 
 #[cfg(test)]

@@ -9,41 +9,180 @@
 //! scores to compute a ranked list of candidate classes. We choose the class
 //! with the highest score as the class of the table." (Section 3.1)
 
-use ltee_index::LabelIndex;
+use std::collections::HashMap;
+
+use ltee_index::{LabelIndex, LabelMatch};
 use ltee_kb::{ClassKey, InstanceId, KnowledgeBase};
 use ltee_types::{parse_cell_as, value_equivalent, DetectedType, EquivalenceConfig};
-use ltee_webtables::WebTable;
+use ltee_webtables::{TableId, WebTable};
+use rayon::prelude::*;
 
 /// Minimum fuzzy label score for a knowledge base instance to count as a
 /// candidate for a row.
 const CANDIDATE_LABEL_THRESHOLD: f64 = 0.55;
 
-/// Match a table to a knowledge base class.
+/// Number of candidate instances looked up per row label. The matcher
+/// retrieves them for every class, and the winning class's lists are the
+/// candidates implicit attributes (Section 3.2) are derived from — which
+/// is why this is one constant: a row's implicit-attribute candidates are
+/// the matcher's only while the two counts agree.
+pub const CANDIDATES_PER_ROW: usize = 3;
+
+/// Every row label of a set of tables looked up in every class index,
+/// each distinct (class, normalised label) pair once: a lookup's result
+/// depends on the normalised label alone, and one corpus repeats labels
+/// across tables.
+#[derive(Debug, Default)]
+pub(crate) struct RowLookups {
+    classes: usize,
+    /// Label-major: `matches[slot * classes + c]` is the top
+    /// [`CANDIDATES_PER_ROW`] of label `slot` in the `c`-th class index.
+    matches: Vec<Vec<LabelMatch>>,
+}
+
+/// Per row of one table, the [`RowLookups`] slot of its cleaned label;
+/// `None` for a row without one.
+pub(crate) type RowSlots = Vec<Option<usize>>;
+
+impl RowLookups {
+    /// Look up the labels of every table — `(table, label column)` — and
+    /// return each table's row slots beside the lookups. Labels are
+    /// numbered in first-appearance order and the lookups run on the pool.
+    pub(crate) fn run(
+        tables: &[(&WebTable, usize)],
+        class_indexes: &[(ClassKey, LabelIndex)],
+    ) -> (Vec<RowSlots>, Self) {
+        let labels: Vec<Vec<Option<(String, String)>>> = tables
+            .par_iter()
+            .map(|&(table, label_column)| {
+                (0..table.num_rows())
+                    .map(|row| {
+                        let label = ltee_text::clean_label(table.cell(row, label_column)?);
+                        (!label.is_empty()).then(|| (ltee_text::normalize_label(&label), label))
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut slot_of: HashMap<String, usize> = HashMap::new();
+        let mut distinct: Vec<String> = Vec::new();
+        let slots = labels
+            .into_iter()
+            .map(|rows| {
+                rows.into_iter()
+                    .map(|row| {
+                        let (normalized, label) = row?;
+                        Some(*slot_of.entry(normalized).or_insert_with(|| {
+                            distinct.push(label);
+                            distinct.len() - 1
+                        }))
+                    })
+                    .collect()
+            })
+            .collect();
+        let classes = class_indexes.len();
+        let matches = (0..distinct.len() * classes)
+            .into_par_iter()
+            .map(|at| {
+                let (label, class) = (&distinct[at / classes], at % classes);
+                class_indexes[class].1.lookup(label, CANDIDATES_PER_ROW)
+            })
+            .collect();
+        (slots, Self { classes, matches })
+    }
+
+    /// [`RowLookups::run`] without sharing: every labelled row gets its
+    /// own slot and its own lookups — what the matcher did before equal
+    /// labels shared one lookup, kept as the oracle of that sharing.
+    #[cfg(test)]
+    pub(crate) fn run_per_row(
+        tables: &[(&WebTable, usize)],
+        class_indexes: &[(ClassKey, LabelIndex)],
+    ) -> (Vec<RowSlots>, Self) {
+        let mut matches = Vec::new();
+        let slots = tables
+            .iter()
+            .map(|&(table, label_column)| {
+                (0..table.num_rows())
+                    .map(|row| {
+                        let label = ltee_text::clean_label(table.cell(row, label_column)?);
+                        if label.is_empty() {
+                            return None;
+                        }
+                        let slot = matches.len() / class_indexes.len();
+                        let lookups = class_indexes.iter().map(|(_, index)| index.lookup(&label, CANDIDATES_PER_ROW));
+                        matches.extend(lookups);
+                        Some(slot)
+                    })
+                    .collect()
+            })
+            .collect();
+        (slots, Self { classes: class_indexes.len(), matches })
+    }
+
+    /// The lookup of a label slot in the `class`-th class index.
+    pub(crate) fn get(&self, slot: usize, class: usize) -> &[LabelMatch] {
+        &self.matches[slot * self.classes + class]
+    }
+}
+
+/// The KB candidates the class matcher retrieved for the rows of the
+/// tables it matched: per table with a class, per row, the instances of
+/// the top [`CANDIDATES_PER_ROW`] lookup of the row's label in the winning
+/// class's label index, best first (empty for a row without a label).
+/// Returned beside a [`crate::CorpusMapping`] by
+/// [`crate::match_corpus_and_candidates`], so implicit attributes read them
+/// instead of looking every label up again; derived data, never persisted.
+#[derive(Debug, Clone, Default)]
+pub struct RowCandidates {
+    per_table: HashMap<TableId, Vec<Vec<InstanceId>>>,
+}
+
+impl RowCandidates {
+    /// Per row of `table`, its candidate instances; `None` when the table
+    /// was not matched to a class.
+    pub fn of_table(&self, table: TableId) -> Option<&[Vec<InstanceId>]> {
+        self.per_table.get(&table).map(Vec::as_slice)
+    }
+
+    /// Keep the winning class's lookups of a matched table.
+    pub(crate) fn insert(&mut self, table: TableId, slots: &RowSlots, lookups: &RowLookups, class: usize) {
+        let rows = slots
+            .iter()
+            .map(|slot| match slot {
+                Some(slot) => lookups.get(*slot, class).iter().map(|m| InstanceId(m.id)).collect(),
+                None => Vec::new(),
+            })
+            .collect();
+        self.per_table.insert(table, rows);
+    }
+}
+
+/// Match a table to a knowledge base class, from its rows' label lookups
+/// (`slots` into `lookups`).
 ///
-/// Returns the winning class and its aggregated score, or `None` when no
-/// class gathered any evidence (e.g. a table whose rows match nothing).
-pub fn match_table_class(
+/// Returns the winning class's position in `class_indexes` and its
+/// aggregated score, or `None` when no class gathered any evidence (e.g. a
+/// table whose rows match nothing).
+pub(crate) fn match_table_class(
     table: &WebTable,
     label_column: usize,
     detected: &[DetectedType],
     kb: &KnowledgeBase,
     class_indexes: &[(ClassKey, LabelIndex)],
-) -> (Option<ClassKey>, f64) {
+    slots: &RowSlots,
+    lookups: &RowLookups,
+) -> (Option<usize>, f64) {
     let eq = EquivalenceConfig::default();
-    let mut best: Option<(ClassKey, f64)> = None;
+    let mut best: Option<(usize, f64)> = None;
 
-    for (class, index) in class_indexes {
+    for (position, (class, _)) in class_indexes.iter().enumerate() {
         let properties = kb.class_property_slice(*class);
         let mut row_hits = 0usize;
         let mut duplicate_cells = 0usize;
 
-        for row in 0..table.num_rows() {
-            let Some(raw_label) = table.cell(row, label_column) else { continue };
-            let label = ltee_text::clean_label(raw_label);
-            if label.is_empty() {
-                continue;
-            }
-            let matches = index.lookup(&label, 3);
+        for (row, slot) in slots.iter().enumerate() {
+            let Some(slot) = *slot else { continue };
+            let matches = lookups.get(slot, position);
             let Some(top) = matches.first().filter(|m| m.score >= CANDIDATE_LABEL_THRESHOLD) else {
                 continue;
             };
@@ -80,12 +219,12 @@ pub fn match_table_class(
         }
         let score = row_hits as f64 + duplicate_cells as f64;
         if best.map(|(_, s)| score > s).unwrap_or(true) {
-            best = Some((*class, score));
+            best = Some((position, score));
         }
     }
 
     match best {
-        Some((class, score)) => (Some(class), score),
+        Some((position, score)) => (Some(position), score),
         None => (None, 0.0),
     }
 }
@@ -109,8 +248,9 @@ mod tests {
         for table in corpus.tables() {
             let detected = detect_column_types(table);
             let label_col = detect_label_attribute(table, &detected);
-            let (class, _) = match_table_class(table, label_col, &detected, kb, indexes);
-            if let Some(c) = class {
+            let (slots, lookups) = RowLookups::run(&[(table, label_col)], indexes);
+            let (class, _) = match_table_class(table, label_col, &detected, kb, indexes, &slots[0], &lookups);
+            if let Some(c) = class.map(|position| indexes[position].0) {
                 decided += 1;
                 if c == table.truth.class {
                     correct += 1;
@@ -138,7 +278,8 @@ mod tests {
             },
         };
         let detected = detect_column_types(&table);
-        let (class, score) = match_table_class(&table, 0, &detected, kb, indexes);
+        let (slots, lookups) = RowLookups::run(&[(&table, 0)], indexes);
+        let (class, score) = match_table_class(&table, 0, &detected, kb, indexes, &slots[0], &lookups);
         assert!(class.is_none());
         assert_eq!(score, 0.0);
     }

@@ -26,6 +26,8 @@
 //! attribute-to-property correspondences, from which typed row values can be
 //! extracted for the downstream components.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod attribute;
 pub mod class_match;
 pub mod label_attr;
@@ -35,13 +37,15 @@ pub mod matchers;
 mod naive;
 
 pub use attribute::{learn_weights, AttributeMatcherConfig, MatcherWeights};
-pub use class_match::match_table_class;
+pub use class_match::{RowCandidates, CANDIDATES_PER_ROW};
 pub use label_attr::{detect_column_types, detect_label_attribute};
 pub use mapping::{AttributeMatch, CorpusFeedback, CorpusMapping, RowValues, TableMapping};
 pub use matchers::MatcherKind;
 
 use ltee_kb::KnowledgeBase;
 use ltee_webtables::Corpus;
+
+use class_match::{match_table_class, RowLookups};
 
 /// Configuration of a full schema matching pass.
 #[derive(Debug, Clone, Default)]
@@ -62,6 +66,19 @@ pub fn match_corpus(
     config: &SchemaMatchingConfig,
     feedback: Option<&CorpusFeedback>,
 ) -> CorpusMapping {
+    match_corpus_and_candidates(corpus, kb, weights, config, feedback).0
+}
+
+/// [`match_corpus`], also returning the KB candidates the table-to-class
+/// matcher retrieved for every row of a matched table — what implicit
+/// attributes are derived from (`ltee_clustering::ImplicitAttributes`).
+pub fn match_corpus_and_candidates(
+    corpus: &Corpus,
+    kb: &KnowledgeBase,
+    weights: &MatcherWeights,
+    config: &SchemaMatchingConfig,
+    feedback: Option<&CorpusFeedback>,
+) -> (CorpusMapping, RowCandidates) {
     // Everything matching derives from the knowledge base alone — the
     // per-class label indexes here, the KB-Overlap samples and the
     // per-class property slices further down — is memoised on the KB.
@@ -69,8 +86,8 @@ pub fn match_corpus(
     match_corpus_with(corpus, kb, weights, config, feedback, class_indexes, matchers::kb_overlap)
 }
 
-/// [`match_corpus`] over given per-class label indexes and a given
-/// KB-Overlap implementation.
+/// [`match_corpus_and_candidates`] over given per-class label indexes and a
+/// given KB-Overlap implementation.
 fn match_corpus_with(
     corpus: &Corpus,
     kb: &KnowledgeBase,
@@ -79,21 +96,36 @@ fn match_corpus_with(
     feedback: Option<&CorpusFeedback>,
     class_indexes: &[(ltee_kb::ClassKey, ltee_index::LabelIndex)],
     kb_overlap: matchers::KbOverlapFn,
-) -> CorpusMapping {
+) -> (CorpusMapping, RowCandidates) {
     use rayon::prelude::*;
 
     // Corpus-level header statistics (WT-Label) need a preliminary mapping;
     // they are only available when feedback from a previous iteration exists.
     let header_stats = feedback.map(|fb| matchers::HeaderStatistics::build(corpus, fb));
 
-    let tables: Vec<TableMapping> = corpus
+    let schemas: Vec<(Vec<ltee_types::DetectedType>, usize)> = corpus
         .tables()
         .par_iter()
         .map(|table| {
             let detected = detect_column_types(table);
             let label_column = detect_label_attribute(table, &detected);
-            let (class, class_score) =
-                match_table_class(table, label_column, &detected, kb, class_indexes);
+            (detected, label_column)
+        })
+        .collect();
+    // Every row label of the corpus looked up in every class index, each
+    // distinct one once.
+    let tables = corpus.tables();
+    let labelled: Vec<_> = tables.iter().zip(&schemas).map(|(table, (_, label))| (table, *label)).collect();
+    let (slots, lookups) = RowLookups::run(&labelled, class_indexes);
+
+    let matched: Vec<(TableMapping, Option<usize>)> = schemas
+        .into_par_iter()
+        .enumerate()
+        .map(|(t, (detected, label_column))| {
+            let table = &tables[t];
+            let (winner, class_score) =
+                match_table_class(table, label_column, &detected, kb, class_indexes, &slots[t], &lookups);
+            let class = winner.map(|c| class_indexes[c].0);
             let correspondences = match class {
                 Some(class) => attribute::match_attributes(
                     table,
@@ -110,16 +142,24 @@ fn match_corpus_with(
                 ),
                 None => vec![None; table.num_columns()],
             };
-            TableMapping {
+            let mapping = TableMapping {
                 table: table.id,
                 class,
                 class_score,
                 label_column,
                 detected_types: detected,
                 correspondences,
-            }
+            };
+            (mapping, winner)
         })
         .collect();
 
-    CorpusMapping::from_tables(tables)
+    let mut candidates = RowCandidates::default();
+    for ((mapping, winner), slots) in matched.iter().zip(&slots) {
+        if let Some(class) = *winner {
+            candidates.insert(mapping.table, slots, &lookups, class);
+        }
+    }
+    let mappings = matched.into_iter().map(|(mapping, _)| mapping).collect();
+    (CorpusMapping::from_tables(mappings), candidates)
 }

@@ -8,7 +8,7 @@
 
 use ltee_index::LabelIndex;
 use ltee_kb::{
-    generate_world, ClassKey, GeneratorConfig, KnowledgeBase, Property, Scale, World, CLASS_KEYS,
+    generate_world, ClassKey, GeneratorConfig, InstanceId, KnowledgeBase, Property, Scale, World, CLASS_KEYS,
     KB_OVERLAP_SAMPLE,
 };
 use ltee_ml::GeneticConfig;
@@ -16,7 +16,11 @@ use ltee_types::{parse_cell_as, value_equivalent, EquivalenceConfig, Value};
 use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, GoldStandard, Scenario, WebTable};
 
 use crate::attribute::learn_weights_with;
-use crate::{learn_weights, match_corpus, match_corpus_with, MatcherWeights, SchemaMatchingConfig};
+use crate::class_match::{match_table_class, RowLookups};
+use crate::{
+    learn_weights, match_corpus, match_corpus_and_candidates, match_corpus_with, MatcherWeights,
+    SchemaMatchingConfig,
+};
 
 fn fresh_class_indexes(kb: &KnowledgeBase) -> Vec<(ClassKey, LabelIndex)> {
     let labels_of = |class| {
@@ -73,7 +77,7 @@ fn assert_memo_equals_reference(world: &World, corpus: &Corpus) {
 
         for weights in [&learned, &MatcherWeights::default()] {
             let mapping = match_corpus(corpus, kb, weights, &config, None);
-            let reference =
+            let (reference, _) =
                 match_corpus_with(corpus, kb, weights, &config, None, &fresh, kb_overlap_scan);
             let mut matched_columns = 0;
             for table in corpus.tables() {
@@ -84,7 +88,49 @@ fn assert_memo_equals_reference(world: &World, corpus: &Corpus) {
             assert_eq!(mapping.len(), reference.len());
             assert!(matched_columns > 0, "the comparison must not be vacuous");
         }
+        assert_shared_lookups_equal_per_row_lookups(kb, corpus);
     }
+}
+
+/// One lookup per distinct (class, normalised label) decides every table
+/// exactly as one lookup per row did, and the candidates kept beside the
+/// mapping are the winning class's per-row lookups.
+fn assert_shared_lookups_equal_per_row_lookups(kb: &KnowledgeBase, corpus: &Corpus) {
+    let class_indexes = kb.class_label_indexes();
+    let (weights, config) = (MatcherWeights::default(), SchemaMatchingConfig::default());
+    let (mapping, candidates) = match_corpus_and_candidates(corpus, kb, &weights, &config, None);
+    let tables: Vec<(&WebTable, usize)> = corpus
+        .tables()
+        .iter()
+        .map(|table| (table, mapping.table(table.id).expect("every table is mapped").label_column))
+        .collect();
+    let (slots, lookups) = RowLookups::run_per_row(&tables, class_indexes);
+    let (mut distinct, mut labelled) = (std::collections::HashSet::new(), 0);
+    for ((table, label_column), slots) in tables.iter().zip(&slots) {
+        let tm = mapping.table(table.id).expect("every table is mapped");
+        let detected = &tm.detected_types;
+        let (winner, score) =
+            match_table_class(table, *label_column, detected, kb, class_indexes, slots, &lookups);
+        assert_eq!(winner.map(|c| class_indexes[c].0), tm.class, "table {}", table.id.raw());
+        assert_eq!(score.to_bits(), tm.class_score.to_bits(), "table {}", table.id.raw());
+        let expected: Option<Vec<Vec<InstanceId>>> = winner.map(|class| {
+            slots
+                .iter()
+                .map(|slot| match slot {
+                    Some(slot) => lookups.get(*slot, class).iter().map(|m| InstanceId(m.id)).collect(),
+                    None => Vec::new(),
+                })
+                .collect()
+        });
+        assert_eq!(candidates.of_table(table.id), expected.as_deref(), "table {}", table.id.raw());
+        for row in 0..table.num_rows() {
+            if let Some(cell) = table.cell(row, *label_column) {
+                labelled += 1;
+                distinct.insert(ltee_text::normalize_label(&ltee_text::clean_label(cell)));
+            }
+        }
+    }
+    assert!(distinct.len() < labelled, "the fixture must repeat a label for sharing to be exercised");
 }
 
 #[test]

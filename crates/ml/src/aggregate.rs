@@ -221,11 +221,8 @@ impl PairwiseModel {
 
         let forest = if method != AggregationMethod::WeightedAverage {
             // Random forest sees all features, with -1/1 targets.
-            let mut rf_ds = Dataset::new(balanced.feature_names.clone());
-            for s in &balanced.samples {
-                rf_ds.push(Sample::new(s.features.clone(), if s.is_positive() { 1.0 } else { -1.0 }));
-            }
-            Some(RandomForest::train(&rf_ds, &config.forest))
+            let target = |s: &Sample| if s.is_positive() { 1.0 } else { -1.0 };
+            Some(RandomForest::train_with_targets(&balanced, target, &config.forest))
         } else {
             None
         };

@@ -320,16 +320,21 @@ impl<'a> ByteReader<'a> {
         Ok(self.read_bytes(1, what)?[0])
     }
 
+    /// Read the next `N` raw bytes as an array.
+    fn read_array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
+        let mut array = [0u8; N];
+        array.copy_from_slice(self.read_bytes(N, what)?);
+        Ok(array)
+    }
+
     /// Read a little-endian `u32`.
     pub fn read_u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        let b = self.read_bytes(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("slice is 4 bytes")))
+        self.read_array(what).map(u32::from_le_bytes)
     }
 
     /// Read a little-endian `u64`.
     pub fn read_u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        let b = self.read_bytes(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("slice is 8 bytes")))
+        self.read_array(what).map(u64::from_le_bytes)
     }
 
     /// Read a `usize` stored as a `u64`.

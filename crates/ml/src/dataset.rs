@@ -105,11 +105,10 @@ impl Dataset {
         } else {
             (&negatives, positives.len())
         };
-        let mut deficit = target_len - minority.len();
-        while deficit > 0 {
-            let pick = minority.choose(&mut rng).expect("minority class is non-empty");
+        // `choose` returns `None` only on an empty slice, ruled out above.
+        for _ in minority.len()..target_len {
+            let Some(pick) = minority.choose(&mut rng) else { break };
             samples.push((*pick).clone());
-            deficit -= 1;
         }
         Dataset { feature_names: self.feature_names.clone(), samples }
     }

@@ -53,12 +53,13 @@ pub fn grouped_k_folds(groups: &[u64], k: usize, seed: u64) -> Vec<FoldSplit> {
 
     let mut fold_items: Vec<Vec<usize>> = vec![Vec::new(); k];
     for g in group_ids {
-        let smallest = fold_items
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, items)| items.len())
-            .map(|(i, _)| i)
-            .expect("k >= 2");
+        // The first of the smallest folds.
+        let mut smallest = 0;
+        for (fold, items) in fold_items.iter().enumerate() {
+            if items.len() < fold_items[smallest].len() {
+                smallest = fold;
+            }
+        }
         fold_items[smallest].extend(&members[&g]);
     }
 

@@ -15,7 +15,7 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Sample};
 
 /// Hyperparameters of the random forest.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +109,18 @@ impl RandomForest {
     /// Panics if the dataset is empty — callers are expected to guard
     /// against training on nothing.
     pub fn train(dataset: &Dataset, config: &RandomForestConfig) -> Self {
+        Self::train_with_targets(dataset, |sample| sample.target, config)
+    }
+
+    /// [`RandomForest::train`] on the dataset's samples with `target`
+    /// standing in for their stored targets — the forest regresses to
+    /// `±1` where the dataset stores `1 / 0`, and this spares a relabelled
+    /// copy of every feature vector.
+    pub(crate) fn train_with_targets(
+        dataset: &Dataset,
+        target: impl Fn(&Sample) -> f64,
+        config: &RandomForestConfig,
+    ) -> Self {
         assert!(!dataset.is_empty(), "cannot train a random forest on an empty dataset");
         let n = dataset.len();
         let num_features = dataset.num_features();
@@ -116,6 +128,7 @@ impl RandomForest {
             .features_per_split
             .unwrap_or_else(|| ((num_features as f64).sqrt().ceil() as usize).max(1))
             .min(num_features.max(1));
+        let columns = FeatureColumns::new(dataset, &target);
 
         let tree_seeds: Vec<u64> = (0..config.num_trees).map(|t| config.seed.wrapping_add(t as u64 * 7919)).collect();
 
@@ -131,8 +144,8 @@ impl RandomForest {
                     in_bag[i] = true;
                     indices.push(i);
                 }
-                let mut builder = TreeBuilder::new(dataset, config, features_per_split, rng);
-                builder.build(&indices, 0);
+                let mut builder = TreeBuilder::new(&columns, config, features_per_split, rng);
+                builder.grow(&indices);
                 (Tree { nodes: builder.nodes }, in_bag)
             })
             .collect();
@@ -144,18 +157,18 @@ impl RandomForest {
         let per_sample: Vec<Option<f64>> = (0..n)
             .into_par_iter()
             .map(|i| {
-                let sample = &dataset.samples[i];
+                let features = &dataset.samples[i].features;
                 let mut sum = 0.0;
                 let mut cnt = 0usize;
                 for (tree, in_bag) in &built {
                     if !in_bag[i] {
-                        sum += tree.predict(&sample.features);
+                        sum += tree.predict(features);
                         cnt += 1;
                     }
                 }
                 (cnt > 0).then(|| {
                     let pred = sum / cnt as f64;
-                    (pred - sample.target).powi(2)
+                    (pred - columns.targets[i]).powi(2)
                 })
             })
             .collect();
@@ -299,16 +312,80 @@ impl RandomForest {
     }
 }
 
+/// The training set as the split search reads it: one contiguous column
+/// per feature, the regression targets, and every feature's presorted
+/// sample order. Built once per forest and shared by all its trees.
+struct FeatureColumns {
+    /// Number of samples.
+    n: usize,
+    /// Feature-major: `values[f * n + i]` is sample `i`'s value of feature
+    /// `f` (a missing feature reads as zero).
+    values: Vec<f64>,
+    targets: Vec<f64>,
+    /// Per feature, whether every value is finite.
+    finite: Vec<bool>,
+    /// Feature-major like `values`: per feature, the sample indices in
+    /// ascending `f64::total_cmp` order of that feature's value.
+    order: Vec<u32>,
+}
+
+impl FeatureColumns {
+    fn new(dataset: &Dataset, target: impl Fn(&Sample) -> f64) -> Self {
+        let n = dataset.len();
+        assert!(u32::try_from(n).is_ok(), "a forest indexes its samples with u32");
+        let num_features = dataset.num_features();
+        let mut values = Vec::with_capacity(num_features * n);
+        for feature in 0..num_features {
+            values.extend(dataset.samples.iter().map(|s| s.features.get(feature).copied().unwrap_or(0.0)));
+        }
+        let mut order = Vec::with_capacity(num_features * n);
+        for column in values.chunks_exact(n) {
+            let start = order.len();
+            order.extend(0..n as u32);
+            order[start..].sort_by(|&a, &b| column[a as usize].total_cmp(&column[b as usize]));
+        }
+        let finite = values.chunks_exact(n).map(|column| column.iter().all(|v| v.is_finite())).collect();
+        let targets = dataset.samples.iter().map(target).collect();
+        Self { n, values, targets, finite, order }
+    }
+
+    /// One feature's values, indexed by sample.
+    fn column(&self, feature: usize) -> &[f64] {
+        &self.values[feature * self.n..(feature + 1) * self.n]
+    }
+
+    fn num_features(&self) -> usize {
+        self.values.len() / self.n
+    }
+}
+
 struct TreeBuilder<'a> {
-    dataset: &'a Dataset,
+    columns: &'a FeatureColumns,
     config: &'a RandomForestConfig,
     features_per_split: usize,
     rng: ChaCha8Rng,
     nodes: Vec<Node>,
+    /// The tree's bootstrap draws, one slot per draw. A node owns a range
+    /// of slots and holds its samples there in draw order — the order every
+    /// sum over a node visits them in.
+    samples: Vec<u32>,
+    /// Feature-major, one block of `samples.len()` slots per feature: the
+    /// same draws, each node's range in ascending value order of that
+    /// feature. A split partitions every block stably, so a child's ranges
+    /// stay sorted without sorting again.
+    sorted: Vec<u32>,
+    /// Per sample, which side of the split being applied it falls on.
+    goes_left: Vec<bool>,
+    scratch: Vec<u32>,
     /// Calls of [`exact_gain`] so far: the work counter that pins the split
     /// search to "a handful of exact scorings per node" in the tests.
     #[cfg(test)]
     exact_scorings: usize,
+    /// Sort every node's (value, target) pairs instead of reading the
+    /// presorted orders: the search the presorted orders replaced, kept as
+    /// their oracle.
+    #[cfg(test)]
+    sort_per_node: bool,
 }
 
 /// One candidate split of a node, in the order the search visits them.
@@ -403,34 +480,73 @@ fn exact_gain(targets: &[f64], values: &[f64], threshold: f64, parent_var: f64) 
 
 impl<'a> TreeBuilder<'a> {
     fn new(
-        dataset: &'a Dataset,
+        columns: &'a FeatureColumns,
         config: &'a RandomForestConfig,
         features_per_split: usize,
         rng: ChaCha8Rng,
     ) -> Self {
         Self {
-            dataset,
+            columns,
             config,
             features_per_split,
             rng,
             nodes: Vec::new(),
+            samples: Vec::new(),
+            sorted: Vec::new(),
+            goes_left: vec![false; columns.n],
+            scratch: Vec::new(),
             #[cfg(test)]
             exact_scorings: 0,
+            #[cfg(test)]
+            sort_per_node: false,
         }
     }
 
-    /// Recursively build the tree for the samples at `indices`; returns the
-    /// index of the created node.
-    fn build(&mut self, indices: &[usize], depth: usize) -> usize {
-        let mean = mean_target(self.dataset, indices);
+    /// Build the tree over a bootstrap sample (dataset indices, repeats
+    /// allowed, in draw order).
+    fn grow(&mut self, bootstrap: &[usize]) {
+        // `FeatureColumns::new` checked that every index fits a u32.
+        self.samples = bootstrap.iter().map(|&i| i as u32).collect();
+        // Each feature's order over the draws: the forest's presorted order
+        // with every sample repeated as often as it was drawn.
+        let mut draws = vec![0u32; self.columns.n];
+        for &i in bootstrap {
+            draws[i] += 1;
+        }
+        self.scratch = vec![0; bootstrap.len()];
+        let len = self.columns.num_features() * bootstrap.len();
+        // One slot of slack: a sample never drawn is written and then
+        // overwritten by the next one, so the last may be written past the end.
+        self.sorted = vec![0; len + 1];
+        let mut at = 0;
+        for &i in &self.columns.order {
+            let copies = draws[i as usize] as usize;
+            self.sorted[at] = i;
+            for k in 1..copies {
+                self.sorted[at + k] = i;
+            }
+            at += copies;
+        }
+        self.sorted.truncate(len);
+        self.build(0, bootstrap.len(), 0);
+    }
+
+    /// Recursively build the tree for the samples in slots `lo..hi`;
+    /// returns the index of the created node.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let targets = &self.columns.targets;
+        let samples = &self.samples[lo..hi];
+        let mean = mean_target(targets, samples);
+        let variance = variance_target(targets, samples, mean);
         if depth >= self.config.max_depth
-            || indices.len() < self.config.min_samples_split
-            || variance_target(self.dataset, indices, mean) < 1e-12
+            || samples.len() < self.config.min_samples_split
+            || variance < 1e-12
         {
             return self.push(Node::Leaf { prediction: mean });
         }
+        let parent_var = variance * samples.len() as f64;
 
-        let num_features = self.dataset.num_features();
+        let num_features = self.columns.num_features();
         // Sample a random subset of features without replacement.
         let mut candidates: Vec<usize> = (0..num_features).collect();
         for i in 0..self.features_per_split.min(num_features) {
@@ -439,16 +555,12 @@ impl<'a> TreeBuilder<'a> {
         }
         candidates.truncate(self.features_per_split);
 
-        let parent_var = variance_target(self.dataset, indices, mean) * indices.len() as f64;
-        let best = self.find_split(indices, &candidates, parent_var);
-
-        match best {
+        match self.find_split(lo, hi, &candidates, parent_var) {
             Some((feature, threshold, gain)) => {
-                let (left, right): (Vec<usize>, Vec<usize>) =
-                    indices.iter().partition(|&&i| self.feature_value(i, feature) <= threshold);
+                let mid = self.partition(lo, hi, feature, threshold);
                 let node_idx = self.push(Node::Split { feature, threshold, gain, left: 0, right: 0 });
-                let left_idx = self.build(&left, depth + 1);
-                let right_idx = self.build(&right, depth + 1);
+                let left_idx = self.build(lo, mid, depth + 1);
+                let right_idx = self.build(mid, hi, depth + 1);
                 if let Node::Split { left: l, right: r, .. } = &mut self.nodes[node_idx] {
                     *l = left_idx;
                     *r = right_idx;
@@ -459,66 +571,87 @@ impl<'a> TreeBuilder<'a> {
         }
     }
 
-    /// The split of a node: the first `(feature, threshold, gain)`, in
-    /// candidate-feature and ascending-threshold order, whose
-    /// [`exact_gain`] is the largest and exceeds `1e-12`.
+    /// Split slots `lo..hi` at `feature <= threshold`: the left side moves
+    /// to the front of the range in every array, each side keeping its
+    /// order. Returns the first right-side slot.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
+        let column = self.columns.column(feature);
+        for &i in &self.samples[lo..hi] {
+            self.goes_left[i as usize] = column[i as usize] <= threshold;
+        }
+        let mid = lo + stable_partition(&mut self.samples[lo..hi], &self.goes_left, &mut self.scratch);
+        let draws = self.samples.len();
+        for block in self.sorted.chunks_exact_mut(draws) {
+            stable_partition(&mut block[lo..hi], &self.goes_left, &mut self.scratch);
+        }
+        mid
+    }
+
+    /// The split of the node in slots `lo..hi`: the first
+    /// `(feature, threshold, gain)`, in candidate-feature and
+    /// ascending-threshold order, whose [`exact_gain`] is the largest and
+    /// exceeds `1e-12`.
     fn find_split(
         &mut self,
-        indices: &[usize],
+        lo: usize,
+        hi: usize,
         candidates: &[usize],
         parent_var: f64,
     ) -> Option<(usize, f64, f64)> {
         // Scoring every threshold exactly costs a scan of the node per
-        // threshold; instead one sort of each feature's (value, target)
-        // pairs and a prefix-sum sweep give every threshold's gain to
-        // within `bound`, and only thresholds whose swept gain is within
-        // `2·bound` of the largest swept gain can hold the largest exact
-        // gain (the best swept candidate's exact gain is at least
-        // `max − bound`, any candidate below `max − 2·bound` is exactly
-        // below that). Those are then scored exactly, in visiting order
-        // under the strict-`>` rule — skipping candidates that cannot be
-        // the maximum never changes which one such a scan settles on — so
-        // the tree is the one the exhaustive search builds, bit for bit.
-        let n = indices.len();
-        let targets: Vec<f64> = indices.iter().map(|&i| self.dataset.samples[i].target).collect();
+        // threshold; instead a prefix-sum sweep along each feature's sorted
+        // order gives every threshold's gain to within `bound`, and only
+        // thresholds whose swept gain is within `2·bound` of the largest
+        // swept gain can hold the largest exact gain (the best swept
+        // candidate's exact gain is at least `max − bound`, any candidate
+        // below `max − 2·bound` is exactly below that). Those are then
+        // scored exactly, in visiting order under the strict-`>` rule —
+        // skipping candidates that cannot be the maximum never changes
+        // which one such a scan settles on — so the tree is the one the
+        // exhaustive search builds, bit for bit. The bound holds for any
+        // summation order, so the order the sweep visits equal values in
+        // cannot change the winner either: reading the presorted orders
+        // builds the tree that sorting every node builds.
+        let columns = self.columns;
+        let samples = &self.samples[lo..hi];
+        let n = samples.len();
+        let targets: Vec<f64> = samples.iter().map(|&i| columns.targets[i as usize]).collect();
         let sum_sq: f64 = targets.iter().map(|t| t * t).sum();
         let sweepable = n as f64 * sum_sq <= SWEEP_MAX_MAGNITUDE;
         let bound = sweep_error_bound(n, sum_sq);
 
-        // Every candidate feature's values in `indices` order, slot-major.
-        let mut gathered: Vec<f64> = Vec::with_capacity(candidates.len() * n);
         let mut splits: Vec<SplitCandidate> = Vec::new();
         let mut best_swept = f64::NEG_INFINITY;
         let mut sorted: Vec<(f64, f64)> = Vec::with_capacity(n);
-        let mut distinct: Vec<f64> = Vec::with_capacity(n);
         let mut suffix: Vec<(f64, f64)> = Vec::with_capacity(n + 1);
+        let draws = self.samples.len();
         for (slot, &feature) in candidates.iter().enumerate() {
-            gathered.extend(indices.iter().map(|&i| self.feature_value(i, feature)));
-            let values = &gathered[slot * n..];
+            let column = columns.column(feature);
             sorted.clear();
-            sorted.extend(values.iter().copied().zip(targets.iter().copied()));
-            // `total_cmp`, so a NaN feature value cannot make the sort panic
-            // on an inconsistent order; NaNs land at the ends, where every
-            // threshold they produce is NaN and splits nothing off.
-            sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            distinct.clear();
-            distinct.extend(sorted.iter().map(|&(v, _)| v));
-            distinct.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-            if distinct.len() < 2 {
-                continue;
+            sorted.extend(
+                self.sorted[feature * draws + lo..feature * draws + hi]
+                    .iter()
+                    .map(|&i| (column[i as usize], columns.targets[i as usize])),
+            );
+            #[cfg(test)]
+            if self.sort_per_node {
+                sorted.clear();
+                sorted.extend(samples.iter().map(|&i| (column[i as usize], columns.targets[i as usize])));
+                sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
             }
-            // Candidate thresholds: midpoints between consecutive distinct values.
-            let thresholds = distinct.windows(2).map(|w| (w[0] + w[1]) / 2.0);
             // Over finite values the sorted order is the numeric one, so
             // `v <= threshold` holds on a prefix that only grows along the
             // ascending thresholds. Infinite or NaN values are left to the
             // exact scorer.
-            if !sweepable || !values.iter().all(|v| v.is_finite()) {
-                splits.extend(thresholds.map(|threshold| SplitCandidate {
+            if !sweepable || !(columns.finite[feature] || sorted.iter().all(|(v, _)| v.is_finite())) {
+                splits.extend(thresholds(&sorted).map(|threshold| SplitCandidate {
                     slot,
                     threshold,
                     swept_gain: f64::INFINITY,
                 }));
+                continue;
+            }
+            if thresholds(&sorted).next().is_none() {
                 continue;
             }
             // suffix[k] = (Σ t, Σ t²) over sorted[k..].
@@ -529,7 +662,7 @@ impl<'a> TreeBuilder<'a> {
                 suffix[k] = (suffix[k + 1].0 + t, suffix[k + 1].1 + t * t);
             }
             let (mut left_len, mut left_sum, mut left_sum_sq) = (0usize, 0.0f64, 0.0f64);
-            for threshold in thresholds {
+            for threshold in thresholds(&sorted) {
                 while left_len < n && sorted[left_len].0 <= threshold {
                     let t = sorted[left_len].1;
                     left_sum += t;
@@ -545,6 +678,10 @@ impl<'a> TreeBuilder<'a> {
                 let right_sse = right_sum_sq - right_sum * right_sum / right_len as f64;
                 let swept_gain = parent_var - (left_sse + right_sse);
                 best_swept = best_swept.max(swept_gain);
+                // Below the running cut-off is below the final one too.
+                if swept_gain < best_swept - 2.0 * bound {
+                    continue;
+                }
                 splits.push(SplitCandidate { slot, threshold, swept_gain });
             }
         }
@@ -552,6 +689,9 @@ impl<'a> TreeBuilder<'a> {
         // (feature, threshold, gain)
         let mut best: Option<(usize, f64, f64)> = None;
         let cutoff = best_swept - 2.0 * bound;
+        // A candidate feature's values in the node's slot order, gathered
+        // the first time one of its thresholds is scored exactly.
+        let mut gathered: Vec<Option<Vec<f64>>> = vec![None; candidates.len()];
         for split in &splits {
             if split.swept_gain < cutoff {
                 continue;
@@ -560,7 +700,10 @@ impl<'a> TreeBuilder<'a> {
             {
                 self.exact_scorings += 1;
             }
-            let values = &gathered[split.slot * n..(split.slot + 1) * n];
+            let values = gathered[split.slot].get_or_insert_with(|| {
+                let column = columns.column(candidates[split.slot]);
+                samples.iter().map(|&i| column[i as usize]).collect()
+            });
             let Some(gain) = exact_gain(&targets, values, split.threshold, parent_var) else {
                 continue;
             };
@@ -571,29 +714,60 @@ impl<'a> TreeBuilder<'a> {
         best
     }
 
-    /// A sample's value for a feature (missing features read as zero).
-    fn feature_value(&self, sample: usize, feature: usize) -> f64 {
-        self.dataset.samples[sample].features.get(feature).copied().unwrap_or(0.0)
-    }
-
     fn push(&mut self, node: Node) -> usize {
         self.nodes.push(node);
         self.nodes.len() - 1
     }
 }
 
-fn mean_target(dataset: &Dataset, indices: &[usize]) -> f64 {
-    if indices.is_empty() {
-        return 0.0;
+/// Move the samples `goes_left` marks to the front of `slots`, both sides
+/// in their current order; returns how many went left. `scratch` holds at
+/// least `slots.len()` slots. Branch-free: a sample's side is as likely
+/// one way as the other, so a branch on it would mispredict half the time.
+fn stable_partition(slots: &mut [u32], goes_left: &[bool], scratch: &mut [u32]) -> usize {
+    let (mut left, mut right) = (0, 0);
+    for k in 0..slots.len() {
+        let i = slots[k];
+        let to_left = goes_left[i as usize];
+        // `left <= k`: the slot written was read already.
+        slots[left] = i;
+        scratch[right] = i;
+        left += usize::from(to_left);
+        right += usize::from(!to_left);
     }
-    indices.iter().map(|&i| dataset.samples[i].target).sum::<f64>() / indices.len() as f64
+    slots[left..].copy_from_slice(&scratch[..right]);
+    left
 }
 
-fn variance_target(dataset: &Dataset, indices: &[usize], mean: f64) -> f64 {
-    if indices.is_empty() {
+/// The candidate thresholds of a node's feature values in ascending order:
+/// midpoints between consecutive distinct values, where a value within
+/// `1e-12` of the last distinct one is not distinct. `total_cmp` order puts
+/// NaNs at the ends, where every threshold they produce is NaN and splits
+/// nothing off.
+fn thresholds(sorted: &[(f64, f64)]) -> impl Iterator<Item = f64> + '_ {
+    let mut last = sorted.first().map(|&(v, _)| v);
+    sorted.iter().skip(1).filter_map(move |&(v, _)| {
+        let previous = last?;
+        if (v - previous).abs() < 1e-12 {
+            return None;
+        }
+        last = Some(v);
+        Some((previous + v) / 2.0)
+    })
+}
+
+fn mean_target(targets: &[f64], samples: &[u32]) -> f64 {
+    if samples.is_empty() {
         return 0.0;
     }
-    indices.iter().map(|&i| (dataset.samples[i].target - mean).powi(2)).sum::<f64>() / indices.len() as f64
+    samples.iter().map(|&i| targets[i as usize]).sum::<f64>() / samples.len() as f64
+}
+
+fn variance_target(targets: &[f64], samples: &[u32], mean: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.iter().map(|&i| (targets[i as usize] - mean).powi(2)).sum::<f64>() / samples.len() as f64
 }
 
 #[cfg(test)]
@@ -767,19 +941,20 @@ mod tests {
     }
 
     impl TreeBuilder<'_> {
-        /// The split search `build` replaced, kept as its oracle: every
-        /// candidate threshold partitions `indices` into two fresh index
+        /// The split search the sorted sweep replaced, kept as its oracle:
+        /// every candidate threshold partitions `samples` into two fresh
         /// lists and scores them with `mean_target` / `variance_target`.
-        fn build_by_partition(&mut self, indices: &[usize], depth: usize) -> usize {
-            let mean = mean_target(self.dataset, indices);
+        fn build_by_partition(&mut self, samples: &[u32], depth: usize) -> usize {
+            let targets = &self.columns.targets;
+            let mean = mean_target(targets, samples);
             if depth >= self.config.max_depth
-                || indices.len() < self.config.min_samples_split
-                || variance_target(self.dataset, indices, mean) < 1e-12
+                || samples.len() < self.config.min_samples_split
+                || variance_target(targets, samples, mean) < 1e-12
             {
                 return self.push(Node::Leaf { prediction: mean });
             }
 
-            let num_features = self.dataset.num_features();
+            let num_features = self.columns.num_features();
             let mut candidates: Vec<usize> = (0..num_features).collect();
             for i in 0..self.features_per_split.min(num_features) {
                 let j = self.rng.gen_range(i..num_features);
@@ -787,13 +962,13 @@ mod tests {
             }
             candidates.truncate(self.features_per_split);
 
-            let parent_var = variance_target(self.dataset, indices, mean) * indices.len() as f64;
-            type SplitCandidate = (usize, f64, f64, Vec<usize>, Vec<usize>);
+            let parent_var = variance_target(targets, samples, mean) * samples.len() as f64;
+            type SplitCandidate = (usize, f64, f64, Vec<u32>, Vec<u32>);
             let mut best: Option<SplitCandidate> = None;
 
             for &feature in &candidates {
-                let mut values: Vec<f64> =
-                    indices.iter().map(|&i| self.feature_value(i, feature)).collect();
+                let column = self.columns.column(feature);
+                let mut values: Vec<f64> = samples.iter().map(|&i| column[i as usize]).collect();
                 values.sort_by(f64::total_cmp);
                 values.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
                 if values.len() < 2 {
@@ -801,15 +976,15 @@ mod tests {
                 }
                 for w in values.windows(2) {
                     let threshold = (w[0] + w[1]) / 2.0;
-                    let (left, right): (Vec<usize>, Vec<usize>) =
-                        indices.iter().partition(|&&i| self.feature_value(i, feature) <= threshold);
+                    let (left, right): (Vec<u32>, Vec<u32>) =
+                        samples.iter().partition(|&&i| column[i as usize] <= threshold);
                     if left.is_empty() || right.is_empty() {
                         continue;
                     }
-                    let lm = mean_target(self.dataset, &left);
-                    let rm = mean_target(self.dataset, &right);
-                    let child_var = variance_target(self.dataset, &left, lm) * left.len() as f64
-                        + variance_target(self.dataset, &right, rm) * right.len() as f64;
+                    let lm = mean_target(targets, &left);
+                    let rm = mean_target(targets, &right);
+                    let child_var = variance_target(targets, &left, lm) * left.len() as f64
+                        + variance_target(targets, &right, rm) * right.len() as f64;
                     let gain = parent_var - child_var;
                     if best.as_ref().map(|b| gain > b.2).unwrap_or(gain > 1e-12) {
                         best = Some((feature, threshold, gain, left, right));
@@ -833,7 +1008,7 @@ mod tests {
         }
     }
 
-    /// A dataset built to provoke what could tell the two split searches
+    /// A dataset built to provoke what could tell the split searches
     /// apart, in the shapes training really has: few distinct feature
     /// values (equal-gain ties between thresholds and between features), a
     /// constant feature, a feature with at least n/2 distinct values, NaN
@@ -874,24 +1049,30 @@ mod tests {
         ds
     }
 
-    /// Build the same bootstrap sample with the split search and with its
-    /// oracle; returns both arenas (through `Debug`, which — unlike `==` —
-    /// tells -0.0 from 0.0).
-    fn build_both_ways(
+    /// The arenas (through `Debug`, which — unlike `==` — tells -0.0 from
+    /// 0.0) of one bootstrap sample's tree built three ways: the presorted
+    /// search, the per-node-sort search it replaced, and the partitioning
+    /// oracle.
+    fn build_three_ways(
         ds: &Dataset,
         config: &RandomForestConfig,
         features_per_split: usize,
         seed: u64,
-    ) -> (String, String) {
+    ) -> [String; 3] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xb007);
         // A bootstrap sample: indices repeat, in no particular order.
         let indices: Vec<usize> = (0..ds.len()).map(|_| rng.gen_range(0..ds.len())).collect();
-        let builder =
-            || TreeBuilder::new(ds, config, features_per_split, ChaCha8Rng::seed_from_u64(seed ^ 0x5eed));
-        let (mut fast, mut oracle) = (builder(), builder());
-        fast.build(&indices, 0);
-        oracle.build_by_partition(&indices, 0);
-        (format!("{:?}", fast.nodes), format!("{:?}", oracle.nodes))
+        let columns = FeatureColumns::new(ds, |s| s.target);
+        let builder = || {
+            TreeBuilder::new(&columns, config, features_per_split, ChaCha8Rng::seed_from_u64(seed ^ 0x5eed))
+        };
+        let (mut presorted, mut per_node, mut oracle) = (builder(), builder(), builder());
+        presorted.grow(&indices);
+        per_node.sort_per_node = true;
+        per_node.grow(&indices);
+        let samples: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
+        oracle.build_by_partition(&samples, 0);
+        [presorted, per_node, oracle].map(|b| format!("{:?}", b.nodes))
     }
 
     #[test]
@@ -902,8 +1083,9 @@ mod tests {
             ds.samples[7].target = poison;
             ds.samples[31].target = -poison;
             let config = RandomForestConfig { min_samples_split: 2, ..Default::default() };
-            let (fast, oracle) = build_both_ways(&ds, &config, 7, 9);
-            assert_eq!(fast, oracle, "poison {poison}");
+            let [presorted, per_node, oracle] = build_three_ways(&ds, &config, 7, 9);
+            assert_eq!(presorted, oracle, "poison {poison}");
+            assert_eq!(per_node, oracle, "poison {poison}");
         }
     }
 
@@ -926,8 +1108,9 @@ mod tests {
         }
         let config = RandomForestConfig::default();
         let indices: Vec<usize> = (0..ds.len()).map(|_| rng.gen_range(0..ds.len())).collect();
-        let mut builder = TreeBuilder::new(&ds, &config, 2, ChaCha8Rng::seed_from_u64(7));
-        builder.build(&indices, 0);
+        let columns = FeatureColumns::new(&ds, |s| s.target);
+        let mut builder = TreeBuilder::new(&columns, &config, 2, ChaCha8Rng::seed_from_u64(7));
+        builder.grow(&indices);
         let split_nodes =
             builder.nodes.iter().filter(|node| matches!(node, Node::Split { .. })).count();
         assert!(split_nodes > 50, "the pinned dataset should grow a real tree, got {split_nodes} splits");
@@ -954,6 +1137,9 @@ mod tests {
 
     proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// The presorted search, the per-node-sort search it replaced and
+        /// the partitioning oracle build bit-identical trees — ties,
+        /// duplicate rows, a constant column, NaN and ±∞ features included.
         #[test]
         fn split_search_builds_the_same_tree_as_partitioning(
             n in 5usize..2_000,
@@ -964,10 +1150,11 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let ds = awkward_dataset(&mut rng, n, target_kind);
             let config = RandomForestConfig { min_samples_split: 2, ..Default::default() };
-            let (fast, oracle) = build_both_ways(&ds, &config, features_per_split, seed);
-            prop_assert_eq!(&fast, &oracle);
+            let [presorted, per_node, oracle] = build_three_ways(&ds, &config, features_per_split, seed);
+            prop_assert_eq!(&presorted, &per_node);
+            prop_assert_eq!(&presorted, &oracle);
             // With every feature a candidate, a node of this size splits.
-            prop_assert!(n < 20 || features_per_split < 7 || fast.contains("Split"));
+            prop_assert!(n < 20 || features_per_split < 7 || presorted.contains("Split"));
         }
     }
 }

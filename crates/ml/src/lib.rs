@@ -24,6 +24,8 @@
 //! [`codec`] (`encode_into` / `decode_from`), which is what the train-once /
 //! serve-many model artifact in `ltee-core` is built on.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod aggregate;
 pub mod codec;
 pub mod dataset;

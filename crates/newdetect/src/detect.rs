@@ -1,7 +1,5 @@
 //! Candidate selection and new/existing classification.
 
-use std::collections::HashMap;
-
 use ltee_index::LabelIndex;
 use ltee_intern::Interner;
 use ltee_kb::{InstanceId, KnowledgeBase};
@@ -79,9 +77,9 @@ pub struct NewDetectionResult {
 /// is materialised **once**, not once per entity that retrieves it:
 ///
 /// 1. candidate ids per entity — parallel, read-only index lookups;
-/// 2. one [`InstanceContext`] per distinct candidate — sequential (it
-///    interns labels), in first-retrieval order, so sym assignment is
-///    deterministic;
+/// 2. one [`InstanceContext`] per distinct candidate — the bodies in
+///    parallel, the label tokens interned sequentially in first-retrieval
+///    order, so sym assignment is deterministic;
 /// 3. ranking and scoring — parallel over entities against the shared
 ///    read-only candidate cache.
 pub fn detect_new(
@@ -102,12 +100,10 @@ pub fn detect_new(
     // only for candidates that pass the class gate of at least one
     // retrieving entity, so class-incompatible instances never cost a
     // context build or grow the run interner's arena.
-    let mut cache: HashMap<InstanceId, InstanceContext> = HashMap::new();
-    for (entity, ids) in entities.iter().zip(&ids_per_entity) {
-        InstanceContext::build_missing(&mut cache, ids, kb, interner, |instance| {
-            class_compatible(instance.class, entity)
-        });
-    }
+    let retrievals = entities.iter().zip(ids_per_entity.iter().map(Vec::as_slice));
+    let cache = InstanceContext::build_retrieved(retrievals, kb, interner, |instance, entity| {
+        class_compatible(instance.class, entity)
+    });
 
     // Phase 3: rank and score.
     let interner = &*interner;
@@ -128,14 +124,6 @@ pub fn detect_new(
             // Popularity: rank by page links (stable sort — retrieval order
             // breaks ties), score = 1/rank; single candidate → 1.0.
             candidates.sort_by_key(|c| std::cmp::Reverse(c.page_links));
-            if candidates.is_empty() {
-                return NewDetectionResult {
-                    entity: idx,
-                    outcome: NewDetectionOutcome::New,
-                    best_score: 0.0,
-                    candidate_count: 0,
-                };
-            }
             let n = candidates.len();
             let mut best: Option<(InstanceId, f64)> = None;
             for (rank, instance_ctx) in candidates.iter().enumerate() {
@@ -145,7 +133,15 @@ pub fn detect_new(
                     best = Some((instance_ctx.id, score));
                 }
             }
-            let (instance, score) = best.expect("candidates non-empty");
+            // No candidate: new, with nothing to score against.
+            let Some((instance, score)) = best else {
+                return NewDetectionResult {
+                    entity: idx,
+                    outcome: NewDetectionOutcome::New,
+                    best_score: 0.0,
+                    candidate_count: 0,
+                };
+            };
             let outcome = if score > config.existing_margin {
                 NewDetectionOutcome::Existing(instance)
             } else {
@@ -158,7 +154,7 @@ pub fn detect_new(
 
 /// Whether an instance of `class` is a valid candidate for `entity`: same
 /// class, or the two classes share an ancestor.
-fn class_compatible(class: ltee_kb::ClassKey, entity: &EntityContext) -> bool {
+pub(crate) fn class_compatible(class: ltee_kb::ClassKey, entity: &EntityContext) -> bool {
     class == entity.entity().class
         || class.ancestors().iter().any(|a| entity.entity().class.ancestors().contains(a))
 }
@@ -166,7 +162,7 @@ fn class_compatible(class: ltee_kb::ClassKey, entity: &EntityContext) -> bool {
 /// Gather the candidate instance ids of an entity: label-index lookups for
 /// every entity label, score-filtered, deduplicated in retrieval order and
 /// capped at the configured candidate count.
-fn candidate_ids(
+pub(crate) fn candidate_ids(
     entity: &EntityContext,
     label_index: &LabelIndex,
     config: &NewDetectionConfig,

@@ -19,8 +19,12 @@
 //!    a learned threshold the entity is classified as *new*; otherwise it is
 //!    classified as *existing* and linked to that candidate.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod detect;
 pub mod metrics;
+#[cfg(test)]
+mod sequential;
 pub mod train;
 
 pub use detect::{detect_new, NewDetectionConfig, NewDetectionOutcome, NewDetectionResult};

@@ -1,6 +1,6 @@
 //! Entity-to-instance similarity metrics.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::{HashMap, HashSet};
 
 use ltee_fusion::Entity;
 use ltee_intern::{Interner, TokenSeq};
@@ -9,6 +9,7 @@ use ltee_ml::{PairFeatures, PairwiseModel};
 use ltee_text::{cosine_similarity, monge_elkan_tokens, normalize_label, tokenize_interned, BowVector};
 use ltee_types::{PreparedValue, Value};
 use ltee_webtables::Corpus;
+use rayon::prelude::*;
 
 use ltee_clustering::ImplicitAttributes;
 
@@ -205,8 +206,8 @@ pub struct InstanceContext {
     /// [`InstanceContext::fact`].
     facts: Vec<(String, Value)>,
     /// The values of `facts` prepared for similarity scoring, position by
-    /// position; written together with `facts`, by
-    /// [`InstanceContext::build`] alone.
+    /// position; written together with `facts`, by `InstanceContext::body`
+    /// alone.
     prepared_facts: Vec<PreparedValue>,
     /// Page-link popularity.
     pub page_links: u64,
@@ -215,8 +216,10 @@ pub struct InstanceContext {
 }
 
 impl InstanceContext {
-    /// Build the context for an instance, interning its labels' tokens.
-    pub fn build(instance: &Instance, kb: &KnowledgeBase, interner: &mut Interner) -> Self {
+    /// Everything of an instance's context but its label tokens — a
+    /// function of the instance and the frozen knowledge base alone — and
+    /// the normalised labels whose tokens `mint_label_tokens` interns.
+    pub(crate) fn body(instance: &Instance, kb: &KnowledgeBase) -> (Self, Vec<String>) {
         let mut bow = BowVector::new();
         for label in &instance.labels {
             bow.add_text(label);
@@ -230,12 +233,8 @@ impl InstanceContext {
             }
         }
         let prepared_facts = facts.iter().map(|(_, value)| PreparedValue::new(value)).collect();
-        Self {
-            label_tokens: instance
-                .labels
-                .iter()
-                .map(|l| tokenize_interned(&normalize_label(l), interner))
-                .collect(),
+        let context = Self {
+            label_tokens: Vec::new(),
             bow,
             class: instance.class,
             class_hierarchy: class_hierarchy_of(instance.class),
@@ -243,27 +242,49 @@ impl InstanceContext {
             prepared_facts,
             page_links: instance.page_links,
             id: instance.id,
-        }
+        };
+        (context, instance.labels.iter().map(|l| normalize_label(l)).collect())
     }
 
-    /// Build the context of every instance among `ids` that `cache` does
-    /// not hold yet and `admit` lets through, in `ids` order: each distinct
-    /// candidate is materialised once, and its label tokens are minted into
-    /// `interner` in first-retrieval order (the order checkpoints persist).
-    pub(crate) fn build_missing(
-        cache: &mut HashMap<InstanceId, InstanceContext>,
-        ids: &[InstanceId],
+    /// Intern the tokens of the instance's normalised labels.
+    pub(crate) fn mint_label_tokens(&mut self, normalized_labels: &[String], interner: &mut Interner) {
+        self.label_tokens = normalized_labels.iter().map(|l| tokenize_interned(l, interner)).collect();
+    }
+
+    /// The context of every distinct instance that `retrievals` — each
+    /// entity with the candidate ids it retrieved — name and `admit` lets
+    /// through for a retrieving entity, keyed by id. Each instance is
+    /// materialised once however many entities retrieve it: the bodies on
+    /// the pool, then the label tokens minted into `interner` in
+    /// first-retrieval order — the order checkpoints persist, which is why
+    /// minting alone stays sequential.
+    pub(crate) fn build_retrieved<'e>(
+        retrievals: impl IntoIterator<Item = (&'e EntityContext, &'e [InstanceId])>,
         kb: &KnowledgeBase,
         interner: &mut Interner,
-        admit: impl Fn(&Instance) -> bool,
-    ) {
-        for &id in ids {
-            if let Entry::Vacant(slot) = cache.entry(id) {
-                if let Some(instance) = kb.instance(id).filter(|instance| admit(instance)) {
-                    slot.insert(Self::build(instance, kb, interner));
+        admit: impl Fn(&Instance, &EntityContext) -> bool,
+    ) -> HashMap<InstanceId, InstanceContext> {
+        let mut queued: HashSet<InstanceId> = HashSet::new();
+        let mut to_build: Vec<(InstanceId, &Instance)> = Vec::new();
+        for (entity, ids) in retrievals {
+            for &id in ids {
+                if queued.contains(&id) {
+                    continue;
+                }
+                if let Some(instance) = kb.instance(id).filter(|instance| admit(instance, entity)) {
+                    queued.insert(id);
+                    to_build.push((id, instance));
                 }
             }
         }
+        let bodies: Vec<(Self, Vec<String>)> =
+            to_build.par_iter().map(|&(_, instance)| Self::body(instance, kb)).collect();
+        let mut contexts = HashMap::with_capacity(bodies.len());
+        for ((id, _), (mut context, labels)) in to_build.into_iter().zip(bodies) {
+            context.mint_label_tokens(&labels, interner);
+            contexts.insert(id, context);
+        }
+        contexts
     }
 
     /// The fact value for a property.

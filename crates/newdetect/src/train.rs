@@ -4,6 +4,7 @@ use ltee_index::LabelIndex;
 use ltee_intern::Interner;
 use ltee_kb::{InstanceId, KnowledgeBase};
 use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseModel, PairwiseTrainingConfig, Sample};
+use rayon::prelude::*;
 
 use crate::metrics::{
     entity_metric_feature_names, entity_metric_features, EntityContext, EntityMetricKind,
@@ -63,43 +64,62 @@ pub fn build_entity_pair_dataset(
     PairFeatures::assert_metric_count(metrics.len());
     let mut dataset = Dataset::new(entity_metric_feature_names(metrics));
 
-    // Each distinct candidate instance is materialised (and its labels
-    // interned) once, however many entities retrieve it.
-    let mut cache: std::collections::HashMap<InstanceId, InstanceContext> =
-        std::collections::HashMap::new();
-
-    for (entity, true_instance) in entities.iter().zip(truth.iter()) {
-        // Candidate instances via the label index (as at detection time).
-        let mut ids: Vec<InstanceId> = Vec::new();
-        for label in &entity.entity().labels {
-            for m in label_index.lookup(label, config.candidates) {
-                let id = InstanceId(m.id);
-                if !ids.contains(&id) {
-                    ids.push(id);
+    // Candidate instances via the label index (as at detection time), on
+    // the pool.
+    let ids_per_entity: Vec<Vec<InstanceId>> = entities
+        .par_iter()
+        .enumerate()
+        .map(|(idx, entity)| {
+            let mut ids: Vec<InstanceId> = Vec::new();
+            for label in &entity.entity().labels {
+                for m in label_index.lookup(label, config.candidates) {
+                    let id = InstanceId(m.id);
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
                 }
             }
-        }
-        // Ensure the true instance is among the pairs even if the index
-        // missed it (it is a legitimate positive example).
-        if let Some(t) = true_instance {
-            if !ids.contains(t) {
-                ids.push(*t);
+            // Ensure the true instance is among the pairs even if the index
+            // missed it (it is a legitimate positive example).
+            if let Some(t) = truth[idx] {
+                if !ids.contains(&t) {
+                    ids.push(t);
+                }
             }
-        }
-        if ids.is_empty() {
-            continue;
-        }
-        InstanceContext::build_missing(&mut cache, &ids, kb, interner, |_| true);
-        let mut contexts: Vec<&InstanceContext> =
-            ids.iter().filter_map(|id| cache.get(id)).collect();
-        contexts.sort_by_key(|c| std::cmp::Reverse(c.page_links));
-        let n = contexts.len();
-        for (rank, ctx) in contexts.iter().enumerate() {
-            let popularity = if n == 1 { 1.0 } else { 1.0 / (rank + 1) as f64 };
-            let features = entity_metric_features(metrics, entity, ctx, popularity, interner).to_vec();
-            let target = if Some(ctx.id) == *true_instance { 1.0 } else { 0.0 };
-            dataset.push(Sample::new(features, target));
-        }
+            ids
+        })
+        .collect();
+
+    // Each distinct candidate instance is materialised (and its labels
+    // interned) once, however many entities retrieve it.
+    let retrievals = entities.iter().zip(ids_per_entity.iter().map(Vec::as_slice));
+    let cache = InstanceContext::build_retrieved(retrievals, kb, interner, |_, _| true);
+
+    // Pairs are scored on the pool and pushed in entity order, so the
+    // dataset is the same at every thread count.
+    let interner = &*interner;
+    let per_entity: Vec<Vec<Sample>> = entities
+        .par_iter()
+        .enumerate()
+        .map(|(idx, entity)| {
+            let mut contexts: Vec<&InstanceContext> =
+                ids_per_entity[idx].iter().filter_map(|id| cache.get(id)).collect();
+            contexts.sort_by_key(|c| std::cmp::Reverse(c.page_links));
+            let n = contexts.len();
+            contexts
+                .iter()
+                .enumerate()
+                .map(|(rank, ctx)| {
+                    let popularity = if n == 1 { 1.0 } else { 1.0 / (rank + 1) as f64 };
+                    let features = entity_metric_features(metrics, entity, ctx, popularity, interner).to_vec();
+                    let target = if Some(ctx.id) == truth[idx] { 1.0 } else { 0.0 };
+                    Sample::new(features, target)
+                })
+                .collect()
+        })
+        .collect();
+    for sample in per_entity.into_iter().flatten() {
+        dataset.push(sample);
     }
     dataset
 }
@@ -269,6 +289,62 @@ mod tests {
             }
         }
         assert_eq!(ltee_ml::fnv1a64(&bytes), 0x4aa75feca1d99e17, "{samples} samples");
+    }
+
+    /// Entity pair datasets and new detection on the pool equal their
+    /// sequential oracles at 1 and at 4 threads — samples, results and the
+    /// run interner's contents in mint order.
+    #[test]
+    fn pooled_new_detection_equals_the_sequential_oracle() {
+        let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 81));
+        let kb = world.kb();
+        let config = EntityModelTrainingConfig::fast();
+        let interned = |interner: &Interner| interner.iter().map(|(_, s)| s.to_string()).collect::<Vec<_>>();
+        for class in ltee_kb::CLASS_KEYS {
+            let index = kb.class_label_index(class);
+            let mut interner = Interner::new();
+            let (heads, tails) = (world.head_of_class(class), world.long_tail_of_class(class));
+            let (mut entities, mut truth) = (Vec::new(), Vec::new());
+            for e in heads.iter().take(20).chain(tails.iter().take(15)) {
+                entities.push(entity_from_world(&world, e, &mut interner));
+                truth.push(world.instance_for_entity(e.id));
+            }
+            let mut oracle_interner = interner.clone();
+            let oracle = crate::sequential::build_entity_pair_dataset(
+                &entities,
+                &truth,
+                kb,
+                index,
+                &EntityMetricKind::ALL,
+                &config,
+                &mut oracle_interner,
+            );
+            assert!(oracle_interner.len() > interner.len(), "{class}: instance contexts must mint tokens");
+            let model = train_entity_model(&oracle, EntityMetricKind::ALL.to_vec(), &config);
+            let detection = NewDetectionConfig::default();
+            let oracle_results =
+                crate::sequential::detect_new(&entities, kb, index, &model, &detection, &mut oracle_interner);
+            let new = oracle_results.iter().filter(|r| r.outcome.is_new()).count();
+            assert!(0 < new && new < oracle_results.len(), "{class}: both outcomes must occur");
+            for threads in [1, 4] {
+                rayon::ThreadPoolBuilder::new().num_threads(threads).build_global().expect("never fails");
+                let mut pooled_interner = interner.clone();
+                let pooled = build_entity_pair_dataset(
+                    &entities,
+                    &truth,
+                    kb,
+                    index,
+                    &EntityMetricKind::ALL,
+                    &config,
+                    &mut pooled_interner,
+                );
+                let (got, expected) = (format!("{:?}", pooled.samples), format!("{:?}", oracle.samples));
+                assert_eq!(got, expected, "{class} at {threads}");
+                let results = detect_new(&entities, kb, index, &model, &detection, &mut pooled_interner);
+                assert_eq!(results, oracle_results, "{class} at {threads}");
+                assert_eq!(interned(&pooled_interner), interned(&oracle_interner), "{class} at {threads}");
+            }
+        }
     }
 
     #[test]
