@@ -10,48 +10,53 @@
 //!
 //! ## What is persisted vs. rebuilt
 //!
-//! The checkpoint persists the **expensive model-driven decisions** and
-//! rebuilds the **cheap derived state** on restore:
+//! The checkpoint persists the **model-driven decisions** and rebuilds
+//! everything that is a deterministic function of them on restore:
 //!
 //! * persisted — the accumulated corpus (tables in arrival order), the
 //!   accumulated schema mapping, and per class the interner arena (every
 //!   string, in mint order, so every `Sym` id is reproduced exactly), the
-//!   cluster assignments, fused entities and new-detection results;
+//!   cluster assignments and the new-detection results;
 //! * rebuilt — row contexts, the prefix blocking index and per-cluster
 //!   block keys ([`StreamingClusterer::from_parts`]), frozen PHI vectors
 //!   (replayed per table in arrival order), implicit attributes and KBT
 //!   scores (both pure functions of corpus + mapping + frozen KB) — by
-//!   the same per-class statistics step ingest runs on every batch.
+//!   the same per-class statistics step ingest runs on every batch — and
+//!   the fused entities, by the same fusion call ingest makes on the
+//!   clusters a batch touches, here over every cluster.
 //!
-//! Skipping schema matching, pair scoring and fusion on restore is what
-//! makes cold recovery faster than re-ingesting the corpus (recorded, not
-//! asserted: `recover_s` beside `ingest_rows_per_s` in every `kbbench`
-//! run, `core.restore_s` in its per-layer metrics); the incremental-
-//! equivalence contract (every rebuilt structure is a deterministic
-//! function of the persisted decisions) is what makes the restored
-//! pipeline **bit-identical** to the one that wrote the checkpoint —
+//! Fusion reads only a cluster's rows, their tables and mappings and the
+//! per-table KBT scores, none of which changes once a table is ingested,
+//! so an entity re-fused on restore equals the one ingest fused when its
+//! cluster last changed, however many batches ago. New detection stays
+//! persisted: it is a model decision that scores against the knowledge
+//! base and costs far more than fusion. Skipping schema matching, pair
+//! scoring and new detection on restore is what makes cold recovery
+//! faster than re-ingesting the corpus (recorded, not asserted:
+//! `recover_s` beside `ingest_rows_per_s` in every `kbbench` run,
+//! `core.restore_s` in its per-layer metrics); the incremental-equivalence
+//! contract (every rebuilt structure is a deterministic function of the
+//! persisted decisions) is what makes the restored pipeline
+//! **bit-identical** to the one that wrote the checkpoint —
 //! `tests/recovery_equivalence.rs` proves it end to end.
 //!
-//! ## File format (version 3)
+//! ## File format (version 4)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEECKP\x01"`, format version 3 and two header words: the
+//! with magic `b"LTEECKP\x01"`, format version 4 and two header words: the
 //! config fingerprint ([`config_fingerprint`]) and the applied-batch count
 //! (non-empty ingests == snapshot version). The payload is `string table ·
-//! corpus · mapping · per-class interner strings / clusters / entities /
-//! results`, in the codec's *compact* spelling: every count, id and index
-//! is a LEB128 varint, every string — header, cell, property, label, text
-//! value, interner entry — is a varint reference into the one string table
-//! at the head of the payload (each distinct string once, in first-use
-//! order, so the bytes are a function of the state alone), a cluster's
-//! ascending row indexes are its first row and the gaps between the rest,
-//! signed integers (a date's year, a nominal integer) are zigzag varints,
-//! and every `f64` is its eight-byte bit pattern. A web-table stream
-//! repeats itself — an entity's labels and facts are cells the corpus
-//! section already wrote, its properties the mapping's — so the table is
-//! where most of the bytes go away: on the benchmark's stream a quarter of
-//! the strings a checkpoint references are distinct ([`CheckpointLayout`]
-//! reports both counts and the bytes of every section).
+//! corpus · mapping · per-class interner strings / clusters / results`, in
+//! the codec's *compact* spelling: every count, id and index is a LEB128
+//! varint, every string — header, cell, property, interner entry — is a
+//! varint reference into the one string table at the head of the payload
+//! (each distinct string once, in first-use order, so the bytes are a
+//! function of the state alone), a cluster's ascending row indexes are its
+//! first row and the gaps between the rest, and every `f64` is its
+//! eight-byte bit pattern. A result is its outcome, best score and
+//! candidate count; the cluster it belongs to is its position.
+//! [`CheckpointLayout`] reports the bytes of every section and how many of
+//! the referenced strings are distinct.
 //!
 //! The per-class sections (since version 2, the class-sharding PR) hold one
 //! interner arena per class: each class owns its interner at serve time.
@@ -60,13 +65,14 @@
 //! [`crate::ShardPlan`] (shard and thread counts are both excluded from the
 //! config fingerprint).
 //!
-//! Versions 1 and 2 are refused with
+//! Versions 1 to 3 are refused with
 //! [`CheckpointError::UnsupportedVersion`], by version, before a payload
 //! byte is read: version 1's global interner arena cannot be split per
-//! class after the fact, and version 2 is the fixed-width spelling of this
-//! payload — reading it would mean a second decoder, kept correct and
-//! fuzzed for as long as the first, for a store that re-ingesting its
-//! source stream rebuilds (the precedent version 1 set). The store treats
+//! class after the fact, version 2 is the fixed-width spelling of version
+//! 3, and version 3 is this payload plus a fused-entity section per class
+//! — reading either would mean a second decoder, kept correct and fuzzed
+//! for as long as the first, for a store that re-ingesting its source
+//! stream rebuilds (the precedent version 1 set). The store treats
 //! an intact checkpoint of another version as a hard error, never as a
 //! corrupt file to skip (`ltee_store::KbStore::open`).
 //!
@@ -75,14 +81,13 @@
 //! remaining stream and every string reference against the table and the
 //! stream's expansion budget (no allocation bombs), and the decoded state is
 //! cross-validated (tables well-formed, ids unique, clusters partition the
-//! mapped rows in founding order) before any of it is trusted. Restoring
-//! additionally rejects a checkpoint written under a different inference
-//! configuration ([`CheckpointError::ConfigMismatch`]).
+//! mapped rows in founding order, one result per cluster) before any of it
+//! is trusted. Restoring additionally rejects a checkpoint written under a
+//! different inference configuration ([`CheckpointError::ConfigMismatch`]).
 
 use std::collections::HashSet;
 
 use ltee_clustering::StreamingClusterer;
-use ltee_fusion::Entity;
 use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{AttributeMatch, CorpusMapping, TableMapping};
@@ -90,8 +95,8 @@ use ltee_ml::codec::{
     self, ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter,
 };
 use ltee_newdetect::{NewDetectionOutcome, NewDetectionResult};
-use ltee_types::{DataType, Date, DateGranularity, DetectedType, Value};
-use ltee_webtables::{Column, Corpus, RowRef, TableId, TableTruth, WebTable};
+use ltee_types::{DataType, DetectedType};
+use ltee_webtables::{Column, Corpus, TableId, TableTruth, WebTable};
 
 use crate::artifact::config_fingerprint;
 use crate::incremental::{class_rows_in_arrival_order, ClassState, IncrementalPipeline};
@@ -101,7 +106,7 @@ use crate::pipeline::{PipelineConfig, TrainedModels};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"LTEECKP\x01";
 
 /// The checkpoint format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
@@ -170,71 +175,10 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
-// ───────────────────────── value / table / mapping codecs ────────────────
+// ─────────────────────────── table / mapping codecs ──────────────────────
 //
 // Every encoder takes the stream's string table beside the writer, every
 // decoder beside the reader: a string is a varint reference into it.
-
-fn encode_value_into<'a>(value: &'a Value, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
-    match value {
-        Value::Text(s) => {
-            w.write_u8(0);
-            strings.write_ref(w, s);
-        }
-        Value::Nominal(s) => {
-            w.write_u8(1);
-            strings.write_ref(w, s);
-        }
-        Value::InstanceRef(s) => {
-            w.write_u8(2);
-            strings.write_ref(w, s);
-        }
-        Value::Date(d) => {
-            w.write_u8(3);
-            w.write_varint_signed(i64::from(d.year));
-            w.write_u8(d.month);
-            w.write_u8(d.day);
-            w.write_u8(match d.granularity {
-                DateGranularity::Year => 0,
-                DateGranularity::Day => 1,
-            });
-        }
-        Value::Quantity(q) => {
-            w.write_u8(4);
-            w.write_f64(*q);
-        }
-        Value::NominalInt(i) => {
-            w.write_u8(5);
-            w.write_varint_signed(*i);
-        }
-    }
-}
-
-fn decode_value_from(
-    r: &mut ByteReader<'_>,
-    strings: &mut StringTable<'_>,
-) -> Result<Value, CodecError> {
-    match r.read_u8("value tag")? {
-        0 => Ok(Value::Text(strings.read_ref(r, "text value")?.to_string())),
-        1 => Ok(Value::Nominal(strings.read_ref(r, "nominal value")?.to_string())),
-        2 => Ok(Value::InstanceRef(strings.read_ref(r, "instance-ref value")?.to_string())),
-        3 => {
-            let year = i32::try_from(r.read_varint_signed("date year")?)
-                .map_err(|_| CodecError::InvalidVarint { what: "date year" })?;
-            let month = r.read_u8("date month")?;
-            let day = r.read_u8("date day")?;
-            let granularity = match r.read_u8("date granularity")? {
-                0 => DateGranularity::Year,
-                1 => DateGranularity::Day,
-                tag => return Err(CodecError::InvalidTag { what: "date granularity", tag }),
-            };
-            Ok(Value::Date(Date { year, month, day, granularity }))
-        }
-        4 => Ok(Value::Quantity(r.read_f64("quantity value")?)),
-        5 => Ok(Value::NominalInt(r.read_varint_signed("nominal-int value")?)),
-        tag => Err(CodecError::InvalidTag { what: "value", tag }),
-    }
-}
 
 fn data_type_tag(dt: DataType) -> u8 {
     match dt {
@@ -434,42 +378,9 @@ fn decode_cluster_from(r: &mut ByteReader<'_>) -> Result<Vec<usize>, CheckpointE
     Ok(rows)
 }
 
-fn encode_entity_into<'a>(entity: &'a Entity, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
-    // The class is implied by the per-class section the entity sits in.
-    w.write_varint_seq(&entity.rows, |w, row| {
-        w.write_varint(row.table.raw());
-        w.write_varint(row.row as u64);
-    });
-    w.write_varint_seq(&entity.labels, |w, label| strings.write_ref(w, label));
-    w.write_varint_seq(&entity.facts, |w, (property, value, score)| {
-        strings.write_ref(w, property);
-        encode_value_into(value, strings, w);
-        w.write_f64(*score);
-    });
-}
-
-fn decode_entity_from(
-    r: &mut ByteReader<'_>,
-    strings: &mut StringTable<'_>,
-    class: ClassKey,
-) -> Result<Entity, CodecError> {
-    let rows = r.read_varint_seq("entity rows", 2, |r| {
-        let table = TableId(r.read_varint("entity row table")?);
-        Ok::<_, CodecError>(RowRef::new(table, r.read_varint_usize("entity row index")?))
-    })?;
-    let labels = r.read_varint_seq("entity labels", 1, |r| {
-        strings.read_ref(r, "entity label").map(str::to_string)
-    })?;
-    let facts = r.read_varint_seq("entity facts", 11, |r| {
-        let property = strings.read_ref(r, "fact property")?.to_string();
-        let value = decode_value_from(r, strings)?;
-        Ok::<_, CodecError>((property, value, r.read_f64("fact score")?))
-    })?;
-    Ok(Entity { class, rows, labels, facts })
-}
-
+/// A detection result without its `entity`, which is the result's position
+/// in its class section.
 fn encode_result_into(result: &NewDetectionResult, w: &mut ByteWriter) {
-    w.write_varint(result.entity as u64);
     match result.outcome {
         NewDetectionOutcome::New => w.write_u8(0),
         NewDetectionOutcome::Existing(instance) => {
@@ -481,8 +392,10 @@ fn encode_result_into(result: &NewDetectionResult, w: &mut ByteWriter) {
     w.write_varint(result.candidate_count as u64);
 }
 
-fn decode_result_from(r: &mut ByteReader<'_>) -> Result<NewDetectionResult, CodecError> {
-    let entity = r.read_varint_usize("result entity")?;
+fn decode_result_from(
+    r: &mut ByteReader<'_>,
+    entity: usize,
+) -> Result<NewDetectionResult, CodecError> {
     let outcome = match r.read_u8("result outcome")? {
         0 => NewDetectionOutcome::New,
         1 => NewDetectionOutcome::Existing(ltee_kb::InstanceId(r.read_varint("result instance")?)),
@@ -502,7 +415,6 @@ struct ClassDump {
     /// reproduces every `Sym` id of the class exactly.
     interner: Interner,
     clusters: Vec<Vec<usize>>,
-    entities: Vec<Entity>,
     results: Vec<NewDetectionResult>,
 }
 
@@ -534,7 +446,6 @@ pub struct PipelineCheckpoint {
 struct ClassView<'a> {
     interner: &'a Interner,
     clusters: &'a [Vec<usize>],
-    entities: &'a [Entity],
     results: &'a [NewDetectionResult],
 }
 
@@ -569,8 +480,6 @@ pub struct CheckpointLayout {
     pub interner: usize,
     /// Per-class cluster assignments.
     pub clusters: usize,
-    /// Per-class fused entities.
-    pub entities: usize,
     /// Per-class new-detection results.
     pub results: usize,
     /// String references in the payload — the strings a table-less layout
@@ -589,7 +498,6 @@ impl CheckpointLayout {
             + 1
             + self.interner
             + self.clusters
-            + self.entities
             + self.results
     }
 }
@@ -611,7 +519,6 @@ impl IncrementalPipeline<'_> {
                 .map(|s| ClassView {
                     interner: &s.interner,
                     clusters: s.clusterer.clusters(),
-                    entities: &s.entities,
                     results: &s.results,
                 })
                 .collect(),
@@ -658,8 +565,7 @@ impl CheckpointView<'_> {
             layout.interner += grown(&w);
             w.write_varint_seq(class.clusters, |w, cluster| encode_cluster_into(cluster, w));
             layout.clusters += grown(&w);
-            w.write_varint_seq(class.entities, |w, entity| encode_entity_into(entity, &mut strings, w));
-            layout.entities += grown(&w);
+            debug_assert!(class.results.iter().enumerate().all(|(i, r)| r.entity == i));
             w.write_varint_seq(class.results, |w, result| encode_result_into(result, w));
             layout.results += grown(&w);
         }
@@ -693,7 +599,6 @@ impl PipelineCheckpoint {
                 .map(|dump| ClassView {
                     interner: &dump.interner,
                     clusters: &dump.clusters,
-                    entities: &dump.entities,
                     results: &dump.results,
                 })
                 .collect(),
@@ -744,7 +649,7 @@ impl PipelineCheckpoint {
             }
             Ok(mapping)
         })?;
-        let num_classes = r.read_varint_len("class states", 4)?;
+        let num_classes = r.read_varint_len("class states", 3)?;
         if num_classes != CLASS_KEYS.len() {
             return Err(CheckpointError::Corrupted(format!(
                 "checkpoint holds {num_classes} class states, this build has {}",
@@ -768,11 +673,12 @@ impl PipelineCheckpoint {
                 }
             }
             let clusters = r.read_varint_seq("clusters", 1, decode_cluster_from)?;
-            let entities = r.read_varint_seq("entities", 3, |r| {
-                decode_entity_from(r, &mut strings, class)
+            let mut position = 0;
+            let results = r.read_varint_seq("results", 10, |r| {
+                position += 1;
+                decode_result_from(r, position - 1)
             })?;
-            let results = r.read_varint_seq("results", 11, decode_result_from)?;
-            classes.push(ClassDump { interner, clusters, entities, results });
+            classes.push(ClassDump { interner, clusters, results });
         }
         r.expect_eof()?;
 
@@ -789,19 +695,15 @@ impl PipelineCheckpoint {
 
     /// Cross-validate the decoded state: per class, the clusters must
     /// partition the rows of that class's tables exactly once, in founding
-    /// order, with entities/results parallel to the cluster list. This is
-    /// what lets [`StreamingClusterer::from_parts`] assume well-formed
-    /// inputs.
+    /// order, with one result per cluster. This is what lets
+    /// [`StreamingClusterer::from_parts`] assume well-formed inputs.
     fn validate_state(&self) -> Result<(), CheckpointError> {
         for (&class, dump) in CLASS_KEYS.iter().zip(&self.classes) {
             let rows = class_rows_in_arrival_order(&self.corpus, &self.mapping, class);
-            if dump.entities.len() != dump.clusters.len()
-                || dump.results.len() != dump.clusters.len()
-            {
+            if dump.results.len() != dump.clusters.len() {
                 return Err(CheckpointError::Corrupted(format!(
-                    "{class}: {} clusters but {} entities / {} results",
+                    "{class}: {} clusters but {} results",
                     dump.clusters.len(),
-                    dump.entities.len(),
                     dump.results.len()
                 )));
             }
@@ -833,12 +735,6 @@ impl PipelineCheckpoint {
                     }
                     assigned[row] = true;
                 }
-                if dump.results[ci].entity != ci {
-                    return Err(CheckpointError::Corrupted(format!(
-                        "{class}: result {ci} points at cluster {}",
-                        dump.results[ci].entity
-                    )));
-                }
             }
             if let Some(unassigned) = assigned.iter().position(|&a| !a) {
                 return Err(CheckpointError::Corrupted(format!(
@@ -865,16 +761,16 @@ impl PipelineCheckpoint {
     /// id and every `f64` bit pattern.
     ///
     /// Rebuilds the derived state (contexts, blocking, PHI, implicit
-    /// attributes, KBT scores) from the persisted decisions; see the
-    /// [module docs](self). Fails with [`CheckpointError::ConfigMismatch`]
-    /// when `config` differs from the writing process's config, and with
-    /// [`CheckpointError::Corrupted`] when the rebuild detects an
-    /// inconsistency the structural validation could not (vocabulary
-    /// missing from the persisted interner).
+    /// attributes, KBT scores, fused entities) from the persisted
+    /// decisions; see the [module docs](self). Fails with
+    /// [`CheckpointError::ConfigMismatch`] when `config` differs from the
+    /// writing process's config, and with [`CheckpointError::Corrupted`]
+    /// when the rebuild detects an inconsistency the structural validation
+    /// could not (vocabulary missing from the persisted interner).
     ///
-    /// Consumes the checkpoint: corpus, mapping, clusters, entities and
-    /// results move into the pipeline, so recovery holds the decoded state
-    /// once (clone first to restore the same checkpoint twice).
+    /// Consumes the checkpoint: corpus, mapping, clusters and results move
+    /// into the pipeline, so recovery holds the decoded state once (clone
+    /// first to restore the same checkpoint twice).
     pub fn restore<'a>(
         self,
         kb: &'a KnowledgeBase,
@@ -882,6 +778,7 @@ impl PipelineCheckpoint {
         config: PipelineConfig,
     ) -> Result<IncrementalPipeline<'a>, CheckpointError> {
         self.verify_config(&config)?;
+        config.parallelism.install();
         let PipelineCheckpoint { corpus, mapping, classes, .. } = self;
 
         let mut states = Vec::with_capacity(CLASS_KEYS.len());
@@ -909,7 +806,17 @@ impl PipelineCheckpoint {
                     state.interner.len() - baseline
                 )));
             }
-            state.entities = dump.entities;
+            // The fusion call ingest makes on the clusters a batch touched
+            // (`refresh_touched_clusters`), over every cluster.
+            state.entities = ltee_fusion::create_entities_with_scores(
+                &state.clusterer.all_row_refs(),
+                &corpus,
+                &mapping,
+                kb,
+                class,
+                &config.fusion,
+                Some(&state.kbt),
+            );
             state.results = dump.results;
             states.push(state);
         }
@@ -923,55 +830,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn value_codec_round_trips_every_variant_bit_exactly() {
-        let values = vec![
-            Value::Text("héllo world".into()),
-            Value::Nominal("US-07302".into()),
-            Value::InstanceRef("New England Patriots".into()),
-            Value::Date(Date::year(-44)),
-            Value::Date(Date::year(i32::MIN)),
-            Value::Date(Date::day(1969, 7, 20)),
-            Value::Quantity(-0.0),
-            Value::Quantity(f64::NAN),
-            Value::NominalInt(-12),
-            Value::NominalInt(i64::MIN),
-            Value::NominalInt(i64::MAX),
-        ];
-        let mut strings = StringTableWriter::new();
-        let mut w = ByteWriter::new();
-        for v in &values {
-            encode_value_into(v, &mut strings, &mut w);
-        }
-        let bytes = strings.into_stream(w);
-        let mut r = ByteReader::new(&bytes);
-        let mut strings = StringTable::read_table(&mut r).unwrap();
-        for v in &values {
-            let decoded = decode_value_from(&mut r, &mut strings).unwrap();
-            match (v, &decoded) {
-                (Value::Quantity(a), Value::Quantity(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                _ => assert_eq!(*v, decoded),
-            }
-        }
-        r.expect_eof().unwrap();
-    }
-
-    #[test]
-    fn invalid_value_and_type_tags_are_rejected() {
-        // An empty string table, then value tag 9.
-        let mut r = ByteReader::new(&[0, 9]);
-        let mut strings = StringTable::read_table(&mut r).unwrap();
+    fn invalid_outcome_and_type_tags_are_rejected() {
         assert!(matches!(
-            decode_value_from(&mut r, &mut strings),
-            Err(CodecError::InvalidTag { what: "value", tag: 9 })
-        ));
-        // A year past i32 is a typed rejection, not a truncation.
-        let mut w = ByteWriter::new();
-        w.write_u8(3);
-        w.write_varint_signed(i64::from(i32::MAX) + 1);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            decode_value_from(&mut ByteReader::new(&bytes), &mut strings),
-            Err(CodecError::InvalidVarint { what: "date year" })
+            decode_result_from(&mut ByteReader::new(&[2]), 0),
+            Err(CodecError::InvalidTag { what: "detection outcome", tag: 2 })
         ));
         assert!(data_type_from_tag(6).is_err());
         assert!(detected_type_from_tag(3).is_err());
@@ -1012,59 +874,90 @@ mod tests {
         use ltee_kb::{generate_world, GeneratorConfig, Scale};
         use ltee_webtables::{generate_corpus, CorpusConfig, GoldStandard};
 
+        use crate::{IngestReport, Parallelism};
+        use ltee_fusion::ScoringMethod;
+
+        /// Every class's entities and results, and the state beside them.
+        fn assert_same_state(a: &IncrementalPipeline<'_>, b: &IncrementalPipeline<'_>, what: &str) {
+            for class in CLASS_KEYS {
+                assert_eq!(a.class_entities(class), b.class_entities(class), "{what}: {class}");
+            }
+            for (x, y) in a.states.iter().zip(&b.states) {
+                assert_eq!(x.interner.len(), y.interner.len(), "{what}");
+                assert_eq!(x.clusterer.clusters(), y.clusterer.clusters(), "{what}");
+                assert_eq!(x.phi.table_count(), y.phi.table_count(), "{what}");
+                for (r, s) in x.results.iter().zip(&y.results) {
+                    assert_eq!(r.best_score.to_bits(), s.best_score.to_bits(), "{what}");
+                }
+            }
+        }
+
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 58));
         let corpus = generate_corpus(&world, &CorpusConfig::tiny());
         let golds: Vec<GoldStandard> =
             CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-        let config = PipelineConfig::fast();
-        let models = train_models(&corpus, world.kb(), &golds, &config).unwrap();
+        let models = train_models(&corpus, world.kb(), &golds, &PipelineConfig::fast()).unwrap();
 
-        let batches = corpus.split_into_batches(3);
-        let mut original = IncrementalPipeline::new(world.kb(), models.clone(), config.clone());
-        original.ingest(&batches[0]).unwrap();
-        original.ingest(&batches[1]).unwrap();
-
-        // One encoder body: the live pipeline's borrowed view and the
-        // decoded, owned checkpoint write the same bytes.
-        let (bytes, layout) = original.checkpoint(2).encode_with_layout();
-        let decoded = PipelineCheckpoint::decode(&bytes).unwrap();
-        assert_eq!(decoded.applied_batches, 2);
-        assert_eq!(decoded.encode(), bytes);
-        assert_eq!(layout.payload_len(), bytes.len() - CHECKPOINT_PAYLOAD_START);
-        assert!(layout.strings_distinct < layout.strings_written);
-        let mut restored = decoded.clone().restore(world.kb(), models, config.clone()).unwrap();
-
-        assert_eq!(restored.corpus.tables(), original.corpus.tables());
-        for (a, b) in original.states.iter().zip(&restored.states) {
-            assert_eq!(a.interner.len(), b.interner.len());
-            assert_eq!(a.clusterer.clusters(), b.clusterer.clusters());
-            assert_eq!(a.entities, b.entities);
-            assert_eq!(a.results, b.results);
-            assert_eq!(a.phi.table_count(), b.phi.table_count());
-        }
-
-        // The decisive check: both pipelines must evolve identically.
-        let ra = original.ingest(&batches[2]).unwrap();
-        let rb = restored.ingest(&batches[2]).unwrap();
-        assert_eq!(ra, rb);
-        for (a, b) in original.states.iter().zip(&restored.states) {
-            assert_eq!(a.clusterer.clusters(), b.clusterer.clusters());
-            assert_eq!(a.entities, b.entities);
-            for (x, y) in a.results.iter().zip(&b.results) {
-                assert_eq!(x.entity, y.entity);
-                assert_eq!(x.outcome, y.outcome);
-                assert_eq!(x.best_score.to_bits(), y.best_score.to_bits());
-                assert_eq!(x.candidate_count, y.candidate_count);
+        // A checkpoint after six of eight batches, then a two-batch tail.
+        let batches = corpus.split_into_batches(8);
+        let (before, tail) = batches.split_at(6);
+        // KBT scores come from the batch at ingest and from the whole
+        // corpus on restore, so run both fusion scorings.
+        for scoring in [ScoringMethod::Matching, ScoringMethod::Kbt] {
+            let mut config = PipelineConfig::fast();
+            config.fusion.scoring = scoring;
+            let mut original = IncrementalPipeline::new(world.kb(), models.clone(), config.clone());
+            // The batch that last re-fused each cluster, per class.
+            let mut last_fused = vec![Vec::new(); CLASS_KEYS.len()];
+            for (b, batch) in before.iter().enumerate() {
+                let report = original.ingest(batch).unwrap();
+                for (class, touched) in report.touched_classes.iter().zip(&report.touched_clusters) {
+                    let slots = &mut last_fused[CLASS_KEYS.iter().position(|c| c == class).unwrap()];
+                    for &cluster in touched {
+                        slots.resize(slots.len().max(cluster + 1), 0);
+                        slots[cluster] = b;
+                    }
+                }
             }
-        }
+            // Restore must re-fuse entities whose clusters last changed long
+            // before the cut, from a corpus that grew since.
+            let stale = last_fused.iter().flatten().filter(|&&b| b + 4 < before.len()).count();
+            assert!(stale > 10, "{scoring:?}: only {stale} clusters untouched for four batches");
 
-        // Config-fingerprint guard.
-        let mut other = PipelineConfig::fast();
-        other.iterations = config.iterations + 1;
-        assert!(matches!(
-            decoded.verify_config(&other),
-            Err(CheckpointError::ConfigMismatch { .. })
-        ));
+            // One encoder body: the live pipeline's borrowed view and the
+            // decoded, owned checkpoint write the same bytes.
+            let (bytes, layout) = original.checkpoint(6).encode_with_layout();
+            let decoded = PipelineCheckpoint::decode(&bytes).unwrap();
+            assert_eq!(decoded.applied_batches, 6);
+            assert_eq!(decoded.encode(), bytes);
+            assert_eq!(layout.payload_len(), bytes.len() - CHECKPOINT_PAYLOAD_START);
+            assert!(layout.strings_distinct < layout.strings_written);
+
+            let at_cut = original.clone();
+            let reports: Vec<IngestReport> =
+                tail.iter().map(|batch| original.ingest(batch).unwrap()).collect();
+            for threads in [1, 4] {
+                let what = format!("{scoring:?} at {threads} threads");
+                let config = PipelineConfig { parallelism: Parallelism::Threads(threads), ..config.clone() };
+                let mut restored = decoded.clone().restore(world.kb(), models.clone(), config).unwrap();
+                assert_eq!(restored.corpus.tables(), at_cut.corpus.tables());
+                assert_same_state(&at_cut, &restored, &what);
+
+                // The WAL tail: both pipelines must evolve identically.
+                for (batch, report) in tail.iter().zip(&reports) {
+                    assert_eq!(&restored.ingest(batch).unwrap(), report, "{what}");
+                }
+                assert_same_state(&original, &restored, &format!("{what}, after the tail"));
+            }
+
+            // Config-fingerprint guard.
+            let mut other = config.clone();
+            other.iterations = config.iterations + 1;
+            assert!(matches!(
+                decoded.verify_config(&other),
+                Err(CheckpointError::ConfigMismatch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1077,12 +970,7 @@ mod tests {
             mapping: CorpusMapping::default(),
             classes: CLASS_KEYS
                 .iter()
-                .map(|_| ClassDump {
-                    interner: Interner::new(),
-                    clusters: vec![],
-                    entities: vec![],
-                    results: vec![],
-                })
+                .map(|_| ClassDump { interner: Interner::new(), clusters: vec![], results: vec![] })
                 .collect(),
         };
         let bytes = empty.encode();

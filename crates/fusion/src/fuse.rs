@@ -6,6 +6,7 @@ use ltee_kb::{ClassKey, KnowledgeBase};
 use ltee_matching::CorpusMapping;
 use ltee_types::{value_equivalent, DataType, EquivalenceConfig, Value};
 use ltee_webtables::{Corpus, RowRef, TableId};
+use rayon::prelude::*;
 
 use crate::entity::{CandidateValue, Entity};
 
@@ -133,6 +134,10 @@ pub fn create_entities(
 /// [`ScoringMethod::Kbt`]; pass a map built by [`kbt_scores_for_tables`]
 /// (covering at least every table the clusters reference) to avoid the
 /// full-corpus rescan that [`create_entities`] performs per call.
+///
+/// Fusing a cluster reads shared state only, so clusters fuse on the pool;
+/// the collect keeps cluster order, and the output is the same at every
+/// thread count.
 pub fn create_entities_with_scores(
     clusters: &[Vec<RowRef>],
     corpus: &Corpus,
@@ -143,7 +148,7 @@ pub fn create_entities_with_scores(
     kbt: Option<&HashMap<(TableId, usize), f64>>,
 ) -> Vec<Entity> {
     clusters
-        .iter()
+        .par_iter()
         .map(|rows| create_entity_inner(rows, corpus, mapping, kb, class, config, kbt))
         .collect()
 }
@@ -478,12 +483,17 @@ mod tests {
             mapping.tables_of_class(class).iter().map(|tm| tm.table).collect();
         assert!(all_tables.len() >= 2, "need several mapped tables");
 
-        // Computing per table (in any grouping) equals one full pass.
+        // Scoring each table with only itself in the corpus and mapping, as
+        // a micro-batch does, equals one pass over everything, as restore
+        // does: a table's scores do not change when other tables join.
         let full = kbt_scores_for_tables(&corpus, &mapping, world.kb(), class, &all_tables);
         let mut piecewise = HashMap::new();
-        for chunk in all_tables.chunks(1) {
-            piecewise.extend(kbt_scores_for_tables(&corpus, &mapping, world.kb(), class, chunk));
+        for &id in &all_tables {
+            let alone = Corpus::from_tables(vec![corpus.table(id).unwrap().clone()]);
+            let alone_mapping = CorpusMapping::from_tables(vec![mapping.table(id).unwrap().clone()]);
+            piecewise.extend(kbt_scores_for_tables(&alone, &alone_mapping, world.kb(), class, &[id]));
         }
+        assert!(!full.is_empty());
         assert_eq!(full.len(), piecewise.len());
         for (key, value) in &full {
             assert_eq!(piecewise.get(key).map(|v| v.to_bits()), Some(value.to_bits()));
@@ -523,6 +533,51 @@ mod tests {
             Some(&full),
         );
         assert_eq!(rescan, cached);
+    }
+
+    #[test]
+    fn pooled_fusion_equals_sequential_fusion_at_every_thread_count() {
+        use ltee_kb::{generate_world, GeneratorConfig, Scale};
+        use ltee_matching::{match_corpus, MatcherWeights, SchemaMatchingConfig};
+        use ltee_webtables::{generate_corpus, CorpusConfig, GoldStandard};
+
+        let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 65));
+        let corpus = generate_corpus(&world, &CorpusConfig::tiny());
+        let mapping = match_corpus(
+            &corpus,
+            world.kb(),
+            &MatcherWeights::default(),
+            &SchemaMatchingConfig::default(),
+            None,
+        );
+        for class in ltee_kb::CLASS_KEYS {
+            let gold = GoldStandard::build(&world, &corpus, class);
+            let clusters: Vec<Vec<RowRef>> = gold.clusters.into_iter().map(|c| c.rows).collect();
+            assert!(clusters.len() > 8, "{class}: too few clusters to spread over a pool");
+            let kbt = kbt_scores(&corpus, &mapping, world.kb(), class);
+            for scoring in ScoringMethod::ALL {
+                let config = EntityCreationConfig { scoring, ..Default::default() };
+                let fuse = |rows: &Vec<RowRef>| {
+                    create_entity_inner(rows, &corpus, &mapping, world.kb(), class, &config, Some(&kbt))
+                };
+                let sequential: Vec<Entity> = clusters.iter().map(fuse).collect();
+                for threads in [1, 4] {
+                    rayon::ThreadPoolBuilder::new().num_threads(threads).build_global().unwrap();
+                    let pooled = create_entities_with_scores(
+                        &clusters,
+                        &corpus,
+                        &mapping,
+                        world.kb(),
+                        class,
+                        &config,
+                        Some(&kbt),
+                    );
+                    // Debug text compares every f64 by its digits, NaN included.
+                    let (got, expected) = (format!("{pooled:?}"), format!("{sequential:?}"));
+                    assert_eq!(got, expected, "{class} {scoring:?} at {threads}");
+                }
+            }
+        }
     }
 
     #[test]

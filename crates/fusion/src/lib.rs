@@ -21,6 +21,8 @@
 //!    text and instance references, weighted median for quantities and
 //!    dates, and the (identical) value for nominals.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod entity;
 pub mod fuse;
 

@@ -33,6 +33,7 @@
 //! model artifacts store strings by value and re-intern on load.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::Arc;
 

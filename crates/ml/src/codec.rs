@@ -29,14 +29,13 @@
 //! * **fixed width** (the model artifact): integers are little-endian
 //!   `u32` / `u64`, collection lengths are `u32`, a string is its UTF-8
 //!   bytes behind a `u32` byte length;
-//! * **compact** (checkpoint v3, WAL v2 batch payloads): every integer,
+//! * **compact** (checkpoint v4, WAL v2 batch payloads): every integer,
 //!   id and count is an unsigned LEB128 varint — seven value bits per
 //!   byte, low group first, the high bit set on every byte but the last;
 //!   at most ten bytes, minimally encoded (`0x80 0x00` is refused, so a
-//!   value has exactly one spelling) — signed values are zigzag-mapped
-//!   first, and a string is a varint index into the stream's one string
-//!   table (`count · (byte length · UTF-8 bytes)*`, distinct strings in
-//!   first-use order).
+//!   value has exactly one spelling) — and a string is a varint index
+//!   into the stream's one string table (`count · (byte length · UTF-8
+//!   bytes)*`, distinct strings in first-use order).
 //!
 //! The envelope ([`seal`] / [`open`]), with `N` format-specific header
 //! words, is `magic(8) · version(u32) · N header words(u64) ·
@@ -203,12 +202,6 @@ impl ByteWriter {
         self.buf.push(v as u8);
     }
 
-    /// Append an `i64` as a zigzag-mapped varint (small magnitudes of
-    /// either sign stay short).
-    pub fn write_varint_signed(&mut self, v: i64) {
-        self.write_varint(((v << 1) ^ (v >> 63)) as u64);
-    }
-
     /// Append an `f64` as its IEEE-754 bit pattern (bit-exact round-trip).
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
@@ -367,12 +360,6 @@ impl<'a> ByteReader<'a> {
     /// Read a varint that must fit a `usize`.
     pub fn read_varint_usize(&mut self, what: &'static str) -> Result<usize, CodecError> {
         usize::try_from(self.read_varint(what)?).map_err(|_| CodecError::InvalidVarint { what })
-    }
-
-    /// Read a zigzag varint written by [`ByteWriter::write_varint_signed`].
-    pub fn read_varint_signed(&mut self, what: &'static str) -> Result<i64, CodecError> {
-        let zigzag = self.read_varint(what)?;
-        Ok((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64))
     }
 
     /// Read an `f64` from its bit pattern.
@@ -702,16 +689,6 @@ mod tests {
             assert_eq!(r.read_varint("v").unwrap(), v);
             r.expect_eof().unwrap();
         }
-        for v in [0, 1, -1, 63, -64, 64, i64::from(i32::MIN), i64::MAX, i64::MIN] {
-            let mut w = ByteWriter::new();
-            w.write_varint_signed(v);
-            let bytes = w.into_bytes();
-            assert_eq!(ByteReader::new(&bytes).read_varint_signed("v").unwrap(), v);
-        }
-        // Zigzag keeps small magnitudes of either sign in one byte.
-        let mut w = ByteWriter::new();
-        w.write_varint_signed(-64);
-        assert_eq!(w.into_bytes(), [0x7f]);
     }
 
     #[test]
@@ -783,9 +760,6 @@ mod tests {
             for &s in &picks {
                 strings.write_ref(&mut body, s);
             }
-            for &v in &ints {
-                body.write_varint_signed(v as i64);
-            }
             assert_eq!(strings.references(), picks.len());
             assert!(strings.len() <= pool.len());
             let stream = strings.into_stream(body);
@@ -797,9 +771,6 @@ mod tests {
             assert_eq!(decoded, ints);
             for &s in &picks {
                 assert_eq!(table.read_ref(&mut r, "pick").unwrap(), s);
-            }
-            for &v in &ints {
-                assert_eq!(r.read_varint_signed("signed").unwrap(), v as i64);
             }
             r.expect_eof().unwrap();
         }

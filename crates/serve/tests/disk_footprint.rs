@@ -11,10 +11,8 @@
 //! * the store is the regular files directly in its directory — one WAL
 //!   and the two retained checkpoints, nothing else, nowhere else;
 //! * every one of them is byte-identical at 1 and at 4 threads;
-//! * the store's size is the pinned [`STORE_BYTES`] — 166.05 B/row, under
-//!   [`BYTES_PER_ROW_CEILING`]; the fixed-width layout before checkpoint
-//!   version 3 / WAL version 2 left 99 558 bytes, 378.55 B/row, for the
-//!   same stream.
+//! * the store's size is the pinned [`STORE_BYTES`] — 124.41 B/row, under
+//!   [`BYTES_PER_ROW_CEILING`].
 //!
 //! A change that moves [`STORE_BYTES`] changed either what the pipeline
 //! decides (the golden files move with it) or an on-disk format (which
@@ -36,10 +34,10 @@ const BATCHES: usize = 14;
 const CHECKPOINT_EVERY: u64 = 4;
 
 /// Bytes of every file in the store at the end of the stream.
-const STORE_BYTES: u64 = 43_672;
+const STORE_BYTES: u64 = 32_720;
 
 /// Store bytes per ingested row the gate allows.
-const BYTES_PER_ROW_CEILING: f64 = 170.0;
+const BYTES_PER_ROW_CEILING: f64 = 128.0;
 
 /// Two renderings of a tiny world, the second under fresh table ids: the
 /// repetition across tables that row clustering feeds on, and that the
@@ -127,8 +125,7 @@ fn a_stream_costs_its_pinned_bytes_on_disk_at_every_thread_count() {
     let decoded = PipelineCheckpoint::decode(&files[1].1).expect("the newest checkpoint decodes");
     let (reencoded, layout) = decoded.view().encode_with_layout();
     assert!(reencoded == files[1].1);
-    let CheckpointLayout { string_table, corpus, mapping, interner, clusters, entities, results, .. } =
-        layout;
+    let CheckpointLayout { string_table, corpus, mapping, interner, clusters, results, .. } = layout;
     let envelope = newest - layout.payload_len() + 1;
     assert_eq!(envelope, ltee_core::checkpoint::CHECKPOINT_PAYLOAD_START + 1);
 
@@ -147,7 +144,6 @@ fn a_stream_costs_its_pinned_bytes_on_disk_at_every_thread_count() {
     row("mapping", mapping, newest);
     row("interner", interner, newest);
     row("clusters", clusters, newest);
-    row("entities", entities, newest);
     row("results", results, newest);
     row("envelope + class count", envelope, newest);
     println!(

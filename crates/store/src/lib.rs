@@ -451,7 +451,6 @@ mod tests {
         for _ in 0..num_classes {
             w.write_varint(0); // per-class interner strings
             w.write_varint(0); // clusters
-            w.write_varint(0); // entities
             w.write_varint(0); // results
         }
         seal(&CHECKPOINT_MAGIC, version, &[fingerprint, applied], &w.into_bytes())

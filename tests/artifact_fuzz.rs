@@ -30,7 +30,7 @@
 //! The same discipline covers the durability formats (PR 8): a second
 //! 200-case corpus corrupts a *state checkpoint* (`PipelineCheckpoint`)
 //! with the same five families plus a sixth the compact layout (checkpoint
-//! version 3) calls for — hand-written payloads whose only defect is a
+//! version 3 on) calls for — hand-written payloads whose only defect is a
 //! string reference past the table, a string table longer than the stream,
 //! a cluster row gap of zero, or references that expand past the stream's
 //! budget ([`crafted_checkpoint`]) — and a 100-case corpus mutates a
@@ -130,7 +130,7 @@ enum Defect {
     TableLongerThanStream,
     /// The cluster's second row repeats its first (a row gap of zero).
     NonAscendingGap,
-    /// 256 one-byte labels each expand to a 4 KiB string.
+    /// 256 one-byte interner strings each expand to a 4 KiB string.
     ExpansionBomb,
 }
 
@@ -141,9 +141,10 @@ const DEFECTS: [Defect; 4] = [
     Defect::ExpansionBomb,
 ];
 
-/// A minimal version-3 checkpoint written field by field — one two-row
-/// Song table, its mapping, one cluster, one entity — sealed in a valid
-/// envelope, so `defect` is the only thing a decoder can object to.
+/// A minimal version-4 checkpoint written field by field — one two-row
+/// Song table, its mapping, a one-string interner, one cluster, one
+/// result — sealed in a valid envelope, so `defect` is the only thing a
+/// decoder can object to.
 fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
     let long = "x".repeat(4096);
     let label = if defect == Some(Defect::ExpansionBomb) { long.as_str() } else { "a" };
@@ -183,26 +184,18 @@ fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
     w.write_varint(CLASS_KEYS.len() as u64);
     for class in CLASS_KEYS {
         if class != ClassKey::Song {
-            w.write_bytes(&[0; 4]);
+            w.write_bytes(&[0; 3]);
             continue;
         }
-        w.write_varint(0); // interner strings
+        // interner strings: "a"
+        let arena = if defect == Some(Defect::ExpansionBomb) { 4 * STRING_EXPANSION_LIMIT } else { 1 };
+        w.write_varint(arena as u64);
+        w.write_bytes(&vec![1; arena]);
         w.write_varint(1); // one cluster of rows 0 and 1
         w.write_varint(2);
         w.write_varint(0);
         w.write_varint(if defect == Some(Defect::NonAscendingGap) { 0 } else { 1 });
-        w.write_varint(1); // one entity
-        w.write_varint(2); // its rows
-        for row in 0..2 {
-            w.write_varint(1);
-            w.write_varint(row);
-        }
-        let labels = if defect == Some(Defect::ExpansionBomb) { 4 * STRING_EXPANSION_LIMIT } else { 1 };
-        w.write_varint(labels as u64);
-        w.write_bytes(&vec![1; labels]);
-        w.write_varint(0); // facts
-        w.write_varint(1); // one result: entity 0 is new
-        w.write_varint(0);
+        w.write_varint(1); // one result: cluster 0 is new
         w.write_u8(0);
         w.write_f64(0.0);
         w.write_varint(0);

@@ -8,17 +8,19 @@
 //! bytes and the production encoder reproduces them exactly, and the
 //! FNV-1a64 of the whole file equals a pinned constant: the artifact's was
 //! generated before the codec consolidation (PR 13), the checkpoint's and
-//! the WAL's with the formats they pin (checkpoint version 3, WAL
+//! the WAL's with the formats they pin (checkpoint version 4, WAL
 //! version 2). A change to any of these constants is a format change and
 //! needs a version bump, not an edit here.
 
-use ltee_core::{decode_corpus, encode_corpus, ModelArtifact, PipelineCheckpoint};
+use ltee_core::{
+    decode_corpus, encode_corpus, CheckpointError, ModelArtifact, PipelineCheckpoint,
+};
 use ltee_ml::codec::{fnv1a64, ByteWriter};
 use ltee_store::wal::{encode_wal_header, encode_wal_record};
-use ltee_store::{scan_wal, WalTail};
+use ltee_store::{scan_wal, KbStore, StoreError, WalTail};
 
 const ARTIFACT_FNV: u64 = 0xde7aa557b610faef;
-const CHECKPOINT_FNV: u64 = 0xca8a87b07a76b0e6;
+const CHECKPOINT_FNV: u64 = 0x3eb5ef15fc2305f2;
 const WAL_FNV: u64 = 0x88a7e3a5df23194a;
 
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
@@ -61,9 +63,9 @@ fn f64s(w: &mut ByteWriter, values: &[f64]) {
 /// The checkpoint's string table: every distinct string once, in the order
 /// the sections first use it. The corpus section uses the first seven, so
 /// they are also the table of the WAL batch that carries the same table.
-const STRINGS: [&str; 20] = [
+const STRINGS: [&str; 9] = [
     "song",             // 0  column header
-    "Yellow Submarine", // 1  cell, later the entity's label
+    "Yellow Submarine", // 1  cell
     "",                 // 2
     "year",             // 3
     "1966",             // 4
@@ -71,17 +73,6 @@ const STRINGS: [&str; 20] = [
     "releaseYear",      // 6  truth property, later the mapping's
     "yellow",           // 7  Song interner arena
     "submarine",        // 8
-    "comment",          // 9  fact properties and string values
-    "héllo world",      // 10
-    "isrc",             // 11
-    "US-07302",         // 12
-    "artist",           // 13
-    "The Beatles",      // 14
-    "written",          // 15
-    "releaseDate",      // 16
-    "drift",            // 17
-    "tempo",            // 18
-    "chart",            // 19
 ];
 
 /// `count · (byte length · UTF-8 bytes)*`. Every number below 128 is its
@@ -138,45 +129,16 @@ fn checkpoint_payload() -> Vec<u8> {
     w.write_f64(0.5);
 
     w.write_u8(3); // class states, CLASS_KEYS order
-    w.write_bytes(&[0; 4]); // GridironFootballPlayer: no strings/clusters/entities/results
+    w.write_bytes(&[0; 3]); // GridironFootballPlayer: no strings/clusters/results
     w.write_bytes(&[2, 7, 8]); // Song interner arena: "yellow", "submarine"
     w.write_u8(1); // clusters
     w.write_bytes(&[2, 0, 1]); // two rows: row 0, then a gap of 1
-    w.write_u8(1); // entities
-    w.write_u8(2); // entity rows: (table, row)
-    w.write_bytes(&[7, 0, 7, 1]);
-    w.write_bytes(&[1, 1]); // one label: "Yellow Submarine"
-    w.write_u8(8); // facts: property · tagged value · score, one per Value encoding
-    w.write_bytes(&[9, 0, 10]); // "comment" · Text · "héllo world"
-    w.write_f64(1.0);
-    w.write_bytes(&[11, 1, 12]); // "isrc" · Nominal · "US-07302"
-    w.write_f64(0.5);
-    w.write_bytes(&[13, 2, 14]); // "artist" · InstanceRef · "The Beatles"
-    w.write_f64(0.25);
-    w.write_bytes(&[15, 3]); // "written" · Date: zigzag year · month · day · granularity
-    w.write_u8(87); // -44 → (44 << 1) - 1
-    w.write_bytes(&[1, 1, 0]); // Year
-    w.write_f64(0.125);
-    w.write_bytes(&[16, 3]); // "releaseDate" · Date
-    w.write_bytes(&[0xDC, 0x1E]); // 1966 → 3932 = 0x5C + (0x1E << 7)
-    w.write_bytes(&[8, 5, 1]); // Day
-    w.write_f64(2.0);
-    w.write_bytes(&[17, 4]); // "drift" · Quantity, IEEE-754 bits
-    w.write_f64(-0.0);
-    w.write_f64(-0.0);
-    w.write_bytes(&[18, 4]); // "tempo" · Quantity
-    w.write_f64(f64::NAN);
-    w.write_f64(f64::NAN);
-    w.write_bytes(&[19, 5]); // "chart" · NominalInt, zigzag
-    w.write_u8(23); // -12 → (12 << 1) - 1
-    w.write_f64(0.0);
-    w.write_u8(1); // results
-    w.write_u8(0); // entity index
+    w.write_u8(1); // results, one per cluster in cluster order
     w.write_u8(1); // Existing
     w.write_bytes(&[0xAC, 0x02]); // instance id 300 = 0x2C + (2 << 7)
     w.write_f64(0.875); // best score
     w.write_u8(3); // candidate count
-    w.write_bytes(&[0; 4]); // Settlement: empty
+    w.write_bytes(&[0; 3]); // Settlement: empty
     w.into_bytes()
 }
 
@@ -262,9 +224,9 @@ fn on_disk_formats_are_pinned() {
 
     // ── state checkpoint: two header words (fingerprint, applied batches) ─
     let payload = checkpoint_payload();
-    let checkpoint = framed(b"LTEECKP\x01", 3, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    let checkpoint = framed(b"LTEECKP\x01", 4, &[0x0123_4567_89AB_CDEF, 5], &payload);
     assert_eq!(&checkpoint[0..8], b"LTEECKP\x01");
-    assert_eq!(u32_at(&checkpoint, 8), 3);
+    assert_eq!(u32_at(&checkpoint, 8), 4);
     assert_eq!(u64_at(&checkpoint, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&checkpoint, 20), 5);
     assert_eq!(u64_at(&checkpoint, 28), payload.len() as u64);
@@ -279,6 +241,25 @@ fn on_disk_formats_are_pinned() {
         "checkpoint bytes: {:#018x}",
         fnv1a64(&checkpoint)
     );
+
+    // An intact version-3 checkpoint, which also held fused entities. The
+    // decoder refuses by version before it reads a payload byte, so any
+    // payload in a valid version-3 envelope stands for one; the store
+    // refuses to open over it rather than skip it as corrupt.
+    let version_3 = framed(b"LTEECKP\x01", 3, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    assert!(matches!(
+        PipelineCheckpoint::decode(&version_3),
+        Err(CheckpointError::UnsupportedVersion(3))
+    ));
+    let dir = std::env::temp_dir().join(format!("ltee-format-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(KbStore::checkpoint_path(&dir, 5), &version_3).unwrap();
+    assert!(matches!(
+        KbStore::open(&dir, 0x0123_4567_89AB_CDEF),
+        Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(3)))
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
 
     // ── write-ahead log: 20-byte header, then 20-byte record headers ─────
     // A batch payload is `string table · tables`, the table bytes the
