@@ -379,6 +379,7 @@ impl StreamingClusterer {
 mod tests {
     use super::*;
     use crate::metrics::{metric_feature_names, RowMetricKind};
+    use crate::seeded_words::SplitMix64;
     use std::collections::HashSet;
     use ltee_matching::RowValues;
     use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, PairwiseTrainingConfig, Sample};
@@ -592,27 +593,6 @@ mod tests {
             },
         );
         RowSimilarityModel { metrics, model }
-    }
-
-    /// SplitMix64: a stream depends on nothing but its seed.
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
     }
 
     /// A stream of small tables over a six-word vocabulary: one- and

@@ -32,6 +32,9 @@ pub mod incremental;
 pub mod metrics;
 #[cfg(test)]
 mod phi_oracle;
+#[cfg(test)]
+#[path = "../../../tests/support/seeded_words.rs"]
+mod seeded_words;
 pub mod train;
 
 pub use cluster::{cluster_rows, Clustering, ClusteringConfig};

@@ -30,22 +30,9 @@ fn heap() -> (i64, i64) {
     (heap.blocks, heap.bytes)
 }
 
-/// SplitMix64: the stream depends on nothing but the seed.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
+#[path = "../../../tests/support/seeded_words.rs"]
+mod seeded_words;
+use seeded_words::SplitMix64;
 
 const SYLLABLES: [&str; 20] = [
     "ka", "ri", "to", "mün", "chen", "berg", "ville", "san", "ta", "lo", "mar", "ne", "os", "wick", "ford",
@@ -53,7 +40,7 @@ const SYLLABLES: [&str; 20] = [
 ];
 
 fn word(rng: &mut SplitMix64) -> String {
-    (0..2 + rng.below(3)).map(|_| SYLLABLES[rng.below(SYLLABLES.len())]).collect()
+    seeded_words::word(rng, &SYLLABLES)
 }
 
 /// `tables` tables of 6 to 29 normalised row labels each: one- and

@@ -15,6 +15,8 @@
 //! * [`ranked`] — MAP@k and precision@k used for the set-expansion
 //!   comparison in Section 6.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod clustering;
 pub mod facts;
 pub mod instances;

@@ -40,8 +40,8 @@ mod candidates;
 pub mod label_index;
 pub mod metrics;
 mod postings;
-#[doc(hidden)]
-pub mod reference;
+#[cfg(test)]
+mod reference;
 #[cfg(test)]
 #[path = "../tests/scaling_corpus/mod.rs"]
 mod scaling_corpus;

@@ -1,5 +1,7 @@
-//! String-level reference for [`crate::LabelIndex::lookup`], shared by the
-//! index's own property tests and `tests/serve_fuzzy_agreement.rs`.
+//! String-level reference for `LabelIndex::lookup`: test-only, compiled
+//! into the index's own property tests and into
+//! `tests/serve_fuzzy_agreement.rs`, which includes this file by path. It
+//! depends on `ltee_text` alone, so both test targets build it unchanged.
 //!
 //! It is the lookup contract spelled out with plain strings and no
 //! pruning: every entry sharing at least one exact token with the query is

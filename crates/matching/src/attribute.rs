@@ -20,7 +20,7 @@ use ltee_webtables::{Corpus, GoldStandard, WebTable};
 use rayon::prelude::*;
 
 use crate::mapping::{AttributeMatch, CorpusFeedback};
-use crate::matchers::{self, HeaderStatistics, KbOverlapFn, MatcherKind};
+use crate::matchers::{self, HeaderStatistics, MatcherKind};
 
 /// Configuration of the attribute-to-property matcher.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,10 +135,6 @@ impl MatcherWeights {
 /// Matchers that require feedback return 0.0 when no feedback is available
 /// (the first pipeline iteration), matching the paper's setup where "the
 /// duplicate-based methods are not included in the first iteration".
-///
-/// `kb_overlap` is always [`matchers::kb_overlap`] outside this crate's
-/// tests (see [`KbOverlapFn`]).
-#[allow(clippy::too_many_arguments)]
 pub fn matcher_scores(
     table: &WebTable,
     column: usize,
@@ -147,9 +143,8 @@ pub fn matcher_scores(
     corpus: Option<&Corpus>,
     feedback: Option<&CorpusFeedback>,
     header_stats: Option<&HeaderStatistics>,
-    kb_overlap: KbOverlapFn,
 ) -> [f64; 5] {
-    let kb_overlap = kb_overlap(table, column, property, kb);
+    let kb_overlap = matchers::kb_overlap(table, column, property, kb);
     let kb_label = matchers::kb_label(table, column, property);
     let kb_duplicate = feedback
         .map(|fb| matchers::kb_duplicate(table, column, property, kb, fb))
@@ -180,7 +175,6 @@ pub fn match_attributes(
     config: &AttributeMatcherConfig,
     feedback: Option<&CorpusFeedback>,
     header_stats: Option<&HeaderStatistics>,
-    kb_overlap: KbOverlapFn,
 ) -> Vec<Option<AttributeMatch>> {
     let class_weights = weights.weights_for(class);
     // Only matchers that can actually produce a signal participate in the
@@ -215,8 +209,7 @@ pub fn match_attributes(
             properties.iter().filter(|p| dtype.candidate_property_types().contains(&p.data_type));
         let mut best: Option<(f64, &Property)> = None;
         for prop in candidates {
-            let scores =
-                matcher_scores(table, column, prop, kb, corpus, feedback, header_stats, kb_overlap);
+            let scores = matcher_scores(table, column, prop, kb, corpus, feedback, header_stats);
             let aggregated: f64 = scores
                 .iter()
                 .zip(class_weights.iter())
@@ -258,24 +251,12 @@ pub fn learn_weights(
     feedback: Option<&CorpusFeedback>,
     genetic: &GeneticConfig,
 ) -> MatcherWeights {
-    learn_weights_with(corpus, kb, golds, feedback, genetic, matchers::kb_overlap)
-}
-
-/// [`learn_weights`] over a given KB-Overlap implementation.
-pub(crate) fn learn_weights_with(
-    corpus: &Corpus,
-    kb: &KnowledgeBase,
-    golds: &[&GoldStandard],
-    feedback: Option<&CorpusFeedback>,
-    genetic: &GeneticConfig,
-    kb_overlap: KbOverlapFn,
-) -> MatcherWeights {
     let header_stats = feedback.map(|fb| HeaderStatistics::build(corpus, fb));
     // Classes learn independently, on the pool; their results are folded
     // in gold order, so a class given twice ends as it did sequentially.
     let learned: Vec<ClassLearning<'_>> = golds
         .par_iter()
-        .map(|gold| learn_class(corpus, kb, gold, feedback, header_stats.as_ref(), genetic, kb_overlap))
+        .map(|gold| learn_class(corpus, kb, gold, feedback, header_stats.as_ref(), genetic))
         .collect();
     let mut weights = MatcherWeights { class_weights: HashMap::new(), property_thresholds: HashMap::new() };
     for (class, class_weights, thresholds) in learned {
@@ -300,7 +281,6 @@ fn learn_class<'k>(
     feedback: Option<&CorpusFeedback>,
     header_stats: Option<&HeaderStatistics>,
     genetic: &GeneticConfig,
-    kb_overlap: KbOverlapFn,
 ) -> ClassLearning<'k> {
     let class = gold.class;
     let properties = kb.class_property_slice(class);
@@ -331,8 +311,7 @@ fn learn_class<'k>(
                     if !dtype.candidate_property_types().contains(&prop.data_type) {
                         continue;
                     }
-                    let scores =
-                        matcher_scores(table, column, prop, kb, Some(corpus), feedback, header_stats, kb_overlap);
+                    let scores = matcher_scores(table, column, prop, kb, Some(corpus), feedback, header_stats);
                     let is_gold = gold_map.get(&(table_id, column)) == Some(&prop.name.as_str());
                     pairs.push((scores, prop.name.as_str(), is_gold));
                 }

@@ -90,35 +90,6 @@ impl RowLookups {
         (slots, Self { classes, matches })
     }
 
-    /// [`RowLookups::run`] without sharing: every labelled row gets its
-    /// own slot and its own lookups — what the matcher did before equal
-    /// labels shared one lookup, kept as the oracle of that sharing.
-    #[cfg(test)]
-    pub(crate) fn run_per_row(
-        tables: &[(&WebTable, usize)],
-        class_indexes: &[(ClassKey, LabelIndex)],
-    ) -> (Vec<RowSlots>, Self) {
-        let mut matches = Vec::new();
-        let slots = tables
-            .iter()
-            .map(|&(table, label_column)| {
-                (0..table.num_rows())
-                    .map(|row| {
-                        let label = ltee_text::clean_label(table.cell(row, label_column)?);
-                        if label.is_empty() {
-                            return None;
-                        }
-                        let slot = matches.len() / class_indexes.len();
-                        let lookups = class_indexes.iter().map(|(_, index)| index.lookup(&label, CANDIDATES_PER_ROW));
-                        matches.extend(lookups);
-                        Some(slot)
-                    })
-                    .collect()
-            })
-            .collect();
-        (slots, Self { classes: class_indexes.len(), matches })
-    }
-
     /// The lookup of a label slot in the `class`-th class index.
     pub(crate) fn get(&self, slot: usize, class: usize) -> &[LabelMatch] {
         &self.matches[slot * self.classes + class]

@@ -33,8 +33,6 @@ pub mod class_match;
 pub mod label_attr;
 pub mod mapping;
 pub mod matchers;
-#[cfg(test)]
-mod naive;
 
 pub use attribute::{learn_weights, AttributeMatcherConfig, MatcherWeights};
 pub use class_match::{RowCandidates, CANDIDATES_PER_ROW};
@@ -79,25 +77,12 @@ pub fn match_corpus_and_candidates(
     config: &SchemaMatchingConfig,
     feedback: Option<&CorpusFeedback>,
 ) -> (CorpusMapping, RowCandidates) {
+    use rayon::prelude::*;
+
     // Everything matching derives from the knowledge base alone — the
     // per-class label indexes here, the KB-Overlap samples and the
     // per-class property slices further down — is memoised on the KB.
     let class_indexes = kb.class_label_indexes();
-    match_corpus_with(corpus, kb, weights, config, feedback, class_indexes, matchers::kb_overlap)
-}
-
-/// [`match_corpus_and_candidates`] over given per-class label indexes and a
-/// given KB-Overlap implementation.
-fn match_corpus_with(
-    corpus: &Corpus,
-    kb: &KnowledgeBase,
-    weights: &MatcherWeights,
-    config: &SchemaMatchingConfig,
-    feedback: Option<&CorpusFeedback>,
-    class_indexes: &[(ltee_kb::ClassKey, ltee_index::LabelIndex)],
-    kb_overlap: matchers::KbOverlapFn,
-) -> (CorpusMapping, RowCandidates) {
-    use rayon::prelude::*;
 
     // Corpus-level header statistics (WT-Label) need a preliminary mapping;
     // they are only available when feedback from a previous iteration exists.
@@ -138,7 +123,6 @@ fn match_corpus_with(
                     &config.attribute,
                     feedback,
                     header_stats.as_ref(),
-                    kb_overlap,
                 ),
                 None => vec![None; table.num_columns()],
             };

@@ -62,11 +62,6 @@ impl MatcherKind {
     }
 }
 
-/// The signature of [`kb_overlap`]. [`crate::attribute::matcher_scores`] and
-/// its callers take the matcher as a value so that this crate's tests can
-/// run whole matching passes against the naive scan it replaced.
-pub type KbOverlapFn = fn(&WebTable, usize, &Property, &KnowledgeBase) -> f64;
-
 /// KB-Overlap: the proportion of non-empty column cells whose parsed value
 /// is equivalent to *some* value of the candidate property in the knowledge
 /// base — more precisely, to one of its first

@@ -381,11 +381,6 @@ struct TreeBuilder<'a> {
     /// search to "a handful of exact scorings per node" in the tests.
     #[cfg(test)]
     exact_scorings: usize,
-    /// Sort every node's (value, target) pairs instead of reading the
-    /// presorted orders: the search the presorted orders replaced, kept as
-    /// their oracle.
-    #[cfg(test)]
-    sort_per_node: bool,
 }
 
 /// One candidate split of a node, in the order the search visits them.
@@ -497,8 +492,6 @@ impl<'a> TreeBuilder<'a> {
             scratch: Vec::new(),
             #[cfg(test)]
             exact_scorings: 0,
-            #[cfg(test)]
-            sort_per_node: false,
         }
     }
 
@@ -633,12 +626,6 @@ impl<'a> TreeBuilder<'a> {
                     .iter()
                     .map(|&i| (column[i as usize], columns.targets[i as usize])),
             );
-            #[cfg(test)]
-            if self.sort_per_node {
-                sorted.clear();
-                sorted.extend(samples.iter().map(|&i| (column[i as usize], columns.targets[i as usize])));
-                sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            }
             // Over finite values the sorted order is the numeric one, so
             // `v <= threshold` holds on a prefix that only grows along the
             // ascending thresholds. Infinite or NaN values are left to the
@@ -1050,15 +1037,14 @@ mod tests {
     }
 
     /// The arenas (through `Debug`, which — unlike `==` — tells -0.0 from
-    /// 0.0) of one bootstrap sample's tree built three ways: the presorted
-    /// search, the per-node-sort search it replaced, and the partitioning
-    /// oracle.
-    fn build_three_ways(
+    /// 0.0) of one bootstrap sample's tree built two ways: the presorted
+    /// search and the partitioning oracle.
+    fn build_both_ways(
         ds: &Dataset,
         config: &RandomForestConfig,
         features_per_split: usize,
         seed: u64,
-    ) -> [String; 3] {
+    ) -> [String; 2] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xb007);
         // A bootstrap sample: indices repeat, in no particular order.
         let indices: Vec<usize> = (0..ds.len()).map(|_| rng.gen_range(0..ds.len())).collect();
@@ -1066,13 +1052,11 @@ mod tests {
         let builder = || {
             TreeBuilder::new(&columns, config, features_per_split, ChaCha8Rng::seed_from_u64(seed ^ 0x5eed))
         };
-        let (mut presorted, mut per_node, mut oracle) = (builder(), builder(), builder());
+        let (mut presorted, mut oracle) = (builder(), builder());
         presorted.grow(&indices);
-        per_node.sort_per_node = true;
-        per_node.grow(&indices);
         let samples: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
         oracle.build_by_partition(&samples, 0);
-        [presorted, per_node, oracle].map(|b| format!("{:?}", b.nodes))
+        [presorted, oracle].map(|b| format!("{:?}", b.nodes))
     }
 
     #[test]
@@ -1083,9 +1067,8 @@ mod tests {
             ds.samples[7].target = poison;
             ds.samples[31].target = -poison;
             let config = RandomForestConfig { min_samples_split: 2, ..Default::default() };
-            let [presorted, per_node, oracle] = build_three_ways(&ds, &config, 7, 9);
+            let [presorted, oracle] = build_both_ways(&ds, &config, 7, 9);
             assert_eq!(presorted, oracle, "poison {poison}");
-            assert_eq!(per_node, oracle, "poison {poison}");
         }
     }
 
@@ -1137,9 +1120,9 @@ mod tests {
 
     proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-        /// The presorted search, the per-node-sort search it replaced and
-        /// the partitioning oracle build bit-identical trees — ties,
-        /// duplicate rows, a constant column, NaN and ±∞ features included.
+        /// The presorted search and the partitioning oracle build
+        /// bit-identical trees — ties, duplicate rows, a constant column,
+        /// NaN and ±∞ features included.
         #[test]
         fn split_search_builds_the_same_tree_as_partitioning(
             n in 5usize..2_000,
@@ -1150,8 +1133,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let ds = awkward_dataset(&mut rng, n, target_kind);
             let config = RandomForestConfig { min_samples_split: 2, ..Default::default() };
-            let [presorted, per_node, oracle] = build_three_ways(&ds, &config, features_per_split, seed);
-            prop_assert_eq!(&presorted, &per_node);
+            let [presorted, oracle] = build_both_ways(&ds, &config, features_per_split, seed);
             prop_assert_eq!(&presorted, &oracle);
             // With every feature a candidate, a node of this size splits.
             prop_assert!(n < 20 || features_per_split < 7 || presorted.contains("Split"));

@@ -154,7 +154,7 @@ pub fn detect_new(
 
 /// Whether an instance of `class` is a valid candidate for `entity`: same
 /// class, or the two classes share an ancestor.
-pub(crate) fn class_compatible(class: ltee_kb::ClassKey, entity: &EntityContext) -> bool {
+fn class_compatible(class: ltee_kb::ClassKey, entity: &EntityContext) -> bool {
     class == entity.entity().class
         || class.ancestors().iter().any(|a| entity.entity().class.ancestors().contains(a))
 }
@@ -162,7 +162,7 @@ pub(crate) fn class_compatible(class: ltee_kb::ClassKey, entity: &EntityContext)
 /// Gather the candidate instance ids of an entity: label-index lookups for
 /// every entity label, score-filtered, deduplicated in retrieval order and
 /// capped at the configured candidate count.
-pub(crate) fn candidate_ids(
+fn candidate_ids(
     entity: &EntityContext,
     label_index: &LabelIndex,
     config: &NewDetectionConfig,

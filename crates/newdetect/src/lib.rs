@@ -23,8 +23,6 @@
 
 pub mod detect;
 pub mod metrics;
-#[cfg(test)]
-mod sequential;
 pub mod train;
 
 pub use detect::{detect_new, NewDetectionConfig, NewDetectionOutcome, NewDetectionResult};

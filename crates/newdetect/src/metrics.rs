@@ -219,7 +219,7 @@ impl InstanceContext {
     /// Everything of an instance's context but its label tokens — a
     /// function of the instance and the frozen knowledge base alone — and
     /// the normalised labels whose tokens `mint_label_tokens` interns.
-    pub(crate) fn body(instance: &Instance, kb: &KnowledgeBase) -> (Self, Vec<String>) {
+    fn body(instance: &Instance, kb: &KnowledgeBase) -> (Self, Vec<String>) {
         let mut bow = BowVector::new();
         for label in &instance.labels {
             bow.add_text(label);
@@ -247,7 +247,7 @@ impl InstanceContext {
     }
 
     /// Intern the tokens of the instance's normalised labels.
-    pub(crate) fn mint_label_tokens(&mut self, normalized_labels: &[String], interner: &mut Interner) {
+    fn mint_label_tokens(&mut self, normalized_labels: &[String], interner: &mut Interner) {
         self.label_tokens = normalized_labels.iter().map(|l| tokenize_interned(l, interner)).collect();
     }
 

@@ -291,59 +291,50 @@ mod tests {
         assert_eq!(ltee_ml::fnv1a64(&bytes), 0x4aa75feca1d99e17, "{samples} samples");
     }
 
-    /// Entity pair datasets and new detection on the pool equal their
-    /// sequential oracles at 1 and at 4 threads — samples, results and the
-    /// run interner's contents in mint order.
+    /// Bit pin of new detection on the fixture, per class, at 1 and at 4
+    /// threads: the run interner's strings in mint order, then every
+    /// result's outcome, best score bits and candidate count. Instance
+    /// contexts mint their label tokens in first-retrieval order (the order
+    /// a checkpoint's interner section persists) and candidates that tie
+    /// on page links keep retrieval order; no other test sees either. The
+    /// constant was generated by the sequential paths the pooled ones
+    /// replaced.
     #[test]
-    fn pooled_new_detection_equals_the_sequential_oracle() {
+    fn new_detection_and_mint_order_are_bit_pinned_on_the_fixture() {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 81));
         let kb = world.kb();
         let config = EntityModelTrainingConfig::fast();
-        let interned = |interner: &Interner| interner.iter().map(|(_, s)| s.to_string()).collect::<Vec<_>>();
-        for class in ltee_kb::CLASS_KEYS {
-            let index = kb.class_label_index(class);
-            let mut interner = Interner::new();
-            let (heads, tails) = (world.head_of_class(class), world.long_tail_of_class(class));
-            let (mut entities, mut truth) = (Vec::new(), Vec::new());
-            for e in heads.iter().take(20).chain(tails.iter().take(15)) {
-                entities.push(entity_from_world(&world, e, &mut interner));
-                truth.push(world.instance_for_entity(e.id));
+        for threads in [1, 4] {
+            rayon::ThreadPoolBuilder::new().num_threads(threads).build_global().expect("never fails");
+            let mut bytes = Vec::new();
+            for class in ltee_kb::CLASS_KEYS {
+                let index = kb.class_label_index(class);
+                let mut interner = Interner::new();
+                let (heads, tails) = (world.head_of_class(class), world.long_tail_of_class(class));
+                let (mut entities, mut truth) = (Vec::new(), Vec::new());
+                for e in heads.iter().take(20).chain(tails.iter().take(15)) {
+                    entities.push(entity_from_world(&world, e, &mut interner));
+                    truth.push(world.instance_for_entity(e.id));
+                }
+                let minted = interner.len();
+                let metrics = EntityMetricKind::ALL;
+                let ds = build_entity_pair_dataset(&entities, &truth, kb, index, &metrics, &config, &mut interner);
+                assert!(interner.len() > minted, "{class}: instance contexts must mint tokens");
+                let model = train_entity_model(&ds, metrics.to_vec(), &config);
+                let results = detect_new(&entities, kb, index, &model, &NewDetectionConfig::default(), &mut interner);
+                let new = results.iter().filter(|r| r.outcome.is_new()).count();
+                assert!(0 < new && new < results.len(), "{class}: both outcomes must occur");
+                for (_, string) in interner.iter() {
+                    bytes.extend_from_slice(string.as_bytes());
+                    bytes.push(0);
+                }
+                for r in &results {
+                    bytes.extend_from_slice(&r.outcome.instance().map_or(u64::MAX, |i| i.raw()).to_le_bytes());
+                    bytes.extend_from_slice(&r.best_score.to_bits().to_le_bytes());
+                    bytes.extend_from_slice(&(r.candidate_count as u64).to_le_bytes());
+                }
             }
-            let mut oracle_interner = interner.clone();
-            let oracle = crate::sequential::build_entity_pair_dataset(
-                &entities,
-                &truth,
-                kb,
-                index,
-                &EntityMetricKind::ALL,
-                &config,
-                &mut oracle_interner,
-            );
-            assert!(oracle_interner.len() > interner.len(), "{class}: instance contexts must mint tokens");
-            let model = train_entity_model(&oracle, EntityMetricKind::ALL.to_vec(), &config);
-            let detection = NewDetectionConfig::default();
-            let oracle_results =
-                crate::sequential::detect_new(&entities, kb, index, &model, &detection, &mut oracle_interner);
-            let new = oracle_results.iter().filter(|r| r.outcome.is_new()).count();
-            assert!(0 < new && new < oracle_results.len(), "{class}: both outcomes must occur");
-            for threads in [1, 4] {
-                rayon::ThreadPoolBuilder::new().num_threads(threads).build_global().expect("never fails");
-                let mut pooled_interner = interner.clone();
-                let pooled = build_entity_pair_dataset(
-                    &entities,
-                    &truth,
-                    kb,
-                    index,
-                    &EntityMetricKind::ALL,
-                    &config,
-                    &mut pooled_interner,
-                );
-                let (got, expected) = (format!("{:?}", pooled.samples), format!("{:?}", oracle.samples));
-                assert_eq!(got, expected, "{class} at {threads}");
-                let results = detect_new(&entities, kb, index, &model, &detection, &mut pooled_interner);
-                assert_eq!(results, oracle_results, "{class} at {threads}");
-                assert_eq!(interned(&pooled_interner), interned(&oracle_interner), "{class} at {threads}");
-            }
+            assert_eq!(ltee_ml::fnv1a64(&bytes), 0xb36738eb93168090, "at {threads} threads");
         }
     }
 

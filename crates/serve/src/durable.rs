@@ -43,7 +43,8 @@ pub enum CheckpointPolicy {
     /// Never automatically — the caller invokes
     /// [`DurableServePipeline::checkpoint`] explicitly.
     Manual,
-    /// After every `n`-th applied batch (n ≥ 1).
+    /// After every `n`-th applied batch (clamped to at least 1: `0`
+    /// checkpoints after every batch).
     EveryBatches(u64),
 }
 
@@ -109,9 +110,10 @@ impl<'a> DurableServePipeline<'a> {
         policy: CheckpointPolicy,
         retention: RetentionPolicy,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        if let CheckpointPolicy::EveryBatches(n) = policy {
-            assert!(n >= 1, "EveryBatches(0) would checkpoint nowhere");
-        }
+        let policy = match policy {
+            CheckpointPolicy::EveryBatches(n) => CheckpointPolicy::EveryBatches(n.max(1)),
+            manual => manual,
+        };
         let fingerprint = config_fingerprint(&config);
         let StoreRecovery { store, checkpoint, tail, wal_tail } = KbStore::open(dir, fingerprint)?;
 

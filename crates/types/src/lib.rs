@@ -20,6 +20,8 @@
 //!   manually defined regular expressions; we use equivalent hand-written
 //!   parsers) including majority voting over a column's values.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod datatype;
 pub mod detect;
 pub mod similarity;

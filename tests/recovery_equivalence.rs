@@ -291,6 +291,34 @@ fn torn_checkpoints_fall_back_and_converge() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `EveryBatches(0)` is clamped to one, as a zero shard, thread or
+/// retention count is: the store checkpoints after every batch and
+/// recovers bit-identically from the newest.
+#[test]
+fn every_zero_batches_checkpoints_after_every_batch() {
+    let setup = setup(Parallelism::Auto);
+    let batches = setup.stream.split_into_batches(3);
+    let dir = scratch_dir("every-zero");
+    let (fingerprints, outputs) =
+        reference_run(&setup, &batches, &dir, CheckpointPolicy::EveryBatches(0));
+    // Retention keeps the newest two: the checkpoints of batches 2 and 3.
+    for version in [2, 3] {
+        assert!(KbStore::checkpoint_path(&dir, version).exists(), "checkpoint {version}");
+    }
+    let (recovered, report) = DurableServePipeline::open(
+        &dir,
+        setup.tw.world.kb(),
+        setup.tw.models.clone(),
+        setup.tw.config.clone(),
+        CheckpointPolicy::Manual,
+    )
+    .expect("reopen");
+    assert_eq!((report.from_checkpoint, report.replayed_batches), (Some(3), 0));
+    assert_eq!(recovered.snapshot().fingerprint(), fingerprints[3]);
+    assert_eq!(recovered.snapshot().execute_batch(&query_mix(&setup.stream)), outputs);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A checkpoint written under `Threads(1)` must recover bit-identically
 /// under `Threads(4)` (and the recovered process keeps ingesting): the
 /// durable state is parallelism-independent, like every other output.

@@ -3,8 +3,8 @@
 //! order — with a brute-force Levenshtein scan over the same snapshot's
 //! entity records.
 //!
-//! The brute force (`ltee_index::reference`, shared with the index's own
-//! property tests) spells the documented
+//! The brute force (`crates/index/src/reference.rs`, included by path and
+//! shared with the index's own property tests) spells the documented
 //! scoring semantics out on strings (no interner, no bounds, no pruning,
 //! every candidate scored in full): a record label is a
 //! candidate iff it shares ≥ 1 exact token with the query; each query
@@ -37,9 +37,12 @@ use std::sync::{Arc, OnceLock};
 use ltee::scenario::{with_long_labels, Scenario, TrainedWorld};
 use ltee_core::prelude::*;
 use ltee_serve::{ClassSnapshot, KbSnapshot, ServePipeline};
-use ltee_index::reference::{Hit as BruteHit, ScanIndex};
 use ltee_text::{normalize_label, tokenize};
 use proptest::prelude::*;
+
+#[path = "../crates/index/src/reference.rs"]
+mod reference;
+use reference::{Hit as BruteHit, ScanIndex};
 
 static SNAPSHOT: OnceLock<Arc<KbSnapshot>> = OnceLock::new();
 static FLOOD_SNAPSHOT: OnceLock<Arc<KbSnapshot>> = OnceLock::new();
