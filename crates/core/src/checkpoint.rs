@@ -13,17 +13,26 @@
 //! The checkpoint persists the **model-driven decisions** and rebuilds
 //! everything that is a deterministic function of them on restore:
 //!
-//! * persisted — the accumulated corpus (tables in arrival order), the
-//!   accumulated schema mapping, and per class the interner arena (every
+//! * persisted — the accumulated corpus (tables in arrival order, each its
+//!   id and columns), the schema matcher's decisions per table (class and
+//!   attribute correspondences), and per class the interner arena (every
 //!   string, in mint order, so every `Sym` id is reproduced exactly), the
 //!   cluster assignments and the new-detection results;
-//! * rebuilt — row contexts, the prefix blocking index and per-cluster
-//!   block keys ([`StreamingClusterer::from_parts`]), frozen PHI vectors
-//!   (replayed per table in arrival order), implicit attributes and KBT
-//!   scores (both pure functions of corpus + mapping + frozen KB) — by
-//!   the same per-class statistics step ingest runs on every batch — and
-//!   the fused entities, by the same fusion call ingest makes on the
-//!   clusters a batch touches, here over every cluster.
+//! * rebuilt — each mapping's label column and detected column types (the
+//!   matcher's own [`detect_column_types`] / [`detect_label_attribute`],
+//!   functions of the table alone, recomputed as each mapping decodes
+//!   after the corpus), row contexts, the prefix blocking index and
+//!   per-cluster block keys ([`StreamingClusterer::from_parts`]), frozen
+//!   PHI vectors (replayed per table in arrival order), implicit
+//!   attributes and KBT scores (both pure functions of corpus + mapping +
+//!   frozen KB) — by the same per-class statistics step ingest runs on
+//!   every batch — and the fused entities, by the same fusion call ingest
+//!   makes on the clusters a batch touches, here over every cluster;
+//! * never persisted — a table's generator ground truth
+//!   ([`ltee_webtables::TableTruth`]): it is the answer key a run is scored
+//!   against, and nothing the served system computes reads it, so ingest
+//!   keeps its tables without it and the encoders write the same bytes
+//!   with or without it.
 //!
 //! Fusion reads only a cluster's rows, their tables and mappings and the
 //! per-table KBT scores, none of which changes once a table is ingested,
@@ -40,10 +49,10 @@
 //! **bit-identical** to the one that wrote the checkpoint —
 //! `tests/recovery_equivalence.rs` proves it end to end.
 //!
-//! ## File format (version 4)
+//! ## File format (version 5)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEECKP\x01"`, format version 4 and two header words: the
+//! with magic `b"LTEECKP\x01"`, format version 5 and two header words: the
 //! config fingerprint ([`config_fingerprint`]) and the applied-batch count
 //! (non-empty ingests == snapshot version). The payload is `string table ·
 //! corpus · mapping · per-class interner strings / clusters / results`, in
@@ -53,8 +62,9 @@
 //! (each distinct string once, in first-use order, so the bytes are a
 //! function of the state alone), a cluster's ascending row indexes are its
 //! first row and the gaps between the rest, and every `f64` is its
-//! eight-byte bit pattern. A result is its outcome, best score and
-//! candidate count; the cluster it belongs to is its position.
+//! eight-byte bit pattern. A table is its id and columns; a mapping is its
+//! table id, class and correspondences. A result is its outcome, best
+//! score and candidate count; the cluster it belongs to is its position.
 //! [`CheckpointLayout`] reports the bytes of every section and how many of
 //! the referenced strings are distinct.
 //!
@@ -65,14 +75,16 @@
 //! [`crate::ShardPlan`] (shard and thread counts are both excluded from the
 //! config fingerprint).
 //!
-//! Versions 1 to 3 are refused with
+//! Versions 1 to 4 are refused with
 //! [`CheckpointError::UnsupportedVersion`], by version, before a payload
 //! byte is read: version 1's global interner arena cannot be split per
 //! class after the fact, version 2 is the fixed-width spelling of version
-//! 3, and version 3 is this payload plus a fused-entity section per class
-//! — reading either would mean a second decoder, kept correct and fuzzed
-//! for as long as the first, for a store that re-ingesting its source
-//! stream rebuilds (the precedent version 1 set). The store treats
+//! 3, version 3 is version 4 plus a fused-entity section per class, and
+//! version 4 is this payload plus each table's ground truth and each
+//! mapping's class score, label column and detected types — reading any
+//! of them would mean a second decoder, kept correct and fuzzed for as
+//! long as the first, for a store that re-ingesting its source stream
+//! rebuilds (the precedent version 1 set). The store treats
 //! an intact checkpoint of another version as a hard error, never as a
 //! corrupt file to skip (`ltee_store::KbStore::open`).
 //!
@@ -90,13 +102,15 @@ use std::collections::HashSet;
 use ltee_clustering::StreamingClusterer;
 use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
-use ltee_matching::{AttributeMatch, CorpusMapping, TableMapping};
+use ltee_matching::{
+    detect_column_types, detect_label_attribute, AttributeMatch, CorpusMapping, TableMapping,
+};
 use ltee_ml::codec::{
     self, ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter,
 };
 use ltee_newdetect::{NewDetectionOutcome, NewDetectionResult};
-use ltee_types::{DataType, DetectedType};
-use ltee_webtables::{Column, Corpus, TableId, TableTruth, WebTable};
+use ltee_types::DataType;
+use ltee_webtables::{Column, Corpus, TableId, WebTable};
 
 use crate::artifact::config_fingerprint;
 use crate::incremental::{class_rows_in_arrival_order, ClassState, IncrementalPipeline};
@@ -106,7 +120,7 @@ use crate::pipeline::{PipelineConfig, TrainedModels};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"LTEECKP\x01";
 
 /// The checkpoint format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
@@ -203,39 +217,17 @@ fn data_type_from_tag(tag: u8) -> Result<DataType, CodecError> {
     })
 }
 
-fn detected_type_tag(dt: DetectedType) -> u8 {
-    match dt {
-        DetectedType::Text => 0,
-        DetectedType::Date => 1,
-        DetectedType::Quantity => 2,
-    }
-}
-
-fn detected_type_from_tag(tag: u8) -> Result<DetectedType, CodecError> {
-    Ok(match tag {
-        0 => DetectedType::Text,
-        1 => DetectedType::Date,
-        2 => DetectedType::Quantity,
-        tag => return Err(CodecError::InvalidTag { what: "detected type", tag }),
-    })
-}
-
 fn class_key_from_code(code: u8) -> Result<ClassKey, CodecError> {
     ClassKey::from_code(code).ok_or(CodecError::InvalidTag { what: "class key", tag: code })
 }
 
+/// A table is its id and columns; its ground truth, if any, is not written.
 fn encode_table_into<'a>(table: &'a WebTable, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
     w.write_varint(table.id.raw());
     w.write_varint_seq(&table.columns, |w, column| {
         strings.write_ref(w, &column.header);
         w.write_varint_seq(&column.cells, |w, cell| strings.write_ref(w, cell));
     });
-    w.write_u8(table.truth.class.code());
-    w.write_varint(table.truth.label_column as u64);
-    w.write_varint_seq(&table.truth.column_property, |w, prop| {
-        w.write_opt(prop.as_ref(), |w, p| strings.write_ref(w, p));
-    });
-    w.write_varint_seq(&table.truth.row_entity, |w, entity| w.write_varint(entity.raw()));
 }
 
 fn decode_table_from(
@@ -250,21 +242,7 @@ fn decode_table_from(
         })?;
         Ok::<_, CodecError>(Column { header, cells })
     })?;
-    let class = class_key_from_code(r.read_u8("truth class")?)?;
-    let label_column = r.read_varint_usize("truth label column")?;
-    let column_property = r.read_varint_seq("truth column properties", 1, |r| {
-        r.read_opt::<_, CodecError>("truth property flag", |r| {
-            strings.read_ref(r, "truth property").map(str::to_string)
-        })
-    })?;
-    let row_entity = r.read_varint_seq("truth row entities", 1, |r| {
-        r.read_varint("truth row entity").map(ltee_kb::EntityId)
-    })?;
-    let table = WebTable {
-        id,
-        columns,
-        truth: TableTruth { class, label_column, column_property, row_entity },
-    };
+    let table = WebTable { id, columns, truth: None };
     table
         .validate()
         .map_err(|why| CheckpointError::Corrupted(format!("table {}: {why}", id.raw())))?;
@@ -301,7 +279,7 @@ fn decode_corpus_from(
     strings: &mut StringTable<'_>,
 ) -> Result<Corpus, CheckpointError> {
     let mut seen = HashSet::new();
-    let tables = r.read_varint_seq("corpus tables", 6, |r| {
+    let tables = r.read_varint_seq("corpus tables", 2, |r| {
         let table = decode_table_from(r, strings)?;
         if !seen.insert(table.id) {
             return Err(CheckpointError::Corrupted(format!(
@@ -314,12 +292,11 @@ fn decode_corpus_from(
     Ok(Corpus::from_tables(tables))
 }
 
+/// A mapping is the matcher's decisions — class and correspondences; the
+/// label column and detected types are functions of the table.
 fn encode_mapping_into<'a>(mapping: &'a TableMapping, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
     w.write_varint(mapping.table.raw());
     w.write_opt(mapping.class, |w, class| w.write_u8(class.code()));
-    w.write_f64(mapping.class_score);
-    w.write_varint(mapping.label_column as u64);
-    w.write_varint_seq(&mapping.detected_types, |w, &dt| w.write_u8(detected_type_tag(dt)));
     w.write_varint_seq(&mapping.correspondences, |w, c| {
         w.write_opt(c.as_ref(), |w, m| {
             strings.write_ref(w, &m.property);
@@ -329,18 +306,16 @@ fn encode_mapping_into<'a>(mapping: &'a TableMapping, strings: &mut StringTableW
     });
 }
 
+/// Decode a mapping of a table in the already decoded `corpus`, detecting
+/// its label column and column types again as the matcher did.
 fn decode_mapping_from(
     r: &mut ByteReader<'_>,
     strings: &mut StringTable<'_>,
-) -> Result<TableMapping, CodecError> {
-    let table = TableId(r.read_varint("mapping table id")?);
+    corpus: &Corpus,
+) -> Result<TableMapping, CheckpointError> {
+    let id = TableId(r.read_varint("mapping table id")?);
     let class = r.read_opt("mapping class flag", |r| {
         class_key_from_code(r.read_u8("mapping class")?)
-    })?;
-    let class_score = r.read_f64("mapping class score")?;
-    let label_column = r.read_varint_usize("mapping label column")?;
-    let detected_types = r.read_varint_seq("mapping detected types", 1, |r| {
-        detected_type_from_tag(r.read_u8("detected type")?)
     })?;
     let correspondences = r.read_varint_seq("mapping correspondences", 1, |r| {
         r.read_opt("correspondence flag", |r| {
@@ -350,7 +325,12 @@ fn decode_mapping_from(
             Ok::<_, CodecError>(AttributeMatch { property, data_type, score })
         })
     })?;
-    Ok(TableMapping { table, class, class_score, label_column, detected_types, correspondences })
+    let table = corpus.table(id).ok_or_else(|| {
+        CheckpointError::Corrupted(format!("mapping for table {} outside the corpus", id.raw()))
+    })?;
+    let detected_types = detect_column_types(table);
+    let label_column = detect_label_attribute(table, &detected_types);
+    Ok(TableMapping { table: id, class, label_column, detected_types, correspondences })
 }
 
 /// A cluster's row indexes, which are strictly ascending: the row count,
@@ -615,10 +595,10 @@ impl PipelineCheckpoint {
     /// Header checks (magic, version, payload length, checksum) run before
     /// any payload byte is interpreted; payload decoding is bounds-checked
     /// throughout; and the decoded state is cross-validated — tables
-    /// well-formed with unique ids, mapping entries unique, and per class
-    /// the clusters must partition the mapped rows in founding order with
-    /// results parallel to clusters. Anything else is a typed rejection,
-    /// never a panic.
+    /// well-formed with unique ids, mapping entries unique and of tables in
+    /// the corpus, and per class the clusters must partition the mapped
+    /// rows in founding order with results parallel to clusters. Anything
+    /// else is a typed rejection, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let ([fingerprint, applied_batches], payload) =
             match codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes) {
@@ -639,8 +619,8 @@ impl PipelineCheckpoint {
         let mut strings = StringTable::read_table(&mut r)?;
         let corpus = decode_corpus_from(&mut r, &mut strings)?;
         let mut seen = HashSet::new();
-        let mappings = r.read_varint_seq("corpus mappings", 13, |r| {
-            let mapping = decode_mapping_from(r, &mut strings)?;
+        let mappings = r.read_varint_seq("corpus mappings", 3, |r| {
+            let mapping = decode_mapping_from(r, &mut strings, &corpus)?;
             if !seen.insert(mapping.table) {
                 return Err(CheckpointError::Corrupted(format!(
                     "duplicate mapping for table {}",
@@ -836,25 +816,62 @@ mod tests {
             Err(CodecError::InvalidTag { what: "detection outcome", tag: 2 })
         ));
         assert!(data_type_from_tag(6).is_err());
-        assert!(detected_type_from_tag(3).is_err());
         assert!(class_key_from_code(250).is_err());
     }
 
-    #[test]
-    fn corpus_codec_round_trips_and_rejects_duplicates() {
-        let table = WebTable {
+    fn song_table(truth: Option<ltee_webtables::TableTruth>) -> WebTable {
+        WebTable {
             id: TableId(7),
             columns: vec![Column {
                 header: "song".into(),
                 cells: vec!["Yellow Submarine".into(), "".into()],
             }],
-            truth: TableTruth {
-                class: ClassKey::Song,
-                label_column: 0,
-                column_property: vec![None],
-                row_entity: vec![ltee_kb::EntityId(1), ltee_kb::EntityId(2)],
-            },
+            truth,
+        }
+    }
+
+    #[test]
+    fn a_table_encodes_to_the_same_bytes_with_and_without_truth() {
+        let truth = ltee_webtables::TableTruth {
+            class: ClassKey::Song,
+            label_column: 0,
+            column_property: vec![Some("releaseYear".into())],
+            row_entity: vec![ltee_kb::EntityId(1), ltee_kb::EntityId(2)],
         };
+        let with = encode_corpus(&Corpus::from_tables(vec![song_table(Some(truth))]));
+        let without = encode_corpus(&Corpus::from_tables(vec![song_table(None)]));
+        assert_eq!(with, without);
+        assert_eq!(decode_corpus(&with).unwrap().tables(), [song_table(None)]);
+    }
+
+    #[test]
+    fn a_mapping_of_a_table_outside_the_corpus_is_rejected() {
+        let mapping = TableMapping {
+            table: TableId(7),
+            class: Some(ClassKey::Song),
+            label_column: 0,
+            detected_types: vec![],
+            correspondences: vec![None],
+        };
+        let orphan = PipelineCheckpoint {
+            fingerprint: 1,
+            applied_batches: 1,
+            corpus: Corpus::new(),
+            mapping: CorpusMapping::from_tables(vec![mapping]),
+            classes: CLASS_KEYS
+                .iter()
+                .map(|_| ClassDump { interner: Interner::new(), clusters: vec![], results: vec![] })
+                .collect(),
+        };
+        assert!(matches!(
+            PipelineCheckpoint::decode(&orphan.encode()),
+            Err(CheckpointError::Corrupted(why)) if why.contains("outside the corpus")
+        ));
+    }
+
+    #[test]
+    fn corpus_codec_round_trips_and_rejects_duplicates() {
+        let table = song_table(None);
         let corpus = Corpus::from_tables(vec![table.clone()]);
         let decoded = decode_corpus(&encode_corpus(&corpus)).unwrap();
         assert_eq!(decoded.tables(), corpus.tables());
@@ -940,7 +957,14 @@ mod tests {
                 let what = format!("{scoring:?} at {threads} threads");
                 let config = PipelineConfig { parallelism: Parallelism::Threads(threads), ..config.clone() };
                 let mut restored = decoded.clone().restore(world.kb(), models.clone(), config).unwrap();
+                // Ingest keeps no ground truth, so the corpora are equal.
+                assert!(at_cut.corpus.tables().iter().all(|t| t.truth.is_none()));
                 assert_eq!(restored.corpus.tables(), at_cut.corpus.tables());
+                // Label columns and column types are detected again.
+                assert_eq!(restored.mapping.len(), at_cut.mapping.len());
+                for mapping in at_cut.mapping.tables() {
+                    assert_eq!(restored.mapping.table(mapping.table), Some(mapping), "{what}");
+                }
                 assert_same_state(&at_cut, &restored, &what);
 
                 // The WAL tail: both pipelines must evolve identically.

@@ -56,7 +56,7 @@ use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{match_corpus_and_candidates, CorpusMapping, RowCandidates};
 use ltee_newdetect::NewDetectionResult;
-use ltee_webtables::Corpus;
+use ltee_webtables::{Corpus, WebTable};
 
 use rayon::prelude::*;
 
@@ -298,7 +298,11 @@ impl<'a> IncrementalPipeline<'a> {
     ///
     /// An empty batch is a no-op and returns a zeroed report. A batch that
     /// re-uses an already ingested table id is rejected with
-    /// [`PipelineError::DuplicateTable`] before any state changes.
+    /// [`PipelineError::DuplicateTable`], and one holding a table that
+    /// [`ltee_webtables::WebTable::validate`] refuses (the check every
+    /// decoder of stored tables makes) with [`PipelineError::MalformedTable`],
+    /// both before any state changes. The tables are kept without their
+    /// ground truth, which nothing here reads.
     pub fn ingest(&mut self, batch: &Corpus) -> Result<IngestReport, PipelineError> {
         if batch.is_empty() {
             return Ok(IngestReport::default());
@@ -311,6 +315,9 @@ impl<'a> IncrementalPipeline<'a> {
             if self.corpus.table(table.id).is_some() || !batch_ids.insert(table.id) {
                 return Err(PipelineError::DuplicateTable(table.id));
             }
+            table
+                .validate()
+                .map_err(|reason| PipelineError::MalformedTable { table: table.id, reason })?;
         }
         self.config.parallelism.install();
         let num_shards = self.config.shards.resolve();
@@ -386,7 +393,7 @@ impl<'a> IncrementalPipeline<'a> {
         // fusion (fused facts and entity bags read any of a cluster's rows,
         // including the ones just added).
         for table in batch.tables() {
-            self.corpus.push(table.clone());
+            self.corpus.push(WebTable { id: table.id, columns: table.columns.clone(), truth: None });
         }
         self.mapping.merge(batch_mapping);
 

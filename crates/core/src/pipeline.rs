@@ -46,6 +46,13 @@ pub enum PipelineError {
     },
     /// A micro-batch re-used the id of an already ingested table.
     DuplicateTable(TableId),
+    /// A micro-batch held a table the store could not read back.
+    MalformedTable {
+        /// The table.
+        table: TableId,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -60,6 +67,9 @@ impl std::fmt::Display for PipelineError {
             }
             PipelineError::DuplicateTable(id) => {
                 write!(f, "table {} was already ingested", id.raw())
+            }
+            PipelineError::MalformedTable { table, reason } => {
+                write!(f, "table {} is malformed: {reason}", table.raw())
             }
         }
     }

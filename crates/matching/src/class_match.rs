@@ -131,9 +131,8 @@ impl RowCandidates {
 /// Match a table to a knowledge base class, from its rows' label lookups
 /// (`slots` into `lookups`).
 ///
-/// Returns the winning class's position in `class_indexes` and its
-/// aggregated score, or `None` when no class gathered any evidence (e.g. a
-/// table whose rows match nothing).
+/// Returns the winning class's position in `class_indexes`, or `None` when
+/// no class gathered any evidence (e.g. a table whose rows match nothing).
 pub(crate) fn match_table_class(
     table: &WebTable,
     label_column: usize,
@@ -142,7 +141,7 @@ pub(crate) fn match_table_class(
     class_indexes: &[(ClassKey, LabelIndex)],
     slots: &RowSlots,
     lookups: &RowLookups,
-) -> (Option<usize>, f64) {
+) -> Option<usize> {
     let eq = EquivalenceConfig::default();
     let mut best: Option<(usize, f64)> = None;
 
@@ -194,10 +193,7 @@ pub(crate) fn match_table_class(
         }
     }
 
-    match best {
-        Some((position, score)) => (Some(position), score),
-        None => (None, 0.0),
-    }
+    best.map(|(position, _)| position)
 }
 
 #[cfg(test)]
@@ -220,10 +216,10 @@ mod tests {
             let detected = detect_column_types(table);
             let label_col = detect_label_attribute(table, &detected);
             let (slots, lookups) = RowLookups::run(&[(table, label_col)], indexes);
-            let (class, _) = match_table_class(table, label_col, &detected, kb, indexes, &slots[0], &lookups);
+            let class = match_table_class(table, label_col, &detected, kb, indexes, &slots[0], &lookups);
             if let Some(c) = class.map(|position| indexes[position].0) {
                 decided += 1;
-                if c == table.truth.class {
+                if table.truth.as_ref().is_some_and(|truth| truth.class == c) {
                     correct += 1;
                 }
             }
@@ -241,17 +237,10 @@ mod tests {
         let table = ltee_webtables::WebTable {
             id: ltee_webtables::TableId(99),
             columns: vec![ltee_webtables::Column { header: "x".into(), cells: vec!["zzz qqq".into()] }],
-            truth: ltee_webtables::TableTruth {
-                class: ClassKey::Song,
-                label_column: 0,
-                column_property: vec![None],
-                row_entity: vec![ltee_kb::EntityId(0)],
-            },
+            truth: None,
         };
         let detected = detect_column_types(&table);
         let (slots, lookups) = RowLookups::run(&[(&table, 0)], indexes);
-        let (class, score) = match_table_class(&table, 0, &detected, kb, indexes, &slots[0], &lookups);
-        assert!(class.is_none());
-        assert_eq!(score, 0.0);
+        assert!(match_table_class(&table, 0, &detected, kb, indexes, &slots[0], &lookups).is_none());
     }
 }

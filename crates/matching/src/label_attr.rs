@@ -51,22 +51,10 @@ pub fn detect_label_attribute(table: &WebTable, detected: &[DetectedType]) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltee_kb::{ClassKey, EntityId};
-    use ltee_webtables::{Column, TableId, TableTruth};
+    use ltee_webtables::{Column, TableId};
 
     fn table(columns: Vec<Column>) -> WebTable {
-        let rows = columns.first().map(|c| c.cells.len()).unwrap_or(0);
-        let ncols = columns.len();
-        WebTable {
-            id: TableId(0),
-            columns,
-            truth: TableTruth {
-                class: ClassKey::Song,
-                label_column: 0,
-                column_property: vec![None; ncols],
-                row_entity: (0..rows).map(|r| EntityId(r as u64)).collect(),
-            },
-        }
+        WebTable { id: TableId(0), columns, truth: None }
     }
 
     #[test]

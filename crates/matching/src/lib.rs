@@ -108,7 +108,7 @@ pub fn match_corpus_and_candidates(
         .enumerate()
         .map(|(t, (detected, label_column))| {
             let table = &tables[t];
-            let (winner, class_score) =
+            let winner =
                 match_table_class(table, label_column, &detected, kb, class_indexes, &slots[t], &lookups);
             let class = winner.map(|c| class_indexes[c].0);
             let correspondences = match class {
@@ -126,14 +126,8 @@ pub fn match_corpus_and_candidates(
                 ),
                 None => vec![None; table.num_columns()],
             };
-            let mapping = TableMapping {
-                table: table.id,
-                class,
-                class_score,
-                label_column,
-                detected_types: detected,
-                correspondences,
-            };
+            let mapping =
+                TableMapping { table: table.id, class, label_column, detected_types: detected, correspondences };
             (mapping, winner)
         })
         .collect();

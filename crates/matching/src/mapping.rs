@@ -26,11 +26,11 @@ pub struct TableMapping {
     pub table: TableId,
     /// The matched class (None when no class reached the minimum score).
     pub class: Option<ClassKey>,
-    /// Score of the class match.
-    pub class_score: f64,
-    /// Index of the detected label attribute column.
+    /// Index of the detected label attribute column
+    /// ([`crate::detect_label_attribute`], a function of the table).
     pub label_column: usize,
-    /// Detected coarse data type per column.
+    /// Detected coarse data type per column ([`crate::detect_column_types`],
+    /// a function of the table).
     pub detected_types: Vec<DetectedType>,
     /// Attribute-to-property correspondence per column (None for the label
     /// column and unmatched columns).
@@ -189,8 +189,7 @@ impl CorpusFeedback {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltee_kb::EntityId;
-    use ltee_webtables::{Column, TableTruth};
+    use ltee_webtables::Column;
 
     fn table_and_mapping() -> (WebTable, TableMapping) {
         let table = WebTable {
@@ -200,17 +199,11 @@ mod tests {
                 Column { header: "team".into(), cells: vec!["Patriots".into(), "".into()] },
                 Column { header: "no".into(), cells: vec!["12".into(), "10".into()] },
             ],
-            truth: TableTruth {
-                class: ClassKey::GridironFootballPlayer,
-                label_column: 0,
-                column_property: vec![None, Some("team".into()), Some("number".into())],
-                row_entity: vec![EntityId(0), EntityId(1)],
-            },
+            truth: None,
         };
         let mapping = TableMapping {
             table: TableId(1),
             class: Some(ClassKey::GridironFootballPlayer),
-            class_score: 2.0,
             label_column: 0,
             detected_types: vec![DetectedType::Text, DetectedType::Text, DetectedType::Quantity],
             correspondences: vec![

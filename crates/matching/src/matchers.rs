@@ -306,12 +306,12 @@ mod tests {
                 Column { header: "player".into(), cells: labels },
                 Column { header: "club".into(), cells },
             ],
-            truth: TableTruth {
+            truth: Some(TableTruth {
                 class: ClassKey::GridironFootballPlayer,
                 label_column: 0,
                 column_property: vec![None, Some("team".into())],
                 row_entity: entities,
-            },
+            }),
         }
     }
 
@@ -373,7 +373,7 @@ mod tests {
         // Feedback: each row is its own cluster, matched to its true instance.
         let mut clusters = Vec::new();
         let mut cluster_instance = HashMap::new();
-        for (row, entity) in table.truth.row_entity.iter().enumerate() {
+        for (row, entity) in table.truth.as_ref().unwrap().row_entity.iter().enumerate() {
             clusters.push(vec![RowRef::new(table.id, row)]);
             if let Some(inst) = world.instance_for_entity(*entity) {
                 cluster_instance.insert(row, inst);

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use ltee_core::prelude::*;
-use ltee_webtables::{Column, TableId, TableTruth, WebTable};
+use ltee_webtables::{Column, TableId, WebTable};
 
 use crate::{ClassSnapshot, KbSnapshot, Query, RetentionPolicy, ServePipeline};
 
@@ -61,12 +61,7 @@ fn unclaimed_table(id: u64) -> WebTable {
             Column { header: "zzq".into(), cells: labels.iter().map(|l| l.to_string()).collect() },
             Column { header: "xxk".into(), cells: vec!["qq".into(); labels.len()] },
         ],
-        truth: TableTruth {
-            class: ClassKey::Song,
-            label_column: 0,
-            column_property: vec![None, None],
-            row_entity: vec![ltee_kb::EntityId(0); labels.len()],
-        },
+        truth: None,
     }
 }
 
@@ -92,7 +87,7 @@ fn fixture() -> Fixture {
     let second = generate_corpus(&world, &CorpusConfig { seed: 77, ..CorpusConfig::tiny() });
     let (one_class, rest): (Vec<WebTable>, Vec<WebTable>) = with_ids_from(&second, 30_000)
         .into_iter()
-        .partition(|table| table.truth.class == ClassKey::Settlement);
+        .partition(|table| table.truth.as_ref().is_some_and(|t| t.class == ClassKey::Settlement));
     batches.push(Corpus::from_tables(one_class));
     batches.extend(Corpus::from_tables(rest).split_into_batches(2));
 

@@ -6,8 +6,10 @@
 //!
 //! 1. **WAL first.** Every non-empty micro-batch is encoded and fsynced to
 //!    the write-ahead log *before* it is applied in memory. A batch the
-//!    pipeline then rejects (duplicate table id) is rolled back off the
-//!    log, so disk state never gets ahead of a state that will exist.
+//!    pipeline then rejects (a duplicate table id, or a table the log's
+//!    decoder would refuse) is rolled back off the log, so disk state never
+//!    gets ahead of a state that will exist, and never holds a batch that
+//!    recovery cannot read.
 //! 2. **Checkpoints are cuts, not copies of the log.** A checkpoint
 //!    captures the full accumulated state after batch *N*; the store then
 //!    compacts the WAL down to what the retained fallback checkpoint
@@ -129,7 +131,9 @@ impl<'a> DurableServePipeline<'a> {
 
         let mut replayed = 0u64;
         for record in tail {
-            let batch = decode_corpus(&record.payload)?;
+            let seq = record.seq;
+            let batch = decode_corpus(&record.payload)
+                .map_err(|error| StoreError::WalRecord { seq, error })?;
             drop(record);
             serve.ingest(&batch)?;
             replayed += 1;

@@ -57,6 +57,13 @@ pub enum StoreError {
     Io(std::io::Error),
     /// A checkpoint file failed to decode, validate or match the config.
     Checkpoint(CheckpointError),
+    /// A WAL record passed its checksum but its batch does not decode.
+    WalRecord {
+        /// The record's batch number.
+        seq: u64,
+        /// Why its payload was refused.
+        error: CheckpointError,
+    },
     /// Replaying a WAL batch was rejected by the pipeline — the log is
     /// intact (every record passed its checksum) but semantically
     /// inconsistent with the recovered checkpoint.
@@ -87,6 +94,15 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
             StoreError::Checkpoint(e) => write!(f, "{e}"),
+            // The batch codec reports in checkpoint terms; name the record.
+            StoreError::WalRecord { seq, error } => {
+                write!(f, "write-ahead log record {seq} does not decode: ")?;
+                match error {
+                    CheckpointError::Corrupted(why) => write!(f, "{why}"),
+                    CheckpointError::Decode(e) => write!(f, "{e}"),
+                    other => write!(f, "{other}"),
+                }
+            }
             StoreError::Pipeline(e) => write!(f, "replaying the write-ahead log failed: {e}"),
             StoreError::BadWalMagic => {
                 write!(f, "not an LTEE write-ahead log (bad magic header)")
@@ -114,7 +130,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::Checkpoint(e) => Some(e),
+            StoreError::Checkpoint(e) | StoreError::WalRecord { error: e, .. } => Some(e),
             StoreError::Pipeline(e) => Some(e),
             _ => None,
         }

@@ -10,17 +10,21 @@
 //!
 //! `seq` is the 1-based number of the micro-batch the record carries;
 //! records are strictly contiguous (`seq`, `seq+1`, …). The payload is an
-//! encoded corpus (`ltee_core::checkpoint::encode_corpus`) — the exact
-//! batch handed to `ingest` — in the codec's compact spelling: the
-//! record's own string table, then the tables as varints and string
-//! references, byte for byte what the checkpoint's corpus section holds.
-//! The framing around it stays fixed width, so a torn record header is
-//! told from a whole one by its length alone.
+//! encoded corpus (`ltee_core::checkpoint::encode_corpus`) — the tables of
+//! the batch handed to `ingest`, each its id and columns — in the codec's
+//! compact spelling: the record's own string table, then the tables as
+//! varints and string references, byte for byte what the checkpoint's
+//! corpus section holds. A table's ground truth is not written: the
+//! pipeline never reads it, so replay needs none. The framing around the
+//! payload stays fixed width, so a torn record header is told from a whole
+//! one by its length alone.
 //!
-//! Version 2 is the compact payload; the framing did not change. A
-//! version-1 log (fixed-width payloads) is refused by its header with
-//! [`StoreError::UnsupportedWalVersion`] before any record is read — one
-//! payload decoder, and never a decode error halfway through a replay.
+//! Version 3 drops the ground truth from version 2's compact payload; the
+//! framing did not change. A log of an older version is refused by its
+//! header with [`StoreError::UnsupportedWalVersion`] before any record is
+//! read — one payload decoder, and never a decode error halfway through a
+//! replay. A checksummed record whose payload still does not decode is
+//! [`StoreError::WalRecord`], naming its batch number.
 //!
 //! ## Crash-consistency contract
 //!
@@ -50,7 +54,7 @@ use crate::StoreError;
 pub const WAL_MAGIC: [u8; 8] = *b"LTEEWAL\x01";
 
 /// The WAL format version this build writes and reads.
-pub const WAL_VERSION: u32 = 2;
+pub const WAL_VERSION: u32 = 3;
 
 /// Size of the WAL file header (magic + version + fingerprint).
 pub const WAL_HEADER_LEN: usize = 20;

@@ -61,12 +61,16 @@ impl Corpus {
         self.table(row.table).map(|t| t.row_cells(row.row)).unwrap_or_default()
     }
 
-    /// Tables whose ground truth says they are about `class`.
+    /// Tables whose ground truth says they are about `class`; tables
+    /// without truth are skipped.
     ///
     /// Used by the corpus-level experiments to partition work per class; the
     /// pipeline's own table-to-class matching does not read the truth.
     pub fn tables_of_class(&self, class: ClassKey) -> Vec<&WebTable> {
-        self.tables.iter().filter(|t| t.truth.class == class).collect()
+        self.tables
+            .iter()
+            .filter(|t| t.truth.as_ref().is_some_and(|truth| truth.class == class))
+            .collect()
     }
 
     /// Split the corpus into `batches` contiguous micro-batches of (nearly)
@@ -134,12 +138,12 @@ mod tests {
                 header: "name".into(),
                 cells: (0..rows).map(|r| format!("entity {r}")).collect(),
             }],
-            truth: TableTruth {
+            truth: Some(TableTruth {
                 class,
                 label_column: 0,
                 column_property: vec![None],
                 row_entity: (0..rows).map(|r| EntityId(r as u64)).collect(),
-            },
+            }),
         }
     }
 
@@ -164,9 +168,10 @@ mod tests {
             table(1, ClassKey::Song, 2),
             table(2, ClassKey::Song, 4),
             table(3, ClassKey::Settlement, 3),
+            WebTable { truth: None, ..table(4, ClassKey::Song, 5) },
         ]);
         assert_eq!(corpus.tables_of_class(ClassKey::Song).len(), 2);
-        assert_eq!(corpus.total_rows(), 9);
+        assert_eq!(corpus.total_rows(), 14);
         assert_eq!(corpus.total_rows_of_class(ClassKey::Song), 6);
     }
 

@@ -191,7 +191,10 @@ pub fn generate_corpus(world: &World, config: &CorpusConfig) -> Corpus {
                     &mut rng,
                 )
             };
-            debug_assert!(table.validate().is_ok(), "generated table must be consistent");
+            debug_assert!(
+                table.validate().and(table.validate_truth()).is_ok(),
+                "generated table must be consistent"
+            );
             corpus.push(table);
         }
     }
@@ -341,7 +344,8 @@ fn generate_class_table(
         published.push(chosen);
     }
 
-    build_table(world, class, id, &selected, &published, config, rng)
+    let (columns, truth) = build_table(world, class, &selected, &published, config, rng);
+    WebTable { id, columns, truth: Some(truth) }
 }
 
 /// Generate a table about confusable sibling-class entities (plus a few real
@@ -374,22 +378,22 @@ fn generate_confusable_table(
         ClassKey::Song => vec!["musicalArtist", "releaseDate"],
         ClassKey::Settlement => vec!["country", "elevation"],
     };
-    build_table(world, class, id, &selected, &published, config, rng)
+    let (columns, truth) = build_table(world, class, &selected, &published, config, rng);
+    WebTable { id, columns, truth: Some(truth) }
 }
 
-/// Render a set of entities into a table with the published properties.
-/// Crate-visible so the scenario generators ([`crate::scenario`]) reuse the
-/// exact rendering (noise, format variation, truth wiring) of the base
-/// corpus generator.
+/// Render a set of entities into the columns of a table with the published
+/// properties, and the truth that annotates them. Crate-visible so the
+/// scenario generators ([`crate::scenario`]) reuse the exact rendering
+/// (noise, format variation, truth wiring) of the base corpus generator.
 pub(crate) fn build_table(
     world: &World,
     class: ClassKey,
-    id: TableId,
     entities: &[EntityId],
     published: &[&str],
     config: &CorpusConfig,
     rng: &mut ChaCha8Rng,
-) -> WebTable {
+) -> (Vec<Column>, TableTruth) {
     let schema = class_schema(class);
     let noise = &config.noise;
 
@@ -459,16 +463,8 @@ pub(crate) fn build_table(
         column_property.push(None);
     }
 
-    WebTable {
-        id,
-        columns,
-        truth: TableTruth {
-            class,
-            label_column: 0,
-            column_property,
-            row_entity: entities.to_vec(),
-        },
-    }
+    let truth = TableTruth { class, label_column: 0, column_property, row_entity: entities.to_vec() };
+    (columns, truth)
 }
 
 /// Introduce a small typo: swap two adjacent characters or drop one.
@@ -566,6 +562,10 @@ mod tests {
         (world, corpus)
     }
 
+    fn truth(table: &WebTable) -> &TableTruth {
+        table.truth.as_ref().expect("generated tables carry truth")
+    }
+
     #[test]
     fn corpus_has_expected_table_count() {
         let (_, corpus) = tiny_setup();
@@ -580,6 +580,7 @@ mod tests {
         let (_, corpus) = tiny_setup();
         for table in corpus.tables() {
             table.validate().expect("valid table");
+            table.validate_truth().expect("truth fits the table");
             assert!(table.num_rows() >= 1);
             assert!(table.num_columns() >= 2, "a table needs a label and at least one value column");
         }
@@ -590,7 +591,7 @@ mod tests {
         let (_, corpus) = tiny_setup();
         for table in corpus.tables() {
             let mut seen = std::collections::HashSet::new();
-            for e in &table.truth.row_entity {
+            for e in &truth(table).row_entity {
                 assert!(seen.insert(*e), "entity repeated within table {}", table.id.raw());
             }
         }
@@ -614,7 +615,7 @@ mod tests {
         // times or clustering new entities would be impossible.
         let mut counts: HashMap<EntityId, usize> = HashMap::new();
         for table in corpus.tables() {
-            for e in &table.truth.row_entity {
+            for e in &truth(table).row_entity {
                 *counts.entry(*e).or_insert(0) += 1;
             }
         }
@@ -635,7 +636,7 @@ mod tests {
         let mut tail_rows = 0usize;
         let mut total_rows = 0usize;
         for table in corpus.tables() {
-            for e in &table.truth.row_entity {
+            for e in &truth(table).row_entity {
                 total_rows += 1;
                 let entity = world.entity(*e).unwrap();
                 if !entity.in_kb && !entity.confusable {
@@ -656,12 +657,12 @@ mod tests {
         let mut checked = 0usize;
         for table in corpus.tables() {
             for (ci, col) in table.columns.iter().enumerate() {
-                let Some(prop) = table.truth.column_property[ci].as_deref() else { continue };
+                let Some(prop) = truth(table).column_property[ci].as_deref() else { continue };
                 for (ri, cell) in col.cells.iter().enumerate() {
                     if cell.is_empty() {
                         continue;
                     }
-                    let entity = world.entity(table.truth.row_entity[ri]).unwrap();
+                    let entity = world.entity(truth(table).row_entity[ri]).unwrap();
                     let Some(truth) = entity.fact(prop) else { continue };
                     checked += 1;
                     if cell_matches(cell, truth) {
@@ -704,9 +705,9 @@ mod tests {
         config.noise = NoiseConfig::clean();
         let corpus = generate_corpus(&world, &config);
         for table in corpus.tables() {
-            let label_col = &table.columns[table.truth.label_column];
+            let label_col = &table.columns[truth(table).label_column];
             for (ri, cell) in label_col.cells.iter().enumerate() {
-                let entity = world.entity(table.truth.row_entity[ri]).unwrap();
+                let entity = world.entity(truth(table).row_entity[ri]).unwrap();
                 assert_eq!(cell, &entity.canonical_label, "clean corpus must use canonical labels");
             }
         }
@@ -717,7 +718,7 @@ mod tests {
         let (world, corpus) = tiny_setup();
         let mut confusable_rows = 0usize;
         for table in corpus.tables() {
-            for e in &table.truth.row_entity {
+            for e in &truth(table).row_entity {
                 if world.entity(*e).unwrap().confusable {
                     confusable_rows += 1;
                 }

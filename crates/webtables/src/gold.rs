@@ -113,7 +113,9 @@ pub struct GoldStandard {
 
 impl GoldStandard {
     /// Derive the gold standard of a class from a world and a corpus
-    /// generated from it.
+    /// generated from it. Tables without ground truth are not annotated;
+    /// a truth that does not fit its table panics, as a row entity missing
+    /// from the world does.
     pub fn build(world: &World, corpus: &Corpus, class: ClassKey) -> Self {
         let eq = EquivalenceConfig::lenient();
         let tables: Vec<TableId> = corpus.tables_of_class(class).iter().map(|t| t.id).collect();
@@ -122,10 +124,14 @@ impl GoldStandard {
         let mut rows_by_entity: BTreeMap<EntityId, Vec<RowRef>> = BTreeMap::new();
         let mut attributes = Vec::new();
         for table in corpus.tables_of_class(class) {
-            for (row, entity) in table.truth.row_entity.iter().enumerate() {
+            let Some(truth) = &table.truth else { continue };
+            if let Err(why) = table.validate_truth() {
+                panic!("table {}: {why}", table.id.raw());
+            }
+            for (row, entity) in truth.row_entity.iter().enumerate() {
                 rows_by_entity.entry(*entity).or_default().push(RowRef::new(table.id, row));
             }
-            for (column, prop) in table.truth.column_property.iter().enumerate() {
+            for (column, prop) in truth.column_property.iter().enumerate() {
                 if let Some(p) = prop {
                     attributes.push(AttributeCorrespondence { table: table.id, column, property: p.clone() });
                 }
@@ -158,7 +164,8 @@ impl GoldStandard {
             let mut candidates: BTreeMap<String, Vec<String>> = BTreeMap::new();
             for row in &cluster.rows {
                 let Some(table) = corpus.table(row.table) else { continue };
-                for (column, prop) in table.truth.column_property.iter().enumerate() {
+                let Some(truth) = &table.truth else { continue };
+                for (column, prop) in truth.column_property.iter().enumerate() {
                     let Some(p) = prop else { continue };
                     if let Some(cell) = table.cell(row.row, column) {
                         if !cell.trim().is_empty() {
@@ -245,6 +252,20 @@ mod tests {
                     assert!(seen.insert(*r), "row {r} in two clusters");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tables_without_truth_are_not_annotated() {
+        let (world, corpus) = setup();
+        let (kept, stripped): (Vec<_>, Vec<_>) =
+            corpus.tables().iter().cloned().partition(|t| t.id.raw() % 2 == 0);
+        let mut tables = kept.clone();
+        tables.extend(stripped.into_iter().map(|t| crate::WebTable { truth: None, ..t }));
+        let mixed = Corpus::from_tables(tables);
+        for class in ltee_kb::CLASS_KEYS {
+            let only_kept = GoldStandard::build(&world, &Corpus::from_tables(kept.clone()), class);
+            assert_eq!(GoldStandard::build(&world, &mixed, class), only_kept, "{class}");
         }
     }
 

@@ -13,7 +13,8 @@
 //! a [`TableTruth`] record per table (true class, true label column, true
 //! column→property correspondences, true row→entity assignment) which is
 //! **only** read by the gold standard and the evaluation — never by the
-//! pipeline components themselves.
+//! pipeline components themselves. It is optional: the serve path keeps
+//! and persists tables without it.
 //!
 //! ## Corpus generator
 //!

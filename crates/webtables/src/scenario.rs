@@ -30,7 +30,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::corpus::Corpus;
 use crate::generator::{apply_typo, build_table, CorpusConfig, NoiseConfig};
-use crate::table::{Column, TableId};
+use crate::table::{Column, TableId, TableTruth, WebTable};
 
 /// A deterministic seed for scenario generation, queried by topic.
 ///
@@ -240,21 +240,20 @@ fn multilingual_headers(world: &World, seed: ScenarioSeed) -> Corpus {
             let n = rng.gen_range(MIN_ROWS..=MAX_ROWS);
             let selected = select_rows(world, class, n, 0.45, &mut rng);
             let published = pick_published(class, &mut rng);
-            let mut table =
-                build_table(world, class, TableId(next_id), &selected, &published, &params, &mut rng);
-            next_id += 1;
+            let (mut columns, truth) =
+                build_table(world, class, &selected, &published, &params, &mut rng);
 
             // Rewrite headers into other languages. The truth's
             // column→property mapping is untouched: only the published
             // string gets messier.
-            for (ci, column) in table.columns.iter_mut().enumerate() {
-                if ci == table.truth.label_column {
+            for (ci, column) in columns.iter_mut().enumerate() {
+                if ci == truth.label_column {
                     if let Some(h) = MULTILINGUAL_LABEL_HEADERS.choose(&mut rng) {
                         column.header = (*h).to_string();
                     }
                     continue;
                 }
-                let Some(prop) = table.truth.column_property[ci].as_deref() else { continue };
+                let Some(prop) = truth.column_property[ci].as_deref() else { continue };
                 let variants = multilingual_headers_for(prop);
                 if !variants.is_empty() && rng.gen::<f64>() < 0.8 {
                     if let Some(h) = variants.choose(&mut rng) {
@@ -266,8 +265,7 @@ fn multilingual_headers(world: &World, seed: ScenarioSeed) -> Corpus {
             // Decorate a share of the label cells with multilingual
             // qualifiers (some rows keep their plain label so exact lookups
             // still have anchors).
-            let label_col = table.truth.label_column;
-            for cell in table.columns[label_col].cells.iter_mut() {
+            for cell in columns[truth.label_column].cells.iter_mut() {
                 if rng.gen::<f64>() < 0.4 {
                     let decoration =
                         MULTILINGUAL_DECORATIONS.choose(&mut rng).copied().unwrap_or("(canlı)");
@@ -278,11 +276,18 @@ fn multilingual_headers(world: &World, seed: ScenarioSeed) -> Corpus {
                     };
                 }
             }
-            debug_assert!(table.validate().is_ok());
-            corpus.push(table);
+            push_table(&mut corpus, &mut next_id, columns, truth);
         }
     }
     corpus
+}
+
+/// Append a scenario table under the next table id.
+fn push_table(corpus: &mut Corpus, next_id: &mut u64, columns: Vec<Column>, truth: TableTruth) {
+    let table = WebTable { id: TableId(*next_id), columns, truth: Some(truth) };
+    debug_assert!(table.validate().and(table.validate_truth()).is_ok());
+    corpus.push(table);
+    *next_id += 1;
 }
 
 // ── Scenario 2: scientific-paper-style tables ───────────────────────────
@@ -330,27 +335,25 @@ fn scientific_tables(world: &World, seed: ScenarioSeed) -> Corpus {
             let n = rng.gen_range(MIN_ROWS..=MAX_ROWS);
             let selected = select_rows(world, class, n, 0.5, &mut rng);
             let published = pick_published(class, &mut rng);
-            let mut table =
-                build_table(world, class, TableId(next_id), &selected, &published, &params, &mut rng);
-            next_id += 1;
+            let (mut columns, mut truth) =
+                build_table(world, class, &selected, &published, &params, &mut rng);
 
             // Scientific header dressing.
-            for (ci, column) in table.columns.iter_mut().enumerate() {
-                if ci == table.truth.label_column {
+            for (ci, column) in columns.iter_mut().enumerate() {
+                if ci == truth.label_column {
                     let base =
                         SCIENTIFIC_LABEL_HEADERS.choose(&mut rng).copied().unwrap_or("sample");
                     column.header = format!("{base} (Table {})", table_index + 1);
                     continue;
                 }
-                let Some(prop) = table.truth.column_property[ci].as_deref() else { continue };
+                let Some(prop) = truth.column_property[ci].as_deref() else { continue };
                 if let Some(h) = scientific_header_for(prop) {
                     column.header = h.to_string();
                 }
             }
 
             // Footnote daggers on a few labels.
-            let label_col = table.truth.label_column;
-            for cell in table.columns[label_col].cells.iter_mut() {
+            for cell in columns[truth.label_column].cells.iter_mut() {
                 if rng.gen::<f64>() < 0.25 {
                     let marker = FOOTNOTE_MARKERS.choose(&mut rng).copied().unwrap_or("*");
                     cell.push_str(marker);
@@ -359,18 +362,17 @@ fn scientific_tables(world: &World, seed: ScenarioSeed) -> Corpus {
 
             // Noise columns a scientific table carries: sample size,
             // uncertainty, citation.
-            let rows = table.num_rows();
+            let rows = truth.row_entity.len();
             let n_cells: Vec<String> = (0..rows).map(|_| rng.gen_range(3..120u32).to_string()).collect();
-            table.columns.push(Column { header: "n".into(), cells: n_cells });
-            table.truth.column_property.push(None);
+            columns.push(Column { header: "n".into(), cells: n_cells });
+            truth.column_property.push(None);
             if rng.gen::<f64>() < 0.5 {
                 let refs: Vec<String> =
                     (0..rows).map(|_| format!("[{}]", rng.gen_range(1..40u32))).collect();
-                table.columns.push(Column { header: "ref.".into(), cells: refs });
-                table.truth.column_property.push(None);
+                columns.push(Column { header: "ref.".into(), cells: refs });
+                truth.column_property.push(None);
             }
-            debug_assert!(table.validate().is_ok());
-            corpus.push(table);
+            push_table(&mut corpus, &mut next_id, columns, truth);
         }
     }
     corpus
@@ -391,11 +393,8 @@ fn novel_entity_stream(world: &World, seed: ScenarioSeed) -> Corpus {
             let n = rng.gen_range(MIN_ROWS..=MAX_ROWS);
             let selected = select_rows(world, class, n, NOVEL_TAIL_SHARE, &mut rng);
             let published = pick_published(class, &mut rng);
-            let table =
-                build_table(world, class, TableId(next_id), &selected, &published, &params, &mut rng);
-            next_id += 1;
-            debug_assert!(table.validate().is_ok());
-            corpus.push(table);
+            let (columns, truth) = build_table(world, class, &selected, &published, &params, &mut rng);
+            push_table(&mut corpus, &mut next_id, columns, truth);
         }
     }
     corpus
@@ -407,8 +406,8 @@ fn novel_entity_stream(world: &World, seed: ScenarioSeed) -> Corpus {
 pub fn novel_row_share(world: &World, corpus: &Corpus) -> f64 {
     let mut novel = 0usize;
     let mut total = 0usize;
-    for table in corpus.tables() {
-        for &e in &table.truth.row_entity {
+    for truth in corpus.tables().iter().filter_map(|t| t.truth.as_ref()) {
+        for &e in &truth.row_entity {
             total += 1;
             let entity = world.entity(e).expect("corpus rows reference world entities");
             if !entity.in_kb && !entity.confusable {
@@ -458,15 +457,13 @@ fn near_duplicate_flood(world: &World, seed: ScenarioSeed) -> Corpus {
             picks.shuffle(&mut rng);
             picks.truncate(n);
             let published = pick_published(class, &mut rng);
-            let mut table =
-                build_table(world, class, TableId(next_id), &picks, &published, &params, &mut rng);
-            next_id += 1;
+            let (mut columns, truth) =
+                build_table(world, class, &picks, &published, &params, &mut rng);
 
             // Stack a second mutation and shared qualifiers on top of the
             // generator's typos: every label ends up a near-duplicate of
             // dozens of other cells across the flood.
-            let label_col = table.truth.label_column;
-            for cell in table.columns[label_col].cells.iter_mut() {
+            for cell in columns[truth.label_column].cells.iter_mut() {
                 if rng.gen::<f64>() < 0.5 {
                     *cell = apply_typo(cell, &mut rng);
                 }
@@ -475,14 +472,19 @@ fn near_duplicate_flood(world: &World, seed: ScenarioSeed) -> Corpus {
                     *cell = format!("{cell} {q}");
                 }
             }
-            debug_assert!(table.validate().is_ok());
-            corpus.push(table);
+            push_table(&mut corpus, &mut next_id, columns, truth);
         }
     }
     corpus
 }
 
 // ── Shared test fixture (formerly tests/common) ─────────────────────────
+
+/// The label column a fixture decorates: the truth's, or the generators'
+/// column 0 for a table without truth.
+fn truth_label_column(table: &WebTable) -> usize {
+    table.truth.as_ref().map_or(0, |truth| truth.label_column)
+}
 
 /// Append copies of the first few tables of a corpus whose labels carry
 /// bracketed qualifiers and non-ASCII text, so the interned normalisation /
@@ -497,7 +499,7 @@ pub fn with_exotic_labels(mut corpus: Corpus, qualifiers: [&str; 3]) -> Corpus {
     let templates: Vec<_> = corpus.tables().iter().take(3).cloned().collect();
     for (i, mut table) in templates.into_iter().enumerate() {
         table.id = TableId(max_id + 1 + i as u64);
-        let label_col = table.truth.label_column;
+        let label_col = truth_label_column(&table);
         for (row, cell) in table.columns[label_col].cells.iter_mut().enumerate() {
             *cell = match row % 3 {
                 0 => format!("{cell} {}", qualifiers[0]),
@@ -526,7 +528,7 @@ pub fn with_long_labels(mut corpus: Corpus, stem: &str) -> Corpus {
     let templates: Vec<_> = corpus.tables().iter().take(2).cloned().collect();
     for (i, mut table) in templates.into_iter().enumerate() {
         table.id = TableId(max_id + 1 + i as u64);
-        let label_col = table.truth.label_column;
+        let label_col = truth_label_column(&table);
         for (row, cell) in table.columns[label_col].cells.iter_mut().enumerate() {
             *cell = match row % 3 {
                 0 => format!("{cell} {stretch}"),
@@ -551,6 +553,10 @@ mod tests {
 
     fn tiny_world() -> World {
         generate_world(&GeneratorConfig::new(Scale::tiny(), 11))
+    }
+
+    fn truth(table: &WebTable) -> &TableTruth {
+        table.truth.as_ref().expect("scenario tables carry truth")
     }
 
     #[test]
@@ -588,7 +594,7 @@ mod tests {
             assert_ne!(a.tables(), other.tables(), "{}: different seeds must differ", scenario.name());
             assert_eq!(a.len(), TABLES_PER_CLASS * CLASS_KEYS.len());
             for table in a.tables() {
-                table.validate().unwrap_or_else(|e| {
+                table.validate().and(table.validate_truth()).unwrap_or_else(|e| {
                     panic!("{}: invalid table {}: {e}", scenario.name(), table.id.raw())
                 });
                 assert!(table.num_columns() >= 2);
@@ -603,14 +609,14 @@ mod tests {
         let mut has_dotted_i = false;
         let mut foreign_headers = 0usize;
         for table in corpus.tables() {
-            let label_col = table.truth.label_column;
+            let label_col = truth_label_column(table);
             for cell in &table.columns[label_col].cells {
                 if cell.contains('İ') {
                     has_dotted_i = true;
                 }
             }
             for (ci, column) in table.columns.iter().enumerate() {
-                if let Some(prop) = table.truth.column_property[ci].as_deref() {
+                if let Some(prop) = truth(table).column_property[ci].as_deref() {
                     if multilingual_headers_for(prop).contains(&column.header.as_str()) {
                         foreign_headers += 1;
                     }
@@ -637,7 +643,7 @@ mod tests {
                     unit_headers += 1;
                 }
             }
-            let label_col = table.truth.label_column;
+            let label_col = truth_label_column(table);
             for cell in &table.columns[label_col].cells {
                 if FOOTNOTE_MARKERS.iter().any(|m| cell.ends_with(m)) {
                     footnoted += 1;
@@ -668,9 +674,9 @@ mod tests {
         // each recurring entity over several distinct variants.
         let mut variants: HashMap<EntityId, std::collections::HashSet<String>> = HashMap::new();
         for table in corpus.tables() {
-            let label_col = table.truth.label_column;
+            let label_col = truth_label_column(table);
             for (ri, cell) in table.columns[label_col].cells.iter().enumerate() {
-                variants.entry(table.truth.row_entity[ri]).or_default().insert(cell.clone());
+                variants.entry(truth(table).row_entity[ri]).or_default().insert(cell.clone());
             }
         }
         let multi_variant = variants.values().filter(|v| v.len() >= 3).count();
@@ -681,7 +687,7 @@ mod tests {
         let qualified = corpus
             .tables()
             .iter()
-            .flat_map(|t| t.columns[t.truth.label_column].cells.iter())
+            .flat_map(|t| t.columns[truth_label_column(t)].cells.iter())
             .filter(|c| FLOOD_QUALIFIERS.iter().any(|q| c.contains(q)))
             .count();
         assert!(qualified > 20, "only {qualified} qualifier-decorated labels");
@@ -696,7 +702,7 @@ mod tests {
         assert_eq!(corpus.len(), before + 3);
         let appended = &corpus.tables()[before..];
         for table in appended {
-            let label_col = table.truth.label_column;
+            let label_col = truth_label_column(table);
             assert!(table.columns[label_col]
                 .cells
                 .iter()

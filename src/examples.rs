@@ -279,6 +279,13 @@ fn write_class_stats(w: &mut dyn Write, snap: &ltee_serve::KbSnapshot) -> io::Re
     Ok(())
 }
 
+/// The label cells of a corpus's first table, by its ground truth (none
+/// when the table carries no truth).
+fn first_table_labels(corpus: &Corpus) -> Option<&[String]> {
+    let table = corpus.tables().first()?;
+    Some(&table.columns[table.truth.as_ref()?.label_column].cells)
+}
+
 /// Body of `examples/multilingual_headers.rs`: the messy-multilingual-header
 /// scenario, served end to end, with a multi-char case-fold lookup demo.
 pub fn multilingual_headers(w: &mut dyn Write) -> io::Result<()> {
@@ -340,8 +347,7 @@ pub fn scientific_tables(w: &mut dyn Write) -> io::Result<()> {
 
     // A few raw label cells, footnote markers and all.
     writeln!(w, "\nsample label cells of the first table:")?;
-    if let Some(table) = corpus.tables().first() {
-        let labels = &table.columns[table.truth.label_column].cells;
+    if let Some(labels) = first_table_labels(&corpus) {
         for label in labels.iter().take(4) {
             writeln!(w, "  {label:?}")?;
         }
@@ -402,8 +408,7 @@ pub fn near_duplicate_flood(w: &mut dyn Write) -> io::Result<()> {
 
     // The flood as the clustering sees it: raw label variants of one table.
     writeln!(w, "\nlabel variants in the first table:")?;
-    if let Some(table) = corpus.tables().first() {
-        let labels = &table.columns[table.truth.label_column].cells;
+    if let Some(labels) = first_table_labels(&corpus) {
         for label in labels.iter().take(6) {
             writeln!(w, "  {label:?}")?;
         }

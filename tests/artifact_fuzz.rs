@@ -141,7 +141,7 @@ const DEFECTS: [Defect; 4] = [
     Defect::ExpansionBomb,
 ];
 
-/// A minimal version-4 checkpoint written field by field — one two-row
+/// A minimal version-5 checkpoint written field by field — one two-row
 /// Song table, its mapping, a one-string interner, one cluster, one
 /// result — sealed in a valid envelope, so `defect` is the only thing a
 /// decoder can object to.
@@ -162,22 +162,11 @@ fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
     w.write_varint(2);
     w.write_varint(if defect == Some(Defect::StringIndexOutOfRange) { 3 } else { 1 });
     w.write_varint(2);
-    w.write_u8(ClassKey::Song.code());
-    w.write_varint(0); // truth label column
-    w.write_varint(1); // one column property: none
-    w.write_bool(false);
-    w.write_varint(2); // truth row entities
-    w.write_varint(1);
-    w.write_varint(2);
     // mapping: table 1 is a Song table, no correspondence for its one column
     w.write_varint(1);
     w.write_varint(1);
     w.write_bool(true);
     w.write_u8(ClassKey::Song.code());
-    w.write_f64(1.0);
-    w.write_varint(0); // label column
-    w.write_varint(1); // detected types
-    w.write_u8(0);
     w.write_varint(1); // correspondences
     w.write_bool(false);
     // class sections

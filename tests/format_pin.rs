@@ -8,8 +8,8 @@
 //! bytes and the production encoder reproduces them exactly, and the
 //! FNV-1a64 of the whole file equals a pinned constant: the artifact's was
 //! generated before the codec consolidation (PR 13), the checkpoint's and
-//! the WAL's with the formats they pin (checkpoint version 4, WAL
-//! version 2). A change to any of these constants is a format change and
+//! the WAL's with the formats they pin (checkpoint version 5, WAL
+//! version 3). A change to any of these constants is a format change and
 //! needs a version bump, not an edit here.
 
 use ltee_core::{
@@ -20,8 +20,8 @@ use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, KbStore, StoreError, WalTail};
 
 const ARTIFACT_FNV: u64 = 0xde7aa557b610faef;
-const CHECKPOINT_FNV: u64 = 0x3eb5ef15fc2305f2;
-const WAL_FNV: u64 = 0x88a7e3a5df23194a;
+const CHECKPOINT_FNV: u64 = 0x2ee88336be77fa1a;
+const WAL_FNV: u64 = 0xdb326bb86f044fe8;
 
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
     u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap())
@@ -61,7 +61,7 @@ fn f64s(w: &mut ByteWriter, values: &[f64]) {
 }
 
 /// The checkpoint's string table: every distinct string once, in the order
-/// the sections first use it. The corpus section uses the first seven, so
+/// the sections first use it. The corpus section uses the first six, so
 /// they are also the table of the WAL batch that carries the same table.
 const STRINGS: [&str; 9] = [
     "song",             // 0  column header
@@ -70,7 +70,7 @@ const STRINGS: [&str; 9] = [
     "year",             // 3
     "1966",             // 4
     "n/a",              // 5
-    "releaseYear",      // 6  truth property, later the mapping's
+    "releaseYear",      // 6  the mapping's correspondence
     "yellow",           // 7  Song interner arena
     "submarine",        // 8
 ];
@@ -86,7 +86,7 @@ fn string_table(w: &mut ByteWriter, strings: &[&str]) {
     }
 }
 
-/// One table of class Song (code 1): two columns, two rows.
+/// One table: two columns, two rows, and nothing else — no ground truth.
 fn table_bytes(w: &mut ByteWriter) {
     w.write_u8(7); // table id
     w.write_u8(2); // columns
@@ -94,15 +94,6 @@ fn table_bytes(w: &mut ByteWriter) {
     w.write_bytes(&[2, 1, 2]); // two cells: "Yellow Submarine", ""
     w.write_u8(3); // header "year"
     w.write_bytes(&[2, 4, 5]); // two cells: "1966", "n/a"
-    w.write_u8(1); // truth class
-    w.write_u8(0); // truth label column
-    w.write_u8(2); // truth column properties
-    w.write_bool(false);
-    w.write_bool(true);
-    w.write_u8(6); // "releaseYear"
-    w.write_u8(2); // truth row entities
-    w.write_u8(11);
-    w.write_bytes(&[0xC5, 0x39]); // 7365 = 0x45 + (0x39 << 7), low group first
 }
 
 fn checkpoint_payload() -> Vec<u8> {
@@ -112,15 +103,12 @@ fn checkpoint_payload() -> Vec<u8> {
     w.write_u8(1); // tables
     table_bytes(&mut w);
 
+    // A mapping is the matcher's decisions: the decoder detects the label
+    // column and column types again from the table.
     w.write_u8(1); // mappings
     w.write_u8(7); // table id
     w.write_bool(true);
     w.write_u8(1); // class Song
-    w.write_f64(0.75); // class score
-    w.write_u8(0); // label column
-    w.write_u8(2); // detected types
-    w.write_u8(0); // Text
-    w.write_u8(1); // Date
     w.write_u8(2); // correspondences
     w.write_bool(false);
     w.write_bool(true);
@@ -224,9 +212,9 @@ fn on_disk_formats_are_pinned() {
 
     // ── state checkpoint: two header words (fingerprint, applied batches) ─
     let payload = checkpoint_payload();
-    let checkpoint = framed(b"LTEECKP\x01", 4, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    let checkpoint = framed(b"LTEECKP\x01", 5, &[0x0123_4567_89AB_CDEF, 5], &payload);
     assert_eq!(&checkpoint[0..8], b"LTEECKP\x01");
-    assert_eq!(u32_at(&checkpoint, 8), 4);
+    assert_eq!(u32_at(&checkpoint, 8), 5);
     assert_eq!(u64_at(&checkpoint, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&checkpoint, 20), 5);
     assert_eq!(u64_at(&checkpoint, 28), payload.len() as u64);
@@ -242,22 +230,23 @@ fn on_disk_formats_are_pinned() {
         fnv1a64(&checkpoint)
     );
 
-    // An intact version-3 checkpoint, which also held fused entities. The
-    // decoder refuses by version before it reads a payload byte, so any
-    // payload in a valid version-3 envelope stands for one; the store
-    // refuses to open over it rather than skip it as corrupt.
-    let version_3 = framed(b"LTEECKP\x01", 3, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    // An intact version-4 checkpoint, which also held ground truth and
+    // table-derived mapping fields. The decoder refuses by version before
+    // it reads a payload byte, so any payload in a valid version-4
+    // envelope stands for one; the store refuses to open over it rather
+    // than skip it as corrupt.
+    let version_4 = framed(b"LTEECKP\x01", 4, &[0x0123_4567_89AB_CDEF, 5], &payload);
     assert!(matches!(
-        PipelineCheckpoint::decode(&version_3),
-        Err(CheckpointError::UnsupportedVersion(3))
+        PipelineCheckpoint::decode(&version_4),
+        Err(CheckpointError::UnsupportedVersion(4))
     ));
     let dir = std::env::temp_dir().join(format!("ltee-format-pin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(KbStore::checkpoint_path(&dir, 5), &version_3).unwrap();
+    std::fs::write(KbStore::checkpoint_path(&dir, 5), &version_4).unwrap();
     assert!(matches!(
         KbStore::open(&dir, 0x0123_4567_89AB_CDEF),
-        Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(3)))
+        Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(4)))
     ));
     std::fs::remove_dir_all(&dir).unwrap();
 
@@ -265,7 +254,7 @@ fn on_disk_formats_are_pinned() {
     // A batch payload is `string table · tables`, the table bytes the
     // checkpoint's corpus section holds.
     let mut batch = ByteWriter::new();
-    string_table(&mut batch, &STRINGS[..7]);
+    string_table(&mut batch, &STRINGS[..6]);
     batch.write_u8(1);
     table_bytes(&mut batch);
     let batch = batch.into_bytes();
@@ -276,7 +265,7 @@ fn on_disk_formats_are_pinned() {
     wal.extend_from_slice(&encode_wal_record(1, &batch));
     wal.extend_from_slice(&encode_wal_record(2, &empty_batch));
     assert_eq!(&wal[0..8], b"LTEEWAL\x01");
-    assert_eq!(u32_at(&wal, 8), 2);
+    assert_eq!(u32_at(&wal, 8), 3);
     assert_eq!(u64_at(&wal, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&wal, 20), 1); // record 1: seq · payload length (u32) · checksum · payload
     assert_eq!(u32_at(&wal, 28), batch.len() as u32);
@@ -295,4 +284,10 @@ fn on_disk_formats_are_pinned() {
         vec![(1, &batch[..], second), (2, &empty_batch[..], wal.len())]
     );
     assert_eq!(fnv1a64(&wal), WAL_FNV, "WAL bytes: {:#018x}", fnv1a64(&wal));
+
+    // A version-2 log, whose batches carried ground truth, is refused by
+    // its header before any record is read.
+    let mut version_2 = wal;
+    version_2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(scan_wal(&version_2), Err(StoreError::UnsupportedWalVersion(2))));
 }

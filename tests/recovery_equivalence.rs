@@ -37,7 +37,9 @@ use std::path::PathBuf;
 use ltee::scenario as common;
 use ltee_core::prelude::*;
 use ltee_serve::{CheckpointPolicy, DurableServePipeline, EntityRef, Query};
+use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{crashpoints, KbStore, StoreError, WalTail};
+use ltee_webtables::WebTable;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -87,7 +89,7 @@ fn query_mix(stream: &Corpus) -> Vec<Query> {
         .iter()
         .step_by(7)
         .take(8)
-        .filter_map(|t| t.columns[t.truth.label_column].cells.first())
+        .filter_map(|t| t.columns[t.truth.as_ref()?.label_column].cells.first())
         .filter(|l| !l.is_empty())
         .cloned()
         .collect();
@@ -103,9 +105,12 @@ fn query_mix(stream: &Corpus) -> Vec<Query> {
         queries.push(Query::List { class, offset: 3, limit: 2 });
         queries.push(Query::Entity { entity: EntityRef { class, id: 0 } });
         queries.push(Query::Entity { entity: EntityRef { class, id: u32::MAX } });
-        let own =
-            stream.tables().iter().find(|t| t.truth.class == class).expect("a table per class");
-        let mut typo = own.cell(0, own.truth.label_column).expect("a labelled row").to_string();
+        let (own, truth) = stream
+            .tables()
+            .iter()
+            .find_map(|t| Some((t, t.truth.as_ref().filter(|truth| truth.class == class)?)))
+            .expect("a table per class");
+        let mut typo = own.cell(0, truth.label_column).expect("a labelled row").to_string();
         typo.pop();
         queries.push(Query::Fuzzy { class: Some(class), label: typo, k: 3 });
     }
@@ -472,6 +477,121 @@ fn recovery_rejects_stores_written_under_a_different_config() {
         other => panic!("expected Checkpoint(ConfigMismatch), got {:?}", other.map(|_| ())),
     }
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The store holds what the pipeline decided, not the answer key: the same
+/// batches with and without their tables' ground truth publish the same
+/// snapshot after every batch, answer the query mix alike and leave
+/// byte-identical checkpoints and WAL.
+#[test]
+fn the_served_kb_does_not_depend_on_ground_truth() {
+    let setup = setup(Parallelism::Auto);
+    let batches = setup.stream.split_into_batches(4);
+    let stripped: Vec<Corpus> = batches
+        .iter()
+        .map(|batch| {
+            let tables = batch.tables().iter().map(|t| WebTable { truth: None, ..t.clone() });
+            Corpus::from_tables(tables.collect())
+        })
+        .collect();
+    assert!(batches.iter().flat_map(Corpus::tables).all(|t| t.truth.is_some()));
+
+    let run = |batches: &[Corpus], tag: &str| {
+        let dir = scratch_dir(tag);
+        let (fingerprints, outputs) =
+            reference_run(&setup, batches, &dir, CheckpointPolicy::EveryBatches(2));
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (entry.file_name().to_string_lossy().into_owned(), fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        fs::remove_dir_all(&dir).unwrap();
+        (fingerprints, outputs, files)
+    };
+    let (fingerprints, outputs, files) = run(&batches, "with-truth");
+    let (bare_fingerprints, bare_outputs, bare_files) = run(&stripped, "without-truth");
+    assert_eq!(fingerprints, bare_fingerprints, "snapshot fingerprints after every batch");
+    assert_eq!(outputs, bare_outputs, "query-mix outputs");
+    assert_eq!(files.len(), 3, "two checkpoints and the WAL");
+    assert!(files == bare_files, "the store's bytes depend on ground truth");
+}
+
+/// A batch holding a table the log's decoder would refuse is refused by
+/// ingest before it reaches the log: an acknowledged batch always reads
+/// back, so the store cannot be bricked by one.
+#[test]
+fn a_ragged_table_is_refused_and_the_store_still_reopens() {
+    let setup = setup(Parallelism::Auto);
+    let open = |dir: &PathBuf| {
+        DurableServePipeline::open(
+            dir,
+            setup.tw.world.kb(),
+            setup.tw.models.clone(),
+            setup.tw.config.clone(),
+            CheckpointPolicy::Manual,
+        )
+    };
+    let table = setup.tw.corpus.tables()[0].clone();
+    let mut ragged = table.clone();
+    ragged.columns.last_mut().unwrap().cells.pop();
+
+    let dir = scratch_dir("ragged");
+    let (mut durable, _) = open(&dir).unwrap();
+    let wal_size = durable.store().wal_size().unwrap();
+    match durable.ingest(&Corpus::from_tables(vec![ragged])) {
+        Err(StoreError::Pipeline(PipelineError::MalformedTable { table: id, reason })) => {
+            assert_eq!(id, table.id);
+            assert!(reason.contains("cells"), "{reason}");
+        }
+        other => panic!("expected MalformedTable, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(durable.version(), 0, "the refused batch published nothing");
+    assert_eq!(durable.store().wal_size().unwrap(), wal_size, "and left the log as it was");
+    durable.ingest(&Corpus::from_tables(vec![table])).unwrap();
+    drop(durable);
+    let (reopened, report) = open(&dir).expect("the store reopens");
+    assert_eq!((reopened.version(), report.replayed_batches), (1, 1));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A WAL record that passes its checksum but whose batch does not decode
+/// is reported as that record, by batch number — not as a checkpoint.
+#[test]
+fn an_undecodable_wal_record_is_named_by_its_batch_number() {
+    let setup = setup(Parallelism::Auto);
+    let mut ragged = setup.tw.corpus.tables()[0].clone();
+    ragged.columns.last_mut().unwrap().cells.pop();
+    let fingerprint = ltee_core::config_fingerprint(&setup.tw.config);
+    let batch = ltee_core::encode_corpus(&setup.tw.corpus.split_into_batches(2)[0]);
+    for (payload, tag) in
+        [(ltee_core::encode_corpus(&Corpus::from_tables(vec![ragged])), "ragged"), (vec![0xFF], "garbage")]
+    {
+        let dir = scratch_dir(&format!("undecodable-{tag}"));
+        fs::create_dir_all(&dir).unwrap();
+        let mut wal = encode_wal_header(fingerprint);
+        wal.extend_from_slice(&encode_wal_record(1, &batch));
+        wal.extend_from_slice(&encode_wal_record(2, &payload));
+        fs::write(KbStore::wal_path(&dir), &wal).unwrap();
+        let err = DurableServePipeline::open(
+            &dir,
+            setup.tw.world.kb(),
+            setup.tw.models.clone(),
+            setup.tw.config.clone(),
+            CheckpointPolicy::Manual,
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(matches!(err, StoreError::WalRecord { seq: 2, .. }), "{tag}: {err:?}");
+        let message = err.to_string();
+        assert!(
+            message.starts_with("write-ahead log record 2") && !message.contains("checkpoint"),
+            "{tag}: {message}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// Release-mode CI smoke: one seeded-random crash point, recover, golden
