@@ -49,12 +49,15 @@
 //! **bit-identical** to the one that wrote the checkpoint —
 //! `tests/recovery_equivalence.rs` proves it end to end.
 //!
-//! ## File format (version 5)
+//! ## File format (version 6)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEECKP\x01"`, format version 5 and two header words: the
+//! with magic `b"LTEECKP\x01"`, format version 6 and two header words: the
 //! config fingerprint ([`config_fingerprint`]) and the applied-batch count
-//! (non-empty ingests == snapshot version). The payload is `string table ·
+//! (non-empty ingests == snapshot version). The payload is one block of the
+//! codec's LZ compressor ([`codec::compress`]); the envelope's length and
+//! checksum cover the block as stored, so a damaged file is refused before
+//! anything is decompressed. The raw stream in the block is `string table ·
 //! corpus · mapping · per-class interner strings / clusters / results`, in
 //! the codec's *compact* spelling: every count, id and index is a LEB128
 //! varint, every string — header, cell, property, interner entry — is a
@@ -65,8 +68,8 @@
 //! eight-byte bit pattern. A table is its id and columns; a mapping is its
 //! table id, class and correspondences. A result is its outcome, best
 //! score and candidate count; the cluster it belongs to is its position.
-//! [`CheckpointLayout`] reports the bytes of every section and how many of
-//! the referenced strings are distinct.
+//! [`CheckpointLayout`] reports the raw bytes of every section, the stored
+//! payload's size and how many of the referenced strings are distinct.
 //!
 //! The per-class sections (since version 2, the class-sharding PR) hold one
 //! interner arena per class: each class owns its interner at serve time.
@@ -75,13 +78,14 @@
 //! [`crate::ShardPlan`] (shard and thread counts are both excluded from the
 //! config fingerprint).
 //!
-//! Versions 1 to 4 are refused with
+//! Versions 1 to 5 are refused with
 //! [`CheckpointError::UnsupportedVersion`], by version, before a payload
 //! byte is read: version 1's global interner arena cannot be split per
 //! class after the fact, version 2 is the fixed-width spelling of version
-//! 3, version 3 is version 4 plus a fused-entity section per class, and
-//! version 4 is this payload plus each table's ground truth and each
-//! mapping's class score, label column and detected types — reading any
+//! 3, version 3 is version 4 plus a fused-entity section per class,
+//! version 4 is version 5 plus each table's ground truth and each
+//! mapping's class score, label column and detected types, and version 5
+//! is this raw stream stored uncompressed — reading any
 //! of them would mean a second decoder, kept correct and fuzzed for as
 //! long as the first, for a store that re-ingesting its source stream
 //! rebuilds (the precedent version 1 set). The store treats
@@ -89,7 +93,9 @@
 //! corrupt file to skip (`ltee_store::KbStore::open`).
 //!
 //! Decoding validates magic, version, length and checksum before touching
-//! the payload, every collection length is bounds-checked against the
+//! the payload, the block's literal runs, offsets and matches are checked
+//! against the block and its declared length, every collection length is
+//! bounds-checked against the
 //! remaining stream and every string reference against the table and the
 //! stream's expansion budget (no allocation bombs), and the decoded state is
 //! cross-validated (tables well-formed, ids unique, clusters partition the
@@ -120,7 +126,7 @@ use crate::pipeline::{PipelineConfig, TrainedModels};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"LTEECKP\x01";
 
 /// The checkpoint format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 5;
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
@@ -264,10 +270,12 @@ fn encode_corpus_into<'a>(corpus: &'a Corpus, strings: &mut StringTableWriter<'a
     w.write_varint_seq(corpus.tables(), |w, table| encode_table_into(table, strings, w));
 }
 
-/// Decode a corpus encoded by [`encode_corpus`], validating every table and
-/// rejecting duplicate table ids. Requires the reader to be fully consumed.
+/// Decode a corpus encoded by [`encode_corpus`]: decompress the block, then
+/// validate every table and reject duplicate table ids. Requires the
+/// stream to be fully consumed.
 pub fn decode_corpus(bytes: &[u8]) -> Result<Corpus, CheckpointError> {
-    let mut r = ByteReader::new(bytes);
+    let raw = codec::decompress(bytes)?;
+    let mut r = ByteReader::new(&raw);
     let mut strings = StringTable::read_table(&mut r)?;
     let corpus = decode_corpus_from(&mut r, &mut strings)?;
     r.expect_eof()?;
@@ -446,8 +454,8 @@ pub struct CheckpointView<'a> {
 }
 
 /// Where the bytes of one encoded checkpoint payload went, section by
-/// section (the per-class sections summed over the classes), and what the
-/// string table saved.
+/// section of the raw stream (the per-class sections summed over the
+/// classes), what the string table saved, and what compression left.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointLayout {
     /// The string table at the head of the payload.
@@ -467,11 +475,18 @@ pub struct CheckpointLayout {
     pub strings_written: usize,
     /// Distinct strings, each stored once in the table.
     pub strings_distinct: usize,
+    /// The payload as stored: the compressed block.
+    stored: usize,
 }
 
 impl CheckpointLayout {
-    /// Payload bytes: the sections plus the one-byte class count.
+    /// Payload bytes in the file: the raw stream compressed.
     pub fn payload_len(&self) -> usize {
+        self.stored
+    }
+
+    /// Raw stream bytes: the sections plus the one-byte class count.
+    pub fn raw_len(&self) -> usize {
         self.string_table
             + self.corpus
             + self.mapping
@@ -549,11 +564,11 @@ impl CheckpointView<'_> {
             w.write_varint_seq(class.results, |w, result| encode_result_into(result, w));
             layout.results += grown(&w);
         }
-        let body_len = w.len();
         layout.strings_written = strings.references();
         layout.strings_distinct = strings.len();
+        layout.string_table = strings.table_len();
         let payload = strings.into_stream(w);
-        layout.string_table = payload.len() - body_len;
+        layout.stored = payload.len();
         let bytes = codec::seal(
             &CHECKPOINT_MAGIC,
             CHECKPOINT_VERSION,
@@ -615,7 +630,9 @@ impl PipelineCheckpoint {
                 opened => opened?,
             };
 
-        let mut r = ByteReader::new(payload);
+        // The checksum covered the block as stored; only now is it expanded.
+        let raw = codec::decompress(payload)?;
+        let mut r = ByteReader::new(&raw);
         let mut strings = StringTable::read_table(&mut r)?;
         let corpus = decode_corpus_from(&mut r, &mut strings)?;
         let mut seen = HashSet::new();
@@ -948,6 +965,7 @@ mod tests {
             assert_eq!(decoded.applied_batches, 6);
             assert_eq!(decoded.encode(), bytes);
             assert_eq!(layout.payload_len(), bytes.len() - CHECKPOINT_PAYLOAD_START);
+            assert!(layout.payload_len() < layout.raw_len());
             assert!(layout.strings_distinct < layout.strings_written);
 
             let at_cut = original.clone();

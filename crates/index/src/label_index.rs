@@ -386,11 +386,10 @@ impl TopList {
                 return false;
             }
         }
-        if self.items.len() < self.k {
-            return true;
+        match self.items.last() {
+            Some(kth) if self.items.len() >= self.k => key_cmp(&key, &kth.key()) != Ordering::Greater,
+            _ => true,
         }
-        let kth = self.items.last().expect("list is full, k > 0").key();
-        key_cmp(&key, &kth) != Ordering::Greater
     }
 
     fn insert(&mut self, item: TopItem) {
@@ -402,11 +401,11 @@ impl TopList {
             return;
         }
         if self.items.len() == self.k {
-            let kth = self.items.last().expect("list is full, k > 0").key();
-            if key_cmp(&item.key(), &kth) == Ordering::Less {
-                self.items.pop();
-            } else {
-                return;
+            match self.items.last() {
+                Some(kth) if key_cmp(&item.key(), &kth.key()) == Ordering::Less => {
+                    self.items.pop();
+                }
+                _ => return,
             }
         }
         self.insert_sorted(item);
@@ -984,8 +983,7 @@ fn lookup_core(
     // merge starts. Scoring any subset exactly is always sound, and the
     // top list is insertion-order independent, so results are unchanged.
     let warm: &[u32] = {
-        let shortest =
-            cursors.iter().map(|c| c.list).min_by_key(|l| l.len()).expect("cursors non-empty");
+        let shortest = cursors.iter().map(|c| c.list).min_by_key(|l| l.len()).unwrap_or_default();
         &shortest[..shortest.len().min(WARM_CAP)]
     };
     let mut warm_at = 0usize;

@@ -35,6 +35,7 @@
 //! [`metrics`] counters expose that claim deterministically.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod candidates;
 pub mod label_index;

@@ -1,12 +1,14 @@
 //! The workspace's one binary codec: every on-disk format (model artifact,
 //! state checkpoint, write-ahead log) is written and read through it.
 //!
-//! Four layers, all dependency-free: a [`ByteWriter`] that appends
+//! Five layers, all dependency-free: a [`ByteWriter`] that appends
 //! little-endian scalars, LEB128 varints, length-prefixed strings,
 //! sequences and options to a buffer; a bounds-checked [`ByteReader`] that
 //! reads them back; the [`StringTableWriter`] / [`StringTable`] pair that
-//! stores each distinct string of a stream once; and the [`seal`] /
-//! [`open`] pair that frames a payload in the shared file envelope.
+//! stores each distinct string of a stream once; the [`compress`] /
+//! [`decompress`] block codec every compact stream is stored through; and
+//! the [`seal`] / [`open`] pair that frames a payload in the shared file
+//! envelope.
 //! [`fnv1a64`] (defined in `ltee-intern`, re-exported here) is the payload
 //! checksum and the config-fingerprint hash.
 //!
@@ -29,13 +31,26 @@
 //! * **fixed width** (the model artifact): integers are little-endian
 //!   `u32` / `u64`, collection lengths are `u32`, a string is its UTF-8
 //!   bytes behind a `u32` byte length;
-//! * **compact** (checkpoint v4, WAL v2 batch payloads): every integer,
+//! * **compact** (checkpoint v6, WAL v4 batch payloads): every integer,
 //!   id and count is an unsigned LEB128 varint — seven value bits per
 //!   byte, low group first, the high bit set on every byte but the last;
 //!   at most ten bytes, minimally encoded (`0x80 0x00` is refused, so a
 //!   value has exactly one spelling) — and a string is a varint index
 //!   into the stream's one string table (`count · (byte length · UTF-8
-//!   bytes)*`, distinct strings in first-use order).
+//!   bytes)*`, distinct strings in first-use order). The stream, table
+//!   then body, is stored as one block of the block codec.
+//!
+//! The block codec ([`compress`] / [`decompress`]) is greedy LZ77 in LZ4's
+//! sequence layout, with no entropy stage. A block is `raw length (varint)
+//! · sequence*`, a sequence `token · literal run · literals · offset ·
+//! match run`: the token's high nibble counts the literals and its low
+//! nibble is the match length minus four, and a nibble of 15 continues in
+//! run bytes that each add themselves, up to the first one below 255. The
+//! offset is a little-endian `u16` distance back into the output, 1 to
+//! 65 535, and a match may overlap the bytes it produces. The sequence
+//! whose literals reach the declared length is the last and has no match
+//! part. [`BLOCK_EXPANSION_LIMIT`] states what a stored byte can cost a
+//! decoder.
 //!
 //! The envelope ([`seal`] / [`open`]), with `N` format-specific header
 //! words, is `magic(8) · version(u32) · N header words(u64) ·
@@ -102,6 +117,30 @@ pub enum CodecError {
         /// The stream's byte budget for decoded strings.
         limit: usize,
     },
+    /// A compressed block declares more raw bytes than
+    /// [`BLOCK_EXPANSION_LIMIT`] per byte of the block.
+    BlockExpansion {
+        /// The declared raw length.
+        declared: u64,
+        /// The most the block's length allows.
+        limit: usize,
+    },
+    /// A literal run or a match of a compressed block reaches past the raw
+    /// length the block declares.
+    BlockOverrun {
+        /// `"literal run"` or `"match"`.
+        what: &'static str,
+        /// The declared raw length.
+        declared: usize,
+    },
+    /// A match of a compressed block has offset 0 or reaches back before
+    /// the first byte of the output.
+    BlockOffset {
+        /// The match's offset.
+        offset: usize,
+        /// Raw bytes produced before the match.
+        produced: usize,
+    },
     /// Trailing bytes remained after the final field was decoded.
     TrailingBytes(usize),
 }
@@ -132,6 +171,18 @@ impl std::fmt::Display for CodecError {
             CodecError::StringExpansion { limit } => write!(
                 f,
                 "string references expand past the stream's {limit}-byte budget"
+            ),
+            CodecError::BlockExpansion { declared, limit } => write!(
+                f,
+                "compressed block declares {declared} raw bytes, its length allows {limit}"
+            ),
+            CodecError::BlockOverrun { what, declared } => write!(
+                f,
+                "compressed block's {what} runs past its declared {declared} raw bytes"
+            ),
+            CodecError::BlockOffset { offset, produced } => write!(
+                f,
+                "compressed block's match offset {offset} is outside the {produced} bytes produced"
             ),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the final field"),
         }
@@ -509,17 +560,27 @@ impl<'a> StringTableWriter<'a> {
         w.write_varint(index);
     }
 
-    /// Assemble the stream: the table — `count · (byte length · UTF-8
-    /// bytes)*` — then the `body` whose references filled it, which is
-    /// where [`StringTable::read_table`] expects to find it.
+    /// Assemble the stream — the table, `count · (byte length · UTF-8
+    /// bytes)*`, then the `body` whose references filled it, which is
+    /// where [`StringTable::read_table`] expects to find it — and store it
+    /// as one [`compress`]ed block; [`decompress`] gives the stream back.
     pub fn into_stream(self, body: ByteWriter) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let body = body.into_bytes();
+        let mut w = ByteWriter::with_capacity(self.table_len() + body.len());
         w.write_varint_seq(&self.strings, |w, s| {
             w.write_varint(s.len() as u64);
             w.write_bytes(s.as_bytes());
         });
-        w.write_bytes(&body.into_bytes());
-        w.into_bytes()
+        w.write_bytes(&body);
+        compress(&w.into_bytes())
+    }
+
+    /// Bytes the table takes at the head of the stream, before the stream
+    /// is compressed.
+    pub fn table_len(&self) -> usize {
+        let varint_len = |v: usize| (usize::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize;
+        varint_len(self.strings.len())
+            + self.strings.iter().map(|s| varint_len(s.len()) + s.len()).sum::<usize>()
     }
 
     /// Distinct strings in the table.
@@ -579,6 +640,184 @@ impl<'a> StringTable<'a> {
         }
         Ok(s)
     }
+}
+
+/// Shortest repeat a block stores as a match: a shorter one would cost as
+/// much in token and offset as it saves.
+const MIN_MATCH: usize = 4;
+
+/// Farthest back a match reaches: its offset is a `u16`.
+const WINDOW: usize = u16::MAX as usize;
+
+/// Index bits of the narrowest and the widest match-finder table
+/// [`compress`] builds; in between the table is sized to its input.
+const HASH_BITS: std::ops::RangeInclusive<u32> = 8..=15;
+
+/// Raw bytes a compressed block may declare per byte of its own length.
+///
+/// A raw byte is either a literal, stored as itself, or part of a match,
+/// and a match of up to `255·k + 18` bytes is stored as its token, two
+/// offset bytes and `k` run bytes, so no well-formed block — whoever wrote
+/// it — declares 255 raw bytes per byte of block, and [`decompress`]
+/// refuses a declared length above that before it allocates anything. That
+/// is the worst-case allocation per stored byte of a block. The
+/// [`StringTable`] at the head of a compact stream then charges resolved
+/// strings against [`STRING_EXPANSION_LIMIT`] bytes per *raw* byte, as it
+/// did before streams were compressed, so a stored compact stream can ask
+/// for at most `255 × (1 + 64)` = 16 575 bytes — raw stream plus strings —
+/// per stored byte, where an uncompressed one could ask for 65. Charging
+/// the strings against the stored bytes instead would make whether a
+/// stream decodes depend on how well it compressed, and refuse first the
+/// streams that repeat long strings most.
+pub const BLOCK_EXPANSION_LIMIT: usize = 255;
+
+/// Compress `raw` into one block (layout in the [module docs](self)).
+///
+/// Greedy LZ77 over a 64 KiB window. The match finder is a table holding,
+/// per hash of four bytes, the last position that hashed there, sized to
+/// the input (2⁸ to 2¹⁵ entries); at each position its one candidate is
+/// taken if the four bytes really repeat, and extended as far as the bytes
+/// agree. Every position a match covers is entered into the table. The
+/// hash is a fixed multiplication, so a block is a function of `raw` alone.
+///
+/// By construction [`decompress`] accepts every block this writes: each
+/// offset is `at − candidate` for a candidate before `at` and at most
+/// 65 535 back, so it lies in 1 ..= the bytes already produced; literal
+/// runs are copied from `raw` and matches end inside it, so neither passes
+/// the declared length, which is `raw.len()`; and no block expands past
+/// [`BLOCK_EXPANSION_LIMIT`].
+pub fn compress(raw: &[u8]) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(raw.len() / 2 + 16);
+    w.write_varint(raw.len() as u64);
+    let bits = (usize::BITS - raw.len().saturating_sub(1).leading_zeros())
+        .clamp(*HASH_BITS.start(), *HASH_BITS.end());
+    // Positions are kept as `u32`: every candidate is verified against the
+    // input, so a position that wrapped can only cost a match.
+    let mut table = vec![u32::MAX; 1 << bits];
+    let (mut anchor, mut at) = (0, 0);
+    while at + MIN_MATCH <= raw.len() {
+        let slot = hash4(raw, at, bits);
+        let candidate = table[slot] as usize;
+        table[slot] = at as u32;
+        let repeats = candidate < at
+            && at - candidate <= WINDOW
+            && raw[candidate..candidate + MIN_MATCH] == raw[at..at + MIN_MATCH];
+        if !repeats {
+            at += 1;
+            continue;
+        }
+        let len = MIN_MATCH
+            + raw[candidate + MIN_MATCH..]
+                .iter()
+                .zip(&raw[at + MIN_MATCH..])
+                .take_while(|(a, b)| a == b)
+                .count();
+        write_sequence(&mut w, &raw[anchor..at], Some((at - candidate, len)));
+        for covered in at + 1..(at + len).min(raw.len() + 1 - MIN_MATCH) {
+            table[hash4(raw, covered, bits)] = covered as u32;
+        }
+        at += len;
+        anchor = at;
+    }
+    if anchor < raw.len() {
+        write_sequence(&mut w, &raw[anchor..], None);
+    }
+    w.into_bytes()
+}
+
+/// The match-finder slot of the four bytes at `at`: the top `bits` bits of
+/// their little-endian word times Knuth's multiplicative constant.
+fn hash4(raw: &[u8], at: usize, bits: u32) -> usize {
+    let word = u32::from_le_bytes([raw[at], raw[at + 1], raw[at + 2], raw[at + 3]]);
+    (word.wrapping_mul(0x9e37_79b1) >> (32 - bits)) as usize
+}
+
+/// One sequence: the token, the literal run's continuation, the literals,
+/// then — unless this is the last sequence — the offset and the match
+/// run's continuation.
+fn write_sequence(w: &mut ByteWriter, literals: &[u8], matched: Option<(usize, usize)>) {
+    let match_run = matched.map_or(0, |(_, len)| len - MIN_MATCH);
+    w.write_u8(((literals.len().min(15) as u8) << 4) | match_run.min(15) as u8);
+    write_run_tail(w, literals.len());
+    w.write_bytes(literals);
+    if let Some((offset, _)) = matched {
+        w.write_bytes(&(offset as u16).to_le_bytes());
+        write_run_tail(w, match_run);
+    }
+}
+
+/// What a run of 15 or more adds past its nibble: a 255 byte per whole 255,
+/// then the remainder.
+fn write_run_tail(w: &mut ByteWriter, run: usize) {
+    let Some(mut rest) = run.checked_sub(15) else { return };
+    while rest >= 255 {
+        w.write_u8(255);
+        rest -= 255;
+    }
+    w.write_u8(rest as u8);
+}
+
+/// A run length: its nibble, plus — when the nibble is 15 — run bytes up
+/// to the first one below 255.
+fn read_run(r: &mut ByteReader<'_>, nibble: u8, what: &'static str) -> Result<usize, CodecError> {
+    let mut run = usize::from(nibble);
+    if nibble == 15 {
+        loop {
+            let byte = r.read_u8(what)?;
+            run = run.saturating_add(usize::from(byte));
+            if byte < 255 {
+                break;
+            }
+        }
+    }
+    Ok(run)
+}
+
+/// Inverse of [`compress`]. Every field is checked before it is trusted: a
+/// declared length over [`BLOCK_EXPANSION_LIMIT`] per block byte is
+/// refused before anything is allocated, a literal run must fit both the
+/// rest of the block and the declared length, a match must point into the
+/// bytes already produced and end within the declared length, and nothing
+/// may follow the last sequence.
+pub fn decompress(block: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut r = ByteReader::new(block);
+    let declared = r.read_varint("block length")?;
+    let limit = block.len().saturating_mul(BLOCK_EXPANSION_LIMIT);
+    let raw_len = usize::try_from(declared)
+        .ok()
+        .filter(|&len| len <= limit)
+        .ok_or(CodecError::BlockExpansion { declared, limit })?;
+    let mut out = Vec::with_capacity(raw_len);
+    while out.len() < raw_len {
+        let token = r.read_u8("block token")?;
+        let literals = read_run(&mut r, token >> 4, "block literal run")?;
+        if literals > raw_len - out.len() {
+            return Err(CodecError::BlockOverrun { what: "literal run", declared: raw_len });
+        }
+        out.extend_from_slice(r.read_bytes(literals, "block literals")?);
+        if out.len() == raw_len {
+            break;
+        }
+        let offset = usize::from(u16::from_le_bytes(r.read_array("block match offset")?));
+        if offset == 0 || offset > out.len() {
+            return Err(CodecError::BlockOffset { offset, produced: out.len() });
+        }
+        let len = MIN_MATCH.saturating_add(read_run(&mut r, token & 0x0f, "block match run")?);
+        if len > raw_len - out.len() {
+            return Err(CodecError::BlockOverrun { what: "match", declared: raw_len });
+        }
+        // A match may overlap its own output: copy it in chunks of at most
+        // `offset` bytes, each of them already written.
+        let start = out.len() - offset;
+        let mut copied = 0;
+        while copied < len {
+            let chunk = (len - copied).min(offset);
+            out.extend_from_within(start + copied..start + copied + chunk);
+            copied += chunk;
+        }
+    }
+    r.expect_eof()?;
+    Ok(out)
 }
 
 /// Bytes [`seal`] puts in front of the payload when the format carries
@@ -762,7 +1001,7 @@ mod tests {
             }
             assert_eq!(strings.references(), picks.len());
             assert!(strings.len() <= pool.len());
-            let stream = strings.into_stream(body);
+            let stream = decompress(&strings.into_stream(body)).unwrap();
 
             let mut r = ByteReader::new(&stream);
             let mut table = StringTable::read_table(&mut r).unwrap();
@@ -825,6 +1064,122 @@ mod tests {
         assert_eq!(
             err,
             CodecError::StringExpansion { limit: bytes.len() * STRING_EXPANSION_LIMIT }
+        );
+    }
+
+    /// Compress, decompress, and check the block against the expansion
+    /// limit the decoder enforces.
+    fn round_trip(raw: &[u8]) -> Vec<u8> {
+        let block = compress(raw);
+        assert_eq!(decompress(&block).unwrap(), raw);
+        assert!(raw.len() <= BLOCK_EXPANSION_LIMIT * block.len());
+        block
+    }
+
+    #[test]
+    fn seeded_blocks_round_trip_from_empty_input_to_repeats_past_the_window() {
+        assert_eq!(round_trip(&[]), [0]);
+        assert_eq!(round_trip(&[7]), [1, 0x10, 7]);
+        // One byte 100 000 times: a literal, then one match at offset 1
+        // near the 255 : 1 ceiling.
+        assert!(round_trip(&vec![b'x'; 100_000]).len() <= 100_000 / 250);
+
+        // Incompressible bytes cost only their literal runs' headers.
+        let mut seed = 0x5eed_0030;
+        let mut noise = |n: usize| -> Vec<u8> { (0..n).map(|_| splitmix(&mut seed) as u8).collect() };
+        let random = noise(8192);
+        assert!(round_trip(&random).len() <= random.len() + random.len() / 255 + 8);
+
+        // Over 64 KiB: a 20 KiB stretch again 90 KiB on, past the window,
+        // so only literals can carry it ...
+        let (stretch, gap) = (noise(20 << 10), noise(70 << 10));
+        let far = [&stretch[..], &gap, &stretch].concat();
+        assert!(round_trip(&far).len() >= far.len());
+        // ... and again right after itself, inside it.
+        let near = [&stretch[..], &stretch].concat();
+        assert!(round_trip(&near).len() < stretch.len() + 1024);
+
+        // Seeded mixes of noise over a small alphabet, runs of one byte and
+        // copies of earlier stretches, so literal and match runs cross
+        // their 15 and 270 continuations.
+        for _ in 0..200 {
+            let len = (splitmix(&mut seed) % 3000) as usize;
+            let mut raw: Vec<u8> = Vec::with_capacity(len);
+            while raw.len() < len {
+                let piece = (splitmix(&mut seed) % 400) as usize + 1;
+                match splitmix(&mut seed) % 3 {
+                    0 => raw.extend((0..piece).map(|_| b'a' + (splitmix(&mut seed) % 4) as u8)),
+                    1 => raw.resize(raw.len() + piece, splitmix(&mut seed) as u8),
+                    _ if !raw.is_empty() => {
+                        let from = (splitmix(&mut seed) as usize) % raw.len();
+                        let piece = piece.min(raw.len() - from);
+                        raw.extend_from_within(from..from + piece);
+                    }
+                    _ => raw.push(0),
+                }
+            }
+            round_trip(&raw);
+        }
+    }
+
+    #[test]
+    fn malformed_blocks_are_typed_rejections() {
+        let refused = |block: &[u8]| decompress(block).unwrap_err();
+        // A match at offset 0, and one reaching back past the one byte made.
+        assert_eq!(refused(&[5, 0x10, b'a', 0, 0]), CodecError::BlockOffset { offset: 0, produced: 1 });
+        assert_eq!(refused(&[5, 0x10, b'a', 2, 0]), CodecError::BlockOffset { offset: 2, produced: 1 });
+        // Five literals declared, one left in the block.
+        assert_eq!(
+            refused(&[5, 0x50, b'a']),
+            CodecError::UnexpectedEof { what: "block literals", needed: 5, remaining: 1 }
+        );
+        // A literal run, then a match, past the declared length.
+        assert_eq!(
+            refused(&[2, 0x30, b'a', b'b', b'c']),
+            CodecError::BlockOverrun { what: "literal run", declared: 2 }
+        );
+        assert_eq!(refused(&[5, 0x11, b'a', 1, 0]), CodecError::BlockOverrun { what: "match", declared: 5 });
+        // A block that stops early, and one that goes on after its end.
+        assert!(matches!(refused(&[9, 0x10, b'a', 1, 0]), CodecError::UnexpectedEof { what: "block token", .. }));
+        assert_eq!(refused(&[1, 0x10, b'a', 0]), CodecError::TrailingBytes(1));
+        assert!(matches!(refused(&[]), CodecError::UnexpectedEof { .. }));
+    }
+
+    #[test]
+    fn a_block_declaring_past_the_expansion_limit_is_refused_before_it_allocates() {
+        // The densest block the writer makes, one byte 1 MiB times, stays
+        // under the limit.
+        let block = round_trip(&vec![0; 1 << 20]);
+        let mut r = ByteReader::new(&block);
+        r.read_varint("length").unwrap();
+        let sequences = &block[block.len() - r.remaining()..];
+        // The same sequences under another declared length: at the limit
+        // the check passes and the sequences run out; one past it is
+        // refused before anything is decoded.
+        let redeclared = |declared: u64| {
+            let mut w = ByteWriter::new();
+            w.write_varint(declared);
+            w.write_bytes(sequences);
+            w.into_bytes()
+        };
+        let header = (1..=10)
+            .find(|&n| varint_bytes((BLOCK_EXPANSION_LIMIT * (n + sequences.len()) + 1) as u64).len() == n)
+            .unwrap();
+        let limit = BLOCK_EXPANSION_LIMIT * (header + sequences.len());
+        assert!(matches!(
+            decompress(&redeclared(limit as u64)).unwrap_err(),
+            CodecError::UnexpectedEof { what: "block token", .. }
+        ));
+        assert_eq!(
+            decompress(&redeclared(limit as u64 + 1)).unwrap_err(),
+            CodecError::BlockExpansion { declared: limit as u64 + 1, limit }
+        );
+        assert_eq!(
+            decompress(&redeclared(u64::MAX)).unwrap_err(),
+            CodecError::BlockExpansion {
+                declared: u64::MAX,
+                limit: BLOCK_EXPANSION_LIMIT * (10 + sequences.len())
+            }
         );
     }
 

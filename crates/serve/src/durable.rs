@@ -152,12 +152,11 @@ impl<'a> DurableServePipeline<'a> {
         if batch.is_empty() {
             return Ok(self.serve.ingest(batch)?);
         }
-        let wal_size = self.store.wal_size()?;
         self.store.append_batch(&encode_corpus(batch))?;
         let report = match self.serve.ingest(batch) {
             Ok(report) => report,
             Err(rejected) => {
-                self.store.rollback_append(wal_size)?;
+                self.store.rollback_append()?;
                 return Err(rejected.into());
             }
         };

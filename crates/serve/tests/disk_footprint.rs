@@ -6,12 +6,14 @@
 //! same seeded stream leaves the same bytes at every thread count. This
 //! gate streams two renderings of a tiny world through a
 //! [`DurableServePipeline`] under [`CheckpointPolicy::EveryBatches`],
-//! prints where the bytes of the store went, and holds three things:
+//! prints where the bytes of the store went — the newest checkpoint's raw
+//! stream by section, then every file raw and as stored, compressed — and
+//! holds three things:
 //!
 //! * the store is the regular files directly in its directory — one WAL
 //!   and the two retained checkpoints, nothing else, nowhere else;
 //! * every one of them is byte-identical at 1 and at 4 threads;
-//! * the store's size is the pinned [`STORE_BYTES`] — 109.62 B/row, under
+//! * the store's size is the pinned [`STORE_BYTES`] — 90.25 B/row, under
 //!   [`BYTES_PER_ROW_CEILING`].
 //!
 //! A change that moves [`STORE_BYTES`] changed either what the pipeline
@@ -22,10 +24,13 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_PAYLOAD_START, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
 use ltee_core::CheckpointLayout;
+use ltee_ml::codec::{decompress, open};
 use ltee_serve::{CheckpointPolicy, DurableServePipeline};
-use ltee_store::KbStore;
+use ltee_store::wal::{WAL_HEADER_LEN, WAL_RECORD_HEADER_LEN};
+use ltee_store::{scan_wal, KbStore};
 use ltee_webtables::{TableId, WebTable};
 
 /// Micro-batches in the stream: checkpoints after 4, 8 and 12 (the first
@@ -34,10 +39,10 @@ const BATCHES: usize = 14;
 const CHECKPOINT_EVERY: u64 = 4;
 
 /// Bytes of every file in the store at the end of the stream.
-const STORE_BYTES: u64 = 28_830;
+const STORE_BYTES: u64 = 23_737;
 
 /// Store bytes per ingested row the gate allows.
-const BYTES_PER_ROW_CEILING: f64 = 112.0;
+const BYTES_PER_ROW_CEILING: f64 = 92.0;
 
 /// Two renderings of a tiny world, the second under fresh table ids: the
 /// repetition across tables that row clustering feeds on, and that the
@@ -72,6 +77,22 @@ fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
         .collect();
     files.sort();
     files
+}
+
+/// A store file's bytes with every payload decompressed: a checkpoint's
+/// envelope and raw stream, or the log's header and each record's header
+/// and raw batch.
+fn raw_bytes(name: &str, bytes: &[u8]) -> usize {
+    let raw = |block: &[u8]| decompress(block).expect("a stored block decompresses").len();
+    if name == "wal.log" {
+        let log = scan_wal(bytes).expect("the log scans");
+        WAL_HEADER_LEN
+            + log.records.iter().map(|r| WAL_RECORD_HEADER_LEN + raw(&r.payload)).sum::<usize>()
+    } else {
+        let (_, payload) = open::<2>(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)
+            .expect("the checkpoint opens");
+        CHECKPOINT_PAYLOAD_START + raw(payload)
+    }
 }
 
 #[test]
@@ -126,38 +147,48 @@ fn a_stream_costs_its_pinned_bytes_on_disk_at_every_thread_count() {
     let (reencoded, layout) = decoded.view().encode_with_layout();
     assert!(reencoded == files[1].1);
     let CheckpointLayout { string_table, corpus, mapping, interner, clusters, results, .. } = layout;
-    let envelope = newest - layout.payload_len() + 1;
-    assert_eq!(envelope, ltee_core::checkpoint::CHECKPOINT_PAYLOAD_START + 1);
+    assert_eq!(CHECKPOINT_PAYLOAD_START + layout.payload_len(), newest);
+    let raw_stream = layout.raw_len();
+    assert_eq!(CHECKPOINT_PAYLOAD_START + raw_stream, raw_bytes(&files[1].0, &files[1].1));
 
     let store_bytes = (older + newest + wal) as u64;
     let per_row = store_bytes as f64 / rows as f64;
     println!(
         "disk footprint: {BATCHES} batches, {rows} rows, a checkpoint every {CHECKPOINT_EVERY}; \
-         the newest checkpoint by section, then the store"
+         the newest checkpoint's raw stream by section, then every file raw and stored"
     );
-    println!("{:<28} {:>9} {:>7}", "", "bytes", "share");
-    let row = |what: &str, bytes: usize, of: usize| {
-        println!("{what:<28} {bytes:>9} {:>6.1}%", 100.0 * bytes as f64 / of as f64);
+    println!("{:<28} {:>9} {:>7}", "", "raw bytes", "share");
+    let row = |what: &str, bytes: usize| {
+        println!("{what:<28} {bytes:>9} {:>6.1}%", 100.0 * bytes as f64 / raw_stream as f64);
     };
-    row("string table", string_table, newest);
-    row("corpus", corpus, newest);
-    row("mapping", mapping, newest);
-    row("interner", interner, newest);
-    row("clusters", clusters, newest);
-    row("results", results, newest);
-    row("envelope + class count", envelope, newest);
+    row("string table", string_table);
+    row("corpus", corpus);
+    row("mapping", mapping);
+    row("interner", interner);
+    row("clusters", clusters);
+    row("results", results);
+    row("class count", 1);
     println!(
         "strings: {} distinct over {} written ({:.1}%)",
         layout.strings_distinct,
         layout.strings_written,
         100.0 * layout.strings_distinct as f64 / layout.strings_written as f64
     );
-    let total = store_bytes as usize;
-    row(&expected[1], newest, total);
-    row(&expected[0], older, total);
-    row("wal.log", wal, total);
-    row("store", total, total);
-    println!("{per_row:.2} B/row (ceiling {BYTES_PER_ROW_CEILING})");
+    println!("{:<28} {:>9} {:>9} {:>7}", "", "raw", "stored", "stored/raw");
+    let file = |what: &str, raw: usize, stored: usize| {
+        println!("{what:<28} {raw:>9} {stored:>9} {:>6.1}%", 100.0 * stored as f64 / raw as f64);
+    };
+    let mut raw_total = 0;
+    for (name, bytes) in &files {
+        let raw = raw_bytes(name, bytes);
+        raw_total += raw;
+        file(name, raw, bytes.len());
+    }
+    file("store", raw_total, store_bytes as usize);
+    println!(
+        "{per_row:.2} B/row stored, {:.2} raw (ceiling {BYTES_PER_ROW_CEILING})",
+        raw_total as f64 / rows as f64
+    );
 
     assert_eq!(store_bytes, STORE_BYTES, "the store's size moved: see the module docs");
     assert!(per_row <= BYTES_PER_ROW_CEILING, "{per_row:.2} B/row");

@@ -18,7 +18,8 @@
 //!   fsync), *then* apply it in memory. A crash between the two replays
 //!   the batch on recovery; a crash during the append leaves a torn tail
 //!   the scanner drops. Either way recovery lands on a prefix of the
-//!   applied batches.
+//!   applied batches. An append starts at the end of the acknowledged
+//!   log, cutting whatever a failed append left there first.
 //! * **Checkpoint**: [`KbStore::write_checkpoint`] writes to a temp file,
 //!   renames it into place and syncs the directory — a checkpoint is
 //!   either fully present or absent, never torn-but-plausible (and a torn
@@ -176,6 +177,11 @@ pub struct KbStore {
     dir: PathBuf,
     fingerprint: u64,
     next_seq: u64,
+    /// Bytes of the log that hold acknowledged records: every append
+    /// starts here, whatever a failed append left behind it.
+    wal_len: u64,
+    /// Where the most recent append started, while it can be rolled back.
+    last_append: Option<u64>,
 }
 
 impl KbStore {
@@ -266,12 +272,14 @@ impl KbStore {
             || tail.len() != scanned
             || wal_bytes_len == 0
             || !wal_path.exists();
-        if dirty {
-            Self::rewrite_wal(&dir, fingerprint, &tail)?;
-        }
+        let wal_len = if dirty {
+            Self::rewrite_wal(&dir, fingerprint, &tail)?
+        } else {
+            wal_bytes_len as u64
+        };
 
         let next_seq = applied + tail.len() as u64 + 1;
-        let store = KbStore { dir, fingerprint, next_seq };
+        let store = KbStore { dir, fingerprint, next_seq, wal_len, last_append: None };
         Ok(StoreRecovery { store, checkpoint, tail, wal_tail: scan.tail })
     }
 
@@ -288,31 +296,41 @@ impl KbStore {
     /// Append one encoded micro-batch to the WAL and fsync it. Returns the
     /// batch number assigned. Call this *before* applying the batch in
     /// memory — the WAL must always be ahead of the applied state.
+    ///
+    /// The record goes at the end of the acknowledged log: bytes a failed
+    /// append left behind (a short write, a failed sync) are cut first, or
+    /// the scanner would stop at them on reopen and drop every batch
+    /// appended after.
     pub fn append_batch(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let seq = self.next_seq;
         let record = wal::encode_wal_record(seq, payload);
+        // A failed append leaves nothing to roll back.
+        self.last_append = None;
         let mut file = OpenOptions::new().append(true).open(Self::wal_path(&self.dir))?;
+        if file.metadata()?.len() != self.wal_len {
+            file.set_len(self.wal_len)?;
+        }
         file.write_all(&record)?;
         file.sync_data()?;
+        self.last_append = Some(self.wal_len);
+        self.wal_len += record.len() as u64;
         self.next_seq += 1;
         Ok(seq)
     }
 
-    /// Current byte length of the WAL file. Capture it before an
-    /// [`KbStore::append_batch`] whose in-memory apply might be rejected,
-    /// and hand it to [`KbStore::rollback_append`] if it is.
-    pub fn wal_size(&self) -> Result<u64, StoreError> {
-        Ok(fs::metadata(Self::wal_path(&self.dir))?.len())
-    }
-
-    /// Undo the most recent [`KbStore::append_batch`] by truncating the WAL
-    /// back to `size` — used when the apply step rejects the batch (e.g. a
-    /// duplicate table id), so a rejected batch leaves no trace on disk and
-    /// its batch number is reused.
-    pub fn rollback_append(&mut self, size: u64) -> Result<(), StoreError> {
+    /// Undo the most recent [`KbStore::append_batch`] by cutting the WAL
+    /// back to where it started — used when the apply step rejects the
+    /// batch (e.g. a duplicate table id), so a rejected batch leaves no
+    /// trace on disk and its batch number is reused. Does nothing when
+    /// there is no append to undo: none since the store opened or last
+    /// checkpointed, or it was already undone.
+    pub fn rollback_append(&mut self) -> Result<(), StoreError> {
+        let Some(start) = self.last_append else { return Ok(()) };
         let file = OpenOptions::new().write(true).open(Self::wal_path(&self.dir))?;
-        file.set_len(size)?;
+        file.set_len(start)?;
         file.sync_data()?;
+        self.wal_len = start;
+        self.last_append = None;
         self.next_seq -= 1;
         Ok(())
     }
@@ -353,13 +371,20 @@ impl KbStore {
         let keep_after = all.get(1).copied().unwrap_or(checkpoint.applied_batches);
         // One copy of the log in memory while it is rewritten: the file's
         // bytes go once scanned, and the kept records move out of the scan.
-        let scan = scan_wal(&fs::read(Self::wal_path(&self.dir))?)?;
+        // Only the acknowledged records are read; the next append cuts
+        // whatever lies past them.
+        let scan = {
+            let mut log = fs::read(Self::wal_path(&self.dir))?;
+            log.truncate(self.wal_len as usize);
+            scan_wal(&log)?
+        };
         let scanned = scan.records.len();
         let kept: Vec<WalRecord> =
             scan.records.into_iter().filter(|r| r.seq > keep_after).collect();
         if kept.len() != scanned || !matches!(scan.tail, WalTail::Clean) {
-            Self::rewrite_wal(&self.dir, self.fingerprint, &kept)?;
+            self.wal_len = Self::rewrite_wal(&self.dir, self.fingerprint, &kept)?;
         }
+        self.last_append = None;
         Ok(())
     }
 
@@ -381,8 +406,9 @@ impl KbStore {
         Ok(found)
     }
 
-    /// Atomically replace the WAL with `header + records` (temp + rename).
-    fn rewrite_wal(dir: &Path, fingerprint: u64, records: &[WalRecord]) -> Result<(), StoreError> {
+    /// Atomically replace the WAL with `header + records` (temp + rename);
+    /// returns the new log's length.
+    fn rewrite_wal(dir: &Path, fingerprint: u64, records: &[WalRecord]) -> Result<u64, StoreError> {
         let path = Self::wal_path(dir);
         let tmp = path.with_extension("log.tmp");
         {
@@ -394,7 +420,10 @@ impl KbStore {
             file.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
-        Self::sync_dir(dir)
+        Self::sync_dir(dir)?;
+        let records_len: usize =
+            records.iter().map(|r| wal::WAL_RECORD_HEADER_LEN + r.payload.len()).sum();
+        Ok((wal::WAL_HEADER_LEN + records_len) as u64)
     }
 
     /// Make the renames done in `dir` durable: a rename lives in the
@@ -446,7 +475,7 @@ pub mod crashpoints {
 mod tests {
     use super::*;
     use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-    use ltee_ml::codec::{seal, ByteWriter};
+    use ltee_ml::codec::{compress, seal, ByteWriter};
 
     /// Hand-build an encoded empty checkpoint (no tables, no state) with
     /// the given fingerprint and applied-batch count, exercising the real
@@ -469,7 +498,7 @@ mod tests {
             w.write_varint(0); // clusters
             w.write_varint(0); // results
         }
-        seal(&CHECKPOINT_MAGIC, version, &[fingerprint, applied], &w.into_bytes())
+        seal(&CHECKPOINT_MAGIC, version, &[fingerprint, applied], &compress(&w.into_bytes()))
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -522,6 +551,36 @@ mod tests {
             rec3.tail.iter().map(|r| (r.seq, r.payload.clone())).collect::<Vec<_>>(),
             vec![(1, b"alpha".to_vec()), (2, b"beta-again".to_vec())]
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bytes_a_failed_append_left_behind_are_cut_by_the_next_append() {
+        let dir = scratch_dir("residue");
+        let mut rec = KbStore::open(&dir, 11).unwrap();
+        rec.store.append_batch(b"first").unwrap();
+        // Part of a record the store never acknowledged: what a short
+        // write leaves behind.
+        let mut file = OpenOptions::new().append(true).open(KbStore::wal_path(&dir)).unwrap();
+        file.write_all(&wal::encode_wal_record(2, b"torn")[..7]).unwrap();
+        drop(file);
+        assert_eq!(rec.store.append_batch(b"second").unwrap(), 2);
+
+        let rec2 = KbStore::open(&dir, 11).unwrap();
+        assert_eq!(rec2.wal_tail, WalTail::Clean);
+        assert_eq!(
+            rec2.tail.iter().map(|r| (r.seq, r.payload.clone())).collect::<Vec<_>>(),
+            vec![(1, b"first".to_vec()), (2, b"second".to_vec())]
+        );
+
+        // A rollback cuts back to where its append started, residue and all.
+        let mut rec2 = rec2;
+        rec2.store.append_batch(b"rejected").unwrap();
+        rec2.store.rollback_append().unwrap();
+        rec2.store.rollback_append().unwrap();
+        assert_eq!(rec2.store.next_seq(), 3);
+        let rec3 = KbStore::open(&dir, 11).unwrap();
+        assert_eq!((rec3.wal_tail, rec3.tail.len()), (WalTail::Clean, 2));
         fs::remove_dir_all(&dir).unwrap();
     }
 

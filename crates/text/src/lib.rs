@@ -29,6 +29,7 @@
 //! normalisation per distinct label per run instead of one per comparison.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod interned;
 pub mod jaccard;

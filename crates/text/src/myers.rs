@@ -115,8 +115,10 @@ impl PatternSymbol for char {
         distinct.dedup();
         let mut masks = vec![0u64; distinct.len() * blocks];
         for (i, &c) in pattern.iter().enumerate() {
-            let slot = distinct.binary_search(&c).expect("char came from the pattern");
-            masks[slot * blocks + i / 64] |= 1u64 << (i % 64);
+            // Every pattern char is in `distinct`, so the search finds it.
+            if let Ok(slot) = distinct.binary_search(&c) {
+                masks[slot * blocks + i / 64] |= 1u64 << (i % 64);
+            }
         }
         (distinct, masks, blocks)
     }

@@ -139,14 +139,18 @@ impl BowVector {
         Err(low)
     }
 
-    /// Add `term` unless it is present, keeping the arena sorted.
+    /// Add `term` unless it is present, keeping the arena sorted. The end
+    /// offsets are `u32`, so a term that would take the arena past 4 GiB
+    /// of distinct term bytes is not added.
     fn insert(&mut self, term: &str) {
         let Err(at) = self.position(term) else { return };
         let start = self.start_of(at);
-        let len = u32::try_from(term.len())
+        let Some(len) = u32::try_from(term.len())
             .ok()
             .filter(|&len| self.bytes.len() as u64 + u64::from(len) <= u64::from(u32::MAX))
-            .expect("bag-of-words arena exceeded u32 address space");
+        else {
+            return;
+        };
         self.bytes.insert_str(start, term);
         for end in &mut self.ends[at..] {
             *end += len;

@@ -29,11 +29,15 @@
 //!
 //! The same discipline covers the durability formats (PR 8): a second
 //! 200-case corpus corrupts a *state checkpoint* (`PipelineCheckpoint`)
-//! with the same five families plus a sixth the compact layout (checkpoint
-//! version 3 on) calls for — hand-written payloads whose only defect is a
+//! with the same five families plus a sixth the compact layout calls for —
+//! hand-written streams, stored in a valid block, whose only defect is a
 //! string reference past the table, a string table longer than the stream,
 //! a cluster row gap of zero, or references that expand past the stream's
-//! budget ([`crafted_checkpoint`]) — and a 100-case corpus mutates a
+//! budget ([`crafted_checkpoint`]), and hand-written blocks around a valid
+//! stream whose only defect is in the block: offset 0, an offset past the
+//! output, a literal run past the block, a match past the declared length,
+//! or a declared length past the expansion limit ([`crafted_block`]) — and
+//! a 100-case corpus mutates a
 //! write-ahead log, where the contract is different — the scanner must
 //! never panic and must always recover a strict prefix of the original
 //! records (mid-log corruption truncates at the last valid record rather
@@ -49,7 +53,10 @@ use std::sync::OnceLock;
 use ltee_core::artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
 use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
-use ltee_ml::codec::{open, seal, ByteWriter, CodecError, STRING_EXPANSION_LIMIT};
+use ltee_ml::codec::{
+    compress, decompress, open, seal, ByteWriter, CodecError, BLOCK_EXPANSION_LIMIT,
+    STRING_EXPANSION_LIMIT,
+};
 use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, WalTail};
 use rand::{RngCore, SeedableRng};
@@ -141,11 +148,9 @@ const DEFECTS: [Defect; 4] = [
     Defect::ExpansionBomb,
 ];
 
-/// A minimal version-5 checkpoint written field by field — one two-row
-/// Song table, its mapping, a one-string interner, one cluster, one
-/// result — sealed in a valid envelope, so `defect` is the only thing a
-/// decoder can object to.
-fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
+/// A minimal checkpoint stream written field by field — one two-row Song
+/// table, its mapping, a one-string interner, one cluster, one result.
+fn crafted_stream(defect: Option<Defect>) -> Vec<u8> {
     let long = "x".repeat(4096);
     let label = if defect == Some(Defect::ExpansionBomb) { long.as_str() } else { "a" };
     let mut w = ByteWriter::new();
@@ -189,7 +194,90 @@ fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
         w.write_f64(0.0);
         w.write_varint(0);
     }
-    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &w.into_bytes())
+    w.into_bytes()
+}
+
+/// [`crafted_stream`] compressed and sealed in a valid envelope, so
+/// `defect` is the only thing a decoder can object to.
+fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
+    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &compress(&crafted_stream(defect)))
+}
+
+/// The one thing wrong with a [`crafted_block`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum BlockDefect {
+    /// A match at offset 0.
+    ZeroOffset,
+    /// A match reaching back past the one byte produced.
+    OffsetPastOutput,
+    /// A literal run one byte longer than the rest of the block.
+    LiteralsPastBlock,
+    /// A match running two bytes past the declared length.
+    MatchPastLength,
+    /// A declared length one byte past what the block's length allows.
+    LengthOverLimit,
+}
+
+const BLOCK_DEFECTS: [BlockDefect; 5] = [
+    BlockDefect::ZeroOffset,
+    BlockDefect::OffsetPastOutput,
+    BlockDefect::LiteralsPastBlock,
+    BlockDefect::MatchPastLength,
+    BlockDefect::LengthOverLimit,
+];
+
+/// A block sequence as `compress` writes one: the token, each run's
+/// continuation bytes, the literals, the offset.
+fn sequence(w: &mut ByteWriter, literals: &[u8], matched: Option<(u16, usize)>) {
+    let run_tail = |w: &mut ByteWriter, run: usize| {
+        if let Some(mut rest) = run.checked_sub(15) {
+            while rest >= 255 {
+                w.write_u8(255);
+                rest -= 255;
+            }
+            w.write_u8(rest as u8);
+        }
+    };
+    let match_run = matched.map_or(0, |(_, len)| len - 4);
+    w.write_u8((literals.len().min(15) as u8) << 4 | match_run.min(15) as u8);
+    run_tail(w, literals.len());
+    w.write_bytes(literals);
+    if let Some((offset, _)) = matched {
+        w.write_bytes(&offset.to_le_bytes());
+        run_tail(w, match_run);
+    }
+}
+
+/// The valid [`crafted_stream`] in a hand-written block whose one defect
+/// is `defect`, sealed in a valid envelope.
+fn crafted_block(defect: BlockDefect) -> Vec<u8> {
+    let raw = crafted_stream(None);
+    let mut w = ByteWriter::new();
+    match defect {
+        BlockDefect::LengthOverLimit => {
+            // The stream is under 128 bytes, so its block's length is one
+            // byte; the over-limit length takes two.
+            let sequences = &compress(&raw)[1..];
+            let declared = BLOCK_EXPANSION_LIMIT * (2 + sequences.len()) + 1;
+            assert!((1 << 7..1 << 14).contains(&declared));
+            w.write_varint(declared as u64);
+            w.write_bytes(sequences);
+        }
+        _ => {
+            w.write_varint(raw.len() as u64);
+            match defect {
+                BlockDefect::ZeroOffset => sequence(&mut w, &raw[..1], Some((0, 4))),
+                BlockDefect::OffsetPastOutput => sequence(&mut w, &raw[..1], Some((2, 4))),
+                BlockDefect::LiteralsPastBlock => sequence(&mut w, &raw, None),
+                _ => sequence(&mut w, &raw[..raw.len() - 2], Some((1, 4))),
+            }
+        }
+    }
+    let mut block = w.into_bytes();
+    if defect == BlockDefect::LiteralsPastBlock {
+        block.pop();
+    }
+    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &block)
 }
 
 fn decode_checkpoint_caught(
@@ -204,8 +292,7 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
     assert!(PipelineCheckpoint::decode(valid).is_ok(), "the uncorrupted checkpoint must decode");
     let len = valid.len();
     let (words, payload) = checkpoint_parts(valid);
-    let payload_len = payload.len();
-    assert!(payload_len > 4096, "fuzz corpus assumes a non-trivial payload, got {payload_len}");
+    assert!(payload.len() > 4096, "fuzz corpus assumes a non-trivial payload, got {}", payload.len());
 
     let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
 
@@ -256,25 +343,31 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
 
     // 4. Seeded-random garbage of assorted sizes.
     let mut rng = ChaCha8Rng::seed_from_u64(0xF423);
-    for i in 0..20 {
+    for i in 0..15 {
         let size = (i * 171) % 4096;
         let bytes: Vec<u8> = (0..size).map(|_| rng.next_u32() as u8).collect();
         corpus.push((format!("garbage #{i} ({size} B)"), bytes));
     }
 
-    // 5. Payload truncations with a re-fixed header: the checksum matches,
-    //    so the bounds-checked state decoders (and the cross-validation of
-    //    clusters against the decoded corpus) must reject the short stream.
+    // 5. Stream truncations stored in a valid block under a re-fixed
+    //    header: block and checksum are sound, so the bounds-checked state
+    //    decoders (and the cross-validation of clusters against the decoded
+    //    corpus) must reject the short stream.
+    let raw = decompress(payload).expect("the uncorrupted checkpoint decompresses");
     for i in 0..40 {
-        let cut = i * payload_len / 40;
-        let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &payload[..cut]);
-        corpus.push((format!("payload truncate[..{cut}] (checksum fixed)"), bytes));
+        let cut = i * raw.len() / 40;
+        let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &compress(&raw[..cut]));
+        corpus.push((format!("stream truncate[..{cut}] (block and checksum fixed)"), bytes));
     }
 
-    // 6. Well-formed but for one field the compact layout must police.
+    // 6. Well-formed but for one field the compact layout must police, or
+    //    one field of the block around a valid stream.
     assert!(PipelineCheckpoint::decode(&crafted_checkpoint(None)).is_ok());
     for defect in DEFECTS {
         corpus.push((format!("crafted {defect:?}"), crafted_checkpoint(Some(defect))));
+    }
+    for defect in BLOCK_DEFECTS {
+        corpus.push((format!("crafted block {defect:?}"), crafted_block(defect)));
     }
 
     assert_eq!(corpus.len(), 200, "the corpus is specified as exactly 200 cases");
@@ -298,31 +391,31 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
 #[test]
 fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     let (valid, _) = durability_bytes();
-    let (words, valid_payload) = checkpoint_parts(valid);
-    let payload_len = valid_payload.len();
+    let (words, payload) = checkpoint_parts(valid);
+    let valid_raw = decompress(payload).expect("the uncorrupted checkpoint decompresses");
+    let stored = |raw: &[u8]| seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &compress(raw));
 
-    // Splice u32::MAX over 4 bytes at 32 evenly spaced payload offsets and
-    // re-fix the header: in the compact layout that is four continuation
-    // bytes, so whatever varint the splice lands in becomes enormous. A
-    // splice can still land inside a score or a long string-table entry, so
-    // a successful decode is tolerated; panics and large allocations are not.
+    // Splice u32::MAX over 4 bytes at 32 evenly spaced offsets of the raw
+    // stream and store it again: in the compact layout that is four
+    // continuation bytes, so whatever varint the splice lands in becomes
+    // enormous. A splice can still land inside a score or a long
+    // string-table entry, so a successful decode is tolerated; panics and
+    // large allocations are not.
     for i in 0..32 {
-        let pos = i * (payload_len - 4) / 31;
-        let mut payload = valid_payload.to_vec();
-        payload[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &payload);
-        if decode_checkpoint_caught(&bytes).is_err() {
-            panic!("length bomb at payload offset {pos} panicked the decoder");
+        let pos = i * (valid_raw.len() - 4) / 31;
+        let mut raw = valid_raw.clone();
+        raw[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        if decode_checkpoint_caught(&stored(&raw)).is_err() {
+            panic!("length bomb at stream offset {pos} panicked the decoder");
         }
     }
 
-    // The canonical bomb: the first payload bytes are the string-table
+    // The canonical bomb: the first stream bytes are the string-table
     // count — declaring billions of strings must be a typed decode error,
     // not an allocation.
-    let mut payload = valid_payload.to_vec();
-    payload[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &payload);
-    match PipelineCheckpoint::decode(&bytes) {
+    let mut raw = valid_raw.clone();
+    raw[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    match PipelineCheckpoint::decode(&stored(&raw)) {
         Err(CheckpointError::Decode(_)) => {}
         other => panic!("a length bomb on the first prefix must be a decode error, got {other:?}"),
     }
@@ -348,6 +441,47 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
             }
         };
         assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
+    }
+
+    // The block's own defects, each rejected for its reason before the
+    // stream inside is read.
+    for defect in BLOCK_DEFECTS {
+        let rejection = PipelineCheckpoint::decode(&crafted_block(defect)).unwrap_err();
+        let as_expected = match (defect, &rejection) {
+            (BlockDefect::ZeroOffset, CheckpointError::Decode(e)) => {
+                *e == CodecError::BlockOffset { offset: 0, produced: 1 }
+            }
+            (BlockDefect::OffsetPastOutput, CheckpointError::Decode(e)) => {
+                *e == CodecError::BlockOffset { offset: 2, produced: 1 }
+            }
+            (BlockDefect::LiteralsPastBlock, CheckpointError::Decode(e)) => {
+                matches!(e, CodecError::UnexpectedEof { what: "block literals", .. })
+            }
+            (BlockDefect::MatchPastLength, CheckpointError::Decode(e)) => {
+                matches!(e, CodecError::BlockOverrun { what: "match", .. })
+            }
+            (BlockDefect::LengthOverLimit, CheckpointError::Decode(e)) => matches!(
+                e,
+                CodecError::BlockExpansion { declared, limit } if *declared == *limit as u64 + 1
+            ),
+            _ => false,
+        };
+        assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
+    }
+}
+
+/// A real checkpoint's stream and every batch of its log come back from
+/// their stored blocks, smaller than they are raw, and compress again to
+/// the same bytes.
+#[test]
+fn stored_blocks_of_a_real_store_round_trip() {
+    let (checkpoint, wal) = durability_bytes();
+    let (_, payload) = checkpoint_parts(checkpoint);
+    let log = scan_wal(wal).expect("the uncorrupted WAL must scan");
+    for block in std::iter::once(payload).chain(log.records.iter().map(|r| &r.payload[..])) {
+        let raw = decompress(block).expect("a stored block decompresses");
+        assert_eq!(compress(&raw), block);
+        assert!(block.len() < raw.len(), "{} bytes stored for {} raw", block.len(), raw.len());
     }
 }
 

@@ -8,20 +8,21 @@
 //! bytes and the production encoder reproduces them exactly, and the
 //! FNV-1a64 of the whole file equals a pinned constant: the artifact's was
 //! generated before the codec consolidation (PR 13), the checkpoint's and
-//! the WAL's with the formats they pin (checkpoint version 5, WAL
-//! version 3). A change to any of these constants is a format change and
-//! needs a version bump, not an edit here.
+//! the WAL's with the formats they pin (checkpoint version 6, WAL
+//! version 4). Their compressed blocks are spelled out too, match by match.
+//! A change to any of these constants is a format change and needs a
+//! version bump, not an edit here.
 
 use ltee_core::{
     decode_corpus, encode_corpus, CheckpointError, ModelArtifact, PipelineCheckpoint,
 };
-use ltee_ml::codec::{fnv1a64, ByteWriter};
+use ltee_ml::codec::{compress, fnv1a64, ByteWriter};
 use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, KbStore, StoreError, WalTail};
 
 const ARTIFACT_FNV: u64 = 0xde7aa557b610faef;
-const CHECKPOINT_FNV: u64 = 0x2ee88336be77fa1a;
-const WAL_FNV: u64 = 0xdb326bb86f044fe8;
+const CHECKPOINT_FNV: u64 = 0x89dc34083876500b;
+const WAL_FNV: u64 = 0x23da3cd3d80882fb;
 
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
     u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap())
@@ -85,6 +86,42 @@ fn string_table(w: &mut ByteWriter, strings: &[&str]) {
         w.write_bytes(s.as_bytes());
     }
 }
+
+/// A raw stream under 128 bytes as its stored block: the one-byte varint
+/// length, then per match `(position, offset, length)` a sequence of the
+/// literals since the last match, the `u16` offset and the length, then a
+/// last sequence of the literals left, if any. A token holds the literal
+/// count (15 or more: 15, continued in one more byte) and the match length
+/// minus four, which stays below 15 here.
+fn block(raw: &[u8], matches: &[(usize, u16, usize)]) -> Vec<u8> {
+    let token = |w: &mut ByteWriter, literals: usize, match_run: usize| {
+        assert!(literals < 15 + 255 && match_run < 15);
+        w.write_u8((literals.min(15) as u8) << 4 | match_run as u8);
+        if literals >= 15 {
+            w.write_u8((literals - 15) as u8);
+        }
+    };
+    let mut w = ByteWriter::new();
+    w.write_u8(raw.len() as u8);
+    let mut anchor = 0;
+    for &(at, offset, len) in matches {
+        token(&mut w, at - anchor, len - 4);
+        w.write_bytes(&raw[anchor..at]);
+        w.write_bytes(&offset.to_le_bytes());
+        anchor = at + len;
+    }
+    if anchor < raw.len() {
+        token(&mut w, raw.len() - anchor, 0);
+        w.write_bytes(&raw[anchor..]);
+    }
+    w.into_bytes()
+}
+
+/// The greedy match finder's matches in [`checkpoint_payload`]: "ellow"
+/// and "ubmarine" of the Song interner arena, then the zero bytes and
+/// the class sections that repeat in the body.
+const CHECKPOINT_MATCHES: [(usize, u16, usize); 7] =
+    [(52, 44, 5), (59, 44, 8), (88, 1, 5), (95, 9, 4), (102, 21, 4), (110, 21, 4), (117, 23, 5)];
 
 /// One table: two columns, two rows, and nothing else — no ground truth.
 fn table_bytes(w: &mut ByteWriter) {
@@ -211,10 +248,13 @@ fn on_disk_formats_are_pinned() {
     assert_eq!(fnv1a64(&artifact), ARTIFACT_FNV, "artifact bytes: {:#018x}", fnv1a64(&artifact));
 
     // ── state checkpoint: two header words (fingerprint, applied batches) ─
-    let payload = checkpoint_payload();
-    let checkpoint = framed(b"LTEECKP\x01", 5, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    // The payload is the raw stream stored as one compressed block.
+    let raw = checkpoint_payload();
+    let payload = block(&raw, &CHECKPOINT_MATCHES);
+    assert_eq!(compress(&raw), payload);
+    let checkpoint = framed(b"LTEECKP\x01", 6, &[0x0123_4567_89AB_CDEF, 5], &payload);
     assert_eq!(&checkpoint[0..8], b"LTEECKP\x01");
-    assert_eq!(u32_at(&checkpoint, 8), 5);
+    assert_eq!(u32_at(&checkpoint, 8), 6);
     assert_eq!(u64_at(&checkpoint, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&checkpoint, 20), 5);
     assert_eq!(u64_at(&checkpoint, 28), payload.len() as u64);
@@ -230,42 +270,43 @@ fn on_disk_formats_are_pinned() {
         fnv1a64(&checkpoint)
     );
 
-    // An intact version-4 checkpoint, which also held ground truth and
-    // table-derived mapping fields. The decoder refuses by version before
-    // it reads a payload byte, so any payload in a valid version-4
-    // envelope stands for one; the store refuses to open over it rather
-    // than skip it as corrupt.
-    let version_4 = framed(b"LTEECKP\x01", 4, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    // An intact version-5 checkpoint: the same raw stream, uncompressed.
+    // The decoder refuses it by version before it reads a payload byte,
+    // and the store refuses to open over it rather than skip it as
+    // corrupt.
+    let version_5 = framed(b"LTEECKP\x01", 5, &[0x0123_4567_89AB_CDEF, 5], &raw);
     assert!(matches!(
-        PipelineCheckpoint::decode(&version_4),
-        Err(CheckpointError::UnsupportedVersion(4))
+        PipelineCheckpoint::decode(&version_5),
+        Err(CheckpointError::UnsupportedVersion(5))
     ));
     let dir = std::env::temp_dir().join(format!("ltee-format-pin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(KbStore::checkpoint_path(&dir, 5), &version_4).unwrap();
+    std::fs::write(KbStore::checkpoint_path(&dir, 5), &version_5).unwrap();
     assert!(matches!(
         KbStore::open(&dir, 0x0123_4567_89AB_CDEF),
-        Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(4)))
+        Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(5)))
     ));
     std::fs::remove_dir_all(&dir).unwrap();
 
     // ── write-ahead log: 20-byte header, then 20-byte record headers ─────
     // A batch payload is `string table · tables`, the table bytes the
     // checkpoint's corpus section holds.
-    let mut batch = ByteWriter::new();
-    string_table(&mut batch, &STRINGS[..6]);
-    batch.write_u8(1);
-    table_bytes(&mut batch);
-    let batch = batch.into_bytes();
+    // Stored as one block each; neither repeats four bytes.
+    let mut raw_batch = ByteWriter::new();
+    string_table(&mut raw_batch, &STRINGS[..6]);
+    raw_batch.write_u8(1);
+    table_bytes(&mut raw_batch);
+    let batch = block(&raw_batch.into_bytes(), &[]);
     assert_eq!(encode_corpus(&decode_corpus(&batch).expect("hand-written batch decodes")), batch);
-    let empty_batch = [0u8, 0]; // no strings, no tables
+    let empty_batch = block(&[0, 0], &[]); // no strings, no tables
+    assert_eq!(empty_batch, [2, 0x20, 0, 0]);
 
     let mut wal = encode_wal_header(0x0123_4567_89AB_CDEF);
     wal.extend_from_slice(&encode_wal_record(1, &batch));
     wal.extend_from_slice(&encode_wal_record(2, &empty_batch));
     assert_eq!(&wal[0..8], b"LTEEWAL\x01");
-    assert_eq!(u32_at(&wal, 8), 3);
+    assert_eq!(u32_at(&wal, 8), 4);
     assert_eq!(u64_at(&wal, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&wal, 20), 1); // record 1: seq · payload length (u32) · checksum · payload
     assert_eq!(u32_at(&wal, 28), batch.len() as u32);
@@ -273,7 +314,7 @@ fn on_disk_formats_are_pinned() {
     assert_eq!(&wal[40..40 + batch.len()], &batch[..]);
     let second = 40 + batch.len();
     assert_eq!(u64_at(&wal, second), 2);
-    assert_eq!(u32_at(&wal, second + 8), 2);
+    assert_eq!(u32_at(&wal, second + 8), empty_batch.len() as u32);
     assert_eq!(u64_at(&wal, second + 12), fnv1a64(&empty_batch));
     assert_eq!(&wal[second + 20..], &empty_batch[..]);
     let scan = scan_wal(&wal).expect("hand-built WAL scans");
@@ -285,9 +326,9 @@ fn on_disk_formats_are_pinned() {
     );
     assert_eq!(fnv1a64(&wal), WAL_FNV, "WAL bytes: {:#018x}", fnv1a64(&wal));
 
-    // A version-2 log, whose batches carried ground truth, is refused by
-    // its header before any record is read.
-    let mut version_2 = wal;
-    version_2[8..12].copy_from_slice(&2u32.to_le_bytes());
-    assert!(matches!(scan_wal(&version_2), Err(StoreError::UnsupportedWalVersion(2))));
+    // A version-3 log, whose batches were stored uncompressed, is refused
+    // by its header before any record is read.
+    let mut version_3 = wal;
+    version_3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    assert!(matches!(scan_wal(&version_3), Err(StoreError::UnsupportedWalVersion(3))));
 }
