@@ -526,15 +526,23 @@ impl RowSimilarityModel {
             .collect()
     }
 
-    /// Serialise the model (metric set + aggregation model) into the writer.
-    pub fn encode_into(&self, w: &mut ltee_ml::ByteWriter) {
+    /// Serialise the model (metric set + aggregation model) into the writer,
+    /// its feature names as references into `strings`.
+    pub fn encode_into<'a>(
+        &'a self,
+        strings: &mut ltee_ml::StringTableWriter<'a>,
+        w: &mut ltee_ml::ByteWriter,
+    ) {
         w.write_seq(&self.metrics, |w, metric| w.write_u8(metric.code()));
-        self.model.encode_into(w);
+        self.model.encode_into(strings, w);
     }
 
     /// Decode a model previously written by
     /// [`RowSimilarityModel::encode_into`].
-    pub fn decode_from(r: &mut ltee_ml::ByteReader<'_>) -> Result<Self, ltee_ml::CodecError> {
+    pub fn decode_from(
+        r: &mut ltee_ml::ByteReader<'_>,
+        strings: &mut ltee_ml::StringTable<'_>,
+    ) -> Result<Self, ltee_ml::CodecError> {
         let metrics = r.read_seq("row_model.metrics", 1, |r| {
             let tag = r.read_u8("row_model.metric")?;
             RowMetricKind::from_code(tag)
@@ -547,7 +555,7 @@ impl RowSimilarityModel {
                 declared: metrics.len(),
             });
         }
-        let model = PairwiseModel::decode_from(r)?;
+        let model = PairwiseModel::decode_from(r, strings)?;
         Ok(Self { metrics, model })
     }
 }

@@ -9,23 +9,35 @@
 //! binary file, so models are trained once and then loaded by any number of
 //! serving processes ([`crate::IncrementalPipeline`]).
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEEART\x01"`, format version 1 and one header word, the
-//! config fingerprint (see [`config_fingerprint`]). The payload is
-//! `MatcherWeights · RowSimilarityModel · EntitySimilarityModel`.
+//! with magic `b"LTEEART\x01"`, format version 2 and one header word, the
+//! config fingerprint (see [`config_fingerprint`]). The payload is one
+//! block of the codec's LZ compressor, like a checkpoint's or a WAL
+//! batch's; the raw stream in it is `string table · MatcherWeights ·
+//! RowSimilarityModel · EntitySimilarityModel` in the codec's one spelling:
+//! every count, index and integer a varint, every property and feature
+//! name a reference into the string table.
 //!
 //! Every `f64` in the payload is stored as its IEEE-754 bit pattern, so a
 //! decoded artifact reproduces the in-memory models **bit-for-bit**: the
 //! serve phase scores identically to the process that trained the models.
+//! Decoding refuses what would make a decoded model panic or loop: a tree
+//! without nodes, a split on a feature its forest does not have, a child
+//! that does not point forward.
+//!
+//! Version 1, the same models in the codec's old fixed-width spelling and
+//! stored uncompressed, is refused with
+//! [`ArtifactError::UnsupportedVersion`]: retraining rebuilds an artifact.
 //!
 //! ## Versioning and validation contract
 //!
 //! * The magic rejects non-artifact files immediately ([`ArtifactError::BadMagic`]).
-//! * The format version gates structural evolution: readers reject versions
-//!   they do not understand instead of misparsing
-//!   ([`ArtifactError::UnsupportedVersion`]).
+//! * The format version gates structural evolution: readers reject an
+//!   intact file of a version they do not understand instead of misparsing
+//!   it ([`ArtifactError::UnsupportedVersion`]); a version field that is
+//!   itself damage fails the checksum of the version it names.
 //! * The checksum detects corruption/truncation before any field is
 //!   interpreted ([`ArtifactError::Corrupted`]).
 //! * The **config fingerprint** hashes the inference-relevant parts of
@@ -40,7 +52,7 @@ use std::path::Path;
 
 use ltee_clustering::RowSimilarityModel;
 use ltee_matching::MatcherWeights;
-use ltee_ml::codec::{self, fnv1a64, ByteReader, ByteWriter, CodecError};
+use ltee_ml::codec::{self, fnv1a64, ByteWriter, CodecError, StringTableWriter};
 use ltee_newdetect::EntitySimilarityModel;
 
 use crate::pipeline::{PipelineConfig, TrainedModels};
@@ -49,7 +61,7 @@ use crate::pipeline::{PipelineConfig, TrainedModels};
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"LTEEART\x01";
 
 /// The artifact format version this build writes and reads.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Errors raised while encoding, decoding or validating an artifact.
 #[derive(Debug)]
@@ -177,23 +189,27 @@ impl ModelArtifact {
 
     /// Encode the artifact into its binary file format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = ByteWriter::new();
-        self.models.matcher_weights.encode_into(&mut payload);
-        self.models.row_model.encode_into(&mut payload);
-        self.models.entity_model.encode_into(&mut payload);
-        codec::seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[self.fingerprint], &payload.into_bytes())
+        let mut strings = StringTableWriter::new();
+        let mut body = ByteWriter::new();
+        self.models.matcher_weights.encode_into(&mut strings, &mut body);
+        self.models.row_model.encode_into(&mut strings, &mut body);
+        self.models.entity_model.encode_into(&mut strings, &mut body);
+        let payload = strings.into_stream(body);
+        codec::seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[self.fingerprint], &payload)
     }
 
-    /// Decode an artifact from bytes, validating magic, version, length and
-    /// checksum before interpreting any payload field.
+    /// Decode an artifact from bytes, validating magic, length, checksum
+    /// and version before interpreting any payload field.
     pub fn decode(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let ([fingerprint], payload) = codec::open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
-        let mut r = ByteReader::new(payload);
-        let matcher_weights = MatcherWeights::decode_from(&mut r)?;
-        let row_model = RowSimilarityModel::decode_from(&mut r)?;
-        let entity_model = EntitySimilarityModel::decode_from(&mut r)?;
-        r.expect_eof()?;
-        Ok(Self { models: TrainedModels { matcher_weights, row_model, entity_model }, fingerprint })
+        let models = codec::read_stream(payload, |r, strings| {
+            Ok::<_, CodecError>(TrainedModels {
+                matcher_weights: MatcherWeights::decode_from(r, strings)?,
+                row_model: RowSimilarityModel::decode_from(r, strings)?,
+                entity_model: EntitySimilarityModel::decode_from(r, strings)?,
+            })
+        })?;
+        Ok(Self { models, fingerprint })
     }
 
     /// Write the artifact to a file.

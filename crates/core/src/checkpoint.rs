@@ -59,7 +59,7 @@
 //! checksum cover the block as stored, so a damaged file is refused before
 //! anything is decompressed. The raw stream in the block is `string table ·
 //! corpus · mapping · per-class interner strings / clusters / results`, in
-//! the codec's *compact* spelling: every count, id and index is a LEB128
+//! the codec's payload spelling: every count, id and index is a LEB128
 //! varint, every string — header, cell, property, interner entry — is a
 //! varint reference into the one string table at the head of the payload
 //! (each distinct string once, in first-use order, so the bytes are a
@@ -230,9 +230,9 @@ fn class_key_from_code(code: u8) -> Result<ClassKey, CodecError> {
 /// A table is its id and columns; its ground truth, if any, is not written.
 fn encode_table_into<'a>(table: &'a WebTable, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
     w.write_varint(table.id.raw());
-    w.write_varint_seq(&table.columns, |w, column| {
+    w.write_seq(&table.columns, |w, column| {
         strings.write_ref(w, &column.header);
-        w.write_varint_seq(&column.cells, |w, cell| strings.write_ref(w, cell));
+        w.write_seq(&column.cells, |w, cell| strings.write_ref(w, cell));
     });
 }
 
@@ -241,9 +241,9 @@ fn decode_table_from(
     strings: &mut StringTable<'_>,
 ) -> Result<WebTable, CheckpointError> {
     let id = TableId(r.read_varint("table id")?);
-    let columns = r.read_varint_seq("table columns", 2, |r| {
+    let columns = r.read_seq("table columns", 2, |r| {
         let header = strings.read_ref(r, "column header")?.to_string();
-        let cells = r.read_varint_seq("column cells", 1, |r| {
+        let cells = r.read_seq("column cells", 1, |r| {
             strings.read_ref(r, "column cell").map(str::to_string)
         })?;
         Ok::<_, CodecError>(Column { header, cells })
@@ -267,19 +267,14 @@ pub fn encode_corpus(corpus: &Corpus) -> Vec<u8> {
 }
 
 fn encode_corpus_into<'a>(corpus: &'a Corpus, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
-    w.write_varint_seq(corpus.tables(), |w, table| encode_table_into(table, strings, w));
+    w.write_seq(corpus.tables(), |w, table| encode_table_into(table, strings, w));
 }
 
 /// Decode a corpus encoded by [`encode_corpus`]: decompress the block, then
 /// validate every table and reject duplicate table ids. Requires the
 /// stream to be fully consumed.
 pub fn decode_corpus(bytes: &[u8]) -> Result<Corpus, CheckpointError> {
-    let raw = codec::decompress(bytes)?;
-    let mut r = ByteReader::new(&raw);
-    let mut strings = StringTable::read_table(&mut r)?;
-    let corpus = decode_corpus_from(&mut r, &mut strings)?;
-    r.expect_eof()?;
-    Ok(corpus)
+    codec::read_stream(bytes, decode_corpus_from)
 }
 
 fn decode_corpus_from(
@@ -287,7 +282,7 @@ fn decode_corpus_from(
     strings: &mut StringTable<'_>,
 ) -> Result<Corpus, CheckpointError> {
     let mut seen = HashSet::new();
-    let tables = r.read_varint_seq("corpus tables", 2, |r| {
+    let tables = r.read_seq("corpus tables", 2, |r| {
         let table = decode_table_from(r, strings)?;
         if !seen.insert(table.id) {
             return Err(CheckpointError::Corrupted(format!(
@@ -300,12 +295,64 @@ fn decode_corpus_from(
     Ok(Corpus::from_tables(tables))
 }
 
+/// The stream of a checkpoint after its string table: corpus, mappings,
+/// then the per-class sections in [`CLASS_KEYS`] order.
+fn decode_state_from(
+    r: &mut ByteReader<'_>,
+    strings: &mut StringTable<'_>,
+) -> Result<(Corpus, Vec<TableMapping>, Vec<ClassDump>), CheckpointError> {
+    let corpus = decode_corpus_from(r, strings)?;
+    let mut seen = HashSet::new();
+    let mappings = r.read_seq("corpus mappings", 3, |r| {
+        let mapping = decode_mapping_from(r, strings, &corpus)?;
+        if !seen.insert(mapping.table) {
+            return Err(CheckpointError::Corrupted(format!(
+                "duplicate mapping for table {}",
+                mapping.table.raw()
+            )));
+        }
+        Ok(mapping)
+    })?;
+    let num_classes = r.read_len("class states", 3)?;
+    if num_classes != CLASS_KEYS.len() {
+        return Err(CheckpointError::Corrupted(format!(
+            "checkpoint holds {num_classes} class states, this build has {}",
+            CLASS_KEYS.len()
+        )));
+    }
+    // The per-class sections are in CLASS_KEYS order.
+    let mut classes = Vec::with_capacity(num_classes);
+    for class in CLASS_KEYS {
+        let arena = r.read_seq("class interner strings", 1, |r| {
+            strings.read_ref(r, "class interner string")
+        })?;
+        let mut interner =
+            Interner::with_capacity(arena.len(), arena.iter().map(|s| s.len()).sum());
+        for s in arena {
+            let minted = interner.len();
+            if interner.intern(s).raw() as usize != minted {
+                return Err(CheckpointError::Corrupted(format!(
+                    "{class}: interner string {s:?} is stored twice"
+                )));
+            }
+        }
+        let clusters = r.read_seq("clusters", 1, decode_cluster_from)?;
+        let mut position = 0;
+        let results = r.read_seq("results", 10, |r| {
+            position += 1;
+            decode_result_from(r, position - 1)
+        })?;
+        classes.push(ClassDump { interner, clusters, results });
+    }
+    Ok((corpus, mappings, classes))
+}
+
 /// A mapping is the matcher's decisions — class and correspondences; the
 /// label column and detected types are functions of the table.
 fn encode_mapping_into<'a>(mapping: &'a TableMapping, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
     w.write_varint(mapping.table.raw());
     w.write_opt(mapping.class, |w, class| w.write_u8(class.code()));
-    w.write_varint_seq(&mapping.correspondences, |w, c| {
+    w.write_seq(&mapping.correspondences, |w, c| {
         w.write_opt(c.as_ref(), |w, m| {
             strings.write_ref(w, &m.property);
             w.write_u8(data_type_tag(m.data_type));
@@ -325,7 +372,7 @@ fn decode_mapping_from(
     let class = r.read_opt("mapping class flag", |r| {
         class_key_from_code(r.read_u8("mapping class")?)
     })?;
-    let correspondences = r.read_varint_seq("mapping correspondences", 1, |r| {
+    let correspondences = r.read_seq("mapping correspondences", 1, |r| {
         r.read_opt("correspondence flag", |r| {
             let property = strings.read_ref(r, "correspondence property")?.to_string();
             let data_type = data_type_from_tag(r.read_u8("correspondence data type")?)?;
@@ -353,7 +400,7 @@ fn encode_cluster_into(cluster: &[usize], w: &mut ByteWriter) {
 }
 
 fn decode_cluster_from(r: &mut ByteReader<'_>) -> Result<Vec<usize>, CheckpointError> {
-    let len = r.read_varint_len("cluster rows", 1)?;
+    let len = r.read_len("cluster rows", 1)?;
     let mut rows = Vec::with_capacity(len);
     let mut previous = 0usize;
     for i in 0..len {
@@ -548,7 +595,7 @@ impl CheckpointView<'_> {
         // everything else).
         let mut mappings: Vec<&TableMapping> = self.mapping.tables().collect();
         mappings.sort_by_key(|m| m.table);
-        w.write_varint_seq(&mappings, |w, &mapping| encode_mapping_into(mapping, &mut strings, w));
+        w.write_seq(&mappings, |w, &mapping| encode_mapping_into(mapping, &mut strings, w));
         layout.mapping = grown(&w);
         w.write_varint(self.classes.len() as u64);
         grown(&w);
@@ -558,10 +605,10 @@ impl CheckpointView<'_> {
                 strings.write_ref(&mut w, s);
             }
             layout.interner += grown(&w);
-            w.write_varint_seq(class.clusters, |w, cluster| encode_cluster_into(cluster, w));
+            w.write_seq(class.clusters, |w, cluster| encode_cluster_into(cluster, w));
             layout.clusters += grown(&w);
             debug_assert!(class.results.iter().enumerate().all(|(i, r)| r.entity == i));
-            w.write_varint_seq(class.results, |w, result| encode_result_into(result, w));
+            w.write_seq(class.results, |w, result| encode_result_into(result, w));
             layout.results += grown(&w);
         }
         layout.strings_written = strings.references();
@@ -616,69 +663,9 @@ impl PipelineCheckpoint {
     /// else is a typed rejection, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let ([fingerprint, applied_batches], payload) =
-            match codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes) {
-                // The envelope is the same in every version, so a file of
-                // another version is one that passes its own length and
-                // checksum under the version it declares; anything else
-                // has a damaged header, not a different format.
-                Err(CodecError::UnsupportedVersion(version)) => {
-                    return Err(match codec::open::<2>(&CHECKPOINT_MAGIC, version, bytes) {
-                        Ok(_) => CheckpointError::UnsupportedVersion(version),
-                        Err(damage) => damage.into(),
-                    });
-                }
-                opened => opened?,
-            };
-
+            codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
         // The checksum covered the block as stored; only now is it expanded.
-        let raw = codec::decompress(payload)?;
-        let mut r = ByteReader::new(&raw);
-        let mut strings = StringTable::read_table(&mut r)?;
-        let corpus = decode_corpus_from(&mut r, &mut strings)?;
-        let mut seen = HashSet::new();
-        let mappings = r.read_varint_seq("corpus mappings", 3, |r| {
-            let mapping = decode_mapping_from(r, &mut strings, &corpus)?;
-            if !seen.insert(mapping.table) {
-                return Err(CheckpointError::Corrupted(format!(
-                    "duplicate mapping for table {}",
-                    mapping.table.raw()
-                )));
-            }
-            Ok(mapping)
-        })?;
-        let num_classes = r.read_varint_len("class states", 3)?;
-        if num_classes != CLASS_KEYS.len() {
-            return Err(CheckpointError::Corrupted(format!(
-                "checkpoint holds {num_classes} class states, this build has {}",
-                CLASS_KEYS.len()
-            )));
-        }
-        // The per-class sections are in CLASS_KEYS order.
-        let mut classes = Vec::with_capacity(num_classes);
-        for class in CLASS_KEYS {
-            let arena = r.read_varint_seq("class interner strings", 1, |r| {
-                strings.read_ref(r, "class interner string")
-            })?;
-            let mut interner =
-                Interner::with_capacity(arena.len(), arena.iter().map(|s| s.len()).sum());
-            for s in arena {
-                let minted = interner.len();
-                if interner.intern(s).raw() as usize != minted {
-                    return Err(CheckpointError::Corrupted(format!(
-                        "{class}: interner string {s:?} is stored twice"
-                    )));
-                }
-            }
-            let clusters = r.read_varint_seq("clusters", 1, decode_cluster_from)?;
-            let mut position = 0;
-            let results = r.read_varint_seq("results", 10, |r| {
-                position += 1;
-                decode_result_from(r, position - 1)
-            })?;
-            classes.push(ClassDump { interner, clusters, results });
-        }
-        r.expect_eof()?;
-
+        let (corpus, mappings, classes) = codec::read_stream(payload, decode_state_from)?;
         let checkpoint = PipelineCheckpoint {
             fingerprint,
             applied_batches,

@@ -237,11 +237,6 @@ impl KnowledgeBase {
         &self.instances
     }
 
-    /// Instances of one class.
-    pub fn class_instances(&self, class: ClassKey) -> Vec<&Instance> {
-        self.instances.iter().filter(|i| i.class == class).collect()
-    }
-
     /// Look up an instance by id.
     pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
         self.instance_lookup.get(&id).map(|&i| &self.instances[i])

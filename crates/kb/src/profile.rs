@@ -44,12 +44,6 @@ impl ClassProfile {
         densities.sort_by(|a, b| b.density.partial_cmp(&a.density).unwrap_or(std::cmp::Ordering::Equal));
         Self { class, instances, facts, densities }
     }
-
-    /// Render the profile as table rows `(property, facts, density)` for the
-    /// experiment harness.
-    pub fn density_rows(&self) -> Vec<(String, usize, f64)> {
-        self.densities.iter().map(|d| (d.property.clone(), d.facts, d.density)).collect()
-    }
 }
 
 #[cfg(test)]

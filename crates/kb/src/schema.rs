@@ -73,18 +73,6 @@ impl ClassKey {
         }
     }
 
-    /// Sibling classes used to generate *confusable* entities: entities of
-    /// these classes appear in web tables that can be mis-matched to the
-    /// target class by the table-to-class matcher (a documented error source
-    /// in Section 5, e.g. regions or mountains matched as settlements).
-    pub fn confusable_class(self) -> &'static str {
-        match self {
-            ClassKey::GridironFootballPlayer => "BaseballPlayer",
-            ClassKey::Song => "Album",
-            ClassKey::Settlement => "Mountain",
-        }
-    }
-
     /// Paper Table 1 instance count for this class (the real DBpedia 2014
     /// number); the generator scales it down by [`super::Scale`].
     pub fn paper_instance_count(self) -> usize {

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use ltee_kb::{ClassKey, KnowledgeBase, Property};
-use ltee_ml::codec::{ByteReader, ByteWriter, CodecError};
+use ltee_ml::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use ltee_ml::{Dataset, GeneticConfig, Sample, WeightedAverageModel};
 use ltee_types::DetectedType;
 use ltee_webtables::{Corpus, GoldStandard, WebTable};
@@ -69,17 +69,18 @@ impl MatcherWeights {
         self.property_thresholds.get(&class).and_then(|t| t.get(property)).copied().unwrap_or(default)
     }
 
-    /// Serialise the learned weights and thresholds into the writer.
+    /// Serialise the learned weights and thresholds into the writer, each
+    /// property name as a reference into `strings`.
     ///
     /// Hash maps are written in a canonical order (classes by
     /// [`ClassKey::code`], thresholds by `(class code, property name)`), so
     /// the encoding of a given model is byte-stable across runs.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
+    pub fn encode_into<'a>(&'a self, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
         let mut classes: Vec<(&ClassKey, &Vec<f64>)> = self.class_weights.iter().collect();
         classes.sort_by_key(|(c, _)| c.code());
         w.write_seq(&classes, |w, (class, weights)| {
             w.write_u8(class.code());
-            w.write_f64_slice(weights);
+            w.write_seq(weights, |w, &v| w.write_f64(v));
         });
         let mut thresholds: Vec<(u8, &str, f64)> = self
             .property_thresholds
@@ -89,23 +90,25 @@ impl MatcherWeights {
         thresholds.sort_by_key(|&(class, property, _)| (class, property));
         w.write_seq(&thresholds, |w, &(class, property, threshold)| {
             w.write_u8(class);
-            w.write_str(property);
+            strings.write_ref(w, property);
             w.write_f64(threshold);
         });
     }
 
     /// Decode weights previously written by [`MatcherWeights::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    pub fn decode_from(r: &mut ByteReader<'_>, strings: &mut StringTable<'_>) -> Result<Self, CodecError> {
         fn class(r: &mut ByteReader<'_>, what: &'static str) -> Result<ClassKey, CodecError> {
             let tag = r.read_u8(what)?;
             ClassKey::from_code(tag).ok_or(CodecError::InvalidTag { what, tag })
         }
-        let class_weights = r.read_seq("matcher.class_weights", 5, |r| {
-            Ok::<_, CodecError>((class(r, "matcher.class")?, r.read_f64_vec("matcher.weights")?))
+        let class_weights = r.read_seq("matcher.class_weights", 2, |r| {
+            let class = class(r, "matcher.class")?;
+            let weights = r.read_seq("matcher.weights", 8, |r| r.read_f64("matcher.weight"))?;
+            Ok::<_, CodecError>((class, weights))
         })?;
-        let thresholds = r.read_seq("matcher.thresholds", 13, |r| {
+        let thresholds = r.read_seq("matcher.thresholds", 10, |r| {
             let class = class(r, "matcher.threshold.class")?;
-            let property = r.read_str("matcher.threshold.property")?;
+            let property = strings.read_ref(r, "matcher.threshold.property")?.to_string();
             Ok::<_, CodecError>((class, property, r.read_f64("matcher.threshold.value")?))
         })?;
         let mut property_thresholds: HashMap<ClassKey, HashMap<String, f64>> = HashMap::new();
@@ -413,19 +416,18 @@ mod tests {
         w.property_thresholds.entry(ClassKey::Settlement).or_default().insert("country".into(), 0.40);
         w.property_thresholds.entry(ClassKey::Song).or_default().insert("album".into(), 0.35);
 
-        let mut writer = ByteWriter::new();
-        w.encode_into(&mut writer);
-        let bytes = writer.into_bytes();
-
-        let mut reader = ByteReader::new(&bytes);
-        let decoded = MatcherWeights::decode_from(&mut reader).unwrap();
-        reader.expect_eof().unwrap();
+        let stream = |weights: &MatcherWeights| {
+            let mut strings = StringTableWriter::new();
+            let mut writer = ByteWriter::new();
+            weights.encode_into(&mut strings, &mut writer);
+            strings.into_stream(writer)
+        };
+        let bytes = stream(&w);
+        let decoded = ltee_ml::codec::read_stream(&bytes, MatcherWeights::decode_from).unwrap();
         assert_eq!(decoded, w);
 
         // Encoding a HashMap-backed struct twice must produce identical
         // bytes (canonical ordering).
-        let mut writer2 = ByteWriter::new();
-        decoded.encode_into(&mut writer2);
-        assert_eq!(writer2.into_bytes(), bytes);
+        assert_eq!(stream(&decoded), bytes);
     }
 }

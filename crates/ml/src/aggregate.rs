@@ -16,7 +16,7 @@
 //! inside the learned random forest regression tree and the weights in the
 //! learned weighted average function".
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use crate::dataset::{Dataset, Sample};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::genetic::GeneticConfig;
@@ -362,26 +362,30 @@ impl PairwiseModel {
 
     /// Serialise the model into the writer. Every learned parameter (both
     /// branches, the mixing weight) is stored bit-exact, so the decoded
-    /// model's [`PairwiseModel::score`] is bit-identical to the original's.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
+    /// model's [`PairwiseModel::score`] is bit-identical to the original's;
+    /// feature names are references into `strings`.
+    pub fn encode_into<'a>(&'a self, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
         w.write_u8(self.method.code());
-        w.write_usize(self.num_similarities);
-        w.write_opt(self.weighted.as_ref(), |w, weighted| weighted.encode_into(w));
-        w.write_opt(self.forest.as_ref(), |w, forest| forest.encode_into(w));
+        w.write_varint(self.num_similarities as u64);
+        w.write_opt(self.weighted.as_ref(), |w, weighted| weighted.encode_into(strings, w));
+        w.write_opt(self.forest.as_ref(), |w, forest| forest.encode_into(strings, w));
         w.write_f64(self.combine_weight);
-        w.write_str_slice(&self.feature_names);
+        w.write_seq(&self.feature_names, |w, name| strings.write_ref(w, name));
     }
 
     /// Decode a model previously written by [`PairwiseModel::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    pub fn decode_from(r: &mut ByteReader<'_>, strings: &mut StringTable<'_>) -> Result<Self, CodecError> {
         let method_code = r.read_u8("pairwise.method")?;
         let method = AggregationMethod::from_code(method_code)
             .ok_or(CodecError::InvalidTag { what: "pairwise.method", tag: method_code })?;
-        let num_similarities = r.read_usize("pairwise.num_similarities")?;
-        let weighted = r.read_opt("pairwise.weighted.some", WeightedAverageModel::decode_from)?;
-        let forest = r.read_opt("pairwise.forest.some", RandomForest::decode_from)?;
+        let num_similarities = r.read_varint_usize("pairwise.num_similarities")?;
+        let weighted =
+            r.read_opt("pairwise.weighted.some", |r| WeightedAverageModel::decode_from(r, strings))?;
+        let forest = r.read_opt("pairwise.forest.some", |r| RandomForest::decode_from(r, strings))?;
         let combine_weight = r.read_f64("pairwise.combine_weight")?;
-        let feature_names = r.read_str_vec("pairwise.feature_names")?;
+        let feature_names = r.read_seq("pairwise.feature_names", 1, |r| {
+            strings.read_ref(r, "pairwise.feature_name").map(str::to_string)
+        })?;
         Ok(Self { method, num_similarities, weighted, forest, combine_weight, feature_names })
     }
 }
@@ -501,12 +505,11 @@ mod tests {
         let ds = pair_data(180);
         for method in AggregationMethod::ALL {
             let model = PairwiseModel::train(&ds, 2, method, &quick_cfg());
-            let mut w = crate::codec::ByteWriter::new();
-            model.encode_into(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = crate::codec::ByteReader::new(&bytes);
-            let decoded = PairwiseModel::decode_from(&mut r).unwrap();
-            r.expect_eof().unwrap();
+            let mut strings = StringTableWriter::new();
+            let mut w = ByteWriter::new();
+            model.encode_into(&mut strings, &mut w);
+            let stream = strings.into_stream(w);
+            let decoded = crate::codec::read_stream(&stream, PairwiseModel::decode_from).unwrap();
             assert_eq!(decoded, model, "{method:?}");
             for s in &ds.samples {
                 assert_eq!(
@@ -528,10 +531,10 @@ mod tests {
 
     #[test]
     fn codec_rejects_invalid_method_tag() {
-        let bytes = [42u8];
-        let mut r = crate::codec::ByteReader::new(&bytes);
+        // An empty string table, then the method tag.
+        let stream = crate::codec::compress(&[0, 42]);
         assert!(matches!(
-            PairwiseModel::decode_from(&mut r).unwrap_err(),
+            crate::codec::read_stream(&stream, PairwiseModel::decode_from).unwrap_err(),
             CodecError::InvalidTag { what: "pairwise.method", tag: 42 }
         ));
     }

@@ -2,13 +2,12 @@
 //! state checkpoint, write-ahead log) is written and read through it.
 //!
 //! Five layers, all dependency-free: a [`ByteWriter`] that appends
-//! little-endian scalars, LEB128 varints, length-prefixed strings,
-//! sequences and options to a buffer; a bounds-checked [`ByteReader`] that
-//! reads them back; the [`StringTableWriter`] / [`StringTable`] pair that
-//! stores each distinct string of a stream once; the [`compress`] /
-//! [`decompress`] block codec every compact stream is stored through; and
-//! the [`seal`] / [`open`] pair that frames a payload in the shared file
-//! envelope.
+//! little-endian scalars, LEB128 varints, raw bytes, sequences and options
+//! to a buffer; a bounds-checked [`ByteReader`] that reads them back; the
+//! [`StringTableWriter`] / [`StringTable`] pair that stores each distinct
+//! string of a stream once; the [`compress`] / [`decompress`] block codec
+//! every payload stream is stored through; and the [`seal`] / [`open`]
+//! pair that frames a payload in the shared file envelope.
 //! [`fnv1a64`] (defined in `ltee-intern`, re-exported here) is the payload
 //! checksum and the config-fingerprint hash.
 //!
@@ -22,23 +21,21 @@
 //!   (never by discriminant order, which is free to change),
 //! * a collection is its element count followed by its elements, and a
 //!   decoder refuses a count the remaining stream cannot hold
-//!   ([`ByteReader::read_len`] / [`ByteReader::read_varint_len`]) before
-//!   it allocates anything.
+//!   ([`ByteReader::read_len`]) before it allocates anything,
+//! * every integer, id and count is an unsigned LEB128 varint — seven
+//!   value bits per byte, low group first, the high bit set on every byte
+//!   but the last; at most ten bytes, minimally encoded (`0x80 0x00` is
+//!   refused, so a value has exactly one spelling),
+//! * a string is a varint index into the stream's one string table
+//!   (`count · (byte length · UTF-8 bytes)*`, distinct strings in
+//!   first-use order).
 //!
-//! Integers, counts and strings come in two spellings, one per format
-//! family:
-//!
-//! * **fixed width** (the model artifact): integers are little-endian
-//!   `u32` / `u64`, collection lengths are `u32`, a string is its UTF-8
-//!   bytes behind a `u32` byte length;
-//! * **compact** (checkpoint v6, WAL v4 batch payloads): every integer,
-//!   id and count is an unsigned LEB128 varint — seven value bits per
-//!   byte, low group first, the high bit set on every byte but the last;
-//!   at most ten bytes, minimally encoded (`0x80 0x00` is refused, so a
-//!   value has exactly one spelling) — and a string is a varint index
-//!   into the stream's one string table (`count · (byte length · UTF-8
-//!   bytes)*`, distinct strings in first-use order). The stream, table
-//!   then body, is stored as one block of the block codec.
+//! Every payload — model artifact v2, checkpoint v6, WAL v4 batch — is such
+//! a stream, table then body, stored as one block of the block codec
+//! ([`StringTableWriter::into_stream`]) and read back by [`read_stream`].
+//! Only the framing around a payload is fixed width: the envelope's header
+//! and the WAL's record headers are little-endian `u32` / `u64` words, so
+//! a torn header is told by its length alone.
 //!
 //! The block codec ([`compress`] / [`decompress`]) is greedy LZ77 in LZ4's
 //! sequence layout, with no entropy stage. A block is `raw length (varint)
@@ -55,7 +52,9 @@
 //! The envelope ([`seal`] / [`open`]), with `N` format-specific header
 //! words, is `magic(8) · version(u32) · N header words(u64) ·
 //! payload_len(u64) · FNV-1a64(payload) · payload`; byte offsets per format
-//! are tabulated in `docs/ARCHITECTURE.md`, "On-disk formats".
+//! are tabulated in `docs/ARCHITECTURE.md`, "On-disk formats". A file of
+//! another version is refused by version only when it is intact under the
+//! version it declares; otherwise its header is damaged.
 
 use std::collections::HashMap;
 
@@ -141,6 +140,17 @@ pub enum CodecError {
         /// Raw bytes produced before the match.
         produced: usize,
     },
+    /// A decoded count or index lies outside the range its structure
+    /// allows: a tree without nodes, a split on a feature the forest does
+    /// not have, a child that does not point forward.
+    OutOfRange {
+        /// What was being read.
+        what: &'static str,
+        /// The decoded value.
+        value: u64,
+        /// The values the structure allows.
+        allowed: std::ops::Range<u64>,
+    },
     /// Trailing bytes remained after the final field was decoded.
     TrailingBytes(usize),
 }
@@ -184,6 +194,9 @@ impl std::fmt::Display for CodecError {
                 f,
                 "compressed block's match offset {offset} is outside the {produced} bytes produced"
             ),
+            CodecError::OutOfRange { what, value, allowed } => {
+                write!(f, "{what} {value} is outside {allowed:?}")
+            }
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the final field"),
         }
     }
@@ -239,11 +252,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a `usize` as a little-endian `u64`.
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
     /// Append a `u64` as an LEB128 varint (see the [module docs](self)).
     pub fn write_varint(&mut self, mut v: u64) {
         while v >= 0x80 {
@@ -263,36 +271,15 @@ impl ByteWriter {
         self.write_u8(u8::from(v));
     }
 
-    /// Append a `u32` collection length prefix.
-    pub fn write_len(&mut self, len: usize) {
-        debug_assert!(len <= u32::MAX as usize, "collection too large for the codec");
-        self.write_u32(len as u32);
-    }
-
     /// Append raw bytes (no length prefix).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Append a length-prefixed UTF-8 string.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_len(s.len());
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// Append a length-prefixed sequence: the `u32` element count, then
-    /// every element through `item`.
-    pub fn write_seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
-        self.write_len(items.len());
-        for it in items {
-            item(self, it);
-        }
-    }
-
-    /// [`ByteWriter::write_seq`] with a varint element count.
-    /// The closure sees each element at the slice's own lifetime, so it can
-    /// hand element strings to a [`StringTableWriter`].
-    pub fn write_varint_seq<'t, T>(
+    /// Append a sequence: the varint element count, then every element
+    /// through `item`. The closure sees each element at the slice's own
+    /// lifetime, so it can hand element strings to a [`StringTableWriter`].
+    pub fn write_seq<'t, T>(
         &mut self,
         items: &'t [T],
         mut item: impl FnMut(&mut Self, &'t T),
@@ -309,16 +296,6 @@ impl ByteWriter {
         if let Some(v) = value {
             some(self, v);
         }
-    }
-
-    /// Append a length-prefixed slice of `f64` values.
-    pub fn write_f64_slice(&mut self, vs: &[f64]) {
-        self.write_seq(vs, |w, &v| w.write_f64(v));
-    }
-
-    /// Append a length-prefixed slice of strings.
-    pub fn write_str_slice<S: AsRef<str>>(&mut self, vs: &[S]) {
-        self.write_seq(vs, |w, v| w.write_str(v.as_ref()));
     }
 }
 
@@ -381,11 +358,6 @@ impl<'a> ByteReader<'a> {
         self.read_array(what).map(u64::from_le_bytes)
     }
 
-    /// Read a `usize` stored as a `u64`.
-    pub fn read_usize(&mut self, what: &'static str) -> Result<usize, CodecError> {
-        Ok(self.read_u64(what)? as usize)
-    }
-
     /// Read an LEB128 varint written by [`ByteWriter::write_varint`]. An
     /// eleventh byte, bits past the 64th and a non-minimal encoding are all
     /// [`CodecError::InvalidVarint`].
@@ -427,68 +399,27 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Read a collection length prefix, guarding against corrupted prefixes
-    /// that would imply more elements than the stream can possibly hold
-    /// (`min_element_size` is the smallest encodable element in bytes).
+    /// Read a varint collection length, guarding against corrupted
+    /// prefixes that would imply more elements than the stream can possibly
+    /// hold (`min_element_size` is the smallest encodable element in bytes).
     pub fn read_len(&mut self, what: &'static str, min_element_size: usize) -> Result<usize, CodecError> {
-        let len = self.read_u32(what)? as usize;
-        self.check_len(len, what, min_element_size)
-    }
-
-    /// [`ByteReader::read_len`] for a varint length prefix: the same guard.
-    pub fn read_varint_len(
-        &mut self,
-        what: &'static str,
-        min_element_size: usize,
-    ) -> Result<usize, CodecError> {
         let len = self.read_varint_usize(what)?;
-        self.check_len(len, what, min_element_size)
-    }
-
-    fn check_len(&self, len: usize, what: &'static str, min_element_size: usize) -> Result<usize, CodecError> {
         if len.saturating_mul(min_element_size.max(1)) > self.remaining() {
             return Err(CodecError::LengthOverflow { what, declared: len });
         }
         Ok(len)
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn read_str(&mut self, what: &'static str) -> Result<String, CodecError> {
-        let len = self.read_len(what, 1)?;
-        let bytes = self.read_bytes(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
-    }
-
-    /// Read a length-prefixed sequence written by [`ByteWriter::write_seq`]:
-    /// the element count goes through [`ByteReader::read_len`] before
-    /// anything is allocated, then every element is read through `item`.
+    /// Read a sequence written by [`ByteWriter::write_seq`]: the element
+    /// count goes through [`ByteReader::read_len`] before anything is
+    /// allocated, then every element is read through `item`.
     pub fn read_seq<T, E: From<CodecError>>(
         &mut self,
         what: &'static str,
         min_element_size: usize,
-        item: impl FnMut(&mut Self) -> Result<T, E>,
-    ) -> Result<Vec<T>, E> {
-        let len = self.read_len(what, min_element_size)?;
-        self.read_items(len, item)
-    }
-
-    /// [`ByteReader::read_seq`] for a sequence written by
-    /// [`ByteWriter::write_varint_seq`].
-    pub fn read_varint_seq<T, E: From<CodecError>>(
-        &mut self,
-        what: &'static str,
-        min_element_size: usize,
-        item: impl FnMut(&mut Self) -> Result<T, E>,
-    ) -> Result<Vec<T>, E> {
-        let len = self.read_varint_len(what, min_element_size)?;
-        self.read_items(len, item)
-    }
-
-    fn read_items<T, E>(
-        &mut self,
-        len: usize,
         mut item: impl FnMut(&mut Self) -> Result<T, E>,
     ) -> Result<Vec<T>, E> {
+        let len = self.read_len(what, min_element_size)?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(item(self)?);
@@ -507,16 +438,6 @@ impl<'a> ByteReader<'a> {
         } else {
             Ok(None)
         }
-    }
-
-    /// Read a length-prefixed `f64` vector.
-    pub fn read_f64_vec(&mut self, what: &'static str) -> Result<Vec<f64>, CodecError> {
-        self.read_seq(what, 8, |r| r.read_f64(what))
-    }
-
-    /// Read a length-prefixed string vector.
-    pub fn read_str_vec(&mut self, what: &'static str) -> Result<Vec<String>, CodecError> {
-        self.read_seq(what, 4, |r| r.read_str(what))
     }
 }
 
@@ -567,7 +488,7 @@ impl<'a> StringTableWriter<'a> {
     pub fn into_stream(self, body: ByteWriter) -> Vec<u8> {
         let body = body.into_bytes();
         let mut w = ByteWriter::with_capacity(self.table_len() + body.len());
-        w.write_varint_seq(&self.strings, |w, s| {
+        w.write_seq(&self.strings, |w, s| {
             w.write_varint(s.len() as u64);
             w.write_bytes(s.as_bytes());
         });
@@ -614,8 +535,8 @@ impl<'a> StringTable<'a> {
     /// byte of the body the table serves.
     pub fn read_table(r: &mut ByteReader<'a>) -> Result<Self, CodecError> {
         let limit = r.remaining().saturating_mul(STRING_EXPANSION_LIMIT);
-        let strings = r.read_varint_seq("string table", 1, |r| {
-            let len = r.read_varint_len("string table entry", 1)?;
+        let strings = r.read_seq("string table", 1, |r| {
+            let len = r.read_len("string table entry", 1)?;
             std::str::from_utf8(r.read_bytes(len, "string table entry")?)
                 .map_err(|_| CodecError::InvalidUtf8)
         })?;
@@ -642,6 +563,22 @@ impl<'a> StringTable<'a> {
     }
 }
 
+/// Read a stream [`StringTableWriter::into_stream`] stored: decompress the
+/// block, read the string table at its head, decode the rest through
+/// `body` and require it to consume every byte. Every payload format reads
+/// its stream through this one function.
+pub fn read_stream<T, E: From<CodecError>>(
+    block: &[u8],
+    body: impl for<'s> FnOnce(&mut ByteReader<'s>, &mut StringTable<'s>) -> Result<T, E>,
+) -> Result<T, E> {
+    let raw = decompress(block)?;
+    let mut r = ByteReader::new(&raw);
+    let mut strings = StringTable::read_table(&mut r)?;
+    let decoded = body(&mut r, &mut strings)?;
+    r.expect_eof()?;
+    Ok(decoded)
+}
+
 /// Shortest repeat a block stores as a match: a shorter one would cost as
 /// much in token and offset as it saves.
 const MIN_MATCH: usize = 4;
@@ -661,9 +598,9 @@ const HASH_BITS: std::ops::RangeInclusive<u32> = 8..=15;
 /// it — declares 255 raw bytes per byte of block, and [`decompress`]
 /// refuses a declared length above that before it allocates anything. That
 /// is the worst-case allocation per stored byte of a block. The
-/// [`StringTable`] at the head of a compact stream then charges resolved
+/// [`StringTable`] at the head of a payload stream then charges resolved
 /// strings against [`STRING_EXPANSION_LIMIT`] bytes per *raw* byte, as it
-/// did before streams were compressed, so a stored compact stream can ask
+/// did before streams were compressed, so a stored payload stream can ask
 /// for at most `255 × (1 + 64)` = 16 575 bytes — raw stream plus strings —
 /// per stored byte, where an uncompressed one could ask for 65. Charging
 /// the strings against the stored bytes instead would make whether a
@@ -836,15 +773,19 @@ pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], payload: &[u8]) -> Vec
     for &word in words {
         w.write_u64(word);
     }
-    w.write_usize(payload.len());
+    w.write_u64(payload.len() as u64);
     w.write_u64(fnv1a64(payload));
     w.write_bytes(payload);
     w.into_bytes()
 }
 
-/// Inverse of [`seal`]: validate magic, version, payload length and
-/// checksum — in that order, before any payload byte is interpreted — and
-/// return the `N` header words plus the payload.
+/// Inverse of [`seal`]: validate magic, payload length, checksum and
+/// version — in that order, before any payload byte is interpreted — and
+/// return the `N` header words plus the payload. The envelope is the same
+/// in every version, so a file of another version is
+/// [`CodecError::UnsupportedVersion`] only when it passes its own length
+/// and checksum; one that does not has a damaged header, not a different
+/// format.
 pub fn open<'a, const N: usize>(
     magic: &[u8; 8],
     version: u32,
@@ -855,17 +796,14 @@ pub fn open<'a, const N: usize>(
         return Err(CodecError::BadMagic);
     }
     let found = r.read_u32("envelope version")?;
-    if found != version {
-        return Err(CodecError::UnsupportedVersion(found));
-    }
     let mut words = [0u64; N];
     for word in &mut words {
         *word = r.read_u64("envelope header word")?;
     }
-    let payload_len = r.read_usize("envelope payload length")?;
+    let payload_len = r.read_u64("envelope payload length")?;
     let checksum = r.read_u64("envelope checksum")?;
     let payload = r.read_bytes(r.remaining(), "envelope payload")?;
-    if payload.len() != payload_len {
+    if payload.len() as u64 != payload_len {
         return Err(CodecError::Corrupted(format!(
             "payload length mismatch: header says {payload_len} bytes, file holds {}",
             payload.len()
@@ -876,6 +814,9 @@ pub fn open<'a, const N: usize>(
         return Err(CodecError::Corrupted(format!(
             "payload checksum mismatch: header {checksum:#018x}, computed {actual:#018x}"
         )));
+    }
+    if found != version {
+        return Err(CodecError::UnsupportedVersion(found));
     }
     Ok((words, payload))
 }
@@ -890,22 +831,18 @@ mod tests {
         w.write_u8(7);
         w.write_u32(u32::MAX);
         w.write_u64(0xdead_beef_cafe_f00d);
-        w.write_usize(12345);
         w.write_f64(-0.0);
         w.write_f64(f64::NAN);
         w.write_bool(true);
-        w.write_str("héllo");
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.read_u8("a").unwrap(), 7);
         assert_eq!(r.read_u32("b").unwrap(), u32::MAX);
         assert_eq!(r.read_u64("c").unwrap(), 0xdead_beef_cafe_f00d);
-        assert_eq!(r.read_usize("d").unwrap(), 12345);
         assert_eq!(r.read_f64("e").unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.read_f64("f").unwrap().is_nan());
         assert!(r.read_bool("g").unwrap());
-        assert_eq!(r.read_str("h").unwrap(), "héllo");
         r.expect_eof().unwrap();
     }
 
@@ -955,20 +892,6 @@ mod tests {
         assert!(matches!(invalid(&[]), CodecError::UnexpectedEof { .. }));
     }
 
-    #[test]
-    fn varint_length_prefix_keeps_the_allocation_guard() {
-        let bytes = varint_bytes(u64::MAX);
-        let mut r = ByteReader::new(&bytes);
-        let err = r.read_varint_seq("floats", 8, |r| r.read_f64("f")).unwrap_err();
-        assert!(matches!(err, CodecError::LengthOverflow { what: "floats", .. }));
-        // 3 declared one-byte elements, 2 bytes left.
-        let mut r = ByteReader::new(&[3, 0, 0]);
-        assert_eq!(
-            r.read_varint_len("items", 1).unwrap_err(),
-            CodecError::LengthOverflow { what: "items", declared: 3 }
-        );
-    }
-
     /// SplitMix64: a seeded stream without a dev-dependency.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -995,7 +918,7 @@ mod tests {
 
             let mut strings = StringTableWriter::new();
             let mut body = ByteWriter::new();
-            body.write_varint_seq(&ints, |w, &v| w.write_varint(v));
+            body.write_seq(&ints, |w, &v| w.write_varint(v));
             for &s in &picks {
                 strings.write_ref(&mut body, s);
             }
@@ -1005,8 +928,7 @@ mod tests {
 
             let mut r = ByteReader::new(&stream);
             let mut table = StringTable::read_table(&mut r).unwrap();
-            let decoded: Vec<u64> =
-                r.read_varint_seq("ints", 1, |r| r.read_varint("int")).unwrap();
+            let decoded: Vec<u64> = r.read_seq("ints", 1, |r| r.read_varint("int")).unwrap();
             assert_eq!(decoded, ints);
             for &s in &picks {
                 assert_eq!(table.read_ref(&mut r, "pick").unwrap(), s);
@@ -1185,13 +1107,22 @@ mod tests {
 
     #[test]
     fn slice_round_trip() {
+        let (floats, names) = ([1.5, -2.25, 0.0], ["a", "bb", "", "a"]);
+        let mut strings = StringTableWriter::new();
         let mut w = ByteWriter::new();
-        w.write_f64_slice(&[1.5, -2.25, 0.0]);
-        w.write_str_slice(&["a", "bb", ""]);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.read_f64_vec("fs").unwrap(), vec![1.5, -2.25, 0.0]);
-        assert_eq!(r.read_str_vec("ss").unwrap(), vec!["a", "bb", ""]);
+        w.write_seq(&floats, |w, &v| w.write_f64(v));
+        w.write_seq(&names, |w, s| strings.write_ref(w, s));
+        let stream = strings.into_stream(w);
+        let (fs, ss) = read_stream(&stream, |r, strings| {
+            let fs = r.read_seq("fs", 8, |r| r.read_f64("f"))?;
+            let ss = r.read_seq("ss", 1, |r| strings.read_ref(r, "s").map(str::to_string))?;
+            Ok::<_, CodecError>((fs, ss))
+        })
+        .unwrap();
+        assert_eq!((fs, ss), (floats.to_vec(), names.map(String::from).to_vec()));
+        // A body that leaves the last reference unread is refused.
+        let short = read_stream(&stream, |r, _| r.read_seq("fs", 8, |r| r.read_f64("f")));
+        assert_eq!(short.unwrap_err(), CodecError::TrailingBytes(5));
     }
 
     #[test]
@@ -1203,14 +1134,18 @@ mod tests {
 
     #[test]
     fn corrupted_length_prefix_is_rejected_not_allocated() {
-        // A u32::MAX element count over an 8-byte element type must fail
-        // fast instead of attempting a 32 GiB allocation.
-        let mut w = ByteWriter::new();
-        w.write_u32(u32::MAX);
-        let bytes = w.into_bytes();
+        // A u64::MAX element count over an 8-byte element type must fail
+        // fast instead of attempting an allocation that large.
+        let bytes = varint_bytes(u64::MAX);
         let mut r = ByteReader::new(&bytes);
-        let err = r.read_f64_vec("floats").unwrap_err();
+        let err = r.read_seq("floats", 8, |r| r.read_f64("f")).unwrap_err();
         assert!(matches!(err, CodecError::LengthOverflow { what: "floats", .. }));
+        // 3 declared one-byte elements, 2 bytes left.
+        let mut r = ByteReader::new(&[3, 0, 0]);
+        assert_eq!(
+            r.read_len("items", 1).unwrap_err(),
+            CodecError::LengthOverflow { what: "items", declared: 3 }
+        );
     }
 
     #[test]

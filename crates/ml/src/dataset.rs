@@ -16,20 +16,12 @@ pub struct Sample {
     pub features: Vec<f64>,
     /// Regression target.
     pub target: f64,
-    /// Optional group id used by group-aware fold splitting (e.g. the
-    /// homonym group of the underlying cluster).
-    pub group: Option<u64>,
 }
 
 impl Sample {
-    /// Create a sample without a group.
+    /// Create a sample.
     pub fn new(features: Vec<f64>, target: f64) -> Self {
-        Self { features, target, group: None }
-    }
-
-    /// Create a sample belonging to a fold group.
-    pub fn with_group(features: Vec<f64>, target: f64, group: u64) -> Self {
-        Self { features, target, group: Some(group) }
+        Self { features, target }
     }
 
     /// Whether this sample represents a positive (matching) pair.

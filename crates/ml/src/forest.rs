@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use crate::dataset::{Dataset, Sample};
 
 /// Hyperparameters of the random forest.
@@ -233,83 +233,97 @@ impl RandomForest {
     }
 
     /// Serialise the forest into the writer (see [`crate::codec`] for the
-    /// layout conventions). The encoding captures the trained trees bit-for-
-    /// bit, so a decoded forest predicts identically to the original.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.write_usize(self.config.num_trees);
-        w.write_usize(self.config.max_depth);
-        w.write_usize(self.config.min_samples_split);
-        w.write_bool(self.config.features_per_split.is_some());
-        w.write_usize(self.config.features_per_split.unwrap_or(0));
+    /// layout conventions), its feature names as references into
+    /// `strings`. The encoding captures the trained trees bit-for-bit, so a
+    /// decoded forest predicts identically to the original.
+    pub fn encode_into<'a>(&'a self, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
+        w.write_varint(self.config.num_trees as u64);
+        w.write_varint(self.config.max_depth as u64);
+        w.write_varint(self.config.min_samples_split as u64);
+        w.write_opt(self.config.features_per_split, |w, n| w.write_varint(n as u64));
         w.write_f64(self.config.bootstrap_fraction);
-        w.write_u64(self.config.seed);
+        w.write_varint(self.config.seed);
+        w.write_seq(&self.feature_names, |w, name| strings.write_ref(w, name));
         w.write_seq(&self.trees, |w, tree| {
-            w.write_seq(&tree.nodes, |w, node| match node {
+            w.write_seq(&tree.nodes, |w, node| match *node {
                 Node::Leaf { prediction } => {
                     w.write_u8(0);
-                    w.write_f64(*prediction);
+                    w.write_f64(prediction);
                 }
                 Node::Split { feature, threshold, gain, left, right } => {
                     w.write_u8(1);
-                    w.write_usize(*feature);
-                    w.write_f64(*threshold);
-                    w.write_f64(*gain);
-                    w.write_usize(*left);
-                    w.write_usize(*right);
+                    w.write_varint(feature as u64);
+                    w.write_f64(threshold);
+                    w.write_f64(gain);
+                    w.write_varint(left as u64);
+                    w.write_varint(right as u64);
                 }
             })
         });
-        w.write_str_slice(&self.feature_names);
         w.write_f64(self.oob_error);
     }
 
     /// Decode a forest previously written by [`RandomForest::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let num_trees = r.read_usize("forest.num_trees")?;
-        let max_depth = r.read_usize("forest.max_depth")?;
-        let min_samples_split = r.read_usize("forest.min_samples_split")?;
-        let has_fps = r.read_bool("forest.features_per_split.some")?;
-        let fps_value = r.read_usize("forest.features_per_split")?;
+    pub fn decode_from(r: &mut ByteReader<'_>, strings: &mut StringTable<'_>) -> Result<Self, CodecError> {
         let config = RandomForestConfig {
-            num_trees,
-            max_depth,
-            min_samples_split,
-            features_per_split: has_fps.then_some(fps_value),
+            num_trees: r.read_varint_usize("forest.num_trees")?,
+            max_depth: r.read_varint_usize("forest.max_depth")?,
+            min_samples_split: r.read_varint_usize("forest.min_samples_split")?,
+            features_per_split: r.read_opt("forest.features_per_split.some", |r| {
+                r.read_varint_usize("forest.features_per_split")
+            })?,
             bootstrap_fraction: r.read_f64("forest.bootstrap_fraction")?,
-            seed: r.read_u64("forest.seed")?,
+            seed: r.read_varint("forest.seed")?,
         };
-        let trees = r.read_seq("forest.trees", 4, |r| {
+        let feature_names = r.read_seq("forest.feature_names", 1, |r| {
+            strings.read_ref(r, "forest.feature_name").map(str::to_string)
+        })?;
+        let trees = r.read_seq("forest.trees", 1, |r| {
             let nodes = r.read_seq("forest.tree.nodes", 9, |r| {
                 Ok(match r.read_u8("forest.node.tag")? {
                     0 => Node::Leaf { prediction: r.read_f64("forest.node.prediction")? },
                     1 => Node::Split {
-                        feature: r.read_usize("forest.node.feature")?,
+                        feature: r.read_varint_usize("forest.node.feature")?,
                         threshold: r.read_f64("forest.node.threshold")?,
                         gain: r.read_f64("forest.node.gain")?,
-                        left: r.read_usize("forest.node.left")?,
-                        right: r.read_usize("forest.node.right")?,
+                        left: r.read_varint_usize("forest.node.left")?,
+                        right: r.read_varint_usize("forest.node.right")?,
                     },
                     tag => return Err(CodecError::InvalidTag { what: "forest.node", tag }),
                 })
             })?;
-            // Child indices must be strictly forward references inside the
-            // arena: the tree builder always pushes a split before its
-            // children, so every legitimate encoding satisfies this, and it
-            // rules out both out-of-range children (panic at prediction
-            // time) and cycles (infinite loop in `Tree::predict`).
+            // A tree has a root, and every split tests a feature the forest
+            // was trained on and points strictly forward inside the arena.
+            // The builder pushes a split before its children, so every tree
+            // it builds passes; what this refuses would otherwise panic in
+            // `Tree::predict` (no root, a child out of range) or in
+            // `feature_importances` (a feature past its vector), or loop
+            // forever in `Tree::predict` (a cycle).
+            in_range("forest.tree.nodes", nodes.len(), 1..usize::MAX)?;
             for (index, node) in nodes.iter().enumerate() {
-                if let Node::Split { left, right, .. } = node {
-                    if *left <= index || *right <= index || *left >= nodes.len() || *right >= nodes.len() {
-                        return Err(CodecError::InvalidTag { what: "forest.node.child", tag: 0 });
-                    }
+                if let Node::Split { feature, left, right, .. } = *node {
+                    in_range("forest.node.feature", feature, 0..feature_names.len())?;
+                    in_range("forest.node.left", left, index + 1..nodes.len())?;
+                    in_range("forest.node.right", right, index + 1..nodes.len())?;
                 }
             }
             Ok::<_, CodecError>(Tree { nodes })
         })?;
-        let feature_names = r.read_str_vec("forest.feature_names")?;
         let oob_error = r.read_f64("forest.oob_error")?;
         Ok(RandomForest { config, trees, feature_names, oob_error })
     }
+}
+
+/// [`CodecError::OutOfRange`] unless `allowed` holds `value`.
+fn in_range(what: &'static str, value: usize, allowed: std::ops::Range<usize>) -> Result<(), CodecError> {
+    if allowed.contains(&value) {
+        return Ok(());
+    }
+    Err(CodecError::OutOfRange {
+        what,
+        value: value as u64,
+        allowed: allowed.start as u64..allowed.end as u64,
+    })
 }
 
 /// The training set as the split search reads it: one contiguous column
@@ -847,16 +861,21 @@ mod tests {
         RandomForest::train(&ds, &RandomForestConfig::default());
     }
 
+    /// `forest` through a string-table stream and back.
+    fn stream_round_trip(forest: &RandomForest) -> (Vec<u8>, RandomForest) {
+        let mut strings = StringTableWriter::new();
+        let mut w = ByteWriter::new();
+        forest.encode_into(&mut strings, &mut w);
+        let stream = strings.into_stream(w);
+        let decoded = crate::codec::read_stream(&stream, RandomForest::decode_from).unwrap();
+        (stream, decoded)
+    }
+
     #[test]
     fn codec_round_trip_is_bit_identical() {
         let ds = separable(150);
         let forest = RandomForest::train(&ds, &small_config());
-        let mut w = crate::codec::ByteWriter::new();
-        forest.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = crate::codec::ByteReader::new(&bytes);
-        let decoded = RandomForest::decode_from(&mut r).unwrap();
-        r.expect_eof().unwrap();
+        let (_, decoded) = stream_round_trip(&forest);
         assert_eq!(decoded, forest);
         for s in &ds.samples {
             assert_eq!(
@@ -867,64 +886,83 @@ mod tests {
         assert_eq!(forest.oob_error().to_bits(), decoded.oob_error().to_bits());
     }
 
+    /// The raw stream of a one-feature ("x"), one-tree forest whose nodes
+    /// are `nodes`, each a leaf (`None`) or a split `(feature, left, right)`.
+    fn one_tree_stream(nodes: &[Option<(u64, u64, u64)>]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.write_bytes(&[1, 1, b'x']); // string table: "x"
+        w.write_bytes(&[1, 4, 2]); // num_trees, max_depth, min_samples_split
+        w.write_bool(false); // features_per_split
+        w.write_f64(1.0); // bootstrap_fraction
+        w.write_varint(1); // seed
+        w.write_bytes(&[1, 0]); // feature names: "x"
+        w.write_varint(1); // trees
+        w.write_seq(nodes, |w, node| match *node {
+            None => {
+                w.write_u8(0);
+                w.write_f64(1.0);
+            }
+            Some((feature, left, right)) => {
+                w.write_u8(1);
+                w.write_varint(feature);
+                w.write_f64(0.5); // threshold
+                w.write_f64(0.1); // gain
+                w.write_varint(left);
+                w.write_varint(right);
+            }
+        });
+        w.write_f64(0.0); // oob
+        w.into_bytes()
+    }
+
+    fn refusal(nodes: &[Option<(u64, u64, u64)>]) -> CodecError {
+        let stream = crate::codec::compress(&one_tree_stream(nodes));
+        crate::codec::read_stream(&stream, RandomForest::decode_from).unwrap_err()
+    }
+
     #[test]
     fn codec_rejects_cyclic_trees() {
-        // Hand-craft a stream whose single node is a split pointing at
-        // itself; without the forward-reference check, predict() on the
-        // decoded tree would loop forever.
-        let mut w = crate::codec::ByteWriter::new();
-        w.write_usize(1); // num_trees
-        w.write_usize(4); // max_depth
-        w.write_usize(2); // min_samples_split
-        w.write_bool(false);
-        w.write_usize(0); // features_per_split
-        w.write_f64(1.0); // bootstrap_fraction
-        w.write_u64(1); // seed
-        w.write_len(1); // tree count
-        w.write_len(1); // node count
-        w.write_u8(1); // split tag
-        w.write_usize(0); // feature
-        w.write_f64(0.5); // threshold
-        w.write_f64(0.1); // gain
-        w.write_usize(0); // left = itself (cycle)
-        w.write_usize(0); // right = itself (cycle)
-        w.write_str_slice(&["x"]);
-        w.write_f64(0.0); // oob
-        let bytes = w.into_bytes();
-        let mut r = crate::codec::ByteReader::new(&bytes);
-        assert!(matches!(
-            RandomForest::decode_from(&mut r).unwrap_err(),
-            CodecError::InvalidTag { what: "forest.node.child", .. }
-        ));
+        // A single split pointing at itself: without the forward-reference
+        // check, predict() on the decoded tree would loop forever.
+        assert_eq!(
+            refusal(&[Some((0, 0, 0))]),
+            CodecError::OutOfRange { what: "forest.node.left", value: 0, allowed: 1..1 }
+        );
+        let valid = crate::codec::compress(&one_tree_stream(&[Some((0, 1, 2)), None, None]));
+        assert!(crate::codec::read_stream(&valid, RandomForest::decode_from).is_ok());
     }
 
     #[test]
     fn codec_rejects_out_of_range_child_index() {
-        let ds = separable(60);
-        let forest = RandomForest::train(&ds, &small_config());
-        let mut w = crate::codec::ByteWriter::new();
-        forest.encode_into(&mut w);
-        let mut bytes = w.into_bytes();
-        // Find the first split node and corrupt its left-child index to a
-        // huge value; layout: after the config block (each tree: node count
-        // then nodes). Rather than computing offsets, corrupt every 8-byte
-        // window that currently holds a small usize until decoding fails —
-        // the decoder must never panic on any of these mutations.
-        let mut rejected = false;
-        for off in (0..bytes.len().saturating_sub(8)).step_by(8) {
-            let mut mutated = bytes.clone();
-            mutated[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            let mut r = crate::codec::ByteReader::new(&mutated);
-            if RandomForest::decode_from(&mut r).is_err() {
-                rejected = true;
-                break;
+        assert_eq!(
+            refusal(&[Some((0, 1, 3)), None, None]),
+            CodecError::OutOfRange { what: "forest.node.right", value: 3, allowed: 1..3 }
+        );
+        // A split on a feature the forest does not have, and a tree with
+        // no root: both decoded once, then panicked in
+        // `feature_importances` and `predict`.
+        assert_eq!(
+            refusal(&[Some((1, 1, 2)), None, None]),
+            CodecError::OutOfRange { what: "forest.node.feature", value: 1, allowed: 0..1 }
+        );
+        assert_eq!(
+            refusal(&[]),
+            CodecError::OutOfRange { what: "forest.tree.nodes", value: 0, allowed: 1..u64::MAX }
+        );
+
+        // Every byte of a trained forest's stream set to 0xFF in turn: the
+        // decoder refuses or decodes, and never panics.
+        let forest = RandomForest::train(&separable(60), &small_config());
+        let raw = crate::codec::decompress(&stream_round_trip(&forest).0).unwrap();
+        for at in 0..raw.len() {
+            let mut mutated = raw.clone();
+            mutated[at] = 0xff;
+            let stream = crate::codec::compress(&mutated);
+            if let Ok(decoded) = crate::codec::read_stream(&stream, RandomForest::decode_from) {
+                decoded.feature_importances();
+                decoded.predict(&[0.5, 0.5]);
             }
         }
-        assert!(rejected, "no corruption was detected by the decoder");
-        // And the untouched stream still decodes.
-        let mut r = crate::codec::ByteReader::new(&bytes);
-        assert!(RandomForest::decode_from(&mut r).is_ok());
-        bytes.clear();
     }
 
     impl TreeBuilder<'_> {

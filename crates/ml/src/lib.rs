@@ -20,9 +20,10 @@
 //! metric importance scores (the average of random-forest feature importance
 //! and weighted-average weights, as reported in Tables 7 and 8).
 //!
-//! All three model families serialise through the hand-rolled binary
-//! [`codec`] (`encode_into` / `decode_from`), which is what the train-once /
-//! serve-many model artifact in `ltee-core` is built on.
+//! All three model families serialise through the binary [`codec`]
+//! (`encode_into` / `decode_from`, against the stream's string table),
+//! which is what the train-once / serve-many model artifact in `ltee-core`
+//! is built on.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -37,7 +38,7 @@ pub mod weighted;
 pub use aggregate::{
     AggregationMethod, CombinedModel, MetricImportance, PairFeatures, PairwiseModel, PairwiseTrainingConfig,
 };
-pub use codec::{fnv1a64, ByteReader, ByteWriter, CodecError};
+pub use codec::{fnv1a64, ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 pub use dataset::{Dataset, Sample};
 pub use folds::{grouped_k_folds, FoldSplit};
 pub use forest::{RandomForest, RandomForestConfig};

@@ -6,7 +6,7 @@
 //! rows describe the same instance. This threshold is used to normalize the
 //! similarity metric to −1.0 and 1.0."
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use crate::dataset::Dataset;
 use crate::genetic::{GeneticConfig, GeneticOptimizer};
 
@@ -110,21 +110,24 @@ impl WeightedAverageModel {
         )
     }
 
-    /// Serialise the model into the writer (bit-exact weights/threshold).
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.write_f64_slice(&self.weights);
+    /// Serialise the model into the writer (bit-exact weights/threshold),
+    /// its feature names as references into `strings`.
+    pub fn encode_into<'a>(&'a self, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
+        w.write_seq(&self.weights, |w, &v| w.write_f64(v));
         w.write_f64(self.threshold);
-        w.write_str_slice(&self.feature_names);
+        w.write_seq(&self.feature_names, |w, name| strings.write_ref(w, name));
     }
 
     /// Decode a model previously written by
     /// [`WeightedAverageModel::encode_into`]. The stored weights are taken
     /// verbatim (no re-normalisation) so scores are bit-identical.
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    pub fn decode_from(r: &mut ByteReader<'_>, strings: &mut StringTable<'_>) -> Result<Self, CodecError> {
         Ok(Self {
-            weights: r.read_f64_vec("weighted.weights")?,
+            weights: r.read_seq("weighted.weights", 8, |r| r.read_f64("weighted.weight"))?,
             threshold: r.read_f64("weighted.threshold")?,
-            feature_names: r.read_str_vec("weighted.feature_names")?,
+            feature_names: r.read_seq("weighted.feature_names", 1, |r| {
+                strings.read_ref(r, "weighted.feature_name").map(str::to_string)
+            })?,
         })
     }
 }

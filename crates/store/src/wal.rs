@@ -12,7 +12,7 @@
 //! records are strictly contiguous (`seq`, `seq+1`, …). The payload is an
 //! encoded corpus (`ltee_core::checkpoint::encode_corpus`) — the tables of
 //! the batch handed to `ingest`, each its id and columns — in the codec's
-//! compact spelling: the record's own string table, then the tables as
+//! payload spelling: the record's own string table, then the tables as
 //! varints and string references, byte for byte what the checkpoint's
 //! corpus section holds — stored as one block of the codec's LZ compressor
 //! (`ltee_ml::codec::compress`). The record checksum covers the block as
@@ -78,7 +78,8 @@ pub fn encode_wal_header(fingerprint: u64) -> Vec<u8> {
 pub fn encode_wal_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(WAL_RECORD_HEADER_LEN + payload.len());
     w.write_u64(seq);
-    w.write_len(payload.len());
+    debug_assert!(payload.len() <= u32::MAX as usize, "batch too large for a record");
+    w.write_u32(payload.len() as u32);
     w.write_u64(fnv1a64(payload));
     w.write_bytes(payload);
     w.into_bytes()

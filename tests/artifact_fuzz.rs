@@ -1,47 +1,48 @@
-//! Deterministic fuzz-style corpus for the model-artifact decoders: 200
-//! systematically corrupted, truncated and bit-flipped artifacts must all
-//! be rejected with a typed error — never a panic, never an attempt to
-//! honour a corrupted length prefix with a huge allocation.
+//! Deterministic fuzz-style corpora for the payload decoders: 200
+//! systematically corrupted, truncated and bit-flipped model artifacts and
+//! 200 state checkpoints must all be rejected with a typed error — never a
+//! panic, never an attempt to honour a corrupted length prefix with a huge
+//! allocation.
 //!
-//! Five corruption families make up the required corpus (all of which
-//! *must* fail: the header validation or the bounds-checked payload
-//! decoders have no legitimate success path for them):
+//! Both payloads are a string-table stream stored as one compressed block,
+//! and both corpora are made of six families (all of which *must* fail:
+//! the header validation or the bounds-checked payload decoders have no
+//! legitimate success path for them):
 //!
 //! 1. truncations of the whole file at 40 evenly spaced lengths,
 //! 2. single bit flips at 64 evenly spaced positions,
 //! 3. byte substitutions (0x00 / 0xFF) at 32 evenly spaced positions,
-//! 4. 24 seeded-random garbage buffers,
-//! 5. payload truncations at 40 evenly spaced lengths **with the header
-//!    re-fixed** (length and checksum recomputed), so the corruption
-//!    reaches the `MatcherWeights` / `RowSimilarityModel` /
-//!    `EntitySimilarityModel` decoders instead of being caught by the
-//!    checksum.
+//! 4. seeded-random garbage buffers (13 artifacts, 15 checkpoints),
+//! 5. truncations of the raw stream at 40 evenly spaced lengths, stored in
+//!    a valid block **with the header re-fixed** (length and checksum
+//!    recomputed), so the corruption reaches the model or state decoders
+//!    instead of being caught by the checksum or the block decoder,
+//! 6. hand-written streams, stored in a valid block, whose only defect is
+//!    a string reference past the table, a string table longer than the
+//!    stream, references that expand past the stream's budget, and per
+//!    format one more — a cluster row gap of zero, or a forest tree
+//!    without nodes, a split on a feature the forest does not have, a
+//!    split child that does not point forward ([`crafted_checkpoint_stream`],
+//!    [`crafted_artifact_stream`]); and hand-written blocks around a valid
+//!    stream whose only defect is in the block: offset 0, an offset past
+//!    the output, a literal run past the block, a match past the declared
+//!    length, or a declared length past the expansion limit
+//!    ([`crafted_block`]).
 //!
-//! Families 2 and 3 skip the config-fingerprint bytes (offsets 12..20):
-//! the fingerprint is opaque stored data, so any value decodes — it is
-//! checked against the serve config later, not at decode time.
+//! Families 2 and 3 skip the opaque header words (the config fingerprint,
+//! and a checkpoint's applied-batch count): any value decodes — they are
+//! checked against the serve config and the WAL later, not at decode time.
 //!
-//! An additional exploratory family (length-prefix bombs: `u32::MAX`
-//! spliced into the payload at 32 positions, header re-fixed) is allowed
-//! to decode when the splice lands inside an `f64`, but must never panic
-//! and must reject oversized collections via `LengthOverflow` rather than
-//! allocating gigabytes.
+//! An additional exploratory family per format (varint bombs: four `0xFF`
+//! bytes spliced into the raw stream at 32 positions, stored and sealed
+//! again) is allowed to decode when the splice lands inside an `f64` or a
+//! string, but must never panic and must reject oversized collections via
+//! `LengthOverflow` rather than allocating gigabytes.
 //!
-//! The same discipline covers the durability formats (PR 8): a second
-//! 200-case corpus corrupts a *state checkpoint* (`PipelineCheckpoint`)
-//! with the same five families plus a sixth the compact layout calls for —
-//! hand-written streams, stored in a valid block, whose only defect is a
-//! string reference past the table, a string table longer than the stream,
-//! a cluster row gap of zero, or references that expand past the stream's
-//! budget ([`crafted_checkpoint`]), and hand-written blocks around a valid
-//! stream whose only defect is in the block: offset 0, an offset past the
-//! output, a literal run past the block, a match past the declared length,
-//! or a declared length past the expansion limit ([`crafted_block`]) — and
-//! a 100-case corpus mutates a
-//! write-ahead log, where the contract is different — the scanner must
-//! never panic and must always recover a strict prefix of the original
-//! records (mid-log corruption truncates at the last valid record rather
-//! than rejecting the file).
+//! A 100-case corpus mutates a write-ahead log, where the contract is
+//! different — the scanner must never panic and must always recover a
+//! strict prefix of the original records (mid-log corruption truncates at
+//! the last valid record rather than rejecting the file).
 //!
 //! Deterministic: fixed seed 2718 for the model training, ChaCha-seeded
 //! garbage. Expected runtime: ~40 s in debug (two training runs; the
@@ -128,37 +129,60 @@ fn checkpoint_parts(valid: &[u8]) -> ([u64; 2], &[u8]) {
     open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, valid).expect("the uncorrupted checkpoint opens")
 }
 
-/// The one thing wrong with a [`crafted_checkpoint`].
+/// The one thing wrong with a crafted stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Defect {
-    /// A cell references string 3 of a 3-string table.
+    /// A string reference one past a 3-string table.
     StringIndexOutOfRange,
     /// The string table declares 2⁴⁰ entries.
     TableLongerThanStream,
-    /// The cluster's second row repeats its first (a row gap of zero).
-    NonAscendingGap,
-    /// 256 one-byte interner strings each expand to a 4 KiB string.
+    /// 256 one-byte references each expand to a 4 KiB string.
     ExpansionBomb,
+    /// A checkpoint cluster's second row repeats its first (a row gap of
+    /// zero).
+    NonAscendingGap,
+    /// An artifact forest tree with no nodes.
+    EmptyTree,
+    /// An artifact forest split on feature 1 of a one-feature forest.
+    SplitFeatureOutOfRange,
+    /// An artifact forest split whose left child is itself.
+    BackwardChild,
 }
 
-const DEFECTS: [Defect; 4] = [
+const CHECKPOINT_DEFECTS: [Defect; 4] = [
     Defect::StringIndexOutOfRange,
     Defect::TableLongerThanStream,
-    Defect::NonAscendingGap,
     Defect::ExpansionBomb,
+    Defect::NonAscendingGap,
 ];
 
-/// A minimal checkpoint stream written field by field — one two-row Song
-/// table, its mapping, a one-string interner, one cluster, one result.
-fn crafted_stream(defect: Option<Defect>) -> Vec<u8> {
+const ARTIFACT_DEFECTS: [Defect; 6] = [
+    Defect::StringIndexOutOfRange,
+    Defect::TableLongerThanStream,
+    Defect::ExpansionBomb,
+    Defect::EmptyTree,
+    Defect::SplitFeatureOutOfRange,
+    Defect::BackwardChild,
+];
+
+/// A crafted stream's string table, `strings`; under
+/// [`Defect::TableLongerThanStream`] its count is 2⁴⁰, and under
+/// [`Defect::ExpansionBomb`] its second string is 4 KiB long.
+fn crafted_string_table(w: &mut ByteWriter, defect: Option<Defect>, strings: [&str; 3]) {
     let long = "x".repeat(4096);
-    let label = if defect == Some(Defect::ExpansionBomb) { long.as_str() } else { "a" };
-    let mut w = ByteWriter::new();
     w.write_varint(if defect == Some(Defect::TableLongerThanStream) { 1 << 40 } else { 3 });
-    for s in ["song", label, "b"] {
+    for (i, s) in strings.into_iter().enumerate() {
+        let s = if i == 1 && defect == Some(Defect::ExpansionBomb) { long.as_str() } else { s };
         w.write_varint(s.len() as u64);
         w.write_bytes(s.as_bytes());
     }
+}
+
+/// A minimal checkpoint stream written field by field — one two-row Song
+/// table, its mapping, a one-string interner, one cluster, one result.
+fn crafted_checkpoint_stream(defect: Option<Defect>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    crafted_string_table(&mut w, defect, ["song", "a", "b"]);
     // corpus: one table, id 1, one column "song" with cells "a", "b"
     w.write_varint(1);
     w.write_varint(1);
@@ -197,10 +221,75 @@ fn crafted_stream(defect: Option<Defect>) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// [`crafted_stream`] compressed and sealed in a valid envelope, so
-/// `defect` is the only thing a decoder can object to.
+/// [`crafted_checkpoint_stream`] compressed and sealed in a valid envelope,
+/// so `defect` is the only thing a decoder can object to.
 fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
-    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &compress(&crafted_stream(defect)))
+    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &compress(&crafted_checkpoint_stream(defect)))
+}
+
+/// A minimal artifact stream written field by field: one matcher
+/// threshold; a row model scored by a one-feature forest of one
+/// three-node tree; an entity model scored by a one-weight average.
+fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    crafted_string_table(&mut w, defect, ["year", "genre", "LABEL"]);
+    // MatcherWeights: no class weights; Song thresholds for "genre"
+    w.write_varint(0);
+    let thresholds = if defect == Some(Defect::ExpansionBomb) { 4 * STRING_EXPANSION_LIMIT } else { 1 };
+    w.write_varint(thresholds as u64);
+    for _ in 0..thresholds {
+        w.write_u8(ClassKey::Song.code());
+        w.write_varint(if defect == Some(Defect::StringIndexOutOfRange) { 3 } else { 1 });
+        w.write_f64(0.5);
+    }
+    // RowSimilarityModel: metric LABEL, random-forest aggregation
+    w.write_bytes(&[1, 0]);
+    w.write_u8(1); // AggregationMethod::RandomForest
+    w.write_varint(1); // similarities
+    w.write_bool(false); // no weighted average
+    w.write_bool(true); // forest
+    w.write_bytes(&[1, 4, 2]); // num_trees, max_depth, min_samples_split
+    w.write_bool(false); // features_per_split
+    w.write_f64(1.0); // bootstrap fraction
+    w.write_varint(9); // seed
+    w.write_bytes(&[1, 2]); // feature names: "LABEL"
+    w.write_varint(1); // trees
+    if defect == Some(Defect::EmptyTree) {
+        w.write_varint(0);
+    } else {
+        let feature = if defect == Some(Defect::SplitFeatureOutOfRange) { 1 } else { 0 };
+        let left = if defect == Some(Defect::BackwardChild) { 0 } else { 1 };
+        w.write_varint(3);
+        w.write_bytes(&[1, feature]); // split
+        w.write_f64(0.5);
+        w.write_f64(0.25);
+        w.write_bytes(&[left, 2]);
+        for prediction in [-1.0, 1.0] {
+            w.write_u8(0); // leaf
+            w.write_f64(prediction);
+        }
+    }
+    w.write_f64(0.0); // oob error
+    w.write_f64(1.0); // combine weight
+    w.write_bytes(&[1, 2]); // feature names
+    // EntitySimilarityModel: metric LABEL, weighted-average aggregation
+    w.write_bytes(&[1, 0]);
+    w.write_u8(0); // AggregationMethod::WeightedAverage
+    w.write_varint(1);
+    w.write_bool(true);
+    w.write_varint(1);
+    w.write_f64(1.0); // weight
+    w.write_f64(0.5); // threshold
+    w.write_bytes(&[1, 2]);
+    w.write_bool(false); // no forest
+    w.write_f64(1.0);
+    w.write_bytes(&[1, 2]);
+    w.into_bytes()
+}
+
+/// [`crafted_artifact_stream`] compressed and sealed in a valid envelope.
+fn crafted_artifact(defect: Option<Defect>) -> Vec<u8> {
+    seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[7], &compress(&crafted_artifact_stream(defect)))
 }
 
 /// The one thing wrong with a [`crafted_block`].
@@ -248,18 +337,22 @@ fn sequence(w: &mut ByteWriter, literals: &[u8], matched: Option<(u16, usize)>) 
     }
 }
 
-/// The valid [`crafted_stream`] in a hand-written block whose one defect
-/// is `defect`, sealed in a valid envelope.
-fn crafted_block(defect: BlockDefect) -> Vec<u8> {
-    let raw = crafted_stream(None);
+/// Bytes of `v` as a varint.
+fn varint_len(v: usize) -> usize {
+    (1..).find(|&n| n == 10 || v >> (7 * n) == 0).unwrap_or(10)
+}
+
+/// The valid stream `raw` in a hand-written block whose one defect is
+/// `defect`.
+fn crafted_block(raw: &[u8], defect: BlockDefect) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match defect {
         BlockDefect::LengthOverLimit => {
-            // The stream is under 128 bytes, so its block's length is one
-            // byte; the over-limit length takes two.
-            let sequences = &compress(&raw)[1..];
-            let declared = BLOCK_EXPANSION_LIMIT * (2 + sequences.len()) + 1;
-            assert!((1 << 7..1 << 14).contains(&declared));
+            // The same sequences under the shortest declared length past
+            // the limit, counting the bytes that length itself takes.
+            let sequences = &compress(raw)[varint_len(raw.len())..];
+            let over = |n: usize| BLOCK_EXPANSION_LIMIT * (n + sequences.len()) + 1;
+            let declared = over((1..).find(|&n| varint_len(over(n)) == n).unwrap());
             w.write_varint(declared as u64);
             w.write_bytes(sequences);
         }
@@ -268,7 +361,7 @@ fn crafted_block(defect: BlockDefect) -> Vec<u8> {
             match defect {
                 BlockDefect::ZeroOffset => sequence(&mut w, &raw[..1], Some((0, 4))),
                 BlockDefect::OffsetPastOutput => sequence(&mut w, &raw[..1], Some((2, 4))),
-                BlockDefect::LiteralsPastBlock => sequence(&mut w, &raw, None),
+                BlockDefect::LiteralsPastBlock => sequence(&mut w, raw, None),
                 _ => sequence(&mut w, &raw[..raw.len() - 2], Some((1, 4))),
             }
         }
@@ -277,7 +370,37 @@ fn crafted_block(defect: BlockDefect) -> Vec<u8> {
     if defect == BlockDefect::LiteralsPastBlock {
         block.pop();
     }
+    block
+}
+
+/// [`crafted_block`] around the valid [`crafted_checkpoint_stream`],
+/// sealed in a valid envelope.
+fn crafted_checkpoint_block(defect: BlockDefect) -> Vec<u8> {
+    let block = crafted_block(&crafted_checkpoint_stream(None), defect);
     seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &block)
+}
+
+/// [`crafted_block`] around the valid [`crafted_artifact_stream`], sealed
+/// in a valid envelope.
+fn crafted_artifact_block(defect: BlockDefect) -> Vec<u8> {
+    let block = crafted_block(&crafted_artifact_stream(None), defect);
+    seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[7], &block)
+}
+
+/// Whether `error` is what a crafted block's `defect` is refused as.
+fn is_block_refusal(defect: BlockDefect, error: &CodecError) -> bool {
+    match defect {
+        BlockDefect::ZeroOffset => *error == CodecError::BlockOffset { offset: 0, produced: 1 },
+        BlockDefect::OffsetPastOutput => *error == CodecError::BlockOffset { offset: 2, produced: 1 },
+        BlockDefect::LiteralsPastBlock => {
+            matches!(error, CodecError::UnexpectedEof { what: "block literals", .. })
+        }
+        BlockDefect::MatchPastLength => matches!(error, CodecError::BlockOverrun { what: "match", .. }),
+        BlockDefect::LengthOverLimit => matches!(
+            error,
+            CodecError::BlockExpansion { declared, limit } if *declared == *limit as u64 + 1
+        ),
+    }
 }
 
 fn decode_checkpoint_caught(
@@ -363,11 +486,11 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
     // 6. Well-formed but for one field the compact layout must police, or
     //    one field of the block around a valid stream.
     assert!(PipelineCheckpoint::decode(&crafted_checkpoint(None)).is_ok());
-    for defect in DEFECTS {
+    for defect in CHECKPOINT_DEFECTS {
         corpus.push((format!("crafted {defect:?}"), crafted_checkpoint(Some(defect))));
     }
     for defect in BLOCK_DEFECTS {
-        corpus.push((format!("crafted block {defect:?}"), crafted_block(defect)));
+        corpus.push((format!("crafted block {defect:?}"), crafted_checkpoint_block(defect)));
     }
 
     assert_eq!(corpus.len(), 200, "the corpus is specified as exactly 200 cases");
@@ -421,7 +544,7 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     }
 
     // The bombs only the compact layout has, each rejected for its reason.
-    for defect in DEFECTS {
+    for defect in CHECKPOINT_DEFECTS {
         let rejection = PipelineCheckpoint::decode(&crafted_checkpoint(Some(defect))).unwrap_err();
         let as_expected = match defect {
             Defect::StringIndexOutOfRange => matches!(
@@ -439,6 +562,7 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
             Defect::ExpansionBomb => {
                 matches!(rejection, CheckpointError::Decode(CodecError::StringExpansion { .. }))
             }
+            _ => unreachable!("not a checkpoint defect"),
         };
         assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
     }
@@ -446,26 +570,9 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     // The block's own defects, each rejected for its reason before the
     // stream inside is read.
     for defect in BLOCK_DEFECTS {
-        let rejection = PipelineCheckpoint::decode(&crafted_block(defect)).unwrap_err();
-        let as_expected = match (defect, &rejection) {
-            (BlockDefect::ZeroOffset, CheckpointError::Decode(e)) => {
-                *e == CodecError::BlockOffset { offset: 0, produced: 1 }
-            }
-            (BlockDefect::OffsetPastOutput, CheckpointError::Decode(e)) => {
-                *e == CodecError::BlockOffset { offset: 2, produced: 1 }
-            }
-            (BlockDefect::LiteralsPastBlock, CheckpointError::Decode(e)) => {
-                matches!(e, CodecError::UnexpectedEof { what: "block literals", .. })
-            }
-            (BlockDefect::MatchPastLength, CheckpointError::Decode(e)) => {
-                matches!(e, CodecError::BlockOverrun { what: "match", .. })
-            }
-            (BlockDefect::LengthOverLimit, CheckpointError::Decode(e)) => matches!(
-                e,
-                CodecError::BlockExpansion { declared, limit } if *declared == *limit as u64 + 1
-            ),
-            _ => false,
-        };
+        let rejection = PipelineCheckpoint::decode(&crafted_checkpoint_block(defect)).unwrap_err();
+        let as_expected =
+            matches!(&rejection, CheckpointError::Decode(e) if is_block_refusal(defect, e));
         assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
     }
 }
@@ -592,8 +699,8 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     assert!(ModelArtifact::decode(&valid).is_ok(), "the uncorrupted artifact must decode");
     let len = valid.len();
     let (words, payload) = artifact_parts(&valid);
-    let payload_len = payload.len();
-    assert!(payload_len > 256, "fuzz corpus assumes a non-trivial payload, got {payload_len}");
+    let raw = decompress(payload).expect("the uncorrupted artifact decompresses");
+    assert!(raw.len() > 4096, "fuzz corpus assumes a non-trivial stream, got {}", raw.len());
 
     // (case label, corrupted bytes) — built fully deterministically.
     let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
@@ -645,18 +752,30 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     //    the 8-byte magic has a 2^-64 collision chance per case, and the
     //    stream is fixed, so the corpus is stable).
     let mut rng = ChaCha8Rng::seed_from_u64(0xF422);
-    for i in 0..24 {
+    for i in 0..13 {
         let size = (i * 171) % 4096;
         let bytes: Vec<u8> = (0..size).map(|_| rng.next_u32() as u8).collect();
         corpus.push((format!("garbage #{i} ({size} B)"), bytes));
     }
 
-    // 5. Payload truncations with a re-fixed header: the checksum matches,
-    //    so the model decoders themselves must reject the short stream.
+    // 5. Stream truncations stored in a valid block under a re-fixed
+    //    header: block and checksum are sound, so the model decoders
+    //    themselves must reject the short stream.
     for i in 0..40 {
-        let cut = i * payload_len / 40;
-        let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &payload[..cut]);
-        corpus.push((format!("payload truncate[..{cut}] (checksum fixed)"), bytes));
+        let cut = i * raw.len() / 40;
+        let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &compress(&raw[..cut]));
+        corpus.push((format!("stream truncate[..{cut}] (block and checksum fixed)"), bytes));
+    }
+
+    // 6. Well-formed but for one field of the stream, or one field of the
+    //    block around a valid stream.
+    let crafted = ModelArtifact::decode(&crafted_artifact(None)).expect("the crafted artifact decodes");
+    assert_eq!(crafted.models.row_model.metric_importances().len(), 1);
+    for defect in ARTIFACT_DEFECTS {
+        corpus.push((format!("crafted {defect:?}"), crafted_artifact(Some(defect))));
+    }
+    for defect in BLOCK_DEFECTS {
+        corpus.push((format!("crafted block {defect:?}"), crafted_artifact_block(defect)));
     }
 
     assert_eq!(corpus.len(), 200, "the corpus is specified as exactly 200 cases");
@@ -680,40 +799,80 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
 #[test]
 fn length_prefix_bombs_never_panic_and_never_allocate_the_declared_size() {
     let valid = artifact_bytes();
-    let (words, valid_payload) = artifact_parts(&valid);
-    let payload_len = valid_payload.len();
+    let (words, payload) = artifact_parts(&valid);
+    let valid_raw = decompress(payload).expect("the uncorrupted artifact decompresses");
+    let stored = |raw: &[u8]| seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &compress(raw));
 
-    // Splice u32::MAX over 4 bytes at 32 evenly spaced payload offsets and
-    // re-fix the header. A splice landing on a collection length prefix
-    // declares a multi-gigabyte collection: the bounds-checked readers
-    // must refuse (LengthOverflow / EOF / tag errors) instead of
-    // allocating. A splice landing inside an f64 merely changes a weight,
-    // so a successful decode is legitimate there — but it must round-trip
-    // through encode without panicking.
+    // Splice four 0xFF bytes at 32 evenly spaced offsets of the raw stream
+    // and store it again: four continuation bytes, so whatever varint the
+    // splice lands in becomes enormous, and a count that large must be
+    // refused (LengthOverflow / EOF / tag errors) instead of allocated. A
+    // splice inside an f64 or a string table entry merely changes a weight
+    // or a name, so a successful decode is legitimate there — and then the
+    // models are sound: re-encoding them gives bytes that decode to the
+    // same artifact.
     for i in 0..32 {
-        let pos = i * (payload_len - 4) / 31;
-        let mut payload = valid_payload.to_vec();
-        payload[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &payload);
-        match decode_caught(&bytes) {
-            Err(()) => panic!("length bomb at payload offset {pos} panicked the decoder"),
+        let pos = i * (valid_raw.len() - 4) / 31;
+        let mut raw = valid_raw.clone();
+        raw[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        match decode_caught(&stored(&raw)) {
+            Err(()) => panic!("length bomb at stream offset {pos} panicked the decoder"),
             Ok(Err(_typed_rejection)) => {}
             Ok(Ok(artifact)) => {
-                // The splice missed every structural field; the models are
-                // still structurally sound.
                 let reencoded = artifact.encode();
-                assert_eq!(reencoded.len(), bytes.len(), "bomb at {pos}: round-trip length");
+                let again = ModelArtifact::decode(&reencoded).expect("a re-encoded artifact decodes");
+                assert_eq!(again.fingerprint, artifact.fingerprint);
+                assert_eq!(again.encode(), reencoded, "bomb at {pos}: the re-encoded artifact");
             }
         }
     }
 
-    // The canonical bomb: the very first payload bytes are a collection
-    // length prefix, so this one must be a typed rejection.
-    let mut payload = valid_payload.to_vec();
-    payload[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &payload);
-    match ModelArtifact::decode(&bytes) {
+    // The canonical bomb: the first stream bytes are the string-table
+    // count, so this one must be a typed rejection.
+    let mut raw = valid_raw.clone();
+    raw[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    match ModelArtifact::decode(&stored(&raw)) {
         Err(ArtifactError::Decode(_)) => {}
         other => panic!("a length bomb on the first prefix must be a decode error, got {other:?}"),
+    }
+
+}
+
+/// Each crafted defect is refused for its reason. An empty tree and a split
+/// on a feature the forest does not have used to decode, and then panic
+/// the process that scored pairs with the model or reported its metric
+/// importances; a backward child was refused as a bad tag.
+#[test]
+fn crafted_artifacts_are_rejected_for_their_defect() {
+    for defect in ARTIFACT_DEFECTS {
+        let rejection = ModelArtifact::decode(&crafted_artifact(Some(defect))).unwrap_err();
+        let ArtifactError::Decode(error) = &rejection else {
+            panic!("{defect:?} was rejected as {rejection:?}");
+        };
+        let as_expected = match defect {
+            Defect::StringIndexOutOfRange => {
+                matches!(error, CodecError::StringIndexOutOfRange { index: 3, table_len: 3, .. })
+            }
+            Defect::TableLongerThanStream => {
+                matches!(error, CodecError::LengthOverflow { what: "string table", .. })
+            }
+            Defect::ExpansionBomb => matches!(error, CodecError::StringExpansion { .. }),
+            Defect::EmptyTree => {
+                *error == CodecError::OutOfRange { what: "forest.tree.nodes", value: 0, allowed: 1..u64::MAX }
+            }
+            Defect::SplitFeatureOutOfRange => {
+                *error == CodecError::OutOfRange { what: "forest.node.feature", value: 1, allowed: 0..1 }
+            }
+            Defect::BackwardChild => {
+                *error == CodecError::OutOfRange { what: "forest.node.left", value: 0, allowed: 1..3 }
+            }
+            Defect::NonAscendingGap => unreachable!("not an artifact defect"),
+        };
+        assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
+    }
+    for defect in BLOCK_DEFECTS {
+        let rejection = ModelArtifact::decode(&crafted_artifact_block(defect)).unwrap_err();
+        let as_expected = matches!(&rejection, ArtifactError::Decode(e) if is_block_refusal(defect, e));
+        assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
     }
 }

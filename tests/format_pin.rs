@@ -6,21 +6,22 @@
 //! and each file is checked three ways: the documented header offsets are
 //! read back literally, the production decoder accepts the hand-written
 //! bytes and the production encoder reproduces them exactly, and the
-//! FNV-1a64 of the whole file equals a pinned constant: the artifact's was
-//! generated before the codec consolidation (PR 13), the checkpoint's and
-//! the WAL's with the formats they pin (checkpoint version 6, WAL
-//! version 4). Their compressed blocks are spelled out too, match by match.
+//! FNV-1a64 of the whole file equals a pinned constant, generated with the
+//! format it pins (artifact version 2, checkpoint version 6, WAL
+//! version 4). Every payload is a compressed block, spelled out too, match
+//! by match.
 //! A change to any of these constants is a format change and needs a
 //! version bump, not an edit here.
 
 use ltee_core::{
-    decode_corpus, encode_corpus, CheckpointError, ModelArtifact, PipelineCheckpoint,
+    decode_corpus, encode_corpus, ArtifactError, CheckpointError, ModelArtifact,
+    PipelineCheckpoint,
 };
 use ltee_ml::codec::{compress, fnv1a64, ByteWriter};
 use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, KbStore, StoreError, WalTail};
 
-const ARTIFACT_FNV: u64 = 0xde7aa557b610faef;
+const ARTIFACT_FNV: u64 = 0x844029b8f8160a6d;
 const CHECKPOINT_FNV: u64 = 0x89dc34083876500b;
 const WAL_FNV: u64 = 0x23da3cd3d80882fb;
 
@@ -45,20 +46,6 @@ fn framed(magic: &[u8; 8], version: u32, words: &[u64], payload: &[u8]) -> Vec<u
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
-}
-
-fn strs(w: &mut ByteWriter, values: &[&str]) {
-    w.write_u32(values.len() as u32);
-    for v in values {
-        w.write_str(v);
-    }
-}
-
-fn f64s(w: &mut ByteWriter, values: &[f64]) {
-    w.write_u32(values.len() as u32);
-    for &v in values {
-        w.write_f64(v);
-    }
 }
 
 /// The checkpoint's string table: every distinct string once, in the order
@@ -87,27 +74,37 @@ fn string_table(w: &mut ByteWriter, strings: &[&str]) {
     }
 }
 
-/// A raw stream under 128 bytes as its stored block: the one-byte varint
-/// length, then per match `(position, offset, length)` a sequence of the
-/// literals since the last match, the `u16` offset and the length, then a
-/// last sequence of the literals left, if any. A token holds the literal
-/// count (15 or more: 15, continued in one more byte) and the match length
-/// minus four, which stays below 15 here.
+/// A raw stream under 16 KiB as its stored block: the varint length (one
+/// or two bytes), then per match `(position, offset, length)` a sequence of
+/// the literals since the last match, the `u16` offset and the length, then
+/// a last sequence of the literals left, if any. A token holds the literal
+/// count and the match length minus four; a nibble of 15 is continued in
+/// one more byte, after the literals or after the offset, which is all the
+/// runs here need.
 fn block(raw: &[u8], matches: &[(usize, u16, usize)]) -> Vec<u8> {
-    let token = |w: &mut ByteWriter, literals: usize, match_run: usize| {
-        assert!(literals < 15 + 255 && match_run < 15);
-        w.write_u8((literals.min(15) as u8) << 4 | match_run as u8);
-        if literals >= 15 {
-            w.write_u8((literals - 15) as u8);
+    let run_tail = |w: &mut ByteWriter, run: usize| {
+        assert!(run < 15 + 255);
+        if run >= 15 {
+            w.write_u8((run - 15) as u8);
         }
     };
+    let token = |w: &mut ByteWriter, literals: usize, match_run: usize| {
+        w.write_u8((literals.min(15) as u8) << 4 | match_run.min(15) as u8);
+        run_tail(w, literals);
+    };
     let mut w = ByteWriter::new();
-    w.write_u8(raw.len() as u8);
+    assert!(raw.len() < 1 << 14);
+    if raw.len() < 128 {
+        w.write_u8(raw.len() as u8);
+    } else {
+        w.write_bytes(&[raw.len() as u8 | 0x80, (raw.len() >> 7) as u8]);
+    }
     let mut anchor = 0;
     for &(at, offset, len) in matches {
         token(&mut w, at - anchor, len - 4);
         w.write_bytes(&raw[anchor..at]);
         w.write_bytes(&offset.to_le_bytes());
+        run_tail(&mut w, len - 4);
         anchor = at + len;
     }
     if anchor < raw.len() {
@@ -116,6 +113,33 @@ fn block(raw: &[u8], matches: &[(usize, u16, usize)]) -> Vec<u8> {
     }
     w.into_bytes()
 }
+
+/// The greedy match finder's matches in [`artifact_payload`]: zero bytes and
+/// repeated weights of the `f64` fields, and the repeated feature-name
+/// references.
+const ARTIFACT_MATCHES: [(usize, u16, usize); 21] = [
+    (34, 1, 5),
+    (41, 6, 4),
+    (48, 8, 23),
+    (75, 8, 4),
+    (79, 19, 5),
+    (91, 13, 4),
+    (98, 34, 7),
+    (105, 8, 10),
+    (121, 31, 7),
+    (132, 17, 4),
+    (137, 63, 8),
+    (145, 40, 8),
+    (155, 66, 8),
+    (166, 6, 4),
+    (170, 9, 4),
+    (174, 28, 7),
+    (181, 1, 8),
+    (189, 76, 6),
+    (198, 125, 8),
+    (206, 33, 8),
+    (215, 143, 10),
+];
 
 /// The greedy match finder's matches in [`checkpoint_payload`]: "ellow"
 /// and "ubmarine" of the Song interner arena, then the zero bytes and
@@ -167,77 +191,87 @@ fn checkpoint_payload() -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Weighted-average branch of a pairwise model.
-fn weighted_bytes(w: &mut ByteWriter, weights: &[f64], names: &[&str]) {
+/// The artifact's string table: the matcher's property, then the feature
+/// names in the order the row model first uses them.
+const ARTIFACT_STRINGS: [&str; 3] = ["releaseYear", "LABEL", "SAME_TABLE"];
+
+/// `count · f64*`, a float sequence under 128 long.
+fn f64s(w: &mut ByteWriter, values: &[f64]) {
+    w.write_u8(values.len() as u8);
+    for &v in values {
+        w.write_f64(v);
+    }
+}
+
+/// Weighted-average branch of a pairwise model: weights, threshold, then
+/// its feature names as references into [`ARTIFACT_STRINGS`].
+fn weighted_bytes(w: &mut ByteWriter, weights: &[f64], names: &[u8]) {
     f64s(w, weights);
     w.write_f64(0.5); // threshold
-    strs(w, names);
+    w.write_u8(names.len() as u8);
+    w.write_bytes(names);
 }
 
 fn artifact_payload() -> Vec<u8> {
     let mut w = ByteWriter::new();
+    string_table(&mut w, &ARTIFACT_STRINGS);
     // MatcherWeights
-    w.write_u32(1); // class weights
+    w.write_u8(1); // class weights
     w.write_u8(1); // Song
     f64s(&mut w, &[0.125, 0.25, 0.25, 0.25, 0.125]);
-    w.write_u32(1); // property thresholds
-    w.write_u8(1);
-    w.write_str("releaseYear");
+    w.write_u8(1); // property thresholds
+    w.write_u8(1); // Song
+    w.write_u8(0); // "releaseYear"
     w.write_f64(0.25);
 
     // RowSimilarityModel: metric codes, then the pairwise model
-    w.write_u32(2);
-    w.write_u8(0); // LABEL
-    w.write_u8(5); // SAME_TABLE
+    w.write_bytes(&[2, 0, 5]); // LABEL, SAME_TABLE
     w.write_u8(2); // AggregationMethod::Combined
-    w.write_u64(2); // similarities
+    w.write_u8(2); // similarities
     w.write_bool(true);
-    weighted_bytes(&mut w, &[0.5, 0.5], &["LABEL", "SAME_TABLE"]);
+    weighted_bytes(&mut w, &[0.5, 0.5], &[1, 2]);
     w.write_bool(true); // forest
-    w.write_u64(1); // num_trees
-    w.write_u64(4); // max_depth
-    w.write_u64(2); // min_samples_split
-    w.write_bool(false); // features_per_split: flag, then the value slot
-    w.write_u64(0);
+    w.write_bytes(&[1, 4, 2]); // num_trees, max_depth, min_samples_split
+    w.write_bool(false); // features_per_split: none
     w.write_f64(1.0); // bootstrap fraction
-    w.write_u64(9); // seed
-    w.write_u32(1); // trees
-    w.write_u32(3); // nodes
-    w.write_u8(1); // split: feature · threshold · gain · left · right
-    w.write_u64(0);
+    w.write_u8(9); // seed
+    w.write_bytes(&[2, 1, 2]); // feature names
+    w.write_u8(1); // trees
+    w.write_u8(3); // nodes
+    w.write_bytes(&[1, 0]); // split: feature · threshold · gain · left · right
     w.write_f64(0.5);
     w.write_f64(0.125);
-    w.write_u64(1);
-    w.write_u64(2);
+    w.write_bytes(&[1, 2]);
     w.write_u8(0); // leaf
     w.write_f64(-1.0);
     w.write_u8(0);
     w.write_f64(1.0);
-    strs(&mut w, &["LABEL", "SAME_TABLE"]);
     w.write_f64(0.0); // oob error
     w.write_f64(0.5); // combine weight
-    strs(&mut w, &["LABEL", "SAME_TABLE"]);
+    w.write_bytes(&[2, 1, 2]); // feature names
 
     // EntitySimilarityModel
-    w.write_u32(1);
-    w.write_u8(0); // LABEL
+    w.write_bytes(&[1, 0]); // LABEL
     w.write_u8(0); // AggregationMethod::WeightedAverage
-    w.write_u64(1);
+    w.write_u8(1); // similarities
     w.write_bool(true);
-    weighted_bytes(&mut w, &[1.0], &["LABEL"]);
+    weighted_bytes(&mut w, &[1.0], &[1]);
     w.write_bool(false); // no forest
     w.write_f64(1.0);
-    strs(&mut w, &["LABEL"]);
+    w.write_bytes(&[1, 1]); // feature names
     w.into_bytes()
 }
 
 #[test]
 fn on_disk_formats_are_pinned() {
     // ── model artifact: one header word (config fingerprint) ─────────────
-    let payload = artifact_payload();
-    let artifact = framed(b"LTEEART\x01", 1, &[0xA11C_E5ED_0BAD_F00D], &payload);
+    // The payload is the raw stream stored as one compressed block.
+    let raw = artifact_payload();
+    let payload = block(&raw, &ARTIFACT_MATCHES);
+    assert_eq!(compress(&raw), payload);
+    let artifact = framed(b"LTEEART\x01", 2, &[0xA11C_E5ED_0BAD_F00D], &payload);
     assert_eq!(&artifact[0..8], b"LTEEART\x01");
-    assert_eq!(u32_at(&artifact, 8), 1);
+    assert_eq!(u32_at(&artifact, 8), 2);
     assert_eq!(u64_at(&artifact, 12), 0xA11C_E5ED_0BAD_F00D);
     assert_eq!(u64_at(&artifact, 20), payload.len() as u64);
     assert_eq!(u64_at(&artifact, 28), fnv1a64(&payload));
@@ -246,6 +280,10 @@ fn on_disk_formats_are_pinned() {
     assert_eq!(decoded.fingerprint, 0xA11C_E5ED_0BAD_F00D);
     assert_eq!(decoded.encode(), artifact);
     assert_eq!(fnv1a64(&artifact), ARTIFACT_FNV, "artifact bytes: {:#018x}", fnv1a64(&artifact));
+    // An intact version-1 envelope is refused by version; its payload,
+    // here the raw stream, is never read.
+    let version_1 = framed(b"LTEEART\x01", 1, &[0xA11C_E5ED_0BAD_F00D], &raw);
+    assert!(matches!(ModelArtifact::decode(&version_1), Err(ArtifactError::UnsupportedVersion(1))));
 
     // ── state checkpoint: two header words (fingerprint, applied batches) ─
     // The payload is the raw stream stored as one compressed block.
