@@ -124,9 +124,12 @@ impl BlockPostings {
         self.by_block.get(block.raw() as usize).map_or(&[], Vec::as_slice)
     }
 
-    /// Record that `cluster` holds `blocks`.
+    /// Record that `cluster` holds `blocks`. A cluster index fits a `u32`:
+    /// a class holds no more clusters than rows, and the serving pipeline
+    /// refuses a batch, or a checkpoint, that would take the rows it holds
+    /// past `u32::MAX` (`ltee_core::IncrementalPipeline::ingest`).
     fn post(&mut self, blocks: &[Sym], cluster: usize) {
-        let cluster = u32::try_from(cluster).expect("cluster index exceeded u32");
+        let cluster = cluster as u32;
         for block in blocks {
             let raw = block.raw() as usize;
             if raw >= self.by_block.len() {

@@ -26,6 +26,8 @@
 //!   ([`StreamingClusterer`], [`StreamingPhi`]) whose results are invariant
 //!   to how a table stream is split into micro-batches.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod cluster;
 pub mod context;
 pub mod incremental;

@@ -136,7 +136,12 @@ impl PhiStats {
             self.occurrences.resize(minted, 0);
             self.cooccur.resize_with(minted, Vec::new);
         }
-        let bump = |count: &mut u32| *count = count.checked_add(1).expect("PHI count exceeded u32");
+        // An occurrence count never reaches `u32::MAX`: the serving
+        // pipeline refuses a batch that would take the rows it has
+        // ingested past it. A co-occurrence counts row pairs, which the
+        // rows do not bound, so it saturates there instead — the same
+        // count in whatever order tables arrive.
+        let bump = |count: &mut u32| *count = count.saturating_add(1);
         for (i, &a) in labels.iter().enumerate() {
             bump(&mut self.occurrences[a.raw() as usize]);
             let pairs = &mut self.cooccur[a.raw() as usize];

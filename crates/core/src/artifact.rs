@@ -9,12 +9,12 @@
 //! binary file, so models are trained once and then loaded by any number of
 //! serving processes ([`crate::IncrementalPipeline`]).
 //!
-//! ## File format (version 2)
+//! ## File format (version 3)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEEART\x01"`, format version 2 and one header word, the
+//! with magic `b"LTEEART\x01"`, format version 3 and one header word, the
 //! config fingerprint (see [`config_fingerprint`]). The payload is one
-//! block of the codec's LZ compressor, like a checkpoint's or a WAL
+//! block of the codec's DEFLATE compressor, like a checkpoint's or a WAL
 //! batch's; the raw stream in it is `string table · MatcherWeights ·
 //! RowSimilarityModel · EntitySimilarityModel` in the codec's one spelling:
 //! every count, index and integer a varint, every property and feature
@@ -27,9 +27,10 @@
 //! without nodes, a split on a feature its forest does not have, a child
 //! that does not point forward.
 //!
-//! Version 1, the same models in the codec's old fixed-width spelling and
-//! stored uncompressed, is refused with
-//! [`ArtifactError::UnsupportedVersion`]: retraining rebuilds an artifact.
+//! Versions 1 and 2 are refused with [`ArtifactError::UnsupportedVersion`]:
+//! version 2 is this raw stream in an LZ4-layout block, version 1 the same
+//! models in the codec's old fixed-width spelling, stored uncompressed.
+//! Retraining rebuilds an artifact.
 //!
 //! ## Versioning and validation contract
 //!
@@ -61,7 +62,7 @@ use crate::pipeline::{PipelineConfig, TrainedModels};
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"LTEEART\x01";
 
 /// The artifact format version this build writes and reads.
-pub const ARTIFACT_VERSION: u32 = 2;
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// Errors raised while encoding, decoding or validating an artifact.
 #[derive(Debug)]

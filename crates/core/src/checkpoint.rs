@@ -49,13 +49,13 @@
 //! **bit-identical** to the one that wrote the checkpoint —
 //! `tests/recovery_equivalence.rs` proves it end to end.
 //!
-//! ## File format (version 6)
+//! ## File format (version 7)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEECKP\x01"`, format version 6 and two header words: the
+//! with magic `b"LTEECKP\x01"`, format version 7 and two header words: the
 //! config fingerprint ([`config_fingerprint`]) and the applied-batch count
 //! (non-empty ingests == snapshot version). The payload is one block of the
-//! codec's LZ compressor ([`codec::compress`]); the envelope's length and
+//! codec's DEFLATE compressor ([`codec::compress`]); the envelope's length and
 //! checksum cover the block as stored, so a damaged file is refused before
 //! anything is decompressed. The raw stream in the block is `string table ·
 //! corpus · mapping · per-class interner strings / clusters / results`, in
@@ -78,14 +78,15 @@
 //! [`crate::ShardPlan`] (shard and thread counts are both excluded from the
 //! config fingerprint).
 //!
-//! Versions 1 to 5 are refused with
+//! Versions 1 to 6 are refused with
 //! [`CheckpointError::UnsupportedVersion`], by version, before a payload
 //! byte is read: version 1's global interner arena cannot be split per
 //! class after the fact, version 2 is the fixed-width spelling of version
 //! 3, version 3 is version 4 plus a fused-entity section per class,
 //! version 4 is version 5 plus each table's ground truth and each
-//! mapping's class score, label column and detected types, and version 5
-//! is this raw stream stored uncompressed — reading any
+//! mapping's class score, label column and detected types, version 5
+//! is this raw stream stored uncompressed, and version 6 is it stored in
+//! an LZ4-layout block — reading any
 //! of them would mean a second decoder, kept correct and fuzzed for as
 //! long as the first, for a store that re-ingesting its source stream
 //! rebuilds (the precedent version 1 set). The store treats
@@ -93,8 +94,8 @@
 //! corrupt file to skip (`ltee_store::KbStore::open`).
 //!
 //! Decoding validates magic, version, length and checksum before touching
-//! the payload, the block's literal runs, offsets and matches are checked
-//! against the block and its declared length, every collection length is
+//! the payload, the block's codes, symbols, distances and lengths are
+//! checked against the block and its declared length, every collection length is
 //! bounds-checked against the
 //! remaining stream and every string reference against the table and the
 //! stream's expansion budget (no allocation bombs), and the decoded state is
@@ -119,14 +120,16 @@ use ltee_types::DataType;
 use ltee_webtables::{Column, Corpus, TableId, WebTable};
 
 use crate::artifact::config_fingerprint;
-use crate::incremental::{class_rows_in_arrival_order, ClassState, IncrementalPipeline};
+use crate::incremental::{
+    check_capacity, class_rows_in_arrival_order, ClassState, IncrementalPipeline,
+};
 use crate::pipeline::{PipelineConfig, TrainedModels};
 
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"LTEECKP\x01";
 
 /// The checkpoint format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 6;
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
@@ -762,6 +765,9 @@ impl PipelineCheckpoint {
         config: PipelineConfig,
     ) -> Result<IncrementalPipeline<'a>, CheckpointError> {
         self.verify_config(&config)?;
+        // A restored pipeline holds what ingest would have let it.
+        check_capacity([0, 0], [self.corpus.total_rows(), self.corpus.len()])
+            .map_err(|refused| CheckpointError::Corrupted(refused.to_string()))?;
         config.parallelism.install();
         let PipelineCheckpoint { corpus, mapping, classes, .. } = self;
 

@@ -301,12 +301,18 @@ impl<'a> IncrementalPipeline<'a> {
     /// [`PipelineError::DuplicateTable`], and one holding a table that
     /// [`ltee_webtables::WebTable::validate`] refuses (the check every
     /// decoder of stored tables makes) with [`PipelineError::MalformedTable`],
-    /// both before any state changes. The tables are kept without their
-    /// ground truth, which nothing here reads.
+    /// and one that would take the rows or tables ingested past `u32::MAX`
+    /// with [`PipelineError::CapacityExceeded`], all before any state
+    /// changes. The tables are kept without their ground truth, which
+    /// nothing here reads.
     pub fn ingest(&mut self, batch: &Corpus) -> Result<IngestReport, PipelineError> {
         if batch.is_empty() {
             return Ok(IngestReport::default());
         }
+        check_capacity(
+            [self.ingested_rows(), self.ingested_tables()],
+            [batch.total_rows(), batch.len()],
+        )?;
         let mut batch_ids = std::collections::HashSet::new();
         for table in batch.tables() {
             // Reject ids already ingested AND ids duplicated within the
@@ -505,6 +511,21 @@ fn shard_buckets<'s>(
 /// Phase 1 for one class: corpus statistics for the delta
 /// ([`ClassState::absorb_corpus_statistics`]), then delta clustering
 /// against all accumulated state. Mutates only `state`.
+/// Rows and tables a pipeline ingests at most: the stream state indexes
+/// clusters by `u32` and counts label occurrences in `u32`.
+const CAPACITY: usize = u32::MAX as usize;
+
+/// Refuse a batch of `batch` rows and tables on top of the `ingested` ones
+/// if either count would pass [`CAPACITY`].
+pub(crate) fn check_capacity(ingested: [usize; 2], batch: [usize; 2]) -> Result<(), PipelineError> {
+    for (what, ingested, batch) in [("rows", ingested[0], batch[0]), ("tables", ingested[1], batch[1])] {
+        if ingested.saturating_add(batch) > CAPACITY {
+            return Err(PipelineError::CapacityExceeded { what, ingested, batch });
+        }
+    }
+    Ok(())
+}
+
 fn ingest_class_delta(
     state: &mut ClassState,
     batch: &Corpus,
@@ -593,4 +614,24 @@ fn refresh_touched_clusters(
         state.results[cluster_idx] = result;
     }
     new_entities
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_batch_past_the_capacity_is_refused() {
+        assert_eq!(check_capacity([CAPACITY - 5, 7], [5, 1]), Ok(()));
+        assert_eq!(
+            check_capacity([CAPACITY - 5, 7], [6, 1]),
+            Err(PipelineError::CapacityExceeded { what: "rows", ingested: CAPACITY - 5, batch: 6 })
+        );
+        assert_eq!(
+            check_capacity([7, CAPACITY], [1, 1]),
+            Err(PipelineError::CapacityExceeded { what: "tables", ingested: CAPACITY, batch: 1 })
+        );
+        // Sums past `usize::MAX` are refused, not wrapped.
+        assert!(check_capacity([usize::MAX, 0], [usize::MAX, 0]).is_err());
+    }
 }

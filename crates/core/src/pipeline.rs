@@ -53,6 +53,16 @@ pub enum PipelineError {
         /// What is wrong with it.
         reason: String,
     },
+    /// A micro-batch would take the rows or the tables ingested past
+    /// `u32::MAX`, the most the stream state indexes.
+    CapacityExceeded {
+        /// `"rows"` or `"tables"`.
+        what: &'static str,
+        /// How many were ingested before the batch.
+        ingested: usize,
+        /// How many the batch holds.
+        batch: usize,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -71,6 +81,11 @@ impl std::fmt::Display for PipelineError {
             PipelineError::MalformedTable { table, reason } => {
                 write!(f, "table {} is malformed: {reason}", table.raw())
             }
+            PipelineError::CapacityExceeded { what, ingested, batch } => write!(
+                f,
+                "a batch of {batch} {what} on top of {ingested} would pass the {} a pipeline holds",
+                u32::MAX
+            ),
         }
     }
 }

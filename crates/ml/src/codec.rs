@@ -30,24 +30,29 @@
 //!   (`count · (byte length · UTF-8 bytes)*`, distinct strings in
 //!   first-use order).
 //!
-//! Every payload — model artifact v2, checkpoint v6, WAL v4 batch — is such
+//! Every payload — model artifact v3, checkpoint v7, WAL v5 batch — is such
 //! a stream, table then body, stored as one block of the block codec
 //! ([`StringTableWriter::into_stream`]) and read back by [`read_stream`].
 //! Only the framing around a payload is fixed width: the envelope's header
 //! and the WAL's record headers are little-endian `u32` / `u64` words, so
 //! a torn header is told by its length alone.
 //!
-//! The block codec ([`compress`] / [`decompress`]) is greedy LZ77 in LZ4's
-//! sequence layout, with no entropy stage. A block is `raw length (varint)
-//! · sequence*`, a sequence `token · literal run · literals · offset ·
-//! match run`: the token's high nibble counts the literals and its low
-//! nibble is the match length minus four, and a nibble of 15 continues in
-//! run bytes that each add themselves, up to the first one below 255. The
-//! offset is a little-endian `u16` distance back into the output, 1 to
-//! 65 535, and a match may overlap the bytes it produces. The sequence
-//! whose literals reach the declared length is the last and has no match
-//! part. [`BLOCK_EXPANSION_LIMIT`] states what a stored byte can cost a
-//! decoder.
+//! The block codec ([`compress`] / [`decompress`]) is DEFLATE (RFC 1951). A
+//! block is `raw length (varint) · raw DEFLATE stream`: no zlib or gzip
+//! wrapper, so `zlib.decompress(stream, -15)` inflates what follows the
+//! varint, and the varint is what lets the decoder bound its work before
+//! it starts. The stream is LZ77 over a 32 KiB window — matches of 3 to 258
+//! bytes — whose literals, lengths and distances are Huffman coded, block
+//! by block, with the fixed code or with canonical codes the block's header
+//! spells (dynamic), or left uncoded in stored blocks of up to 65 535
+//! bytes. [`compress`] writes each of its blocks the cheapest of the three
+//! ways; [`decompress`] reads any stream a conforming encoder writes, but
+//! refuses a code that is over-subscribed or incomplete (save RFC 1951's
+//! one exception, a distance code of at most one one-bit code), a symbol
+//! its alphabet does not allow, a distance before the output and any
+//! output past the declared length. DEFLATE reaches about 1 032 : 1;
+//! [`BLOCK_EXPANSION_LIMIT`] says why no block, from any writer, costs a
+//! decoder more than 255 bytes per stored byte.
 //!
 //! The envelope ([`seal`] / [`open`]), with `N` format-specific header
 //! words, is `magic(8) · version(u32) · N header words(u64) ·
@@ -124,25 +129,50 @@ pub enum CodecError {
         /// The most the block's length allows.
         limit: usize,
     },
-    /// A literal run or a match of a compressed block reaches past the raw
-    /// length the block declares.
+    /// A literal, a match or a stored block of a compressed block reaches
+    /// past the raw length the block declares.
     BlockOverrun {
-        /// `"literal run"` or `"match"`.
+        /// `"literal"`, `"match"` or `"stored block"`.
         what: &'static str,
         /// The declared raw length.
         declared: usize,
     },
-    /// A match of a compressed block has offset 0 or reaches back before
-    /// the first byte of the output.
+    /// The final DEFLATE block of a compressed block ends before the raw
+    /// length the block declares.
+    BlockShort {
+        /// The declared raw length.
+        declared: usize,
+        /// Raw bytes the stream produced.
+        produced: usize,
+    },
+    /// A match of a compressed block reaches back before the first byte of
+    /// the output.
     BlockOffset {
-        /// The match's offset.
+        /// The match's distance.
         offset: usize,
         /// Raw bytes produced before the match.
         produced: usize,
     },
+    /// A stored DEFLATE block's `NLEN` is not the complement of its `LEN`.
+    StoredLength {
+        /// The block's `LEN`.
+        len: u16,
+        /// The block's `NLEN`.
+        nlen: u16,
+    },
+    /// A dynamic DEFLATE block's code lengths do not spell a usable prefix
+    /// code.
+    BlockCode {
+        /// `"code length code"`, `"code lengths"`, `"literal/length code"`
+        /// or `"distance code"`.
+        what: &'static str,
+        /// What is wrong with it.
+        defect: CodeDefect,
+    },
     /// A decoded count or index lies outside the range its structure
     /// allows: a tree without nodes, a split on a feature the forest does
-    /// not have, a child that does not point forward.
+    /// not have, a child that does not point forward; a DEFLATE symbol or
+    /// code count its alphabet does not have.
     OutOfRange {
         /// What was being read.
         what: &'static str,
@@ -153,6 +183,35 @@ pub enum CodecError {
     },
     /// Trailing bytes remained after the final field was decoded.
     TrailingBytes(usize),
+}
+
+/// Why the code lengths of a dynamic DEFLATE block were refused
+/// ([`CodecError::BlockCode`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CodeDefect {
+    /// More codes of some lengths than a prefix code can hold.
+    OverSubscribed,
+    /// Fewer codes than a complete prefix code has, leaving bit patterns
+    /// that decode to nothing.
+    Incomplete,
+    /// The literal/length code has no code for end of block.
+    NoEndOfBlock,
+    /// Code-length symbol 16, "repeat the previous length", comes first.
+    RepeatWithoutLength,
+    /// A repeat runs past the code lengths the header declares.
+    RepeatPastEnd,
+}
+
+impl std::fmt::Display for CodeDefect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            CodeDefect::OverSubscribed => "is over-subscribed",
+            CodeDefect::Incomplete => "is incomplete",
+            CodeDefect::NoEndOfBlock => "has no end-of-block code",
+            CodeDefect::RepeatWithoutLength => "repeat a previous length before there is one",
+            CodeDefect::RepeatPastEnd => "repeat past their declared count",
+        })
+    }
 }
 
 impl std::fmt::Display for CodecError {
@@ -190,10 +249,21 @@ impl std::fmt::Display for CodecError {
                 f,
                 "compressed block's {what} runs past its declared {declared} raw bytes"
             ),
+            CodecError::BlockShort { declared, produced } => write!(
+                f,
+                "compressed block ends after {produced} of its declared {declared} raw bytes"
+            ),
             CodecError::BlockOffset { offset, produced } => write!(
                 f,
-                "compressed block's match offset {offset} is outside the {produced} bytes produced"
+                "compressed block's match distance {offset} is outside the {produced} bytes produced"
             ),
+            CodecError::StoredLength { len, nlen } => write!(
+                f,
+                "stored block length {len:#06x} does not match its complement {nlen:#06x}"
+            ),
+            CodecError::BlockCode { what, defect } => {
+                write!(f, "compressed block's {what} {defect}")
+            }
             CodecError::OutOfRange { what, value, allowed } => {
                 write!(f, "{what} {value} is outside {allowed:?}")
             }
@@ -579,87 +649,197 @@ pub fn read_stream<T, E: From<CodecError>>(
     Ok(decoded)
 }
 
-/// Shortest repeat a block stores as a match: a shorter one would cost as
-/// much in token and offset as it saves.
+/// Raw bytes a compressed block may declare per byte of its own length.
+///
+/// DEFLATE itself reaches about 1 032 : 1 — a 258-byte match in two bits —
+/// so the bound is a rule of the block, not of DEFLATE. [`decompress`]
+/// refuses a declared length above 255 per byte of block before it
+/// allocates anything, and refuses a symbol the moment it would take the
+/// output past the declared length, so no block — whoever wrote it — costs
+/// a decoder more than 255 bytes per stored byte. [`compress`] keeps its
+/// own blocks inside the bound by putting empty stored blocks, five bytes
+/// each, in front of a stream that would be denser. The [`StringTable`] at
+/// the head of a payload stream then charges resolved strings against
+/// [`STRING_EXPANSION_LIMIT`] bytes per *raw* byte, as it did before
+/// streams were compressed, so a stored payload stream can ask for at most
+/// `255 × (1 + 64)` = 16 575 bytes — raw stream plus strings — per stored
+/// byte, where an uncompressed one could ask for 65. Charging the strings
+/// against the stored bytes instead would make whether a stream decodes
+/// depend on how well it compressed, and refuse first the streams that
+/// repeat long strings most.
+pub const BLOCK_EXPANSION_LIMIT: usize = 255;
+
+/// Bytes the match finder hashes and a match must repeat. DEFLATE codes
+/// matches from three bytes, but with one candidate per table slot a
+/// three-byte hash finds fewer long matches than it gains short ones: it
+/// stores the payloads of a benchmark store 1.6 % larger.
 const MIN_MATCH: usize = 4;
 
-/// Farthest back a match reaches: its offset is a `u16`.
-const WINDOW: usize = u16::MAX as usize;
+/// Longest match DEFLATE codes.
+const MAX_MATCH: usize = 258;
+
+/// Farthest back a DEFLATE distance reaches.
+const WINDOW: usize = 32 * 1024;
 
 /// Index bits of the narrowest and the widest match-finder table
 /// [`compress`] builds; in between the table is sized to its input.
 const HASH_BITS: std::ops::RangeInclusive<u32> = 8..=15;
 
-/// Raw bytes a compressed block may declare per byte of its own length.
-///
-/// A raw byte is either a literal, stored as itself, or part of a match,
-/// and a match of up to `255·k + 18` bytes is stored as its token, two
-/// offset bytes and `k` run bytes, so no well-formed block — whoever wrote
-/// it — declares 255 raw bytes per byte of block, and [`decompress`]
-/// refuses a declared length above that before it allocates anything. That
-/// is the worst-case allocation per stored byte of a block. The
-/// [`StringTable`] at the head of a payload stream then charges resolved
-/// strings against [`STRING_EXPANSION_LIMIT`] bytes per *raw* byte, as it
-/// did before streams were compressed, so a stored payload stream can ask
-/// for at most `255 × (1 + 64)` = 16 575 bytes — raw stream plus strings —
-/// per stored byte, where an uncompressed one could ask for 65. Charging
-/// the strings against the stored bytes instead would make whether a
-/// stream decodes depend on how well it compressed, and refuse first the
-/// streams that repeat long strings most.
-pub const BLOCK_EXPANSION_LIMIT: usize = 255;
+/// LZ77 tokens per DEFLATE block: each block's codes fit its own symbols.
+/// A payload's string table and body code differently, so short blocks
+/// pay for their headers; of the powers of two from 2⁹ to 2¹⁶, 2¹² stores
+/// the payloads of a benchmark store smallest but for 2¹¹, within 0.1 %.
+const BLOCK_TOKENS: usize = 1 << 12;
+
+/// Longest code of the literal/length and distance alphabets, and of the
+/// code-length alphabet that spells a dynamic block's code lengths.
+const MAX_CODE_BITS: u8 = 15;
+const MAX_CODE_LENGTH_BITS: u8 = 7;
+
+/// Literal/length symbols a block may use (0–255 literals, 256 end of
+/// block, 257–285 lengths) and distance symbols (0–29). The fixed code
+/// also has codes for literal/length 286, 287 and distance 30, 31, which
+/// never occur.
+const LITERAL_SYMBOLS: usize = 286;
+const DISTANCE_SYMBOLS: usize = 30;
+const END_OF_BLOCK: usize = 256;
+
+/// Shortest match of each length symbol from 257 on, and its extra bits.
+const LENGTH_BASE: [u16; 29] = [
+    3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115,
+    131, 163, 195, 227, 258,
+];
+const LENGTH_EXTRA: [u8; 29] =
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0];
+
+/// Shortest distance of each distance symbol, and its extra bits.
+const DISTANCE_BASE: [u16; 30] = [
+    1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537,
+    2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577,
+];
+const DISTANCE_EXTRA: [u8; 30] =
+    [0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13];
+
+/// The order a dynamic block's header lists the code-length code's lengths.
+const CODE_LENGTH_ORDER: [usize; 19] =
+    [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
+
+/// Block types of the three-bit block header, after its final-block bit.
+const STORED: u32 = 0;
+const FIXED: u32 = 1;
+const DYNAMIC: u32 = 2;
+
+/// A non-final stored block of no bytes, starting on a byte boundary:
+/// header bits `0 · 00`, padding, `LEN = 0`, `NLEN = 0xffff`.
+const EMPTY_STORED_BLOCK: [u8; 5] = [0, 0, 0, 0xff, 0xff];
+
+/// The fixed code's lengths: literal/length, then distance.
+fn fixed_lengths() -> ([u8; 288], [u8; 32]) {
+    let mut literal = [8; 288];
+    literal[144..256].fill(9);
+    literal[256..280].fill(7);
+    (literal, [5; 32])
+}
+
+/// One LZ77 step: a literal byte, or a copy of `len` bytes from `dist`
+/// back.
+#[derive(Debug, Clone, Copy)]
+enum Token {
+    Literal(u8),
+    Match { len: u16, dist: u16 },
+}
+
+/// Index of the length symbol (minus 257) that codes a match of `len`.
+fn length_symbol(len: u16) -> usize {
+    LENGTH_BASE.partition_point(|&base| base <= len) - 1
+}
+
+/// The distance symbol that codes `dist`.
+fn distance_symbol(dist: u16) -> usize {
+    DISTANCE_BASE.partition_point(|&base| base <= dist) - 1
+}
 
 /// Compress `raw` into one block (layout in the [module docs](self)).
 ///
-/// Greedy LZ77 over a 64 KiB window. The match finder is a table holding,
-/// per hash of four bytes, the last position that hashed there, sized to
-/// the input (2⁸ to 2¹⁵ entries); at each position its one candidate is
-/// taken if the four bytes really repeat, and extended as far as the bytes
-/// agree. Every position a match covers is entered into the table. The
-/// hash is a fixed multiplication, so a block is a function of `raw` alone.
+/// Greedy LZ77 over DEFLATE's 32 KiB window. The match finder is a table
+/// holding, per hash of four bytes, the last position that hashed there,
+/// sized to the input (2⁸ to 2¹⁵ entries); at each position its one
+/// candidate is taken if the four bytes really repeat, and extended as far
+/// as the bytes agree, up to 258. Every position a match covers is entered
+/// into the table. Every 4 096 tokens end a DEFLATE block, and
+/// each block is written as the cheapest of stored, fixed and dynamic
+/// Huffman codes, its dynamic codes built from its own symbol counts and
+/// limited to 15 bits. The hash is a fixed multiplication and every tie is
+/// broken by symbol, so a block is a function of `raw` alone.
 ///
 /// By construction [`decompress`] accepts every block this writes: each
-/// offset is `at − candidate` for a candidate before `at` and at most
-/// 65 535 back, so it lies in 1 ..= the bytes already produced; literal
-/// runs are copied from `raw` and matches end inside it, so neither passes
-/// the declared length, which is `raw.len()`; and no block expands past
-/// [`BLOCK_EXPANSION_LIMIT`].
+/// distance is `at − candidate` for a candidate at most 32 KiB before
+/// `at`, so it lies in 1 ..= the bytes already produced; the tokens spell
+/// `raw` exactly, so the output ends at the declared length, which is
+/// `raw.len()`; every code is complete; and the empty stored blocks in
+/// front keep the block inside [`BLOCK_EXPANSION_LIMIT`].
 pub fn compress(raw: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(raw.len() / 2 + 16);
-    w.write_varint(raw.len() as u64);
+    let mut deflate = Deflater { raw, w: BitWriter::with_capacity(raw.len() / 2 + 16), stored_from: None };
     let bits = (usize::BITS - raw.len().saturating_sub(1).leading_zeros())
         .clamp(*HASH_BITS.start(), *HASH_BITS.end());
     // Positions are kept as `u32`: every candidate is verified against the
     // input, so a position that wrapped can only cost a match.
     let mut table = vec![u32::MAX; 1 << bits];
-    let (mut anchor, mut at) = (0, 0);
-    while at + MIN_MATCH <= raw.len() {
-        let slot = hash4(raw, at, bits);
-        let candidate = table[slot] as usize;
-        table[slot] = at as u32;
-        let repeats = candidate < at
-            && at - candidate <= WINDOW
-            && raw[candidate..candidate + MIN_MATCH] == raw[at..at + MIN_MATCH];
-        if !repeats {
+    let mut tokens = Vec::with_capacity(BLOCK_TOKENS.min(raw.len() + 1));
+    let (mut block_start, mut at) = (0, 0);
+    while at < raw.len() {
+        if tokens.len() >= BLOCK_TOKENS {
+            deflate.block(&tokens, block_start..at, false);
+            tokens.clear();
+            block_start = at;
+        }
+        let Some((len, dist)) = longest_match(raw, &mut table, bits, at) else {
+            tokens.push(Token::Literal(raw[at]));
             at += 1;
             continue;
-        }
-        let len = MIN_MATCH
-            + raw[candidate + MIN_MATCH..]
-                .iter()
-                .zip(&raw[at + MIN_MATCH..])
-                .take_while(|(a, b)| a == b)
-                .count();
-        write_sequence(&mut w, &raw[anchor..at], Some((at - candidate, len)));
+        };
+        tokens.push(Token::Match { len: len as u16, dist: dist as u16 });
         for covered in at + 1..(at + len).min(raw.len() + 1 - MIN_MATCH) {
             table[hash4(raw, covered, bits)] = covered as u32;
         }
         at += len;
-        anchor = at;
     }
-    if anchor < raw.len() {
-        write_sequence(&mut w, &raw[anchor..], None);
+    deflate.block(&tokens, block_start..raw.len(), true);
+    let deflate = deflate.w.finish();
+
+    let mut w = ByteWriter::with_capacity(deflate.len() + 10);
+    w.write_varint(raw.len() as u64);
+    let short = raw.len().div_ceil(BLOCK_EXPANSION_LIMIT).saturating_sub(w.len() + deflate.len());
+    for _ in 0..short.div_ceil(EMPTY_STORED_BLOCK.len()) {
+        w.write_bytes(&EMPTY_STORED_BLOCK);
     }
+    w.write_bytes(&deflate);
     w.into_bytes()
+}
+
+/// The longest match at `at` the table offers, as `(length, distance)`;
+/// `at` takes the table slot of its four bytes.
+fn longest_match(raw: &[u8], table: &mut [u32], bits: u32, at: usize) -> Option<(usize, usize)> {
+    if at + MIN_MATCH > raw.len() {
+        return None;
+    }
+    let slot = hash4(raw, at, bits);
+    let candidate = table[slot] as usize;
+    table[slot] = at as u32;
+    if candidate >= at
+        || at - candidate > WINDOW
+        || raw[candidate..candidate + MIN_MATCH] != raw[at..at + MIN_MATCH]
+    {
+        return None;
+    }
+    let len = MIN_MATCH
+        + raw[candidate + MIN_MATCH..]
+            .iter()
+            .zip(&raw[at + MIN_MATCH..])
+            .take(MAX_MATCH - MIN_MATCH)
+            .take_while(|(a, b)| a == b)
+            .count();
+    Some((len, at - candidate))
 }
 
 /// The match-finder slot of the four bytes at `at`: the top `bits` bits of
@@ -669,53 +849,392 @@ fn hash4(raw: &[u8], at: usize, bits: u32) -> usize {
     (word.wrapping_mul(0x9e37_79b1) >> (32 - bits)) as usize
 }
 
-/// One sequence: the token, the literal run's continuation, the literals,
-/// then — unless this is the last sequence — the offset and the match
-/// run's continuation.
-fn write_sequence(w: &mut ByteWriter, literals: &[u8], matched: Option<(usize, usize)>) {
-    let match_run = matched.map_or(0, |(_, len)| len - MIN_MATCH);
-    w.write_u8(((literals.len().min(15) as u8) << 4) | match_run.min(15) as u8);
-    write_run_tail(w, literals.len());
-    w.write_bytes(literals);
-    if let Some((offset, _)) = matched {
-        w.write_bytes(&(offset as u16).to_le_bytes());
-        write_run_tail(w, match_run);
+/// The DEFLATE stream [`compress`] writes: blocks of tokens, each coded the
+/// cheapest way. A run of blocks that are cheapest stored is held back and
+/// written as one stored run, so incompressible input costs five bytes per
+/// 65 535, not per block.
+#[derive(Debug)]
+struct Deflater<'a> {
+    raw: &'a [u8],
+    w: BitWriter,
+    /// Where the stored run held back starts in `raw`.
+    stored_from: Option<usize>,
+}
+
+impl Deflater<'_> {
+    /// One block holding `tokens`, which spell `raw[span]`, as whichever of
+    /// stored, fixed and dynamic takes the fewest bits (ties in that
+    /// order).
+    fn block(&mut self, tokens: &[Token], span: std::ops::Range<usize>, last: bool) {
+        let mut literal_counts = [0u32; LITERAL_SYMBOLS];
+        let mut distance_counts = [0u32; DISTANCE_SYMBOLS];
+        let mut extra_bits = 0u64;
+        for &token in tokens {
+            match token {
+                Token::Literal(byte) => literal_counts[usize::from(byte)] += 1,
+                Token::Match { len, dist } => {
+                    let (l, d) = (length_symbol(len), distance_symbol(dist));
+                    literal_counts[END_OF_BLOCK + 1 + l] += 1;
+                    distance_counts[d] += 1;
+                    extra_bits += u64::from(LENGTH_EXTRA[l] + DISTANCE_EXTRA[d]);
+                }
+            }
+        }
+        literal_counts[END_OF_BLOCK] = 1;
+        let data_bits = |literal: &[u8], distance: &[u8]| {
+            let cost = |counts: &[u32], lengths: &[u8]| {
+                counts.iter().zip(lengths).map(|(&n, &len)| u64::from(n) * u64::from(len)).sum::<u64>()
+            };
+            3 + cost(&literal_counts, literal) + cost(&distance_counts, distance) + extra_bits
+        };
+        let (fixed_literal, fixed_distance) = fixed_lengths();
+        let fixed_bits = data_bits(&fixed_literal, &fixed_distance);
+        let dynamic = DynamicCodes::new(&literal_counts, &distance_counts);
+        let dynamic_bits =
+            dynamic.header_bits() + data_bits(&dynamic.literal.lengths, &dynamic.distance.lengths);
+        let stored_bits = match self.stored_from {
+            // Joined to the run held back: its bytes, and a header for
+            // every 65 535 the run grows past.
+            Some(from) => {
+                let headers = |len: usize| len.div_ceil(STORED_MAX) as u64;
+                8 * span.len() as u64 + 40 * (headers(span.end - from) - headers(span.start - from))
+            }
+            None => stored_bits(self.w.bit_len(), span.len()),
+        };
+        if stored_bits <= fixed_bits.min(dynamic_bits) {
+            let from = *self.stored_from.get_or_insert(span.start);
+            if last {
+                write_stored(&mut self.w, &self.raw[from..span.end], true);
+            }
+            return;
+        }
+        if let Some(from) = self.stored_from.take() {
+            write_stored(&mut self.w, &self.raw[from..span.start], false);
+        }
+        let header = u32::from(last);
+        if fixed_bits <= dynamic_bits {
+            self.w.put(header | FIXED << 1, 3);
+            write_tokens(&mut self.w, tokens, &Code::new(&fixed_literal), &Code::new(&fixed_distance));
+        } else {
+            self.w.put(header | DYNAMIC << 1, 3);
+            dynamic.write_header(&mut self.w);
+            write_tokens(&mut self.w, tokens, &dynamic.literal, &dynamic.distance);
+        }
     }
 }
 
-/// What a run of 15 or more adds past its nibble: a 255 byte per whole 255,
-/// then the remainder.
-fn write_run_tail(w: &mut ByteWriter, run: usize) {
-    let Some(mut rest) = run.checked_sub(15) else { return };
-    while rest >= 255 {
-        w.write_u8(255);
-        rest -= 255;
-    }
-    w.write_u8(rest as u8);
+/// Most bytes one stored block holds.
+const STORED_MAX: usize = u16::MAX as usize;
+
+/// Bits `len` bytes take as stored blocks, the first starting `at_bit`
+/// into the stream: each a three-bit header, padding to the byte, `LEN ·
+/// NLEN`, then its bytes.
+fn stored_bits(at_bit: u64, len: usize) -> u64 {
+    let blocks = len.div_ceil(STORED_MAX).max(1) as u64;
+    let first_padding = (8 - (at_bit + 3) % 8) % 8;
+    first_padding + blocks * (3 + 32) + (blocks - 1) * 5 + 8 * len as u64
 }
 
-/// A run length: its nibble, plus — when the nibble is 15 — run bytes up
-/// to the first one below 255.
-fn read_run(r: &mut ByteReader<'_>, nibble: u8, what: &'static str) -> Result<usize, CodecError> {
-    let mut run = usize::from(nibble);
-    if nibble == 15 {
-        loop {
-            let byte = r.read_u8(what)?;
-            run = run.saturating_add(usize::from(byte));
-            if byte < 255 {
-                break;
+/// `raw` as stored blocks of at most [`STORED_MAX`] bytes; the last one is
+/// the stream's final block when `last` is.
+fn write_stored(w: &mut BitWriter, raw: &[u8], last: bool) {
+    let blocks = raw.len().div_ceil(STORED_MAX).max(1);
+    for i in 0..blocks {
+        let chunk = &raw[i * STORED_MAX..raw.len().min((i + 1) * STORED_MAX)];
+        w.put(u32::from(last && i + 1 == blocks) | STORED << 1, 3);
+        w.align();
+        let len = chunk.len() as u32;
+        w.put(len, 16);
+        w.put(!len & 0xffff, 16);
+        w.bytes.extend_from_slice(chunk);
+    }
+}
+
+/// The tokens, then the end of the block, under the given codes.
+fn write_tokens(w: &mut BitWriter, tokens: &[Token], literal: &Code, distance: &Code) {
+    for &token in tokens {
+        match token {
+            Token::Literal(byte) => literal.put(w, usize::from(byte)),
+            Token::Match { len, dist } => {
+                let (l, d) = (length_symbol(len), distance_symbol(dist));
+                literal.put(w, END_OF_BLOCK + 1 + l);
+                w.put(u32::from(len - LENGTH_BASE[l]), LENGTH_EXTRA[l]);
+                distance.put(w, d);
+                w.put(u32::from(dist - DISTANCE_BASE[d]), DISTANCE_EXTRA[d]);
             }
         }
     }
-    Ok(run)
+    literal.put(w, END_OF_BLOCK);
 }
 
-/// Inverse of [`compress`]. Every field is checked before it is trusted: a
-/// declared length over [`BLOCK_EXPANSION_LIMIT`] per block byte is
-/// refused before anything is allocated, a literal run must fit both the
-/// rest of the block and the declared length, a match must point into the
-/// bytes already produced and end within the declared length, and nothing
-/// may follow the last sequence.
+/// Bits appended least significant first, as DEFLATE packs them.
+#[derive(Debug, Default)]
+struct BitWriter {
+    bytes: Vec<u8>,
+    pending: u64,
+    pending_bits: u32,
+}
+
+impl BitWriter {
+    fn with_capacity(bytes: usize) -> Self {
+        Self { bytes: Vec::with_capacity(bytes), ..Self::default() }
+    }
+
+    /// Append the low `bits` bits of `value`.
+    fn put(&mut self, value: u32, bits: u8) {
+        self.pending |= u64::from(value) << self.pending_bits;
+        self.pending_bits += u32::from(bits);
+        while self.pending_bits >= 8 {
+            self.bytes.push(self.pending as u8);
+            self.pending >>= 8;
+            self.pending_bits -= 8;
+        }
+    }
+
+    /// Pad with zero bits to the next byte boundary.
+    fn align(&mut self) {
+        if self.pending_bits > 0 {
+            self.bytes.push(self.pending as u8);
+            (self.pending, self.pending_bits) = (0, 0);
+        }
+    }
+
+    fn bit_len(&self) -> u64 {
+        8 * self.bytes.len() as u64 + u64::from(self.pending_bits)
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.align();
+        self.bytes
+    }
+}
+
+/// A prefix code as the encoder writes it: per symbol its length, and its
+/// canonical code (RFC 1951 §3.2.2) bit-reversed, because Huffman codes are
+/// packed most significant bit first into a stream written least
+/// significant bit first.
+#[derive(Debug)]
+struct Code {
+    lengths: Vec<u8>,
+    codes: Vec<u16>,
+}
+
+impl Code {
+    fn new(lengths: &[u8]) -> Self {
+        let mut count = [0u16; 16];
+        for &len in lengths {
+            count[usize::from(len)] += 1;
+        }
+        count[0] = 0;
+        let mut next = [0u16; 16];
+        for len in 1..16 {
+            next[len] = (next[len - 1] + count[len - 1]) << 1;
+        }
+        let codes = lengths
+            .iter()
+            .map(|&len| {
+                if len == 0 {
+                    return 0;
+                }
+                let code = next[usize::from(len)];
+                next[usize::from(len)] += 1;
+                code.reverse_bits() >> (16 - len)
+            })
+            .collect();
+        Self { lengths: lengths.to_vec(), codes }
+    }
+
+    fn put(&self, w: &mut BitWriter, symbol: usize) {
+        w.put(u32::from(self.codes[symbol]), self.lengths[symbol]);
+    }
+}
+
+/// Huffman code lengths for symbols counted `counts`, none longer than
+/// `limit` bits. At least two symbols get a code — unused ones, lowest
+/// first, if fewer than two occur — so the code is always complete.
+///
+/// The lengths are the depths of a Huffman tree built by the two-queue
+/// method over the counts sorted by (count, symbol). Depths past `limit`
+/// are cut to it and the Kraft sum repaired by moving codes down a level,
+/// and the lengths, so many per level, go back to the symbols in count
+/// order, the rarest getting the longest.
+fn code_lengths(counts: &[u32], limit: u8) -> Vec<u8> {
+    let mut leaves: Vec<(u32, usize)> =
+        counts.iter().enumerate().filter(|&(_, &n)| n > 0).map(|(s, &n)| (n, s)).collect();
+    for unused in (0..counts.len()).filter(|&s| counts[s] == 0) {
+        if leaves.len() >= 2 {
+            break;
+        }
+        leaves.push((0, unused));
+    }
+    leaves.sort_unstable();
+    let n = leaves.len();
+    // Nodes 0..n are the leaves, n.. the merged nodes in the order they
+    // were made, which is also ascending weight.
+    let mut weight: Vec<u64> = leaves.iter().map(|&(count, _)| u64::from(count)).collect();
+    let mut parent = vec![0; 2 * n - 1];
+    let (mut next_leaf, mut next_node) = (0, n);
+    for node in n..2 * n - 1 {
+        let mut lightest = || {
+            let take_leaf =
+                next_leaf < n && (next_node == node || weight[next_leaf] <= weight[next_node]);
+            let taken = if take_leaf { &mut next_leaf } else { &mut next_node };
+            *taken += 1;
+            *taken - 1
+        };
+        let (a, b) = (lightest(), lightest());
+        parent[a] = node;
+        parent[b] = node;
+        weight.push(weight[a] + weight[b]);
+    }
+    let mut depth = vec![0u8; 2 * n - 1];
+    let mut per_level = [0u32; 16];
+    for node in (0..2 * n - 2).rev() {
+        depth[node] = depth[parent[node]].saturating_add(1);
+        if node < n {
+            per_level[usize::from(depth[node].min(limit))] += 1;
+        }
+    }
+    let limit = usize::from(limit);
+    let mut kraft: u32 = (1..=limit).map(|len| per_level[len] << (limit - len)).sum();
+    while kraft > 1 << limit {
+        per_level[limit] -= 1;
+        if let Some(len) = (1..limit).rev().find(|&len| per_level[len] > 0) {
+            per_level[len] -= 1;
+            per_level[len + 1] += 2;
+        }
+        kraft -= 1;
+    }
+    let mut lengths = vec![0; counts.len()];
+    let mut rarest_first = leaves.iter();
+    for len in (1..=limit).rev() {
+        for &(_, symbol) in rarest_first.by_ref().take(per_level[len] as usize) {
+            lengths[symbol] = len as u8;
+        }
+    }
+    lengths
+}
+
+/// A dynamic block's codes and the header that spells them: `HLIT · HDIST
+/// · HCLEN`, the code-length code's lengths in [`CODE_LENGTH_ORDER`], then
+/// the literal/length and distance code lengths as one sequence,
+/// run-length coded with code-length symbols 16 (repeat the previous length
+/// 3–6 times), 17 (3–10 zeros) and 18 (11–138 zeros).
+#[derive(Debug)]
+struct DynamicCodes {
+    literal: Code,
+    distance: Code,
+    code_length: Code,
+    /// Literal/length, distance and code-length code lengths the header
+    /// lists.
+    listed: [usize; 3],
+    /// The run-length coded lengths: symbol and extra-bits value.
+    runs: Vec<(u8, u8)>,
+}
+
+impl DynamicCodes {
+    fn new(literal_counts: &[u32], distance_counts: &[u32]) -> Self {
+        let literal = code_lengths(literal_counts, MAX_CODE_BITS);
+        let distance = code_lengths(distance_counts, MAX_CODE_BITS);
+        let listed = |lengths: &[u8], least: usize| {
+            lengths.iter().rposition(|&len| len > 0).map_or(least, |last| (last + 1).max(least))
+        };
+        let (literals, distances) = (listed(&literal, END_OF_BLOCK + 1), listed(&distance, 1));
+        let all: Vec<u8> = literal[..literals].iter().chain(&distance[..distances]).copied().collect();
+        let mut runs = Vec::new();
+        let mut at = 0;
+        while at < all.len() {
+            let len = all[at];
+            let mut run = all[at..].iter().take_while(|&&l| l == len).count();
+            at += run;
+            if len == 0 {
+                while run >= 11 {
+                    let take = run.min(138);
+                    runs.push((18, (take - 11) as u8));
+                    run -= take;
+                }
+                if run >= 3 {
+                    runs.push((17, (run - 3) as u8));
+                    run = 0;
+                }
+            } else {
+                runs.push((len, 0));
+                run -= 1;
+                while run >= 3 {
+                    let take = run.min(6);
+                    runs.push((16, (take - 3) as u8));
+                    run -= take;
+                }
+            }
+            runs.extend(std::iter::repeat_n((len, 0), run));
+        }
+        let mut run_counts = [0u32; 19];
+        for &(symbol, _) in &runs {
+            run_counts[usize::from(symbol)] += 1;
+        }
+        let code_length = code_lengths(&run_counts, MAX_CODE_LENGTH_BITS);
+        let code_lengths = CODE_LENGTH_ORDER
+            .iter()
+            .rposition(|&s| code_length[s] > 0)
+            .map_or(4, |last| (last + 1).max(4));
+        Self {
+            literal: Code::new(&literal),
+            distance: Code::new(&distance),
+            code_length: Code::new(&code_length),
+            listed: [literals, distances, code_lengths],
+            runs,
+        }
+    }
+
+    /// Bits the header spelling the codes takes.
+    fn header_bits(&self) -> u64 {
+        let runs: u64 = self
+            .runs
+            .iter()
+            .map(|&(symbol, _)| {
+                u64::from(self.code_length.lengths[usize::from(symbol)] + repeat_bits(symbol))
+            })
+            .sum();
+        5 + 5 + 4 + 3 * self.listed[2] as u64 + runs
+    }
+
+    fn write_header(&self, w: &mut BitWriter) {
+        let [literals, distances, code_lengths] = self.listed;
+        w.put((literals - (END_OF_BLOCK + 1)) as u32, 5);
+        w.put((distances - 1) as u32, 5);
+        w.put((code_lengths - 4) as u32, 4);
+        for &symbol in &CODE_LENGTH_ORDER[..code_lengths] {
+            w.put(u32::from(self.code_length.lengths[symbol]), 3);
+        }
+        for &(symbol, extra) in &self.runs {
+            self.code_length.put(w, usize::from(symbol));
+            w.put(u32::from(extra), repeat_bits(symbol));
+        }
+    }
+}
+
+/// Extra bits after code-length symbol `symbol`.
+fn repeat_bits(symbol: u8) -> u8 {
+    match symbol {
+        16 => 2,
+        17 => 3,
+        18 => 7,
+        _ => 0,
+    }
+}
+
+/// Inverse of [`compress`]: inflate the raw DEFLATE stream after the
+/// declared length. Every field is checked before it is trusted: a declared
+/// length over [`BLOCK_EXPANSION_LIMIT`] per block byte is refused before
+/// anything is allocated; a block type must not be the reserved 3, a stored
+/// block's `NLEN` must complement its `LEN`, and a dynamic block's code
+/// lengths must form complete prefix codes ([`CodeDefect`]) — but for
+/// RFC 1951's one case of a distance code with no code or one one-bit
+/// code — with an end-of-block code; a symbol must be one the alphabet
+/// allows, a distance must point into the bytes already produced, no
+/// literal, match or stored block may take the output past the declared
+/// length, the final block must end exactly there, and nothing but the
+/// final byte's padding may follow it.
 pub fn decompress(block: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut r = ByteReader::new(block);
     let declared = r.read_varint("block length")?;
@@ -725,36 +1244,331 @@ pub fn decompress(block: &[u8]) -> Result<Vec<u8>, CodecError> {
         .filter(|&len| len <= limit)
         .ok_or(CodecError::BlockExpansion { declared, limit })?;
     let mut out = Vec::with_capacity(raw_len);
-    while out.len() < raw_len {
-        let token = r.read_u8("block token")?;
-        let literals = read_run(&mut r, token >> 4, "block literal run")?;
-        if literals > raw_len - out.len() {
-            return Err(CodecError::BlockOverrun { what: "literal run", declared: raw_len });
+    let mut bits = BitReader::new(r.read_bytes(r.remaining(), "deflate stream")?);
+    // Built at the first fixed block: a stream of empty fixed blocks must
+    // not cost a table build per ten bits.
+    let mut fixed: Option<(Decoder, Decoder)> = None;
+    loop {
+        let last = bits.take(1)? == 1;
+        match bits.take(2)? {
+            STORED => {
+                bits.align();
+                let (len, nlen) = (bits.take(16)?, bits.take(16)?);
+                if len != !nlen & 0xffff {
+                    return Err(CodecError::StoredLength { len: len as u16, nlen: nlen as u16 });
+                }
+                let len = len as usize;
+                if len > raw_len - out.len() {
+                    return Err(CodecError::BlockOverrun { what: "stored block", declared: raw_len });
+                }
+                bits.copy_bytes(len, &mut out)?;
+            }
+            FIXED => {
+                if fixed.is_none() {
+                    let (literal, distance) = fixed_lengths();
+                    fixed = Some((
+                        Decoder::new(&literal, "literal/length code", false)?,
+                        Decoder::new(&distance, "distance code", true)?,
+                    ));
+                }
+                if let Some((literal, distance)) = &fixed {
+                    inflate_block(&mut bits, &mut out, raw_len, literal, distance)?;
+                }
+            }
+            DYNAMIC => {
+                let (literal, distance) = read_dynamic_codes(&mut bits)?;
+                inflate_block(&mut bits, &mut out, raw_len, &literal, &distance)?;
+            }
+            tag => return Err(CodecError::InvalidTag { what: "deflate block type", tag: tag as u8 }),
         }
-        out.extend_from_slice(r.read_bytes(literals, "block literals")?);
-        if out.len() == raw_len {
+        if last {
             break;
         }
-        let offset = usize::from(u16::from_le_bytes(r.read_array("block match offset")?));
-        if offset == 0 || offset > out.len() {
-            return Err(CodecError::BlockOffset { offset, produced: out.len() });
+    }
+    bits.align();
+    if bits.remaining_bytes() > 0 {
+        return Err(CodecError::TrailingBytes(bits.remaining_bytes()));
+    }
+    if out.len() < raw_len {
+        return Err(CodecError::BlockShort { declared: raw_len, produced: out.len() });
+    }
+    Ok(out)
+}
+
+/// A dynamic block's header: the code-length code, then the literal/length
+/// and distance codes it spells.
+fn read_dynamic_codes(bits: &mut BitReader<'_>) -> Result<(Decoder, Decoder), CodecError> {
+    let literals = bits.take(5)? as usize + END_OF_BLOCK + 1;
+    if literals > LITERAL_SYMBOLS {
+        let allowed = END_OF_BLOCK as u64 + 1..LITERAL_SYMBOLS as u64 + 1;
+        let value = literals as u64;
+        return Err(CodecError::OutOfRange { what: "literal/length code count", value, allowed });
+    }
+    let distances = bits.take(5)? as usize + 1;
+    if distances > DISTANCE_SYMBOLS {
+        let allowed = 1..DISTANCE_SYMBOLS as u64 + 1;
+        let value = distances as u64;
+        return Err(CodecError::OutOfRange { what: "distance code count", value, allowed });
+    }
+    let mut code_length = [0u8; 19];
+    for &symbol in &CODE_LENGTH_ORDER[..bits.take(4)? as usize + 4] {
+        code_length[symbol] = bits.take(3)? as u8;
+    }
+    let code_length = Decoder::new(&code_length, "code length code", false)?;
+    let mut lengths = [0u8; LITERAL_SYMBOLS + DISTANCE_SYMBOLS];
+    let lengths = &mut lengths[..literals + distances];
+    let mut at = 0;
+    while at < lengths.len() {
+        let symbol = code_length.decode(bits)?;
+        let (len, run) = match symbol {
+            16 => {
+                let Some(&previous) = at.checked_sub(1).map(|i| &lengths[i]) else {
+                    let defect = CodeDefect::RepeatWithoutLength;
+                    return Err(CodecError::BlockCode { what: "code lengths", defect });
+                };
+                (previous, 3 + bits.take(2)?)
+            }
+            17 => (0, 3 + bits.take(3)?),
+            18 => (0, 11 + bits.take(7)?),
+            len => (len as u8, 1),
+        };
+        let end = at + run as usize;
+        if end > lengths.len() {
+            return Err(CodecError::BlockCode { what: "code lengths", defect: CodeDefect::RepeatPastEnd });
         }
-        let len = MIN_MATCH.saturating_add(read_run(&mut r, token & 0x0f, "block match run")?);
-        if len > raw_len - out.len() {
-            return Err(CodecError::BlockOverrun { what: "match", declared: raw_len });
-        }
-        // A match may overlap its own output: copy it in chunks of at most
-        // `offset` bytes, each of them already written.
-        let start = out.len() - offset;
-        let mut copied = 0;
-        while copied < len {
-            let chunk = (len - copied).min(offset);
-            out.extend_from_within(start + copied..start + copied + chunk);
-            copied += chunk;
+        lengths[at..end].fill(len);
+        at = end;
+    }
+    if lengths[END_OF_BLOCK] == 0 {
+        let defect = CodeDefect::NoEndOfBlock;
+        return Err(CodecError::BlockCode { what: "literal/length code", defect });
+    }
+    let (literal, distance) = lengths.split_at(literals);
+    Ok((
+        Decoder::new(literal, "literal/length code", false)?,
+        Decoder::new(distance, "distance code", true)?,
+    ))
+}
+
+/// Inflate one fixed or dynamic block's symbols up to its end of block.
+fn inflate_block(
+    bits: &mut BitReader<'_>,
+    out: &mut Vec<u8>,
+    raw_len: usize,
+    literal: &Decoder,
+    distance: &Decoder,
+) -> Result<(), CodecError> {
+    loop {
+        let symbol = literal.decode(bits)?;
+        match symbol {
+            0..=255 => {
+                if out.len() == raw_len {
+                    return Err(CodecError::BlockOverrun { what: "literal", declared: raw_len });
+                }
+                out.push(symbol as u8);
+            }
+            256 => return Ok(()),
+            257..=285 => {
+                let l = symbol - (END_OF_BLOCK + 1);
+                let len = usize::from(LENGTH_BASE[l]) + bits.take(LENGTH_EXTRA[l])? as usize;
+                let d = distance.decode(bits)?;
+                if d >= DISTANCE_SYMBOLS {
+                    let allowed = 0..DISTANCE_SYMBOLS as u64;
+                    return Err(CodecError::OutOfRange { what: "distance symbol", value: d as u64, allowed });
+                }
+                let dist = usize::from(DISTANCE_BASE[d]) + bits.take(DISTANCE_EXTRA[d])? as usize;
+                if dist > out.len() {
+                    return Err(CodecError::BlockOffset { offset: dist, produced: out.len() });
+                }
+                if len > raw_len - out.len() {
+                    return Err(CodecError::BlockOverrun { what: "match", declared: raw_len });
+                }
+                // A match may overlap its own output: copy it in chunks of
+                // at most `dist` bytes, each of them already written.
+                let start = out.len() - dist;
+                let mut copied = 0;
+                while copied < len {
+                    let chunk = (len - copied).min(dist);
+                    out.extend_from_within(start + copied..start + copied + chunk);
+                    copied += chunk;
+                }
+            }
+            _ => {
+                let allowed = 0..LITERAL_SYMBOLS as u64;
+                let value = symbol as u64;
+                return Err(CodecError::OutOfRange { what: "literal/length symbol", value, allowed });
+            }
         }
     }
-    r.expect_eof()?;
-    Ok(out)
+}
+
+/// Bits read least significant first from a byte slice, with a word of
+/// lookahead; reading past the end is [`CodecError::UnexpectedEof`].
+#[derive(Debug)]
+struct BitReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    buffer: u64,
+    buffered: u32,
+}
+
+impl<'a> BitReader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0, buffer: 0, buffered: 0 }
+    }
+
+    /// The next `n ≤ 32` bits without consuming them, zero past the end.
+    fn peek(&mut self, n: u8) -> u32 {
+        while self.buffered <= 56 {
+            let Some(&byte) = self.bytes.get(self.pos) else { break };
+            self.buffer |= u64::from(byte) << self.buffered;
+            self.buffered += 8;
+            self.pos += 1;
+        }
+        (self.buffer & ((1u64 << n) - 1)) as u32
+    }
+
+    fn consume(&mut self, n: u8) -> Result<(), CodecError> {
+        let n = u32::from(n);
+        if n > self.buffered {
+            return Err(CodecError::UnexpectedEof {
+                what: "deflate stream",
+                needed: (n - self.buffered).div_ceil(8) as usize,
+                remaining: 0,
+            });
+        }
+        self.buffer >>= n;
+        self.buffered -= n;
+        Ok(())
+    }
+
+    fn take(&mut self, n: u8) -> Result<u32, CodecError> {
+        let value = self.peek(n);
+        self.consume(n)?;
+        Ok(value)
+    }
+
+    /// Drop the bits left of the current byte.
+    fn align(&mut self) {
+        let partial = self.buffered % 8;
+        self.buffer >>= partial;
+        self.buffered -= partial;
+    }
+
+    /// Whole bytes not yet read; call after [`Self::align`].
+    fn remaining_bytes(&self) -> usize {
+        self.buffered as usize / 8 + self.bytes.len() - self.pos
+    }
+
+    /// Append the next `n` bytes to `out`; call after [`Self::align`].
+    fn copy_bytes(&mut self, mut n: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
+        if n > self.remaining_bytes() {
+            let remaining = self.remaining_bytes();
+            return Err(CodecError::UnexpectedEof { what: "stored block", needed: n, remaining });
+        }
+        while n > 0 && self.buffered >= 8 {
+            out.push(self.buffer as u8);
+            self.buffer >>= 8;
+            self.buffered -= 8;
+            n -= 1;
+        }
+        out.extend_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(())
+    }
+}
+
+/// Most code bits the decoder resolves in one table lookup; longer codes
+/// are walked a bit at a time.
+const FAST_BITS: u8 = 10;
+
+/// A prefix code as the decoder reads it, built from its code lengths.
+#[derive(Debug)]
+struct Decoder {
+    what: &'static str,
+    /// Codes of each length.
+    count: [u16; 16],
+    /// Symbols in canonical order: by code length, then by symbol.
+    symbols: Vec<u16>,
+    /// Bits of lookahead `fast` resolves: the longest code, at most
+    /// [`FAST_BITS`], so a short code builds a short table.
+    fast_bits: u8,
+    /// Per `fast_bits` of lookahead, `symbol << 4 | length` of the code
+    /// they start with, or 0 if that code is longer.
+    fast: Vec<u16>,
+}
+
+impl Decoder {
+    /// The canonical code with these lengths, refused if over-subscribed or
+    /// incomplete — except, when `distance`, no code at all or a single
+    /// one-bit code, which RFC 1951 allows a distance code.
+    fn new(lengths: &[u8], what: &'static str, distance: bool) -> Result<Self, CodecError> {
+        let mut count = [0u16; 16];
+        for &len in lengths {
+            count[usize::from(len)] += 1;
+        }
+        count[0] = 0;
+        let mut left: i32 = 1;
+        for &n in &count[1..] {
+            left = 2 * left - i32::from(n);
+            if left < 0 {
+                return Err(CodecError::BlockCode { what, defect: CodeDefect::OverSubscribed });
+            }
+        }
+        let used: u16 = count.iter().sum();
+        if left > 0 && !(distance && used == count[1] && used <= 1) {
+            return Err(CodecError::BlockCode { what, defect: CodeDefect::Incomplete });
+        }
+        let mut offset = [0usize; 16];
+        for len in 1..16 {
+            offset[len] = offset[len - 1] + usize::from(count[len - 1]);
+        }
+        let mut symbols = vec![0u16; usize::from(used)];
+        let mut next = [0u16; 16];
+        for len in 1..16 {
+            next[len] = (next[len - 1] + count[len - 1]) << 1;
+        }
+        let longest = count.iter().rposition(|&n| n > 0).unwrap_or(0) as u8;
+        let fast_bits = longest.min(FAST_BITS);
+        let mut fast = vec![0u16; 1 << fast_bits];
+        for (symbol, &len) in lengths.iter().enumerate().filter(|&(_, &len)| len > 0) {
+            let l = usize::from(len);
+            symbols[offset[l]] = symbol as u16;
+            offset[l] += 1;
+            let code = next[l];
+            next[l] += 1;
+            if len <= fast_bits {
+                let reversed = usize::from(code.reverse_bits() >> (16 - len));
+                for slot in (reversed..fast.len()).step_by(1 << len) {
+                    fast[slot] = (symbol as u16) << 4 | u16::from(len);
+                }
+            }
+        }
+        Ok(Self { what, count, symbols, fast_bits, fast })
+    }
+
+    /// Read one symbol.
+    fn decode(&self, bits: &mut BitReader<'_>) -> Result<usize, CodecError> {
+        let entry = self.fast[bits.peek(self.fast_bits) as usize];
+        if entry != 0 {
+            bits.consume((entry & 15) as u8)?;
+            return Ok(usize::from(entry >> 4));
+        }
+        // Canonical decoding a bit at a time: `code` is the bits so far,
+        // `first` the first code of this length, `index` its symbol's.
+        let (mut code, mut first, mut index) = (0u32, 0u32, 0usize);
+        for len in 1..16 {
+            code |= bits.take(1)?;
+            let count = u32::from(self.count[len]);
+            if code - first < count {
+                return Ok(usize::from(self.symbols[index + (code - first) as usize]));
+            }
+            index += count as usize;
+            first = (first + count) << 1;
+            code <<= 1;
+        }
+        Err(CodecError::BlockCode { what: self.what, defect: CodeDefect::Incomplete })
+    }
 }
 
 /// Bytes [`seal`] puts in front of the payload when the format carries
@@ -998,32 +1812,86 @@ mod tests {
         block
     }
 
+    /// Raw DEFLATE streams written by zlib 1.2.13 (`zlib.compressobj(level,
+    /// DEFLATED, -15)` in Python), each with the input it inflates to.
+    /// Nothing here comes from [`compress`].
+    #[test]
+    fn streams_of_an_independent_encoder_inflate_to_their_inputs() {
+        let text: Vec<u8> = (0..12u32)
+            .flat_map(|i| {
+                format!("row {i}: the quick brown fox jumps over the lazy dog {} times; ", i * i % 97)
+                    .into_bytes()
+            })
+            .collect();
+        let vectors: [(&str, Vec<u8>, &[u8]); 6] = [
+            // Level 0: one final stored block.
+            ("stored", b"stored: kept as it is".to_vec(), &[
+                0x01, 0x15, 0x00, 0xea, 0xff, 0x73, 0x74, 0x6f, 0x72, 0x65, 0x64, 0x3a, 0x20, 0x6b,
+                0x65, 0x70, 0x74, 0x20, 0x61, 0x73, 0x20, 0x69, 0x74, 0x20, 0x69, 0x73,
+            ]),
+            // Z_FIXED: one fixed block, a 17-byte match 21 back.
+            ("fixed", b"fixed Huffman codes, fixed Huffman codes".to_vec(), &[
+                0x4b, 0xcb, 0xac, 0x48, 0x4d, 0x51, 0xf0, 0x28, 0x4d, 0x4b, 0xcb, 0x4d, 0xcc, 0x53,
+                0x48, 0xce, 0x4f, 0x49, 0x2d, 0xd6, 0x51, 0x48, 0xc3, 0x14, 0x04, 0x00,
+            ]),
+            // Level 9: one dynamic block.
+            ("dynamic", text, &[
+                0x95, 0xd2, 0x4b, 0x16, 0x82, 0x30, 0x0c, 0x05, 0xd0, 0xad, 0xbc, 0x25, 0xd0, 0x16,
+                0x0a, 0xe8, 0x6a, 0xfc, 0x14, 0x45, 0xc5, 0x68, 0x01, 0x51, 0x57, 0xaf, 0xc7, 0x81,
+                0x27, 0x19, 0xbe, 0x71, 0x72, 0x4f, 0xbe, 0x59, 0x16, 0x14, 0x2b, 0x4c, 0xc7, 0x84,
+                0xfb, 0xdc, 0xef, 0xce, 0xd8, 0x66, 0x59, 0xae, 0xe8, 0xe4, 0x89, 0xd3, 0x3c, 0xdc,
+                0x46, 0xc8, 0x23, 0xe5, 0x5f, 0xf8, 0xb2, 0x79, 0xbf, 0xb0, 0x97, 0x03, 0x0a, 0x4c,
+                0xfd, 0x90, 0xc6, 0x35, 0xbe, 0x99, 0x70, 0x9c, 0x75, 0xda, 0x7a, 0xce, 0x96, 0xda,
+                0x06, 0xce, 0xb6, 0xda, 0x96, 0x64, 0xcf, 0x51, 0xe3, 0x8a, 0xc3, 0xbe, 0xd2, 0x38,
+                0x72, 0x38, 0x98, 0xca, 0x35, 0xb9, 0x2e, 0x33, 0x73, 0xc3, 0xe1, 0x68, 0x96, 0xdd,
+                0x72, 0xb8, 0x31, 0x57, 0x76, 0xe4, 0x7b, 0x05, 0x83, 0xc9, 0xff, 0xf2, 0xff, 0xbe,
+                0x3f,
+            ]),
+            // A 38-byte match 2 back, overlapping the bytes it produces.
+            ("overlapping match", b"ab".repeat(20), &[0x4b, 0x4c, 0x4a, 0x24, 0x0a, 0x02, 0x00]),
+            // Two 258-byte matches 1 back, then 83 bytes.
+            ("258-byte match", vec![b'z'; 600], &[0xab, 0xaa, 0x1a, 0x05, 0xa3, 0x80, 0xfa, 0x00, 0x00]),
+            // Z_SYNC_FLUSH between two writes: a non-final fixed block, an
+            // empty stored block, then the final fixed block.
+            ("three blocks", b"first part, then the second part".to_vec(), &[
+                0x4a, 0xcb, 0x2c, 0x2a, 0x2e, 0x51, 0x28, 0x48, 0x2c, 0x2a, 0xd1, 0x51, 0x00, 0x00,
+                0x00, 0x00, 0xff, 0xff, 0x2b, 0xc9, 0x48, 0xcd, 0x03, 0x11, 0x0a, 0xc5, 0xa9, 0xc9,
+                0xf9, 0x79, 0x29, 0x60, 0x51, 0x00,
+            ]),
+        ];
+        for (what, raw, stream) in vectors {
+            let block = [varint_bytes(raw.len() as u64), stream.to_vec()].concat();
+            assert_eq!(decompress(&block).as_deref(), Ok(&raw[..]), "{what}");
+        }
+    }
+
     #[test]
     fn seeded_blocks_round_trip_from_empty_input_to_repeats_past_the_window() {
-        assert_eq!(round_trip(&[]), [0]);
-        assert_eq!(round_trip(&[7]), [1, 0x10, 7]);
-        // One byte 100 000 times: a literal, then one match at offset 1
-        // near the 255 : 1 ceiling.
-        assert!(round_trip(&vec![b'x'; 100_000]).len() <= 100_000 / 250);
+        // The empty stream is a fixed block holding only its end of block;
+        // one byte is a fixed block of one literal (zlib writes both alike).
+        assert_eq!(round_trip(&[]), [0, 0x03, 0x00]);
+        assert_eq!(round_trip(&[7]), [1, 0x63, 0x07, 0x00]);
 
-        // Incompressible bytes cost only their literal runs' headers.
-        let mut seed = 0x5eed_0030;
+        // 64 KiB of noise is stored: five bytes of framing per 65 535.
+        let mut seed = 0x5eed_0033;
         let mut noise = |n: usize| -> Vec<u8> { (0..n).map(|_| splitmix(&mut seed) as u8).collect() };
-        let random = noise(8192);
-        assert!(round_trip(&random).len() <= random.len() + random.len() / 255 + 8);
+        let random = noise(64 << 10);
+        let framing = 5 * random.len().div_ceil(usize::from(u16::MAX));
+        let header = varint_bytes(random.len() as u64).len();
+        assert!(round_trip(&random).len() <= header + random.len() + framing);
 
-        // Over 64 KiB: a 20 KiB stretch again 90 KiB on, past the window,
-        // so only literals can carry it ...
-        let (stretch, gap) = (noise(20 << 10), noise(70 << 10));
+        // A 20 KiB stretch again 40 KiB on is past the 32 KiB window, so
+        // only literals can carry it ...
+        let (stretch, gap) = (noise(20 << 10), noise(20 << 10));
         let far = [&stretch[..], &gap, &stretch].concat();
         assert!(round_trip(&far).len() >= far.len());
-        // ... and again right after itself, inside it.
+        // ... and right after itself it is matches.
         let near = [&stretch[..], &stretch].concat();
         assert!(round_trip(&near).len() < stretch.len() + 1024);
 
         // Seeded mixes of noise over a small alphabet, runs of one byte and
-        // copies of earlier stretches, so literal and match runs cross
-        // their 15 and 270 continuations.
+        // copies of earlier stretches, so blocks of every type, matches of
+        // every length symbol and runs past 258 occur.
         for _ in 0..200 {
             let len = (splitmix(&mut seed) % 3000) as usize;
             let mut raw: Vec<u8> = Vec::with_capacity(len);
@@ -1044,54 +1912,168 @@ mod tests {
         }
     }
 
+    /// A block around a hand-written DEFLATE stream: the declared length,
+    /// then the stream's fields as `(value, bits)`, packed least
+    /// significant bit first.
+    fn crafted(declared: usize, fields: &[(u32, u8)]) -> Vec<u8> {
+        let mut w = BitWriter::default();
+        for &(value, bits) in fields {
+            w.put(value, bits);
+        }
+        [varint_bytes(declared as u64), w.finish()].concat()
+    }
+
+    /// A Huffman code as a stream field: its bits reversed, because codes
+    /// are packed most significant bit first.
+    fn code(code: u32, bits: u8) -> (u32, u8) {
+        (code.reverse_bits() >> (32 - bits), bits)
+    }
+
+    /// Literal/length `symbol` in the fixed code (RFC 1951 §3.2.6).
+    fn fixed_literal(symbol: u32) -> (u32, u8) {
+        match symbol {
+            0..=143 => code(0x30 + symbol, 8),
+            144..=255 => code(0x190 + symbol - 144, 9),
+            256..=279 => code(symbol - 256, 7),
+            _ => code(0xc0 + symbol - 280, 8),
+        }
+    }
+
+    /// The three-bit block header.
+    fn header(last: bool, block_type: u32) -> (u32, u8) {
+        (u32::from(last) | block_type << 1, 3)
+    }
+
+    /// A dynamic block's header through its code-length code, which gives
+    /// the eight symbols 0, 1, 2, 7, 8, 16, 17 and 18 three bits each, then
+    /// the code lengths in `runs` (code-length symbol, extra bits).
+    fn dynamic(literals: u32, distances: u32, runs: &[(u32, u32)]) -> Vec<(u32, u8)> {
+        const THREE_BITS: [u32; 8] = [0, 1, 2, 7, 8, 16, 17, 18];
+        let mut fields = vec![header(true, DYNAMIC), (literals - 257, 5), (distances - 1, 5), (18 - 4, 4)];
+        for symbol in &CODE_LENGTH_ORDER[..18] {
+            fields.push((if THREE_BITS.contains(&(*symbol as u32)) { 3 } else { 0 }, 3));
+        }
+        for &(symbol, extra) in runs {
+            let index = THREE_BITS.iter().position(|&s| s == symbol).unwrap();
+            fields.push(code(index as u32, 3));
+            fields.push((extra, repeat_bits(symbol as u8)));
+        }
+        fields
+    }
+
     #[test]
     fn malformed_blocks_are_typed_rejections() {
-        let refused = |block: &[u8]| decompress(block).unwrap_err();
-        // A match at offset 0, and one reaching back past the one byte made.
-        assert_eq!(refused(&[5, 0x10, b'a', 0, 0]), CodecError::BlockOffset { offset: 0, produced: 1 });
-        assert_eq!(refused(&[5, 0x10, b'a', 2, 0]), CodecError::BlockOffset { offset: 2, produced: 1 });
-        // Five literals declared, one left in the block.
+        let refused =
+            |declared: usize, fields: &[(u32, u8)]| decompress(&crafted(declared, fields)).unwrap_err();
+        let (a, end) = (fixed_literal(u32::from(b'a')), fixed_literal(256));
+        let fixed = header(true, FIXED);
+        let length_3 = fixed_literal(257);
+        let reserved = CodecError::InvalidTag { what: "deflate block type", tag: 3 };
+        assert_eq!(refused(1, &[header(true, 3)]), reserved);
+        // Stored blocks: NLEN not LEN's complement, and LEN past the
+        // declared length.
         assert_eq!(
-            refused(&[5, 0x50, b'a']),
-            CodecError::UnexpectedEof { what: "block literals", needed: 5, remaining: 1 }
+            decompress(&[1, 0x01, 0x01, 0x00, 0xfe, 0xfe, b'a']).unwrap_err(),
+            CodecError::StoredLength { len: 1, nlen: 0xfefe }
         );
-        // A literal run, then a match, past the declared length.
         assert_eq!(
-            refused(&[2, 0x30, b'a', b'b', b'c']),
-            CodecError::BlockOverrun { what: "literal run", declared: 2 }
+            decompress(&[1, 0x01, 0x02, 0x00, 0xfd, 0xff, b'a', b'b']).unwrap_err(),
+            CodecError::BlockOverrun { what: "stored block", declared: 1 }
         );
-        assert_eq!(refused(&[5, 0x11, b'a', 1, 0]), CodecError::BlockOverrun { what: "match", declared: 5 });
-        // A block that stops early, and one that goes on after its end.
-        assert!(matches!(refused(&[9, 0x10, b'a', 1, 0]), CodecError::UnexpectedEof { what: "block token", .. }));
-        assert_eq!(refused(&[1, 0x10, b'a', 0]), CodecError::TrailingBytes(1));
-        assert!(matches!(refused(&[]), CodecError::UnexpectedEof { .. }));
+        // The fixed code's symbols that never occur.
+        assert_eq!(
+            refused(1, &[fixed, fixed_literal(286)]),
+            CodecError::OutOfRange { what: "literal/length symbol", value: 286, allowed: 0..286 }
+        );
+        assert_eq!(
+            refused(4, &[fixed, a, length_3, code(31, 5)]),
+            CodecError::OutOfRange { what: "distance symbol", value: 31, allowed: 0..30 }
+        );
+        // A distance past the one byte produced; a literal, and a match,
+        // past the declared length.
+        let (offset, produced) = (2, 1);
+        assert_eq!(refused(4, &[fixed, a, length_3, code(1, 5)]), CodecError::BlockOffset { offset, produced });
+        let overrun = |what, declared| CodecError::BlockOverrun { what, declared };
+        assert_eq!(refused(1, &[fixed, a, a]), overrun("literal", 1));
+        assert_eq!(refused(3, &[fixed, a, length_3, code(0, 5)]), overrun("match", 3));
+        // A final block that ends short, one followed by another byte, and
+        // a stream that stops after a non-final block.
+        assert_eq!(refused(2, &[fixed, a, end]), CodecError::BlockShort { declared: 2, produced: 1 });
+        let mut trailing = crafted(1, &[fixed, a, end]);
+        trailing.push(0);
+        assert_eq!(decompress(&trailing).unwrap_err(), CodecError::TrailingBytes(1));
+        assert!(matches!(refused(1, &[header(false, FIXED), a, end]), CodecError::UnexpectedEof { .. }));
+        assert!(matches!(decompress(&[]).unwrap_err(), CodecError::UnexpectedEof { .. }));
+
+        // Dynamic headers. 257 literal/length and one distance code length
+        // are 258 lengths: 138 + 117 zeros make up 255 of them.
+        let zeros_255 = [(18, 127), (18, 106)];
+        let block_code = |what, defect| CodecError::BlockCode { what, defect };
+        assert_eq!(
+            refused(1, &[header(true, DYNAMIC), (0, 5), (0, 5), (0, 4), (1, 3), (1, 3), (1, 3), (1, 3)]),
+            block_code("code length code", CodeDefect::OverSubscribed)
+        );
+        // Literal 0 one bit, end of block two: half a code is missing.
+        let incomplete = [&[(1, 0)][..], &zeros_255, &[(2, 0), (1, 0)]].concat();
+        assert_eq!(
+            refused(1, &dynamic(257, 1, &incomplete)),
+            block_code("literal/length code", CodeDefect::Incomplete)
+        );
+        let first_repeats = [&[(16, 0)][..], &zeros_255].concat();
+        assert_eq!(
+            refused(1, &dynamic(257, 1, &first_repeats)),
+            block_code("code lengths", CodeDefect::RepeatWithoutLength)
+        );
+        assert_eq!(
+            refused(1, &dynamic(257, 1, &[(18, 127), (18, 127)])),
+            block_code("code lengths", CodeDefect::RepeatPastEnd)
+        );
+        let no_end = [&[(1, 0), (1, 0)][..], &zeros_255, &[(1, 0)]].concat();
+        assert_eq!(
+            refused(1, &dynamic(257, 1, &no_end)),
+            block_code("literal/length code", CodeDefect::NoEndOfBlock)
+        );
+        assert_eq!(
+            refused(1, &dynamic(287, 1, &[])),
+            CodecError::OutOfRange { what: "literal/length code count", value: 287, allowed: 257..287 }
+        );
+        assert_eq!(
+            refused(1, &dynamic(257, 31, &[])),
+            CodecError::OutOfRange { what: "distance code count", value: 31, allowed: 1..31 }
+        );
+
+        // RFC 1951's exception: a distance code of one one-bit code, or of
+        // none, is accepted. Literal 'a' and end of block take a bit each.
+        let a_and_end = [(18, 86), (1, 0), (18, 127), (18, 9), (1, 0)];
+        for distance in [1, 0] {
+            let runs = [&a_and_end[..], &[(distance, 0)]].concat();
+            let block = crafted(1, &[dynamic(257, 1, &runs), vec![(0, 1), (1, 1)]].concat());
+            assert_eq!(decompress(&block).as_deref(), Ok(&b"a"[..]), "{distance} distance code");
+        }
     }
 
     #[test]
     fn a_block_declaring_past_the_expansion_limit_is_refused_before_it_allocates() {
-        // The densest block the writer makes, one byte 1 MiB times, stays
-        // under the limit.
-        let block = round_trip(&vec![0; 1 << 20]);
-        let mut r = ByteReader::new(&block);
-        r.read_varint("length").unwrap();
-        let sequences = &block[block.len() - r.remaining()..];
-        // The same sequences under another declared length: at the limit
-        // the check passes and the sequences run out; one past it is
+        // DEFLATE codes 1 MiB of one byte at about 800 : 1, so the block is
+        // padded with empty stored blocks to the 255 : 1 the decoder allows,
+        // and no further.
+        let raw = vec![0; 1 << 20];
+        let block = round_trip(&raw);
+        assert!(block.len() < raw.len().div_ceil(BLOCK_EXPANSION_LIMIT) + EMPTY_STORED_BLOCK.len());
+        let stream = &block[varint_bytes(raw.len() as u64).len()..];
+        assert!(stream.starts_with(&EMPTY_STORED_BLOCK));
+        // The same stream under another declared length: at the limit the
+        // check passes and the stream ends short of it; one past it is
         // refused before anything is decoded.
-        let redeclared = |declared: u64| {
-            let mut w = ByteWriter::new();
-            w.write_varint(declared);
-            w.write_bytes(sequences);
-            w.into_bytes()
-        };
+        let redeclared = |declared: u64| [varint_bytes(declared), stream.to_vec()].concat();
         let header = (1..=10)
-            .find(|&n| varint_bytes((BLOCK_EXPANSION_LIMIT * (n + sequences.len()) + 1) as u64).len() == n)
+            .find(|&n| varint_bytes((BLOCK_EXPANSION_LIMIT * (n + stream.len()) + 1) as u64).len() == n)
             .unwrap();
-        let limit = BLOCK_EXPANSION_LIMIT * (header + sequences.len());
-        assert!(matches!(
+        let limit = BLOCK_EXPANSION_LIMIT * (header + stream.len());
+        assert_eq!(
             decompress(&redeclared(limit as u64)).unwrap_err(),
-            CodecError::UnexpectedEof { what: "block token", .. }
-        ));
+            CodecError::BlockShort { declared: limit, produced: raw.len() }
+        );
         assert_eq!(
             decompress(&redeclared(limit as u64 + 1)).unwrap_err(),
             CodecError::BlockExpansion { declared: limit as u64 + 1, limit }
@@ -1100,7 +2082,7 @@ mod tests {
             decompress(&redeclared(u64::MAX)).unwrap_err(),
             CodecError::BlockExpansion {
                 declared: u64::MAX,
-                limit: BLOCK_EXPANSION_LIMIT * (10 + sequences.len())
+                limit: BLOCK_EXPANSION_LIMIT * (10 + stream.len())
             }
         );
     }

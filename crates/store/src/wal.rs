@@ -14,15 +14,17 @@
 //! the batch handed to `ingest`, each its id and columns — in the codec's
 //! payload spelling: the record's own string table, then the tables as
 //! varints and string references, byte for byte what the checkpoint's
-//! corpus section holds — stored as one block of the codec's LZ compressor
-//! (`ltee_ml::codec::compress`). The record checksum covers the block as
+//! corpus section holds — stored as one block of the codec's DEFLATE
+//! compressor (`ltee_ml::codec::compress`). The record checksum covers the block as
 //! stored, so the scanner verifies a record without decompressing it. A
 //! table's ground truth is not written: the pipeline never reads it, so
 //! replay needs none. The framing around the payload stays fixed width, so
 //! a torn record header is told from a whole one by its length alone.
 //!
-//! Version 4 compresses version 3's payload, which dropped the ground
-//! truth from version 2's; the framing did not change. A log of an older
+//! Version 5 stores version 4's raw payload as a DEFLATE block where
+//! version 4 stored it in an LZ4-layout block; version 4 compressed
+//! version 3's payload, which dropped the ground truth from version 2's;
+//! the framing did not change. A log of an older
 //! version is refused by its header with
 //! [`StoreError::UnsupportedWalVersion`] before any record is
 //! read — one payload decoder, and never a decode error halfway through a
@@ -57,7 +59,7 @@ use crate::StoreError;
 pub const WAL_MAGIC: [u8; 8] = *b"LTEEWAL\x01";
 
 /// The WAL format version this build writes and reads.
-pub const WAL_VERSION: u32 = 4;
+pub const WAL_VERSION: u32 = 5;
 
 /// Size of the WAL file header (magic + version + fingerprint).
 pub const WAL_HEADER_LEN: usize = 20;

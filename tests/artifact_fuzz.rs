@@ -12,7 +12,7 @@
 //! 1. truncations of the whole file at 40 evenly spaced lengths,
 //! 2. single bit flips at 64 evenly spaced positions,
 //! 3. byte substitutions (0x00 / 0xFF) at 32 evenly spaced positions,
-//! 4. seeded-random garbage buffers (13 artifacts, 15 checkpoints),
+//! 4. seeded-random garbage buffers (8 artifacts, 10 checkpoints),
 //! 5. truncations of the raw stream at 40 evenly spaced lengths, stored in
 //!    a valid block **with the header re-fixed** (length and checksum
 //!    recomputed), so the corruption reaches the model or state decoders
@@ -23,11 +23,13 @@
 //!    format one more — a cluster row gap of zero, or a forest tree
 //!    without nodes, a split on a feature the forest does not have, a
 //!    split child that does not point forward ([`crafted_checkpoint_stream`],
-//!    [`crafted_artifact_stream`]); and hand-written blocks around a valid
-//!    stream whose only defect is in the block: offset 0, an offset past
-//!    the output, a literal run past the block, a match past the declared
-//!    length, or a declared length past the expansion limit
-//!    ([`crafted_block`]).
+//!    [`crafted_artifact_stream`]); and hand-written DEFLATE blocks around a
+//!    valid stream whose only defect is in the block: the reserved block
+//!    type, a stored block's `NLEN` that is not its `LEN`'s complement,
+//!    over-subscribed code lengths, an incomplete literal/length code, a
+//!    repeat with no previous length, literal/length symbol 287, distance
+//!    symbol 30, a distance past the output, output past the declared
+//!    length, or bytes after the final block ([`crafted_block`]).
 //!
 //! Families 2 and 3 skip the opaque header words (the config fingerprint,
 //! and a checkpoint's applied-batch count): any value decodes — they are
@@ -44,8 +46,12 @@
 //! strict prefix of the original records (mid-log corruption truncates at
 //! the last valid record rather than rejecting the file).
 //!
+//! A seeded sweep of single bit flips over a real store block holds the
+//! block decoder itself to its contract: every flip decodes to exactly the
+//! length the block declares, or is a typed error.
+//!
 //! Deterministic: fixed seed 2718 for the model training, ChaCha-seeded
-//! garbage. Expected runtime: ~40 s in debug (two training runs; the
+//! garbage and flips. Expected runtime: ~40 s in debug (two training runs; the
 //! decodes are microseconds each).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,13 +61,17 @@ use ltee_core::artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
 use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
 use ltee_ml::codec::{
-    compress, decompress, open, seal, ByteWriter, CodecError, BLOCK_EXPANSION_LIMIT,
+    compress, decompress, open, seal, ByteReader, ByteWriter, CodeDefect, CodecError,
     STRING_EXPANSION_LIMIT,
 };
 use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, WalTail};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+#[path = "support/deflate_bits.rs"]
+mod deflate_bits;
+use deflate_bits::Bits;
 
 /// Byte range of the config fingerprint in the artifact header (opaque
 /// data: changing it cannot make decoding fail).
@@ -295,82 +305,125 @@ fn crafted_artifact(defect: Option<Defect>) -> Vec<u8> {
 /// The one thing wrong with a [`crafted_block`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum BlockDefect {
-    /// A match at offset 0.
-    ZeroOffset,
+    /// A block of the reserved type 3.
+    ReservedType,
+    /// A stored block whose `NLEN` is not the complement of its `LEN`.
+    StoredLengthMismatch,
+    /// A dynamic block whose code-length code gives four symbols one bit.
+    OverSubscribedCode,
+    /// A dynamic block whose literal/length code leaves codes unused.
+    IncompleteLiteralCode,
+    /// A dynamic block whose first code length repeats the previous one.
+    RepeatWithoutLength,
+    /// Literal/length symbol 287 of the fixed code.
+    LiteralSymbol287,
+    /// Distance symbol 30 of the fixed code.
+    DistanceSymbol30,
     /// A match reaching back past the one byte produced.
-    OffsetPastOutput,
-    /// A literal run one byte longer than the rest of the block.
-    LiteralsPastBlock,
-    /// A match running two bytes past the declared length.
-    MatchPastLength,
-    /// A declared length one byte past what the block's length allows.
-    LengthOverLimit,
+    DistancePastOutput,
+    /// The whole stream stored, then one more literal.
+    OutputPastLength,
+    /// A zero byte after the final block.
+    BytesAfterFinalBlock,
 }
 
-const BLOCK_DEFECTS: [BlockDefect; 5] = [
-    BlockDefect::ZeroOffset,
-    BlockDefect::OffsetPastOutput,
-    BlockDefect::LiteralsPastBlock,
-    BlockDefect::MatchPastLength,
-    BlockDefect::LengthOverLimit,
+const BLOCK_DEFECTS: [BlockDefect; 10] = [
+    BlockDefect::ReservedType,
+    BlockDefect::StoredLengthMismatch,
+    BlockDefect::OverSubscribedCode,
+    BlockDefect::IncompleteLiteralCode,
+    BlockDefect::RepeatWithoutLength,
+    BlockDefect::LiteralSymbol287,
+    BlockDefect::DistanceSymbol30,
+    BlockDefect::DistancePastOutput,
+    BlockDefect::OutputPastLength,
+    BlockDefect::BytesAfterFinalBlock,
 ];
 
-/// A block sequence as `compress` writes one: the token, each run's
-/// continuation bytes, the literals, the offset.
-fn sequence(w: &mut ByteWriter, literals: &[u8], matched: Option<(u16, usize)>) {
-    let run_tail = |w: &mut ByteWriter, run: usize| {
-        if let Some(mut rest) = run.checked_sub(15) {
-            while rest >= 255 {
-                w.write_u8(255);
-                rest -= 255;
-            }
-            w.write_u8(rest as u8);
-        }
-    };
-    let match_run = matched.map_or(0, |(_, len)| len - 4);
-    w.write_u8((literals.len().min(15) as u8) << 4 | match_run.min(15) as u8);
-    run_tail(w, literals.len());
-    w.write_bytes(literals);
-    if let Some((offset, _)) = matched {
-        w.write_bytes(&offset.to_le_bytes());
-        run_tail(w, match_run);
+/// The header of a final dynamic block listing 257 literal/length and one
+/// distance code length, whose code-length code gives the symbols 0, 1, 2,
+/// 7, 8, 16, 17 and 18 three bits each, then the code lengths as
+/// `(code-length symbol, repeat extra bits)`.
+fn dynamic_header(bits: &mut Bits, runs: &[(u32, u32)]) {
+    const SYMBOLS: [u32; 8] = [0, 1, 2, 7, 8, 16, 17, 18];
+    const ORDER: [u32; 18] = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1];
+    bits.put(0b101, 3);
+    bits.put(0, 5);
+    bits.put(0, 5);
+    bits.put(ORDER.len() as u32 - 4, 4);
+    for symbol in ORDER {
+        bits.put(if SYMBOLS.contains(&symbol) { 3 } else { 0 }, 3);
     }
-}
-
-/// Bytes of `v` as a varint.
-fn varint_len(v: usize) -> usize {
-    (1..).find(|&n| n == 10 || v >> (7 * n) == 0).unwrap_or(10)
+    for &(symbol, extra) in runs {
+        bits.code(SYMBOLS.iter().position(|&s| s == symbol).unwrap() as u32, 3);
+        let extra_bits = match symbol {
+            16 => 2,
+            17 => 3,
+            18 => 7,
+            _ => 0,
+        };
+        bits.put(extra, extra_bits);
+    }
 }
 
 /// The valid stream `raw` in a hand-written block whose one defect is
-/// `defect`.
+/// `defect`: its declared length, then a DEFLATE stream.
 fn crafted_block(raw: &[u8], defect: BlockDefect) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    w.write_varint(raw.len() as u64);
+    let mut bits = Bits::default();
+    // 255 zero code lengths, as 138 + 117.
+    let zeros_255 = [(18, 127), (18, 106)];
     match defect {
-        BlockDefect::LengthOverLimit => {
-            // The same sequences under the shortest declared length past
-            // the limit, counting the bytes that length itself takes.
-            let sequences = &compress(raw)[varint_len(raw.len())..];
-            let over = |n: usize| BLOCK_EXPANSION_LIMIT * (n + sequences.len()) + 1;
-            let declared = over((1..).find(|&n| varint_len(over(n)) == n).unwrap());
-            w.write_varint(declared as u64);
-            w.write_bytes(sequences);
+        BlockDefect::ReservedType => bits.put(0b111, 3),
+        BlockDefect::StoredLengthMismatch => {
+            let len = raw.len() as u16;
+            bits.put(0b001, 8);
+            bits.put(u32::from(len), 16);
+            bits.put(u32::from(!len ^ 1), 16);
+            raw.iter().for_each(|&b| bits.put(u32::from(b), 8));
         }
-        _ => {
-            w.write_varint(raw.len() as u64);
-            match defect {
-                BlockDefect::ZeroOffset => sequence(&mut w, &raw[..1], Some((0, 4))),
-                BlockDefect::OffsetPastOutput => sequence(&mut w, &raw[..1], Some((2, 4))),
-                BlockDefect::LiteralsPastBlock => sequence(&mut w, raw, None),
-                _ => sequence(&mut w, &raw[..raw.len() - 2], Some((1, 4))),
+        BlockDefect::OverSubscribedCode => {
+            bits.put(0b101, 3);
+            bits.put(0, 14);
+            for _ in 0..4 {
+                bits.put(1, 3);
             }
         }
+        // Literal 0 one bit, end of block two: half a code is missing.
+        BlockDefect::IncompleteLiteralCode => {
+            dynamic_header(&mut bits, &[&[(1, 0)][..], &zeros_255, &[(2, 0), (1, 0)]].concat())
+        }
+        BlockDefect::RepeatWithoutLength => {
+            dynamic_header(&mut bits, &[&[(16, 0)][..], &zeros_255].concat())
+        }
+        BlockDefect::LiteralSymbol287 => {
+            bits.put(0b011, 3);
+            bits.fixed_literal(287);
+        }
+        BlockDefect::DistanceSymbol30 | BlockDefect::DistancePastOutput => {
+            bits.put(0b011, 3);
+            bits.fixed_literal(u32::from(raw[0]));
+            bits.fixed_literal(257);
+            bits.code(if defect == BlockDefect::DistanceSymbol30 { 30 } else { 1 }, 5);
+        }
+        BlockDefect::OutputPastLength => {
+            let len = raw.len() as u16;
+            bits.put(0b000, 8);
+            bits.put(u32::from(len), 16);
+            bits.put(u32::from(!len), 16);
+            raw.iter().for_each(|&b| bits.put(u32::from(b), 8));
+            bits.put(0b011, 3);
+            bits.fixed_literal(0);
+        }
+        BlockDefect::BytesAfterFinalBlock => {
+            let mut block = compress(raw);
+            block.push(0);
+            return block;
+        }
     }
-    let mut block = w.into_bytes();
-    if defect == BlockDefect::LiteralsPastBlock {
-        block.pop();
-    }
-    block
+    w.write_bytes(&bits.finish());
+    w.into_bytes()
 }
 
 /// [`crafted_block`] around the valid [`crafted_checkpoint_stream`],
@@ -389,17 +442,24 @@ fn crafted_artifact_block(defect: BlockDefect) -> Vec<u8> {
 
 /// Whether `error` is what a crafted block's `defect` is refused as.
 fn is_block_refusal(defect: BlockDefect, error: &CodecError) -> bool {
+    let code = |what, defect| CodecError::BlockCode { what, defect };
     match defect {
-        BlockDefect::ZeroOffset => *error == CodecError::BlockOffset { offset: 0, produced: 1 },
-        BlockDefect::OffsetPastOutput => *error == CodecError::BlockOffset { offset: 2, produced: 1 },
-        BlockDefect::LiteralsPastBlock => {
-            matches!(error, CodecError::UnexpectedEof { what: "block literals", .. })
+        BlockDefect::ReservedType => *error == CodecError::InvalidTag { what: "deflate block type", tag: 3 },
+        BlockDefect::StoredLengthMismatch => {
+            matches!(error, CodecError::StoredLength { len, nlen } if *len == !*nlen ^ 1)
         }
-        BlockDefect::MatchPastLength => matches!(error, CodecError::BlockOverrun { what: "match", .. }),
-        BlockDefect::LengthOverLimit => matches!(
-            error,
-            CodecError::BlockExpansion { declared, limit } if *declared == *limit as u64 + 1
-        ),
+        BlockDefect::OverSubscribedCode => *error == code("code length code", CodeDefect::OverSubscribed),
+        BlockDefect::IncompleteLiteralCode => *error == code("literal/length code", CodeDefect::Incomplete),
+        BlockDefect::RepeatWithoutLength => *error == code("code lengths", CodeDefect::RepeatWithoutLength),
+        BlockDefect::LiteralSymbol287 => {
+            *error == CodecError::OutOfRange { what: "literal/length symbol", value: 287, allowed: 0..286 }
+        }
+        BlockDefect::DistanceSymbol30 => {
+            *error == CodecError::OutOfRange { what: "distance symbol", value: 30, allowed: 0..30 }
+        }
+        BlockDefect::DistancePastOutput => *error == CodecError::BlockOffset { offset: 2, produced: 1 },
+        BlockDefect::OutputPastLength => matches!(error, CodecError::BlockOverrun { what: "literal", .. }),
+        BlockDefect::BytesAfterFinalBlock => *error == CodecError::TrailingBytes(1),
     }
 }
 
@@ -466,7 +526,7 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
 
     // 4. Seeded-random garbage of assorted sizes.
     let mut rng = ChaCha8Rng::seed_from_u64(0xF423);
-    for i in 0..15 {
+    for i in 0..10 {
         let size = (i * 171) % 4096;
         let bytes: Vec<u8> = (0..size).map(|_| rng.next_u32() as u8).collect();
         corpus.push((format!("garbage #{i} ({size} B)"), bytes));
@@ -590,6 +650,33 @@ fn stored_blocks_of_a_real_store_round_trip() {
         assert_eq!(compress(&raw), block);
         assert!(block.len() < raw.len(), "{} bytes stored for {} raw", block.len(), raw.len());
     }
+}
+
+/// Single bit flips anywhere in a real store block — the checkpoint's
+/// payload — never panic the block decoder: each flipped block inflates to
+/// exactly the length it declares, or is refused with a typed error.
+#[test]
+fn bit_flips_in_a_real_store_block_decode_to_the_declared_length_or_are_refused() {
+    let (checkpoint, _) = durability_bytes();
+    let (_, payload) = checkpoint_parts(checkpoint);
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF425);
+    let (mut inflated, mut refused) = (0, 0);
+    for _ in 0..2000 {
+        let bit = rng.next_u64() as usize % (8 * payload.len());
+        let mut block = payload.to_vec();
+        block[bit / 8] ^= 1 << (bit % 8);
+        let declared = ByteReader::new(&block).read_varint("declared length");
+        match catch_unwind(AssertUnwindSafe(|| decompress(&block))) {
+            Err(_) => panic!("flipping bit {bit} panicked the block decoder"),
+            Ok(Ok(raw)) => {
+                assert_eq!(Ok(raw.len() as u64), declared, "flipping bit {bit}");
+                inflated += 1;
+            }
+            Ok(Err(_typed_rejection)) => refused += 1,
+        }
+    }
+    println!("bit flips: {inflated} inflated to the declared length, {refused} refused");
+    assert!(refused > 0);
 }
 
 #[test]
@@ -752,7 +839,7 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     //    the 8-byte magic has a 2^-64 collision chance per case, and the
     //    stream is fixed, so the corpus is stable).
     let mut rng = ChaCha8Rng::seed_from_u64(0xF422);
-    for i in 0..13 {
+    for i in 0..8 {
         let size = (i * 171) % 4096;
         let bytes: Vec<u8> = (0..size).map(|_| rng.next_u32() as u8).collect();
         corpus.push((format!("garbage #{i} ({size} B)"), bytes));

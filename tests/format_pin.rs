@@ -7,9 +7,11 @@
 //! read back literally, the production decoder accepts the hand-written
 //! bytes and the production encoder reproduces them exactly, and the
 //! FNV-1a64 of the whole file equals a pinned constant, generated with the
-//! format it pins (artifact version 2, checkpoint version 6, WAL
-//! version 4). Every payload is a compressed block, spelled out too, match
-//! by match.
+//! format it pins (artifact version 3, checkpoint version 7, WAL
+//! version 5). Every payload is a compressed block, spelled out too, match
+//! by match, in fixed-Huffman DEFLATE (RFC 1951 §3.2.6) — the block type
+//! the encoder picks for streams this small; each of these blocks also
+//! inflates byte-exact under zlib.
 //! A change to any of these constants is a format change and needs a
 //! version bump, not an edit here.
 
@@ -21,9 +23,13 @@ use ltee_ml::codec::{compress, fnv1a64, ByteWriter};
 use ltee_store::wal::{encode_wal_header, encode_wal_record};
 use ltee_store::{scan_wal, KbStore, StoreError, WalTail};
 
-const ARTIFACT_FNV: u64 = 0x844029b8f8160a6d;
-const CHECKPOINT_FNV: u64 = 0x89dc34083876500b;
-const WAL_FNV: u64 = 0x23da3cd3d80882fb;
+#[path = "support/deflate_bits.rs"]
+mod deflate_bits;
+use deflate_bits::Bits;
+
+const ARTIFACT_FNV: u64 = 0x84eeecbc2a3e9595;
+const CHECKPOINT_FNV: u64 = 0xe5f7615cb92c878b;
+const WAL_FNV: u64 = 0x46a59101acb997d7;
 
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
     u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap())
@@ -74,24 +80,35 @@ fn string_table(w: &mut ByteWriter, strings: &[&str]) {
     }
 }
 
+/// A match of `len` (3–257) bytes `dist` back in the fixed code: its
+/// length symbol and extra bits, then its five-bit distance symbol and
+/// extra bits. Past the first codes each symbol covers twice the span of
+/// the one four (lengths) or two (distances) before it.
+fn fixed_match(bits: &mut Bits, len: u32, dist: u32) {
+    let v = len - 3;
+    if v < 8 {
+        bits.fixed_literal(257 + v);
+    } else {
+        let extra = v.ilog2() - 2;
+        bits.fixed_literal(265 + 4 * (extra - 1) + (v >> extra) - 4);
+        bits.put(v & ((1 << extra) - 1), extra);
+    }
+    let v = dist - 1;
+    if v < 4 {
+        bits.code(v, 5);
+    } else {
+        let extra = v.ilog2() - 1;
+        bits.code(2 * extra + (v >> extra), 5);
+        bits.put(v & ((1 << extra) - 1), extra);
+    }
+}
+
 /// A raw stream under 16 KiB as its stored block: the varint length (one
-/// or two bytes), then per match `(position, offset, length)` a sequence of
-/// the literals since the last match, the `u16` offset and the length, then
-/// a last sequence of the literals left, if any. A token holds the literal
-/// count and the match length minus four; a nibble of 15 is continued in
-/// one more byte, after the literals or after the offset, which is all the
-/// runs here need.
+/// or two bytes), then one final fixed-Huffman DEFLATE block — header bits
+/// `1 · 01`, then per match `(position, distance, length)` the literals
+/// since the last match and the match, then the literals left and the end
+/// of block.
 fn block(raw: &[u8], matches: &[(usize, u16, usize)]) -> Vec<u8> {
-    let run_tail = |w: &mut ByteWriter, run: usize| {
-        assert!(run < 15 + 255);
-        if run >= 15 {
-            w.write_u8((run - 15) as u8);
-        }
-    };
-    let token = |w: &mut ByteWriter, literals: usize, match_run: usize| {
-        w.write_u8((literals.min(15) as u8) << 4 | match_run.min(15) as u8);
-        run_tail(w, literals);
-    };
     let mut w = ByteWriter::new();
     assert!(raw.len() < 1 << 14);
     if raw.len() < 128 {
@@ -99,18 +116,17 @@ fn block(raw: &[u8], matches: &[(usize, u16, usize)]) -> Vec<u8> {
     } else {
         w.write_bytes(&[raw.len() as u8 | 0x80, (raw.len() >> 7) as u8]);
     }
+    let mut bits = Bits::default();
+    bits.put(0b011, 3);
     let mut anchor = 0;
-    for &(at, offset, len) in matches {
-        token(&mut w, at - anchor, len - 4);
-        w.write_bytes(&raw[anchor..at]);
-        w.write_bytes(&offset.to_le_bytes());
-        run_tail(&mut w, len - 4);
+    for &(at, dist, len) in matches {
+        raw[anchor..at].iter().for_each(|&b| bits.fixed_literal(u32::from(b)));
+        fixed_match(&mut bits, len as u32, u32::from(dist));
         anchor = at + len;
     }
-    if anchor < raw.len() {
-        token(&mut w, raw.len() - anchor, 0);
-        w.write_bytes(&raw[anchor..]);
-    }
+    raw[anchor..].iter().for_each(|&b| bits.fixed_literal(u32::from(b)));
+    bits.fixed_literal(256);
+    w.write_bytes(&bits.finish());
     w.into_bytes()
 }
 
@@ -269,9 +285,9 @@ fn on_disk_formats_are_pinned() {
     let raw = artifact_payload();
     let payload = block(&raw, &ARTIFACT_MATCHES);
     assert_eq!(compress(&raw), payload);
-    let artifact = framed(b"LTEEART\x01", 2, &[0xA11C_E5ED_0BAD_F00D], &payload);
+    let artifact = framed(b"LTEEART\x01", 3, &[0xA11C_E5ED_0BAD_F00D], &payload);
     assert_eq!(&artifact[0..8], b"LTEEART\x01");
-    assert_eq!(u32_at(&artifact, 8), 2);
+    assert_eq!(u32_at(&artifact, 8), 3);
     assert_eq!(u64_at(&artifact, 12), 0xA11C_E5ED_0BAD_F00D);
     assert_eq!(u64_at(&artifact, 20), payload.len() as u64);
     assert_eq!(u64_at(&artifact, 28), fnv1a64(&payload));
@@ -280,19 +296,22 @@ fn on_disk_formats_are_pinned() {
     assert_eq!(decoded.fingerprint, 0xA11C_E5ED_0BAD_F00D);
     assert_eq!(decoded.encode(), artifact);
     assert_eq!(fnv1a64(&artifact), ARTIFACT_FNV, "artifact bytes: {:#018x}", fnv1a64(&artifact));
-    // An intact version-1 envelope is refused by version; its payload,
-    // here the raw stream, is never read.
-    let version_1 = framed(b"LTEEART\x01", 1, &[0xA11C_E5ED_0BAD_F00D], &raw);
-    assert!(matches!(ModelArtifact::decode(&version_1), Err(ArtifactError::UnsupportedVersion(1))));
+    // Intact version-1 and version-2 envelopes are refused by version; the
+    // payload is never read.
+    for version in [1, 2] {
+        let old = framed(b"LTEEART\x01", version, &[0xA11C_E5ED_0BAD_F00D], &raw);
+        let refused = ModelArtifact::decode(&old);
+        assert!(matches!(refused, Err(ArtifactError::UnsupportedVersion(v)) if v == version));
+    }
 
     // ── state checkpoint: two header words (fingerprint, applied batches) ─
     // The payload is the raw stream stored as one compressed block.
     let raw = checkpoint_payload();
     let payload = block(&raw, &CHECKPOINT_MATCHES);
     assert_eq!(compress(&raw), payload);
-    let checkpoint = framed(b"LTEECKP\x01", 6, &[0x0123_4567_89AB_CDEF, 5], &payload);
+    let checkpoint = framed(b"LTEECKP\x01", 7, &[0x0123_4567_89AB_CDEF, 5], &payload);
     assert_eq!(&checkpoint[0..8], b"LTEECKP\x01");
-    assert_eq!(u32_at(&checkpoint, 8), 6);
+    assert_eq!(u32_at(&checkpoint, 8), 7);
     assert_eq!(u64_at(&checkpoint, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&checkpoint, 20), 5);
     assert_eq!(u64_at(&checkpoint, 28), payload.len() as u64);
@@ -308,29 +327,30 @@ fn on_disk_formats_are_pinned() {
         fnv1a64(&checkpoint)
     );
 
-    // An intact version-5 checkpoint: the same raw stream, uncompressed.
-    // The decoder refuses it by version before it reads a payload byte,
-    // and the store refuses to open over it rather than skip it as
-    // corrupt.
-    let version_5 = framed(b"LTEECKP\x01", 5, &[0x0123_4567_89AB_CDEF, 5], &raw);
+    // An intact version-6 checkpoint: the same raw stream, here in this
+    // version's block. The decoder refuses it by version before it reads a
+    // payload byte, and the store refuses to open over it rather than skip
+    // it as corrupt.
+    let version_6 = framed(b"LTEECKP\x01", 6, &[0x0123_4567_89AB_CDEF, 5], &payload);
     assert!(matches!(
-        PipelineCheckpoint::decode(&version_5),
-        Err(CheckpointError::UnsupportedVersion(5))
+        PipelineCheckpoint::decode(&version_6),
+        Err(CheckpointError::UnsupportedVersion(6))
     ));
     let dir = std::env::temp_dir().join(format!("ltee-format-pin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(KbStore::checkpoint_path(&dir, 5), &version_5).unwrap();
+    std::fs::write(KbStore::checkpoint_path(&dir, 5), &version_6).unwrap();
     assert!(matches!(
         KbStore::open(&dir, 0x0123_4567_89AB_CDEF),
-        Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(5)))
+        Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(6)))
     ));
     std::fs::remove_dir_all(&dir).unwrap();
 
     // ── write-ahead log: 20-byte header, then 20-byte record headers ─────
     // A batch payload is `string table · tables`, the table bytes the
     // checkpoint's corpus section holds.
-    // Stored as one block each; neither repeats four bytes.
+    // Stored as one block each; neither repeats four bytes, so both are
+    // literals and an end of block.
     let mut raw_batch = ByteWriter::new();
     string_table(&mut raw_batch, &STRINGS[..6]);
     raw_batch.write_u8(1);
@@ -338,13 +358,13 @@ fn on_disk_formats_are_pinned() {
     let batch = block(&raw_batch.into_bytes(), &[]);
     assert_eq!(encode_corpus(&decode_corpus(&batch).expect("hand-written batch decodes")), batch);
     let empty_batch = block(&[0, 0], &[]); // no strings, no tables
-    assert_eq!(empty_batch, [2, 0x20, 0, 0]);
+    assert_eq!(empty_batch, [2, 0x63, 0x60, 0x00, 0x00]);
 
     let mut wal = encode_wal_header(0x0123_4567_89AB_CDEF);
     wal.extend_from_slice(&encode_wal_record(1, &batch));
     wal.extend_from_slice(&encode_wal_record(2, &empty_batch));
     assert_eq!(&wal[0..8], b"LTEEWAL\x01");
-    assert_eq!(u32_at(&wal, 8), 4);
+    assert_eq!(u32_at(&wal, 8), 5);
     assert_eq!(u64_at(&wal, 12), 0x0123_4567_89AB_CDEF);
     assert_eq!(u64_at(&wal, 20), 1); // record 1: seq · payload length (u32) · checksum · payload
     assert_eq!(u32_at(&wal, 28), batch.len() as u32);
@@ -364,9 +384,10 @@ fn on_disk_formats_are_pinned() {
     );
     assert_eq!(fnv1a64(&wal), WAL_FNV, "WAL bytes: {:#018x}", fnv1a64(&wal));
 
-    // A version-3 log, whose batches were stored uncompressed, is refused
-    // by its header before any record is read.
-    let mut version_3 = wal;
-    version_3[8..12].copy_from_slice(&3u32.to_le_bytes());
-    assert!(matches!(scan_wal(&version_3), Err(StoreError::UnsupportedWalVersion(3))));
+    // A version-4 log, whose batches were LZ4-layout blocks, is refused by
+    // its header before any record is read.
+    let mut version_4 = wal;
+    version_4[8..12].copy_from_slice(&4u32.to_le_bytes());
+    assert!(matches!(scan_wal(&version_4), Err(StoreError::UnsupportedWalVersion(4))));
 }
+
