@@ -9,16 +9,16 @@
 //! binary file, so models are trained once and then loaded by any number of
 //! serving processes ([`crate::IncrementalPipeline`]).
 //!
-//! ## File format (version 3)
+//! ## File format (version 4)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEEART\x01"`, format version 3 and one header word, the
-//! config fingerprint (see [`config_fingerprint`]). The payload is one
-//! block of the codec's DEFLATE compressor, like a checkpoint's or a WAL
-//! batch's; the raw stream in it is `string table · MatcherWeights ·
-//! RowSimilarityModel · EntitySimilarityModel` in the codec's one spelling:
-//! every count, index and integer a varint, every property and feature
-//! name a reference into the string table.
+//! with magic `b"LTEEART\x01"`, format version 4 and one header word, the
+//! config fingerprint (see [`config_fingerprint`]). [`codec::seal`] stores
+//! the raw stream as one block of the codec's DEFLATE compressor, like a
+//! checkpoint's; the raw stream is `string table · MatcherWeights ·
+//! RowSimilarityModel · EntitySimilarityModel` in the codec's one
+//! spelling: every count, index and integer a varint, every property and
+//! feature name a reference into the string table, coded by recency.
 //!
 //! Every `f64` in the payload is stored as its IEEE-754 bit pattern, so a
 //! decoded artifact reproduces the in-memory models **bit-for-bit**: the
@@ -27,10 +27,11 @@
 //! without nodes, a split on a feature its forest does not have, a child
 //! that does not point forward.
 //!
-//! Versions 1 and 2 are refused with [`ArtifactError::UnsupportedVersion`]:
-//! version 2 is this raw stream in an LZ4-layout block, version 1 the same
-//! models in the codec's old fixed-width spelling, stored uncompressed.
-//! Retraining rebuilds an artifact.
+//! Versions 1 to 3 are refused with [`ArtifactError::UnsupportedVersion`]:
+//! version 3 is this stream with every string reference its absolute table
+//! index, version 2 is version 3's stream in an LZ4-layout block, version 1
+//! the same models in the codec's old fixed-width spelling, stored
+//! uncompressed. Retraining rebuilds an artifact.
 //!
 //! ## Versioning and validation contract
 //!
@@ -62,7 +63,7 @@ use crate::pipeline::{PipelineConfig, TrainedModels};
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"LTEEART\x01";
 
 /// The artifact format version this build writes and reads.
-pub const ARTIFACT_VERSION: u32 = 3;
+pub const ARTIFACT_VERSION: u32 = 4;
 
 /// Errors raised while encoding, decoding or validating an artifact.
 #[derive(Debug)]
@@ -195,15 +196,14 @@ impl ModelArtifact {
         self.models.matcher_weights.encode_into(&mut strings, &mut body);
         self.models.row_model.encode_into(&mut strings, &mut body);
         self.models.entity_model.encode_into(&mut strings, &mut body);
-        let payload = strings.into_stream(body);
-        codec::seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[self.fingerprint], &payload)
+        codec::seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[self.fingerprint], &strings.into_stream(body))
     }
 
     /// Decode an artifact from bytes, validating magic, length, checksum
     /// and version before interpreting any payload field.
     pub fn decode(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let ([fingerprint], payload) = codec::open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
-        let models = codec::read_stream(payload, |r, strings| {
+        let ([fingerprint], raw) = codec::open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
+        let models = codec::read_stream(&raw, |r, strings| {
             Ok::<_, CodecError>(TrainedModels {
                 matcher_weights: MatcherWeights::decode_from(r, strings)?,
                 row_model: RowSimilarityModel::decode_from(r, strings)?,

@@ -49,27 +49,29 @@
 //! **bit-identical** to the one that wrote the checkpoint —
 //! `tests/recovery_equivalence.rs` proves it end to end.
 //!
-//! ## File format (version 7)
+//! ## File format (version 8)
 //!
 //! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEECKP\x01"`, format version 7 and two header words: the
+//! with magic `b"LTEECKP\x01"`, format version 8 and two header words: the
 //! config fingerprint ([`config_fingerprint`]) and the applied-batch count
-//! (non-empty ingests == snapshot version). The payload is one block of the
-//! codec's DEFLATE compressor ([`codec::compress`]); the envelope's length and
-//! checksum cover the block as stored, so a damaged file is refused before
-//! anything is decompressed. The raw stream in the block is `string table ·
-//! corpus · mapping · per-class interner strings / clusters / results`, in
-//! the codec's payload spelling: every count, id and index is a LEB128
-//! varint, every string — header, cell, property, interner entry — is a
-//! varint reference into the one string table at the head of the payload
+//! (non-empty ingests == snapshot version). [`codec::seal`] stores the raw
+//! stream as one block of the codec's DEFLATE compressor; the envelope's
+//! length and checksum cover the block as stored, so a damaged file is
+//! refused before anything is decompressed. The raw stream is `string
+//! table · corpus · mapping · per-class interner strings / clusters /
+//! results`, in the codec's payload spelling: every count, id and index is
+//! a LEB128 varint, every string — header, cell, property, interner entry
+//! — is a reference into the one string table at the head of the payload
 //! (each distinct string once, in first-use order, so the bytes are a
-//! function of the state alone), a cluster's ascending row indexes are its
-//! first row and the gaps between the rest, and every `f64` is its
-//! eight-byte bit pattern. A table is its id and columns; a mapping is its
-//! table id, class and correspondences. A result is its outcome, best
-//! score and candidate count; the cluster it belongs to is its position.
-//! [`CheckpointLayout`] reports the raw bytes of every section, the stored
-//! payload's size and how many of the referenced strings are distinct.
+//! function of the state alone), coded by recency: `0` introduces the next
+//! table string, a repeat is its distance back. A cluster's ascending row
+//! indexes are its first row and the gaps between the rest, and every
+//! `f64` is its eight-byte bit pattern. A table is its id and columns; a
+//! mapping is its table id, class and correspondences. A result is its
+//! outcome, best score and candidate count; the cluster it belongs to is
+//! its position. [`CheckpointLayout`] reports the raw bytes of every
+//! section, the stored payload's size and how many of the referenced
+//! strings are distinct.
 //!
 //! The per-class sections (since version 2, the class-sharding PR) hold one
 //! interner arena per class: each class owns its interner at serve time.
@@ -78,15 +80,16 @@
 //! [`crate::ShardPlan`] (shard and thread counts are both excluded from the
 //! config fingerprint).
 //!
-//! Versions 1 to 6 are refused with
+//! Versions 1 to 7 are refused with
 //! [`CheckpointError::UnsupportedVersion`], by version, before a payload
 //! byte is read: version 1's global interner arena cannot be split per
 //! class after the fact, version 2 is the fixed-width spelling of version
 //! 3, version 3 is version 4 plus a fused-entity section per class,
 //! version 4 is version 5 plus each table's ground truth and each
 //! mapping's class score, label column and detected types, version 5
-//! is this raw stream stored uncompressed, and version 6 is it stored in
-//! an LZ4-layout block — reading any
+//! is version 7's raw stream stored uncompressed, version 6 is it stored
+//! in an LZ4-layout block, and version 7 is this stream with every string
+//! reference its absolute table index — reading any
 //! of them would mean a second decoder, kept correct and fuzzed for as
 //! long as the first, for a store that re-ingesting its source stream
 //! rebuilds (the precedent version 1 set). The store treats
@@ -129,7 +132,7 @@ use crate::pipeline::{PipelineConfig, TrainedModels};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"LTEECKP\x01";
 
 /// The checkpoint format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 7;
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
@@ -258,10 +261,11 @@ fn decode_table_from(
     Ok(table)
 }
 
-/// Encode a corpus (tables in arrival order) as `string table · tables`.
-/// This is the WAL batch payload (`ltee-store`); the checkpoint's corpus
-/// section is the same table bytes against the checkpoint's one table, so
-/// a replayed batch and a checkpointed corpus go through one table encoder.
+/// Encode a corpus (tables in arrival order) as the raw stream `string
+/// table · tables`. This is the WAL batch payload (`ltee-store`, which
+/// compresses it); the checkpoint's corpus section is the same table bytes
+/// against the checkpoint's one table, so a replayed batch and a
+/// checkpointed corpus go through one table encoder.
 pub fn encode_corpus(corpus: &Corpus) -> Vec<u8> {
     let mut strings = StringTableWriter::new();
     let mut body = ByteWriter::new();
@@ -273,9 +277,8 @@ fn encode_corpus_into<'a>(corpus: &'a Corpus, strings: &mut StringTableWriter<'a
     w.write_seq(corpus.tables(), |w, table| encode_table_into(table, strings, w));
 }
 
-/// Decode a corpus encoded by [`encode_corpus`]: decompress the block, then
-/// validate every table and reject duplicate table ids. Requires the
-/// stream to be fully consumed.
+/// Decode a corpus encoded by [`encode_corpus`]: validate every table and
+/// reject duplicate table ids. Requires the stream to be fully consumed.
 pub fn decode_corpus(bytes: &[u8]) -> Result<Corpus, CheckpointError> {
     codec::read_stream(bytes, decode_corpus_from)
 }
@@ -617,14 +620,13 @@ impl CheckpointView<'_> {
         layout.strings_written = strings.references();
         layout.strings_distinct = strings.len();
         layout.string_table = strings.table_len();
-        let payload = strings.into_stream(w);
-        layout.stored = payload.len();
         let bytes = codec::seal(
             &CHECKPOINT_MAGIC,
             CHECKPOINT_VERSION,
             &[self.fingerprint, self.applied_batches],
-            &payload,
+            &strings.into_stream(w),
         );
+        layout.stored = bytes.len() - CHECKPOINT_PAYLOAD_START;
         (bytes, layout)
     }
 }
@@ -665,10 +667,10 @@ impl PipelineCheckpoint {
     /// rows in founding order with results parallel to clusters. Anything
     /// else is a typed rejection, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let ([fingerprint, applied_batches], payload) =
+        // The checksum covers the block as stored; it is expanded after.
+        let ([fingerprint, applied_batches], raw) =
             codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
-        // The checksum covered the block as stored; only now is it expanded.
-        let (corpus, mappings, classes) = codec::read_stream(payload, decode_state_from)?;
+        let (corpus, mappings, classes) = codec::read_stream(&raw, decode_state_from)?;
         let checkpoint = PipelineCheckpoint {
             fingerprint,
             applied_batches,

@@ -189,12 +189,16 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
         for i in 0..total {
             let in_kb = i < config.scale.kb_entities_per_class;
             let reuse_label = !labels_seen.is_empty() && rng.gen::<f64>() < homonym_rate;
-            let canonical_label = if reuse_label {
-                // Pick an existing label to form a homonym.
+            // Pick an existing label to form a homonym.
+            let homonym = if reuse_label {
                 let keys: Vec<&String> = labels_seen.keys().collect();
-                (*keys.choose(&mut rng).expect("labels_seen non-empty")).clone()
+                keys.choose(&mut rng).map(|&label| label.clone())
             } else {
-                generate_unique_label(class, &labels_seen, &mut rng)
+                None
+            };
+            let canonical_label = match homonym {
+                Some(label) => label,
+                None => generate_unique_label(class, &labels_seen, &mut rng),
             };
             let homonym_group = *labels_seen
                 .entry(normalize_for_grouping(&canonical_label))
@@ -264,11 +268,10 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
             if let Some(value) = entity.facts.get(spec.name) {
                 // Drop facts according to the paper's densities.
                 if kb_rng.gen::<f64>() < spec.kb_density {
-                    let prop = kb
-                        .property_by_name(entity.class, spec.name)
-                        .expect("property registered above")
-                        .id;
-                    facts.push(Fact { property: prop, value: value.clone() });
+                    // Every property of the schema was registered above.
+                    if let Some(prop) = kb.property_by_name(entity.class, spec.name) {
+                        facts.push(Fact { property: prop.id, value: value.clone() });
+                    }
                 }
             }
         }
@@ -287,6 +290,13 @@ fn normalize_for_grouping(label: &str) -> String {
     ltee_text::normalize_label(label)
 }
 
+/// A uniform draw from a name pool: the one draw `SliceRandom::choose`
+/// makes, so the world is the same; `""` from an empty pool, which no pool
+/// of [`names`] is.
+fn pick(pool: &[&'static str], rng: &mut ChaCha8Rng) -> &'static str {
+    pool.choose(rng).copied().unwrap_or_default()
+}
+
 fn generate_unique_label(
     class: ClassKey,
     seen: &BTreeMap<String, u64>,
@@ -295,8 +305,8 @@ fn generate_unique_label(
     for attempt in 0..64 {
         let candidate = match class {
             ClassKey::GridironFootballPlayer => {
-                let first = names::FIRST_NAMES.choose(rng).expect("non-empty pool");
-                let last = names::LAST_NAMES.choose(rng).expect("non-empty pool");
+                let first = pick(names::FIRST_NAMES, rng);
+                let last = pick(names::LAST_NAMES, rng);
                 if attempt < 8 {
                     format!("{first} {last}")
                 } else {
@@ -306,22 +316,22 @@ fn generate_unique_label(
                 }
             }
             ClassKey::Song => {
-                let w1 = names::SONG_TITLE_WORDS.choose(rng).expect("non-empty pool");
+                let w1 = pick(names::SONG_TITLE_WORDS, rng);
                 let pattern = rng.gen_range(0..4);
                 match pattern {
-                    0 => format!("{w1} {}", names::SONG_TITLE_WORDS.choose(rng).expect("non-empty pool")),
+                    0 => format!("{w1} {}", pick(names::SONG_TITLE_WORDS, rng)),
                     1 => format!("The {w1}"),
-                    2 => format!("{w1} of the {}", names::SONG_TITLE_WORDS.choose(rng).expect("non-empty pool")),
+                    2 => format!("{w1} of the {}", pick(names::SONG_TITLE_WORDS, rng)),
                     _ => format!("{w1} Tonight"),
                 }
             }
             ClassKey::Settlement => {
-                let stem = names::SETTLEMENT_STEMS.choose(rng).expect("non-empty pool");
-                let suffix = names::SETTLEMENT_SUFFIXES.choose(rng).expect("non-empty pool");
+                let stem = pick(names::SETTLEMENT_STEMS, rng);
+                let suffix = pick(names::SETTLEMENT_SUFFIXES, rng);
                 if attempt < 8 {
                     format!("{stem}{suffix}")
                 } else {
-                    let stem2 = names::SETTLEMENT_STEMS.choose(rng).expect("non-empty pool");
+                    let stem2 = pick(names::SETTLEMENT_STEMS, rng);
                     format!("{stem} {stem2}{suffix}")
                 }
             }
@@ -337,16 +347,16 @@ fn generate_unique_label(
 fn generate_confusable_label(class: ClassKey, index: usize, rng: &mut ChaCha8Rng) -> String {
     match class {
         ClassKey::GridironFootballPlayer => {
-            let first = names::FIRST_NAMES.choose(rng).expect("non-empty pool");
-            let last = names::LAST_NAMES.choose(rng).expect("non-empty pool");
+            let first = pick(names::FIRST_NAMES, rng);
+            let last = pick(names::LAST_NAMES, rng);
             format!("{first} {last} (baseball)")
         }
         ClassKey::Song => {
-            let w = names::ALBUM_WORDS.choose(rng).expect("non-empty pool");
+            let w = pick(names::ALBUM_WORDS, rng);
             format!("{w} Vol. {}", index + 1)
         }
         ClassKey::Settlement => {
-            let stem = names::SETTLEMENT_STEMS.choose(rng).expect("non-empty pool");
+            let stem = pick(names::SETTLEMENT_STEMS, rng);
             format!("Mount {stem}")
         }
     }
@@ -363,20 +373,20 @@ fn generate_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> BTreeMap<String, Val
             );
             facts.insert(
                 "college".into(),
-                Value::InstanceRef(names::COLLEGES.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::COLLEGES, rng).to_string()),
             );
             facts.insert(
                 "birthPlace".into(),
-                Value::InstanceRef(names::BIRTH_CITIES.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::BIRTH_CITIES, rng).to_string()),
             );
             facts.insert(
                 "team".into(),
-                Value::InstanceRef(names::TEAMS.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::TEAMS, rng).to_string()),
             );
             facts.insert("number".into(), Value::NominalInt(rng.gen_range(1..=99)));
             facts.insert(
                 "position".into(),
-                Value::Nominal(names::POSITIONS.choose(rng).expect("pool").to_string()),
+                Value::Nominal(pick(names::POSITIONS, rng).to_string()),
             );
             facts.insert("height".into(), Value::Quantity(rng.gen_range(165.0..=208.0f64).round()));
             facts.insert("weight".into(), Value::Quantity(rng.gen_range(70.0..=160.0f64).round()));
@@ -388,23 +398,23 @@ fn generate_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> BTreeMap<String, Val
         ClassKey::Song => {
             facts.insert(
                 "genre".into(),
-                Value::Nominal(names::GENRES.choose(rng).expect("pool").to_string()),
+                Value::Nominal(pick(names::GENRES, rng).to_string()),
             );
             facts.insert(
                 "musicalArtist".into(),
-                Value::InstanceRef(names::ARTISTS.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::ARTISTS, rng).to_string()),
             );
             facts.insert(
                 "recordLabel".into(),
-                Value::InstanceRef(names::RECORD_LABELS.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::RECORD_LABELS, rng).to_string()),
             );
             facts.insert("runtime".into(), Value::Quantity(rng.gen_range(120.0..=420.0f64).round()));
-            let album_word = names::ALBUM_WORDS.choose(rng).expect("pool");
+            let album_word = pick(names::ALBUM_WORDS, rng);
             facts.insert("album".into(), Value::InstanceRef(format!("{album_word} {}", rng.gen_range(1..=30))));
             let writer = format!(
                 "{} {}",
-                names::FIRST_NAMES.choose(rng).expect("pool"),
-                names::LAST_NAMES.choose(rng).expect("pool")
+                pick(names::FIRST_NAMES, rng),
+                pick(names::LAST_NAMES, rng)
             );
             facts.insert("writer".into(), Value::InstanceRef(writer));
             let year = rng.gen_range(1960..=2012);
@@ -416,11 +426,11 @@ fn generate_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> BTreeMap<String, Val
         ClassKey::Settlement => {
             facts.insert(
                 "country".into(),
-                Value::InstanceRef(names::COUNTRIES.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::COUNTRIES, rng).to_string()),
             );
             facts.insert(
                 "isPartOf".into(),
-                Value::InstanceRef(names::REGIONS.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::REGIONS, rng).to_string()),
             );
             // Heavy-tailed population: lots of small villages, few cities.
             let magnitude = rng.gen_range(2.0..=6.0f64);
@@ -446,7 +456,7 @@ fn generate_confusable_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> BTreeMap<
         ClassKey::Song => {
             facts.insert(
                 "musicalArtist".into(),
-                Value::InstanceRef(names::ARTISTS.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::ARTISTS, rng).to_string()),
             );
             let year = rng.gen_range(1970..=2012);
             facts.insert("releaseDate".into(), Value::Date(Date::year(year)));
@@ -454,7 +464,7 @@ fn generate_confusable_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> BTreeMap<
         ClassKey::Settlement => {
             facts.insert(
                 "country".into(),
-                Value::InstanceRef(names::COUNTRIES.choose(rng).expect("pool").to_string()),
+                Value::InstanceRef(pick(names::COUNTRIES, rng).to_string()),
             );
             facts.insert("elevation".into(), Value::Quantity(rng.gen_range(800.0..=4500.0f64).round()));
         }

@@ -25,6 +25,7 @@
 //! paper Tables 1 and 2 at a configurable [`Scale`].
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod generator;
 pub mod ids;

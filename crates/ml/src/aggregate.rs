@@ -532,9 +532,8 @@ mod tests {
     #[test]
     fn codec_rejects_invalid_method_tag() {
         // An empty string table, then the method tag.
-        let stream = crate::codec::compress(&[0, 42]);
         assert!(matches!(
-            crate::codec::read_stream(&stream, PairwiseModel::decode_from).unwrap_err(),
+            crate::codec::read_stream(&[0, 42], PairwiseModel::decode_from).unwrap_err(),
             CodecError::InvalidTag { what: "pairwise.method", tag: 42 }
         ));
     }

@@ -6,8 +6,8 @@
 //! to a buffer; a bounds-checked [`ByteReader`] that reads them back; the
 //! [`StringTableWriter`] / [`StringTable`] pair that stores each distinct
 //! string of a stream once; the [`compress`] / [`decompress`] block codec
-//! every payload stream is stored through; and the [`seal`] / [`open`]
-//! pair that frames a payload in the shared file envelope.
+//! every stored byte goes through; and the [`seal`] / [`open`] pair that
+//! frames a payload in the shared file envelope.
 //! [`fnv1a64`] (defined in `ltee-intern`, re-exported here) is the payload
 //! checksum and the config-fingerprint hash.
 //!
@@ -26,16 +26,26 @@
 //!   value bits per byte, low group first, the high bit set on every byte
 //!   but the last; at most ten bytes, minimally encoded (`0x80 0x00` is
 //!   refused, so a value has exactly one spelling),
-//! * a string is a varint index into the stream's one string table
+//! * a string is a reference into the stream's one string table
 //!   (`count · (byte length · UTF-8 bytes)*`, distinct strings in
-//!   first-use order).
+//!   first-use order), coded by recency: `0` for a string's first use —
+//!   it is the next table entry, so its index need not be spelled — and
+//!   `cursor − index` for a repeat, where the cursor counts the strings
+//!   introduced so far. A new string — the most frequent reference of a
+//!   stream — is then always the same byte, and a repeat of a recent
+//!   string a small number. A `0` past the table, a distance past the cursor
+//!   and a table entry the body never introduces are all refused, so a
+//!   stream, too, has exactly one spelling.
 //!
-//! Every payload — model artifact v3, checkpoint v7, WAL v5 batch — is such
-//! a stream, table then body, stored as one block of the block codec
-//! ([`StringTableWriter::into_stream`]) and read back by [`read_stream`].
-//! Only the framing around a payload is fixed width: the envelope's header
-//! and the WAL's record headers are little-endian `u32` / `u64` words, so
-//! a torn header is told by its length alone.
+//! Every payload — model artifact v4, checkpoint v8, WAL v6 batch — is such
+//! a raw stream, table then body ([`StringTableWriter::into_stream`], read
+//! back by [`read_stream`]), and the container stores it compressed: the
+//! envelope ([`seal`] / [`open`]) compresses the one payload of an artifact
+//! or a checkpoint, and the store compresses each WAL record against the
+//! records before it in its segment. Only the framing around a payload is
+//! fixed width: the envelope's header and the WAL's record headers are
+//! little-endian `u32` / `u64` words, so a torn header is told by its
+//! length alone.
 //!
 //! The block codec ([`compress`] / [`decompress`]) is DEFLATE (RFC 1951). A
 //! block is `raw length (varint) · raw DEFLATE stream`: no zlib or gzip
@@ -54,12 +64,19 @@
 //! [`BLOCK_EXPANSION_LIMIT`] says why no block, from any writer, costs a
 //! decoder more than 255 bytes per stored byte.
 //!
+//! Both take a **dictionary**: up to [`WINDOW`] bytes the output is taken
+//! to follow, so a match may reach back into them; they are not part of the
+//! block. Every caller but the write-ahead log passes an empty one. Such a
+//! stream is what zlib writes and reads with a preset dictionary
+//! (`zlib.decompressobj(-15, zdict=dictionary)` inflates it).
+//!
 //! The envelope ([`seal`] / [`open`]), with `N` format-specific header
 //! words, is `magic(8) · version(u32) · N header words(u64) ·
-//! payload_len(u64) · FNV-1a64(payload) · payload`; byte offsets per format
-//! are tabulated in `docs/ARCHITECTURE.md`, "On-disk formats". A file of
-//! another version is refused by version only when it is intact under the
-//! version it declares; otherwise its header is damaged.
+//! payload_len(u64) · FNV-1a64(payload) · payload`, the payload being the
+//! raw stream's block; byte offsets per format are tabulated in
+//! `docs/ARCHITECTURE.md`, "On-disk formats". A file of another version is
+//! refused by version only when it is intact under the version it
+//! declares; otherwise its header is damaged.
 
 use std::collections::HashMap;
 
@@ -106,12 +123,31 @@ pub enum CodecError {
         /// What was being read.
         what: &'static str,
     },
-    /// A string reference pointed past the end of the string table.
+    /// A first-use string reference (`0`) came after every string of the
+    /// table had been introduced: it names the entry past the table's end.
     StringIndexOutOfRange {
         /// What was being read.
         what: &'static str,
-        /// The offending index.
+        /// The entry it names.
         index: u64,
+        /// Strings the table holds.
+        table_len: usize,
+    },
+    /// A repeat string reference reaches back past the first string: its
+    /// distance exceeds the strings introduced so far.
+    StringDistance {
+        /// What was being read.
+        what: &'static str,
+        /// The reference's distance back from the cursor.
+        distance: u64,
+        /// Strings introduced before it.
+        cursor: usize,
+    },
+    /// The body of a stream never introduced some entries of its string
+    /// table.
+    UnreferencedStrings {
+        /// Entries the body introduced.
+        referenced: usize,
         /// Strings the table holds.
         table_len: usize,
     },
@@ -146,11 +182,12 @@ pub enum CodecError {
         produced: usize,
     },
     /// A match of a compressed block reaches back before the first byte of
-    /// the output.
+    /// the dictionary, or of the output when there is none.
     BlockOffset {
         /// The match's distance.
         offset: usize,
-        /// Raw bytes produced before the match.
+        /// Bytes before the match: the dictionary, then the raw bytes
+        /// produced.
         produced: usize,
     },
     /// A stored DEFLATE block's `NLEN` is not the complement of its `LEN`.
@@ -235,7 +272,15 @@ impl std::fmt::Display for CodecError {
             ),
             CodecError::StringIndexOutOfRange { what, index, table_len } => write!(
                 f,
-                "{what} references string {index} of a {table_len}-string table"
+                "{what} introduces string {index} of a {table_len}-string table"
+            ),
+            CodecError::StringDistance { what, distance, cursor } => write!(
+                f,
+                "{what} reaches {distance} strings back, {cursor} have been introduced"
+            ),
+            CodecError::UnreferencedStrings { referenced, table_len } => write!(
+                f,
+                "the stream introduces {referenced} of its {table_len} table strings"
             ),
             CodecError::StringExpansion { limit } => write!(
                 f,
@@ -522,10 +567,12 @@ impl<'a> ByteReader<'a> {
 /// below 3.
 pub const STRING_EXPANSION_LIMIT: usize = 64;
 
-/// Encode side of a stream's string table: hands out the index of each
-/// distinct string in first-use order (so the table, and with it the
-/// stream, is a function of the encoded data alone) and puts the table in
-/// front of the body once the body is encoded.
+/// Encode side of a stream's string table: puts each distinct string in
+/// the table in first-use order (so the table, and with it the stream, is
+/// a function of the encoded data alone), writes each reference by recency
+/// (see the [module docs](self)) and puts the table in front of the body
+/// once the body is encoded. References must be written in the order the
+/// body's bytes are, which is the order the decoder meets them.
 #[derive(Debug, Default)]
 pub struct StringTableWriter<'a> {
     index: HashMap<&'a str, u64>,
@@ -539,22 +586,22 @@ impl<'a> StringTableWriter<'a> {
         Self::default()
     }
 
-    /// Append a reference to `s` — its varint table index — to `w`,
-    /// adding `s` to the table on first use.
+    /// Append a reference to `s` to `w`: `0` on its first use, which adds
+    /// it to the table, else its distance back from the cursor.
     pub fn write_ref(&mut self, w: &mut ByteWriter, s: &'a str) {
-        let next = self.strings.len() as u64;
-        let index = *self.index.entry(s).or_insert(next);
-        if index == next {
+        let cursor = self.strings.len() as u64;
+        let index = *self.index.entry(s).or_insert(cursor);
+        if index == cursor {
             self.strings.push(s);
         }
         self.references += 1;
-        w.write_varint(index);
+        w.write_varint(cursor - index);
     }
 
-    /// Assemble the stream — the table, `count · (byte length · UTF-8
+    /// Assemble the raw stream: the table, `count · (byte length · UTF-8
     /// bytes)*`, then the `body` whose references filled it, which is
-    /// where [`StringTable::read_table`] expects to find it — and store it
-    /// as one [`compress`]ed block; [`decompress`] gives the stream back.
+    /// where [`StringTable::read_table`] expects to find it. The container
+    /// that stores it compresses it.
     pub fn into_stream(self, body: ByteWriter) -> Vec<u8> {
         let body = body.into_bytes();
         let mut w = ByteWriter::with_capacity(self.table_len() + body.len());
@@ -563,11 +610,10 @@ impl<'a> StringTableWriter<'a> {
             w.write_bytes(s.as_bytes());
         });
         w.write_bytes(&body);
-        compress(&w.into_bytes())
+        w.into_bytes()
     }
 
-    /// Bytes the table takes at the head of the stream, before the stream
-    /// is compressed.
+    /// Bytes the table takes at the head of the stream.
     pub fn table_len(&self) -> usize {
         let varint_len = |v: usize| (usize::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize;
         varint_len(self.strings.len())
@@ -591,11 +637,13 @@ impl<'a> StringTableWriter<'a> {
 }
 
 /// Decode side of a stream's string table: the strings borrow from the
-/// stream, and every resolved reference is charged against the stream's
-/// expansion budget (see [`STRING_EXPANSION_LIMIT`]).
+/// stream, references are resolved against the cursor of strings
+/// introduced so far, and every resolved reference is charged against the
+/// stream's expansion budget (see [`STRING_EXPANSION_LIMIT`]).
 #[derive(Debug)]
 pub struct StringTable<'a> {
     strings: Vec<&'a str>,
+    cursor: usize,
     limit: usize,
     spent: usize,
 }
@@ -610,42 +658,63 @@ impl<'a> StringTable<'a> {
             std::str::from_utf8(r.read_bytes(len, "string table entry")?)
                 .map_err(|_| CodecError::InvalidUtf8)
         })?;
-        Ok(Self { strings, limit, spent: 0 })
+        Ok(Self { strings, cursor: 0, limit, spent: 0 })
     }
 
     /// Read one reference written by [`StringTableWriter::write_ref`] and
-    /// resolve it.
+    /// resolve it: `0` is the next table entry, which moves the cursor on;
+    /// a distance `d` is the entry `d` before the cursor.
     pub fn read_ref(
         &mut self,
         r: &mut ByteReader<'_>,
         what: &'static str,
     ) -> Result<&'a str, CodecError> {
-        let index = r.read_varint(what)?;
-        let s = usize::try_from(index)
-            .ok()
-            .and_then(|i| self.strings.get(i).copied())
-            .ok_or(CodecError::StringIndexOutOfRange { what, index, table_len: self.strings.len() })?;
+        let distance = r.read_varint(what)?;
+        let index = if distance == 0 {
+            let index = self.cursor;
+            if index == self.strings.len() {
+                let table_len = self.strings.len();
+                return Err(CodecError::StringIndexOutOfRange { what, index: index as u64, table_len });
+            }
+            self.cursor += 1;
+            index
+        } else {
+            usize::try_from(distance)
+                .ok()
+                .and_then(|d| self.cursor.checked_sub(d))
+                .ok_or(CodecError::StringDistance { what, distance, cursor: self.cursor })?
+        };
+        let s = self.strings[index];
         self.spent = self.spent.saturating_add(s.len());
         if self.spent > self.limit {
             return Err(CodecError::StringExpansion { limit: self.limit });
         }
         Ok(s)
     }
+
+    /// Fail unless the body introduced every string of the table.
+    fn expect_all_referenced(&self) -> Result<(), CodecError> {
+        if self.cursor == self.strings.len() {
+            Ok(())
+        } else {
+            Err(CodecError::UnreferencedStrings { referenced: self.cursor, table_len: self.strings.len() })
+        }
+    }
 }
 
-/// Read a stream [`StringTableWriter::into_stream`] stored: decompress the
-/// block, read the string table at its head, decode the rest through
-/// `body` and require it to consume every byte. Every payload format reads
-/// its stream through this one function.
+/// Read a raw stream [`StringTableWriter::into_stream`] assembled: the
+/// string table at its head, then the rest through `body`, which must
+/// consume every byte and introduce every string of the table. Every
+/// payload format reads its stream through this one function.
 pub fn read_stream<T, E: From<CodecError>>(
-    block: &[u8],
+    raw: &[u8],
     body: impl for<'s> FnOnce(&mut ByteReader<'s>, &mut StringTable<'s>) -> Result<T, E>,
 ) -> Result<T, E> {
-    let raw = decompress(block)?;
-    let mut r = ByteReader::new(&raw);
+    let mut r = ByteReader::new(raw);
     let mut strings = StringTable::read_table(&mut r)?;
     let decoded = body(&mut r, &mut strings)?;
     r.expect_eof()?;
+    strings.expect_all_referenced()?;
     Ok(decoded)
 }
 
@@ -656,7 +725,9 @@ pub fn read_stream<T, E: From<CodecError>>(
 /// refuses a declared length above 255 per byte of block before it
 /// allocates anything, and refuses a symbol the moment it would take the
 /// output past the declared length, so no block — whoever wrote it — costs
-/// a decoder more than 255 bytes per stored byte. [`compress`] keeps its
+/// a decoder more than 255 bytes per stored byte. A dictionary does not
+/// count: the decoder holds it already, and copies at most [`WINDOW`] bytes
+/// of it. [`compress`] keeps its
 /// own blocks inside the bound by putting empty stored blocks, five bytes
 /// each, in front of a stream that would be denser. The [`StringTable`] at
 /// the head of a payload stream then charges resolved strings against
@@ -678,8 +749,9 @@ const MIN_MATCH: usize = 4;
 /// Longest match DEFLATE codes.
 const MAX_MATCH: usize = 258;
 
-/// Farthest back a DEFLATE distance reaches.
-const WINDOW: usize = 32 * 1024;
+/// Farthest back a DEFLATE distance reaches, and so the most of a
+/// dictionary [`compress`] and [`decompress`] use: its last `WINDOW` bytes.
+pub const WINDOW: usize = 32 * 1024;
 
 /// Index bits of the narrowest and the widest match-finder table
 /// [`compress`] builds; in between the table is sized to its input.
@@ -759,52 +831,71 @@ fn distance_symbol(dist: u16) -> usize {
     DISTANCE_BASE.partition_point(|&base| base <= dist) - 1
 }
 
-/// Compress `raw` into one block (layout in the [module docs](self)).
+/// Compress `raw` into one block (layout in the [module docs](self)),
+/// taking it to follow the last [`WINDOW`] bytes of `dictionary`, which
+/// the block does not hold; pass `&[]` for a block that stands alone.
 ///
 /// Greedy LZ77 over DEFLATE's 32 KiB window. The match finder is a table
 /// holding, per hash of four bytes, the last position that hashed there,
-/// sized to the input (2⁸ to 2¹⁵ entries); at each position its one
-/// candidate is taken if the four bytes really repeat, and extended as far
-/// as the bytes agree, up to 258. Every position a match covers is entered
-/// into the table. Every 4 096 tokens end a DEFLATE block, and
-/// each block is written as the cheapest of stored, fixed and dynamic
-/// Huffman codes, its dynamic codes built from its own symbol counts and
-/// limited to 15 bits. The hash is a fixed multiplication and every tie is
-/// broken by symbol, so a block is a function of `raw` alone.
+/// sized to dictionary and input together (2⁸ to 2¹⁵ entries); every
+/// position of the dictionary is entered first, in order, as if its bytes
+/// had just been coded, but none of them is coded or searched. At each
+/// position of `raw` the table's one candidate is taken if the four bytes
+/// really repeat, and extended as far as the bytes agree, up to 258. Every
+/// position a match covers is entered into the table. Every 4 096 tokens
+/// end a DEFLATE block, and each block is written as the cheapest of
+/// stored, fixed and dynamic Huffman codes, its dynamic codes built from
+/// its own symbol counts and limited to 15 bits. The hash is a fixed
+/// multiplication and every tie is broken by symbol, so a block is a
+/// function of `raw` and the dictionary alone.
 ///
-/// By construction [`decompress`] accepts every block this writes: each
-/// distance is `at − candidate` for a candidate at most 32 KiB before
-/// `at`, so it lies in 1 ..= the bytes already produced; the tokens spell
-/// `raw` exactly, so the output ends at the declared length, which is
-/// `raw.len()`; every code is complete; and the empty stored blocks in
-/// front keep the block inside [`BLOCK_EXPANSION_LIMIT`].
-pub fn compress(raw: &[u8]) -> Vec<u8> {
-    let mut deflate = Deflater { raw, w: BitWriter::with_capacity(raw.len() / 2 + 16), stored_from: None };
-    let bits = (usize::BITS - raw.len().saturating_sub(1).leading_zeros())
+/// By construction [`decompress`] accepts every block this writes, given
+/// the same dictionary: each distance is `at − candidate` for a candidate
+/// at most 32 KiB before `at`, so it lies in 1 ..= the dictionary and the
+/// bytes already produced; the tokens spell `raw` exactly, so the output
+/// ends at the declared length, which is `raw.len()`; every code is
+/// complete; and the empty stored blocks in front keep the block inside
+/// [`BLOCK_EXPANSION_LIMIT`].
+pub fn compress(raw: &[u8], dictionary: &[u8]) -> Vec<u8> {
+    let dictionary = &dictionary[dictionary.len().saturating_sub(WINDOW)..];
+    let joined;
+    let input = if dictionary.is_empty() {
+        raw
+    } else {
+        joined = [dictionary, raw].concat();
+        &joined[..]
+    };
+    let start = dictionary.len();
+    let mut deflate =
+        Deflater { raw: input, w: BitWriter::with_capacity(raw.len() / 2 + 16), stored_from: None };
+    let bits = (usize::BITS - input.len().saturating_sub(1).leading_zeros())
         .clamp(*HASH_BITS.start(), *HASH_BITS.end());
     // Positions are kept as `u32`: every candidate is verified against the
     // input, so a position that wrapped can only cost a match.
     let mut table = vec![u32::MAX; 1 << bits];
+    for (seeded, word) in input.windows(MIN_MATCH).take(start).enumerate() {
+        table[hash_word(word, bits)] = seeded as u32;
+    }
     let mut tokens = Vec::with_capacity(BLOCK_TOKENS.min(raw.len() + 1));
-    let (mut block_start, mut at) = (0, 0);
-    while at < raw.len() {
+    let (mut block_start, mut at) = (start, start);
+    while at < input.len() {
         if tokens.len() >= BLOCK_TOKENS {
             deflate.block(&tokens, block_start..at, false);
             tokens.clear();
             block_start = at;
         }
-        let Some((len, dist)) = longest_match(raw, &mut table, bits, at) else {
-            tokens.push(Token::Literal(raw[at]));
+        let Some((len, dist)) = longest_match(input, &mut table, bits, at) else {
+            tokens.push(Token::Literal(input[at]));
             at += 1;
             continue;
         };
         tokens.push(Token::Match { len: len as u16, dist: dist as u16 });
-        for covered in at + 1..(at + len).min(raw.len() + 1 - MIN_MATCH) {
-            table[hash4(raw, covered, bits)] = covered as u32;
+        for covered in at + 1..(at + len).min(input.len() + 1 - MIN_MATCH) {
+            table[hash4(input, covered, bits)] = covered as u32;
         }
         at += len;
     }
-    deflate.block(&tokens, block_start..raw.len(), true);
+    deflate.block(&tokens, block_start..input.len(), true);
     let deflate = deflate.w.finish();
 
     let mut w = ByteWriter::with_capacity(deflate.len() + 10);
@@ -845,7 +936,12 @@ fn longest_match(raw: &[u8], table: &mut [u32], bits: u32, at: usize) -> Option<
 /// The match-finder slot of the four bytes at `at`: the top `bits` bits of
 /// their little-endian word times Knuth's multiplicative constant.
 fn hash4(raw: &[u8], at: usize, bits: u32) -> usize {
-    let word = u32::from_le_bytes([raw[at], raw[at + 1], raw[at + 2], raw[at + 3]]);
+    hash_word(&raw[at..at + MIN_MATCH], bits)
+}
+
+/// [`hash4`] of the four bytes `word`.
+fn hash_word(word: &[u8], bits: u32) -> usize {
+    let word = u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
     (word.wrapping_mul(0x9e37_79b1) >> (32 - bits)) as usize
 }
 
@@ -1224,18 +1320,20 @@ fn repeat_bits(symbol: u8) -> u8 {
 }
 
 /// Inverse of [`compress`]: inflate the raw DEFLATE stream after the
-/// declared length. Every field is checked before it is trusted: a declared
-/// length over [`BLOCK_EXPANSION_LIMIT`] per block byte is refused before
-/// anything is allocated; a block type must not be the reserved 3, a stored
-/// block's `NLEN` must complement its `LEN`, and a dynamic block's code
-/// lengths must form complete prefix codes ([`CodeDefect`]) — but for
-/// RFC 1951's one case of a distance code with no code or one one-bit
-/// code — with an end-of-block code; a symbol must be one the alphabet
-/// allows, a distance must point into the bytes already produced, no
-/// literal, match or stored block may take the output past the declared
-/// length, the final block must end exactly there, and nothing but the
-/// final byte's padding may follow it.
-pub fn decompress(block: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// declared length, matches reaching back into the last [`WINDOW`] bytes of
+/// `dictionary` as into output. Every field is checked before it is
+/// trusted: a declared length over [`BLOCK_EXPANSION_LIMIT`] per block byte
+/// is refused before anything is allocated; a block type must not be the
+/// reserved 3, a stored block's `NLEN` must complement its `LEN`, and a
+/// dynamic block's code lengths must form complete prefix codes
+/// ([`CodeDefect`]) — but for RFC 1951's one case of a distance code with
+/// no code or one one-bit code — with an end-of-block code; a symbol must
+/// be one the alphabet allows, a distance must point into the dictionary
+/// or the bytes already produced, no literal, match or stored block may
+/// take the output past the declared length, the final block must end
+/// exactly there, and nothing but the final byte's padding may follow it.
+pub fn decompress(block: &[u8], dictionary: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let dictionary = &dictionary[dictionary.len().saturating_sub(WINDOW)..];
     let mut r = ByteReader::new(block);
     let declared = r.read_varint("block length")?;
     let limit = block.len().saturating_mul(BLOCK_EXPANSION_LIMIT);
@@ -1243,7 +1341,10 @@ pub fn decompress(block: &[u8]) -> Result<Vec<u8>, CodecError> {
         .ok()
         .filter(|&len| len <= limit)
         .ok_or(CodecError::BlockExpansion { declared, limit })?;
-    let mut out = Vec::with_capacity(raw_len);
+    // The output follows the dictionary in one buffer, so a match copies
+    // out of either the same way.
+    let mut out = Output { bytes: Vec::with_capacity(dictionary.len() + raw_len), start: dictionary.len(), raw_len };
+    out.bytes.extend_from_slice(dictionary);
     let mut bits = BitReader::new(r.read_bytes(r.remaining(), "deflate stream")?);
     // Built at the first fixed block: a stream of empty fixed blocks must
     // not cost a table build per ten bits.
@@ -1258,10 +1359,10 @@ pub fn decompress(block: &[u8]) -> Result<Vec<u8>, CodecError> {
                     return Err(CodecError::StoredLength { len: len as u16, nlen: nlen as u16 });
                 }
                 let len = len as usize;
-                if len > raw_len - out.len() {
+                if len > out.room() {
                     return Err(CodecError::BlockOverrun { what: "stored block", declared: raw_len });
                 }
-                bits.copy_bytes(len, &mut out)?;
+                bits.copy_bytes(len, &mut out.bytes)?;
             }
             FIXED => {
                 if fixed.is_none() {
@@ -1272,12 +1373,12 @@ pub fn decompress(block: &[u8]) -> Result<Vec<u8>, CodecError> {
                     ));
                 }
                 if let Some((literal, distance)) = &fixed {
-                    inflate_block(&mut bits, &mut out, raw_len, literal, distance)?;
+                    inflate_block(&mut bits, &mut out, literal, distance)?;
                 }
             }
             DYNAMIC => {
                 let (literal, distance) = read_dynamic_codes(&mut bits)?;
-                inflate_block(&mut bits, &mut out, raw_len, &literal, &distance)?;
+                inflate_block(&mut bits, &mut out, &literal, &distance)?;
             }
             tag => return Err(CodecError::InvalidTag { what: "deflate block type", tag: tag as u8 }),
         }
@@ -1289,10 +1390,27 @@ pub fn decompress(block: &[u8]) -> Result<Vec<u8>, CodecError> {
     if bits.remaining_bytes() > 0 {
         return Err(CodecError::TrailingBytes(bits.remaining_bytes()));
     }
-    if out.len() < raw_len {
-        return Err(CodecError::BlockShort { declared: raw_len, produced: out.len() });
+    if out.room() > 0 {
+        return Err(CodecError::BlockShort { declared: raw_len, produced: out.bytes.len() - out.start });
     }
-    Ok(out)
+    out.bytes.drain(..out.start);
+    Ok(out.bytes)
+}
+
+/// What [`decompress`] has inflated so far: the dictionary, then the raw
+/// bytes from `start` on, which must come to `raw_len`.
+#[derive(Debug)]
+struct Output {
+    bytes: Vec<u8>,
+    start: usize,
+    raw_len: usize,
+}
+
+impl Output {
+    /// Raw bytes still to come.
+    fn room(&self) -> usize {
+        self.start + self.raw_len - self.bytes.len()
+    }
 }
 
 /// A dynamic block's header: the code-length code, then the literal/length
@@ -1353,8 +1471,7 @@ fn read_dynamic_codes(bits: &mut BitReader<'_>) -> Result<(Decoder, Decoder), Co
 /// Inflate one fixed or dynamic block's symbols up to its end of block.
 fn inflate_block(
     bits: &mut BitReader<'_>,
-    out: &mut Vec<u8>,
-    raw_len: usize,
+    out: &mut Output,
     literal: &Decoder,
     distance: &Decoder,
 ) -> Result<(), CodecError> {
@@ -1362,10 +1479,10 @@ fn inflate_block(
         let symbol = literal.decode(bits)?;
         match symbol {
             0..=255 => {
-                if out.len() == raw_len {
-                    return Err(CodecError::BlockOverrun { what: "literal", declared: raw_len });
+                if out.room() == 0 {
+                    return Err(CodecError::BlockOverrun { what: "literal", declared: out.raw_len });
                 }
-                out.push(symbol as u8);
+                out.bytes.push(symbol as u8);
             }
             256 => return Ok(()),
             257..=285 => {
@@ -1377,19 +1494,20 @@ fn inflate_block(
                     return Err(CodecError::OutOfRange { what: "distance symbol", value: d as u64, allowed });
                 }
                 let dist = usize::from(DISTANCE_BASE[d]) + bits.take(DISTANCE_EXTRA[d])? as usize;
-                if dist > out.len() {
-                    return Err(CodecError::BlockOffset { offset: dist, produced: out.len() });
+                let produced = out.bytes.len();
+                if dist > produced {
+                    return Err(CodecError::BlockOffset { offset: dist, produced });
                 }
-                if len > raw_len - out.len() {
-                    return Err(CodecError::BlockOverrun { what: "match", declared: raw_len });
+                if len > out.room() {
+                    return Err(CodecError::BlockOverrun { what: "match", declared: out.raw_len });
                 }
                 // A match may overlap its own output: copy it in chunks of
                 // at most `dist` bytes, each of them already written.
-                let start = out.len() - dist;
+                let start = produced - dist;
                 let mut copied = 0;
                 while copied < len {
                     let chunk = (len - copied).min(dist);
-                    out.extend_from_within(start + copied..start + copied + chunk);
+                    out.bytes.extend_from_within(start + copied..start + copied + chunk);
                     copied += chunk;
                 }
             }
@@ -1577,10 +1695,12 @@ pub const fn sealed_header_len(words: usize) -> usize {
     8 + 4 + 8 * words + 8 + 8
 }
 
-/// Frame `payload` in the file envelope described in the [module
-/// docs](self): magic, version, the format's header words, then the
-/// payload's length and FNV-1a64 checksum, then the payload itself.
-pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], payload: &[u8]) -> Vec<u8> {
+/// Store the raw stream `raw` in the file envelope described in the
+/// [module docs](self): magic, version, the format's header words, then the
+/// length and FNV-1a64 checksum of the payload — `raw` as one [`compress`]ed
+/// block — then the payload itself.
+pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], raw: &[u8]) -> Vec<u8> {
+    let payload = compress(raw, &[]);
     let mut w = ByteWriter::with_capacity(sealed_header_len(words.len()) + payload.len());
     w.write_bytes(magic);
     w.write_u32(version);
@@ -1588,23 +1708,23 @@ pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], payload: &[u8]) -> Vec
         w.write_u64(word);
     }
     w.write_u64(payload.len() as u64);
-    w.write_u64(fnv1a64(payload));
-    w.write_bytes(payload);
+    w.write_u64(fnv1a64(&payload));
+    w.write_bytes(&payload);
     w.into_bytes()
 }
 
 /// Inverse of [`seal`]: validate magic, payload length, checksum and
-/// version — in that order, before any payload byte is interpreted — and
-/// return the `N` header words plus the payload. The envelope is the same
-/// in every version, so a file of another version is
-/// [`CodecError::UnsupportedVersion`] only when it passes its own length
-/// and checksum; one that does not has a damaged header, not a different
-/// format.
-pub fn open<'a, const N: usize>(
+/// version — in that order, before any payload byte is interpreted — then
+/// decompress the payload and return the `N` header words plus the raw
+/// stream. The envelope is the same in every version, so a file of another
+/// version is [`CodecError::UnsupportedVersion`] only when it passes its
+/// own length and checksum; one that does not has a damaged header, not a
+/// different format.
+pub fn open<const N: usize>(
     magic: &[u8; 8],
     version: u32,
-    bytes: &'a [u8],
-) -> Result<([u64; N], &'a [u8]), CodecError> {
+    bytes: &[u8],
+) -> Result<([u64; N], Vec<u8>), CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.read_bytes(8, "envelope magic").ok() != Some(&magic[..]) {
         return Err(CodecError::BadMagic);
@@ -1632,7 +1752,7 @@ pub fn open<'a, const N: usize>(
     if found != version {
         return Err(CodecError::UnsupportedVersion(found));
     }
-    Ok((words, payload))
+    Ok((words, decompress(payload, &[])?))
 }
 
 #[cfg(test)]
@@ -1738,7 +1858,7 @@ mod tests {
             }
             assert_eq!(strings.references(), picks.len());
             assert!(strings.len() <= pool.len());
-            let stream = decompress(&strings.into_stream(body)).unwrap();
+            let stream = strings.into_stream(body);
 
             let mut r = ByteReader::new(&stream);
             let mut table = StringTable::read_table(&mut r).unwrap();
@@ -1748,27 +1868,69 @@ mod tests {
                 assert_eq!(table.read_ref(&mut r, "pick").unwrap(), s);
             }
             r.expect_eof().unwrap();
+            table.expect_all_referenced().unwrap();
         }
+    }
+
+    /// A stream of `strings` as its table, then `refs` as varints.
+    fn table_then_refs(strings: &[&str], refs: &[u64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.write_varint(strings.len() as u64);
+        for s in strings {
+            w.write_varint(s.len() as u64);
+            w.write_bytes(s.as_bytes());
+        }
+        refs.iter().for_each(|&r| w.write_varint(r));
+        w.into_bytes()
+    }
+
+    #[test]
+    fn string_refs_are_coded_by_recency() {
+        // First uses are 0; a repeat is its distance back from the cursor.
+        let mut strings = StringTableWriter::new();
+        let mut body = ByteWriter::new();
+        for s in ["a", "bc", "a", "d", "bc", "bc", "d"] {
+            strings.write_ref(&mut body, s);
+        }
+        assert_eq!(body.into_bytes(), [0, 0, 2, 0, 2, 2, 1]);
     }
 
     #[test]
     fn string_table_rejects_bad_indexes_bad_tables_and_expansion_bombs() {
-        // Two strings, then a reference to a third.
-        let mut w = ByteWriter::new();
-        w.write_varint(2);
-        for s in ["a", "bc"] {
-            w.write_varint(s.len() as u64);
-            w.write_bytes(s.as_bytes());
-        }
-        w.write_varint(1);
-        w.write_varint(2);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let mut table = StringTable::read_table(&mut r).unwrap();
-        assert_eq!(table.read_ref(&mut r, "ref").unwrap(), "bc");
+        // Two strings: both introduced, then one repeated from two back.
+        let resolve = |refs: &[u64]| {
+            let bytes = table_then_refs(&["a", "bc"], refs);
+            let mut r = ByteReader::new(&bytes);
+            let mut table = StringTable::read_table(&mut r).unwrap();
+            let resolved: Result<Vec<String>, _> =
+                refs.iter().map(|_| table.read_ref(&mut r, "ref").map(str::to_string)).collect();
+            resolved.and_then(|s| table.expect_all_referenced().map(|()| s))
+        };
+        assert_eq!(resolve(&[0, 0, 2, 1]), Ok(vec!["a".into(), "bc".into(), "a".into(), "bc".into()]));
+        // A third first use names the entry past the table's end.
         assert_eq!(
-            table.read_ref(&mut r, "ref").unwrap_err(),
+            resolve(&[0, 0, 0]).unwrap_err(),
             CodecError::StringIndexOutOfRange { what: "ref", index: 2, table_len: 2 }
+        );
+        // A repeat reaching past the first string introduced, and a repeat
+        // before any string is.
+        assert_eq!(
+            resolve(&[0, 0, 3]).unwrap_err(),
+            CodecError::StringDistance { what: "ref", distance: 3, cursor: 2 }
+        );
+        assert_eq!(
+            resolve(&[1]).unwrap_err(),
+            CodecError::StringDistance { what: "ref", distance: 1, cursor: 0 }
+        );
+        // A table entry the body never introduces.
+        assert_eq!(
+            resolve(&[0, 1]).unwrap_err(),
+            CodecError::UnreferencedStrings { referenced: 1, table_len: 2 }
+        );
+        let unused = table_then_refs(&["a", "bc"], &[0]);
+        assert_eq!(
+            read_stream(&unused, |r, t| t.read_ref(r, "ref").map(str::len)),
+            Err(CodecError::UnreferencedStrings { referenced: 1, table_len: 2 })
         );
 
         // A table that declares more entries, or a longer entry, than the
@@ -1787,13 +1949,8 @@ mod tests {
         // One long string behind many one-byte references: the references
         // are charged against the stream's length, not taken on faith.
         let long = "x".repeat(1 << 12);
-        let mut w = ByteWriter::new();
-        w.write_varint(1);
-        w.write_varint(long.len() as u64);
-        w.write_bytes(long.as_bytes());
         let refs = 4 * STRING_EXPANSION_LIMIT;
-        w.write_bytes(&vec![0u8; refs]);
-        let bytes = w.into_bytes();
+        let bytes = table_then_refs(&[&long], &[&[0][..], &vec![1; refs - 1]].concat());
         let mut r = ByteReader::new(&bytes);
         let mut table = StringTable::read_table(&mut r).unwrap();
         let err = (0..refs).find_map(|_| table.read_ref(&mut r, "ref").err()).unwrap();
@@ -1806,8 +1963,8 @@ mod tests {
     /// Compress, decompress, and check the block against the expansion
     /// limit the decoder enforces.
     fn round_trip(raw: &[u8]) -> Vec<u8> {
-        let block = compress(raw);
-        assert_eq!(decompress(&block).unwrap(), raw);
+        let block = compress(raw, &[]);
+        assert_eq!(decompress(&block, &[]).unwrap(), raw);
         assert!(raw.len() <= BLOCK_EXPANSION_LIMIT * block.len());
         block
     }
@@ -1861,7 +2018,115 @@ mod tests {
         ];
         for (what, raw, stream) in vectors {
             let block = [varint_bytes(raw.len() as u64), stream.to_vec()].concat();
-            assert_eq!(decompress(&block).as_deref(), Ok(&raw[..]), "{what}");
+            assert_eq!(decompress(&block, &[]).as_deref(), Ok(&raw[..]), "{what}");
+        }
+    }
+
+    /// Raw DEFLATE streams against a preset dictionary, each checked with
+    /// zlib 1.2.13 (`zlib.decompressobj(-15, zdict=dictionary)` in Python
+    /// inflates it to the input given): three written by
+    /// `zlib.compressobj(level, DEFLATED, -15, 9, strategy, zdict=…)`, and
+    /// one written by hand, because zlib never reaches back more than
+    /// 32 506 bytes: a match of the dictionary's first ten bytes, 32 768
+    /// back, the farthest a distance reaches. Nothing here comes from
+    /// [`compress`].
+    #[test]
+    fn streams_against_a_dictionary_of_an_independent_encoder_inflate_to_their_inputs() {
+        let batch = |i: u32, table: u32| {
+            format!("batch {i}: table {table} of the song class, header year, cells 19{:02}; ", i * 3 % 100)
+        };
+        let text: String = (0..6).map(|i| batch(i, i * 7 % 13)).collect();
+        let mut seed = 0x5eed_0034;
+        let far: Vec<u8> = (0..WINDOW).map(|_| splitmix(&mut seed) as u8).collect();
+        // What, dictionary, input, raw DEFLATE stream.
+        type Vector<'a> = (&'a str, &'a [u8], Vec<u8>, &'a [u8]);
+        let vectors: [Vector; 5] = [
+            // Level 0: one final stored block; the dictionary goes unused.
+            ("stored", text.as_bytes(), b"stored: a dictionary does not matter here".to_vec(), &[
+                0x01, 0x29, 0x00, 0xd6, 0xff, 0x73, 0x74, 0x6f, 0x72, 0x65, 0x64, 0x3a, 0x20, 0x61,
+                0x20, 0x64, 0x69, 0x63, 0x74, 0x69, 0x6f, 0x6e, 0x61, 0x72, 0x79, 0x20, 0x64, 0x6f,
+                0x65, 0x73, 0x20, 0x6e, 0x6f, 0x74, 0x20, 0x6d, 0x61, 0x74, 0x74, 0x65, 0x72, 0x20,
+                0x68, 0x65, 0x72, 0x65,
+            ]),
+            // Z_FIXED: one fixed block, nearly all matches into the text.
+            ("fixed", text.as_bytes(), batch(6, 3).into_bytes(), &[
+                0x83, 0x68, 0x36, 0x83, 0x69, 0x36, 0x26, 0x5e, 0xb3, 0x85, 0xb5, 0x02, 0x00,
+            ]),
+            // Level 9: one dynamic block.
+            ("dynamic", text.as_bytes(), (6..14).map(|i| batch(i, i * 5 % 13)).collect::<String>().into_bytes(), &[
+                0x95, 0xd3, 0xd1, 0x09, 0x00, 0x30, 0x08, 0x43, 0xc1, 0x99, 0x34, 0xa2, 0xed, 0xfe,
+                0x8b, 0xb5, 0x50, 0x92, 0xfe, 0xea, 0x00, 0x47, 0x40, 0x9e, 0x0f, 0x27, 0x71, 0xf4,
+                0xf1, 0x22, 0xae, 0xf9, 0xb2, 0x1b, 0xf1, 0x9a, 0x5f, 0xdb, 0x83, 0x78, 0x13, 0x67,
+                0x1f, 0x97, 0x22, 0x51, 0x62, 0xd6, 0xdf, 0xc6, 0x6f, 0x4c, 0x91, 0xa1, 0xaf, 0x15,
+                0x99, 0xf9, 0x3c, 0x14, 0xa8, 0x32, 0xc3, 0xfc, 0x3b, 0x70, 0x33, 0x3b,
+            ]),
+            // Level 9 against 32 KiB of noise: 300 bytes 32 468 back, and
+            // 100 bytes 768 back.
+            ("far matches", &far, [&far[300..600], b"; ", &far[32_000..32_100]].concat(), &[
+                0x1b, 0xbd, 0xd3, 0x9e, 0xf8, 0x3b, 0xed, 0xad, 0x15, 0xe8, 0x51, 0x5a, 0x00, 0x00,
+            ]),
+            // By hand, one fixed block: length symbol 264, distance symbol
+            // 29 with all 13 extra bits set, literal '!', end of block.
+            ("a match 32 768 back", &far, [&far[..10], b"!"].concat(), &[0x43, 0xdc, 0xff, 0xaf, 0x08, 0x00]),
+        ];
+        for (what, dictionary, raw, stream) in vectors {
+            let block = [varint_bytes(raw.len() as u64), stream.to_vec()].concat();
+            assert_eq!(decompress(&block, dictionary).as_deref(), Ok(&raw[..]), "{what}");
+            // Without the dictionary every match into it is refused.
+            if what != "stored" {
+                assert!(matches!(decompress(&block, &[]), Err(CodecError::BlockOffset { .. })), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_against_a_dictionary_round_trip_and_only_with_it() {
+        let seed = &mut 0x5eed_0035;
+        let noise = |seed: &mut u64, n: usize| -> Vec<u8> { (0..n).map(|_| splitmix(seed) as u8).collect() };
+        // A record that repeats its dictionary is a handful of matches; the
+        // same bytes alone are stored.
+        let record = noise(seed, 1500);
+        let alone = compress(&record, &[]);
+        let against = compress(&record, &record);
+        assert!(alone.len() > record.len() && against.len() < 32, "{} / {}", alone.len(), against.len());
+        assert_eq!(decompress(&against, &record).unwrap(), record);
+        // Only the last 32 KiB of a dictionary is used, so a longer one
+        // gives the same block; a match 32 768 back still reaches its first
+        // byte.
+        let dictionary = [noise(seed, WINDOW), noise(seed, 100)].concat();
+        let tail = &dictionary[dictionary.len() - WINDOW..];
+        let raw = [&tail[..64], &noise(seed, 40)[..], &tail[WINDOW - 64..]].concat();
+        let block = compress(&raw, &dictionary);
+        assert_eq!(block, compress(&raw, tail));
+        assert!(block.len() < 64, "{} bytes", block.len());
+        assert_eq!(decompress(&block, &dictionary).unwrap(), raw);
+        assert_eq!(decompress(&block, tail).unwrap(), raw);
+        // Seeded mixes of dictionary copies, noise and runs, against
+        // dictionaries of every length up to the window.
+        for round in 0..60 {
+            let len = (splitmix(seed) % (WINDOW as u64 + 1)) as usize;
+            let dictionary = noise(seed, len);
+            let mut raw = Vec::new();
+            while raw.len() < (round * 97) % 4000 {
+                let piece = (splitmix(seed) % 300) as usize + 1;
+                match splitmix(seed) % 3 {
+                    0 if !dictionary.is_empty() => {
+                        let from = (splitmix(seed) as usize) % dictionary.len();
+                        raw.extend_from_slice(&dictionary[from..dictionary.len().min(from + piece)]);
+                    }
+                    1 => raw.resize(raw.len() + piece, splitmix(seed) as u8),
+                    _ => raw.extend(noise(seed, piece)),
+                }
+            }
+            let block = compress(&raw, &dictionary);
+            assert_eq!(decompress(&block, &dictionary).unwrap(), raw, "round {round}");
+            assert!(raw.len() <= BLOCK_EXPANSION_LIMIT * block.len());
+            // Without the dictionary, a block either never reached into it
+            // or is refused at its first match that does.
+            match decompress(&block, &[]) {
+                Ok(alone) => assert_eq!(alone, raw, "round {round}"),
+                Err(e) => assert!(matches!(e, CodecError::BlockOffset { .. }), "round {round}: {e}"),
+            }
         }
     }
 
@@ -1964,7 +2229,7 @@ mod tests {
     #[test]
     fn malformed_blocks_are_typed_rejections() {
         let refused =
-            |declared: usize, fields: &[(u32, u8)]| decompress(&crafted(declared, fields)).unwrap_err();
+            |declared: usize, fields: &[(u32, u8)]| decompress(&crafted(declared, fields), &[]).unwrap_err();
         let (a, end) = (fixed_literal(u32::from(b'a')), fixed_literal(256));
         let fixed = header(true, FIXED);
         let length_3 = fixed_literal(257);
@@ -1973,11 +2238,11 @@ mod tests {
         // Stored blocks: NLEN not LEN's complement, and LEN past the
         // declared length.
         assert_eq!(
-            decompress(&[1, 0x01, 0x01, 0x00, 0xfe, 0xfe, b'a']).unwrap_err(),
+            decompress(&[1, 0x01, 0x01, 0x00, 0xfe, 0xfe, b'a'], &[]).unwrap_err(),
             CodecError::StoredLength { len: 1, nlen: 0xfefe }
         );
         assert_eq!(
-            decompress(&[1, 0x01, 0x02, 0x00, 0xfd, 0xff, b'a', b'b']).unwrap_err(),
+            decompress(&[1, 0x01, 0x02, 0x00, 0xfd, 0xff, b'a', b'b'], &[]).unwrap_err(),
             CodecError::BlockOverrun { what: "stored block", declared: 1 }
         );
         // The fixed code's symbols that never occur.
@@ -2001,9 +2266,9 @@ mod tests {
         assert_eq!(refused(2, &[fixed, a, end]), CodecError::BlockShort { declared: 2, produced: 1 });
         let mut trailing = crafted(1, &[fixed, a, end]);
         trailing.push(0);
-        assert_eq!(decompress(&trailing).unwrap_err(), CodecError::TrailingBytes(1));
+        assert_eq!(decompress(&trailing, &[]).unwrap_err(), CodecError::TrailingBytes(1));
         assert!(matches!(refused(1, &[header(false, FIXED), a, end]), CodecError::UnexpectedEof { .. }));
-        assert!(matches!(decompress(&[]).unwrap_err(), CodecError::UnexpectedEof { .. }));
+        assert!(matches!(decompress(&[], &[]).unwrap_err(), CodecError::UnexpectedEof { .. }));
 
         // Dynamic headers. 257 literal/length and one distance code length
         // are 258 lengths: 138 + 117 zeros make up 255 of them.
@@ -2048,7 +2313,7 @@ mod tests {
         for distance in [1, 0] {
             let runs = [&a_and_end[..], &[(distance, 0)]].concat();
             let block = crafted(1, &[dynamic(257, 1, &runs), vec![(0, 1), (1, 1)]].concat());
-            assert_eq!(decompress(&block).as_deref(), Ok(&b"a"[..]), "{distance} distance code");
+            assert_eq!(decompress(&block, &[]).as_deref(), Ok(&b"a"[..]), "{distance} distance code");
         }
     }
 
@@ -2071,15 +2336,15 @@ mod tests {
             .unwrap();
         let limit = BLOCK_EXPANSION_LIMIT * (header + stream.len());
         assert_eq!(
-            decompress(&redeclared(limit as u64)).unwrap_err(),
+            decompress(&redeclared(limit as u64), &[]).unwrap_err(),
             CodecError::BlockShort { declared: limit, produced: raw.len() }
         );
         assert_eq!(
-            decompress(&redeclared(limit as u64 + 1)).unwrap_err(),
+            decompress(&redeclared(limit as u64 + 1), &[]).unwrap_err(),
             CodecError::BlockExpansion { declared: limit as u64 + 1, limit }
         );
         assert_eq!(
-            decompress(&redeclared(u64::MAX)).unwrap_err(),
+            decompress(&redeclared(u64::MAX), &[]).unwrap_err(),
             CodecError::BlockExpansion {
                 declared: u64::MAX,
                 limit: BLOCK_EXPANSION_LIMIT * (10 + stream.len())

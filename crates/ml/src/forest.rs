@@ -916,8 +916,7 @@ mod tests {
     }
 
     fn refusal(nodes: &[Option<(u64, u64, u64)>]) -> CodecError {
-        let stream = crate::codec::compress(&one_tree_stream(nodes));
-        crate::codec::read_stream(&stream, RandomForest::decode_from).unwrap_err()
+        crate::codec::read_stream(&one_tree_stream(nodes), RandomForest::decode_from).unwrap_err()
     }
 
     #[test]
@@ -928,7 +927,7 @@ mod tests {
             refusal(&[Some((0, 0, 0))]),
             CodecError::OutOfRange { what: "forest.node.left", value: 0, allowed: 1..1 }
         );
-        let valid = crate::codec::compress(&one_tree_stream(&[Some((0, 1, 2)), None, None]));
+        let valid = one_tree_stream(&[Some((0, 1, 2)), None, None]);
         assert!(crate::codec::read_stream(&valid, RandomForest::decode_from).is_ok());
     }
 
@@ -953,12 +952,11 @@ mod tests {
         // Every byte of a trained forest's stream set to 0xFF in turn: the
         // decoder refuses or decodes, and never panics.
         let forest = RandomForest::train(&separable(60), &small_config());
-        let raw = crate::codec::decompress(&stream_round_trip(&forest).0).unwrap();
+        let raw = stream_round_trip(&forest).0;
         for at in 0..raw.len() {
             let mut mutated = raw.clone();
             mutated[at] = 0xff;
-            let stream = crate::codec::compress(&mutated);
-            if let Ok(decoded) = crate::codec::read_stream(&stream, RandomForest::decode_from) {
+            if let Ok(decoded) = crate::codec::read_stream(&mutated, RandomForest::decode_from) {
                 decoded.feature_importances();
                 decoded.predict(&[0.5, 0.5]);
             }

@@ -14,25 +14,32 @@
 //!
 //! ## Protocol
 //!
-//! * **Ingest**: encode the batch, [`KbStore::append_batch`] (write +
-//!   fsync), *then* apply it in memory. A crash between the two replays
-//!   the batch on recovery; a crash during the append leaves a torn tail
-//!   the scanner drops. Either way recovery lands on a prefix of the
-//!   applied batches. An append starts at the end of the acknowledged
+//! * **Ingest**: encode the batch, [`KbStore::append_batch`] (compress +
+//!   write + fsync), *then* apply it in memory. A crash between the two
+//!   replays the batch on recovery; a crash during the append leaves a
+//!   torn tail the scanner drops. Either way recovery lands on a prefix of
+//!   the applied batches. An append starts at the end of the acknowledged
 //!   log, cutting whatever a failed append left there first.
+//! * **Segments**: a record is compressed against the raw batches of the
+//!   records before it in its segment (see [`wal`]). The store starts a
+//!   segment when it opens and as soon as a checkpoint is durably in place,
+//!   so no record depends on a record a checkpoint covers, and a replay
+//!   from any retained checkpoint starts at a segment start. A rolled-back
+//!   append leaves the segment as it was.
 //! * **Checkpoint**: [`KbStore::write_checkpoint`] writes to a temp file,
 //!   renames it into place and syncs the directory — a checkpoint is
 //!   either fully present or absent, never torn-but-plausible (and a torn
-//!   temp file is invisible to recovery), and it is durably present before
-//!   anything it supersedes is deleted. Retention keeps the newest
-//!   checkpoint plus one predecessor; the WAL is then compacted down to
-//!   the records the older retained checkpoint does not cover, so a
-//!   corrupt newest checkpoint can always fall back to `older checkpoint +
-//!   longer replay`.
-//! * **Recovery**: [`KbStore::open`] picks the newest *structurally valid*
-//!   checkpoint (corrupt ones are skipped, not fatal), scans the WAL,
-//!   repairs any torn tail by truncating it, and returns the checkpoint
-//!   plus the contiguous tail of batch records still to replay. A
+//!   temp file is invisible to recovery, which deletes it), and it is
+//!   durably present before anything it supersedes is deleted. Retention
+//!   keeps the newest checkpoint plus one predecessor; the WAL is then
+//!   compacted down to the records the older retained checkpoint does not
+//!   cover, in whole segments, so a corrupt newest checkpoint can always
+//!   fall back to `older checkpoint + longer replay`.
+//! * **Recovery**: [`KbStore::open`] deletes the temp files a crash before
+//!   a rename left, picks the newest *structurally valid* checkpoint
+//!   (corrupt ones are skipped, not fatal), scans the WAL, repairs any torn
+//!   tail by truncating it, and returns the checkpoint plus the contiguous
+//!   tail of decompressed batch records still to replay. A
 //!   structurally valid checkpoint or WAL minted under a *different
 //!   config fingerprint* is a hard typed error — silently mixing
 //!   configurations would poison the state — and so is an intact
@@ -50,6 +57,7 @@ use ltee_core::checkpoint::{CheckpointError, CheckpointView, PipelineCheckpoint}
 pub mod wal;
 
 pub use wal::{scan_wal, WalRecord, WalScan, WalTail};
+use wal::SegmentWindow;
 
 /// Errors raised by the durability layer.
 #[derive(Debug)]
@@ -58,7 +66,14 @@ pub enum StoreError {
     Io(std::io::Error),
     /// A checkpoint file failed to decode, validate or match the config.
     Checkpoint(CheckpointError),
-    /// A WAL record passed its checksum but its batch does not decode.
+    /// A batch compressed to 4 GiB or more, past what a WAL record's
+    /// length field holds; nothing was written.
+    RecordTooLarge {
+        /// The compressed payload's length.
+        len: usize,
+    },
+    /// A WAL record passed its checksum but its payload does not
+    /// decompress, or its batch does not decode.
     WalRecord {
         /// The record's batch number.
         seq: u64,
@@ -95,6 +110,11 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
             StoreError::Checkpoint(e) => write!(f, "{e}"),
+            StoreError::RecordTooLarge { len } => write!(
+                f,
+                "batch compresses to {len} bytes, past the {} a write-ahead log record holds",
+                u32::MAX
+            ),
             // The batch codec reports in checkpoint terms; name the record.
             StoreError::WalRecord { seq, error } => {
                 write!(f, "write-ahead log record {seq} does not decode: ")?;
@@ -180,8 +200,12 @@ pub struct KbStore {
     /// Bytes of the log that hold acknowledged records: every append
     /// starts here, whatever a failed append left behind it.
     wal_len: u64,
-    /// Where the most recent append started, while it can be rolled back.
-    last_append: Option<u64>,
+    /// The current segment's raw bytes the next record is compressed
+    /// against.
+    window: SegmentWindow,
+    /// Where the most recent append started in the log and in the window,
+    /// while it can be rolled back.
+    last_append: Option<(u64, usize)>,
 }
 
 impl KbStore {
@@ -205,6 +229,7 @@ impl KbStore {
     pub fn open(dir: impl AsRef<Path>, fingerprint: u64) -> Result<StoreRecovery, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        Self::remove_temp_files(&dir)?;
 
         // Newest structurally valid checkpoint wins; corrupt files are
         // skipped (falling back to an older checkpoint or a fresh start),
@@ -235,14 +260,11 @@ impl KbStore {
         let applied = checkpoint.as_ref().map_or(0, |c| c.applied_batches);
 
         let wal_path = Self::wal_path(&dir);
-        let (scan, wal_bytes_len) = if wal_path.exists() {
-            let bytes = fs::read(&wal_path)?;
-            (scan_wal(&bytes)?, bytes.len())
+        let log = if wal_path.exists() { fs::read(&wal_path)? } else { Vec::new() };
+        let scan = if log.is_empty() {
+            WalScan { fingerprint: Some(fingerprint), records: Vec::new(), tail: WalTail::Clean }
         } else {
-            (
-                WalScan { fingerprint: Some(fingerprint), records: Vec::new(), tail: WalTail::Clean },
-                0,
-            )
+            scan_wal(&log)?
         };
         if let Some(wal_fingerprint) = scan.fingerprint {
             if wal_fingerprint != fingerprint {
@@ -256,31 +278,30 @@ impl KbStore {
         // Records the checkpoint already covers are dropped; the rest move
         // out of the scan (no second copy of their payloads) and must
         // connect to the checkpoint without a gap.
-        let scanned = scan.records.len();
-        let tail: Vec<WalRecord> =
-            scan.records.into_iter().filter(|r| r.seq > applied).collect();
+        let keep = first_kept(&scan.records, applied);
+        let kept = kept_bytes(&log, &scan, keep);
+        let wal_tail = scan.tail;
+        let mut records = scan.records;
+        let tail: Vec<WalRecord> = records.drain(keep..).filter(|r| r.seq > applied).collect();
         if let Some(first) = tail.first() {
             if first.seq != applied + 1 {
                 return Err(StoreError::WalGap { applied, first_seq: first.seq });
             }
         }
 
-        // Repair the log on disk: drop any torn tail and any records the
-        // checkpoint covers, so future appends extend a pristine log.
-        let dirty = scan.fingerprint.is_none()
-            || !matches!(scan.tail, WalTail::Clean)
-            || tail.len() != scanned
-            || wal_bytes_len == 0
-            || !wal_path.exists();
+        // Repair the log on disk: drop any torn tail and the whole segments
+        // the checkpoint covers, so future appends extend a pristine log.
+        let dirty = log.is_empty() || keep > 0 || !matches!(wal_tail, WalTail::Clean);
         let wal_len = if dirty {
-            Self::rewrite_wal(&dir, fingerprint, &tail)?
+            Self::rewrite_wal(&dir, fingerprint, kept)?
         } else {
-            wal_bytes_len as u64
+            log.len() as u64
         };
 
         let next_seq = applied + tail.len() as u64 + 1;
-        let store = KbStore { dir, fingerprint, next_seq, wal_len, last_append: None };
-        Ok(StoreRecovery { store, checkpoint, tail, wal_tail: scan.tail })
+        let window = SegmentWindow::default();
+        let store = KbStore { dir, fingerprint, next_seq, wal_len, window, last_append: None };
+        Ok(StoreRecovery { store, checkpoint, tail, wal_tail })
     }
 
     /// The store directory.
@@ -293,53 +314,58 @@ impl KbStore {
         self.next_seq
     }
 
-    /// Append one encoded micro-batch to the WAL and fsync it. Returns the
-    /// batch number assigned. Call this *before* applying the batch in
-    /// memory — the WAL must always be ahead of the applied state.
+    /// Append one encoded micro-batch to the WAL, compressed against the
+    /// segment's earlier batches, and fsync it. Returns the batch number
+    /// assigned. Call this *before* applying the batch in memory — the WAL
+    /// must always be ahead of the applied state.
     ///
     /// The record goes at the end of the acknowledged log: bytes a failed
     /// append left behind (a short write, a failed sync) are cut first, or
     /// the scanner would stop at them on reopen and drop every batch
-    /// appended after.
+    /// appended after. A batch that compresses to 4 GiB or more is refused
+    /// with [`StoreError::RecordTooLarge`] before anything is written.
     pub fn append_batch(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let seq = self.next_seq;
-        let record = wal::encode_wal_record(seq, payload);
         // A failed append leaves nothing to roll back.
         self.last_append = None;
+        let record = wal::frame_record(seq, &self.window.compress(payload))?;
         let mut file = OpenOptions::new().append(true).open(Self::wal_path(&self.dir))?;
         if file.metadata()?.len() != self.wal_len {
             file.set_len(self.wal_len)?;
         }
         file.write_all(&record)?;
         file.sync_data()?;
-        self.last_append = Some(self.wal_len);
+        self.last_append = Some((self.wal_len, self.window.len()));
+        self.window.push(payload);
         self.wal_len += record.len() as u64;
         self.next_seq += 1;
         Ok(seq)
     }
 
     /// Undo the most recent [`KbStore::append_batch`] by cutting the WAL
-    /// back to where it started — used when the apply step rejects the
-    /// batch (e.g. a duplicate table id), so a rejected batch leaves no
-    /// trace on disk and its batch number is reused. Does nothing when
-    /// there is no append to undo: none since the store opened or last
-    /// checkpointed, or it was already undone.
+    /// back to where it started, and the segment with it — used when the
+    /// apply step rejects the batch (e.g. a duplicate table id), so a
+    /// rejected batch leaves no trace on disk and its batch number is
+    /// reused. Does nothing when there is no append to undo: none since the
+    /// store opened or last checkpointed, or it was already undone.
     pub fn rollback_append(&mut self) -> Result<(), StoreError> {
-        let Some(start) = self.last_append else { return Ok(()) };
+        let Some((start, window_len)) = self.last_append else { return Ok(()) };
         let file = OpenOptions::new().write(true).open(Self::wal_path(&self.dir))?;
         file.set_len(start)?;
         file.sync_data()?;
         self.wal_len = start;
+        self.window.truncate(window_len);
         self.last_append = None;
         self.next_seq -= 1;
         Ok(())
     }
 
     /// Durably write `checkpoint` (temp file + rename + directory sync, so
-    /// it is atomic and survives power loss), then apply retention: keep
-    /// this checkpoint plus its newest surviving predecessor, delete older
-    /// ones, and compact the WAL down to the records the older retained
-    /// checkpoint does not cover.
+    /// it is atomic and survives power loss) and start a new WAL segment,
+    /// then apply retention: keep this checkpoint plus its newest surviving
+    /// predecessor, delete older ones, and compact the WAL down to the
+    /// segments holding the records the older retained checkpoint does not
+    /// cover.
     pub fn write_checkpoint(&mut self, checkpoint: &CheckpointView<'_>) -> Result<(), StoreError> {
         if checkpoint.fingerprint != self.fingerprint {
             return Err(CheckpointError::ConfigMismatch {
@@ -349,7 +375,7 @@ impl KbStore {
             .into());
         }
         let path = Self::checkpoint_path(&self.dir, checkpoint.applied_batches);
-        let tmp = path.with_extension("bin.tmp");
+        let tmp = temp_path(&path);
         {
             let mut file = File::create(&tmp)?;
             file.write_all(&checkpoint.encode())?;
@@ -359,6 +385,10 @@ impl KbStore {
         // Retention and compaction below delete what only this checkpoint
         // replaces, so its directory entry must be on disk first.
         Self::sync_dir(&self.dir)?;
+        // No record after this one may depend on one the checkpoint covers,
+        // whatever retention below manages to do.
+        self.window.clear();
+        self.last_append = None;
 
         // Retention: newest two checkpoints survive.
         let all = Self::list_checkpoints(&self.dir)?;
@@ -367,24 +397,17 @@ impl KbStore {
         }
 
         // Compact the WAL to what the *older* retained checkpoint cannot
-        // reconstruct, so recovery can still fall back one checkpoint.
+        // reconstruct, so recovery can still fall back one checkpoint. Only
+        // the acknowledged records are read; the next append cuts whatever
+        // lies past them.
         let keep_after = all.get(1).copied().unwrap_or(checkpoint.applied_batches);
-        // One copy of the log in memory while it is rewritten: the file's
-        // bytes go once scanned, and the kept records move out of the scan.
-        // Only the acknowledged records are read; the next append cuts
-        // whatever lies past them.
-        let scan = {
-            let mut log = fs::read(Self::wal_path(&self.dir))?;
-            log.truncate(self.wal_len as usize);
-            scan_wal(&log)?
-        };
-        let scanned = scan.records.len();
-        let kept: Vec<WalRecord> =
-            scan.records.into_iter().filter(|r| r.seq > keep_after).collect();
-        if kept.len() != scanned || !matches!(scan.tail, WalTail::Clean) {
-            self.wal_len = Self::rewrite_wal(&self.dir, self.fingerprint, &kept)?;
+        let mut log = fs::read(Self::wal_path(&self.dir))?;
+        log.truncate(self.wal_len as usize);
+        let scan = scan_wal(&log)?;
+        let keep = first_kept(&scan.records, keep_after);
+        if keep > 0 || !matches!(scan.tail, WalTail::Clean) {
+            self.wal_len = Self::rewrite_wal(&self.dir, self.fingerprint, kept_bytes(&log, &scan, keep))?;
         }
-        self.last_append = None;
         Ok(())
     }
 
@@ -393,37 +416,43 @@ impl KbStore {
         let mut found = Vec::new();
         for entry in fs::read_dir(dir)? {
             let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(digits) =
-                name.strip_prefix("ckpt-").and_then(|rest| rest.strip_suffix(".bin"))
-            {
-                if let Ok(applied) = digits.parse::<u64>() {
-                    found.push(applied);
-                }
+            if let Some(applied) = name.to_str().and_then(checkpoint_applied) {
+                found.push(applied);
             }
         }
         found.sort_unstable_by(|a, b| b.cmp(a));
         Ok(found)
     }
 
-    /// Atomically replace the WAL with `header + records` (temp + rename);
+    /// Delete the temp file of a checkpoint or a WAL rewrite that a crash
+    /// before its rename left in `dir`: nothing reads one, and it would
+    /// otherwise stay on disk for good.
+    fn remove_temp_files(dir: &Path) -> Result<(), StoreError> {
+        for entry in fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let Some(target) = name.to_str().and_then(|n| n.strip_suffix(".tmp")) else { continue };
+            if target == "wal.log" || checkpoint_applied(target).is_some() {
+                fs::remove_file(dir.join(&name))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Atomically replace the WAL with `header + records`, the records
+    /// being whole segments as they lie in the old log (temp + rename);
     /// returns the new log's length.
-    fn rewrite_wal(dir: &Path, fingerprint: u64, records: &[WalRecord]) -> Result<u64, StoreError> {
+    fn rewrite_wal(dir: &Path, fingerprint: u64, records: &[u8]) -> Result<u64, StoreError> {
         let path = Self::wal_path(dir);
-        let tmp = path.with_extension("log.tmp");
+        let tmp = temp_path(&path);
         {
             let mut file = File::create(&tmp)?;
             file.write_all(&wal::encode_wal_header(fingerprint))?;
-            for record in records {
-                file.write_all(&wal::encode_wal_record(record.seq, &record.payload))?;
-            }
+            file.write_all(records)?;
             file.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
         Self::sync_dir(dir)?;
-        let records_len: usize =
-            records.iter().map(|r| wal::WAL_RECORD_HEADER_LEN + r.payload.len()).sum();
-        Ok((wal::WAL_HEADER_LEN + records_len) as u64)
+        Ok((wal::WAL_HEADER_LEN + records.len()) as u64)
     }
 
     /// Make the renames done in `dir` durable: a rename lives in the
@@ -432,6 +461,41 @@ impl KbStore {
         File::open(dir)?.sync_all()?;
         Ok(())
     }
+}
+
+/// The applied-batch count a checkpoint file name carries
+/// (`ckpt-<digits>.bin`).
+fn checkpoint_applied(name: &str) -> Option<u64> {
+    name.strip_prefix("ckpt-")?.strip_suffix(".bin")?.parse().ok()
+}
+
+/// Where a store file is written before it is renamed into place: its name
+/// plus `.tmp`.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// Index of the first record a log keeps when it must hold every record
+/// past batch `covered`: the start of the segment that record is in, so
+/// every kept record still decompresses; `records.len()` when none is past.
+fn first_kept(records: &[WalRecord], covered: u64) -> usize {
+    match records.iter().position(|r| r.seq > covered) {
+        // The log's first record starts a segment, or the scan refused it.
+        Some(first) => records[..=first].iter().rposition(|r| r.dictionary == 0).unwrap_or(0),
+        None => records.len(),
+    }
+}
+
+/// The bytes of the scanned `log` from record `keep` to the end of its
+/// valid prefix.
+fn kept_bytes<'a>(log: &'a [u8], scan: &WalScan, keep: usize) -> &'a [u8] {
+    if keep == scan.records.len() {
+        return &[];
+    }
+    let start = keep.checked_sub(1).map_or(wal::WAL_HEADER_LEN, |i| scan.records[i].end_offset);
+    &log[start..scan.valid_len()]
 }
 
 /// Crash-point enumeration for the injection harness: every byte-prefix
@@ -475,7 +539,7 @@ pub mod crashpoints {
 mod tests {
     use super::*;
     use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-    use ltee_ml::codec::{compress, seal, ByteWriter};
+    use ltee_ml::codec::{seal, ByteWriter};
 
     /// Hand-build an encoded empty checkpoint (no tables, no state) with
     /// the given fingerprint and applied-batch count, exercising the real
@@ -498,7 +562,7 @@ mod tests {
             w.write_varint(0); // clusters
             w.write_varint(0); // results
         }
-        seal(&CHECKPOINT_MAGIC, version, &[fingerprint, applied], &compress(&w.into_bytes()))
+        seal(&CHECKPOINT_MAGIC, version, &[fingerprint, applied], &w.into_bytes())
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -728,6 +792,97 @@ mod tests {
             assert_eq!(recovered.store.next_seq(), recovered.tail.len() as u64 + 1);
             fs::remove_dir_all(&crash_dir).unwrap();
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_rolled_back_append_leaves_the_segment_as_it_was() {
+        let dir = scratch_dir("rollback-segment");
+        let mut rec = KbStore::open(&dir, 12).unwrap();
+        rec.store.append_batch(b"first batch: song, year").unwrap();
+        rec.store.append_batch(b"rejected batch: song, year, genre").unwrap();
+        rec.store.rollback_append().unwrap();
+        // Batch 2 again, compressed against batch 1 alone: had the window
+        // kept the rejected batch, this record would declare more
+        // dictionary than its segment holds on disk.
+        assert_eq!(rec.store.append_batch(b"second batch: song, year").unwrap(), 2);
+        rec.store.append_batch(b"third batch: song, year").unwrap();
+
+        let rec2 = KbStore::open(&dir, 12).unwrap();
+        assert_eq!(rec2.wal_tail, WalTail::Clean);
+        let scan = scan_wal(&fs::read(KbStore::wal_path(&dir)).unwrap()).unwrap();
+        let first = b"first batch: song, year".len();
+        let second = b"second batch: song, year".len();
+        assert_eq!(
+            scan.records.iter().map(|r| (r.seq, r.dictionary)).collect::<Vec<_>>(),
+            vec![(1, 0), (2, first), (3, first + second)]
+        );
+        assert_eq!(
+            rec2.tail.iter().map(|r| r.payload.clone()).collect::<Vec<_>>(),
+            [&b"first batch: song, year"[..], b"second batch: song, year", b"third batch: song, year"]
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segments_start_at_open_and_at_checkpoints_and_compaction_keeps_them_whole() {
+        let dir = scratch_dir("segments");
+        let mut rec = KbStore::open(&dir, 13).unwrap();
+        for i in 1..=3u64 {
+            rec.store.append_batch(format!("batch-{i}").as_bytes()).unwrap();
+        }
+        // A checkpoint covering batch 2 only: batch 3 is in the segment it
+        // ends, so the log must keep that segment from batch 1 on.
+        rec.store.write_checkpoint(&empty_checkpoint(13, 2).view()).unwrap();
+        rec.store.append_batch(b"batch-4").unwrap();
+        rec.store.write_checkpoint(&empty_checkpoint(13, 2).view()).unwrap();
+        let scan = scan_wal(&fs::read(KbStore::wal_path(&dir)).unwrap()).unwrap();
+        assert_eq!(
+            scan.records.iter().map(|r| (r.seq, r.dictionary)).collect::<Vec<_>>(),
+            vec![(1, 0), (2, 7), (3, 14), (4, 0)]
+        );
+        drop(rec);
+        // Reopening starts a segment; the records it replays decompress.
+        let mut rec = KbStore::open(&dir, 13).unwrap();
+        assert_eq!(rec.tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(rec.tail[0].payload, b"batch-3");
+        rec.store.append_batch(b"batch-5").unwrap();
+        let scan = scan_wal(&fs::read(KbStore::wal_path(&dir)).unwrap()).unwrap();
+        assert_eq!(scan.records.last().map(|r| (r.seq, r.dictionary)), Some((5, 0)));
+        // A checkpoint at 5 with 2 retained: the first segment still holds
+        // batch 3, the fallback's first record.
+        rec.store.write_checkpoint(&empty_checkpoint(13, 5).view()).unwrap();
+        let scan = scan_wal(&fs::read(KbStore::wal_path(&dir)).unwrap()).unwrap();
+        assert_eq!(scan.records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn temp_files_a_crash_left_behind_are_removed_on_open() {
+        let dir = scratch_dir("stale-temp");
+        let mut rec = KbStore::open(&dir, 14).unwrap();
+        rec.store.append_batch(b"b1").unwrap();
+        rec.store.write_checkpoint(&empty_checkpoint(14, 1).view()).unwrap();
+        rec.store.append_batch(b"b2").unwrap();
+        drop(rec);
+        // A torn checkpoint and a torn WAL rewrite, each cut before its
+        // rename, and two files of other shapes that are not the store's.
+        let torn_checkpoint = temp_path(&KbStore::checkpoint_path(&dir, 2));
+        let torn_wal = temp_path(&KbStore::wal_path(&dir));
+        let full = empty_checkpoint(14, 2).encode();
+        fs::write(&torn_checkpoint, &full[..full.len() / 2]).unwrap();
+        fs::write(&torn_wal, &wal::encode_wal_header(14)[..9]).unwrap();
+        let foreign = [dir.join("notes.tmp"), dir.join("ckpt-x.bin.tmp")];
+        for path in &foreign {
+            fs::write(path, b"not ours").unwrap();
+        }
+
+        let rec = KbStore::open(&dir, 14).unwrap();
+        assert!(!torn_checkpoint.exists() && !torn_wal.exists());
+        assert!(foreign.iter().all(|path| path.exists()));
+        assert_eq!(rec.checkpoint.as_ref().map(|c| c.applied_batches), Some(1));
+        assert_eq!(rec.tail.iter().map(|r| (r.seq, r.payload.clone())).collect::<Vec<_>>(), vec![(2, b"b2".to_vec())]);
+        assert_eq!(rec.store.next_seq(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,24 +12,27 @@
 //! 1. truncations of the whole file at 40 evenly spaced lengths,
 //! 2. single bit flips at 64 evenly spaced positions,
 //! 3. byte substitutions (0x00 / 0xFF) at 32 evenly spaced positions,
-//! 4. seeded-random garbage buffers (8 artifacts, 10 checkpoints),
+//! 4. seeded-random garbage buffers (5 artifacts, 7 checkpoints),
 //! 5. truncations of the raw stream at 40 evenly spaced lengths, stored in
 //!    a valid block **with the header re-fixed** (length and checksum
 //!    recomputed), so the corruption reaches the model or state decoders
 //!    instead of being caught by the checksum or the block decoder,
 //! 6. hand-written streams, stored in a valid block, whose only defect is
-//!    a string reference past the table, a string table longer than the
-//!    stream, references that expand past the stream's budget, and per
-//!    format one more — a cluster row gap of zero, or a forest tree
-//!    without nodes, a split on a feature the forest does not have, a
-//!    split child that does not point forward ([`crafted_checkpoint_stream`],
-//!    [`crafted_artifact_stream`]); and hand-written DEFLATE blocks around a
-//!    valid stream whose only defect is in the block: the reserved block
-//!    type, a stored block's `NLEN` that is not its `LEN`'s complement,
-//!    over-subscribed code lengths, an incomplete literal/length code, a
-//!    repeat with no previous length, literal/length symbol 287, distance
-//!    symbol 30, a distance past the output, output past the declared
-//!    length, or bytes after the final block ([`crafted_block`]).
+//!    in a string reference — a first use past the table, a repeat
+//!    reaching back past the strings introduced — or in the table: longer
+//!    than the stream, an entry the body never introduces, references that
+//!    expand past the stream's budget; and per format one more — a cluster
+//!    row gap of zero, or a forest tree without nodes, a split on a
+//!    feature the forest does not have, a split child that does not point
+//!    forward ([`crafted_checkpoint_stream`], [`crafted_artifact_stream`]);
+//!    and hand-written DEFLATE blocks around a valid stream whose only
+//!    defect is in the block: the reserved block type, a stored block's
+//!    `NLEN` that is not its `LEN`'s complement, over-subscribed code
+//!    lengths, an incomplete literal/length code, a repeat with no previous
+//!    length, literal/length symbol 287, distance symbol 30, a distance
+//!    past the output, output past the declared length, bytes after the
+//!    final block, or matches into a dictionary a sealed payload does not
+//!    have ([`crafted_block`]).
 //!
 //! Families 2 and 3 skip the opaque header words (the config fingerprint,
 //! and a checkpoint's applied-batch count): any value decodes — they are
@@ -44,7 +47,8 @@
 //! A 100-case corpus mutates a write-ahead log, where the contract is
 //! different — the scanner must never panic and must always recover a
 //! strict prefix of the original records (mid-log corruption truncates at
-//! the last valid record rather than rejecting the file).
+//! the last valid record rather than rejecting the file). Its records are
+//! one segment, each compressed against the ones before it.
 //!
 //! A seeded sweep of single bit flips over a real store block holds the
 //! block decoder itself to its contract: every flip decodes to exactly the
@@ -58,20 +62,23 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use ltee_core::artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
-use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_PAYLOAD_START, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
 use ltee_ml::codec::{
     compress, decompress, open, seal, ByteReader, ByteWriter, CodeDefect, CodecError,
     STRING_EXPANSION_LIMIT,
 };
-use ltee_store::wal::{encode_wal_header, encode_wal_record};
-use ltee_store::{scan_wal, WalTail};
+use ltee_store::wal::{WAL_HEADER_LEN, WAL_RECORD_HEADER_LEN};
+use ltee_store::{scan_wal, KbStore, WalTail};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 #[path = "support/deflate_bits.rs"]
 mod deflate_bits;
 use deflate_bits::Bits;
+#[path = "support/envelope.rs"]
+mod envelope;
+use envelope::framed;
 
 /// Byte range of the config fingerprint in the artifact header (opaque
 /// data: changing it cannot make decoding fail).
@@ -88,10 +95,10 @@ fn artifact_bytes() -> Vec<u8> {
 }
 
 /// Split a valid artifact into its header word (the fingerprint) and its
-/// payload. Re-`seal`ing a corrupted payload under the same word gives the
-/// corruption a valid envelope, so it reaches the model decoders instead
-/// of the checksum check.
-fn artifact_parts(valid: &[u8]) -> ([u64; 1], &[u8]) {
+/// raw stream. Re-`seal`ing a corrupted stream under the same word gives
+/// the corruption a valid envelope, so it reaches the model decoders
+/// instead of the checksum check.
+fn artifact_parts(valid: &[u8]) -> ([u64; 1], Vec<u8>) {
     open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, valid).expect("the uncorrupted artifact opens")
 }
 
@@ -108,8 +115,9 @@ fn decode_caught(bytes: &[u8]) -> Result<Result<ModelArtifact, ArtifactError>, (
 const CHECKPOINT_OPAQUE_BYTES: std::ops::Range<usize> = 12..28;
 
 /// One trained serve run, shared by the durability fuzz tests: the encoded
-/// checkpoint after three ingested micro-batches, plus the WAL those
-/// batches would have written.
+/// checkpoint after three ingested micro-batches, plus the WAL a store
+/// writes for those batches — one segment, each record compressed against
+/// the ones before it.
 fn durability_bytes() -> &'static (Vec<u8>, Vec<u8>) {
     static BYTES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -121,29 +129,50 @@ fn durability_bytes() -> &'static (Vec<u8>, Vec<u8>) {
             PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
         let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
         let mut pipeline = IncrementalPipeline::new(world.kb(), models, config.clone());
-        let mut wal = encode_wal_header(ltee_core::config_fingerprint(&config));
-        for (i, batch) in corpus.split_into_batches(3).iter().enumerate() {
-            wal.extend_from_slice(&encode_wal_record(
-                i as u64 + 1,
-                &ltee_core::encode_corpus(batch),
-            ));
-            pipeline.ingest(batch).expect("fresh table ids");
+        let dir = std::env::temp_dir().join(format!("ltee-artifact-fuzz-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = KbStore::open(&dir, ltee_core::config_fingerprint(&config))
+            .expect("open a fresh store")
+            .store;
+        for batch in corpus.split_into_batches(3) {
+            store.append_batch(&ltee_core::encode_corpus(&batch)).expect("append a batch");
+            pipeline.ingest(&batch).expect("fresh table ids");
         }
+        let wal = std::fs::read(KbStore::wal_path(&dir)).expect("read the log");
+        std::fs::remove_dir_all(&dir).expect("remove the store");
         (pipeline.checkpoint(3).encode(), wal)
     })
 }
 
 /// Split a valid checkpoint into its header words (fingerprint, applied
-/// batches) and payload, for re-`seal`ing like [`artifact_parts`].
-fn checkpoint_parts(valid: &[u8]) -> ([u64; 2], &[u8]) {
+/// batches) and raw stream, for re-`seal`ing like [`artifact_parts`].
+fn checkpoint_parts(valid: &[u8]) -> ([u64; 2], Vec<u8>) {
     open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, valid).expect("the uncorrupted checkpoint opens")
+}
+
+/// The stored payload of each record of a scanned `log`, as it lies in
+/// the file.
+fn stored_payloads<'a>(log: &'a [u8], scan: &ltee_store::WalScan) -> Vec<&'a [u8]> {
+    let mut start = WAL_HEADER_LEN;
+    scan.records
+        .iter()
+        .map(|record| {
+            let stored = &log[start + WAL_RECORD_HEADER_LEN..record.end_offset];
+            start = record.end_offset;
+            stored
+        })
+        .collect()
 }
 
 /// The one thing wrong with a crafted stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Defect {
-    /// A string reference one past a 3-string table.
-    StringIndexOutOfRange,
+    /// A fourth first-use string reference (`0`) to a 3-string table.
+    NewStringPastTable,
+    /// A repeat reaching four strings back once three are introduced.
+    DistancePastCursor,
+    /// A fourth table string the body never introduces.
+    UnreferencedString,
     /// The string table declares 2⁴⁰ entries.
     TableLongerThanStream,
     /// 256 one-byte references each expand to a 4 KiB string.
@@ -159,15 +188,19 @@ enum Defect {
     BackwardChild,
 }
 
-const CHECKPOINT_DEFECTS: [Defect; 4] = [
-    Defect::StringIndexOutOfRange,
+const CHECKPOINT_DEFECTS: [Defect; 6] = [
+    Defect::NewStringPastTable,
+    Defect::DistancePastCursor,
+    Defect::UnreferencedString,
     Defect::TableLongerThanStream,
     Defect::ExpansionBomb,
     Defect::NonAscendingGap,
 ];
 
-const ARTIFACT_DEFECTS: [Defect; 6] = [
-    Defect::StringIndexOutOfRange,
+const ARTIFACT_DEFECTS: [Defect; 8] = [
+    Defect::NewStringPastTable,
+    Defect::DistancePastCursor,
+    Defect::UnreferencedString,
     Defect::TableLongerThanStream,
     Defect::ExpansionBomb,
     Defect::EmptyTree,
@@ -176,16 +209,31 @@ const ARTIFACT_DEFECTS: [Defect; 6] = [
 ];
 
 /// A crafted stream's string table, `strings`; under
-/// [`Defect::TableLongerThanStream`] its count is 2⁴⁰, and under
-/// [`Defect::ExpansionBomb`] its second string is 4 KiB long.
+/// [`Defect::TableLongerThanStream`] its count is 2⁴⁰, under
+/// [`Defect::ExpansionBomb`] its second string is 4 KiB long, and under
+/// [`Defect::UnreferencedString`] a fourth string follows.
 fn crafted_string_table(w: &mut ByteWriter, defect: Option<Defect>, strings: [&str; 3]) {
     let long = "x".repeat(4096);
-    w.write_varint(if defect == Some(Defect::TableLongerThanStream) { 1 << 40 } else { 3 });
-    for (i, s) in strings.into_iter().enumerate() {
+    let extra = if defect == Some(Defect::UnreferencedString) { &["unused"][..] } else { &[] };
+    let count = if defect == Some(Defect::TableLongerThanStream) { 1 << 40 } else { 3 + extra.len() };
+    w.write_varint(count as u64);
+    for (i, s) in strings.into_iter().chain(extra.iter().copied()).enumerate() {
         let s = if i == 1 && defect == Some(Defect::ExpansionBomb) { long.as_str() } else { s };
         w.write_varint(s.len() as u64);
         w.write_bytes(s.as_bytes());
     }
+}
+
+/// A reference to a string already introduced, `distance` back from the
+/// cursor — or, under the reference defects, the reference that breaks
+/// the table: a first use once every string is introduced, or a distance
+/// past the first string.
+fn repeat_ref(w: &mut ByteWriter, defect: Option<Defect>, distance: u64) {
+    w.write_varint(match defect {
+        Some(Defect::NewStringPastTable) => 0,
+        Some(Defect::DistancePastCursor) => 4,
+        _ => distance,
+    });
 }
 
 /// A minimal checkpoint stream written field by field — one two-row Song
@@ -199,8 +247,8 @@ fn crafted_checkpoint_stream(defect: Option<Defect>) -> Vec<u8> {
     w.write_varint(1);
     w.write_varint(0);
     w.write_varint(2);
-    w.write_varint(if defect == Some(Defect::StringIndexOutOfRange) { 3 } else { 1 });
-    w.write_varint(2);
+    w.write_varint(0); // "a"
+    w.write_varint(0); // "b"
     // mapping: table 1 is a Song table, no correspondence for its one column
     w.write_varint(1);
     w.write_varint(1);
@@ -215,10 +263,12 @@ fn crafted_checkpoint_stream(defect: Option<Defect>) -> Vec<u8> {
             w.write_bytes(&[0; 3]);
             continue;
         }
-        // interner strings: "a"
+        // interner strings: "a", two strings back
         let arena = if defect == Some(Defect::ExpansionBomb) { 4 * STRING_EXPANSION_LIMIT } else { 1 };
         w.write_varint(arena as u64);
-        w.write_bytes(&vec![1; arena]);
+        for _ in 0..arena {
+            repeat_ref(&mut w, defect, 2);
+        }
         w.write_varint(1); // one cluster of rows 0 and 1
         w.write_varint(2);
         w.write_varint(0);
@@ -234,22 +284,23 @@ fn crafted_checkpoint_stream(defect: Option<Defect>) -> Vec<u8> {
 /// [`crafted_checkpoint_stream`] compressed and sealed in a valid envelope,
 /// so `defect` is the only thing a decoder can object to.
 fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
-    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &compress(&crafted_checkpoint_stream(defect)))
+    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &crafted_checkpoint_stream(defect))
 }
 
-/// A minimal artifact stream written field by field: one matcher
-/// threshold; a row model scored by a one-feature forest of one
+/// A minimal artifact stream written field by field: two matcher
+/// thresholds; a row model scored by a one-feature forest of one
 /// three-node tree; an entity model scored by a one-weight average.
 fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     crafted_string_table(&mut w, defect, ["year", "genre", "LABEL"]);
-    // MatcherWeights: no class weights; Song thresholds for "genre"
+    // MatcherWeights: no class weights; Song thresholds for "year" and
+    // "genre", and under the bomb "genre" again and again.
     w.write_varint(0);
-    let thresholds = if defect == Some(Defect::ExpansionBomb) { 4 * STRING_EXPANSION_LIMIT } else { 1 };
-    w.write_varint(thresholds as u64);
-    for _ in 0..thresholds {
+    let bomb = if defect == Some(Defect::ExpansionBomb) { 4 * STRING_EXPANSION_LIMIT } else { 0 };
+    w.write_varint(2 + bomb as u64);
+    for property in std::iter::repeat_n(0, 2).chain(std::iter::repeat_n(1, bomb)) {
         w.write_u8(ClassKey::Song.code());
-        w.write_varint(if defect == Some(Defect::StringIndexOutOfRange) { 3 } else { 1 });
+        w.write_varint(property);
         w.write_f64(0.5);
     }
     // RowSimilarityModel: metric LABEL, random-forest aggregation
@@ -262,7 +313,7 @@ fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
     w.write_bool(false); // features_per_split
     w.write_f64(1.0); // bootstrap fraction
     w.write_varint(9); // seed
-    w.write_bytes(&[1, 2]); // feature names: "LABEL"
+    w.write_bytes(&[1, 0]); // feature names: "LABEL", introduced
     w.write_varint(1); // trees
     if defect == Some(Defect::EmptyTree) {
         w.write_varint(0);
@@ -281,7 +332,7 @@ fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
     }
     w.write_f64(0.0); // oob error
     w.write_f64(1.0); // combine weight
-    w.write_bytes(&[1, 2]); // feature names
+    w.write_bytes(&[1, 1]); // feature names: "LABEL", one back
     // EntitySimilarityModel: metric LABEL, weighted-average aggregation
     w.write_bytes(&[1, 0]);
     w.write_u8(0); // AggregationMethod::WeightedAverage
@@ -290,16 +341,17 @@ fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
     w.write_varint(1);
     w.write_f64(1.0); // weight
     w.write_f64(0.5); // threshold
-    w.write_bytes(&[1, 2]);
+    w.write_bytes(&[1, 1]);
     w.write_bool(false); // no forest
     w.write_f64(1.0);
-    w.write_bytes(&[1, 2]);
+    w.write_varint(1); // feature names
+    repeat_ref(&mut w, defect, 1);
     w.into_bytes()
 }
 
 /// [`crafted_artifact_stream`] compressed and sealed in a valid envelope.
 fn crafted_artifact(defect: Option<Defect>) -> Vec<u8> {
-    seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[7], &compress(&crafted_artifact_stream(defect)))
+    seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[7], &crafted_artifact_stream(defect))
 }
 
 /// The one thing wrong with a [`crafted_block`].
@@ -325,9 +377,13 @@ enum BlockDefect {
     OutputPastLength,
     /// A zero byte after the final block.
     BytesAfterFinalBlock,
+    /// The stream compressed against itself as a dictionary, which the
+    /// envelope's payload does not have: its first match into it reaches
+    /// back before the output.
+    MatchIntoAbsentDictionary,
 }
 
-const BLOCK_DEFECTS: [BlockDefect; 10] = [
+const BLOCK_DEFECTS: [BlockDefect; 11] = [
     BlockDefect::ReservedType,
     BlockDefect::StoredLengthMismatch,
     BlockDefect::OverSubscribedCode,
@@ -338,6 +394,7 @@ const BLOCK_DEFECTS: [BlockDefect; 10] = [
     BlockDefect::DistancePastOutput,
     BlockDefect::OutputPastLength,
     BlockDefect::BytesAfterFinalBlock,
+    BlockDefect::MatchIntoAbsentDictionary,
 ];
 
 /// The header of a final dynamic block listing 257 literal/length and one
@@ -417,27 +474,28 @@ fn crafted_block(raw: &[u8], defect: BlockDefect) -> Vec<u8> {
             bits.fixed_literal(0);
         }
         BlockDefect::BytesAfterFinalBlock => {
-            let mut block = compress(raw);
+            let mut block = compress(raw, &[]);
             block.push(0);
             return block;
         }
+        BlockDefect::MatchIntoAbsentDictionary => return compress(raw, raw),
     }
     w.write_bytes(&bits.finish());
     w.into_bytes()
 }
 
-/// [`crafted_block`] around the valid [`crafted_checkpoint_stream`],
-/// sealed in a valid envelope.
+/// [`crafted_block`] around the valid [`crafted_checkpoint_stream`], as
+/// the payload of a valid envelope.
 fn crafted_checkpoint_block(defect: BlockDefect) -> Vec<u8> {
     let block = crafted_block(&crafted_checkpoint_stream(None), defect);
-    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &block)
+    framed(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &block)
 }
 
-/// [`crafted_block`] around the valid [`crafted_artifact_stream`], sealed
-/// in a valid envelope.
+/// [`crafted_block`] around the valid [`crafted_artifact_stream`], as the
+/// payload of a valid envelope.
 fn crafted_artifact_block(defect: BlockDefect) -> Vec<u8> {
     let block = crafted_block(&crafted_artifact_stream(None), defect);
-    seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[7], &block)
+    framed(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[7], &block)
 }
 
 /// Whether `error` is what a crafted block's `defect` is refused as.
@@ -460,6 +518,24 @@ fn is_block_refusal(defect: BlockDefect, error: &CodecError) -> bool {
         BlockDefect::DistancePastOutput => *error == CodecError::BlockOffset { offset: 2, produced: 1 },
         BlockDefect::OutputPastLength => matches!(error, CodecError::BlockOverrun { what: "literal", .. }),
         BlockDefect::BytesAfterFinalBlock => *error == CodecError::TrailingBytes(1),
+        BlockDefect::MatchIntoAbsentDictionary => matches!(error, CodecError::BlockOffset { .. }),
+    }
+}
+
+/// Whether `error` is what a crafted string-reference `defect` is refused
+/// as.
+fn is_ref_refusal(defect: Defect, error: &CodecError) -> bool {
+    match defect {
+        Defect::NewStringPastTable => {
+            matches!(error, CodecError::StringIndexOutOfRange { index: 3, table_len: 3, .. })
+        }
+        Defect::DistancePastCursor => {
+            matches!(error, CodecError::StringDistance { distance: 4, cursor: 3, .. })
+        }
+        Defect::UnreferencedString => {
+            *error == CodecError::UnreferencedStrings { referenced: 3, table_len: 4 }
+        }
+        _ => false,
     }
 }
 
@@ -474,7 +550,8 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
     let (valid, _) = durability_bytes();
     assert!(PipelineCheckpoint::decode(valid).is_ok(), "the uncorrupted checkpoint must decode");
     let len = valid.len();
-    let (words, payload) = checkpoint_parts(valid);
+    let (words, raw) = checkpoint_parts(valid);
+    let payload = &valid[CHECKPOINT_PAYLOAD_START..];
     assert!(payload.len() > 4096, "fuzz corpus assumes a non-trivial payload, got {}", payload.len());
 
     let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
@@ -526,7 +603,7 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
 
     // 4. Seeded-random garbage of assorted sizes.
     let mut rng = ChaCha8Rng::seed_from_u64(0xF423);
-    for i in 0..10 {
+    for i in 0..7 {
         let size = (i * 171) % 4096;
         let bytes: Vec<u8> = (0..size).map(|_| rng.next_u32() as u8).collect();
         corpus.push((format!("garbage #{i} ({size} B)"), bytes));
@@ -536,10 +613,9 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
     //    header: block and checksum are sound, so the bounds-checked state
     //    decoders (and the cross-validation of clusters against the decoded
     //    corpus) must reject the short stream.
-    let raw = decompress(payload).expect("the uncorrupted checkpoint decompresses");
     for i in 0..40 {
         let cut = i * raw.len() / 40;
-        let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &compress(&raw[..cut]));
+        let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &raw[..cut]);
         corpus.push((format!("stream truncate[..{cut}] (block and checksum fixed)"), bytes));
     }
 
@@ -574,9 +650,8 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
 #[test]
 fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     let (valid, _) = durability_bytes();
-    let (words, payload) = checkpoint_parts(valid);
-    let valid_raw = decompress(payload).expect("the uncorrupted checkpoint decompresses");
-    let stored = |raw: &[u8]| seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &compress(raw));
+    let (words, valid_raw) = checkpoint_parts(valid);
+    let stored = |raw: &[u8]| seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, raw);
 
     // Splice u32::MAX over 4 bytes at 32 evenly spaced offsets of the raw
     // stream and store it again: in the compact layout that is four
@@ -607,10 +682,9 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     for defect in CHECKPOINT_DEFECTS {
         let rejection = PipelineCheckpoint::decode(&crafted_checkpoint(Some(defect))).unwrap_err();
         let as_expected = match defect {
-            Defect::StringIndexOutOfRange => matches!(
-                rejection,
-                CheckpointError::Decode(CodecError::StringIndexOutOfRange { index: 3, table_len: 3, .. })
-            ),
+            Defect::NewStringPastTable | Defect::DistancePastCursor | Defect::UnreferencedString => {
+                matches!(&rejection, CheckpointError::Decode(e) if is_ref_refusal(defect, e))
+            }
             Defect::TableLongerThanStream => matches!(
                 rejection,
                 CheckpointError::Decode(CodecError::LengthOverflow { what: "string table", .. })
@@ -638,17 +712,34 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
 }
 
 /// A real checkpoint's stream and every batch of its log come back from
-/// their stored blocks, smaller than they are raw, and compress again to
-/// the same bytes.
+/// their stored blocks — each record's against the raw batches before it
+/// in its segment — smaller than they are raw, and compress again to the
+/// same bytes.
 #[test]
 fn stored_blocks_of_a_real_store_round_trip() {
     let (checkpoint, wal) = durability_bytes();
-    let (_, payload) = checkpoint_parts(checkpoint);
+    let (_, raw) = checkpoint_parts(checkpoint);
+    let payload = &checkpoint[CHECKPOINT_PAYLOAD_START..];
+    assert_eq!(compress(&raw, &[]), payload);
+    assert!(payload.len() < raw.len());
+
     let log = scan_wal(wal).expect("the uncorrupted WAL must scan");
-    for block in std::iter::once(payload).chain(log.records.iter().map(|r| &r.payload[..])) {
-        let raw = decompress(block).expect("a stored block decompresses");
-        assert_eq!(compress(&raw), block);
-        assert!(block.len() < raw.len(), "{} bytes stored for {} raw", block.len(), raw.len());
+    let mut segment: Vec<u8> = Vec::new();
+    for (record, stored) in log.records.iter().zip(stored_payloads(wal, &log)) {
+        let mut r = ByteReader::new(stored);
+        let declared = r.read_varint("dictionary length").expect("a dictionary length");
+        assert_eq!(declared as usize, segment.len().min(ltee_ml::codec::WINDOW));
+        assert_eq!(declared as usize, record.dictionary);
+        let block = &stored[stored.len() - r.remaining()..];
+        let dictionary = &segment[segment.len() - record.dictionary..];
+        assert_eq!(decompress(block, dictionary).as_ref(), Ok(&record.payload));
+        assert_eq!(compress(&record.payload, dictionary), block);
+        assert!(stored.len() < record.payload.len(), "{} bytes stored for {} raw", stored.len(), record.payload.len());
+        // Against its segment, a batch after the first costs less than alone.
+        if declared > 0 {
+            assert!(block.len() < compress(&record.payload, &[]).len());
+        }
+        segment.extend_from_slice(&record.payload);
     }
 }
 
@@ -658,7 +749,7 @@ fn stored_blocks_of_a_real_store_round_trip() {
 #[test]
 fn bit_flips_in_a_real_store_block_decode_to_the_declared_length_or_are_refused() {
     let (checkpoint, _) = durability_bytes();
-    let (_, payload) = checkpoint_parts(checkpoint);
+    let payload = &checkpoint[CHECKPOINT_PAYLOAD_START..];
     let mut rng = ChaCha8Rng::seed_from_u64(0xF425);
     let (mut inflated, mut refused) = (0, 0);
     for _ in 0..2000 {
@@ -666,7 +757,7 @@ fn bit_flips_in_a_real_store_block_decode_to_the_declared_length_or_are_refused(
         let mut block = payload.to_vec();
         block[bit / 8] ^= 1 << (bit % 8);
         let declared = ByteReader::new(&block).read_varint("declared length");
-        match catch_unwind(AssertUnwindSafe(|| decompress(&block))) {
+        match catch_unwind(AssertUnwindSafe(|| decompress(&block, &[]))) {
             Err(_) => panic!("flipping bit {bit} panicked the block decoder"),
             Ok(Ok(raw)) => {
                 assert_eq!(Ok(raw.len() as u64), declared, "flipping bit {bit}");
@@ -785,8 +876,7 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     let valid = artifact_bytes();
     assert!(ModelArtifact::decode(&valid).is_ok(), "the uncorrupted artifact must decode");
     let len = valid.len();
-    let (words, payload) = artifact_parts(&valid);
-    let raw = decompress(payload).expect("the uncorrupted artifact decompresses");
+    let (words, raw) = artifact_parts(&valid);
     assert!(raw.len() > 4096, "fuzz corpus assumes a non-trivial stream, got {}", raw.len());
 
     // (case label, corrupted bytes) — built fully deterministically.
@@ -839,7 +929,7 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     //    the 8-byte magic has a 2^-64 collision chance per case, and the
     //    stream is fixed, so the corpus is stable).
     let mut rng = ChaCha8Rng::seed_from_u64(0xF422);
-    for i in 0..8 {
+    for i in 0..5 {
         let size = (i * 171) % 4096;
         let bytes: Vec<u8> = (0..size).map(|_| rng.next_u32() as u8).collect();
         corpus.push((format!("garbage #{i} ({size} B)"), bytes));
@@ -850,7 +940,7 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     //    themselves must reject the short stream.
     for i in 0..40 {
         let cut = i * raw.len() / 40;
-        let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &compress(&raw[..cut]));
+        let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &raw[..cut]);
         corpus.push((format!("stream truncate[..{cut}] (block and checksum fixed)"), bytes));
     }
 
@@ -886,9 +976,8 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
 #[test]
 fn length_prefix_bombs_never_panic_and_never_allocate_the_declared_size() {
     let valid = artifact_bytes();
-    let (words, payload) = artifact_parts(&valid);
-    let valid_raw = decompress(payload).expect("the uncorrupted artifact decompresses");
-    let stored = |raw: &[u8]| seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &compress(raw));
+    let (words, valid_raw) = artifact_parts(&valid);
+    let stored = |raw: &[u8]| seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, raw);
 
     // Splice four 0xFF bytes at 32 evenly spaced offsets of the raw stream
     // and store it again: four continuation bytes, so whatever varint the
@@ -937,8 +1026,8 @@ fn crafted_artifacts_are_rejected_for_their_defect() {
             panic!("{defect:?} was rejected as {rejection:?}");
         };
         let as_expected = match defect {
-            Defect::StringIndexOutOfRange => {
-                matches!(error, CodecError::StringIndexOutOfRange { index: 3, table_len: 3, .. })
+            Defect::NewStringPastTable | Defect::DistancePastCursor | Defect::UnreferencedString => {
+                is_ref_refusal(defect, error)
             }
             Defect::TableLongerThanStream => {
                 matches!(error, CodecError::LengthOverflow { what: "string table", .. })
