@@ -3,7 +3,8 @@
 //! See the crate-level documentation for the world / knowledge base split.
 //! Everything is deterministic given the seed in [`GeneratorConfig`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::fmt;
 
 use ltee_types::{Date, Value};
 use rand::seq::SliceRandom;
@@ -11,10 +12,72 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::ids::{EntityId, InstanceId};
+use crate::ids::{EntityId, InstanceId, PropertyId};
 use crate::model::{Fact, KnowledgeBase};
 use crate::names;
 use crate::schema::{class_schema, ClassKey, CLASS_KEYS};
+
+/// An entity's ground truth: at most one value per property of its class
+/// schema, in property-name order, held in one exact-sized allocation. A
+/// fact names its property by its position in [`class_schema`], so no fact
+/// keeps a heap string for the name.
+#[derive(Clone, PartialEq)]
+pub struct Facts {
+    class: ClassKey,
+    /// `(position in the class schema, value)`, ordered by property name.
+    entries: Box<[(u8, Value)]>,
+}
+
+impl Facts {
+    /// The facts of a `class` entity from `(property name, value)` pairs,
+    /// one per property, in any order. A name outside the class schema is
+    /// not kept.
+    fn from_named(class: ClassKey, named: Vec<(&str, Value)>) -> Self {
+        let schema = class_schema(class);
+        let mut entries: Vec<(u8, Value)> = named
+            .into_iter()
+            .filter_map(|(name, value)| Some((schema.iter().position(|spec| spec.name == name)? as u8, value)))
+            .collect();
+        entries.sort_by_key(|&(position, _)| schema[position as usize].name);
+        Self { class, entries: entries.into_boxed_slice() }
+    }
+
+    fn name(&self, position: u8) -> &'static str {
+        class_schema(self.class)[position as usize].name
+    }
+
+    /// The value of a property, if the entity has one.
+    pub fn get(&self, property: &str) -> Option<&Value> {
+        let at = self.entries.binary_search_by(|&(position, _)| self.name(position).cmp(property)).ok()?;
+        Some(&self.entries[at].1)
+    }
+
+    /// Number of facts.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the entity has no facts.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// `(property name, value)` pairs in property-name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Value)> + '_ {
+        self.entries.iter().map(|(position, value)| (self.name(*position), value))
+    }
+
+    /// The values, in property-name order.
+    pub fn values(&self) -> impl Iterator<Item = &Value> + '_ {
+        self.entries.iter().map(|(_, value)| value)
+    }
+}
+
+impl fmt::Debug for Facts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// How large to make the synthetic world.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,8 +156,8 @@ pub struct WorldEntity {
     pub canonical_label: String,
     /// Alternative labels (spelling variants, qualifiers).
     pub alt_labels: Vec<String>,
-    /// Ground-truth facts, keyed by property name.
-    pub facts: BTreeMap<String, Value>,
+    /// Ground-truth facts, in property-name order.
+    pub facts: Facts,
     /// Popularity (page-link proxy); higher for head entities.
     pub popularity: u64,
     /// Whether the entity was projected into the knowledge base.
@@ -131,7 +194,8 @@ pub struct World {
     pub kb: KnowledgeBase,
     /// The configuration the world was generated with.
     pub config: GeneratorConfig,
-    entity_to_instance: HashMap<EntityId, InstanceId>,
+    /// The KB instance of each entity, indexed by [`EntityId`].
+    entity_to_instance: Vec<Option<InstanceId>>,
 }
 
 impl World {
@@ -162,7 +226,7 @@ impl World {
 
     /// The knowledge base instance an entity was projected to, if any.
     pub fn instance_for_entity(&self, id: EntityId) -> Option<InstanceId> {
-        self.entity_to_instance.get(&id).copied()
+        self.entity_to_instance.get(id.raw() as usize).copied().flatten()
     }
 
     /// The knowledge base.
@@ -253,35 +317,36 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
 
     // Project the head entities into the knowledge base.
     let mut kb = KnowledgeBase::new();
-    let mut entity_to_instance = HashMap::new();
+    let mut class_properties: Vec<(ClassKey, Vec<PropertyId>)> = Vec::new();
     for class in CLASS_KEYS {
         kb.add_class(class);
-        for spec in class_schema(class) {
-            kb.add_property(class, spec.name, spec.data_type, spec.header_labels[0]);
-        }
+        let schema = class_schema(class);
+        let ids = schema.iter().map(|spec| kb.add_property(class, spec.name, spec.data_type, spec.header_labels[0]));
+        class_properties.push((class, ids.collect()));
     }
     let mut kb_rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(1));
-    for entity in entities.iter().filter(|e| e.in_kb && !e.confusable) {
-        let schema = class_schema(entity.class);
-        let mut facts = Vec::new();
-        for spec in schema {
-            if let Some(value) = entity.facts.get(spec.name) {
-                // Drop facts according to the paper's densities.
-                if kb_rng.gen::<f64>() < spec.kb_density {
-                    // Every property of the schema was registered above.
-                    if let Some(prop) = kb.property_by_name(entity.class, spec.name) {
-                        facts.push(Fact { property: prop.id, value: value.clone() });
+    let entity_to_instance = entities
+        .iter()
+        .map(|entity| {
+            if !entity.in_kb || entity.confusable {
+                return None;
+            }
+            // Every class's properties were registered above.
+            let (_, properties) = class_properties.iter().find(|(class, _)| *class == entity.class)?;
+            let mut facts = Vec::with_capacity(properties.len());
+            for (spec, &property) in class_schema(entity.class).iter().zip(properties) {
+                if let Some(value) = entity.facts.get(spec.name) {
+                    // Drop facts according to the paper's densities.
+                    if kb_rng.gen::<f64>() < spec.kb_density {
+                        facts.push(Fact { property, value: value.clone() });
                     }
                 }
             }
-        }
-        let abstract_text = build_abstract(entity);
-        let labels: Vec<String> =
-            entity.labels().iter().map(|s| s.to_string()).collect();
-        let instance_id =
-            kb.add_instance(entity.class, labels, abstract_text, entity.popularity, facts);
-        entity_to_instance.insert(entity.id, instance_id);
-    }
+            let abstract_text = build_abstract(entity);
+            let labels: Vec<String> = entity.labels().iter().map(|s| s.to_string()).collect();
+            Some(kb.add_instance(entity.class, labels, abstract_text, entity.popularity, facts))
+        })
+        .collect();
 
     World { entities, kb, config: config.clone(), entity_to_instance }
 }
@@ -362,120 +427,81 @@ fn generate_confusable_label(class: ClassKey, index: usize, rng: &mut ChaCha8Rng
     }
 }
 
-fn generate_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> BTreeMap<String, Value> {
-    let mut facts = BTreeMap::new();
+fn generate_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> Facts {
+    let mut facts = Vec::with_capacity(class_schema(class).len());
     match class {
         ClassKey::GridironFootballPlayer => {
             let birth_year = rng.gen_range(1960..=1995);
-            facts.insert(
-                "birthDate".into(),
-                Value::Date(Date::day(birth_year, rng.gen_range(1..=12), rng.gen_range(1..=28))),
-            );
-            facts.insert(
-                "college".into(),
-                Value::InstanceRef(pick(names::COLLEGES, rng).to_string()),
-            );
-            facts.insert(
-                "birthPlace".into(),
-                Value::InstanceRef(pick(names::BIRTH_CITIES, rng).to_string()),
-            );
-            facts.insert(
-                "team".into(),
-                Value::InstanceRef(pick(names::TEAMS, rng).to_string()),
-            );
-            facts.insert("number".into(), Value::NominalInt(rng.gen_range(1..=99)));
-            facts.insert(
-                "position".into(),
-                Value::Nominal(pick(names::POSITIONS, rng).to_string()),
-            );
-            facts.insert("height".into(), Value::Quantity(rng.gen_range(165.0..=208.0f64).round()));
-            facts.insert("weight".into(), Value::Quantity(rng.gen_range(70.0..=160.0f64).round()));
+            facts.push(("birthDate", Value::Date(Date::day(birth_year, rng.gen_range(1..=12), rng.gen_range(1..=28)))));
+            facts.push(("college", Value::InstanceRef(pick(names::COLLEGES, rng).to_string())));
+            facts.push(("birthPlace", Value::InstanceRef(pick(names::BIRTH_CITIES, rng).to_string())));
+            facts.push(("team", Value::InstanceRef(pick(names::TEAMS, rng).to_string())));
+            facts.push(("number", Value::NominalInt(rng.gen_range(1..=99))));
+            facts.push(("position", Value::Nominal(pick(names::POSITIONS, rng).to_string())));
+            facts.push(("height", Value::Quantity(rng.gen_range(165.0..=208.0f64).round())));
+            facts.push(("weight", Value::Quantity(rng.gen_range(70.0..=160.0f64).round())));
             let draft_year = (birth_year + rng.gen_range(21..=24)).min(2014);
-            facts.insert("draftYear".into(), Value::Date(Date::year(draft_year)));
-            facts.insert("draftRound".into(), Value::NominalInt(rng.gen_range(1..=7)));
-            facts.insert("draftPick".into(), Value::NominalInt(rng.gen_range(1..=260)));
+            facts.push(("draftYear", Value::Date(Date::year(draft_year))));
+            facts.push(("draftRound", Value::NominalInt(rng.gen_range(1..=7))));
+            facts.push(("draftPick", Value::NominalInt(rng.gen_range(1..=260))));
         }
         ClassKey::Song => {
-            facts.insert(
-                "genre".into(),
-                Value::Nominal(pick(names::GENRES, rng).to_string()),
-            );
-            facts.insert(
-                "musicalArtist".into(),
-                Value::InstanceRef(pick(names::ARTISTS, rng).to_string()),
-            );
-            facts.insert(
-                "recordLabel".into(),
-                Value::InstanceRef(pick(names::RECORD_LABELS, rng).to_string()),
-            );
-            facts.insert("runtime".into(), Value::Quantity(rng.gen_range(120.0..=420.0f64).round()));
+            facts.push(("genre", Value::Nominal(pick(names::GENRES, rng).to_string())));
+            facts.push(("musicalArtist", Value::InstanceRef(pick(names::ARTISTS, rng).to_string())));
+            facts.push(("recordLabel", Value::InstanceRef(pick(names::RECORD_LABELS, rng).to_string())));
+            facts.push(("runtime", Value::Quantity(rng.gen_range(120.0..=420.0f64).round())));
             let album_word = pick(names::ALBUM_WORDS, rng);
-            facts.insert("album".into(), Value::InstanceRef(format!("{album_word} {}", rng.gen_range(1..=30))));
+            facts.push(("album", Value::InstanceRef(format!("{album_word} {}", rng.gen_range(1..=30)))));
             let writer = format!(
                 "{} {}",
                 pick(names::FIRST_NAMES, rng),
                 pick(names::LAST_NAMES, rng)
             );
-            facts.insert("writer".into(), Value::InstanceRef(writer));
+            facts.push(("writer", Value::InstanceRef(writer)));
             let year = rng.gen_range(1960..=2012);
-            facts.insert(
-                "releaseDate".into(),
-                Value::Date(Date::day(year, rng.gen_range(1..=12), rng.gen_range(1..=28))),
-            );
+            facts.push(("releaseDate", Value::Date(Date::day(year, rng.gen_range(1..=12), rng.gen_range(1..=28)))));
         }
         ClassKey::Settlement => {
-            facts.insert(
-                "country".into(),
-                Value::InstanceRef(pick(names::COUNTRIES, rng).to_string()),
-            );
-            facts.insert(
-                "isPartOf".into(),
-                Value::InstanceRef(pick(names::REGIONS, rng).to_string()),
-            );
+            facts.push(("country", Value::InstanceRef(pick(names::COUNTRIES, rng).to_string())));
+            facts.push(("isPartOf", Value::InstanceRef(pick(names::REGIONS, rng).to_string())));
             // Heavy-tailed population: lots of small villages, few cities.
             let magnitude = rng.gen_range(2.0..=6.0f64);
             let population = (10.0f64.powf(magnitude)).round();
-            facts.insert("populationTotal".into(), Value::Quantity(population));
-            facts.insert("postalCode".into(), Value::Nominal(format!("{:05}", rng.gen_range(1_000..=99_999))));
-            facts.insert("elevation".into(), Value::Quantity(rng.gen_range(0.0..=2500.0f64).round()));
+            facts.push(("populationTotal", Value::Quantity(population)));
+            facts.push(("postalCode", Value::Nominal(format!("{:05}", rng.gen_range(1_000..=99_999)))));
+            facts.push(("elevation", Value::Quantity(rng.gen_range(0.0..=2500.0f64).round())));
         }
     }
-    facts
+    Facts::from_named(class, facts)
 }
 
-fn generate_confusable_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> BTreeMap<String, Value> {
+fn generate_confusable_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> Facts {
     // Confusable entities share a couple of superficially compatible
     // attributes with the target class (which is exactly why the
     // table-to-class matcher can be fooled) but lack the rest.
-    let mut facts = BTreeMap::new();
+    let mut facts = Vec::with_capacity(2);
     match class {
         ClassKey::GridironFootballPlayer => {
-            facts.insert("number".into(), Value::NominalInt(rng.gen_range(1..=60)));
-            facts.insert("height".into(), Value::Quantity(rng.gen_range(165.0..=205.0f64).round()));
+            facts.push(("number", Value::NominalInt(rng.gen_range(1..=60))));
+            facts.push(("height", Value::Quantity(rng.gen_range(165.0..=205.0f64).round())));
         }
         ClassKey::Song => {
-            facts.insert(
-                "musicalArtist".into(),
-                Value::InstanceRef(pick(names::ARTISTS, rng).to_string()),
-            );
+            facts.push(("musicalArtist", Value::InstanceRef(pick(names::ARTISTS, rng).to_string())));
             let year = rng.gen_range(1970..=2012);
-            facts.insert("releaseDate".into(), Value::Date(Date::year(year)));
+            facts.push(("releaseDate", Value::Date(Date::year(year))));
         }
         ClassKey::Settlement => {
-            facts.insert(
-                "country".into(),
-                Value::InstanceRef(pick(names::COUNTRIES, rng).to_string()),
-            );
-            facts.insert("elevation".into(), Value::Quantity(rng.gen_range(800.0..=4500.0f64).round()));
+            facts.push(("country", Value::InstanceRef(pick(names::COUNTRIES, rng).to_string())));
+            facts.push(("elevation", Value::Quantity(rng.gen_range(800.0..=4500.0f64).round())));
         }
     }
-    facts
+    Facts::from_named(class, facts)
 }
 
 fn generate_alt_labels(
     class: ClassKey,
     canonical: &str,
-    facts: &BTreeMap<String, Value>,
+    facts: &Facts,
     rng: &mut ChaCha8Rng,
 ) -> Vec<String> {
     let mut alts = Vec::new();
@@ -551,6 +577,7 @@ fn build_abstract(entity: &WorldEntity) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn tiny_world() -> World {
         generate_world(&GeneratorConfig::new(Scale::tiny(), 7))
@@ -676,6 +703,45 @@ mod tests {
         let e = &w.entities[5];
         assert_eq!(w.entity(e.id).unwrap().canonical_label, e.canonical_label);
         assert!(w.entity(EntityId(u64::MAX)).is_none());
+    }
+
+    #[test]
+    fn facts_iterate_in_property_name_order_and_look_up_by_name() {
+        let w = tiny_world();
+        for e in &w.entities {
+            let names: Vec<&str> = e.facts.iter().map(|(name, _)| name).collect();
+            assert!(names.windows(2).all(|pair| pair[0] < pair[1]), "{names:?}");
+            for (name, value) in e.facts.iter() {
+                assert_eq!(e.fact(name), Some(value));
+            }
+            assert!(e.facts.values().eq(e.facts.iter().map(|(_, value)| value)));
+            assert_eq!(e.fact("nonexistent"), None);
+        }
+    }
+
+    #[test]
+    fn facts_keep_schema_properties_only() {
+        let facts = Facts::from_named(
+            ClassKey::Settlement,
+            vec![
+                ("elevation", Value::Quantity(310.0)),
+                ("runtime", Value::Quantity(200.0)),
+                ("country", Value::InstanceRef("Poland".into())),
+            ],
+        );
+        assert_eq!(facts.len(), 2);
+        assert_eq!(facts.get("runtime"), None);
+        assert_eq!(format!("{facts:?}"), r#"{"country": InstanceRef("Poland"), "elevation": Quantity(310.0)}"#);
+        assert!(Facts::from_named(ClassKey::Song, Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn instances_are_indexed_by_entity_position() {
+        let w = tiny_world();
+        let head: Vec<InstanceId> = w.entities.iter().filter_map(|e| w.instance_for_entity(e.id)).collect();
+        let minted: Vec<InstanceId> = w.kb().instances().iter().map(|inst| inst.id).collect();
+        assert_eq!(head, minted);
+        assert_eq!(w.instance_for_entity(EntityId(u64::MAX)), None);
     }
 
     #[test]

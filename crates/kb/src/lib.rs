@@ -34,7 +34,7 @@ pub mod names;
 pub mod profile;
 pub mod schema;
 
-pub use generator::{generate_world, GeneratorConfig, Scale, World, WorldEntity};
+pub use generator::{generate_world, Facts, GeneratorConfig, Scale, World, WorldEntity};
 pub use ids::{ClassId, EntityId, InstanceId, PropertyId};
 pub use model::{Fact, Instance, KnowledgeBase, KnowledgeBaseClass, Property, KB_OVERLAP_SAMPLE};
 pub use profile::{ClassProfile, PropertyDensity};

@@ -129,9 +129,9 @@ fn of_class<T>(per_class: &[(ClassKey, T)], class: ClassKey) -> &T {
 pub struct KnowledgeBase {
     classes: Vec<KnowledgeBaseClass>,
     properties: Vec<Property>,
+    /// Indexed by instance id: [`KnowledgeBase::add_instance`] mints an
+    /// instance's position as its id.
     instances: Vec<Instance>,
-    /// instance id -> index into `instances`.
-    instance_lookup: HashMap<InstanceId, usize>,
     /// (class, property name) -> property id.
     property_lookup: HashMap<(ClassKey, String), PropertyId>,
     derived: Derived,
@@ -171,32 +171,21 @@ impl KnowledgeBase {
         id
     }
 
-    /// Add an instance (facts included) and return its id.
+    /// Add an instance (facts included, kept exact-sized) and return its
+    /// id, which is its position among the instances.
     pub fn add_instance(
         &mut self,
         class: ClassKey,
         labels: Vec<String>,
         abstract_text: String,
         page_links: u64,
-        facts: Vec<Fact>,
+        mut facts: Vec<Fact>,
     ) -> InstanceId {
         self.derived = Derived::default();
         let id = InstanceId(self.instances.len() as u64);
-        self.instance_lookup.insert(id, self.instances.len());
+        facts.shrink_to_fit();
         self.instances.push(Instance { id, class, labels, abstract_text, page_links, facts });
         id
-    }
-
-    /// Rebuild the internal lookup tables (needed after deserialisation).
-    pub fn rebuild_lookups(&mut self) {
-        self.derived = Derived::default();
-        self.instance_lookup =
-            self.instances.iter().enumerate().map(|(i, inst)| (inst.id, i)).collect();
-        self.property_lookup = self
-            .properties
-            .iter()
-            .map(|p| ((p.class, p.name.clone()), p.id))
-            .collect();
     }
 
     /// All classes.
@@ -243,7 +232,7 @@ impl KnowledgeBase {
 
     /// Look up an instance by id.
     pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
-        self.instance_lookup.get(&id).map(|&i| &self.instances[i])
+        self.instances.get(id.0 as usize)
     }
 
     /// The canonical label of an instance, if the instance exists. Used by
@@ -514,15 +503,6 @@ mod tests {
         assert!(kb.class_label_index(ClassKey::Song).exact_block("paint it black").is_empty());
         assert_eq!(kb.property_values(artist).len(), 2);
         assert_eq!(kb.class_property_slice(ClassKey::Song).len(), 2);
-    }
-
-    #[test]
-    fn rebuild_lookups_restores_access() {
-        let mut kb = tiny_kb();
-        let id = kb.instances()[1].id;
-        kb.rebuild_lookups();
-        assert_eq!(kb.instance(id).unwrap().canonical_label(), "Let It Be");
-        assert!(kb.property_by_name(ClassKey::Song, "runtime").is_some());
     }
 
     #[test]

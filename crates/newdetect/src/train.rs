@@ -155,7 +155,7 @@ mod tests {
         // Build an entity straight from the world's ground truth — a stand-in
         // for "perfect clustering and fusion" used to test new detection in
         // isolation.
-        let facts = e.facts.iter().map(|(p, v)| (p.clone(), v.clone(), 1.0)).collect();
+        let facts = e.facts.iter().map(|(p, v)| (p.to_string(), v.clone(), 1.0)).collect();
         let entity = Entity {
             class: e.class,
             rows: vec![RowRef::new(TableId(e.id.raw()), 0)],

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ltee_kb::{class_schema, ClassKey, EntityId, World, CLASS_KEYS};
+use ltee_kb::{class_schema, ClassKey, EntityId, World, WorldEntity, CLASS_KEYS};
 use ltee_types::{DateGranularity, Value};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -386,6 +386,8 @@ fn generate_confusable_table(
 /// properties, and the truth that annotates them. Crate-visible so the
 /// scenario generators ([`crate::scenario`]) reuse the exact rendering
 /// (noise, format variation, truth wiring) of the base corpus generator.
+/// An entity id the world does not hold gets no row, and a published name
+/// outside the class schema no column.
 pub(crate) fn build_table(
     world: &World,
     class: ClassKey,
@@ -404,9 +406,10 @@ pub(crate) fn build_table(
         ClassKey::Settlement => ["settlement", "place", "town", "name"].choose(rng).copied().unwrap_or("place"),
     };
 
-    let mut label_cells: Vec<String> = Vec::with_capacity(entities.len());
-    for &eid in entities {
-        let entity = world.entity(eid).expect("entity exists in world");
+    let (entities, rows): (Vec<EntityId>, Vec<&WorldEntity>) =
+        entities.iter().filter_map(|&id| Some((id, world.entity(id)?))).unzip();
+    let mut label_cells: Vec<String> = Vec::with_capacity(rows.len());
+    for entity in &rows {
         let mut label = if !entity.alt_labels.is_empty() && rng.gen::<f64>() < noise.label_variant_rate {
             entity.alt_labels.choose(rng).cloned().unwrap_or_else(|| entity.canonical_label.clone())
         } else {
@@ -424,13 +427,12 @@ pub(crate) fn build_table(
     // Per-column formatting decisions are made once per column so that a
     // column is internally consistent (like real web tables).
     for prop in published {
-        let spec = schema.iter().find(|s| s.name == *prop).expect("published property is in schema");
+        let Some(spec) = schema.iter().find(|s| s.name == *prop) else { continue };
         let header = spec.header_labels.choose(rng).copied().unwrap_or(spec.name).to_string();
         let date_format = rng.gen_range(0..3u8);
         let runtime_as_duration = rng.gen::<f64>() < 0.5;
-        let mut cells = Vec::with_capacity(entities.len());
-        for &eid in entities {
-            let entity = world.entity(eid).expect("entity exists in world");
+        let mut cells = Vec::with_capacity(rows.len());
+        for entity in &rows {
             let cell = match entity.fact(prop) {
                 Some(value) if rng.gen::<f64>() >= noise.missing_cell_rate => {
                     let value = if rng.gen::<f64>() < noise.wrong_value_rate {
@@ -463,7 +465,7 @@ pub(crate) fn build_table(
         column_property.push(None);
     }
 
-    let truth = TableTruth { class, label_column: 0, column_property, row_entity: entities.to_vec() };
+    let truth = TableTruth { class, label_column: 0, column_property, row_entity: entities };
     (columns, truth)
 }
 
@@ -498,13 +500,10 @@ fn corrupt_value(value: &Value, rng: &mut ChaCha8Rng) -> Value {
             Value::Date(nd)
         }
         Value::Text(s) | Value::Nominal(s) | Value::InstanceRef(s) => {
-            // Truncate or garble string payloads.
-            let mut s = s.clone();
-            if s.len() > 4 {
-                s.truncate(s.len() - 2);
-            } else {
-                s.push('x');
-            }
+            // Truncate or garble string payloads: drop the last two
+            // characters of a longer string, extend a short one.
+            let chars = s.chars().count();
+            let s = if chars > 4 { s.chars().take(chars - 2).collect() } else { format!("{s}x") };
             match value {
                 Value::Nominal(_) => Value::Nominal(s),
                 Value::InstanceRef(_) => Value::InstanceRef(s),
@@ -527,7 +526,7 @@ fn render_value(value: &Value, property: &str, date_format: u8, runtime_as_durat
                         "January", "February", "March", "April", "May", "June", "July", "August",
                         "September", "October", "November", "December",
                     ];
-                    format!("{} {}, {}", MONTHS[(d.month as usize - 1).min(11)], d.day, d.year)
+                    format!("{} {}, {}", MONTHS[(d.month as usize).clamp(1, 12) - 1], d.day, d.year)
                 }
             },
         },
@@ -759,6 +758,25 @@ mod tests {
             corrupt_value(&Value::InstanceRef("Springfield".into()), &mut rng),
             Value::InstanceRef("Springfield".into())
         );
+    }
+
+    #[test]
+    fn corrupt_value_cuts_strings_by_character() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let corrupt = |s: &str, rng: &mut ChaCha8Rng| corrupt_value(&Value::InstanceRef(s.into()), rng);
+        assert_eq!(corrupt("Springfield", &mut rng), Value::InstanceRef("Springfie".into()));
+        assert_eq!(corrupt("Kraków", &mut rng), Value::InstanceRef("Krak".into()));
+        assert_eq!(corrupt("Łódź", &mut rng), Value::InstanceRef("Łódźx".into()));
+        assert_eq!(corrupt_value(&Value::Nominal("QB".into()), &mut rng), Value::Nominal("QBx".into()));
+    }
+
+    #[test]
+    fn render_value_clamps_an_out_of_range_month() {
+        let date = |month| {
+            Value::Date(ltee_types::Date { year: 1990, month, day: 5, granularity: DateGranularity::Day })
+        };
+        assert_eq!(render_value(&date(0), "birthDate", 2, false), "January 5, 1990");
+        assert_eq!(render_value(&date(13), "birthDate", 2, false), "December 5, 1990");
     }
 
     #[test]

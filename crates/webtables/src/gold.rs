@@ -113,9 +113,9 @@ pub struct GoldStandard {
 
 impl GoldStandard {
     /// Derive the gold standard of a class from a world and a corpus
-    /// generated from it. Tables without ground truth are not annotated;
-    /// a truth that does not fit its table panics, as a row entity missing
-    /// from the world does.
+    /// generated from it. Tables without ground truth are not annotated,
+    /// nor are rows of an entity the world does not hold; a truth that does
+    /// not fit its table panics.
     pub fn build(world: &World, corpus: &Corpus, class: ClassKey) -> Self {
         let eq = EquivalenceConfig::lenient();
         let tables: Vec<TableId> = corpus.tables_of_class(class).iter().map(|t| t.id).collect();
@@ -139,8 +139,10 @@ impl GoldStandard {
         }
 
         let mut clusters = Vec::new();
+        let mut cluster_entities = Vec::new();
         for (entity_id, rows) in rows_by_entity {
-            let entity = world.entity(entity_id).expect("row entity exists in world");
+            let Some(entity) = world.entity(entity_id) else { continue };
+            cluster_entities.push(entity);
             clusters.push(GoldCluster {
                 entity: entity_id,
                 rows,
@@ -158,8 +160,7 @@ impl GoldStandard {
         let prop_types: HashMap<&str, ltee_types::DataType> =
             schema.iter().map(|s| (s.name, s.data_type)).collect();
         let mut facts = Vec::new();
-        for (ci, cluster) in clusters.iter().enumerate() {
-            let entity = world.entity(cluster.entity).expect("entity exists");
+        for (ci, (cluster, entity)) in clusters.iter().zip(cluster_entities).enumerate() {
             // Collect candidate cells per property for this cluster.
             let mut candidates: BTreeMap<String, Vec<String>> = BTreeMap::new();
             for row in &cluster.rows {

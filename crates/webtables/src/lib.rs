@@ -38,6 +38,7 @@
 //! correct value is present among the table cells.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod corpus;
 pub mod generator;

@@ -184,11 +184,8 @@ fn pick_published(class: ClassKey, rng: &mut ChaCha8Rng) -> Vec<&'static str> {
         schema.iter().filter(|s| rng.gen::<f64>() < s.table_density).map(|s| s.name).collect();
     if published.is_empty() {
         // Fall back to the densest property so the table stays useful.
-        let densest = schema
-            .iter()
-            .max_by(|a, b| a.table_density.total_cmp(&b.table_density))
-            .expect("class schemas are non-empty");
-        published.push(densest.name);
+        let densest = schema.iter().max_by(|a, b| a.table_density.total_cmp(&b.table_density));
+        published.extend(densest.map(|spec| spec.name));
     }
     published
 }
@@ -409,8 +406,7 @@ pub fn novel_row_share(world: &World, corpus: &Corpus) -> f64 {
     for truth in corpus.tables().iter().filter_map(|t| t.truth.as_ref()) {
         for &e in &truth.row_entity {
             total += 1;
-            let entity = world.entity(e).expect("corpus rows reference world entities");
-            if !entity.in_kb && !entity.confusable {
+            if world.entity(e).is_some_and(|entity| !entity.in_kb && !entity.confusable) {
                 novel += 1;
             }
         }
