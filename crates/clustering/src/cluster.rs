@@ -150,7 +150,7 @@ pub fn cluster_rows(
                     }
                     let score: f64 = members
                         .iter()
-                        .map(|&m| model.score(&probe, &contexts[m], phi, interner))
+                        .map(|&m| probe.score(model, &contexts[m], phi, interner))
                         .sum();
                     if score > 0.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
                         best = Some((cluster_idx, score));
@@ -208,7 +208,7 @@ fn row_to_cluster_score(
     members
         .iter()
         .filter(|&&m| m != row)
-        .map(|&m| model.score(&probe, &contexts[m], phi, interner))
+        .map(|&m| probe.score(model, &contexts[m], phi, interner))
         .sum()
 }
 
@@ -323,7 +323,7 @@ fn refine_klj(
                     let probe = RowProbe::new(&contexts[a], implicit);
                     right
                         .iter()
-                        .map(|&b| model.score(&probe, &contexts[b], phi, interner))
+                        .map(|&b| probe.score(model, &contexts[b], phi, interner))
                         .sum::<f64>()
                 };
                 let cross: f64 = if member_pairs >= MIN_PARALLEL_MERGE_PAIRS {
@@ -357,9 +357,9 @@ fn refine_klj(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{metric_feature_names, RowMetricKind};
+    use crate::metrics::RowMetricKind;
     use ltee_matching::RowValues;
-    use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, Sample};
+    use ltee_ml::{AggregationMethod, Dataset, Sample};
     use ltee_text::BowVector;
     use ltee_webtables::TableId;
 
@@ -370,22 +370,20 @@ mod tests {
     /// Build a simple label-only model: match iff labels are very similar.
     fn label_model() -> RowSimilarityModel {
         let metrics = vec![RowMetricKind::Label];
-        let names = metric_feature_names(&metrics);
-        let mut ds = Dataset::new(names);
+        let mut ds = Dataset::new(RowSimilarityModel::feature_names(&metrics));
         for i in 0..LABEL_MODEL_TRAINING_POINTS {
             let x = i as f64 / LABEL_MODEL_TRAINING_POINTS as f64;
             ds.push(Sample::new(vec![x], if x > 0.8 { 1.0 } else { 0.0 }));
         }
-        let model = PairwiseModel::train(
+        RowSimilarityModel::train(
             &ds,
-            1,
+            metrics,
             AggregationMethod::WeightedAverage,
             &ltee_ml::aggregate::PairwiseTrainingConfig {
-                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, seed: 1, ..Default::default() },
+                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, seed: 1 },
                 ..Default::default()
             },
-        );
-        RowSimilarityModel { metrics, model }
+        )
     }
 
     fn ctx(interner: &mut ltee_intern::Interner, table: u64, row: usize, label: &str) -> RowContext {

@@ -315,7 +315,7 @@ impl StreamingClusterer {
                 let mut score = 0.0;
                 let mut scored = 0;
                 while scored < members.len() && reachable(score, members.len() - scored) > to_beat {
-                    score += model.score_with(&probe, &contexts[members[scored]], &mut phi_of, interner);
+                    score += probe.score_with(model, &contexts[members[scored]], &mut phi_of, interner);
                     scored += 1;
                 }
                 if scored == members.len() && score > to_beat {
@@ -381,35 +381,29 @@ impl StreamingClusterer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{metric_feature_names, RowMetricKind};
+    use crate::metrics::RowMetricKind;
     use crate::seeded_words::SplitMix64;
     use std::collections::HashSet;
     use ltee_matching::RowValues;
-    use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, PairwiseTrainingConfig, Sample};
+    use ltee_ml::{AggregationMethod, Dataset, PairwiseTrainingConfig, Sample};
     use ltee_text::BowVector;
 
     fn label_model() -> RowSimilarityModel {
         let metrics = vec![RowMetricKind::Label];
-        let mut ds = Dataset::new(metric_feature_names(&metrics));
+        let mut ds = Dataset::new(RowSimilarityModel::feature_names(&metrics));
         for i in 0..40 {
             let x = i as f64 / 40.0;
             ds.push(Sample::new(vec![x], if x > 0.8 { 1.0 } else { 0.0 }));
         }
-        let model = PairwiseModel::train(
+        RowSimilarityModel::train(
             &ds,
-            1,
+            metrics,
             AggregationMethod::WeightedAverage,
             &PairwiseTrainingConfig {
-                genetic: ltee_ml::GeneticConfig {
-                    population: 20,
-                    generations: 15,
-                    seed: 1,
-                    ..Default::default()
-                },
+                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, seed: 1 },
                 ..Default::default()
             },
-        );
-        RowSimilarityModel { metrics, model }
+        )
     }
 
     fn ctx(interner: &mut Interner, table: u64, row: usize, label: &str) -> RowContext {
@@ -540,7 +534,7 @@ mod tests {
                     admitted += 1;
                     let score: f64 = clusters[ci]
                         .iter()
-                        .map(|&m| model.score(&probe, &contexts[m], phi, interner))
+                        .map(|&m| probe.score(model, &contexts[m], phi, interner))
                         .sum();
                     tied |= best.is_some_and(|(_, s)| score == s);
                     if score > 0.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
@@ -577,7 +571,7 @@ mod tests {
     fn mixed_model() -> RowSimilarityModel {
         let metrics =
             vec![RowMetricKind::Label, RowMetricKind::Bow, RowMetricKind::Phi, RowMetricKind::SameTable];
-        let mut ds = Dataset::new(metric_feature_names(&metrics));
+        let mut ds = Dataset::new(RowSimilarityModel::feature_names(&metrics));
         let mut rng = SplitMix64(3);
         for _ in 0..240 {
             let (label, bow, phi) = (rng.unit(), rng.unit(), rng.unit());
@@ -585,17 +579,16 @@ mod tests {
             let same = label > 0.7 && other_table == 1.0;
             ds.push(Sample::new(vec![label, bow, phi, other_table], if same { 1.0 } else { 0.0 }));
         }
-        let model = PairwiseModel::train(
+        RowSimilarityModel::train(
             &ds,
-            metrics.len(),
+            metrics,
             AggregationMethod::Combined,
             &PairwiseTrainingConfig {
-                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, seed: 1, ..Default::default() },
+                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, seed: 1 },
                 forest: ltee_ml::RandomForestConfig { num_trees: 12, max_depth: 6, ..Default::default() },
                 ..Default::default()
             },
-        );
-        RowSimilarityModel { metrics, model }
+        )
     }
 
     /// A stream of small tables over a six-word vocabulary: one- and

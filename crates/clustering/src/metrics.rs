@@ -4,9 +4,9 @@
 use std::collections::HashMap;
 
 use ltee_intern::{Interner, Sym};
-use ltee_ml::{PairFeatures, PairwiseModel};
+use ltee_ml::{MetricKind, MetricModel, PairFeatures};
 use ltee_text::{cosine_similarity, monge_elkan_tokens};
-use ltee_types::{PreparedValue, Value};
+use ltee_types::{Agreement, PreparedValue, Value};
 use ltee_webtables::{Corpus, TableId};
 
 use crate::context::{ImplicitAttributes, RowContext};
@@ -31,9 +31,9 @@ pub enum RowMetricKind {
     SameTable,
 }
 
-impl RowMetricKind {
+impl MetricKind for RowMetricKind {
     /// All metrics in the order used by the Table 7 ablation.
-    pub const ALL: [RowMetricKind; 6] = [
+    const ALL: &'static [RowMetricKind] = &[
         RowMetricKind::Label,
         RowMetricKind::Bow,
         RowMetricKind::Phi,
@@ -41,9 +41,10 @@ impl RowMetricKind {
         RowMetricKind::ImplicitAtt,
         RowMetricKind::SameTable,
     ];
+    const LIST_LABEL: &'static str = "row_model.metrics";
+    const TAG_LABEL: &'static str = "row_model.metric";
 
-    /// Stable name used as a feature name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             RowMetricKind::Label => "LABEL",
             RowMetricKind::Bow => "BOW",
@@ -54,14 +55,11 @@ impl RowMetricKind {
         }
     }
 
-    /// Whether the metric produces a meaningful confidence score in addition
-    /// to its similarity.
-    pub fn has_confidence(self) -> bool {
+    fn has_confidence(self) -> bool {
         matches!(self, RowMetricKind::Attribute | RowMetricKind::ImplicitAtt)
     }
 
-    /// Stable on-disk tag of this metric (model persistence).
-    pub fn code(self) -> u8 {
+    fn code(self) -> u8 {
         match self {
             RowMetricKind::Label => 0,
             RowMetricKind::Bow => 1,
@@ -71,12 +69,11 @@ impl RowMetricKind {
             RowMetricKind::SameTable => 5,
         }
     }
-
-    /// Inverse of [`RowMetricKind::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        RowMetricKind::ALL.into_iter().find(|m| m.code() == code)
-    }
 }
+
+/// A trained row similarity model, scoring row pairs (through
+/// [`RowProbe::score`]) in `[-1, 1]`.
+pub type RowSimilarityModel = MetricModel<RowMetricKind>;
 
 /// Table-level PHI correlation vectors (paper Section 3.2, `PHI`).
 ///
@@ -375,7 +372,7 @@ impl<'a> RowProbe<'a> {
         let mut agreement = Agreement::default();
         for (prop, va, prepared) in self.ctx.prepared_values() {
             if let Some(vb) = b.prepared_value(prop) {
-                agreement.compare(prepared, vb, va, 1.0);
+                agreement.compare(prepared, vb, va.data_type(), 1.0);
             }
         }
         agreement.score()
@@ -394,80 +391,47 @@ impl<'a> RowProbe<'a> {
                 b_implicit.iter().position(|(p, _, _)| p == prop).map(|i| &b_implicit_prepared[i])
             });
             if let Some(other) = other {
-                agreement.compare(prepared, other, value, *score);
+                agreement.compare(prepared, other, value.data_type(), *score);
             }
         }
         for ((prop, value, score), prepared) in b_implicit.iter().zip(b_implicit_prepared) {
             if let Some((_, own)) = self.own_values.iter().find(|(p, _)| p == prop) {
-                agreement.compare(prepared, own, value, *score);
+                agreement.compare(prepared, own, value.data_type(), *score);
             }
         }
         agreement.score()
     }
 
-    /// The feature vector of the pair (this row, `b`) for a set of metrics:
-    /// first the similarity of every metric, then the confidences of the
-    /// metrics that have one (in metric order). This is the layout expected
-    /// by [`RowSimilarityModel`].
-    pub fn metric_features(
+    /// `model`'s score of the pair (this row, `b`): positive means "same
+    /// instance". `interner` is the run interner behind both contexts'
+    /// interned tokens.
+    pub fn score(
         &self,
-        metrics: &[RowMetricKind],
+        model: &RowSimilarityModel,
         b: &RowContext,
         phi: &PhiTableVectors,
         interner: &Interner,
-    ) -> PairFeatures {
-        self.metric_features_with(metrics, b, &mut |x, y| phi.table_similarity(x, y), interner)
+    ) -> f64 {
+        self.score_with(model, b, &mut |x, y| phi.table_similarity(x, y), interner)
     }
 
-    /// [`RowProbe::metric_features`] with the PHI similarity of two tables
-    /// supplied by the caller.
-    fn metric_features_with(
+    /// [`RowProbe::score`] with the PHI similarity of two tables supplied
+    /// by the caller: the streaming clusterer memoises it per table pair
+    /// for the length of one ingest call.
+    pub(crate) fn score_with(
         &self,
-        metrics: &[RowMetricKind],
+        model: &RowSimilarityModel,
         b: &RowContext,
         phi: &mut impl FnMut(TableId, TableId) -> f64,
         interner: &Interner,
-    ) -> PairFeatures {
-        PairFeatures::from_scores(metrics.iter().map(|&kind| {
-            let (similarity, confidence) = self.metric_score(kind, b, phi, interner);
-            (similarity, kind.has_confidence().then_some(confidence))
-        }))
+    ) -> f64 {
+        model.score(&RowSimilarityModel::features(&model.metrics, |kind| self.metric_score(kind, b, phi, interner)))
     }
 }
 
-/// Running tally of compared value pairs.
-#[derive(Default)]
-struct Agreement {
-    compared: usize,
-    agreeing: f64,
-    confidence: f64,
-}
-
-impl Agreement {
-    /// Compare one value pair under the data type of `value` (the
-    /// unprepared form of `a`). The paper assigns 1.0 / 0.0 per pair based
-    /// on data type equality; we use the similarity function's own equality
-    /// notion.
-    fn compare(&mut self, a: &PreparedValue, b: &PreparedValue, value: &Value, confidence: f64) {
-        self.agreeing += if a.similarity(b, value.data_type()) >= 0.95 { 1.0 } else { 0.0 };
-        self.confidence += confidence;
-        self.compared += 1;
-    }
-
-    /// (share of agreeing pairs, summed confidence), or zeros if nothing
-    /// was compared.
-    fn score(&self) -> (f64, f64) {
-        if self.compared == 0 {
-            (0.0, 0.0)
-        } else {
-            (self.agreeing / self.compared as f64, self.confidence)
-        }
-    }
-}
-
-/// Compute the feature vector of a row pair for a set of metrics (see
-/// [`RowProbe::metric_features`], which callers scoring one row against
-/// many should use directly).
+/// The feature vector of a row pair for a set of metrics, in the layout of
+/// [`RowSimilarityModel`] (callers scoring one row against many should
+/// hold a [`RowProbe`]).
 pub fn metric_features(
     metrics: &[RowMetricKind],
     a: &RowContext,
@@ -476,93 +440,9 @@ pub fn metric_features(
     implicit: &ImplicitAttributes,
     interner: &Interner,
 ) -> PairFeatures {
-    RowProbe::new(a, implicit).metric_features(metrics, b, phi, interner)
-}
-
-/// Feature names corresponding to [`metric_features`].
-pub fn metric_feature_names(metrics: &[RowMetricKind]) -> Vec<String> {
-    let mut names: Vec<String> = metrics.iter().map(|m| m.name().to_string()).collect();
-    for m in metrics {
-        if m.has_confidence() {
-            names.push(format!("{}_confidence", m.name()));
-        }
-    }
-    names
-}
-
-/// A trained row similarity model: the metric set plus the aggregation
-/// model, scoring row pairs in `[-1, 1]`.
-#[derive(Debug, Clone)]
-pub struct RowSimilarityModel {
-    /// Metrics used, in feature order.
-    pub metrics: Vec<RowMetricKind>,
-    /// The learned pairwise aggregation model.
-    pub model: PairwiseModel,
-}
-
-impl RowSimilarityModel {
-    /// Score the pair (`probe`'s row, `b`): positive means "same instance".
-    /// `interner` is the run interner behind both contexts' interned tokens.
-    pub fn score(&self, probe: &RowProbe<'_>, b: &RowContext, phi: &PhiTableVectors, interner: &Interner) -> f64 {
-        self.score_with(probe, b, &mut |x, y| phi.table_similarity(x, y), interner)
-    }
-
-    /// [`RowSimilarityModel::score`] with the PHI similarity of two tables
-    /// supplied by the caller: the streaming clusterer memoises it per
-    /// table pair for the length of one ingest call.
-    pub(crate) fn score_with(
-        &self,
-        probe: &RowProbe<'_>,
-        b: &RowContext,
-        phi: &mut impl FnMut(TableId, TableId) -> f64,
-        interner: &Interner,
-    ) -> f64 {
-        self.model.score(&probe.metric_features_with(&self.metrics, b, phi, interner))
-    }
-
-    /// Importance of every metric in the aggregated model (Table 7, MI
-    /// column).
-    pub fn metric_importances(&self) -> Vec<(RowMetricKind, f64)> {
-        self.model
-            .metric_importances()
-            .into_iter()
-            .zip(self.metrics.iter())
-            .map(|(mi, &kind)| (kind, mi.importance))
-            .collect()
-    }
-
-    /// Serialise the model (metric set + aggregation model) into the writer,
-    /// its feature names as references into `strings`.
-    pub fn encode_into<'a>(
-        &'a self,
-        strings: &mut ltee_ml::StringTableWriter<'a>,
-        w: &mut ltee_ml::ByteWriter,
-    ) {
-        w.write_seq(&self.metrics, |w, metric| w.write_u8(metric.code()));
-        self.model.encode_into(strings, w);
-    }
-
-    /// Decode a model previously written by
-    /// [`RowSimilarityModel::encode_into`].
-    pub fn decode_from(
-        r: &mut ltee_ml::ByteReader<'_>,
-        strings: &mut ltee_ml::StringTable<'_>,
-    ) -> Result<Self, ltee_ml::CodecError> {
-        let metrics = r.read_seq("row_model.metrics", 1, |r| {
-            let tag = r.read_u8("row_model.metric")?;
-            RowMetricKind::from_code(tag)
-                .ok_or(ltee_ml::CodecError::InvalidTag { what: "row_model.metric", tag })
-        })?;
-        // Scoring lays a metric set's features out inline.
-        if metrics.len() > PairFeatures::MAX_METRICS {
-            return Err(ltee_ml::CodecError::LengthOverflow {
-                what: "row_model.metrics",
-                declared: metrics.len(),
-            });
-        }
-        let model = PairwiseModel::decode_from(r, strings)?;
-        Ok(Self { metrics, model })
-    }
+    let probe = RowProbe::new(a, implicit);
+    let mut phi = |x, y| phi.table_similarity(x, y);
+    RowSimilarityModel::features(metrics, |kind| probe.metric_score(kind, b, &mut phi, interner))
 }
 
 #[cfg(test)]
@@ -708,7 +588,7 @@ mod tests {
     fn feature_vector_layout_matches_names() {
         let mut interner = Interner::new();
         let metrics = RowMetricKind::ALL.to_vec();
-        let names = metric_feature_names(&metrics);
+        let names = RowSimilarityModel::feature_names(&metrics);
         assert_eq!(names.len(), 8); // 6 similarities + 2 confidences
         assert_eq!(names[6], "ATTRIBUTE_confidence");
         let a = ctx(&mut interner, 1, 0, "A", vec![], "");
@@ -722,11 +602,5 @@ mod tests {
             &interner,
         );
         assert_eq!(features.len(), names.len());
-    }
-
-    #[test]
-    fn metric_names_unique() {
-        let names: std::collections::HashSet<_> = RowMetricKind::ALL.iter().map(|m| m.name()).collect();
-        assert_eq!(names.len(), 6);
     }
 }

@@ -7,12 +7,12 @@
 use std::collections::HashMap;
 
 use ltee_intern::Interner;
-use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseModel, PairwiseTrainingConfig, Sample};
+use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseTrainingConfig, Sample};
 use ltee_webtables::{GoldStandard, RowRef};
 use rayon::prelude::*;
 
 use crate::context::{ImplicitAttributes, RowContext};
-use crate::metrics::{metric_feature_names, metric_features, PhiTableVectors, RowMetricKind, RowSimilarityModel};
+use crate::metrics::{metric_features, PhiTableVectors, RowMetricKind, RowSimilarityModel};
 
 /// Training configuration for the row similarity model.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,8 +68,7 @@ pub fn build_pair_dataset(
     interner: &Interner,
 ) -> Dataset {
     PairFeatures::assert_metric_count(metrics.len());
-    let names = metric_feature_names(metrics);
-    let mut dataset = Dataset::new(names);
+    let mut dataset = Dataset::new(RowSimilarityModel::feature_names(metrics));
 
     let (cluster_of, positives) = gold_pairs(contexts, gold);
     let max_negatives = positives.len().max(1) * config.negatives_per_positive;
@@ -205,23 +204,11 @@ fn select_negatives_in_blocks(
     negatives
 }
 
-/// Train a row similarity model on a pair dataset.
-///
-/// Panics if `metrics` lists more than [`PairFeatures::MAX_METRICS`].
-pub fn train_row_model(
-    dataset: &Dataset,
-    metrics: Vec<RowMetricKind>,
-    config: &RowModelTrainingConfig,
-) -> RowSimilarityModel {
-    PairFeatures::assert_metric_count(metrics.len());
-    let model = PairwiseModel::train(dataset, metrics.len(), config.aggregation, &config.pairwise);
-    RowSimilarityModel { metrics, model }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ltee_kb::{generate_world, ClassKey, GeneratorConfig, Scale};
+    use ltee_ml::MetricKind;
     use ltee_matching::{match_corpus, MatcherWeights, SchemaMatchingConfig};
     use ltee_webtables::{generate_corpus, CorpusConfig};
 
@@ -275,7 +262,7 @@ mod tests {
             let (contexts, _, phi, implicit, interner) = setup_class(class);
             for (i, a) in contexts.iter().enumerate() {
                 for b in &contexts[i + 1..] {
-                    let features = metric_features(&RowMetricKind::ALL, a, b, &phi, &implicit, &interner);
+                    let features = metric_features(RowMetricKind::ALL, a, b, &phi, &implicit, &interner);
                     assert_eq!(features.len(), 8);
                     pairs += 1;
                     attribute_overlaps += usize::from(features[6] > 0.0);
@@ -297,7 +284,7 @@ mod tests {
         let metrics = RowMetricKind::ALL.to_vec();
         let config = RowModelTrainingConfig::fast();
         let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &config, &interner);
-        let model = train_row_model(&ds, metrics, &config);
+        let model = RowSimilarityModel::train(&ds, metrics, config.aggregation, &config.pairwise);
 
         // Evaluate on the training pairs themselves (sanity, not rigour):
         // the model should get a clear majority of them right.
@@ -324,7 +311,7 @@ mod tests {
         let metrics = RowMetricKind::ALL.to_vec();
         let config = RowModelTrainingConfig::fast();
         let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &config, &interner);
-        let model = train_row_model(&ds, metrics, &config);
+        let model = RowSimilarityModel::train(&ds, metrics, config.aggregation, &config.pairwise);
         let importances = model.metric_importances();
         assert_eq!(importances.len(), 6);
         let total: f64 = importances.iter().map(|(_, v)| v).sum();
@@ -367,7 +354,7 @@ mod tests {
         let config = RowModelTrainingConfig::fast();
         let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &config, &interner);
         assert_eq!(ds.num_features(), 1);
-        let model = train_row_model(&ds, metrics, &config);
+        let model = RowSimilarityModel::train(&ds, metrics, config.aggregation, &config.pairwise);
         assert_eq!(model.metrics.len(), 1);
     }
 

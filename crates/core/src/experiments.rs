@@ -6,8 +6,7 @@ use std::collections::HashMap;
 
 use ltee_clustering::metrics::PhiTableVectors;
 use ltee_clustering::{
-    build_pair_dataset, build_row_contexts, cluster_rows, train_row_model, ImplicitAttributes,
-    RowMetricKind,
+    build_pair_dataset, build_row_contexts, cluster_rows, ImplicitAttributes, RowMetricKind, RowSimilarityModel,
 };
 use ltee_eval::{
     evaluate_clustering, evaluate_facts, evaluate_new_detection, evaluate_new_instances,
@@ -19,11 +18,9 @@ use ltee_kb::{
     generate_world, ClassProfile, GeneratorConfig, Scale, World, CLASS_KEYS,
 };
 use ltee_matching::{learn_weights, match_corpus, CorpusFeedback, CorpusMapping};
-use ltee_ml::grouped_k_folds;
+use ltee_ml::{grouped_k_folds, MetricKind};
 use ltee_newdetect::metrics::EntityContext;
-use ltee_newdetect::{
-    build_entity_pair_dataset, detect_new, train_entity_model, EntityMetricKind,
-};
+use ltee_newdetect::{build_entity_pair_dataset, detect_new, EntityMetricKind, EntitySimilarityModel};
 use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, CorpusProfile, GoldStandard, RowRef};
 
 use crate::pipeline::{train_models, Pipeline, PipelineConfig};
@@ -387,7 +384,8 @@ pub fn table07_row_clustering_ablation(config: &ExperimentConfig) -> Vec<Table7R
             if ds.positives() == 0 || ds.negatives() == 0 {
                 continue;
             }
-            let model = train_row_model(&ds, metrics.clone(), &config.pipeline.row_training);
+            let training = &config.pipeline.row_training;
+            let model = RowSimilarityModel::train(&ds, metrics.clone(), training.aggregation, &training.pairwise);
             let clustering = cluster_rows(
                 &test_contexts,
                 &model,
@@ -537,7 +535,8 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
             if ds.positives() == 0 || ds.negatives() == 0 {
                 continue;
             }
-            let model = train_entity_model(&ds, metrics.clone(), &config.pipeline.entity_training);
+            let training = &config.pipeline.entity_training;
+            let model = EntitySimilarityModel::train(&ds, metrics.clone(), training.aggregation, &training.pairwise);
             let test_contexts: Vec<EntityContext> =
                 test_idx.iter().map(|&i| contexts[i].clone()).collect();
             let results = detect_new(

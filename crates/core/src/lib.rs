@@ -115,6 +115,7 @@ pub mod prelude {
     pub use ltee_kb::{
         generate_world, ClassKey, GeneratorConfig, KnowledgeBase, Scale, World, CLASS_KEYS,
     };
+    pub use ltee_ml::MetricKind;
     pub use ltee_newdetect::{EntityMetricKind, NewDetectionConfig, NewDetectionOutcome};
     pub use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, GoldStandard};
 }

@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 
 use ltee_clustering::{
-    build_pair_dataset, build_row_contexts, cluster_rows, train_row_model, ClusteringConfig,
-    ImplicitAttributes, RowMetricKind, RowModelTrainingConfig, RowSimilarityModel,
+    build_pair_dataset, build_row_contexts, cluster_rows, ClusteringConfig, ImplicitAttributes, RowMetricKind,
+    RowModelTrainingConfig, RowSimilarityModel,
 };
 use ltee_clustering::metrics::PhiTableVectors;
 use ltee_fusion::{create_entities, Entity, EntityCreationConfig};
@@ -14,11 +14,10 @@ use ltee_matching::{
     learn_weights, match_corpus, match_corpus_and_candidates, CorpusFeedback, CorpusMapping, MatcherWeights,
     SchemaMatchingConfig,
 };
-use ltee_ml::GeneticConfig;
+use ltee_ml::{GeneticConfig, MetricKind};
 use ltee_newdetect::{
-    build_entity_pair_dataset, detect_new, train_entity_model, EntityMetricKind,
-    EntityModelTrainingConfig, EntitySimilarityModel, NewDetectionConfig, NewDetectionOutcome,
-    NewDetectionResult,
+    build_entity_pair_dataset, detect_new, EntityMetricKind, EntityModelTrainingConfig, EntitySimilarityModel,
+    NewDetectionConfig, NewDetectionOutcome, NewDetectionResult,
 };
 use ltee_newdetect::metrics::EntityContext;
 use ltee_webtables::{Corpus, GoldStandard, RowRef, TableId};
@@ -237,7 +236,9 @@ pub fn train_models(
     if row_dataset.is_empty() {
         return Err(PipelineError::EmptyTrainingData { stage: "row pair dataset" });
     }
-    let row_model = train_row_model(&row_dataset, config.row_metrics.clone(), &config.row_training);
+    let training = &config.row_training;
+    let row_model =
+        RowSimilarityModel::train(&row_dataset, config.row_metrics.clone(), training.aggregation, &training.pairwise);
 
     // Entity similarity model: entities fused from the gold clusters, paired
     // with knowledge base candidates.
@@ -274,8 +275,13 @@ pub fn train_models(
     if entity_dataset.is_empty() {
         return Err(PipelineError::EmptyTrainingData { stage: "entity pair dataset" });
     }
-    let entity_model =
-        train_entity_model(&entity_dataset, config.entity_metrics.clone(), &config.entity_training);
+    let training = &config.entity_training;
+    let entity_model = EntitySimilarityModel::train(
+        &entity_dataset,
+        config.entity_metrics.clone(),
+        training.aggregation,
+        &training.pairwise,
+    );
 
     Ok(TrainedModels { matcher_weights, row_model, entity_model })
 }

@@ -149,27 +149,13 @@ pub fn create_entities_with_scores(
 ) -> Vec<Entity> {
     clusters
         .par_iter()
-        .map(|rows| create_entity_inner(rows, corpus, mapping, kb, class, config, kbt))
+        .map(|rows| create_entity(rows, corpus, mapping, kb, class, config, kbt))
         .collect()
 }
 
-/// Create a single entity from a cluster of rows.
-pub fn create_entity(
-    rows: &[RowRef],
-    corpus: &Corpus,
-    mapping: &CorpusMapping,
-    kb: &KnowledgeBase,
-    class: ClassKey,
-    config: &EntityCreationConfig,
-) -> Entity {
-    let kbt = match config.scoring {
-        ScoringMethod::Kbt => Some(kbt_scores(corpus, mapping, kb, class)),
-        _ => None,
-    };
-    create_entity_inner(rows, corpus, mapping, kb, class, config, kbt.as_ref())
-}
-
-fn create_entity_inner(
+/// Create a single entity from a cluster of rows, its facts scored by
+/// `kbt` under [`ScoringMethod::Kbt`].
+fn create_entity(
     rows: &[RowRef],
     corpus: &Corpus,
     mapping: &CorpusMapping,
@@ -558,7 +544,7 @@ mod tests {
             for scoring in ScoringMethod::ALL {
                 let config = EntityCreationConfig { scoring, ..Default::default() };
                 let fuse = |rows: &Vec<RowRef>| {
-                    create_entity_inner(rows, &corpus, &mapping, world.kb(), class, &config, Some(&kbt))
+                    create_entity(rows, &corpus, &mapping, world.kb(), class, &config, Some(&kbt))
                 };
                 let sequential: Vec<Entity> = clusters.iter().map(fuse).collect();
                 for threads in [1, 4] {

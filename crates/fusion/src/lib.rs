@@ -28,6 +28,6 @@ pub mod fuse;
 
 pub use entity::{CandidateValue, Entity};
 pub use fuse::{
-    create_entities, create_entities_with_scores, create_entity, kbt_scores_for_tables,
+    create_entities, create_entities_with_scores, kbt_scores_for_tables,
     EntityCreationConfig, ScoringMethod,
 };

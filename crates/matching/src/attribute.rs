@@ -117,20 +117,6 @@ impl MatcherWeights {
         }
         Ok(Self { class_weights: class_weights.into_iter().collect(), property_thresholds })
     }
-
-    /// The averaged weight of each matcher across classes (reported when
-    /// discussing matcher usefulness, Section 3.1).
-    pub fn average_weights(&self) -> Vec<(MatcherKind, f64)> {
-        let n = self.class_weights.len().max(1) as f64;
-        MatcherKind::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &kind)| {
-                let sum: f64 = self.class_weights.values().map(|w| w.get(i).copied().unwrap_or(0.0)).sum();
-                (kind, sum / n)
-            })
-            .collect()
-    }
 }
 
 /// Compute the five matcher scores of a (column, property) pair.
@@ -391,15 +377,6 @@ mod tests {
         w.property_thresholds.entry(ClassKey::Song).or_default().insert("genre".into(), 0.55);
         assert_eq!(w.threshold_for(ClassKey::Song, "genre", 0.3), 0.55);
         assert_eq!(w.threshold_for(ClassKey::Settlement, "genre", 0.3), 0.3);
-    }
-
-    #[test]
-    fn average_weights_reports_all_matchers() {
-        let w = MatcherWeights::default();
-        let avg = w.average_weights();
-        assert_eq!(avg.len(), 5);
-        let total: f64 = avg.iter().map(|(_, v)| v).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

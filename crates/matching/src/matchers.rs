@@ -213,11 +213,6 @@ impl HeaderStatistics {
         let hits = self.counts.get(&(header, property)).copied().unwrap_or(0);
         hits as f64 / total as f64
     }
-
-    /// Number of distinct headers observed.
-    pub fn distinct_headers(&self) -> usize {
-        self.totals.len()
-    }
 }
 
 /// WT-Label: the header-to-property likelihood from the preliminary mapping.
@@ -404,7 +399,6 @@ mod tests {
         assert!((stats.likelihood("club", "college") - 0.2).abs() < 1e-12);
         assert_eq!(stats.likelihood("unknown", "team"), 0.0);
         assert_eq!(stats.likelihood("club", "unobserved"), 0.0);
-        assert_eq!(stats.distinct_headers(), 1);
     }
 
     #[test]

@@ -182,9 +182,6 @@ pub struct PairwiseModel {
     feature_names: Vec<String>,
 }
 
-/// A combined model alias kept for API clarity.
-pub type CombinedModel = PairwiseModel;
-
 impl PairwiseModel {
     /// Train a pairwise model.
     ///
@@ -360,6 +357,23 @@ impl PairwiseModel {
             .collect()
     }
 
+    /// The first part of this model that does not lay its features out as
+    /// `names`, the first `similarities` of them similarity features, or
+    /// `None` when every part does.
+    pub(crate) fn layout_mismatch(&self, names: &[String], similarities: usize) -> Option<&'static str> {
+        if self.num_similarities != similarities {
+            Some("pairwise.num_similarities")
+        } else if self.feature_names != names {
+            Some("pairwise.feature_names")
+        } else if self.forest.as_ref().is_some_and(|forest| forest.feature_names() != names) {
+            Some("forest.feature_names")
+        } else if self.weighted.as_ref().is_some_and(|weighted| weighted.feature_names != names[..similarities]) {
+            Some("weighted.feature_names")
+        } else {
+            None
+        }
+    }
+
     /// Serialise the model into the writer. Every learned parameter (both
     /// branches, the mixing weight) is stored bit-exact, so the decoded
     /// model's [`PairwiseModel::score`] is bit-identical to the original's;
@@ -411,7 +425,7 @@ mod tests {
 
     fn quick_cfg() -> PairwiseTrainingConfig {
         PairwiseTrainingConfig {
-            genetic: GeneticConfig { population: 20, generations: 15, seed: 5, ..Default::default() },
+            genetic: GeneticConfig { population: 20, generations: 15, seed: 5 },
             forest: RandomForestConfig { num_trees: 15, max_depth: 6, ..Default::default() },
             upsample_seed: 3,
         }

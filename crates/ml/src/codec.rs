@@ -218,6 +218,16 @@ pub enum CodecError {
         /// The values the structure allows.
         allowed: std::ops::Range<u64>,
     },
+    /// A metric model's aggregation model does not lay its features out
+    /// as the model's metric list does.
+    MetricLayout {
+        /// The metric list (`"row_model.metrics"`, `"entity_model.metrics"`).
+        what: &'static str,
+        /// The first part that disagrees with it:
+        /// `"pairwise.num_similarities"`, `"pairwise.feature_names"`,
+        /// `"forest.feature_names"` or `"weighted.feature_names"`.
+        part: &'static str,
+    },
     /// Trailing bytes remained after the final field was decoded.
     TrailingBytes(usize),
 }
@@ -311,6 +321,9 @@ impl std::fmt::Display for CodecError {
             }
             CodecError::OutOfRange { what, value, allowed } => {
                 write!(f, "{what} {value} is outside {allowed:?}")
+            }
+            CodecError::MetricLayout { what, part } => {
+                write!(f, "{part} do not follow the feature layout of {what}")
             }
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the final field"),
         }

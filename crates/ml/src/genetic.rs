@@ -12,6 +12,17 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+/// Per-gene mutation probability.
+const MUTATION_RATE: f64 = 0.25;
+/// Standard deviation of Gaussian mutation (relative to the gene range).
+const MUTATION_SIGMA: f64 = 0.15;
+/// Number of elite individuals copied unchanged into the next generation.
+const ELITISM: usize = 2;
+/// BLX-α crossover expansion factor.
+const BLEND_ALPHA: f64 = 0.3;
+
 /// Configuration of the genetic optimiser.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneticConfig {
@@ -19,37 +30,13 @@ pub struct GeneticConfig {
     pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
-    /// Standard deviation of Gaussian mutation (relative to the gene range).
-    pub mutation_sigma: f64,
-    /// Number of elite individuals copied unchanged into the next generation.
-    pub elitism: usize,
-    /// BLX-α crossover expansion factor.
-    pub blend_alpha: f64,
-    /// Convergence check: stop early when the best fitness has not strictly
-    /// improved for this many consecutive generations. `0` disables the
-    /// check and always runs the full `generations` budget.
-    pub stall_generations: usize,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for GeneticConfig {
     fn default() -> Self {
-        Self {
-            population: 40,
-            generations: 35,
-            tournament: 3,
-            mutation_rate: 0.25,
-            mutation_sigma: 0.15,
-            elitism: 2,
-            blend_alpha: 0.3,
-            stall_generations: 0,
-            seed: 101,
-        }
+        Self { population: 40, generations: 35, seed: 101 }
     }
 }
 
@@ -104,30 +91,13 @@ impl GeneticOptimizer {
             .collect();
         let mut scores: Vec<f64> = population.par_iter().map(|g| fitness(g)).collect();
 
-        let mut best_so_far = f64::NEG_INFINITY;
-        let mut stalled = 0usize;
         for _gen in 0..self.config.generations {
-            // Convergence check: elitism makes the best score monotone, so a
-            // run of generations without strict improvement means the search
-            // has settled.
-            if self.config.stall_generations > 0 {
-                let gen_best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                if gen_best > best_so_far {
-                    best_so_far = gen_best;
-                    stalled = 0;
-                } else {
-                    stalled += 1;
-                    if stalled >= self.config.stall_generations {
-                        break;
-                    }
-                }
-            }
             // Rank indices by fitness, best first.
             let mut order: Vec<usize> = (0..pop_size).collect();
             order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
 
             let mut next: Vec<Vec<f64>> = Vec::with_capacity(pop_size);
-            for &elite in order.iter().take(self.config.elitism.min(pop_size)) {
+            for &elite in order.iter().take(ELITISM.min(pop_size)) {
                 next.push(population[elite].clone());
             }
             while next.len() < pop_size {
@@ -152,7 +122,7 @@ impl GeneticOptimizer {
 
     fn tournament_select(&self, scores: &[f64], rng: &mut ChaCha8Rng) -> usize {
         let mut best = rng.gen_range(0..scores.len());
-        for _ in 1..self.config.tournament.max(1) {
+        for _ in 1..TOURNAMENT {
             let challenger = rng.gen_range(0..scores.len());
             if scores[challenger] > scores[best] {
                 best = challenger;
@@ -162,7 +132,6 @@ impl GeneticOptimizer {
     }
 
     fn crossover(&self, a: &[f64], b: &[f64], rng: &mut ChaCha8Rng) -> Vec<f64> {
-        let alpha = self.config.blend_alpha;
         a.iter()
             .zip(b.iter())
             .enumerate()
@@ -170,8 +139,8 @@ impl GeneticOptimizer {
                 let (lo, hi) = self.bounds[g];
                 let (min, max) = if x <= y { (x, y) } else { (y, x) };
                 let range = (max - min).max(1e-12);
-                let low = (min - alpha * range).max(lo);
-                let high = (max + alpha * range).min(hi);
+                let low = (min - BLEND_ALPHA * range).max(lo);
+                let high = (max + BLEND_ALPHA * range).min(hi);
                 if (high - low).abs() < f64::EPSILON {
                     low
                 } else {
@@ -183,14 +152,14 @@ impl GeneticOptimizer {
 
     fn mutate(&self, genome: &mut [f64], rng: &mut ChaCha8Rng) {
         for (g, value) in genome.iter_mut().enumerate() {
-            if rng.gen::<f64>() < self.config.mutation_rate {
+            if rng.gen::<f64>() < MUTATION_RATE {
                 let (lo, hi) = self.bounds[g];
                 let range = (hi - lo).max(1e-12);
                 // Box-Muller Gaussian from two uniforms.
                 let u1: f64 = rng.gen::<f64>().max(1e-12);
                 let u2: f64 = rng.gen();
                 let normal = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                *value = (*value + normal * self.config.mutation_sigma * range).clamp(lo, hi);
+                *value = (*value + normal * MUTATION_SIGMA * range).clamp(lo, hi);
             }
         }
     }
@@ -201,7 +170,7 @@ mod tests {
     use super::*;
 
     fn quick_config(seed: u64) -> GeneticConfig {
-        GeneticConfig { population: 30, generations: 25, seed, ..Default::default() }
+        GeneticConfig { population: 30, generations: 25, seed }
     }
 
     #[test]
@@ -257,38 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn stall_convergence_stops_early_on_flat_fitness() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Constant fitness never improves, so the run must stop after the
-        // initial evaluation plus `stall_generations` generations.
-        let config = GeneticConfig {
-            population: 10,
-            generations: 1000,
-            stall_generations: 3,
-            seed: 6,
-            ..Default::default()
-        };
-        let evaluations = AtomicUsize::new(0);
-        let opt = GeneticOptimizer::new(vec![(0.0, 1.0)], config);
-        let (_, score) = opt.optimize(|_| {
-            evaluations.fetch_add(1, Ordering::Relaxed);
-            0.5
-        });
-        assert_eq!(score, 0.5);
-        // Initial population + at most `stall_generations` further
-        // generations of 10 evaluations each (the first generation improves
-        // from -inf to 0.5, so the counter starts one generation later).
-        assert!(
-            evaluations.load(Ordering::Relaxed) <= 10 * 5,
-            "expected early stop, saw {} evaluations",
-            evaluations.load(Ordering::Relaxed)
-        );
-    }
-
-    #[test]
     fn stall_convergence_disabled_runs_full_budget() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let config = GeneticConfig { population: 10, generations: 5, seed: 6, ..Default::default() };
+        let config = GeneticConfig { population: 10, generations: 5, seed: 6 };
         let evaluations = AtomicUsize::new(0);
         let opt = GeneticOptimizer::new(vec![(0.0, 1.0)], config);
         opt.optimize(|_| {

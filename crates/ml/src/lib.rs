@@ -20,6 +20,10 @@
 //! metric importance scores (the average of random-forest feature importance
 //! and weighted-average weights, as reported in Tables 7 and 8).
 //!
+//! [`MetricModel`] is the pairwise model over one family of similarity
+//! metrics ([`MetricKind`]): the row and entity similarity models are its
+//! two instances.
+//!
 //! All three model families serialise through the binary [`codec`]
 //! (`encode_into` / `decode_from`, against the stream's string table),
 //! which is what the train-once / serve-many model artifact in `ltee-core`
@@ -33,14 +37,14 @@ pub mod dataset;
 pub mod folds;
 pub mod forest;
 pub mod genetic;
+pub mod metric;
 pub mod weighted;
 
-pub use aggregate::{
-    AggregationMethod, CombinedModel, MetricImportance, PairFeatures, PairwiseModel, PairwiseTrainingConfig,
-};
+pub use aggregate::{AggregationMethod, MetricImportance, PairFeatures, PairwiseModel, PairwiseTrainingConfig};
 pub use codec::{fnv1a64, ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 pub use dataset::{Dataset, Sample};
 pub use folds::{grouped_k_folds, FoldSplit};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use genetic::{GeneticConfig, GeneticOptimizer};
+pub use metric::{MetricKind, MetricModel};
 pub use weighted::WeightedAverageModel;

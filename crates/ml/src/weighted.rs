@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn learning_recovers_the_informative_feature() {
         let ds = training_data().upsampled_balanced(3);
-        let cfg = GeneticConfig { population: 30, generations: 25, seed: 9, ..Default::default() };
+        let cfg = GeneticConfig { population: 30, generations: 25, seed: 9 };
         let model = WeightedAverageModel::learn(&ds, &cfg);
         assert!(
             model.weights[0] > model.weights[1],

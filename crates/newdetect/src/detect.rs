@@ -5,7 +5,7 @@ use ltee_intern::Interner;
 use ltee_kb::{InstanceId, KnowledgeBase};
 use rayon::prelude::*;
 
-use crate::metrics::{EntityContext, EntitySimilarityModel, InstanceContext};
+use crate::metrics::{by_popularity, entity_metric_features, EntityContext, EntitySimilarityModel, InstanceContext};
 
 /// Configuration of the new detection component.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,19 +116,16 @@ pub fn detect_new(
             // already, but keep the check for robustness) or a parent class.
             // Re-checked per entity: a cached context may have been built
             // for a different retrieving entity's class.
-            let mut candidates: Vec<&InstanceContext> = ids_per_entity[idx]
+            let candidates: Vec<&InstanceContext> = ids_per_entity[idx]
                 .iter()
                 .filter_map(|id| cache.get(id))
                 .filter(|inst| class_compatible(inst.class, entity))
                 .collect();
-            // Popularity: rank by page links (stable sort — retrieval order
-            // breaks ties), score = 1/rank; single candidate → 1.0.
-            candidates.sort_by_key(|c| std::cmp::Reverse(c.page_links));
             let n = candidates.len();
             let mut best: Option<(InstanceId, f64)> = None;
-            for (rank, instance_ctx) in candidates.iter().enumerate() {
-                let popularity = if n == 1 { 1.0 } else { 1.0 / (rank + 1) as f64 };
-                let score = model.score(entity, instance_ctx, popularity, interner);
+            for (instance_ctx, popularity) in by_popularity(candidates) {
+                let features = entity_metric_features(&model.metrics, entity, instance_ctx, popularity, interner);
+                let score = model.score(&features);
                 if best.map(|(_, s)| score > s).unwrap_or(true) {
                     best = Some((instance_ctx.id, score));
                 }
@@ -189,10 +186,10 @@ fn candidate_ids(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{entity_metric_feature_names, EntityMetricKind};
+    use crate::metrics::EntityMetricKind;
     use ltee_fusion::Entity;
     use ltee_kb::{generate_world, ClassKey, GeneratorConfig, Scale};
-    use ltee_ml::{AggregationMethod, Dataset, PairwiseModel, PairwiseTrainingConfig, Sample};
+    use ltee_ml::{AggregationMethod, Dataset, PairwiseTrainingConfig, Sample};
     use ltee_text::BowVector;
     use ltee_webtables::{RowRef, TableId};
 
@@ -204,21 +201,20 @@ mod tests {
     /// very high.
     fn label_model() -> EntitySimilarityModel {
         let metrics = vec![EntityMetricKind::Label];
-        let mut ds = Dataset::new(entity_metric_feature_names(&metrics));
+        let mut ds = Dataset::new(EntitySimilarityModel::feature_names(&metrics));
         for i in 0..LABEL_MODEL_TRAINING_POINTS {
             let x = i as f64 / LABEL_MODEL_TRAINING_POINTS as f64;
             ds.push(Sample::new(vec![x], if x > 0.85 { 1.0 } else { 0.0 }));
         }
-        let model = PairwiseModel::train(
+        EntitySimilarityModel::train(
             &ds,
-            1,
+            metrics,
             AggregationMethod::WeightedAverage,
             &PairwiseTrainingConfig {
-                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, seed: 2, ..Default::default() },
+                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, seed: 2 },
                 ..Default::default()
             },
-        );
-        EntitySimilarityModel { metrics, model }
+        )
     }
 
     fn entity_for(interner: &mut Interner, class: ClassKey, label: &str) -> EntityContext {

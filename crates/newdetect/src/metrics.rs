@@ -5,9 +5,9 @@ use std::collections::{HashMap, HashSet};
 use ltee_fusion::Entity;
 use ltee_intern::{Interner, TokenSeq};
 use ltee_kb::{ClassKey, Instance, InstanceId, KnowledgeBase};
-use ltee_ml::{PairFeatures, PairwiseModel};
+use ltee_ml::{MetricKind, MetricModel, PairFeatures};
 use ltee_text::{cosine_similarity, monge_elkan_tokens, normalize_label, tokenize_interned, BowVector};
-use ltee_types::{PreparedValue, Value};
+use ltee_types::{Agreement, PreparedValue, Value};
 use ltee_webtables::Corpus;
 use rayon::prelude::*;
 
@@ -35,9 +35,9 @@ pub enum EntityMetricKind {
     Popularity,
 }
 
-impl EntityMetricKind {
+impl MetricKind for EntityMetricKind {
     /// All metrics in the order of the Table 8 ablation.
-    pub const ALL: [EntityMetricKind; 6] = [
+    const ALL: &'static [EntityMetricKind] = &[
         EntityMetricKind::Label,
         EntityMetricKind::Type,
         EntityMetricKind::Bow,
@@ -45,9 +45,10 @@ impl EntityMetricKind {
         EntityMetricKind::ImplicitAtt,
         EntityMetricKind::Popularity,
     ];
+    const LIST_LABEL: &'static str = "entity_model.metrics";
+    const TAG_LABEL: &'static str = "entity_model.metric";
 
-    /// Stable feature name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             EntityMetricKind::Label => "LABEL",
             EntityMetricKind::Type => "TYPE",
@@ -58,13 +59,11 @@ impl EntityMetricKind {
         }
     }
 
-    /// Whether this metric carries a confidence feature.
-    pub fn has_confidence(self) -> bool {
+    fn has_confidence(self) -> bool {
         matches!(self, EntityMetricKind::Attribute | EntityMetricKind::ImplicitAtt)
     }
 
-    /// Stable on-disk tag of this metric (model persistence).
-    pub fn code(self) -> u8 {
+    fn code(self) -> u8 {
         match self {
             EntityMetricKind::Label => 0,
             EntityMetricKind::Type => 1,
@@ -74,12 +73,11 @@ impl EntityMetricKind {
             EntityMetricKind::Popularity => 5,
         }
     }
-
-    /// Inverse of [`EntityMetricKind::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        EntityMetricKind::ALL.into_iter().find(|m| m.code() == code)
-    }
 }
+
+/// A trained entity-to-instance similarity model, scoring the features of
+/// [`entity_metric_features`] in `[-1, 1]`.
+pub type EntitySimilarityModel = MetricModel<EntityMetricKind>;
 
 /// Precomputed view of a created entity used by the metrics.
 #[derive(Debug, Clone)]
@@ -297,23 +295,22 @@ impl InstanceContext {
     /// fact's data type, and the summed confidence of the values that had a
     /// fact to compare with; zeros if none had.
     fn agreement<'a>(&self, values: impl Iterator<Item = (&'a str, f64, &'a PreparedValue)>) -> (f64, f64) {
-        let mut compared = 0usize;
-        let mut total = 0.0;
-        let mut confidence = 0.0;
+        let mut agreement = Agreement::default();
         for (prop, score, value) in values {
             if let Some(i) = self.facts.iter().position(|(p, _)| p == prop) {
-                let dtype = self.facts[i].1.data_type();
-                total += if value.similarity(&self.prepared_facts[i], dtype) >= 0.95 { 1.0 } else { 0.0 };
-                confidence += score;
-                compared += 1;
+                agreement.compare(value, &self.prepared_facts[i], self.facts[i].1.data_type(), score);
             }
         }
-        if compared == 0 {
-            (0.0, 0.0)
-        } else {
-            (total / compared as f64, confidence)
-        }
+        agreement.score()
     }
+}
+
+/// Every candidate of one entity with its `POPULARITY` score: ranked by
+/// page links (a stable sort, so retrieval order breaks ties), the
+/// candidate at rank `r` scores `1/r` — `1.0` when it is the only one.
+pub(crate) fn by_popularity(mut candidates: Vec<&InstanceContext>) -> impl Iterator<Item = (&InstanceContext, f64)> {
+    candidates.sort_by_key(|c| std::cmp::Reverse(c.page_links));
+    candidates.into_iter().enumerate().map(|(rank, c)| (c, 1.0 / (rank + 1) as f64))
 }
 
 /// Compute one metric for an entity / candidate-instance pair.
@@ -370,90 +367,9 @@ pub fn entity_metric_features(
     popularity_score: f64,
     interner: &Interner,
 ) -> PairFeatures {
-    PairFeatures::from_scores(metrics.iter().map(|&kind| {
-        let (similarity, confidence) =
-            entity_metric_score(kind, entity, instance, popularity_score, interner);
-        (similarity, kind.has_confidence().then_some(confidence))
-    }))
-}
-
-/// Feature names corresponding to [`entity_metric_features`].
-pub fn entity_metric_feature_names(metrics: &[EntityMetricKind]) -> Vec<String> {
-    let mut names: Vec<String> = metrics.iter().map(|m| m.name().to_string()).collect();
-    for m in metrics {
-        if m.has_confidence() {
-            names.push(format!("{}_confidence", m.name()));
-        }
-    }
-    names
-}
-
-/// A trained entity-to-instance similarity model.
-#[derive(Debug, Clone)]
-pub struct EntitySimilarityModel {
-    /// The metrics used, in feature order.
-    pub metrics: Vec<EntityMetricKind>,
-    /// The aggregation model; positive score means "same instance".
-    pub model: PairwiseModel,
-}
-
-impl EntitySimilarityModel {
-    /// Score an entity / candidate pair in `[-1, 1]`. `interner` is the
-    /// interner behind both contexts' interned label tokens.
-    pub fn score(
-        &self,
-        entity: &EntityContext,
-        instance: &InstanceContext,
-        popularity_score: f64,
-        interner: &Interner,
-    ) -> f64 {
-        let features =
-            entity_metric_features(&self.metrics, entity, instance, popularity_score, interner);
-        self.model.score(&features)
-    }
-
-    /// Metric importances (Table 8 MI column).
-    pub fn metric_importances(&self) -> Vec<(EntityMetricKind, f64)> {
-        self.model
-            .metric_importances()
-            .into_iter()
-            .zip(self.metrics.iter())
-            .map(|(mi, &kind)| (kind, mi.importance))
-            .collect()
-    }
-
-    /// Serialise the model (metric set + aggregation model) into the writer,
-    /// its feature names as references into `strings`.
-    pub fn encode_into<'a>(
-        &'a self,
-        strings: &mut ltee_ml::StringTableWriter<'a>,
-        w: &mut ltee_ml::ByteWriter,
-    ) {
-        w.write_seq(&self.metrics, |w, metric| w.write_u8(metric.code()));
-        self.model.encode_into(strings, w);
-    }
-
-    /// Decode a model previously written by
-    /// [`EntitySimilarityModel::encode_into`].
-    pub fn decode_from(
-        r: &mut ltee_ml::ByteReader<'_>,
-        strings: &mut ltee_ml::StringTable<'_>,
-    ) -> Result<Self, ltee_ml::CodecError> {
-        let metrics = r.read_seq("entity_model.metrics", 1, |r| {
-            let tag = r.read_u8("entity_model.metric")?;
-            EntityMetricKind::from_code(tag)
-                .ok_or(ltee_ml::CodecError::InvalidTag { what: "entity_model.metric", tag })
-        })?;
-        // Scoring lays a metric set's features out inline.
-        if metrics.len() > PairFeatures::MAX_METRICS {
-            return Err(ltee_ml::CodecError::LengthOverflow {
-                what: "entity_model.metrics",
-                declared: metrics.len(),
-            });
-        }
-        let model = PairwiseModel::decode_from(r, strings)?;
-        Ok(Self { metrics, model })
-    }
+    EntitySimilarityModel::features(metrics, |kind| {
+        entity_metric_score(kind, entity, instance, popularity_score, interner)
+    })
 }
 
 #[cfg(test)]
@@ -582,7 +498,7 @@ mod tests {
     fn feature_layout_matches_names() {
         let mut interner = Interner::new();
         let metrics = EntityMetricKind::ALL.to_vec();
-        let names = entity_metric_feature_names(&metrics);
+        let names = EntitySimilarityModel::feature_names(&metrics);
         assert_eq!(names.len(), 8);
         let e = entity_ctx(&mut interner, ClassKey::Song, "Hey Jude", vec![]);
         let inst = instance_ctx(&mut interner, ClassKey::Song, "Hey Jude", vec![], 1);

@@ -3,12 +3,11 @@
 use ltee_index::LabelIndex;
 use ltee_intern::Interner;
 use ltee_kb::{InstanceId, KnowledgeBase};
-use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseModel, PairwiseTrainingConfig, Sample};
+use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseTrainingConfig, Sample};
 use rayon::prelude::*;
 
 use crate::metrics::{
-    entity_metric_feature_names, entity_metric_features, EntityContext, EntityMetricKind,
-    EntitySimilarityModel, InstanceContext,
+    by_popularity, entity_metric_features, EntityContext, EntityMetricKind, EntitySimilarityModel, InstanceContext,
 };
 
 /// Training configuration for the entity similarity model.
@@ -62,7 +61,7 @@ pub fn build_entity_pair_dataset(
 ) -> Dataset {
     assert_eq!(entities.len(), truth.len(), "one truth entry per entity");
     PairFeatures::assert_metric_count(metrics.len());
-    let mut dataset = Dataset::new(entity_metric_feature_names(metrics));
+    let mut dataset = Dataset::new(EntitySimilarityModel::feature_names(metrics));
 
     // Candidate instances via the label index (as at detection time), on
     // the pool.
@@ -102,15 +101,9 @@ pub fn build_entity_pair_dataset(
         .par_iter()
         .enumerate()
         .map(|(idx, entity)| {
-            let mut contexts: Vec<&InstanceContext> =
-                ids_per_entity[idx].iter().filter_map(|id| cache.get(id)).collect();
-            contexts.sort_by_key(|c| std::cmp::Reverse(c.page_links));
-            let n = contexts.len();
-            contexts
-                .iter()
-                .enumerate()
-                .map(|(rank, ctx)| {
-                    let popularity = if n == 1 { 1.0 } else { 1.0 / (rank + 1) as f64 };
+            let contexts = ids_per_entity[idx].iter().filter_map(|id| cache.get(id)).collect();
+            by_popularity(contexts)
+                .map(|(ctx, popularity)| {
                     let features = entity_metric_features(metrics, entity, ctx, popularity, interner).to_vec();
                     let target = if Some(ctx.id) == truth[idx] { 1.0 } else { 0.0 };
                     Sample::new(features, target)
@@ -124,24 +117,12 @@ pub fn build_entity_pair_dataset(
     dataset
 }
 
-/// Train the entity similarity model.
-///
-/// Panics if `metrics` lists more than [`PairFeatures::MAX_METRICS`].
-pub fn train_entity_model(
-    dataset: &Dataset,
-    metrics: Vec<EntityMetricKind>,
-    config: &EntityModelTrainingConfig,
-) -> EntitySimilarityModel {
-    PairFeatures::assert_metric_count(metrics.len());
-    let model = PairwiseModel::train(dataset, metrics.len(), config.aggregation, &config.pairwise);
-    EntitySimilarityModel { metrics, model }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detect::{detect_new, NewDetectionConfig};
     use ltee_clustering::ImplicitAttributes;
+    use ltee_ml::MetricKind;
     use ltee_fusion::Entity;
     use ltee_kb::{generate_world, ClassKey, GeneratorConfig, Scale, World};
     use ltee_text::BowVector;
@@ -198,7 +179,7 @@ mod tests {
             build_entity_pair_dataset(&entities, &truth, kb, &index, &metrics, &config, &mut interner);
         assert!(ds.positives() > 5, "need positive pairs, got {}", ds.positives());
         assert!(ds.negatives() > 5, "need negative pairs, got {}", ds.negatives());
-        let model = train_entity_model(&ds, metrics, &config);
+        let model = EntitySimilarityModel::train(&ds, metrics, config.aggregation, &config.pairwise);
 
         // Evaluate on a held-out slice.
         let mut eval_entities = Vec::new();
@@ -275,7 +256,7 @@ mod tests {
                 &truth,
                 kb,
                 &index,
-                &EntityMetricKind::ALL,
+                EntityMetricKind::ALL,
                 &EntityModelTrainingConfig::fast(),
                 &mut interner,
             );
@@ -318,9 +299,10 @@ mod tests {
                 }
                 let minted = interner.len();
                 let metrics = EntityMetricKind::ALL;
-                let ds = build_entity_pair_dataset(&entities, &truth, kb, index, &metrics, &config, &mut interner);
+                let ds = build_entity_pair_dataset(&entities, &truth, kb, index, metrics, &config, &mut interner);
                 assert!(interner.len() > minted, "{class}: instance contexts must mint tokens");
-                let model = train_entity_model(&ds, metrics.to_vec(), &config);
+                let model =
+                    EntitySimilarityModel::train(&ds, metrics.to_vec(), config.aggregation, &config.pairwise);
                 let results = detect_new(&entities, kb, index, &model, &NewDetectionConfig::default(), &mut interner);
                 let new = results.iter().filter(|r| r.outcome.is_new()).count();
                 assert!(0 < new && new < results.len(), "{class}: both outcomes must occur");

@@ -30,6 +30,6 @@ pub mod value;
 pub use datatype::{DataType, DetectedType};
 pub use detect::{detect_cell_type, detect_column_type, parse_cell_as};
 pub use similarity::{
-    value_equivalent, value_similarity, EquivalenceConfig, EquivalenceSet, PreparedValue,
+    value_equivalent, value_similarity, Agreement, EquivalenceConfig, EquivalenceSet, PreparedValue,
 };
 pub use value::{Date, DateGranularity, Value};

@@ -174,6 +174,37 @@ impl PreparedValue {
     }
 }
 
+/// Running tally of compared value pairs, the `ATTRIBUTE` and
+/// `IMPLICIT_ATT` metrics of row clustering and new detection. The paper
+/// assigns 1.0 / 0.0 per pair based on data type equality; a pair counts
+/// as equal when its similarity reaches 0.95.
+#[derive(Debug, Default)]
+pub struct Agreement {
+    compared: usize,
+    agreeing: f64,
+    confidence: f64,
+}
+
+impl Agreement {
+    /// Compare one value pair under `dtype`, adding `confidence` to the
+    /// summed confidence.
+    pub fn compare(&mut self, a: &PreparedValue, b: &PreparedValue, dtype: DataType, confidence: f64) {
+        self.agreeing += if a.similarity(b, dtype) >= 0.95 { 1.0 } else { 0.0 };
+        self.confidence += confidence;
+        self.compared += 1;
+    }
+
+    /// (share of agreeing pairs, summed confidence), or zeros if nothing
+    /// was compared.
+    pub fn score(&self) -> (f64, f64) {
+        if self.compared == 0 {
+            (0.0, 0.0)
+        } else {
+            (self.agreeing / self.compared as f64, self.confidence)
+        }
+    }
+}
+
 /// Whether two values are *equivalent* under the comparison type `dtype`
 /// given the equivalence configuration.
 pub fn value_equivalent(a: &Value, b: &Value, dtype: DataType, cfg: &EquivalenceConfig) -> bool {

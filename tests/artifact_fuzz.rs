@@ -12,7 +12,7 @@
 //! 1. truncations of the whole file at 40 evenly spaced lengths,
 //! 2. single bit flips at 64 evenly spaced positions,
 //! 3. byte substitutions (0x00 / 0xFF) at 32 evenly spaced positions,
-//! 4. seeded-random garbage buffers (5 artifacts, 7 checkpoints),
+//! 4. seeded-random garbage buffers (3 artifacts, 7 checkpoints),
 //! 5. truncations of the raw stream at 40 evenly spaced lengths, stored in
 //!    a valid block **with the header re-fixed** (length and checksum
 //!    recomputed), so the corruption reaches the model or state decoders
@@ -24,7 +24,9 @@
 //!    expand past the stream's budget; and per format one more — a cluster
 //!    row gap of zero, or a forest tree without nodes, a split on a
 //!    feature the forest does not have, a split child that does not point
-//!    forward ([`crafted_checkpoint_stream`], [`crafted_artifact_stream`]);
+//!    forward, a row model listing more metrics than its forest has
+//!    features, an entity model whose weighted average names another
+//!    feature ([`crafted_checkpoint_stream`], [`crafted_artifact_stream`]);
 //!    and hand-written DEFLATE blocks around a valid stream whose only
 //!    defect is in the block: the reserved block type, a stored block's
 //!    `NLEN` that is not its `LEN`'s complement, over-subscribed code
@@ -186,6 +188,12 @@ enum Defect {
     SplitFeatureOutOfRange,
     /// An artifact forest split whose left child is itself.
     BackwardChild,
+    /// An artifact row model listing LABEL and BOW over a one-feature
+    /// forest.
+    RowMetricsPastModel,
+    /// An artifact entity model over LABEL whose weighted average names
+    /// its one feature `genre`.
+    EntityWeightedNames,
 }
 
 const CHECKPOINT_DEFECTS: [Defect; 6] = [
@@ -197,7 +205,7 @@ const CHECKPOINT_DEFECTS: [Defect; 6] = [
     Defect::NonAscendingGap,
 ];
 
-const ARTIFACT_DEFECTS: [Defect; 8] = [
+const ARTIFACT_DEFECTS: [Defect; 10] = [
     Defect::NewStringPastTable,
     Defect::DistancePastCursor,
     Defect::UnreferencedString,
@@ -206,6 +214,8 @@ const ARTIFACT_DEFECTS: [Defect; 8] = [
     Defect::EmptyTree,
     Defect::SplitFeatureOutOfRange,
     Defect::BackwardChild,
+    Defect::RowMetricsPastModel,
+    Defect::EntityWeightedNames,
 ];
 
 /// A crafted stream's string table, `strings`; under
@@ -303,8 +313,13 @@ fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
         w.write_varint(property);
         w.write_f64(0.5);
     }
-    // RowSimilarityModel: metric LABEL, random-forest aggregation
-    w.write_bytes(&[1, 0]);
+    // RowSimilarityModel: metric LABEL (and BOW under its defect),
+    // random-forest aggregation
+    if defect == Some(Defect::RowMetricsPastModel) {
+        w.write_bytes(&[2, 0, 1]);
+    } else {
+        w.write_bytes(&[1, 0]);
+    }
     w.write_u8(1); // AggregationMethod::RandomForest
     w.write_varint(1); // similarities
     w.write_bool(false); // no weighted average
@@ -341,7 +356,8 @@ fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
     w.write_varint(1);
     w.write_f64(1.0); // weight
     w.write_f64(0.5); // threshold
-    w.write_bytes(&[1, 1]);
+    // feature names: "LABEL" one back, or "genre" two back
+    w.write_bytes(&[1, if defect == Some(Defect::EntityWeightedNames) { 2 } else { 1 }]);
     w.write_bool(false); // no forest
     w.write_f64(1.0);
     w.write_varint(1); // feature names
@@ -929,7 +945,7 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     //    the 8-byte magic has a 2^-64 collision chance per case, and the
     //    stream is fixed, so the corpus is stable).
     let mut rng = ChaCha8Rng::seed_from_u64(0xF422);
-    for i in 0..5 {
+    for i in 0..3 {
         let size = (i * 171) % 4096;
         let bytes: Vec<u8> = (0..size).map(|_| rng.next_u32() as u8).collect();
         corpus.push((format!("garbage #{i} ({size} B)"), bytes));
@@ -1041,6 +1057,12 @@ fn crafted_artifacts_are_rejected_for_their_defect() {
             }
             Defect::BackwardChild => {
                 *error == CodecError::OutOfRange { what: "forest.node.left", value: 0, allowed: 1..3 }
+            }
+            Defect::RowMetricsPastModel => {
+                *error == CodecError::MetricLayout { what: "row_model.metrics", part: "pairwise.num_similarities" }
+            }
+            Defect::EntityWeightedNames => {
+                *error == CodecError::MetricLayout { what: "entity_model.metrics", part: "weighted.feature_names" }
             }
             Defect::NonAscendingGap => unreachable!("not an artifact defect"),
         };

@@ -6,8 +6,8 @@
 
 use ltee_clustering::metrics::PhiTableVectors;
 use ltee_clustering::{
-    build_pair_dataset, build_row_contexts, cluster_rows, train_row_model, ClusteringConfig,
-    ImplicitAttributes, RowMetricKind, RowModelTrainingConfig,
+    build_pair_dataset, build_row_contexts, cluster_rows, ClusteringConfig, ImplicitAttributes,
+    RowMetricKind, RowModelTrainingConfig, RowSimilarityModel,
 };
 use ltee_core::prelude::*;
 use ltee_eval::evaluate_clustering;
@@ -45,7 +45,7 @@ fn run_clustering(setup: &Setup, metrics: Vec<RowMetricKind>, config: &Clusterin
     let implicit = ImplicitAttributes::build(&setup.corpus, &setup.mapping, setup.world.kb(), class, &index);
     let training = RowModelTrainingConfig::fast();
     let ds = build_pair_dataset(&contexts, &setup.gold, &metrics, &phi, &implicit, &training, &interner);
-    let model = train_row_model(&ds, metrics, &training);
+    let model = RowSimilarityModel::train(&ds, metrics, training.aggregation, &training.pairwise);
     let clustering = cluster_rows(&contexts, &model, &phi, &implicit, config, &interner);
     let produced = clustering.to_row_refs(&contexts);
     let gold_clusters: Vec<Vec<RowRef>> = setup

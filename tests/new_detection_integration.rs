@@ -11,9 +11,7 @@ use ltee_eval::{evaluate_new_detection, EntityTruth};
 use ltee_fusion::create_entities;
 use ltee_matching::{match_corpus, MatcherWeights, SchemaMatchingConfig};
 use ltee_newdetect::metrics::EntityContext;
-use ltee_newdetect::{
-    build_entity_pair_dataset, detect_new, train_entity_model, EntityModelTrainingConfig,
-};
+use ltee_newdetect::{build_entity_pair_dataset, detect_new, EntityModelTrainingConfig, EntitySimilarityModel};
 use ltee_webtables::RowRef;
 
 #[test]
@@ -67,7 +65,8 @@ fn new_detection_on_gold_clusters_beats_the_label_baseline() {
             if ds.positives() == 0 || ds.negatives() == 0 {
                 continue;
             }
-            let model = train_entity_model(&ds, metrics, &training_cfg);
+            let model =
+                EntitySimilarityModel::train(&ds, metrics, training_cfg.aggregation, &training_cfg.pairwise);
             let results =
                 detect_new(&contexts[split..], kb, &index, &model, &Default::default(), &mut interner);
             let outcomes: Vec<_> = results.iter().map(|r| r.outcome).collect();
@@ -116,11 +115,11 @@ fn detection_results_reference_valid_entities() {
         &instance_truth,
         kb,
         &index,
-        &EntityMetricKind::ALL,
+        EntityMetricKind::ALL,
         &cfg,
         &mut interner,
     );
-    let model = train_entity_model(&ds, EntityMetricKind::ALL.to_vec(), &cfg);
+    let model = EntitySimilarityModel::train(&ds, EntityMetricKind::ALL.to_vec(), cfg.aggregation, &cfg.pairwise);
     let results = detect_new(&contexts, kb, &index, &model, &Default::default(), &mut interner);
     assert_eq!(results.len(), contexts.len());
     for r in &results {
