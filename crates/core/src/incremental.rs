@@ -294,21 +294,16 @@ impl<'a> IncrementalPipeline<'a> {
             .map(|s| (s.entities.as_slice(), s.results.as_slice()))
     }
 
-    /// Ingest one micro-batch of new tables.
-    ///
-    /// An empty batch is a no-op and returns a zeroed report. A batch that
-    /// re-uses an already ingested table id is rejected with
-    /// [`PipelineError::DuplicateTable`], and one holding a table that
-    /// [`ltee_webtables::WebTable::validate`] refuses (the check every
-    /// decoder of stored tables makes) with [`PipelineError::MalformedTable`],
-    /// and one that would take the rows or tables ingested past `u32::MAX`
-    /// with [`PipelineError::CapacityExceeded`], all before any state
-    /// changes. The tables are kept without their ground truth, which
-    /// nothing here reads.
-    pub fn ingest(&mut self, batch: &Corpus) -> Result<IngestReport, PipelineError> {
-        if batch.is_empty() {
-            return Ok(IngestReport::default());
-        }
+    /// Whether [`IncrementalPipeline::ingest`] would refuse `batch`, decided
+    /// without changing anything: a batch that re-uses an already ingested
+    /// table id is refused with [`PipelineError::DuplicateTable`], one
+    /// holding a table that [`ltee_webtables::WebTable::validate`] refuses
+    /// (the check every decoder of stored tables makes) with
+    /// [`PipelineError::MalformedTable`], and one that would take the rows
+    /// or tables ingested past `u32::MAX` with
+    /// [`PipelineError::CapacityExceeded`]. These are the only refusals: a
+    /// batch that passes is ingested.
+    pub fn check(&self, batch: &Corpus) -> Result<(), PipelineError> {
         check_capacity(
             [self.ingested_rows(), self.ingested_tables()],
             [batch.total_rows(), batch.len()],
@@ -325,6 +320,20 @@ impl<'a> IncrementalPipeline<'a> {
                 .validate()
                 .map_err(|reason| PipelineError::MalformedTable { table: table.id, reason })?;
         }
+        Ok(())
+    }
+
+    /// Ingest one micro-batch of new tables.
+    ///
+    /// An empty batch is a no-op and returns a zeroed report. A batch
+    /// [`IncrementalPipeline::check`] refuses is refused before any state
+    /// changes. The tables are kept without their ground truth, which
+    /// nothing here reads.
+    pub fn ingest(&mut self, batch: &Corpus) -> Result<IngestReport, PipelineError> {
+        if batch.is_empty() {
+            return Ok(IngestReport::default());
+        }
+        self.check(batch)?;
         self.config.parallelism.install();
         let num_shards = self.config.shards.resolve();
         let num_states = self.states.len();

@@ -82,8 +82,8 @@ use crate::snapshot::KbSnapshot;
 /// `KeepLast(n)`, `snapshot_at` serves the latest `n` versions and
 /// anything older is reclaimed once no reader can still be mid-load on
 /// it. The policy is fixed at cell construction — a knob on
-/// [`crate::ServePipeline::with_retention`] and
-/// [`crate::DurableServePipeline::open_with_retention`].
+/// [`crate::ServePipeline::with_retention`]; a
+/// [`crate::DurableServePipeline`] keeps the default window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetentionPolicy {
     /// Retain every published version for the cell's lifetime (the

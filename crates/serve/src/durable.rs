@@ -4,12 +4,13 @@
 //! [`DurableServePipeline`] pairs the serve layer with an
 //! [`ltee_store::KbStore`] directory and upholds one protocol:
 //!
-//! 1. **WAL first.** Every non-empty micro-batch is encoded and fsynced to
-//!    the write-ahead log *before* it is applied in memory. A batch the
-//!    pipeline then rejects (a duplicate table id, or a table the log's
-//!    decoder would refuse) is rolled back off the log, so disk state never
-//!    gets ahead of a state that will exist, and never holds a batch that
-//!    recovery cannot read.
+//! 1. **Check, then WAL, then apply.** Every non-empty micro-batch is
+//!    checked first ([`IncrementalPipeline::check`]): a batch the pipeline
+//!    would refuse (a duplicate table id, or a table the log's decoder
+//!    would refuse) is refused before it reaches the log. Every other batch
+//!    is encoded and fsynced to the write-ahead log *before* it is applied
+//!    in memory, so the log holds only batches that apply, and never one
+//!    that recovery cannot read.
 //! 2. **Checkpoints are cuts, not copies of the log.** A checkpoint
 //!    captures the full accumulated state after batch *N*; the store then
 //!    compacts the WAL down to what the retained fallback checkpoint
@@ -31,7 +32,7 @@ use std::path::Path;
 use ltee_core::checkpoint::{decode_corpus, encode_corpus};
 use ltee_core::{config_fingerprint, IngestReport, PipelineConfig, TrainedModels};
 use ltee_kb::KnowledgeBase;
-use ltee_store::{KbStore, StoreError, StoreRecovery, WalTail};
+use ltee_store::{DirStorage, KbStore, Storage, StoreError, StoreRecovery, WalTail};
 use ltee_webtables::Corpus;
 
 use crate::{IncrementalPipeline, KbSnapshot, RetentionPolicy, ServePipeline, SnapshotReader};
@@ -82,14 +83,8 @@ pub struct DurableServePipeline<'a> {
 }
 
 impl<'a> DurableServePipeline<'a> {
-    /// Open (or initialise) the store at `dir` and recover whatever state
-    /// survived: newest structurally valid checkpoint, then replay of the
-    /// WAL tail. A checkpoint or WAL minted under a different config
-    /// fingerprint is a hard typed error; a torn WAL tail is dropped and
-    /// repaired. On success the published snapshot version equals the
-    /// number of batches recovered. Snapshot retention is the default
-    /// [`RetentionPolicy`]; use
-    /// [`DurableServePipeline::open_with_retention`] to pick the window.
+    /// [`DurableServePipeline::open_in`] on the store directory `dir` (a
+    /// [`DirStorage`]).
     pub fn open(
         dir: impl AsRef<Path>,
         kb: &'a KnowledgeBase,
@@ -97,27 +92,29 @@ impl<'a> DurableServePipeline<'a> {
         config: PipelineConfig,
         policy: CheckpointPolicy,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        Self::open_with_retention(dir, kb, models, config, policy, RetentionPolicy::default())
+        Self::open_in(DirStorage::open(dir)?, kb, models, config, policy)
     }
 
-    /// [`DurableServePipeline::open`] with an explicit snapshot
-    /// [`RetentionPolicy`]. Retention is an in-memory serving knob, not a
-    /// durability one: checkpoints and the WAL are unaffected, and
-    /// recovery replays the identical state at any window.
-    pub fn open_with_retention(
-        dir: impl AsRef<Path>,
+    /// Open (or initialise) the store on `storage` and recover whatever
+    /// state survived: newest structurally valid checkpoint, then replay of
+    /// the WAL tail. A checkpoint or WAL minted under a different config
+    /// fingerprint is a hard typed error; a torn WAL tail is dropped and
+    /// repaired. On success the published snapshot version equals the
+    /// number of batches recovered. Snapshot retention is the default
+    /// [`RetentionPolicy`].
+    pub fn open_in(
+        storage: impl Storage + 'static,
         kb: &'a KnowledgeBase,
         models: TrainedModels,
         config: PipelineConfig,
         policy: CheckpointPolicy,
-        retention: RetentionPolicy,
     ) -> Result<(Self, RecoveryReport), StoreError> {
         let policy = match policy {
             CheckpointPolicy::EveryBatches(n) => CheckpointPolicy::EveryBatches(n.max(1)),
             manual => manual,
         };
         let fingerprint = config_fingerprint(&config);
-        let StoreRecovery { store, checkpoint, tail, wal_tail } = KbStore::open(dir, fingerprint)?;
+        let StoreRecovery { store, checkpoint, tail, wal_tail } = KbStore::open_in(storage, fingerprint)?;
 
         // The decoded state is held once: the checkpoint moves into the
         // pipeline, and each WAL payload is freed as soon as it is applied.
@@ -126,6 +123,7 @@ impl<'a> DurableServePipeline<'a> {
             Some(ckpt) => ckpt.restore(kb, models, config)?,
             None => IncrementalPipeline::new(kb, models, config),
         };
+        let retention = RetentionPolicy::default();
         let mut serve =
             ServePipeline::from_pipeline(kb, pipeline, from_checkpoint.unwrap_or(0), retention);
 
@@ -144,25 +142,24 @@ impl<'a> DurableServePipeline<'a> {
         Ok((Self { serve, store, policy }, report))
     }
 
-    /// Ingest one micro-batch durably: fsync it to the WAL, apply it, then
-    /// cut a checkpoint if the policy says so. Empty batches are no-ops and
-    /// touch neither the log nor the version; rejected batches are rolled
-    /// back off the log and leave no trace.
+    /// Ingest one micro-batch durably: check it, fsync it to the WAL,
+    /// apply it, then cut a checkpoint if the policy says so. Empty batches
+    /// are no-ops and touch neither the log nor the version; refused
+    /// batches never reach the log. Every error but
+    /// [`StoreError::CheckpointFailed`] leaves the version unchanged; that
+    /// one reports a batch applied and logged whose checkpoint failed.
     pub fn ingest(&mut self, batch: &Corpus) -> Result<IngestReport, StoreError> {
         if batch.is_empty() {
             return Ok(self.serve.ingest(batch)?);
         }
+        self.serve.pipeline.check(batch)?;
         self.store.append_batch(&encode_corpus(batch))?;
-        let report = match self.serve.ingest(batch) {
-            Ok(report) => report,
-            Err(rejected) => {
-                self.store.rollback_append()?;
-                return Err(rejected.into());
-            }
-        };
+        let report = self.serve.ingest(batch)?;
+        let applied = self.serve.version();
         if let CheckpointPolicy::EveryBatches(n) = self.policy {
-            if self.serve.version().is_multiple_of(n) {
-                self.checkpoint()?;
+            if applied.is_multiple_of(n) {
+                let failed = |error| StoreError::CheckpointFailed { applied, error: Box::new(error) };
+                self.checkpoint().map_err(failed)?;
             }
         }
         Ok(report)
@@ -198,7 +195,7 @@ impl<'a> DurableServePipeline<'a> {
         &self.serve
     }
 
-    /// The backing store (for diagnostics: paths, next batch number).
+    /// The backing store (for diagnostics: the next batch number).
     pub fn store(&self) -> &KbStore {
         &self.store
     }

@@ -367,7 +367,7 @@ impl KbSnapshot {
                 );
             }
         }
-        ltee_ml::codec::fnv1a64(canon.as_bytes())
+        ltee_intern::fnv1a64(canon.as_bytes())
     }
 
     /// The slice serving one class, if it has entities.

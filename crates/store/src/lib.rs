@@ -1,63 +1,68 @@
 //! # ltee-store
 //!
-//! Durability layer for the accumulated serving state: a directory holding
-//! checksummed [`PipelineCheckpoint`] files plus an append-only write-ahead
-//! log of ingested micro-batches (see [`wal`] for the byte format and the
-//! crash-consistency contract).
+//! Durability layer for the accumulated serving state: checksummed
+//! [`PipelineCheckpoint`] files plus an append-only write-ahead log of
+//! ingested micro-batches (see [`wal`] for the byte format and the
+//! crash-consistency contract), reached through one [`Storage`] seam.
 //!
 //! ## Store layout
 //!
 //! ```text
-//! <dir>/wal.log                      the write-ahead log
-//! <dir>/ckpt-00000000000000000042.bin  checkpoint after batch 42
+//! wal.log                      the write-ahead log
+//! ckpt-00000000000000000042.bin  checkpoint after batch 42
 //! ```
+//!
+//! [`DirStorage`] keeps these files in a directory; [`KbStore::open`] takes
+//! the directory, [`KbStore::open_in`] any [`Storage`].
 //!
 //! ## Protocol
 //!
-//! * **Ingest**: encode the batch, [`KbStore::append_batch`] (compress +
-//!   write + fsync), *then* apply it in memory. A crash between the two
-//!   replays the batch on recovery; a crash during the append leaves a
-//!   torn tail the scanner drops. Either way recovery lands on a prefix of
-//!   the applied batches. An append starts at the end of the acknowledged
-//!   log, cutting whatever a failed append left there first.
+//! * **Ingest**: check the batch, encode it, [`KbStore::append_batch`]
+//!   (compress + write + fsync), *then* apply it in memory. A batch the
+//!   pipeline would refuse is refused before the append, so the log only
+//!   ever holds batches that apply. A crash between append and apply
+//!   replays the batch on recovery; a crash during the append leaves a torn
+//!   tail the scanner drops. Either way recovery lands on a prefix of the
+//!   applied batches. An append starts at the end of the acknowledged log,
+//!   cutting whatever a failed append left there first.
 //! * **Segments**: a record is compressed against the raw batches of the
 //!   records before it in its segment (see [`wal`]). The store starts a
 //!   segment when it opens and as soon as a checkpoint is durably in place,
 //!   so no record depends on a record a checkpoint covers, and a replay
-//!   from any retained checkpoint starts at a segment start. A rolled-back
-//!   append leaves the segment as it was.
-//! * **Checkpoint**: [`KbStore::write_checkpoint`] writes to a temp file,
-//!   renames it into place and syncs the directory — a checkpoint is
-//!   either fully present or absent, never torn-but-plausible (and a torn
-//!   temp file is invisible to recovery, which deletes it), and it is
-//!   durably present before anything it supersedes is deleted. Retention
-//!   keeps the newest checkpoint plus one predecessor; the WAL is then
-//!   compacted down to the records the older retained checkpoint does not
-//!   cover, in whole segments, so a corrupt newest checkpoint can always
-//!   fall back to `older checkpoint + longer replay`.
-//! * **Recovery**: [`KbStore::open`] deletes the temp files a crash before
-//!   a rename left, picks the newest *structurally valid* checkpoint
-//!   (corrupt ones are skipped, not fatal), scans the WAL, repairs any torn
-//!   tail by truncating it, and returns the checkpoint plus the contiguous
-//!   tail of decompressed batch records still to replay. A
-//!   structurally valid checkpoint or WAL minted under a *different
-//!   config fingerprint* is a hard typed error — silently mixing
-//!   configurations would poison the state — and so is an intact
+//!   from any retained checkpoint starts at a segment start.
+//! * **Checkpoint**: [`KbStore::write_checkpoint`] puts the file in place
+//!   with [`Storage::replace`] — a checkpoint is either fully present or
+//!   absent, never torn-but-plausible — so it is durably present before
+//!   anything it supersedes is deleted. Retention keeps the newest
+//!   checkpoint plus one predecessor that `open` did not refuse as corrupt;
+//!   the WAL is then compacted down to the records the older retained
+//!   checkpoint does not cover, in whole segments, so a corrupt newest
+//!   checkpoint can always fall back to `older checkpoint + longer replay`.
+//! * **Recovery**: [`KbStore::open`] picks the newest *structurally valid*
+//!   checkpoint (corrupt ones are skipped, not fatal), scans the WAL,
+//!   repairs any torn tail by truncating it, and returns the checkpoint
+//!   plus the contiguous tail of decompressed batch records still to
+//!   replay. A structurally valid checkpoint or WAL minted under a
+//!   *different config fingerprint* is a hard typed error — silently
+//!   mixing configurations would poison the state — and so is an intact
 //!   checkpoint or a WAL of *another format version*: skipping it as
 //!   corrupt would start a fresh store over existing data.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use ltee_core::checkpoint::{CheckpointError, CheckpointView, PipelineCheckpoint};
 
+mod storage;
 pub mod wal;
 
+pub use storage::{DirStorage, Storage};
 pub use wal::{scan_wal, WalRecord, WalScan, WalTail};
 use wal::SegmentWindow;
+
+/// The write-ahead log's file name.
+const WAL_FILE: &str = "wal.log";
 
 /// Errors raised by the durability layer.
 #[derive(Debug)]
@@ -103,6 +108,14 @@ pub enum StoreError {
         /// First surviving WAL batch number past the checkpoint.
         first_seq: u64,
     },
+    /// A batch was applied and logged, but the checkpoint cut after it
+    /// failed: unlike every other error of an ingest, the state moved on.
+    CheckpointFailed {
+        /// The batches applied, this one included.
+        applied: u64,
+        /// Why the checkpoint failed.
+        error: Box<StoreError>,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -143,6 +156,10 @@ impl std::fmt::Display for StoreError {
                 "write-ahead log does not connect to the checkpoint: checkpoint covers \
                  {applied} batches but the first surviving WAL record is batch {first_seq}"
             ),
+            StoreError::CheckpointFailed { applied, error } => write!(
+                f,
+                "batch {applied} was applied and logged, but the checkpoint after it failed: {error}"
+            ),
         }
     }
 }
@@ -153,6 +170,7 @@ impl std::error::Error for StoreError {
             StoreError::Io(e) => Some(e),
             StoreError::Checkpoint(e) | StoreError::WalRecord { error: e, .. } => Some(e),
             StoreError::Pipeline(e) => Some(e),
+            StoreError::CheckpointFailed { error, .. } => Some(error.as_ref()),
             _ => None,
         }
     }
@@ -191,10 +209,10 @@ pub struct StoreRecovery {
     pub wal_tail: WalTail,
 }
 
-/// A durable store directory: checkpoints + write-ahead log.
+/// A durable store: checkpoints + write-ahead log on a [`Storage`].
 #[derive(Debug)]
 pub struct KbStore {
-    dir: PathBuf,
+    storage: Box<dyn Storage>,
     fingerprint: u64,
     next_seq: u64,
     /// Bytes of the log that hold acknowledged records: every append
@@ -203,33 +221,42 @@ pub struct KbStore {
     /// The current segment's raw bytes the next record is compressed
     /// against.
     window: SegmentWindow,
-    /// Where the most recent append started in the log and in the window,
-    /// while it can be rolled back.
-    last_append: Option<(u64, usize)>,
+    /// Checkpoints `open` skipped as corrupt: never the retained fallback,
+    /// and removed by the next checkpoint.
+    refused: Vec<u64>,
 }
 
 impl KbStore {
     /// Path of the write-ahead log inside `dir`.
     pub fn wal_path(dir: &Path) -> PathBuf {
-        dir.join("wal.log")
+        dir.join(WAL_FILE)
     }
 
     /// Path of the checkpoint file covering `applied` batches inside `dir`.
     pub fn checkpoint_path(dir: &Path, applied: u64) -> PathBuf {
-        dir.join(format!("ckpt-{applied:020}.bin"))
+        dir.join(checkpoint_name(applied))
     }
 
-    /// Open (or initialise) a store directory for a pipeline whose config
-    /// fingerprint is `fingerprint`, recovering whatever state survived.
+    /// [`KbStore::open_in`] on the store directory `dir` (a
+    /// [`DirStorage`]).
+    pub fn open(dir: impl AsRef<Path>, fingerprint: u64) -> Result<StoreRecovery, StoreError> {
+        Self::open_in(DirStorage::open(dir)?, fingerprint)
+    }
+
+    /// Open (or initialise) the store on `storage` for a pipeline whose
+    /// config fingerprint is `fingerprint`, recovering whatever state
+    /// survived.
     ///
     /// See the [crate docs](self) for the recovery rules. The returned
     /// [`StoreRecovery`] carries the newest valid checkpoint and the
     /// contiguous WAL tail past it; the caller restores the checkpoint and
     /// replays the tail.
-    pub fn open(dir: impl AsRef<Path>, fingerprint: u64) -> Result<StoreRecovery, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        Self::remove_temp_files(&dir)?;
+    pub fn open_in(
+        storage: impl Storage + 'static,
+        fingerprint: u64,
+    ) -> Result<StoreRecovery, StoreError> {
+        let storage: Box<dyn Storage> = Box::new(storage);
+        let names = storage.list()?;
 
         // Newest structurally valid checkpoint wins; corrupt files are
         // skipped (falling back to an older checkpoint or a fresh start),
@@ -237,9 +264,9 @@ impl KbStore {
         // of another format version, is a hard error: skipping one would
         // open a fresh store over existing data.
         let mut checkpoint = None;
-        for applied in Self::list_checkpoints(&dir)? {
-            let bytes = fs::read(Self::checkpoint_path(&dir, applied))?;
-            match PipelineCheckpoint::decode(&bytes) {
+        let mut refused = Vec::new();
+        for applied in checkpoints(&names) {
+            match PipelineCheckpoint::decode(&storage.read(&checkpoint_name(applied))?) {
                 Ok(ckpt) => {
                     if ckpt.fingerprint != fingerprint {
                         return Err(CheckpointError::ConfigMismatch {
@@ -254,13 +281,13 @@ impl KbStore {
                 // Written whole by another build (a damaged version field
                 // decodes as `Corrupted`, not as this).
                 Err(other @ CheckpointError::UnsupportedVersion(_)) => return Err(other.into()),
-                Err(_corrupt) => continue,
+                Err(_corrupt) => refused.push(applied),
             }
         }
         let applied = checkpoint.as_ref().map_or(0, |c| c.applied_batches);
 
-        let wal_path = Self::wal_path(&dir);
-        let log = if wal_path.exists() { fs::read(&wal_path)? } else { Vec::new() };
+        let has_log = names.iter().any(|name| name == WAL_FILE);
+        let log = if has_log { storage.read(WAL_FILE)? } else { Vec::new() };
         let scan = if log.is_empty() {
             WalScan { fingerprint: Some(fingerprint), records: Vec::new(), tail: WalTail::Clean }
         } else {
@@ -275,38 +302,30 @@ impl KbStore {
             }
         }
 
-        // Records the checkpoint already covers are dropped; the rest move
+        // Records the checkpoint already covers are skipped; the rest move
         // out of the scan (no second copy of their payloads) and must
         // connect to the checkpoint without a gap.
-        let keep = first_kept(&scan.records, applied);
-        let kept = kept_bytes(&log, &scan, keep);
+        let kept = kept_bytes(&log, &scan, 0);
         let wal_tail = scan.tail;
-        let mut records = scan.records;
-        let tail: Vec<WalRecord> = records.drain(keep..).filter(|r| r.seq > applied).collect();
+        let tail: Vec<WalRecord> = scan.records.into_iter().filter(|r| r.seq > applied).collect();
         if let Some(first) = tail.first() {
             if first.seq != applied + 1 {
                 return Err(StoreError::WalGap { applied, first_seq: first.seq });
             }
         }
 
-        // Repair the log on disk: drop any torn tail and the whole segments
-        // the checkpoint covers, so future appends extend a pristine log.
-        let dirty = log.is_empty() || keep > 0 || !matches!(wal_tail, WalTail::Clean);
-        let wal_len = if dirty {
-            Self::rewrite_wal(&dir, fingerprint, kept)?
-        } else {
-            log.len() as u64
-        };
+        // Repair the log on disk: drop any torn tail, so future appends
+        // extend a pristine log. Records the checkpoint covers stay: the
+        // fallback checkpoint retention kept replays them, and the next
+        // checkpoint compacts them away.
+        let dirty = log.is_empty() || !matches!(wal_tail, WalTail::Clean);
+        let wal_len =
+            if dirty { rewrite_wal(&*storage, fingerprint, kept)? } else { log.len() as u64 };
 
         let next_seq = applied + tail.len() as u64 + 1;
         let window = SegmentWindow::default();
-        let store = KbStore { dir, fingerprint, next_seq, wal_len, window, last_append: None };
+        let store = KbStore { storage, fingerprint, next_seq, wal_len, window, refused };
         Ok(StoreRecovery { store, checkpoint, tail, wal_tail })
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The batch number the next [`KbStore::append_batch`] will write.
@@ -317,7 +336,8 @@ impl KbStore {
     /// Append one encoded micro-batch to the WAL, compressed against the
     /// segment's earlier batches, and fsync it. Returns the batch number
     /// assigned. Call this *before* applying the batch in memory — the WAL
-    /// must always be ahead of the applied state.
+    /// must always be ahead of the applied state — and only for a batch
+    /// that will apply: a record is never taken back.
     ///
     /// The record goes at the end of the acknowledged log: bytes a failed
     /// append left behind (a short write, a failed sync) are cut first, or
@@ -326,46 +346,19 @@ impl KbStore {
     /// with [`StoreError::RecordTooLarge`] before anything is written.
     pub fn append_batch(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let seq = self.next_seq;
-        // A failed append leaves nothing to roll back.
-        self.last_append = None;
         let record = wal::frame_record(seq, &self.window.compress(payload))?;
-        let mut file = OpenOptions::new().append(true).open(Self::wal_path(&self.dir))?;
-        if file.metadata()?.len() != self.wal_len {
-            file.set_len(self.wal_len)?;
-        }
-        file.write_all(&record)?;
-        file.sync_data()?;
-        self.last_append = Some((self.wal_len, self.window.len()));
+        self.storage.append_at(WAL_FILE, self.wal_len, &record)?;
         self.window.push(payload);
         self.wal_len += record.len() as u64;
         self.next_seq += 1;
         Ok(seq)
     }
 
-    /// Undo the most recent [`KbStore::append_batch`] by cutting the WAL
-    /// back to where it started, and the segment with it — used when the
-    /// apply step rejects the batch (e.g. a duplicate table id), so a
-    /// rejected batch leaves no trace on disk and its batch number is
-    /// reused. Does nothing when there is no append to undo: none since the
-    /// store opened or last checkpointed, or it was already undone.
-    pub fn rollback_append(&mut self) -> Result<(), StoreError> {
-        let Some((start, window_len)) = self.last_append else { return Ok(()) };
-        let file = OpenOptions::new().write(true).open(Self::wal_path(&self.dir))?;
-        file.set_len(start)?;
-        file.sync_data()?;
-        self.wal_len = start;
-        self.window.truncate(window_len);
-        self.last_append = None;
-        self.next_seq -= 1;
-        Ok(())
-    }
-
-    /// Durably write `checkpoint` (temp file + rename + directory sync, so
-    /// it is atomic and survives power loss) and start a new WAL segment,
-    /// then apply retention: keep this checkpoint plus its newest surviving
-    /// predecessor, delete older ones, and compact the WAL down to the
-    /// segments holding the records the older retained checkpoint does not
-    /// cover.
+    /// Durably write `checkpoint` ([`Storage::replace`]) and start a new
+    /// WAL segment, then apply retention: keep this checkpoint plus its
+    /// newest predecessor that `open` did not refuse, delete the others,
+    /// and compact the WAL down to the segments holding the records the
+    /// older retained checkpoint does not cover.
     pub fn write_checkpoint(&mut self, checkpoint: &CheckpointView<'_>) -> Result<(), StoreError> {
         if checkpoint.fingerprint != self.fingerprint {
             return Err(CheckpointError::ConfigMismatch {
@@ -374,93 +367,49 @@ impl KbStore {
             }
             .into());
         }
-        let path = Self::checkpoint_path(&self.dir, checkpoint.applied_batches);
-        let tmp = temp_path(&path);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&checkpoint.encode())?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        // Retention and compaction below delete what only this checkpoint
-        // replaces, so its directory entry must be on disk first.
-        Self::sync_dir(&self.dir)?;
+        let applied = checkpoint.applied_batches;
+        self.storage.replace(&checkpoint_name(applied), &checkpoint.encode())?;
         // No record after this one may depend on one the checkpoint covers,
         // whatever retention below manages to do.
         self.window.clear();
-        self.last_append = None;
+        self.refused.retain(|&refused| refused != applied);
 
-        // Retention: newest two checkpoints survive.
-        let all = Self::list_checkpoints(&self.dir)?;
-        for &applied in all.iter().skip(2) {
-            fs::remove_file(Self::checkpoint_path(&self.dir, applied))?;
+        // Retention: the newest two checkpoints `open` did not refuse.
+        let mut retained = Vec::new();
+        for older in checkpoints(&self.storage.list()?) {
+            if retained.len() < 2 && !self.refused.contains(&older) {
+                retained.push(older);
+            } else {
+                self.storage.remove(&checkpoint_name(older))?;
+            }
         }
+        self.refused.clear();
 
         // Compact the WAL to what the *older* retained checkpoint cannot
         // reconstruct, so recovery can still fall back one checkpoint. Only
         // the acknowledged records are read; the next append cuts whatever
         // lies past them.
-        let keep_after = all.get(1).copied().unwrap_or(checkpoint.applied_batches);
-        let mut log = fs::read(Self::wal_path(&self.dir))?;
+        let keep_after = retained.get(1).copied().unwrap_or(applied);
+        let mut log = self.storage.read(WAL_FILE)?;
         log.truncate(self.wal_len as usize);
         let scan = scan_wal(&log)?;
         let keep = first_kept(&scan.records, keep_after);
         if keep > 0 || !matches!(scan.tail, WalTail::Clean) {
-            self.wal_len = Self::rewrite_wal(&self.dir, self.fingerprint, kept_bytes(&log, &scan, keep))?;
+            let kept = kept_bytes(&log, &scan, keep);
+            self.wal_len = rewrite_wal(&*self.storage, self.fingerprint, kept)?;
         }
         Ok(())
     }
+}
 
-    /// Applied-batch counts of the checkpoints in `dir`, newest first.
-    fn list_checkpoints(dir: &Path) -> Result<Vec<u64>, StoreError> {
-        let mut found = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            if let Some(applied) = name.to_str().and_then(checkpoint_applied) {
-                found.push(applied);
-            }
-        }
-        found.sort_unstable_by(|a, b| b.cmp(a));
-        Ok(found)
-    }
+/// Whether `name` is one of a store's files: the WAL or a checkpoint.
+fn is_store_file(name: &str) -> bool {
+    name == WAL_FILE || checkpoint_applied(name).is_some()
+}
 
-    /// Delete the temp file of a checkpoint or a WAL rewrite that a crash
-    /// before its rename left in `dir`: nothing reads one, and it would
-    /// otherwise stay on disk for good.
-    fn remove_temp_files(dir: &Path) -> Result<(), StoreError> {
-        for entry in fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            let Some(target) = name.to_str().and_then(|n| n.strip_suffix(".tmp")) else { continue };
-            if target == "wal.log" || checkpoint_applied(target).is_some() {
-                fs::remove_file(dir.join(&name))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Atomically replace the WAL with `header + records`, the records
-    /// being whole segments as they lie in the old log (temp + rename);
-    /// returns the new log's length.
-    fn rewrite_wal(dir: &Path, fingerprint: u64, records: &[u8]) -> Result<u64, StoreError> {
-        let path = Self::wal_path(dir);
-        let tmp = temp_path(&path);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&wal::encode_wal_header(fingerprint))?;
-            file.write_all(records)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        Self::sync_dir(dir)?;
-        Ok((wal::WAL_HEADER_LEN + records.len()) as u64)
-    }
-
-    /// Make the renames done in `dir` durable: a rename lives in the
-    /// directory, not in the file that was fsynced before it.
-    fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-        File::open(dir)?.sync_all()?;
-        Ok(())
-    }
+/// The file name of the checkpoint covering `applied` batches.
+fn checkpoint_name(applied: u64) -> String {
+    format!("ckpt-{applied:020}.bin")
 }
 
 /// The applied-batch count a checkpoint file name carries
@@ -469,12 +418,20 @@ fn checkpoint_applied(name: &str) -> Option<u64> {
     name.strip_prefix("ckpt-")?.strip_suffix(".bin")?.parse().ok()
 }
 
-/// Where a store file is written before it is renamed into place: its name
-/// plus `.tmp`.
-fn temp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
+/// Applied-batch counts of the checkpoints among `names`, newest first.
+fn checkpoints(names: &[String]) -> Vec<u64> {
+    let mut found: Vec<u64> = names.iter().filter_map(|name| checkpoint_applied(name)).collect();
+    found.sort_unstable_by(|a, b| b.cmp(a));
+    found
+}
+
+/// Atomically replace the WAL with `header + records`, the records being
+/// whole segments as they lie in the old log; returns the new log's length.
+fn rewrite_wal(storage: &dyn Storage, fingerprint: u64, records: &[u8]) -> Result<u64, StoreError> {
+    let mut log = wal::encode_wal_header(fingerprint);
+    log.extend_from_slice(records);
+    storage.replace(WAL_FILE, &log)?;
+    Ok(log.len() as u64)
 }
 
 /// Index of the first record a log keeps when it must hold every record
@@ -498,46 +455,12 @@ fn kept_bytes<'a>(log: &'a [u8], scan: &WalScan, keep: usize) -> &'a [u8] {
     &log[start..scan.valid_len()]
 }
 
-/// Crash-point enumeration for the injection harness: every byte-prefix
-/// length of a WAL file at which a kill must leave a recoverable store.
-pub mod crashpoints {
-    use super::wal::{scan_wal, WAL_HEADER_LEN, WAL_RECORD_HEADER_LEN};
-
-    /// Enumerate the crash points of a (clean) WAL file as byte-prefix
-    /// lengths: the empty file, a torn file header, the header boundary,
-    /// and per record a torn record header, a torn payload and the record
-    /// boundary itself — plus the full length (no bytes lost).
-    ///
-    /// Panics if `bytes` is not a clean WAL (the harness enumerates crash
-    /// points of the *uncrashed* run's log).
-    // Test-harness entry point: its input is the log the harness itself
-    // just wrote, so a malformed one is a bug in the caller, not input.
-    #[allow(clippy::expect_used)]
-    pub fn wal_crash_prefixes(bytes: &[u8]) -> Vec<usize> {
-        let scan = scan_wal(bytes).expect("crash-point enumeration needs a well-formed WAL");
-        assert!(
-            matches!(scan.tail, super::WalTail::Clean),
-            "crash-point enumeration needs a clean WAL"
-        );
-        let mut cuts = vec![0, WAL_HEADER_LEN / 2, WAL_HEADER_LEN];
-        let mut start = WAL_HEADER_LEN;
-        for record in &scan.records {
-            let payload_len = record.end_offset - start - WAL_RECORD_HEADER_LEN;
-            cuts.push(start + WAL_RECORD_HEADER_LEN / 2); // torn record header
-            cuts.push(start + WAL_RECORD_HEADER_LEN + payload_len / 2); // torn payload
-            cuts.push(record.end_offset); // record boundary
-            start = record.end_offset;
-        }
-        cuts.push(bytes.len());
-        cuts.sort_unstable();
-        cuts.dedup();
-        cuts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::{self, OpenOptions};
+    use std::io::Write as _;
+
     use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
     use ltee_ml::codec::{seal, ByteWriter};
 
@@ -563,6 +486,11 @@ mod tests {
             w.write_varint(0); // results
         }
         seal(&CHECKPOINT_MAGIC, version, &[fingerprint, applied], &w.into_bytes())
+    }
+
+    /// Applied-batch counts of the checkpoints in `dir`, newest first.
+    fn checkpoints_in(dir: &Path) -> Vec<u64> {
+        checkpoints(&DirStorage::open(dir).unwrap().list().unwrap())
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -591,33 +519,8 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn torn_tail_is_repaired_and_future_appends_are_clean() {
-        let dir = scratch_dir("torn");
-        let mut rec = KbStore::open(&dir, 7).unwrap();
-        rec.store.append_batch(b"alpha").unwrap();
-        rec.store.append_batch(b"beta").unwrap();
-
-        // Tear the log mid-way through the second record's payload.
-        let wal = KbStore::wal_path(&dir);
-        let bytes = fs::read(&wal).unwrap();
-        fs::write(&wal, &bytes[..bytes.len() - 2]).unwrap();
-
-        let mut rec2 = KbStore::open(&dir, 7).unwrap();
-        assert!(matches!(rec2.wal_tail, WalTail::Truncated { .. }));
-        assert_eq!(rec2.tail.len(), 1);
-        assert_eq!(rec2.store.next_seq(), 2);
-        rec2.store.append_batch(b"beta-again").unwrap();
-
-        let rec3 = KbStore::open(&dir, 7).unwrap();
-        assert_eq!(rec3.wal_tail, WalTail::Clean);
-        assert_eq!(
-            rec3.tail.iter().map(|r| (r.seq, r.payload.clone())).collect::<Vec<_>>(),
-            vec![(1, b"alpha".to_vec()), (2, b"beta-again".to_vec())]
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
+    /// What a failed append left past the acknowledged log, in a
+    /// [`DirStorage`] file, is cut by the next append.
     #[test]
     fn bytes_a_failed_append_left_behind_are_cut_by_the_next_append() {
         let dir = scratch_dir("residue");
@@ -636,15 +539,6 @@ mod tests {
             rec2.tail.iter().map(|r| (r.seq, r.payload.clone())).collect::<Vec<_>>(),
             vec![(1, b"first".to_vec()), (2, b"second".to_vec())]
         );
-
-        // A rollback cuts back to where its append started, residue and all.
-        let mut rec2 = rec2;
-        rec2.store.append_batch(b"rejected").unwrap();
-        rec2.store.rollback_append().unwrap();
-        rec2.store.rollback_append().unwrap();
-        assert_eq!(rec2.store.next_seq(), 3);
-        let rec3 = KbStore::open(&dir, 11).unwrap();
-        assert_eq!((rec3.wal_tail, rec3.tail.len()), (WalTail::Clean, 2));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -657,8 +551,7 @@ mod tests {
             rec.store.write_checkpoint(&empty_checkpoint(9, i).view()).unwrap();
         }
         // Newest two checkpoints survive; older ones are gone.
-        let found = KbStore::list_checkpoints(&dir).unwrap();
-        assert_eq!(found, vec![6, 5]);
+        assert_eq!(checkpoints_in(&dir), vec![6, 5]);
         // The WAL keeps only what checkpoint 5 cannot reconstruct.
         let scan = scan_wal(&fs::read(KbStore::wal_path(&dir)).unwrap()).unwrap();
         assert_eq!(scan.records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![6]);
@@ -694,6 +587,46 @@ mod tests {
             rec2.tail.iter().map(|r| (r.seq, r.payload.clone())).collect::<Vec<_>>(),
             vec![(2, b"b2".to_vec())]
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpoints 6 and 4 corrupted in turn, each after the store fell
+    /// back past the one before: the checkpoint `open` refused is not the
+    /// retained fallback, so the one it fell back to survives the next
+    /// checkpoint along with the records past it.
+    #[test]
+    fn a_checkpoint_open_refused_is_not_the_retained_fallback() {
+        let dir = scratch_dir("refused-fallback");
+        let corrupt = |applied: u64| {
+            let path = KbStore::checkpoint_path(&dir, applied);
+            let mut bytes = fs::read(&path).unwrap();
+            *bytes.last_mut().unwrap() ^= 0xFF;
+            fs::write(&path, &bytes).unwrap();
+        };
+        let mut rec = KbStore::open(&dir, 15).unwrap();
+        for i in 1..=6u64 {
+            rec.store.append_batch(format!("batch-{i}").as_bytes()).unwrap();
+            if i % 2 == 0 {
+                rec.store.write_checkpoint(&empty_checkpoint(15, i).view()).unwrap();
+            }
+        }
+        drop(rec);
+        corrupt(6);
+        let mut rec = KbStore::open(&dir, 15).unwrap();
+        assert_eq!(rec.checkpoint.as_ref().map(|c| c.applied_batches), Some(4));
+        assert_eq!(rec.tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![5, 6]);
+        for i in 7..=8u64 {
+            rec.store.append_batch(format!("batch-{i}").as_bytes()).unwrap();
+        }
+        rec.store.write_checkpoint(&empty_checkpoint(15, 8).view()).unwrap();
+        assert_eq!(checkpoints_in(&dir), vec![8, 4], "the refused checkpoint 6 is removed");
+        drop(rec);
+
+        corrupt(8);
+        let rec = KbStore::open(&dir, 15).unwrap();
+        assert_eq!(rec.checkpoint.as_ref().map(|c| c.applied_batches), Some(4));
+        assert_eq!(rec.tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![5, 6, 7, 8]);
+        assert_eq!(rec.tail[3].payload, b"batch-8");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -770,61 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn every_wal_crash_prefix_recovers_without_panic() {
-        let dir = scratch_dir("crashes");
-        let mut rec = KbStore::open(&dir, 5).unwrap();
-        for i in 1..=3u64 {
-            rec.store.append_batch(format!("payload-{i}").as_bytes()).unwrap();
-        }
-        let bytes = fs::read(KbStore::wal_path(&dir)).unwrap();
-        let cuts = crashpoints::wal_crash_prefixes(&bytes);
-        assert!(cuts.len() >= 3 + 3 * 3);
-        for &cut in &cuts {
-            let crash_dir = scratch_dir(&format!("crash-{cut}"));
-            fs::create_dir_all(&crash_dir).unwrap();
-            fs::write(KbStore::wal_path(&crash_dir), &bytes[..cut]).unwrap();
-            let recovered = KbStore::open(&crash_dir, 5).unwrap();
-            // The recovered records are a prefix of the batches appended.
-            for (i, r) in recovered.tail.iter().enumerate() {
-                assert_eq!(r.seq, i as u64 + 1);
-                assert_eq!(r.payload, format!("payload-{}", i + 1).as_bytes());
-            }
-            assert_eq!(recovered.store.next_seq(), recovered.tail.len() as u64 + 1);
-            fs::remove_dir_all(&crash_dir).unwrap();
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_rolled_back_append_leaves_the_segment_as_it_was() {
-        let dir = scratch_dir("rollback-segment");
-        let mut rec = KbStore::open(&dir, 12).unwrap();
-        rec.store.append_batch(b"first batch: song, year").unwrap();
-        rec.store.append_batch(b"rejected batch: song, year, genre").unwrap();
-        rec.store.rollback_append().unwrap();
-        // Batch 2 again, compressed against batch 1 alone: had the window
-        // kept the rejected batch, this record would declare more
-        // dictionary than its segment holds on disk.
-        assert_eq!(rec.store.append_batch(b"second batch: song, year").unwrap(), 2);
-        rec.store.append_batch(b"third batch: song, year").unwrap();
-
-        let rec2 = KbStore::open(&dir, 12).unwrap();
-        assert_eq!(rec2.wal_tail, WalTail::Clean);
-        let scan = scan_wal(&fs::read(KbStore::wal_path(&dir)).unwrap()).unwrap();
-        let first = b"first batch: song, year".len();
-        let second = b"second batch: song, year".len();
-        assert_eq!(
-            scan.records.iter().map(|r| (r.seq, r.dictionary)).collect::<Vec<_>>(),
-            vec![(1, 0), (2, first), (3, first + second)]
-        );
-        assert_eq!(
-            rec2.tail.iter().map(|r| r.payload.clone()).collect::<Vec<_>>(),
-            [&b"first batch: song, year"[..], b"second batch: song, year", b"third batch: song, year"]
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn segments_start_at_open_and_at_checkpoints_and_compaction_keeps_them_whole() {
         let dir = scratch_dir("segments");
         let mut rec = KbStore::open(&dir, 13).unwrap();
@@ -867,8 +745,8 @@ mod tests {
         drop(rec);
         // A torn checkpoint and a torn WAL rewrite, each cut before its
         // rename, and two files of other shapes that are not the store's.
-        let torn_checkpoint = temp_path(&KbStore::checkpoint_path(&dir, 2));
-        let torn_wal = temp_path(&KbStore::wal_path(&dir));
+        let torn_checkpoint = dir.join(format!("{}.tmp", checkpoint_name(2)));
+        let torn_wal = dir.join("wal.log.tmp");
         let full = empty_checkpoint(14, 2).encode();
         fs::write(&torn_checkpoint, &full[..full.len() / 2]).unwrap();
         fs::write(&torn_wal, &wal::encode_wal_header(14)[..9]).unwrap();

@@ -134,8 +134,8 @@ pub(crate) fn frame_record(seq: u64, payload: &[u8]) -> Result<Vec<u8>, StoreErr
 /// of the same state, so both compute the same dictionary.
 #[derive(Debug, Default)]
 pub(crate) struct SegmentWindow {
-    /// The segment's latest raw bytes; at most [`WINDOW`] of them but for
-    /// the bytes of the latest record, which a rollback may take back.
+    /// The segment's latest raw bytes, trimmed to the last [`WINDOW`]
+    /// before each use.
     bytes: Vec<u8>,
 }
 
@@ -143,16 +143,6 @@ impl SegmentWindow {
     /// Start a new segment.
     pub(crate) fn clear(&mut self) {
         self.bytes.clear();
-    }
-
-    /// Raw bytes held, for [`SegmentWindow::truncate`].
-    pub(crate) fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Take back the bytes pushed since the window held `len`.
-    pub(crate) fn truncate(&mut self, len: usize) {
-        self.bytes.truncate(len);
     }
 
     /// Drop what no record can reach any more: all but the last [`WINDOW`]

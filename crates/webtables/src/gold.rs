@@ -216,7 +216,7 @@ impl GoldStandard {
     }
 
     /// The fold group id of every cluster, in cluster order — the input to
-    /// [`ltee_ml`]'s grouped k-fold splitter.
+    /// `ltee_ml`'s grouped k-fold splitter.
     pub fn cluster_fold_groups(&self) -> Vec<u64> {
         self.clusters.iter().map(|c| c.homonym_group).collect()
     }

@@ -22,7 +22,7 @@
 //! pipeline runs, incremental ingest and golden tests.
 
 use ltee_kb::{class_schema, ClassKey, EntityId, World, CLASS_KEYS};
-use ltee_ml::codec::fnv1a64;
+use ltee_intern::fnv1a64;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;

@@ -1,27 +1,42 @@
 //! Crash-injected recovery equivalence: a serve process that crashes at
-//! *any* byte boundary of its durability files and recovers must end up
-//! bit-identical — snapshot fingerprints and query results — to the
-//! process that never crashed.
+//! *any* storage operation and recovers must end up bit-identical —
+//! snapshot fingerprints and query results — to the process that never
+//! crashed.
 //!
-//! The harness is byte-level crash simulation: run an uncrashed reference,
-//! capture its WAL (and checkpoint files), then for every enumerated crash
-//! point materialise a store directory holding exactly the bytes that
-//! would have survived a kill at that point, recover a fresh
-//! `DurableServePipeline` from it, and check:
+//! `crash_sweep_every_storage_operation` drives one seeded stream through
+//! `DurableServePipeline` on the in-memory `FaultStorage`
+//! (`tests/support/fault_storage.rs`): 13 batches checkpointed every 4
+//! (three checkpoints, and the WAL compactions after them), a duplicate-id
+//! batch and a ragged-table batch the pipeline refuses, and a close and
+//! reopen mid-stream, so `open`'s own operations are crash points too. The
+//! fault-free run records every storage operation; then, for every
+//! operation index, the sweep rebuilds what a crash there leaves — the
+//! operation done, the last removal the directory has not synced undone,
+//! an append torn inside its record header and inside its payload —
+//! reopens on it and checks:
 //!
-//! 1. **Prefix property** — the recovered version is some `R ≤ K`, and its
-//!    snapshot fingerprint equals the reference's fingerprint *at version
-//!    `R`* (recovery lands on a prefix of the applied batches, never an
-//!    inconsistent in-between).
-//! 2. **Convergence** — after re-ingesting batches `R+1..K`, the recovered
-//!    process's final snapshot fingerprint and a full deterministic query
-//!    mix (exact, fuzzy, fetch, paging, stats — per class) are identical to
-//!    the reference's.
+//! 1. **No lost or phantom batch** — reopen succeeds, and recovers the
+//!    acknowledged batches plus the in-flight one exactly when its append
+//!    landed whole; the recovered snapshot's fingerprint equals the
+//!    fault-free run's at that version.
+//! 2. **Convergence** — after re-ingesting the rest of the stream, the
+//!    final snapshot fingerprint and a full deterministic query mix (exact,
+//!    fuzzy, fetch, paging, stats — per class) equal the fault-free run's,
+//!    and the store left behind reopens to the end from its newest
+//!    checkpoint and, that one gone, from the fallback one.
+//!
+//! Reopening is a function of the files, so files a crash leaves at more
+//! than one operation are reopened once. `fault_sweep_every_write_fails_once`
+//! runs the same stream once per I/O fault — ENOSPC, a short write, a
+//! failed sync, a failed rename — with every distinct write failing once:
+//! every error but `StoreError::CheckpointFailed` leaves the version
+//! unchanged, the retry goes through, and the run ends where the fault-free
+//! one does.
 //!
 //! Thread and shard matrix: the sweeps run under `Parallelism::Auto` and
 //! `ShardPlan::Auto`, so the CI `LTEE_NUM_THREADS=1,4` ×
-//! `LTEE_NUM_SHARDS=1,4` matrix supplies the threads∈{1,4} × shards∈{1,4}
-//! plane of the K∈{1,4,9} product; `checkpoint_is_portable_across_thread_counts`
+//! `LTEE_NUM_SHARDS=1,4` matrix runs them at threads∈{1,4} ×
+//! shards∈{1,4}; `checkpoint_is_portable_across_thread_counts`
 //! and `checkpoint_is_portable_across_shard_counts` additionally prove a
 //! checkpoint written under one `Threads(n)`/`ShardPlan::Shards(n)` setting
 //! recovers bit-identically under another (the config fingerprint excludes
@@ -29,19 +44,25 @@
 //! state, never shard layout).
 //!
 //! Deterministic: `Scale::tiny()` world with fixed seed 4711, exotic
-//! labels appended, ChaCha-seeded crash choice in the smoke test.
+//! labels appended; where the stream refuses and reopens and where the
+//! sweep tears an append come from a keyed ChaCha RNG.
 
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::PathBuf;
 
 use ltee::scenario as common;
 use ltee_core::prelude::*;
-use ltee_serve::{CheckpointPolicy, DurableServePipeline, EntityRef, Query};
-use ltee_store::wal::{encode_wal_header, encode_wal_record};
-use ltee_store::{crashpoints, KbStore, StoreError, WalTail};
+use ltee_serve::{CheckpointPolicy, DurableServePipeline, EntityRef, Query, QueryOutput, RecoveryReport};
+use ltee_store::wal::{encode_wal_header, encode_wal_record, WAL_RECORD_HEADER_LEN};
+use ltee_store::{KbStore, StoreError};
 use ltee_webtables::WebTable;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+#[path = "support/fault_storage.rs"]
+mod fault_storage;
+use fault_storage::{crash_images, Fault, FaultStorage, Files, OpKind};
 
 fn config_sharded(parallelism: Parallelism, shards: ShardPlan) -> PipelineConfig {
     PipelineConfig { parallelism, shards, ..PipelineConfig::fast() }
@@ -125,7 +146,7 @@ fn reference_run(
     batches: &[Corpus],
     dir: &PathBuf,
     policy: CheckpointPolicy,
-) -> (Vec<u64>, Vec<ltee_serve::QueryOutput>) {
+) -> (Vec<u64>, Vec<QueryOutput>) {
     let (mut durable, report) = DurableServePipeline::open(
         dir,
         setup.tw.world.kb(),
@@ -144,109 +165,17 @@ fn reference_run(
     (fingerprints, outputs)
 }
 
-/// Materialise a crashed copy of `reference_dir` (checkpoint files intact,
-/// WAL cut to `wal_prefix` bytes), recover, assert the prefix property,
-/// re-ingest the missing batches and assert bit-identical convergence.
-fn recover_and_converge(
-    setup: &Setup,
-    batches: &[Corpus],
-    reference_dir: &PathBuf,
-    wal_prefix: &[u8],
-    fingerprints: &[u64],
-    reference_outputs: &[ltee_serve::QueryOutput],
-    label: &str,
-) {
-    let crash_dir = scratch_dir(&format!("crash-{label}"));
-    fs::create_dir_all(&crash_dir).unwrap();
-    for entry in fs::read_dir(reference_dir).unwrap() {
-        let entry = entry.unwrap();
-        let name = entry.file_name();
-        if name.to_str().is_some_and(|n| n.starts_with("ckpt-")) {
-            fs::copy(entry.path(), crash_dir.join(name)).unwrap();
-        }
-    }
-    fs::write(KbStore::wal_path(&crash_dir), wal_prefix).unwrap();
-
-    let (mut recovered, report) = DurableServePipeline::open(
-        &crash_dir,
-        setup.tw.world.kb(),
-        setup.tw.models.clone(),
-        setup.tw.config.clone(),
-        CheckpointPolicy::Manual,
-    )
-    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
-
-    // Prefix property: the recovered state is exactly some version R ≤ K.
-    let recovered_version = recovered.version();
-    assert!(
-        (recovered_version as usize) < fingerprints.len(),
-        "{label}: recovered version {recovered_version} beyond the reference"
-    );
-    assert_eq!(report.recovered_batches(), recovered_version, "{label}: report consistency");
-    assert_eq!(
-        recovered.snapshot().fingerprint(),
-        fingerprints[recovered_version as usize],
-        "{label}: recovered snapshot differs from reference version {recovered_version}"
-    );
-
-    // Convergence: re-ingest what the crash lost, compare everything.
-    for batch in &batches[recovered_version as usize..] {
-        recovered.ingest(batch).unwrap_or_else(|e| panic!("{label}: re-ingest failed: {e}"));
-    }
-    assert_eq!(recovered.version(), batches.len() as u64, "{label}: final version");
-    assert_eq!(
-        recovered.snapshot().fingerprint(),
-        fingerprints[batches.len()],
-        "{label}: converged snapshot fingerprint"
-    );
-    let outputs = recovered.snapshot().execute_batch(&query_mix(&setup.stream));
-    assert_eq!(outputs, reference_outputs, "{label}: query-mix outputs");
-
-    fs::remove_dir_all(&crash_dir).unwrap();
-}
-
-/// The headline sweep: for K∈{1,4,9} micro-batches, crash at *every*
-/// enumerated WAL byte boundary (record boundaries, torn record headers,
-/// torn payloads, torn file header, empty file) and prove recovery +
-/// convergence. ~2+3K crash points per K, each a full recovery.
-#[test]
-fn every_wal_crash_point_recovers_bit_identically_for_k_1_4_9() {
-    let setup = setup(Parallelism::Auto);
-    for k in [1usize, 4, 9] {
-        let batches = setup.stream.split_into_batches(k);
-        assert_eq!(batches.len(), k);
-        let dir = scratch_dir(&format!("ref-k{k}"));
-        let (fingerprints, outputs) =
-            reference_run(&setup, &batches, &dir, CheckpointPolicy::Manual);
-        assert_eq!(fingerprints.len(), k + 1);
-
-        let wal_bytes = fs::read(KbStore::wal_path(&dir)).unwrap();
-        let cuts = crashpoints::wal_crash_prefixes(&wal_bytes);
-        assert!(cuts.len() >= 3 + 3 * k, "k={k}: expected a cut per write boundary");
-        for &cut in &cuts {
-            recover_and_converge(
-                &setup,
-                &batches,
-                &dir,
-                &wal_bytes[..cut],
-                &fingerprints,
-                &outputs,
-                &format!("k{k}-cut{cut}"),
-            );
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-/// Checkpoint write boundaries: run with periodic checkpoints, then crash
-/// the *checkpoint file* at several byte prefixes (including empty and
-/// torn-header). Recovery must fall back — to the older retained
-/// checkpoint or a fresh replay — and still converge bit-identically.
+/// A checkpoint damaged after it was renamed into place: run with periodic
+/// checkpoints, then cut the newest *checkpoint file* to several byte
+/// prefixes (empty, mid-header, header only, half, all but one byte). A
+/// crash cannot tear a checkpoint that has been renamed into place, so this
+/// is corruption, not a crash (the crash points are `crash_sweep`'s).
+/// Recovery must fall back to the older retained checkpoint, replay the
+/// tail compaction kept for it, and serve bit-identically.
 #[test]
 fn torn_checkpoints_fall_back_and_converge() {
     let setup = setup(Parallelism::Auto);
-    let k = 4usize;
-    let batches = setup.stream.split_into_batches(k);
+    let batches = setup.stream.split_into_batches(4);
     let dir = scratch_dir("ckpt-ref");
     let (fingerprints, outputs) =
         reference_run(&setup, &batches, &dir, CheckpointPolicy::EveryBatches(2));
@@ -282,17 +211,6 @@ fn torn_checkpoints_fall_back_and_converge() {
         assert_eq!(got, outputs, "{label}: query-mix outputs");
         fs::remove_dir_all(&crash_dir).unwrap();
     }
-
-    // Sanity: the untouched reference directory also recovers identically.
-    recover_and_converge(
-        &setup,
-        &batches,
-        &dir,
-        &wal_bytes,
-        &fingerprints,
-        &outputs,
-        "ckpt-intact",
-    );
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -354,7 +272,7 @@ fn checkpoint_is_portable_across_thread_counts() {
     assert!(matches!(
         recovered.ingest(&extra[0]),
         Err(StoreError::Pipeline(_)),
-    ), "re-ingesting already-stored tables must be rejected (and rolled back)");
+    ), "re-ingesting already-stored tables must be refused before the log");
     assert_eq!(recovered.version(), 4, "rejected batch published nothing");
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -595,40 +513,275 @@ fn an_undecodable_wal_record_is_named_by_its_batch_number() {
     }
 }
 
-/// Release-mode CI smoke: one seeded-random crash point, recover, golden
-/// query check against the uncrashed run. Small on purpose — the full
-/// sweep runs in the debug matrix.
-#[test]
-fn seeded_random_crash_smoke() {
-    let setup = setup(Parallelism::Auto);
-    let k = 4usize;
-    let batches = setup.stream.split_into_batches(k);
-    let dir = scratch_dir("smoke-ref");
-    let (fingerprints, outputs) =
-        reference_run(&setup, &batches, &dir, CheckpointPolicy::Manual);
+/// The seed of the sweep's keyed RNG.
+const SWEEP_SEED: u64 = 0xC4A54;
 
-    let wal_bytes = fs::read(KbStore::wal_path(&dir)).unwrap();
-    let cuts = crashpoints::wal_crash_prefixes(&wal_bytes);
-    let mut rng = ChaCha8Rng::seed_from_u64(0xC4A54);
-    let cut = cuts[(rng.next_u32() as usize) % cuts.len()];
-    recover_and_converge(
-        &setup,
-        &batches,
-        &dir,
-        &wal_bytes[..cut],
-        &fingerprints,
-        &outputs,
-        &format!("smoke-cut{cut}"),
-    );
-    // Golden check: the known stream labels resolve after recovery exactly
-    // as they did before the crash (non-trivially: at least one exact hit).
-    let hits = outputs
-        .iter()
-        .filter(|o| matches!(o, ltee_serve::QueryOutput::Hits(h) if !h.is_empty()))
-        .count();
-    assert!(hits >= 1, "the query mix must resolve at least one label");
-    // A truncated tail must have been repaired: reopening is clean.
-    let reopened = KbStore::open(&dir, ltee_core::config_fingerprint(&setup.tw.config)).unwrap();
-    assert_eq!(reopened.wal_tail, WalTail::Clean);
-    fs::remove_dir_all(&dir).unwrap();
+/// Batches the sweep's stream takes.
+const SWEEP_BATCHES: usize = 13;
+
+/// The sweep's checkpoint interval: three checkpoints in the stream.
+const SWEEP_CHECKPOINT_EVERY: u64 = 4;
+
+/// A ChaCha stream for one `topic` of the sweep: a topic draws the same
+/// values whatever the other topics draw.
+fn keyed_rng(topic: &str) -> ChaCha8Rng {
+    let mut seed = [0u8; 32];
+    seed[..8].copy_from_slice(&SWEEP_SEED.to_le_bytes());
+    seed[8..16].copy_from_slice(&ltee_intern::fnv1a64(topic.as_bytes()).to_le_bytes());
+    ChaCha8Rng::from_seed(seed)
 }
+
+/// One step of the sweep's stream.
+enum Step {
+    /// A batch the pipeline takes.
+    Ingest(Corpus),
+    /// A batch the pipeline refuses before anything reaches storage.
+    Refuse(Corpus),
+    /// Close the store and open it again.
+    Reopen,
+}
+
+/// The sweep's stream: [`SWEEP_BATCHES`] batches of the setup's stream,
+/// with a duplicate-id batch, a ragged-table batch and a reopen placed
+/// among them by the keyed RNG. Returns the steps and the batches taken.
+fn sweep_stream(setup: &Setup) -> (Vec<Step>, Vec<Corpus>) {
+    let batches = setup.stream.split_into_batches(SWEEP_BATCHES);
+    assert_eq!(batches.len(), SWEEP_BATCHES);
+    let mut rng = keyed_rng("stream shape");
+    let duplicate_at = rng.gen_range(1..4);
+    let reopen_at = rng.gen_range(5..8);
+    let ragged_at = rng.gen_range(9..SWEEP_BATCHES);
+    let mut steps = Vec::new();
+    for (i, batch) in batches.iter().enumerate() {
+        let mut tables = batch.tables().to_vec();
+        if i == duplicate_at {
+            // The next batch plus a table already taken: refused whole.
+            tables.push(batches[0].tables()[0].clone());
+            steps.push(Step::Refuse(Corpus::from_tables(tables)));
+        } else if i == ragged_at {
+            // The next batch with one table a cell short.
+            tables[0].columns.last_mut().unwrap().cells.pop();
+            steps.push(Step::Refuse(Corpus::from_tables(tables)));
+        } else if i == reopen_at {
+            steps.push(Step::Reopen);
+        }
+        steps.push(Step::Ingest(batch.clone()));
+    }
+    (steps, batches)
+}
+
+/// What one run of the sweep's stream published.
+struct Run {
+    /// Snapshot fingerprint at every version `0..=SWEEP_BATCHES`.
+    fingerprints: Vec<u64>,
+    /// The query mix's outputs at the end.
+    outputs: Vec<QueryOutput>,
+    /// Per storage operation of a fault-free run, the version a crash
+    /// right after it recovers: the acknowledged batches, and the in-flight
+    /// one from its append (an ingest's first operation) on.
+    expected: Vec<u64>,
+}
+
+/// Open the sweep's store on `storage`, under its checkpoint policy.
+fn open_sweep<'a>(
+    setup: &'a Setup,
+    storage: &FaultStorage,
+) -> Result<(DurableServePipeline<'a>, RecoveryReport), StoreError> {
+    let policy = CheckpointPolicy::EveryBatches(SWEEP_CHECKPOINT_EVERY);
+    let (kb, models, config) = (setup.tw.world.kb(), setup.tw.models.clone(), setup.tw.config.clone());
+    DurableServePipeline::open_in(storage.clone(), kb, models, config, policy)
+}
+
+/// `attempt` until it succeeds: each distinct write fails at most once, so
+/// a few attempts always do.
+fn retried<T>(what: &str, mut attempt: impl FnMut() -> Result<T, StoreError>) -> T {
+    let mut errors = Vec::new();
+    while errors.len() < 8 {
+        match attempt() {
+            Ok(done) => return done,
+            Err(error) => errors.push(error.to_string()),
+        }
+    }
+    panic!("{what} kept failing: {errors:?}")
+}
+
+/// Run the sweep's stream on `storage`, retrying whatever an injected
+/// fault failed, and check what every step promises: a refused batch
+/// reaches no storage operation and leaves the version alone, so does any
+/// failed ingest but one whose checkpoint failed after the batch applied,
+/// and a reopen recovers what was acknowledged.
+fn drive(setup: &Setup, steps: &[Step], storage: &FaultStorage) -> Run {
+    let mut durable = retried("open", || open_sweep(setup, storage)).0;
+    let mut expected = vec![0; storage.op_count()];
+    let mut fingerprints = vec![durable.snapshot().fingerprint()];
+    for step in steps {
+        let acked = durable.version();
+        match step {
+            Step::Ingest(batch) => {
+                retried("ingest", || match durable.ingest(batch) {
+                    Err(StoreError::CheckpointFailed { applied, error }) => {
+                        assert_eq!((applied, durable.version()), (acked + 1, acked + 1), "{error}");
+                        retried("checkpoint", || durable.checkpoint());
+                        Ok(())
+                    }
+                    outcome => {
+                        let moved = if outcome.is_ok() { acked + 1 } else { acked };
+                        assert_eq!(durable.version(), moved, "{:?}", outcome.as_ref().err());
+                        outcome.map(|_| ())
+                    }
+                });
+                expected.resize(storage.op_count(), acked + 1);
+                fingerprints.push(durable.snapshot().fingerprint());
+            }
+            Step::Refuse(batch) => {
+                let ops = storage.op_count();
+                match durable.ingest(batch) {
+                    Err(StoreError::Pipeline(
+                        PipelineError::DuplicateTable(_) | PipelineError::MalformedTable { .. },
+                    )) => {}
+                    other => panic!("expected a refusal, got {:?}", other.map(|_| ())),
+                }
+                assert_eq!((durable.version(), storage.op_count()), (acked, ops), "refused batch");
+            }
+            Step::Reopen => {
+                drop(durable);
+                durable = retried("reopen", || open_sweep(setup, storage)).0;
+                assert_eq!(durable.snapshot().fingerprint(), fingerprints[acked as usize]);
+                expected.resize(storage.op_count(), acked);
+            }
+        }
+    }
+    let outputs = durable.snapshot().execute_batch(&query_mix(&setup.stream));
+    Run { fingerprints, outputs, expected }
+}
+
+/// Reopen a store left in `files`, check that it recovers a version of the
+/// fault-free run, re-ingest the rest of the stream and check that it
+/// converges; returns the recovered version and the files left at the end.
+fn recover_and_converge(
+    setup: &Setup,
+    batches: &[Corpus],
+    reference: &Run,
+    files: Files,
+    label: &str,
+) -> (u64, Files) {
+    let storage = FaultStorage::with_files(files);
+    let (mut durable, report) =
+        open_sweep(setup, &storage).unwrap_or_else(|e| panic!("{label}: reopen failed: {e}"));
+    let version = durable.version();
+    assert_eq!(report.recovered_batches(), version, "{label}: report consistency");
+    assert_eq!(
+        durable.snapshot().fingerprint(),
+        reference.fingerprints[version as usize],
+        "{label}: recovered snapshot differs from the fault-free run's version {version}"
+    );
+    for batch in &batches[version as usize..] {
+        durable.ingest(batch).unwrap_or_else(|e| panic!("{label}: re-ingest failed: {e}"));
+    }
+    assert_eq!(durable.snapshot().fingerprint(), reference.fingerprints[batches.len()], "{label}");
+    let outputs = durable.snapshot().execute_batch(&query_mix(&setup.stream));
+    assert_eq!(outputs, reference.outputs, "{label}: query-mix outputs");
+    (version, storage.files())
+}
+
+/// Check that a store the whole stream went into reopens to its end from
+/// its newest checkpoint and, with that one gone, from the fallback one:
+/// retention kept every record that replay needs.
+fn reopens_to_the_end(setup: &Setup, reference: &Run, files: &Files, label: &str) {
+    let mut fallback = files.clone();
+    let newest = files.keys().filter(|name| name.starts_with("ckpt-")).max();
+    fallback.remove(newest.expect("the stream checkpoints"));
+    for (files, from) in [(files.clone(), "newest"), (fallback, "fallback")] {
+        let (reopened, _) = open_sweep(setup, &FaultStorage::with_files(files))
+            .unwrap_or_else(|e| panic!("{label}: reopen from the {from} checkpoint failed: {e}"));
+        let end = reference.fingerprints.last();
+        assert_eq!(Some(&reopened.snapshot().fingerprint()), end, "{label}: from the {from} checkpoint");
+    }
+}
+
+/// Crash at every storage operation of the sweep's stream: see the
+/// [module docs](self).
+#[test]
+fn crash_sweep_every_storage_operation() {
+    let setup = setup(Parallelism::Auto);
+    let (steps, batches) = sweep_stream(&setup);
+    let storage = FaultStorage::default();
+    let reference = drive(&setup, &steps, &storage);
+    let ops = storage.ops();
+    assert_eq!(reference.expected.len(), ops.len());
+
+    // The stream's shape: three checkpoints, a WAL compaction, two opens.
+    let replaced = |prefix: &'static str| {
+        ops.iter().filter(move |op| op.kind == OpKind::Replace && op.name.starts_with(prefix))
+    };
+    assert_eq!(replaced("ckpt-").count(), 3);
+    let shrinks = |op: &&fault_storage::Op| {
+        op.before.get("wal.log").is_some_and(|old| op.after["wal.log"].len() < old.len())
+    };
+    assert!(replaced("wal.log").filter(shrinks).count() >= 1, "no WAL compaction");
+    assert_eq!(ops.iter().filter(|op| op.kind == OpKind::Append).count(), batches.len());
+
+    let mut tears = keyed_rng("tears");
+    reopens_to_the_end(&setup, &reference, &storage.files(), "fault-free run");
+    // Files a crash leaves → the version they reopen to; files a converged
+    // process leaves, checked to reopen to the end.
+    let mut reopened: HashMap<Files, u64> = HashMap::new();
+    let mut ends: HashSet<Files> = HashSet::new();
+    let (mut torn, mut undone) = (0, 0);
+    for (i, op) in ops.iter().enumerate() {
+        // One tear inside the record header, one inside the payload.
+        let cuts = match op.kind {
+            OpKind::Append => vec![
+                tears.gen_range(1..WAL_RECORD_HEADER_LEN),
+                tears.gen_range(WAL_RECORD_HEADER_LEN..op.bytes.len()),
+            ],
+            _ => Vec::new(),
+        };
+        for (variant, files) in crash_images(op, &cuts) {
+            // A torn append loses its batch; nothing else loses any.
+            let expected = reference.expected[i] - u64::from(variant.starts_with("torn"));
+            torn += usize::from(variant.starts_with("torn"));
+            undone += usize::from(variant == "undone");
+            let label = format!("crash at op {i} ({:?} {}, {variant})", op.kind, op.name);
+            let version = match reopened.get(&files) {
+                Some(&version) => version,
+                None => {
+                    let (version, end) =
+                        recover_and_converge(&setup, &batches, &reference, files.clone(), &label);
+                    if !ends.contains(&end) {
+                        reopens_to_the_end(&setup, &reference, &end, &label);
+                        ends.insert(end);
+                    }
+                    *reopened.entry(files).or_insert(version)
+                }
+            };
+            assert_eq!(version, expected, "{label}: recovered version");
+        }
+    }
+    println!(
+        "crash sweep: {} operation indexes, {torn} torn and {undone} undone variants, \
+         {} distinct stores reopened, {} distinct converged stores reopened twice",
+        ops.len(),
+        reopened.len(),
+        ends.len()
+    );
+}
+
+/// Every distinct write of the sweep's stream fails once, under each I/O
+/// fault in turn: see the [module docs](self).
+#[test]
+fn fault_sweep_every_write_fails_once() {
+    let setup = setup(Parallelism::Auto);
+    let (steps, _) = sweep_stream(&setup);
+    let reference = drive(&setup, &steps, &FaultStorage::default());
+    for fault in Fault::ALL {
+        let storage = FaultStorage::failing(fault);
+        let run = drive(&setup, &steps, &storage);
+        assert!(storage.faults_injected() > 0, "{fault:?}");
+        assert_eq!(run.fingerprints, reference.fingerprints, "{fault:?}: fingerprints");
+        assert_eq!(run.outputs, reference.outputs, "{fault:?}: query-mix outputs");
+        reopens_to_the_end(&setup, &reference, &storage.files(), &format!("{fault:?}"));
+        println!("fault sweep: {fault:?} failed {} writes", storage.faults_injected());
+    }
+}
+
