@@ -25,10 +25,10 @@
 //!   load **pins** the slot — stores the current global epoch into it —
 //!   *before* loading the pointer, and unpins (stores the idle value 0)
 //!   after the refcount increment.
-//! * When a version falls out of the [`RetentionPolicy`] window it is not
-//!   freed immediately: it moves to a **limbo** list tagged with the
-//!   epoch at which it was retired. A limbo entry is freed only once
-//!   every slot is idle or pinned at a *strictly greater* epoch.
+//! * A superseded version is not freed by the publish that supersedes it:
+//!   it moves to a **limbo** list tagged with the epoch at which it was
+//!   retired. A limbo entry is freed only once every slot is idle or
+//!   pinned at a *strictly greater* epoch, and limbo holds its only `Arc`.
 //!
 //! **Why that is safe.** All four protocol operations — the reader's slot
 //! store `S` and pointer load `L`, the writer's swap `W` and slot scan
@@ -54,105 +54,24 @@
 //! Conversely, a reader that *did* load `V` pinned an epoch no greater
 //! than `V`'s retire epoch (the pin is stored before the load, and the
 //! epoch only advances after `V` is swapped out), so the scan keeps `V`
-//! in limbo until the reader unpins. Pins last for the handful of
-//! instructions inside `load`, so limbo is transient: a quiescent cell
-//! retains exactly the retention window.
+//! in limbo until the reader unpins.
 //!
-//! ## Retention window
+//! ## What stays resident
 //!
-//! Reclamation is subject to an explicit [`RetentionPolicy`]: keep-last-N
-//! versions (or everything, for bounded runs that want full replay).
-//! [`SnapshotCell::snapshot_at`] serves any version inside the window;
-//! outside it the answer is a typed [`SnapshotAtError::VersionReclaimed`]
-//! — never a panic, and never a "maybe, if no reader raced you" from
-//! limbo, which would make replay timing-dependent. A version a reader
-//! already holds an `Arc` to stays alive for that reader regardless — the
-//! cell only drops *its own* reference.
+//! The current version, plus every superseded version a reader still
+//! holds an `Arc` to: that `Arc` is the reader's repeatable read, and the
+//! version lives exactly as long as some reader keeps one. Limbo holds
+//! such a version too, and frees it on the first `publish` or `reclaim`
+//! after the last reader drops it — so the writer, never a reader's
+//! `Drop` in the middle of a query, pays for freeing a version. Pins last
+//! for the handful of instructions inside `load`, so a quiescent cell
+//! whose readers hold nothing retains exactly one version.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::snapshot::KbSnapshot;
-
-/// How many superseded versions a [`SnapshotCell`] keeps replayable.
-///
-/// The window is counted in *versions resident*, current included: with
-/// `KeepLast(n)`, `snapshot_at` serves the latest `n` versions and
-/// anything older is reclaimed once no reader can still be mid-load on
-/// it. The policy is fixed at cell construction — a knob on
-/// [`crate::ServePipeline::with_retention`]; a
-/// [`crate::DurableServePipeline`] keeps the default window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetentionPolicy {
-    /// Retain every published version for the cell's lifetime (the
-    /// pre-reclamation behaviour). Memory grows with version count; only
-    /// sensible for bounded runs that want unlimited `snapshot_at`
-    /// replay, such as the isolation stress tests.
-    KeepAll,
-    /// Retain the latest `n` versions (clamped to at least 1 — the
-    /// current version is always resident).
-    KeepLast(usize),
-}
-
-impl RetentionPolicy {
-    /// The default replay window of [`RetentionPolicy::default`].
-    pub const DEFAULT_KEEP_LAST: usize = 8;
-
-    /// Versions this policy keeps resident (`usize::MAX` for `KeepAll`).
-    pub fn window(self) -> usize {
-        match self {
-            RetentionPolicy::KeepAll => usize::MAX,
-            RetentionPolicy::KeepLast(n) => n.max(1),
-        }
-    }
-}
-
-impl Default for RetentionPolicy {
-    /// Keep the last [`RetentionPolicy::DEFAULT_KEEP_LAST`] versions.
-    fn default() -> Self {
-        RetentionPolicy::KeepLast(Self::DEFAULT_KEEP_LAST)
-    }
-}
-
-/// Why [`SnapshotCell::snapshot_at`] could not serve a version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotAtError {
-    /// The version is older than the retention window: it was published
-    /// (by this process or, after a durable restart, a predecessor) and
-    /// has been reclaimed.
-    VersionReclaimed {
-        /// The requested version.
-        version: u64,
-        /// The oldest version still replayable.
-        oldest_retained: u64,
-    },
-    /// The version is newer than anything published so far.
-    NotYetPublished {
-        /// The requested version.
-        version: u64,
-        /// The latest published version.
-        latest: u64,
-    },
-}
-
-impl std::fmt::Display for SnapshotAtError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotAtError::VersionReclaimed { version, oldest_retained } => write!(
-                f,
-                "snapshot version {version} has been reclaimed (oldest retained: \
-                 {oldest_retained})"
-            ),
-            SnapshotAtError::NotYetPublished { version, latest } => {
-                write!(f, "snapshot version {version} not yet published (latest: {latest})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotAtError {}
 
 /// The idle value of an epoch slot. Real epochs start at 1.
 const SLOT_IDLE: u64 = 0;
@@ -175,8 +94,8 @@ struct SlotState {
 /// cheap, so create one per reader thread via
 /// [`SnapshotCell::register_slot`] (or just clone a
 /// [`crate::SnapshotReader`], which carries its own). Dropping the slot
-/// deregisters it: the writer prunes orphaned slots on the next publish,
-/// so reader churn does not accumulate registry entries.
+/// deregisters it: the next registration or publish prunes orphaned
+/// slots, so reader churn does not accumulate registry entries.
 #[derive(Debug)]
 pub struct ReaderSlot {
     state: Arc<SlotState>,
@@ -191,21 +110,25 @@ pub struct ReaderSlot {
 /// Writer-side bookkeeping, behind a mutex readers never touch.
 #[derive(Debug)]
 struct Retained {
-    /// The retention window's newest version: the current one, except for
-    /// the instants inside the (single-writer) `publish`. A field of its
-    /// own, so the window is never empty.
+    /// The current version, except for the instants inside the
+    /// (single-writer) `publish`.
     newest: Arc<KbSnapshot>,
-    /// The rest of the window, oldest first, contiguous up to `newest`.
-    older: VecDeque<Arc<KbSnapshot>>,
-    /// Versions evicted from the window but possibly still observable by
-    /// a reader mid-load: `(retire_epoch, version)`. Freed by `reclaim`
-    /// once every slot is idle or pinned past `retire_epoch`.
+    /// Superseded versions not yet freed: `(retire_epoch, version)`.
+    /// Freed by `reclaim` once every slot is idle or pinned past
+    /// `retire_epoch` and no reader holds the version any more.
     limbo: Vec<(u64, Arc<KbSnapshot>)>,
     /// Every registered slot, scanned by `reclaim`, pruned when only the
     /// registry still holds the `Arc` (the `ReaderSlot` was dropped).
     slots: Vec<Arc<SlotState>>,
     /// Versions freed so far (diagnostics; monotone).
     reclaimed: u64,
+}
+
+impl Retained {
+    /// Forget the slots whose [`ReaderSlot`] was dropped.
+    fn prune_slots(&mut self) {
+        self.slots.retain(|slot| Arc::strong_count(slot) > 1);
+    }
 }
 
 /// Source of unique cell identities (see [`ReaderSlot::cell_id`]).
@@ -222,8 +145,8 @@ static NEXT_CELL_ID: AtomicU64 = AtomicU64::new(1);
 pub struct SnapshotCell {
     /// Points at the data of the current version's `Arc`. The pointed-to
     /// snapshot always carries one outstanding `into_raw` count owned by
-    /// this field, *and* a strong count owned by the retention window — so
-    /// it stays backed through the swap that supersedes it.
+    /// this field, *and* the strong count of [`Retained::newest`] — so it
+    /// stays backed through the swap that supersedes it.
     current: AtomicPtr<KbSnapshot>,
     /// The global epoch: starts at 1, advanced once per publish, after
     /// the swap. A pinned slot holding epoch `e` proves its reader can
@@ -231,32 +154,29 @@ pub struct SnapshotCell {
     epoch: AtomicU64,
     /// The latest published version number, for lock-free `version()`.
     latest: AtomicU64,
-    /// Retention window, limbo, slot registry (writer side + diagnostics;
+    /// Current version, limbo, slot registry (writer side + diagnostics;
     /// the read path never touches it).
     retained: Mutex<Retained>,
-    policy: RetentionPolicy,
     /// This cell's identity, stamped into every slot it registers.
     id: u64,
 }
 
 impl SnapshotCell {
-    /// Create a cell publishing `initial` as the current version, with
-    /// superseded versions retained per `policy`. Crate-internal: cells
-    /// are only created (and written) by [`crate::ServePipeline`], which
-    /// is what enforces the single-writer requirement at the type level.
-    pub(crate) fn new(initial: Arc<KbSnapshot>, policy: RetentionPolicy) -> Self {
+    /// Create a cell publishing `initial` as the current version.
+    /// Crate-internal: cells are only created (and written) by
+    /// [`crate::ServePipeline`], which is what enforces the single-writer
+    /// requirement at the type level.
+    pub(crate) fn new(initial: Arc<KbSnapshot>) -> Self {
         Self {
             latest: AtomicU64::new(initial.version()),
             current: AtomicPtr::new(Arc::into_raw(Arc::clone(&initial)).cast_mut()),
             epoch: AtomicU64::new(SLOT_IDLE + 1),
             retained: Mutex::new(Retained {
                 newest: initial,
-                older: VecDeque::new(),
                 limbo: Vec::new(),
                 slots: Vec::new(),
                 reclaimed: 0,
             }),
-            policy,
             id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -267,8 +187,8 @@ impl SnapshotCell {
     /// created and written only by [`crate::ServePipeline`], which is
     /// what enforces the single-writer requirement.
     #[doc(hidden)]
-    pub fn new_for_tests(initial: Arc<KbSnapshot>, policy: RetentionPolicy) -> Self {
-        Self::new(initial, policy)
+    pub fn new_for_tests(initial: Arc<KbSnapshot>) -> Self {
+        Self::new(initial)
     }
 
     /// Publish through a raw cell outside the crate. Test support (see
@@ -286,14 +206,18 @@ impl SnapshotCell {
         self.reclaim();
     }
 
-    /// Register an epoch slot for a reader thread. Takes the registry
-    /// lock — reader *creation* is not wait-free, only [`load`] is; do it
-    /// once per thread, not per query.
+    /// Register an epoch slot for a reader thread, first pruning the slots
+    /// of dropped readers — so reader churn cannot grow the registry even
+    /// while nothing publishes. Takes the
+    /// registry lock — reader *creation* is not wait-free, only [`load`]
+    /// is; do it once per thread, not per query.
     ///
     /// [`load`]: SnapshotCell::load
     pub fn register_slot(&self) -> ReaderSlot {
         let state = Arc::new(SlotState { pinned: AtomicU64::new(SLOT_IDLE) });
-        self.retained().slots.push(Arc::clone(&state));
+        let mut retained = self.retained();
+        retained.prune_slots();
+        retained.slots.push(Arc::clone(&state));
         ReaderSlot { state, cell_id: self.id, _single_thread: PhantomData }
     }
 
@@ -318,7 +242,7 @@ impl SnapshotCell {
         let ptr = self.current.load(Ordering::SeqCst);
         // SAFETY: `ptr` was produced by `Arc::into_raw` (in `new` or
         // `publish`) and its snapshot is still alive: it is either the
-        // current version (owned by this field plus the retention window)
+        // current version (owned by this field plus `Retained::newest`)
         // or was retired at an epoch ≥ our pin — and `reclaim` never
         // frees a version retired at an epoch ≥ any pinned slot's value.
         let snapshot = unsafe {
@@ -334,7 +258,7 @@ impl SnapshotCell {
     /// The current snapshot, without an epoch slot. Writer-side only:
     /// sound *only* while no `publish`/`reclaim` can run concurrently,
     /// which [`crate::ServePipeline`] guarantees by requiring `&mut self`
-    /// for both. Takes the retention lock (never contended on the read
+    /// for both. Takes the bookkeeping lock (never contended on the read
     /// path) — the writer's own loads are setup/diagnostics, not the hot
     /// path.
     pub(crate) fn load_writer(&self) -> Arc<KbSnapshot> {
@@ -342,15 +266,15 @@ impl SnapshotCell {
     }
 
     /// Poisoned only if a publish or reclaim panicked while moving versions
-    /// between window and limbo, when one may have been freed under a
-    /// reader's pin: nothing sound is left to serve, so the panic spreads.
+    /// into or out of limbo, when one may have been freed under a reader's
+    /// pin: nothing sound is left to serve, so the panic spreads.
     #[allow(clippy::expect_used)]
     fn retained(&self) -> MutexGuard<'_, Retained> {
         self.retained.lock().expect("snapshot retention bookkeeping panicked")
     }
 
-    /// Publish a new version, retire the current one into the retention
-    /// window, and reclaim whatever fell out of it (epoch-safely).
+    /// Publish a new version, retire the current one into limbo, and
+    /// reclaim whatever limbo may free (epoch-safely).
     ///
     /// Writer-side and crate-internal: publishes must be serialised, and
     /// keeping this `pub(crate)` makes the only writer
@@ -360,14 +284,13 @@ impl SnapshotCell {
     /// loaded the old pointer just before the swap pinned an epoch that
     /// keeps the old version out of reclamation until it unpins.
     ///
-    /// The retention lock is **not** held across the swap: the writer
+    /// The bookkeeping lock is **not** held across the swap: the writer
     /// critical section observed by [`versions_retained`] diagnostics is
-    /// pure bookkeeping (a push, at most a few pops, the slot scan), and
+    /// pure bookkeeping (a push, the slot scan, the limbo sweep), and
     /// freed snapshots are dropped after the lock is released, so a large
     /// reclaimed version never extends it either. The old version stays
-    /// reachable throughout — it entered the window when *it* was
-    /// published — so there is no swapped-but-untracked gap for
-    /// `snapshot_at` to observe.
+    /// owned by `newest` until it moves to limbo, so there is no
+    /// swapped-but-untracked gap in which it could be freed.
     ///
     /// [`versions_retained`]: SnapshotCell::versions_retained
     pub(crate) fn publish(&self, snapshot: Arc<KbSnapshot>) {
@@ -375,10 +298,10 @@ impl SnapshotCell {
         let new_raw = Arc::into_raw(Arc::clone(&snapshot)).cast_mut();
         let old_raw = self.current.swap(new_raw, Ordering::SeqCst);
         // SAFETY: `old_raw` carries the `into_raw` count minted when it
-        // was published; the window still owns it, so this balance only
+        // was published; `newest` still owns it, so this balance only
         // releases the pointer's share.
         unsafe { drop(Arc::from_raw(old_raw)) };
-        // Advance the epoch *after* the swap: any version evicted below
+        // Advance the epoch *after* the swap: the version retired below
         // was swapped out at an epoch ≤ `retire_epoch`, so a reader that
         // could still materialise it is pinned at ≤ `retire_epoch`.
         let retire_epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
@@ -386,25 +309,22 @@ impl SnapshotCell {
 
         {
             let mut retained = self.retained();
-            let Retained { newest, older, limbo, .. } = &mut *retained;
-            older.push_back(std::mem::replace(newest, snapshot));
-            // `newest` is the one window version `older` does not hold.
-            let evictions = older.len().saturating_sub(self.policy.window() - 1);
-            limbo.extend(older.drain(..evictions).map(|evicted| (retire_epoch, evicted)));
+            let superseded = std::mem::replace(&mut retained.newest, snapshot);
+            retained.limbo.push((retire_epoch, superseded));
         }
         self.reclaim();
     }
 
-    /// Free every limbo version no reader can still be mid-load on, and
-    /// prune slots whose [`ReaderSlot`] was dropped. Runs on every
-    /// publish; also callable explicitly (via
-    /// [`crate::ServePipeline::reclaim`]) to drain limbo without
-    /// publishing. The freed snapshots are dropped outside the lock.
+    /// Free every limbo version that no reader can still be mid-load on
+    /// and no reader holds, and prune slots whose [`ReaderSlot`] was
+    /// dropped. Runs on every publish; also callable explicitly (via
+    /// [`crate::ServePipeline::reclaim`]) to free what readers let go of
+    /// without publishing. The freed snapshots are dropped outside the
+    /// lock.
     pub(crate) fn reclaim(&self) {
-        let mut freed: Vec<Arc<KbSnapshot>> = Vec::new();
-        {
+        let freed = {
             let mut retained = self.retained();
-            retained.slots.retain(|slot| Arc::strong_count(slot) > 1);
+            retained.prune_slots();
             // SeqCst slot loads: the scan must order against reader pins
             // and pointer loads (see the module docs' proof).
             let min_pin = retained
@@ -414,17 +334,19 @@ impl SnapshotCell {
                 .filter(|&pin| pin != SLOT_IDLE)
                 .min()
                 .unwrap_or(u64::MAX);
-            let mut kept = Vec::with_capacity(retained.limbo.len());
-            for (retire_epoch, snapshot) in retained.limbo.drain(..) {
-                if retire_epoch < min_pin {
-                    freed.push(snapshot);
-                } else {
-                    kept.push((retire_epoch, snapshot));
-                }
-            }
+            // Past every pin, no load can hand out a new `Arc` to the
+            // version, so a strong count of one is limbo's alone and
+            // stays so: dropping it below frees the version.
+            let (freed, kept): (Vec<_>, Vec<_>) =
+                std::mem::take(&mut retained.limbo).into_iter().partition(
+                    |(retire_epoch, snapshot)| {
+                        *retire_epoch < min_pin && Arc::strong_count(snapshot) == 1
+                    },
+                );
             retained.reclaimed += freed.len() as u64;
             retained.limbo = kept;
-        }
+            freed
+        };
         // Dropping (potentially large) snapshots happens off-lock so the
         // writer critical section stays O(bookkeeping).
         drop(freed);
@@ -435,50 +357,17 @@ impl SnapshotCell {
         self.latest.load(Ordering::Acquire)
     }
 
-    /// A specific published version, if it is still inside the retention
-    /// window. Versions older than the window yield
-    /// [`SnapshotAtError::VersionReclaimed`] — deterministically, even if
-    /// the bytes happen to linger in limbo: replayability is a property
-    /// of the policy, not of reader timing. Takes the retention lock —
-    /// meant for diagnostics and verification, not the hot query path.
-    pub fn snapshot_at(&self, version: u64) -> Result<Arc<KbSnapshot>, SnapshotAtError> {
-        let retained = self.retained();
-        let newest = retained.newest.version();
-        let oldest = retained.older.front().map_or(newest, |oldest| oldest.version());
-        if version > newest {
-            return Err(SnapshotAtError::NotYetPublished { version, latest: newest });
-        }
-        if version < oldest {
-            return Err(SnapshotAtError::VersionReclaimed { version, oldest_retained: oldest });
-        }
-        // Contiguous ascending: direct index; one past `older` is `newest`.
-        Ok(Arc::clone(retained.older.get((version - oldest) as usize).unwrap_or(&retained.newest)))
-    }
-
-    /// The oldest version still replayable via [`snapshot_at`].
-    ///
-    /// [`snapshot_at`]: SnapshotCell::snapshot_at
-    pub fn oldest_retained(&self) -> u64 {
-        let retained = self.retained();
-        retained.older.front().unwrap_or(&retained.newest).version()
-    }
-
-    /// Versions currently resident: the retention window plus any limbo
-    /// versions awaiting a safe free. Quiescent cells (no load in flight)
-    /// report exactly `min(published, window)`.
+    /// Versions currently resident: the current one plus the limbo
+    /// versions not freed yet — those readers still hold, and those
+    /// awaiting a pin or the next reclaim. A quiescent cell whose readers
+    /// hold nothing reports exactly 1 after a publish or reclaim.
     pub fn versions_retained(&self) -> usize {
-        let retained = self.retained();
-        1 + retained.older.len() + retained.limbo.len()
+        1 + self.retained().limbo.len()
     }
 
     /// Versions freed by reclamation so far.
     pub fn versions_reclaimed(&self) -> u64 {
         self.retained().reclaimed
-    }
-
-    /// The cell's retention policy.
-    pub fn retention(&self) -> RetentionPolicy {
-        self.policy
     }
 }
 
@@ -512,94 +401,88 @@ mod tests {
 
     #[test]
     fn load_returns_latest_published() {
-        let cell = SnapshotCell::new(snap(0), RetentionPolicy::KeepAll);
+        let cell = SnapshotCell::new(snap(0));
         let slot = cell.register_slot();
         assert_eq!(cell.load(&slot).version(), 0);
         cell.publish(snap(1));
         cell.publish(snap(2));
         assert_eq!(cell.load(&slot).version(), 2);
         assert_eq!(cell.version(), 2);
-        assert_eq!(cell.versions_retained(), 3);
-        assert_eq!(cell.versions_reclaimed(), 0);
+        assert_eq!(cell.versions_retained(), 1);
+        assert_eq!(cell.versions_reclaimed(), 2);
     }
 
     #[test]
-    fn keep_all_serves_every_version() {
-        let cell = SnapshotCell::new(snap(0), RetentionPolicy::KeepAll);
-        cell.publish(snap(1));
-        cell.publish(snap(2));
-        for v in 0..=2 {
-            let s = cell.snapshot_at(v).expect("retained");
-            assert_eq!(s.version(), v);
-            check_canary(&s);
-        }
-        assert_eq!(
-            cell.snapshot_at(3).err(),
-            Some(SnapshotAtError::NotYetPublished { version: 3, latest: 2 })
-        );
-        assert_eq!(cell.oldest_retained(), 0);
-    }
-
-    #[test]
-    fn keep_last_reclaims_behind_the_window() {
-        let cell = SnapshotCell::new(snap(0), RetentionPolicy::KeepLast(3));
+    fn superseded_versions_nobody_holds_are_freed_by_the_publish() {
+        let cell = SnapshotCell::new(snap(0));
         for v in 1..=10 {
             cell.publish(snap(v));
+            // Quiescent: the publish's own reclaim frees what it retired.
+            assert_eq!(cell.versions_retained(), 1);
+            assert_eq!(cell.versions_reclaimed(), v);
         }
-        // Quiescent: limbo drains on every publish, so exactly the
-        // window is resident and everything older was freed.
-        assert_eq!(cell.versions_retained(), 3);
-        assert_eq!(cell.versions_reclaimed(), 8);
-        assert_eq!(cell.oldest_retained(), 8);
-        for v in 8..=10 {
-            check_canary(&cell.snapshot_at(v).expect("inside the window"));
-        }
-        for v in 0..8 {
-            assert_eq!(
-                cell.snapshot_at(v).err(),
-                Some(SnapshotAtError::VersionReclaimed { version: v, oldest_retained: 8 }),
-                "outside the window must be a typed rejection"
-            );
-        }
-    }
-
-    #[test]
-    fn keep_last_zero_clamps_to_current() {
-        let cell = SnapshotCell::new(snap(0), RetentionPolicy::KeepLast(0));
-        cell.publish(snap(1));
-        assert_eq!(cell.versions_retained(), 1, "the current version is always resident");
-        check_canary(&cell.snapshot_at(1).expect("current"));
+        check_canary(&cell.load_writer());
     }
 
     #[test]
     fn loaded_snapshot_outlives_supersession_and_reclamation() {
-        let cell = SnapshotCell::new(snap(0), RetentionPolicy::KeepLast(1));
+        let cell = SnapshotCell::new(snap(0));
         let slot = cell.register_slot();
         let pinned = cell.load(&slot);
         for v in 1..=5 {
             cell.publish(snap(v));
         }
-        // Version 0 was reclaimed from the cell's perspective...
-        assert!(matches!(
-            cell.snapshot_at(0),
-            Err(SnapshotAtError::VersionReclaimed { version: 0, .. })
-        ));
-        // ...but the reader's own Arc keeps it alive and intact.
+        // Versions 1..=4 were freed; the reader's Arc keeps version 0
+        // resident and intact.
+        assert_eq!(cell.versions_reclaimed(), 4);
+        assert_eq!(cell.versions_retained(), 2, "the current version plus the held one");
         assert_eq!(pinned.version(), 0, "a pinned version never changes under the reader");
         check_canary(&pinned);
         assert_eq!(cell.load(&slot).version(), 5);
     }
 
+    /// A reader that drops the last handle of a superseded version does
+    /// not free it: the version stays in limbo, intact, until the writer's
+    /// next `publish` or `reclaim` frees it. Observed through a `Weak` to
+    /// the canary snapshot, which does not count as a holder.
+    #[test]
+    fn the_writer_not_the_reader_frees_a_released_version() {
+        for by_publish in [false, true] {
+            let v0 = snap(0);
+            let canary = Arc::downgrade(&v0);
+            let cell = SnapshotCell::new(v0);
+            let slot = cell.register_slot();
+            let held = cell.load(&slot);
+            cell.publish(snap(1));
+            assert_eq!(cell.versions_reclaimed(), 0, "a held version is not freed");
+
+            drop(held);
+            let lingering = canary.upgrade().expect("the reader's drop must not free version 0");
+            check_canary(&lingering);
+            drop(lingering);
+            assert_eq!(cell.versions_retained(), 2);
+
+            if by_publish {
+                cell.publish(snap(2));
+            } else {
+                cell.reclaim();
+            }
+            assert_eq!(canary.strong_count(), 0, "the writer frees version 0");
+            assert_eq!(cell.versions_reclaimed(), 1 + u64::from(by_publish));
+            assert_eq!(cell.versions_retained(), 1);
+        }
+    }
+
     /// The interleaving the epoch protocol exists for: a reader pins and
     /// reads the raw pointer, then parks *before* incrementing the
-    /// refcount, while the writer publishes past the retention window and
-    /// tries to reclaim. The pinned epoch must hold the version in limbo
-    /// (no use-after-free when the reader resumes); the unpin must then
-    /// release it. White-box: drives the slot and pointer directly, in
-    /// exactly the order `load` does.
+    /// refcount, while the writer publishes several versions and tries to
+    /// reclaim. The pinned epoch must hold the version in limbo (no
+    /// use-after-free when the reader resumes); the unpin must then
+    /// release everything the reader does not hold. White-box: drives the
+    /// slot and pointer directly, in exactly the order `load` does.
     #[test]
     fn parked_reader_between_pin_and_increment_blocks_reclaim() {
-        let cell = SnapshotCell::new(snap(0), RetentionPolicy::KeepLast(1));
+        let cell = SnapshotCell::new(snap(0));
         let slot = cell.register_slot();
 
         // Reader half 1: pin the epoch, load the raw pointer... and park.
@@ -616,7 +499,7 @@ mod tests {
             0,
             "a version observable by the parked reader must not be freed"
         );
-        assert_eq!(cell.versions_retained(), 1 + 4, "window (1) plus all of limbo (4)");
+        assert_eq!(cell.versions_retained(), 1 + 4, "the current version plus all of limbo (4)");
 
         // Reader half 2: resume — increment and materialise. The memory
         // must still be the version-0 snapshot, canary intact.
@@ -628,12 +511,16 @@ mod tests {
         check_canary(&resumed);
         slot.state.pinned.store(SLOT_IDLE, Ordering::Release);
 
-        // Unpinned: the next reclaim frees all four limbo versions.
+        // Unpinned: the next reclaim frees the three versions nobody
+        // holds; the reader's Arc still backs its copy of version 0.
+        cell.reclaim();
+        assert_eq!(cell.versions_reclaimed(), 3);
+        assert_eq!(cell.versions_retained(), 2);
+        check_canary(&resumed);
+        drop(resumed);
         cell.reclaim();
         assert_eq!(cell.versions_reclaimed(), 4);
         assert_eq!(cell.versions_retained(), 1);
-        // The reader's Arc still backs its copy.
-        check_canary(&resumed);
     }
 
     /// A stale pin — stored from an epoch read long ago, after the writer
@@ -642,7 +529,7 @@ mod tests {
     /// the swapped-out one is unreachable via the pointer by then.
     #[test]
     fn stale_pin_is_conservative_not_unsound() {
-        let cell = SnapshotCell::new(snap(0), RetentionPolicy::KeepLast(1));
+        let cell = SnapshotCell::new(snap(0));
         let slot = cell.register_slot();
         let stale_epoch = cell.epoch.load(Ordering::SeqCst);
 
@@ -660,8 +547,10 @@ mod tests {
         };
         assert_eq!(loaded.version(), 3, "a late pointer load sees the current version");
         check_canary(&loaded);
+        drop(loaded);
 
-        // While pinned at the stale epoch, evictions stay in limbo.
+        // While pinned at the stale epoch, superseded versions stay in
+        // limbo.
         cell.publish(snap(4));
         assert_eq!(cell.versions_reclaimed(), 3, "stale pin holds limbo conservatively");
         slot.state.pinned.store(SLOT_IDLE, Ordering::Release);
@@ -671,7 +560,7 @@ mod tests {
 
     #[test]
     fn dropped_slots_are_pruned_and_release_limbo() {
-        let cell = SnapshotCell::new(snap(0), RetentionPolicy::KeepLast(1));
+        let cell = SnapshotCell::new(snap(0));
         let slot = cell.register_slot();
         // Park the slot pinned, then drop it (a reader thread that died
         // mid-protocol can only do this by leaking the load, but the
@@ -681,28 +570,39 @@ mod tests {
         cell.publish(snap(1));
         // The dropped slot was pruned before the scan, so nothing blocks.
         assert_eq!(cell.versions_reclaimed(), 1);
-        // Churn: registering and dropping many slots leaves no residue.
-        for _ in 0..100 {
-            let s = cell.register_slot();
-            let _ = cell.load(&s);
+        assert!(cell.retained().slots.is_empty());
+    }
+
+    /// Reader churn on a cell that never publishes: registration prunes
+    /// the slots of dropped readers, so the registry stays at the live
+    /// readers plus the one dropped since the last registration.
+    #[test]
+    fn reader_churn_without_publishes_does_not_grow_the_registry() {
+        let cell = SnapshotCell::new(snap(0));
+        let live: Vec<ReaderSlot> = (0..3).map(|_| cell.register_slot()).collect();
+        let churn = if cfg!(miri) { 100 } else { 10_000 };
+        for _ in 0..churn {
+            let slot = cell.register_slot();
+            check_canary(&cell.load(&slot));
+            assert!(cell.retained().slots.len() <= live.len() + 1);
+            drop(slot);
+            assert!(cell.retained().slots.len() <= live.len() + 1);
         }
-        cell.publish(snap(2));
-        let retained = cell.retained.lock().unwrap();
-        assert!(retained.slots.len() <= 1, "orphaned slots must be pruned, not accumulated");
+        assert_eq!(cell.versions_reclaimed(), 0, "nothing was published");
     }
 
     #[test]
     #[should_panic(expected = "ReaderSlot used with a cell it was not registered with")]
     fn foreign_slot_is_rejected() {
-        let a = SnapshotCell::new(snap(0), RetentionPolicy::default());
-        let b = SnapshotCell::new(snap(0), RetentionPolicy::default());
+        let a = SnapshotCell::new(snap(0));
+        let b = SnapshotCell::new(snap(0));
         let slot_b = b.register_slot();
         let _ = a.load(&slot_b);
     }
 
     #[test]
     fn concurrent_loads_during_publishes_are_consistent() {
-        let cell = Arc::new(SnapshotCell::new(snap(0), RetentionPolicy::KeepLast(2)));
+        let cell = Arc::new(SnapshotCell::new(snap(0)));
         let iterations = if cfg!(miri) { 40 } else { 1000 };
         let publishes = if cfg!(miri) { 10 } else { 50 };
         std::thread::scope(|scope| {
@@ -725,8 +625,8 @@ mod tests {
         });
         assert_eq!(cell.version(), publishes);
         cell.reclaim();
-        assert_eq!(cell.versions_retained(), 2, "quiescent cell retains exactly the window");
-        assert_eq!(cell.versions_reclaimed(), publishes - 1);
+        assert_eq!(cell.versions_retained(), 1, "quiescent cell retains the current version only");
+        assert_eq!(cell.versions_reclaimed(), publishes);
     }
 
     /// Seeded randomized interleaving stress: four readers load through
@@ -734,11 +634,12 @@ mod tests {
     /// hazard points (between pin and pointer load, and between pointer
     /// load and increment — driven white-box so the pause really lands
     /// inside the window), while the writer publishes with its own
-    /// randomized pauses and a tight retention window, reclaiming
-    /// aggressively. Every materialised snapshot must carry an intact
-    /// canary, and every reader's version sequence must be monotone.
-    /// Miri-sized under `cfg(miri)`; run it there to machine-check the
-    /// absence of use-after-free.
+    /// randomized pauses, reclaiming on every publish. Readers sometimes
+    /// hold a version across loads, so the writer also frees versions
+    /// whose last holder let go. Every materialised snapshot must carry
+    /// an intact canary, and every reader's version sequence must be
+    /// monotone. Miri-sized under `cfg(miri)`; run it there to
+    /// machine-check the absence of use-after-free.
     #[test]
     fn randomized_interleaving_stress_yields_no_use_after_free() {
         use rand::{Rng, SeedableRng};
@@ -747,7 +648,7 @@ mod tests {
         let loads_per_reader = if cfg!(miri) { 30 } else { 800 };
 
         for seed in 0..3u64 {
-            let cell = Arc::new(SnapshotCell::new(snap(0), RetentionPolicy::KeepLast(2)));
+            let cell = Arc::new(SnapshotCell::new(snap(0)));
             std::thread::scope(|scope| {
                 for reader_id in 0..4u64 {
                     let cell = Arc::clone(&cell);
@@ -756,6 +657,7 @@ mod tests {
                             rand_chacha::ChaCha8Rng::seed_from_u64(seed * 100 + reader_id);
                         let slot = cell.register_slot();
                         let mut last = 0u64;
+                        let mut held: Option<Arc<KbSnapshot>> = None;
                         for _ in 0..loads_per_reader {
                             // White-box load with pauses injected at the
                             // two points an unlucky scheduler could park
@@ -780,7 +682,11 @@ mod tests {
                             check_canary(&s);
                             assert!(s.version() >= last, "monotone versions per reader");
                             last = s.version();
+                            if let Some(old) = &held {
+                                check_canary(old);
+                            }
                             if rng.gen_range(0..8u32) == 0 {
+                                held = Some(s);
                                 std::thread::yield_now();
                             }
                         }
@@ -795,28 +701,19 @@ mod tests {
                 }
             });
             cell.reclaim();
-            assert_eq!(cell.versions_retained(), 2);
-            assert_eq!(cell.versions_reclaimed(), publishes - 1);
-            for v in 0..publishes - 1 {
-                assert!(
-                    matches!(
-                        cell.snapshot_at(v),
-                        Err(SnapshotAtError::VersionReclaimed { .. })
-                    ),
-                    "reclaimed versions reject typed, never panic (v{v})"
-                );
-            }
+            assert_eq!(cell.versions_retained(), 1);
+            assert_eq!(cell.versions_reclaimed(), publishes);
         }
     }
 
     /// The writer critical section (what `versions_retained` waits on)
-    /// must stay pure bookkeeping: publish must not hold the retention
+    /// must stay pure bookkeeping: publish must not hold the bookkeeping
     /// lock across the pointer swap. Probed behaviourally — a thread
-    /// holding the retention lock must not be able to stop a publish from
-    /// making the new version visible to wait-free loads.
+    /// holding the lock must not be able to stop a publish from making
+    /// the new version visible to wait-free loads.
     #[test]
     fn publish_swaps_outside_the_retention_lock() {
-        let cell = Arc::new(SnapshotCell::new(snap(0), RetentionPolicy::KeepAll));
+        let cell = Arc::new(SnapshotCell::new(snap(0)));
         let lock = cell.retained.lock().unwrap();
         let seen = std::thread::scope(|scope| {
             let cell2 = Arc::clone(&cell);
@@ -827,17 +724,18 @@ mod tests {
                 cell2.publish(snap(1));
             });
             // Wait (bounded) for the swap to land while *holding* the
-            // retention lock the whole time.
+            // bookkeeping lock the whole time.
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             let mut observed = 0;
             while std::time::Instant::now() < deadline {
                 // `load` is lock-free, so it cannot deadlock against the
-                // held retention lock. (No registered slot needed for the
+                // held lock. (No registered slot needed for the
                 // assertion: use the raw pointer + canary, read-only.)
                 let ptr = cell.current.load(Ordering::SeqCst);
-                // SAFETY: KeepAll — nothing is ever freed, and the lock
-                // we hold blocks the window push but not liveness (the
-                // publish argument itself keeps the new version alive).
+                // SAFETY: nothing can be freed while we hold the lock:
+                // version 0 stays owned by `newest` until the blocked
+                // publish moves it to limbo, and version 1 by the
+                // publish's own argument.
                 let v = unsafe { (*ptr).version() };
                 if v == 1 {
                     observed = v;
@@ -849,7 +747,7 @@ mod tests {
             publisher.join().expect("publisher");
             observed
         });
-        assert_eq!(seen, 1, "publish must swap before (not inside) the retention lock");
-        assert_eq!(cell.versions_retained(), 2);
+        assert_eq!(seen, 1, "publish must swap before (not inside) the bookkeeping lock");
+        assert_eq!(cell.versions_retained(), 1);
     }
 }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use ltee_core::prelude::*;
 use ltee_webtables::{Column, TableId, WebTable};
 
-use crate::{ClassSnapshot, KbSnapshot, Query, RetentionPolicy, ServePipeline};
+use crate::{ClassSnapshot, KbSnapshot, Query, ServePipeline};
 
 struct Fixture {
     world: World,
@@ -188,13 +188,9 @@ fn every_delta_published_version_equals_a_full_build() {
     let kb = fixture.world.kb();
     for_every_version(&fixture, |step, serving, _, published, _| {
         // The path recovery takes: every class built in full.
-        let rebuilt = ServePipeline::from_pipeline(
-            kb,
-            serving.pipeline().clone(),
-            published.version(),
-            RetentionPolicy::default(),
-        )
-        .snapshot();
+        let rebuilt =
+            ServePipeline::from_pipeline(kb, serving.pipeline().clone(), published.version())
+                .snapshot();
         assert_eq!(published.fingerprint(), rebuilt.fingerprint(), "batch {step}: fingerprint");
         assert_eq!(published.stats(), rebuilt.stats(), "batch {step}: stats");
 

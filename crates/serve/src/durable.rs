@@ -21,11 +21,11 @@
 //!    all — to the process that never crashed
 //!    (`tests/recovery_equivalence.rs` proves this at every crash point).
 //!
-//! The recovered snapshot sequence resumes at the recovered batch count:
-//! versions published before the crash were never in the new process's
-//! retention window (`snapshot_at` of older versions is a typed
-//! [`crate::SnapshotAtError::VersionReclaimed`]), matching the snapshot
-//! cell's "retention window of *this* cell" contract.
+//! The recovered snapshot sequence resumes at the recovered batch count.
+//! Only that version is resident after recovery: the versions published
+//! before the crash died with the process that held them, and the
+//! versions replay publishes are freed as it supersedes them, like any
+//! superseded version no reader holds.
 
 use std::path::Path;
 
@@ -35,7 +35,7 @@ use ltee_kb::KnowledgeBase;
 use ltee_store::{DirStorage, KbStore, Storage, StoreError, StoreRecovery, WalTail};
 use ltee_webtables::Corpus;
 
-use crate::{IncrementalPipeline, KbSnapshot, RetentionPolicy, ServePipeline, SnapshotReader};
+use crate::{IncrementalPipeline, KbSnapshot, ServePipeline, SnapshotReader};
 
 use std::sync::Arc;
 
@@ -100,8 +100,7 @@ impl<'a> DurableServePipeline<'a> {
     /// the WAL tail. A checkpoint or WAL minted under a different config
     /// fingerprint is a hard typed error; a torn WAL tail is dropped and
     /// repaired. On success the published snapshot version equals the
-    /// number of batches recovered. Snapshot retention is the default
-    /// [`RetentionPolicy`].
+    /// number of batches recovered.
     pub fn open_in(
         storage: impl Storage + 'static,
         kb: &'a KnowledgeBase,
@@ -123,9 +122,7 @@ impl<'a> DurableServePipeline<'a> {
             Some(ckpt) => ckpt.restore(kb, models, config)?,
             None => IncrementalPipeline::new(kb, models, config),
         };
-        let retention = RetentionPolicy::default();
-        let mut serve =
-            ServePipeline::from_pipeline(kb, pipeline, from_checkpoint.unwrap_or(0), retention);
+        let mut serve = ServePipeline::from_pipeline(kb, pipeline, from_checkpoint.unwrap_or(0));
 
         let mut replayed = 0u64;
         for record in tail {

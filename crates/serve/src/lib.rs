@@ -17,11 +17,12 @@
 //!   the reader holds it. A handle carries its own reclamation-epoch slot
 //!   and so is deliberately `!Sync`: clone one per reader thread instead
 //!   of sharing a reference (see [`cell`] for the mechanism).
-//! * Superseded versions are **reclaimed**: memory stays bounded by the
-//!   [`RetentionPolicy`] window (default: keep the last 8 versions) under
-//!   indefinite ingest, instead of growing with version count. Replay via
-//!   [`SnapshotReader::snapshot_at`] works inside the window and is a
-//!   typed [`SnapshotAtError::VersionReclaimed`] outside it.
+//! * Superseded versions are **reclaimed**: resident memory is the current
+//!   version plus whatever versions readers still hold, under indefinite
+//!   ingest, instead of growing with version count. A reader that wants
+//!   repeatable reads keeps the `Arc<KbSnapshot>` it loaded; once the last
+//!   holder lets go, the writer frees the version on its next publish or
+//!   [`ServePipeline::reclaim`].
 //! * Snapshots answer exact and fuzzy label lookups (over the interned,
 //!   integer-keyed postings of [`ltee_index::SharedLabelIndex`]), entity
 //!   fetches with fused facts plus full table provenance, per-class
@@ -39,9 +40,9 @@
 //!   atomic stores), an atomic pointer load and a reference-count
 //!   increment, independent of writer activity.
 //! * **Bounded retention**: a version a reader holds an `Arc` to lives as
-//!   long as that `Arc`; a version nobody pinned is reclaimed once it
-//!   falls out of the retention window, so resident memory is
-//!   O(window × class size), not O(versions × class size).
+//!   long as that `Arc`; a superseded version nobody holds is freed by the
+//!   writer's next publish or reclaim, so resident memory is the current
+//!   version plus the held ones, not O(versions × class size).
 //! * **Determinism**: querying a version returns bit-identical results no
 //!   matter how many readers run concurrently or how the pool is sized —
 //!   snapshots are immutable and batch collection is input-ordered.
@@ -80,7 +81,7 @@ pub mod durable;
 pub mod query;
 pub mod snapshot;
 
-pub use cell::{ReaderSlot, RetentionPolicy, SnapshotAtError, SnapshotCell};
+pub use cell::{ReaderSlot, SnapshotCell};
 pub use durable::{CheckpointPolicy, DurableServePipeline, RecoveryReport};
 pub use query::{EntityHit, EntityRef, Query, QueryOutput};
 pub use snapshot::{
@@ -125,29 +126,14 @@ pub struct ServePipeline<'a> {
 }
 
 impl<'a> ServePipeline<'a> {
-    /// Create a serving pipeline from freshly trained models, with the
-    /// default [`RetentionPolicy`] (keep the last
-    /// [`RetentionPolicy::DEFAULT_KEEP_LAST`] versions). Publishes the
-    /// empty version-0 snapshot immediately, so readers acquired before
-    /// the first ingest see a valid (empty) KB.
+    /// Create a serving pipeline from freshly trained models. Publishes
+    /// the empty version-0 snapshot immediately, so readers acquired
+    /// before the first ingest see a valid (empty) KB.
     pub fn new(kb: &'a KnowledgeBase, models: TrainedModels, config: PipelineConfig) -> Self {
-        Self::with_retention(kb, models, config, RetentionPolicy::default())
-    }
-
-    /// [`ServePipeline::new`] with an explicit [`RetentionPolicy`] — the
-    /// knob bounding how many superseded snapshot versions stay resident
-    /// (and [`SnapshotReader::snapshot_at`]-replayable) under sustained
-    /// ingest.
-    pub fn with_retention(
-        kb: &'a KnowledgeBase,
-        models: TrainedModels,
-        config: PipelineConfig,
-        retention: RetentionPolicy,
-    ) -> Self {
         Self {
             kb,
             pipeline: IncrementalPipeline::new(kb, models, config),
-            cell: Arc::new(SnapshotCell::new(Arc::new(KbSnapshot::empty()), retention)),
+            cell: Arc::new(SnapshotCell::new(Arc::new(KbSnapshot::empty()))),
             class_cache: vec![None; CLASS_KEYS.len()],
         }
     }
@@ -156,14 +142,11 @@ impl<'a> ServePipeline<'a> {
     /// publish its accumulated state as version `version` — the number of
     /// non-empty batches the pipeline has absorbed. Readers acquired after
     /// this see the full recovered KB immediately; versions before
-    /// `version` predate this process and were never in this cell's
-    /// retention window ([`SnapshotReader::snapshot_at`] reports them as
-    /// [`SnapshotAtError::VersionReclaimed`]).
+    /// `version` predate this process.
     pub(crate) fn from_pipeline(
         kb: &'a KnowledgeBase,
         pipeline: IncrementalPipeline<'a>,
         version: u64,
-        retention: RetentionPolicy,
     ) -> Self {
         // Every populated class builds in full, concurrently; the pool
         // collects in input order, so slot `i` is `CLASS_KEYS[i]`'s.
@@ -180,7 +163,7 @@ impl<'a> ServePipeline<'a> {
             pipeline.ingested_rows(),
             class_cache.clone(),
         ));
-        Self { kb, pipeline, cell: Arc::new(SnapshotCell::new(initial, retention)), class_cache }
+        Self { kb, pipeline, cell: Arc::new(SnapshotCell::new(initial)), class_cache }
     }
 
     /// Create a serving pipeline from a persisted artifact (verifying its
@@ -241,8 +224,8 @@ impl<'a> ServePipeline<'a> {
 
     /// A new reader handle, with its own freshly registered reclamation
     /// slot. Handles are cheap, `Send + 'static`, and remain valid
-    /// (serving the current retention window) even while ingests run;
-    /// clone one per reader thread.
+    /// (serving the latest version) even while ingests run; clone one per
+    /// reader thread.
     pub fn reader(&self) -> SnapshotReader {
         SnapshotReader { slot: self.cell.register_slot(), cell: Arc::clone(&self.cell) }
     }
@@ -259,16 +242,18 @@ impl<'a> ServePipeline<'a> {
         self.cell.version()
     }
 
-    /// Free superseded versions whose grace period has passed, without
-    /// publishing. Reclamation already runs on every publish; this exists
-    /// for quiescent pipelines (ingest stopped, readers drained) that
-    /// want limbo emptied now — e.g. before measuring resident memory.
+    /// Free the superseded versions no reader holds or is mid-load on any
+    /// more, without publishing. Reclamation already runs on every
+    /// publish; this exists for quiescent pipelines (ingest stopped,
+    /// readers done with their old snapshots) that want them freed now —
+    /// e.g. before measuring resident memory.
     pub fn reclaim(&mut self) {
         self.cell.reclaim();
     }
 
-    /// Snapshot versions currently resident (retention window + limbo);
-    /// see [`SnapshotCell::versions_retained`].
+    /// Snapshot versions currently resident (the current one plus the
+    /// superseded ones not freed yet); see
+    /// [`SnapshotCell::versions_retained`].
     pub fn versions_retained(&self) -> usize {
         self.cell.versions_retained()
     }
@@ -276,17 +261,6 @@ impl<'a> ServePipeline<'a> {
     /// Snapshot versions freed by reclamation so far.
     pub fn versions_reclaimed(&self) -> u64 {
         self.cell.versions_reclaimed()
-    }
-
-    /// The oldest version still replayable via
-    /// [`SnapshotReader::snapshot_at`].
-    pub fn oldest_retained(&self) -> u64 {
-        self.cell.oldest_retained()
-    }
-
-    /// The pipeline's snapshot [`RetentionPolicy`].
-    pub fn retention(&self) -> RetentionPolicy {
-        self.cell.retention()
     }
 
     /// The wrapped incremental pipeline (for ingest-side diagnostics).
@@ -328,14 +302,6 @@ impl SnapshotReader {
     /// The latest published version number (lock-free).
     pub fn version(&self) -> u64 {
         self.cell.version()
-    }
-
-    /// A specific published version, while it remains inside the
-    /// retention window; outside it, a typed [`SnapshotAtError`] (see
-    /// [`SnapshotCell::snapshot_at`]). Diagnostics/verification only —
-    /// takes the retention lock.
-    pub fn snapshot_at(&self, version: u64) -> Result<Arc<KbSnapshot>, SnapshotAtError> {
-        self.cell.snapshot_at(version)
     }
 }
 

@@ -307,7 +307,8 @@ impl KbSnapshot {
     /// `payload_slots × 8` bytes regardless of version — the reclamation
     /// soak publishes thousands of these through a raw cell so a
     /// counting allocator can prove resident bytes plateau at the
-    /// retention window instead of growing with version count. (A real
+    /// current version plus the versions readers hold, instead of growing
+    /// with version count. (A real
     /// pipeline's snapshots share untouched class slices across versions
     /// *and* legitimately grow with corpus size, which would drown the
     /// signal.) Test support, not API: hidden, and useless for serving.

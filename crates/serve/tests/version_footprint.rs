@@ -1,12 +1,12 @@
-//! Footprint gate for the retention window: what a superseded snapshot
-//! version costs while it is retained.
+//! Footprint gate for held versions: what a superseded snapshot version
+//! costs while a reader holds it.
 //!
 //! A served record exists once. A version owns the label indexes of the
 //! classes its batch touched, one pointer per entity of those classes, and
 //! the records of the clusters its batch re-projected; every other record
-//! it serves is the `Arc` an older version already holds. So what the
-//! seven superseded versions of the default window cost is what *dropping*
-//! them frees, and that must be no more than
+//! it serves is the `Arc` an older version already holds. So what seven
+//! superseded versions a client holds for repeatable reads cost is what
+//! *dropping* them frees, and that must be no more than
 //!
 //! * the label indexes of the class slices the next batch replaced,
 //! * one pointer per entity of those slices,
@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use ltee_core::prelude::*;
 use ltee_index::LabelIndex;
-use ltee_serve::{ClassSnapshot, EntityRecord, KbSnapshot, RetentionPolicy, ServePipeline};
+use ltee_serve::{ClassSnapshot, EntityRecord, KbSnapshot, ServePipeline};
 use ltee_webtables::{TableId, WebTable};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -80,6 +80,10 @@ fn version_cost() -> Heap {
 
 const BATCHES: usize = 12;
 
+/// Versions the test holds at the end of the stream, the current one
+/// included.
+const HELD: usize = 8;
+
 /// The figures of the issue that introduced record sharing, measured with
 /// a counting allocator around `kbbench stream-ingest` seed 42 at the
 /// parent commit (every version a private copy of every record of every
@@ -114,25 +118,27 @@ fn superseded_versions_cost_their_indexes_and_the_records_their_batches_retired(
     let config = PipelineConfig::fast();
     let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
 
+    // Hold every version as it is published, like a client that wants to
+    // read it again later; then let the oldest go.
     let mut serving = ServePipeline::new(world.kb(), models, config);
-    let window = RetentionPolicy::default().window();
+    let mut held: Vec<Arc<KbSnapshot>> = Vec::new();
     let reports: Vec<IngestReport> = stream(&world, &corpus)
         .iter()
-        .map(|batch| serving.ingest(batch).expect("fresh table ids"))
+        .map(|batch| {
+            let report = serving.ingest(batch).expect("fresh table ids");
+            held.push(serving.snapshot());
+            report
+        })
         .collect();
     assert_eq!(reports.len(), BATCHES);
+    let oldest = BATCHES + 1 - HELD;
+    held.drain(..oldest - 1);
 
-    // The default window, exactly as the cell retains it — then the cell
-    // and the pipeline go, so the handles below are the only owners.
+    // The cell frees exactly what nobody holds — then the cell and the
+    // pipeline go, so the handles in `held` are the only owners.
     serving.reclaim();
-    let oldest = BATCHES + 1 - window;
-    assert_eq!(serving.versions_retained(), window);
-    assert_eq!(serving.oldest_retained(), oldest as u64);
-    let reader = serving.reader();
-    let mut retained: Vec<Arc<KbSnapshot>> = (oldest..=BATCHES)
-        .map(|version| reader.snapshot_at(version as u64).expect("inside the window"))
-        .collect();
-    drop(reader);
+    assert_eq!(serving.versions_retained(), HELD);
+    assert_eq!(serving.versions_reclaimed(), oldest as u64);
     drop(serving);
 
     // Oldest first: dropping version v frees what the batch that published
@@ -152,8 +158,8 @@ fn superseded_versions_cost_their_indexes_and_the_records_their_batches_retired(
         copied_cost: Heap,
     }
     let mut rows = Vec::new();
-    let current = retained.pop().expect("the current version");
-    for (version, snapshot) in (oldest..BATCHES).zip(retained) {
+    let current = held.pop().expect("the current version");
+    for (version, snapshot) in (oldest..BATCHES).zip(held) {
         let report = &reports[version];
         let mut row = Row {
             version,
@@ -181,10 +187,10 @@ fn superseded_versions_cost_their_indexes_and_the_records_their_batches_retired(
         row.freed = Heap { blocks: -freed.blocks, bytes: -freed.bytes, ..Heap::default() };
         rows.push(row);
     }
-    assert_eq!(rows.len(), window - 1);
+    assert_eq!(rows.len(), HELD - 1);
 
     println!(
-        "version footprint: {BATCHES} batches, window {window}, version {BATCHES} serves {} entities; \
+        "version footprint: {BATCHES} batches, {HELD} versions held, version {BATCHES} serves {} entities; \
          per superseded version, what dropping it frees against its bound \
          (label indexes + one pointer per entity + retired records + constants)",
         current.stats().classes.iter().map(|c| c.entities).sum::<usize>()

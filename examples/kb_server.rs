@@ -4,9 +4,10 @@
 //! `ltee-serve`: micro-batches ingest on the writer thread while reader
 //! threads concurrently query **pinned snapshot versions** — wait-free,
 //! each reader seeing one consistent KB version per query, never a
-//! partially ingested batch. Superseded versions are reclaimed behind a
-//! bounded retention window (`RetentionPolicy`, default keep-last-8), so
-//! the server's memory stays flat under indefinite ingest. Afterwards it tours the query API (exact and
+//! partially ingested batch. A superseded version stays resident only
+//! while some reader still holds it, and the writer frees it on the next
+//! publish after the last holder lets go, so the server's memory stays
+//! flat under indefinite ingest. Afterwards it tours the query API (exact and
 //! fuzzy label lookup, entity fetch with fused facts + table provenance,
 //! per-class paging, batched execution) against the final version.
 //! The last act makes the KB durable: the same stream ingests through

@@ -1,6 +1,6 @@
-//! Long-run reclamation soak: memory stays bounded by the retention
-//! window — not the version count — under indefinite ingest with
-//! concurrent churning readers.
+//! Long-run reclamation soak: resident memory stays at the current version
+//! plus the versions readers hold — not the version count — under
+//! indefinite ingest with concurrent churning readers.
 //!
 //! Two soaks, both measured with the workspace's counting allocator
 //! (`tests/support/counting_alloc.rs`), which tracks the process's **net
@@ -8,18 +8,16 @@
 //!
 //! 1. A raw [`SnapshotCell`] publishing ≥ 2000 synthetic constant-size
 //!    snapshots (32 KiB payload each) under 4 churning readers. Constant
-//!    payload makes the plateau crisp: at every quiescent checkpoint the
-//!    resident version count must equal the retention window exactly and
-//!    net live bytes must sit within a fixed slack of the first
-//!    checkpoint — whereas retaining history would grow ~13 MiB between
-//!    checkpoints.
+//!    payload makes the plateau crisp: at every quiescent checkpoint
+//!    exactly one version must be resident and net live bytes must sit
+//!    within a fixed slack of the first checkpoint — whereas retaining
+//!    history would grow ~13 MiB between checkpoints.
 //! 2. A real [`ServePipeline`] sustaining single-table micro-batch
 //!    ingests of a hot class under 4 churning readers: resident versions
-//!    stay bounded throughout, collapse to exactly the window at
-//!    quiescence, reclaimed versions are typed `VersionReclaimed`
-//!    rejections, and (on big runs) net-live growth stays linear in
-//!    ingest count instead of the quadratic growth version retention
-//!    would cost.
+//!    stay at the current one plus those the readers hold throughout,
+//!    collapse to exactly one at quiescence with every superseded version
+//!    freed, and (on big runs) net-live growth stays linear in ingest
+//!    count instead of the quadratic growth version retention would cost.
 //!
 //! `LTEE_SOAK_INGESTS` scales the pipeline soak (CI runs 2000 in
 //! release); the cell soak always publishes at least 2000 versions. Runs
@@ -29,13 +27,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ltee_core::prelude::*;
-use ltee_serve::{KbSnapshot, RetentionPolicy, ServePipeline, SnapshotAtError, SnapshotCell};
+use ltee_serve::{KbSnapshot, ServePipeline, SnapshotCell};
 use ltee_webtables::TableId;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-// Allocations minus frees on any thread: *resident* heap, the quantity the
-// retention window is supposed to bound.
+// Allocations minus frees on any thread: *resident* heap, the quantity
+// reclamation is supposed to bound.
 use counting_alloc::process_live_bytes as net_live_bytes;
 
 /// Byte measurements are global, so the two soaks must not interleave;
@@ -51,7 +49,10 @@ fn soak_ingests(default: u64) -> u64 {
 }
 
 const READERS: usize = 4;
-const WINDOW: usize = 8;
+/// Versions a reader preempted inside `load` may hold back in limbo until
+/// it unpins: every publish that lands while it is pinned. Generous — a
+/// pin lasts nanoseconds, an ingest milliseconds.
+const PIN_SLACK: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Soak 1: raw cell, constant-size synthetic snapshots, crisp plateau.
@@ -72,10 +73,10 @@ fn cell_soak_memory_plateaus_at_the_retention_window() {
     let checkpoint_every = publishes / 5;
 
     let baseline = net_live_bytes();
-    let cell = Arc::new(SnapshotCell::new_for_tests(
-        Arc::new(KbSnapshot::synthetic_for_soak(0, PAYLOAD_SLOTS)),
-        RetentionPolicy::KeepLast(WINDOW),
-    ));
+    let cell = Arc::new(SnapshotCell::new_for_tests(Arc::new(KbSnapshot::synthetic_for_soak(
+        0,
+        PAYLOAD_SLOTS,
+    ))));
 
     let done = AtomicBool::new(false);
     let paused = AtomicBool::new(false);
@@ -129,8 +130,8 @@ fn cell_soak_memory_plateaus_at_the_retention_window() {
                 PAYLOAD_SLOTS,
             )));
             if version % checkpoint_every == 0 {
-                // Quiesce: all readers parked between loads, so no pin is
-                // held and limbo must drain completely.
+                // Quiesce: all readers parked between loads, holding no
+                // pin and no snapshot, so limbo must drain completely.
                 paused.store(true, Ordering::SeqCst);
                 while parked.load(Ordering::SeqCst) != READERS {
                     std::thread::yield_now();
@@ -138,8 +139,8 @@ fn cell_soak_memory_plateaus_at_the_retention_window() {
                 cell.reclaim_for_tests();
                 assert_eq!(
                     cell.versions_retained(),
-                    WINDOW,
-                    "quiescent resident count must equal the retention window at v{version}"
+                    1,
+                    "quiescent cell must hold the current version only at v{version}"
                 );
                 checkpoints.push((version as usize, net_live_bytes()));
                 paused.store(false, Ordering::SeqCst);
@@ -155,28 +156,24 @@ fn cell_soak_memory_plateaus_at_the_retention_window() {
     // `checkpoint_every × 32 KiB` (≈ 13 MiB at the 2000-publish floor)
     // per checkpoint instead.
     let (_, first_bytes) = checkpoints[0];
-    let slack = 8 * PAYLOAD_BYTES + (1 << 20);
+    let slack = PAYLOAD_BYTES + (1 << 20);
     for &(version, bytes) in &checkpoints {
         assert!(
             (bytes - first_bytes).abs() < slack,
             "resident bytes drifted {} at v{version} (slack {slack}): memory is not \
-             plateauing at the retention window",
+             plateauing at the current version",
             bytes - first_bytes
         );
     }
 
     assert_eq!(cell.version(), publishes);
-    assert_eq!(
-        cell.versions_reclaimed(),
-        publishes + 1 - WINDOW as u64,
-        "every version behind the window must have been freed"
-    );
+    assert_eq!(cell.versions_reclaimed(), publishes, "every superseded version must have been freed");
     assert!(
         total_loads.load(Ordering::Relaxed) > 0,
         "readers must actually have loaded during the soak"
     );
 
-    // Teardown accounting: dropping the cell releases the whole window.
+    // Teardown accounting: dropping the cell releases the current version.
     drop(cell);
     let residue = net_live_bytes() - baseline;
     assert!(
@@ -218,7 +215,6 @@ fn pipeline_soak_bounds_resident_versions_under_sustained_ingest() {
         .clone();
 
     let mut serving = ServePipeline::new(world.kb(), models, config);
-    assert_eq!(serving.retention(), RetentionPolicy::default());
 
     let done = AtomicBool::new(false);
     let total_loads = AtomicU64::new(0);
@@ -233,8 +229,8 @@ fn pipeline_soak_bounds_resident_versions_under_sustained_ingest() {
                 while !done.load(Ordering::SeqCst) {
                     let snap = reader.snapshot();
                     assert!(snap.version() >= last_version, "reader versions must be monotone");
-                    // The pinned snapshot stays internally consistent even
-                    // once reclaimed from the cell's side.
+                    // The held snapshot stays internally consistent even
+                    // once superseded.
                     assert_eq!(snap.stats().version, snap.version());
                     last_version = snap.version();
                     loads += 1;
@@ -253,12 +249,12 @@ fn pipeline_soak_bounds_resident_versions_under_sustained_ingest() {
         let quarter = (ingests / 4).max(1);
         for ingest in 1..=ingests {
             serving.ingest(&shifted_batch(&base_table, ingest)).expect("fresh table ids");
-            // Bounded at every step: the window plus whatever transient
-            // limbo a mid-load reader pins (generous slack — a pin lasts
-            // microseconds, an ingest milliseconds).
+            // Bounded at every step: the current version plus the one
+            // each reader holds, plus what a preempted reader's pin holds
+            // back.
             let resident = serving.versions_retained();
             assert!(
-                resident <= WINDOW + 64,
+                resident <= 1 + READERS + PIN_SLACK,
                 "resident versions unbounded: {resident} after ingest {ingest}"
             );
             if ingest % quarter == 0 {
@@ -271,24 +267,12 @@ fn pipeline_soak_bounds_resident_versions_under_sustained_ingest() {
 
     assert!(total_loads.load(Ordering::Relaxed) > 0, "readers never loaded");
 
-    // Quiescent: exactly the window remains, everything older was freed.
+    // Quiescent, the readers gone: the current version remains and every
+    // superseded one was freed.
     serving.reclaim();
-    assert_eq!(serving.versions_retained(), WINDOW);
+    assert_eq!(serving.versions_retained(), 1);
     assert_eq!(serving.version(), ingests);
-    assert_eq!(serving.oldest_retained(), ingests + 1 - WINDOW as u64);
-    assert_eq!(serving.versions_reclaimed(), ingests + 1 - WINDOW as u64);
-
-    // Replay contract after deep reclamation: typed rejection behind the
-    // window (never a panic), service inside it.
-    let reader = serving.reader();
-    match reader.snapshot_at(0) {
-        Err(SnapshotAtError::VersionReclaimed { version: 0, oldest_retained }) => {
-            assert_eq!(oldest_retained, serving.oldest_retained());
-        }
-        other => panic!("v0 must be a typed VersionReclaimed, got {other:?}"),
-    }
-    let head = reader.snapshot_at(ingests).expect("current version is always retained");
-    assert_eq!(head.version(), ingests);
+    assert_eq!(serving.versions_reclaimed(), ingests);
 
     // Growth-shape check (big runs only, where step noise has smoothed
     // out): the pipeline's own state legitimately grows ~linearly with
@@ -300,8 +284,8 @@ fn pipeline_soak_bounds_resident_versions_under_sustained_ingest() {
         let late = quarters[3] - quarters[2];
         assert!(
             late < early.saturating_mul(3),
-            "net-live growth accelerating ({early} then {late} bytes/quarter): versions \
-             are accumulating past the retention window"
+            "net-live growth accelerating ({early} then {late} bytes/quarter): superseded \
+             versions are accumulating"
         );
     }
 }
