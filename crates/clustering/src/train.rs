@@ -275,7 +275,7 @@ mod tests {
         }
         // Both confidence-carrying metrics must actually fire on the fixture.
         assert!(attribute_overlaps > 100 && implicit_overlaps > 100, "{attribute_overlaps} / {implicit_overlaps}");
-        assert_eq!(ltee_ml::fnv1a64(&bytes), 0xd66bd84bea9b8022, "{pairs} pairs");
+        assert_eq!(ltee_intern::fnv1a64(&bytes), 0xd66bd84bea9b8022, "{pairs} pairs");
     }
 
     #[test]

@@ -1,91 +1,11 @@
-//! The workspace's one binary codec: every on-disk format (model artifact,
-//! state checkpoint, write-ahead log) is written and read through it.
-//!
-//! Five layers, all dependency-free: a [`ByteWriter`] that appends
-//! little-endian scalars, LEB128 varints, raw bytes, sequences and options
-//! to a buffer; a bounds-checked [`ByteReader`] that reads them back; the
-//! [`StringTableWriter`] / [`StringTable`] pair that stores each distinct
-//! string of a stream once; the [`compress`] / [`decompress`] block codec
-//! every stored byte goes through; and the [`seal`] / [`open`] pair that
-//! frames a payload in the shared file envelope.
-//! [`fnv1a64`] (defined in `ltee-intern`, re-exported here) is the payload
-//! checksum and the config-fingerprint hash.
-//!
-//! Layout conventions shared by every encoder in the workspace:
-//!
-//! * `f64` values are stored as their IEEE-754 bit pattern (`to_bits`),
-//!   eight bytes little-endian, so round-trips are bit-identical —
-//!   including NaNs and signed zeros,
-//! * options are a `bool` presence flag followed by the value,
-//! * enums are encoded as stable `u8` tags owned by the enum itself
-//!   (never by discriminant order, which is free to change),
-//! * a collection is its element count followed by its elements, and a
-//!   decoder refuses a count the remaining stream cannot hold
-//!   ([`ByteReader::read_len`]) before it allocates anything,
-//! * every integer, id and count is an unsigned LEB128 varint — seven
-//!   value bits per byte, low group first, the high bit set on every byte
-//!   but the last; at most ten bytes, minimally encoded (`0x80 0x00` is
-//!   refused, so a value has exactly one spelling),
-//! * a string is a reference into the stream's one string table
-//!   (`count · (byte length · UTF-8 bytes)*`, distinct strings in
-//!   first-use order), coded by recency: `0` for a string's first use —
-//!   it is the next table entry, so its index need not be spelled — and
-//!   `cursor − index` for a repeat, where the cursor counts the strings
-//!   introduced so far. A new string — the most frequent reference of a
-//!   stream — is then always the same byte, and a repeat of a recent
-//!   string a small number. A `0` past the table, a distance past the cursor
-//!   and a table entry the body never introduces are all refused, so a
-//!   stream, too, has exactly one spelling.
-//!
-//! Every payload — model artifact v4, checkpoint v8, WAL v6 batch — is such
-//! a raw stream, table then body ([`StringTableWriter::into_stream`], read
-//! back by [`read_stream`]), and the container stores it compressed: the
-//! envelope ([`seal`] / [`open`]) compresses the one payload of an artifact
-//! or a checkpoint, and the store compresses each WAL record against the
-//! records before it in its segment. Only the framing around a payload is
-//! fixed width: the envelope's header and the WAL's record headers are
-//! little-endian `u32` / `u64` words, so a torn header is told by its
-//! length alone.
-//!
-//! The block codec ([`compress`] / [`decompress`]) is DEFLATE (RFC 1951). A
-//! block is `raw length (varint) · raw DEFLATE stream`: no zlib or gzip
-//! wrapper, so `zlib.decompress(stream, -15)` inflates what follows the
-//! varint, and the varint is what lets the decoder bound its work before
-//! it starts. The stream is LZ77 over a 32 KiB window — matches of 3 to 258
-//! bytes — whose literals, lengths and distances are Huffman coded, block
-//! by block, with the fixed code or with canonical codes the block's header
-//! spells (dynamic), or left uncoded in stored blocks of up to 65 535
-//! bytes. [`compress`] writes each of its blocks the cheapest of the three
-//! ways; [`decompress`] reads any stream a conforming encoder writes, but
-//! refuses a code that is over-subscribed or incomplete (save RFC 1951's
-//! one exception, a distance code of at most one one-bit code), a symbol
-//! its alphabet does not allow, a distance before the output and any
-//! output past the declared length. DEFLATE reaches about 1 032 : 1;
-//! [`BLOCK_EXPANSION_LIMIT`] says why no block, from any writer, costs a
-//! decoder more than 255 bytes per stored byte.
-//!
-//! Both take a **dictionary**: up to [`WINDOW`] bytes the output is taken
-//! to follow, so a match may reach back into them; they are not part of the
-//! block. Every caller but the write-ahead log passes an empty one. Such a
-//! stream is what zlib writes and reads with a preset dictionary
-//! (`zlib.decompressobj(-15, zdict=dictionary)` inflates it).
-//!
-//! The envelope ([`seal`] / [`open`]), with `N` format-specific header
-//! words, is `magic(8) · version(u32) · N header words(u64) ·
-//! payload_len(u64) · FNV-1a64(payload) · payload`, the payload being the
-//! raw stream's block; byte offsets per format are tabulated in
-//! `docs/ARCHITECTURE.md`, "On-disk formats". A file of another version is
-//! refused by version only when it is intact under the version it
-//! declares; otherwise its header is damaged.
-
 use std::collections::HashMap;
 
-pub use ltee_intern::fnv1a64;
+use ltee_intern::fnv1a64;
 
 /// Errors produced while decoding a byte stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// [`open`]: the input does not start with the expected magic.
+    /// [`read_header`]: the input does not start with the expected magic.
     BadMagic,
     /// [`open`]: the envelope carries a format version other than the
     /// expected one.
@@ -332,8 +252,8 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Append-only writer producing the byte layout described in the module
-/// docs.
+/// Append-only writer producing the byte layout described in the
+/// [crate docs](crate).
 #[derive(Debug, Default, Clone)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -380,7 +300,7 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a `u64` as an LEB128 varint (see the [module docs](self)).
+    /// Append a `u64` as an LEB128 varint (see the [crate docs](crate)).
     pub fn write_varint(&mut self, mut v: u64) {
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
@@ -583,7 +503,7 @@ pub const STRING_EXPANSION_LIMIT: usize = 64;
 /// Encode side of a stream's string table: puts each distinct string in
 /// the table in first-use order (so the table, and with it the stream, is
 /// a function of the encoded data alone), writes each reference by recency
-/// (see the [module docs](self)) and puts the table in front of the body
+/// (see the [crate docs](crate)) and puts the table in front of the body
 /// once the body is encoded. References must be written in the order the
 /// body's bytes are, which is the order the decoder meets them.
 #[derive(Debug, Default)]
@@ -744,8 +664,7 @@ pub fn read_stream<T, E: From<CodecError>>(
 /// own blocks inside the bound by putting empty stored blocks, five bytes
 /// each, in front of a stream that would be denser. The [`StringTable`] at
 /// the head of a payload stream then charges resolved strings against
-/// [`STRING_EXPANSION_LIMIT`] bytes per *raw* byte, as it did before
-/// streams were compressed, so a stored payload stream can ask for at most
+/// [`STRING_EXPANSION_LIMIT`] bytes per *raw* byte, so a stored payload stream can ask for at most
 /// `255 × (1 + 64)` = 16 575 bytes — raw stream plus strings — per stored
 /// byte, where an uncompressed one could ask for 65. Charging the strings
 /// against the stored bytes instead would make whether a stream decodes
@@ -844,7 +763,7 @@ fn distance_symbol(dist: u16) -> usize {
     DISTANCE_BASE.partition_point(|&base| base <= dist) - 1
 }
 
-/// Compress `raw` into one block (layout in the [module docs](self)),
+/// Compress `raw` into one block (layout in the [crate docs](crate)),
 /// taking it to follow the last [`WINDOW`] bytes of `dictionary`, which
 /// the block does not hold; pass `&[]` for a block that stands alone.
 ///
@@ -1708,18 +1627,41 @@ pub const fn sealed_header_len(words: usize) -> usize {
     8 + 4 + 8 * words + 8 + 8
 }
 
-/// Store the raw stream `raw` in the file envelope described in the
-/// [module docs](self): magic, version, the format's header words, then the
-/// length and FNV-1a64 checksum of the payload — `raw` as one [`compress`]ed
-/// block — then the payload itself.
-pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], raw: &[u8]) -> Vec<u8> {
-    let payload = compress(raw, &[]);
-    let mut w = ByteWriter::with_capacity(sealed_header_len(words.len()) + payload.len());
+/// Write `magic · version (u32) · words (u64 each)`: the head of the
+/// envelope, and the write-ahead log's whole file header.
+pub fn write_header(w: &mut ByteWriter, magic: &[u8; 8], version: u32, words: &[u64]) {
     w.write_bytes(magic);
     w.write_u32(version);
     for &word in words {
         w.write_u64(word);
     }
+}
+
+/// Inverse of [`write_header`] with `N` words: [`CodecError::BadMagic`]
+/// unless the input starts with `magic`. The caller judges the version.
+pub fn read_header<const N: usize>(
+    r: &mut ByteReader<'_>,
+    magic: &[u8; 8],
+) -> Result<(u32, [u64; N]), CodecError> {
+    if r.read_bytes(8, "envelope magic").ok() != Some(&magic[..]) {
+        return Err(CodecError::BadMagic);
+    }
+    let version = r.read_u32("envelope version")?;
+    let mut words = [0u64; N];
+    for word in &mut words {
+        *word = r.read_u64("envelope header word")?;
+    }
+    Ok((version, words))
+}
+
+/// Store the raw stream `raw` in the file envelope described in the
+/// [crate docs](crate): the [header](write_header), then the length and
+/// FNV-1a64 checksum of the payload — `raw` as one [`compress`]ed block —
+/// then the payload itself.
+pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], raw: &[u8]) -> Vec<u8> {
+    let payload = compress(raw, &[]);
+    let mut w = ByteWriter::with_capacity(sealed_header_len(words.len()) + payload.len());
+    write_header(&mut w, magic, version, words);
     w.write_u64(payload.len() as u64);
     w.write_u64(fnv1a64(&payload));
     w.write_bytes(&payload);
@@ -1739,14 +1681,7 @@ pub fn open<const N: usize>(
     bytes: &[u8],
 ) -> Result<([u64; N], Vec<u8>), CodecError> {
     let mut r = ByteReader::new(bytes);
-    if r.read_bytes(8, "envelope magic").ok() != Some(&magic[..]) {
-        return Err(CodecError::BadMagic);
-    }
-    let found = r.read_u32("envelope version")?;
-    let mut words = [0u64; N];
-    for word in &mut words {
-        *word = r.read_u64("envelope header word")?;
-    }
+    let (found, words) = read_header(&mut r, magic)?;
     let payload_len = r.read_u64("envelope payload length")?;
     let checksum = r.read_u64("envelope checksum")?;
     let payload = r.read_bytes(r.remaining(), "envelope payload")?;

@@ -11,9 +11,9 @@
 //!
 //! ## File format (version 4)
 //!
-//! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEEART\x01"`, format version 4 and one header word, the
-//! config fingerprint (see [`config_fingerprint`]). [`codec::seal`] stores
+//! The envelope of [`ltee_codec`] (see its crate docs) with magic
+//! `b"LTEEART\x01"`, format version 4 and one header word, the config
+//! fingerprint (see [`config_fingerprint`]). [`ltee_codec::seal`] stores
 //! the raw stream as one block of the codec's DEFLATE compressor, like a
 //! checkpoint's; the raw stream is `string table · MatcherWeights ·
 //! RowSimilarityModel · EntitySimilarityModel` in the codec's one
@@ -27,11 +27,9 @@
 //! without nodes, a split on a feature its forest does not have, a child
 //! that does not point forward.
 //!
-//! Versions 1 to 3 are refused with [`ArtifactError::UnsupportedVersion`]:
-//! version 3 is this stream with every string reference its absolute table
-//! index, version 2 is version 3's stream in an LZ4-layout block, version 1
-//! the same models in the codec's old fixed-width spelling, stored
-//! uncompressed. Retraining rebuilds an artifact.
+//! An artifact of any other version is refused with
+//! [`ArtifactError::UnsupportedVersion`]: one decoder reads one format,
+//! and retraining rebuilds an artifact.
 //!
 //! ## Versioning and validation contract
 //!
@@ -54,7 +52,8 @@ use std::path::Path;
 
 use ltee_clustering::RowSimilarityModel;
 use ltee_matching::MatcherWeights;
-use ltee_ml::codec::{self, fnv1a64, ByteWriter, CodecError, StringTableWriter};
+use ltee_codec::{ByteWriter, CodecError, StringTableWriter};
+use ltee_intern::fnv1a64;
 use ltee_newdetect::EntitySimilarityModel;
 
 use crate::pipeline::{PipelineConfig, TrainedModels};
@@ -196,14 +195,15 @@ impl ModelArtifact {
         self.models.matcher_weights.encode_into(&mut strings, &mut body);
         self.models.row_model.encode_into(&mut strings, &mut body);
         self.models.entity_model.encode_into(&mut strings, &mut body);
-        codec::seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[self.fingerprint], &strings.into_stream(body))
+        let raw = strings.into_stream(body);
+        ltee_codec::seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[self.fingerprint], &raw)
     }
 
     /// Decode an artifact from bytes, validating magic, length, checksum
     /// and version before interpreting any payload field.
     pub fn decode(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let ([fingerprint], raw) = codec::open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
-        let models = codec::read_stream(&raw, |r, strings| {
+        let ([fingerprint], raw) = ltee_codec::open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
+        let models = ltee_codec::read_stream(&raw, |r, strings| {
             Ok::<_, CodecError>(TrainedModels {
                 matcher_weights: MatcherWeights::decode_from(r, strings)?,
                 row_model: RowSimilarityModel::decode_from(r, strings)?,

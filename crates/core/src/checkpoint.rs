@@ -51,11 +51,11 @@
 //!
 //! ## File format (version 8)
 //!
-//! The envelope of [`ltee_ml::codec`] (see its module docs)
-//! with magic `b"LTEECKP\x01"`, format version 8 and two header words: the
-//! config fingerprint ([`config_fingerprint`]) and the applied-batch count
-//! (non-empty ingests == snapshot version). [`codec::seal`] stores the raw
-//! stream as one block of the codec's DEFLATE compressor; the envelope's
+//! The envelope of [`ltee_codec`] (see its crate docs) with magic
+//! `b"LTEECKP\x01"`, format version 8 and two header words: the config
+//! fingerprint ([`config_fingerprint`]) and the applied-batch count
+//! (non-empty ingests == snapshot version). [`ltee_codec::seal`] stores the
+//! raw stream as one block of the codec's DEFLATE compressor; the envelope's
 //! length and checksum cover the block as stored, so a damaged file is
 //! refused before anything is decompressed. The raw stream is `string
 //! table · corpus · mapping · per-class interner strings / clusters /
@@ -73,28 +73,19 @@
 //! section, the stored payload's size and how many of the referenced
 //! strings are distinct.
 //!
-//! The per-class sections (since version 2, the class-sharding PR) hold one
-//! interner arena per class: each class owns its interner at serve time.
+//! The per-class sections hold one interner arena per class: each class owns its interner at serve time.
 //! The payload remains **logical per-class state only**: no shard layout is
 //! ever persisted, so any process can restore a checkpoint under any
 //! [`crate::ShardPlan`] (shard and thread counts are both excluded from the
 //! config fingerprint).
 //!
-//! Versions 1 to 7 are refused with
+//! A checkpoint of any other version is refused with
 //! [`CheckpointError::UnsupportedVersion`], by version, before a payload
-//! byte is read: version 1's global interner arena cannot be split per
-//! class after the fact, version 2 is the fixed-width spelling of version
-//! 3, version 3 is version 4 plus a fused-entity section per class,
-//! version 4 is version 5 plus each table's ground truth and each
-//! mapping's class score, label column and detected types, version 5
-//! is version 7's raw stream stored uncompressed, version 6 is it stored
-//! in an LZ4-layout block, and version 7 is this stream with every string
-//! reference its absolute table index — reading any
-//! of them would mean a second decoder, kept correct and fuzzed for as
-//! long as the first, for a store that re-ingesting its source stream
-//! rebuilds (the precedent version 1 set). The store treats
-//! an intact checkpoint of another version as a hard error, never as a
-//! corrupt file to skip (`ltee_store::KbStore::open`).
+//! byte is read: reading it would mean a second decoder, kept correct and
+//! fuzzed for as long as the first, for a store that re-ingesting its
+//! source stream rebuilds. The store treats an intact checkpoint of another
+//! version as a hard error, never as a corrupt file to skip
+//! (`ltee_store::KbStore::open`).
 //!
 //! Decoding validates magic, version, length and checksum before touching
 //! the payload, the block's codes, symbols, distances and lengths are
@@ -115,9 +106,7 @@ use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{
     detect_column_types, detect_label_attribute, AttributeMatch, CorpusMapping, TableMapping,
 };
-use ltee_ml::codec::{
-    self, ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter,
-};
+use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use ltee_newdetect::{NewDetectionOutcome, NewDetectionResult};
 use ltee_types::DataType;
 use ltee_webtables::{Column, Corpus, TableId, WebTable};
@@ -136,7 +125,7 @@ pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
-pub const CHECKPOINT_PAYLOAD_START: usize = codec::sealed_header_len(2);
+pub const CHECKPOINT_PAYLOAD_START: usize = ltee_codec::sealed_header_len(2);
 
 /// Errors raised while decoding, validating or restoring a checkpoint.
 #[derive(Debug)]
@@ -280,7 +269,7 @@ fn encode_corpus_into<'a>(corpus: &'a Corpus, strings: &mut StringTableWriter<'a
 /// Decode a corpus encoded by [`encode_corpus`]: validate every table and
 /// reject duplicate table ids. Requires the stream to be fully consumed.
 pub fn decode_corpus(bytes: &[u8]) -> Result<Corpus, CheckpointError> {
-    codec::read_stream(bytes, decode_corpus_from)
+    ltee_codec::read_stream(bytes, decode_corpus_from)
 }
 
 fn decode_corpus_from(
@@ -620,7 +609,7 @@ impl CheckpointView<'_> {
         layout.strings_written = strings.references();
         layout.strings_distinct = strings.len();
         layout.string_table = strings.table_len();
-        let bytes = codec::seal(
+        let bytes = ltee_codec::seal(
             &CHECKPOINT_MAGIC,
             CHECKPOINT_VERSION,
             &[self.fingerprint, self.applied_batches],
@@ -669,8 +658,8 @@ impl PipelineCheckpoint {
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         // The checksum covers the block as stored; it is expanded after.
         let ([fingerprint, applied_batches], raw) =
-            codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
-        let (corpus, mappings, classes) = codec::read_stream(&raw, decode_state_from)?;
+            ltee_codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
+        let (corpus, mappings, classes) = ltee_codec::read_stream(&raw, decode_state_from)?;
         let checkpoint = PipelineCheckpoint {
             fingerprint,
             applied_batches,

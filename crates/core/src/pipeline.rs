@@ -452,7 +452,7 @@ impl<'a> Pipeline<'a> {
 /// class no rows. Shared by every iteration of [`Pipeline::run`]; the
 /// incremental serve path reuses the fusion/detection half via
 /// [`fuse_and_detect`].
-pub fn run_class_batch(
+pub(crate) fn run_class_batch(
     corpus: &Corpus,
     mapping: &CorpusMapping,
     kb: &KnowledgeBase,
@@ -498,7 +498,7 @@ pub fn run_class_batch(
 /// over the whole mapping — fine for the batch path, wasteful per
 /// micro-batch, which is why the serve path caches them.
 #[allow(clippy::too_many_arguments)]
-pub fn fuse_and_detect(
+pub(crate) fn fuse_and_detect(
     clusters: &[Vec<RowRef>],
     corpus: &Corpus,
     mapping: &CorpusMapping,

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use ltee_kb::{ClassKey, KnowledgeBase, Property};
-use ltee_ml::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
+use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use ltee_ml::{Dataset, GeneticConfig, Sample, WeightedAverageModel};
 use ltee_types::DetectedType;
 use ltee_webtables::{Corpus, GoldStandard, WebTable};
@@ -400,7 +400,7 @@ mod tests {
             strings.into_stream(writer)
         };
         let bytes = stream(&w);
-        let decoded = ltee_ml::codec::read_stream(&bytes, MatcherWeights::decode_from).unwrap();
+        let decoded = ltee_codec::read_stream(&bytes, MatcherWeights::decode_from).unwrap();
         assert_eq!(decoded, w);
 
         // Encoding a HashMap-backed struct twice must produce identical

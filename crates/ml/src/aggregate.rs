@@ -16,7 +16,7 @@
 //! inside the learned random forest regression tree and the weights in the
 //! learned weighted average function".
 
-use crate::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
+use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use crate::dataset::{Dataset, Sample};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::genetic::GeneticConfig;
@@ -523,7 +523,7 @@ mod tests {
             let mut w = ByteWriter::new();
             model.encode_into(&mut strings, &mut w);
             let stream = strings.into_stream(w);
-            let decoded = crate::codec::read_stream(&stream, PairwiseModel::decode_from).unwrap();
+            let decoded = ltee_codec::read_stream(&stream, PairwiseModel::decode_from).unwrap();
             assert_eq!(decoded, model, "{method:?}");
             for s in &ds.samples {
                 assert_eq!(
@@ -547,7 +547,7 @@ mod tests {
     fn codec_rejects_invalid_method_tag() {
         // An empty string table, then the method tag.
         assert!(matches!(
-            crate::codec::read_stream(&[0, 42], PairwiseModel::decode_from).unwrap_err(),
+            ltee_codec::read_stream(&[0, 42], PairwiseModel::decode_from).unwrap_err(),
             CodecError::InvalidTag { what: "pairwise.method", tag: 42 }
         ));
     }

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-use crate::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
+use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use crate::dataset::{Dataset, Sample};
 
 /// Hyperparameters of the random forest.
@@ -232,7 +232,7 @@ impl RandomForest {
         &self.feature_names
     }
 
-    /// Serialise the forest into the writer (see [`crate::codec`] for the
+    /// Serialise the forest into the writer (see [`ltee_codec`] for the
     /// layout conventions), its feature names as references into
     /// `strings`. The encoding captures the trained trees bit-for-bit, so a
     /// decoded forest predicts identically to the original.
@@ -867,7 +867,7 @@ mod tests {
         let mut w = ByteWriter::new();
         forest.encode_into(&mut strings, &mut w);
         let stream = strings.into_stream(w);
-        let decoded = crate::codec::read_stream(&stream, RandomForest::decode_from).unwrap();
+        let decoded = ltee_codec::read_stream(&stream, RandomForest::decode_from).unwrap();
         (stream, decoded)
     }
 
@@ -916,7 +916,7 @@ mod tests {
     }
 
     fn refusal(nodes: &[Option<(u64, u64, u64)>]) -> CodecError {
-        crate::codec::read_stream(&one_tree_stream(nodes), RandomForest::decode_from).unwrap_err()
+        ltee_codec::read_stream(&one_tree_stream(nodes), RandomForest::decode_from).unwrap_err()
     }
 
     #[test]
@@ -928,7 +928,7 @@ mod tests {
             CodecError::OutOfRange { what: "forest.node.left", value: 0, allowed: 1..1 }
         );
         let valid = one_tree_stream(&[Some((0, 1, 2)), None, None]);
-        assert!(crate::codec::read_stream(&valid, RandomForest::decode_from).is_ok());
+        assert!(ltee_codec::read_stream(&valid, RandomForest::decode_from).is_ok());
     }
 
     #[test]
@@ -956,7 +956,7 @@ mod tests {
         for at in 0..raw.len() {
             let mut mutated = raw.clone();
             mutated[at] = 0xff;
-            if let Ok(decoded) = crate::codec::read_stream(&mutated, RandomForest::decode_from) {
+            if let Ok(decoded) = ltee_codec::read_stream(&mutated, RandomForest::decode_from) {
                 decoded.feature_importances();
                 decoded.predict(&[0.5, 0.5]);
             }

@@ -24,7 +24,7 @@
 //! metrics ([`MetricKind`]): the row and entity similarity models are its
 //! two instances.
 //!
-//! All three model families serialise through the binary [`codec`]
+//! All three model families serialise through `ltee-codec`
 //! (`encode_into` / `decode_from`, against the stream's string table),
 //! which is what the train-once / serve-many model artifact in `ltee-core`
 //! is built on.
@@ -32,7 +32,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregate;
-pub mod codec;
 pub mod dataset;
 pub mod folds;
 pub mod forest;
@@ -41,7 +40,6 @@ pub mod metric;
 pub mod weighted;
 
 pub use aggregate::{AggregationMethod, MetricImportance, PairFeatures, PairwiseModel, PairwiseTrainingConfig};
-pub use codec::{fnv1a64, ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 pub use dataset::{Dataset, Sample};
 pub use folds::{grouped_k_folds, FoldSplit};
 pub use forest::{RandomForest, RandomForestConfig};

@@ -10,7 +10,7 @@
 //! model's codec.
 
 use crate::aggregate::{AggregationMethod, PairFeatures, PairwiseModel, PairwiseTrainingConfig};
-use crate::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
+use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use crate::dataset::Dataset;
 
 /// One family of similarity metrics.

@@ -6,7 +6,7 @@
 //! rows describe the same instance. This threshold is used to normalize the
 //! similarity metric to −1.0 and 1.0."
 
-use crate::codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
+use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use crate::dataset::Dataset;
 use crate::genetic::{GeneticConfig, GeneticOptimizer};
 

@@ -269,7 +269,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(ltee_ml::fnv1a64(&bytes), 0x4aa75feca1d99e17, "{samples} samples");
+        assert_eq!(ltee_intern::fnv1a64(&bytes), 0x4aa75feca1d99e17, "{samples} samples");
     }
 
     /// Bit pin of new detection on the fixture, per class, at 1 and at 4
@@ -316,7 +316,7 @@ mod tests {
                     bytes.extend_from_slice(&(r.candidate_count as u64).to_le_bytes());
                 }
             }
-            assert_eq!(ltee_ml::fnv1a64(&bytes), 0xb36738eb93168090, "at {threads} threads");
+            assert_eq!(ltee_intern::fnv1a64(&bytes), 0xb36738eb93168090, "at {threads} threads");
         }
     }
 

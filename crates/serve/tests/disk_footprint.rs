@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_PAYLOAD_START, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
 use ltee_core::CheckpointLayout;
-use ltee_ml::codec::open;
+use ltee_codec::open;
 use ltee_serve::{CheckpointPolicy, DurableServePipeline};
 use ltee_store::wal::{WAL_HEADER_LEN, WAL_RECORD_HEADER_LEN};
 use ltee_store::{scan_wal, KbStore};

@@ -462,7 +462,7 @@ mod tests {
     use std::io::Write as _;
 
     use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-    use ltee_ml::codec::{seal, ByteWriter};
+    use ltee_codec::{seal, ByteWriter};
 
     /// Hand-build an encoded empty checkpoint (no tables, no state) with
     /// the given fingerprint and applied-batch count, exercising the real

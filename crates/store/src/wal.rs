@@ -9,6 +9,9 @@
 //! payload = dictionary length (varint, ≤ 32 768) · block
 //! ```
 //!
+//! The file header is the head of the codec's envelope ([`write_header`] /
+//! [`read_header`]) with the fingerprint as its one word.
+//!
 //! `seq` is the 1-based number of the micro-batch the record carries;
 //! records are strictly contiguous (`seq`, `seq+1`, …). The raw batch is an
 //! encoded corpus (`ltee_core::checkpoint::encode_corpus`) — the tables of
@@ -19,13 +22,13 @@
 //! pipeline never reads it, so replay needs none.
 //!
 //! The payload stores the raw batch as one block of the codec's DEFLATE
-//! compressor (`ltee_ml::codec::compress`), compressed against the last
+//! compressor ([`ltee_codec::compress`]), compressed against the last
 //! `dictionary length` raw bytes of the records before it in its
 //! **segment**: a record declaring no dictionary starts a segment, and the
 //! records after it that declare one continue it. A record repeats the
 //! headers and values of the batches before it, so a match into them costs
 //! a few bits where the record alone would spell them again. A dictionary
-//! is at most DEFLATE's own 32 KiB window ([`ltee_ml::codec::WINDOW`]), and
+//! is at most DEFLATE's own 32 KiB window ([`WINDOW`]), and
 //! one longer than the raw bytes the segment holds so far is refused. The
 //! store starts a segment at `open` and at every checkpoint, so no record
 //! depends on one a checkpoint covers; see the crate docs. The record
@@ -34,13 +37,7 @@
 //! width, so a torn record header is told from a whole one by its length
 //! alone.
 //!
-//! Version 6 compresses each record against its segment and codes string
-//! references by recency, where version 5 compressed each record alone and
-//! spelled a reference as its table index; version 5 stored version 4's
-//! raw payload as a DEFLATE block where version 4 stored it in an
-//! LZ4-layout block; version 4 compressed version 3's payload, which
-//! dropped the ground truth from version 2's; the framing did not change.
-//! A log of an older version is refused by its header with
+//! A log of another version is refused by its header with
 //! [`StoreError::UnsupportedWalVersion`] before any record is read — one
 //! payload decoder, and never a decode error halfway through a replay. A
 //! checksummed record whose payload still does not decompress, or whose
@@ -70,7 +67,10 @@
 //! creation, reported as an empty log with a truncated tail.
 
 use ltee_core::checkpoint::CheckpointError;
-use ltee_ml::codec::{compress, decompress, fnv1a64, ByteReader, ByteWriter, CodecError, WINDOW};
+use ltee_codec::{
+    compress, decompress, read_header, write_header, ByteReader, ByteWriter, CodecError, WINDOW,
+};
+use ltee_intern::fnv1a64;
 
 use crate::StoreError;
 
@@ -88,10 +88,8 @@ pub const WAL_RECORD_HEADER_LEN: usize = 20;
 
 /// Encode the WAL file header for a store minted under `fingerprint`.
 pub fn encode_wal_header(fingerprint: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.write_bytes(&WAL_MAGIC);
-    w.write_u32(WAL_VERSION);
-    w.write_u64(fingerprint);
+    let mut w = ByteWriter::with_capacity(WAL_HEADER_LEN);
+    write_header(&mut w, &WAL_MAGIC, WAL_VERSION, &[fingerprint]);
     w.into_bytes()
 }
 
@@ -258,7 +256,7 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, StoreError> {
     if bytes[..magic_len] != WAL_MAGIC[..magic_len] {
         return Err(StoreError::BadWalMagic);
     }
-    let Ok((version, fingerprint)) = read_header(&mut r) else {
+    let Ok((version, [fingerprint])) = read_header(&mut r, &WAL_MAGIC) else {
         // A torn header is only acceptable if what *is* there is a prefix
         // of a real header (magic, then version bytes), checked above;
         // anything else is a foreign file.
@@ -314,13 +312,6 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, StoreError> {
     };
 
     Ok(WalScan { fingerprint: Some(fingerprint), records, tail })
-}
-
-/// `magic · version · fingerprint`; the caller has already compared the
-/// magic bytes that are present.
-fn read_header(r: &mut ByteReader<'_>) -> Result<(u32, u64), CodecError> {
-    r.read_bytes(WAL_MAGIC.len(), "wal magic")?;
-    Ok((r.read_u32("wal version")?, r.read_u64("wal fingerprint")?))
 }
 
 /// `seq · payload length · payload checksum`.

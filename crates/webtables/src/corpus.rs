@@ -31,11 +31,6 @@ impl Corpus {
         self.tables.push(table);
     }
 
-    /// Rebuild the id lookup (after deserialisation).
-    pub fn rebuild_lookups(&mut self) {
-        self.by_id = self.tables.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
-    }
-
     /// All tables.
     pub fn tables(&self) -> &[WebTable] {
         &self.tables
@@ -180,14 +175,6 @@ mod tests {
         let corpus = Corpus::from_tables(vec![table(1, ClassKey::Song, 2)]);
         assert_eq!(corpus.row_cells(RowRef::new(TableId(1), 1)), vec!["entity 1"]);
         assert!(corpus.row_cells(RowRef::new(TableId(7), 0)).is_empty());
-    }
-
-    #[test]
-    fn rebuild_lookups_restores_access() {
-        let mut corpus = Corpus::from_tables(vec![table(1, ClassKey::Song, 1)]);
-        corpus.by_id.clear();
-        corpus.rebuild_lookups();
-        assert!(corpus.table(TableId(1)).is_some());
     }
 
     #[test]

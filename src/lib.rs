@@ -10,6 +10,7 @@
 //! [`ltee_core::prelude`]).
 
 pub use ltee_clustering as clustering;
+pub use ltee_codec as codec;
 pub use ltee_core as core;
 pub use ltee_eval as eval;
 pub use ltee_fusion as fusion;

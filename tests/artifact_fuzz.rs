@@ -66,7 +66,7 @@ use std::sync::OnceLock;
 use ltee_core::artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
 use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_PAYLOAD_START, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
-use ltee_ml::codec::{
+use ltee_codec::{
     compress, decompress, open, seal, ByteReader, ByteWriter, CodeDefect, CodecError,
     STRING_EXPANSION_LIMIT,
 };
@@ -744,7 +744,7 @@ fn stored_blocks_of_a_real_store_round_trip() {
     for (record, stored) in log.records.iter().zip(stored_payloads(wal, &log)) {
         let mut r = ByteReader::new(stored);
         let declared = r.read_varint("dictionary length").expect("a dictionary length");
-        assert_eq!(declared as usize, segment.len().min(ltee_ml::codec::WINDOW));
+        assert_eq!(declared as usize, segment.len().min(ltee_codec::WINDOW));
         assert_eq!(declared as usize, record.dictionary);
         let block = &stored[stored.len() - r.remaining()..];
         let dictionary = &segment[segment.len() - record.dictionary..];

@@ -24,7 +24,7 @@
 //! Expected runtime: ~10 s in debug (two training runs).
 
 use ltee_core::prelude::*;
-use ltee_ml::codec::fnv1a64;
+use ltee_intern::fnv1a64;
 
 const TRAINED_ARTIFACT_FNV: u64 = 0xde20c847e76d68a9;
 

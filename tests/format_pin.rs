@@ -19,11 +19,12 @@
 //! A change to any of these constants is a format change and needs a
 //! version bump, not an edit here.
 
+use ltee_codec::{compress, ByteWriter};
 use ltee_core::{
     decode_corpus, encode_corpus, ArtifactError, CheckpointError, ModelArtifact,
     PipelineCheckpoint,
 };
-use ltee_ml::codec::{compress, fnv1a64, ByteWriter};
+use ltee_intern::fnv1a64;
 use ltee_store::wal::encode_wal_header;
 use ltee_store::{scan_wal, KbStore, StoreError, WalTail};
 

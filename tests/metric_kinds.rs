@@ -9,8 +9,8 @@
 use std::collections::HashSet;
 
 use ltee_clustering::RowMetricKind;
-use ltee_ml::codec::read_stream;
-use ltee_ml::{CodecError, MetricKind, MetricModel};
+use ltee_codec::{read_stream, CodecError};
+use ltee_ml::{MetricKind, MetricModel};
 use ltee_newdetect::EntityMetricKind;
 
 /// What one family must look like: its tag's label in codec errors and

@@ -31,7 +31,12 @@
 //! failed sync, a failed rename — with every distinct write failing once:
 //! every error but `StoreError::CheckpointFailed` leaves the version
 //! unchanged, the retry goes through, and the run ends where the fault-free
-//! one does.
+//! one does. `crash_sweep_every_fault_injected_retry` crashes each of those
+//! runs after every operation it recorded, as the crash sweep does, and
+//! before the retry of each failed append, on the bytes the failure left:
+//! every distinct store reopens to the acknowledged batches (plus the
+//! in-flight one exactly when its record landed whole) with the fault-free
+//! run's fingerprint at that version.
 //!
 //! Thread and shard matrix: the sweeps run under `Parallelism::Auto` and
 //! `ShardPlan::Auto`, so the CI `LTEE_NUM_THREADS=1,4` ×
@@ -655,6 +660,25 @@ fn drive(setup: &Setup, steps: &[Step], storage: &FaultStorage) -> Run {
     Run { fingerprints, outputs, expected }
 }
 
+/// Reopen the store in `storage` and check that it recovers a version of
+/// the fault-free run: the snapshot is that run's at the version reported.
+fn reopen_checked<'a>(
+    setup: &'a Setup,
+    reference: &Run,
+    storage: &FaultStorage,
+    label: &str,
+) -> Result<DurableServePipeline<'a>, StoreError> {
+    let (durable, report) = open_sweep(setup, storage)?;
+    let version = durable.version();
+    assert_eq!(report.recovered_batches(), version, "{label}: report consistency");
+    assert_eq!(
+        durable.snapshot().fingerprint(),
+        reference.fingerprints[version as usize],
+        "{label}: recovered snapshot differs from the fault-free run's version {version}"
+    );
+    Ok(durable)
+}
+
 /// Reopen a store left in `files`, check that it recovers a version of the
 /// fault-free run, re-ingest the rest of the stream and check that it
 /// converges; returns the recovered version and the files left at the end.
@@ -666,15 +690,9 @@ fn recover_and_converge(
     label: &str,
 ) -> (u64, Files) {
     let storage = FaultStorage::with_files(files);
-    let (mut durable, report) =
-        open_sweep(setup, &storage).unwrap_or_else(|e| panic!("{label}: reopen failed: {e}"));
+    let mut durable = reopen_checked(setup, reference, &storage, label)
+        .unwrap_or_else(|e| panic!("{label}: reopen failed: {e}"));
     let version = durable.version();
-    assert_eq!(report.recovered_batches(), version, "{label}: report consistency");
-    assert_eq!(
-        durable.snapshot().fingerprint(),
-        reference.fingerprints[version as usize],
-        "{label}: recovered snapshot differs from the fault-free run's version {version}"
-    );
     for batch in &batches[version as usize..] {
         durable.ingest(batch).unwrap_or_else(|e| panic!("{label}: re-ingest failed: {e}"));
     }
@@ -699,6 +717,55 @@ fn reopens_to_the_end(setup: &Setup, reference: &Run, files: &Files, label: &str
     }
 }
 
+/// One place a recorded run can crash: what the storage holds then, and
+/// the version reopening it must recover.
+struct Crash {
+    /// `crash at op i (kind name, variant)`.
+    label: String,
+    /// How the files were derived from the operation: a [`crash_images`]
+    /// label, or `residue` for what a failed append left before its retry.
+    variant: String,
+    files: Files,
+    expected: u64,
+}
+
+/// Every crash of a run that recorded `ops`, `expected` being the versions
+/// [`drive`] reported for them: the [`crash_images`] of each operation,
+/// with each append torn once inside its record header and once inside
+/// its payload at places `tears` draws — a torn append loses its batch,
+/// nothing else loses any — and, where a failed append left bytes behind,
+/// what a crash before its retry leaves: the batch is recovered exactly
+/// when they are the whole record.
+fn crashes(ops: &[fault_storage::Op], expected: &[u64], tears: &mut ChaCha8Rng) -> Vec<Crash> {
+    let mut crashes = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let label = |variant: &str| format!("crash at op {i} ({:?} {}, {variant})", op.kind, op.name);
+        if i > 0 && ops[i - 1].after != op.before {
+            let residue = label("residue");
+            assert_eq!(op.kind, OpKind::Append, "{residue}: only a failed append leaves bytes");
+            let whole = op.before["wal.log"] == op.after["wal.log"];
+            crashes.push(Crash {
+                label: residue,
+                variant: "residue".into(),
+                files: op.before.clone(),
+                expected: expected[i] - u64::from(!whole),
+            });
+        }
+        let cuts = match op.kind {
+            OpKind::Append => vec![
+                tears.gen_range(1..WAL_RECORD_HEADER_LEN),
+                tears.gen_range(WAL_RECORD_HEADER_LEN..op.bytes.len()),
+            ],
+            _ => Vec::new(),
+        };
+        for (variant, files) in crash_images(op, &cuts) {
+            let expected = expected[i] - u64::from(variant.starts_with("torn"));
+            crashes.push(Crash { label: label(&variant), variant, files, expected });
+        }
+    }
+    crashes
+}
+
 /// Crash at every storage operation of the sweep's stream: see the
 /// [module docs](self).
 #[test]
@@ -721,42 +788,33 @@ fn crash_sweep_every_storage_operation() {
     assert!(replaced("wal.log").filter(shrinks).count() >= 1, "no WAL compaction");
     assert_eq!(ops.iter().filter(|op| op.kind == OpKind::Append).count(), batches.len());
 
-    let mut tears = keyed_rng("tears");
     reopens_to_the_end(&setup, &reference, &storage.files(), "fault-free run");
     // Files a crash leaves → the version they reopen to; files a converged
     // process leaves, checked to reopen to the end.
     let mut reopened: HashMap<Files, u64> = HashMap::new();
     let mut ends: HashSet<Files> = HashSet::new();
     let (mut torn, mut undone) = (0, 0);
-    for (i, op) in ops.iter().enumerate() {
-        // One tear inside the record header, one inside the payload.
-        let cuts = match op.kind {
-            OpKind::Append => vec![
-                tears.gen_range(1..WAL_RECORD_HEADER_LEN),
-                tears.gen_range(WAL_RECORD_HEADER_LEN..op.bytes.len()),
-            ],
-            _ => Vec::new(),
-        };
-        for (variant, files) in crash_images(op, &cuts) {
-            // A torn append loses its batch; nothing else loses any.
-            let expected = reference.expected[i] - u64::from(variant.starts_with("torn"));
-            torn += usize::from(variant.starts_with("torn"));
-            undone += usize::from(variant == "undone");
-            let label = format!("crash at op {i} ({:?} {}, {variant})", op.kind, op.name);
-            let version = match reopened.get(&files) {
-                Some(&version) => version,
-                None => {
-                    let (version, end) =
-                        recover_and_converge(&setup, &batches, &reference, files.clone(), &label);
-                    if !ends.contains(&end) {
-                        reopens_to_the_end(&setup, &reference, &end, &label);
-                        ends.insert(end);
-                    }
-                    *reopened.entry(files).or_insert(version)
+    for crash in crashes(&ops, &reference.expected, &mut keyed_rng("tears")) {
+        torn += usize::from(crash.variant.starts_with("torn"));
+        undone += usize::from(crash.variant == "undone");
+        let version = match reopened.get(&crash.files) {
+            Some(&version) => version,
+            None => {
+                let (version, end) = recover_and_converge(
+                    &setup,
+                    &batches,
+                    &reference,
+                    crash.files.clone(),
+                    &crash.label,
+                );
+                if !ends.contains(&end) {
+                    reopens_to_the_end(&setup, &reference, &end, &crash.label);
+                    ends.insert(end);
                 }
-            };
-            assert_eq!(version, expected, "{label}: recovered version");
-        }
+                *reopened.entry(crash.files).or_insert(version)
+            }
+        };
+        assert_eq!(version, crash.expected, "{}: recovered version", crash.label);
     }
     println!(
         "crash sweep: {} operation indexes, {torn} torn and {undone} undone variants, \
@@ -785,3 +843,44 @@ fn fault_sweep_every_write_fails_once() {
     }
 }
 
+/// Crash at every storage operation of each fault sweep run, so during
+/// and between the retries of what an injected fault failed: see the
+/// [module docs](self). Each distinct store is reopened once.
+#[test]
+fn crash_sweep_every_fault_injected_retry() {
+    let setup = setup(Parallelism::Auto);
+    let (steps, _) = sweep_stream(&setup);
+    let reference = drive(&setup, &steps, &FaultStorage::default());
+    // Files a crash leaves → the version they reopen to.
+    let mut reopened: HashMap<Files, u64> = HashMap::new();
+    for fault in Fault::ALL {
+        let storage = FaultStorage::failing(fault);
+        let run = drive(&setup, &steps, &storage);
+        let ops = storage.ops();
+        assert_eq!(run.expected.len(), ops.len(), "{fault:?}");
+        let crashes = crashes(&ops, &run.expected, &mut keyed_rng(&format!("tears {fault:?}")));
+        let mut visited: HashSet<&Files> = HashSet::new();
+        let mut new = 0;
+        for crash in &crashes {
+            let label = format!("{fault:?}: {}", crash.label);
+            let version = reopened.entry(crash.files.clone()).or_insert_with(|| {
+                new += 1;
+                let storage = FaultStorage::with_files(crash.files.clone());
+                reopen_checked(&setup, &reference, &storage, &label)
+                    .unwrap_or_else(|e| panic!("{label}: reopen failed: {e}"))
+                    .version()
+            });
+            assert_eq!(*version, crash.expected, "{label}: recovered version");
+            visited.insert(&crash.files);
+        }
+        let residue = crashes.iter().filter(|crash| crash.variant == "residue").count();
+        println!(
+            "fault crash sweep: {fault:?}: {} operation indexes, {} crash images \
+             ({residue} residues of a failed append), {} distinct stores reopened \
+             ({new} unseen under an earlier fault)",
+            ops.len(),
+            crashes.len(),
+            visited.len()
+        );
+    }
+}

@@ -1,7 +1,7 @@
 //! The shared file envelope spelled out by hand, for tests that must put
 //! bytes in it that the codec under test did not write.
 
-use ltee_ml::codec::fnv1a64;
+use ltee_intern::fnv1a64;
 
 /// `magic · version · header words · payload length · checksum · payload`,
 /// written out literally: the payload goes in as given, compressed or not.
