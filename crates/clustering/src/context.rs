@@ -306,9 +306,9 @@ mod tests {
     use super::*;
     use ltee_kb::{generate_world, GeneratorConfig, Scale, CLASS_KEYS};
     use ltee_matching::{match_corpus, MatcherWeights, SchemaMatchingConfig};
-    use ltee_webtables::{generate_corpus, CorpusConfig};
+    use ltee_webtables::{generate_corpus, CorpusConfig, GeneratedCorpus};
 
-    fn setup() -> (ltee_kb::World, Corpus, CorpusMapping) {
+    fn setup() -> (ltee_kb::World, GeneratedCorpus, CorpusMapping) {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 41));
         let corpus = generate_corpus(&world, &CorpusConfig::tiny());
         let mapping = match_corpus(

@@ -27,12 +27,13 @@
 //!   attributes and KBT scores (both pure functions of corpus + mapping +
 //!   frozen KB) — by the same per-class statistics step ingest runs on
 //!   every batch — and the fused entities, by the same fusion call ingest
-//!   makes on the clusters a batch touches, here over every cluster;
-//! * never persisted — a table's generator ground truth
-//!   ([`ltee_webtables::TableTruth`]): it is the answer key a run is scored
-//!   against, and nothing the served system computes reads it, so ingest
-//!   keeps its tables without it and the encoders write the same bytes
-//!   with or without it.
+//!   makes on the clusters a batch touches, here over every cluster.
+//!
+//! Gold is no part of the state: a [`WebTable`] is its id and columns, and
+//! a generated table's ground truth, the answer key a run is scored
+//! against, lives beside the generated tables in
+//! [`ltee_webtables::GeneratedCorpus`], which only the gold standard, the
+//! evaluation and tests read.
 //!
 //! Fusion reads only a cluster's rows, their tables and mappings and the
 //! per-table KBT scores, none of which changes once a table is ingested,
@@ -222,7 +223,7 @@ fn class_key_from_code(code: u8) -> Result<ClassKey, CodecError> {
     ClassKey::from_code(code).ok_or(CodecError::InvalidTag { what: "class key", tag: code })
 }
 
-/// A table is its id and columns; its ground truth, if any, is not written.
+/// A table is its id and columns.
 fn encode_table_into<'a>(table: &'a WebTable, strings: &mut StringTableWriter<'a>, w: &mut ByteWriter) {
     w.write_varint(table.id.raw());
     w.write_seq(&table.columns, |w, column| {
@@ -243,7 +244,7 @@ fn decode_table_from(
         })?;
         Ok::<_, CodecError>(Column { header, cells })
     })?;
-    let table = WebTable { id, columns, truth: None };
+    let table = WebTable { id, columns };
     table
         .validate()
         .map_err(|why| CheckpointError::Corrupted(format!("table {}: {why}", id.raw())))?;
@@ -820,29 +821,14 @@ mod tests {
         assert!(class_key_from_code(250).is_err());
     }
 
-    fn song_table(truth: Option<ltee_webtables::TableTruth>) -> WebTable {
+    fn song_table() -> WebTable {
         WebTable {
             id: TableId(7),
             columns: vec![Column {
                 header: "song".into(),
                 cells: vec!["Yellow Submarine".into(), "".into()],
             }],
-            truth,
         }
-    }
-
-    #[test]
-    fn a_table_encodes_to_the_same_bytes_with_and_without_truth() {
-        let truth = ltee_webtables::TableTruth {
-            class: ClassKey::Song,
-            label_column: 0,
-            column_property: vec![Some("releaseYear".into())],
-            row_entity: vec![ltee_kb::EntityId(1), ltee_kb::EntityId(2)],
-        };
-        let with = encode_corpus(&Corpus::from_tables(vec![song_table(Some(truth))]));
-        let without = encode_corpus(&Corpus::from_tables(vec![song_table(None)]));
-        assert_eq!(with, without);
-        assert_eq!(decode_corpus(&with).unwrap().tables(), [song_table(None)]);
     }
 
     #[test]
@@ -872,7 +858,7 @@ mod tests {
 
     #[test]
     fn corpus_codec_round_trips_and_rejects_duplicates() {
-        let table = song_table(None);
+        let table = song_table();
         let corpus = Corpus::from_tables(vec![table.clone()]);
         let decoded = decode_corpus(&encode_corpus(&corpus)).unwrap();
         assert_eq!(decoded.tables(), corpus.tables());
@@ -959,8 +945,6 @@ mod tests {
                 let what = format!("{scoring:?} at {threads} threads");
                 let config = PipelineConfig { parallelism: Parallelism::Threads(threads), ..config.clone() };
                 let mut restored = decoded.clone().restore(world.kb(), models.clone(), config).unwrap();
-                // Ingest keeps no ground truth, so the corpora are equal.
-                assert!(at_cut.corpus.tables().iter().all(|t| t.truth.is_none()));
                 assert_eq!(restored.corpus.tables(), at_cut.corpus.tables());
                 // Label columns and column types are detected again.
                 assert_eq!(restored.mapping.len(), at_cut.mapping.len());

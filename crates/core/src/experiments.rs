@@ -21,7 +21,7 @@ use ltee_matching::{learn_weights, match_corpus, CorpusFeedback, CorpusMapping};
 use ltee_ml::{grouped_k_folds, MetricKind};
 use ltee_newdetect::metrics::EntityContext;
 use ltee_newdetect::{build_entity_pair_dataset, detect_new, EntityMetricKind, EntitySimilarityModel};
-use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, CorpusProfile, GoldStandard, RowRef};
+use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, CorpusProfile, GeneratedCorpus, GoldStandard, RowRef};
 
 use crate::pipeline::{train_models, Pipeline, PipelineConfig};
 
@@ -71,14 +71,14 @@ impl ExperimentConfig {
     }
 
     /// Generate the world and corpus for this configuration.
-    pub fn materialize(&self) -> (World, Corpus) {
+    pub fn materialize(&self) -> (World, GeneratedCorpus) {
         let world = generate_world(&GeneratorConfig::new(self.scale, self.seed));
         let corpus = generate_corpus(&world, &self.corpus);
         (world, corpus)
     }
 
     /// Build the per-class gold standards.
-    pub fn gold_standards(&self, world: &World, corpus: &Corpus) -> Vec<GoldStandard> {
+    pub fn gold_standards(&self, world: &World, corpus: &GeneratedCorpus) -> Vec<GoldStandard> {
         CLASS_KEYS.iter().map(|&c| GoldStandard::build(world, corpus, c)).collect()
     }
 }
@@ -215,7 +215,7 @@ pub struct Table5Row {
 }
 
 /// Table 5: gold standard overview per class.
-pub fn table05_gold_standard(world: &World, corpus: &Corpus) -> Vec<Table5Row> {
+pub fn table05_gold_standard(world: &World, corpus: &GeneratedCorpus) -> Vec<Table5Row> {
     CLASS_KEYS
         .iter()
         .map(|&class| {

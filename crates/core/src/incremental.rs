@@ -56,7 +56,7 @@ use ltee_intern::Interner;
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{match_corpus_and_candidates, CorpusMapping, RowCandidates};
 use ltee_newdetect::NewDetectionResult;
-use ltee_webtables::{Corpus, WebTable};
+use ltee_webtables::Corpus;
 
 use rayon::prelude::*;
 
@@ -327,8 +327,7 @@ impl<'a> IncrementalPipeline<'a> {
     ///
     /// An empty batch is a no-op and returns a zeroed report. A batch
     /// [`IncrementalPipeline::check`] refuses is refused before any state
-    /// changes. The tables are kept without their ground truth, which
-    /// nothing here reads.
+    /// changes.
     pub fn ingest(&mut self, batch: &Corpus) -> Result<IngestReport, PipelineError> {
         if batch.is_empty() {
             return Ok(IngestReport::default());
@@ -408,7 +407,7 @@ impl<'a> IncrementalPipeline<'a> {
         // fusion (fused facts and entity bags read any of a cluster's rows,
         // including the ones just added).
         for table in batch.tables() {
-            self.corpus.push(WebTable { id: table.id, columns: table.columns.clone(), truth: None });
+            self.corpus.push(table.clone());
         }
         self.mapping.merge(batch_mapping);
 

@@ -117,5 +117,5 @@ pub mod prelude {
     };
     pub use ltee_ml::MetricKind;
     pub use ltee_newdetect::{EntityMetricKind, NewDetectionConfig, NewDetectionOutcome};
-    pub use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, GoldStandard};
+    pub use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, GeneratedCorpus, GoldStandard};
 }

@@ -537,9 +537,9 @@ pub(crate) fn fuse_and_detect(
 mod tests {
     use super::*;
     use ltee_kb::{generate_world, GeneratorConfig, Scale};
-    use ltee_webtables::{generate_corpus, CorpusConfig};
+    use ltee_webtables::{generate_corpus, CorpusConfig, GeneratedCorpus};
 
-    fn run_tiny() -> (ltee_kb::World, Corpus, Vec<GoldStandard>, PipelineOutput) {
+    fn run_tiny() -> (ltee_kb::World, GeneratedCorpus, Vec<GoldStandard>, PipelineOutput) {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 101));
         let corpus = generate_corpus(&world, &CorpusConfig::tiny());
         let golds: Vec<GoldStandard> =

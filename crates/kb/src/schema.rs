@@ -72,16 +72,6 @@ impl ClassKey {
             ClassKey::Settlement => &["PopulatedPlace", "Place", "Thing"],
         }
     }
-
-    /// Paper Table 1 instance count for this class (the real DBpedia 2014
-    /// number); the generator scales it down by [`super::Scale`].
-    pub fn paper_instance_count(self) -> usize {
-        match self {
-            ClassKey::GridironFootballPlayer => 20_751,
-            ClassKey::Song => 52_533,
-            ClassKey::Settlement => 468_986,
-        }
-    }
 }
 
 impl std::fmt::Display for ClassKey {
@@ -208,12 +198,5 @@ mod tests {
         for class in CLASS_KEYS {
             assert_eq!(*class.ancestors().last().unwrap(), "Thing");
         }
-    }
-
-    #[test]
-    fn paper_instance_counts_match_table_1() {
-        assert_eq!(ClassKey::GridironFootballPlayer.paper_instance_count(), 20_751);
-        assert_eq!(ClassKey::Song.paper_instance_count(), 52_533);
-        assert_eq!(ClassKey::Settlement.paper_instance_count(), 468_986);
     }
 }

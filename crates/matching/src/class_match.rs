@@ -219,7 +219,7 @@ mod tests {
             let class = match_table_class(table, label_col, &detected, kb, indexes, &slots[0], &lookups);
             if let Some(c) = class.map(|position| indexes[position].0) {
                 decided += 1;
-                if table.truth.as_ref().is_some_and(|truth| truth.class == c) {
+                if corpus.truth(table.id).is_some_and(|truth| truth.class == c) {
                     correct += 1;
                 }
             }
@@ -237,7 +237,6 @@ mod tests {
         let table = ltee_webtables::WebTable {
             id: ltee_webtables::TableId(99),
             columns: vec![ltee_webtables::Column { header: "x".into(), cells: vec!["zzz qqq".into()] }],
-            truth: None,
         };
         let detected = detect_column_types(&table);
         let (slots, lookups) = RowLookups::run(&[(&table, 0)], indexes);

@@ -54,7 +54,7 @@ mod tests {
     use ltee_webtables::{Column, TableId};
 
     fn table(columns: Vec<Column>) -> WebTable {
-        WebTable { id: TableId(0), columns, truth: None }
+        WebTable { id: TableId(0), columns }
     }
 
     #[test]

@@ -199,7 +199,6 @@ mod tests {
                 Column { header: "team".into(), cells: vec!["Patriots".into(), "".into()] },
                 Column { header: "no".into(), cells: vec!["12".into(), "10".into()] },
             ],
-            truth: None,
         };
         let mapping = TableMapping {
             table: TableId(1),

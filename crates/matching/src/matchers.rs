@@ -55,11 +55,6 @@ impl MatcherKind {
             MatcherKind::WtDuplicate => "wt_duplicate",
         }
     }
-
-    /// Whether the matcher needs feedback from a previous pipeline iteration.
-    pub fn needs_feedback(self) -> bool {
-        matches!(self, MatcherKind::KbDuplicate | MatcherKind::WtLabel | MatcherKind::WtDuplicate)
-    }
 }
 
 /// KB-Overlap: the proportion of non-empty column cells whose parsed value
@@ -270,10 +265,15 @@ pub fn wt_duplicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltee_kb::{generate_world, ClassKey, GeneratorConfig, Scale};
-    use ltee_webtables::{Column, TableId, TableTruth, WebTable};
+    use ltee_kb::{generate_world, ClassKey, EntityId, GeneratorConfig, Scale};
+    use ltee_webtables::{Column, TableId, WebTable};
 
     fn player_table(world: &ltee_kb::World) -> WebTable {
+        player_table_and_entities(world).0
+    }
+
+    /// The player table and, per row, the world entity it describes.
+    fn player_table_and_entities(world: &ltee_kb::World) -> (WebTable, Vec<EntityId>) {
         // Build a table whose team column contains real KB team values,
         // restricted to head entities whose `team` fact survived the
         // density-based dropout (so the KB actually knows the value).
@@ -295,19 +295,14 @@ mod tests {
             heads.iter().take(6).map(|e| e.fact("team").unwrap().render()).collect();
         let labels: Vec<String> = heads.iter().take(6).map(|e| e.canonical_label.clone()).collect();
         let entities: Vec<_> = heads.iter().take(6).map(|e| e.id).collect();
-        WebTable {
+        let table = WebTable {
             id: TableId(1),
             columns: vec![
                 Column { header: "player".into(), cells: labels },
                 Column { header: "club".into(), cells },
             ],
-            truth: Some(TableTruth {
-                class: ClassKey::GridironFootballPlayer,
-                label_column: 0,
-                column_property: vec![None, Some("team".into())],
-                row_entity: entities,
-            }),
-        }
+        };
+        (table, entities)
     }
 
     #[test]
@@ -362,13 +357,13 @@ mod tests {
     fn kb_duplicate_uses_feedback_correspondences() {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 13));
         let kb = world.kb();
-        let table = player_table(&world);
+        let (table, entities) = player_table_and_entities(&world);
         let team = kb.property_by_name(ClassKey::GridironFootballPlayer, "team").unwrap();
 
         // Feedback: each row is its own cluster, matched to its true instance.
         let mut clusters = Vec::new();
         let mut cluster_instance = HashMap::new();
-        for (row, entity) in table.truth.as_ref().unwrap().row_entity.iter().enumerate() {
+        for (row, entity) in entities.iter().enumerate() {
             clusters.push(vec![RowRef::new(table.id, row)]);
             if let Some(inst) = world.instance_for_entity(*entity) {
                 cluster_instance.insert(row, inst);
@@ -405,7 +400,5 @@ mod tests {
     fn matcher_kind_names_are_unique() {
         let names: std::collections::HashSet<_> = MatcherKind::ALL.iter().map(|m| m.name()).collect();
         assert_eq!(names.len(), 5);
-        assert!(MatcherKind::KbDuplicate.needs_feedback());
-        assert!(!MatcherKind::KbOverlap.needs_feedback());
     }
 }

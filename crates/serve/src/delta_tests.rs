@@ -41,14 +41,9 @@ const UPDATE_ONLY: usize = 4;
 const UNMAPPED: usize = 5;
 const ONE_CLASS: usize = 6;
 
-/// `corpus`'s tables under fresh ids starting at `base`.
-fn with_ids_from(corpus: &Corpus, base: u64) -> Vec<WebTable> {
-    corpus
-        .tables()
-        .iter()
-        .enumerate()
-        .map(|(i, table)| WebTable { id: TableId(base + i as u64), ..table.clone() })
-        .collect()
+/// `tables` under their ids shifted by `base`.
+fn with_ids_from<'a>(tables: impl IntoIterator<Item = &'a WebTable>, base: u64) -> Vec<WebTable> {
+    tables.into_iter().map(|table| WebTable { id: TableId(base + table.id.raw()), ..table.clone() }).collect()
 }
 
 /// A well-formed table whose labels match nothing in any class, so the
@@ -61,7 +56,6 @@ fn unclaimed_table(id: u64) -> WebTable {
             Column { header: "zzq".into(), cells: labels.iter().map(|l| l.to_string()).collect() },
             Column { header: "xxk".into(), cells: vec!["qq".into(); labels.len()] },
         ],
-        truth: None,
     }
 }
 
@@ -78,18 +72,16 @@ fn fixture() -> Fixture {
     assert_eq!(batches.len(), UPDATE_ONLY);
     // Rows the KB has seen already, under new table ids: every one joins
     // the cluster of its original, none founds one.
-    let repeats = Corpus::from_tables(batches[0].tables().iter().take(3).cloned().collect());
-    batches.push(Corpus::from_tables(with_ids_from(&repeats, 10_000)));
+    batches.push(Corpus::from_tables(with_ids_from(batches[0].tables().iter().take(3), 10_000)));
     // Tables no class claims: a version is published, nothing is touched.
     batches.push(Corpus::from_tables(vec![unclaimed_table(20_000), unclaimed_table(20_001)]));
     // A second rendering of the world, first the tables of one class
     // alone, then the rest.
     let second = generate_corpus(&world, &CorpusConfig { seed: 77, ..CorpusConfig::tiny() });
-    let (one_class, rest): (Vec<WebTable>, Vec<WebTable>) = with_ids_from(&second, 30_000)
-        .into_iter()
-        .partition(|table| table.truth.as_ref().is_some_and(|t| t.class == ClassKey::Settlement));
-    batches.push(Corpus::from_tables(one_class));
-    batches.extend(Corpus::from_tables(rest).split_into_batches(2));
+    let (one_class, rest): (Vec<&WebTable>, Vec<&WebTable>) =
+        second.tables().iter().partition(|t| second.truth(t.id).is_some_and(|t| t.class == ClassKey::Settlement));
+    batches.push(Corpus::from_tables(with_ids_from(one_class, 30_000)));
+    batches.extend(Corpus::from_tables(with_ids_from(rest, 30_000)).split_into_batches(2));
 
     Fixture { world, config, models, batches }
 }

@@ -529,7 +529,7 @@ mod tests {
         // Part of a record the store never acknowledged: what a short
         // write leaves behind.
         let mut file = OpenOptions::new().append(true).open(KbStore::wal_path(&dir)).unwrap();
-        file.write_all(&wal::encode_wal_record(2, b"torn")[..7]).unwrap();
+        file.write_all(&wal::encode_wal_record(2, b"torn").unwrap()[..7]).unwrap();
         drop(file);
         assert_eq!(rec.store.append_batch(b"second").unwrap(), 2);
 

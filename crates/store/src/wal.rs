@@ -18,8 +18,9 @@
 //! the batch handed to `ingest`, each its id and columns — in the codec's
 //! payload spelling: the record's own string table, then the tables as
 //! varints and string references, byte for byte what the checkpoint's
-//! corpus section holds. A table's ground truth is not written: the
-//! pipeline never reads it, so replay needs none.
+//! corpus section holds. Gold never reaches a batch: a generated table's
+//! ground truth lives beside the generated tables, in
+//! `ltee_webtables::GeneratedCorpus`.
 //!
 //! The payload stores the raw batch as one block of the codec's DEFLATE
 //! compressor ([`ltee_codec::compress`]), compressed against the last
@@ -96,16 +97,11 @@ pub fn encode_wal_header(fingerprint: u64) -> Vec<u8> {
 /// Encode one WAL record carrying the raw batch `raw` as batch number
 /// `seq`, starting a segment: compressed against no earlier record.
 ///
-/// # Panics
-///
-/// If `raw` compresses to 4 GiB or more, which the record's length field
-/// cannot hold; [`crate::KbStore::append_batch`] refuses such a batch with
-/// [`StoreError::RecordTooLarge`] instead.
-pub fn encode_wal_record(seq: u64, raw: &[u8]) -> Vec<u8> {
-    match frame_record(seq, &SegmentWindow::default().compress(raw)) {
-        Ok(record) => record,
-        Err(too_large) => panic!("{too_large}"),
-    }
+/// A batch that compresses to 4 GiB or more, which the record's length
+/// field cannot hold, is [`StoreError::RecordTooLarge`], as in
+/// [`crate::KbStore::append_batch`].
+pub fn encode_wal_record(seq: u64, raw: &[u8]) -> Result<Vec<u8>, StoreError> {
+    frame_record(seq, &SegmentWindow::default().compress(raw))
 }
 
 /// The record header's length field for a payload of `len` bytes: a
@@ -330,7 +326,7 @@ mod tests {
     fn wal_with(records: &[(u64, &[u8])]) -> Vec<u8> {
         let mut bytes = encode_wal_header(0xF00D);
         for &(seq, payload) in records {
-            bytes.extend_from_slice(&encode_wal_record(seq, payload));
+            bytes.extend_from_slice(&encode_wal_record(seq, payload).unwrap());
         }
         bytes
     }
@@ -376,7 +372,7 @@ mod tests {
         let mut bytes = wal_with(&[(1, b"alpha"), (2, b"beta"), (3, b"gamma")]);
         // Flip one payload byte of record 2.
         let r2_payload_start = WAL_HEADER_LEN
-            + encode_wal_record(1, b"alpha").len()
+            + encode_wal_record(1, b"alpha").unwrap().len()
             + WAL_RECORD_HEADER_LEN;
         bytes[r2_payload_start] ^= 0x01;
         let scan = scan_wal(&bytes).unwrap();
@@ -442,7 +438,7 @@ mod tests {
         let batches: Vec<String> = (0..100).map(batch).collect();
         let raw: Vec<&[u8]> = batches.iter().map(String::as_bytes).collect();
         let bytes = [encode_wal_header(0xF00D), segment(1, &raw)].concat();
-        let alone: usize = raw.iter().map(|r| encode_wal_record(1, r).len()).sum();
+        let alone: usize = raw.iter().map(|r| encode_wal_record(1, r).unwrap().len()).sum();
         assert!(bytes.len() - WAL_HEADER_LEN < alone / 2, "{} vs {alone}", bytes.len());
         let scan = scan_wal(&bytes).unwrap();
         assert_eq!(scan.tail, WalTail::Clean);
@@ -479,10 +475,10 @@ mod tests {
             // Batch 1 declares a dictionary although it starts the log.
             (vec![overreaching(1, 1)], 1),
             // Batch 2 declares one byte more than batch 1 left.
-            (vec![encode_wal_record(1, b"alpha"), overreaching(2, 6)], 2),
+            (vec![encode_wal_record(1, b"alpha").unwrap(), overreaching(2, 6)], 2),
             // Batch 3 declares batch 1's bytes too, though batch 2 started
             // a new segment.
-            (vec![segment(1, &[&b"alpha"[..]]), encode_wal_record(2, b"gamma"), overreaching(3, 10)], 3),
+            (vec![segment(1, &[&b"alpha"[..]]), encode_wal_record(2, b"gamma").unwrap(), overreaching(3, 10)], 3),
         ];
         for (records, seq) in cases {
             let bytes = [encode_wal_header(0xF00D), records.concat()].concat();

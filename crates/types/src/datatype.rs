@@ -67,11 +67,6 @@ impl DataType {
         )
     }
 
-    /// Whether values of this type are numeric.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Quantity | DataType::NominalInteger)
-    }
-
     /// Short lower-case name, used in experiment output and diagnostics.
     pub fn name(self) -> &'static str {
         match self {
@@ -161,7 +156,7 @@ mod tests {
     #[test]
     fn quantity_attribute_candidates_are_numeric() {
         for dt in DetectedType::Quantity.candidate_property_types() {
-            assert!(dt.is_numeric());
+            assert!(matches!(dt, DataType::Quantity | DataType::NominalInteger), "{dt:?}");
         }
     }
 

@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use ltee_kb::ClassKey;
-
 use crate::table::{RowRef, TableId, WebTable};
 
 /// A corpus of web tables, the unit the pipeline operates on.
@@ -56,18 +54,6 @@ impl Corpus {
         self.table(row.table).map(|t| t.row_cells(row.row)).unwrap_or_default()
     }
 
-    /// Tables whose ground truth says they are about `class`; tables
-    /// without truth are skipped.
-    ///
-    /// Used by the corpus-level experiments to partition work per class; the
-    /// pipeline's own table-to-class matching does not read the truth.
-    pub fn tables_of_class(&self, class: ClassKey) -> Vec<&WebTable> {
-        self.tables
-            .iter()
-            .filter(|t| t.truth.as_ref().is_some_and(|truth| truth.class == class))
-            .collect()
-    }
-
     /// Split the corpus into `batches` contiguous micro-batches of (nearly)
     /// equal table counts, preserving table order. The first
     /// `len() % batches` batches receive one extra table. Batches that
@@ -113,66 +99,42 @@ impl Corpus {
     pub fn total_rows(&self) -> usize {
         self.tables.iter().map(|t| t.num_rows()).sum()
     }
-
-    /// Total number of rows in tables of one class (by ground truth).
-    pub fn total_rows_of_class(&self, class: ClassKey) -> usize {
-        self.tables_of_class(class).iter().map(|t| t.num_rows()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{Column, TableTruth};
-    use ltee_kb::EntityId;
+    use crate::table::Column;
 
-    fn table(id: u64, class: ClassKey, rows: usize) -> WebTable {
+    fn table(id: u64, rows: usize) -> WebTable {
         WebTable {
             id: TableId(id),
             columns: vec![Column {
                 header: "name".into(),
                 cells: (0..rows).map(|r| format!("entity {r}")).collect(),
             }],
-            truth: Some(TableTruth {
-                class,
-                label_column: 0,
-                column_property: vec![None],
-                row_entity: (0..rows).map(|r| EntityId(r as u64)).collect(),
-            }),
         }
     }
 
     #[test]
     fn from_tables_builds_lookup() {
-        let corpus = Corpus::from_tables(vec![table(1, ClassKey::Song, 2), table(2, ClassKey::Settlement, 3)]);
+        let corpus = Corpus::from_tables(vec![table(1, 2), table(2, 3)]);
         assert_eq!(corpus.len(), 2);
         assert_eq!(corpus.table(TableId(2)).unwrap().num_rows(), 3);
+        assert_eq!(corpus.total_rows(), 5);
         assert!(corpus.table(TableId(9)).is_none());
     }
 
     #[test]
     fn push_keeps_lookup_consistent() {
         let mut corpus = Corpus::new();
-        corpus.push(table(5, ClassKey::Song, 1));
+        corpus.push(table(5, 1));
         assert!(corpus.table(TableId(5)).is_some());
     }
 
     #[test]
-    fn class_partition_and_row_counts() {
-        let corpus = Corpus::from_tables(vec![
-            table(1, ClassKey::Song, 2),
-            table(2, ClassKey::Song, 4),
-            table(3, ClassKey::Settlement, 3),
-            WebTable { truth: None, ..table(4, ClassKey::Song, 5) },
-        ]);
-        assert_eq!(corpus.tables_of_class(ClassKey::Song).len(), 2);
-        assert_eq!(corpus.total_rows(), 14);
-        assert_eq!(corpus.total_rows_of_class(ClassKey::Song), 6);
-    }
-
-    #[test]
     fn row_cells_resolves_through_corpus() {
-        let corpus = Corpus::from_tables(vec![table(1, ClassKey::Song, 2)]);
+        let corpus = Corpus::from_tables(vec![table(1, 2)]);
         assert_eq!(corpus.row_cells(RowRef::new(TableId(1), 1)), vec!["entity 1"]);
         assert!(corpus.row_cells(RowRef::new(TableId(7), 0)).is_empty());
     }
@@ -187,7 +149,7 @@ mod tests {
     #[test]
     fn split_into_batches_partitions_in_order() {
         let corpus = Corpus::from_tables(
-            (1..=7).map(|i| table(i, ClassKey::Song, 2)).collect(),
+            (1..=7).map(|i| table(i, 2)).collect(),
         );
         let batches = corpus.split_into_batches(3);
         assert_eq!(batches.len(), 3);
@@ -203,7 +165,7 @@ mod tests {
 
     #[test]
     fn split_handles_degenerate_counts() {
-        let corpus = Corpus::from_tables(vec![table(1, ClassKey::Song, 1), table(2, ClassKey::Song, 1)]);
+        let corpus = Corpus::from_tables(vec![table(1, 1), table(2, 1)]);
         assert_eq!(corpus.split_into_batches(0).len(), 1);
         assert_eq!(corpus.split_into_batches(5).len(), 2);
         assert!(Corpus::new().split_into_batches(3).is_empty());

@@ -7,6 +7,7 @@
 //! and tables about confusable sibling-class entities.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use ltee_kb::{class_schema, ClassKey, EntityId, World, WorldEntity, CLASS_KEYS};
@@ -17,7 +18,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::corpus::Corpus;
-use crate::table::{Column, TableId, TableTruth, WebTable};
+use crate::table::{Column, TableId, WebTable};
 
 /// Noise knobs of the corpus generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +128,103 @@ impl CorpusConfig {
     }
 }
 
+/// The ground truth of one generated table: what the generator rendered
+/// into it. It is the answer key a run is scored against, so it stays
+/// beside the tables (in [`GeneratedCorpus`]) and never on them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TableTruth {
+    /// The class the table is about.
+    pub class: ClassKey,
+    /// Index of the true label attribute column.
+    pub label_column: usize,
+    /// For each column, the knowledge base property it publishes (`None` for
+    /// the label column and for noise columns).
+    pub column_property: Vec<Option<String>>,
+    /// For each row, the world entity it describes.
+    pub row_entity: Vec<EntityId>,
+}
+
+impl TableTruth {
+    /// Check that the truth fits `table`'s shape: one annotation per column
+    /// and per row, and a label column that exists.
+    pub(crate) fn fits(&self, table: &WebTable) -> Result<(), String> {
+        let (columns, rows) = (table.num_columns(), table.num_rows());
+        if self.column_property.len() != columns || self.row_entity.len() != rows || self.label_column >= columns {
+            return Err(format!(
+                "truth of {} columns, {} rows and label column {} does not fit a table of {columns} columns and {rows} rows",
+                self.column_property.len(),
+                self.row_entity.len(),
+                self.label_column
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// A generated corpus and its answer key: the [`Corpus`] the pipeline
+/// reads, plus one [`TableTruth`] per table, keyed by table id.
+///
+/// It derefs to the corpus, so anything that only reads tables takes it
+/// as a `&Corpus`; only the gold standard, the evaluation and tests read
+/// the truth.
+#[derive(Debug, Clone, Default)]
+pub struct GeneratedCorpus {
+    corpus: Corpus,
+    truth: HashMap<TableId, TableTruth>,
+}
+
+impl Deref for GeneratedCorpus {
+    type Target = Corpus;
+
+    fn deref(&self) -> &Corpus {
+        &self.corpus
+    }
+}
+
+impl GeneratedCorpus {
+    /// Append a table and its truth.
+    pub fn push(&mut self, table: WebTable, truth: TableTruth) {
+        self.truth.insert(table.id, truth);
+        self.corpus.push(table);
+    }
+
+    /// The truth of the table with id `id`, if the corpus holds it.
+    pub fn truth(&self, id: TableId) -> Option<&TableTruth> {
+        self.truth.get(&id)
+    }
+
+    /// Every table with its truth, in table order.
+    pub fn annotated_tables(&self) -> impl Iterator<Item = (&WebTable, &TableTruth)> + '_ {
+        self.corpus.tables().iter().filter_map(|t| Some((t, self.truth.get(&t.id)?)))
+    }
+
+    /// Tables whose truth says they are about `class`.
+    ///
+    /// Used by the corpus-level experiments to partition work per class; the
+    /// pipeline's own table-to-class matching does not read the truth.
+    pub fn tables_of_class(&self, class: ClassKey) -> Vec<&WebTable> {
+        self.annotated_tables().filter(|(_, truth)| truth.class == class).map(|(t, _)| t).collect()
+    }
+
+    /// Total number of rows in tables of one class (by truth).
+    pub fn total_rows_of_class(&self, class: ClassKey) -> usize {
+        self.tables_of_class(class).iter().map(|t| t.num_rows()).sum()
+    }
+
+    /// Check that every table has exactly one truth and that each fits its
+    /// table. Whoever reads the truth checks it.
+    pub fn validate_truth(&self) -> Result<(), String> {
+        if self.truth.len() != self.corpus.len() {
+            return Err(format!("{} truths for {} tables", self.truth.len(), self.corpus.len()));
+        }
+        for table in self.corpus.tables() {
+            let truth = self.truth(table.id).ok_or_else(|| format!("table {} has no truth", table.id.raw()))?;
+            truth.fits(table).map_err(|why| format!("table {}: {why}", table.id.raw()))?;
+        }
+        Ok(())
+    }
+}
+
 /// Properties a table can be *themed* on: all rows of a themed table share
 /// the same value for the theme property, and the theme column is usually
 /// omitted — that shared value is the implicit attribute the `IMPLICIT_ATT`
@@ -140,9 +238,9 @@ fn theme_properties(class: ClassKey) -> &'static [&'static str] {
 }
 
 /// Generate a corpus from a world.
-pub fn generate_corpus(world: &World, config: &CorpusConfig) -> Corpus {
+pub fn generate_corpus(world: &World, config: &CorpusConfig) -> GeneratedCorpus {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let mut corpus = Corpus::new();
+    let mut corpus = GeneratedCorpus::default();
     let mut next_table_id: u64 = 0;
 
     for class in CLASS_KEYS {
@@ -178,24 +276,17 @@ pub fn generate_corpus(world: &World, config: &CorpusConfig) -> Corpus {
             next_table_id += 1;
             let is_confusable_table =
                 !confusables.is_empty() && rng.gen::<f64>() < config.confusable_table_rate;
-            let table = if is_confusable_table {
-                generate_confusable_table(world, class, id, config, &mut rng)
+            let (columns, truth) = if is_confusable_table {
+                generate_confusable_table(world, class, config, &mut rng)
             } else {
-                generate_class_table(
-                    world,
-                    class,
-                    id,
-                    config,
-                    &theme_index,
-                    &mut tail_usage,
-                    &mut rng,
-                )
+                generate_class_table(world, class, config, &theme_index, &mut tail_usage, &mut rng)
             };
+            let table = WebTable { id, columns };
             debug_assert!(
-                table.validate().and(table.validate_truth()).is_ok(),
+                table.validate().and(truth.fits(&table)).is_ok(),
                 "generated table must be consistent"
             );
-            corpus.push(table);
+            corpus.push(table, truth);
         }
     }
     corpus
@@ -205,17 +296,15 @@ pub fn generate_corpus(world: &World, config: &CorpusConfig) -> Corpus {
 /// `Rc<str>` per distinct value; cloning a theme key is a pointer bump.
 type ThemeIndex = HashMap<&'static str, HashMap<Rc<str>, Vec<EntityId>>>;
 
-/// Generate a regular table about `class`.
-#[allow(clippy::too_many_arguments)]
+/// Generate the columns and truth of a regular table about `class`.
 fn generate_class_table(
     world: &World,
     class: ClassKey,
-    id: TableId,
     config: &CorpusConfig,
     theme_index: &ThemeIndex,
     tail_usage: &mut HashMap<EntityId, usize>,
     rng: &mut ChaCha8Rng,
-) -> WebTable {
+) -> (Vec<Column>, TableTruth) {
     let num_rows = rng.gen_range(config.min_rows..=config.max_rows);
 
     // Pick a theme (or none) and collect the candidate entity pool.
@@ -344,19 +433,18 @@ fn generate_class_table(
         published.push(chosen);
     }
 
-    let (columns, truth) = build_table(world, class, &selected, &published, config, rng);
-    WebTable { id, columns, truth: Some(truth) }
+    build_table(world, class, &selected, &published, config, rng)
 }
 
-/// Generate a table about confusable sibling-class entities (plus a few real
-/// ones), the source of table-to-class matching errors.
+/// Generate the columns and truth of a table about confusable sibling-class
+/// entities (plus a few real ones), the source of table-to-class matching
+/// errors.
 fn generate_confusable_table(
     world: &World,
     class: ClassKey,
-    id: TableId,
     config: &CorpusConfig,
     rng: &mut ChaCha8Rng,
-) -> WebTable {
+) -> (Vec<Column>, TableTruth) {
     let confusables = world.confusables_of_class(class);
     let real = world.entities_of_class(class);
     let num_rows = rng.gen_range(config.min_rows..=config.max_rows.min(8));
@@ -378,8 +466,7 @@ fn generate_confusable_table(
         ClassKey::Song => vec!["musicalArtist", "releaseDate"],
         ClassKey::Settlement => vec!["country", "elevation"],
     };
-    let (columns, truth) = build_table(world, class, &selected, &published, config, rng);
-    WebTable { id, columns, truth: Some(truth) }
+    build_table(world, class, &selected, &published, config, rng)
 }
 
 /// Render a set of entities into the columns of a table with the published
@@ -555,14 +642,36 @@ mod tests {
     use super::*;
     use ltee_kb::{generate_world, GeneratorConfig, Scale};
 
-    fn tiny_setup() -> (World, Corpus) {
+    fn tiny_setup() -> (World, GeneratedCorpus) {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 11));
         let corpus = generate_corpus(&world, &CorpusConfig::tiny());
         (world, corpus)
     }
 
-    fn truth(table: &WebTable) -> &TableTruth {
-        table.truth.as_ref().expect("generated tables carry truth")
+    /// A two-row, two-column table and the truth that fits it.
+    fn annotated_table(id: u64, class: ClassKey) -> (WebTable, TableTruth) {
+        let table = WebTable {
+            id: TableId(id),
+            columns: vec![
+                Column { header: "player".into(), cells: vec!["Tom Brady".into(), "Eli Manning".into()] },
+                Column { header: "team".into(), cells: vec!["Patriots".into(), "Giants".into()] },
+            ],
+        };
+        let truth = TableTruth {
+            class,
+            label_column: 0,
+            column_property: vec![None, Some("team".into())],
+            row_entity: vec![EntityId(10 * id), EntityId(10 * id + 1)],
+        };
+        (table, truth)
+    }
+
+    fn corpus_of(annotated: Vec<(WebTable, TableTruth)>) -> GeneratedCorpus {
+        let mut corpus = GeneratedCorpus::default();
+        for (table, truth) in annotated {
+            corpus.push(table, truth);
+        }
+        corpus
     }
 
     #[test]
@@ -577,9 +686,9 @@ mod tests {
     #[test]
     fn tables_are_internally_consistent() {
         let (_, corpus) = tiny_setup();
+        corpus.validate_truth().expect("one truth per table, shaped like it");
         for table in corpus.tables() {
             table.validate().expect("valid table");
-            table.validate_truth().expect("truth fits the table");
             assert!(table.num_rows() >= 1);
             assert!(table.num_columns() >= 2, "a table needs a label and at least one value column");
         }
@@ -588,9 +697,9 @@ mod tests {
     #[test]
     fn rows_never_repeat_an_entity_within_a_table() {
         let (_, corpus) = tiny_setup();
-        for table in corpus.tables() {
+        for (table, truth) in corpus.annotated_tables() {
             let mut seen = std::collections::HashSet::new();
-            for e in &truth(table).row_entity {
+            for e in &truth.row_entity {
                 assert!(seen.insert(*e), "entity repeated within table {}", table.id.raw());
             }
         }
@@ -602,6 +711,7 @@ mod tests {
         let a = generate_corpus(&world, &CorpusConfig::tiny());
         let b = generate_corpus(&world, &CorpusConfig::tiny());
         assert_eq!(a.tables(), b.tables());
+        assert!(a.annotated_tables().eq(b.annotated_tables()), "the truth is generated alongside");
         let reseeded = CorpusConfig { seed: CorpusConfig::tiny().seed + 1, ..CorpusConfig::tiny() };
         let c = generate_corpus(&world, &reseeded);
         assert_ne!(a.tables(), c.tables(), "the corpus seed must steer generation");
@@ -613,8 +723,8 @@ mod tests {
         // Count tables per long-tail entity; a healthy share must appear >= 2
         // times or clustering new entities would be impossible.
         let mut counts: HashMap<EntityId, usize> = HashMap::new();
-        for table in corpus.tables() {
-            for e in &truth(table).row_entity {
+        for (_, truth) in corpus.annotated_tables() {
+            for e in &truth.row_entity {
                 *counts.entry(*e).or_insert(0) += 1;
             }
         }
@@ -634,8 +744,8 @@ mod tests {
         let (world, corpus) = tiny_setup();
         let mut tail_rows = 0usize;
         let mut total_rows = 0usize;
-        for table in corpus.tables() {
-            for e in &truth(table).row_entity {
+        for (_, truth) in corpus.annotated_tables() {
+            for e in &truth.row_entity {
                 total_rows += 1;
                 let entity = world.entity(*e).unwrap();
                 if !entity.in_kb && !entity.confusable {
@@ -654,17 +764,17 @@ mod tests {
         let (world, corpus) = tiny_setup();
         let mut correct = 0usize;
         let mut checked = 0usize;
-        for table in corpus.tables() {
+        for (table, truth) in corpus.annotated_tables() {
             for (ci, col) in table.columns.iter().enumerate() {
-                let Some(prop) = truth(table).column_property[ci].as_deref() else { continue };
+                let Some(prop) = truth.column_property[ci].as_deref() else { continue };
                 for (ri, cell) in col.cells.iter().enumerate() {
                     if cell.is_empty() {
                         continue;
                     }
-                    let entity = world.entity(truth(table).row_entity[ri]).unwrap();
-                    let Some(truth) = entity.fact(prop) else { continue };
+                    let entity = world.entity(truth.row_entity[ri]).unwrap();
+                    let Some(fact) = entity.fact(prop) else { continue };
                     checked += 1;
-                    if cell_matches(cell, truth) {
+                    if cell_matches(cell, fact) {
                         correct += 1;
                     }
                 }
@@ -703,10 +813,10 @@ mod tests {
         let mut config = CorpusConfig::tiny();
         config.noise = NoiseConfig::clean();
         let corpus = generate_corpus(&world, &config);
-        for table in corpus.tables() {
-            let label_col = &table.columns[truth(table).label_column];
+        for (table, truth) in corpus.annotated_tables() {
+            let label_col = &table.columns[truth.label_column];
             for (ri, cell) in label_col.cells.iter().enumerate() {
-                let entity = world.entity(truth(table).row_entity[ri]).unwrap();
+                let entity = world.entity(truth.row_entity[ri]).unwrap();
                 assert_eq!(cell, &entity.canonical_label, "clean corpus must use canonical labels");
             }
         }
@@ -716,14 +826,52 @@ mod tests {
     fn some_tables_describe_confusable_entities() {
         let (world, corpus) = tiny_setup();
         let mut confusable_rows = 0usize;
-        for table in corpus.tables() {
-            for e in &truth(table).row_entity {
+        for (_, truth) in corpus.annotated_tables() {
+            for e in &truth.row_entity {
                 if world.entity(*e).unwrap().confusable {
                     confusable_rows += 1;
                 }
             }
         }
         assert!(confusable_rows > 0, "corpus should contain confusable rows for table-to-class noise");
+    }
+
+    #[test]
+    fn class_partition_and_row_counts() {
+        let mut corpus = corpus_of(vec![
+            annotated_table(1, ClassKey::Song),
+            annotated_table(2, ClassKey::Song),
+            annotated_table(3, ClassKey::Settlement),
+        ]);
+        let (mut table, truth) = annotated_table(4, ClassKey::Song);
+        table.columns.iter_mut().for_each(|c| c.cells.push("x".into()));
+        corpus.push(table, truth);
+        assert_eq!(corpus.tables_of_class(ClassKey::Song).len(), 3);
+        assert_eq!(corpus.total_rows(), 9);
+        assert_eq!(corpus.total_rows_of_class(ClassKey::Song), 7);
+        assert_eq!(corpus.truth(TableId(3)).map(|t| t.class), Some(ClassKey::Settlement));
+        assert!(corpus.truth(TableId(9)).is_none());
+    }
+
+    #[test]
+    fn validate_rejects_wrong_truth_lengths() {
+        assert!(corpus_of(vec![annotated_table(1, ClassKey::Song)]).validate_truth().is_ok());
+        let (table, mut truth) = annotated_table(1, ClassKey::Song);
+        truth.row_entity.pop();
+        assert!(table.validate().is_ok(), "the table itself is fine");
+        assert!(corpus_of(vec![(table, truth)]).validate_truth().is_err());
+        let (table, mut truth) = annotated_table(1, ClassKey::Song);
+        truth.column_property.push(None);
+        assert!(corpus_of(vec![(table, truth)]).validate_truth().is_err());
+        let twice = corpus_of(vec![annotated_table(1, ClassKey::Song), annotated_table(1, ClassKey::Song)]);
+        assert!(twice.validate_truth().is_err(), "one truth cannot annotate two tables");
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_label_column() {
+        let (table, mut truth) = annotated_table(1, ClassKey::Song);
+        truth.label_column = 7;
+        assert!(corpus_of(vec![(table, truth)]).validate_truth().is_err());
     }
 
     #[test]

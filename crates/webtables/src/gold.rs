@@ -16,6 +16,7 @@ use ltee_kb::{class_schema, ClassKey, EntityId, InstanceId, World};
 use ltee_types::{parse_cell_as, value_equivalent, EquivalenceConfig, Value};
 
 use crate::corpus::Corpus;
+use crate::generator::GeneratedCorpus;
 use crate::table::{RowRef, TableId};
 
 /// A gold cluster: the set of rows that describe one world entity.
@@ -113,19 +114,18 @@ pub struct GoldStandard {
 
 impl GoldStandard {
     /// Derive the gold standard of a class from a world and a corpus
-    /// generated from it. Tables without ground truth are not annotated,
-    /// nor are rows of an entity the world does not hold; a truth that does
-    /// not fit its table panics.
-    pub fn build(world: &World, corpus: &Corpus, class: ClassKey) -> Self {
+    /// generated from it. Rows of an entity the world does not hold are not
+    /// annotated; a truth that does not fit its table panics.
+    pub fn build(world: &World, corpus: &GeneratedCorpus, class: ClassKey) -> Self {
         let eq = EquivalenceConfig::lenient();
-        let tables: Vec<TableId> = corpus.tables_of_class(class).iter().map(|t| t.id).collect();
+        let annotated: Vec<_> = corpus.annotated_tables().filter(|(_, truth)| truth.class == class).collect();
+        let tables: Vec<TableId> = annotated.iter().map(|(t, _)| t.id).collect();
 
         // Group rows by entity.
         let mut rows_by_entity: BTreeMap<EntityId, Vec<RowRef>> = BTreeMap::new();
         let mut attributes = Vec::new();
-        for table in corpus.tables_of_class(class) {
-            let Some(truth) = &table.truth else { continue };
-            if let Err(why) = table.validate_truth() {
+        for &(table, truth) in &annotated {
+            if let Err(why) = truth.fits(table) {
                 panic!("table {}: {why}", table.id.raw());
             }
             for (row, entity) in truth.row_entity.iter().enumerate() {
@@ -164,8 +164,9 @@ impl GoldStandard {
             // Collect candidate cells per property for this cluster.
             let mut candidates: BTreeMap<String, Vec<String>> = BTreeMap::new();
             for row in &cluster.rows {
-                let Some(table) = corpus.table(row.table) else { continue };
-                let Some(truth) = &table.truth else { continue };
+                let (Some(table), Some(truth)) = (corpus.table(row.table), corpus.truth(row.table)) else {
+                    continue;
+                };
                 for (column, prop) in truth.column_property.iter().enumerate() {
                     let Some(p) = prop else { continue };
                     if let Some(cell) = table.cell(row.row, column) {
@@ -233,7 +234,7 @@ mod tests {
     use crate::generator::{generate_corpus, CorpusConfig};
     use ltee_kb::{generate_world, GeneratorConfig, Scale};
 
-    fn setup() -> (ltee_kb::World, Corpus) {
+    fn setup() -> (ltee_kb::World, GeneratedCorpus) {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 21));
         let corpus = generate_corpus(&world, &CorpusConfig::tiny());
         (world, corpus)
@@ -253,20 +254,6 @@ mod tests {
                     assert!(seen.insert(*r), "row {r} in two clusters");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn tables_without_truth_are_not_annotated() {
-        let (world, corpus) = setup();
-        let (kept, stripped): (Vec<_>, Vec<_>) =
-            corpus.tables().iter().cloned().partition(|t| t.id.raw() % 2 == 0);
-        let mut tables = kept.clone();
-        tables.extend(stripped.into_iter().map(|t| crate::WebTable { truth: None, ..t }));
-        let mixed = Corpus::from_tables(tables);
-        for class in ltee_kb::CLASS_KEYS {
-            let only_kept = GoldStandard::build(&world, &Corpus::from_tables(kept.clone()), class);
-            assert_eq!(GoldStandard::build(&world, &mixed, class), only_kept, "{class}");
         }
     }
 

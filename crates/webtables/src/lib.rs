@@ -8,13 +8,16 @@
 //!
 //! A [`WebTable`] is a small relational table: a set of named columns of raw
 //! string cells, one of which is the *label attribute* containing the names
-//! of the entities described by the rows (paper Section 2.2). Everything the
-//! pipeline consumes is the raw strings; the generator additionally attaches
-//! a [`TableTruth`] record per table (true class, true label column, true
-//! column→property correspondences, true row→entity assignment) which is
-//! **only** read by the gold standard and the evaluation — never by the
-//! pipeline components themselves. It is optional: the serve path keeps
-//! and persists tables without it.
+//! of the entities described by the rows (paper Section 2.2). A table is
+//! its id and its columns of raw strings, and that is all the pipeline
+//! reads, keeps and persists.
+//!
+//! The answer key lives beside the tables, not on them: the generators
+//! return a [`GeneratedCorpus`], the [`Corpus`] plus a per-table truth
+//! record (true class, true label column, true column→property
+//! correspondences, true row→entity assignment) that only the gold
+//! standard, the evaluation and tests read. It derefs to the corpus, so
+//! whatever takes a `&Corpus` cannot reach the truth.
 //!
 //! ## Corpus generator
 //!
@@ -48,8 +51,8 @@ pub mod scenario;
 pub mod table;
 
 pub use corpus::Corpus;
-pub use generator::{generate_corpus, CorpusConfig, NoiseConfig};
+pub use generator::{generate_corpus, CorpusConfig, GeneratedCorpus, NoiseConfig};
 pub use gold::{GoldCluster, GoldFact, GoldStandard, GoldStandardStats};
 pub use profile::CorpusProfile;
 pub use scenario::{novel_row_share, with_exotic_labels, Scenario, ScenarioSeed};
-pub use table::{Column, RowRef, TableId, TableTruth, WebTable};
+pub use table::{Column, RowRef, TableId, WebTable};

@@ -17,9 +17,9 @@
 //!   sit within one or two edits of each other (heavy typo + shared
 //!   qualifier suffixes), stressing the fuzzy label index.
 //!
-//! Every scenario table carries honest [`crate::table::TableTruth`], so a
-//! scenario corpus works anywhere the base corpus does: gold standards,
-//! pipeline runs, incremental ingest and golden tests.
+//! Every scenario returns a [`GeneratedCorpus`] with honest truth per
+//! table, so a scenario corpus works anywhere the base corpus does: gold
+//! standards, pipeline runs, incremental ingest and golden tests.
 
 use ltee_kb::{class_schema, ClassKey, EntityId, World, CLASS_KEYS};
 use ltee_intern::fnv1a64;
@@ -28,9 +28,8 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::corpus::Corpus;
-use crate::generator::{apply_typo, build_table, CorpusConfig, NoiseConfig};
-use crate::table::{Column, TableId, TableTruth, WebTable};
+use crate::generator::{apply_typo, build_table, CorpusConfig, GeneratedCorpus, NoiseConfig, TableTruth};
+use crate::table::{Column, TableId, WebTable};
 
 /// A deterministic seed for scenario generation, queried by topic.
 ///
@@ -123,7 +122,7 @@ impl Scenario {
     }
 
     /// Generate this scenario's corpus from a world.
-    pub fn generate(self, world: &World, seed: u64) -> Corpus {
+    pub fn generate(self, world: &World, seed: u64) -> GeneratedCorpus {
         let seed = ScenarioSeed::new(seed);
         match self {
             Scenario::MultilingualHeaders => multilingual_headers(world, seed),
@@ -227,9 +226,9 @@ const MULTILINGUAL_LABEL_HEADERS: [&str; 6] = ["nom", "nombre", "isim", "İsim",
 const MULTILINGUAL_DECORATIONS: [&str; 6] =
     ["(canlı)", "[Zürich]", "İstanbul", "— São Paulo", "(Überarbeitet)", "İzmir"];
 
-fn multilingual_headers(world: &World, seed: ScenarioSeed) -> Corpus {
+fn multilingual_headers(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
     let params = table_params(NoiseConfig::default());
-    let mut corpus = Corpus::new();
+    let mut corpus = GeneratedCorpus::default();
     let mut next_id = 0u64;
     for class in CLASS_KEYS {
         let mut rng = seed.stream(&format!("multilingual/{}", class.name()));
@@ -280,10 +279,10 @@ fn multilingual_headers(world: &World, seed: ScenarioSeed) -> Corpus {
 }
 
 /// Append a scenario table under the next table id.
-fn push_table(corpus: &mut Corpus, next_id: &mut u64, columns: Vec<Column>, truth: TableTruth) {
-    let table = WebTable { id: TableId(*next_id), columns, truth: Some(truth) };
-    debug_assert!(table.validate().and(table.validate_truth()).is_ok());
-    corpus.push(table);
+fn push_table(corpus: &mut GeneratedCorpus, next_id: &mut u64, columns: Vec<Column>, truth: TableTruth) {
+    let table = WebTable { id: TableId(*next_id), columns };
+    debug_assert!(table.validate().and(truth.fits(&table)).is_ok());
+    corpus.push(table, truth);
     *next_id += 1;
 }
 
@@ -313,7 +312,7 @@ const SCIENTIFIC_LABEL_HEADERS: [&str; 4] = ["sample", "subject", "entity", "ite
 /// Footnote markers appended to some label cells.
 const FOOTNOTE_MARKERS: [&str; 3] = ["*", "†", "‡"];
 
-fn scientific_tables(world: &World, seed: ScenarioSeed) -> Corpus {
+fn scientific_tables(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
     // Papers transcribe values carefully: fewer typos/wrong values, but
     // missing cells remain (dashes in the original print).
     let noise = NoiseConfig {
@@ -324,7 +323,7 @@ fn scientific_tables(world: &World, seed: ScenarioSeed) -> Corpus {
         noise_column_rate: 0.0, // scenario adds its own noise columns
     };
     let params = table_params(noise);
-    let mut corpus = Corpus::new();
+    let mut corpus = GeneratedCorpus::default();
     let mut next_id = 0u64;
     for class in CLASS_KEYS {
         let mut rng = seed.stream(&format!("scientific/{}", class.name()));
@@ -380,9 +379,9 @@ fn scientific_tables(world: &World, seed: ScenarioSeed) -> Corpus {
 /// Share of rows drawn from the long tail (entities absent from the KB).
 const NOVEL_TAIL_SHARE: f64 = 0.88;
 
-fn novel_entity_stream(world: &World, seed: ScenarioSeed) -> Corpus {
+fn novel_entity_stream(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
     let params = table_params(NoiseConfig::default());
-    let mut corpus = Corpus::new();
+    let mut corpus = GeneratedCorpus::default();
     let mut next_id = 0u64;
     for class in CLASS_KEYS {
         let mut rng = seed.stream(&format!("novel/{}", class.name()));
@@ -400,10 +399,10 @@ fn novel_entity_stream(world: &World, seed: ScenarioSeed) -> Corpus {
 /// Fraction of a corpus's rows describing entities that exist only in the
 /// world (neither projected into the KB nor confusable). The novel-entity
 /// scenario guarantees this exceeds 0.8.
-pub fn novel_row_share(world: &World, corpus: &Corpus) -> f64 {
+pub fn novel_row_share(world: &World, corpus: &GeneratedCorpus) -> f64 {
     let mut novel = 0usize;
     let mut total = 0usize;
-    for truth in corpus.tables().iter().filter_map(|t| t.truth.as_ref()) {
+    for (_, truth) in corpus.annotated_tables() {
         for &e in &truth.row_entity {
             total += 1;
             if world.entity(e).is_some_and(|entity| !entity.in_kb && !entity.confusable) {
@@ -424,7 +423,7 @@ pub fn novel_row_share(world: &World, corpus: &Corpus) -> f64 {
 /// index sees token collisions on top of the edit-distance crowding.
 const FLOOD_QUALIFIERS: [&str; 4] = ["(live)", "(remix)", "(v2)", "(alt)"];
 
-fn near_duplicate_flood(world: &World, seed: ScenarioSeed) -> Corpus {
+fn near_duplicate_flood(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
     // Heavy label noise: almost every cell is a spelling variant.
     let noise = NoiseConfig {
         label_typo_rate: 0.85,
@@ -434,7 +433,7 @@ fn near_duplicate_flood(world: &World, seed: ScenarioSeed) -> Corpus {
         noise_column_rate: 0.10,
     };
     let params = table_params(noise);
-    let mut corpus = Corpus::new();
+    let mut corpus = GeneratedCorpus::default();
     let mut next_id = 0u64;
     for class in CLASS_KEYS {
         let mut rng = seed.stream(&format!("flood/{}", class.name()));
@@ -476,10 +475,25 @@ fn near_duplicate_flood(world: &World, seed: ScenarioSeed) -> Corpus {
 
 // ── Shared test fixture (formerly tests/common) ─────────────────────────
 
-/// The label column a fixture decorates: the truth's, or the generators'
-/// column 0 for a table without truth.
-fn truth_label_column(table: &WebTable) -> usize {
-    table.truth.as_ref().map_or(0, |truth| truth.label_column)
+/// Append copies of the first `count` tables of a corpus, under fresh ids
+/// and with their truth, after `decorate` rewrote each copy's label cells
+/// (row index, cell).
+fn append_decorated_copies(
+    corpus: &mut GeneratedCorpus,
+    count: usize,
+    decorate: impl Fn(usize, &mut String),
+) {
+    let max_id = corpus.tables().iter().map(|t| t.id.raw()).max().unwrap_or(0);
+    let templates: Vec<(WebTable, TableTruth)> =
+        corpus.annotated_tables().take(count).map(|(t, truth)| (t.clone(), truth.clone())).collect();
+    for (i, (mut table, truth)) in templates.into_iter().enumerate() {
+        table.id = TableId(max_id + 1 + i as u64);
+        for (row, cell) in table.columns[truth.label_column].cells.iter_mut().enumerate() {
+            decorate(row, cell);
+        }
+        assert!(table.validate().is_ok(), "a decorated fixture table must stay consistent");
+        corpus.push(table, truth);
+    }
 }
 
 /// Append copies of the first few tables of a corpus whose labels carry
@@ -490,22 +504,14 @@ fn truth_label_column(table: &WebTable) -> usize {
 /// `qualifiers` are the three decorations applied round-robin per row:
 /// a `(...)` suffix, a `[...]` suffix, and a non-ASCII prefix that should
 /// include a multi-char lowercase expansion such as 'İ'.
-pub fn with_exotic_labels(mut corpus: Corpus, qualifiers: [&str; 3]) -> Corpus {
-    let max_id = corpus.tables().iter().map(|t| t.id.raw()).max().unwrap_or(0);
-    let templates: Vec<_> = corpus.tables().iter().take(3).cloned().collect();
-    for (i, mut table) in templates.into_iter().enumerate() {
-        table.id = TableId(max_id + 1 + i as u64);
-        let label_col = truth_label_column(&table);
-        for (row, cell) in table.columns[label_col].cells.iter_mut().enumerate() {
-            *cell = match row % 3 {
-                0 => format!("{cell} {}", qualifiers[0]),
-                1 => format!("{cell} {}", qualifiers[1]),
-                _ => format!("{} {cell}", qualifiers[2]),
-            };
-        }
-        assert!(table.validate().is_ok(), "exotic fixture table must stay consistent");
-        corpus.push(table);
-    }
+pub fn with_exotic_labels(mut corpus: GeneratedCorpus, qualifiers: [&str; 3]) -> GeneratedCorpus {
+    append_decorated_copies(&mut corpus, 3, |row, cell| {
+        *cell = match row % 3 {
+            0 => format!("{cell} {}", qualifiers[0]),
+            1 => format!("{cell} {}", qualifiers[1]),
+            _ => format!("{} {cell}", qualifiers[2]),
+        };
+    });
     corpus
 }
 
@@ -514,29 +520,19 @@ pub fn with_exotic_labels(mut corpus: Corpus, qualifiers: [&str; 3]) -> Corpus {
 /// every layer that compares labels — blocking, clustering, fuzzy serving
 /// — must handle tokens that overflow a single machine word of the
 /// bit-parallel Levenshtein kernel, inside the tier-1 bit-identity proofs.
-pub fn with_long_labels(mut corpus: Corpus, stem: &str) -> Corpus {
+pub fn with_long_labels(mut corpus: GeneratedCorpus, stem: &str) -> GeneratedCorpus {
     assert!(!stem.is_empty(), "stem must be non-empty");
     let mut stretch = String::new();
     while stretch.chars().count() <= 64 {
         stretch.push_str(stem);
     }
-    let max_id = corpus.tables().iter().map(|t| t.id.raw()).max().unwrap_or(0);
-    let templates: Vec<_> = corpus.tables().iter().take(2).cloned().collect();
-    for (i, mut table) in templates.into_iter().enumerate() {
-        table.id = TableId(max_id + 1 + i as u64);
-        let label_col = truth_label_column(&table);
-        for (row, cell) in table.columns[label_col].cells.iter_mut().enumerate() {
-            *cell = match row % 3 {
-                0 => format!("{cell} {stretch}"),
-                1 => format!("{stretch} {cell}"),
-                // Every third row keeps its original label so long and
-                // short tokens compete inside one block.
-                _ => cell.clone(),
-            };
-        }
-        assert!(table.validate().is_ok(), "long-label fixture table must stay consistent");
-        corpus.push(table);
-    }
+    append_decorated_copies(&mut corpus, 2, |row, cell| match row % 3 {
+        0 => *cell = format!("{cell} {stretch}"),
+        1 => *cell = format!("{stretch} {cell}"),
+        // Every third row keeps its original label so long and short
+        // tokens compete inside one block.
+        _ => {}
+    });
     corpus
 }
 
@@ -549,10 +545,6 @@ mod tests {
 
     fn tiny_world() -> World {
         generate_world(&GeneratorConfig::new(Scale::tiny(), 11))
-    }
-
-    fn truth(table: &WebTable) -> &TableTruth {
-        table.truth.as_ref().expect("scenario tables carry truth")
     }
 
     #[test]
@@ -586,11 +578,13 @@ mod tests {
             let a = scenario.generate(&world, 7);
             let b = scenario.generate(&world, 7);
             assert_eq!(a.tables(), b.tables(), "{}: corpus must be a pure function of the seed", scenario.name());
+            assert!(a.annotated_tables().eq(b.annotated_tables()), "{}: so must its truth", scenario.name());
             let other = scenario.generate(&world, 8);
             assert_ne!(a.tables(), other.tables(), "{}: different seeds must differ", scenario.name());
             assert_eq!(a.len(), TABLES_PER_CLASS * CLASS_KEYS.len());
+            a.validate_truth().unwrap_or_else(|e| panic!("{}: {e}", scenario.name()));
             for table in a.tables() {
-                table.validate().and(table.validate_truth()).unwrap_or_else(|e| {
+                table.validate().unwrap_or_else(|e| {
                     panic!("{}: invalid table {}: {e}", scenario.name(), table.id.raw())
                 });
                 assert!(table.num_columns() >= 2);
@@ -604,15 +598,14 @@ mod tests {
         let corpus = Scenario::MultilingualHeaders.generate(&world, 3);
         let mut has_dotted_i = false;
         let mut foreign_headers = 0usize;
-        for table in corpus.tables() {
-            let label_col = truth_label_column(table);
-            for cell in &table.columns[label_col].cells {
+        for (table, truth) in corpus.annotated_tables() {
+            for cell in &table.columns[truth.label_column].cells {
                 if cell.contains('İ') {
                     has_dotted_i = true;
                 }
             }
             for (ci, column) in table.columns.iter().enumerate() {
-                if let Some(prop) = truth(table).column_property[ci].as_deref() {
+                if let Some(prop) = truth.column_property[ci].as_deref() {
                     if multilingual_headers_for(prop).contains(&column.header.as_str()) {
                         foreign_headers += 1;
                     }
@@ -630,7 +623,7 @@ mod tests {
         let mut n_columns = 0usize;
         let mut footnoted = 0usize;
         let mut unit_headers = 0usize;
-        for table in corpus.tables() {
+        for (table, truth) in corpus.annotated_tables() {
             for column in &table.columns {
                 if column.header == "n" || column.header == "ref." {
                     n_columns += 1;
@@ -639,8 +632,7 @@ mod tests {
                     unit_headers += 1;
                 }
             }
-            let label_col = truth_label_column(table);
-            for cell in &table.columns[label_col].cells {
+            for cell in &table.columns[truth.label_column].cells {
                 if FOOTNOTE_MARKERS.iter().any(|m| cell.ends_with(m)) {
                     footnoted += 1;
                 }
@@ -669,10 +661,9 @@ mod tests {
         // Count distinct label strings per entity: the flood must spread
         // each recurring entity over several distinct variants.
         let mut variants: HashMap<EntityId, std::collections::HashSet<String>> = HashMap::new();
-        for table in corpus.tables() {
-            let label_col = truth_label_column(table);
-            for (ri, cell) in table.columns[label_col].cells.iter().enumerate() {
-                variants.entry(truth(table).row_entity[ri]).or_default().insert(cell.clone());
+        for (table, truth) in corpus.annotated_tables() {
+            for (ri, cell) in table.columns[truth.label_column].cells.iter().enumerate() {
+                variants.entry(truth.row_entity[ri]).or_default().insert(cell.clone());
             }
         }
         let multi_variant = variants.values().filter(|v| v.len() >= 3).count();
@@ -681,9 +672,8 @@ mod tests {
             "only {multi_variant} entities with >= 3 label variants — flood too tame"
         );
         let qualified = corpus
-            .tables()
-            .iter()
-            .flat_map(|t| t.columns[truth_label_column(t)].cells.iter())
+            .annotated_tables()
+            .flat_map(|(t, truth)| t.columns[truth.label_column].cells.iter())
             .filter(|c| FLOOD_QUALIFIERS.iter().any(|q| c.contains(q)))
             .count();
         assert!(qualified > 20, "only {qualified} qualifier-decorated labels");
@@ -696,10 +686,9 @@ mod tests {
         let before = base.len();
         let corpus = with_exotic_labels(base, ["(Live)", "[Zürich]", "\u{130}zmir"]);
         assert_eq!(corpus.len(), before + 3);
-        let appended = &corpus.tables()[before..];
-        for table in appended {
-            let label_col = truth_label_column(table);
-            assert!(table.columns[label_col]
+        corpus.validate_truth().expect("each copy carries its template's truth");
+        for (table, truth) in corpus.annotated_tables().skip(before) {
+            assert!(table.columns[truth.label_column]
                 .cells
                 .iter()
                 .any(|c| c.contains("(Live)") || c.contains("[Zürich]") || c.contains('\u{130}')));

@@ -1,7 +1,5 @@
 //! The relational web table model.
 
-use ltee_kb::{ClassKey, EntityId};
-
 /// Identifier of a table within a corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u64);
@@ -44,24 +42,6 @@ pub struct Column {
     pub cells: Vec<String>,
 }
 
-/// Ground truth attached to a generated table.
-///
-/// Only the corpus generators write this, and only the gold standard and the
-/// evaluation read it; pipeline components operate exclusively on the raw
-/// [`Column`]s, and the serve path neither keeps nor persists it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableTruth {
-    /// The class the table is about.
-    pub class: ClassKey,
-    /// Index of the true label attribute column.
-    pub label_column: usize,
-    /// For each column, the knowledge base property it publishes (`None` for
-    /// the label column and for noise columns).
-    pub column_property: Vec<Option<String>>,
-    /// For each row, the world entity it describes.
-    pub row_entity: Vec<EntityId>,
-}
-
 /// A relational web table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WebTable {
@@ -69,9 +49,6 @@ pub struct WebTable {
     pub id: TableId,
     /// The columns (including the label attribute).
     pub columns: Vec<Column>,
-    /// Ground truth for evaluation (see [`TableTruth`]): set by the
-    /// generators, absent from every table the serve path holds.
-    pub truth: Option<TableTruth>,
 }
 
 impl WebTable {
@@ -101,39 +78,13 @@ impl WebTable {
     }
 
     /// Check the internal consistency of the table: every column has the
-    /// same number of cells. This is everything a stored table has, so it
-    /// is what ingest accepts and what the decoders require.
+    /// same number of cells. Ingest and the decoders require it.
     pub fn validate(&self) -> Result<(), String> {
         let rows = self.num_rows();
         for (i, c) in self.columns.iter().enumerate() {
             if c.cells.len() != rows {
                 return Err(format!("column {i} has {} cells, expected {rows}", c.cells.len()));
             }
-        }
-        Ok(())
-    }
-
-    /// Check that the table's ground truth, if any, fits its shape: one
-    /// annotation per column and per row, and a label column that exists.
-    /// Whoever reads the truth checks it.
-    pub fn validate_truth(&self) -> Result<(), String> {
-        let Some(truth) = &self.truth else { return Ok(()) };
-        if truth.column_property.len() != self.columns.len() {
-            return Err(format!(
-                "truth has {} column annotations for {} columns",
-                truth.column_property.len(),
-                self.columns.len()
-            ));
-        }
-        if truth.row_entity.len() != self.num_rows() {
-            return Err(format!(
-                "truth has {} row annotations for {} rows",
-                truth.row_entity.len(),
-                self.num_rows()
-            ));
-        }
-        if truth.label_column >= self.columns.len() {
-            return Err("label column out of range".to_string());
         }
         Ok(())
     }
@@ -150,17 +101,7 @@ mod tests {
                 Column { header: "player".into(), cells: vec!["Tom Brady".into(), "Eli Manning".into()] },
                 Column { header: "team".into(), cells: vec!["Patriots".into(), "Giants".into()] },
             ],
-            truth: Some(TableTruth {
-                class: ClassKey::GridironFootballPlayer,
-                label_column: 0,
-                column_property: vec![None, Some("team".into())],
-                row_entity: vec![EntityId(10), EntityId(11)],
-            }),
         }
-    }
-
-    fn truth(t: &mut WebTable) -> &mut TableTruth {
-        t.truth.as_mut().unwrap()
     }
 
     #[test]
@@ -194,10 +135,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_consistent_table() {
-        let t = sample_table();
-        assert!(t.validate().is_ok() && t.validate_truth().is_ok());
-        let bare = WebTable { truth: None, ..t };
-        assert!(bare.validate().is_ok() && bare.validate_truth().is_ok());
+        assert!(sample_table().validate().is_ok());
     }
 
     #[test]
@@ -205,26 +143,6 @@ mod tests {
         let mut t = sample_table();
         t.columns[1].cells.pop();
         assert!(t.validate().is_err());
-        t.truth = None;
-        assert!(t.validate().is_err(), "a ragged table is ragged with or without truth");
-    }
-
-    #[test]
-    fn validate_rejects_wrong_truth_lengths() {
-        let mut t = sample_table();
-        truth(&mut t).row_entity.pop();
-        assert!(t.validate().is_ok(), "the stored table is fine");
-        assert!(t.validate_truth().is_err());
-        let mut t2 = sample_table();
-        truth(&mut t2).column_property.push(None);
-        assert!(t2.validate_truth().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_label_column() {
-        let mut t = sample_table();
-        truth(&mut t).label_column = 7;
-        assert!(t.validate_truth().is_err());
     }
 
     #[test]

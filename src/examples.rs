@@ -279,11 +279,10 @@ fn write_class_stats(w: &mut dyn Write, snap: &ltee_serve::KbSnapshot) -> io::Re
     Ok(())
 }
 
-/// The label cells of a corpus's first table, by its ground truth (none
-/// when the table carries no truth).
-fn first_table_labels(corpus: &Corpus) -> Option<&[String]> {
-    let table = corpus.tables().first()?;
-    Some(&table.columns[table.truth.as_ref()?.label_column].cells)
+/// The label cells of a corpus's first table, by its ground truth.
+fn first_table_labels(corpus: &GeneratedCorpus) -> Option<&[String]> {
+    let (table, truth) = corpus.annotated_tables().next()?;
+    Some(&table.columns[truth.label_column].cells)
 }
 
 /// Body of `examples/multilingual_headers.rs`: the messy-multilingual-header

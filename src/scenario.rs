@@ -26,8 +26,8 @@ use ltee_serve::ServePipeline;
 pub struct TrainedWorld {
     /// The synthetic world (KB + long-tail ground truth).
     pub world: World,
-    /// The corpus the models were trained on.
-    pub corpus: Corpus,
+    /// The corpus the models were trained on, with its ground truth.
+    pub corpus: GeneratedCorpus,
     /// Per-class gold standards derived from the generator's ground truth.
     pub golds: Vec<GoldStandard>,
     /// The pipeline configuration used for training (and later runs).
@@ -72,7 +72,7 @@ impl TrainedWorld {
     }
 
     /// Generate a scenario corpus for this world (see [`Scenario`]).
-    pub fn scenario_corpus(&self, scenario: Scenario, seed: u64) -> Corpus {
+    pub fn scenario_corpus(&self, scenario: Scenario, seed: u64) -> GeneratedCorpus {
         scenario.generate(&self.world, seed)
     }
 

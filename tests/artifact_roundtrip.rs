@@ -8,7 +8,7 @@
 
 use ltee_core::prelude::*;
 
-fn setup() -> (World, Corpus, PipelineConfig, TrainedModels) {
+fn setup() -> (World, GeneratedCorpus, PipelineConfig, TrainedModels) {
     let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 77));
     let corpus = generate_corpus(&world, &CorpusConfig::tiny());
     let golds: Vec<GoldStandard> =

@@ -16,7 +16,7 @@ use ltee_webtables::RowRef;
 
 struct Setup {
     world: World,
-    corpus: Corpus,
+    corpus: GeneratedCorpus,
     gold: GoldStandard,
     mapping: ltee_matching::CorpusMapping,
 }

@@ -11,7 +11,7 @@ use ltee_core::prelude::*;
 
 use ltee::scenario as common;
 
-fn setup() -> (World, Corpus, ModelArtifact) {
+fn setup() -> (World, GeneratedCorpus, ModelArtifact) {
     let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 4711));
     let corpus = generate_corpus(&world, &CorpusConfig::tiny());
     let golds: Vec<GoldStandard> =

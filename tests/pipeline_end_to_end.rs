@@ -8,7 +8,7 @@
 use ltee_core::prelude::*;
 use ltee_eval::{evaluate_facts, evaluate_new_instances};
 
-fn setup() -> (World, Corpus, Vec<GoldStandard>, PipelineOutput) {
+fn setup() -> (World, GeneratedCorpus, Vec<GoldStandard>, PipelineOutput) {
     let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2024));
     let corpus = generate_corpus(&world, &CorpusConfig::tiny());
     let golds: Vec<GoldStandard> =

@@ -61,7 +61,6 @@ use ltee_core::prelude::*;
 use ltee_serve::{CheckpointPolicy, DurableServePipeline, EntityRef, Query, QueryOutput, RecoveryReport};
 use ltee_store::wal::{encode_wal_header, encode_wal_record, WAL_RECORD_HEADER_LEN};
 use ltee_store::{KbStore, StoreError};
-use ltee_webtables::WebTable;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -77,7 +76,7 @@ fn config_sharded(parallelism: Parallelism, shards: ShardPlan) -> PipelineConfig
 /// labels, as in `incremental_equivalence.rs`).
 struct Setup {
     tw: common::TrainedWorld,
-    stream: Corpus,
+    stream: GeneratedCorpus,
 }
 
 fn setup(parallelism: Parallelism) -> Setup {
@@ -108,14 +107,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// exact lookups of real stream labels, fuzzy lookups with a typo (across
 /// classes and restricted to one), record fetches inside and past a
 /// class's range, paging and stats.
-fn query_mix(stream: &Corpus) -> Vec<Query> {
+fn query_mix(stream: &GeneratedCorpus) -> Vec<Query> {
     let mut queries = vec![Query::Stats];
     let labels: Vec<String> = stream
-        .tables()
-        .iter()
+        .annotated_tables()
         .step_by(7)
         .take(8)
-        .filter_map(|t| t.columns[t.truth.as_ref()?.label_column].cells.first())
+        .filter_map(|(t, truth)| t.columns[truth.label_column].cells.first())
         .filter(|l| !l.is_empty())
         .cloned()
         .collect();
@@ -132,9 +130,8 @@ fn query_mix(stream: &Corpus) -> Vec<Query> {
         queries.push(Query::Entity { entity: EntityRef { class, id: 0 } });
         queries.push(Query::Entity { entity: EntityRef { class, id: u32::MAX } });
         let (own, truth) = stream
-            .tables()
-            .iter()
-            .find_map(|t| Some((t, t.truth.as_ref().filter(|truth| truth.class == class)?)))
+            .annotated_tables()
+            .find(|(_, truth)| truth.class == class)
             .expect("a table per class");
         let mut typo = own.cell(0, truth.label_column).expect("a labelled row").to_string();
         typo.pop();
@@ -402,46 +399,6 @@ fn recovery_rejects_stores_written_under_a_different_config() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The store holds what the pipeline decided, not the answer key: the same
-/// batches with and without their tables' ground truth publish the same
-/// snapshot after every batch, answer the query mix alike and leave
-/// byte-identical checkpoints and WAL.
-#[test]
-fn the_served_kb_does_not_depend_on_ground_truth() {
-    let setup = setup(Parallelism::Auto);
-    let batches = setup.stream.split_into_batches(4);
-    let stripped: Vec<Corpus> = batches
-        .iter()
-        .map(|batch| {
-            let tables = batch.tables().iter().map(|t| WebTable { truth: None, ..t.clone() });
-            Corpus::from_tables(tables.collect())
-        })
-        .collect();
-    assert!(batches.iter().flat_map(Corpus::tables).all(|t| t.truth.is_some()));
-
-    let run = |batches: &[Corpus], tag: &str| {
-        let dir = scratch_dir(tag);
-        let (fingerprints, outputs) =
-            reference_run(&setup, batches, &dir, CheckpointPolicy::EveryBatches(2));
-        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|entry| {
-                let entry = entry.unwrap();
-                (entry.file_name().to_string_lossy().into_owned(), fs::read(entry.path()).unwrap())
-            })
-            .collect();
-        files.sort();
-        fs::remove_dir_all(&dir).unwrap();
-        (fingerprints, outputs, files)
-    };
-    let (fingerprints, outputs, files) = run(&batches, "with-truth");
-    let (bare_fingerprints, bare_outputs, bare_files) = run(&stripped, "without-truth");
-    assert_eq!(fingerprints, bare_fingerprints, "snapshot fingerprints after every batch");
-    assert_eq!(outputs, bare_outputs, "query-mix outputs");
-    assert_eq!(files.len(), 3, "two checkpoints and the WAL");
-    assert!(files == bare_files, "the store's bytes depend on ground truth");
-}
-
 /// A batch holding a table the log's decoder would refuse is refused by
 /// ingest before it reaches the log: an acknowledged batch always reads
 /// back, so the store cannot be bricked by one.
@@ -496,8 +453,8 @@ fn an_undecodable_wal_record_is_named_by_its_batch_number() {
         let dir = scratch_dir(&format!("undecodable-{tag}"));
         fs::create_dir_all(&dir).unwrap();
         let mut wal = encode_wal_header(fingerprint);
-        wal.extend_from_slice(&encode_wal_record(1, &batch));
-        wal.extend_from_slice(&encode_wal_record(2, &payload));
+        wal.extend_from_slice(&encode_wal_record(1, &batch).unwrap());
+        wal.extend_from_slice(&encode_wal_record(2, &payload).unwrap());
         fs::write(KbStore::wal_path(&dir), &wal).unwrap();
         let err = DurableServePipeline::open(
             &dir,

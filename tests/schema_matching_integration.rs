@@ -9,7 +9,7 @@ use ltee_core::prelude::*;
 use ltee_matching::{learn_weights, match_corpus, MatcherWeights, SchemaMatchingConfig};
 use ltee_webtables::GoldStandard;
 
-fn setup() -> (World, Corpus, Vec<GoldStandard>) {
+fn setup() -> (World, GeneratedCorpus, Vec<GoldStandard>) {
     let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 501));
     let corpus = generate_corpus(&world, &CorpusConfig::tiny());
     let golds: Vec<GoldStandard> =
@@ -33,7 +33,7 @@ fn table_to_class_matching_is_mostly_correct() {
         let tm = mapping.table(table.id).expect("every table gets a mapping");
         if let Some(class) = tm.class {
             decided += 1;
-            if table.truth.as_ref().is_some_and(|truth| truth.class == class) {
+            if corpus.truth(table.id).is_some_and(|truth| truth.class == class) {
                 correct += 1;
             }
         }
@@ -112,15 +112,15 @@ fn extracted_row_values_match_ground_truth_facts() {
     );
     let mut correct = 0usize;
     let mut total = 0usize;
-    for table in corpus.tables() {
+    for (table, truth) in corpus.annotated_tables() {
         for row_ref in table.row_refs() {
             let values = mapping.row_values(&corpus, row_ref);
-            let entity = world.entity(table.truth.as_ref().unwrap().row_entity[row_ref.row]).unwrap();
+            let entity = world.entity(truth.row_entity[row_ref.row]).unwrap();
             for (prop, value) in &values.values {
-                let Some(truth) = entity.fact(prop) else { continue };
+                let Some(fact) = entity.fact(prop) else { continue };
                 total += 1;
                 let dtype = value.data_type();
-                if ltee_types::value_equivalent(value, truth, dtype, &ltee_types::EquivalenceConfig::lenient()) {
+                if ltee_types::value_equivalent(value, fact, dtype, &ltee_types::EquivalenceConfig::lenient()) {
                     correct += 1;
                 }
             }

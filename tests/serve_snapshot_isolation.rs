@@ -35,7 +35,7 @@ use ltee::scenario as common;
 const READERS: usize = 4;
 const MICRO_BATCHES: usize = 5;
 
-fn setup() -> (World, Corpus, ModelArtifact) {
+fn setup() -> (World, GeneratedCorpus, ModelArtifact) {
     let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 9001));
     let corpus = generate_corpus(&world, &CorpusConfig::tiny());
     let golds: Vec<GoldStandard> =
