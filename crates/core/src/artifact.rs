@@ -230,6 +230,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn shipped_config_fingerprint_is_pinned() {
+        // Every stored artifact and checkpoint carries this word; moving it
+        // makes every one of them refuse to load.
+        assert_eq!(config_fingerprint(&PipelineConfig::fast()), 0x72e03a8bac34d7e7);
+    }
+
+    #[test]
     fn fingerprint_ignores_training_and_thread_settings() {
         let base = PipelineConfig::default();
         let mut training_changed = PipelineConfig::default();

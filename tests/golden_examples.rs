@@ -11,7 +11,8 @@
 //! `LTEE_UPDATE_GOLDEN=1 cargo test --test golden_examples` — then review
 //! the fixture diff like any other code change.
 //!
-//! Expected runtime: ~1 min in debug (four training runs, one per example).
+//! Expected runtime: ~1 min in debug (one training run per example, plus
+//! the paper tables' several on the tiny experiment world, ~7 s).
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -97,4 +98,10 @@ fn novel_entity_stream_output_is_pinned() {
 #[test]
 fn near_duplicate_flood_output_is_pinned() {
     assert_golden("near_duplicate_flood", ltee::examples::near_duplicate_flood);
+}
+
+#[test]
+fn paper_tables_output_is_pinned() {
+    // The per-table seconds are wall-clock; only the tables are pinned.
+    assert_golden("paper_tables", |w| ltee::examples::paper_tables(w, &mut std::io::sink()));
 }
