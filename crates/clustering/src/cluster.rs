@@ -16,38 +16,32 @@ use crate::metrics::{PhiTableVectors, RowProbe, RowSimilarityModel};
 /// thread count — so the scored value stays deterministic.
 const MIN_PARALLEL_MERGE_PAIRS: usize = 256;
 
-/// Configuration of the clustering algorithm.
+/// Configuration of the clustering algorithm: the two switches whose off
+/// paths tests use as references. The rest of the algorithm's settings are
+/// the associated constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusteringConfig {
     /// Whether blocking is applied (rows are only compared to clusters
     /// sharing a block). Disable to measure blocking's effect.
     pub use_blocking: bool,
-    /// Number of similar labels retrieved per row when assigning blocks.
-    pub block_candidates: usize,
-    /// Number of rows assigned per parallel batch of the greedy pass.
-    pub batch_size: usize,
     /// Whether the KLj refinement runs after the greedy pass.
     pub use_klj: bool,
-    /// Maximum number of KLj improvement passes.
-    pub max_klj_passes: usize,
 }
 
 impl ClusteringConfig {
-    /// Default ceiling on KLj refinement passes. The refinement loop also
-    /// stops as soon as a full pass makes no improving move (convergence),
-    /// so this bounds the worst case rather than the typical one.
-    pub const DEFAULT_MAX_KLJ_PASSES: usize = 3;
+    /// Number of similar labels retrieved per row when assigning blocks.
+    pub const BLOCK_CANDIDATES: usize = 8;
+    /// Number of rows assigned per parallel batch of the greedy pass.
+    pub const BATCH_SIZE: usize = 64;
+    /// Ceiling on KLj refinement passes. The refinement loop also stops as
+    /// soon as a full pass makes no improving move (convergence), so this
+    /// bounds the worst case rather than the typical one.
+    pub const MAX_KLJ_PASSES: usize = 3;
 }
 
 impl Default for ClusteringConfig {
     fn default() -> Self {
-        Self {
-            use_blocking: true,
-            block_candidates: 8,
-            batch_size: 64,
-            use_klj: true,
-            max_klj_passes: Self::DEFAULT_MAX_KLJ_PASSES,
-        }
+        Self { use_blocking: true, use_klj: true }
     }
 }
 
@@ -115,7 +109,7 @@ pub fn cluster_rows(
                 let mut set = HashSet::new();
                 if let Some(sym) = label_syms[i] {
                     set.insert(sym);
-                    for m in index.lookup(&ctx.normalized_label, config.block_candidates) {
+                    for m in index.lookup(&ctx.normalized_label, ClusteringConfig::BLOCK_CANDIDATES) {
                         set.insert(m.normalized);
                     }
                 }
@@ -137,7 +131,7 @@ pub fn cluster_rows(
     let mut cluster_blocks: Vec<HashSet<Sym>> = Vec::new();
 
     let order: Vec<usize> = (0..contexts.len()).collect();
-    for batch in order.chunks(config.batch_size.max(1)) {
+    for batch in order.chunks(ClusteringConfig::BATCH_SIZE) {
         let assignments: Vec<(usize, Option<usize>)> = batch
             .par_iter()
             .map(|&row_idx| {
@@ -230,7 +224,7 @@ fn refine_klj(
     config: &ClusteringConfig,
     interner: &Interner,
 ) {
-    for _ in 0..config.max_klj_passes {
+    for _ in 0..ClusteringConfig::MAX_KLJ_PASSES {
         let mut improved = false;
 
         // Move / split: for every row, check whether leaving its cluster (to

@@ -156,7 +156,7 @@ fn blocks_of_row(block_index: &mut LabelIndex, config: &ClusteringConfig, label:
     }
     blocks.push(block_index.intern_label(label));
     if config.use_blocking {
-        for m in block_index.lookup(label, config.block_candidates) {
+        for m in block_index.lookup(label, ClusteringConfig::BLOCK_CANDIDATES) {
             if !blocks.contains(&m.normalized) {
                 blocks.push(m.normalized);
             }
@@ -182,9 +182,8 @@ fn reachable(partial: f64, left: usize) -> f64 {
 }
 
 impl StreamingClusterer {
-    /// Create an empty clusterer. Only the `use_blocking` /
-    /// `block_candidates` fields of the config are consulted — the greedy
-    /// batch size and KLj settings belong to the batch path.
+    /// Create an empty clusterer. Only `use_blocking` is consulted — KLj
+    /// belongs to the batch path.
     pub fn new(config: ClusteringConfig) -> Self {
         Self {
             config,
@@ -519,7 +518,7 @@ mod tests {
                 if !label.is_empty() {
                     blocks.insert(block_index.intern_label(label));
                     if config.use_blocking {
-                        for m in block_index.lookup(label, config.block_candidates) {
+                        for m in block_index.lookup(label, ClusteringConfig::BLOCK_CANDIDATES) {
                             blocks.insert(m.normalized);
                         }
                     }
@@ -627,7 +626,6 @@ mod tests {
         let implicit = ImplicitAttributes::default();
         let configs = [
             ClusteringConfig::default(),
-            ClusteringConfig { block_candidates: 2, ..ClusteringConfig::default() },
             ClusteringConfig { use_blocking: false, ..ClusteringConfig::default() },
         ];
         let (mut tied_rows, mut rejected_rows) = (0, 0);
@@ -636,7 +634,7 @@ mod tests {
             let (rows, phi) = seeded_stream(seed, 90, &mut interner);
             assert!(rows.iter().any(|r| r.normalized_label.is_empty()), "seed {seed}: no label-free row");
             let model = &models[seed as usize % models.len()];
-            let config = &configs[seed as usize % configs.len()];
+            let config = &configs[seed as usize / models.len() % configs.len()];
             let mut oracle = ScanEverything::new(config.clone());
             let mut clusterer = StreamingClusterer::new(config.clone());
             for chunk in rows.chunks(1 + seed as usize * 7) {

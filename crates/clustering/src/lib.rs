@@ -43,6 +43,6 @@ pub use cluster::{cluster_rows, Clustering, ClusteringConfig};
 pub use context::{build_row_contexts, ImplicitAttributes, RowContext};
 pub use incremental::{StreamingClusterer, StreamingPhi};
 pub use metrics::{metric_features, RowMetricKind, RowProbe, RowSimilarityModel};
-pub use train::{build_pair_dataset, RowModelTrainingConfig};
+pub use train::{build_pair_dataset, ROW_MODEL_TRAINING};
 
 pub use ltee_ml::AggregationMethod;

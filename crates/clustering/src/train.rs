@@ -7,55 +7,38 @@
 use std::collections::HashMap;
 
 use ltee_intern::Interner;
-use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseTrainingConfig, Sample};
+use ltee_ml::{Dataset, GeneticConfig, PairFeatures, PairwiseTrainingConfig, RandomForestConfig, Sample};
 use ltee_webtables::{GoldStandard, RowRef};
 use rayon::prelude::*;
 
 use crate::context::{ImplicitAttributes, RowContext};
 use crate::metrics::{metric_features, PhiTableVectors, RowMetricKind, RowSimilarityModel};
 
-/// Training configuration for the row similarity model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowModelTrainingConfig {
-    /// Which aggregation approach to train.
-    pub aggregation: AggregationMethod,
-    /// Negative pairs sampled per positive pair (before balancing).
-    pub negatives_per_positive: usize,
-    /// Underlying pairwise model training configuration.
-    pub pairwise: PairwiseTrainingConfig,
-}
+/// How the row similarity model is trained (with
+/// [`AggregationMethod::Combined`](ltee_ml::AggregationMethod::Combined)).
+/// The paper trains it once, under one setting; this is that setting.
+pub const ROW_MODEL_TRAINING: PairwiseTrainingConfig = PairwiseTrainingConfig {
+    genetic: GeneticConfig { population: 20, generations: 15, seed: 101 },
+    forest: RandomForestConfig {
+        num_trees: 20,
+        max_depth: 8,
+        min_samples_split: 4,
+        features_per_split: None,
+        bootstrap_fraction: 1.0,
+        seed: 13,
+    },
+    upsample_seed: 11,
+};
 
-impl Default for RowModelTrainingConfig {
-    fn default() -> Self {
-        Self {
-            aggregation: AggregationMethod::Combined,
-            negatives_per_positive: 3,
-            pairwise: PairwiseTrainingConfig::default(),
-        }
-    }
-}
-
-impl RowModelTrainingConfig {
-    /// A fast configuration for tests and small experiments.
-    pub fn fast() -> Self {
-        Self {
-            aggregation: AggregationMethod::Combined,
-            negatives_per_positive: 2,
-            pairwise: PairwiseTrainingConfig {
-                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, ..Default::default() },
-                forest: ltee_ml::RandomForestConfig { num_trees: 20, max_depth: 8, ..Default::default() },
-                upsample_seed: 11,
-            },
-        }
-    }
-}
+/// Negative pairs sampled per positive pair (before balancing).
+const NEGATIVES_PER_POSITIVE: usize = 2;
 
 /// Build a pairwise training dataset from gold clusters restricted to the
 /// rows available in `contexts` (typically the learning folds).
 ///
 /// Positive pairs are all within-cluster row pairs; negative pairs are
 /// cross-cluster pairs with similar labels (hard negatives) plus a few
-/// random ones, capped at `negatives_per_positive` times the positives.
+/// random ones, capped at twice the positives.
 ///
 /// Panics if `metrics` lists more than [`PairFeatures::MAX_METRICS`].
 pub fn build_pair_dataset(
@@ -64,14 +47,13 @@ pub fn build_pair_dataset(
     metrics: &[RowMetricKind],
     phi: &PhiTableVectors,
     implicit: &ImplicitAttributes,
-    config: &RowModelTrainingConfig,
     interner: &Interner,
 ) -> Dataset {
     PairFeatures::assert_metric_count(metrics.len());
     let mut dataset = Dataset::new(RowSimilarityModel::feature_names(metrics));
 
     let (cluster_of, positives) = gold_pairs(contexts, gold);
-    let max_negatives = positives.len().max(1) * config.negatives_per_positive;
+    let max_negatives = positives.len().max(1) * NEGATIVES_PER_POSITIVE;
     let negatives = select_negatives(&cluster_of, max_negatives, |i, j| {
         ltee_text::monge_elkan_tokens(&contexts[i].label_tokens, &contexts[j].label_tokens, interner)
     });
@@ -208,7 +190,7 @@ fn select_negatives_in_blocks(
 mod tests {
     use super::*;
     use ltee_kb::{generate_world, ClassKey, GeneratorConfig, Scale};
-    use ltee_ml::MetricKind;
+    use ltee_ml::{AggregationMethod, MetricKind};
     use ltee_matching::{match_corpus, MatcherWeights, SchemaMatchingConfig};
     use ltee_webtables::{generate_corpus, CorpusConfig};
 
@@ -242,7 +224,7 @@ mod tests {
     fn pair_dataset_has_both_classes_and_correct_arity() {
         let (contexts, gold, phi, implicit, interner) = setup();
         let metrics = RowMetricKind::ALL.to_vec();
-        let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &RowModelTrainingConfig::fast(), &interner);
+        let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &interner);
         assert!(ds.positives() > 0, "need positive pairs");
         assert!(ds.negatives() > 0, "need negative pairs");
         assert_eq!(ds.num_features(), 8);
@@ -282,9 +264,8 @@ mod tests {
     fn trained_model_separates_same_and_different_entities() {
         let (contexts, gold, phi, implicit, interner) = setup();
         let metrics = RowMetricKind::ALL.to_vec();
-        let config = RowModelTrainingConfig::fast();
-        let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &config, &interner);
-        let model = RowSimilarityModel::train(&ds, metrics, config.aggregation, &config.pairwise);
+        let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &interner);
+        let model = RowSimilarityModel::train(&ds, metrics, AggregationMethod::Combined, &ROW_MODEL_TRAINING);
 
         // Evaluate on the training pairs themselves (sanity, not rigour):
         // the model should get a clear majority of them right.
@@ -309,9 +290,8 @@ mod tests {
     fn metric_importances_cover_all_metrics() {
         let (contexts, gold, phi, implicit, interner) = setup();
         let metrics = RowMetricKind::ALL.to_vec();
-        let config = RowModelTrainingConfig::fast();
-        let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &config, &interner);
-        let model = RowSimilarityModel::train(&ds, metrics, config.aggregation, &config.pairwise);
+        let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &interner);
+        let model = RowSimilarityModel::train(&ds, metrics, AggregationMethod::Combined, &ROW_MODEL_TRAINING);
         let importances = model.metric_importances();
         assert_eq!(importances.len(), 6);
         let total: f64 = importances.iter().map(|(_, v)| v).sum();
@@ -328,7 +308,7 @@ mod tests {
         for class in ltee_kb::CLASS_KEYS {
             let (contexts, gold, _, _, interner) = setup_class(class);
             let (cluster_of, positives) = gold_pairs(&contexts, &gold);
-            let quota = positives.len().max(1) * RowModelTrainingConfig::fast().negatives_per_positive;
+            let quota = positives.len().max(1) * NEGATIVES_PER_POSITIVE;
             let calls = std::sync::atomic::AtomicUsize::new(0);
             let counted_sim = |i: usize, j: usize| {
                 calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -351,10 +331,9 @@ mod tests {
     fn label_only_model_trains() {
         let (contexts, gold, phi, implicit, interner) = setup();
         let metrics = vec![RowMetricKind::Label];
-        let config = RowModelTrainingConfig::fast();
-        let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &config, &interner);
+        let ds = build_pair_dataset(&contexts, &gold, &metrics, &phi, &implicit, &interner);
         assert_eq!(ds.num_features(), 1);
-        let model = RowSimilarityModel::train(&ds, metrics, config.aggregation, &config.pairwise);
+        let model = RowSimilarityModel::train(&ds, metrics, AggregationMethod::Combined, &ROW_MODEL_TRAINING);
         assert_eq!(model.metrics.len(), 1);
     }
 

@@ -42,19 +42,21 @@
 //!   interpreted ([`ArtifactError::Corrupted`]).
 //! * The **config fingerprint** hashes the inference-relevant parts of
 //!   [`PipelineConfig`] (iterations, schema matching, clustering, metric
-//!   sets, fusion, new detection — *not* training hyperparameters or the
-//!   thread count). Loading an artifact into a pipeline whose config
-//!   fingerprint differs fails with [`ArtifactError::ConfigMismatch`]:
-//!   models are only valid for the feature layout and thresholds they were
-//!   trained against.
+//!   sets, fusion, new detection — *not* the training constants, the
+//!   thread count or the shard plan). Loading an artifact into a pipeline
+//!   whose config fingerprint differs fails with
+//!   [`ArtifactError::ConfigMismatch`]: models are only valid for the
+//!   feature layout and thresholds they were trained against.
 
 use std::path::Path;
 
-use ltee_clustering::RowSimilarityModel;
+use ltee_clustering::{ClusteringConfig, RowMetricKind, RowSimilarityModel};
 use ltee_matching::MatcherWeights;
 use ltee_codec::{ByteWriter, CodecError, StringTableWriter};
 use ltee_intern::fnv1a64;
-use ltee_newdetect::EntitySimilarityModel;
+use ltee_ml::MetricKind;
+use ltee_newdetect::{EntityMetricKind, EntitySimilarityModel};
+use ltee_types::EquivalenceConfig;
 
 use crate::pipeline::{PipelineConfig, TrainedModels};
 
@@ -141,21 +143,34 @@ impl From<std::io::Error> for ArtifactError {
 /// Covers everything that changes what the learned models *mean* at serve
 /// time: the iteration count, schema matching settings, clustering
 /// settings, the row/entity metric sets (feature layout!), fusion and new
-/// detection settings. Excludes training hyperparameters (they are baked
-/// into the learned parameters) and [`crate::Parallelism`] (results are
-/// thread-count independent by the determinism contract).
+/// detection settings — the constants among them too. Excludes the
+/// training constants (they are baked into the learned parameters),
+/// [`crate::Parallelism`] and [`crate::ShardPlan`] (results are
+/// independent of both by the determinism contract).
 pub fn config_fingerprint(config: &PipelineConfig) -> u64 {
     // The Debug renderings of the config sub-structs are stable, explicit
     // and cheap; hashing them avoids a second hand-rolled encoder that
-    // could silently fall out of sync with the struct definitions.
+    // could silently fall out of sync with the struct definitions. The
+    // clustering and fusion constants are spelled as the fields they once
+    // were, so every stored artifact and checkpoint keeps its fingerprint.
+    let clustering = &config.clustering;
     let rendering = format!(
-        "iterations={:?};schema={:?};clustering={:?};row_metrics={:?};entity_metrics={:?};fusion={:?};newdetect={:?}",
+        "iterations={:?};schema={:?};\
+         clustering=ClusteringConfig {{ use_blocking: {:?}, block_candidates: {:?}, batch_size: {:?}, \
+         use_klj: {:?}, max_klj_passes: {:?} }};\
+         row_metrics={:?};entity_metrics={:?};\
+         fusion=EntityCreationConfig {{ scoring: {:?}, equivalence: {:?} }};newdetect={:?}",
         config.iterations,
         config.schema,
-        config.clustering,
-        config.row_metrics,
-        config.entity_metrics,
-        config.fusion,
+        clustering.use_blocking,
+        ClusteringConfig::BLOCK_CANDIDATES,
+        ClusteringConfig::BATCH_SIZE,
+        clustering.use_klj,
+        ClusteringConfig::MAX_KLJ_PASSES,
+        RowMetricKind::ALL,
+        EntityMetricKind::ALL,
+        config.fusion.scoring,
+        EquivalenceConfig::default(),
         config.newdetect,
     );
     fnv1a64(rendering.as_bytes())
@@ -238,24 +253,29 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_training_and_thread_settings() {
-        let base = PipelineConfig::default();
-        let mut training_changed = PipelineConfig::default();
-        training_changed.matcher_genetic.population = 999;
-        training_changed.row_training.negatives_per_positive = 9;
-        training_changed.parallelism = crate::Parallelism::Threads(7);
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&training_changed));
+        let base = PipelineConfig::fast();
+        let placed = PipelineConfig {
+            parallelism: crate::Parallelism::Threads(7),
+            shards: crate::ShardPlan::Shards(3),
+            ..PipelineConfig::fast()
+        };
+        assert_eq!(config_fingerprint(&base), config_fingerprint(&placed));
     }
 
     #[test]
     fn fingerprint_tracks_inference_settings() {
-        let base = PipelineConfig::default();
-        let mut fewer_candidates = PipelineConfig::default();
+        let base = config_fingerprint(&PipelineConfig::fast());
+        let mut fewer_candidates = PipelineConfig::fast();
         fewer_candidates.newdetect.candidates = 3;
-        assert_ne!(config_fingerprint(&base), config_fingerprint(&fewer_candidates));
+        assert_ne!(base, config_fingerprint(&fewer_candidates));
 
-        let mut fewer_metrics = PipelineConfig::default();
-        fewer_metrics.row_metrics.pop();
-        assert_ne!(config_fingerprint(&base), config_fingerprint(&fewer_metrics));
+        let mut without_klj = PipelineConfig::fast();
+        without_klj.clustering.use_klj = false;
+        assert_ne!(base, config_fingerprint(&without_klj));
+
+        let mut kbt = PipelineConfig::fast();
+        kbt.fusion.scoring = ltee_fusion::ScoringMethod::Kbt;
+        assert_ne!(base, config_fingerprint(&kbt));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::collections::HashMap;
 use ltee_clustering::metrics::PhiTableVectors;
 use ltee_clustering::{
     build_pair_dataset, build_row_contexts, cluster_rows, ImplicitAttributes, RowMetricKind, RowSimilarityModel,
+    ROW_MODEL_TRAINING,
 };
 use ltee_eval::{
     evaluate_clustering, evaluate_facts, evaluate_new_detection, evaluate_new_instances,
@@ -14,18 +15,20 @@ use ltee_eval::{
 };
 use ltee_fusion::{create_entities, EntityCreationConfig, ScoringMethod};
 use ltee_intern::Interner;
-use ltee_kb::{
-    generate_world, ClassProfile, GeneratorConfig, Scale, World, CLASS_KEYS,
-};
+use ltee_kb::{generate_world, ClassProfile, GeneratorConfig, KnowledgeBase, Scale, World, CLASS_KEYS};
 use ltee_matching::{learn_weights, match_corpus, CorpusFeedback, CorpusMapping};
-use ltee_ml::{grouped_k_folds, MetricKind};
+use ltee_ml::{grouped_k_folds, AggregationMethod, MetricKind};
 use ltee_newdetect::metrics::EntityContext;
-use ltee_newdetect::{build_entity_pair_dataset, detect_new, EntityMetricKind, EntitySimilarityModel};
+use ltee_newdetect::{
+    build_entity_pair_dataset, detect_new, EntityMetricKind, EntitySimilarityModel, ENTITY_MODEL_TRAINING,
+};
 use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, CorpusProfile, GeneratedCorpus, GoldStandard, RowRef};
 
-use crate::pipeline::{train_models, Pipeline, PipelineConfig};
+use crate::pipeline::{train_models, Pipeline, PipelineConfig, PipelineOutput};
 
-/// Shared configuration of the experiment harness.
+/// Shared configuration of the experiment harness. Every table runs the
+/// shipped [`PipelineConfig::fast`] (Table 6's feedback runs with one
+/// iteration).
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Seed for the synthetic world.
@@ -34,40 +37,12 @@ pub struct ExperimentConfig {
     pub scale: Scale,
     /// Corpus configuration.
     pub corpus: CorpusConfig,
-    /// Pipeline configuration (fast learners by default).
-    pub pipeline: PipelineConfig,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        Self {
-            seed: 2019,
-            scale: Scale::gold(),
-            corpus: CorpusConfig::gold(),
-            pipeline: PipelineConfig::fast(),
-        }
-    }
 }
 
 impl ExperimentConfig {
     /// A very small configuration for tests and quick benches.
     pub fn tiny() -> Self {
-        Self {
-            seed: 2019,
-            scale: Scale::tiny(),
-            corpus: CorpusConfig::tiny(),
-            pipeline: PipelineConfig::fast(),
-        }
-    }
-
-    /// The profiling-scale configuration used by Tables 11 and 12.
-    pub fn profiling() -> Self {
-        Self {
-            seed: 2019,
-            scale: Scale::profiling(),
-            corpus: CorpusConfig::profiling(),
-            pipeline: PipelineConfig::fast(),
-        }
+        Self { seed: 2019, scale: Scale::tiny(), corpus: CorpusConfig::tiny() }
     }
 
     /// Generate the world and corpus for this configuration.
@@ -279,20 +254,18 @@ pub fn table06_schema_matching_iterations(config: &ExperimentConfig, iterations:
     let gold_refs: Vec<&GoldStandard> = golds.iter().collect();
     let kb = world.kb();
 
+    let settings = PipelineConfig { iterations: 1, ..PipelineConfig::fast() };
     let mut rows = Vec::new();
     let mut feedback: Option<CorpusFeedback> = None;
     for iteration in 1..=iterations.max(1) {
-        let weights =
-            learn_weights(&corpus, kb, &gold_refs, feedback.as_ref(), &config.pipeline.matcher_genetic);
-        let mapping = match_corpus(&corpus, kb, &weights, &config.pipeline.schema, feedback.as_ref());
+        let weights = learn_weights(&corpus, kb, &gold_refs, feedback.as_ref());
+        let mapping = match_corpus(&corpus, kb, &weights, &settings.schema, feedback.as_ref());
         let (precision, recall, f1) = attribute_prf(&mapping, &golds);
         rows.push(Table6Row { iteration, precision, recall, f1 });
 
         // Build feedback from this iteration: cluster rows and link clusters
         // to instances using the gold-standard-free pipeline components.
-        let models = train_models(&corpus, kb, &golds, &config.pipeline).expect("experiment corpora are trainable");
-        let pipeline = Pipeline::new(kb, models, PipelineConfig { iterations: 1, ..config.pipeline.clone() });
-        let output = pipeline.run(&corpus).expect("experiment corpora are non-empty");
+        let (_, output) = train_and_run(&corpus, kb, &golds, settings.clone());
         let mut clusters = Vec::new();
         let mut cluster_instance = HashMap::new();
         for class_output in &output.classes {
@@ -334,8 +307,9 @@ pub fn table07_row_clustering_ablation(config: &ExperimentConfig) -> Vec<Table7R
     let (world, corpus) = config.materialize();
     let golds = config.gold_standards(&world, &corpus);
     let kb = world.kb();
+    let settings = PipelineConfig::fast();
     let weights = ltee_matching::MatcherWeights::default();
-    let mapping = match_corpus(&corpus, kb, &weights, &config.pipeline.schema, None);
+    let mapping = match_corpus(&corpus, kb, &weights, &settings.schema, None);
 
     let metric_sets: Vec<Vec<RowMetricKind>> =
         (1..=RowMetricKind::ALL.len()).map(|n| RowMetricKind::ALL[..n].to_vec()).collect();
@@ -372,28 +346,14 @@ pub fn table07_row_clustering_ablation(config: &ExperimentConfig) -> Vec<Table7R
             contexts.iter().filter(|c| test_rows.contains(&c.row)).cloned().collect();
 
         for (set_idx, metrics) in metric_sets.iter().enumerate() {
-            let ds = build_pair_dataset(
-                &contexts,
-                &train_gold,
-                metrics,
-                &phi,
-                &implicit,
-                &config.pipeline.row_training,
-                &interner,
-            );
+            let ds = build_pair_dataset(&contexts, &train_gold, metrics, &phi, &implicit, &interner);
             if ds.positives() == 0 || ds.negatives() == 0 {
                 continue;
             }
-            let training = &config.pipeline.row_training;
-            let model = RowSimilarityModel::train(&ds, metrics.clone(), training.aggregation, &training.pairwise);
-            let clustering = cluster_rows(
-                &test_contexts,
-                &model,
-                &phi,
-                &implicit,
-                &config.pipeline.clustering,
-                &interner,
-            );
+            let model =
+                RowSimilarityModel::train(&ds, metrics.clone(), AggregationMethod::Combined, &ROW_MODEL_TRAINING);
+            let clustering =
+                cluster_rows(&test_contexts, &model, &phi, &implicit, &settings.clustering, &interner);
             let produced = clustering.to_row_refs(&test_contexts);
             let gold_clusters: Vec<Vec<RowRef>> = test_gold.clusters.iter().map(|c| c.rows.clone()).collect();
             let eval = evaluate_clustering(&produced, &gold_clusters);
@@ -479,8 +439,9 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
     let (world, corpus) = config.materialize();
     let golds = config.gold_standards(&world, &corpus);
     let kb = world.kb();
+    let settings = PipelineConfig::fast();
     let weights = ltee_matching::MatcherWeights::default();
-    let mapping = match_corpus(&corpus, kb, &weights, &config.pipeline.schema, None);
+    let mapping = match_corpus(&corpus, kb, &weights, &settings.schema, None);
 
     let metric_sets: Vec<Vec<EntityMetricKind>> =
         (1..=EntityMetricKind::ALL.len()).map(|n| EntityMetricKind::ALL[..n].to_vec()).collect();
@@ -499,7 +460,7 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
         // Entities from the gold clusters (the Table 8 evaluation isolates
         // new detection by using gold clustering).
         let clusters: Vec<Vec<RowRef>> = gold.clusters.iter().map(|c| c.rows.clone()).collect();
-        let entities = create_entities(&clusters, &corpus, &mapping, kb, class, &config.pipeline.fusion);
+        let entities = create_entities(&clusters, &corpus, &mapping, kb, class, &settings.fusion);
         let contexts: Vec<EntityContext> = entities
             .into_iter()
             .map(|e| EntityContext::build(e, &corpus, &implicit, &mut interner))
@@ -523,30 +484,19 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
                 train_idx.iter().map(|&i| contexts[i].clone()).collect();
             let train_truth: Vec<Option<ltee_kb::InstanceId>> =
                 train_idx.iter().map(|&i| instance_truth[i]).collect();
-            let ds = build_entity_pair_dataset(
-                &train_contexts,
-                &train_truth,
-                kb,
-                index,
-                metrics,
-                &config.pipeline.entity_training,
-                &mut interner,
-            );
+            let ds = build_entity_pair_dataset(&train_contexts, &train_truth, kb, index, metrics, &mut interner);
             if ds.positives() == 0 || ds.negatives() == 0 {
                 continue;
             }
-            let training = &config.pipeline.entity_training;
-            let model = EntitySimilarityModel::train(&ds, metrics.clone(), training.aggregation, &training.pairwise);
+            let model = EntitySimilarityModel::train(
+                &ds,
+                metrics.clone(),
+                AggregationMethod::Combined,
+                &ENTITY_MODEL_TRAINING,
+            );
             let test_contexts: Vec<EntityContext> =
                 test_idx.iter().map(|&i| contexts[i].clone()).collect();
-            let results = detect_new(
-                &test_contexts,
-                kb,
-                index,
-                &model,
-                &config.pipeline.newdetect,
-                &mut interner,
-            );
+            let results = detect_new(&test_contexts, kb, index, &model, &settings.newdetect, &mut interner);
             let outcomes: Vec<_> = results.iter().map(|r| r.outcome).collect();
             let test_truths: Vec<EntityTruth> = test_idx.iter().map(|&i| truths[i]).collect();
             let eval = evaluate_new_detection(&outcomes, &test_truths);
@@ -626,9 +576,8 @@ pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<
     let (world, corpus) = config.materialize();
     let golds = config.gold_standards(&world, &corpus);
     let kb = world.kb();
-    let models = train_models(&corpus, kb, &golds, &config.pipeline).expect("experiment corpora are trainable");
-    let pipeline = Pipeline::new(kb, models, config.pipeline.clone());
-    let output = pipeline.run(&corpus).expect("experiment corpora are non-empty");
+    let settings = PipelineConfig::fast();
+    let (pipeline, output) = train_and_run(&corpus, kb, &golds, settings.clone());
 
     let mut table9 = Vec::new();
     let mut table10 = Vec::new();
@@ -643,8 +592,7 @@ pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<
 
         // --- "GS" clustering: entities fused from the gold clusters. -------
         let gs_clusters: Vec<Vec<RowRef>> = gold.clusters.iter().map(|c| c.rows.clone()).collect();
-        let gs_entities =
-            create_entities(&gs_clusters, &corpus, &output.mapping, kb, class, &config.pipeline.fusion);
+        let gs_entities = create_entities(&gs_clusters, &corpus, &output.mapping, kb, class, &settings.fusion);
         let gs_contexts: Vec<EntityContext> = gs_entities
             .iter()
             .cloned()
@@ -655,7 +603,7 @@ pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<
             kb,
             index,
             &pipeline.models().entity_model,
-            &config.pipeline.newdetect,
+            &settings.newdetect,
             &mut interner,
         );
         let gs_outcomes: Vec<_> = gs_results.iter().map(|r| r.outcome).collect();
@@ -687,7 +635,7 @@ pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<
         ] {
             let mut f1s = HashMap::new();
             for method in ScoringMethod::ALL {
-                let fusion = EntityCreationConfig { scoring: method, ..config.pipeline.fusion.clone() };
+                let fusion = EntityCreationConfig { scoring: method };
                 let entities = create_entities(clusters, &corpus, &output.mapping, kb, class, &fusion);
                 let eval = evaluate_facts(&entities, outcomes, gold, kb, class);
                 f1s.insert(method, eval.f1);
@@ -762,9 +710,7 @@ pub fn table11_12_profiling(config: &ExperimentConfig) -> ProfilingResult {
     let (world, corpus) = config.materialize();
     let golds = config.gold_standards(&world, &corpus);
     let kb = world.kb();
-    let models = train_models(&corpus, kb, &golds, &config.pipeline).expect("experiment corpora are trainable");
-    let pipeline = Pipeline::new(kb, models, config.pipeline.clone());
-    let output = pipeline.run(&corpus).expect("experiment corpora are non-empty");
+    let (_, output) = train_and_run(&corpus, kb, &golds, PipelineConfig::fast());
 
     let mut table11 = Vec::new();
     let mut table12 = Vec::new();
@@ -865,9 +811,7 @@ pub fn ranked_set_expansion_eval(config: &ExperimentConfig) -> RankedEvaluation 
     let (world, corpus) = config.materialize();
     let golds = config.gold_standards(&world, &corpus);
     let kb = world.kb();
-    let models = train_models(&corpus, kb, &golds, &config.pipeline).expect("experiment corpora are trainable");
-    let pipeline = Pipeline::new(kb, models, config.pipeline.clone());
-    let output = pipeline.run(&corpus).expect("experiment corpora are non-empty");
+    let (_, output) = train_and_run(&corpus, kb, &golds, PipelineConfig::fast());
 
     // Collect (score, correct) across classes; lower best_score = farther
     // from any existing instance = ranked higher.
@@ -887,6 +831,20 @@ pub fn ranked_set_expansion_eval(config: &ExperimentConfig) -> RankedEvaluation 
     ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
     let flags: Vec<bool> = ranked.into_iter().map(|(_, c)| c).collect();
     RankedEvaluation::from_ranked(&flags)
+}
+
+/// Train every model on the gold standards and run the batch pipeline over
+/// the corpus under `settings`.
+fn train_and_run<'k>(
+    corpus: &Corpus,
+    kb: &'k KnowledgeBase,
+    golds: &[GoldStandard],
+    settings: PipelineConfig,
+) -> (Pipeline<'k>, PipelineOutput) {
+    let models = train_models(corpus, kb, golds, &settings).expect("experiment corpora are trainable");
+    let pipeline = Pipeline::new(kb, models, settings);
+    let output = pipeline.run(corpus).expect("experiment corpora are non-empty");
+    (pipeline, output)
 }
 
 #[cfg(test)]
@@ -911,7 +869,7 @@ mod tests {
             &corpus,
             world.kb(),
             &ltee_matching::MatcherWeights::default(),
-            &config.pipeline.schema,
+            &PipelineConfig::fast().schema,
             None,
         );
         let t4 = table04_value_correspondences(&corpus, &mapping);

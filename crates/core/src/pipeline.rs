@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use ltee_clustering::{
     build_pair_dataset, build_row_contexts, cluster_rows, ClusteringConfig, ImplicitAttributes, RowMetricKind,
-    RowModelTrainingConfig, RowSimilarityModel,
+    RowSimilarityModel, ROW_MODEL_TRAINING,
 };
 use ltee_clustering::metrics::PhiTableVectors;
 use ltee_fusion::{create_entities, Entity, EntityCreationConfig};
@@ -14,10 +14,10 @@ use ltee_matching::{
     learn_weights, match_corpus, match_corpus_and_candidates, CorpusFeedback, CorpusMapping, MatcherWeights,
     SchemaMatchingConfig,
 };
-use ltee_ml::{GeneticConfig, MetricKind};
+use ltee_ml::{AggregationMethod, MetricKind};
 use ltee_newdetect::{
-    build_entity_pair_dataset, detect_new, EntityMetricKind, EntityModelTrainingConfig, EntitySimilarityModel,
-    NewDetectionConfig, NewDetectionOutcome, NewDetectionResult,
+    build_entity_pair_dataset, detect_new, EntityMetricKind, EntitySimilarityModel, NewDetectionConfig,
+    NewDetectionOutcome, NewDetectionResult, ENTITY_MODEL_TRAINING,
 };
 use ltee_newdetect::metrics::EntityContext;
 use ltee_webtables::{Corpus, GoldStandard, RowRef, TableId};
@@ -91,7 +91,19 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// Configuration of the full pipeline.
+/// Configuration of the full pipeline: the settings a caller varies.
+///
+/// The paper trains its models once, under one setting, so everything
+/// else is a constant next to the code that runs it:
+/// - the matcher weights' genetic search, [`ltee_matching::MATCHER_GENETIC`];
+/// - the row model's training, [`ltee_clustering::ROW_MODEL_TRAINING`], over
+///   every row metric ([`RowMetricKind::ALL`]);
+/// - the entity model's training, [`ltee_newdetect::ENTITY_MODEL_TRAINING`],
+///   over every entity metric ([`EntityMetricKind::ALL`]);
+/// - the clustering's block candidates, greedy batch size and KLj pass
+///   ceiling, the associated constants of [`ClusteringConfig`];
+/// - when two values are equal, [`ltee_types::EquivalenceConfig::default`],
+///   in matching, implicit attributes, fusion and KBT scoring alike.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Number of pipeline iterations (the paper uses two; Table 6 shows a
@@ -101,20 +113,10 @@ pub struct PipelineConfig {
     pub schema: SchemaMatchingConfig,
     /// Clustering algorithm configuration.
     pub clustering: ClusteringConfig,
-    /// Row similarity metrics used by the clustering.
-    pub row_metrics: Vec<RowMetricKind>,
-    /// Entity-to-instance metrics used by new detection.
-    pub entity_metrics: Vec<EntityMetricKind>,
-    /// Row model training configuration.
-    pub row_training: RowModelTrainingConfig,
-    /// Entity model training configuration.
-    pub entity_training: EntityModelTrainingConfig,
     /// Entity creation (fusion) configuration.
     pub fusion: EntityCreationConfig,
     /// New detection configuration.
     pub newdetect: NewDetectionConfig,
-    /// Genetic algorithm settings for learning matcher weights.
-    pub matcher_genetic: GeneticConfig,
     /// Thread count for every parallel stage (training and inference).
     /// Results are bit-identical at every setting; see [`Parallelism`].
     pub parallelism: Parallelism,
@@ -126,33 +128,19 @@ pub struct PipelineConfig {
     pub shards: ShardPlan,
 }
 
-impl Default for PipelineConfig {
-    fn default() -> Self {
+impl PipelineConfig {
+    /// The shipped configuration: two iterations, blocking and KLj on,
+    /// matching-score fusion, and thread and shard counts resolved from the
+    /// environment ([`Parallelism::Auto`], [`ShardPlan::Auto`]).
+    pub fn fast() -> Self {
         Self {
             iterations: 2,
             schema: SchemaMatchingConfig::default(),
             clustering: ClusteringConfig::default(),
-            row_metrics: RowMetricKind::ALL.to_vec(),
-            entity_metrics: EntityMetricKind::ALL.to_vec(),
-            row_training: RowModelTrainingConfig::default(),
-            entity_training: EntityModelTrainingConfig::default(),
             fusion: EntityCreationConfig::default(),
             newdetect: NewDetectionConfig::default(),
-            matcher_genetic: GeneticConfig::default(),
             parallelism: Parallelism::Auto,
             shards: ShardPlan::Auto,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// Faster settings (smaller learners) for tests and benches.
-    pub fn fast() -> Self {
-        Self {
-            row_training: RowModelTrainingConfig::fast(),
-            entity_training: EntityModelTrainingConfig::fast(),
-            matcher_genetic: GeneticConfig { population: 20, generations: 15, ..Default::default() },
-            ..Default::default()
         }
     }
 }
@@ -194,7 +182,7 @@ pub fn train_models(
     let gold_refs: Vec<&GoldStandard> = golds.iter().collect();
     // Matcher weights from the gold attribute annotations (first iteration:
     // no feedback available).
-    let matcher_weights = learn_weights(corpus, kb, &gold_refs, None, &config.matcher_genetic);
+    let matcher_weights = learn_weights(corpus, kb, &gold_refs, None);
 
     // A first-iteration mapping to derive row features for training, and
     // the implicit attributes of each gold class — shared by both models
@@ -213,15 +201,7 @@ pub fn train_models(
         let rows = mapping.class_rows(corpus, gold.class);
         let contexts = build_row_contexts(corpus, &mapping, &rows, &mut interner);
         let phi = PhiTableVectors::build(corpus, &contexts);
-        let ds = build_pair_dataset(
-            &contexts,
-            gold,
-            &config.row_metrics,
-            &phi,
-            implicit,
-            &config.row_training,
-            &interner,
-        );
+        let ds = build_pair_dataset(&contexts, gold, RowMetricKind::ALL, &phi, implicit, &interner);
         row_dataset = Some(match row_dataset {
             None => ds,
             Some(mut acc) => {
@@ -236,9 +216,12 @@ pub fn train_models(
     if row_dataset.is_empty() {
         return Err(PipelineError::EmptyTrainingData { stage: "row pair dataset" });
     }
-    let training = &config.row_training;
-    let row_model =
-        RowSimilarityModel::train(&row_dataset, config.row_metrics.clone(), training.aggregation, &training.pairwise);
+    let row_model = RowSimilarityModel::train(
+        &row_dataset,
+        RowMetricKind::ALL.to_vec(),
+        AggregationMethod::Combined,
+        &ROW_MODEL_TRAINING,
+    );
 
     // Entity similarity model: entities fused from the gold clusters, paired
     // with knowledge base candidates.
@@ -257,8 +240,7 @@ pub fn train_models(
             &truth,
             kb,
             kb.class_label_index(gold.class),
-            &config.entity_metrics,
-            &config.entity_training,
+            EntityMetricKind::ALL,
             &mut interner,
         );
         entity_dataset = Some(match entity_dataset {
@@ -275,12 +257,11 @@ pub fn train_models(
     if entity_dataset.is_empty() {
         return Err(PipelineError::EmptyTrainingData { stage: "entity pair dataset" });
     }
-    let training = &config.entity_training;
     let entity_model = EntitySimilarityModel::train(
         &entity_dataset,
-        config.entity_metrics.clone(),
-        training.aggregation,
-        &training.pairwise,
+        EntityMetricKind::ALL.to_vec(),
+        AggregationMethod::Combined,
+        &ENTITY_MODEL_TRAINING,
     );
 
     Ok(TrainedModels { matcher_weights, row_model, entity_model })

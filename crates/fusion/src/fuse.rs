@@ -38,18 +38,17 @@ impl ScoringMethod {
     }
 }
 
-/// Configuration of entity creation.
+/// Configuration of entity creation. Equal candidates are grouped under
+/// [`EquivalenceConfig::default`], the equality every other stage uses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityCreationConfig {
     /// The candidate scoring method.
     pub scoring: ScoringMethod,
-    /// Equivalence configuration used for grouping equal candidates.
-    pub equivalence: EquivalenceConfig,
 }
 
 impl Default for EntityCreationConfig {
     fn default() -> Self {
-        Self { scoring: ScoringMethod::Matching, equivalence: EquivalenceConfig::default() }
+        Self { scoring: ScoringMethod::Matching }
     }
 }
 
@@ -207,7 +206,7 @@ fn create_entity(
             .property_by_name(class, &property)
             .map(|p| p.data_type)
             .unwrap_or_else(|| cands[0].value.data_type());
-        if let Some((value, support)) = fuse_candidates(&cands, data_type, &config.equivalence) {
+        if let Some((value, support)) = fuse_candidates(&cands, data_type) {
             facts.push((property, value, support));
         }
     }
@@ -221,11 +220,11 @@ fn create_entity(
 pub fn fuse_candidates(
     candidates: &[CandidateValue],
     data_type: DataType,
-    eq: &EquivalenceConfig,
 ) -> Option<(Value, f64)> {
     if candidates.is_empty() {
         return None;
     }
+    let eq = &EquivalenceConfig::default();
     // Grouping.
     let mut groups: Vec<Vec<&CandidateValue>> = Vec::new();
     for cand in candidates {
@@ -335,7 +334,7 @@ mod tests {
             cand("team", Value::InstanceRef("Bears".into()), 1.0, 2),
         ];
         let (v, support) =
-            fuse_candidates(&cands, DataType::InstanceReference, &EquivalenceConfig::default()).unwrap();
+            fuse_candidates(&cands, DataType::InstanceReference).unwrap();
         assert_eq!(v, Value::InstanceRef("Packers".into()));
         assert_eq!(support, 2.0);
     }
@@ -348,7 +347,7 @@ mod tests {
             cand("team", Value::InstanceRef("Bears".into()), 0.9, 2),
         ];
         let (v, _) =
-            fuse_candidates(&cands, DataType::InstanceReference, &EquivalenceConfig::default()).unwrap();
+            fuse_candidates(&cands, DataType::InstanceReference).unwrap();
         assert_eq!(v, Value::InstanceRef("Bears".into()));
     }
 
@@ -360,7 +359,7 @@ mod tests {
             cand("populationTotal", Value::Quantity(5000.0), 1.0, 2),
         ];
         // 1000 and 1020 group together (2% tolerance), 5000 is separate.
-        let (v, _) = fuse_candidates(&cands, DataType::Quantity, &EquivalenceConfig::default()).unwrap();
+        let (v, _) = fuse_candidates(&cands, DataType::Quantity).unwrap();
         let q = v.as_f64().unwrap();
         assert!((1000.0..=1020.0).contains(&q), "fused {q}");
     }
@@ -372,7 +371,7 @@ mod tests {
             cand("releaseDate", Value::Date(Date::year(1999)), 1.0, 1),
             cand("releaseDate", Value::Date(Date::year(2005)), 1.0, 2),
         ];
-        let (v, _) = fuse_candidates(&cands, DataType::Date, &EquivalenceConfig::default()).unwrap();
+        let (v, _) = fuse_candidates(&cands, DataType::Date).unwrap();
         assert_eq!(v.as_date().unwrap().year, 1999);
     }
 
@@ -384,14 +383,14 @@ mod tests {
             cand("number", Value::NominalInt(7), 1.0, 2),
         ];
         let (v, support) =
-            fuse_candidates(&cands, DataType::NominalInteger, &EquivalenceConfig::default()).unwrap();
+            fuse_candidates(&cands, DataType::NominalInteger).unwrap();
         assert_eq!(v, Value::NominalInt(12));
         assert_eq!(support, 2.0);
     }
 
     #[test]
     fn fuse_empty_candidates_is_none() {
-        assert!(fuse_candidates(&[], DataType::Text, &EquivalenceConfig::default()).is_none());
+        assert!(fuse_candidates(&[], DataType::Text).is_none());
     }
 
     #[test]
@@ -425,7 +424,7 @@ mod tests {
         // that a decent share of fused facts match the world ground truth.
         let clusters: Vec<Vec<RowRef>> = gold.clusters.iter().map(|c| c.rows.clone()).collect();
         for method in ScoringMethod::ALL {
-            let config = EntityCreationConfig { scoring: method, ..Default::default() };
+            let config = EntityCreationConfig { scoring: method };
             let entities = create_entities(&clusters, &corpus, &mapping, world.kb(), class, &config);
             assert_eq!(entities.len(), clusters.len());
 
@@ -507,7 +506,7 @@ mod tests {
         // Fusing with the cached scores equals the rescanning entry point.
         let gold = GoldStandard::build(&world, &corpus, class);
         let clusters: Vec<Vec<RowRef>> = gold.clusters.iter().map(|c| c.rows.clone()).collect();
-        let config = EntityCreationConfig { scoring: ScoringMethod::Kbt, ..Default::default() };
+        let config = EntityCreationConfig { scoring: ScoringMethod::Kbt };
         let rescan = create_entities(&clusters, &corpus, &mapping, world.kb(), class, &config);
         let cached = create_entities_with_scores(
             &clusters,
@@ -542,7 +541,7 @@ mod tests {
             assert!(clusters.len() > 8, "{class}: too few clusters to spread over a pool");
             let kbt = kbt_scores(&corpus, &mapping, world.kb(), class);
             for scoring in ScoringMethod::ALL {
-                let config = EntityCreationConfig { scoring, ..Default::default() };
+                let config = EntityCreationConfig { scoring };
                 let fuse = |rows: &Vec<RowRef>| {
                     create_entity(rows, &corpus, &mapping, world.kb(), class, &config, Some(&kbt))
                 };

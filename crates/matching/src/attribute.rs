@@ -225,27 +225,30 @@ pub fn match_attributes(
     result
 }
 
+/// The genetic search behind the learned matcher weights. The paper learns
+/// them once, under one setting; this is that setting.
+pub const MATCHER_GENETIC: GeneticConfig = GeneticConfig { population: 20, generations: 15, seed: 101 };
+
 /// Learn per-class matcher weights and per-property thresholds from gold
 /// standard attribute annotations.
 ///
 /// Every (column, candidate property) pair of the gold tables becomes a
 /// training sample whose target is whether the gold standard annotates that
 /// correspondence; weights are learned with the genetic algorithm
-/// (maximising F1), thresholds per property by a grid search over the
-/// aggregated scores.
+/// ([`MATCHER_GENETIC`], maximising F1), thresholds per property by a grid
+/// search over the aggregated scores.
 pub fn learn_weights(
     corpus: &Corpus,
     kb: &KnowledgeBase,
     golds: &[&GoldStandard],
     feedback: Option<&CorpusFeedback>,
-    genetic: &GeneticConfig,
 ) -> MatcherWeights {
     let header_stats = feedback.map(|fb| HeaderStatistics::build(corpus, fb));
     // Classes learn independently, on the pool; their results are folded
     // in gold order, so a class given twice ends as it did sequentially.
     let learned: Vec<ClassLearning<'_>> = golds
         .par_iter()
-        .map(|gold| learn_class(corpus, kb, gold, feedback, header_stats.as_ref(), genetic))
+        .map(|gold| learn_class(corpus, kb, gold, feedback, header_stats.as_ref()))
         .collect();
     let mut weights = MatcherWeights { class_weights: HashMap::new(), property_thresholds: HashMap::new() };
     for (class, class_weights, thresholds) in learned {
@@ -269,7 +272,6 @@ fn learn_class<'k>(
     gold: &GoldStandard,
     feedback: Option<&CorpusFeedback>,
     header_stats: Option<&HeaderStatistics>,
-    genetic: &GeneticConfig,
 ) -> ClassLearning<'k> {
     let class = gold.class;
     let properties = kb.class_property_slice(class);
@@ -317,8 +319,8 @@ fn learn_class<'k>(
         return (class, MatcherWeights::default().weights_for(class).to_vec(), Vec::new());
     }
 
-    let balanced = dataset.upsampled_balanced(genetic.seed);
-    let model = WeightedAverageModel::learn(&balanced, genetic);
+    let balanced = dataset.upsampled_balanced(MATCHER_GENETIC.seed);
+    let model = WeightedAverageModel::learn(&balanced, &MATCHER_GENETIC);
     let class_weights = model.weights.clone();
 
     // Per-property threshold: grid search maximising F1 of "aggregated

@@ -34,7 +34,7 @@ pub mod label_attr;
 pub mod mapping;
 pub mod matchers;
 
-pub use attribute::{learn_weights, AttributeMatcherConfig, MatcherWeights};
+pub use attribute::{learn_weights, AttributeMatcherConfig, MatcherWeights, MATCHER_GENETIC};
 pub use class_match::{RowCandidates, CANDIDATES_PER_ROW};
 pub use label_attr::{detect_column_types, detect_label_attribute};
 pub use mapping::{AttributeMatch, CorpusFeedback, CorpusMapping, RowValues, TableMapping};

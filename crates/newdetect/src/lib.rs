@@ -27,4 +27,4 @@ pub mod train;
 
 pub use detect::{detect_new, NewDetectionConfig, NewDetectionOutcome, NewDetectionResult};
 pub use metrics::{entity_metric_features, EntityMetricKind, EntitySimilarityModel, InstanceContext};
-pub use train::{build_entity_pair_dataset, EntityModelTrainingConfig};
+pub use train::{build_entity_pair_dataset, ENTITY_MODEL_TRAINING};

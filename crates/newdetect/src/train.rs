@@ -3,44 +3,31 @@
 use ltee_index::LabelIndex;
 use ltee_intern::Interner;
 use ltee_kb::{InstanceId, KnowledgeBase};
-use ltee_ml::{AggregationMethod, Dataset, PairFeatures, PairwiseTrainingConfig, Sample};
+use ltee_ml::{Dataset, GeneticConfig, PairFeatures, PairwiseTrainingConfig, RandomForestConfig, Sample};
 use rayon::prelude::*;
 
 use crate::metrics::{
     by_popularity, entity_metric_features, EntityContext, EntityMetricKind, EntitySimilarityModel, InstanceContext,
 };
 
-/// Training configuration for the entity similarity model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EntityModelTrainingConfig {
-    /// Aggregation approach.
-    pub aggregation: AggregationMethod,
-    /// Candidates retrieved per entity when building training pairs.
-    pub candidates: usize,
-    /// Underlying pairwise training configuration.
-    pub pairwise: PairwiseTrainingConfig,
-}
+/// How the entity similarity model is trained (with
+/// [`AggregationMethod::Combined`](ltee_ml::AggregationMethod::Combined)).
+/// The paper trains it once, under one setting; this is that setting.
+pub const ENTITY_MODEL_TRAINING: PairwiseTrainingConfig = PairwiseTrainingConfig {
+    genetic: GeneticConfig { population: 20, generations: 15, seed: 101 },
+    forest: RandomForestConfig {
+        num_trees: 20,
+        max_depth: 8,
+        min_samples_split: 4,
+        features_per_split: None,
+        bootstrap_fraction: 1.0,
+        seed: 13,
+    },
+    upsample_seed: 23,
+};
 
-impl Default for EntityModelTrainingConfig {
-    fn default() -> Self {
-        Self { aggregation: AggregationMethod::Combined, candidates: 8, pairwise: PairwiseTrainingConfig::default() }
-    }
-}
-
-impl EntityModelTrainingConfig {
-    /// Fast settings for tests and small experiments.
-    pub fn fast() -> Self {
-        Self {
-            aggregation: AggregationMethod::Combined,
-            candidates: 6,
-            pairwise: PairwiseTrainingConfig {
-                genetic: ltee_ml::GeneticConfig { population: 20, generations: 15, ..Default::default() },
-                forest: ltee_ml::RandomForestConfig { num_trees: 20, max_depth: 8, ..Default::default() },
-                upsample_seed: 23,
-            },
-        }
-    }
-}
+/// Candidates retrieved per entity label when building training pairs.
+const TRAINING_CANDIDATES: usize = 6;
 
 /// Build a training dataset of (entity, candidate instance) pairs.
 ///
@@ -56,7 +43,6 @@ pub fn build_entity_pair_dataset(
     kb: &KnowledgeBase,
     label_index: &LabelIndex,
     metrics: &[EntityMetricKind],
-    config: &EntityModelTrainingConfig,
     interner: &mut Interner,
 ) -> Dataset {
     assert_eq!(entities.len(), truth.len(), "one truth entry per entity");
@@ -71,7 +57,7 @@ pub fn build_entity_pair_dataset(
         .map(|(idx, entity)| {
             let mut ids: Vec<InstanceId> = Vec::new();
             for label in &entity.entity().labels {
-                for m in label_index.lookup(label, config.candidates) {
+                for m in label_index.lookup(label, TRAINING_CANDIDATES) {
                     let id = InstanceId(m.id);
                     if !ids.contains(&id) {
                         ids.push(id);
@@ -122,7 +108,7 @@ mod tests {
     use super::*;
     use crate::detect::{detect_new, NewDetectionConfig};
     use ltee_clustering::ImplicitAttributes;
-    use ltee_ml::MetricKind;
+    use ltee_ml::{AggregationMethod, MetricKind};
     use ltee_fusion::Entity;
     use ltee_kb::{generate_world, ClassKey, GeneratorConfig, Scale, World};
     use ltee_text::BowVector;
@@ -174,12 +160,10 @@ mod tests {
         }
 
         let metrics = EntityMetricKind::ALL.to_vec();
-        let config = EntityModelTrainingConfig::fast();
-        let ds =
-            build_entity_pair_dataset(&entities, &truth, kb, &index, &metrics, &config, &mut interner);
+        let ds = build_entity_pair_dataset(&entities, &truth, kb, &index, &metrics, &mut interner);
         assert!(ds.positives() > 5, "need positive pairs, got {}", ds.positives());
         assert!(ds.negatives() > 5, "need negative pairs, got {}", ds.negatives());
-        let model = EntitySimilarityModel::train(&ds, metrics, config.aggregation, &config.pairwise);
+        let model = EntitySimilarityModel::train(&ds, metrics, AggregationMethod::Combined, &ENTITY_MODEL_TRAINING);
 
         // Evaluate on a held-out slice.
         let mut eval_entities = Vec::new();
@@ -257,7 +241,6 @@ mod tests {
                 kb,
                 &index,
                 EntityMetricKind::ALL,
-                &EntityModelTrainingConfig::fast(),
                 &mut interner,
             );
             assert!(ds.samples.iter().any(|s| s.features[6] > 0.0), "{class}: no ATTRIBUTE overlap");
@@ -284,7 +267,6 @@ mod tests {
     fn new_detection_and_mint_order_are_bit_pinned_on_the_fixture() {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 81));
         let kb = world.kb();
-        let config = EntityModelTrainingConfig::fast();
         for threads in [1, 4] {
             rayon::ThreadPoolBuilder::new().num_threads(threads).build_global().expect("never fails");
             let mut bytes = Vec::new();
@@ -299,10 +281,14 @@ mod tests {
                 }
                 let minted = interner.len();
                 let metrics = EntityMetricKind::ALL;
-                let ds = build_entity_pair_dataset(&entities, &truth, kb, index, metrics, &config, &mut interner);
+                let ds = build_entity_pair_dataset(&entities, &truth, kb, index, metrics, &mut interner);
                 assert!(interner.len() > minted, "{class}: instance contexts must mint tokens");
-                let model =
-                    EntitySimilarityModel::train(&ds, metrics.to_vec(), config.aggregation, &config.pairwise);
+                let model = EntitySimilarityModel::train(
+                    &ds,
+                    metrics.to_vec(),
+                    AggregationMethod::Combined,
+                    &ENTITY_MODEL_TRAINING,
+                );
                 let results = detect_new(&entities, kb, index, &model, &NewDetectionConfig::default(), &mut interner);
                 let new = results.iter().filter(|r| r.outcome.is_new()).count();
                 assert!(0 < new && new < results.len(), "{class}: both outcomes must occur");
@@ -339,7 +325,6 @@ mod tests {
             kb,
             &index,
             &metrics,
-            &EntityModelTrainingConfig::fast(),
             &mut interner,
         );
         assert_eq!(ds.num_features(), 3); // 2 sims + 1 confidence
@@ -358,7 +343,6 @@ mod tests {
             kb,
             &index,
             &[EntityMetricKind::Label],
-            &EntityModelTrainingConfig::fast(),
             &mut Interner::new(),
         );
     }

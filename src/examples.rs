@@ -200,7 +200,7 @@ pub fn song_discography(w: &mut dyn Write) -> io::Result<()> {
     let outcomes = class_output.outcomes();
     writeln!(w, "\nfacts-found F1 by fusion scoring method (system clustering):")?;
     for method in ScoringMethod::ALL {
-        let fusion = EntityCreationConfig { scoring: method, ..Default::default() };
+        let fusion = EntityCreationConfig { scoring: method };
         let entities = create_entities(
             &class_output.clusters,
             &trained.corpus,

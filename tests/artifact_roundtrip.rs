@@ -119,9 +119,8 @@ fn config_fingerprint_mismatch_is_rejected_with_a_clear_error() {
     }
     assert!(format!("{err}").contains("different configuration"), "error should explain itself");
 
-    // …while training-only differences (and thread counts) are accepted.
-    let mut retrained_harder = config.clone();
-    retrained_harder.matcher_genetic.generations = 1234;
-    retrained_harder.parallelism = Parallelism::Threads(4);
-    assert!(IncrementalPipeline::from_artifact(world.kb(), &artifact, retrained_harder).is_ok());
+    // …while execution placement (thread and shard counts) is accepted.
+    let placed =
+        PipelineConfig { parallelism: Parallelism::Threads(4), shards: ShardPlan::Shards(3), ..config.clone() };
+    assert!(IncrementalPipeline::from_artifact(world.kb(), &artifact, placed).is_ok());
 }

@@ -6,8 +6,8 @@
 
 use ltee_clustering::metrics::PhiTableVectors;
 use ltee_clustering::{
-    build_pair_dataset, build_row_contexts, cluster_rows, ClusteringConfig, ImplicitAttributes,
-    RowMetricKind, RowModelTrainingConfig, RowSimilarityModel,
+    build_pair_dataset, build_row_contexts, cluster_rows, AggregationMethod, ClusteringConfig,
+    ImplicitAttributes, RowMetricKind, RowSimilarityModel, ROW_MODEL_TRAINING,
 };
 use ltee_core::prelude::*;
 use ltee_eval::evaluate_clustering;
@@ -43,9 +43,8 @@ fn run_clustering(setup: &Setup, metrics: Vec<RowMetricKind>, config: &Clusterin
     let phi = PhiTableVectors::build(&setup.corpus, &contexts);
     let index = setup.world.kb().label_index(class);
     let implicit = ImplicitAttributes::build(&setup.corpus, &setup.mapping, setup.world.kb(), class, &index);
-    let training = RowModelTrainingConfig::fast();
-    let ds = build_pair_dataset(&contexts, &setup.gold, &metrics, &phi, &implicit, &training, &interner);
-    let model = RowSimilarityModel::train(&ds, metrics, training.aggregation, &training.pairwise);
+    let ds = build_pair_dataset(&contexts, &setup.gold, &metrics, &phi, &implicit, &interner);
+    let model = RowSimilarityModel::train(&ds, metrics, AggregationMethod::Combined, &ROW_MODEL_TRAINING);
     let clustering = cluster_rows(&contexts, &model, &phi, &implicit, config, &interner);
     let produced = clustering.to_row_refs(&contexts);
     let gold_clusters: Vec<Vec<RowRef>> = setup

@@ -11,7 +11,8 @@ use ltee_eval::{evaluate_new_detection, EntityTruth};
 use ltee_fusion::create_entities;
 use ltee_matching::{match_corpus, MatcherWeights, SchemaMatchingConfig};
 use ltee_newdetect::metrics::EntityContext;
-use ltee_newdetect::{build_entity_pair_dataset, detect_new, EntityModelTrainingConfig, EntitySimilarityModel};
+use ltee_ml::AggregationMethod;
+use ltee_newdetect::{build_entity_pair_dataset, detect_new, EntitySimilarityModel, ENTITY_MODEL_TRAINING};
 use ltee_webtables::RowRef;
 
 #[test]
@@ -47,7 +48,6 @@ fn new_detection_on_gold_clusters_beats_the_label_baseline() {
         // exercised in the experiment harness; here a simple split keeps the
         // integration test fast).
         let split = (contexts.len() * 3) / 5;
-        let training_cfg = EntityModelTrainingConfig::fast();
 
         for (metrics, accs) in [
             (EntityMetricKind::ALL.to_vec(), &mut accuracies_all),
@@ -59,14 +59,13 @@ fn new_detection_on_gold_clusters_beats_the_label_baseline() {
                 kb,
                 &index,
                 &metrics,
-                &training_cfg,
                 &mut interner,
             );
             if ds.positives() == 0 || ds.negatives() == 0 {
                 continue;
             }
             let model =
-                EntitySimilarityModel::train(&ds, metrics, training_cfg.aggregation, &training_cfg.pairwise);
+                EntitySimilarityModel::train(&ds, metrics, AggregationMethod::Combined, &ENTITY_MODEL_TRAINING);
             let results =
                 detect_new(&contexts[split..], kb, &index, &model, &Default::default(), &mut interner);
             let outcomes: Vec<_> = results.iter().map(|r| r.outcome).collect();
@@ -109,17 +108,20 @@ fn detection_results_reference_valid_entities() {
         .map(|e| EntityContext::build(e, &corpus, &implicit, &mut interner))
         .collect();
     let instance_truth: Vec<_> = gold.clusters.iter().map(|c| c.kb_instance).collect();
-    let cfg = EntityModelTrainingConfig::fast();
     let ds = build_entity_pair_dataset(
         &contexts,
         &instance_truth,
         kb,
         &index,
         EntityMetricKind::ALL,
-        &cfg,
         &mut interner,
     );
-    let model = EntitySimilarityModel::train(&ds, EntityMetricKind::ALL.to_vec(), cfg.aggregation, &cfg.pairwise);
+    let model = EntitySimilarityModel::train(
+        &ds,
+        EntityMetricKind::ALL.to_vec(),
+        AggregationMethod::Combined,
+        &ENTITY_MODEL_TRAINING,
+    );
     let results = detect_new(&contexts, kb, &index, &model, &Default::default(), &mut interner);
     assert_eq!(results.len(), contexts.len());
     for r in &results {

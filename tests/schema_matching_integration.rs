@@ -47,8 +47,7 @@ fn learned_weights_beat_or_match_default_weights() {
     let (world, corpus, golds) = setup();
     let kb = world.kb();
     let gold_refs: Vec<&GoldStandard> = golds.iter().collect();
-    let genetic = ltee_ml::GeneticConfig { population: 20, generations: 15, ..Default::default() };
-    let learned = learn_weights(&corpus, kb, &gold_refs, None, &genetic);
+    let learned = learn_weights(&corpus, kb, &gold_refs, None);
 
     let prf = |weights: &MatcherWeights| {
         let mapping = match_corpus(&corpus, kb, weights, &SchemaMatchingConfig::default(), None);
