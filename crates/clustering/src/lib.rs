@@ -27,6 +27,7 @@
 //!   to how a table stream is split into micro-batches.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod context;

@@ -80,6 +80,7 @@
 //! its header is damaged.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod codec;
 

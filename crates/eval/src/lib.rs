@@ -16,6 +16,7 @@
 //!   comparison in Section 6.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod clustering;
 pub mod facts;

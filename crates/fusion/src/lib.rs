@@ -22,6 +22,7 @@
 //!    dates, and the (identical) value for nominals.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod entity;
 pub mod fuse;

@@ -27,6 +27,7 @@
 //! extracted for the downstream components.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod attribute;
 pub mod class_match;

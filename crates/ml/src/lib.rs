@@ -30,6 +30,7 @@
 //! is built on.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod dataset;

@@ -20,6 +20,7 @@
 //!    classified as *existing* and linked to that candidate.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod detect;
 pub mod metrics;

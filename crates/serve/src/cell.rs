@@ -1,355 +1,112 @@
-//! The published-snapshot cell: wait-free reads, epoch-reclaimed history.
+//! The published-snapshot cell: the current version behind an
+//! `RwLock<Arc<KbSnapshot>>`, superseded ones in a writer-owned limbo.
 //!
-//! [`SnapshotCell`] is a hand-rolled `Arc` swap. The constraint it is
-//! built for: **readers must be wait-free** — a query must never block on
-//! (or even contend a lock with) an ingest publishing the next version.
-//! `RwLock<Arc<KbSnapshot>>` fails that bar (a writer stalls every
-//! reader); this cell's [`SnapshotCell::load`] is a handful of
-//! uncontended atomic operations, unconditionally: pin the epoch, load
-//! the pointer, bump the refcount, unpin.
+//! A reader's [`SnapshotCell::load`] takes the read lock and clones the
+//! `Arc`. `publish` holds the write lock for one `mem::replace` and an
+//! atomic store, so a reader may wait for that pointer replacement, but
+//! never for ingest work, encoding or a free.
 //!
-//! ## The hazard, and the epoch scheme that closes it
-//!
-//! The classic hazard of a raw `AtomicPtr<T>` swap is the load/increment
-//! race: a reader loads the pointer, the writer swaps the value out and
-//! frees it, the reader increments a freed refcount. Earlier revisions of
-//! this cell sidestepped the hazard by never freeing anything — every
-//! superseded version stayed resident for the cell's lifetime, so
-//! sustained ingest of a hot class accumulated O(versions × class size).
-//! This revision reclaims superseded versions with an epoch protocol:
-//!
-//! * The cell keeps a monotonically increasing **global epoch**
-//!   (starting at 1), advanced by the writer once per publish, *after*
-//!   the pointer swap.
-//! * Every reader owns a registered **epoch slot** ([`ReaderSlot`]). A
-//!   load **pins** the slot — stores the current global epoch into it —
-//!   *before* loading the pointer, and unpins (stores the idle value 0)
-//!   after the refcount increment.
-//! * A superseded version is not freed by the publish that supersedes it:
-//!   it moves to a **limbo** list tagged with the epoch at which it was
-//!   retired. A limbo entry is freed only once every slot is idle or
-//!   pinned at a *strictly greater* epoch, and limbo holds its only `Arc`.
-//!
-//! **Why that is safe.** All four protocol operations — the reader's slot
-//! store `S` and pointer load `L`, the writer's swap `W` and slot scan
-//! `R` — are `SeqCst`, so they sit in one total order. Suppose the writer
-//! frees a version `V` that a reader is about to resurrect. For the
-//! writer to free `V`, its scan `R` (which runs after `W`, the swap that
-//! unlinked `V`) must have observed the reader's slot as idle or pinned
-//! past `V`'s retire epoch. Two cases:
-//!
-//! * `R` did not see the pin `S` at all. Then `R` precedes `S` in the
-//!   total order, so `W < R < S < L` — and a `SeqCst` load ordered after
-//!   the swap cannot return the swapped-out pointer. The reader loads the
-//!   *new* current version, not `V`. (This also covers a reader that
-//!   stalls between reading the epoch and storing the pin: the stored pin
-//!   may be arbitrarily stale, but then the pointer load is even later
-//!   and sees an even newer current.)
-//! * `R` saw a pin with epoch `e` greater than `V`'s retire epoch. A pin
-//!   of epoch `e` means the reader read the global epoch *after* the
-//!   writer advanced it past `V`'s retirement — and that advance happens
-//!   after the swap that unlinked `V`, so again the reader's subsequent
-//!   pointer load cannot return `V`.
-//!
-//! Conversely, a reader that *did* load `V` pinned an epoch no greater
-//! than `V`'s retire epoch (the pin is stored before the load, and the
-//! epoch only advances after `V` is swapped out), so the scan keeps `V`
-//! in limbo until the reader unpins.
-//!
-//! ## What stays resident
-//!
-//! The current version, plus every superseded version a reader still
-//! holds an `Arc` to: that `Arc` is the reader's repeatable read, and the
-//! version lives exactly as long as some reader keeps one. Limbo holds
-//! such a version too, and frees it on the first `publish` or `reclaim`
-//! after the last reader drops it — so the writer, never a reader's
-//! `Drop` in the middle of a query, pays for freeing a version. Pins last
-//! for the handful of instructions inside `load`, so a quiescent cell
-//! whose readers hold nothing retains exactly one version.
+//! A superseded version stays resident while some reader holds its `Arc`
+//! (the reader's repeatable read). Limbo frees it on the first `publish`
+//! or `reclaim` after the last reader drops it, so the writer, never a
+//! reader's `Drop` mid-query, pays for the free. No reader can clone a
+//! version that has left `current`, so a strong count of one in limbo
+//! stays one. A quiescent cell whose readers hold nothing retains exactly
+//! one version.
 
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use crate::snapshot::KbSnapshot;
 
-/// The idle value of an epoch slot. Real epochs start at 1.
-const SLOT_IDLE: u64 = 0;
-
-/// Shared state of one epoch slot: the registry holds one `Arc`, the
-/// owning [`ReaderSlot`] the other. `pinned` is the only field the read
-/// path touches.
-#[derive(Debug)]
-struct SlotState {
-    /// [`SLOT_IDLE`] when no load is in flight; otherwise the global
-    /// epoch the in-flight load pinned.
-    pinned: AtomicU64,
-}
-
-/// A registered epoch slot — the reader-side half of the reclamation
-/// protocol, required by [`SnapshotCell::load`].
-///
-/// One slot serialises one load at a time, so it must not be shared
-/// across threads (`!Sync`, enforced at the type level); it is `Send` and
-/// cheap, so create one per reader thread via
-/// [`SnapshotCell::register_slot`] (or just clone a
-/// [`crate::SnapshotReader`], which carries its own). Dropping the slot
-/// deregisters it: the next registration or publish prunes orphaned
-/// slots, so reader churn does not accumulate registry entries.
-#[derive(Debug)]
-pub struct ReaderSlot {
-    state: Arc<SlotState>,
-    /// Identity of the cell the slot is registered with; `load` rejects
-    /// a slot minted by a different cell (its pins would be invisible to
-    /// this cell's reclamation scan — an unsoundness, not a misuse).
-    cell_id: u64,
-    /// One slot, one concurrent load: `Cell` makes the type `!Sync`.
-    _single_thread: PhantomData<std::cell::Cell<()>>,
-}
-
-/// Writer-side bookkeeping, behind a mutex readers never touch.
-#[derive(Debug)]
-struct Retained {
-    /// The current version, except for the instants inside the
-    /// (single-writer) `publish`.
-    newest: Arc<KbSnapshot>,
-    /// Superseded versions not yet freed: `(retire_epoch, version)`.
-    /// Freed by `reclaim` once every slot is idle or pinned past
-    /// `retire_epoch` and no reader holds the version any more.
-    limbo: Vec<(u64, Arc<KbSnapshot>)>,
-    /// Every registered slot, scanned by `reclaim`, pruned when only the
-    /// registry still holds the `Arc` (the `ReaderSlot` was dropped).
-    slots: Vec<Arc<SlotState>>,
-    /// Versions freed so far (diagnostics; monotone).
+/// Superseded versions not freed yet, and the count of those freed.
+#[derive(Debug, Default)]
+struct Limbo {
+    versions: Vec<Arc<KbSnapshot>>,
     reclaimed: u64,
 }
 
-impl Retained {
-    /// Forget the slots whose [`ReaderSlot`] was dropped.
-    fn prune_slots(&mut self) {
-        self.slots.retain(|slot| Arc::strong_count(slot) > 1);
-    }
-}
-
-/// Source of unique cell identities (see [`ReaderSlot::cell_id`]).
-static NEXT_CELL_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Lock-free publication point for [`KbSnapshot`] versions, with
-/// epoch-based reclamation of superseded versions.
-///
-/// One writer publishes (the serve pipeline, serialised by `&mut self` on
-/// ingest); any number of readers [`load`](SnapshotCell::load)
-/// concurrently and wait-free through registered [`ReaderSlot`]s. See the
-/// [module docs](self) for the protocol and its safety argument.
+/// Publication point for [`KbSnapshot`] versions (see the
+/// [module docs](self)). One writer publishes (the serve pipeline,
+/// serialised by `&mut self` on ingest); any number of readers
+/// [`load`](SnapshotCell::load) concurrently.
 #[derive(Debug)]
 pub struct SnapshotCell {
-    /// Points at the data of the current version's `Arc`. The pointed-to
-    /// snapshot always carries one outstanding `into_raw` count owned by
-    /// this field, *and* the strong count of [`Retained::newest`] — so it
-    /// stays backed through the swap that supersedes it.
-    current: AtomicPtr<KbSnapshot>,
-    /// The global epoch: starts at 1, advanced once per publish, after
-    /// the swap. A pinned slot holding epoch `e` proves its reader can
-    /// only materialise versions retired at epoch ≥ `e`.
-    epoch: AtomicU64,
+    current: RwLock<Arc<KbSnapshot>>,
     /// The latest published version number, for lock-free `version()`.
     latest: AtomicU64,
-    /// Current version, limbo, slot registry (writer side + diagnostics;
-    /// the read path never touches it).
-    retained: Mutex<Retained>,
-    /// This cell's identity, stamped into every slot it registers.
-    id: u64,
+    limbo: Mutex<Limbo>,
 }
 
 impl SnapshotCell {
     /// Create a cell publishing `initial` as the current version.
-    /// Crate-internal: cells are only created (and written) by
-    /// [`crate::ServePipeline`], which is what enforces the single-writer
-    /// requirement at the type level.
+    /// Crate-internal: only [`crate::ServePipeline`] creates and writes
+    /// cells, which enforces the single writer at the type level.
     pub(crate) fn new(initial: Arc<KbSnapshot>) -> Self {
         Self {
             latest: AtomicU64::new(initial.version()),
-            current: AtomicPtr::new(Arc::into_raw(Arc::clone(&initial)).cast_mut()),
-            epoch: AtomicU64::new(SLOT_IDLE + 1),
-            retained: Mutex::new(Retained {
-                newest: initial,
-                limbo: Vec::new(),
-                slots: Vec::new(),
-                reclaimed: 0,
-            }),
-            id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
+            current: RwLock::new(initial),
+            limbo: Mutex::default(),
         }
     }
 
-    /// Construct a raw cell outside the crate. Test support for the
-    /// reclamation soak (which publishes synthetic constant-size
-    /// snapshots without a pipeline), not API: production cells are
-    /// created and written only by [`crate::ServePipeline`], which is
-    /// what enforces the single-writer requirement.
+    /// Test support for the reclamation soak, not API: production cells
+    /// are created and written only by [`crate::ServePipeline`].
     #[doc(hidden)]
     pub fn new_for_tests(initial: Arc<KbSnapshot>) -> Self {
         Self::new(initial)
     }
 
-    /// Publish through a raw cell outside the crate. Test support (see
-    /// [`SnapshotCell::new_for_tests`]); the caller must serialise
-    /// publishes exactly as `ServePipeline::ingest`'s `&mut self` would.
+    /// Test support (see [`SnapshotCell::new_for_tests`]); the caller
+    /// serialises publishes as `ServePipeline::ingest`'s `&mut self` does.
     #[doc(hidden)]
     pub fn publish_for_tests(&self, snapshot: Arc<KbSnapshot>) {
         self.publish(snapshot);
     }
 
-    /// Drain reclaimable limbo outside the crate. Test support (see
-    /// [`SnapshotCell::new_for_tests`]).
+    /// Test support (see [`SnapshotCell::new_for_tests`]).
     #[doc(hidden)]
     pub fn reclaim_for_tests(&self) {
         self.reclaim();
     }
 
-    /// Register an epoch slot for a reader thread, first pruning the slots
-    /// of dropped readers — so reader churn cannot grow the registry even
-    /// while nothing publishes. Takes the
-    /// registry lock — reader *creation* is not wait-free, only [`load`]
-    /// is; do it once per thread, not per query.
-    ///
-    /// [`load`]: SnapshotCell::load
-    pub fn register_slot(&self) -> ReaderSlot {
-        let state = Arc::new(SlotState { pinned: AtomicU64::new(SLOT_IDLE) });
-        let mut retained = self.retained();
-        retained.prune_slots();
-        retained.slots.push(Arc::clone(&state));
-        ReaderSlot { state, cell_id: self.id, _single_thread: PhantomData }
+    /// The current snapshot. The returned `Arc` keeps that version alive
+    /// for as long as the caller holds it.
+    pub fn load(&self) -> Arc<KbSnapshot> {
+        // Neither section under this lock can panic, so a poisoned lock
+        // still guards a valid `Arc`.
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// The current snapshot. **Wait-free**: two atomic loads, two atomic
-    /// stores and one refcount increment, no locks, no CAS loops, no
-    /// spinning — regardless of concurrent publishes and reclamation. The
-    /// returned `Arc` pins that version for as long as the caller holds
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// If `slot` was registered with a different cell (using it here
-    /// would hide its pin from this cell's reclamation scan).
-    pub fn load(&self, slot: &ReaderSlot) -> Arc<KbSnapshot> {
-        assert_eq!(slot.cell_id, self.id, "ReaderSlot used with a cell it was not registered with");
-        // Pin: announce the epoch before touching the pointer. SeqCst on
-        // the pin, the pointer load, the writer's swap and the writer's
-        // slot scan puts all four in one total order — the module docs
-        // carry the two-case proof that the writer can then never free a
-        // version this load can still return.
-        slot.state.pinned.store(self.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
-        let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: `ptr` was produced by `Arc::into_raw` (in `new` or
-        // `publish`) and its snapshot is still alive: it is either the
-        // current version (owned by this field plus `Retained::newest`)
-        // or was retired at an epoch ≥ our pin — and `reclaim` never
-        // frees a version retired at an epoch ≥ any pinned slot's value.
-        let snapshot = unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        };
-        // Unpin. Release suffices: reclamation may free retired versions
-        // from here on, but we hold an owning strong count.
-        slot.state.pinned.store(SLOT_IDLE, Ordering::Release);
-        snapshot
+    fn limbo(&self) -> MutexGuard<'_, Limbo> {
+        self.limbo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The current snapshot, without an epoch slot. Writer-side only:
-    /// sound *only* while no `publish`/`reclaim` can run concurrently,
-    /// which [`crate::ServePipeline`] guarantees by requiring `&mut self`
-    /// for both. Takes the bookkeeping lock (never contended on the read
-    /// path) — the writer's own loads are setup/diagnostics, not the hot
-    /// path.
-    pub(crate) fn load_writer(&self) -> Arc<KbSnapshot> {
-        Arc::clone(&self.retained().newest)
-    }
-
-    /// Poisoned only if a publish or reclaim panicked while moving versions
-    /// into or out of limbo, when one may have been freed under a reader's
-    /// pin: nothing sound is left to serve, so the panic spreads.
-    #[allow(clippy::expect_used)]
-    fn retained(&self) -> MutexGuard<'_, Retained> {
-        self.retained.lock().expect("snapshot retention bookkeeping panicked")
-    }
-
-    /// Publish a new version, retire the current one into limbo, and
-    /// reclaim whatever limbo may free (epoch-safely).
-    ///
-    /// Writer-side and crate-internal: publishes must be serialised, and
-    /// keeping this `pub(crate)` makes the only writer
-    /// [`crate::ServePipeline::ingest`] (`&mut self`), so the
-    /// monotonicity contract cannot be broken by a second publisher
-    /// racing the swap. Readers are unaffected either way: a reader that
-    /// loaded the old pointer just before the swap pinned an epoch that
-    /// keeps the old version out of reclamation until it unpins.
-    ///
-    /// The bookkeeping lock is **not** held across the swap: the writer
-    /// critical section observed by [`versions_retained`] diagnostics is
-    /// pure bookkeeping (a push, the slot scan, the limbo sweep), and
-    /// freed snapshots are dropped after the lock is released, so a large
-    /// reclaimed version never extends it either. The old version stays
-    /// owned by `newest` until it moves to limbo, so there is no
-    /// swapped-but-untracked gap in which it could be freed.
-    ///
-    /// [`versions_retained`]: SnapshotCell::versions_retained
+    /// Publish a new version, move the superseded one to limbo, and
+    /// reclaim whatever limbo may free. Crate-internal: the only writer is
+    /// [`crate::ServePipeline::ingest`] (`&mut self`), so no second
+    /// publisher can break version monotonicity.
     pub(crate) fn publish(&self, snapshot: Arc<KbSnapshot>) {
         let version = snapshot.version();
-        let new_raw = Arc::into_raw(Arc::clone(&snapshot)).cast_mut();
-        let old_raw = self.current.swap(new_raw, Ordering::SeqCst);
-        // SAFETY: `old_raw` carries the `into_raw` count minted when it
-        // was published; `newest` still owns it, so this balance only
-        // releases the pointer's share.
-        unsafe { drop(Arc::from_raw(old_raw)) };
-        // Advance the epoch *after* the swap: the version retired below
-        // was swapped out at an epoch ≤ `retire_epoch`, so a reader that
-        // could still materialise it is pinned at ≤ `retire_epoch`.
-        let retire_epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.latest.store(version, Ordering::Release);
-
-        {
-            let mut retained = self.retained();
-            let superseded = std::mem::replace(&mut retained.newest, snapshot);
-            retained.limbo.push((retire_epoch, superseded));
-        }
+        let superseded = {
+            let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+            self.latest.store(version, Ordering::Release);
+            std::mem::replace(&mut *current, snapshot)
+        };
+        self.limbo().versions.push(superseded);
         self.reclaim();
     }
 
-    /// Free every limbo version that no reader can still be mid-load on
-    /// and no reader holds, and prune slots whose [`ReaderSlot`] was
-    /// dropped. Runs on every publish; also callable explicitly (via
-    /// [`crate::ServePipeline::reclaim`]) to free what readers let go of
-    /// without publishing. The freed snapshots are dropped outside the
-    /// lock.
+    /// Free every limbo version no reader holds. Runs on every publish;
+    /// also callable explicitly (via [`crate::ServePipeline::reclaim`]) to
+    /// free what readers let go of without publishing.
     pub(crate) fn reclaim(&self) {
-        let freed = {
-            let mut retained = self.retained();
-            retained.prune_slots();
-            // SeqCst slot loads: the scan must order against reader pins
-            // and pointer loads (see the module docs' proof).
-            let min_pin = retained
-                .slots
-                .iter()
-                .map(|slot| slot.pinned.load(Ordering::SeqCst))
-                .filter(|&pin| pin != SLOT_IDLE)
-                .min()
-                .unwrap_or(u64::MAX);
-            // Past every pin, no load can hand out a new `Arc` to the
-            // version, so a strong count of one is limbo's alone and
-            // stays so: dropping it below frees the version.
-            let (freed, kept): (Vec<_>, Vec<_>) =
-                std::mem::take(&mut retained.limbo).into_iter().partition(
-                    |(retire_epoch, snapshot)| {
-                        *retire_epoch < min_pin && Arc::strong_count(snapshot) == 1
-                    },
-                );
-            retained.reclaimed += freed.len() as u64;
-            retained.limbo = kept;
-            freed
-        };
-        // Dropping (potentially large) snapshots happens off-lock so the
-        // writer critical section stays O(bookkeeping).
-        drop(freed);
+        let mut limbo = self.limbo();
+        let freed: Vec<_> =
+            limbo.versions.extract_if(.., |snapshot| Arc::strong_count(snapshot) == 1).collect();
+        limbo.reclaimed += freed.len() as u64;
+        // Release the lock before `freed` drops the versions.
+        drop(limbo);
     }
 
     /// The current version number. Lock-free (one atomic load).
@@ -358,26 +115,15 @@ impl SnapshotCell {
     }
 
     /// Versions currently resident: the current one plus the limbo
-    /// versions not freed yet — those readers still hold, and those
-    /// awaiting a pin or the next reclaim. A quiescent cell whose readers
-    /// hold nothing reports exactly 1 after a publish or reclaim.
+    /// versions not freed yet. A quiescent cell whose readers hold nothing
+    /// reports exactly 1 after a publish or reclaim.
     pub fn versions_retained(&self) -> usize {
-        1 + self.retained().limbo.len()
+        1 + self.limbo().versions.len()
     }
 
     /// Versions freed by reclamation so far.
     pub fn versions_reclaimed(&self) -> u64 {
-        self.retained().reclaimed
-    }
-}
-
-impl Drop for SnapshotCell {
-    fn drop(&mut self) {
-        // Balance the current version's outstanding `into_raw` count.
-        // SAFETY: `&mut self` — no reader can be mid-`load`.
-        unsafe {
-            drop(Arc::from_raw(self.current.load(Ordering::Acquire)));
-        }
+        self.limbo().reclaimed
     }
 }
 
@@ -388,8 +134,8 @@ mod tests {
     /// A snapshot whose content is a pure function of its version:
     /// `tables = version + 7`, `rows = 3 * version` (what
     /// `synthetic_for_soak` stamps). Every test that loads a snapshot
-    /// re-checks this canary, so a load that materialised freed or
-    /// foreign memory trips an assertion even outside miri.
+    /// re-checks this canary, so a load that materialised the wrong
+    /// version's memory trips an assertion.
     fn snap(version: u64) -> Arc<KbSnapshot> {
         Arc::new(KbSnapshot::synthetic_for_soak(version, 0))
     }
@@ -402,11 +148,10 @@ mod tests {
     #[test]
     fn load_returns_latest_published() {
         let cell = SnapshotCell::new(snap(0));
-        let slot = cell.register_slot();
-        assert_eq!(cell.load(&slot).version(), 0);
+        assert_eq!(cell.load().version(), 0);
         cell.publish(snap(1));
         cell.publish(snap(2));
-        assert_eq!(cell.load(&slot).version(), 2);
+        assert_eq!(cell.load().version(), 2);
         assert_eq!(cell.version(), 2);
         assert_eq!(cell.versions_retained(), 1);
         assert_eq!(cell.versions_reclaimed(), 2);
@@ -421,14 +166,13 @@ mod tests {
             assert_eq!(cell.versions_retained(), 1);
             assert_eq!(cell.versions_reclaimed(), v);
         }
-        check_canary(&cell.load_writer());
+        check_canary(&cell.load());
     }
 
     #[test]
     fn loaded_snapshot_outlives_supersession_and_reclamation() {
         let cell = SnapshotCell::new(snap(0));
-        let slot = cell.register_slot();
-        let pinned = cell.load(&slot);
+        let pinned = cell.load();
         for v in 1..=5 {
             cell.publish(snap(v));
         }
@@ -438,7 +182,7 @@ mod tests {
         assert_eq!(cell.versions_retained(), 2, "the current version plus the held one");
         assert_eq!(pinned.version(), 0, "a pinned version never changes under the reader");
         check_canary(&pinned);
-        assert_eq!(cell.load(&slot).version(), 5);
+        assert_eq!(cell.load().version(), 5);
     }
 
     /// A reader that drops the last handle of a superseded version does
@@ -451,8 +195,7 @@ mod tests {
             let v0 = snap(0);
             let canary = Arc::downgrade(&v0);
             let cell = SnapshotCell::new(v0);
-            let slot = cell.register_slot();
-            let held = cell.load(&slot);
+            let held = cell.load();
             cell.publish(snap(1));
             assert_eq!(cell.versions_reclaimed(), 0, "a held version is not freed");
 
@@ -473,146 +216,17 @@ mod tests {
         }
     }
 
-    /// The interleaving the epoch protocol exists for: a reader pins and
-    /// reads the raw pointer, then parks *before* incrementing the
-    /// refcount, while the writer publishes several versions and tries to
-    /// reclaim. The pinned epoch must hold the version in limbo (no
-    /// use-after-free when the reader resumes); the unpin must then
-    /// release everything the reader does not hold. White-box: drives the
-    /// slot and pointer directly, in exactly the order `load` does.
-    #[test]
-    fn parked_reader_between_pin_and_increment_blocks_reclaim() {
-        let cell = SnapshotCell::new(snap(0));
-        let slot = cell.register_slot();
-
-        // Reader half 1: pin the epoch, load the raw pointer... and park.
-        slot.state.pinned.store(cell.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
-        let parked_ptr = cell.current.load(Ordering::SeqCst);
-
-        // Writer: supersede version 0 several times over; each publish
-        // runs a reclaim pass.
-        for v in 1..=4 {
-            cell.publish(snap(v));
-        }
-        assert_eq!(
-            cell.versions_reclaimed(),
-            0,
-            "a version observable by the parked reader must not be freed"
-        );
-        assert_eq!(cell.versions_retained(), 1 + 4, "the current version plus all of limbo (4)");
-
-        // Reader half 2: resume — increment and materialise. The memory
-        // must still be the version-0 snapshot, canary intact.
-        let resumed = unsafe {
-            Arc::increment_strong_count(parked_ptr);
-            Arc::from_raw(parked_ptr)
-        };
-        assert_eq!(resumed.version(), 0);
-        check_canary(&resumed);
-        slot.state.pinned.store(SLOT_IDLE, Ordering::Release);
-
-        // Unpinned: the next reclaim frees the three versions nobody
-        // holds; the reader's Arc still backs its copy of version 0.
-        cell.reclaim();
-        assert_eq!(cell.versions_reclaimed(), 3);
-        assert_eq!(cell.versions_retained(), 2);
-        check_canary(&resumed);
-        drop(resumed);
-        cell.reclaim();
-        assert_eq!(cell.versions_reclaimed(), 4);
-        assert_eq!(cell.versions_retained(), 1);
-    }
-
-    /// A stale pin — stored from an epoch read long ago, after the writer
-    /// already advanced past it — must be conservative (block reclaim),
-    /// and a load through it must still return the *current* version:
-    /// the swapped-out one is unreachable via the pointer by then.
-    #[test]
-    fn stale_pin_is_conservative_not_unsound() {
-        let cell = SnapshotCell::new(snap(0));
-        let slot = cell.register_slot();
-        let stale_epoch = cell.epoch.load(Ordering::SeqCst);
-
-        for v in 1..=3 {
-            cell.publish(snap(v));
-        }
-        assert_eq!(cell.versions_reclaimed(), 3, "idle slot blocks nothing");
-
-        // The reader resumes with its stale epoch: pin, then load.
-        slot.state.pinned.store(stale_epoch, Ordering::SeqCst);
-        let ptr = cell.current.load(Ordering::SeqCst);
-        let loaded = unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        };
-        assert_eq!(loaded.version(), 3, "a late pointer load sees the current version");
-        check_canary(&loaded);
-        drop(loaded);
-
-        // While pinned at the stale epoch, superseded versions stay in
-        // limbo.
-        cell.publish(snap(4));
-        assert_eq!(cell.versions_reclaimed(), 3, "stale pin holds limbo conservatively");
-        slot.state.pinned.store(SLOT_IDLE, Ordering::Release);
-        cell.reclaim();
-        assert_eq!(cell.versions_reclaimed(), 4);
-    }
-
-    #[test]
-    fn dropped_slots_are_pruned_and_release_limbo() {
-        let cell = SnapshotCell::new(snap(0));
-        let slot = cell.register_slot();
-        // Park the slot pinned, then drop it (a reader thread that died
-        // mid-protocol can only do this by leaking the load, but the
-        // registry must still not grow unboundedly under churn).
-        slot.state.pinned.store(cell.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
-        drop(slot);
-        cell.publish(snap(1));
-        // The dropped slot was pruned before the scan, so nothing blocks.
-        assert_eq!(cell.versions_reclaimed(), 1);
-        assert!(cell.retained().slots.is_empty());
-    }
-
-    /// Reader churn on a cell that never publishes: registration prunes
-    /// the slots of dropped readers, so the registry stays at the live
-    /// readers plus the one dropped since the last registration.
-    #[test]
-    fn reader_churn_without_publishes_does_not_grow_the_registry() {
-        let cell = SnapshotCell::new(snap(0));
-        let live: Vec<ReaderSlot> = (0..3).map(|_| cell.register_slot()).collect();
-        let churn = if cfg!(miri) { 100 } else { 10_000 };
-        for _ in 0..churn {
-            let slot = cell.register_slot();
-            check_canary(&cell.load(&slot));
-            assert!(cell.retained().slots.len() <= live.len() + 1);
-            drop(slot);
-            assert!(cell.retained().slots.len() <= live.len() + 1);
-        }
-        assert_eq!(cell.versions_reclaimed(), 0, "nothing was published");
-    }
-
-    #[test]
-    #[should_panic(expected = "ReaderSlot used with a cell it was not registered with")]
-    fn foreign_slot_is_rejected() {
-        let a = SnapshotCell::new(snap(0));
-        let b = SnapshotCell::new(snap(0));
-        let slot_b = b.register_slot();
-        let _ = a.load(&slot_b);
-    }
-
     #[test]
     fn concurrent_loads_during_publishes_are_consistent() {
         let cell = Arc::new(SnapshotCell::new(snap(0)));
-        let iterations = if cfg!(miri) { 40 } else { 1000 };
-        let publishes = if cfg!(miri) { 10 } else { 50 };
+        let (iterations, publishes) = (1000, 50);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let cell = Arc::clone(&cell);
                 scope.spawn(move || {
-                    let slot = cell.register_slot();
                     let mut last = 0u64;
                     for _ in 0..iterations {
-                        let s = cell.load(&slot);
+                        let s = cell.load();
                         check_canary(&s);
                         assert!(s.version() >= last, "versions must be monotonic per reader");
                         last = s.version();
@@ -629,23 +243,19 @@ mod tests {
         assert_eq!(cell.versions_reclaimed(), publishes);
     }
 
-    /// Seeded randomized interleaving stress: four readers load through
-    /// the full protocol with randomized pauses injected at the two
-    /// hazard points (between pin and pointer load, and between pointer
-    /// load and increment — driven white-box so the pause really lands
-    /// inside the window), while the writer publishes with its own
-    /// randomized pauses, reclaiming on every publish. Readers sometimes
-    /// hold a version across loads, so the writer also frees versions
-    /// whose last holder let go. Every materialised snapshot must carry
-    /// an intact canary, and every reader's version sequence must be
-    /// monotone. Miri-sized under `cfg(miri)`; run it there to
-    /// machine-check the absence of use-after-free.
+    /// Seeded randomized interleaving stress: four readers load with
+    /// randomized pauses and sometimes hold a version across many
+    /// publishes, while the writer publishes with its own randomized
+    /// pauses, reclaiming on every publish — so the writer also frees
+    /// versions whose last holder let go. Every loaded and every held
+    /// snapshot must carry an intact canary, every reader's version
+    /// sequence must be monotone, and at quiescence every superseded
+    /// version must have been freed.
     #[test]
     fn randomized_interleaving_stress_yields_no_use_after_free() {
         use rand::{Rng, SeedableRng};
 
-        let publishes: u64 = if cfg!(miri) { 30 } else { 600 };
-        let loads_per_reader = if cfg!(miri) { 30 } else { 800 };
+        let (publishes, loads_per_reader) = (600u64, 800);
 
         for seed in 0..3u64 {
             let cell = Arc::new(SnapshotCell::new(snap(0)));
@@ -655,39 +265,26 @@ mod tests {
                     scope.spawn(move || {
                         let mut rng =
                             rand_chacha::ChaCha8Rng::seed_from_u64(seed * 100 + reader_id);
-                        let slot = cell.register_slot();
                         let mut last = 0u64;
                         let mut held: Option<Arc<KbSnapshot>> = None;
                         for _ in 0..loads_per_reader {
-                            // White-box load with pauses injected at the
-                            // two points an unlucky scheduler could park
-                            // a real reader.
-                            slot.state
-                                .pinned
-                                .store(cell.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
                             if rng.gen_range(0..4u32) == 0 {
                                 std::thread::yield_now();
                             }
-                            let ptr = cell.current.load(Ordering::SeqCst);
-                            if rng.gen_range(0..4u32) == 0 {
-                                std::thread::yield_now();
-                            }
-                            // SAFETY: identical to `load` — the pin was
-                            // announced before the pointer load.
-                            let s = unsafe {
-                                Arc::increment_strong_count(ptr);
-                                Arc::from_raw(ptr)
-                            };
-                            slot.state.pinned.store(SLOT_IDLE, Ordering::Release);
+                            let s = cell.load();
                             check_canary(&s);
                             assert!(s.version() >= last, "monotone versions per reader");
                             last = s.version();
                             if let Some(old) = &held {
                                 check_canary(old);
                             }
-                            if rng.gen_range(0..8u32) == 0 {
-                                held = Some(s);
-                                std::thread::yield_now();
+                            match rng.gen_range(0..8u32) {
+                                0 => {
+                                    held = Some(s);
+                                    std::thread::yield_now();
+                                }
+                                1 => held = None,
+                                _ => {}
                             }
                         }
                     });
@@ -706,37 +303,22 @@ mod tests {
         }
     }
 
-    /// The writer critical section (what `versions_retained` waits on)
-    /// must stay pure bookkeeping: publish must not hold the bookkeeping
-    /// lock across the pointer swap. Probed behaviourally — a thread
-    /// holding the lock must not be able to stop a publish from making
-    /// the new version visible to wait-free loads.
+    /// The write lock covers the pointer replacement only: a thread
+    /// holding the limbo lock must not stop a publish from making the new
+    /// version visible to loads.
     #[test]
     fn publish_swaps_outside_the_retention_lock() {
         let cell = Arc::new(SnapshotCell::new(snap(0)));
-        let lock = cell.retained.lock().unwrap();
+        let lock = cell.limbo.lock().unwrap();
         let seen = std::thread::scope(|scope| {
             let cell2 = Arc::clone(&cell);
-            let publisher = scope.spawn(move || {
-                // Swap + epoch advance happen before the (blocked)
-                // bookkeeping; signal how far we got via the version a
-                // fresh load observes.
-                cell2.publish(snap(1));
-            });
-            // Wait (bounded) for the swap to land while *holding* the
-            // bookkeeping lock the whole time.
+            let publisher = scope.spawn(move || cell2.publish(snap(1)));
+            // Wait (bounded) for the replacement to land while *holding*
+            // the limbo lock the whole time.
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             let mut observed = 0;
             while std::time::Instant::now() < deadline {
-                // `load` is lock-free, so it cannot deadlock against the
-                // held lock. (No registered slot needed for the
-                // assertion: use the raw pointer + canary, read-only.)
-                let ptr = cell.current.load(Ordering::SeqCst);
-                // SAFETY: nothing can be freed while we hold the lock:
-                // version 0 stays owned by `newest` until the blocked
-                // publish moves it to limbo, and version 1 by the
-                // publish's own argument.
-                let v = unsafe { (*ptr).version() };
+                let v = cell.load().version();
                 if v == 1 {
                     observed = v;
                     break;
@@ -747,7 +329,7 @@ mod tests {
             publisher.join().expect("publisher");
             observed
         });
-        assert_eq!(seen, 1, "publish must swap before (not inside) the bookkeeping lock");
+        assert_eq!(seen, 1, "publish must swap before (not inside) the limbo lock");
         assert_eq!(cell.versions_retained(), 1);
     }
 }

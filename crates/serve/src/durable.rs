@@ -170,7 +170,7 @@ impl<'a> DurableServePipeline<'a> {
         self.store.write_checkpoint(&checkpoint)
     }
 
-    /// A wait-free reader handle (see [`ServePipeline::reader`]).
+    /// A reader handle (see [`ServePipeline::reader`]).
     pub fn reader(&self) -> SnapshotReader {
         self.serve.reader()
     }

@@ -10,13 +10,10 @@
 //!
 //! * [`ServePipeline`] wraps an [`IncrementalPipeline`]: every ingested
 //!   micro-batch publishes a new immutable [`KbSnapshot`] version.
-//! * [`SnapshotReader`] handles are cheap to clone, `Send + 'static`, and
-//!   **wait-free**: [`SnapshotReader::snapshot`] never blocks, never takes
-//!   a lock, and never observes a partially ingested batch — each returned
-//!   `Arc<KbSnapshot>` is one consistent KB version, pinned for as long as
-//!   the reader holds it. A handle carries its own reclamation-epoch slot
-//!   and so is deliberately `!Sync`: clone one per reader thread instead
-//!   of sharing a reference (see [`cell`] for the mechanism).
+//! * [`SnapshotReader`] handles are cheap to clone and `Send + Sync +
+//!   'static`. [`SnapshotReader::snapshot`] never observes a partially
+//!   ingested batch: each returned `Arc<KbSnapshot>` is one consistent KB
+//!   version, pinned for as long as the reader holds it.
 //! * Superseded versions are **reclaimed**: resident memory is the current
 //!   version plus whatever versions readers still hold, under indefinite
 //!   ingest, instead of growing with version count. A reader that wants
@@ -36,9 +33,9 @@
 //! * **Snapshot isolation**: every query (and every batch of queries) runs
 //!   against exactly one version; concurrent ingest affects only *later*
 //!   `snapshot()` calls.
-//! * **Reader wait-freedom**: acquiring a snapshot is an epoch pin (two
-//!   atomic stores), an atomic pointer load and a reference-count
-//!   increment, independent of writer activity.
+//! * **What a reader waits for**: acquiring a snapshot is a read lock and
+//!   a reference-count increment. It may wait for the writer's pointer
+//!   replacement, never for ingest work, encoding or a free.
 //! * **Bounded retention**: a version a reader holds an `Arc` to lives as
 //!   long as that `Arc`; a superseded version nobody holds is freed by the
 //!   writer's next publish or reclaim, so resident memory is the current
@@ -62,7 +59,7 @@
 //! // Reader threads query a consistent version while batches ingest.
 //! let reader = serving.reader();
 //! std::thread::spawn(move || {
-//!     let snap = reader.snapshot(); // pinned version, wait-free
+//!     let snap = reader.snapshot(); // one pinned version
 //!     let hits = snap.fuzzy_lookup(None, "yellow submarine", 5);
 //!     println!("v{}: {} hits", snap.version(), hits.len());
 //! });
@@ -73,6 +70,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod cell;
 #[cfg(test)]
@@ -81,7 +79,7 @@ pub mod durable;
 pub mod query;
 pub mod snapshot;
 
-pub use cell::{ReaderSlot, SnapshotCell};
+pub use cell::SnapshotCell;
 pub use durable::{CheckpointPolicy, DurableServePipeline, RecoveryReport};
 pub use query::{EntityHit, EntityRef, Query, QueryOutput};
 pub use snapshot::{
@@ -222,19 +220,16 @@ impl<'a> ServePipeline<'a> {
         Ok(report)
     }
 
-    /// A new reader handle, with its own freshly registered reclamation
-    /// slot. Handles are cheap, `Send + 'static`, and remain valid
-    /// (serving the latest version) even while ingests run; clone one per
-    /// reader thread.
+    /// A new reader handle. Handles are cheap, `Send + Sync + 'static`,
+    /// and remain valid (serving the latest version) even while ingests
+    /// run.
     pub fn reader(&self) -> SnapshotReader {
-        SnapshotReader { slot: self.cell.register_slot(), cell: Arc::clone(&self.cell) }
+        SnapshotReader { cell: Arc::clone(&self.cell) }
     }
 
-    /// The current snapshot. The writer's own load — setup and
-    /// diagnostics, not the hot read path; reader threads use
-    /// [`SnapshotReader::snapshot`], which is the wait-free one.
+    /// The current snapshot (what [`SnapshotReader::snapshot`] returns).
     pub fn snapshot(&self) -> Arc<KbSnapshot> {
-        self.cell.load_writer()
+        self.cell.load()
     }
 
     /// The latest published version number.
@@ -242,11 +237,11 @@ impl<'a> ServePipeline<'a> {
         self.cell.version()
     }
 
-    /// Free the superseded versions no reader holds or is mid-load on any
-    /// more, without publishing. Reclamation already runs on every
-    /// publish; this exists for quiescent pipelines (ingest stopped,
-    /// readers done with their old snapshots) that want them freed now —
-    /// e.g. before measuring resident memory.
+    /// Free the superseded versions no reader holds any more, without
+    /// publishing. Reclamation already runs on every publish; this exists
+    /// for quiescent pipelines (ingest stopped, readers done with their
+    /// old snapshots) that want them freed now — e.g. before measuring
+    /// resident memory.
     pub fn reclaim(&mut self) {
         self.cell.reclaim();
     }
@@ -269,34 +264,18 @@ impl<'a> ServePipeline<'a> {
     }
 }
 
-/// A read handle onto the published snapshot sequence.
-///
-/// `Clone + Send + 'static` — and deliberately **`!Sync`**: a handle
-/// carries its own registered epoch slot ([`ReaderSlot`]), which
-/// serialises one load at a time, so hand every reader thread its own
-/// clone rather than a shared reference. Cloning registers a fresh slot
-/// (it takes the registry lock briefly — clone per thread, not per
-/// query). [`SnapshotReader::snapshot`] pins the latest version
-/// wait-free; the pinned snapshot stays fully consistent regardless of
-/// concurrent ingests and reclamation, which only ever free versions no
-/// handle is mid-load on and no caller still holds.
-#[derive(Debug)]
+/// A read handle onto the published snapshot sequence. The snapshot it
+/// returns stays fully consistent regardless of concurrent ingests and
+/// reclamation, which only ever free versions no caller still holds.
+#[derive(Clone, Debug)]
 pub struct SnapshotReader {
     cell: Arc<SnapshotCell>,
-    slot: ReaderSlot,
-}
-
-impl Clone for SnapshotReader {
-    fn clone(&self) -> Self {
-        Self { slot: self.cell.register_slot(), cell: Arc::clone(&self.cell) }
-    }
 }
 
 impl SnapshotReader {
-    /// The latest published snapshot (wait-free — no locks, no CAS loops,
-    /// regardless of concurrent publishes and reclamation).
+    /// The latest published snapshot (see [`SnapshotCell::load`]).
     pub fn snapshot(&self) -> Arc<KbSnapshot> {
-        self.cell.load(&self.slot)
+        self.cell.load()
     }
 
     /// The latest published version number (lock-free).

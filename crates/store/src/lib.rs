@@ -49,6 +49,7 @@
 //!   corrupt would start a fresh store over existing data.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 

@@ -21,6 +21,7 @@
 //!   parsers) including majority voting over a column's values.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod datatype;
 pub mod detect;

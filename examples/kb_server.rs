@@ -2,12 +2,12 @@
 //!
 //! Trains the models once, then serves the growing knowledge base through
 //! `ltee-serve`: micro-batches ingest on the writer thread while reader
-//! threads concurrently query **pinned snapshot versions** — wait-free,
-//! each reader seeing one consistent KB version per query, never a
-//! partially ingested batch. A superseded version stays resident only
-//! while some reader still holds it, and the writer frees it on the next
-//! publish after the last holder lets go, so the server's memory stays
-//! flat under indefinite ingest. Afterwards it tours the query API (exact and
+//! threads concurrently query **pinned snapshot versions**, never waiting
+//! for ingest work, each reader seeing one consistent KB version per
+//! query, never a partially ingested batch. A superseded version stays
+//! resident only while some reader still holds it, and the writer frees
+//! it on the next publish after the last holder lets go, so the server's
+//! memory stays flat under indefinite ingest. Afterwards it tours the query API (exact and
 //! fuzzy label lookup, entity fetch with fused facts + table provenance,
 //! per-class paging, batched execution) against the final version.
 //! The last act makes the KB durable: the same stream ingests through
@@ -31,7 +31,7 @@ fn main() {
     let config = PipelineConfig::fast();
     let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
 
-    // ── Serve phase: one writer, many wait-free readers ─────────────────
+    // ── Serve phase: one writer, many concurrent readers ────────────────
     let mut serving = ServePipeline::new(world.kb(), models.clone(), config.clone());
     println!(
         "serve : version {} published (empty KB), {} tables queued as micro-batches",
@@ -55,7 +55,7 @@ fn main() {
                     // (and therefore the scope join) spinning forever.
                     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
                     while last_version < final_version && std::time::Instant::now() < deadline {
-                        let snap = reader.snapshot(); // wait-free
+                        let snap = reader.snapshot(); // one pinned version
                         let stats = snap.stats();
                         let hits = snap.fuzzy_lookup(None, "the river song", 3);
                         observations.push((snap.version(), stats.rows, hits.len()));
@@ -84,7 +84,7 @@ fn main() {
             let versions: Vec<u64> = observations.iter().map(|(v, _, _)| *v).collect();
             assert!(versions.windows(2).all(|w| w[0] <= w[1]), "versions are monotonic");
             println!(
-                "reader {reader_id}: {} wait-free loads across versions {:?}..={:?}",
+                "reader {reader_id}: {} loads across versions {:?}..={:?}",
                 observations.len(),
                 versions.first().unwrap_or(&0),
                 versions.last().unwrap_or(&0)

@@ -9,6 +9,8 @@
 //! For pipeline usage, start from [`prelude`] (re-exported from
 //! [`ltee_core::prelude`]).
 
+#![forbid(unsafe_code)]
+
 pub use ltee_clustering as clustering;
 pub use ltee_codec as codec;
 pub use ltee_core as core;

@@ -7,7 +7,7 @@
 //! live bytes** (allocations minus deallocations):
 //!
 //! 1. A raw [`SnapshotCell`] publishing ≥ 2000 synthetic constant-size
-//!    snapshots (32 KiB payload each) under 4 churning readers. Constant
+//!    snapshots (32 KiB payload each) under 4 concurrent readers. Constant
 //!    payload makes the plateau crisp: at every quiescent checkpoint
 //!    exactly one version must be resident and net live bytes must sit
 //!    within a fixed slack of the first checkpoint — whereas retaining
@@ -49,10 +49,6 @@ fn soak_ingests(default: u64) -> u64 {
 }
 
 const READERS: usize = 4;
-/// Versions a reader preempted inside `load` may hold back in limbo until
-/// it unpins: every publish that lands while it is pinned. Generous — a
-/// pin lasts nanoseconds, an ingest milliseconds.
-const PIN_SLACK: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Soak 1: raw cell, constant-size synthetic snapshots, crisp plateau.
@@ -88,7 +84,6 @@ fn cell_soak_memory_plateaus_at_the_retention_window() {
             let cell = Arc::clone(&cell);
             let (done, paused, parked, total_loads) = (&done, &paused, &parked, &total_loads);
             scope.spawn(move || {
-                let mut slot = cell.register_slot();
                 let mut last_version = 0u64;
                 let mut loads = 0u64;
                 loop {
@@ -96,7 +91,7 @@ fn cell_soak_memory_plateaus_at_the_retention_window() {
                         break;
                     }
                     // Quiescent-checkpoint protocol: park (holding no
-                    // load) while the writer measures.
+                    // snapshot) while the writer measures.
                     if paused.load(Ordering::SeqCst) {
                         parked.fetch_add(1, Ordering::SeqCst);
                         while paused.load(Ordering::SeqCst) && !done.load(Ordering::SeqCst) {
@@ -105,19 +100,14 @@ fn cell_soak_memory_plateaus_at_the_retention_window() {
                         parked.fetch_sub(1, Ordering::SeqCst);
                         continue;
                     }
-                    let snap = cell.load(&slot);
+                    let snap = cell.load();
                     // Canary: content is a pure function of the version,
-                    // so freed-memory reuse trips this, not just miri.
+                    // so freed-memory reuse trips this.
                     assert_eq!(snap.tables() as u64, snap.version() + 7, "canary mismatch");
                     assert_eq!(snap.rows() as u64, 3 * snap.version(), "canary mismatch");
                     assert!(snap.version() >= last_version, "reader versions must be monotone");
                     last_version = snap.version();
                     loads += 1;
-                    // Reader churn: periodically throw the slot away and
-                    // register a fresh one, like a reconnecting client.
-                    if loads.is_multiple_of(256) {
-                        slot = cell.register_slot();
-                    }
                 }
                 total_loads.fetch_add(loads, Ordering::Relaxed);
             });
@@ -131,7 +121,7 @@ fn cell_soak_memory_plateaus_at_the_retention_window() {
             )));
             if version % checkpoint_every == 0 {
                 // Quiesce: all readers parked between loads, holding no
-                // pin and no snapshot, so limbo must drain completely.
+                // snapshot, so limbo must drain completely.
                 paused.store(true, Ordering::SeqCst);
                 while parked.load(Ordering::SeqCst) != READERS {
                     std::thread::yield_now();
@@ -234,8 +224,8 @@ fn pipeline_soak_bounds_resident_versions_under_sustained_ingest() {
                     assert_eq!(snap.stats().version, snap.version());
                     last_version = snap.version();
                     loads += 1;
-                    // Churn: a clone registers a fresh reclamation slot
-                    // and drops the old one, like reconnecting clients.
+                    // Churn: a fresh handle replaces the old one, like
+                    // reconnecting clients.
                     if loads.is_multiple_of(64) {
                         reader = reader.clone();
                     }
@@ -250,11 +240,10 @@ fn pipeline_soak_bounds_resident_versions_under_sustained_ingest() {
         for ingest in 1..=ingests {
             serving.ingest(&shifted_batch(&base_table, ingest)).expect("fresh table ids");
             // Bounded at every step: the current version plus the one
-            // each reader holds, plus what a preempted reader's pin holds
-            // back.
+            // each reader holds. Nothing else can keep a version alive.
             let resident = serving.versions_retained();
             assert!(
-                resident <= 1 + READERS + PIN_SLACK,
+                resident <= 1 + READERS,
                 "resident versions unbounded: {resident} after ingest {ingest}"
             );
             if ingest % quarter == 0 {
