@@ -516,9 +516,6 @@ fn shard_buckets<'s>(
     buckets
 }
 
-/// Phase 1 for one class: corpus statistics for the delta
-/// ([`ClassState::absorb_corpus_statistics`]), then delta clustering
-/// against all accumulated state. Mutates only `state`.
 /// Rows and tables a pipeline ingests at most: the stream state indexes
 /// clusters by `u32` and counts label occurrences in `u32`.
 const CAPACITY: usize = u32::MAX as usize;
@@ -534,6 +531,9 @@ pub(crate) fn check_capacity(ingested: [usize; 2], batch: [usize; 2]) -> Result<
     Ok(())
 }
 
+/// Phase 1 for one class: corpus statistics for the delta
+/// ([`ClassState::absorb_corpus_statistics`]), then delta clustering
+/// against all accumulated state. Mutates only `state`.
 fn ingest_class_delta(
     state: &mut ClassState,
     batch: &Corpus,

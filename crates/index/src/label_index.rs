@@ -13,10 +13,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use ltee_intern::{FrozenInterner, Interner, Sym, TokenSeq};
-use ltee_text::{
-    bounded_levenshtein, levenshtein_similarity, normalize_label, tokenize, tokenize_interned,
-    within_one_edit,
-};
+use ltee_text::{normalize_label, tokenize, tokenize_interned, within_one_edit, SimilarityGate};
 
 use crate::candidates::{d1_complete, CandidateIndex};
 use crate::metrics;
@@ -454,22 +451,6 @@ enum SimBound {
     Below(f64),
 }
 
-/// The largest edit distance that could still push a token's similarity
-/// strictly above `best`: any `d > max_dist` sits at least `1/max_len`
-/// below `best` in real arithmetic — a margin many orders of magnitude
-/// above f64 rounding error — so a `None` from the bounded kernel proves
-/// the token cannot improve the running maximum.
-#[inline]
-fn max_dist_for(best: f64, max_len: usize) -> usize {
-    if best <= 0.0 {
-        // d <= max(|a|, |b|) always holds: the kernel cannot come back
-        // `None`, keeping `Below(0.0)` (which would claim sim < 0)
-        // unrepresentable.
-        return max_len;
-    }
-    (((1.0 - best) * max_len as f64).ceil() as usize).min(max_len)
-}
-
 /// Hasher of the memo's [`Sym`] keys: one multiply of the sym id
 /// (Fibonacci hashing). Syms are dense ids minted by the index's own
 /// interner — no adversary chooses them — so SipHash's per-probe cost
@@ -739,7 +720,10 @@ impl<'a> Scorer<'a> {
                     if a == b {
                         1.0
                     } else {
-                        levenshtein_similarity(&self.query_tokens[a], &self.query_tokens[b])
+                        // A floor of 0 refutes nothing: every similarity is at least 0.
+                        SimilarityGate::new(self.q_char_lens[a], self.q_char_lens[b])
+                            .similarity_above(&self.query_tokens[a], &self.query_tokens[b], 0.0)
+                            .unwrap_or(0.0)
                     }
                 })
                 .collect();
@@ -799,16 +783,11 @@ impl<'a> Scorer<'a> {
         for &ct in entry.tokens.tokens() {
             // Length bound first, before any hashing: the entry does not
             // contain query token `i` (that is why we are in the fuzzy
-            // path), so `ct` differs from it and its distance is at least
-            // `max(length difference, 1)`. Computed with the similarity's
-            // own float expression, the bound dominates the true
-            // similarity, so a bound at or below the running maximum
-            // means the token cannot raise it — even if a memoised exact
-            // value exists.
-            let lc = self.cands.token_char_len(ct);
-            let max_len = lq.max(lc);
-            let len_bound = 1.0 - lq.abs_diff(lc).max(1) as f64 / max_len as f64;
-            if len_bound <= best {
+            // path), so `ct` differs from it. A bound at or below the
+            // running maximum means the token cannot raise it — even if a
+            // memoised exact value exists.
+            let gate = SimilarityGate::new(lq, self.cands.token_char_len(ct));
+            if gate.length_bound(true) <= best {
                 continue;
             }
             let cached = self.memo[i].get(&ct).copied();
@@ -823,16 +802,8 @@ impl<'a> Scorer<'a> {
                 Some(SimBound::Below(b)) if b <= best => {}
                 _ => {
                     metrics::count_edit_distance_calls(1);
-                    match bounded_levenshtein(
-                        qt,
-                        self.interner.resolve(ct),
-                        max_dist_for(best, max_len),
-                    ) {
-                        Some(d) => {
-                            // Same float expression as
-                            // `levenshtein_similarity`, same `d`:
-                            // bit-identical similarity.
-                            let s = 1.0 - d as f64 / max_len as f64;
+                    match gate.similarity_above(qt, self.interner.resolve(ct), best) {
+                        Some(s) => {
                             self.memo[i].insert(ct, SimBound::Exact(s));
                             if s > best {
                                 best = s;
@@ -886,12 +857,18 @@ struct Cursor<'a> {
     at: usize,
 }
 
+/// How many posting slots of the rarest query token the floor-warming
+/// pass resolves before the merge. Purely a latency knob: warming more
+/// costs more up-front scoring, warming less leaves the early merge with
+/// a low floor. Results are identical at any value.
+const WARM_CAP: usize = 1024;
+
 /// The lookup algorithm shared by [`LabelIndex`] and [`SharedLabelIndex`]
 /// (see [`LabelIndex::lookup`] for the semantics).
 ///
 /// Candidates are exactly the entries sharing at least one token with
-/// the query, as before — but instead of scoring all of them and
-/// sorting, the document-at-a-time merge visits them in entry order,
+/// the query. Instead of scoring all of them and sorting, the
+/// document-at-a-time merge visits them in entry order,
 /// bounds each candidate's score from precomputed length buckets, and
 /// fully scores only candidates whose bound could still enter the
 /// running top-k (`TopList`). Scored candidates resolve near-miss tokens
@@ -900,12 +877,6 @@ struct Cursor<'a> {
 /// distance computations depends on the query's local token
 /// neighbourhood, not on the index size. Results — ids, score bits,
 /// surfaced labels, order — are identical to the flat scan's.
-/// How many posting slots of the rarest query token the floor-warming
-/// pass resolves before the merge. Purely a latency knob: warming more
-/// costs more up-front scoring, warming less leaves the early merge with
-/// a low floor. Results are identical at any value.
-const WARM_CAP: usize = 1024;
-
 fn lookup_core(
     interner: &Interner,
     entries: &[LabelEntry],

@@ -28,9 +28,10 @@
 //! (the [`candidates`](crate) side tables), visits candidates
 //! document-at-a-time, and fully scores only those whose length-derived
 //! upper bound could still enter the running top-k. Near-miss tokens are
-//! resolved with a bounded bit-parallel Levenshtein kernel instead of the
-//! full dynamic program. Results are bit-identical to the original flat
-//! scan — same ids, same score bits, same surfaced labels, same order —
+//! resolved through `ltee_text::SimilarityGate`, whose bounded
+//! bit-parallel kernel stops once a token cannot beat the running best.
+//! Results are bit-identical to the flat scan — same ids, same score
+//! bits, same surfaced labels, same order —
 //! while the work per query stays roughly flat as the index grows; the
 //! [`metrics`] counters expose that claim deterministically.
 

@@ -10,7 +10,7 @@
 
 use ltee_intern::{Interner, Sym, TokenSeq};
 
-use crate::levenshtein::levenshtein_similarity;
+use crate::monge_elkan::{monge_elkan, TokenSide};
 use crate::normalize::normalize_label;
 
 /// Normalise a label (see [`normalize_label`]) and intern the result.
@@ -28,50 +28,36 @@ pub fn tokenize_interned(text: &str, interner: &mut Interner) -> TokenSeq {
     TokenSeq::from_syms(syms)
 }
 
-/// Directed Monge-Elkan over interned tokens: mean over `a`'s tokens of
-/// the best Levenshtein similarity against `b`'s tokens, with a sym
-/// equality fast path (an exact shared token scores 1.0 without running
-/// Levenshtein — the value the string scan would reach anyway, since only
-/// identical strings have similarity 1.0).
-fn directed_monge_elkan_tokens(a: &TokenSeq, b: &TokenSeq, interner: &Interner) -> f64 {
-    if a.is_empty() {
-        return if b.is_empty() { 1.0 } else { 0.0 };
+/// One side of an interned Monge-Elkan comparison: a token sequence and
+/// the interner its syms come from. Sym equality is string equality, so
+/// the kernel gets its shared-token shortcut from [`TokenSeq::contains`].
+struct Interned<'a> {
+    seq: &'a TokenSeq,
+    interner: &'a Interner,
+}
+
+impl TokenSide for Interned<'_> {
+    fn len(&self) -> usize {
+        self.seq.len()
     }
-    let mut total = 0.0;
-    for &at in a.tokens() {
-        let best = if b.contains(at) {
-            1.0
-        } else {
-            let at_str = interner.resolve(at);
-            let mut best: f64 = 0.0;
-            for &bt in b.tokens() {
-                let s = levenshtein_similarity(at_str, interner.resolve(bt));
-                if s > best {
-                    best = s;
-                }
-            }
-            best
-        };
-        total += best;
+
+    fn text(&self, i: usize) -> &str {
+        self.interner.resolve(self.seq.tokens()[i])
     }
-    total / a.len() as f64
+
+    fn holds(&self, other: &Self, i: usize) -> Option<bool> {
+        Some(self.seq.contains(other.seq.tokens()[i]))
+    }
 }
 
 /// Symmetric Monge-Elkan similarity over pre-tokenised, interned labels.
 ///
 /// Both sequences must come from the same `interner`. Bit-for-bit equal to
-/// [`crate::monge_elkan_similarity`] on the corresponding strings, while
-/// skipping re-tokenisation and all per-call allocation.
+/// [`crate::monge_elkan_similarity`] on the corresponding strings (the
+/// same kernel), while skipping re-tokenisation and all per-call
+/// allocation.
 pub fn monge_elkan_tokens(a: &TokenSeq, b: &TokenSeq, interner: &Interner) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let forward = directed_monge_elkan_tokens(a, b, interner);
-    let backward = directed_monge_elkan_tokens(b, a, interner);
-    (forward + backward) / 2.0
+    monge_elkan(&Interned { seq: a, interner }, &Interned { seq: b, interner })
 }
 
 #[cfg(test)]

@@ -1,84 +1,78 @@
-//! Levenshtein edit distance and its normalised similarity.
+//! Levenshtein edit distance (from the kernel in [`crate::myers`]), its
+//! normalised similarity, and the gate every running maximum of it takes.
 //!
 //! Used as the inner similarity function of [Monge-Elkan](crate::monge_elkan)
 //! when comparing labels of rows, entities and knowledge base instances.
 
-use std::cell::RefCell;
-
-thread_local! {
-    /// DP rows, reused across calls: the classic two-row program used to
-    /// allocate two fresh `Vec<usize>` per comparison, which dominated its
-    /// profile on short tokens. One thread-local scratch pair removes the
-    /// allocations entirely; the values written are identical.
-    static ROWS: RefCell<(Vec<usize>, Vec<usize>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Char scratch for the non-ASCII path (ASCII input never collects).
-    static CHARS: RefCell<(Vec<char>, Vec<char>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-}
+use crate::myers::{bounded_with_lens, char_count};
 
 /// Compute the Levenshtein (edit) distance between two strings, counted in
 /// Unicode scalar values.
-///
-/// The implementation uses the classic two-row dynamic program, which keeps
-/// memory at `O(min(|a|, |b|))` — and allocates nothing per call: ASCII
-/// input runs directly over the byte slices, and both the DP rows and the
-/// non-ASCII char scratch are thread-local reusable buffers. This function
-/// is the **oracle** for [`crate::bounded_levenshtein`]; the two must stay
-/// independent implementations.
 pub fn levenshtein_distance(a: &str, b: &str) -> usize {
-    if a.is_ascii() && b.is_ascii() {
-        // For ASCII, one char == one byte: the byte DP is char-identical.
-        return two_row_dp(a.as_bytes(), b.as_bytes());
-    }
-    CHARS.with(|chars| {
-        let mut chars = chars.borrow_mut();
-        let (a_chars, b_chars) = &mut *chars;
-        a_chars.clear();
-        a_chars.extend(a.chars());
-        b_chars.clear();
-        b_chars.extend(b.chars());
-        two_row_dp(a_chars, b_chars)
-    })
-}
-
-/// The two-row dynamic program over any symbol slice, rows drawn from the
-/// thread-local scratch.
-fn two_row_dp<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    // Iterate over the longer string and keep the DP row for the shorter one.
-    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        return long.len();
-    }
-    ROWS.with(|rows| {
-        let mut rows = rows.borrow_mut();
-        let (prev, curr) = &mut *rows;
-        prev.clear();
-        prev.extend(0..=short.len());
-        curr.clear();
-        curr.resize(short.len() + 1, 0);
-
-        for (i, lc) in long.iter().enumerate() {
-            curr[0] = i + 1;
-            for (j, sc) in short.iter().enumerate() {
-                let cost = usize::from(lc != sc);
-                curr[j + 1] = (prev[j + 1] + 1).min(curr[j] + 1).min(prev[j] + cost);
-            }
-            std::mem::swap(prev, curr);
-        }
-        prev[short.len()]
-    })
+    let (la, lb) = (char_count(a), char_count(b));
+    // The distance never exceeds the longer length: the bound refutes nothing.
+    bounded_with_lens(a, la, b, lb, la.max(lb)).unwrap_or(la.max(lb))
 }
 
 /// Levenshtein similarity normalised to `[0, 1]`:
 /// `1 - distance / max(|a|, |b|)`. Two empty strings are fully similar.
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let len_a = a.chars().count();
-    let len_b = b.chars().count();
-    let max_len = len_a.max(len_b);
-    if max_len == 0 {
-        return 1.0;
+    // A floor of 0 refutes nothing: every similarity is at least 0.
+    SimilarityGate::new(char_count(a), char_count(b)).similarity_above(a, b, 0.0).unwrap_or(0.0)
+}
+
+/// The exact gate of a running maximum of [`levenshtein_similarity`]
+/// values, built from the two strings' char lengths: first
+/// [`SimilarityGate::length_bound`], which reads no text, then
+/// [`SimilarityGate::similarity_above`], whose kernel stops once the best
+/// is out of reach. Both skip only pairs whose similarity cannot exceed the
+/// best, so a maximum taken through the gate is the ungated one, bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct SimilarityGate {
+    la: usize,
+    lb: usize,
+    /// `max(la, lb, 1)`: two empty strings are at distance 0.
+    max_len: usize,
+}
+
+impl SimilarityGate {
+    /// The gate of two strings of `la` and `lb` chars.
+    #[inline]
+    pub fn new(la: usize, lb: usize) -> Self {
+        Self { la, lb, max_len: la.max(lb).max(1) }
     }
-    let dist = levenshtein_distance(a, b);
-    1.0 - dist as f64 / max_len as f64
+
+    /// An upper bound on the similarity from the lengths alone: the
+    /// distance is at least their difference, and at least 1 when the
+    /// strings are known to differ (`distinct`). It is the similarity's own
+    /// float expression at that distance, so it dominates in f64 too.
+    #[inline]
+    pub fn length_bound(&self, distinct: bool) -> f64 {
+        let min_dist = self.la.abs_diff(self.lb).max(usize::from(distinct));
+        1.0 - min_dist as f64 / self.max_len as f64
+    }
+
+    /// `Some(levenshtein_similarity(a, b))`, or `None`, which proves the
+    /// similarity strictly below `best`. `a` and `b` must have the lengths
+    /// the gate was built with.
+    #[inline]
+    pub fn similarity_above(&self, a: &str, b: &str, best: f64) -> Option<f64> {
+        bounded_with_lens(a, self.la, b, self.lb, max_dist_for(best, self.max_len))
+            .map(|d| 1.0 - d as f64 / self.max_len as f64)
+    }
+}
+
+/// The largest edit distance that could still push a similarity strictly
+/// above `best`: any larger `d` sits at least `1/max_len` below `best` in
+/// real arithmetic, orders of magnitude above f64 rounding error.
+#[inline]
+fn max_dist_for(best: f64, max_len: usize) -> usize {
+    if best <= 0.0 {
+        // d <= max(|a|, |b|) always holds: the kernel cannot come back
+        // `None`, so no similarity is ever claimed below 0.
+        return max_len;
+    }
+    (((1.0 - best) * max_len as f64).ceil() as usize).min(max_len)
 }
 
 #[cfg(test)]

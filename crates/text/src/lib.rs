@@ -19,9 +19,9 @@
 //! All functions operate on already-normalised text; [`normalize`] provides
 //! the shared cleaning / tokenisation used across the pipeline.
 //!
-//! The [`myers`] module adds a bit-parallel bounded variant of the
-//! Levenshtein kernel ([`bounded_levenshtein`]) used by the fuzzy label
-//! index's pruned lookup path; the classic DP stays the oracle.
+//! Every edit distance comes from one kernel, Myers' [`bounded_levenshtein`];
+//! Monge-Elkan and the fuzzy label index take their maxima through one exact
+//! [`SimilarityGate`]. The two-row DP is the test oracle (`tests/oracle/`).
 //!
 //! The [`interned`] module provides the symbol-based entry points
 //! ([`normalize_and_intern`], [`tokenize_interned`],
@@ -40,9 +40,13 @@ pub mod myers;
 pub mod normalize;
 pub mod vector;
 
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 pub use interned::{monge_elkan_tokens, normalize_and_intern, tokenize_interned};
 pub use jaccard::{jaccard_similarity, token_overlap};
-pub use levenshtein::{levenshtein_distance, levenshtein_similarity};
+pub use levenshtein::{levenshtein_distance, levenshtein_similarity, SimilarityGate};
 pub use myers::{bounded_levenshtein, within_one_edit};
 pub use monge_elkan::{monge_elkan_similarity, monge_elkan_tokenized};
 pub use normalize::{clean_label, normalize_label, tokenize};

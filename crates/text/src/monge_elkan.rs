@@ -6,38 +6,77 @@
 //! the first string with its best-matching token of the second string and
 //! averages those best scores; to make the measure symmetric we compute it in
 //! both directions and take the mean, a common variant that avoids the
-//! asymmetry of the original definition.
+//! asymmetry of the original definition. String and interned tokens
+//! ([`crate::monge_elkan_tokens`]) run the same kernel through [`TokenSide`].
 
-use crate::levenshtein::levenshtein_similarity;
+use crate::levenshtein::SimilarityGate;
+use crate::myers::char_count;
 use crate::normalize::tokenize;
 
-/// Directed Monge-Elkan score: mean over tokens of `a` of the best inner
-/// similarity against any token of `b`.
-///
-/// [`crate::interned::monge_elkan_tokens`] implements the same kernel over
-/// interned syms (with an exact-match fast path); the two must stay
-/// bit-for-bit interchangeable — any change here needs the mirror change
-/// there, and `crates/text/tests/intern_agreement.rs` property-tests the
-/// equivalence.
-fn directed_monge_elkan<S: AsRef<str>>(a_tokens: &[S], b_tokens: &[S]) -> f64 {
-    if a_tokens.is_empty() {
-        return if b_tokens.is_empty() { 1.0 } else { 0.0 };
+/// How the Monge-Elkan kernel reads one side's tokens (repeats included):
+/// their count, the text of token `i`, and whether this side holds a token
+/// equal to `other`'s token `i`, where that is known without comparing text.
+pub(crate) trait TokenSide {
+    fn len(&self) -> usize;
+    fn text(&self, i: usize) -> &str;
+    fn holds(&self, _other: &Self, _i: usize) -> Option<bool> {
+        None
     }
+}
+
+impl<S: AsRef<str>> TokenSide for [S] {
+    fn len(&self) -> usize {
+        <[S]>::len(self)
+    }
+
+    fn text(&self, i: usize) -> &str {
+        self[i].as_ref()
+    }
+}
+
+/// Symmetric Monge-Elkan over two token sides: 1.0 when both are empty,
+/// 0.0 when one is, else the mean of the two directed scores.
+pub(crate) fn monge_elkan<T: TokenSide + ?Sized>(a: &T, b: &T) -> f64 {
+    if a.len() == 0 || b.len() == 0 {
+        return if a.len() == b.len() { 1.0 } else { 0.0 };
+    }
+    (directed(a, b) + directed(b, a)) / 2.0
+}
+
+/// Directed Monge-Elkan score: mean over tokens of `a` of the best inner
+/// similarity against any token of `b`. A token `b` is known to hold
+/// scores 1.0, the only similarity of identical strings, without a scan;
+/// a scan takes its maximum through the [`SimilarityGate`], which skips
+/// only tokens that cannot raise the running best, so the maximum is the
+/// ungated scan's, bit for bit.
+fn directed<T: TokenSide + ?Sized>(a: &T, b: &T) -> f64 {
     let mut total = 0.0;
-    for at in a_tokens {
+    for i in 0..a.len() {
+        let holds = b.holds(a, i);
+        if holds == Some(true) {
+            total += 1.0;
+            continue;
+        }
+        let token = a.text(i);
+        let len = char_count(token);
         let mut best: f64 = 0.0;
-        for bt in b_tokens {
-            let s = levenshtein_similarity(at.as_ref(), bt.as_ref());
-            if s > best {
-                best = s;
+        for j in 0..b.len() {
+            let other = b.text(j);
+            let gate = SimilarityGate::new(len, char_count(other));
+            if gate.length_bound(holds == Some(false)) <= best {
+                continue;
             }
-            if (best - 1.0).abs() < f64::EPSILON {
-                break;
+            if let Some(s) = gate.similarity_above(token, other, best) {
+                best = best.max(s);
+                // An equal token: nothing scores higher.
+                if (best - 1.0).abs() < f64::EPSILON {
+                    break;
+                }
             }
         }
         total += best;
     }
-    total / a_tokens.len() as f64
+    total / a.len() as f64
 }
 
 /// Symmetric Monge-Elkan similarity of two labels with Levenshtein inner
@@ -51,15 +90,7 @@ pub fn monge_elkan_similarity(a: &str, b: &str) -> f64 {
 /// [`tokenize`], for callers that compare the same label many times (and
 /// may keep the tokens in whatever string type suits them).
 pub fn monge_elkan_tokenized<S: AsRef<str>>(a_tokens: &[S], b_tokens: &[S]) -> f64 {
-    if a_tokens.is_empty() && b_tokens.is_empty() {
-        return 1.0;
-    }
-    if a_tokens.is_empty() || b_tokens.is_empty() {
-        return 0.0;
-    }
-    let forward = directed_monge_elkan(a_tokens, b_tokens);
-    let backward = directed_monge_elkan(b_tokens, a_tokens);
-    (forward + backward) / 2.0
+    monge_elkan(a_tokens, b_tokens)
 }
 
 #[cfg(test)]

@@ -1,39 +1,44 @@
-//! Myers' bit-parallel Levenshtein distance with an edit bound.
+//! Myers' bit-parallel Levenshtein distance with an edit bound: the one
+//! edit-distance kernel of the crate.
 //!
-//! [`bounded_levenshtein`] computes the same integer the classic two-row
-//! dynamic program in [`crate::levenshtein`] computes, but processes 64
-//! pattern positions per machine word (Myers 1999, in Hyyrö's block
-//! formulation). It additionally takes a `max_dist` bound: when the true
-//! distance exceeds the bound the function returns `None`, and may do so
-//! early — after any text position from which the bound is provably
-//! unreachable — without finishing the matrix.
+//! [`bounded_levenshtein`] processes 64 pattern positions per machine word
+//! (Myers 1999, in Hyyrö's block formulation). It takes a `max_dist`
+//! bound: when the true distance exceeds the bound the function returns
+//! `None`, and may do so early — after any text position from which the
+//! bound is provably unreachable — without finishing the matrix.
 //!
 //! Layout:
 //!
 //! * Strings whose shorter side fits one word (≤ 64 chars) run a
-//!   single-block kernel with all state in registers.
+//!   single-block kernel with all state in registers and the pattern
+//!   table on the stack.
 //! * Longer patterns run the multi-block kernel: one `(Pv, Mv)` pair per
 //!   64-row block, horizontal deltas carried between blocks.
 //! * Both kernels have a byte-level ASCII fast path (no `Vec<char>`
 //!   collection, pattern-alphabet table indexed by byte) and a char-level
-//!   fallback for non-ASCII input, so distances stay counted in Unicode
-//!   scalar values exactly like [`crate::levenshtein_distance`].
+//!   fallback for non-ASCII input, so distances are counted in Unicode
+//!   scalar values.
 //!
-//! The agreement between the two implementations is property-tested in
-//! `crates/text/tests/bounded_levenshtein.rs`; the classic DP remains the
-//! oracle.
+//! The oracle is the classic two-row dynamic program in
+//! `crates/text/tests/oracle/mod.rs`; `crates/text/tests/bounded_levenshtein.rs`
+//! property-tests the kernel against it.
 
 /// Compute the Levenshtein distance between `a` and `b` if it is at most
 /// `max_dist`, counted in Unicode scalar values.
 ///
-/// Returns `Some(d)` with `d == levenshtein_distance(a, b)` exactly when
-/// that distance is `<= max_dist`, and `None` otherwise. The `None` path
-/// is cheap: a length-difference check runs before any matrix work, and
-/// the kernels abandon as soon as the bound is unreachable.
+/// Returns `Some(d)` with `d` the exact edit distance exactly when that
+/// distance is `<= max_dist`, and `None` otherwise. The `None` path is
+/// cheap: a length-difference check runs before any matrix work, and the
+/// kernels abandon as soon as the bound is unreachable.
 pub fn bounded_levenshtein(a: &str, b: &str, max_dist: usize) -> Option<usize> {
+    bounded_with_lens(a, char_count(a), b, char_count(b), max_dist)
+}
+
+/// [`bounded_levenshtein`] of two strings whose char counts `la` and `lb`
+/// the caller already holds.
+pub(crate) fn bounded_with_lens(a: &str, la: usize, b: &str, lb: usize, max_dist: usize) -> Option<usize> {
     // The distance is at least the length difference: reject from lengths
     // alone before touching the contents.
-    let (la, lb) = (char_count(a), char_count(b));
     if la.abs_diff(lb) > max_dist {
         return None;
     }
@@ -43,28 +48,43 @@ pub fn bounded_levenshtein(a: &str, b: &str, max_dist: usize) -> Option<usize> {
         return Some(la.max(lb));
     }
     // The shorter string is the pattern (fewer blocks); symmetric measure.
-    let (pat, pat_len, text, text_len) =
-        if la <= lb { (a, la, b, lb) } else { (b, lb, a, la) };
+    let (pat, m, text, text_len) = if la <= lb { (a, la, b, lb) } else { (b, lb, a, la) };
+    let blocks = m.div_ceil(64);
 
-    if a.is_ascii() && b.is_ascii() {
-        if pat_len <= 64 {
-            single_block(pat.as_bytes(), text.as_bytes().iter().copied(), text_len, max_dist)
+    // A string is ASCII exactly when it has one byte per char. ASCII bytes
+    // are < 128, so `& 127` changes no index and proves it in range.
+    if la == a.len() && lb == b.len() {
+        let pat = pat.as_bytes();
+        if blocks == 1 {
+            let mut table = [0u64; 128];
+            for (i, &c) in pat.iter().enumerate() {
+                table[usize::from(c & 127)] |= 1u64 << i;
+            }
+            single_block(m, text.bytes(), text_len, max_dist, |c| table[usize::from(c & 127)])
         } else {
-            multi_block(pat.as_bytes(), text.as_bytes().iter().copied(), text_len, max_dist)
+            // Flat [symbol][block] layout.
+            let mut table = vec![0u64; 128 * blocks];
+            for (i, &c) in pat.iter().enumerate() {
+                table[usize::from(c & 127) * blocks + i / 64] |= 1u64 << (i % 64);
+            }
+            multi_block(m, text.bytes(), text_len, max_dist, |c, block| {
+                table[usize::from(c & 127) * blocks + block]
+            })
         }
     } else {
-        // Char-level fallback: collect only the pattern; the text streams.
-        let pat_chars: Vec<char> = pat.chars().collect();
-        if pat_len <= 64 {
-            single_block(&pat_chars, text.chars(), text_len, max_dist)
+        // Char-level fallback: the pattern's table; the text streams.
+        let eq_mask = char_table(pat, blocks);
+        if blocks == 1 {
+            single_block(m, text.chars(), text_len, max_dist, |c| eq_mask(c, 0))
         } else {
-            multi_block(&pat_chars, text.chars(), text_len, max_dist)
+            multi_block(m, text.chars(), text_len, max_dist, eq_mask)
         }
     }
 }
 
+/// Unicode scalar values in `s`.
 #[inline]
-fn char_count(s: &str) -> usize {
+pub(crate) fn char_count(s: &str) -> usize {
     if s.is_ascii() {
         s.len()
     } else {
@@ -72,83 +92,42 @@ fn char_count(s: &str) -> usize {
     }
 }
 
-/// Pattern symbols must build an equality bitmask table; bytes get a flat
-/// 128-slot array, chars a sorted lookup vector.
-trait PatternSymbol: Copy + Ord {
-    type Table;
-    fn build_table(pattern: &[Self], blocks: usize) -> Self::Table;
-    /// The pattern-position bitmask of `block` for text symbol `c`.
-    fn eq_mask(table: &Self::Table, c: Self, block: usize) -> u64;
-}
-
-impl PatternSymbol for u8 {
-    type Table = Vec<u64>;
-
-    fn build_table(pattern: &[u8], blocks: usize) -> Vec<u64> {
-        // ASCII only reaches bytes < 128; flat [symbol][block] layout.
-        let mut table = vec![0u64; 128 * blocks];
-        for (i, &c) in pattern.iter().enumerate() {
-            table[(c as usize) * blocks + i / 64] |= 1u64 << (i % 64);
+/// The equality bitmasks of a non-ASCII pattern, as `(char, block) → mask`:
+/// its sorted distinct chars and a flat `[char][block]` mask array.
+fn char_table(pattern: &str, blocks: usize) -> impl Fn(char, usize) -> u64 {
+    let mut distinct: Vec<char> = pattern.chars().collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let mut masks = vec![0u64; distinct.len() * blocks];
+    for (i, c) in pattern.chars().enumerate() {
+        // Every pattern char is in `distinct`, so the search finds it.
+        if let Ok(slot) = distinct.binary_search(&c) {
+            masks[slot * blocks + i / 64] |= 1u64 << (i % 64);
         }
-        table
     }
-
-    #[inline]
-    fn eq_mask(table: &Vec<u64>, c: u8, block: usize) -> u64 {
-        table[(c as usize) * blocks_of(table) + block]
-    }
-}
-
-/// Recover the block count a byte table was built with (length / 128).
-#[inline]
-fn blocks_of(table: &[u64]) -> usize {
-    table.len() / 128
-}
-
-impl PatternSymbol for char {
-    /// Sorted distinct pattern chars plus a flat `[char][block]` mask array.
-    type Table = (Vec<char>, Vec<u64>, usize);
-
-    fn build_table(pattern: &[char], blocks: usize) -> Self::Table {
-        let mut distinct: Vec<char> = pattern.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut masks = vec![0u64; distinct.len() * blocks];
-        for (i, &c) in pattern.iter().enumerate() {
-            // Every pattern char is in `distinct`, so the search finds it.
-            if let Ok(slot) = distinct.binary_search(&c) {
-                masks[slot * blocks + i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        (distinct, masks, blocks)
-    }
-
-    #[inline]
-    fn eq_mask(table: &Self::Table, c: char, block: usize) -> u64 {
-        match table.0.binary_search(&c) {
-            Ok(slot) => table.1[slot * table.2 + block],
-            Err(_) => 0,
-        }
+    move |c, block| match distinct.binary_search(&c) {
+        Ok(slot) => masks[slot * blocks + block],
+        Err(_) => 0,
     }
 }
 
 /// Single-word kernel: pattern length 1..=64.
-fn single_block<S: PatternSymbol>(
-    pattern: &[S],
+/// `eq_mask(c)` is the pattern-position bitmask of text symbol `c`.
+fn single_block<S>(
+    m: usize,
     text: impl Iterator<Item = S>,
     text_len: usize,
     max_dist: usize,
+    eq_mask: impl Fn(S) -> u64,
 ) -> Option<usize> {
-    let m = pattern.len();
     debug_assert!((1..=64).contains(&m));
-    let table = S::build_table(pattern, 1);
     let high = 1u64 << (m - 1);
 
     let mut pv: u64 = !0;
     let mut mv: u64 = 0;
     let mut score = m;
     for (j, c) in text.enumerate() {
-        let eq = S::eq_mask(&table, c, 0);
+        let eq = eq_mask(c);
         let xv = eq | mv;
         let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
         let mut ph = mv | !(xh | pv);
@@ -174,15 +153,15 @@ fn single_block<S: PatternSymbol>(
 
 /// Multi-word kernel: pattern length > 64, one `(Pv, Mv)` pair per block,
 /// horizontal deltas chained through the blocks (Hyyrö's formulation).
-fn multi_block<S: PatternSymbol>(
-    pattern: &[S],
+/// `eq_mask(c, block)` is block `block`'s pattern-position bitmask of `c`.
+fn multi_block<S: Copy>(
+    m: usize,
     text: impl Iterator<Item = S>,
     text_len: usize,
     max_dist: usize,
+    eq_mask: impl Fn(S, usize) -> u64,
 ) -> Option<usize> {
-    let m = pattern.len();
     let blocks = m.div_ceil(64);
-    let table = S::build_table(pattern, blocks);
     // Row bit of each block's bottom row: 63 except in the last block.
     let last_high = 1u64 << ((m - 1) % 64);
 
@@ -194,7 +173,7 @@ fn multi_block<S: PatternSymbol>(
         let mut hin: i32 = 1;
         for b in 0..blocks {
             let high = if b + 1 == blocks { last_high } else { 1u64 << 63 };
-            let mut eq = S::eq_mask(&table, c, b);
+            let mut eq = eq_mask(c, b);
             let pv_b = pv[b];
             let mv_b = mv[b];
             let xv = eq | mv_b;
@@ -274,7 +253,7 @@ pub fn within_one_edit(a: &str, b: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::levenshtein_distance;
+    use crate::oracle::levenshtein_distance;
 
     #[test]
     fn known_answers_match_dp() {

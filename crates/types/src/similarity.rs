@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use ltee_text::{clamp_unit, monge_elkan_similarity, monge_elkan_tokenized, normalize_label, tokenize};
+use ltee_text::{clamp_unit, monge_elkan_tokenized, normalize_label, tokenize};
 
 use crate::datatype::DataType;
 use crate::value::{Date, DateGranularity, Value};
@@ -210,7 +210,7 @@ impl Agreement {
 pub fn value_equivalent(a: &Value, b: &Value, dtype: DataType, cfg: &EquivalenceConfig) -> bool {
     match dtype {
         DataType::Text => match (a.as_str(), b.as_str()) {
-            (Some(x), Some(y)) => text_equivalent(&normalize_label(x), &normalize_label(y), cfg),
+            (Some(x), Some(y)) => text_equivalent(&tokenize(&normalize_label(x)), &normalize_label(y), cfg),
             // Mismatched payloads have similarity 0.
             _ => 0.0 >= cfg.text_threshold,
         },
@@ -236,12 +236,12 @@ pub fn value_equivalent(a: &Value, b: &Value, dtype: DataType, cfg: &Equivalence
 }
 
 // The per-type kernels of `value_equivalent`, over already extracted (and,
-// for text, already normalised) payloads. `EquivalenceSet` probes run the
-// same kernels against payloads it extracted once, which is what makes the
-// two agree by construction.
+// for text, already normalised, the probe side tokenised) payloads.
+// `EquivalenceSet` probes run the same kernels against payloads it
+// extracted once, which is what makes the two agree by construction.
 
-fn text_equivalent(x_normalized: &str, y_normalized: &str, cfg: &EquivalenceConfig) -> bool {
-    clamp_unit(monge_elkan_similarity(x_normalized, y_normalized)) >= cfg.text_threshold
+fn text_equivalent(x_tokens: &[String], y_normalized: &str, cfg: &EquivalenceConfig) -> bool {
+    clamp_unit(monge_elkan_tokenized(x_tokens, &tokenize(y_normalized))) >= cfg.text_threshold
 }
 
 fn date_equivalent(x: Date, y: Date, cfg: &EquivalenceConfig) -> bool {
@@ -346,7 +346,7 @@ impl EquivalenceSet {
                 .and_then(|x| first_position.get(&normalize_label(x)))
                 .is_some_and(|&position| position < limit),
             Digest::Text(sample) => value.as_str().is_some_and(|x| {
-                let x = normalize_label(x);
+                let x = tokenize(&normalize_label(x));
                 sample.iter().take(limit).flatten().any(|y| text_equivalent(&x, y, &cfg))
             }),
             Digest::Dates(sample) => value
@@ -363,9 +363,14 @@ impl EquivalenceSet {
 }
 
 #[cfg(test)]
+#[path = "../../text/tests/oracle/mod.rs"]
+mod text_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::Date;
+    use ltee_text::monge_elkan_similarity;
     use proptest::prelude::*;
 
     fn cfg() -> EquivalenceConfig {
@@ -648,6 +653,29 @@ mod tests {
                     );
                     prop_assert_eq!(value_similarity(a, b, dtype).to_bits(), expected.to_bits());
                 }
+            }
+        }
+
+        /// The gated Monge-Elkan behind text and instance-reference
+        /// similarity carries the bits of the ungated one over the two-row
+        /// DP, on non-ASCII, repeated and past-one-word tokens.
+        #[test]
+        fn prepared_text_similarity_matches_the_ungated_dp_oracle(
+            x in "[a-cé日ß ]{0,16}",
+            y in "[a-cé日ß ]{0,16}",
+            long in proptest::collection::vec("[ab]{60,70}", 0usize..3),
+        ) {
+            let x = format!("{x} {}", long.join(" "));
+            let y = format!("{} {y} {y}", long.first().map_or("", |t| &t[1..]));
+            let px = PreparedValue::new(&Value::Text(x.clone()));
+            let py = PreparedValue::new(&Value::Text(y.clone()));
+            let tokens = |s: &str| tokenize(&normalize_label(s));
+            let expected = super::text_oracle::monge_elkan(&tokens(&x), &tokens(&y));
+            prop_assert_eq!(px.similarity(&py, DataType::Text).to_bits(), clamp_unit(expected).to_bits());
+            let as_reference = px.similarity(&py, DataType::InstanceReference);
+            if normalize_label(&x) != normalize_label(&y) {
+                let expected = if expected >= 0.9 { expected } else { 0.0 };
+                prop_assert_eq!(as_reference.to_bits(), expected.to_bits());
             }
         }
 
