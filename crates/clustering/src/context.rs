@@ -139,6 +139,12 @@ struct TableAttributes {
     prepared: Vec<PreparedValue>,
 }
 
+ltee_intern::heap_size! {
+    ImplicitAttributes { per_table }
+    TableAttributes { attributes, prepared }
+    RowContext { normalized_label, label_tokens, bow, values, prepared }
+}
+
 impl TableAttributes {
     /// The attributes of a table of `num_rows` rows whose rows retrieved
     /// `row_candidates`: every property-value combination held by at

@@ -56,6 +56,12 @@ pub struct StreamingPhi {
     frozen: PhiTableVectors,
 }
 
+ltee_intern::heap_size! {
+    StreamingPhi { stats, frozen }
+    StreamingClusterer { contexts, clusters, block_clusters, block_index }
+    BlockPostings { by_block }
+}
+
 impl StreamingPhi {
     /// Create an empty accumulator.
     pub fn new() -> Self {

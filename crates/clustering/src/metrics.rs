@@ -125,6 +125,12 @@ pub(crate) struct PhiStats {
     tables: usize,
 }
 
+ltee_intern::heap_size! {
+    PhiTableVectors { labels, vectors }
+    PhiVector { entries }
+    PhiStats { occurrences, cooccur }
+}
+
 impl PhiStats {
     /// Count one table's labels (one per labelled row, duplicates kept).
     fn count_table(&mut self, labels: &[Sym]) {

@@ -53,7 +53,7 @@ use ltee_clustering::{
 };
 use ltee_fusion::Entity;
 use ltee_intern::Interner;
-use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
+use ltee_kb::{ClassKey, Footprint, HeapBytes, HeapSize, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{match_corpus_and_candidates, CorpusMapping, RowCandidates};
 use ltee_newdetect::NewDetectionResult;
 use ltee_webtables::Corpus;
@@ -458,6 +458,38 @@ impl<'a> IncrementalPipeline<'a> {
         }
 
         Ok(report)
+    }
+
+    /// The heap this pipeline holds (not the borrowed knowledge base): the
+    /// `models`, the ingested tables with their mapping, and per class each
+    /// part of its state; `stream.bags` counts terms, `stream.phi` pairs.
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = Footprint::default();
+        footprint.add("models", None, self.models.heap_bytes(), 1);
+        let mut unclassed =
+            self.corpus.heap_bytes() + self.mapping.heap_bytes() + HeapBytes::buffer::<ClassState>(self.states.capacity());
+        for table in self.corpus.tables() {
+            let mapping = self.mapping.table(table.id);
+            let heap = table.heap_bytes() + mapping.map_or(HeapBytes::ZERO, HeapSize::heap_bytes);
+            footprint.add("stream.tables", mapping.and_then(|m| m.class), heap, 1);
+            unclassed = unclassed - heap;
+        }
+        footprint.add("stream.tables", None, unclassed, 0);
+        for state in &self.states {
+            let (class, contexts) = (Some(state.class), state.clusterer.contexts());
+            let bags: HeapBytes = contexts.iter().map(|c| c.bow.heap_bytes()).sum();
+            let rows = contexts.iter().map(HeapSize::heap_bytes).sum::<HeapBytes>() - bags;
+            let entities = state.entities.heap_bytes() + HeapBytes::buffer::<NewDetectionResult>(state.results.capacity());
+            footprint.add("stream.interner", class, state.interner.heap_bytes(), state.interner.len());
+            footprint.add("stream.rows", class, rows, contexts.len());
+            footprint.add("stream.bags", class, bags, contexts.iter().map(|c| c.bow.len()).sum());
+            footprint.add("stream.clusters", class, state.clusterer.heap_bytes() - rows - bags, state.clusterer.len());
+            footprint.add("stream.phi", class, state.phi.heap_bytes(), state.phi.pair_count());
+            footprint.add("stream.implicit", class, state.implicit.heap_bytes(), 0);
+            footprint.add("stream.kbt", class, state.kbt.heap_bytes(), state.kbt.len());
+            footprint.add("stream.entities", class, entities, state.entities.len());
+        }
+        footprint
     }
 
     /// The number of shard buckets the next ingest would use (resolved from

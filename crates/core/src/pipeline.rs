@@ -157,6 +157,8 @@ pub struct TrainedModels {
     pub entity_model: EntitySimilarityModel,
 }
 
+ltee_intern::heap_size!(TrainedModels { matcher_weights, row_model, entity_model });
+
 /// Train all models from gold standards (typically the learning folds).
 ///
 /// This is the **train phase** of the train-once / serve-many split: the

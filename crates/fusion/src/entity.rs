@@ -31,6 +31,8 @@ pub struct Entity {
     pub facts: Vec<(String, Value, f64)>,
 }
 
+ltee_intern::heap_size!(Entity { rows, labels, facts });
+
 impl Entity {
     /// The canonical (most frequent) label.
     pub fn canonical_label(&self) -> &str {

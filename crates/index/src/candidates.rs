@@ -88,6 +88,12 @@ struct Del1Table {
 /// Smallest non-empty bucket array.
 const MIN_DEL1_BUCKETS: usize = 16;
 
+ltee_intern::heap_size! {
+    CandidateIndex { char_len, del1 }
+    Del1Table { heads, nodes }
+    Del1Node {}
+}
+
 impl Del1Table {
     fn insert(&mut self, hash: u64, sym: Sym) {
         assert!(self.nodes.len() < u32::MAX as usize - 1, "del1 exceeded u32 address space");

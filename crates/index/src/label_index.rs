@@ -198,6 +198,13 @@ impl LabelIndex {
     }
 }
 
+ltee_intern::heap_size! {
+    LabelEntry { tokens }
+    LabelIndex { interner, entries, postings, by_label, cands }
+    IndexTables { entries, postings, by_label, cands }
+    SharedLabelIndex { interner, tables }
+}
+
 /// The read-only lookup tables of an index, shared between a mutable
 /// [`LabelIndex`] (which owns them directly) and any number of
 /// [`SharedLabelIndex`] views (which hold them behind an `Arc`).

@@ -27,6 +27,8 @@ pub(crate) struct PostingLists {
     sealed: bool,
 }
 
+ltee_intern::heap_size!(PostingLists { spans, slots });
+
 impl PostingLists {
     /// Append `position` to `key`'s list.
     pub(crate) fn push(&mut self, key: Sym, position: u32) {

@@ -37,6 +37,9 @@
 
 use std::sync::Arc;
 
+mod heap;
+pub use heap::{HeapBytes, HeapSize};
+
 /// An interned string: a dense `u32` id into an [`Interner`].
 ///
 /// `Sym`s are `Copy`, hash and compare as integers, and order by insertion
@@ -322,11 +325,6 @@ impl FrozenInterner {
     /// True when nothing was interned before the freeze.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
-    }
-
-    /// Bytes held by the sealed string arena.
-    pub fn arena_bytes(&self) -> usize {
-        self.inner.arena_bytes()
     }
 
     /// Iterate `(sym, string)` pairs in insertion order.
@@ -844,7 +842,7 @@ mod tests {
         assert_eq!(clone.resolve(tom), "tom");
         assert_eq!(frozen.get("brady"), None);
         assert_eq!(clone.len(), 1);
-        assert_eq!(frozen.arena_bytes(), 3);
+        assert_eq!(frozen.as_ref().arena_bytes(), 3);
         let all: Vec<&str> = frozen.iter().map(|(_, s)| s).collect();
         assert_eq!(all, vec!["tom"]);
     }

@@ -3,6 +3,7 @@
 //! See the crate-level documentation for the world / knowledge base split.
 //! Everything is deterministic given the seed in [`GeneratorConfig`].
 
+use crate::footprint::{Footprint, HeapBytes, HeapSize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -198,7 +199,24 @@ pub struct World {
     entity_to_instance: Vec<Option<InstanceId>>,
 }
 
+ltee_intern::heap_size! {
+    Facts { entries }
+    WorldEntity { canonical_label, alt_labels, facts }
+}
+
 impl World {
+    /// The heap of the world's entities, per class; its knowledge base
+    /// reports through [`KnowledgeBase::footprint`].
+    pub fn footprint(&self) -> Footprint {
+        let table = HeapBytes::buffer::<WorldEntity>(self.entities.capacity()) + self.entity_to_instance.heap_bytes();
+        let mut footprint = Footprint::default();
+        footprint.add("world.entities", None, table, 0);
+        for entity in &self.entities {
+            footprint.add("world.entities", Some(entity.class), entity.heap_bytes(), 1);
+        }
+        footprint
+    }
+
     /// Entity by id.
     pub fn entity(&self, id: EntityId) -> Option<&WorldEntity> {
         self.entities.get(id.raw() as usize)

@@ -13,6 +13,8 @@ macro_rules! id_type {
             }
         }
 
+        ltee_intern::heap_size!($name {});
+
         impl From<u64> for $name {
             fn from(v: u64) -> Self {
                 Self(v)

@@ -28,6 +28,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
+pub mod footprint;
 pub mod generator;
 pub mod ids;
 pub mod model;
@@ -35,6 +36,7 @@ pub mod names;
 pub mod profile;
 pub mod schema;
 
+pub use footprint::{Footprint, FootprintRow, HeapBytes, HeapSize};
 pub use generator::{generate_world, Facts, GeneratorConfig, Scale, World, WorldEntity};
 pub use ids::{ClassId, EntityId, InstanceId, PropertyId};
 pub use model::{Fact, Instance, KnowledgeBase, KnowledgeBaseClass, Property, KB_OVERLAP_SAMPLE};

@@ -6,6 +6,7 @@ use std::sync::{Arc, OnceLock};
 use ltee_index::LabelIndex;
 use ltee_types::{DataType, EquivalenceSet, Value};
 
+use crate::footprint::{Footprint, HeapBytes, HeapSize};
 use crate::ids::{ClassId, InstanceId, PropertyId};
 use crate::schema::{ClassKey, CLASS_KEYS};
 
@@ -90,6 +91,14 @@ struct PropertyFacts {
     /// The first [`KB_OVERLAP_SAMPLE`] values, digested under the
     /// property's data type.
     sample: EquivalenceSet,
+}
+
+ltee_intern::heap_size! {
+    KnowledgeBaseClass { name, ancestors }
+    Property { name, label }
+    Fact { value }
+    Instance { labels, abstract_text, facts }
+    PropertyFacts { positions, sample }
 }
 
 /// Data derived from the knowledge base alone, memoised on first use.
@@ -282,6 +291,29 @@ impl KnowledgeBase {
     /// An owned copy of [`KnowledgeBase::class_label_index`].
     pub fn label_index(&self, class: ClassKey) -> LabelIndex {
         self.class_label_index(class).clone()
+    }
+
+    /// The heap the knowledge base holds: instances and (once built) label
+    /// indexes per class, and the schema with its property memos.
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = Footprint::default();
+        footprint.add("kb.instances", None, HeapBytes::buffer::<Instance>(self.instances.capacity()), 0);
+        for instance in &self.instances {
+            footprint.add("kb.instances", Some(instance.class), instance.heap_bytes(), 1);
+        }
+        if let Some(indexes) = self.derived.class_label_indexes.get() {
+            let table = HeapBytes::arc_box::<Vec<(ClassKey, LabelIndex)>>()
+                + HeapBytes::buffer::<(ClassKey, LabelIndex)>(indexes.capacity());
+            footprint.add("kb.label_index", None, table, 0);
+            for (class, index) in indexes.iter() {
+                footprint.add("kb.label_index", Some(*class), index.heap_bytes(), index.len());
+            }
+        }
+        let (schema, derived) = (self.classes.heap_bytes() + self.properties.heap_bytes(), &self.derived);
+        let memos = derived.class_properties.get().map_or(HeapBytes::ZERO, |memo| memo.heap_bytes())
+            + derived.property_facts.get().map_or(HeapBytes::ZERO, |memo| memo.heap_bytes());
+        footprint.add("kb.schema", None, schema + self.property_lookup.heap_bytes() + memos, self.properties.len());
+        footprint
     }
 
     fn property_facts(&self, property: PropertyId) -> Option<&PropertyFacts> {

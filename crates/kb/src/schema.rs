@@ -23,6 +23,8 @@ pub enum ClassKey {
 pub const CLASS_KEYS: [ClassKey; 3] =
     [ClassKey::GridironFootballPlayer, ClassKey::Song, ClassKey::Settlement];
 
+ltee_intern::heap_size!(ClassKey {});
+
 impl ClassKey {
     /// The DBpedia-style class name.
     pub fn name(self) -> &'static str {

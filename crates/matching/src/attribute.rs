@@ -44,6 +44,8 @@ pub struct MatcherWeights {
     pub property_thresholds: HashMap<ClassKey, HashMap<String, f64>>,
 }
 
+ltee_intern::heap_size!(MatcherWeights { class_weights, property_thresholds });
+
 impl Default for MatcherWeights {
     fn default() -> Self {
         // Sensible priors mirroring the averaged weights the paper reports

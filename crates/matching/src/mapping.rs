@@ -37,6 +37,13 @@ pub struct TableMapping {
     pub correspondences: Vec<Option<AttributeMatch>>,
 }
 
+ltee_intern::heap_size! {
+    AttributeMatch { property }
+    TableMapping { detected_types, correspondences }
+    RowValues { label, values }
+    CorpusMapping { tables }
+}
+
 impl TableMapping {
     /// The properties matched in this table with their column indices.
     pub fn matched_columns(&self) -> Vec<(usize, &AttributeMatch)> {

@@ -182,6 +182,8 @@ pub struct PairwiseModel {
     feature_names: Vec<String>,
 }
 
+ltee_intern::heap_size!(PairwiseModel { weighted, forest, feature_names });
+
 impl PairwiseModel {
     /// Train a pairwise model.
     ///

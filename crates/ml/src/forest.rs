@@ -71,6 +71,12 @@ struct Tree {
     nodes: Vec<Node>,
 }
 
+ltee_intern::heap_size! {
+    Node {}
+    Tree { nodes }
+    RandomForest { trees, feature_names }
+}
+
 impl Tree {
     fn predict(&self, features: &[f64]) -> f64 {
         let mut idx = 0usize;

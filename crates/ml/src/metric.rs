@@ -49,6 +49,12 @@ pub struct MetricModel<K> {
     pub model: PairwiseModel,
 }
 
+impl<K> ltee_intern::HeapSize for MetricModel<K> {
+    fn heap_bytes(&self) -> ltee_intern::HeapBytes {
+        ltee_intern::HeapBytes::buffer::<K>(self.metrics.capacity()) + self.model.heap_bytes()
+    }
+}
+
 impl<K: MetricKind> MetricModel<K> {
     /// The feature vector of one pair: `score` gives each metric's
     /// (similarity, confidence), and the features are every similarity,

@@ -21,6 +21,8 @@ pub struct WeightedAverageModel {
     pub feature_names: Vec<String>,
 }
 
+ltee_intern::heap_size!(WeightedAverageModel { weights, feature_names });
+
 impl WeightedAverageModel {
     /// Create a model with uniform weights and a 0.5 threshold.
     pub fn uniform(feature_names: Vec<String>) -> Self {

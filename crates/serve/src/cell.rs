@@ -17,6 +17,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
+use ltee_kb::HeapBytes;
+
 use crate::snapshot::KbSnapshot;
 
 /// Superseded versions not freed yet, and the count of those freed.
@@ -107,6 +109,13 @@ impl SnapshotCell {
         limbo.reclaimed += freed.len() as u64;
         // Release the lock before `freed` drops the versions.
         drop(limbo);
+    }
+
+    /// The resident versions, current first, and the limbo's own table.
+    pub(crate) fn resident(&self) -> (Vec<Arc<KbSnapshot>>, HeapBytes) {
+        let limbo = self.limbo();
+        let versions = std::iter::once(self.load()).chain(limbo.versions.iter().cloned()).collect();
+        (versions, HeapBytes::buffer::<Arc<KbSnapshot>>(limbo.versions.capacity()))
     }
 
     /// The current version number. Lock-free (one atomic load).

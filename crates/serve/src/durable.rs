@@ -31,7 +31,7 @@ use std::path::Path;
 
 use ltee_core::checkpoint::{decode_corpus, encode_corpus};
 use ltee_core::{config_fingerprint, IngestReport, PipelineConfig, TrainedModels};
-use ltee_kb::KnowledgeBase;
+use ltee_kb::{Footprint, KnowledgeBase};
 use ltee_store::{DirStorage, KbStore, Storage, StoreError, StoreRecovery, WalTail};
 use ltee_webtables::Corpus;
 
@@ -170,6 +170,11 @@ impl<'a> DurableServePipeline<'a> {
         self.store.write_checkpoint(&checkpoint)
     }
 
+    /// See [`ServePipeline::reclaim`].
+    pub fn reclaim(&mut self) {
+        self.serve.reclaim();
+    }
+
     /// A reader handle (see [`ServePipeline::reader`]).
     pub fn reader(&self) -> SnapshotReader {
         self.serve.reader()
@@ -185,6 +190,13 @@ impl<'a> DurableServePipeline<'a> {
     /// store.
     pub fn version(&self) -> u64 {
         self.serve.version()
+    }
+
+    /// [`ServePipeline::footprint`] plus the store's buffers, as `store`.
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = self.serve.footprint();
+        footprint.add("store", None, self.store.heap_bytes(), 0);
+        footprint
     }
 
     /// The wrapped serve pipeline.

@@ -92,7 +92,7 @@ use ltee_core::{
     ArtifactError, IncrementalPipeline, IngestReport, ModelArtifact, PipelineConfig, PipelineError,
     TrainedModels,
 };
-use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
+use ltee_kb::{ClassKey, Footprint, HeapBytes, KnowledgeBase, CLASS_KEYS};
 use ltee_webtables::Corpus;
 use rayon::prelude::*;
 
@@ -256,6 +256,21 @@ impl<'a> ServePipeline<'a> {
     /// Snapshot versions freed by reclamation so far.
     pub fn versions_reclaimed(&self) -> u64 {
         self.cell.versions_reclaimed()
+    }
+
+    /// The heap this process holds, by component and class: the knowledge
+    /// base, the pipeline and the resident snapshot versions, current and
+    /// reader-held, each shared slice, index and record counted once.
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = self.kb.footprint();
+        footprint.extend(self.pipeline.footprint());
+        let (versions, limbo) = self.cell.resident();
+        footprint.extend(snapshot::versions_footprint(&versions));
+        let own = HeapBytes::arc_box::<SnapshotCell>()
+            + limbo
+            + HeapBytes::buffer::<Option<Arc<ClassSnapshot>>>(self.class_cache.capacity());
+        footprint.add("snapshot.versions", None, own, 0);
+        footprint
     }
 
     /// The wrapped incremental pipeline (for ingest-side diagnostics).

@@ -16,11 +16,12 @@
 //! label indexes and one pointer per entity of each class it touched; the
 //! records it owns alone are those of the clusters its batch touched.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use ltee_fusion::Entity;
 use ltee_index::{LabelIndex, NormalizedLabel, SharedLabelIndex};
-use ltee_kb::{ClassKey, InstanceId, KnowledgeBase, CLASS_KEYS};
+use ltee_kb::{ClassKey, Footprint, HeapBytes, HeapSize, InstanceId, KnowledgeBase, CLASS_KEYS};
 use ltee_newdetect::{NewDetectionOutcome, NewDetectionResult};
 use ltee_types::Value;
 use ltee_webtables::{RowRef, TableId};
@@ -69,6 +70,13 @@ pub struct EntityRecord {
     pub best_score: f64,
     /// Number of KB candidates new detection considered.
     pub candidate_count: usize,
+}
+
+impl HeapSize for EntityRecord {
+    fn heap_bytes(&self) -> HeapBytes {
+        let label = if let LinkOutcome::Existing { label, .. } = &self.outcome { label.heap_bytes() } else { HeapBytes::ZERO };
+        self.labels.heap_bytes() + self.facts.heap_bytes() + self.rows.heap_bytes() + self.tables.heap_bytes() + label
+    }
 }
 
 impl EntityRecord {
@@ -232,6 +240,26 @@ impl ClassSnapshot {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
+}
+
+/// The heap of resident snapshot versions, each shared slice, index and
+/// record counted once.
+pub(crate) fn versions_footprint(versions: &[Arc<KbSnapshot>]) -> Footprint {
+    let mut footprint = Footprint::default();
+    let (mut slices, mut records) = (HashSet::new(), HashSet::new());
+    for version in versions {
+        let slots = HeapBytes::buffer::<Option<Arc<ClassSnapshot>>>(version.classes.capacity());
+        footprint.add("snapshot.versions", None, HeapBytes::arc_box::<KbSnapshot>() + slots, 1);
+        for slice in version.classes.iter().flatten().filter(|slice| slices.insert(Arc::as_ptr(slice))) {
+            let (class, pointers) = (Some(slice.class), HeapBytes::buffer::<Arc<EntityRecord>>(slice.records.capacity()));
+            footprint.add("snapshot.slices", class, HeapBytes::arc_box::<ClassSnapshot>() + pointers, 1);
+            footprint.add("snapshot.index", class, slice.index.heap_bytes(), slice.index.len());
+            for record in slice.records.iter().filter(|record| records.insert(Arc::as_ptr(record))) {
+                footprint.add("snapshot.records", class, record.heap_bytes(), 1);
+            }
+        }
+    }
+    footprint
 }
 
 /// Aggregate figures of one class inside a snapshot.

@@ -329,6 +329,12 @@ impl KbStore {
         Ok(StoreRecovery { store, checkpoint, tail, wal_tail })
     }
 
+    /// The heap the store holds: its storage box, WAL window and refusals.
+    pub fn heap_bytes(&self) -> ltee_intern::HeapBytes {
+        use ltee_intern::{HeapBytes, HeapSize};
+        HeapBytes::block(std::mem::size_of_val(&*self.storage)) + self.window.bytes.heap_bytes() + self.refused.heap_bytes()
+    }
+
     /// The batch number the next [`KbStore::append_batch`] will write.
     pub fn next_seq(&self) -> u64 {
         self.next_seq

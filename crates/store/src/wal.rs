@@ -130,7 +130,7 @@ pub(crate) fn frame_record(seq: u64, payload: &[u8]) -> Result<Vec<u8>, StoreErr
 pub(crate) struct SegmentWindow {
     /// The segment's latest raw bytes, trimmed to the last [`WINDOW`]
     /// before each use.
-    bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
 }
 
 impl SegmentWindow {

@@ -7,7 +7,7 @@
 //! averages those best scores; to make the measure symmetric we compute it in
 //! both directions and take the mean, a common variant that avoids the
 //! asymmetry of the original definition. String and interned tokens
-//! ([`crate::monge_elkan_tokens`]) run the same kernel through [`TokenSide`].
+//! ([`crate::monge_elkan_tokens`]) run the same kernel through `TokenSide`.
 
 use crate::levenshtein::SimilarityGate;
 use crate::myers::char_count;

@@ -30,6 +30,8 @@ pub struct BowVector {
     ends: Vec<u32>,
 }
 
+ltee_intern::heap_size!(BowVector { bytes, ends });
+
 impl BowVector {
     /// Create an empty vector.
     pub fn new() -> Self {

@@ -102,6 +102,8 @@ pub enum DetectedType {
     Quantity,
 }
 
+ltee_intern::heap_size!(DataType {} DetectedType {});
+
 impl DetectedType {
     /// All detected types, in a stable order.
     pub const ALL: [DetectedType; 3] = [DetectedType::Text, DetectedType::Date, DetectedType::Quantity];

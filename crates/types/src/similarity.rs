@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use ltee_intern::{HeapBytes, HeapSize};
 use ltee_text::{clamp_unit, monge_elkan_tokenized, normalize_label, tokenize};
 
 use crate::datatype::DataType;
@@ -294,6 +295,26 @@ enum Digest {
     Dates(Vec<Option<Date>>),
     Quantities(Vec<Option<f64>>),
     NominalIntegers(Vec<Option<f64>>),
+}
+
+impl HeapSize for PreparedValue {
+    fn heap_bytes(&self) -> HeapBytes {
+        match self {
+            PreparedValue::Normalized { text, tokens } => text.heap_bytes() + tokens.heap_bytes(),
+            PreparedValue::Date(_) | PreparedValue::Number(_) => HeapBytes::ZERO,
+        }
+    }
+}
+
+impl HeapSize for EquivalenceSet {
+    fn heap_bytes(&self) -> HeapBytes {
+        match &self.digest {
+            Digest::Exact(positions) => positions.heap_bytes(),
+            Digest::Text(texts) => texts.heap_bytes(),
+            Digest::Dates(dates) => dates.heap_bytes(),
+            Digest::Quantities(numbers) | Digest::NominalIntegers(numbers) => numbers.heap_bytes(),
+        }
+    }
 }
 
 impl EquivalenceSet {

@@ -86,6 +86,17 @@ pub enum Value {
     NominalInt(i64),
 }
 
+ltee_intern::heap_size!(Date {});
+
+impl ltee_intern::HeapSize for Value {
+    fn heap_bytes(&self) -> ltee_intern::HeapBytes {
+        match self {
+            Value::Text(s) | Value::Nominal(s) | Value::InstanceRef(s) => s.heap_bytes(),
+            Value::Date(_) | Value::Quantity(_) | Value::NominalInt(_) => ltee_intern::HeapBytes::ZERO,
+        }
+    }
+}
+
 impl Value {
     /// The data type of this value.
     pub fn data_type(&self) -> DataType {

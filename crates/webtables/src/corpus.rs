@@ -11,6 +11,8 @@ pub struct Corpus {
     by_id: HashMap<TableId, usize>,
 }
 
+ltee_intern::heap_size!(Corpus { tables, by_id });
+
 impl Corpus {
     /// Create an empty corpus.
     pub fn new() -> Self {

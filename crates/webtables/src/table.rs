@@ -51,6 +51,13 @@ pub struct WebTable {
     pub columns: Vec<Column>,
 }
 
+ltee_intern::heap_size! {
+    TableId {}
+    RowRef {}
+    Column { header, cells }
+    WebTable { columns }
+}
+
 impl WebTable {
     /// Number of rows.
     pub fn num_rows(&self) -> usize {

@@ -9,7 +9,9 @@
 //! it on the next publish after the last holder lets go, so the server's
 //! memory stays flat under indefinite ingest. Afterwards it tours the query API (exact and
 //! fuzzy label lookup, entity fetch with fused facts + table provenance,
-//! per-class paging, batched execution) against the final version.
+//! per-class paging, batched execution) against the final version, after
+//! printing the heap it holds by component and class twice: while one
+//! superseded version is held, and once it is let go.
 //! The last act makes the KB durable: the same stream ingests through
 //! [`DurableServePipeline`] (WAL + periodic checkpoints), the process
 //! "crashes", and a reopened server recovers **bit-identically** —
@@ -41,6 +43,7 @@ fn main() {
 
     let batches = corpus.split_into_batches(4);
     let final_version = batches.len() as u64;
+    let mut held = None; // the version the last batch supersedes
     std::thread::scope(|scope| {
         // Two readers hammer the evolving KB while batches ingest. Each
         // query pins one snapshot version; observations are collected and
@@ -67,7 +70,10 @@ fn main() {
             })
             .collect();
 
-        for batch in &batches {
+        for (i, batch) in batches.iter().enumerate() {
+            if i + 1 == batches.len() {
+                held = Some(serving.snapshot());
+            }
             let report = serving.ingest(batch).expect("fresh table ids");
             println!(
                 "ingest: version {} published: +{} tables, +{} rows -> {} new / {} updated clusters",
@@ -91,6 +97,13 @@ fn main() {
             );
         }
     });
+
+    // ── What the server holds, by component and class ───────────────────
+    serving.reclaim(); // what the finished reader threads left behind
+    println!("\nmemory: {} versions resident, version {} held\n{}", serving.versions_retained(), final_version - 1, serving.footprint());
+    drop(held);
+    serving.reclaim();
+    println!("memory: {} version resident once it is let go\n{}", serving.versions_retained(), serving.footprint());
 
     // ── Query tour against the final pinned version ─────────────────────
     let snap = serving.snapshot();

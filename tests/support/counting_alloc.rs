@@ -1,7 +1,9 @@
-//! The workspace's one counting allocator: dev-only support shared by every
-//! footprint gate, each of which pulls it in with
+//! The workspace's one counting allocator, dev-only support pulled in with
 //! `#[path = ".../tests/support/counting_alloc.rs"] mod counting_alloc;`.
 //! Including the module installs it as the test binary's global allocator.
+//! It is the oracle the memory ledger's gate (`tests/memory_ledger.rs`)
+//! checks the system's own account of its heap against, and it prices the
+//! components the per-crate footprint gates measure on their own.
 //!
 //! Two accounts are kept:
 //!
@@ -12,12 +14,11 @@
 //!   runs, and pools allocate scratch; an exact block count that included
 //!   them was wrong in 1 run of 6.
 //! * **The whole process's** net live bytes ([`process_live_bytes`]), for
-//!   the reclamation soak, whose subject is memory handed between a writer
-//!   and its reader threads.
+//!   state pool workers build off the counted thread (the ledger's stream
+//!   state) and memory handed between writer and readers (the soak's).
 //!
-//! The counters are process-global, so a gate that asserts on them holds a
-//! single `#[test]` — its own process — or serialises its tests, and prints
-//! only after its last measurement.
+//! Both accounts are process-global: a test that asserts on them must not
+//! share its process with another test that allocates meanwhile.
 
 #![allow(dead_code)]
 
