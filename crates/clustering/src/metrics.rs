@@ -258,16 +258,6 @@ impl PhiTableVectors {
         self.vectors.contains_key(&table)
     }
 
-    /// Number of vector components held, over all tables (diagnostics).
-    pub fn entry_count(&self) -> usize {
-        self.vectors.values().map(|vector| vector.entries.len()).sum()
-    }
-
-    /// Number of distinct labels interned (diagnostics).
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Cosine similarity of two tables' PHI vectors.
     pub fn table_similarity(&self, a: TableId, b: TableId) -> f64 {
         if a == b {

@@ -270,14 +270,6 @@ impl Interner {
         self.spans[sym.0 as usize].1 as usize
     }
 
-    /// Iterate `(sym, byte length)` pairs in insertion order, reading only
-    /// the span table. This is the substrate for length-bucketed token
-    /// dictionaries (`ltee_index`): a consumer can bucket the whole arena
-    /// by length without resolving a single string.
-    pub fn iter_span_lens(&self) -> impl Iterator<Item = (Sym, usize)> + '_ {
-        self.spans.iter().enumerate().map(|(i, &(_, len))| (Sym(i as u32), len as usize))
-    }
-
     /// Freeze the interner into a cheaply cloneable, read-only handle that
     /// can be shared across threads. The sym ↔ string mapping is sealed at
     /// this point: a [`FrozenInterner`] can probe and resolve but never
@@ -336,12 +328,6 @@ impl FrozenInterner {
     #[inline]
     pub fn span_len(&self, sym: Sym) -> usize {
         self.inner.span_len(sym)
-    }
-
-    /// Iterate `(sym, byte length)` pairs in insertion order (span table
-    /// only — see [`Interner::iter_span_lens`]).
-    pub fn iter_span_lens(&self) -> impl Iterator<Item = (Sym, usize)> + '_ {
-        self.inner.iter_span_lens()
     }
 }
 
@@ -856,12 +842,8 @@ mod tests {
         assert_eq!(i.span_len(a), 3);
         assert_eq!(i.span_len(b), "münchen".len());
         assert_eq!(i.span_len(c), 0);
-        let lens: Vec<(u32, usize)> =
-            i.iter_span_lens().map(|(s, l)| (s.raw(), l)).collect();
-        assert_eq!(lens, vec![(0, 3), (1, "münchen".len()), (2, 0)]);
         let frozen = i.freeze();
         assert_eq!(frozen.span_len(a), 3);
-        assert_eq!(frozen.iter_span_lens().count(), 3);
     }
 
     #[test]

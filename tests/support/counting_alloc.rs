@@ -1,18 +1,17 @@
 //! The workspace's one counting allocator, dev-only support pulled in with
 //! `#[path = ".../tests/support/counting_alloc.rs"] mod counting_alloc;`.
 //! Including the module installs it as the test binary's global allocator.
-//! It is the oracle the memory ledger's gate (`tests/memory_ledger.rs`)
-//! checks the system's own account of its heap against, and it prices the
-//! components the per-crate footprint gates measure on their own.
+//! It is the oracle the memory ledger's gates (`tests/*_footprint.rs`, on
+//! the fixture `tests/support/ledger.rs`) check the system's own account of
+//! its heap against.
 //!
 //! Two accounts are kept:
 //!
 //! * **This thread's** live blocks, net live bytes and allocator calls,
-//!   counted only while the thread has opted in ([`count_this_thread`], or
-//!   for the length of a closure, [`measured`]). The test harness's main
-//!   thread allocates (bookkeeping for the running test) while a test
-//!   runs, and pools allocate scratch; an exact block count that included
-//!   them was wrong in 1 run of 6.
+//!   counted only for the length of a closure, [`measured`]. The test
+//!   harness's main thread allocates (bookkeeping for the running test)
+//!   while a test runs, and pools allocate scratch; an exact block count
+//!   that included them was wrong in 1 run of 6.
 //! * **The whole process's** net live bytes ([`process_live_bytes`]), for
 //!   state pool workers build off the counted thread (the ledger's stream
 //!   state) and memory handed between writer and readers (the soak's).
@@ -112,14 +111,8 @@ impl std::ops::AddAssign for Heap {
     }
 }
 
-/// Start (or stop) counting the calling thread's allocator traffic.
-pub fn count_this_thread(on: bool) {
-    COUNTED.with(|counted| counted.set(on));
-}
-
-/// The thread account so far; subtract two readings to price what ran
-/// between them on a counted thread.
-pub fn heap() -> Heap {
+/// The thread account so far.
+fn heap() -> Heap {
     Heap {
         blocks: LIVE_BLOCKS.load(Ordering::Relaxed),
         bytes: LIVE_BYTES.load(Ordering::Relaxed),
@@ -132,9 +125,9 @@ pub fn heap() -> Heap {
 /// beside its result.
 pub fn measured<T>(f: impl FnOnce() -> T) -> (T, Heap) {
     let before = heap();
-    count_this_thread(true);
+    COUNTED.with(|counted| counted.set(true));
     let out = f();
-    count_this_thread(false);
+    COUNTED.with(|counted| counted.set(false));
     (out, heap() - before)
 }
 

@@ -1,8 +1,7 @@
-//! The workspace's one seeded word generator: dev-only support for the
-//! footprint gates and the clustering unit tests, each of which pulls it in
-//! with `#[path = ".../tests/support/seeded_words.rs"] mod seeded_words;`.
-//! A corpus drawn from it depends on nothing but the seed and the syllable
-//! list its caller passes.
+//! The workspace's one seeded random stream: dev-only support for the
+//! clustering unit tests, which pull it in with
+//! `#[path = ".../tests/support/seeded_words.rs"] mod seeded_words;`.
+//! A corpus drawn from it depends on nothing but the seed.
 
 #![allow(dead_code)]
 
@@ -27,9 +26,4 @@ impl SplitMix64 {
     pub fn unit(&mut self) -> f64 {
         (self.next() >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-/// Two to four syllables drawn from `syllables`, concatenated.
-pub fn word(rng: &mut SplitMix64, syllables: &[&str]) -> String {
-    (0..2 + rng.below(3)).map(|_| syllables[rng.below(syllables.len())]).collect()
 }
