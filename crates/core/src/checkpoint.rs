@@ -874,9 +874,7 @@ mod tests {
 
     #[test]
     fn restore_is_bit_identical_and_ingests_identically_afterwards() {
-        use crate::pipeline::train_models;
-        use ltee_kb::{generate_world, GeneratorConfig, Scale};
-        use ltee_webtables::{generate_corpus, CorpusConfig, GoldStandard};
+        use crate::experiments::TrainedWorld;
 
         use crate::{IngestReport, Parallelism};
         use ltee_fusion::ScoringMethod;
@@ -896,11 +894,7 @@ mod tests {
             }
         }
 
-        let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 58));
-        let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-        let golds: Vec<GoldStandard> =
-            CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-        let models = train_models(&corpus, world.kb(), &golds, &PipelineConfig::fast()).unwrap();
+        let TrainedWorld { world, corpus, models, .. } = TrainedWorld::train(58);
 
         // A checkpoint after six of eight batches, then a two-batch tail.
         let batches = corpus.split_into_batches(8);

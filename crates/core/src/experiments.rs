@@ -1,8 +1,10 @@
-//! The experiment harness: one function per paper table (plus the Section 6
-//! ranked evaluation). Every function returns plain row structs, which the
-//! umbrella crate's `paper_tables` example prints.
+//! The experiment harness: one [`TrainedWorld`] (world, corpus, gold
+//! standards and models, built once) and one function per paper table
+//! (plus the Section 6 ranked evaluation), each a view over it and its one
+//! batch run. Every function returns plain row structs, which the umbrella
+//! crate's `paper_tables` example prints.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ltee_clustering::metrics::PhiTableVectors;
 use ltee_clustering::{
@@ -15,7 +17,7 @@ use ltee_eval::{
 };
 use ltee_fusion::{create_entities, EntityCreationConfig, ScoringMethod};
 use ltee_intern::Interner;
-use ltee_kb::{generate_world, ClassProfile, GeneratorConfig, KnowledgeBase, Scale, World, CLASS_KEYS};
+use ltee_kb::{generate_world, ClassKey, ClassProfile, GeneratorConfig, Scale, World, CLASS_KEYS};
 use ltee_matching::{learn_weights, match_corpus, CorpusFeedback, CorpusMapping};
 use ltee_ml::{grouped_k_folds, AggregationMethod, MetricKind};
 use ltee_newdetect::metrics::EntityContext;
@@ -24,11 +26,10 @@ use ltee_newdetect::{
 };
 use ltee_webtables::{generate_corpus, Corpus, CorpusConfig, CorpusProfile, GeneratedCorpus, GoldStandard, RowRef};
 
-use crate::pipeline::{train_models, Pipeline, PipelineConfig, PipelineOutput};
+use crate::pipeline::{train_models, Pipeline, PipelineConfig, PipelineOutput, TrainedModels};
 
-/// Shared configuration of the experiment harness. Every table runs the
-/// shipped [`PipelineConfig::fast`] (Table 6's feedback runs with one
-/// iteration).
+/// Shared configuration of the experiment harness: the world and corpus
+/// every paper table is computed on.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Seed for the synthetic world.
@@ -44,17 +45,64 @@ impl ExperimentConfig {
     pub fn tiny() -> Self {
         Self { seed: 2019, scale: Scale::tiny(), corpus: CorpusConfig::tiny() }
     }
+}
 
-    /// Generate the world and corpus for this configuration.
-    pub fn materialize(&self) -> (World, GeneratedCorpus) {
-        let world = generate_world(&GeneratorConfig::new(self.scale, self.seed));
-        let corpus = generate_corpus(&world, &self.corpus);
-        (world, corpus)
+/// A trained setup: the synthetic world, the corpus the models were
+/// trained on, the per-class gold standards, and the trained models —
+/// everything needed to run the batch pipeline, open a serve pipeline or
+/// compute the paper tables.
+///
+/// Entirely deterministic in `(ExperimentConfig, PipelineConfig)`: two
+/// `TrainedWorld`s built from the same inputs produce bit-identical
+/// results at any thread count.
+#[derive(Debug)]
+pub struct TrainedWorld {
+    /// The synthetic world (KB + long-tail ground truth).
+    pub world: World,
+    /// The corpus the models were trained on, with its ground truth.
+    pub corpus: GeneratedCorpus,
+    /// Per-class gold standards derived from the generator's ground truth.
+    pub golds: Vec<GoldStandard>,
+    /// The pipeline configuration used for training (and later runs).
+    pub config: PipelineConfig,
+    /// The trained matcher / clustering / detection models.
+    pub models: TrainedModels,
+}
+
+impl TrainedWorld {
+    /// Generate the world and corpus of `experiment`, build the gold
+    /// standards and train every model under `config`.
+    pub fn new(experiment: &ExperimentConfig, config: PipelineConfig) -> Self {
+        let world = generate_world(&GeneratorConfig::new(experiment.scale, experiment.seed));
+        let corpus = generate_corpus(&world, &experiment.corpus);
+        let golds: Vec<GoldStandard> =
+            CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
+        let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+        Self { world, corpus, golds, config, models }
     }
 
-    /// Build the per-class gold standards.
-    pub fn gold_standards(&self, world: &World, corpus: &GeneratedCorpus) -> Vec<GoldStandard> {
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(world, corpus, c)).collect()
+    /// Train on a `Scale::tiny()` world with [`CorpusConfig::tiny`] under
+    /// `config`.
+    pub fn train_with(world_seed: u64, config: PipelineConfig) -> Self {
+        Self::new(&ExperimentConfig { seed: world_seed, ..ExperimentConfig::tiny() }, config)
+    }
+
+    /// [`TrainedWorld::train_with`] under [`PipelineConfig::fast`] — the
+    /// examples' standard setup.
+    pub fn train(world_seed: u64) -> Self {
+        Self::train_with(world_seed, PipelineConfig::fast())
+    }
+
+    /// Run the batch pipeline over the training corpus.
+    pub fn run_batch(&self) -> PipelineOutput {
+        Pipeline::new(self.world.kb(), self.models.clone(), self.config.clone())
+            .run(&self.corpus)
+            .expect("non-empty corpus")
+    }
+
+    /// The gold standard of one class.
+    pub fn gold(&self, class: ClassKey) -> &GoldStandard {
+        self.golds.iter().find(|g| g.class == class).expect("gold standard built per class")
     }
 }
 
@@ -245,39 +293,40 @@ fn attribute_prf(mapping: &CorpusMapping, golds: &[GoldStandard]) -> (f64, f64, 
 /// Table 6: attribute-to-property matching performance by pipeline iteration.
 ///
 /// Iteration 1 runs without feedback; later iterations re-learn the matcher
-/// weights with the previous iteration's clusters and correspondences and
-/// re-run schema matching with the duplicate-based and corpus-level matchers
-/// enabled.
-pub fn table06_schema_matching_iterations(config: &ExperimentConfig, iterations: usize) -> Vec<Table6Row> {
-    let (world, corpus) = config.materialize();
-    let golds = config.gold_standards(&world, &corpus);
-    let gold_refs: Vec<&GoldStandard> = golds.iter().collect();
-    let kb = world.kb();
+/// weights with the previous iteration's correspondences and re-run schema
+/// matching with the duplicate-based and corpus-level matchers enabled.
+/// Every iteration's feedback clusters (and their instance links) come from
+/// the one one-iteration pipeline run over the shared models: the models do
+/// not depend on the iteration, so neither do the clusters.
+pub fn table06_schema_matching_iterations(trained: &TrainedWorld, iterations: usize) -> Vec<Table6Row> {
+    let (corpus, kb) = (&trained.corpus, trained.world.kb());
+    let gold_refs: Vec<&GoldStandard> = trained.golds.iter().collect();
 
-    let settings = PipelineConfig { iterations: 1, ..PipelineConfig::fast() };
+    let one_iteration = PipelineConfig { iterations: 1, ..trained.config.clone() };
+    let output = Pipeline::new(kb, trained.models.clone(), one_iteration).run(corpus).expect("non-empty corpus");
+    let mut clusters = Vec::new();
+    let mut cluster_instance = HashMap::new();
+    for class_output in &output.classes {
+        for (cluster, result) in class_output.clusters.iter().zip(class_output.results.iter()) {
+            if let Some(instance) = result.outcome.instance() {
+                cluster_instance.insert(clusters.len(), instance);
+            }
+            clusters.push(cluster.clone());
+        }
+    }
+
     let mut rows = Vec::new();
     let mut feedback: Option<CorpusFeedback> = None;
     for iteration in 1..=iterations.max(1) {
-        let weights = learn_weights(&corpus, kb, &gold_refs, feedback.as_ref());
-        let mapping = match_corpus(&corpus, kb, &weights, &settings.schema, feedback.as_ref());
-        let (precision, recall, f1) = attribute_prf(&mapping, &golds);
+        let weights = learn_weights(corpus, kb, &gold_refs, feedback.as_ref());
+        let mapping = match_corpus(corpus, kb, &weights, &trained.config.schema, feedback.as_ref());
+        let (precision, recall, f1) = attribute_prf(&mapping, &trained.golds);
         rows.push(Table6Row { iteration, precision, recall, f1 });
-
-        // Build feedback from this iteration: cluster rows and link clusters
-        // to instances using the gold-standard-free pipeline components.
-        let (_, output) = train_and_run(&corpus, kb, &golds, settings.clone());
-        let mut clusters = Vec::new();
-        let mut cluster_instance = HashMap::new();
-        for class_output in &output.classes {
-            for (cluster, result) in class_output.clusters.iter().zip(class_output.results.iter()) {
-                let idx = clusters.len();
-                clusters.push(cluster.clone());
-                if let Some(instance) = result.outcome.instance() {
-                    cluster_instance.insert(idx, instance);
-                }
-            }
-        }
-        feedback = Some(CorpusFeedback { mapping, clusters, cluster_instance });
+        feedback = Some(CorpusFeedback {
+            mapping,
+            clusters: clusters.clone(),
+            cluster_instance: cluster_instance.clone(),
+        });
     }
     rows
 }
@@ -303,49 +352,35 @@ pub struct Table7Row {
 
 /// Table 7: clustering performance as metrics are added one by one, averaged
 /// over classes, using a grouped train/test split of the gold clusters.
-pub fn table07_row_clustering_ablation(config: &ExperimentConfig) -> Vec<Table7Row> {
-    let (world, corpus) = config.materialize();
-    let golds = config.gold_standards(&world, &corpus);
-    let kb = world.kb();
-    let settings = PipelineConfig::fast();
-    let weights = ltee_matching::MatcherWeights::default();
-    let mapping = match_corpus(&corpus, kb, &weights, &settings.schema, None);
-
-    let metric_sets: Vec<Vec<RowMetricKind>> =
-        (1..=RowMetricKind::ALL.len()).map(|n| RowMetricKind::ALL[..n].to_vec()).collect();
-
-    // Importances from the full model (computed per class, averaged).
-    let mut importance_acc: HashMap<&'static str, (f64, usize)> = HashMap::new();
-    let mut per_set_scores: Vec<Vec<f64>> = vec![Vec::new(); metric_sets.len()]; // [set][class] = (pcp, ar, f1) flattened below
-    let mut per_set_pcp: Vec<Vec<f64>> = vec![Vec::new(); metric_sets.len()];
-    let mut per_set_ar: Vec<Vec<f64>> = vec![Vec::new(); metric_sets.len()];
+/// `mapping` is the first-iteration, default-weight corpus mapping.
+pub fn table07_row_clustering_ablation(trained: &TrainedWorld, mapping: &CorpusMapping) -> Vec<Table7Row> {
+    let (corpus, kb, settings) = (&trained.corpus, trained.world.kb(), &trained.config);
+    let sets = Ablation::sets::<RowMetricKind>();
+    let mut ablation = Ablation::default();
 
     let mut interner = Interner::new();
-    for gold in &golds {
+    for gold in &trained.golds {
         let class = gold.class;
-        let rows = mapping.class_rows(&corpus, class);
+        let rows = mapping.class_rows(corpus, class);
         if rows.is_empty() {
             continue;
         }
-        let contexts = build_row_contexts(&corpus, &mapping, &rows, &mut interner);
-        let phi = PhiTableVectors::build(&corpus, &contexts);
+        let contexts = build_row_contexts(corpus, mapping, &rows, &mut interner);
+        let phi = PhiTableVectors::build(corpus, &contexts);
         let index = kb.class_label_index(class);
-        let implicit = ImplicitAttributes::build(&corpus, &mapping, kb, class, index);
+        let implicit = ImplicitAttributes::build(corpus, mapping, kb, class, index);
 
         // Grouped split of the gold clusters: fold 0 is the test portion.
         let groups = gold.cluster_fold_groups();
-        let folds = grouped_k_folds(&groups, 3, config.seed);
-        let test_clusters: Vec<usize> = folds[0].test.clone();
-        let train_clusters: Vec<usize> = folds[0].train.clone();
-
-        let train_gold = restrict_gold(gold, &train_clusters);
-        let test_gold = restrict_gold(gold, &test_clusters);
-        let test_rows: Vec<RowRef> =
+        let folds = grouped_k_folds(&groups, 3, trained.world.config.seed);
+        let train_gold = restrict_gold(gold, &folds[0].train);
+        let test_gold = restrict_gold(gold, &folds[0].test);
+        let test_rows: HashSet<RowRef> =
             test_gold.clusters.iter().flat_map(|c| c.rows.iter().copied()).collect();
         let test_contexts: Vec<_> =
             contexts.iter().filter(|c| test_rows.contains(&c.row)).cloned().collect();
 
-        for (set_idx, metrics) in metric_sets.iter().enumerate() {
+        for metrics in &sets {
             let ds = build_pair_dataset(&contexts, &train_gold, metrics, &phi, &implicit, &interner);
             if ds.positives() == 0 || ds.negatives() == 0 {
                 continue;
@@ -357,40 +392,63 @@ pub fn table07_row_clustering_ablation(config: &ExperimentConfig) -> Vec<Table7R
             let produced = clustering.to_row_refs(&test_contexts);
             let gold_clusters: Vec<Vec<RowRef>> = test_gold.clusters.iter().map(|c| c.rows.clone()).collect();
             let eval = evaluate_clustering(&produced, &gold_clusters);
-            per_set_pcp[set_idx].push(eval.penalized_precision);
-            per_set_ar[set_idx].push(eval.average_recall);
-            per_set_scores[set_idx].push(eval.f1);
+            ablation.record(
+                metrics,
+                [eval.penalized_precision, eval.average_recall, eval.f1],
+                model.metric_importances(),
+            );
+        }
+    }
 
-            // Importances from the full-metric model.
-            if metrics.len() == RowMetricKind::ALL.len() {
-                for (kind, importance) in model.metric_importances() {
-                    let entry = importance_acc.entry(kind.name()).or_insert((0.0, 0));
-                    entry.0 += importance;
-                    entry.1 += 1;
-                }
+    ablation
+        .rows::<RowMetricKind>()
+        .map(|(added_metric, [pcp, ar, f1], importance)| Table7Row { added_metric, pcp, ar, f1, importance })
+        .collect()
+}
+
+/// The accumulator of one metric ablation (Tables 7 and 8): three scores
+/// per metric set and class, and the full-metric models' importance of
+/// every metric. Metric set `i` holds the metrics `ALL[..=i]`.
+#[derive(Default)]
+struct Ablation {
+    /// `[set][class]` scores.
+    scores: Vec<Vec<[f64; 3]>>,
+    /// Metric name → (importance sum, models) over the full-metric models.
+    importance: HashMap<&'static str, (f64, usize)>,
+}
+
+impl Ablation {
+    /// The metric sets `ALL[..1]`, `ALL[..2]`, … of one ablation.
+    fn sets<K: MetricKind>() -> Vec<Vec<K>> {
+        (1..=K::ALL.len()).map(|n| K::ALL[..n].to_vec()).collect()
+    }
+
+    /// Record one class's scores under `metrics`, and its model's
+    /// importances when `metrics` is the full set.
+    fn record<K: MetricKind>(&mut self, metrics: &[K], scores: [f64; 3], importances: Vec<(K, f64)>) {
+        self.scores.resize(self.scores.len().max(metrics.len()), Vec::new());
+        self.scores[metrics.len() - 1].push(scores);
+        if metrics.len() == K::ALL.len() {
+            for (kind, importance) in importances {
+                let entry = self.importance.entry(kind.name()).or_insert((0.0, 0));
+                entry.0 += importance;
+                entry.1 += 1;
             }
         }
     }
 
-    metric_sets
-        .iter()
-        .enumerate()
-        .map(|(i, metrics)| {
-            let added = metrics.last().expect("non-empty metric set");
-            let avg = |v: &Vec<f64>| if v.is_empty() { 0.0 } else { v.iter().sum::<f64>() / v.len() as f64 };
-            let importance = importance_acc
-                .get(added.name())
-                .map(|(sum, n)| if *n == 0 { 0.0 } else { sum / *n as f64 })
-                .unwrap_or(0.0);
-            Table7Row {
-                added_metric: added.name().to_string(),
-                pcp: avg(&per_set_pcp[i]),
-                ar: avg(&per_set_ar[i]),
-                f1: avg(&per_set_scores[i]),
-                importance,
-            }
+    /// Per metric set: the added metric, the class-averaged scores and the
+    /// added metric's average importance.
+    fn rows<K: MetricKind>(&self) -> impl Iterator<Item = (String, [f64; 3], f64)> + '_ {
+        K::ALL.iter().enumerate().map(|(i, added)| {
+            let scores = self.scores.get(i).map_or(&[][..], Vec::as_slice);
+            let avg = |k: usize| {
+                if scores.is_empty() { 0.0 } else { scores.iter().map(|s| s[k]).sum::<f64>() / scores.len() as f64 }
+            };
+            let importance = self.importance.get(added.name()).map_or(0.0, |(sum, n)| sum / *n as f64);
+            (added.name().to_string(), [avg(0), avg(1), avg(2)], importance)
         })
-        .collect()
+    }
 }
 
 /// Restrict a gold standard to a subset of its clusters (by index),
@@ -435,35 +493,25 @@ pub struct Table8Row {
 }
 
 /// Table 8: new detection performance as metrics are added one by one.
-pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Row> {
-    let (world, corpus) = config.materialize();
-    let golds = config.gold_standards(&world, &corpus);
-    let kb = world.kb();
-    let settings = PipelineConfig::fast();
-    let weights = ltee_matching::MatcherWeights::default();
-    let mapping = match_corpus(&corpus, kb, &weights, &settings.schema, None);
-
-    let metric_sets: Vec<Vec<EntityMetricKind>> =
-        (1..=EntityMetricKind::ALL.len()).map(|n| EntityMetricKind::ALL[..n].to_vec()).collect();
-
-    let mut per_set_acc: Vec<Vec<f64>> = vec![Vec::new(); metric_sets.len()];
-    let mut per_set_f1e: Vec<Vec<f64>> = vec![Vec::new(); metric_sets.len()];
-    let mut per_set_f1n: Vec<Vec<f64>> = vec![Vec::new(); metric_sets.len()];
-    let mut importance_acc: HashMap<&'static str, (f64, usize)> = HashMap::new();
+/// `mapping` is the first-iteration, default-weight corpus mapping.
+pub fn table08_new_detection_ablation(trained: &TrainedWorld, mapping: &CorpusMapping) -> Vec<Table8Row> {
+    let (corpus, kb, settings) = (&trained.corpus, trained.world.kb(), &trained.config);
+    let sets = Ablation::sets::<EntityMetricKind>();
+    let mut ablation = Ablation::default();
 
     let mut interner = Interner::new();
-    for gold in &golds {
+    for gold in &trained.golds {
         let class = gold.class;
         let index = kb.class_label_index(class);
-        let implicit = ImplicitAttributes::build(&corpus, &mapping, kb, class, index);
+        let implicit = ImplicitAttributes::build(corpus, mapping, kb, class, index);
 
         // Entities from the gold clusters (the Table 8 evaluation isolates
         // new detection by using gold clustering).
         let clusters: Vec<Vec<RowRef>> = gold.clusters.iter().map(|c| c.rows.clone()).collect();
-        let entities = create_entities(&clusters, &corpus, &mapping, kb, class, &settings.fusion);
+        let entities = create_entities(&clusters, corpus, mapping, kb, class, &settings.fusion);
         let contexts: Vec<EntityContext> = entities
             .into_iter()
-            .map(|e| EntityContext::build(e, &corpus, &implicit, &mut interner))
+            .map(|e| EntityContext::build(e, corpus, &implicit, &mut interner))
             .collect();
         let truths: Vec<EntityTruth> = gold
             .clusters
@@ -475,11 +523,11 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
 
         // Grouped split.
         let groups = gold.cluster_fold_groups();
-        let folds = grouped_k_folds(&groups, 3, config.seed);
+        let folds = grouped_k_folds(&groups, 3, trained.world.config.seed);
         let train_idx = &folds[0].train;
         let test_idx = &folds[0].test;
 
-        for (set_idx, metrics) in metric_sets.iter().enumerate() {
+        for metrics in &sets {
             let train_contexts: Vec<EntityContext> =
                 train_idx.iter().map(|&i| contexts[i].clone()).collect();
             let train_truth: Vec<Option<ltee_kb::InstanceId>> =
@@ -500,37 +548,22 @@ pub fn table08_new_detection_ablation(config: &ExperimentConfig) -> Vec<Table8Ro
             let outcomes: Vec<_> = results.iter().map(|r| r.outcome).collect();
             let test_truths: Vec<EntityTruth> = test_idx.iter().map(|&i| truths[i]).collect();
             let eval = evaluate_new_detection(&outcomes, &test_truths);
-            per_set_acc[set_idx].push(eval.accuracy);
-            per_set_f1e[set_idx].push(eval.f1_existing);
-            per_set_f1n[set_idx].push(eval.f1_new);
-
-            if metrics.len() == EntityMetricKind::ALL.len() {
-                for (kind, importance) in model.metric_importances() {
-                    let entry = importance_acc.entry(kind.name()).or_insert((0.0, 0));
-                    entry.0 += importance;
-                    entry.1 += 1;
-                }
-            }
+            ablation.record(
+                metrics,
+                [eval.accuracy, eval.f1_existing, eval.f1_new],
+                model.metric_importances(),
+            );
         }
     }
 
-    metric_sets
-        .iter()
-        .enumerate()
-        .map(|(i, metrics)| {
-            let added = metrics.last().expect("non-empty metric set");
-            let avg = |v: &Vec<f64>| if v.is_empty() { 0.0 } else { v.iter().sum::<f64>() / v.len() as f64 };
-            let importance = importance_acc
-                .get(added.name())
-                .map(|(sum, n)| if *n == 0 { 0.0 } else { sum / *n as f64 })
-                .unwrap_or(0.0);
-            Table8Row {
-                added_metric: added.name().to_string(),
-                accuracy: avg(&per_set_acc[i]),
-                f1_existing: avg(&per_set_f1e[i]),
-                f1_new: avg(&per_set_f1n[i]),
-                importance,
-            }
+    ablation
+        .rows::<EntityMetricKind>()
+        .map(|(added_metric, [accuracy, f1_existing, f1_new], importance)| Table8Row {
+            added_metric,
+            accuracy,
+            f1_existing,
+            f1_new,
+            importance,
         })
         .collect()
 }
@@ -570,39 +603,35 @@ pub struct Table10Row {
     pub f1_matching: f64,
 }
 
-/// The end-to-end gold standard evaluation: Tables 9 and 10 computed from a
-/// single set of pipeline runs.
-pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<Table10Row>) {
-    let (world, corpus) = config.materialize();
-    let golds = config.gold_standards(&world, &corpus);
-    let kb = world.kb();
-    let settings = PipelineConfig::fast();
-    let (pipeline, output) = train_and_run(&corpus, kb, &golds, settings.clone());
+/// The end-to-end gold standard evaluation: Tables 9 and 10 computed from
+/// `output`, the batch pipeline run of `trained` ([`TrainedWorld::run_batch`]).
+pub fn table09_10_end_to_end(trained: &TrainedWorld, output: &PipelineOutput) -> (Vec<Table9Row>, Vec<Table10Row>) {
+    let (corpus, kb, settings) = (&trained.corpus, trained.world.kb(), &trained.config);
 
     let mut table9 = Vec::new();
     let mut table10 = Vec::new();
     let mut avg_all: Vec<(f64, f64, f64)> = Vec::new();
 
     let mut interner = Interner::new();
-    for gold in &golds {
+    for gold in &trained.golds {
         let class = gold.class;
         let Some(class_output) = output.class(class) else { continue };
         let index = kb.class_label_index(class);
-        let implicit = ImplicitAttributes::build(&corpus, &output.mapping, kb, class, index);
+        let implicit = ImplicitAttributes::build(corpus, &output.mapping, kb, class, index);
 
         // --- "GS" clustering: entities fused from the gold clusters. -------
         let gs_clusters: Vec<Vec<RowRef>> = gold.clusters.iter().map(|c| c.rows.clone()).collect();
-        let gs_entities = create_entities(&gs_clusters, &corpus, &output.mapping, kb, class, &settings.fusion);
+        let gs_entities = create_entities(&gs_clusters, corpus, &output.mapping, kb, class, &settings.fusion);
         let gs_contexts: Vec<EntityContext> = gs_entities
             .iter()
             .cloned()
-            .map(|e| EntityContext::build(e, &corpus, &implicit, &mut interner))
+            .map(|e| EntityContext::build(e, corpus, &implicit, &mut interner))
             .collect();
         let gs_results = detect_new(
             &gs_contexts,
             kb,
             index,
-            &pipeline.models().entity_model,
+            &trained.models.entity_model,
             &settings.newdetect,
             &mut interner,
         );
@@ -636,7 +665,7 @@ pub fn table09_10_end_to_end(config: &ExperimentConfig) -> (Vec<Table9Row>, Vec<
             let mut f1s = HashMap::new();
             for method in ScoringMethod::ALL {
                 let fusion = EntityCreationConfig { scoring: method };
-                let entities = create_entities(clusters, &corpus, &output.mapping, kb, class, &fusion);
+                let entities = create_entities(clusters, corpus, &output.mapping, kb, class, &fusion);
                 let eval = evaluate_facts(&entities, outcomes, gold, kb, class);
                 f1s.insert(method, eval.f1);
             }
@@ -703,22 +732,20 @@ pub struct ProfilingResult {
     pub table12: Vec<DensityRow>,
 }
 
-/// Tables 11 & 12: run the pipeline over the full corpus and profile the new
-/// entities. Accuracy is measured against the synthetic world's ground truth
-/// (the stand-in for the paper's manual inspection of a stratified sample).
-pub fn table11_12_profiling(config: &ExperimentConfig) -> ProfilingResult {
-    let (world, corpus) = config.materialize();
-    let golds = config.gold_standards(&world, &corpus);
-    let kb = world.kb();
-    let (_, output) = train_and_run(&corpus, kb, &golds, PipelineConfig::fast());
+/// Tables 11 & 12: profile the new entities of `output`, the batch pipeline
+/// run of `trained` over its full corpus. Accuracy is measured against the
+/// synthetic world's ground truth (the stand-in for the paper's manual
+/// inspection of a stratified sample).
+pub fn table11_12_profiling(trained: &TrainedWorld, output: &PipelineOutput) -> ProfilingResult {
+    let (world, corpus, kb) = (&trained.world, &trained.corpus, trained.world.kb());
 
     let mut table11 = Vec::new();
     let mut table12 = Vec::new();
 
     for &class in &CLASS_KEYS {
         let Some(class_output) = output.class(class) else { continue };
-        let gold = golds.iter().find(|g| g.class == class).expect("gold per class");
-        let total_rows = output.mapping.class_rows(&corpus, class).len();
+        let gold = trained.gold(class);
+        let total_rows = output.mapping.class_rows(corpus, class).len();
 
         let existing: Vec<_> = class_output.existing_entities();
         let matched_instances: std::collections::HashSet<_> = existing.iter().map(|(_, id)| *id).collect();
@@ -745,7 +772,7 @@ pub fn table11_12_profiling(config: &ExperimentConfig) -> ProfilingResult {
             if new_entities.is_empty() { 0.0 } else { correct_new as f64 / new_entities.len() as f64 };
         let new_fact_accuracy = fact_accuracy_against_world(
             &new_entities,
-            &world,
+            world,
             |e| {
                 new_entities
                     .iter()
@@ -806,18 +833,15 @@ pub fn table11_12_profiling(config: &ExperimentConfig) -> ProfilingResult {
 
 /// Section 6 ranked evaluation: rank the entities returned as new by their
 /// distance to the closest existing instance (higher distance first) and
-/// evaluate MAP@256, P@5 and P@20 against the gold standard.
-pub fn ranked_set_expansion_eval(config: &ExperimentConfig) -> RankedEvaluation {
-    let (world, corpus) = config.materialize();
-    let golds = config.gold_standards(&world, &corpus);
-    let kb = world.kb();
-    let (_, output) = train_and_run(&corpus, kb, &golds, PipelineConfig::fast());
+/// evaluate MAP@256, P@5 and P@20 against the gold standard. `output` is
+/// the batch pipeline run of `trained`.
+pub fn ranked_set_expansion_eval(trained: &TrainedWorld, output: &PipelineOutput) -> RankedEvaluation {
 
     // Collect (score, correct) across classes; lower best_score = farther
     // from any existing instance = ranked higher.
     let mut ranked: Vec<(f64, bool)> = Vec::new();
     for class_output in &output.classes {
-        let gold = golds.iter().find(|g| g.class == class_output.class).expect("gold per class");
+        let gold = trained.gold(class_output.class);
         for (entity, result) in class_output.entities.iter().zip(class_output.results.iter()) {
             if !result.outcome.is_new() {
                 continue;
@@ -833,27 +857,35 @@ pub fn ranked_set_expansion_eval(config: &ExperimentConfig) -> RankedEvaluation 
     RankedEvaluation::from_ranked(&flags)
 }
 
-/// Train every model on the gold standards and run the batch pipeline over
-/// the corpus under `settings`.
-fn train_and_run<'k>(
-    corpus: &Corpus,
-    kb: &'k KnowledgeBase,
-    golds: &[GoldStandard],
-    settings: PipelineConfig,
-) -> (Pipeline<'k>, PipelineOutput) {
-    let models = train_models(corpus, kb, golds, &settings).expect("experiment corpora are trainable");
-    let pipeline = Pipeline::new(kb, models, settings);
-    let output = pipeline.run(corpus).expect("experiment corpora are non-empty");
-    (pipeline, output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::ModelArtifact;
+
+    /// The tiny experiment's world and corpus, untrained.
+    fn tiny_world() -> (World, GeneratedCorpus) {
+        let config = ExperimentConfig::tiny();
+        let world = generate_world(&GeneratorConfig::new(config.scale, config.seed));
+        let corpus = generate_corpus(&world, &config.corpus);
+        (world, corpus)
+    }
+
+    #[test]
+    fn trained_world_is_deterministic() {
+        let a = TrainedWorld::train(7);
+        let b = TrainedWorld::train(7);
+        assert_eq!(a.corpus.tables(), b.corpus.tables());
+        assert_eq!(a.golds.len(), CLASS_KEYS.len());
+        // Both setups trained byte-identical models.
+        assert_eq!(
+            ModelArtifact::new(a.models, &a.config).encode(),
+            ModelArtifact::new(b.models, &b.config).encode()
+        );
+    }
 
     #[test]
     fn kb_profile_tables_have_three_classes() {
-        let (world, corpus) = ExperimentConfig::tiny().materialize();
+        let (world, corpus) = tiny_world();
         assert_eq!(table01_kb_profile(&world).len(), 3);
         let t2 = table02_property_density(&world);
         assert_eq!(t2.len(), 11 + 7 + 5);
@@ -863,8 +895,7 @@ mod tests {
 
     #[test]
     fn table04_and_05_have_rows_per_class() {
-        let config = ExperimentConfig::tiny();
-        let (world, corpus) = config.materialize();
+        let (world, corpus) = tiny_world();
         let mapping = match_corpus(
             &corpus,
             world.kb(),
@@ -882,8 +913,7 @@ mod tests {
 
     #[test]
     fn restrict_gold_reindexes_facts() {
-        let config = ExperimentConfig::tiny();
-        let (world, corpus) = config.materialize();
+        let (world, corpus) = tiny_world();
         let gold = GoldStandard::build(&world, &corpus, ltee_kb::ClassKey::Song);
         let subset: Vec<usize> = (0..gold.clusters.len().min(5)).collect();
         let restricted = restrict_gold(&gold, &subset);

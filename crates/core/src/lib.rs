@@ -102,7 +102,7 @@ pub use pipeline::{
 pub mod prelude {
     pub use crate::artifact::{ArtifactError, ModelArtifact};
     pub use crate::checkpoint::{CheckpointError, PipelineCheckpoint};
-    pub use crate::experiments::{self, ExperimentConfig};
+    pub use crate::experiments::{self, ExperimentConfig, TrainedWorld};
     pub use crate::incremental::{IncrementalPipeline, IngestReport};
     pub use crate::parallel::Parallelism;
     pub use crate::shard::ShardPlan;

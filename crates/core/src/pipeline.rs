@@ -519,28 +519,19 @@ pub(crate) fn fuse_and_detect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltee_kb::{generate_world, GeneratorConfig, Scale};
-    use ltee_webtables::{generate_corpus, CorpusConfig, GeneratedCorpus};
+    use crate::experiments::TrainedWorld;
+    use ltee_webtables::GeneratedCorpus;
 
     fn run_tiny() -> (ltee_kb::World, GeneratedCorpus, Vec<GoldStandard>, PipelineOutput) {
-        let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 101));
-        let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-        let golds: Vec<GoldStandard> =
-            CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-        let config = PipelineConfig::fast();
-        let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
-        let pipeline = Pipeline::new(world.kb(), models, config);
-        let output = pipeline.run(&corpus).expect("non-empty corpus");
+        let trained = TrainedWorld::train(101);
+        let output = trained.run_batch();
+        let TrainedWorld { world, corpus, golds, .. } = trained;
         (world, corpus, golds, output)
     }
 
     #[test]
     fn empty_corpus_is_a_typed_error_not_a_panic() {
-        let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 101));
-        let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-        let golds: Vec<GoldStandard> =
-            CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-        let config = PipelineConfig::fast();
+        let TrainedWorld { world, corpus, golds, config, models } = TrainedWorld::train(101);
 
         let empty = Corpus::new();
         assert_eq!(
@@ -552,7 +543,6 @@ mod tests {
             PipelineError::NoGoldStandards
         );
 
-        let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
         let pipeline = Pipeline::new(world.kb(), models, config);
         assert_eq!(pipeline.run(&empty).unwrap_err(), PipelineError::EmptyCorpus);
         assert_eq!(pipeline.run_streaming(&empty).unwrap_err(), PipelineError::EmptyCorpus);

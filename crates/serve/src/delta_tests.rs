@@ -60,12 +60,7 @@ fn unclaimed_table(id: u64) -> WebTable {
 }
 
 fn fixture() -> Fixture {
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2024));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = PipelineConfig::fast();
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, models, config, .. } = TrainedWorld::train(2024);
 
     // Four ordinary batches over all classes.
     let mut batches = corpus.split_into_batches(4);

@@ -96,12 +96,7 @@ fn raw_bytes(name: &str, bytes: &[u8]) -> usize {
 
 #[test]
 fn a_stream_costs_its_pinned_bytes_on_disk_at_every_thread_count() {
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2024));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = PipelineConfig::fast();
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, models, config, .. } = TrainedWorld::train(2024);
     let batches = stream(&world, &corpus);
 
     let run = |threads: usize| -> (PathBuf, usize) {

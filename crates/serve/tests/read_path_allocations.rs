@@ -60,12 +60,8 @@ fn hits(output: QueryOutput) -> Vec<ltee_serve::EntityHit> {
 }
 
 fn snapshot() -> std::sync::Arc<KbSnapshot> {
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2024));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
     let config = PipelineConfig { parallelism: Parallelism::Threads(4), ..PipelineConfig::fast() };
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, models, config, .. } = TrainedWorld::train_with(2024, config);
     let mut serving = ServePipeline::new(world.kb(), models, config);
     for batch in corpus.split_into_batches(4) {
         serving.ingest(&batch).expect("fresh table ids");

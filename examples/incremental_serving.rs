@@ -10,12 +10,7 @@ use ltee_core::prelude::*;
 
 fn main() {
     // ── Train phase (offline, once) ─────────────────────────────────────
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 42));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = PipelineConfig::fast();
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, models, config, .. } = TrainedWorld::train(42);
 
     let artifact = ModelArtifact::new(models, &config);
     let path = std::env::temp_dir().join("ltee-incremental-serving.model");

@@ -26,12 +26,7 @@ use ltee_serve::{
 
 fn main() {
     // ── Train phase (offline, once) ─────────────────────────────────────
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 58));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = PipelineConfig::fast();
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, models, config, .. } = TrainedWorld::train(58);
 
     // ── Serve phase: one writer, many concurrent readers ────────────────
     let mut serving = ServePipeline::new(world.kb(), models.clone(), config.clone());

@@ -123,8 +123,8 @@ pub fn football_players(w: &mut dyn Write) -> io::Result<()> {
 /// Body of `examples/settlement_gazetteer.rs`: the large-scale profiling
 /// experiment (paper Tables 11 & 12) at a small scale.
 pub fn settlement_gazetteer(w: &mut dyn Write) -> io::Result<()> {
-    let config = ExperimentConfig::tiny();
-    let result = experiments::table11_12_profiling(&config);
+    let trained = TrainedWorld::new(&ExperimentConfig::tiny(), PipelineConfig::fast());
+    let result = experiments::table11_12_profiling(&trained, &trained.run_batch());
 
     writeln!(w, "large-scale profiling (Table 11 shape):")?;
     writeln!(
@@ -247,7 +247,7 @@ fn serve_scenario<'a>(
     corpus: &Corpus,
     batches: usize,
 ) -> io::Result<ServePipeline<'a>> {
-    let mut serving = trained.serve();
+    let mut serving = ServePipeline::new(trained.world.kb(), trained.models.clone(), trained.config.clone());
     for batch in corpus.split_into_batches(batches) {
         let report = serving.ingest(&batch).expect("fresh table ids");
         writeln!(
@@ -290,7 +290,7 @@ fn first_table_labels(corpus: &GeneratedCorpus) -> Option<&[String]> {
 pub fn multilingual_headers(w: &mut dyn Write) -> io::Result<()> {
     let scenario = Scenario::MultilingualHeaders;
     let trained = TrainedWorld::train(45);
-    let corpus = trained.scenario_corpus(scenario, 45);
+    let corpus = scenario.generate(&trained.world, 45);
     writeln!(w, "scenario `{}`: {}", scenario.name(), scenario.description())?;
     writeln!(w, "corpus: {} tables, {} rows", corpus.len(), corpus.total_rows())?;
 
@@ -332,7 +332,7 @@ pub fn multilingual_headers(w: &mut dyn Write) -> io::Result<()> {
 pub fn scientific_tables(w: &mut dyn Write) -> io::Result<()> {
     let scenario = Scenario::ScientificTables;
     let trained = TrainedWorld::train(46);
-    let corpus = trained.scenario_corpus(scenario, 46);
+    let corpus = scenario.generate(&trained.world, 46);
     writeln!(w, "scenario `{}`: {}", scenario.name(), scenario.description())?;
     writeln!(w, "corpus: {} tables, {} rows", corpus.len(), corpus.total_rows())?;
 
@@ -365,7 +365,7 @@ pub fn scientific_tables(w: &mut dyn Write) -> io::Result<()> {
 pub fn novel_entity_stream(w: &mut dyn Write) -> io::Result<()> {
     let scenario = Scenario::NovelEntityStream;
     let trained = TrainedWorld::train(47);
-    let corpus = trained.scenario_corpus(scenario, 47);
+    let corpus = scenario.generate(&trained.world, 47);
     let share = novel_row_share(&trained.world, &corpus);
     writeln!(w, "scenario `{}`: {}", scenario.name(), scenario.description())?;
     writeln!(
@@ -401,7 +401,7 @@ pub fn novel_entity_stream(w: &mut dyn Write) -> io::Result<()> {
 pub fn near_duplicate_flood(w: &mut dyn Write) -> io::Result<()> {
     let scenario = Scenario::NearDuplicateFlood;
     let trained = TrainedWorld::train(48);
-    let corpus = trained.scenario_corpus(scenario, 48);
+    let corpus = scenario.generate(&trained.world, 48);
     writeln!(w, "scenario `{}`: {}", scenario.name(), scenario.description())?;
     writeln!(w, "corpus: {} tables, {} rows", corpus.len(), corpus.total_rows())?;
 
@@ -450,19 +450,23 @@ fn timed<T>(timings: &mut dyn Write, label: &str, compute: impl FnOnce() -> T) -
 }
 
 /// Body of `examples/paper_tables.rs`: regenerate paper Tables 1–12 and the
-/// Section 6 ranked evaluation on [`ExperimentConfig::tiny`]. The tables go
-/// to `w` (deterministic, like every other example body); each table's
-/// elapsed seconds go to `timings`, which is the repository's reading of
-/// the batch `match_corpus` / `Pipeline::run` cost.
+/// Section 6 ranked evaluation on [`ExperimentConfig::tiny`]. The world,
+/// gold standards and models are built once, the batch pipeline runs once,
+/// and every table is a view over them. The tables go to `w` (deterministic,
+/// like every other example body); each step's elapsed seconds go to
+/// `timings`, which is the repository's reading of the batch `match_corpus`
+/// / `Pipeline::run` cost.
 pub fn paper_tables(w: &mut dyn Write, timings: &mut dyn Write) -> io::Result<()> {
-    let config = ExperimentConfig::tiny();
-    let (world, corpus) = config.materialize();
+    let trained = timed(timings, "world, gold and training", || {
+        TrainedWorld::new(&ExperimentConfig::tiny(), PipelineConfig::fast())
+    })?;
+    let (world, corpus) = (&trained.world, &trained.corpus);
 
-    let t1 = timed(timings, "table 1", || experiments::table01_kb_profile(&world))?;
+    let t1 = timed(timings, "table 1", || experiments::table01_kb_profile(world))?;
     writeln!(w, "{}", format_table1(&t1))?;
-    let t2 = timed(timings, "table 2", || experiments::table02_property_density(&world))?;
+    let t2 = timed(timings, "table 2", || experiments::table02_property_density(world))?;
     writeln!(w, "{}", format_density("Table 2", &t2))?;
-    let t3 = timed(timings, "table 3", || experiments::table03_corpus_stats(&corpus))?;
+    let t3 = timed(timings, "table 3", || experiments::table03_corpus_stats(corpus))?;
     writeln!(
         w,
         "Table 3 — rows avg {:.2} / median {} / min {} / max {}; columns avg {:.2} / median {} / min {} / max {}\n",
@@ -470,34 +474,31 @@ pub fn paper_tables(w: &mut dyn Write, timings: &mut dyn Write) -> io::Result<()
         t3.columns.average, t3.columns.median, t3.columns.min, t3.columns.max
     )?;
     let mapping = timed(timings, "match_corpus (first iteration)", || {
-        match_corpus(&corpus, world.kb(), &MatcherWeights::default(), &Default::default(), None)
+        match_corpus(corpus, world.kb(), &MatcherWeights::default(), &trained.config.schema, None)
     })?;
-    let t4 = timed(timings, "table 4", || {
-        experiments::table04_value_correspondences(&corpus, &mapping)
-    })?;
+    let t4 = timed(timings, "table 4", || experiments::table04_value_correspondences(corpus, &mapping))?;
     writeln!(w, "{}", format_table4(&t4))?;
-    let t5 = timed(timings, "table 5", || experiments::table05_gold_standard(&world, &corpus))?;
+    let t5 = timed(timings, "table 5", || experiments::table05_gold_standard(world, corpus))?;
     writeln!(w, "{}", format_table5(&t5))?;
 
     // Two iterations, as in the paper's conclusion that a third adds almost
     // nothing.
-    let t6 = timed(timings, "table 6", || {
-        experiments::table06_schema_matching_iterations(&config, 2)
-    })?;
+    let t6 = timed(timings, "table 6", || experiments::table06_schema_matching_iterations(&trained, 2))?;
     writeln!(w, "{}", format_table6(&t6))?;
 
-    let t7 = timed(timings, "table 7", || experiments::table07_row_clustering_ablation(&config))?;
+    let t7 = timed(timings, "table 7", || experiments::table07_row_clustering_ablation(&trained, &mapping))?;
     writeln!(w, "{}", format_table7(&t7))?;
-    let t8 = timed(timings, "table 8", || experiments::table08_new_detection_ablation(&config))?;
+    let t8 = timed(timings, "table 8", || experiments::table08_new_detection_ablation(&trained, &mapping))?;
     writeln!(w, "{}", format_table8(&t8))?;
 
-    let (t9, t10) = timed(timings, "tables 9-10", || experiments::table09_10_end_to_end(&config))?;
+    let output = timed(timings, "batch run (two iterations)", || trained.run_batch())?;
+    let (t9, t10) = timed(timings, "tables 9-10", || experiments::table09_10_end_to_end(&trained, &output))?;
     writeln!(w, "{}", format_table9(&t9))?;
     writeln!(w, "{}", format_table10(&t10))?;
-    let profiling = timed(timings, "tables 11-12", || experiments::table11_12_profiling(&config))?;
+    let profiling = timed(timings, "tables 11-12", || experiments::table11_12_profiling(&trained, &output))?;
     writeln!(w, "{}", format_table11(&profiling.table11))?;
     writeln!(w, "{}", format_density("Table 12", &profiling.table12))?;
-    let ranked = timed(timings, "section 6", || experiments::ranked_set_expansion_eval(&config))?;
+    let ranked = timed(timings, "section 6", || experiments::ranked_set_expansion_eval(&trained, &output))?;
     writeln!(
         w,
         "Section 6 ranked evaluation — MAP@{}: {:.2}, P@5: {:.2}, P@20: {:.2}\n",
@@ -653,7 +654,8 @@ mod tests {
 
     #[test]
     fn formatting_smoke_test() {
-        let (world, corpus) = ExperimentConfig::tiny().materialize();
+        let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2019));
+        let corpus = generate_corpus(&world, &CorpusConfig::tiny());
         let t1 = experiments::table01_kb_profile(&world);
         assert!(format_table1(&t1).contains("GF-Player"));
         let t2 = experiments::table02_property_density(&world);

@@ -87,13 +87,13 @@ use envelope::framed;
 const FINGERPRINT_BYTES: std::ops::Range<usize> = 12..20;
 
 fn artifact_bytes() -> Vec<u8> {
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2718));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
-    ModelArtifact::new(models, &config).encode()
+    let trained = TrainedWorld::train_with(2718, sequential());
+    ModelArtifact::new(trained.models, &trained.config).encode()
+}
+
+/// The one-thread configuration both fixtures train under.
+fn sequential() -> PipelineConfig {
+    PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() }
 }
 
 /// Split a valid artifact into its header word (the fingerprint) and its
@@ -123,13 +123,7 @@ const CHECKPOINT_OPAQUE_BYTES: std::ops::Range<usize> = 12..28;
 fn durability_bytes() -> &'static (Vec<u8>, Vec<u8>) {
     static BYTES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2718));
-        let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-        let golds: Vec<GoldStandard> =
-            CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-        let config =
-            PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
-        let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+        let TrainedWorld { world, corpus, models, config, .. } = TrainedWorld::train_with(2718, sequential());
         let mut pipeline = IncrementalPipeline::new(world.kb(), models, config.clone());
         let dir = std::env::temp_dir().join(format!("ltee-artifact-fuzz-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -31,12 +31,8 @@ const TRAINED_ARTIFACT_FNV: u64 = 0xde20c847e76d68a9;
 fn trained_artifact_fnv(threads: usize) -> u64 {
     let config =
         PipelineConfig { parallelism: Parallelism::Threads(threads), ..PipelineConfig::fast() };
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 77));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
-    fnv1a64(&ModelArtifact::new(models, &config).encode())
+    let trained = TrainedWorld::train_with(77, config);
+    fnv1a64(&ModelArtifact::new(trained.models, &trained.config).encode())
 }
 
 #[test]

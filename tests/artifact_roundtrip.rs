@@ -9,13 +9,9 @@
 use ltee_core::prelude::*;
 
 fn setup() -> (World, GeneratedCorpus, PipelineConfig, TrainedModels) {
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 77));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
     let config =
         PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, config, models, .. } = TrainedWorld::train_with(77, config);
     (world, corpus, config, models)
 }
 

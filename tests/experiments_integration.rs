@@ -2,44 +2,58 @@
 //! regenerated and has the expected shape.
 //!
 //! Deterministic: `ExperimentConfig::tiny()` fixes every generator and
-//! training seed. Expected runtime: ~6 s in debug (`cargo test`).
+//! training seed. The tiny world is built, trained and run once per test
+//! binary, and every table test reads it; the last test renders every
+//! table again at two other world seeds. Expected runtime in debug
+//! (`cargo test`, 2 vCPU): ~5 s, of which ~1 s for the six tests over the
+//! shared setup and ~4 s for the two-seed test.
+
+use std::sync::OnceLock;
 
 use ltee_core::prelude::*;
+use ltee_matching::{match_corpus, CorpusMapping, MatcherWeights};
 
-fn config() -> ExperimentConfig {
-    ExperimentConfig::tiny()
+/// A trained setup, its batch pipeline run and its first-iteration
+/// default-weight mapping (Tables 4, 7 and 8).
+type Setup = (TrainedWorld, PipelineOutput, CorpusMapping);
+
+fn setup_at(experiment: &ExperimentConfig) -> Setup {
+    let trained = TrainedWorld::new(experiment, PipelineConfig::fast());
+    let output = trained.run_batch();
+    let kb = trained.world.kb();
+    let mapping = match_corpus(&trained.corpus, kb, &MatcherWeights::default(), &trained.config.schema, None);
+    (trained, output, mapping)
+}
+
+/// The tiny experiment, shared by every test of this binary.
+fn setup() -> &'static Setup {
+    static SETUP: OnceLock<Setup> = OnceLock::new();
+    SETUP.get_or_init(|| setup_at(&ExperimentConfig::tiny()))
 }
 
 #[test]
 fn tables_1_to_5_have_expected_shapes() {
-    let cfg = config();
-    let (world, corpus) = cfg.materialize();
+    let (trained, _, mapping) = setup();
+    let (world, corpus) = (&trained.world, &trained.corpus);
 
-    let t1 = experiments::table01_kb_profile(&world);
+    let t1 = experiments::table01_kb_profile(world);
     assert_eq!(t1.len(), 3);
     assert!(t1.iter().all(|r| r.instances > 0 && r.facts > 0));
 
-    let t2 = experiments::table02_property_density(&world);
+    let t2 = experiments::table02_property_density(world);
     assert_eq!(t2.len(), 23, "11 + 7 + 5 properties");
     assert!(t2.iter().all(|r| (0.0..=1.0).contains(&r.density)));
 
-    let t3 = experiments::table03_corpus_stats(&corpus);
+    let t3 = experiments::table03_corpus_stats(corpus);
     assert_eq!(t3.tables, corpus.len());
     assert!(t3.rows.average >= t3.rows.min as f64);
     assert!(t3.rows.max >= t3.rows.min);
 
-    let mapping = ltee_matching::match_corpus(
-        &corpus,
-        world.kb(),
-        &ltee_matching::MatcherWeights::default(),
-        &Default::default(),
-        None,
-    );
-    let t4 = experiments::table04_value_correspondences(&corpus, &mapping);
+    let t4 = experiments::table04_value_correspondences(corpus, mapping);
     assert_eq!(t4.len(), 3);
     assert!(t4.iter().map(|r| r.matched_values).sum::<usize>() > 0);
 
-    let t5 = experiments::table05_gold_standard(&world, &corpus);
+    let t5 = experiments::table05_gold_standard(world, corpus);
     assert_eq!(t5.len(), 3);
     for row in &t5 {
         assert!(row.stats.correct_value_present <= row.stats.value_groups);
@@ -49,7 +63,8 @@ fn tables_1_to_5_have_expected_shapes() {
 
 #[test]
 fn table7_ablation_produces_six_rows_with_sane_scores() {
-    let rows = experiments::table07_row_clustering_ablation(&config());
+    let (trained, _, mapping) = setup();
+    let rows = experiments::table07_row_clustering_ablation(trained, mapping);
     assert_eq!(rows.len(), 6);
     assert_eq!(rows[0].added_metric, "LABEL");
     assert_eq!(rows[5].added_metric, "SAME_TABLE");
@@ -64,7 +79,8 @@ fn table7_ablation_produces_six_rows_with_sane_scores() {
 
 #[test]
 fn table8_ablation_produces_six_rows_with_sane_scores() {
-    let rows = experiments::table08_new_detection_ablation(&config());
+    let (trained, _, mapping) = setup();
+    let rows = experiments::table08_new_detection_ablation(trained, mapping);
     assert_eq!(rows.len(), 6);
     assert_eq!(rows[0].added_metric, "LABEL");
     assert_eq!(rows[5].added_metric, "POPULARITY");
@@ -78,7 +94,8 @@ fn table8_ablation_produces_six_rows_with_sane_scores() {
 
 #[test]
 fn tables_9_and_10_cover_all_classes_and_settings() {
-    let (t9, t10) = experiments::table09_10_end_to_end(&config());
+    let (trained, output, _) = setup();
+    let (t9, t10) = experiments::table09_10_end_to_end(trained, output);
     // Per class: GS and ALL rows, plus the average row.
     assert_eq!(t9.len(), 3 * 2 + 1);
     assert!(t9.iter().all(|r| (0.0..=1.0).contains(&r.f1)));
@@ -95,7 +112,8 @@ fn tables_9_and_10_cover_all_classes_and_settings() {
 
 #[test]
 fn profiling_tables_11_and_12_report_new_entities_and_densities() {
-    let result = experiments::table11_12_profiling(&config());
+    let (trained, output, _) = setup();
+    let result = experiments::table11_12_profiling(trained, output);
     assert_eq!(result.table11.len(), 3);
     let total_new: usize = result.table11.iter().map(|r| r.new_entities).sum();
     assert!(total_new > 0, "profiling run should report new entities");
@@ -112,9 +130,57 @@ fn profiling_tables_11_and_12_report_new_entities_and_densities() {
 
 #[test]
 fn ranked_evaluation_is_within_bounds() {
-    let eval = experiments::ranked_set_expansion_eval(&config());
+    let (trained, output, _) = setup();
+    let eval = experiments::ranked_set_expansion_eval(trained, output);
     assert!((0.0..=1.0).contains(&eval.map));
     assert!((0.0..=1.0).contains(&eval.p_at_5));
     assert!((0.0..=1.0).contains(&eval.p_at_20));
     assert_eq!(eval.cutoff, 256);
+}
+
+/// The runner holds beyond the pinned seed: at two other world seeds every
+/// table renders with its row count, every precision, recall, F1, accuracy
+/// and density lies in `[0, 1]`, and Table 9's last row is the average of
+/// its per-class `ALL` rows.
+#[test]
+fn every_table_renders_at_other_world_seeds() {
+    for seed in [2020, 2021] {
+        let (trained, output, mapping) = &setup_at(&ExperimentConfig { seed, ..ExperimentConfig::tiny() });
+        let (world, corpus) = (&trained.world, &trained.corpus);
+        let unit = |what: &str, values: &[f64]| {
+            assert!(values.iter().all(|v| (0.0..=1.0).contains(v)), "seed {seed}: {what} {values:?}");
+        };
+
+        let t1 = experiments::table01_kb_profile(world);
+        let t2 = experiments::table02_property_density(world);
+        let t3 = experiments::table03_corpus_stats(corpus);
+        let t4 = experiments::table04_value_correspondences(corpus, mapping);
+        let t5 = experiments::table05_gold_standard(world, corpus);
+        let t6 = experiments::table06_schema_matching_iterations(trained, 2);
+        let t7 = experiments::table07_row_clustering_ablation(trained, mapping);
+        let t8 = experiments::table08_new_detection_ablation(trained, mapping);
+        let (t9, t10) = experiments::table09_10_end_to_end(trained, output);
+        let profiling = experiments::table11_12_profiling(trained, output);
+        let ranked = experiments::ranked_set_expansion_eval(trained, output);
+
+        let rows = [t1.len(), t2.len(), t3.tables, t4.len(), t5.len(), t6.len(), t7.len(), t8.len()];
+        assert_eq!(rows, [3, 23, corpus.len(), 3, 3, 2, 6, 6], "seed {seed}: rows of tables 1-8");
+        assert_eq!([t9.len(), t10.len(), profiling.table11.len()], [7, 6, 3], "seed {seed}: rows of tables 9-11");
+        t2.iter().for_each(|r| unit("table 2", &[r.density]));
+        t6.iter().for_each(|r| unit("table 6", &[r.precision, r.recall, r.f1]));
+        t7.iter().for_each(|r| unit("table 7", &[r.pcp, r.ar, r.f1]));
+        t8.iter().for_each(|r| unit("table 8", &[r.accuracy, r.f1_existing, r.f1_new]));
+        t9.iter().for_each(|r| unit("table 9", &[r.precision, r.recall, r.f1]));
+        t10.iter().for_each(|r| unit("table 10", &[r.f1_voting, r.f1_kbt, r.f1_matching]));
+        profiling.table11.iter().for_each(|r| unit("table 11", &[r.new_entity_accuracy, r.new_fact_accuracy]));
+        profiling.table12.iter().for_each(|r| unit("table 12", &[r.density]));
+        unit("section 6", &[ranked.map, ranked.p_at_5, ranked.p_at_20]);
+
+        let (average, classes) = t9.split_last().expect("table 9 has rows");
+        assert_eq!((average.class.as_str(), average.clustering.as_str()), ("Average", "ALL"), "seed {seed}");
+        let all: Vec<_> = classes.iter().filter(|r| r.clustering == "ALL").collect();
+        let mean = |f: fn(&&experiments::Table9Row) -> f64| all.iter().map(f).sum::<f64>() / all.len() as f64;
+        let expected = [mean(|r| r.precision), mean(|r| r.recall), mean(|r| r.f1)];
+        assert_eq!([average.precision, average.recall, average.f1], expected, "seed {seed}");
+    }
 }

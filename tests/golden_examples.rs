@@ -11,8 +11,8 @@
 //! `LTEE_UPDATE_GOLDEN=1 cargo test --test golden_examples` — then review
 //! the fixture diff like any other code change.
 //!
-//! Expected runtime: ~1 min in debug (one training run per example, plus
-//! the paper tables' several on the tiny experiment world, ~7 s).
+//! Expected runtime: ~6 s in debug on 2 vCPU (one training run per
+//! example, the paper tables' included).
 
 use std::io::Write;
 use std::path::PathBuf;

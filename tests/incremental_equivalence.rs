@@ -12,12 +12,8 @@ use ltee_core::prelude::*;
 use ltee::scenario as common;
 
 fn setup() -> (World, GeneratedCorpus, ModelArtifact) {
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 4711));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = config_with(Parallelism::Threads(1));
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, models, config, .. } =
+        TrainedWorld::train_with(4711, config_with(Parallelism::Threads(1)));
     let artifact = ModelArtifact::new(models, &config);
     // Serve-time stream: the training corpus plus exotic (bracketed /
     // non-ASCII, incl. multi-char-lowercase 'İ') label tables, so the serve

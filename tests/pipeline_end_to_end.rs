@@ -9,14 +9,9 @@ use ltee_core::prelude::*;
 use ltee_eval::{evaluate_facts, evaluate_new_instances};
 
 fn setup() -> (World, GeneratedCorpus, Vec<GoldStandard>, PipelineOutput) {
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 2024));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = PipelineConfig::fast();
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
-    let pipeline = Pipeline::new(world.kb(), models, config);
-    let output = pipeline.run(&corpus).expect("non-empty corpus");
+    let trained = TrainedWorld::train(2024);
+    let output = trained.run_batch();
+    let TrainedWorld { world, corpus, golds, .. } = trained;
     (world, corpus, golds, output)
 }
 

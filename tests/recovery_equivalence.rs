@@ -84,11 +84,7 @@ fn setup(parallelism: Parallelism) -> Setup {
 }
 
 fn setup_sharded(parallelism: Parallelism, shards: ShardPlan) -> Setup {
-    let tw = common::TrainedWorld::train_with(
-        4711,
-        &ltee_webtables::CorpusConfig::tiny(),
-        config_sharded(parallelism, shards),
-    );
+    let tw = common::TrainedWorld::train_with(4711, config_sharded(parallelism, shards));
     let stream = common::with_exotic_labels(
         tw.corpus.clone(),
         ["(Live)", "[Zürich]", "\u{130}zmir"],

@@ -87,8 +87,8 @@ fn learned_weights_beat_or_match_default_weights() {
 fn second_iteration_improves_attribute_recall() {
     // The headline result of paper Table 6: feedback from clustering and new
     // detection lifts recall substantially while precision stays high.
-    let config = ExperimentConfig::tiny();
-    let rows = experiments::table06_schema_matching_iterations(&config, 2);
+    let trained = TrainedWorld::new(&ExperimentConfig::tiny(), PipelineConfig::fast());
+    let rows = experiments::table06_schema_matching_iterations(&trained, 2);
     assert_eq!(rows.len(), 2);
     assert!(rows[0].f1 > 0.2, "first-iteration F1 unexpectedly low: {:.2}", rows[0].f1);
     assert!(

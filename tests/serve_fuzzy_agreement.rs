@@ -52,7 +52,7 @@ static LONG_LABEL_SNAPSHOT: OnceLock<Arc<KbSnapshot>> = OnceLock::new();
 fn sequential_trained_world(seed: u64) -> TrainedWorld {
     let config =
         PipelineConfig { parallelism: Parallelism::Threads(1), ..PipelineConfig::fast() };
-    TrainedWorld::train_with(seed, &CorpusConfig::tiny(), config)
+    TrainedWorld::train_with(seed, config)
 }
 
 /// Snapshot fed the near-duplicate flood corpus.
@@ -60,8 +60,8 @@ fn flood_snapshot() -> Arc<KbSnapshot> {
     FLOOD_SNAPSHOT
         .get_or_init(|| {
             let trained = sequential_trained_world(5151);
-            let corpus = trained.scenario_corpus(Scenario::NearDuplicateFlood, 97);
-            let mut serving = trained.serve();
+            let corpus = Scenario::NearDuplicateFlood.generate(&trained.world, 97);
+            let mut serving = ServePipeline::new(trained.world.kb(), trained.models, trained.config);
             for batch in corpus.split_into_batches(2) {
                 serving.ingest(&batch).expect("fresh table ids");
             }
@@ -76,7 +76,7 @@ fn long_label_snapshot() -> Arc<KbSnapshot> {
         .get_or_init(|| {
             let trained = sequential_trained_world(5152);
             let corpus = with_long_labels(trained.corpus.clone(), "supercalifragilistic");
-            let mut serving = trained.serve();
+            let mut serving = ServePipeline::new(trained.world.kb(), trained.models, trained.config);
             serving.ingest(&corpus).expect("fresh table ids");
             serving.snapshot()
         })
@@ -87,18 +87,9 @@ fn long_label_snapshot() -> Arc<KbSnapshot> {
 fn snapshot() -> Arc<KbSnapshot> {
     SNAPSHOT
         .get_or_init(|| {
-            let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 5150));
-            let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-            let golds: Vec<GoldStandard> =
-                CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-            let config = PipelineConfig {
-                parallelism: Parallelism::Threads(1),
-                ..PipelineConfig::fast()
-            };
-            let models =
-                train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
-            let mut serving = ServePipeline::new(world.kb(), models, config);
-            for batch in corpus.split_into_batches(3) {
+            let trained = sequential_trained_world(5150);
+            let mut serving = ServePipeline::new(trained.world.kb(), trained.models, trained.config);
+            for batch in trained.corpus.split_into_batches(3) {
                 serving.ingest(&batch).expect("fresh table ids");
             }
             serving.snapshot()

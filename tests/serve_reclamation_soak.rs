@@ -191,12 +191,10 @@ fn pipeline_soak_bounds_resident_versions_under_sustained_ingest() {
     // drives it to 2000 via LTEE_SOAK_INGESTS.
     let ingests = soak_ingests(if cfg!(debug_assertions) { 150 } else { 600 });
 
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 4711));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = PipelineConfig { parallelism: Parallelism::Auto, ..PipelineConfig::fast() };
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, models, config, .. } = TrainedWorld::train_with(
+        4711,
+        PipelineConfig { parallelism: Parallelism::Auto, ..PipelineConfig::fast() },
+    );
     let base_table = corpus
         .tables()
         .iter()

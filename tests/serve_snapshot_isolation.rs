@@ -36,12 +36,7 @@ const READERS: usize = 4;
 const MICRO_BATCHES: usize = 5;
 
 fn setup() -> (World, GeneratedCorpus, ModelArtifact) {
-    let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 9001));
-    let corpus = generate_corpus(&world, &CorpusConfig::tiny());
-    let golds: Vec<GoldStandard> =
-        CLASS_KEYS.iter().map(|&c| GoldStandard::build(&world, &corpus, c)).collect();
-    let config = config();
-    let models = train_models(&corpus, world.kb(), &golds, &config).expect("trainable corpus");
+    let TrainedWorld { world, corpus, models, config, .. } = TrainedWorld::train_with(9001, config());
     let artifact = ModelArtifact::new(models, &config);
     // Exotic labels keep the interned lookup paths inside the proof.
     let corpus = common::with_exotic_labels(corpus, ["(Live)", "[Zürich]", "\u{130}zmir"]);

@@ -25,7 +25,7 @@ const CHECKPOINT_EVERY: u64 = 32;
 
 #[test]
 fn a_corrupt_newest_checkpoint_falls_back_across_the_segment_reset() {
-    let tw = TrainedWorld::train_with(4711, &CorpusConfig::tiny(), PipelineConfig::fast());
+    let tw = TrainedWorld::train(4711);
     // Two renderings of the world, the second under fresh table ids, so
     // the stream holds a table for every batch.
     let second = generate_corpus(&tw.world, &CorpusConfig { seed: 77, ..CorpusConfig::tiny() });
