@@ -16,7 +16,7 @@ use ltee_intern::{FrozenInterner, Interner, Sym, TokenSeq};
 use ltee_text::{normalize_label, tokenize, tokenize_interned, within_one_edit, SimilarityGate};
 
 use crate::candidates::{d1_complete, CandidateIndex};
-use crate::metrics;
+use crate::metrics::{self, LookupMetrics};
 use crate::postings::PostingLists;
 
 /// One indexed label. All text fields are syms of the owning
@@ -520,6 +520,9 @@ struct Scorer<'a> {
     /// (1.0 for exact hits, the dominating bound otherwise). `score`
     /// reads them to complete partial scores optimistically.
     ub_contribs: Vec<f64>,
+    /// Edit-distance kernel invocations so far, published with the rest of
+    /// the lookup's tally when it ends.
+    edit_calls: u64,
 }
 
 impl<'a> Scorer<'a> {
@@ -544,6 +547,7 @@ impl<'a> Scorer<'a> {
             gmax: vec![f64::NAN; query_tokens.len()],
             coarse_sums: Vec::new(),
             ub_contribs: vec![0.0; query_tokens.len()],
+            edit_calls: 0,
         }
     }
 
@@ -720,7 +724,7 @@ impl<'a> Scorer<'a> {
     fn cross_sim(&mut self, i: usize, j: usize) -> f64 {
         let q = self.query_tokens.len();
         if self.cross.is_empty() {
-            metrics::count_edit_distance_calls((q * q - q) as u64);
+            self.edit_calls += (q * q - q) as u64;
             self.cross = (0..q * q)
                 .map(|x| {
                     let (a, b) = (x / q, x % q);
@@ -808,7 +812,7 @@ impl<'a> Scorer<'a> {
                 // maximum: the token provably cannot raise it.
                 Some(SimBound::Below(b)) if b <= best => {}
                 _ => {
-                    metrics::count_edit_distance_calls(1);
+                    self.edit_calls += 1;
                     match gate.similarity_above(qt, self.interner.resolve(ct), best) {
                         Some(s) => {
                             self.memo[i].insert(ct, SimBound::Exact(s));
@@ -840,7 +844,7 @@ impl<'a> Scorer<'a> {
         if near.is_empty() {
             return;
         }
-        metrics::count_edit_distance_calls(near.len() as u64);
+        self.edit_calls += near.len() as u64;
         for sym in near {
             if let Some(d) = within_one_edit(qt, self.interner.resolve(sym)) {
                 let max_len = lq.max(self.cands.token_char_len(sym));
@@ -884,6 +888,10 @@ const WARM_CAP: usize = 1024;
 /// distance computations depends on the query's local token
 /// neighbourhood, not on the index size. Results — ids, score bits,
 /// surfaced labels, order — are identical to the flat scan's.
+///
+/// The work counters are tallied locally and published once, when the
+/// lookup ends, so concurrent lookups do not contend per candidate on the
+/// shared counters.
 fn lookup_core(
     interner: &Interner,
     entries: &[LabelEntry],
@@ -892,7 +900,22 @@ fn lookup_core(
     label: &str,
     k: usize,
 ) -> Vec<LabelMatch> {
-    metrics::count_lookup();
+    let mut tally = LookupMetrics { lookups: 1, ..LookupMetrics::default() };
+    let matches = lookup_tallied(interner, entries, postings, cands, label, k, &mut tally);
+    metrics::publish(tally);
+    matches
+}
+
+/// [`lookup_core`]'s body, counting its work into `tally`.
+fn lookup_tallied(
+    interner: &Interner,
+    entries: &[LabelEntry],
+    postings: &PostingLists,
+    cands: &CandidateIndex,
+    label: &str,
+    k: usize,
+    tally: &mut LookupMetrics,
+) -> Vec<LabelMatch> {
     if k == 0 || entries.is_empty() {
         return Vec::new();
     }
@@ -932,21 +955,21 @@ fn lookup_core(
         let entry = &entries[pos as usize];
         let (coarse, all_exact) = scorer.coarse_bound(entry, qmask, exact_hits);
         if !top.may_enter(coarse, entry.id, pos) {
-            metrics::count_candidate_skipped();
+            tally.candidates_skipped += 1;
             return;
         }
         if all_exact {
             // The coarse bound over all-1.0 contributions *is* the score.
-            metrics::count_candidate_scored();
+            tally.candidates_scored += 1;
             top.insert(TopItem { score: coarse, id: entry.id, pos, normalized: entry.normalized });
             return;
         }
         let ub = scorer.upper_bound(entry, qmask, exact_hits);
         if !top.may_enter(ub, entry.id, pos) {
-            metrics::count_candidate_skipped();
+            tally.candidates_skipped += 1;
             return;
         }
-        metrics::count_candidate_scored();
+        tally.candidates_scored += 1;
         if let Some(score) = scorer.score(entry, pos, qmask, exact_hits, &top) {
             top.insert(TopItem { score, id: entry.id, pos, normalized: entry.normalized });
         }
@@ -1014,6 +1037,7 @@ fn lookup_core(
         }
     }
 
+    tally.edit_distance_calls += scorer.edit_calls;
     top.into_matches()
 }
 

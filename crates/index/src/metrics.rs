@@ -16,7 +16,11 @@
 //! concurrently (shared snapshots), so a test that asserts exact values
 //! must be the only lookup caller in its process (an integration test
 //! file with a single `#[test]`); everything else asserts on monotone
-//! deltas.
+//! deltas. A lookup tallies its work in a local [`LookupMetrics`] and
+//! publishes it once, when it ends: concurrent lookups touch the shared
+//! cache line a few times per query rather than once per candidate, and
+//! every count is the same as if each unit of work were added as it
+//! happened.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -92,24 +96,17 @@ pub fn snapshot() -> LookupMetrics {
     }
 }
 
-#[inline]
-pub(crate) fn count_lookup() {
-    COUNTERS.lookups.fetch_add(1, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn count_edit_distance_calls(n: u64) {
-    COUNTERS.edit_distance_calls.fetch_add(n, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn count_candidate_scored() {
-    COUNTERS.candidates_scored.fetch_add(1, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn count_candidate_skipped() {
-    COUNTERS.candidates_skipped.fetch_add(1, Ordering::Relaxed);
+/// Add one lookup's tally to the counters.
+pub(crate) fn publish(tally: LookupMetrics) {
+    let add = |counter: &AtomicU64, n: u64| {
+        if n > 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    };
+    add(&COUNTERS.lookups, tally.lookups);
+    add(&COUNTERS.edit_distance_calls, tally.edit_distance_calls);
+    add(&COUNTERS.candidates_scored, tally.candidates_scored);
+    add(&COUNTERS.candidates_skipped, tally.candidates_skipped);
 }
 
 #[cfg(test)]
@@ -125,13 +122,11 @@ mod tests {
         let overall_before = snapshot();
 
         let shard_a_before = snapshot();
-        count_edit_distance_calls(2);
-        count_candidate_scored();
+        publish(LookupMetrics { edit_distance_calls: 2, candidates_scored: 1, ..LookupMetrics::default() });
         let shard_a = snapshot().delta_since(shard_a_before);
 
         let shard_b_before = snapshot();
-        count_edit_distance_calls(5);
-        count_candidate_skipped();
+        publish(LookupMetrics { edit_distance_calls: 5, candidates_skipped: 1, ..LookupMetrics::default() });
         let shard_b = snapshot().delta_since(shard_b_before);
 
         assert!(shard_a.edit_distance_calls >= 2);
@@ -152,10 +147,9 @@ mod tests {
         // Other tests in the process may add concurrently; assert deltas
         // are at least what this thread contributed.
         let before = snapshot();
-        count_edit_distance_calls(3);
-        count_candidate_scored();
-        count_candidate_skipped();
+        publish(LookupMetrics { lookups: 1, edit_distance_calls: 3, candidates_scored: 1, candidates_skipped: 1 });
         let after = snapshot();
+        assert!(after.lookups > before.lookups);
         assert!(after.edit_distance_calls >= before.edit_distance_calls + 3);
         assert!(after.candidates_scored > before.candidates_scored);
         assert!(after.candidates_skipped > before.candidates_skipped);

@@ -6,6 +6,7 @@
 use crate::footprint::{Footprint, HeapBytes, HeapSize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use ltee_types::{Date, Value};
 use rand::seq::SliceRandom;
@@ -19,58 +20,80 @@ use crate::names;
 use crate::schema::{class_schema, ClassKey, CLASS_KEYS};
 
 /// An entity's ground truth: at most one value per property of its class
-/// schema, in property-name order, held in one exact-sized allocation. A
-/// fact names its property by its position in [`class_schema`], so no fact
-/// keeps a heap string for the name.
+/// schema, held in one exact-sized allocation of values in property-name
+/// order. Which properties the entity has is a bit mask by name rank, kept
+/// beside the class in what would otherwise be padding, so no fact carries
+/// its property's name or position.
 #[derive(Clone, PartialEq)]
 pub struct Facts {
+    /// The values, ordered by property name.
+    values: Box<[Value]>,
+    /// Bit `r` is set when the entity has a value for `names_by_rank(class)[r]`.
+    present: u16,
     class: ClassKey,
-    /// `(position in the class schema, value)`, ordered by property name.
-    entries: Box<[(u8, Value)]>,
+}
+
+/// A class's schema property names in ascending order: a fact's bit in
+/// [`Facts`]'s mask is its name's rank here. Held inline (no schema has more
+/// than 16 properties), so the table owns no heap.
+fn names_by_rank(class: ClassKey) -> &'static [&'static str] {
+    static SORTED: OnceLock<[([&str; 16], usize); 3]> = OnceLock::new();
+    let sorted = SORTED.get_or_init(|| {
+        CLASS_KEYS.map(|class| {
+            let (schema, mut names) = (class_schema(class), [""; 16]);
+            let len = schema.len().min(names.len());
+            for (name, spec) in names.iter_mut().zip(schema) {
+                *name = spec.name;
+            }
+            names[..len].sort_unstable();
+            (names, len)
+        })
+    });
+    let (names, len) = &sorted[class.code() as usize];
+    &names[..*len]
 }
 
 impl Facts {
     /// The facts of a `class` entity from `(property name, value)` pairs,
     /// one per property, in any order. A name outside the class schema is
-    /// not kept.
+    /// not kept, nor a repeated name's later value.
     fn from_named(class: ClassKey, named: Vec<(&str, Value)>) -> Self {
-        let schema = class_schema(class);
-        let mut entries: Vec<(u8, Value)> = named
-            .into_iter()
-            .filter_map(|(name, value)| Some((schema.iter().position(|spec| spec.name == name)? as u8, value)))
-            .collect();
-        entries.sort_by_key(|&(position, _)| schema[position as usize].name);
-        Self { class, entries: entries.into_boxed_slice() }
-    }
-
-    fn name(&self, position: u8) -> &'static str {
-        class_schema(self.class)[position as usize].name
+        let names = names_by_rank(class);
+        let mut ranked: Vec<(usize, Value)> =
+            named.into_iter().filter_map(|(name, value)| Some((names.binary_search(&name).ok()?, value))).collect();
+        ranked.sort_by_key(|&(rank, _)| rank);
+        ranked.dedup_by_key(|&mut (rank, _)| rank);
+        let present = ranked.iter().fold(0u16, |mask, &(rank, _)| mask | 1 << rank);
+        Self { values: ranked.into_iter().map(|(_, value)| value).collect(), present, class }
     }
 
     /// The value of a property, if the entity has one.
     pub fn get(&self, property: &str) -> Option<&Value> {
-        let at = self.entries.binary_search_by(|&(position, _)| self.name(position).cmp(property)).ok()?;
-        Some(&self.entries[at].1)
+        let rank = names_by_rank(self.class).binary_search(&property).ok()?;
+        let bit = 1u16 << rank;
+        (self.present & bit != 0).then(|| &self.values[(self.present & (bit - 1)).count_ones() as usize])
     }
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.values.len()
     }
 
     /// Whether the entity has no facts.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.values.is_empty()
     }
 
     /// `(property name, value)` pairs in property-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Value)> + '_ {
-        self.entries.iter().map(|(position, value)| (self.name(*position), value))
+        let names = names_by_rank(self.class).iter().enumerate();
+        let present = names.filter(|&(rank, _)| self.present & 1 << rank != 0).map(|(_, &name)| name);
+        present.zip(self.values.iter())
     }
 
     /// The values, in property-name order.
     pub fn values(&self) -> impl Iterator<Item = &Value> + '_ {
-        self.entries.iter().map(|(_, value)| value)
+        self.values.iter()
     }
 }
 
@@ -156,7 +179,7 @@ pub struct WorldEntity {
     /// Canonical label.
     pub canonical_label: String,
     /// Alternative labels (spelling variants, qualifiers).
-    pub alt_labels: Vec<String>,
+    pub alt_labels: Box<[Box<str>]>,
     /// Ground-truth facts, in property-name order.
     pub facts: Facts,
     /// Popularity (page-link proxy); higher for head entities.
@@ -175,7 +198,7 @@ impl WorldEntity {
     /// All labels, canonical first.
     pub fn labels(&self) -> Vec<&str> {
         std::iter::once(self.canonical_label.as_str())
-            .chain(self.alt_labels.iter().map(String::as_str))
+            .chain(self.alt_labels.iter().map(|label| &**label))
             .collect()
     }
 
@@ -200,7 +223,7 @@ pub struct World {
 }
 
 ltee_intern::heap_size! {
-    Facts { entries }
+    Facts { values }
     WorldEntity { canonical_label, alt_labels, facts }
 }
 
@@ -256,7 +279,8 @@ impl World {
 /// Generate a world (and its knowledge base) from the configuration.
 pub fn generate_world(config: &GeneratorConfig) -> World {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let mut entities: Vec<WorldEntity> = Vec::new();
+    let per_class = config.scale.world_entities_per_class() + config.scale.confusable_per_class;
+    let mut entities: Vec<WorldEntity> = Vec::with_capacity(CLASS_KEYS.len() * per_class);
     let mut next_homonym_group: u64 = 0;
 
     for class in CLASS_KEYS {
@@ -278,10 +302,11 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
             } else {
                 None
             };
-            let canonical_label = match homonym {
+            let mut canonical_label = match homonym {
                 Some(label) => label,
                 None => generate_unique_label(class, &labels_seen, &mut rng),
             };
+            canonical_label.shrink_to_fit();
             let homonym_group = *labels_seen
                 .entry(normalize_for_grouping(&canonical_label))
                 .or_insert_with(|| {
@@ -315,7 +340,8 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
 
         // Confusable entities of the sibling class.
         for c in 0..config.scale.confusable_per_class {
-            let label = generate_confusable_label(class, c, &mut rng);
+            let mut label = generate_confusable_label(class, c, &mut rng);
+            label.shrink_to_fit();
             let homonym_group = next_homonym_group;
             next_homonym_group += 1;
             let id = EntityId(entities.len() as u64);
@@ -323,7 +349,7 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
                 id,
                 class,
                 canonical_label: label,
-                alt_labels: Vec::new(),
+                alt_labels: Box::default(),
                 facts: generate_confusable_facts(class, &mut rng),
                 popularity: rng.gen_range(0..20),
                 in_kb: false,
@@ -342,6 +368,7 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
         let ids = schema.iter().map(|spec| kb.add_property(class, spec.name, spec.data_type, spec.header_labels[0]));
         class_properties.push((class, ids.collect()));
     }
+    kb.reserve_instances(entities.iter().filter(|entity| entity.in_kb && !entity.confusable).count());
     let mut kb_rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(1));
     let entity_to_instance = entities
         .iter()
@@ -451,11 +478,11 @@ fn generate_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> Facts {
         ClassKey::GridironFootballPlayer => {
             let birth_year = rng.gen_range(1960..=1995);
             facts.push(("birthDate", Value::Date(Date::day(birth_year, rng.gen_range(1..=12), rng.gen_range(1..=28)))));
-            facts.push(("college", Value::InstanceRef(pick(names::COLLEGES, rng).to_string())));
-            facts.push(("birthPlace", Value::InstanceRef(pick(names::BIRTH_CITIES, rng).to_string())));
-            facts.push(("team", Value::InstanceRef(pick(names::TEAMS, rng).to_string())));
+            facts.push(("college", Value::InstanceRef(pick(names::COLLEGES, rng).into())));
+            facts.push(("birthPlace", Value::InstanceRef(pick(names::BIRTH_CITIES, rng).into())));
+            facts.push(("team", Value::InstanceRef(pick(names::TEAMS, rng).into())));
             facts.push(("number", Value::NominalInt(rng.gen_range(1..=99))));
-            facts.push(("position", Value::Nominal(pick(names::POSITIONS, rng).to_string())));
+            facts.push(("position", Value::Nominal(pick(names::POSITIONS, rng).into())));
             facts.push(("height", Value::Quantity(rng.gen_range(165.0..=208.0f64).round())));
             facts.push(("weight", Value::Quantity(rng.gen_range(70.0..=160.0f64).round())));
             let draft_year = (birth_year + rng.gen_range(21..=24)).min(2014);
@@ -464,29 +491,29 @@ fn generate_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> Facts {
             facts.push(("draftPick", Value::NominalInt(rng.gen_range(1..=260))));
         }
         ClassKey::Song => {
-            facts.push(("genre", Value::Nominal(pick(names::GENRES, rng).to_string())));
-            facts.push(("musicalArtist", Value::InstanceRef(pick(names::ARTISTS, rng).to_string())));
-            facts.push(("recordLabel", Value::InstanceRef(pick(names::RECORD_LABELS, rng).to_string())));
+            facts.push(("genre", Value::Nominal(pick(names::GENRES, rng).into())));
+            facts.push(("musicalArtist", Value::InstanceRef(pick(names::ARTISTS, rng).into())));
+            facts.push(("recordLabel", Value::InstanceRef(pick(names::RECORD_LABELS, rng).into())));
             facts.push(("runtime", Value::Quantity(rng.gen_range(120.0..=420.0f64).round())));
             let album_word = pick(names::ALBUM_WORDS, rng);
-            facts.push(("album", Value::InstanceRef(format!("{album_word} {}", rng.gen_range(1..=30)))));
+            facts.push(("album", Value::InstanceRef(format!("{album_word} {}", rng.gen_range(1..=30)).into())));
             let writer = format!(
                 "{} {}",
                 pick(names::FIRST_NAMES, rng),
                 pick(names::LAST_NAMES, rng)
             );
-            facts.push(("writer", Value::InstanceRef(writer)));
+            facts.push(("writer", Value::InstanceRef(writer.into())));
             let year = rng.gen_range(1960..=2012);
             facts.push(("releaseDate", Value::Date(Date::day(year, rng.gen_range(1..=12), rng.gen_range(1..=28)))));
         }
         ClassKey::Settlement => {
-            facts.push(("country", Value::InstanceRef(pick(names::COUNTRIES, rng).to_string())));
-            facts.push(("isPartOf", Value::InstanceRef(pick(names::REGIONS, rng).to_string())));
+            facts.push(("country", Value::InstanceRef(pick(names::COUNTRIES, rng).into())));
+            facts.push(("isPartOf", Value::InstanceRef(pick(names::REGIONS, rng).into())));
             // Heavy-tailed population: lots of small villages, few cities.
             let magnitude = rng.gen_range(2.0..=6.0f64);
             let population = (10.0f64.powf(magnitude)).round();
             facts.push(("populationTotal", Value::Quantity(population)));
-            facts.push(("postalCode", Value::Nominal(format!("{:05}", rng.gen_range(1_000..=99_999)))));
+            facts.push(("postalCode", Value::Nominal(format!("{:05}", rng.gen_range(1_000..=99_999)).into())));
             facts.push(("elevation", Value::Quantity(rng.gen_range(0.0..=2500.0f64).round())));
         }
     }
@@ -504,12 +531,12 @@ fn generate_confusable_facts(class: ClassKey, rng: &mut ChaCha8Rng) -> Facts {
             facts.push(("height", Value::Quantity(rng.gen_range(165.0..=205.0f64).round())));
         }
         ClassKey::Song => {
-            facts.push(("musicalArtist", Value::InstanceRef(pick(names::ARTISTS, rng).to_string())));
+            facts.push(("musicalArtist", Value::InstanceRef(pick(names::ARTISTS, rng).into())));
             let year = rng.gen_range(1970..=2012);
             facts.push(("releaseDate", Value::Date(Date::year(year))));
         }
         ClassKey::Settlement => {
-            facts.push(("country", Value::InstanceRef(pick(names::COUNTRIES, rng).to_string())));
+            facts.push(("country", Value::InstanceRef(pick(names::COUNTRIES, rng).into())));
             facts.push(("elevation", Value::Quantity(rng.gen_range(800.0..=4500.0f64).round())));
         }
     }
@@ -521,7 +548,7 @@ fn generate_alt_labels(
     canonical: &str,
     facts: &Facts,
     rng: &mut ChaCha8Rng,
-) -> Vec<String> {
+) -> Box<[Box<str>]> {
     let mut alts = Vec::new();
     match class {
         ClassKey::GridironFootballPlayer => {
@@ -549,7 +576,7 @@ fn generate_alt_labels(
             }
         }
     }
-    alts
+    alts.into_iter().map(String::into_boxed_str).collect()
 }
 
 fn build_abstract(entity: &WorldEntity) -> String {
@@ -738,6 +765,14 @@ mod tests {
     }
 
     #[test]
+    fn every_schema_fits_the_presence_mask() {
+        for class in CLASS_KEYS {
+            assert!(class_schema(class).len() <= 16, "{class}");
+            assert_eq!(names_by_rank(class).len(), class_schema(class).len(), "{class}");
+        }
+    }
+
+    #[test]
     fn facts_keep_schema_properties_only() {
         let facts = Facts::from_named(
             ClassKey::Settlement,
@@ -749,6 +784,9 @@ mod tests {
         );
         assert_eq!(facts.len(), 2);
         assert_eq!(facts.get("runtime"), None);
+        let repeated = [("country", Value::Quantity(1.0)), ("country", Value::Quantity(2.0))];
+        let repeated = Facts::from_named(ClassKey::Settlement, repeated.to_vec());
+        assert_eq!((repeated.len(), repeated.get("country")), (1, Some(&Value::Quantity(1.0))));
         assert_eq!(format!("{facts:?}"), r#"{"country": InstanceRef("Poland"), "elevation": Quantity(310.0)}"#);
         assert!(Facts::from_named(ClassKey::Song, Vec::new()).is_empty());
     }

@@ -61,20 +61,20 @@ pub struct Instance {
     /// Class of the instance.
     pub class: ClassKey,
     /// Canonical label plus alternative labels (canonical first).
-    pub labels: Vec<String>,
+    pub labels: Box<[Box<str>]>,
     /// A short textual abstract (used by the `BOW` entity-to-instance metric).
-    pub abstract_text: String,
+    pub abstract_text: Box<str>,
     /// Number of incoming page links (popularity proxy, used by the
     /// `POPULARITY` metric).
     pub page_links: u64,
     /// The instance's facts.
-    pub facts: Vec<Fact>,
+    pub facts: Box<[Fact]>,
 }
 
 impl Instance {
     /// The canonical (first) label.
     pub fn canonical_label(&self) -> &str {
-        self.labels.first().map(String::as_str).unwrap_or("")
+        self.labels.first().map_or("", |label| label)
     }
 
     /// The fact value for a property, if present.
@@ -180,21 +180,28 @@ impl KnowledgeBase {
         id
     }
 
-    /// Add an instance (facts included, kept exact-sized) and return its
-    /// id, which is its position among the instances.
+    /// Add an instance and return its id, which is its position among the
+    /// instances. Its labels, abstract and facts are kept exact-sized.
     pub fn add_instance(
         &mut self,
         class: ClassKey,
         labels: Vec<String>,
         abstract_text: String,
         page_links: u64,
-        mut facts: Vec<Fact>,
+        facts: Vec<Fact>,
     ) -> InstanceId {
         self.derived = Derived::default();
         let id = InstanceId(self.instances.len() as u64);
-        facts.shrink_to_fit();
+        let labels = labels.into_iter().map(String::into_boxed_str).collect();
+        let (abstract_text, facts) = (abstract_text.into_boxed_str(), facts.into_boxed_slice());
         self.instances.push(Instance { id, class, labels, abstract_text, page_links, facts });
         id
+    }
+
+    /// Make room for `additional` more instances, exactly: a KB built once
+    /// to a known size keeps no spare slots.
+    pub fn reserve_instances(&mut self, additional: usize) {
+        self.instances.reserve_exact(additional);
     }
 
     /// All classes.

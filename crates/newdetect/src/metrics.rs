@@ -1,5 +1,6 @@
 //! Entity-to-instance similarity metrics.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use ltee_fusion::Entity;
@@ -146,12 +147,7 @@ impl EntityContext {
         implicit: &ImplicitAttributes,
         interner: &mut Interner,
     ) -> Self {
-        let mut bow = BowVector::new();
-        for row in &entity.rows {
-            for cell in corpus.row_cells(*row) {
-                bow.add_text(cell);
-            }
-        }
+        let bow = BowVector::from_texts(entity.rows.iter().flat_map(|&row| corpus.row_cells(row)));
         // Entity-level implicit attributes: sum the table-level confidence of
         // equal (property, value) combinations over the entity's rows and
         // divide by the number of rows.
@@ -178,6 +174,12 @@ impl EntityContext {
         acc.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
         Self::from_parts(entity, bow, acc, interner)
     }
+}
+
+/// What [`Value::render`] gives, borrowed for a string value (which renders
+/// as itself).
+fn rendered(value: &Value) -> Cow<'_, str> {
+    value.as_str().map_or_else(|| Cow::Owned(value.render()), Cow::Borrowed)
 }
 
 /// The static class hierarchy (class name + ancestors) of a class.
@@ -218,14 +220,10 @@ impl InstanceContext {
     /// function of the instance and the frozen knowledge base alone — and
     /// the normalised labels whose tokens `mint_label_tokens` interns.
     fn body(instance: &Instance, kb: &KnowledgeBase) -> (Self, Vec<String>) {
-        let mut bow = BowVector::new();
-        for label in &instance.labels {
-            bow.add_text(label);
-        }
-        bow.add_text(&instance.abstract_text);
+        let texts = instance.labels.iter().chain([&instance.abstract_text]).map(|text| Cow::Borrowed(&**text));
+        let bow = BowVector::from_texts(texts.chain(instance.facts.iter().map(|fact| rendered(&fact.value))));
         let mut facts = Vec::new();
         for fact in &instance.facts {
-            bow.add_text(&fact.value.render());
             if let Some(prop) = kb.property(fact.property) {
                 facts.push((prop.name.clone(), fact.value.clone()));
             }

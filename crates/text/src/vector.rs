@@ -43,16 +43,38 @@ impl BowVector {
         Self::from_texts([text])
     }
 
-    /// Build a vector from several pieces of text (e.g. all cells of a row).
-    /// The result carries no growth slack: a row context keeps it as is.
-    pub fn from_texts<'a, I: IntoIterator<Item = &'a str>>(texts: I) -> Self {
-        let mut v = Self::new();
-        for t in texts {
-            v.add_text(t);
+    /// Build a vector from several pieces of text (e.g. all cells of a row),
+    /// in one pass: every token is gathered into one scratch buffer, the
+    /// token spans are sorted and deduplicated, and the arena is written
+    /// once, exact-sized. The result equals adding the texts one by one.
+    pub fn from_texts<I>(texts: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        let mut scratch = String::new();
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        for text in texts {
+            for_each_token(text.as_ref(), |token| {
+                spans.push((scratch.len(), scratch.len() + token.len()));
+                scratch.push_str(token);
+            });
         }
-        v.bytes.shrink_to_fit();
-        v.ends.shrink_to_fit();
-        v
+        let term = |&(start, end): &(usize, usize)| &scratch[start..end];
+        spans.sort_unstable_by(|a, b| term(a).cmp(term(b)));
+        spans.dedup_by(|a, b| term(a) == term(b));
+        let mut bytes = String::with_capacity(spans.iter().map(|&(start, end)| end - start).sum());
+        let mut ends = Vec::with_capacity(spans.len());
+        for span in &spans {
+            // The end offsets are `u32`: a term that would take the arena
+            // past 4 GiB of distinct term bytes is not added, as `insert`
+            // refuses it.
+            if let Ok(end) = u32::try_from(bytes.len() + term(span).len()) {
+                bytes.push_str(term(span));
+                ends.push(end);
+            }
+        }
+        Self { bytes, ends }
     }
 
     /// Tokenise `text` and add its terms to the vector.
@@ -365,6 +387,15 @@ mod tests {
                 again.add_term(term.as_str());
             }
             prop_assert!(again == a);
+            // One pass over all the texts is the bag of adding them one by one.
+            let (mut one_by_one, mut oracle_all) = (BowVector::new(), SetOracle::default());
+            for text in &texts {
+                one_by_one.add_text(text);
+                oracle_all.add_text(text);
+            }
+            let direct = BowVector::from_texts(&texts);
+            prop_assert!(direct.terms().eq(oracle_all.terms.iter().map(String::as_str)));
+            prop_assert!(direct == one_by_one);
         }
     }
 }

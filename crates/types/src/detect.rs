@@ -35,7 +35,7 @@ pub fn detect_cell_type(raw: &str) -> DetectedCell {
     if let Some(q) = parse_quantity(trimmed) {
         return DetectedCell { detected: DetectedType::Quantity, value: Value::Quantity(q) };
     }
-    DetectedCell { detected: DetectedType::Text, value: Value::Text(trimmed.to_string()) }
+    DetectedCell { detected: DetectedType::Text, value: Value::Text(trimmed.into()) }
 }
 
 /// Detect the type of a whole attribute column by majority vote over its
@@ -89,7 +89,7 @@ pub fn parse_cell_as(raw: &str, target: crate::datatype::DataType) -> Option<Val
         None => {
             // A text payload may still be acceptable for string-like targets.
             if target.is_string_like() {
-                Some(Value::Text(trimmed.to_string()).coerce_to(target).unwrap_or(Value::Text(trimmed.to_string())))
+                Some(Value::Text(trimmed.into()).coerce_to(target).unwrap_or_else(|| Value::Text(trimmed.into())))
             } else {
                 None
             }

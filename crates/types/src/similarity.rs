@@ -646,7 +646,7 @@ mod tests {
         #[test]
         fn text_similarity_reflexive(s in "[a-zA-Z ]{1,20}") {
             prop_assume!(!ltee_text::tokenize(&s).is_empty());
-            let v = Value::Text(s.clone());
+            let v = Value::Text(s.as_str().into());
             let sim = value_similarity(&v, &v, DataType::Text);
             prop_assert!(sim > 0.999);
         }
@@ -662,8 +662,8 @@ mod tests {
                 codes.iter().map(|&c| (pool_value(c / 840), pool_value(c % 840))).collect();
             pairs.push((Value::Quantity(x), Value::Quantity(y)));
             pairs.push((Value::Quantity(x), Value::NominalInt(y as i64)));
-            pairs.push((Value::Text(text.clone()), Value::InstanceRef("Tom Brady".into())));
-            pairs.push((Value::Nominal(text.clone()), Value::Text(text.to_uppercase())));
+            pairs.push((Value::Text(text.as_str().into()), Value::InstanceRef("Tom Brady".into())));
+            pairs.push((Value::Nominal(text.as_str().into()), Value::Text(text.to_uppercase().into())));
             for (a, b) in &pairs {
                 let (pa, pb) = (PreparedValue::new(a), PreparedValue::new(b));
                 for dtype in DataType::ALL {
@@ -688,8 +688,8 @@ mod tests {
         ) {
             let x = format!("{x} {}", long.join(" "));
             let y = format!("{} {y} {y}", long.first().map_or("", |t| &t[1..]));
-            let px = PreparedValue::new(&Value::Text(x.clone()));
-            let py = PreparedValue::new(&Value::Text(y.clone()));
+            let px = PreparedValue::new(&Value::Text(x.as_str().into()));
+            let py = PreparedValue::new(&Value::Text(y.as_str().into()));
             let tokens = |s: &str| tokenize(&normalize_label(s));
             let expected = super::text_oracle::monge_elkan(&tokens(&x), &tokens(&y));
             prop_assert_eq!(px.similarity(&py, DataType::Text).to_bits(), clamp_unit(expected).to_bits());

@@ -69,15 +69,15 @@ impl std::fmt::Display for Date {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Free text.
-    Text(String),
+    Text(Box<str>),
     /// Nominal string (exact match only).
-    Nominal(String),
+    Nominal(Box<str>),
     /// Reference to a knowledge base instance, by canonical label.
     ///
     /// The paper's instance references point at DBpedia resources; we store
     /// the referenced instance's canonical label, which is how references
     /// appear inside web tables.
-    InstanceRef(String),
+    InstanceRef(Box<str>),
     /// Calendar date.
     Date(Date),
     /// Numeric quantity.
@@ -141,7 +141,7 @@ impl Value {
     /// construction.
     pub fn render(&self) -> String {
         match self {
-            Value::Text(s) | Value::Nominal(s) | Value::InstanceRef(s) => s.clone(),
+            Value::Text(s) | Value::Nominal(s) | Value::InstanceRef(s) => s.to_string(),
             Value::Date(d) => d.to_string(),
             Value::Quantity(q) => {
                 if (q.fract()).abs() < 1e-9 {

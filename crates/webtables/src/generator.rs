@@ -498,7 +498,7 @@ pub(crate) fn build_table(
     let mut label_cells: Vec<String> = Vec::with_capacity(rows.len());
     for entity in &rows {
         let mut label = if !entity.alt_labels.is_empty() && rng.gen::<f64>() < noise.label_variant_rate {
-            entity.alt_labels.choose(rng).cloned().unwrap_or_else(|| entity.canonical_label.clone())
+            entity.alt_labels.choose(rng).map_or_else(|| entity.canonical_label.clone(), |label| label.to_string())
         } else {
             entity.canonical_label.clone()
         };
@@ -590,7 +590,7 @@ fn corrupt_value(value: &Value, rng: &mut ChaCha8Rng) -> Value {
             // Truncate or garble string payloads: drop the last two
             // characters of a longer string, extend a short one.
             let chars = s.chars().count();
-            let s = if chars > 4 { s.chars().take(chars - 2).collect() } else { format!("{s}x") };
+            let s: Box<str> = if chars > 4 { s.chars().take(chars - 2).collect() } else { format!("{s}x").into() };
             match value {
                 Value::Nominal(_) => Value::Nominal(s),
                 Value::InstanceRef(_) => Value::InstanceRef(s),

@@ -35,8 +35,8 @@ const FROZEN_BYTES_PER_LABEL_CEILING: f64 = 410.0;
 
 /// An entry owns a heap block, its token sequence, unless its label
 /// normalises to no tokens at all.
-fn with_tokens<'a>(labels: impl IntoIterator<Item = &'a String>) -> usize {
-    labels.into_iter().filter(|label| label.chars().any(char::is_alphanumeric)).count()
+fn with_tokens(labels: impl IntoIterator<Item = impl AsRef<str>>) -> usize {
+    labels.into_iter().filter(|label| label.as_ref().chars().any(char::is_alphanumeric)).count()
 }
 
 #[test]
