@@ -456,8 +456,7 @@ mod tests {
         values: Vec<(&str, Value)>,
         extra_terms: &str,
     ) -> RowContext {
-        let mut bow = BowVector::from_text(label);
-        bow.add_text(extra_terms);
+        let bow = BowVector::from_texts([label, extra_terms]);
         let values = RowValues {
             label: label.to_string(),
             values: values.into_iter().map(|(p, v)| (p.to_string(), v)).collect(),

@@ -398,10 +398,7 @@ mod tests {
         facts: Vec<(&str, Value)>,
         links: u64,
     ) -> InstanceContext {
-        let mut bow = BowVector::from_text(label);
-        for (_, v) in &facts {
-            bow.add_text(&v.render());
-        }
+        let bow = BowVector::from_texts(std::iter::once(label.to_string()).chain(facts.iter().map(|(_, v)| v.render())));
         let facts: Vec<(String, Value)> = facts.into_iter().map(|(p, v)| (p.to_string(), v)).collect();
         InstanceContext {
             label_tokens: vec![tokenize_interned(&normalize_label(label), interner)],

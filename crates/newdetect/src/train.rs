@@ -129,10 +129,7 @@ mod tests {
             labels: vec![e.canonical_label.clone()],
             facts,
         };
-        let mut bow = BowVector::from_text(&e.canonical_label);
-        for v in e.facts.values() {
-            bow.add_text(&v.render());
-        }
+        let bow = BowVector::from_texts(std::iter::once(e.canonical_label.clone()).chain(e.facts.values().map(|v| v.render())));
         let _ = world;
         EntityContext::from_parts(entity, bow, vec![], interner)
     }
