@@ -292,7 +292,6 @@ fn refine_klj(
 
         // Merge: try merging block-sharing cluster pairs when the cross
         // similarity is positive.
-        let mut merged_into: HashMap<usize, usize> = HashMap::new();
         for i in 0..clusters.len() {
             if clusters[i].is_empty() {
                 continue;
@@ -335,7 +334,6 @@ fn refine_klj(
                     clusters[to].extend(moved);
                     let blocks: Vec<Sym> = cluster_blocks[from].drain().collect();
                     cluster_blocks[to].extend(blocks);
-                    merged_into.insert(from, to);
                     improved = true;
                 }
             }

@@ -3,9 +3,9 @@
 //!
 //! [`CandidateIndex`] is the side table that makes the fuzzy lookup
 //! sublinear. It is maintained incrementally by [`crate::LabelIndex`]
-//! during `insert` and moves — immutable from then on — into the shared
-//! tables at `into_shared` time, so every published snapshot carries a
-//! fully built candidate index at zero per-lookup cost. It holds two
+//! during `insert` and sealed with the rest of the index by `into_shared`,
+//! so every sealed index (the KB's per class, each published snapshot's)
+//! carries a fully built candidate index at zero per-lookup cost. It holds two
 //! structures, both keyed on the interner's dense symbols:
 //!
 //! * **`char_len`** — the character length of every token sym, resolved
@@ -45,7 +45,7 @@ pub(crate) fn d1_complete(lq: usize, lc: usize) -> bool {
 }
 
 /// Incrementally maintained candidate-generation tables (see the module
-/// docs). Owned by `LabelIndex`, shared immutably by `SharedLabelIndex`.
+/// docs). Owned by `LabelIndex`.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct CandidateIndex {
     /// Character length per sym (indexed by `Sym::raw`); `0` marks a sym

@@ -10,9 +10,9 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::ops::Deref;
 
-use ltee_intern::{FrozenInterner, Interner, Sym, TokenSeq};
+use ltee_intern::{Interner, Sym, TokenSeq};
 use ltee_text::{normalize_label, tokenize, tokenize_interned, within_one_edit, SimilarityGate};
 
 use crate::candidates::{d1_complete, CandidateIndex};
@@ -83,17 +83,6 @@ impl LabelIndex {
         Self::default()
     }
 
-    /// Create an index pre-populated from `(id, label)` pairs.
-    pub fn build<I, S>(items: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, S)>,
-        S: AsRef<str>,
-    {
-        let mut idx = Self::new();
-        idx.extend(items);
-        idx
-    }
-
     /// Insert a label under the given identifier and return the normalised
     /// label's sym (the entry's block key). Duplicate ids are allowed (an
     /// instance can have several labels); each call adds one entry.
@@ -154,119 +143,20 @@ impl LabelIndex {
         self.entries.is_empty()
     }
 
-    /// All entries whose normalised label is exactly equal to the normalised
-    /// query (the query's *block* in the paper's blocking scheme).
-    pub fn exact_block(&self, label: &str) -> Vec<&LabelEntry> {
-        exact_block_core(&self.interner, &self.entries, &self.by_label, label)
-    }
-
-    /// Freeze the index into a cheaply cloneable read-only view that can be
-    /// shared across threads (see [`SharedLabelIndex`]). Insertion is
-    /// sealed; every lookup capability survives. Since nothing can be
-    /// inserted afterwards, every table gives up its growth slack first:
-    /// the view holds exactly what its entries need.
-    pub fn into_shared(mut self) -> SharedLabelIndex {
-        self.entries.shrink_to_fit();
-        SharedLabelIndex {
-            interner: self.interner.freeze(),
-            tables: Arc::new(IndexTables {
-                entries: self.entries,
-                postings: self.postings.into_sealed(),
-                by_label: self.by_label.into_sealed(),
-                cands: self.cands.into_sealed(),
-            }),
-        }
-    }
-
-    /// Fuzzy top-k lookup: return up to `k` distinct entry ids whose labels
-    /// are similar to the query label, most similar first.
-    ///
-    /// Candidates are gathered through the token postings (entries sharing at
-    /// least one token with the query); when the query has no tokens in the
-    /// index the result is empty. Scores combine exact token overlap with a
-    /// Levenshtein-based credit for near-miss tokens so that e.g.
-    /// "Jon Smith" still retrieves "John Smith". Query tokens are mapped to
-    /// syms via a read-only interner probe — a token never interned cannot
-    /// match any posting, and the query leaves the index untouched.
-    pub fn lookup(&self, label: &str, k: usize) -> Vec<LabelMatch> {
-        lookup_core(&self.interner, &self.entries, &self.postings, &self.cands, label, k)
-    }
-
-    /// Convenience: ids of the top-k fuzzy matches.
-    pub fn lookup_ids(&self, label: &str, k: usize) -> Vec<u64> {
-        self.lookup(label, k).into_iter().map(|m| m.id).collect()
-    }
-}
-
-ltee_intern::heap_size! {
-    LabelEntry { tokens }
-    LabelIndex { interner, entries, postings, by_label, cands }
-    IndexTables { entries, postings, by_label, cands }
-    SharedLabelIndex { interner, tables }
-}
-
-/// The read-only lookup tables of an index, shared between a mutable
-/// [`LabelIndex`] (which owns them directly) and any number of
-/// [`SharedLabelIndex`] views (which hold them behind an `Arc`).
-#[derive(Debug)]
-struct IndexTables {
-    entries: Vec<LabelEntry>,
-    postings: PostingLists,
-    by_label: PostingLists,
-    cands: CandidateIndex,
-}
-
-/// A frozen, cheaply cloneable, thread-shareable view of a [`LabelIndex`].
-///
-/// Produced by [`LabelIndex::into_shared`]; cloning bumps two `Arc`s. The
-/// view supports every read operation of the mutable index — fuzzy top-k
-/// lookup, exact blocks, sym resolution — but can never be inserted into,
-/// which is what makes it safe to hand to concurrent readers without a
-/// lock: all clones observe one immutable postings/arena state forever.
-/// Published KB snapshots (`ltee-serve`) key their per-class entity label
-/// indexes on this type so that snapshot versions sharing an unchanged
-/// class share one physical index.
-#[derive(Debug, Clone)]
-pub struct SharedLabelIndex {
-    interner: FrozenInterner,
-    tables: Arc<IndexTables>,
-}
-
-impl SharedLabelIndex {
-    /// Fuzzy top-k lookup — identical results to [`LabelIndex::lookup`] on
-    /// the index this view was frozen from.
-    pub fn lookup(&self, label: &str, k: usize) -> Vec<LabelMatch> {
-        lookup_core(
-            self.interner.as_ref(),
-            &self.tables.entries,
-            &self.tables.postings,
-            &self.tables.cands,
-            label,
-            k,
-        )
-    }
-
-    /// Convenience: ids of the top-k fuzzy matches.
-    pub fn lookup_ids(&self, label: &str, k: usize) -> Vec<u64> {
-        self.lookup(label, k).into_iter().map(|m| m.id).collect()
-    }
-
-    /// All entries whose normalised label equals the normalised query.
-    pub fn exact_block(&self, label: &str) -> Vec<&LabelEntry> {
-        exact_block_core(self.interner.as_ref(), &self.tables.entries, &self.tables.by_label, label)
-    }
-
-    /// The exact block of an already normalised query, without allocating:
-    /// a caller probing several indexes with one query (a cross-class
-    /// lookup) normalises it once. Entries come in insertion order; an id
-    /// indexed under two labels that normalise alike appears twice.
+    /// The exact block of an already normalised query (the query's
+    /// *block* in the paper's blocking scheme), without allocating: a
+    /// caller probing several indexes with one query (a cross-class lookup)
+    /// normalises it once. Entries come in insertion order; an id indexed
+    /// under two labels that normalise alike appears twice.
     pub fn exact_block_normalized(
         &self,
         label: &NormalizedLabel,
     ) -> impl ExactSizeIterator<Item = &LabelEntry> {
-        let tables = &*self.tables;
-        let block = block_positions(self.interner.as_ref(), &tables.by_label, &label.0);
-        block.iter().map(|&pos| &tables.entries[pos as usize])
+        let block = match self.interner.get(&label.0) {
+            Some(sym) => self.by_label.get(sym),
+            None => &[],
+        };
+        block.iter().map(|&pos| &self.entries[pos as usize])
     }
 
     /// Distinct entry ids of the exact block, in insertion order.
@@ -283,24 +173,82 @@ impl SharedLabelIndex {
         ids
     }
 
-    /// The string behind one of this view's syms.
-    pub fn resolve(&self, sym: Sym) -> &str {
-        self.interner.resolve(sym)
+    /// Seal the index for sharing across threads (see
+    /// [`SharedLabelIndex`]). Insertion is sealed; every lookup capability
+    /// survives. Since nothing can be inserted afterwards, every table
+    /// gives up its growth slack first: the sealed index holds exactly
+    /// what its entries need.
+    pub fn into_shared(self) -> SharedLabelIndex {
+        let Self { mut interner, mut entries, postings, by_label, cands } = self;
+        interner.shrink_to_fit();
+        entries.shrink_to_fit();
+        SharedLabelIndex(Self {
+            interner,
+            entries,
+            postings: postings.into_sealed(),
+            by_label: by_label.into_sealed(),
+            cands: cands.into_sealed(),
+        })
     }
 
-    /// The frozen interner handle backing this view (shareable on its own).
-    pub fn interner(&self) -> &FrozenInterner {
-        &self.interner
+    /// Fuzzy top-k lookup: return up to `k` distinct entry ids whose labels
+    /// are similar to the query label, most similar first.
+    ///
+    /// Candidates are gathered through the token postings (entries sharing at
+    /// least one token with the query); when the query has no tokens in the
+    /// index the result is empty. Scores combine exact token overlap with a
+    /// Levenshtein-based credit for near-miss tokens so that e.g.
+    /// "Jon Smith" still retrieves "John Smith". Query tokens are mapped to
+    /// syms via a read-only interner probe — a token never interned cannot
+    /// match any posting, and the query leaves the index untouched.
+    ///
+    /// Instead of scoring every candidate and sorting, the
+    /// document-at-a-time merge visits them in entry order,
+    /// bounds each candidate's score from precomputed length buckets, and
+    /// fully scores only candidates whose bound could still enter the
+    /// running top-k (`TopList`). Scored candidates resolve near-miss tokens
+    /// through a per-token memo seeded from the deletion neighborhood and
+    /// refined with the bounded bit-parallel kernel, so the number of edit
+    /// distance computations depends on the query's local token
+    /// neighbourhood, not on the index size. Results — ids, score bits,
+    /// surfaced labels, order — are identical to the flat scan's.
+    ///
+    /// The work counters are tallied locally and published once, when the
+    /// lookup ends, so concurrent lookups do not contend per candidate on
+    /// the shared counters.
+    pub fn lookup(&self, label: &str, k: usize) -> Vec<LabelMatch> {
+        let mut tally = LookupMetrics { lookups: 1, ..LookupMetrics::default() };
+        let matches = lookup_tallied(self, label, k, &mut tally);
+        metrics::publish(tally);
+        matches
     }
+}
 
-    /// Number of indexed entries.
-    pub fn len(&self) -> usize {
-        self.tables.entries.len()
-    }
+ltee_intern::heap_size! {
+    LabelEntry { tokens }
+    LabelIndex { interner, entries, postings, by_label, cands }
+    SharedLabelIndex { 0 }
+}
 
-    /// True when nothing was indexed before the freeze.
-    pub fn is_empty(&self) -> bool {
-        self.tables.entries.is_empty()
+/// A sealed [`LabelIndex`]: read-only, thread-shareable, and holding no
+/// growth slack.
+///
+/// Produced by [`LabelIndex::into_shared`], it dereferences to the index
+/// it sealed, so every read operation — fuzzy top-k lookup, exact blocks,
+/// sym resolution — is the index's own, but it can never be inserted into,
+/// which is what makes it safe to hand to concurrent readers without a
+/// lock: every reader observes one immutable postings/arena state forever.
+/// The knowledge base's per-class indexes and published KB snapshots
+/// (`ltee-serve`) hold their label indexes as this type; snapshot versions
+/// sharing an unchanged class share its slice, index included.
+#[derive(Debug)]
+pub struct SharedLabelIndex(LabelIndex);
+
+impl Deref for SharedLabelIndex {
+    type Target = LabelIndex;
+
+    fn deref(&self) -> &LabelIndex {
+        &self.0
     }
 }
 
@@ -314,23 +262,6 @@ impl NormalizedLabel {
     pub fn new(label: &str) -> Self {
         Self(normalize_label(label))
     }
-}
-
-/// Entry positions of a normalised label's exact block, in insertion order.
-fn block_positions<'a>(interner: &Interner, by_label: &'a PostingLists, normalized: &str) -> &'a [u32] {
-    match interner.get(normalized) {
-        Some(sym) => by_label.get(sym),
-        None => &[],
-    }
-}
-
-fn exact_block_core<'a>(
-    interner: &Interner,
-    entries: &'a [LabelEntry],
-    by_label: &PostingLists,
-    label: &str,
-) -> Vec<&'a LabelEntry> {
-    block_positions(interner, by_label, &normalize_label(label)).iter().map(|&p| &entries[p as usize]).collect()
 }
 
 /// Result-key ordering: score descending, then id, then entry position.
@@ -874,48 +805,9 @@ struct Cursor<'a> {
 /// a low floor. Results are identical at any value.
 const WARM_CAP: usize = 1024;
 
-/// The lookup algorithm shared by [`LabelIndex`] and [`SharedLabelIndex`]
-/// (see [`LabelIndex::lookup`] for the semantics).
-///
-/// Candidates are exactly the entries sharing at least one token with
-/// the query. Instead of scoring all of them and sorting, the
-/// document-at-a-time merge visits them in entry order,
-/// bounds each candidate's score from precomputed length buckets, and
-/// fully scores only candidates whose bound could still enter the
-/// running top-k (`TopList`). Scored candidates resolve near-miss tokens
-/// through a per-token memo seeded from the deletion neighborhood and
-/// refined with the bounded bit-parallel kernel, so the number of edit
-/// distance computations depends on the query's local token
-/// neighbourhood, not on the index size. Results — ids, score bits,
-/// surfaced labels, order — are identical to the flat scan's.
-///
-/// The work counters are tallied locally and published once, when the
-/// lookup ends, so concurrent lookups do not contend per candidate on the
-/// shared counters.
-fn lookup_core(
-    interner: &Interner,
-    entries: &[LabelEntry],
-    postings: &PostingLists,
-    cands: &CandidateIndex,
-    label: &str,
-    k: usize,
-) -> Vec<LabelMatch> {
-    let mut tally = LookupMetrics { lookups: 1, ..LookupMetrics::default() };
-    let matches = lookup_tallied(interner, entries, postings, cands, label, k, &mut tally);
-    metrics::publish(tally);
-    matches
-}
-
-/// [`lookup_core`]'s body, counting its work into `tally`.
-fn lookup_tallied(
-    interner: &Interner,
-    entries: &[LabelEntry],
-    postings: &PostingLists,
-    cands: &CandidateIndex,
-    label: &str,
-    k: usize,
-    tally: &mut LookupMetrics,
-) -> Vec<LabelMatch> {
+/// [`LabelIndex::lookup`]'s body, counting its work into `tally`.
+fn lookup_tallied(index: &LabelIndex, label: &str, k: usize, tally: &mut LookupMetrics) -> Vec<LabelMatch> {
+    let LabelIndex { interner, entries, postings, cands, .. } = index;
     if k == 0 || entries.is_empty() {
         return Vec::new();
     }
@@ -1067,8 +959,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn index_of<S: AsRef<str>>(items: impl IntoIterator<Item = (u64, S)>) -> LabelIndex {
+        let mut idx = LabelIndex::new();
+        idx.extend(items);
+        idx
+    }
+
+    fn ids(matches: Vec<LabelMatch>) -> Vec<u64> {
+        matches.into_iter().map(|m| m.id).collect()
+    }
+
     fn sample_index() -> LabelIndex {
-        LabelIndex::build(vec![
+        index_of(vec![
             (1, "Tom Brady"),
             (2, "Tom Brady Jr."),
             (3, "Peyton Manning"),
@@ -1084,16 +986,15 @@ mod tests {
     fn exact_block_groups_same_normalised_label() {
         let idx = sample_index();
         // "Yellow Submarine (Remastered)" normalises to "yellow submarine".
-        let block = idx.exact_block("yellow submarine");
-        let ids: Vec<u64> = block.iter().map(|e| e.id).collect();
-        assert!(ids.contains(&7));
-        assert!(ids.contains(&8));
+        assert_eq!(idx.exact_ids("yellow submarine"), vec![7, 8]);
+        assert_eq!(idx.exact_ids("Yellow  SUBMARINE!"), vec![7, 8]);
     }
 
     #[test]
     fn entries_share_syms_for_shared_labels() {
         let idx = sample_index();
-        let block = idx.exact_block("yellow submarine");
+        let block: Vec<&LabelEntry> =
+            idx.exact_block_normalized(&NormalizedLabel::new("yellow submarine")).collect();
         assert_eq!(block.len(), 2);
         // Same normalised label → same sym, one arena copy.
         assert_eq!(block[0].normalized, block[1].normalized);
@@ -1117,7 +1018,7 @@ mod tests {
         assert_eq!(idx.len(), before);
         assert_eq!(idx.resolve(sym), "completely new label");
         // A label interned but never inserted is not retrievable.
-        assert!(idx.exact_block("Completely New Label").is_empty());
+        assert!(idx.exact_ids("Completely New Label").is_empty());
     }
 
     #[test]
@@ -1131,8 +1032,8 @@ mod tests {
     #[test]
     fn lookup_tolerates_typos() {
         let idx = sample_index();
-        let ids = idx.lookup_ids("Peyton Maning", 2);
-        assert!(ids.contains(&3), "typo lookup should still find Peyton Manning, got {ids:?}");
+        let found = ids(idx.lookup("Peyton Maning", 2));
+        assert!(found.contains(&3), "typo lookup should still find Peyton Manning, got {found:?}");
     }
 
     #[test]
@@ -1190,17 +1091,12 @@ mod tests {
         let shared = sample_index().into_shared();
         for query in ["Tom Brady", "Peyton Maning", "paris", "yellow submarine", "zzz", ""] {
             assert_eq!(idx.lookup(query, 5), shared.lookup(query, 5), "lookup({query:?})");
-            let mutable_ids: Vec<u64> = idx.exact_block(query).iter().map(|e| e.id).collect();
-            let shared_ids: Vec<u64> = shared.exact_block(query).iter().map(|e| e.id).collect();
-            assert_eq!(mutable_ids, shared_ids, "exact_block({query:?})");
+            assert_eq!(idx.exact_ids(query), shared.exact_ids(query), "exact_ids({query:?})");
         }
         assert_eq!(shared.len(), idx.len());
         assert!(!shared.is_empty());
-        // Clones alias the same frozen state.
-        let clone = shared.clone();
-        assert_eq!(clone.lookup_ids("Manning", 4), shared.lookup_ids("Manning", 4));
         let m = shared.lookup("Paris", 1).remove(0);
-        assert_eq!(clone.resolve(m.normalized), "paris");
+        assert_eq!(shared.resolve(m.normalized), "paris");
         assert_eq!(shared.interner().get("paris"), Some(m.normalized));
     }
 
@@ -1210,6 +1106,7 @@ mod tests {
         idx.insert(42, "Abbey Road");
         idx.insert(42, "abbey ROAD");
         idx.insert(7, "Abbey Road");
+        assert_eq!(idx.exact_ids("abbey road"), vec![42, 7]);
         let shared = idx.into_shared();
         assert_eq!(shared.exact_ids("abbey road"), vec![42, 7]);
         assert!(shared.exact_ids("unknown").is_empty());
@@ -1287,7 +1184,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, l)| ((i % 5) as u64, l))
                 .collect();
-            let idx = LabelIndex::build(items.iter().map(|(id, l)| (*id, l.as_str())));
+            let idx = index_of(items.iter().map(|(id, l)| (*id, l.as_str())));
             let expected = reference_lookup(&items, &idx, &query, k);
             prop_assert_eq!(&idx.lookup(&query, k), &expected);
             let shared = idx.into_shared();
@@ -1315,7 +1212,7 @@ mod tests {
                 .filter_map(|(i, c)| (i != at).then_some(c))
                 .collect();
             prop_assume!(!query.is_empty());
-            let idx = LabelIndex::build(items.iter().map(|(id, l)| (*id, l.as_str())));
+            let idx = index_of(items.iter().map(|(id, l)| (*id, l.as_str())));
             let expected = reference_lookup(&items, &idx, &query, 3);
             prop_assert_eq!(&idx.lookup(&query, 3), &expected);
         }
@@ -1339,8 +1236,7 @@ mod tests {
             let label = words.join(" ");
             let mut idx = sample_index();
             idx.insert(999, &label);
-            let ids = idx.lookup_ids(&label, 20);
-            prop_assert!(ids.contains(&999));
+            prop_assert!(ids(idx.lookup(&label, 20)).contains(&999));
         }
     }
 }

@@ -34,6 +34,14 @@
 //! bits, same surfaced labels, same order —
 //! while the work per query stays roughly flat as the index grows; the
 //! [`metrics`] counters expose that claim deterministically.
+//!
+//! There is one index type. A [`LabelIndex`] grows by `insert` (the
+//! streaming blocking index of each class's rows never stops growing);
+//! [`LabelIndex::into_shared`] seals it once it is complete. The sealed
+//! [`SharedLabelIndex`] dereferences to the same index, so every read is
+//! the index's own, but it has no `insert`, and its tables hold no growth
+//! slack. The knowledge base's per-class indexes (candidate selection) and
+//! every served snapshot's per-class index are sealed.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -96,8 +96,7 @@ macro_rules! heap_size {
 heap_size! {
     u8 {} u32 {} u64 {} usize {} f64 {}
     crate::Sym {}
-    crate::Interner { bytes, spans, table }
-    crate::FrozenInterner { inner }
+    crate::Interner { arena, spans, table }
     crate::TokenSeq { syms }
 }
 

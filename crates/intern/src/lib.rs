@@ -6,23 +6,19 @@
 //! similarity — compare the *same* normalised labels and tokens millions of
 //! times. Keying those comparisons by owned `String`s means re-hashing and
 //! re-allocating text that never changes. This crate collapses every
-//! distinct string to a dense integer [`Sym`] backed by a single byte
+//! distinct string to a dense integer [`Sym`] backed by a single string
 //! arena, so that:
 //!
 //! * equality is a `u32` compare,
 //! * postings are integer-keyed (and, the keys being dense, plain tables),
-//! * token sets become sorted `Sym` slices whose intersections are
-//!   branch-predictable merge scans with **zero allocation**.
+//! * a label's tokens become one [`TokenSeq`] of syms, with a sorted view
+//!   for membership tests.
 //!
 //! ## Determinism contract
 //!
 //! [`Sym`] ids are assigned in **insertion order**: interning the same
 //! strings in the same order always yields the same ids, regardless of
-//! thread count, process, or platform. All similarity kernels in this
-//! crate return values that depend only on the *strings* behind the syms
-//! (never on the numeric ids), with the single documented exception of
-//! [`weighted_overlap`], whose floating-point summation order follows the
-//! sorted sym order.
+//! thread count, process, or platform.
 //!
 //! ## Ownership and lifetime
 //!
@@ -34,8 +30,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-use std::sync::Arc;
+#![forbid(unsafe_code)]
 
 mod heap;
 pub use heap::{HeapBytes, HeapSize};
@@ -91,11 +86,11 @@ pub fn home_slot(hash: u64, mask: usize) -> usize {
 
 /// A deterministic, append-only string interner.
 ///
-/// Strings live contiguously in one byte arena; each [`Sym`] is an index
-/// into a span table. Interning an already known string is a probe of one
-/// flat table plus a byte comparison — no allocation. Interned strings are
-/// never removed, so [`Interner::resolve`] is valid for the interner's
-/// lifetime.
+/// Strings live contiguously in one `String` arena; each [`Sym`] is an
+/// index into a span table. Interning an already known string is a probe
+/// of one flat table plus a byte comparison — no allocation. Interned
+/// strings are never removed, so [`Interner::resolve`] is valid for the
+/// interner's lifetime.
 ///
 /// The whole interner is three flat vectors, whatever it holds: the
 /// arena, the span table and an open-addressed probe table of `u32`s
@@ -106,9 +101,9 @@ pub fn home_slot(hash: u64, mask: usize) -> usize {
 /// slot. It stores no hashes: growing it re-hashes the arena.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    /// Concatenated UTF-8 bytes of every interned string.
-    bytes: Vec<u8>,
-    /// `(offset, len)` into `bytes` per sym, in insertion order.
+    /// Every interned string, concatenated.
+    arena: String,
+    /// `(offset, len)` into `arena` per sym, in insertion order.
     spans: Vec<(u32, u32)>,
     /// Probe table: `0` is an empty slot, any other value is `sym + 1`.
     table: Vec<u32>,
@@ -141,7 +136,7 @@ impl Interner {
     /// size never regrows the probe table, the span table or the arena.
     pub fn with_capacity(strings: usize, bytes: usize) -> Self {
         Self {
-            bytes: Vec::with_capacity(bytes),
+            arena: String::with_capacity(bytes),
             spans: Vec::with_capacity(strings),
             table: vec![0; table_len_for(strings)],
             #[cfg(test)]
@@ -157,7 +152,7 @@ impl Interner {
             return sym;
         }
         assert!(
-            self.bytes.len() + s.len() <= u32::MAX as usize && self.spans.len() < u32::MAX as usize,
+            self.arena.len() + s.len() <= u32::MAX as usize && self.spans.len() < u32::MAX as usize,
             "interner arena exceeded u32 address space"
         );
         if (self.spans.len() + 1) * 2 > self.table.len() {
@@ -168,8 +163,8 @@ impl Interner {
             }
         }
         let slot = self.vacant_slot(hash);
-        let offset = self.bytes.len() as u32;
-        self.bytes.extend_from_slice(s.as_bytes());
+        let offset = self.arena.len() as u32;
+        self.arena.push_str(s);
         let sym = Sym(self.spans.len() as u32);
         self.spans.push((offset, s.len() as u32));
         self.table[slot] = sym.0 + 1;
@@ -232,11 +227,7 @@ impl Interner {
     #[inline]
     pub fn resolve(&self, sym: Sym) -> &str {
         let (offset, len) = self.spans[sym.0 as usize];
-        // The arena only ever receives whole `&str`s, so every span is
-        // valid UTF-8 at valid boundaries.
-        unsafe {
-            std::str::from_utf8_unchecked(&self.bytes[offset as usize..(offset + len) as usize])
-        }
+        &self.arena[offset as usize..(offset + len) as usize]
     }
 
     /// Number of distinct interned strings.
@@ -249,91 +240,20 @@ impl Interner {
         self.spans.is_empty()
     }
 
-    /// Bytes held by the string arena (diagnostics / benches).
-    pub fn arena_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Iterate `(sym, string)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
         (0..self.spans.len() as u32).map(move |i| (Sym(i), self.resolve(Sym(i))))
     }
 
-    /// Byte length of the string behind a sym, read from the span table
-    /// without touching the arena (O(1), no string resolution).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the sym was minted by a different interner.
-    #[inline]
-    pub fn span_len(&self, sym: Sym) -> usize {
-        self.spans[sym.0 as usize].1 as usize
-    }
-
-    /// Freeze the interner into a cheaply cloneable, read-only handle that
-    /// can be shared across threads. The sym ↔ string mapping is sealed at
-    /// this point: a [`FrozenInterner`] can probe and resolve but never
-    /// mint new syms, so every clone observes the same mapping forever.
-    /// Nothing can be interned afterwards, so the capacity slack of all
-    /// three vectors is released first.
-    pub fn freeze(mut self) -> FrozenInterner {
-        self.bytes.shrink_to_fit();
+    /// Release the capacity slack of all three tables, for an interner
+    /// nothing more will be interned into (a sealed index's). Interning
+    /// afterwards still works; the tables just grow again.
+    pub fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
         self.spans.shrink_to_fit();
         if self.table.len() > table_len_for(self.spans.len()) {
             self.rebuild_table(table_len_for(self.spans.len()));
         }
-        FrozenInterner { inner: Arc::new(self) }
-    }
-}
-
-/// A frozen, shareable view of an [`Interner`].
-///
-/// Cloning is an `Arc` bump; all clones alias the same sealed arena. This
-/// is the handle immutable data structures (published snapshots, read-only
-/// index views) hold so that concurrent readers can resolve syms without
-/// any locking: the underlying interner can no longer change.
-#[derive(Debug, Clone)]
-pub struct FrozenInterner {
-    inner: Arc<Interner>,
-}
-
-impl FrozenInterner {
-    /// Look up the sym of a string without (ever) interning it.
-    pub fn get(&self, s: &str) -> Option<Sym> {
-        self.inner.get(s)
-    }
-
-    /// The string behind a sym (same caveats as [`Interner::resolve`]).
-    #[inline]
-    pub fn resolve(&self, sym: Sym) -> &str {
-        self.inner.resolve(sym)
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing was interned before the freeze.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Iterate `(sym, string)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        self.inner.iter()
-    }
-
-    /// Byte length of the string behind a sym (O(1), span table only).
-    #[inline]
-    pub fn span_len(&self, sym: Sym) -> usize {
-        self.inner.span_len(sym)
-    }
-}
-
-impl AsRef<Interner> for FrozenInterner {
-    fn as_ref(&self) -> &Interner {
-        &self.inner
     }
 }
 
@@ -341,8 +261,9 @@ impl AsRef<Interner> for FrozenInterner {
 /// plus a sorted-deduplicated view for set operations.
 ///
 /// The text-order view drives order-sensitive measures (Monge-Elkan); the
-/// sorted view makes set measures (jaccard, containment, overlap) single
-/// merge scans without hashing or allocation.
+/// sorted view serves the label index's candidate tables (each distinct
+/// token once) and [`TokenSeq::contains`], Monge-Elkan's shared-token
+/// shortcut.
 ///
 /// Both views live in **one** exactly sized allocation: the text-order
 /// tokens followed by the sorted ones — or the text-order tokens alone
@@ -404,11 +325,6 @@ impl TokenSeq {
         self.text_len as usize
     }
 
-    /// Number of distinct tokens.
-    pub fn distinct_len(&self) -> usize {
-        self.syms.len() - self.sorted_at as usize
-    }
-
     /// True when the sequence holds no tokens.
     pub fn is_empty(&self) -> bool {
         self.text_len == 0
@@ -419,104 +335,6 @@ impl TokenSeq {
     #[inline]
     pub fn contains(&self, sym: Sym) -> bool {
         self.sorted().binary_search(&sym).is_ok()
-    }
-}
-
-/// Size of the intersection of two sorted `Sym` slices (merge scan, zero
-/// allocation).
-pub fn intersection_size(a: &[Sym], b: &[Sym]) -> usize {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
-/// Jaccard similarity of the distinct-token sets: `|A ∩ B| / |A ∪ B|`.
-///
-/// Mirrors `ltee_text::jaccard_similarity`: two empty sets are fully
-/// similar (1.0); one empty set is fully dissimilar (0.0).
-pub fn jaccard(a: &TokenSeq, b: &TokenSeq) -> f64 {
-    let (a, b) = (a.sorted(), b.sorted());
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let inter = intersection_size(a, b);
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
-}
-
-/// Containment of `a` in `b`: `|A ∩ B| / |A|`. An empty `a` is fully
-/// contained (1.0).
-pub fn containment(a: &TokenSeq, b: &TokenSeq) -> f64 {
-    let (a, b) = (a.sorted(), b.sorted());
-    if a.is_empty() {
-        return 1.0;
-    }
-    intersection_size(a, b) as f64 / a.len() as f64
-}
-
-/// Number of distinct tokens shared by the two sequences (mirrors
-/// `ltee_text::token_overlap`).
-pub fn token_overlap(a: &TokenSeq, b: &TokenSeq) -> usize {
-    intersection_size(a.sorted(), b.sorted())
-}
-
-/// Weighted overlap: the sum of `weight(sym)` over the distinct shared
-/// tokens, divided by the sum over the union (a weighted Jaccard). Both
-/// empty → 1.0; a zero-weight union → 0.0.
-///
-/// **Determinism note:** the sums run in sorted-sym order, which follows
-/// interner insertion order — use this kernel only where the weight
-/// function is id-independent or bit-for-bit reproducibility across
-/// differently-ordered interners is not required.
-pub fn weighted_overlap(a: &TokenSeq, b: &TokenSeq, mut weight: impl FnMut(Sym) -> f64) -> f64 {
-    let (a, b) = (a.sorted(), b.sorted());
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut shared, mut union) = (0.0f64, 0.0f64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                union += weight(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                union += weight(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let w = weight(a[i]);
-                shared += w;
-                union += w;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    for &s in &a[i..] {
-        union += weight(s);
-    }
-    for &s in &b[j..] {
-        union += weight(s);
-    }
-    if union <= 0.0 {
-        0.0
-    } else {
-        shared / union
     }
 }
 
@@ -550,7 +368,7 @@ mod tests {
         assert_eq!(i.resolve(a), "tom");
         assert_eq!(i.resolve(b), "brady");
         assert_eq!(i.len(), 2);
-        assert_eq!(i.arena_bytes(), "tombrady".len());
+        assert_eq!(i.arena, "tombrady", "one arena copy per distinct string");
     }
 
     /// Structural invariant of the probe table: empty or a power of two,
@@ -571,7 +389,7 @@ mod tests {
     fn probe_table_doubles_at_half_load_and_keeps_every_sym_findable() {
         let mut i = Interner::new();
         assert_table_invariant(&i);
-        let n = if cfg!(miri) { 70 } else { 1000 };
+        let n = 1000;
         for k in 0..n {
             let before = i.table.len();
             assert_eq!(i.intern(&format!("w{k}")).raw(), k as u32);
@@ -602,7 +420,7 @@ mod tests {
             let bytes: usize = words.iter().map(String::len).sum();
             let mut i = Interner::with_capacity(n, bytes);
             let (arena_cap, spans_cap, table_len) =
-                (i.bytes.capacity(), i.spans.capacity(), i.table.len());
+                (i.arena.capacity(), i.spans.capacity(), i.table.len());
             // Twice over: the second pass re-interns at full load.
             for w in words.iter().chain(&words) {
                 i.intern(w);
@@ -610,7 +428,7 @@ mod tests {
             assert_eq!(i.len(), n);
             assert_eq!(i.growths, 0, "{n} strings regrew the probe table");
             assert_eq!(
-                (i.bytes.capacity(), i.spans.capacity(), i.table.len()),
+                (i.arena.capacity(), i.spans.capacity(), i.table.len()),
                 (arena_cap, spans_cap, table_len),
                 "{n} strings"
             );
@@ -619,22 +437,23 @@ mod tests {
     }
 
     #[test]
-    fn freeze_releases_capacity_slack() {
+    fn shrink_to_fit_releases_capacity_slack() {
         let mut i = Interner::with_capacity(1000, 10_000);
         let syms: Vec<Sym> = ["a", "b", "c"].iter().map(|s| i.intern(s)).collect();
-        let frozen = i.freeze();
-        let inner: &Interner = frozen.as_ref();
-        assert_eq!(inner.bytes.capacity(), 3);
-        assert_eq!(inner.spans.capacity(), 3);
-        assert_eq!(inner.table.len(), MIN_TABLE_LEN);
-        assert_table_invariant(inner);
+        i.shrink_to_fit();
+        assert_eq!(i.arena.capacity(), 3);
+        assert_eq!(i.spans.capacity(), 3);
+        assert_eq!(i.table.len(), MIN_TABLE_LEN);
+        assert_table_invariant(&i);
         for (sym, s) in syms.iter().zip(["a", "b", "c"]) {
-            assert_eq!(frozen.get(s), Some(*sym));
+            assert_eq!(i.get(s), Some(*sym));
+            assert_eq!(i.resolve(*sym), s);
         }
-        assert_eq!(frozen.get("d"), None);
+        assert_eq!(i.get("d"), None);
         // Nothing interned: nothing held.
-        let empty = Interner::with_capacity(10, 10).freeze();
-        assert!(empty.as_ref().table.is_empty());
+        let mut empty = Interner::with_capacity(10, 10);
+        empty.shrink_to_fit();
+        assert!(empty.table.is_empty());
         assert_eq!(empty.get(""), None);
     }
 
@@ -656,7 +475,7 @@ mod tests {
         // Similar short strings (numeric suffixes, shared stems) must not
         // pile up.
         let mut i = Interner::new();
-        let n = if cfg!(miri) { 200 } else { 10_000 };
+        let n = 10_000;
         for k in 0..n {
             i.intern(&format!("{k}"));
             i.intern(&format!("label {k}"));
@@ -667,7 +486,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "a brute-force search, no memory access of interest")]
     fn strings_sharing_the_low_hash_bits_do_not_share_a_home_slot() {
         // Every string agrees with the others in the low 12 bits of its
         // FNV-1a hash: under a bare `hash & mask` all of them would start
@@ -740,7 +558,7 @@ mod tests {
         let mut i = Interner::new();
         let t = seq(&mut i, &["the", "the", "song"]);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.distinct_len(), 2);
+        assert_eq!(t.sorted().len(), 2);
         assert!(t.contains(i.get("song").unwrap()));
         assert!(!t.contains(i.intern("title")));
     }
@@ -753,13 +571,13 @@ mod tests {
         let ascending = s(&[2, 5, 9]);
         assert_eq!(ascending.syms.len(), 3);
         assert_eq!(ascending.tokens(), ascending.sorted());
-        assert_eq!((ascending.len(), ascending.distinct_len()), (3, 3));
+        assert_eq!((ascending.len(), ascending.sorted().len()), (3, 3));
         // Otherwise the sorted, deduplicated view follows the text view.
         let mixed = s(&[7, 3, 7, 1]);
         assert_eq!(mixed.tokens(), syms(&[7, 3, 7, 1]));
         assert_eq!(mixed.sorted(), syms(&[1, 3, 7]));
         assert_eq!(mixed.syms.len(), 7);
-        assert_eq!((mixed.len(), mixed.distinct_len()), (4, 3));
+        assert_eq!((mixed.len(), mixed.sorted().len()), (4, 3));
         // A repeated token is not strictly ascending.
         let repeated = s(&[4, 4]);
         assert_eq!(repeated.tokens(), syms(&[4, 4]));
@@ -772,86 +590,5 @@ mod tests {
         let empty = s(&[]);
         assert_eq!(empty, TokenSeq::default());
         assert!(empty.is_empty() && empty.sorted().is_empty() && !empty.contains(Sym(0)));
-    }
-
-    #[test]
-    fn jaccard_matches_set_semantics() {
-        let mut i = Interner::new();
-        let a = seq(&mut i, &["birth", "date"]);
-        let b = seq(&mut i, &["birth", "place"]);
-        assert!((jaccard(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-        let empty = seq(&mut i, &[]);
-        assert_eq!(jaccard(&empty, &empty), 1.0);
-        assert_eq!(jaccard(&empty, &a), 0.0);
-        assert_eq!(jaccard(&a, &a), 1.0);
-    }
-
-    #[test]
-    fn containment_is_directional() {
-        let mut i = Interner::new();
-        let small = seq(&mut i, &["new", "york"]);
-        let big = seq(&mut i, &["new", "york", "city"]);
-        assert_eq!(containment(&small, &big), 1.0);
-        assert!((containment(&big, &small) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(containment(&seq(&mut i, &[]), &big), 1.0);
-    }
-
-    #[test]
-    fn overlap_counts_distinct_shared() {
-        let mut i = Interner::new();
-        let a = seq(&mut i, &["the", "the", "song"]);
-        let b = seq(&mut i, &["the", "song", "title"]);
-        assert_eq!(token_overlap(&a, &b), 2);
-    }
-
-    #[test]
-    fn weighted_overlap_weights_shared_tokens() {
-        let mut i = Interner::new();
-        let a = seq(&mut i, &["rare", "common"]);
-        let b = seq(&mut i, &["rare", "other"]);
-        let rare = i.get("rare").unwrap();
-        // rare weighs 3, everything else 1 → shared 3, union 3 + 1 + 1.
-        let s = weighted_overlap(&a, &b, |t| if t == rare { 3.0 } else { 1.0 });
-        assert!((s - 3.0 / 5.0).abs() < 1e-12);
-        let empty = TokenSeq::default();
-        assert_eq!(weighted_overlap(&empty, &empty, |_| 1.0), 1.0);
-        assert_eq!(weighted_overlap(&a, &b, |_| 0.0), 0.0);
-    }
-
-    #[test]
-    fn frozen_interner_probes_without_minting() {
-        let mut i = Interner::new();
-        let tom = i.intern("tom");
-        let frozen = i.freeze();
-        let clone = frozen.clone();
-        assert_eq!(frozen.get("tom"), Some(tom));
-        assert_eq!(clone.resolve(tom), "tom");
-        assert_eq!(frozen.get("brady"), None);
-        assert_eq!(clone.len(), 1);
-        assert_eq!(frozen.as_ref().arena_bytes(), 3);
-        let all: Vec<&str> = frozen.iter().map(|(_, s)| s).collect();
-        assert_eq!(all, vec!["tom"]);
-    }
-
-    #[test]
-    fn span_lens_match_byte_lengths() {
-        let mut i = Interner::new();
-        let a = i.intern("tom");
-        let b = i.intern("münchen");
-        let c = i.intern("");
-        assert_eq!(i.span_len(a), 3);
-        assert_eq!(i.span_len(b), "münchen".len());
-        assert_eq!(i.span_len(c), 0);
-        let frozen = i.freeze();
-        assert_eq!(frozen.span_len(a), 3);
-    }
-
-    #[test]
-    fn intersection_size_merge_scan() {
-        let mut i = Interner::new();
-        let a = seq(&mut i, &["a", "b", "c", "d"]);
-        let b = seq(&mut i, &["b", "d", "e"]);
-        assert_eq!(intersection_size(a.sorted(), b.sorted()), 2);
-        assert_eq!(intersection_size(a.sorted(), &[]), 0);
     }
 }

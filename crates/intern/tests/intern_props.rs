@@ -1,14 +1,13 @@
 //! Property tests for the interner (vendored proptest shim).
 //!
-//! Covers the determinism contract: intern/resolve round-trips, id
-//! stability under interleaved re-insertions, and the id-independence of
-//! the count-based set kernels — and holds the flat probe table to a
-//! naive model (`Vec<String>` + `HashMap<String, u32>`) over random
-//! scripts and at every table-growth boundary.
+//! Covers the determinism contract: intern/resolve round-trips and id
+//! stability under interleaved re-insertions — and holds the flat probe
+//! table to a naive model (`Vec<String>` + `HashMap<String, u32>`) over
+//! random scripts and at every table-growth boundary.
 
 use std::collections::HashMap;
 
-use ltee_intern::{containment, jaccard, token_overlap, Interner, Sym, TokenSeq};
+use ltee_intern::{Interner, Sym};
 use proptest::prelude::*;
 
 /// What an interner is, spelled out: the strings in first-seen order and
@@ -34,14 +33,12 @@ impl Model {
     fn assert_describes(&self, interner: &Interner) {
         assert_eq!(interner.len(), self.strings.len());
         assert_eq!(interner.is_empty(), self.strings.is_empty());
-        assert_eq!(interner.arena_bytes(), self.strings.iter().map(String::len).sum::<usize>());
         let listed: Vec<(u32, &str)> = interner.iter().map(|(sym, s)| (sym.raw(), s)).collect();
         let expected: Vec<(u32, &str)> =
             self.strings.iter().enumerate().map(|(i, s)| (i as u32, s.as_str())).collect();
         assert_eq!(listed, expected);
         for (sym, s) in interner.iter() {
             assert_eq!(interner.get(s), Some(sym));
-            assert_eq!(interner.span_len(sym), s.len());
         }
     }
 }
@@ -74,7 +71,7 @@ fn model_agreement_across_every_growth_boundary() {
     // The probe table doubles when a new string would push its load past
     // a half, i.e. as the length crosses a power of two: check the full
     // model just before, at and just after each, and at 0 and 1.
-    let total = if cfg!(miri) { 300 } else { 10_000 };
+    let total = 10_000;
     let mut interner = Interner::new();
     let mut model = Model::default();
     model.assert_describes(&interner);
@@ -93,19 +90,12 @@ fn model_agreement_across_every_growth_boundary() {
         intern_both(&mut interner, &mut model, s);
     }
     assert_eq!(interner.len(), total);
-    // Freezing seals the same mapping.
-    let frozen = interner.clone().freeze();
-    model.assert_describes(frozen.as_ref());
-}
-
-fn seq(interner: &mut Interner, tokens: &[String]) -> TokenSeq {
-    TokenSeq::from_syms(tokens.iter().map(|t| interner.intern(t)).collect())
+    // Shrinking keeps the same mapping.
+    interner.shrink_to_fit();
+    model.assert_describes(&interner);
 }
 
 proptest! {
-    // A handful of cases under miri, which runs them ~100× slower.
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
-
     #[test]
     fn random_scripts_agree_with_the_string_model(
         words in proptest::collection::vec(".{0,3}", 1..120),
@@ -184,41 +174,5 @@ proptest! {
                 prop_assert_eq!(syms[i] == syms[j], a == b);
             }
         }
-    }
-
-    #[test]
-    fn kernels_are_id_independent(
-        a in proptest::collection::vec("[a-z]{1,6}", 0..12),
-        b in proptest::collection::vec("[a-z]{1,6}", 0..12),
-        noise in proptest::collection::vec("[a-z]{1,6}", 0..12),
-    ) {
-        // The same token lists interned into two interners with different
-        // insertion histories (and therefore different ids) must yield
-        // bit-identical kernel values.
-        let mut plain = Interner::new();
-        let (pa, pb) = (seq(&mut plain, &a), seq(&mut plain, &b));
-
-        let mut shifted = Interner::new();
-        for w in &noise {
-            shifted.intern(w);
-        }
-        let (sb, sa) = (seq(&mut shifted, &b), seq(&mut shifted, &a));
-
-        prop_assert_eq!(jaccard(&pa, &pb).to_bits(), jaccard(&sa, &sb).to_bits());
-        prop_assert_eq!(containment(&pa, &pb).to_bits(), containment(&sa, &sb).to_bits());
-        prop_assert_eq!(token_overlap(&pa, &pb), token_overlap(&sa, &sb));
-    }
-
-    #[test]
-    fn jaccard_symmetric_and_bounded(
-        a in proptest::collection::vec("[a-z]{1,6}", 0..12),
-        b in proptest::collection::vec("[a-z]{1,6}", 0..12),
-    ) {
-        let mut interner = Interner::new();
-        let (sa, sb) = (seq(&mut interner, &a), seq(&mut interner, &b));
-        let ab = jaccard(&sa, &sb);
-        prop_assert_eq!(ab.to_bits(), jaccard(&sb, &sa).to_bits());
-        prop_assert!((0.0..=1.0).contains(&ab));
-        prop_assert!(token_overlap(&sa, &sb) <= sa.distinct_len().min(sb.distinct_len()));
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use ltee_index::LabelIndex;
+use ltee_index::{LabelIndex, SharedLabelIndex};
 use ltee_types::{DataType, EquivalenceSet, Value};
 
 use crate::footprint::{Footprint, HeapBytes, HeapSize};
@@ -109,8 +109,8 @@ ltee_intern::heap_size! {
 /// mutator replaces the whole struct with an empty one.
 #[derive(Debug, Clone, Default)]
 struct Derived {
-    /// One label index per class, in [`CLASS_KEYS`] order.
-    class_label_indexes: Memo<Vec<(ClassKey, LabelIndex)>>,
+    /// One sealed label index per class, in [`CLASS_KEYS`] order.
+    class_label_indexes: Memo<Vec<(ClassKey, SharedLabelIndex)>>,
     /// The properties of each class, in [`CLASS_KEYS`] order.
     class_properties: Memo<Vec<(ClassKey, Vec<Property>)>>,
     /// Indexed by property id.
@@ -275,8 +275,9 @@ impl KnowledgeBase {
     /// Like everything derived from the knowledge base alone, they are
     /// built on first use and kept until the next mutation: a KB that is
     /// frozen for serving pays for them once, however many micro-batches
-    /// it matches.
-    pub fn class_label_indexes(&self) -> &[(ClassKey, LabelIndex)] {
+    /// it matches. Nothing is inserted after the build, so each index is
+    /// sealed.
+    pub fn class_label_indexes(&self) -> &[(ClassKey, SharedLabelIndex)] {
         self.derived.class_label_indexes.get_or_init(|| {
             let mut indexes: Vec<(ClassKey, LabelIndex)> =
                 CLASS_KEYS.iter().map(|&c| (c, LabelIndex::new())).collect();
@@ -286,16 +287,17 @@ impl KnowledgeBase {
                     index.insert(inst.id.raw(), label);
                 }
             }
-            Arc::new(indexes)
+            Arc::new(indexes.into_iter().map(|(class, index)| (class, index.into_shared())).collect())
         })
     }
 
     /// The memoised label index of one class.
     pub fn class_label_index(&self, class: ClassKey) -> &LabelIndex {
-        of_class(self.class_label_indexes(), class)
+        of_class::<SharedLabelIndex>(self.class_label_indexes(), class)
     }
 
-    /// An owned copy of [`KnowledgeBase::class_label_index`].
+    /// An owned copy of [`KnowledgeBase::class_label_index`]. The copy is
+    /// sealed too: inserting into it panics.
     pub fn label_index(&self, class: ClassKey) -> LabelIndex {
         self.class_label_index(class).clone()
     }
@@ -309,8 +311,8 @@ impl KnowledgeBase {
             footprint.add("kb.instances", Some(instance.class), instance.heap_bytes(), 1);
         }
         if let Some(indexes) = self.derived.class_label_indexes.get() {
-            let table = HeapBytes::arc_box::<Vec<(ClassKey, LabelIndex)>>()
-                + HeapBytes::buffer::<(ClassKey, LabelIndex)>(indexes.capacity());
+            let table = HeapBytes::arc_box::<Vec<(ClassKey, SharedLabelIndex)>>()
+                + HeapBytes::buffer::<(ClassKey, SharedLabelIndex)>(indexes.capacity());
             footprint.add("kb.label_index", None, table, 0);
             for (class, index) in indexes.iter() {
                 footprint.add("kb.label_index", Some(*class), index.heap_bytes(), index.len());
@@ -436,8 +438,8 @@ mod tests {
         let kb = tiny_kb();
         let idx = kb.label_index(ClassKey::Song);
         assert_eq!(idx.len(), 3);
-        let ids = idx.lookup_ids("yellow submarine", 3);
-        assert!(ids.contains(&kb.instances()[0].id.raw()));
+        let best = idx.lookup("yellow submarine", 3);
+        assert!(best.iter().any(|m| m.id == kb.instances()[0].id.raw()));
     }
 
     #[test]
@@ -495,7 +497,7 @@ mod tests {
         let mut kb = tiny_kb();
         let artist = kb.property_by_name(ClassKey::Song, "musicalArtist").unwrap().id;
         let stones = Value::InstanceRef("the rolling stones".into());
-        assert!(kb.class_label_index(ClassKey::Song).exact_block("paint it black").is_empty());
+        assert!(kb.class_label_index(ClassKey::Song).exact_ids("paint it black").is_empty());
         assert!(!kb.property_value_sample(artist).unwrap().contains_equivalent(&stones));
         assert_eq!(kb.class_property_slice(ClassKey::Song).len(), 2);
 
@@ -506,7 +508,7 @@ mod tests {
             700,
             vec![Fact { property: artist, value: Value::InstanceRef("The Rolling Stones".into()) }],
         );
-        assert_eq!(kb.class_label_index(ClassKey::Song).exact_block("paint it black")[0].id, id.raw());
+        assert_eq!(kb.class_label_index(ClassKey::Song).exact_ids("paint it black"), [id.raw()]);
         assert_eq!(kb.label_index(ClassKey::Song).len(), 4);
         assert!(kb.property_value_sample(artist).unwrap().contains_equivalent(&stones));
         assert_eq!(kb.property_values(artist).len(), 3);
@@ -539,7 +541,7 @@ mod tests {
         assert_eq!(clone.class_property_slice(ClassKey::Song).len(), 3);
 
         assert_eq!(kb.class_label_index(ClassKey::Song).len(), 3);
-        assert!(kb.class_label_index(ClassKey::Song).exact_block("paint it black").is_empty());
+        assert!(kb.class_label_index(ClassKey::Song).exact_ids("paint it black").is_empty());
         assert_eq!(kb.property_values(artist).len(), 2);
         assert_eq!(kb.class_property_slice(ClassKey::Song).len(), 2);
     }

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use ltee_index::{LabelIndex, LabelMatch};
+use ltee_index::{LabelMatch, SharedLabelIndex};
 use ltee_kb::{ClassKey, InstanceId, KnowledgeBase};
 use ltee_types::{parse_cell_as, value_equivalent, DetectedType, EquivalenceConfig};
 use ltee_webtables::{TableId, WebTable};
@@ -50,7 +50,7 @@ impl RowLookups {
     /// numbered in first-appearance order and the lookups run on the pool.
     pub(crate) fn run(
         tables: &[(&WebTable, usize)],
-        class_indexes: &[(ClassKey, LabelIndex)],
+        class_indexes: &[(ClassKey, SharedLabelIndex)],
     ) -> (Vec<RowSlots>, Self) {
         let labels: Vec<Vec<Option<(String, String)>>> = tables
             .par_iter()
@@ -138,7 +138,7 @@ pub(crate) fn match_table_class(
     label_column: usize,
     detected: &[DetectedType],
     kb: &KnowledgeBase,
-    class_indexes: &[(ClassKey, LabelIndex)],
+    class_indexes: &[(ClassKey, SharedLabelIndex)],
     slots: &RowSlots,
     lookups: &RowLookups,
 ) -> Option<usize> {

@@ -21,7 +21,8 @@
 //!   holder lets go, the writer frees the version on its next publish or
 //!   [`ServePipeline::reclaim`].
 //! * Snapshots answer exact and fuzzy label lookups (over the interned,
-//!   integer-keyed postings of [`ltee_index::SharedLabelIndex`]), entity
+//!   integer-keyed postings of each class's sealed
+//!   [`ltee_index::LabelIndex`]), entity
 //!   fetches with fused facts plus full table provenance, per-class
 //!   listing/paging, aggregate stats — singly or as a batch fanned out on
 //!   the work-stealing pool ([`KbSnapshot::execute_batch`]).

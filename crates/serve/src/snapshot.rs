@@ -125,7 +125,7 @@ impl PartialEq<Arc<EntityRecord>> for EntityRecord {
     }
 }
 
-/// The per-class slice of a snapshot: entity records plus a frozen label
+/// The per-class slice of a snapshot: entity records plus a sealed label
 /// index over every record label (record position = index id).
 #[derive(Debug)]
 pub struct ClassSnapshot {
@@ -226,7 +226,7 @@ impl ClassSnapshot {
         self.records.get(id as usize)
     }
 
-    /// The frozen label index over this class's entity labels.
+    /// The sealed label index over this class's entity labels.
     pub fn index(&self) -> &SharedLabelIndex {
         &self.index
     }
@@ -442,7 +442,7 @@ impl KbSnapshot {
 
     /// Fuzzy top-k label lookup, in one class or (with `None`) across all
     /// classes. Within a class the ranking is exactly
-    /// [`SharedLabelIndex::lookup`]'s; across classes the class indexes are
+    /// [`LabelIndex::lookup`]'s; across classes the class indexes are
     /// looked up one after another on the calling thread (a lookup takes
     /// microseconds, less than handing it to another thread would) and the
     /// per-class top-k lists are merged by descending score (ties:

@@ -7,7 +7,7 @@
 //!   classes share it), plus once per hit for the label it surfaces. What
 //!   it leaves live is the hit vector and those labels.
 //! * `Query::Fuzzy { class: None, k: 10 }` calls it no more often than the
-//!   per-class [`SharedLabelIndex::lookup`]s it is made of, plus once for
+//!   per-class [`LabelIndex::lookup`]s it is made of, plus once for
 //!   the merged hit vector and once per merged hit for its label.
 //! * Neither spawns a thread at any pool size: a sampler watches
 //!   `/proc/self/status` while 1 000 queries run at `Parallelism::Threads(4)`.
@@ -17,7 +17,7 @@
 //! process-global, so this file holds a single `#[test]` — its own
 //! process — and prints only after the last measurement.
 //!
-//! [`SharedLabelIndex::lookup`]: ltee_index::SharedLabelIndex::lookup
+//! [`LabelIndex::lookup`]: ltee_index::LabelIndex::lookup
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;

@@ -81,7 +81,7 @@ mod tests {
         let mut interner = Interner::new();
         let seq = tokenize_interned("the the song", &mut interner);
         assert_eq!(seq.len(), 3);
-        assert_eq!(seq.distinct_len(), 2);
+        assert_eq!(seq.sorted().len(), 2);
         assert_eq!(interner.len(), 2);
     }
 

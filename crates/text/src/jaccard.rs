@@ -1,4 +1,4 @@
-//! Token-level Jaccard similarity and raw token overlap.
+//! Token-level Jaccard similarity.
 //!
 //! Used by the label-based schema matchers (`KB-Label`, `WT-Label`) to
 //! compare attribute header labels with property labels, and by a few
@@ -22,13 +22,6 @@ pub fn jaccard_similarity(a: &str, b: &str) -> f64 {
     let intersection = a_set.intersection(&b_set).count();
     let union = a_set.len() + b_set.len() - intersection;
     intersection as f64 / union as f64
-}
-
-/// Number of distinct tokens shared by the two strings.
-pub fn token_overlap(a: &str, b: &str) -> usize {
-    let a_set: HashSet<String> = tokenize(a).into_iter().collect();
-    let b_set: HashSet<String> = tokenize(b).into_iter().collect();
-    a_set.intersection(&b_set).count()
 }
 
 #[cfg(test)]
@@ -63,11 +56,6 @@ mod tests {
         assert_eq!(jaccard_similarity("", "genre"), 0.0);
     }
 
-    #[test]
-    fn overlap_counts_distinct_shared_tokens() {
-        assert_eq!(token_overlap("the the song", "the song title"), 2);
-    }
-
     proptest! {
         #[test]
         fn symmetric(a in "[a-z ]{0,20}", b in "[a-z ]{0,20}") {
@@ -78,14 +66,6 @@ mod tests {
         fn in_unit_interval(a in "[a-z ]{0,20}", b in "[a-z ]{0,20}") {
             let s = jaccard_similarity(&a, &b);
             prop_assert!((0.0..=1.0).contains(&s));
-        }
-
-        #[test]
-        fn overlap_bounded_by_smaller_set(a in "[a-z ]{0,20}", b in "[a-z ]{0,20}") {
-            let o = token_overlap(&a, &b);
-            let a_n: std::collections::HashSet<_> = tokenize(&a).into_iter().collect();
-            let b_n: std::collections::HashSet<_> = tokenize(&b).into_iter().collect();
-            prop_assert!(o <= a_n.len().min(b_n.len()));
         }
     }
 }

@@ -45,7 +45,7 @@ pub mod vector;
 mod oracle;
 
 pub use interned::{monge_elkan_tokens, normalize_and_intern, tokenize_interned};
-pub use jaccard::{jaccard_similarity, token_overlap};
+pub use jaccard::jaccard_similarity;
 pub use levenshtein::{levenshtein_distance, levenshtein_similarity, SimilarityGate};
 pub use myers::{bounded_levenshtein, within_one_edit};
 pub use monge_elkan::{monge_elkan_similarity, monge_elkan_tokenized};

@@ -6,7 +6,7 @@
 
 use ltee_text::{
     clean_label, jaccard_similarity, levenshtein_distance, levenshtein_similarity,
-    monge_elkan_similarity, normalize_label, token_overlap, tokenize,
+    monge_elkan_similarity, normalize_label, tokenize,
 };
 
 const EPS: f64 = 1e-12;
@@ -39,13 +39,6 @@ fn jaccard_punctuation_only_counts_as_empty() {
     // "..." tokenises to nothing, so it behaves like the empty string.
     assert_eq!(jaccard_similarity("...", "..."), 1.0);
     assert_eq!(jaccard_similarity("...", "team"), 0.0);
-}
-
-#[test]
-fn token_overlap_known_counts() {
-    assert_eq!(token_overlap("new york city", "york city hall"), 2);
-    assert_eq!(token_overlap("", "anything"), 0);
-    assert_eq!(token_overlap("a b c", "c b a"), 3);
 }
 
 // ----------------------------------------------------------- levenshtein

@@ -1,9 +1,9 @@
 //! Footprint gate: what one indexed label costs in heap blocks and bytes,
-//! for the growing [`LabelIndex`](ltee_index::LabelIndex) of each KB class
-//! and the frozen [`SharedLabelIndex`](ltee_index::SharedLabelIndex) each
-//! served class holds, read off the memory ledger of the shared fixture
-//! (`tests/support/ledger.rs`, which checks the ledger against the counting
-//! allocator).
+//! for the sealed [`LabelIndex`](ltee_index::LabelIndex) of each KB class
+//! and of each served class, read off the memory ledger of the shared
+//! fixture (`tests/support/ledger.rs`, which checks the ledger against the
+//! counting allocator). Both are sealed by `LabelIndex::into_shared`, so
+//! they share one layout.
 //!
 //! Every table under a label is a flat vector whose size depends on counts
 //! only, never on hash seeds. So the **block count is asserted exactly**
@@ -18,20 +18,18 @@ mod counting_alloc;
 #[path = "support/ledger.rs"]
 mod ledger;
 
-/// Flat tables behind a growing index, each one heap block however many
+/// Flat tables behind a sealed index, each one heap block however many
 /// labels it holds: the entry vector; the interner's arena, span table
 /// and probe table; span table + slot arena for the postings and again
 /// for the exact-label blocks; the token-length table and the deletion
-/// neighborhood's bucket and node vectors. Freezing adds the two `Arc`
-/// boxes (interner, tables).
-const GROWING_TABLE_BLOCKS: usize = 1 + 3 + 2 + 2 + 3;
-const FROZEN_TABLE_BLOCKS: usize = GROWING_TABLE_BLOCKS + 2;
+/// neighborhood's bucket and node vectors.
+const TABLE_BLOCKS: usize = 1 + 3 + 2 + 2 + 3;
 
 /// Ceilings on bytes per label, a few percent above the most any class
-/// measures (358.3 growing, the doubling slack of vectors still being
-/// pushed to included; 398.2 frozen, over a served class's few labels).
-const GROWING_BYTES_PER_LABEL_CEILING: f64 = 370.0;
-const FROZEN_BYTES_PER_LABEL_CEILING: f64 = 410.0;
+/// measures: 258.1 over a KB class's thousands of labels, 395.4 over a
+/// served class's few hundred, where the tables' fixed part weighs more.
+const KB_BYTES_PER_LABEL_CEILING: f64 = 268.0;
+const SERVED_BYTES_PER_LABEL_CEILING: f64 = 410.0;
 
 /// An entry owns a heap block, its token sequence, unless its label
 /// normalises to no tokens at all.
@@ -47,13 +45,13 @@ fn blocks_per_label_are_exact_and_bytes_per_label_stay_under_the_ceiling() {
     let per_label = |row: FootprintRow| row.heap.bytes as f64 / row.items as f64;
     for class in CLASS_KEYS {
         let labels = world.kb().instances().iter().filter(|i| i.class == class).flat_map(|i| &i.labels);
-        let growing = run.quiescent.row("kb.label_index", Some(class));
-        assert_eq!(growing.heap.blocks, with_tokens(labels) + GROWING_TABLE_BLOCKS, "{class}: growing index blocks");
+        let kb = run.quiescent.row("kb.label_index", Some(class));
+        assert_eq!(kb.heap.blocks, with_tokens(labels) + TABLE_BLOCKS, "{class}: KB index blocks");
         let labels = run.current.class(class).expect("a served class").records().iter().flat_map(|r| &r.labels);
-        let frozen = run.quiescent.row("snapshot.index", Some(class));
-        assert_eq!(frozen.heap.blocks, with_tokens(labels) + FROZEN_TABLE_BLOCKS, "{class}: frozen index blocks");
-        println!("{class}: {:.1} B per label growing, {:.1} frozen", per_label(growing), per_label(frozen));
-        assert!(per_label(growing) <= GROWING_BYTES_PER_LABEL_CEILING, "{class}: growing index bytes");
-        assert!(per_label(frozen) <= FROZEN_BYTES_PER_LABEL_CEILING, "{class}: frozen index bytes");
+        let served = run.quiescent.row("snapshot.index", Some(class));
+        assert_eq!(served.heap.blocks, with_tokens(labels) + TABLE_BLOCKS, "{class}: served index blocks");
+        println!("{class}: {:.1} B per label in the KB, {:.1} served", per_label(kb), per_label(served));
+        assert!(per_label(kb) <= KB_BYTES_PER_LABEL_CEILING, "{class}: KB index bytes");
+        assert!(per_label(served) <= SERVED_BYTES_PER_LABEL_CEILING, "{class}: served index bytes");
     }
 }
