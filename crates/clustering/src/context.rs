@@ -300,11 +300,6 @@ impl ImplicitAttributes {
     pub fn merge(&mut self, other: ImplicitAttributes) {
         self.per_table.extend(other.per_table);
     }
-
-    /// Number of tables with at least one implicit attribute.
-    pub fn tables_with_attributes(&self) -> usize {
-        self.per_table.values().filter(|table| !table.attributes.is_empty()).count()
-    }
 }
 
 #[cfg(test)]
@@ -313,6 +308,11 @@ mod tests {
     use ltee_kb::{generate_world, GeneratorConfig, Scale, CLASS_KEYS};
     use ltee_matching::{match_corpus, MatcherWeights, SchemaMatchingConfig};
     use ltee_webtables::{generate_corpus, CorpusConfig, GeneratedCorpus};
+
+    /// Number of tables with at least one implicit attribute.
+    fn tables_with_attributes(implicit: &ImplicitAttributes) -> usize {
+        implicit.per_table.values().filter(|table| !table.attributes.is_empty()).count()
+    }
 
     fn setup() -> (ltee_kb::World, GeneratedCorpus, CorpusMapping) {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 41));
@@ -354,7 +354,7 @@ mod tests {
             // Themed tables about head entities should yield implicit
             // attributes for at least a few tables.
             assert!(
-                implicit.tables_with_attributes() > 0,
+                tables_with_attributes(&implicit) > 0,
                 "{class}: no table received implicit attributes"
             );
         }
@@ -402,7 +402,7 @@ mod tests {
                     assert_eq!(format!("{got:?}"), format!("{expected:?}"), "table {}", tm.table.raw());
                     attributes += expected.0.len();
                 }
-                assert_eq!(reused.tables_with_attributes(), looked_up.tables_with_attributes());
+                assert_eq!(tables_with_attributes(&reused), tables_with_attributes(&looked_up));
             }
             assert!(attributes > 0, "the comparison must not be vacuous");
         }

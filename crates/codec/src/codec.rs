@@ -2,15 +2,66 @@ use std::collections::HashMap;
 
 use ltee_intern::fnv1a64;
 
-/// Errors produced while decoding a byte stream.
+/// One stored format: the name a refusal calls its files by, the magic
+/// they start with and the one version this build writes and reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Format {
+    /// What a refusal calls a file of the format (`"model artifact"`).
+    pub name: &'static str,
+    /// The eight bytes every file of the format starts with.
+    pub magic: [u8; 8],
+    /// The format version this build writes and reads.
+    pub version: u32,
+}
+
+impl Format {
+    /// [`CodecError::UnsupportedVersion`] unless `found` is this build's
+    /// version of the format.
+    pub fn check_version(self, found: u32) -> Result<(), CodecError> {
+        if found == self.version {
+            Ok(())
+        } else {
+            Err(CodecError::UnsupportedVersion { format: self, found })
+        }
+    }
+
+    /// The one comparison of a stored config fingerprint with the expected
+    /// one: [`CodecError::ConfigMismatch`] when they differ.
+    pub fn check_fingerprint(self, stored: u64, expected: u64) -> Result<(), CodecError> {
+        if stored == expected {
+            Ok(())
+        } else {
+            Err(CodecError::ConfigMismatch { format: self, stored, expected })
+        }
+    }
+}
+
+/// Why stored bytes were refused: a file of another format, version or
+/// configuration, a damaged envelope, or a payload that does not decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// [`read_header`]: the input does not start with the expected magic.
-    BadMagic,
-    /// [`open`]: the envelope carries a format version other than the
-    /// expected one.
-    UnsupportedVersion(u32),
-    /// [`open`]: the payload failed its length or checksum check.
+    /// [`read_header`]: the input does not start with the format's magic.
+    BadMagic(Format),
+    /// [`Format::check_version`]: an intact file of another version of the
+    /// format.
+    UnsupportedVersion {
+        /// The format asked for.
+        format: Format,
+        /// The version the file declares.
+        found: u32,
+    },
+    /// [`Format::check_fingerprint`]: the file was written under another
+    /// configuration.
+    ConfigMismatch {
+        /// The format asked for.
+        format: Format,
+        /// The fingerprint the file carries.
+        stored: u64,
+        /// The fingerprint of the configuration the caller supplied.
+        expected: u64,
+    },
+    /// The envelope failed its length or checksum check ([`open`]), or the
+    /// decoded state its cross-validation.
     Corrupted(String),
     /// The stream ended before a read could complete.
     UnexpectedEof {
@@ -184,8 +235,19 @@ impl std::fmt::Display for CodeDefect {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::BadMagic => write!(f, "bad magic header"),
-            CodecError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            CodecError::BadMagic(format) => write!(f, "not an LTEE {} (bad magic header)", format.name),
+            CodecError::UnsupportedVersion { format, found } => write!(
+                f,
+                "unsupported {} format version {found} (this build reads version {})",
+                format.name, format.version
+            ),
+            CodecError::ConfigMismatch { format, stored, expected } => write!(
+                f,
+                "{name} was written under a different configuration ({name} fingerprint \
+                 {stored:#018x}, pipeline config fingerprint {expected:#018x}); use the \
+                 configuration it was written under",
+                name = format.name
+            ),
             CodecError::Corrupted(why) => write!(f, "{why}"),
             CodecError::UnexpectedEof { what, needed, remaining } => write!(
                 f,
@@ -1627,24 +1689,25 @@ pub const fn sealed_header_len(words: usize) -> usize {
     8 + 4 + 8 * words + 8 + 8
 }
 
-/// Write `magic · version (u32) · words (u64 each)`: the head of the
-/// envelope, and the write-ahead log's whole file header.
-pub fn write_header(w: &mut ByteWriter, magic: &[u8; 8], version: u32, words: &[u64]) {
-    w.write_bytes(magic);
-    w.write_u32(version);
+/// Write `magic · version (u32) · words (u64 each)` of `format`: the head
+/// of the envelope, and the write-ahead log's whole file header.
+pub fn write_header(w: &mut ByteWriter, format: &Format, words: &[u64]) {
+    w.write_bytes(&format.magic);
+    w.write_u32(format.version);
     for &word in words {
         w.write_u64(word);
     }
 }
 
 /// Inverse of [`write_header`] with `N` words: [`CodecError::BadMagic`]
-/// unless the input starts with `magic`. The caller judges the version.
+/// unless the input starts with the magic of `format`. The caller judges
+/// the version.
 pub fn read_header<const N: usize>(
     r: &mut ByteReader<'_>,
-    magic: &[u8; 8],
+    format: &Format,
 ) -> Result<(u32, [u64; N]), CodecError> {
-    if r.read_bytes(8, "envelope magic").ok() != Some(&magic[..]) {
-        return Err(CodecError::BadMagic);
+    if r.read_bytes(8, "envelope magic").ok() != Some(&format.magic[..]) {
+        return Err(CodecError::BadMagic(*format));
     }
     let version = r.read_u32("envelope version")?;
     let mut words = [0u64; N];
@@ -1654,14 +1717,14 @@ pub fn read_header<const N: usize>(
     Ok((version, words))
 }
 
-/// Store the raw stream `raw` in the file envelope described in the
-/// [crate docs](crate): the [header](write_header), then the length and
-/// FNV-1a64 checksum of the payload — `raw` as one [`compress`]ed block —
-/// then the payload itself.
-pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], raw: &[u8]) -> Vec<u8> {
+/// Store the raw stream `raw` in the file envelope of `format` described
+/// in the [crate docs](crate): the [header](write_header), then the length
+/// and FNV-1a64 checksum of the payload — `raw` as one [`compress`]ed
+/// block — then the payload itself.
+pub fn seal(format: &Format, words: &[u64], raw: &[u8]) -> Vec<u8> {
     let payload = compress(raw, &[]);
     let mut w = ByteWriter::with_capacity(sealed_header_len(words.len()) + payload.len());
-    write_header(&mut w, magic, version, words);
+    write_header(&mut w, format, words);
     w.write_u64(payload.len() as u64);
     w.write_u64(fnv1a64(&payload));
     w.write_bytes(&payload);
@@ -1675,31 +1738,27 @@ pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], raw: &[u8]) -> Vec<u8>
 /// version is [`CodecError::UnsupportedVersion`] only when it passes its
 /// own length and checksum; one that does not has a damaged header, not a
 /// different format.
-pub fn open<const N: usize>(
-    magic: &[u8; 8],
-    version: u32,
-    bytes: &[u8],
-) -> Result<([u64; N], Vec<u8>), CodecError> {
+pub fn open<const N: usize>(format: &Format, bytes: &[u8]) -> Result<([u64; N], Vec<u8>), CodecError> {
     let mut r = ByteReader::new(bytes);
-    let (found, words) = read_header(&mut r, magic)?;
+    let (found, words) = read_header(&mut r, format)?;
     let payload_len = r.read_u64("envelope payload length")?;
     let checksum = r.read_u64("envelope checksum")?;
     let payload = r.read_bytes(r.remaining(), "envelope payload")?;
     if payload.len() as u64 != payload_len {
         return Err(CodecError::Corrupted(format!(
-            "payload length mismatch: header says {payload_len} bytes, file holds {}",
+            "{} payload length mismatch: header says {payload_len} bytes, file holds {}",
+            format.name,
             payload.len()
         )));
     }
     let actual = fnv1a64(payload);
     if actual != checksum {
         return Err(CodecError::Corrupted(format!(
-            "payload checksum mismatch: header {checksum:#018x}, computed {actual:#018x}"
+            "{} payload checksum mismatch: header {checksum:#018x}, computed {actual:#018x}",
+            format.name
         )));
     }
-    if found != version {
-        return Err(CodecError::UnsupportedVersion(found));
-    }
+    format.check_version(found)?;
     Ok((words, decompress(payload, &[])?))
 }
 

@@ -75,9 +75,18 @@
 //! raw stream's block; byte offsets per format are tabulated in
 //! `docs/ARCHITECTURE.md`, "On-disk formats". Its first three fields are
 //! the [`write_header`] / [`read_header`] pair, which also spells the
-//! write-ahead log's file header. A file of another version is refused by
-//! version only when it is intact under the version it declares; otherwise
-//! its header is damaged.
+//! write-ahead log's file header. Each takes the file's [`Format`]: the
+//! name a refusal calls it by, its magic and its version. A file of another
+//! version is refused by version only when it is intact under the version
+//! it declares; otherwise its header is damaged.
+//!
+//! [`CodecError`] is the one vocabulary for refused stored bytes: another
+//! file's magic, an intact file of another version and a file minted under
+//! another configuration ([`Format::check_fingerprint`], the one comparison
+//! of a stored config fingerprint) each carry the [`Format`], so their
+//! message names the kind of file; a damaged envelope or a decoded state
+//! that fails cross-validation is [`CodecError::Corrupted`], and every other
+//! variant is a field that does not decode.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]

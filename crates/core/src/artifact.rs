@@ -28,31 +28,33 @@
 //! that does not point forward.
 //!
 //! An artifact of any other version is refused with
-//! [`ArtifactError::UnsupportedVersion`]: one decoder reads one format,
-//! and retraining rebuilds an artifact.
+//! [`CodecError::UnsupportedVersion`]: one decoder reads one format, and
+//! retraining rebuilds an artifact.
 //!
 //! ## Versioning and validation contract
 //!
-//! * The magic rejects non-artifact files immediately ([`ArtifactError::BadMagic`]).
+//! Every refusal is a [`CodecError`] naming the [`ARTIFACT`] format:
+//!
+//! * The magic rejects non-artifact files immediately ([`CodecError::BadMagic`]).
 //! * The format version gates structural evolution: readers reject an
 //!   intact file of a version they do not understand instead of misparsing
-//!   it ([`ArtifactError::UnsupportedVersion`]); a version field that is
+//!   it ([`CodecError::UnsupportedVersion`]); a version field that is
 //!   itself damage fails the checksum of the version it names.
 //! * The checksum detects corruption/truncation before any field is
-//!   interpreted ([`ArtifactError::Corrupted`]).
+//!   interpreted ([`CodecError::Corrupted`]).
 //! * The **config fingerprint** hashes the inference-relevant parts of
 //!   [`PipelineConfig`] (iterations, schema matching, clustering, metric
 //!   sets, fusion, new detection — *not* the training constants, the
 //!   thread count or the shard plan). Loading an artifact into a pipeline
 //!   whose config fingerprint differs fails with
-//!   [`ArtifactError::ConfigMismatch`]: models are only valid for the
+//!   [`CodecError::ConfigMismatch`]: models are only valid for the
 //!   feature layout and thresholds they were trained against.
 
 use std::path::Path;
 
 use ltee_clustering::{ClusteringConfig, RowMetricKind, RowSimilarityModel};
 use ltee_matching::MatcherWeights;
-use ltee_codec::{ByteWriter, CodecError, StringTableWriter};
+use ltee_codec::{ByteWriter, CodecError, Format, StringTableWriter};
 use ltee_intern::fnv1a64;
 use ltee_ml::MetricKind;
 use ltee_newdetect::{EntityMetricKind, EntitySimilarityModel};
@@ -66,77 +68,8 @@ pub const ARTIFACT_MAGIC: [u8; 8] = *b"LTEEART\x01";
 /// The artifact format version this build writes and reads.
 pub const ARTIFACT_VERSION: u32 = 4;
 
-/// Errors raised while encoding, decoding or validating an artifact.
-#[derive(Debug)]
-pub enum ArtifactError {
-    /// Reading or writing the artifact file failed.
-    Io(std::io::Error),
-    /// The input does not start with the artifact magic.
-    BadMagic,
-    /// The artifact was written by an unknown format version.
-    UnsupportedVersion(u32),
-    /// The payload failed its checksum or length check.
-    Corrupted(String),
-    /// A payload field could not be decoded.
-    Decode(CodecError),
-    /// The artifact was trained under a different inference configuration.
-    ConfigMismatch {
-        /// Fingerprint stored in the artifact.
-        artifact: u64,
-        /// Fingerprint of the configuration the caller supplied.
-        config: u64,
-    },
-}
-
-impl std::fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArtifactError::Io(e) => write!(f, "artifact I/O error: {e}"),
-            ArtifactError::BadMagic => {
-                write!(f, "not an LTEE model artifact (bad magic header)")
-            }
-            ArtifactError::UnsupportedVersion(v) => write!(
-                f,
-                "unsupported artifact format version {v} (this build reads version {ARTIFACT_VERSION})"
-            ),
-            ArtifactError::Corrupted(why) => write!(f, "artifact is corrupted: {why}"),
-            ArtifactError::Decode(e) => write!(f, "artifact payload is malformed: {e}"),
-            ArtifactError::ConfigMismatch { artifact, config } => write!(
-                f,
-                "artifact was trained under a different configuration \
-                 (artifact fingerprint {artifact:#018x}, pipeline config fingerprint {config:#018x}); \
-                 retrain or serve with the training-time config"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ArtifactError::Io(e) => Some(e),
-            ArtifactError::Decode(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CodecError> for ArtifactError {
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::BadMagic => ArtifactError::BadMagic,
-            CodecError::UnsupportedVersion(v) => ArtifactError::UnsupportedVersion(v),
-            CodecError::Corrupted(why) => ArtifactError::Corrupted(why),
-            field => ArtifactError::Decode(field),
-        }
-    }
-}
-
-impl From<std::io::Error> for ArtifactError {
-    fn from(e: std::io::Error) -> Self {
-        ArtifactError::Io(e)
-    }
-}
+/// The model artifact format.
+pub const ARTIFACT: Format = Format { name: "model artifact", magic: ARTIFACT_MAGIC, version: ARTIFACT_VERSION };
 
 /// Fingerprint of the inference-relevant parts of a [`PipelineConfig`].
 ///
@@ -194,13 +127,8 @@ impl ModelArtifact {
 
     /// Check that `config` matches the configuration the artifact's models
     /// were trained under.
-    pub fn verify_config(&self, config: &PipelineConfig) -> Result<(), ArtifactError> {
-        let fingerprint = config_fingerprint(config);
-        if fingerprint == self.fingerprint {
-            Ok(())
-        } else {
-            Err(ArtifactError::ConfigMismatch { artifact: self.fingerprint, config: fingerprint })
-        }
+    pub fn verify_config(&self, config: &PipelineConfig) -> Result<(), CodecError> {
+        ARTIFACT.check_fingerprint(self.fingerprint, config_fingerprint(config))
     }
 
     /// Encode the artifact into its binary file format.
@@ -211,13 +139,13 @@ impl ModelArtifact {
         self.models.row_model.encode_into(&mut strings, &mut body);
         self.models.entity_model.encode_into(&mut strings, &mut body);
         let raw = strings.into_stream(body);
-        ltee_codec::seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[self.fingerprint], &raw)
+        ltee_codec::seal(&ARTIFACT, &[self.fingerprint], &raw)
     }
 
     /// Decode an artifact from bytes, validating magic, length, checksum
     /// and version before interpreting any payload field.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let ([fingerprint], raw) = ltee_codec::open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let ([fingerprint], raw) = ltee_codec::open(&ARTIFACT, bytes)?;
         let models = ltee_codec::read_stream(&raw, |r, strings| {
             Ok::<_, CodecError>(TrainedModels {
                 matcher_weights: MatcherWeights::decode_from(r, strings)?,
@@ -229,14 +157,16 @@ impl ModelArtifact {
     }
 
     /// Write the artifact to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
-        std::fs::write(path, self.encode())?;
-        Ok(())
+    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
+        std::fs::write(path, self.encode())
     }
 
-    /// Read and decode an artifact file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
+    /// Read and decode an artifact file. A file [`ModelArtifact::decode`]
+    /// refuses is an [`std::io::ErrorKind::InvalidData`] error whose inner
+    /// error is the [`CodecError`].
+    pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Self::decode(&std::fs::read(path)?)
+            .map_err(|refused| std::io::Error::new(std::io::ErrorKind::InvalidData, refused))
     }
 }
 
@@ -280,10 +210,10 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_magic_and_short_input() {
-        assert!(matches!(ModelArtifact::decode(b"nope"), Err(ArtifactError::BadMagic)));
-        assert!(matches!(
-            ModelArtifact::decode(b"PNG\x89\x0d\x0a\x1a\x0a rest"),
-            Err(ArtifactError::BadMagic)
-        ));
+        assert_eq!(ModelArtifact::decode(b"nope").unwrap_err(), CodecError::BadMagic(ARTIFACT));
+        assert_eq!(
+            ModelArtifact::decode(b"PNG\x89\x0d\x0a\x1a\x0a rest").unwrap_err(),
+            CodecError::BadMagic(ARTIFACT)
+        );
     }
 }

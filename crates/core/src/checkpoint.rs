@@ -80,8 +80,8 @@
 //! [`crate::ShardPlan`] (shard and thread counts are both excluded from the
 //! config fingerprint).
 //!
-//! A checkpoint of any other version is refused with
-//! [`CheckpointError::UnsupportedVersion`], by version, before a payload
+//! Every refusal is a [`CodecError`]. A checkpoint of any other version is
+//! refused with [`CodecError::UnsupportedVersion`], by version, before a payload
 //! byte is read: reading it would mean a second decoder, kept correct and
 //! fuzzed for as long as the first, for a store that re-ingesting its
 //! source stream rebuilds. The store treats an intact checkpoint of another
@@ -97,7 +97,7 @@
 //! cross-validated (tables well-formed, ids unique, clusters partition the
 //! mapped rows in founding order, one result per cluster) before any of it
 //! is trusted. Restoring additionally rejects a checkpoint written under a
-//! different inference configuration ([`CheckpointError::ConfigMismatch`]).
+//! different inference configuration ([`CodecError::ConfigMismatch`]).
 
 use std::collections::HashSet;
 
@@ -107,7 +107,7 @@ use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{
     detect_column_types, detect_label_attribute, AttributeMatch, CorpusMapping, TableMapping,
 };
-use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
+use ltee_codec::{ByteReader, ByteWriter, CodecError, Format, StringTable, StringTableWriter};
 use ltee_newdetect::{NewDetectionOutcome, NewDetectionResult};
 use ltee_types::DataType;
 use ltee_webtables::{Column, Corpus, TableId, WebTable};
@@ -124,72 +124,13 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"LTEECKP\x01";
 /// The checkpoint format version this build writes and reads.
 pub const CHECKPOINT_VERSION: u32 = 8;
 
+/// The state checkpoint format.
+pub const CHECKPOINT: Format =
+    Format { name: "state checkpoint", magic: CHECKPOINT_MAGIC, version: CHECKPOINT_VERSION };
+
 /// Offset where the checkpoint payload starts (after magic, version,
 /// fingerprint, applied-batch count, payload length and checksum).
 pub const CHECKPOINT_PAYLOAD_START: usize = ltee_codec::sealed_header_len(2);
-
-/// Errors raised while decoding, validating or restoring a checkpoint.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// The input does not start with the checkpoint magic.
-    BadMagic,
-    /// The file is an intact checkpoint of another format version (it
-    /// passes its own length and checksum under the version it declares).
-    UnsupportedVersion(u32),
-    /// The payload failed its checksum, length or cross-validation check.
-    Corrupted(String),
-    /// A payload field could not be decoded.
-    Decode(CodecError),
-    /// The checkpoint was written under a different inference configuration.
-    ConfigMismatch {
-        /// Fingerprint stored in the checkpoint.
-        checkpoint: u64,
-        /// Fingerprint of the configuration the caller supplied.
-        config: u64,
-    },
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::BadMagic => {
-                write!(f, "not an LTEE state checkpoint (bad magic header)")
-            }
-            CheckpointError::UnsupportedVersion(v) => write!(
-                f,
-                "unsupported checkpoint format version {v} (this build reads version {CHECKPOINT_VERSION})"
-            ),
-            CheckpointError::Corrupted(why) => write!(f, "checkpoint is corrupted: {why}"),
-            CheckpointError::Decode(e) => write!(f, "checkpoint payload is malformed: {e}"),
-            CheckpointError::ConfigMismatch { checkpoint, config } => write!(
-                f,
-                "checkpoint was written under a different configuration \
-                 (checkpoint fingerprint {checkpoint:#018x}, pipeline config fingerprint {config:#018x}); \
-                 recover with the writing process's config or start a fresh store"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Decode(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CodecError> for CheckpointError {
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::BadMagic => CheckpointError::BadMagic,
-            CodecError::UnsupportedVersion(v) => CheckpointError::UnsupportedVersion(v),
-            CodecError::Corrupted(why) => CheckpointError::Corrupted(why),
-            field => CheckpointError::Decode(field),
-        }
-    }
-}
 
 // ─────────────────────────── table / mapping codecs ──────────────────────
 //
@@ -235,7 +176,7 @@ fn encode_table_into<'a>(table: &'a WebTable, strings: &mut StringTableWriter<'a
 fn decode_table_from(
     r: &mut ByteReader<'_>,
     strings: &mut StringTable<'_>,
-) -> Result<WebTable, CheckpointError> {
+) -> Result<WebTable, CodecError> {
     let id = TableId(r.read_varint("table id")?);
     let columns = r.read_seq("table columns", 2, |r| {
         let header = strings.read_ref(r, "column header")?.to_string();
@@ -247,7 +188,7 @@ fn decode_table_from(
     let table = WebTable { id, columns };
     table
         .validate()
-        .map_err(|why| CheckpointError::Corrupted(format!("table {}: {why}", id.raw())))?;
+        .map_err(|why| CodecError::Corrupted(format!("table {}: {why}", id.raw())))?;
     Ok(table)
 }
 
@@ -269,19 +210,19 @@ fn encode_corpus_into<'a>(corpus: &'a Corpus, strings: &mut StringTableWriter<'a
 
 /// Decode a corpus encoded by [`encode_corpus`]: validate every table and
 /// reject duplicate table ids. Requires the stream to be fully consumed.
-pub fn decode_corpus(bytes: &[u8]) -> Result<Corpus, CheckpointError> {
+pub fn decode_corpus(bytes: &[u8]) -> Result<Corpus, CodecError> {
     ltee_codec::read_stream(bytes, decode_corpus_from)
 }
 
 fn decode_corpus_from(
     r: &mut ByteReader<'_>,
     strings: &mut StringTable<'_>,
-) -> Result<Corpus, CheckpointError> {
+) -> Result<Corpus, CodecError> {
     let mut seen = HashSet::new();
     let tables = r.read_seq("corpus tables", 2, |r| {
         let table = decode_table_from(r, strings)?;
         if !seen.insert(table.id) {
-            return Err(CheckpointError::Corrupted(format!(
+            return Err(CodecError::Corrupted(format!(
                 "duplicate table id {} in corpus",
                 table.id.raw()
             )));
@@ -296,13 +237,13 @@ fn decode_corpus_from(
 fn decode_state_from(
     r: &mut ByteReader<'_>,
     strings: &mut StringTable<'_>,
-) -> Result<(Corpus, Vec<TableMapping>, Vec<ClassDump>), CheckpointError> {
+) -> Result<(Corpus, Vec<TableMapping>, Vec<ClassDump>), CodecError> {
     let corpus = decode_corpus_from(r, strings)?;
     let mut seen = HashSet::new();
     let mappings = r.read_seq("corpus mappings", 3, |r| {
         let mapping = decode_mapping_from(r, strings, &corpus)?;
         if !seen.insert(mapping.table) {
-            return Err(CheckpointError::Corrupted(format!(
+            return Err(CodecError::Corrupted(format!(
                 "duplicate mapping for table {}",
                 mapping.table.raw()
             )));
@@ -311,7 +252,7 @@ fn decode_state_from(
     })?;
     let num_classes = r.read_len("class states", 3)?;
     if num_classes != CLASS_KEYS.len() {
-        return Err(CheckpointError::Corrupted(format!(
+        return Err(CodecError::Corrupted(format!(
             "checkpoint holds {num_classes} class states, this build has {}",
             CLASS_KEYS.len()
         )));
@@ -327,7 +268,7 @@ fn decode_state_from(
         for s in arena {
             let minted = interner.len();
             if interner.intern(s).raw() as usize != minted {
-                return Err(CheckpointError::Corrupted(format!(
+                return Err(CodecError::Corrupted(format!(
                     "{class}: interner string {s:?} is stored twice"
                 )));
             }
@@ -363,7 +304,7 @@ fn decode_mapping_from(
     r: &mut ByteReader<'_>,
     strings: &mut StringTable<'_>,
     corpus: &Corpus,
-) -> Result<TableMapping, CheckpointError> {
+) -> Result<TableMapping, CodecError> {
     let id = TableId(r.read_varint("mapping table id")?);
     let class = r.read_opt("mapping class flag", |r| {
         class_key_from_code(r.read_u8("mapping class")?)
@@ -377,7 +318,7 @@ fn decode_mapping_from(
         })
     })?;
     let table = corpus.table(id).ok_or_else(|| {
-        CheckpointError::Corrupted(format!("mapping for table {} outside the corpus", id.raw()))
+        CodecError::Corrupted(format!("mapping for table {} outside the corpus", id.raw()))
     })?;
     let detected_types = detect_column_types(table);
     let label_column = detect_label_attribute(table, &detected_types);
@@ -395,7 +336,7 @@ fn encode_cluster_into(cluster: &[usize], w: &mut ByteWriter) {
     }
 }
 
-fn decode_cluster_from(r: &mut ByteReader<'_>) -> Result<Vec<usize>, CheckpointError> {
+fn decode_cluster_from(r: &mut ByteReader<'_>) -> Result<Vec<usize>, CodecError> {
     let len = r.read_len("cluster rows", 1)?;
     let mut rows = Vec::with_capacity(len);
     let mut previous = 0usize;
@@ -403,7 +344,7 @@ fn decode_cluster_from(r: &mut ByteReader<'_>) -> Result<Vec<usize>, CheckpointE
         let gap = r.read_varint_usize("cluster row gap")?;
         let row = previous.checked_add(gap).filter(|_| i == 0 || gap > 0);
         previous = row
-            .ok_or_else(|| CheckpointError::Corrupted("cluster rows are not ascending".into()))?;
+            .ok_or_else(|| CodecError::Corrupted("cluster rows are not ascending".into()))?;
         rows.push(previous);
     }
     Ok(rows)
@@ -610,12 +551,8 @@ impl CheckpointView<'_> {
         layout.strings_written = strings.references();
         layout.strings_distinct = strings.len();
         layout.string_table = strings.table_len();
-        let bytes = ltee_codec::seal(
-            &CHECKPOINT_MAGIC,
-            CHECKPOINT_VERSION,
-            &[self.fingerprint, self.applied_batches],
-            &strings.into_stream(w),
-        );
+        let bytes =
+            ltee_codec::seal(&CHECKPOINT, &[self.fingerprint, self.applied_batches], &strings.into_stream(w));
         layout.stored = bytes.len() - CHECKPOINT_PAYLOAD_START;
         (bytes, layout)
     }
@@ -656,10 +593,9 @@ impl PipelineCheckpoint {
     /// the corpus, and per class the clusters must partition the mapped
     /// rows in founding order with results parallel to clusters. Anything
     /// else is a typed rejection, never a panic.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         // The checksum covers the block as stored; it is expanded after.
-        let ([fingerprint, applied_batches], raw) =
-            ltee_codec::open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
+        let ([fingerprint, applied_batches], raw) = ltee_codec::open(&CHECKPOINT, bytes)?;
         let (corpus, mappings, classes) = ltee_codec::read_stream(&raw, decode_state_from)?;
         let checkpoint = PipelineCheckpoint {
             fingerprint,
@@ -676,11 +612,11 @@ impl PipelineCheckpoint {
     /// partition the rows of that class's tables exactly once, in founding
     /// order, with one result per cluster. This is what lets
     /// [`StreamingClusterer::from_parts`] assume well-formed inputs.
-    fn validate_state(&self) -> Result<(), CheckpointError> {
+    fn validate_state(&self) -> Result<(), CodecError> {
         for (&class, dump) in CLASS_KEYS.iter().zip(&self.classes) {
             let rows = class_rows_in_arrival_order(&self.corpus, &self.mapping, class);
             if dump.results.len() != dump.clusters.len() {
-                return Err(CheckpointError::Corrupted(format!(
+                return Err(CodecError::Corrupted(format!(
                     "{class}: {} clusters but {} results",
                     dump.clusters.len(),
                     dump.results.len()
@@ -690,25 +626,25 @@ impl PipelineCheckpoint {
             let mut previous_founder = None;
             for (ci, cluster) in dump.clusters.iter().enumerate() {
                 if cluster.is_empty() {
-                    return Err(CheckpointError::Corrupted(format!(
+                    return Err(CodecError::Corrupted(format!(
                         "{class}: cluster {ci} is empty"
                     )));
                 }
                 if previous_founder.is_some_and(|f| cluster[0] <= f) {
-                    return Err(CheckpointError::Corrupted(format!(
+                    return Err(CodecError::Corrupted(format!(
                         "{class}: clusters are not in founding order at cluster {ci}"
                     )));
                 }
                 previous_founder = Some(cluster[0]);
                 for &row in cluster {
                     if row >= rows.len() {
-                        return Err(CheckpointError::Corrupted(format!(
+                        return Err(CodecError::Corrupted(format!(
                             "{class}: cluster {ci} references row {row} of {} mapped rows",
                             rows.len()
                         )));
                     }
                     if assigned[row] {
-                        return Err(CheckpointError::Corrupted(format!(
+                        return Err(CodecError::Corrupted(format!(
                             "{class}: row {row} assigned to more than one cluster"
                         )));
                     }
@@ -716,7 +652,7 @@ impl PipelineCheckpoint {
                 }
             }
             if let Some(unassigned) = assigned.iter().position(|&a| !a) {
-                return Err(CheckpointError::Corrupted(format!(
+                return Err(CodecError::Corrupted(format!(
                     "{class}: mapped row {unassigned} is in no cluster"
                 )));
             }
@@ -726,13 +662,8 @@ impl PipelineCheckpoint {
 
     /// Check that `config` matches the configuration the checkpoint's state
     /// was produced under.
-    pub fn verify_config(&self, config: &PipelineConfig) -> Result<(), CheckpointError> {
-        let fingerprint = config_fingerprint(config);
-        if fingerprint == self.fingerprint {
-            Ok(())
-        } else {
-            Err(CheckpointError::ConfigMismatch { checkpoint: self.fingerprint, config: fingerprint })
-        }
+    pub fn verify_config(&self, config: &PipelineConfig) -> Result<(), CodecError> {
+        CHECKPOINT.check_fingerprint(self.fingerprint, config_fingerprint(config))
     }
 
     /// Restore an [`IncrementalPipeline`] to the exact state it had when
@@ -742,8 +673,8 @@ impl PipelineCheckpoint {
     /// Rebuilds the derived state (contexts, blocking, PHI, implicit
     /// attributes, KBT scores, fused entities) from the persisted
     /// decisions; see the [module docs](self). Fails with
-    /// [`CheckpointError::ConfigMismatch`] when `config` differs from the
-    /// writing process's config, and with [`CheckpointError::Corrupted`]
+    /// [`CodecError::ConfigMismatch`] when `config` differs from the
+    /// writing process's config, and with [`CodecError::Corrupted`]
     /// when the rebuild detects an inconsistency the structural validation
     /// could not (vocabulary missing from the persisted interner).
     ///
@@ -755,11 +686,11 @@ impl PipelineCheckpoint {
         kb: &'a KnowledgeBase,
         models: TrainedModels,
         config: PipelineConfig,
-    ) -> Result<IncrementalPipeline<'a>, CheckpointError> {
+    ) -> Result<IncrementalPipeline<'a>, CodecError> {
         self.verify_config(&config)?;
         // A restored pipeline holds what ingest would have let it.
         check_capacity([0, 0], [self.corpus.total_rows(), self.corpus.len()])
-            .map_err(|refused| CheckpointError::Corrupted(refused.to_string()))?;
+            .map_err(|refused| CodecError::Corrupted(refused.to_string()))?;
         config.parallelism.install();
         let PipelineCheckpoint { corpus, mapping, classes, .. } = self;
 
@@ -782,7 +713,7 @@ impl PipelineCheckpoint {
                 dump.clusters,
             );
             if state.interner.len() != baseline {
-                return Err(CheckpointError::Corrupted(format!(
+                return Err(CodecError::Corrupted(format!(
                     "{class}: state rebuild minted {} new interned strings — the checkpointed \
                      interner does not cover the class's corpus vocabulary",
                     state.interner.len() - baseline
@@ -852,7 +783,7 @@ mod tests {
         };
         assert!(matches!(
             PipelineCheckpoint::decode(&orphan.encode()),
-            Err(CheckpointError::Corrupted(why)) if why.contains("outside the corpus")
+            Err(CodecError::Corrupted(why)) if why.contains("outside the corpus")
         ));
     }
 
@@ -868,7 +799,7 @@ mod tests {
         // carries both tables — decode must reject it.
         assert!(matches!(
             decode_corpus(&encode_corpus(&doubled)),
-            Err(CheckpointError::Corrupted(why)) if why.contains("duplicate table id")
+            Err(CodecError::Corrupted(why)) if why.contains("duplicate table id")
         ));
     }
 
@@ -959,14 +890,14 @@ mod tests {
             other.iterations = config.iterations + 1;
             assert!(matches!(
                 decoded.verify_config(&other),
-                Err(CheckpointError::ConfigMismatch { .. })
+                Err(CodecError::ConfigMismatch { .. })
             ));
         }
     }
 
     #[test]
     fn decode_rejects_bad_magic_truncation_and_version() {
-        assert!(matches!(PipelineCheckpoint::decode(b"nope"), Err(CheckpointError::BadMagic)));
+        assert_eq!(PipelineCheckpoint::decode(b"nope").unwrap_err(), CodecError::BadMagic(CHECKPOINT));
         let empty = PipelineCheckpoint {
             fingerprint: 1,
             applied_batches: 0,
@@ -981,27 +912,27 @@ mod tests {
         assert!(PipelineCheckpoint::decode(&bytes).is_ok());
         assert!(matches!(
             PipelineCheckpoint::decode(&bytes[..20]),
-            Err(CheckpointError::Decode(_))
+            Err(CodecError::UnexpectedEof { .. })
         ));
         let mut wrong_version = bytes.clone();
         wrong_version[8] = 99;
         assert!(matches!(
             PipelineCheckpoint::decode(&wrong_version),
-            Err(CheckpointError::UnsupportedVersion(99))
+            Err(CodecError::UnsupportedVersion { found: 99, .. })
         ));
         // Another version is only believed of a file that is intact under
         // it; a version field that is itself damage is corruption.
         *wrong_version.last_mut().unwrap() ^= 0x40;
         assert!(matches!(
             PipelineCheckpoint::decode(&wrong_version),
-            Err(CheckpointError::Corrupted(_))
+            Err(CodecError::Corrupted(_))
         ));
         let mut flipped = bytes;
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
         assert!(matches!(
             PipelineCheckpoint::decode(&flipped),
-            Err(CheckpointError::Corrupted(_))
+            Err(CodecError::Corrupted(_))
         ));
     }
 }

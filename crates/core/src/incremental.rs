@@ -60,7 +60,7 @@ use ltee_webtables::Corpus;
 
 use rayon::prelude::*;
 
-use crate::artifact::{ArtifactError, ModelArtifact};
+use crate::artifact::ModelArtifact;
 use crate::pipeline::{
     fuse_and_detect, ClassOutput, PipelineConfig, PipelineError, PipelineOutput, TrainedModels,
 };
@@ -258,7 +258,7 @@ impl<'a> IncrementalPipeline<'a> {
         kb: &'a KnowledgeBase,
         artifact: &ModelArtifact,
         config: PipelineConfig,
-    ) -> Result<Self, ArtifactError> {
+    ) -> Result<Self, ltee_codec::CodecError> {
         artifact.verify_config(&config)?;
         Ok(Self::new(kb, artifact.models.clone(), config))
     }

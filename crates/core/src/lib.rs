@@ -85,14 +85,12 @@ pub mod parallel;
 pub mod pipeline;
 pub mod shard;
 
-pub use artifact::{config_fingerprint, ArtifactError, ModelArtifact};
-pub use checkpoint::{
-    decode_corpus, encode_corpus, CheckpointError, CheckpointLayout, CheckpointView,
-    PipelineCheckpoint,
-};
+pub use artifact::{config_fingerprint, ModelArtifact};
+pub use checkpoint::{decode_corpus, encode_corpus, CheckpointLayout, CheckpointView, PipelineCheckpoint};
 pub use incremental::{IncrementalPipeline, IngestReport};
 pub use parallel::Parallelism;
 pub use shard::ShardPlan;
+pub use ltee_codec::CodecError;
 pub use pipeline::{
     train_models, ClassOutput, Pipeline, PipelineConfig, PipelineError, PipelineOutput,
     TrainedModels,
@@ -100,8 +98,8 @@ pub use pipeline::{
 
 /// Convenience prelude re-exporting the types needed to drive the pipeline.
 pub mod prelude {
-    pub use crate::artifact::{ArtifactError, ModelArtifact};
-    pub use crate::checkpoint::{CheckpointError, PipelineCheckpoint};
+    pub use crate::artifact::ModelArtifact;
+    pub use crate::checkpoint::PipelineCheckpoint;
     pub use crate::experiments::{self, ExperimentConfig, TrainedWorld};
     pub use crate::incremental::{IncrementalPipeline, IngestReport};
     pub use crate::parallel::Parallelism;
@@ -111,6 +109,7 @@ pub mod prelude {
         TrainedModels,
     };
     pub use ltee_clustering::{AggregationMethod, ClusteringConfig, RowMetricKind};
+    pub use ltee_codec::CodecError;
     pub use ltee_fusion::ScoringMethod;
     pub use ltee_intern::{Interner, Sym, TokenSeq};
     pub use ltee_kb::{

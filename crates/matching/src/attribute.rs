@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use ltee_kb::{ClassKey, KnowledgeBase, Property};
 use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
-use ltee_ml::{Dataset, GeneticConfig, Sample, WeightedAverageModel};
+use ltee_ml::{f1_from_counts, Dataset, GeneticConfig, Sample, WeightedAverageModel};
 use ltee_types::DetectedType;
 use ltee_webtables::{Corpus, GoldStandard, WebTable};
 use rayon::prelude::*;
@@ -348,9 +348,7 @@ fn learn_class<'k>(
             if tp == 0 {
                 continue;
             }
-            let p = tp as f64 / (tp + fp) as f64;
-            let r = tp as f64 / (tp + fn_) as f64;
-            let f1 = 2.0 * p * r / (p + r);
+            let f1 = f1_from_counts(tp, fp, fn_);
             if f1 > best.1 {
                 best = (threshold, f1);
             }

@@ -20,7 +20,7 @@ use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWri
 use crate::dataset::{Dataset, Sample};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::genetic::GeneticConfig;
-use crate::weighted::WeightedAverageModel;
+use crate::weighted::{f1_from_counts, WeightedAverageModel};
 
 /// Which aggregation approach to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -259,13 +259,7 @@ impl PairwiseModel {
                             _ => {}
                         }
                     }
-                    let f1 = if tp == 0 {
-                        0.0
-                    } else {
-                        let p = tp as f64 / (tp + fp) as f64;
-                        let r = tp as f64 / (tp + fn_) as f64;
-                        2.0 * p * r / (p + r)
-                    };
+                    let f1 = f1_from_counts(tp, fp, fn_);
                     if f1 > best.1 {
                         best = (alpha, f1);
                     }

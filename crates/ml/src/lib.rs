@@ -46,4 +46,4 @@ pub use folds::{grouped_k_folds, FoldSplit};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use genetic::{GeneticConfig, GeneticOptimizer};
 pub use metric::{MetricKind, MetricModel};
-pub use weighted::WeightedAverageModel;
+pub use weighted::{f1_from_counts, WeightedAverageModel};

@@ -150,6 +150,12 @@ pub fn f1_of_model(model: &WeightedAverageModel, dataset: &Dataset) -> f64 {
             (false, false) => {}
         }
     }
+    f1_from_counts(tp, fp, fn_)
+}
+
+/// F1, `2pr / (p + r)`, of true positives `tp`, false positives `fp` and
+/// false negatives `fn_`; `0.0` when there is no true positive.
+pub fn f1_from_counts(tp: usize, fp: usize, fn_: usize) -> f64 {
     if tp == 0 {
         return 0.0;
     }

@@ -119,7 +119,7 @@ impl<'a> DurableServePipeline<'a> {
         // pipeline, and each WAL payload is freed as soon as it is applied.
         let from_checkpoint = checkpoint.as_ref().map(|ckpt| ckpt.applied_batches);
         let pipeline = match checkpoint {
-            Some(ckpt) => ckpt.restore(kb, models, config)?,
+            Some(ckpt) => ckpt.restore(kb, models, config).map_err(StoreError::Checkpoint)?,
             None => IncrementalPipeline::new(kb, models, config),
         };
         let mut serve = ServePipeline::from_pipeline(kb, pipeline, from_checkpoint.unwrap_or(0));

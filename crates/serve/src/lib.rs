@@ -90,7 +90,7 @@ pub use snapshot::{
 use std::sync::Arc;
 
 use ltee_core::{
-    ArtifactError, IncrementalPipeline, IngestReport, ModelArtifact, PipelineConfig, PipelineError,
+    CodecError, IncrementalPipeline, IngestReport, ModelArtifact, PipelineConfig, PipelineError,
     TrainedModels,
 };
 use ltee_kb::{ClassKey, Footprint, HeapBytes, KnowledgeBase, CLASS_KEYS};
@@ -171,7 +171,7 @@ impl<'a> ServePipeline<'a> {
         kb: &'a KnowledgeBase,
         artifact: &ModelArtifact,
         config: PipelineConfig,
-    ) -> Result<Self, ArtifactError> {
+    ) -> Result<Self, CodecError> {
         artifact.verify_config(&config)?;
         Ok(Self::new(kb, artifact.models.clone(), config))
     }

@@ -24,7 +24,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_PAYLOAD_START, CHECKPOINT_VERSION};
+use ltee_core::checkpoint::{CHECKPOINT, CHECKPOINT_PAYLOAD_START};
 use ltee_core::prelude::*;
 use ltee_core::CheckpointLayout;
 use ltee_codec::open;
@@ -88,7 +88,7 @@ fn raw_bytes(name: &str, bytes: &[u8]) -> usize {
         WAL_HEADER_LEN
             + log.records.iter().map(|r| WAL_RECORD_HEADER_LEN + r.payload.len()).sum::<usize>()
     } else {
-        let (_, raw) = open::<2>(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)
+        let (_, raw) = open::<2>(&CHECKPOINT, bytes)
             .expect("the checkpoint opens");
         CHECKPOINT_PAYLOAD_START + raw.len()
     }

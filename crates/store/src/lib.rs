@@ -47,13 +47,25 @@
 //!   mixing configurations would poison the state — and so is an intact
 //!   checkpoint or a WAL of *another format version*: skipping it as
 //!   corrupt would start a fresh store over existing data.
+//!
+//! ## Errors
+//!
+//! Stored bytes are refused in the codec's one vocabulary,
+//! [`CodecError`], which names the format it refused:
+//! [`StoreError::Checkpoint`] for a checkpoint, [`StoreError::Wal`] for
+//! the log's header and [`StoreError::WalRecord`] for one of its records.
+//! [`StoreError`]'s other variants are the store's own: I/O, a record too
+//! large to frame, a log that does not connect to its checkpoint, a
+//! replay the pipeline refused, and a checkpoint cut that failed after
+//! its batch applied.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 
-use ltee_core::checkpoint::{CheckpointError, CheckpointView, PipelineCheckpoint};
+use ltee_codec::CodecError;
+use ltee_core::checkpoint::{CheckpointView, PipelineCheckpoint, CHECKPOINT};
 
 mod storage;
 pub mod wal;
@@ -65,13 +77,19 @@ use wal::SegmentWindow;
 /// The write-ahead log's file name.
 const WAL_FILE: &str = "wal.log";
 
-/// Errors raised by the durability layer.
+/// Errors raised by the durability layer. Stored bytes refused by the
+/// codec carry its [`CodecError`], which names the file's format.
 #[derive(Debug)]
 pub enum StoreError {
     /// Reading or writing a store file failed.
     Io(std::io::Error),
-    /// A checkpoint file failed to decode, validate or match the config.
-    Checkpoint(CheckpointError),
+    /// A checkpoint was refused: an intact file of another version, or one
+    /// minted under another config (a corrupt one is skipped instead); or
+    /// the recovered one did not restore.
+    Checkpoint(CodecError),
+    /// The write-ahead log's header was refused: another file's magic,
+    /// another version or another config.
+    Wal(CodecError),
     /// A batch compressed to 4 GiB or more, past what a WAL record's
     /// length field holds; nothing was written.
     RecordTooLarge {
@@ -84,23 +102,12 @@ pub enum StoreError {
         /// The record's batch number.
         seq: u64,
         /// Why its payload was refused.
-        error: CheckpointError,
+        error: CodecError,
     },
     /// Replaying a WAL batch was rejected by the pipeline — the log is
     /// intact (every record passed its checksum) but semantically
     /// inconsistent with the recovered checkpoint.
     Pipeline(ltee_core::PipelineError),
-    /// The WAL file does not start with the WAL magic.
-    BadWalMagic,
-    /// The WAL was written by an unknown format version.
-    UnsupportedWalVersion(u32),
-    /// The WAL was written under a different inference configuration.
-    WalConfigMismatch {
-        /// Fingerprint stored in the WAL header.
-        wal: u64,
-        /// Fingerprint of the configuration the caller supplied.
-        config: u64,
-    },
     /// The WAL's surviving records do not connect to the checkpoint: the
     /// first record past the checkpoint is not batch `applied + 1`.
     WalGap {
@@ -123,35 +130,16 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
-            StoreError::Checkpoint(e) => write!(f, "{e}"),
+            StoreError::Checkpoint(e) | StoreError::Wal(e) => write!(f, "{e}"),
             StoreError::RecordTooLarge { len } => write!(
                 f,
                 "batch compresses to {len} bytes, past the {} a write-ahead log record holds",
                 u32::MAX
             ),
-            // The batch codec reports in checkpoint terms; name the record.
             StoreError::WalRecord { seq, error } => {
-                write!(f, "write-ahead log record {seq} does not decode: ")?;
-                match error {
-                    CheckpointError::Corrupted(why) => write!(f, "{why}"),
-                    CheckpointError::Decode(e) => write!(f, "{e}"),
-                    other => write!(f, "{other}"),
-                }
+                write!(f, "write-ahead log record {seq} does not decode: {error}")
             }
             StoreError::Pipeline(e) => write!(f, "replaying the write-ahead log failed: {e}"),
-            StoreError::BadWalMagic => {
-                write!(f, "not an LTEE write-ahead log (bad magic header)")
-            }
-            StoreError::UnsupportedWalVersion(v) => write!(
-                f,
-                "unsupported WAL format version {v} (this build reads version {})",
-                wal::WAL_VERSION
-            ),
-            StoreError::WalConfigMismatch { wal, config } => write!(
-                f,
-                "write-ahead log was written under a different configuration \
-                 (WAL fingerprint {wal:#018x}, pipeline config fingerprint {config:#018x})"
-            ),
             StoreError::WalGap { applied, first_seq } => write!(
                 f,
                 "write-ahead log does not connect to the checkpoint: checkpoint covers \
@@ -169,7 +157,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::Checkpoint(e) | StoreError::WalRecord { error: e, .. } => Some(e),
+            StoreError::Checkpoint(e) | StoreError::Wal(e) | StoreError::WalRecord { error: e, .. } => Some(e),
             StoreError::Pipeline(e) => Some(e),
             StoreError::CheckpointFailed { error, .. } => Some(error.as_ref()),
             _ => None,
@@ -186,12 +174,6 @@ impl From<ltee_core::PipelineError> for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
-    }
-}
-
-impl From<CheckpointError> for StoreError {
-    fn from(e: CheckpointError) -> Self {
-        StoreError::Checkpoint(e)
     }
 }
 
@@ -269,19 +251,13 @@ impl KbStore {
         for applied in checkpoints(&names) {
             match PipelineCheckpoint::decode(&storage.read(&checkpoint_name(applied))?) {
                 Ok(ckpt) => {
-                    if ckpt.fingerprint != fingerprint {
-                        return Err(CheckpointError::ConfigMismatch {
-                            checkpoint: ckpt.fingerprint,
-                            config: fingerprint,
-                        }
-                        .into());
-                    }
+                    CHECKPOINT.check_fingerprint(ckpt.fingerprint, fingerprint).map_err(StoreError::Checkpoint)?;
                     checkpoint = Some(ckpt);
                     break;
                 }
                 // Written whole by another build (a damaged version field
                 // decodes as `Corrupted`, not as this).
-                Err(other @ CheckpointError::UnsupportedVersion(_)) => return Err(other.into()),
+                Err(other @ CodecError::UnsupportedVersion { .. }) => return Err(StoreError::Checkpoint(other)),
                 Err(_corrupt) => refused.push(applied),
             }
         }
@@ -295,12 +271,7 @@ impl KbStore {
             scan_wal(&log)?
         };
         if let Some(wal_fingerprint) = scan.fingerprint {
-            if wal_fingerprint != fingerprint {
-                return Err(StoreError::WalConfigMismatch {
-                    wal: wal_fingerprint,
-                    config: fingerprint,
-                });
-            }
+            wal::WAL.check_fingerprint(wal_fingerprint, fingerprint).map_err(StoreError::Wal)?;
         }
 
         // Records the checkpoint already covers are skipped; the rest move
@@ -367,13 +338,7 @@ impl KbStore {
     /// and compact the WAL down to the segments holding the records the
     /// older retained checkpoint does not cover.
     pub fn write_checkpoint(&mut self, checkpoint: &CheckpointView<'_>) -> Result<(), StoreError> {
-        if checkpoint.fingerprint != self.fingerprint {
-            return Err(CheckpointError::ConfigMismatch {
-                checkpoint: checkpoint.fingerprint,
-                config: self.fingerprint,
-            }
-            .into());
-        }
+        CHECKPOINT.check_fingerprint(checkpoint.fingerprint, self.fingerprint).map_err(StoreError::Checkpoint)?;
         let applied = checkpoint.applied_batches;
         self.storage.replace(&checkpoint_name(applied), &checkpoint.encode())?;
         // No record after this one may depend on one the checkpoint covers,
@@ -468,8 +433,8 @@ mod tests {
     use std::fs::{self, OpenOptions};
     use std::io::Write as _;
 
-    use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-    use ltee_codec::{seal, ByteWriter};
+    use ltee_core::checkpoint::CHECKPOINT_VERSION;
+    use ltee_codec::{seal, ByteWriter, Format};
 
     /// Hand-build an encoded empty checkpoint (no tables, no state) with
     /// the given fingerprint and applied-batch count, exercising the real
@@ -492,7 +457,7 @@ mod tests {
             w.write_varint(0); // clusters
             w.write_varint(0); // results
         }
-        seal(&CHECKPOINT_MAGIC, version, &[fingerprint, applied], &w.into_bytes())
+        seal(&Format { version, ..CHECKPOINT }, &[fingerprint, applied], &w.into_bytes())
     }
 
     /// Applied-batch counts of the checkpoints in `dir`, newest first.
@@ -644,13 +609,13 @@ mod tests {
         rec.store.append_batch(b"b1").unwrap();
         assert!(matches!(
             KbStore::open(&dir, 2),
-            Err(StoreError::WalConfigMismatch { wal: 1, config: 2 })
+            Err(StoreError::Wal(CodecError::ConfigMismatch { stored: 1, expected: 2, .. }))
         ));
         // A checkpoint under the wrong fingerprint is also rejected, even
         // with a matching WAL.
         assert!(matches!(
             rec.store.write_checkpoint(&empty_checkpoint(99, 1).view()),
-            Err(StoreError::Checkpoint(CheckpointError::ConfigMismatch { .. }))
+            Err(StoreError::Checkpoint(CodecError::ConfigMismatch { stored: 99, expected: 1, .. }))
         ));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -668,7 +633,7 @@ mod tests {
         let err = KbStore::open(&dir, 4).unwrap_err();
         assert!(matches!(
             err,
-            StoreError::Checkpoint(CheckpointError::UnsupportedVersion(v)) if v == CHECKPOINT_VERSION - 1
+            StoreError::Checkpoint(CodecError::UnsupportedVersion { found, .. }) if found == CHECKPOINT_VERSION - 1
         ));
         let message = err.to_string();
         assert!(
@@ -693,7 +658,7 @@ mod tests {
         }
         assert!(matches!(
             KbStore::open(&dir, 4),
-            Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(_)))
+            Err(StoreError::Checkpoint(CodecError::UnsupportedVersion { .. }))
         ));
 
         // A file whose version bytes are damage, not a version, is still

@@ -39,8 +39,9 @@
 //! alone.
 //!
 //! A log of another version is refused by its header with
-//! [`StoreError::UnsupportedWalVersion`] before any record is read — one
-//! payload decoder, and never a decode error halfway through a replay. A
+//! [`StoreError::Wal`] holding [`CodecError::UnsupportedVersion`] before
+//! any record is read — one payload decoder, and never a decode error
+//! halfway through a replay. A
 //! checksummed record whose payload still does not decompress, or whose
 //! batch does not decode, is [`StoreError::WalRecord`], naming its batch
 //! number.
@@ -62,14 +63,14 @@
 //!
 //! Header-level damage is different: a wrong magic or version, or a
 //! fingerprint minted under another config, means the file is not ours to
-//! repair and scanning fails with a hard typed error. The one exception is
+//! repair and scanning (or, for the fingerprint, `KbStore::open`) fails
+//! with [`StoreError::Wal`] and the codec's refusal. The one exception is
 //! a *torn header* (shorter than [`WAL_HEADER_LEN`] but a byte-prefix of a
 //! valid header) — that is the legitimate crash point during store
 //! creation, reported as an empty log with a truncated tail.
 
-use ltee_core::checkpoint::CheckpointError;
 use ltee_codec::{
-    compress, decompress, read_header, write_header, ByteReader, ByteWriter, CodecError, WINDOW,
+    compress, decompress, read_header, write_header, ByteReader, ByteWriter, CodecError, Format, WINDOW,
 };
 use ltee_intern::fnv1a64;
 
@@ -81,6 +82,9 @@ pub const WAL_MAGIC: [u8; 8] = *b"LTEEWAL\x01";
 /// The WAL format version this build writes and reads.
 pub const WAL_VERSION: u32 = 6;
 
+/// The write-ahead log format.
+pub const WAL: Format = Format { name: "write-ahead log", magic: WAL_MAGIC, version: WAL_VERSION };
+
 /// Size of the WAL file header (magic + version + fingerprint).
 pub const WAL_HEADER_LEN: usize = 20;
 
@@ -90,7 +94,7 @@ pub const WAL_RECORD_HEADER_LEN: usize = 20;
 /// Encode the WAL file header for a store minted under `fingerprint`.
 pub fn encode_wal_header(fingerprint: u64) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(WAL_HEADER_LEN);
-    write_header(&mut w, &WAL_MAGIC, WAL_VERSION, &[fingerprint]);
+    write_header(&mut w, &WAL, &[fingerprint]);
     w.into_bytes()
 }
 
@@ -242,17 +246,17 @@ impl WalScan {
 }
 
 /// Scan a WAL file per the crash-consistency contract described in the
-/// [module docs](self): hard typed errors for foreign or incompatible
-/// headers, a valid prefix + truncated tail for everything else, and
+/// [module docs](self): [`StoreError::Wal`] for a foreign or incompatible
+/// header, a valid prefix + truncated tail for everything else, and
 /// [`StoreError::WalRecord`] for a checksummed record of the valid prefix
 /// whose payload does not decompress against its segment.
 pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, StoreError> {
     let mut r = ByteReader::new(bytes);
     let magic_len = bytes.len().min(WAL_MAGIC.len());
     if bytes[..magic_len] != WAL_MAGIC[..magic_len] {
-        return Err(StoreError::BadWalMagic);
+        return Err(StoreError::Wal(CodecError::BadMagic(WAL)));
     }
-    let Ok((version, [fingerprint])) = read_header(&mut r, &WAL_MAGIC) else {
+    let Ok((version, [fingerprint])) = read_header(&mut r, &WAL) else {
         // A torn header is only acceptable if what *is* there is a prefix
         // of a real header (magic, then version bytes), checked above;
         // anything else is a foreign file.
@@ -262,9 +266,7 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, StoreError> {
             tail: WalTail::Truncated { offset: 0, reason: "torn file header".into() },
         });
     };
-    if version != WAL_VERSION {
-        return Err(StoreError::UnsupportedWalVersion(version));
-    }
+    WAL.check_version(version).map_err(StoreError::Wal)?;
 
     let mut records = Vec::new();
     let mut segment = SegmentWindow::default();
@@ -303,7 +305,7 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, StoreError> {
         let end_offset = bytes.len() - r.remaining();
         let (dictionary, payload) = segment
             .inflate(payload)
-            .map_err(|e| StoreError::WalRecord { seq, error: CheckpointError::Decode(e) })?;
+            .map_err(|error| StoreError::WalRecord { seq, error })?;
         records.push(WalRecord { seq, payload, dictionary, end_offset });
     };
 
@@ -411,12 +413,12 @@ mod tests {
             WalTail::Truncated { reason, .. } if reason.contains("sequence gap")
         ));
 
-        assert!(matches!(scan_wal(b"NOTAWAL\x01rest"), Err(StoreError::BadWalMagic)));
+        assert!(matches!(scan_wal(b"NOTAWAL\x01rest"), Err(StoreError::Wal(CodecError::BadMagic(WAL)))));
         let mut wrong_version = wal_with(&[]);
         wrong_version[8] = 9;
         assert!(matches!(
             scan_wal(&wrong_version),
-            Err(StoreError::UnsupportedWalVersion(9))
+            Err(StoreError::Wal(CodecError::UnsupportedVersion { found: 9, .. }))
         ));
     }
 
@@ -483,7 +485,7 @@ mod tests {
         for (records, seq) in cases {
             let bytes = [encode_wal_header(0xF00D), records.concat()].concat();
             match scan_wal(&bytes) {
-                Err(StoreError::WalRecord { seq: refused, error: CheckpointError::Decode(e) }) => {
+                Err(StoreError::WalRecord { seq: refused, error: e }) => {
                     assert_eq!(refused, seq);
                     assert!(matches!(e, CodecError::OutOfRange { what: "wal record dictionary length", .. }));
                 }

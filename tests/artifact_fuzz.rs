@@ -63,8 +63,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use ltee_core::artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
-use ltee_core::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_PAYLOAD_START, CHECKPOINT_VERSION};
+use ltee_core::artifact::{ARTIFACT, ARTIFACT_MAGIC, ARTIFACT_VERSION};
+use ltee_core::checkpoint::{CHECKPOINT, CHECKPOINT_MAGIC, CHECKPOINT_PAYLOAD_START, CHECKPOINT_VERSION};
 use ltee_core::prelude::*;
 use ltee_codec::{
     compress, decompress, open, seal, ByteReader, ByteWriter, CodeDefect, CodecError,
@@ -101,12 +101,12 @@ fn sequential() -> PipelineConfig {
 /// the corruption a valid envelope, so it reaches the model decoders
 /// instead of the checksum check.
 fn artifact_parts(valid: &[u8]) -> ([u64; 1], Vec<u8>) {
-    open(&ARTIFACT_MAGIC, ARTIFACT_VERSION, valid).expect("the uncorrupted artifact opens")
+    open(&ARTIFACT, valid).expect("the uncorrupted artifact opens")
 }
 
 /// Decode under `catch_unwind`: `Ok(result)` when the decoder returned,
 /// `Err(())` when it panicked.
-fn decode_caught(bytes: &[u8]) -> Result<Result<ModelArtifact, ArtifactError>, ()> {
+fn decode_caught(bytes: &[u8]) -> Result<Result<ModelArtifact, CodecError>, ()> {
     catch_unwind(AssertUnwindSafe(|| ModelArtifact::decode(bytes))).map_err(|_| ())
 }
 
@@ -143,7 +143,7 @@ fn durability_bytes() -> &'static (Vec<u8>, Vec<u8>) {
 /// Split a valid checkpoint into its header words (fingerprint, applied
 /// batches) and raw stream, for re-`seal`ing like [`artifact_parts`].
 fn checkpoint_parts(valid: &[u8]) -> ([u64; 2], Vec<u8>) {
-    open(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, valid).expect("the uncorrupted checkpoint opens")
+    open(&CHECKPOINT, valid).expect("the uncorrupted checkpoint opens")
 }
 
 /// The stored payload of each record of a scanned `log`, as it lies in
@@ -288,7 +288,7 @@ fn crafted_checkpoint_stream(defect: Option<Defect>) -> Vec<u8> {
 /// [`crafted_checkpoint_stream`] compressed and sealed in a valid envelope,
 /// so `defect` is the only thing a decoder can object to.
 fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
-    seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[7, 1], &crafted_checkpoint_stream(defect))
+    seal(&CHECKPOINT, &[7, 1], &crafted_checkpoint_stream(defect))
 }
 
 /// A minimal artifact stream written field by field: two matcher
@@ -361,7 +361,7 @@ fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
 
 /// [`crafted_artifact_stream`] compressed and sealed in a valid envelope.
 fn crafted_artifact(defect: Option<Defect>) -> Vec<u8> {
-    seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &[7], &crafted_artifact_stream(defect))
+    seal(&ARTIFACT, &[7], &crafted_artifact_stream(defect))
 }
 
 /// The one thing wrong with a [`crafted_block`].
@@ -551,7 +551,7 @@ fn is_ref_refusal(defect: Defect, error: &CodecError) -> bool {
 
 fn decode_checkpoint_caught(
     bytes: &[u8],
-) -> Result<Result<PipelineCheckpoint, CheckpointError>, ()> {
+) -> Result<Result<PipelineCheckpoint, CodecError>, ()> {
     catch_unwind(AssertUnwindSafe(|| PipelineCheckpoint::decode(bytes))).map_err(|_| ())
 }
 
@@ -625,7 +625,7 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
     //    corpus) must reject the short stream.
     for i in 0..40 {
         let cut = i * raw.len() / 40;
-        let bytes = seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, &raw[..cut]);
+        let bytes = seal(&CHECKPOINT, &words, &raw[..cut]);
         corpus.push((format!("stream truncate[..{cut}] (block and checksum fixed)"), bytes));
     }
 
@@ -661,7 +661,7 @@ fn two_hundred_corrupted_checkpoints_are_all_rejected_without_panicking() {
 fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     let (valid, _) = durability_bytes();
     let (words, valid_raw) = checkpoint_parts(valid);
-    let stored = |raw: &[u8]| seal(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &words, raw);
+    let stored = |raw: &[u8]| seal(&CHECKPOINT, &words, raw);
 
     // Splice u32::MAX over 4 bytes at 32 evenly spaced offsets of the raw
     // stream and store it again: in the compact layout that is four
@@ -684,8 +684,8 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     let mut raw = valid_raw.clone();
     raw[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
     match PipelineCheckpoint::decode(&stored(&raw)) {
-        Err(CheckpointError::Decode(_)) => {}
-        other => panic!("a length bomb on the first prefix must be a decode error, got {other:?}"),
+        Err(CodecError::LengthOverflow { what: "string table", .. }) => {}
+        other => panic!("a length bomb on the first prefix must be refused by the string table length, got {other:?}"),
     }
 
     // The bombs only the compact layout has, each rejected for its reason.
@@ -693,18 +693,18 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
         let rejection = PipelineCheckpoint::decode(&crafted_checkpoint(Some(defect))).unwrap_err();
         let as_expected = match defect {
             Defect::NewStringPastTable | Defect::DistancePastCursor | Defect::UnreferencedString => {
-                matches!(&rejection, CheckpointError::Decode(e) if is_ref_refusal(defect, e))
+                is_ref_refusal(defect, &rejection)
             }
             Defect::TableLongerThanStream => matches!(
                 rejection,
-                CheckpointError::Decode(CodecError::LengthOverflow { what: "string table", .. })
+                CodecError::LengthOverflow { what: "string table", .. }
             ),
             Defect::NonAscendingGap => matches!(
                 &rejection,
-                CheckpointError::Corrupted(why) if why.contains("not ascending")
+                CodecError::Corrupted(why) if why.contains("not ascending")
             ),
             Defect::ExpansionBomb => {
-                matches!(rejection, CheckpointError::Decode(CodecError::StringExpansion { .. }))
+                matches!(rejection, CodecError::StringExpansion { .. })
             }
             _ => unreachable!("not a checkpoint defect"),
         };
@@ -716,7 +716,7 @@ fn checkpoint_length_prefix_bombs_are_typed_rejections() {
     for defect in BLOCK_DEFECTS {
         let rejection = PipelineCheckpoint::decode(&crafted_checkpoint_block(defect)).unwrap_err();
         let as_expected =
-            matches!(&rejection, CheckpointError::Decode(e) if is_block_refusal(defect, e));
+            is_block_refusal(defect, &rejection);
         assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
     }
 }
@@ -950,7 +950,7 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
     //    themselves must reject the short stream.
     for i in 0..40 {
         let cut = i * raw.len() / 40;
-        let bytes = seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, &raw[..cut]);
+        let bytes = seal(&ARTIFACT, &words, &raw[..cut]);
         corpus.push((format!("stream truncate[..{cut}] (block and checksum fixed)"), bytes));
     }
 
@@ -987,7 +987,7 @@ fn two_hundred_corrupted_artifacts_are_all_rejected_without_panicking() {
 fn length_prefix_bombs_never_panic_and_never_allocate_the_declared_size() {
     let valid = artifact_bytes();
     let (words, valid_raw) = artifact_parts(&valid);
-    let stored = |raw: &[u8]| seal(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &words, raw);
+    let stored = |raw: &[u8]| seal(&ARTIFACT, &words, raw);
 
     // Splice four 0xFF bytes at 32 evenly spaced offsets of the raw stream
     // and store it again: four continuation bytes, so whatever varint the
@@ -1018,8 +1018,8 @@ fn length_prefix_bombs_never_panic_and_never_allocate_the_declared_size() {
     let mut raw = valid_raw.clone();
     raw[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
     match ModelArtifact::decode(&stored(&raw)) {
-        Err(ArtifactError::Decode(_)) => {}
-        other => panic!("a length bomb on the first prefix must be a decode error, got {other:?}"),
+        Err(CodecError::LengthOverflow { what: "string table", .. }) => {}
+        other => panic!("a length bomb on the first prefix must be refused by the string table length, got {other:?}"),
     }
 
 }
@@ -1032,31 +1032,28 @@ fn length_prefix_bombs_never_panic_and_never_allocate_the_declared_size() {
 fn crafted_artifacts_are_rejected_for_their_defect() {
     for defect in ARTIFACT_DEFECTS {
         let rejection = ModelArtifact::decode(&crafted_artifact(Some(defect))).unwrap_err();
-        let ArtifactError::Decode(error) = &rejection else {
-            panic!("{defect:?} was rejected as {rejection:?}");
-        };
         let as_expected = match defect {
             Defect::NewStringPastTable | Defect::DistancePastCursor | Defect::UnreferencedString => {
-                is_ref_refusal(defect, error)
+                is_ref_refusal(defect, &rejection)
             }
             Defect::TableLongerThanStream => {
-                matches!(error, CodecError::LengthOverflow { what: "string table", .. })
+                matches!(rejection, CodecError::LengthOverflow { what: "string table", .. })
             }
-            Defect::ExpansionBomb => matches!(error, CodecError::StringExpansion { .. }),
+            Defect::ExpansionBomb => matches!(rejection, CodecError::StringExpansion { .. }),
             Defect::EmptyTree => {
-                *error == CodecError::OutOfRange { what: "forest.tree.nodes", value: 0, allowed: 1..u64::MAX }
+                rejection == CodecError::OutOfRange { what: "forest.tree.nodes", value: 0, allowed: 1..u64::MAX }
             }
             Defect::SplitFeatureOutOfRange => {
-                *error == CodecError::OutOfRange { what: "forest.node.feature", value: 1, allowed: 0..1 }
+                rejection == CodecError::OutOfRange { what: "forest.node.feature", value: 1, allowed: 0..1 }
             }
             Defect::BackwardChild => {
-                *error == CodecError::OutOfRange { what: "forest.node.left", value: 0, allowed: 1..3 }
+                rejection == CodecError::OutOfRange { what: "forest.node.left", value: 0, allowed: 1..3 }
             }
             Defect::RowMetricsPastModel => {
-                *error == CodecError::MetricLayout { what: "row_model.metrics", part: "pairwise.num_similarities" }
+                rejection == CodecError::MetricLayout { what: "row_model.metrics", part: "pairwise.num_similarities" }
             }
             Defect::EntityWeightedNames => {
-                *error == CodecError::MetricLayout { what: "entity_model.metrics", part: "weighted.feature_names" }
+                rejection == CodecError::MetricLayout { what: "entity_model.metrics", part: "weighted.feature_names" }
             }
             Defect::NonAscendingGap => unreachable!("not an artifact defect"),
         };
@@ -1064,7 +1061,7 @@ fn crafted_artifacts_are_rejected_for_their_defect() {
     }
     for defect in BLOCK_DEFECTS {
         let rejection = ModelArtifact::decode(&crafted_artifact_block(defect)).unwrap_err();
-        let as_expected = matches!(&rejection, ArtifactError::Decode(e) if is_block_refusal(defect, e));
+        let as_expected = is_block_refusal(defect, &rejection);
         assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
     }
 }

@@ -19,11 +19,8 @@
 //! A change to any of these constants is a format change and needs a
 //! version bump, not an edit here.
 
-use ltee_codec::{compress, ByteWriter};
-use ltee_core::{
-    decode_corpus, encode_corpus, ArtifactError, CheckpointError, ModelArtifact,
-    PipelineCheckpoint,
-};
+use ltee_codec::{compress, ByteWriter, CodecError};
+use ltee_core::{decode_corpus, encode_corpus, ModelArtifact, PipelineCheckpoint};
 use ltee_intern::fnv1a64;
 use ltee_store::wal::encode_wal_header;
 use ltee_store::{scan_wal, KbStore, StoreError, WalTail};
@@ -320,7 +317,7 @@ fn on_disk_formats_are_pinned() {
     for version in [1, 2, 3] {
         let old = framed(b"LTEEART\x01", version, &[0xA11C_E5ED_0BAD_F00D], &payload);
         let refused = ModelArtifact::decode(&old);
-        assert!(matches!(refused, Err(ArtifactError::UnsupportedVersion(v)) if v == version));
+        assert!(matches!(refused, Err(CodecError::UnsupportedVersion { found, .. }) if found == version));
     }
 
     // ── state checkpoint: two header words (fingerprint, applied batches) ─
@@ -353,7 +350,7 @@ fn on_disk_formats_are_pinned() {
     let version_7 = framed(b"LTEECKP\x01", 7, &[0x0123_4567_89AB_CDEF, 5], &payload);
     assert!(matches!(
         PipelineCheckpoint::decode(&version_7),
-        Err(CheckpointError::UnsupportedVersion(7))
+        Err(CodecError::UnsupportedVersion { found: 7, .. })
     ));
     let dir = std::env::temp_dir().join(format!("ltee-format-pin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -361,7 +358,7 @@ fn on_disk_formats_are_pinned() {
     std::fs::write(KbStore::checkpoint_path(&dir, 5), &version_7).unwrap();
     assert!(matches!(
         KbStore::open(&dir, 0x0123_4567_89AB_CDEF),
-        Err(StoreError::Checkpoint(CheckpointError::UnsupportedVersion(7)))
+        Err(StoreError::Checkpoint(CodecError::UnsupportedVersion { found: 7, .. }))
     ));
     std::fs::remove_dir_all(&dir).unwrap();
 
@@ -417,5 +414,5 @@ fn on_disk_formats_are_pinned() {
     // its header before any record is read.
     let mut version_5 = wal;
     version_5[8..12].copy_from_slice(&5u32.to_le_bytes());
-    assert!(matches!(scan_wal(&version_5), Err(StoreError::UnsupportedWalVersion(5))));
+    assert!(matches!(scan_wal(&version_5), Err(StoreError::Wal(CodecError::UnsupportedVersion { found: 5, .. }))));
 }

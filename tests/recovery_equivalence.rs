@@ -365,8 +365,8 @@ fn recovery_rejects_stores_written_under_a_different_config() {
         other_config.clone(),
         CheckpointPolicy::Manual,
     ) {
-        Err(StoreError::WalConfigMismatch { .. }) => {}
-        other => panic!("expected WalConfigMismatch, got {:?}", other.map(|_| ())),
+        Err(StoreError::Wal(CodecError::ConfigMismatch { .. })) => {}
+        other => panic!("expected Wal(ConfigMismatch), got {:?}", other.map(|_| ())),
     }
 
     // Checkpointed store: the checkpoint's own fingerprint is checked too.
@@ -389,7 +389,7 @@ fn recovery_rejects_stores_written_under_a_different_config() {
         other_config,
         CheckpointPolicy::Manual,
     ) {
-        Err(StoreError::Checkpoint(CheckpointError::ConfigMismatch { .. })) => {}
+        Err(StoreError::Checkpoint(CodecError::ConfigMismatch { .. })) => {}
         other => panic!("expected Checkpoint(ConfigMismatch), got {:?}", other.map(|_| ())),
     }
     fs::remove_dir_all(&dir).unwrap();
