@@ -33,7 +33,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use ltee_index::LabelIndex;
-use ltee_intern::{Interner, Sym};
+use ltee_intern::{HeapBytes, HeapSize, Interner, Sym};
 use ltee_webtables::{RowRef, TableId};
 
 use crate::cluster::ClusteringConfig;
@@ -355,6 +355,11 @@ impl StreamingClusterer {
     /// All ingested row contexts, in global ingest order.
     pub fn contexts(&self) -> &[RowContext] {
         &self.contexts
+    }
+
+    /// The heap of the row contexts: their buffer and what each holds.
+    pub fn contexts_heap(&self) -> HeapBytes {
+        self.contexts.heap_bytes()
     }
 
     /// The row references of one cluster.

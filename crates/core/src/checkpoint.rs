@@ -102,7 +102,7 @@
 use std::collections::HashSet;
 
 use ltee_clustering::StreamingClusterer;
-use ltee_intern::Interner;
+use ltee_intern::{Interner, StrList};
 use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{
     detect_column_types, detect_label_attribute, AttributeMatch, CorpusMapping, TableMapping,
@@ -169,7 +169,11 @@ fn encode_table_into<'a>(table: &'a WebTable, strings: &mut StringTableWriter<'a
     w.write_varint(table.id.raw());
     w.write_seq(&table.columns, |w, column| {
         strings.write_ref(w, &column.header);
-        w.write_seq(&column.cells, |w, cell| strings.write_ref(w, cell));
+        // The bytes of `write_seq` over the cells.
+        w.write_varint(column.cells.len() as u64);
+        for cell in &column.cells {
+            strings.write_ref(w, cell);
+        }
     });
 }
 
@@ -180,9 +184,10 @@ fn decode_table_from(
     let id = TableId(r.read_varint("table id")?);
     let columns = r.read_seq("table columns", 2, |r| {
         let header = strings.read_ref(r, "column header")?.to_string();
-        let cells = r.read_seq("column cells", 1, |r| {
-            strings.read_ref(r, "column cell").map(str::to_string)
-        })?;
+        let cells = r.read_seq("column cells", 1, |r| strings.read_ref(r, "column cell"))?;
+        // The cells of one column are one list, whose end offsets are u32.
+        let cells = StrList::try_collect(&cells)
+            .ok_or_else(|| CodecError::Corrupted(format!("table {}: a column's cells exceed 4 GiB", id.raw())))?;
         Ok::<_, CodecError>(Column { header, cells })
     })?;
     let table = WebTable { id, columns };
@@ -757,7 +762,7 @@ mod tests {
             id: TableId(7),
             columns: vec![Column {
                 header: "song".into(),
-                cells: vec!["Yellow Submarine".into(), "".into()],
+                cells: ["Yellow Submarine", ""].into_iter().collect(),
             }],
         }
     }
@@ -801,6 +806,60 @@ mod tests {
             decode_corpus(&encode_corpus(&doubled)),
             Err(CodecError::Corrupted(why)) if why.contains("duplicate table id")
         ));
+    }
+
+    /// Cells the generator never writes: empty, non-ASCII and bracketed,
+    /// repeated across columns and tables.
+    fn odd_table(id: u64) -> WebTable {
+        let column = |header: &str, cells: [&str; 5]| Column { header: header.into(), cells: cells.into_iter().collect() };
+        WebTable {
+            id: TableId(id),
+            columns: vec![
+                column("titre", ["", "Ça plane pour moi (chanson)", "北京 [2]", "İstanbul", ""]),
+                column("année", ["1966", "", "(1970)", "[]", "Straße"]),
+            ],
+        }
+    }
+
+    #[test]
+    fn tables_with_empty_non_ascii_and_bracketed_cells_round_trip_byte_for_byte() {
+        let corpus = Corpus::from_tables(vec![odd_table(3), odd_table(4)]);
+        let bytes = encode_corpus(&corpus);
+        // The stream as `write_seq` writes it over cells held as owned
+        // strings, one per cell: a column is a header and its cells.
+        type OwnedColumn = (String, Vec<String>);
+        let owned: Vec<(u64, Vec<OwnedColumn>)> = corpus
+            .tables()
+            .iter()
+            .map(|t| (t.id.raw(), t.columns.iter().map(|c| (c.header.clone(), c.cells.iter().map(str::to_string).collect())).collect()))
+            .collect();
+        let (mut strings, mut body) = (StringTableWriter::new(), ByteWriter::new());
+        body.write_seq(&owned, |w, (id, columns)| {
+            w.write_varint(*id);
+            w.write_seq(columns, |w, (header, cells)| {
+                strings.write_ref(w, header);
+                w.write_seq(cells, |w, cell| strings.write_ref(w, cell));
+            });
+        });
+        assert_eq!(bytes, strings.into_stream(body), "the cells' bytes moved");
+        let decoded = decode_corpus(&bytes).unwrap();
+        assert_eq!(decoded.tables(), corpus.tables());
+        assert_eq!(decoded.tables()[0].columns[0].cells.get(1), Some("Ça plane pour moi (chanson)"));
+
+        let checkpoint = PipelineCheckpoint {
+            fingerprint: 5,
+            applied_batches: 2,
+            corpus,
+            mapping: CorpusMapping::default(),
+            classes: CLASS_KEYS
+                .iter()
+                .map(|_| ClassDump { interner: Interner::new(), clusters: vec![], results: vec![] })
+                .collect(),
+        };
+        let sealed = checkpoint.encode();
+        let restored = PipelineCheckpoint::decode(&sealed).unwrap();
+        assert_eq!(restored.corpus.tables(), checkpoint.corpus.tables());
+        assert_eq!(restored.encode(), sealed);
     }
 
     #[test]

@@ -462,7 +462,8 @@ impl<'a> IncrementalPipeline<'a> {
 
     /// The heap this pipeline holds (not the borrowed knowledge base): the
     /// `models`, the ingested tables with their mapping, and per class each
-    /// part of its state; `stream.bags` counts terms, `stream.phi` pairs.
+    /// part of its state; `stream.bags` counts terms, `stream.phi` pairs,
+    /// and `stream.rows` holds the row contexts with their buffer.
     pub fn footprint(&self) -> Footprint {
         let mut footprint = Footprint::default();
         footprint.add("models", None, self.models.heap_bytes(), 1);
@@ -478,7 +479,7 @@ impl<'a> IncrementalPipeline<'a> {
         for state in &self.states {
             let (class, contexts) = (Some(state.class), state.clusterer.contexts());
             let bags: HeapBytes = contexts.iter().map(|c| c.bow.heap_bytes()).sum();
-            let rows = contexts.iter().map(HeapSize::heap_bytes).sum::<HeapBytes>() - bags;
+            let rows = state.clusterer.contexts_heap() - bags;
             let entities = state.entities.heap_bytes() + HeapBytes::buffer::<NewDetectionResult>(state.results.capacity());
             footprint.add("stream.interner", class, state.interner.heap_bytes(), state.interner.len());
             footprint.add("stream.rows", class, rows, contexts.len());

@@ -491,7 +491,7 @@ mod tests {
             let kb_values = world.kb().property_values(prop.id);
             let cells = &corpus.table(table_id).unwrap().columns[col].cells;
             let filled = cells.iter().filter(|c| !c.trim().is_empty());
-            let hit = |cell: &&String| {
+            let hit = |cell: &&str| {
                 ltee_types::parse_cell_as(cell, m.data_type).is_some_and(|v| {
                     kb_values.iter().take(KBT_SAMPLE).any(|kv| value_equivalent(&v, kv, m.data_type, &eq))
                 })

@@ -26,7 +26,7 @@
 //!   themselves carry almost all near-miss score mass, so seeding them
 //!   first lets the scoring loop reject everything else cheaply.
 
-use ltee_intern::{fnv1a64, fnv1a64_extend, home_slot, Interner, Sym, TokenSeq};
+use ltee_intern::{fnv1a64, fnv1a64_extend, home_slot, Interner, Sym};
 
 /// Tokens longer than this many chars skip deletion-neighborhood
 /// indexing (and probing): the one-time cost is quadratic in token
@@ -131,10 +131,10 @@ impl Del1Table {
 }
 
 impl CandidateIndex {
-    /// Record one inserted entry's tokens, indexing each vocabulary
-    /// token at first sighting.
-    pub(crate) fn add_entry(&mut self, interner: &Interner, tokens: &TokenSeq) {
-        for &t in tokens.sorted() {
+    /// Record one inserted entry's tokens (their sorted, deduplicated
+    /// view), indexing each vocabulary token at first sighting.
+    pub(crate) fn add_entry(&mut self, interner: &Interner, sorted: &[Sym]) {
+        for &t in sorted {
             let raw = t.raw() as usize;
             if raw >= self.char_len.len() {
                 self.char_len.resize(raw + 1, 0);
@@ -214,6 +214,7 @@ fn for_each_deletion_hash(s: &str, mut f: impl FnMut(u64)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltee_intern::TokenSeq;
     use ltee_text::{levenshtein_similarity, normalize_label, tokenize};
     use std::collections::HashMap;
 
@@ -283,7 +284,7 @@ mod tests {
                     oracle.add_token(token, sym);
                 }
             }
-            cands.add_entry(&interner, &TokenSeq::from_syms(syms));
+            cands.add_entry(&interner, TokenSeq::from_syms(syms).sorted());
         }
         assert!(cands.del1.heads.len().is_power_of_two());
         assert!(cands.del1.nodes.len() <= cands.del1.heads.len(), "bucket load above 1");
@@ -375,7 +376,7 @@ mod tests {
 
     fn index_of(interner: &Interner, syms: &[Sym]) -> CandidateIndex {
         let mut cands = CandidateIndex::default();
-        cands.add_entry(interner, &TokenSeq::from_syms(syms.to_vec()));
+        cands.add_entry(interner, TokenSeq::from_syms(syms.to_vec()).sorted());
         cands
     }
 

@@ -3,24 +3,27 @@
 //! Since the interned-symbol refactor the index stores **no per-entry
 //! strings**: every raw label, normalised label and token lives once in
 //! the index's own [`Interner`], and postings / exact-label blocks are
-//! keyed by dense [`Sym`] integers. Lookups hash each query token once,
+//! keyed by dense [`Sym`] integers. Every entry's token syms sit in one
+//! index-wide token arena, so an index holds a constant number of heap
+//! blocks however many labels it has. Lookups hash each query token once,
 //! then work entirely on integers; near-miss scoring resolves candidate
-//! tokens to `&str` slices of the arena without allocating.
+//! tokens to `&str` slices of the interner's arena without allocating.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 
-use ltee_intern::{Interner, Sym, TokenSeq};
-use ltee_text::{normalize_label, tokenize, tokenize_interned, within_one_edit, SimilarityGate};
+use ltee_intern::{Interner, Sym, TokenSpan};
+use ltee_text::{normalize_label, tokenize, tokenize_interned_into, within_one_edit, SimilarityGate};
 
 use crate::candidates::{d1_complete, CandidateIndex};
 use crate::metrics::{self, LookupMetrics};
 use crate::postings::PostingLists;
 
 /// One indexed label. All text fields are syms of the owning
-/// [`LabelIndex`]'s interner — resolve them via [`LabelIndex::resolve`].
+/// [`LabelIndex`]'s interner — resolve them via [`LabelIndex::resolve`] —
+/// and its tokens sit in that index's token arena. An entry owns no heap.
 /// The raw label is deliberately not retained: the index only ever
 /// compares normalised forms, and raw labels are mostly distinct, so
 /// storing them would double the arena for nothing.
@@ -30,10 +33,11 @@ pub struct LabelEntry {
     pub id: u64,
     /// The normalised label that forms the entry's block key, interned.
     pub normalized: Sym,
-    /// Interned tokens of the normalised label, memoised at insert time so
-    /// that lookups (which score every candidate against the query tokens)
-    /// never re-tokenise the same label.
-    pub tokens: TokenSeq,
+    /// Where the interned tokens of the normalised label sit in the
+    /// index's token arena, memoised at insert time so that lookups (which
+    /// score every candidate against the query tokens) never re-tokenise
+    /// the same label.
+    pub tokens: TokenSpan,
 }
 
 /// A candidate returned by a lookup.
@@ -68,6 +72,8 @@ pub struct LabelIndex {
     /// Arena + symbol table for every raw label, normalised label and token.
     interner: Interner,
     entries: Vec<LabelEntry>,
+    /// Every entry's token syms, entry after entry (see [`TokenSpan`]).
+    tokens: Vec<Sym>,
     /// token sym → indices into `entries`, one per occurrence, ascending.
     postings: PostingLists,
     /// normalised label sym → indices into `entries` (exact-label block).
@@ -89,13 +95,15 @@ impl LabelIndex {
     pub fn insert(&mut self, id: u64, label: &str) -> Sym {
         let normalized_str = normalize_label(label);
         let normalized = self.interner.intern(&normalized_str);
-        let tokens = tokenize_interned(&normalized_str, &mut self.interner);
+        let start = self.tokens.len();
+        tokenize_interned_into(&normalized_str, &mut self.interner, &mut self.tokens);
+        let tokens = TokenSpan::close(&mut self.tokens, start);
         let entry_pos = self.entries.len() as u32;
-        for &token in tokens.tokens() {
+        for &token in tokens.tokens(&self.tokens) {
             self.postings.push(token, entry_pos);
         }
         self.by_label.push(normalized, entry_pos);
-        self.cands.add_entry(&self.interner, &tokens);
+        self.cands.add_entry(&self.interner, tokens.sorted(&self.tokens));
         self.entries.push(LabelEntry { id, normalized, tokens });
         normalized
     }
@@ -179,12 +187,14 @@ impl LabelIndex {
     /// gives up its growth slack first: the sealed index holds exactly
     /// what its entries need.
     pub fn into_shared(self) -> SharedLabelIndex {
-        let Self { mut interner, mut entries, postings, by_label, cands } = self;
+        let Self { mut interner, mut entries, mut tokens, postings, by_label, cands } = self;
         interner.shrink_to_fit();
         entries.shrink_to_fit();
+        tokens.shrink_to_fit();
         SharedLabelIndex(Self {
             interner,
             entries,
+            tokens,
             postings: postings.into_sealed(),
             by_label: by_label.into_sealed(),
             cands: cands.into_sealed(),
@@ -225,8 +235,8 @@ impl LabelIndex {
 }
 
 ltee_intern::heap_size! {
-    LabelEntry { tokens }
-    LabelIndex { interner, entries, postings, by_label, cands }
+    LabelEntry {}
+    LabelIndex { interner, entries, tokens, postings, by_label, cands }
     SharedLabelIndex { 0 }
 }
 
@@ -421,6 +431,8 @@ impl Hasher for SymHasher {
 /// similarity memo and the lazily seeded deletion neighborhood.
 struct Scorer<'a> {
     interner: &'a Interner,
+    /// The index's token arena, which entries' token spans read.
+    arena: &'a [Sym],
     cands: &'a CandidateIndex,
     query_tokens: &'a [String],
     query_syms: &'a [Option<Sym>],
@@ -459,6 +471,7 @@ struct Scorer<'a> {
 impl<'a> Scorer<'a> {
     fn new(
         interner: &'a Interner,
+        arena: &'a [Sym],
         cands: &'a CandidateIndex,
         query_tokens: &'a [String],
         query_syms: &'a [Option<Sym>],
@@ -467,6 +480,7 @@ impl<'a> Scorer<'a> {
             query_tokens.iter().map(|t| t.chars().count()).collect();
         Self {
             interner,
+            arena,
             cands,
             query_tokens,
             query_syms,
@@ -489,7 +503,7 @@ impl<'a> Scorer<'a> {
         if i < 64 {
             qmask & (1u64 << i) != 0
         } else {
-            self.query_syms[i].is_some_and(|sym| entry.tokens.contains(sym))
+            self.query_syms[i].is_some_and(|sym| entry.tokens.sorted(self.arena).binary_search(&sym).is_ok())
         }
     }
 
@@ -628,7 +642,7 @@ impl<'a> Scorer<'a> {
             }
         }
         let d1 = &self.d1_sets[i];
-        for &ct in entry.tokens.sorted() {
+        for &ct in entry.tokens.sorted(self.arena) {
             // Tokens equal to a query token are covered by the
             // cross-similarity pass above (they can only be in the entry
             // as exact hits of that query token).
@@ -722,7 +736,7 @@ impl<'a> Scorer<'a> {
         let qt = self.query_tokens[i].as_str();
         let lq = self.q_char_lens[i];
         let mut best = 0.0f64;
-        for &ct in entry.tokens.tokens() {
+        for &ct in entry.tokens.tokens(self.arena) {
             // Length bound first, before any hashing: the entry does not
             // contain query token `i` (that is why we are in the fuzzy
             // path), so `ct` differs from it. A bound at or below the
@@ -807,7 +821,7 @@ const WARM_CAP: usize = 1024;
 
 /// [`LabelIndex::lookup`]'s body, counting its work into `tally`.
 fn lookup_tallied(index: &LabelIndex, label: &str, k: usize, tally: &mut LookupMetrics) -> Vec<LabelMatch> {
-    let LabelIndex { interner, entries, postings, cands, .. } = index;
+    let LabelIndex { interner, entries, tokens, postings, cands, .. } = index;
     if k == 0 || entries.is_empty() {
         return Vec::new();
     }
@@ -835,7 +849,7 @@ fn lookup_tallied(index: &LabelIndex, label: &str, k: usize, tally: &mut LookupM
         return Vec::new();
     }
 
-    let mut scorer = Scorer::new(interner, cands, &query_tokens, &query_syms);
+    let mut scorer = Scorer::new(interner, tokens, cands, &query_tokens, &query_syms);
     let mut top = TopList::new(k);
 
     // Weigh a candidate exactly once, through two bound gates of
@@ -888,7 +902,7 @@ fn lookup_tallied(index: &LabelIndex, label: &str, k: usize, tally: &mut LookupM
             continue;
         }
         prev = Some(pos);
-        let (qmask, exact_hits) = exact_profile(&entries[pos as usize], &query_syms);
+        let (qmask, exact_hits) = exact_profile(entries[pos as usize].tokens.tokens(tokens), &query_syms);
         consider(pos, qmask, exact_hits);
     }
 
@@ -937,12 +951,12 @@ fn lookup_tallied(index: &LabelIndex, label: &str, k: usize, tally: &mut LookupM
 /// index < 64) and the total posting multiplicity (`exact_hits`) —
 /// computed from the entry's tokens directly, bit-identical to what the
 /// posting-cursor drain derives for the same entry.
-fn exact_profile(entry: &LabelEntry, query_syms: &[Option<Sym>]) -> (u64, usize) {
+fn exact_profile(entry_tokens: &[Sym], query_syms: &[Option<Sym>]) -> (u64, usize) {
     let mut qmask = 0u64;
     let mut exact_hits = 0usize;
     for (i, sym) in query_syms.iter().enumerate() {
         if let Some(sym) = *sym {
-            let mult = entry.tokens.tokens().iter().filter(|&&t| t == sym).count();
+            let mult = entry_tokens.iter().filter(|&&t| t == sym).count();
             if mult > 0 {
                 exact_hits += mult;
                 if i < 64 {

@@ -12,7 +12,11 @@
 //! * equality is a `u32` compare,
 //! * postings are integer-keyed (and, the keys being dense, plain tables),
 //! * a label's tokens become one [`TokenSeq`] of syms, with a sorted view
-//!   for membership tests.
+//!   for membership tests (or one [`TokenSpan`] of a token arena many
+//!   labels share).
+//!
+//! Beside the interner sits [`StrList`], the one layout for a long-lived
+//! list of short strings: two heap blocks per list, not one per string.
 //!
 //! ## Determinism contract
 //!
@@ -33,7 +37,9 @@
 #![forbid(unsafe_code)]
 
 mod heap;
+pub mod str_list;
 pub use heap::{HeapBytes, HeapSize};
+pub use str_list::StrList;
 
 /// An interned string: a dense `u32` id into an [`Interner`].
 ///
@@ -257,19 +263,42 @@ impl Interner {
     }
 }
 
+/// Behind `syms[start..]`, one sequence's tokens in text order, append
+/// their sorted, deduplicated view and return where it starts — unless
+/// the text order already is strictly ascending (always the case for a
+/// sequence whose tokens are all new to the interner), in which case the
+/// two views are the same slice and the view starts at `start`.
+fn append_sorted_view(syms: &mut Vec<Sym>, start: usize) -> usize {
+    if syms[start..].windows(2).all(|w| w[0] < w[1]) {
+        return start;
+    }
+    let text_end = syms.len();
+    syms.extend_from_within(start..);
+    syms[text_end..].sort_unstable();
+    // Deduplicate the sorted copy in place, behind the text view.
+    let mut end = text_end + 1;
+    for at in text_end + 1..syms.len() {
+        if syms[at] != syms[end - 1] {
+            syms[end] = syms[at];
+            end += 1;
+        }
+    }
+    syms.truncate(end);
+    text_end
+}
+
 /// An interned token sequence: the tokens of one label, in text order,
 /// plus a sorted-deduplicated view for set operations.
 ///
 /// The text-order view drives order-sensitive measures (Monge-Elkan); the
-/// sorted view serves the label index's candidate tables (each distinct
-/// token once) and [`TokenSeq::contains`], Monge-Elkan's shared-token
+/// sorted view serves [`TokenSeq::contains`], Monge-Elkan's shared-token
 /// shortcut.
 ///
 /// Both views live in **one** exactly sized allocation: the text-order
-/// tokens followed by the sorted ones — or the text-order tokens alone
-/// when they already are strictly ascending (always the case for a
-/// label whose tokens are all new to the interner), in which case the two
-/// views are the same slice.
+/// tokens followed by the sorted ones, or the text-order tokens alone
+/// when they already are strictly ascending, in which case the two views
+/// are the same slice. A structure holding many sequences keeps them in
+/// one arena instead, as [`TokenSpan`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TokenSeq {
     /// `syms[..text_len]` is the text-order view (duplicates preserved),
@@ -285,22 +314,7 @@ impl TokenSeq {
     pub fn from_syms(mut tokens: Vec<Sym>) -> Self {
         let text_len = tokens.len();
         assert!(text_len <= u32::MAX as usize / 2, "token sequence exceeded u32 address space");
-        let sorted_at = if tokens.windows(2).all(|w| w[0] < w[1]) {
-            0
-        } else {
-            tokens.extend_from_within(..);
-            tokens[text_len..].sort_unstable();
-            // Deduplicate the sorted copy in place, behind the text view.
-            let mut end = text_len + 1;
-            for at in text_len + 1..tokens.len() {
-                if tokens[at] != tokens[end - 1] {
-                    tokens[end] = tokens[at];
-                    end += 1;
-                }
-            }
-            tokens.truncate(end);
-            text_len
-        };
+        let sorted_at = append_sorted_view(&mut tokens, 0);
         Self {
             syms: tokens.into_boxed_slice(),
             text_len: text_len as u32,
@@ -335,6 +349,62 @@ impl TokenSeq {
     #[inline]
     pub fn contains(&self, sym: Sym) -> bool {
         self.sorted().binary_search(&sym).is_ok()
+    }
+}
+
+/// Where one token sequence sits in a token arena that many sequences
+/// share (a `Vec<Sym>`): its text-order view, then its sorted,
+/// deduplicated view, the same two views as a [`TokenSeq`] in the same
+/// layout, but no heap block of its own. The views are read against the
+/// arena the span was [`closed`](TokenSpan::close) in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TokenSpan {
+    /// `arena[start..text_end]` is the text-order view,
+    /// `arena[sorted_start..end]` the sorted one (`sorted_start` is
+    /// `text_end` or, when the views coincide, `start`).
+    start: u32,
+    text_end: u32,
+    sorted_start: u32,
+    end: u32,
+}
+
+impl TokenSpan {
+    /// Close the sequence whose tokens, in text order, were pushed onto
+    /// `arena` since it was `start` long: append its sorted view where
+    /// needed and return where both views sit.
+    ///
+    /// # Panics
+    ///
+    /// When the arena would pass `u32::MAX` tokens.
+    pub fn close(arena: &mut Vec<Sym>, start: usize) -> Self {
+        let text_end = arena.len();
+        let room = (text_end - start).checked_add(text_end).is_some_and(|end| end <= u32::MAX as usize);
+        assert!(room, "token arena exceeded u32 address space");
+        let sorted_start = append_sorted_view(arena, start);
+        Self { start: start as u32, text_end: text_end as u32, sorted_start: sorted_start as u32, end: arena.len() as u32 }
+    }
+
+    /// The tokens in text order (duplicates preserved).
+    #[inline]
+    pub fn tokens(self, arena: &[Sym]) -> &[Sym] {
+        &arena[self.start as usize..self.text_end as usize]
+    }
+
+    /// The sorted, deduplicated tokens.
+    #[inline]
+    pub fn sorted(self, arena: &[Sym]) -> &[Sym] {
+        &arena[self.sorted_start as usize..self.end as usize]
+    }
+
+    /// Number of tokens in text order (counting duplicates).
+    #[inline]
+    pub fn len(self) -> usize {
+        (self.text_end - self.start) as usize
+    }
+
+    /// True when the sequence holds no tokens.
+    pub fn is_empty(self) -> bool {
+        self.text_end == self.start
     }
 }
 
@@ -590,5 +660,27 @@ mod tests {
         let empty = s(&[]);
         assert_eq!(empty, TokenSeq::default());
         assert!(empty.is_empty() && empty.sorted().is_empty() && !empty.contains(Sym(0)));
+    }
+
+    #[test]
+    fn token_spans_share_one_arena_and_read_as_their_token_seqs() {
+        let texts: [&[u32]; 5] = [&[7, 3, 7, 1], &[2, 5, 9], &[], &[4, 4], &[6]];
+        let mut arena = Vec::new();
+        let spans: Vec<TokenSpan> = texts
+            .iter()
+            .map(|text| {
+                let start = arena.len();
+                arena.extend(text.iter().map(|&r| Sym(r)));
+                TokenSpan::close(&mut arena, start)
+            })
+            .collect();
+        // Ascending sequences add nothing behind their text view.
+        assert_eq!(arena.len(), 7 + 3 + 3 + 1, "text and sorted views of the first and fourth");
+        for (text, span) in texts.iter().zip(&spans) {
+            let seq = TokenSeq::from_syms(text.iter().map(|&r| Sym(r)).collect());
+            assert_eq!(span.tokens(&arena), seq.tokens());
+            assert_eq!(span.sorted(&arena), seq.sorted());
+            assert_eq!((span.len(), span.is_empty()), (seq.len(), seq.is_empty()));
+        }
     }
 }

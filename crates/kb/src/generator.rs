@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
+use ltee_intern::StrList;
 use ltee_types::{Date, Value};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -179,7 +180,7 @@ pub struct WorldEntity {
     /// Canonical label.
     pub canonical_label: String,
     /// Alternative labels (spelling variants, qualifiers).
-    pub alt_labels: Box<[Box<str>]>,
+    pub alt_labels: StrList,
     /// Ground-truth facts, in property-name order.
     pub facts: Facts,
     /// Popularity (page-link proxy); higher for head entities.
@@ -198,7 +199,7 @@ impl WorldEntity {
     /// All labels, canonical first.
     pub fn labels(&self) -> Vec<&str> {
         std::iter::once(self.canonical_label.as_str())
-            .chain(self.alt_labels.iter().map(|label| &**label))
+            .chain(self.alt_labels.iter())
             .collect()
     }
 
@@ -349,7 +350,7 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
                 id,
                 class,
                 canonical_label: label,
-                alt_labels: Box::default(),
+                alt_labels: StrList::new(),
                 facts: generate_confusable_facts(class, &mut rng),
                 popularity: rng.gen_range(0..20),
                 in_kb: false,
@@ -388,7 +389,7 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
                 }
             }
             let abstract_text = build_abstract(entity);
-            let labels: Vec<String> = entity.labels().iter().map(|s| s.to_string()).collect();
+            let labels = entity.labels().into_iter().map(str::to_string).collect();
             Some(kb.add_instance(entity.class, labels, abstract_text, entity.popularity, facts))
         })
         .collect();
@@ -548,7 +549,7 @@ fn generate_alt_labels(
     canonical: &str,
     facts: &Facts,
     rng: &mut ChaCha8Rng,
-) -> Box<[Box<str>]> {
+) -> StrList {
     let mut alts = Vec::new();
     match class {
         ClassKey::GridironFootballPlayer => {
@@ -576,7 +577,7 @@ fn generate_alt_labels(
             }
         }
     }
-    alts.into_iter().map(String::into_boxed_str).collect()
+    alts.iter().collect()
 }
 
 fn build_abstract(entity: &WorldEntity) -> String {
@@ -738,7 +739,7 @@ mod tests {
         let kb_inst = w.instance_for_entity(player.id);
         if let Some(id) = kb_inst {
             let inst = w.kb().instance(id).unwrap();
-            assert!(inst.abstract_text.contains("American football"));
+            assert!(inst.abstract_text().contains("American football"));
         }
     }
 

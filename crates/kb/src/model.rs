@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use ltee_index::{LabelIndex, SharedLabelIndex};
+use ltee_intern::{str_list, StrList};
 use ltee_types::{DataType, EquivalenceSet, Value};
 
 use crate::footprint::{Footprint, HeapBytes, HeapSize};
@@ -60,10 +61,9 @@ pub struct Instance {
     pub id: InstanceId,
     /// Class of the instance.
     pub class: ClassKey,
-    /// Canonical label plus alternative labels (canonical first).
-    pub labels: Box<[Box<str>]>,
-    /// A short textual abstract (used by the `BOW` entity-to-instance metric).
-    pub abstract_text: Box<str>,
+    /// The labels, canonical first, then the abstract, as one list: read
+    /// through [`Instance::labels`] and [`Instance::abstract_text`].
+    texts: StrList,
     /// Number of incoming page links (popularity proxy, used by the
     /// `POPULARITY` metric).
     pub page_links: u64,
@@ -72,9 +72,26 @@ pub struct Instance {
 }
 
 impl Instance {
+    /// Canonical label plus alternative labels (canonical first).
+    pub fn labels(&self) -> str_list::Iter<'_> {
+        let mut labels = self.texts.iter();
+        labels.next_back();
+        labels
+    }
+
     /// The canonical (first) label.
     pub fn canonical_label(&self) -> &str {
-        self.labels.first().map_or("", |label| label)
+        self.labels().next().unwrap_or("")
+    }
+
+    /// A short textual abstract (used by the `BOW` entity-to-instance metric).
+    pub fn abstract_text(&self) -> &str {
+        self.texts.iter().next_back().unwrap_or("")
+    }
+
+    /// The labels, then the abstract.
+    pub fn labels_and_abstract(&self) -> str_list::Iter<'_> {
+        self.texts.iter()
     }
 
     /// The fact value for a property, if present.
@@ -97,7 +114,7 @@ ltee_intern::heap_size! {
     KnowledgeBaseClass { name, ancestors }
     Property { name, label }
     Fact { value }
-    Instance { labels, abstract_text, facts }
+    Instance { texts, facts }
     PropertyFacts { positions, sample }
 }
 
@@ -181,7 +198,8 @@ impl KnowledgeBase {
     }
 
     /// Add an instance and return its id, which is its position among the
-    /// instances. Its labels, abstract and facts are kept exact-sized.
+    /// instances. Its labels and abstract are kept as one list, its facts
+    /// exact-sized.
     pub fn add_instance(
         &mut self,
         class: ClassKey,
@@ -192,9 +210,8 @@ impl KnowledgeBase {
     ) -> InstanceId {
         self.derived = Derived::default();
         let id = InstanceId(self.instances.len() as u64);
-        let labels = labels.into_iter().map(String::into_boxed_str).collect();
-        let (abstract_text, facts) = (abstract_text.into_boxed_str(), facts.into_boxed_slice());
-        self.instances.push(Instance { id, class, labels, abstract_text, page_links, facts });
+        let texts = labels.iter().chain([&abstract_text]).collect();
+        self.instances.push(Instance { id, class, texts, page_links, facts: facts.into_boxed_slice() });
         id
     }
 
@@ -283,7 +300,7 @@ impl KnowledgeBase {
                 CLASS_KEYS.iter().map(|&c| (c, LabelIndex::new())).collect();
             for inst in &self.instances {
                 let (_, index) = &mut indexes[class_slot(inst.class)];
-                for label in &inst.labels {
+                for label in inst.labels() {
                     index.insert(inst.id.raw(), label);
                 }
             }
@@ -431,6 +448,20 @@ mod tests {
         assert_eq!(inst.fact(runtime), Some(&Value::Quantity(159.0)));
         let artist = kb.property_by_name(ClassKey::Song, "musicalArtist").unwrap().id;
         assert!(inst.fact(artist).is_some());
+    }
+
+    #[test]
+    fn labels_and_abstract_are_one_list_of_two_blocks() {
+        let mut kb = tiny_kb();
+        let inst = &kb.instances()[0];
+        assert!(inst.labels().eq(["Yellow Submarine", "Yellow Submarine (song)"]));
+        assert_eq!(inst.labels().len(), 2);
+        assert_eq!(inst.abstract_text(), "A song by the Beatles from 1966.");
+        assert_eq!(inst.labels_and_abstract().len(), 3);
+        assert_eq!(inst.texts.heap_bytes().blocks, 2);
+        let bare = kb.add_instance(ClassKey::Song, vec![], String::new(), 0, vec![]);
+        let bare = kb.instance(bare).unwrap();
+        assert_eq!((bare.labels().len(), bare.canonical_label(), bare.abstract_text()), (0, "", ""));
     }
 
     #[test]

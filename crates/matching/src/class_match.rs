@@ -236,7 +236,7 @@ mod tests {
         let indexes = kb.class_label_indexes();
         let table = ltee_webtables::WebTable {
             id: ltee_webtables::TableId(99),
-            columns: vec![ltee_webtables::Column { header: "x".into(), cells: vec!["zzz qqq".into()] }],
+            columns: vec![ltee_webtables::Column { header: "x".into(), cells: ["zzz qqq"].into_iter().collect() }],
         };
         let detected = detect_column_types(&table);
         let (slots, lookups) = RowLookups::run(&[(&table, 0)], indexes);

@@ -9,7 +9,7 @@ pub fn detect_column_types(table: &WebTable) -> Vec<DetectedType> {
     table
         .columns
         .iter()
-        .map(|c| detect_column_type(c.cells.iter().map(String::as_str)))
+        .map(|c| detect_column_type(c.cells.iter()))
         .collect()
 }
 
@@ -60,9 +60,9 @@ mod tests {
     #[test]
     fn detects_types_per_column() {
         let t = table(vec![
-            Column { header: "title".into(), cells: vec!["Hey Jude".into(), "Let It Be".into()] },
-            Column { header: "year".into(), cells: vec!["1968".into(), "1970".into()] },
-            Column { header: "length".into(), cells: vec!["431".into(), "243".into()] },
+            Column { header: "title".into(), cells: ["Hey Jude", "Let It Be"].into_iter().collect() },
+            Column { header: "year".into(), cells: ["1968", "1970"].into_iter().collect() },
+            Column { header: "length".into(), cells: ["431", "243"].into_iter().collect() },
         ]);
         let d = detect_column_types(&t);
         assert_eq!(d, vec![DetectedType::Text, DetectedType::Date, DetectedType::Quantity]);
@@ -71,8 +71,8 @@ mod tests {
     #[test]
     fn label_attribute_is_text_column_with_most_unique_values() {
         let t = table(vec![
-            Column { header: "genre".into(), cells: vec!["Rock".into(), "Rock".into(), "Rock".into()] },
-            Column { header: "title".into(), cells: vec!["A".into(), "B".into(), "C".into()] },
+            Column { header: "genre".into(), cells: ["Rock", "Rock", "Rock"].into_iter().collect() },
+            Column { header: "title".into(), cells: ["A", "B", "C"].into_iter().collect() },
         ]);
         let d = detect_column_types(&t);
         assert_eq!(detect_label_attribute(&t, &d), 1);
@@ -81,8 +81,8 @@ mod tests {
     #[test]
     fn label_attribute_tie_prefers_leftmost() {
         let t = table(vec![
-            Column { header: "a".into(), cells: vec!["x".into(), "y".into()] },
-            Column { header: "b".into(), cells: vec!["p".into(), "q".into()] },
+            Column { header: "a".into(), cells: ["x", "y"].into_iter().collect() },
+            Column { header: "b".into(), cells: ["p", "q"].into_iter().collect() },
         ]);
         let d = detect_column_types(&t);
         assert_eq!(detect_label_attribute(&t, &d), 0);
@@ -91,8 +91,8 @@ mod tests {
     #[test]
     fn label_attribute_ignores_numeric_columns() {
         let t = table(vec![
-            Column { header: "no".into(), cells: vec!["1".into(), "2".into(), "3".into()] },
-            Column { header: "name".into(), cells: vec!["A".into(), "A".into(), "B".into()] },
+            Column { header: "no".into(), cells: ["1", "2", "3"].into_iter().collect() },
+            Column { header: "name".into(), cells: ["A", "A", "B"].into_iter().collect() },
         ]);
         let d = detect_column_types(&t);
         assert_eq!(detect_label_attribute(&t, &d), 1);
@@ -101,8 +101,8 @@ mod tests {
     #[test]
     fn label_attribute_falls_back_to_first_column() {
         let t = table(vec![
-            Column { header: "no".into(), cells: vec!["1".into(), "2".into()] },
-            Column { header: "year".into(), cells: vec!["1999".into(), "2001".into()] },
+            Column { header: "no".into(), cells: ["1", "2"].into_iter().collect() },
+            Column { header: "year".into(), cells: ["1999", "2001"].into_iter().collect() },
         ]);
         let d = detect_column_types(&t);
         assert_eq!(detect_label_attribute(&t, &d), 0);
@@ -111,8 +111,8 @@ mod tests {
     #[test]
     fn empty_cells_do_not_count_as_unique_values() {
         let t = table(vec![
-            Column { header: "a".into(), cells: vec!["".into(), "".into(), "x".into()] },
-            Column { header: "b".into(), cells: vec!["p".into(), "q".into(), "r".into()] },
+            Column { header: "a".into(), cells: ["", "", "x"].into_iter().collect() },
+            Column { header: "b".into(), cells: ["p", "q", "r"].into_iter().collect() },
         ]);
         let d = detect_column_types(&t);
         assert_eq!(detect_label_attribute(&t, &d), 1);

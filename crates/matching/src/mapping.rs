@@ -202,9 +202,9 @@ mod tests {
         let table = WebTable {
             id: TableId(1),
             columns: vec![
-                Column { header: "player".into(), cells: vec!["Tom Brady".into(), "Eli Manning".into()] },
-                Column { header: "team".into(), cells: vec!["Patriots".into(), "".into()] },
-                Column { header: "no".into(), cells: vec!["12".into(), "10".into()] },
+                Column { header: "player".into(), cells: ["Tom Brady", "Eli Manning"].into_iter().collect() },
+                Column { header: "team".into(), cells: ["Patriots", ""].into_iter().collect() },
+                Column { header: "no".into(), cells: ["12", "10"].into_iter().collect() },
             ],
         };
         let mapping = TableMapping {

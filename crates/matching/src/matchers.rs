@@ -298,8 +298,8 @@ mod tests {
         let table = WebTable {
             id: TableId(1),
             columns: vec![
-                Column { header: "player".into(), cells: labels },
-                Column { header: "club".into(), cells },
+                Column { header: "player".into(), cells: labels.iter().collect() },
+                Column { header: "club".into(), cells: cells.iter().collect() },
             ],
         };
         (table, entities)
@@ -346,9 +346,8 @@ mod tests {
         let world = generate_world(&GeneratorConfig::new(Scale::tiny(), 13));
         let kb = world.kb();
         let mut table = player_table(&world);
-        for c in &mut table.columns[1].cells {
-            c.clear();
-        }
+        let rows = table.columns[1].cells.len();
+        table.columns[1].cells = std::iter::repeat_n("", rows).collect();
         let team = kb.property_by_name(ClassKey::GridironFootballPlayer, "team").unwrap();
         assert_eq!(kb_overlap(&table, 1, team, kb), 0.0);
     }

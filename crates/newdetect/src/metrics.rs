@@ -220,7 +220,7 @@ impl InstanceContext {
     /// function of the instance and the frozen knowledge base alone — and
     /// the normalised labels whose tokens `mint_label_tokens` interns.
     fn body(instance: &Instance, kb: &KnowledgeBase) -> (Self, Vec<String>) {
-        let texts = instance.labels.iter().chain([&instance.abstract_text]).map(|text| Cow::Borrowed(&**text));
+        let texts = instance.labels_and_abstract().map(Cow::Borrowed);
         let bow = BowVector::from_texts(texts.chain(instance.facts.iter().map(|fact| rendered(&fact.value))));
         let mut facts = Vec::new();
         for fact in &instance.facts {
@@ -239,7 +239,7 @@ impl InstanceContext {
             page_links: instance.page_links,
             id: instance.id,
         };
-        (context, instance.labels.iter().map(|l| normalize_label(l)).collect())
+        (context, instance.labels().map(normalize_label).collect())
     }
 
     /// Intern the tokens of the instance's normalised labels.

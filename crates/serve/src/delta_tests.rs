@@ -54,7 +54,7 @@ fn unclaimed_table(id: u64) -> WebTable {
         id: TableId(id),
         columns: vec![
             Column { header: "zzq".into(), cells: labels.iter().map(|l| l.to_string()).collect() },
-            Column { header: "xxk".into(), cells: vec!["qq".into(); labels.len()] },
+            Column { header: "xxk".into(), cells: std::iter::repeat_n("qq", labels.len()).collect() },
         ],
     }
 }

@@ -24,8 +24,14 @@ pub fn normalize_and_intern(label: &str, interner: &mut Interner) -> Sym {
 /// reused across tokens; known tokens allocate nothing.
 pub fn tokenize_interned(text: &str, interner: &mut Interner) -> TokenSeq {
     let mut syms = Vec::new();
-    crate::normalize::for_each_token(text, |t| syms.push(interner.intern(t)));
+    tokenize_interned_into(text, interner, &mut syms);
     TokenSeq::from_syms(syms)
+}
+
+/// [`tokenize_interned`]'s syms, in text order, pushed onto `syms` (a
+/// token arena many labels share) instead of boxed as a [`TokenSeq`].
+pub fn tokenize_interned_into(text: &str, interner: &mut Interner, syms: &mut Vec<Sym>) {
+    crate::normalize::for_each_token(text, |t| syms.push(interner.intern(t)));
 }
 
 /// One side of an interned Monge-Elkan comparison: a token sequence and
@@ -41,8 +47,8 @@ impl TokenSide for Interned<'_> {
         self.seq.len()
     }
 
-    fn text(&self, i: usize) -> &str {
-        self.interner.resolve(self.seq.tokens()[i])
+    fn texts(&self) -> impl Iterator<Item = &str> {
+        self.seq.tokens().iter().map(|&sym| self.interner.resolve(sym))
     }
 
     fn holds(&self, other: &Self, i: usize) -> Option<bool> {

@@ -44,11 +44,11 @@ pub mod vector;
 #[path = "../tests/oracle/mod.rs"]
 mod oracle;
 
-pub use interned::{monge_elkan_tokens, normalize_and_intern, tokenize_interned};
+pub use interned::{monge_elkan_tokens, normalize_and_intern, tokenize_interned, tokenize_interned_into};
 pub use jaccard::jaccard_similarity;
 pub use levenshtein::{levenshtein_distance, levenshtein_similarity, SimilarityGate};
 pub use myers::{bounded_levenshtein, within_one_edit};
-pub use monge_elkan::{monge_elkan_similarity, monge_elkan_tokenized};
+pub use monge_elkan::{monge_elkan_normalized, monge_elkan_similarity, monge_elkan_tokenized};
 pub use normalize::{clean_label, normalize_label, tokenize};
 pub use vector::{cosine_similarity, BowVector};
 

@@ -11,14 +11,15 @@
 
 use crate::levenshtein::SimilarityGate;
 use crate::myers::char_count;
-use crate::normalize::tokenize;
+use crate::normalize::{normal_form_tokens, tokenize};
 
 /// How the Monge-Elkan kernel reads one side's tokens (repeats included):
-/// their count, the text of token `i`, and whether this side holds a token
-/// equal to `other`'s token `i`, where that is known without comparing text.
+/// their count, their texts in order, and whether this side holds a token
+/// equal to `other`'s token `i`, where that is known without comparing
+/// text.
 pub(crate) trait TokenSide {
     fn len(&self) -> usize;
-    fn text(&self, i: usize) -> &str;
+    fn texts(&self) -> impl Iterator<Item = &str>;
     fn holds(&self, _other: &Self, _i: usize) -> Option<bool> {
         None
     }
@@ -29,8 +30,31 @@ impl<S: AsRef<str>> TokenSide for [S] {
         <[S]>::len(self)
     }
 
-    fn text(&self, i: usize) -> &str {
-        self[i].as_ref()
+    fn texts(&self) -> impl Iterator<Item = &str> {
+        self.iter().map(AsRef::as_ref)
+    }
+}
+
+/// A label in [`crate::normalize_label`]'s form, whose tokens are read
+/// off it on demand ([`normal_form_tokens`]).
+struct NormalForm<'a> {
+    text: &'a str,
+    tokens: usize,
+}
+
+impl<'a> NormalForm<'a> {
+    fn new(text: &'a str) -> Self {
+        Self { text, tokens: normal_form_tokens(text).count() }
+    }
+}
+
+impl TokenSide for NormalForm<'_> {
+    fn len(&self) -> usize {
+        self.tokens
+    }
+
+    fn texts(&self) -> impl Iterator<Item = &str> {
+        normal_form_tokens(self.text)
     }
 }
 
@@ -51,17 +75,15 @@ pub(crate) fn monge_elkan<T: TokenSide + ?Sized>(a: &T, b: &T) -> f64 {
 /// ungated scan's, bit for bit.
 fn directed<T: TokenSide + ?Sized>(a: &T, b: &T) -> f64 {
     let mut total = 0.0;
-    for i in 0..a.len() {
+    for (i, token) in a.texts().enumerate() {
         let holds = b.holds(a, i);
         if holds == Some(true) {
             total += 1.0;
             continue;
         }
-        let token = a.text(i);
         let len = char_count(token);
         let mut best: f64 = 0.0;
-        for j in 0..b.len() {
-            let other = b.text(j);
+        for other in b.texts() {
             let gate = SimilarityGate::new(len, char_count(other));
             if gate.length_bound(holds == Some(false)) <= best {
                 continue;
@@ -91,6 +113,14 @@ pub fn monge_elkan_similarity(a: &str, b: &str) -> f64 {
 /// may keep the tokens in whatever string type suits them).
 pub fn monge_elkan_tokenized<S: AsRef<str>>(a_tokens: &[S], b_tokens: &[S]) -> f64 {
     monge_elkan(a_tokens, b_tokens)
+}
+
+/// [`monge_elkan_tokenized`] of the [`tokenize`]d forms of two labels
+/// already in [`crate::normalize_label`]'s form, bit for bit, reading the
+/// tokens off the forms without allocating. Other text must go through
+/// [`monge_elkan_similarity`].
+pub fn monge_elkan_normalized(a: &str, b: &str) -> f64 {
+    monge_elkan(&NormalForm::new(a), &NormalForm::new(b))
 }
 
 #[cfg(test)]
@@ -150,6 +180,14 @@ mod tests {
         fn in_unit_interval(a in "[a-z0-9 ,.]{0,25}", b in "[a-z0-9 ,.]{0,25}") {
             let s = monge_elkan_similarity(&a, &b);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&s));
+        }
+
+        /// Read off two normal forms, the tokens score as `tokenize`d.
+        #[test]
+        fn normal_forms_score_as_their_tokens(a in ".{0,20}", b in "[a-zA-Zé ,.()]{0,20}") {
+            let (a, b) = (crate::normalize_label(&a), crate::normalize_label(&b));
+            let tokenized = monge_elkan_tokenized(&tokenize(&a), &tokenize(&b));
+            prop_assert_eq!(monge_elkan_normalized(&a, &b).to_bits(), tokenized.to_bits());
         }
 
         #[test]

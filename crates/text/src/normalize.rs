@@ -12,12 +12,21 @@
 /// Lower-cases, strips bracketed qualifiers (`"Paris (Texas)"` → `"paris"`
 /// keeps only the part outside parentheses when there is text outside them),
 /// replaces punctuation with spaces and collapses whitespace runs.
+///
+/// One allocation, the result's, unless the label holds a bracket (which
+/// costs the stripped copy) or lower-cases to more bytes than it has.
 pub fn normalize_label(label: &str) -> String {
-    let without_brackets = strip_bracketed(label);
-    let source = if without_brackets.trim().is_empty() {
-        label
+    let stripped;
+    let source = if label.contains(['(', ')', '[', ']']) {
+        stripped = strip_bracketed(label);
+        if stripped.trim().is_empty() {
+            label
+        } else {
+            &stripped
+        }
     } else {
-        &without_brackets
+        // Without a bracket there is nothing to strip.
+        label
     };
     let mut out = String::with_capacity(source.len());
     let mut last_space = true;
@@ -37,7 +46,13 @@ pub fn normalize_label(label: &str) -> String {
             last_space = true;
         }
     }
-    out.trim().to_string()
+    // No kept char lower-cases to whitespace and no space is pushed at
+    // the start or after another, so at most one space trails.
+    if out.ends_with(' ') {
+        out.pop();
+    }
+    out.shrink_to_fit();
+    out
 }
 
 /// Remove bracketed qualifiers: `(...)`, `[...]` are dropped entirely.
@@ -111,9 +126,86 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
+/// The tokens of a label already in [`normalize_label`]'s form, read off
+/// it without allocating: its alphanumeric runs. They equal
+/// [`tokenize`] of the form, because every alphanumeric char a label
+/// lower-cases to lower-cases to itself, so tokenising the form changes
+/// no char of it (checked over every `char` in this module's tests). On
+/// text in any other form the two differ.
+pub(crate) fn normal_form_tokens(normalized: &str) -> impl Iterator<Item = &str> {
+    normalized.split(|ch: char| !ch.is_alphanumeric()).filter(|token| !token.is_empty())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`normalize_label`]'s reference: the bracket pass always run and a
+    /// trimmed copy at the end, three allocations per call.
+    fn normalize_label_oracle(label: &str) -> String {
+        let without_brackets = strip_bracketed(label);
+        let source = if without_brackets.trim().is_empty() { label } else { &without_brackets };
+        let mut out = String::with_capacity(source.len());
+        let mut last_space = true;
+        for ch in source.chars() {
+            if ch.is_alphanumeric() || !(ch.is_whitespace() || ch.is_ascii_punctuation()) {
+                for lc in ch.to_lowercase() {
+                    out.push(lc);
+                }
+                last_space = false;
+            } else if !last_space {
+                out.push(' ');
+                last_space = true;
+            }
+        }
+        out.trim().to_string()
+    }
+
+    /// Chars for a label: printable ASCII, the brackets and spaces the
+    /// normaliser treats specially, chars whose lower case expands or is
+    /// not ASCII, Latin to Arabic, and any scalar value at all.
+    fn label_char(kind: u32, code: u32) -> Option<char> {
+        const SPECIAL: &[char] = &['(', ')', '[', ']', ' ', ' ', '\t', '\u{85}', '\u{3000}', '\u{130}', '\u{1E9E}', 'Σ', '\u{307}'];
+        match kind {
+            0 => char::from_u32(0x20 + code % 0x5f),
+            1 => Some(SPECIAL[code as usize % SPECIAL.len()]),
+            2 => char::from_u32(0x80 + code % 0x580),
+            _ => char::from_u32(code),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn normalize_label_is_bit_identical_to_the_oracle(
+            picks in proptest::collection::vec(0u32..4 * 0x11_0000, 0..24),
+        ) {
+            let label: String = picks.into_iter().filter_map(|pick| label_char(pick % 4, pick / 4)).collect();
+            let normalized = normalize_label(&label);
+            prop_assert_eq!(&normalized, &normalize_label_oracle(&label));
+            prop_assert_eq!(normalized.capacity(), normalized.len());
+            prop_assert!(normal_form_tokens(&normalized).eq(tokenize(&normalized)));
+        }
+    }
+
+    /// What makes [`normal_form_tokens`] equal [`tokenize`] on a normal
+    /// form, and lets [`normalize_label`] drop its final `trim`: over every
+    /// `char`, each char it lower-cases to lower-cases to itself when it is
+    /// alphanumeric, and is not whitespace unless the char itself was.
+    #[test]
+    fn lower_casing_is_idempotent_on_every_alphanumeric_char_it_yields() {
+        let mut alphanumeric = 0usize;
+        for ch in (0..=u32::from(char::MAX)).filter_map(char::from_u32) {
+            for lc in ch.to_lowercase() {
+                assert!(ch.is_whitespace() || !lc.is_whitespace(), "{ch:?} lower-cases to whitespace");
+                if lc.is_alphanumeric() {
+                    alphanumeric += 1;
+                    assert!(lc.to_lowercase().eq([lc]), "{ch:?} lower-cases to {lc:?}, which is not its own lower case");
+                }
+            }
+        }
+        assert!(alphanumeric > 100_000, "only {alphanumeric} cases checked");
+    }
 
     #[test]
     fn normalize_lowercases_and_collapses() {
@@ -134,6 +226,15 @@ mod tests {
     fn normalize_keeps_label_when_only_bracketed() {
         // A label that is entirely bracketed should not normalise to "".
         assert_eq!(normalize_label("(1998)"), "1998");
+    }
+
+    #[test]
+    fn normalize_drops_the_one_trailing_space_and_keeps_unbracketed_labels() {
+        assert_eq!(normalize_label("Tom Brady!"), "tom brady");
+        assert_eq!(normalize_label("Tom Brady (QB) "), "tom brady");
+        assert_eq!(normalize_label(" -- "), "");
+        assert_eq!(normalize_label("(  )"), "");
+        assert_eq!(normalize_label("1998)"), "1998");
     }
 
     #[test]

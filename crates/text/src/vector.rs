@@ -10,27 +10,25 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use ltee_intern::StrList;
+
 use crate::normalize::for_each_token;
 
 /// A binary bag-of-words vector: the set of distinct terms observed.
 ///
-/// The terms live concatenated, in ascending order, in one byte arena with
-/// one end offset per term beside it: two heap blocks whatever the term
-/// count, and four bytes per term beyond the term bytes. A serving class
-/// keeps one bag per ingested row, so this is a per-row cost. Intersection
-/// is a linear merge of two arenas, a term is found by binary search, and
-/// the representation is canonical (equal sets have equal arenas), which
-/// keeps experiments reproducible.
+/// The terms are one [`StrList`], in ascending order: two heap blocks
+/// whatever the term count, and four bytes per term beyond the term bytes.
+/// A serving class keeps one bag per ingested row, so this is a per-row
+/// cost. Intersection is a linear merge of two lists, a term is found by
+/// binary search, and the representation is canonical (equal sets have
+/// equal lists), which keeps experiments reproducible.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct BowVector {
-    /// The distinct terms, concatenated in ascending order.
-    bytes: String,
-    /// Where each term ends in `bytes`, term by term (a term starts where
-    /// its predecessor ends).
-    ends: Vec<u32>,
+    /// The distinct terms, ascending.
+    terms: StrList,
 }
 
-ltee_intern::heap_size!(BowVector { bytes, ends });
+ltee_intern::heap_size!(BowVector { terms });
 
 impl BowVector {
     /// Create an empty vector.
@@ -45,8 +43,8 @@ impl BowVector {
 
     /// Build a vector from several pieces of text (e.g. all cells of a row),
     /// in one pass: every token is gathered into one scratch buffer, the
-    /// token spans are sorted and deduplicated, and the arena is written
-    /// once, exact-sized.
+    /// token spans are sorted and deduplicated, and the list is written
+    /// once.
     pub fn from_texts<I>(texts: I) -> Self
     where
         I: IntoIterator,
@@ -63,27 +61,25 @@ impl BowVector {
         let term = |&(start, end): &(usize, usize)| &scratch[start..end];
         spans.sort_unstable_by(|a, b| term(a).cmp(term(b)));
         spans.dedup_by(|a, b| term(a) == term(b));
-        let mut bytes = String::with_capacity(spans.iter().map(|&(start, end)| end - start).sum());
-        let mut ends = Vec::with_capacity(spans.len());
-        for span in &spans {
-            // The end offsets are `u32`: a term that would take the arena
-            // past 4 GiB of distinct term bytes is not added.
-            if let Ok(end) = u32::try_from(bytes.len() + term(span).len()) {
-                bytes.push_str(term(span));
-                ends.push(end);
-            }
-        }
-        Self { bytes, ends }
+        // The list's end offsets are `u32`: a term that would take it past
+        // 4 GiB of distinct term bytes is not added.
+        let mut bytes = 0usize;
+        let fits = |term: &&str| {
+            let fits = bytes + term.len() <= u32::MAX as usize;
+            bytes += if fits { term.len() } else { 0 };
+            fits
+        };
+        Self { terms: spans.iter().map(term).filter(fits).collect() }
     }
 
     /// Number of distinct terms.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.terms.len()
     }
 
     /// True when the vector contains no terms.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.terms.is_empty()
     }
 
     /// Whether the vector contains the given term (a binary search).
@@ -91,7 +87,7 @@ impl BowVector {
         let (mut low, mut high) = (0, self.len());
         while low < high {
             let mid = low + (high - low) / 2;
-            match self.bytes[self.start_of(mid)..self.ends[mid] as usize].cmp(term) {
+            match self.terms[mid].cmp(term) {
                 Ordering::Less => low = mid + 1,
                 Ordering::Greater => high = mid,
                 Ordering::Equal => return true,
@@ -102,12 +98,7 @@ impl BowVector {
 
     /// Iterate over the distinct terms in sorted order.
     pub fn terms(&self) -> impl Iterator<Item = &str> {
-        let mut start = 0;
-        self.ends.iter().map(move |&end| {
-            let term = &self.bytes[start..end as usize];
-            start = end as usize;
-            term
-        })
+        self.terms.iter()
     }
 
     /// Number of terms shared with `other`.
@@ -133,14 +124,9 @@ impl BowVector {
     pub fn cosine(&self, other: &BowVector) -> f64 {
         cosine_similarity(self, other)
     }
-
-    /// Where the `index`-th term starts in the arena.
-    fn start_of(&self, index: usize) -> usize {
-        index.checked_sub(1).map_or(0, |before| self.ends[before] as usize)
-    }
 }
 
-/// Prints the terms, not the arena.
+/// Prints the terms as a set.
 impl fmt::Debug for BowVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.terms()).finish()
@@ -223,7 +209,7 @@ mod tests {
         assert_eq!(format!("{:?}", BowVector::from_text("b a b")), r#"{"a", "b"}"#);
     }
 
-    /// The sorted set of owned strings the arena replaced, as the oracle:
+    /// The sorted set of owned strings the list replaced, as the oracle:
     /// one heap `String` per term in a `BTreeSet`.
     #[derive(Default, PartialEq, Eq)]
     struct SetOracle {
@@ -295,7 +281,7 @@ mod tests {
             prop_assert_eq!(a == b, oracle_a == oracle_b);
             prop_assert_eq!(a.cosine(&b).to_bits(), oracle_a.cosine(&oracle_b).to_bits());
             prop_assert_eq!(cosine_similarity(&b, &a).to_bits(), oracle_b.cosine(&oracle_a).to_bits());
-            // The same set reached by another route has the same arena.
+            // The same set reached by another route has the same list.
             prop_assert!(BowVector::from_texts(first.iter().rev()) == a);
             prop_assert!(BowVector::from_texts(oracle_a.terms.iter().rev()) == a);
         }

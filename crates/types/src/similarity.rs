@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use ltee_intern::{HeapBytes, HeapSize};
-use ltee_text::{clamp_unit, monge_elkan_tokenized, normalize_label, tokenize};
+use ltee_text::{clamp_unit, monge_elkan_normalized, monge_elkan_tokenized, normalize_label, tokenize};
 
 use crate::datatype::DataType;
 use crate::value::{Date, DateGranularity, Value};
@@ -75,9 +75,11 @@ pub fn value_similarity(a: &Value, b: &Value, dtype: DataType) -> f64 {
 }
 
 /// A [`Value`] digested once for similarity scoring: string payloads in
-/// their normal form ([`normalize_label`]) and split into tokens, date and
-/// numeric payloads as they are. Everything [`value_similarity`] reads of a
-/// value is in here, so comparing two prepared values re-derives nothing.
+/// their normal form ([`normalize_label`]), date and numeric payloads as
+/// they are. Everything [`value_similarity`] reads of a value is in here,
+/// so comparing two prepared values re-derives nothing: the tokens
+/// Monge-Elkan aligns are the normal form's alphanumeric runs, read off it
+/// on demand ([`monge_elkan_normalized`]).
 ///
 /// Which variant a value prepares to follows its payload accessors
 /// ([`Value::as_str`], [`Value::as_date`], [`Value::as_f64`]), not its data
@@ -85,15 +87,10 @@ pub fn value_similarity(a: &Value, b: &Value, dtype: DataType) -> f64 {
 /// for [`value_similarity`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PreparedValue {
-    /// A text, nominal-string or instance-reference payload.
-    Normalized {
-        /// The payload's normal form.
-        text: Box<str>,
-        /// [`tokenize`] of `text`: what Monge-Elkan aligns. (Boxed, like
-        /// `text`: one of these is kept per stored value, for as long as
-        /// the row or table it belongs to.)
-        tokens: Box<[Box<str>]>,
-    },
+    /// A text, nominal-string or instance-reference payload, in its
+    /// normal form. (Boxed: one of these is kept per stored value, for as
+    /// long as the row or table it belongs to.)
+    Normalized(Box<str>),
     /// A date payload.
     Date(Date),
     /// A quantity payload, or a nominal integer as a float.
@@ -105,9 +102,7 @@ impl PreparedValue {
     pub fn new(value: &Value) -> Self {
         match value {
             Value::Text(s) | Value::Nominal(s) | Value::InstanceRef(s) => {
-                let text = normalize_label(s).into_boxed_str();
-                let tokens = tokenize(&text).into_iter().map(String::into_boxed_str).collect();
-                PreparedValue::Normalized { text, tokens }
+                PreparedValue::Normalized(normalize_label(s).into_boxed_str())
             }
             Value::Date(d) => PreparedValue::Date(*d),
             Value::Quantity(q) => PreparedValue::Number(*q),
@@ -120,22 +115,16 @@ impl PreparedValue {
     pub fn similarity(&self, other: &PreparedValue, dtype: DataType) -> f64 {
         use PreparedValue::{Date, Normalized, Number};
         match (dtype, self, other) {
-            (DataType::Text, Normalized { tokens: x, .. }, Normalized { tokens: y, .. }) => {
-                clamp_unit(monge_elkan_tokenized(x, y))
-            }
-            (DataType::NominalString, Normalized { text: x, .. }, Normalized { text: y, .. }) if x == y => 1.0,
-            (
-                DataType::InstanceReference,
-                Normalized { text: x, tokens: x_tokens },
-                Normalized { text: y, tokens: y_tokens },
-            ) => {
+            (DataType::Text, Normalized(x), Normalized(y)) => clamp_unit(monge_elkan_normalized(x, y)),
+            (DataType::NominalString, Normalized(x), Normalized(y)) if x == y => 1.0,
+            (DataType::InstanceReference, Normalized(x), Normalized(y)) => {
                 if x == y {
                     return 1.0;
                 }
                 // Instance references are compared by label; allow a high
                 // text similarity to count partially so that e.g.
                 // "Green Bay Packers" vs "Packers" is not a hard zero.
-                let s = monge_elkan_tokenized(x_tokens, y_tokens);
+                let s = monge_elkan_normalized(x, y);
                 if s >= 0.9 {
                     s
                 } else {
@@ -300,7 +289,7 @@ enum Digest {
 impl HeapSize for PreparedValue {
     fn heap_bytes(&self) -> HeapBytes {
         match self {
-            PreparedValue::Normalized { text, tokens } => text.heap_bytes() + tokens.heap_bytes(),
+            PreparedValue::Normalized(text) => text.heap_bytes(),
             PreparedValue::Date(_) | PreparedValue::Number(_) => HeapBytes::ZERO,
         }
     }

@@ -495,20 +495,19 @@ pub(crate) fn build_table(
 
     let (entities, rows): (Vec<EntityId>, Vec<&WorldEntity>) =
         entities.iter().filter_map(|&id| Some((id, world.entity(id)?))).unzip();
-    let mut label_cells: Vec<String> = Vec::with_capacity(rows.len());
-    for entity in &rows {
+    let label_cells = rows.iter().map(|entity| {
         let mut label = if !entity.alt_labels.is_empty() && rng.gen::<f64>() < noise.label_variant_rate {
-            entity.alt_labels.choose(rng).map_or_else(|| entity.canonical_label.clone(), |label| label.to_string())
+            // The draw `choose` makes on a slice of the labels.
+            entity.alt_labels[rng.gen_range(0..entity.alt_labels.len())].to_string()
         } else {
             entity.canonical_label.clone()
         };
         if rng.gen::<f64>() < noise.label_typo_rate {
             label = apply_typo(&label, rng);
         }
-        label_cells.push(label);
-    }
-
-    let mut columns = vec![Column { header: label_header.to_string(), cells: label_cells }];
+        label
+    });
+    let mut columns = vec![Column { header: label_header.to_string(), cells: label_cells.collect() }];
     let mut column_property: Vec<Option<String>> = vec![None];
 
     // Per-column formatting decisions are made once per column so that a
@@ -518,22 +517,18 @@ pub(crate) fn build_table(
         let header = spec.header_labels.choose(rng).copied().unwrap_or(spec.name).to_string();
         let date_format = rng.gen_range(0..3u8);
         let runtime_as_duration = rng.gen::<f64>() < 0.5;
-        let mut cells = Vec::with_capacity(rows.len());
-        for entity in &rows {
-            let cell = match entity.fact(prop) {
-                Some(value) if rng.gen::<f64>() >= noise.missing_cell_rate => {
-                    let value = if rng.gen::<f64>() < noise.wrong_value_rate {
-                        corrupt_value(value, rng)
-                    } else {
-                        value.clone()
-                    };
-                    render_value(&value, prop, date_format, runtime_as_duration)
-                }
-                _ => String::new(),
-            };
-            cells.push(cell);
-        }
-        columns.push(Column { header, cells });
+        let cells = rows.iter().map(|entity| match entity.fact(prop) {
+            Some(value) if rng.gen::<f64>() >= noise.missing_cell_rate => {
+                let value = if rng.gen::<f64>() < noise.wrong_value_rate {
+                    corrupt_value(value, rng)
+                } else {
+                    value.clone()
+                };
+                render_value(&value, prop, date_format, runtime_as_duration)
+            }
+            _ => String::new(),
+        });
+        columns.push(Column { header, cells: cells.collect() });
         column_property.push(Some((*prop).to_string()));
     }
 
@@ -653,8 +648,8 @@ mod tests {
         let table = WebTable {
             id: TableId(id),
             columns: vec![
-                Column { header: "player".into(), cells: vec!["Tom Brady".into(), "Eli Manning".into()] },
-                Column { header: "team".into(), cells: vec!["Patriots".into(), "Giants".into()] },
+                Column { header: "player".into(), cells: ["Tom Brady", "Eli Manning"].into_iter().collect() },
+                Column { header: "team".into(), cells: ["Patriots", "Giants"].into_iter().collect() },
             ],
         };
         let truth = TableTruth {
@@ -844,7 +839,7 @@ mod tests {
             annotated_table(3, ClassKey::Settlement),
         ]);
         let (mut table, truth) = annotated_table(4, ClassKey::Song);
-        table.columns.iter_mut().for_each(|c| c.cells.push("x".into()));
+        table.columns.iter_mut().for_each(|c| c.cells = c.cells.iter().chain(["x"]).collect());
         corpus.push(table, truth);
         assert_eq!(corpus.tables_of_class(ClassKey::Song).len(), 3);
         assert_eq!(corpus.total_rows(), 9);

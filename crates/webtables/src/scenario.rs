@@ -261,17 +261,19 @@ fn multilingual_headers(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
             // Decorate a share of the label cells with multilingual
             // qualifiers (some rows keep their plain label so exact lookups
             // still have anchors).
-            for cell in columns[truth.label_column].cells.iter_mut() {
+            map_cells(&mut columns[truth.label_column], |_, cell| {
                 if rng.gen::<f64>() < 0.4 {
                     let decoration =
                         MULTILINGUAL_DECORATIONS.choose(&mut rng).copied().unwrap_or("(canlı)");
-                    *cell = if rng.gen::<bool>() {
+                    if rng.gen::<bool>() {
                         format!("{cell} {decoration}")
                     } else {
                         format!("{decoration} {cell}")
-                    };
+                    }
+                } else {
+                    cell.to_string()
                 }
-            }
+            });
             push_table(&mut corpus, &mut next_id, columns, truth);
         }
     }
@@ -349,22 +351,23 @@ fn scientific_tables(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
             }
 
             // Footnote daggers on a few labels.
-            for cell in columns[truth.label_column].cells.iter_mut() {
+            map_cells(&mut columns[truth.label_column], |_, cell| {
                 if rng.gen::<f64>() < 0.25 {
                     let marker = FOOTNOTE_MARKERS.choose(&mut rng).copied().unwrap_or("*");
-                    cell.push_str(marker);
+                    format!("{cell}{marker}")
+                } else {
+                    cell.to_string()
                 }
-            }
+            });
 
             // Noise columns a scientific table carries: sample size,
             // uncertainty, citation.
             let rows = truth.row_entity.len();
-            let n_cells: Vec<String> = (0..rows).map(|_| rng.gen_range(3..120u32).to_string()).collect();
+            let n_cells = (0..rows).map(|_| rng.gen_range(3..120u32).to_string()).collect();
             columns.push(Column { header: "n".into(), cells: n_cells });
             truth.column_property.push(None);
             if rng.gen::<f64>() < 0.5 {
-                let refs: Vec<String> =
-                    (0..rows).map(|_| format!("[{}]", rng.gen_range(1..40u32))).collect();
+                let refs = (0..rows).map(|_| format!("[{}]", rng.gen_range(1..40u32))).collect();
                 columns.push(Column { header: "ref.".into(), cells: refs });
                 truth.column_property.push(None);
             }
@@ -458,19 +461,27 @@ fn near_duplicate_flood(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
             // Stack a second mutation and shared qualifiers on top of the
             // generator's typos: every label ends up a near-duplicate of
             // dozens of other cells across the flood.
-            for cell in columns[truth.label_column].cells.iter_mut() {
+            map_cells(&mut columns[truth.label_column], |_, cell| {
+                let mut cell = cell.to_string();
                 if rng.gen::<f64>() < 0.5 {
-                    *cell = apply_typo(cell, &mut rng);
+                    cell = apply_typo(&cell, &mut rng);
                 }
                 if rng.gen::<f64>() < 0.5 {
                     let q = FLOOD_QUALIFIERS.choose(&mut rng).copied().unwrap_or("(live)");
-                    *cell = format!("{cell} {q}");
+                    cell = format!("{cell} {q}");
                 }
-            }
+                cell
+            });
             push_table(&mut corpus, &mut next_id, columns, truth);
         }
     }
     corpus
+}
+
+/// Rebuild a column's cells through `f`, row by row in order, so a
+/// transform drawing from an RNG draws what it drew editing them in place.
+fn map_cells(column: &mut Column, mut f: impl FnMut(usize, &str) -> String) {
+    column.cells = column.cells.iter().enumerate().map(|(row, cell)| f(row, cell)).collect();
 }
 
 // ── Shared test fixture (formerly tests/common) ─────────────────────────
@@ -488,9 +499,11 @@ fn append_decorated_copies(
         corpus.annotated_tables().take(count).map(|(t, truth)| (t.clone(), truth.clone())).collect();
     for (i, (mut table, truth)) in templates.into_iter().enumerate() {
         table.id = TableId(max_id + 1 + i as u64);
-        for (row, cell) in table.columns[truth.label_column].cells.iter_mut().enumerate() {
-            decorate(row, cell);
-        }
+        map_cells(&mut table.columns[truth.label_column], |row, cell| {
+            let mut cell = cell.to_string();
+            decorate(row, &mut cell);
+            cell
+        });
         assert!(table.validate().is_ok(), "a decorated fixture table must stay consistent");
         corpus.push(table, truth);
     }
@@ -663,7 +676,7 @@ mod tests {
         let mut variants: HashMap<EntityId, std::collections::HashSet<String>> = HashMap::new();
         for (table, truth) in corpus.annotated_tables() {
             for (ri, cell) in table.columns[truth.label_column].cells.iter().enumerate() {
-                variants.entry(truth.row_entity[ri]).or_default().insert(cell.clone());
+                variants.entry(truth.row_entity[ri]).or_default().insert(cell.to_string());
             }
         }
         let multi_variant = variants.values().filter(|v| v.len() >= 3).count();

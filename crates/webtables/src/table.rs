@@ -1,5 +1,7 @@
 //! The relational web table model.
 
+use ltee_intern::StrList;
+
 /// Identifier of a table within a corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u64);
@@ -39,7 +41,8 @@ pub struct Column {
     /// The header row label of the column.
     pub header: String,
     /// Raw cell strings, one per row; empty strings are missing values.
-    pub cells: Vec<String>,
+    /// One list, two heap blocks, however many rows the column has.
+    pub cells: StrList,
 }
 
 /// A relational web table.
@@ -71,12 +74,12 @@ impl WebTable {
 
     /// The raw cell at `(row, column)`, if it exists.
     pub fn cell(&self, row: usize, column: usize) -> Option<&str> {
-        self.columns.get(column).and_then(|c| c.cells.get(row)).map(String::as_str)
+        self.columns.get(column).and_then(|c| c.cells.get(row))
     }
 
     /// All cells of a row (one per column).
     pub fn row_cells(&self, row: usize) -> Vec<&str> {
-        self.columns.iter().filter_map(|c| c.cells.get(row)).map(String::as_str).collect()
+        self.columns.iter().filter_map(|c| c.cells.get(row)).collect()
     }
 
     /// Iterator over the row references of this table.
@@ -105,8 +108,8 @@ mod tests {
         WebTable {
             id: TableId(1),
             columns: vec![
-                Column { header: "player".into(), cells: vec!["Tom Brady".into(), "Eli Manning".into()] },
-                Column { header: "team".into(), cells: vec!["Patriots".into(), "Giants".into()] },
+                Column { header: "player".into(), cells: ["Tom Brady", "Eli Manning"].into_iter().collect() },
+                Column { header: "team".into(), cells: ["Patriots", "Giants"].into_iter().collect() },
             ],
         }
     }
@@ -148,7 +151,7 @@ mod tests {
     #[test]
     fn validate_rejects_ragged_columns() {
         let mut t = sample_table();
-        t.columns[1].cells.pop();
+        t.columns[1].cells = ["Patriots"].into_iter().collect();
         assert!(t.validate().is_err());
     }
 

@@ -280,7 +280,7 @@ fn write_class_stats(w: &mut dyn Write, snap: &ltee_serve::KbSnapshot) -> io::Re
 }
 
 /// The label cells of a corpus's first table, by its ground truth.
-fn first_table_labels(corpus: &GeneratedCorpus) -> Option<&[String]> {
+fn first_table_labels(corpus: &GeneratedCorpus) -> Option<&ltee_intern::StrList> {
     let (table, truth) = corpus.annotated_tables().next()?;
     Some(&table.columns[truth.label_column].cells)
 }

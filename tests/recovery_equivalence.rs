@@ -92,6 +92,12 @@ fn setup_sharded(parallelism: Parallelism, shards: ShardPlan) -> Setup {
     Setup { tw, stream }
 }
 
+/// Make a table ragged: its last column one cell short.
+fn drop_last_cell(table: &mut ltee_webtables::WebTable) {
+    let column = table.columns.last_mut().unwrap();
+    column.cells = column.cells.iter().take(column.cells.len() - 1).collect();
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join(format!("ltee-recovery-test-{}-{tag}", std::process::id()));
@@ -109,9 +115,9 @@ fn query_mix(stream: &GeneratedCorpus) -> Vec<Query> {
         .annotated_tables()
         .step_by(7)
         .take(8)
-        .filter_map(|(t, truth)| t.columns[truth.label_column].cells.first())
+        .filter_map(|(t, truth)| t.columns[truth.label_column].cells.get(0))
         .filter(|l| !l.is_empty())
-        .cloned()
+        .map(str::to_string)
         .collect();
     assert!(labels.len() >= 4, "query mix needs real labels from the stream");
     for (i, label) in labels.iter().enumerate() {
@@ -412,7 +418,7 @@ fn a_ragged_table_is_refused_and_the_store_still_reopens() {
     };
     let table = setup.tw.corpus.tables()[0].clone();
     let mut ragged = table.clone();
-    ragged.columns.last_mut().unwrap().cells.pop();
+    drop_last_cell(&mut ragged);
 
     let dir = scratch_dir("ragged");
     let (mut durable, _) = open(&dir).unwrap();
@@ -440,7 +446,7 @@ fn a_ragged_table_is_refused_and_the_store_still_reopens() {
 fn an_undecodable_wal_record_is_named_by_its_batch_number() {
     let setup = setup(Parallelism::Auto);
     let mut ragged = setup.tw.corpus.tables()[0].clone();
-    ragged.columns.last_mut().unwrap().cells.pop();
+    drop_last_cell(&mut ragged);
     let fingerprint = ltee_core::config_fingerprint(&setup.tw.config);
     let batch = ltee_core::encode_corpus(&setup.tw.corpus.split_into_batches(2)[0]);
     for (payload, tag) in
@@ -518,7 +524,7 @@ fn sweep_stream(setup: &Setup) -> (Vec<Step>, Vec<Corpus>) {
             steps.push(Step::Refuse(Corpus::from_tables(tables)));
         } else if i == ragged_at {
             // The next batch with one table a cell short.
-            tables[0].columns.last_mut().unwrap().cells.pop();
+            drop_last_cell(&mut tables[0]);
             steps.push(Step::Refuse(Corpus::from_tables(tables)));
         } else if i == reopen_at {
             steps.push(Step::Reopen);

@@ -1,4 +1,6 @@
-//! Size guards for the types the resident facts are made of.
+//! Size guards for the types the resident state is made of: the facts,
+//! and the string lists, index entries and prepared values kept per
+//! label, per cell column and per stored value.
 //!
 //! The world's and the knowledge base's facts are the largest homogeneous
 //! blocks a process holds (`tests/golden/memory_ledger.txt`), so a field
@@ -10,8 +12,11 @@
 
 use std::mem::size_of;
 
+use ltee_index::LabelEntry;
+use ltee_intern::StrList;
 use ltee_kb::{Fact, Facts, Instance, WorldEntity};
-use ltee_types::Value;
+use ltee_types::{PreparedValue, Value};
+use ltee_webtables::Column;
 
 #[test]
 fn resident_fact_types_keep_their_sizes() {
@@ -22,9 +27,23 @@ fn resident_fact_types_keep_their_sizes() {
     assert_eq!(size_of::<Fact>(), 32, "kb::Fact");
     // The boxed values, the presence mask and the class.
     assert_eq!(size_of::<Facts>(), 24, "world Facts");
-    // Id, page links, three boxes and the class.
+    // Id, page links, the labels-and-abstract list, the boxed facts and
+    // the class.
     assert_eq!(size_of::<Instance>(), 72, "kb::Instance");
-    // Id, popularity, homonym group, label, alternative labels, facts and
-    // the class and flags.
-    assert_eq!(size_of::<WorldEntity>(), 96, "WorldEntity");
+    // Id, popularity, homonym group, label, alternative labels (a list),
+    // facts and the class and flags.
+    assert_eq!(size_of::<WorldEntity>(), 112, "WorldEntity");
+}
+
+#[test]
+fn per_string_list_types_keep_their_sizes() {
+    // The concatenated strings and their end offsets: two boxes.
+    assert_eq!(size_of::<StrList>(), 32, "StrList");
+    // The header and the cells.
+    assert_eq!(size_of::<Column>(), 56, "webtables::Column");
+    // Id, normalised-label sym and the token span (four u32 offsets into
+    // the index's token arena).
+    assert_eq!(size_of::<LabelEntry>(), 32, "index::LabelEntry");
+    // The boxed normal form, a date or a number, and the tag.
+    assert_eq!(size_of::<PreparedValue>(), 24, "types::PreparedValue");
 }

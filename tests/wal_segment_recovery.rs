@@ -79,3 +79,34 @@ fn a_corrupt_newest_checkpoint_falls_back_across_the_segment_reset() {
     assert_eq!(recovered.snapshot().execute_batch(&queries), outputs);
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Tables with empty, non-ASCII and bracketed cells, repeated across
+/// columns, tables and batches, come back from the log cell for cell:
+/// each batch is one WAL record of one segment, compressed against the
+/// batch before it.
+#[test]
+fn cells_the_generator_never_writes_round_trip_through_the_log() {
+    let table = |id: u64, shift: usize| {
+        let cells = ["", "Ça plane pour moi (chanson)", "北京 [2]", "İstanbul", "", "(1970)", "[]"];
+        let column = |header: &str, from: usize| ltee_webtables::Column {
+            header: header.into(),
+            cells: cells.iter().cycle().skip(from + shift).take(5).collect(),
+        };
+        WebTable { id: TableId(id), columns: vec![column("titre", 0), column("année", 2)] }
+    };
+    let batches = [Corpus::from_tables(vec![table(1, 0), table(2, 1)]), Corpus::from_tables(vec![table(3, 2)])];
+    let dir = std::env::temp_dir().join(format!("ltee-wal-odd-cells-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut store = KbStore::open(&dir, 7).expect("a fresh store").store;
+    for batch in &batches {
+        store.append_batch(&ltee_core::checkpoint::encode_corpus(batch)).expect("an append");
+    }
+    drop(store);
+    let recovery = KbStore::open(&dir, 7).expect("the store reopens");
+    assert_eq!(recovery.tail.len(), batches.len());
+    for (record, batch) in recovery.tail.iter().zip(&batches) {
+        let replayed = ltee_core::checkpoint::decode_corpus(&record.payload).expect("a decodable batch");
+        assert_eq!(replayed.tables(), batch.tables());
+    }
+    fs::remove_dir_all(&dir).expect("the store directory is removable");
+}

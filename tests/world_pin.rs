@@ -41,8 +41,8 @@ fn render(world: &World) -> String {
             "I{} {:?} {:?} {:?} links={} |",
             inst.id.raw(),
             inst.class,
-            inst.labels,
-            inst.abstract_text,
+            inst.labels().collect::<Vec<_>>(),
+            inst.abstract_text(),
             inst.page_links
         );
         for fact in &inst.facts {
