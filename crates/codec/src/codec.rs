@@ -387,13 +387,16 @@ impl ByteWriter {
     }
 
     /// Append a sequence: the varint element count, then every element
-    /// through `item`. The closure sees each element at the slice's own
-    /// lifetime, so it can hand element strings to a [`StringTableWriter`].
-    pub fn write_seq<'t, T>(
-        &mut self,
-        items: &'t [T],
-        mut item: impl FnMut(&mut Self, &'t T),
-    ) {
+    /// through `item`. Over a borrowed collection (a slice, a `Vec`, any
+    /// iterator that knows its length) the closure sees each element at
+    /// the collection's own lifetime, so it can hand element strings to a
+    /// [`StringTableWriter`].
+    pub fn write_seq<I>(&mut self, items: I, mut item: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
         self.write_varint(items.len() as u64);
         for it in items {
             item(self, it);

@@ -169,11 +169,7 @@ fn encode_table_into<'a>(table: &'a WebTable, strings: &mut StringTableWriter<'a
     w.write_varint(table.id.raw());
     w.write_seq(&table.columns, |w, column| {
         strings.write_ref(w, &column.header);
-        // The bytes of `write_seq` over the cells.
-        w.write_varint(column.cells.len() as u64);
-        for cell in &column.cells {
-            strings.write_ref(w, cell);
-        }
+        w.write_seq(&column.cells, |w, cell| strings.write_ref(w, cell));
     });
 }
 

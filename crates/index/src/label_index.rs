@@ -37,7 +37,7 @@ pub struct LabelEntry {
     /// index's token arena, memoised at insert time so that lookups (which
     /// score every candidate against the query tokens) never re-tokenise
     /// the same label.
-    pub tokens: TokenSpan,
+    pub(crate) tokens: TokenSpan,
 }
 
 /// A candidate returned by a lookup.

@@ -34,15 +34,25 @@ impl StrList {
     }
 
     /// The list of `strings`, in order, or `None` when they total more
-    /// than `u32::MAX` bytes (the end offsets are `u32`). Collecting with
-    /// [`FromIterator`] panics there instead.
-    pub fn try_collect<S: AsRef<str>>(strings: impl IntoIterator<Item = S>) -> Option<Self> {
+    /// than `u32::MAX` bytes (the end offsets are `u32`). It walks the
+    /// strings twice, once to size both blocks exactly and once to fill
+    /// them, so it takes an iterator that can be cloned (borrowed strings,
+    /// typically). [`FromIterator`] takes any iterator in one walk, grows
+    /// its blocks as it goes and panics where this returns `None`.
+    pub fn try_collect<I>(strings: I) -> Option<Self>
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: AsRef<str>,
+    {
         let strings = strings.into_iter();
-        let mut bytes = String::new();
-        let mut ends = Vec::with_capacity(strings.size_hint().0);
+        let (count, total) = strings.clone().fold((0, 0), |(count, total), s| (count + 1, total + s.as_ref().len()));
+        u32::try_from(total).ok()?;
+        let mut bytes = String::with_capacity(total);
+        let mut ends = Vec::with_capacity(count);
         for s in strings {
             bytes.push_str(s.as_ref());
-            ends.push(u32::try_from(bytes.len()).ok()?);
+            ends.push(bytes.len() as u32);
         }
         Some(Self { bytes: bytes.into_boxed_str(), ends: ends.into_boxed_slice() })
     }
@@ -76,10 +86,17 @@ impl StrList {
 /// [`StrList::try_collect`].
 impl<S: AsRef<str>> FromIterator<S> for StrList {
     fn from_iter<I: IntoIterator<Item = S>>(strings: I) -> Self {
-        match Self::try_collect(strings) {
-            Some(list) => list,
-            None => panic!("string list exceeded u32 address space"),
+        let strings = strings.into_iter();
+        let mut bytes = String::new();
+        let mut ends = Vec::with_capacity(strings.size_hint().0);
+        for s in strings {
+            bytes.push_str(s.as_ref());
+            match u32::try_from(bytes.len()) {
+                Ok(end) => ends.push(end),
+                Err(_) => panic!("string list exceeded u32 address space"),
+            }
         }
+        Self { bytes: bytes.into_boxed_str(), ends: ends.into_boxed_slice() }
     }
 }
 

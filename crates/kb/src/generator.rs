@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
-use ltee_intern::StrList;
 use ltee_types::{Date, Value};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -180,7 +179,7 @@ pub struct WorldEntity {
     /// Canonical label.
     pub canonical_label: String,
     /// Alternative labels (spelling variants, qualifiers).
-    pub alt_labels: StrList,
+    pub alt_labels: Box<[Box<str>]>,
     /// Ground-truth facts, in property-name order.
     pub facts: Facts,
     /// Popularity (page-link proxy); higher for head entities.
@@ -199,7 +198,7 @@ impl WorldEntity {
     /// All labels, canonical first.
     pub fn labels(&self) -> Vec<&str> {
         std::iter::once(self.canonical_label.as_str())
-            .chain(self.alt_labels.iter())
+            .chain(self.alt_labels.iter().map(|label| &**label))
             .collect()
     }
 
@@ -350,7 +349,7 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
                 id,
                 class,
                 canonical_label: label,
-                alt_labels: StrList::new(),
+                alt_labels: Box::default(),
                 facts: generate_confusable_facts(class, &mut rng),
                 popularity: rng.gen_range(0..20),
                 in_kb: false,
@@ -549,7 +548,7 @@ fn generate_alt_labels(
     canonical: &str,
     facts: &Facts,
     rng: &mut ChaCha8Rng,
-) -> StrList {
+) -> Box<[Box<str>]> {
     let mut alts = Vec::new();
     match class {
         ClassKey::GridironFootballPlayer => {
@@ -577,7 +576,7 @@ fn generate_alt_labels(
             }
         }
     }
-    alts.iter().collect()
+    alts.into_iter().map(String::into_boxed_str).collect()
 }
 
 fn build_abstract(entity: &WorldEntity) -> String {

@@ -198,8 +198,8 @@ impl KnowledgeBase {
     }
 
     /// Add an instance and return its id, which is its position among the
-    /// instances. Its labels and abstract are kept as one list, its facts
-    /// exact-sized.
+    /// instances. Its labels and abstract are kept as one list (so they
+    /// may total at most 4 GiB; more panics), its facts exact-sized.
     pub fn add_instance(
         &mut self,
         class: ClassKey,
@@ -210,7 +210,9 @@ impl KnowledgeBase {
     ) -> InstanceId {
         self.derived = Derived::default();
         let id = InstanceId(self.instances.len() as u64);
-        let texts = labels.iter().chain([&abstract_text]).collect();
+        let Some(texts) = StrList::try_collect(labels.iter().chain([&abstract_text])) else {
+            panic!("an instance's labels and abstract exceed 4 GiB");
+        };
         self.instances.push(Instance { id, class, texts, page_links, facts: facts.into_boxed_slice() });
         id
     }

@@ -82,7 +82,7 @@ impl MatcherWeights {
         classes.sort_by_key(|(c, _)| c.code());
         w.write_seq(&classes, |w, (class, weights)| {
             w.write_u8(class.code());
-            w.write_seq(weights, |w, &v| w.write_f64(v));
+            w.write_seq(*weights, |w, &v| w.write_f64(v));
         });
         let mut thresholds: Vec<(u8, &str, f64)> = self
             .property_thresholds

@@ -44,7 +44,7 @@ impl BowVector {
     /// Build a vector from several pieces of text (e.g. all cells of a row),
     /// in one pass: every token is gathered into one scratch buffer, the
     /// token spans are sorted and deduplicated, and the list is written
-    /// once.
+    /// once, exact-sized.
     pub fn from_texts<I>(texts: I) -> Self
     where
         I: IntoIterator,
@@ -61,15 +61,19 @@ impl BowVector {
         let term = |&(start, end): &(usize, usize)| &scratch[start..end];
         spans.sort_unstable_by(|a, b| term(a).cmp(term(b)));
         spans.dedup_by(|a, b| term(a) == term(b));
-        // The list's end offsets are `u32`: a term that would take it past
-        // 4 GiB of distinct term bytes is not added.
-        let mut bytes = 0usize;
-        let fits = |term: &&str| {
-            let fits = bytes + term.len() <= u32::MAX as usize;
-            bytes += if fits { term.len() } else { 0 };
-            fits
-        };
-        Self { terms: spans.iter().map(term).filter(fits).collect() }
+        let terms = spans.iter().map(term);
+        // The list's end offsets are `u32`: past 4 GiB of distinct term
+        // bytes, a term that would not fit is not added.
+        let terms = StrList::try_collect(terms.clone()).unwrap_or_else(|| {
+            let mut bytes = 0usize;
+            let fits = |term: &&str| {
+                let fits = bytes + term.len() <= u32::MAX as usize;
+                bytes += if fits { term.len() } else { 0 };
+                fits
+            };
+            terms.filter(fits).collect()
+        });
+        Self { terms }
     }
 
     /// Number of distinct terms.

@@ -497,8 +497,7 @@ pub(crate) fn build_table(
         entities.iter().filter_map(|&id| Some((id, world.entity(id)?))).unzip();
     let label_cells = rows.iter().map(|entity| {
         let mut label = if !entity.alt_labels.is_empty() && rng.gen::<f64>() < noise.label_variant_rate {
-            // The draw `choose` makes on a slice of the labels.
-            entity.alt_labels[rng.gen_range(0..entity.alt_labels.len())].to_string()
+            entity.alt_labels.choose(rng).map_or_else(|| entity.canonical_label.clone(), |label| label.to_string())
         } else {
             entity.canonical_label.clone()
         };

@@ -30,9 +30,9 @@ fn resident_fact_types_keep_their_sizes() {
     // Id, page links, the labels-and-abstract list, the boxed facts and
     // the class.
     assert_eq!(size_of::<Instance>(), 72, "kb::Instance");
-    // Id, popularity, homonym group, label, alternative labels (a list),
-    // facts and the class and flags.
-    assert_eq!(size_of::<WorldEntity>(), 112, "WorldEntity");
+    // Id, popularity, homonym group, label, alternative labels, facts and
+    // the class and flags.
+    assert_eq!(size_of::<WorldEntity>(), 96, "WorldEntity");
 }
 
 #[test]
