@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use ltee_index::LabelIndex;
 use ltee_intern::{Interner, TokenSeq};
 use ltee_kb::{ClassKey, InstanceId, KnowledgeBase};
-use ltee_matching::{CorpusMapping, RowCandidates, RowValues, CANDIDATES_PER_ROW};
+use ltee_matching::{CorpusMapping, RowCandidates, RowValues, TableMapping, CANDIDATES_PER_ROW};
 use ltee_text::{normalize_label, tokenize_interned, BowVector};
 use ltee_types::{value_equivalent, EquivalenceConfig, PreparedValue, Value};
 use ltee_webtables::{Corpus, RowRef, TableId, WebTable};
@@ -77,13 +77,13 @@ impl RowContext {
 
     /// The row's (property, value, prepared value) triples, in
     /// `values().values` order.
-    pub(crate) fn prepared_values(&self) -> impl Iterator<Item = (&str, &Value, &PreparedValue)> {
-        self.values.values.iter().zip(&self.prepared).map(|((p, v), prepared)| (p.as_str(), v, prepared))
+    pub(crate) fn prepared_values(&self) -> impl Iterator<Item = (&'static str, &Value, &PreparedValue)> {
+        self.values.values.iter().zip(&self.prepared).map(|(&(p, ref v), prepared)| (p, v, prepared))
     }
 
     /// The prepared form of the row's value for `property`, if it has one.
     pub(crate) fn prepared_value(&self, property: &str) -> Option<&PreparedValue> {
-        self.values.values.iter().position(|(p, _)| p == property).map(|i| &self.prepared[i])
+        self.values.values.iter().position(|&(p, _)| p == property).map(|i| &self.prepared[i])
     }
 }
 
@@ -132,8 +132,8 @@ pub struct ImplicitAttributes {
 /// The implicit attributes of one table.
 #[derive(Debug, Clone, Default)]
 struct TableAttributes {
-    /// (property name, value, confidence score).
-    attributes: Vec<(String, Value, f64)>,
+    /// (property, value, confidence score).
+    attributes: Vec<(&'static str, Value, f64)>,
     /// The values of `attributes` prepared for similarity scoring, position
     /// by position.
     prepared: Vec<PreparedValue>,
@@ -153,27 +153,27 @@ impl TableAttributes {
     fn derive(kb: &KnowledgeBase, num_rows: usize, row_candidates: &[Vec<InstanceId>]) -> Self {
         let eq = EquivalenceConfig::default();
         // For each row, the set of property-value combinations of its
-        // candidate instances, keyed by (property name, rendered value).
-        let mut combo_rows: HashMap<(&str, String), (&Value, usize)> = HashMap::new();
+        // candidate instances, keyed by (property, rendered value).
+        let mut combo_rows: HashMap<(&'static str, String), (&Value, usize)> = HashMap::new();
         for candidates in row_candidates {
-            let mut row_combos: HashMap<(&str, String), &Value> = HashMap::new();
+            let mut row_combos: HashMap<(&'static str, String), &Value> = HashMap::new();
             for &id in candidates {
                 let Some(instance) = kb.instance(id) else { continue };
                 for fact in &instance.facts {
                     let Some(prop) = kb.property(fact.property) else { continue };
-                    row_combos.entry((prop.name.as_str(), fact.value.render())).or_insert(&fact.value);
+                    row_combos.entry((prop.name, fact.value.render())).or_insert(&fact.value);
                 }
             }
             for (key, value) in row_combos {
                 combo_rows.entry(key).or_insert((value, 0)).1 += 1;
             }
         }
-        let mut implicit: Vec<(String, Value, f64, String)> = combo_rows
+        let mut implicit: Vec<(&'static str, Value, f64, String)> = combo_rows
             .into_iter()
             .filter_map(|((prop, render), (value, count))| {
                 let score = count as f64 / num_rows as f64;
                 (score >= ImplicitAttributes::SCORE_THRESHOLD)
-                    .then(|| (prop.to_string(), value.clone(), score, render))
+                    .then(|| (prop, value.clone(), score, render))
             })
             .collect();
         implicit.sort_by(|a, b| {
@@ -182,13 +182,13 @@ impl TableAttributes {
             // dedup below must not depend on hash iteration order.
             b.2.partial_cmp(&a.2)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
+                .then_with(|| a.0.cmp(b.0))
                 .then_with(|| a.3.cmp(&b.3))
         });
         // Deduplicate by property, keeping the highest-scoring value, and
         // verify consistency with the equivalence functions (two distinct
         // renders of the same value should not produce two entries).
-        let mut attributes: Vec<(String, Value, f64)> = Vec::new();
+        let mut attributes: Vec<(&'static str, Value, f64)> = Vec::new();
         for (prop, value, score, _render) in implicit {
             let dtype = value.data_type();
             let duplicate =
@@ -222,10 +222,9 @@ impl ImplicitAttributes {
         class: ClassKey,
         label_index: &LabelIndex,
     ) -> Self {
-        Self::derive(corpus, mapping, kb, class, |table, label_column| {
+        Self::derive(corpus, mapping, kb, class, |table, table_mapping| {
             let rows = (0..table.num_rows()).map(|row| {
-                let Some(raw) = table.cell(row, label_column) else { return Vec::new() };
-                let label = ltee_text::clean_label(raw);
+                let label = table_mapping.row_label(table, row);
                 if label.is_empty() {
                     return Vec::new();
                 }
@@ -254,24 +253,24 @@ impl ImplicitAttributes {
     /// The one body of [`ImplicitAttributes::build`] and
     /// [`ImplicitAttributes::from_candidates`]: per table of the class, on
     /// the pool, the attributes of its rows' candidate instances —
-    /// `row_candidates(table, label column)`, one list per row.
+    /// `row_candidates(table, its mapping)`, one list per row.
     fn derive<'c>(
         corpus: &Corpus,
         mapping: &CorpusMapping,
         kb: &KnowledgeBase,
         class: ClassKey,
-        row_candidates: impl Fn(&WebTable, usize) -> Cow<'c, [Vec<InstanceId>]> + Sync,
+        row_candidates: impl Fn(&WebTable, &TableMapping) -> Cow<'c, [Vec<InstanceId>]> + Sync,
     ) -> Self {
-        let tables: Vec<(&WebTable, usize)> = mapping
+        let tables: Vec<(&WebTable, &TableMapping)> = mapping
             .tables_of_class(class)
             .into_iter()
-            .filter_map(|tm| Some((corpus.table(tm.table)?, tm.label_column)))
+            .filter_map(|tm| Some((corpus.table(tm.table)?, tm)))
             .filter(|(table, _)| table.num_rows() > 0)
             .collect();
         let per_table: Vec<(TableId, TableAttributes)> = tables
             .par_iter()
-            .map(|&(table, label_column)| {
-                let rows = row_candidates(table, label_column);
+            .map(|&(table, table_mapping)| {
+                let rows = row_candidates(table, table_mapping);
                 (table.id, TableAttributes::derive(kb, table.num_rows(), &rows))
             })
             .collect();
@@ -279,13 +278,13 @@ impl ImplicitAttributes {
     }
 
     /// The implicit attributes of a table.
-    pub fn of_table(&self, table: TableId) -> &[(String, Value, f64)] {
+    pub fn of_table(&self, table: TableId) -> &[(&'static str, Value, f64)] {
         self.prepared_of_table(table).0
     }
 
     /// The implicit attributes of a table and, position by position, their
     /// values prepared for similarity scoring.
-    pub(crate) fn prepared_of_table(&self, table: TableId) -> (&[(String, Value, f64)], &[PreparedValue]) {
+    pub(crate) fn prepared_of_table(&self, table: TableId) -> (&[(&'static str, Value, f64)], &[PreparedValue]) {
         match self.per_table.get(&table) {
             Some(table) => (&table.attributes, &table.prepared),
             None => (&[], &[]),

@@ -311,13 +311,13 @@ pub struct RowProbe<'a> {
     /// per pair).
     all_implicit: &'a ImplicitAttributes,
     /// The implicit attributes of the row's table…
-    implicit: &'a [(String, Value, f64)],
+    implicit: &'a [(&'static str, Value, f64)],
     /// …and their prepared values, position by position.
     implicit_prepared: &'a [PreparedValue],
     /// What the row has to say about a property: its explicit (column)
     /// values, then its table's implicit ones. The first entry for a
     /// property is the one `IMPLICIT_ATT` compares against.
-    own_values: Vec<(&'a str, &'a PreparedValue)>,
+    own_values: Vec<(&'static str, &'a PreparedValue)>,
 }
 
 impl<'a> RowProbe<'a> {
@@ -326,7 +326,7 @@ impl<'a> RowProbe<'a> {
         let (implicit, implicit_prepared) = all_implicit.prepared_of_table(ctx.row.table);
         let explicit = ctx.prepared_values().map(|(p, _, prepared)| (p, prepared));
         let own_values =
-            explicit.chain(implicit.iter().map(|(p, _, _)| p.as_str()).zip(implicit_prepared)).collect();
+            explicit.chain(implicit.iter().map(|&(p, _, _)| p).zip(implicit_prepared)).collect();
         Self { ctx, all_implicit, implicit, implicit_prepared, own_values }
     }
 
@@ -453,14 +453,11 @@ mod tests {
         table: u64,
         row: usize,
         label: &str,
-        values: Vec<(&str, Value)>,
+        values: Vec<(&'static str, Value)>,
         extra_terms: &str,
     ) -> RowContext {
         let bow = BowVector::from_texts([label, extra_terms]);
-        let values = RowValues {
-            label: label.to_string(),
-            values: values.into_iter().map(|(p, v)| (p.to_string(), v)).collect(),
-        };
+        let values = RowValues { label: label.to_string(), values };
         RowContext::new(RowRef::new(TableId(table), row), values, bow, interner)
     }
 

@@ -103,7 +103,7 @@ use std::collections::HashSet;
 
 use ltee_clustering::StreamingClusterer;
 use ltee_intern::{Interner, StrList};
-use ltee_kb::{ClassKey, KnowledgeBase, CLASS_KEYS};
+use ltee_kb::{schema_property_name, ClassKey, KnowledgeBase, CLASS_KEYS};
 use ltee_matching::{
     detect_column_types, detect_label_attribute, AttributeMatch, CorpusMapping, TableMapping,
 };
@@ -292,7 +292,7 @@ fn encode_mapping_into<'a>(mapping: &'a TableMapping, strings: &mut StringTableW
     w.write_opt(mapping.class, |w, class| w.write_u8(class.code()));
     w.write_seq(&mapping.correspondences, |w, c| {
         w.write_opt(c.as_ref(), |w, m| {
-            strings.write_ref(w, &m.property);
+            strings.write_ref(w, m.property);
             w.write_u8(data_type_tag(m.data_type));
             w.write_f64(m.score);
         });
@@ -312,7 +312,13 @@ fn decode_mapping_from(
     })?;
     let correspondences = r.read_seq("mapping correspondences", 1, |r| {
         r.read_opt("correspondence flag", |r| {
-            let property = strings.read_ref(r, "correspondence property")?.to_string();
+            let name = strings.read_ref(r, "correspondence property")?;
+            let property = class.and_then(|class| schema_property_name(class, name)).ok_or_else(|| {
+                CodecError::Corrupted(match class {
+                    Some(class) => format!("correspondence to unknown {class} property {name:?}"),
+                    None => format!("correspondence {name:?} in table {}, which has no class", id.raw()),
+                })
+            })?;
             let data_type = data_type_from_tag(r.read_u8("correspondence data type")?)?;
             let score = r.read_f64("correspondence score")?;
             Ok::<_, CodecError>(AttributeMatch { property, data_type, score })
@@ -763,29 +769,41 @@ mod tests {
         }
     }
 
+    /// A mapping must fit the decoded corpus and its class schema: a table
+    /// outside the corpus, a correspondence to a name outside the schema
+    /// and a correspondence in a table without a class are refused.
     #[test]
-    fn a_mapping_of_a_table_outside_the_corpus_is_rejected() {
-        let mapping = TableMapping {
-            table: TableId(7),
-            class: Some(ClassKey::Song),
-            label_column: 0,
-            detected_types: vec![],
-            correspondences: vec![None],
-        };
-        let orphan = PipelineCheckpoint {
-            fingerprint: 1,
-            applied_batches: 1,
-            corpus: Corpus::new(),
-            mapping: CorpusMapping::from_tables(vec![mapping]),
-            classes: CLASS_KEYS
-                .iter()
-                .map(|_| ClassDump { interner: Interner::new(), clusters: vec![], results: vec![] })
-                .collect(),
-        };
-        assert!(matches!(
-            PipelineCheckpoint::decode(&orphan.encode()),
-            Err(CodecError::Corrupted(why)) if why.contains("outside the corpus")
-        ));
+    fn a_mapping_outside_the_corpus_or_the_schema_is_rejected() {
+        let corpus = || Corpus::from_tables(vec![song_table()]);
+        for (corpus, class, property, expected) in [
+            (Corpus::new(), Some(ClassKey::Song), None, "outside the corpus"),
+            (corpus(), Some(ClassKey::Song), Some("year"), "unknown Song property \"year\""),
+            (corpus(), Some(ClassKey::Settlement), Some("genre"), "unknown Settlement property \"genre\""),
+            (corpus(), None, Some("genre"), "\"genre\" in table 7, which has no class"),
+        ] {
+            let correspondence = property.map(|property| AttributeMatch { property, data_type: DataType::Text, score: 0.5 });
+            let mapping = TableMapping {
+                table: TableId(7),
+                class,
+                label_column: 0,
+                detected_types: vec![],
+                correspondences: vec![correspondence],
+            };
+            let checkpoint = PipelineCheckpoint {
+                fingerprint: 1,
+                applied_batches: 1,
+                corpus,
+                mapping: CorpusMapping::from_tables(vec![mapping]),
+                classes: CLASS_KEYS
+                    .iter()
+                    .map(|_| ClassDump { interner: Interner::new(), clusters: vec![], results: vec![] })
+                    .collect(),
+            };
+            assert!(
+                matches!(PipelineCheckpoint::decode(&checkpoint.encode()), Err(CodecError::Corrupted(why)) if why.contains(expected)),
+                "{class:?} {property:?}"
+            );
+        }
     }
 
     #[test]

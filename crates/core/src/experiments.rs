@@ -137,8 +137,8 @@ pub fn table01_kb_profile(world: &World) -> Vec<Table1Row> {
 pub struct DensityRow {
     /// Class name.
     pub class: String,
-    /// Property name.
-    pub property: String,
+    /// The property.
+    pub property: &'static str,
     /// Number of facts.
     pub facts: usize,
     /// Density (fraction of instances/entities with the property).
@@ -270,7 +270,7 @@ fn attribute_prf(mapping: &CorpusMapping, golds: &[GoldStandard]) -> (f64, f64, 
     let mut gold_set: HashMap<(ltee_webtables::TableId, usize), &str> = HashMap::new();
     for gold in golds {
         for a in &gold.attributes {
-            gold_set.insert((a.table, a.column), a.property.as_str());
+            gold_set.insert((a.table, a.column), a.property);
         }
     }
     let mut predicted = 0usize;
@@ -798,10 +798,10 @@ pub fn table11_12_profiling(trained: &TrainedWorld, output: &PipelineOutput) -> 
         });
 
         // Table 12: property densities of the new entities.
-        let mut per_property: HashMap<String, usize> = HashMap::new();
+        let mut per_property: HashMap<&'static str, usize> = HashMap::new();
         for entity in &new_entities {
-            for (prop, _, _) in &entity.facts {
-                *per_property.entry(prop.clone()).or_insert(0) += 1;
+            for &(prop, _, _) in &entity.facts {
+                *per_property.entry(prop).or_insert(0) += 1;
             }
         }
         let mut rows: Vec<DensityRow> = per_property
@@ -819,7 +819,7 @@ pub fn table11_12_profiling(trained: &TrainedWorld, output: &PipelineOutput) -> 
             b.density
                 .partial_cmp(&a.density)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.property.cmp(&b.property))
+                .then_with(|| a.property.cmp(b.property))
         });
         table12.extend(rows);
     }

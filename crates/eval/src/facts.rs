@@ -49,13 +49,13 @@ pub fn evaluate_facts(
     let mut correct = 0usize;
     // Recallable gold facts: (cluster, property) groups of new clusters with
     // the correct value present.
-    let recallable: Vec<(usize, &str)> = gold
+    let recallable: Vec<(usize, &'static str)> = gold
         .facts
         .iter()
         .filter(|f| f.value_present && gold.clusters[f.cluster].is_new)
-        .map(|f| (f.cluster, f.property.as_str()))
+        .map(|f| (f.cluster, f.property))
         .collect();
-    let mut recalled: std::collections::HashSet<(usize, String)> = std::collections::HashSet::new();
+    let mut recalled: std::collections::HashSet<(usize, &'static str)> = std::collections::HashSet::new();
 
     for (entity, outcome) in entities.iter().zip(outcomes.iter()) {
         if !outcome.is_new() {
@@ -63,10 +63,10 @@ pub fn evaluate_facts(
         }
         let cluster = entity_gold_cluster(&entity.rows, gold);
         let new_cluster = cluster.filter(|&ci| gold.clusters[ci].is_new);
-        for (property, value, _) in &entity.facts {
+        for &(property, ref value, _) in &entity.facts {
             returned += 1;
             let Some(ci) = new_cluster else { continue };
-            let Some(gold_fact) = gold.facts.iter().find(|f| f.cluster == ci && &f.property == property)
+            let Some(gold_fact) = gold.facts.iter().find(|f| f.cluster == ci && f.property == property)
             else {
                 continue;
             };
@@ -76,7 +76,7 @@ pub fn evaluate_facts(
                 .unwrap_or_else(|| value.data_type());
             if value_equivalent(value, &gold_fact.correct_value, dtype, &eq) {
                 correct += 1;
-                recalled.insert((ci, property.clone()));
+                recalled.insert((ci, property));
             }
         }
     }
@@ -169,13 +169,13 @@ mod tests {
             facts: vec![
                 GoldFact {
                     cluster: 0,
-                    property: "runtime".into(),
+                    property: "runtime",
                     correct_value: Value::Quantity(200.0),
                     value_present: true,
                 },
                 GoldFact {
                     cluster: 0,
-                    property: "musicalArtist".into(),
+                    property: "musicalArtist",
                     correct_value: Value::InstanceRef("Echo Chamber".into()),
                     value_present: true,
                 },
@@ -183,12 +183,12 @@ mod tests {
         }
     }
 
-    fn entity(rows: Vec<RowRef>, facts: Vec<(&str, Value)>) -> Entity {
+    fn entity(rows: Vec<RowRef>, facts: Vec<(&'static str, Value)>) -> Entity {
         Entity {
             class: ClassKey::Song,
             rows,
             labels: vec!["x".into()],
-            facts: facts.into_iter().map(|(p, v)| (p.to_string(), v, 1.0)).collect(),
+            facts: facts.into_iter().map(|(p, v)| (p, v, 1.0)).collect(),
         }
     }
 

@@ -8,7 +8,7 @@ use ltee_webtables::RowRef;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateValue {
     /// The property the candidate belongs to.
-    pub property: String,
+    pub property: &'static str,
     /// The candidate value.
     pub value: Value,
     /// The row the candidate came from.
@@ -28,7 +28,7 @@ pub struct Entity {
     /// first.
     pub labels: Vec<String>,
     /// Fused facts: property → (value, support score).
-    pub facts: Vec<(String, Value, f64)>,
+    pub facts: Vec<(&'static str, Value, f64)>,
 }
 
 ltee_intern::heap_size!(Entity { rows, labels, facts });
@@ -41,7 +41,7 @@ impl Entity {
 
     /// The fused value of a property, if present.
     pub fn fact(&self, property: &str) -> Option<&Value> {
-        self.facts.iter().find(|(p, _, _)| p == property).map(|(_, v, _)| v)
+        self.facts.iter().find(|(p, _, _)| *p == property).map(|(_, v, _)| v)
     }
 
     /// Number of fused facts.
@@ -76,7 +76,7 @@ mod tests {
             class: ClassKey::Song,
             rows: vec![RowRef::new(TableId(1), 0), RowRef::new(TableId(2), 3)],
             labels: vec!["Hey Jude".into(), "Hey Jude (song)".into()],
-            facts: vec![("runtime".into(), Value::Quantity(431.0), 2.0)],
+            facts: vec![("runtime", Value::Quantity(431.0), 2.0)],
         };
         assert_eq!(e.canonical_label(), "Hey Jude");
         assert_eq!(e.fact("runtime"), Some(&Value::Quantity(431.0)));

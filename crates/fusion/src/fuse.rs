@@ -87,7 +87,7 @@ pub fn kbt_scores_for_tables(
         }
         let Some(table) = corpus.table(tm.table) else { continue };
         for (col, m) in tm.matched_columns() {
-            let Some(prop) = kb.property_by_name(class, &m.property) else { continue };
+            let Some(prop) = kb.property_by_name(class, m.property) else { continue };
             let Some(sample) = kb.property_value_sample(prop.id) else { continue };
             let mut total = 0usize;
             let mut hits = 0usize;
@@ -163,23 +163,16 @@ fn create_entity(
     config: &EntityCreationConfig,
     kbt: Option<&HashMap<(TableId, usize), f64>>,
 ) -> Entity {
-    // --- Labels --------------------------------------------------------------
+    // --- Label counting, candidate collection and scoring --------------------
     let mut label_counts: BTreeMap<String, usize> = BTreeMap::new();
-    for &row in rows {
-        let values = mapping.row_values(corpus, row);
-        if !values.label.is_empty() {
-            *label_counts.entry(values.label).or_insert(0) += 1;
-        }
-    }
-    let mut labels: Vec<(String, usize)> = label_counts.into_iter().collect();
-    labels.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let labels: Vec<String> = labels.into_iter().map(|(l, _)| l).collect();
-
-    // --- Candidate collection and scoring ------------------------------------
-    let mut candidates: BTreeMap<String, Vec<CandidateValue>> = BTreeMap::new();
+    let mut candidates: BTreeMap<&'static str, Vec<CandidateValue>> = BTreeMap::new();
     for &row in rows {
         let Some(tm) = mapping.table(row.table) else { continue };
         let Some(table) = corpus.table(row.table) else { continue };
+        let label = tm.row_label(table, row.row);
+        if !label.is_empty() {
+            *label_counts.entry(label).or_insert(0) += 1;
+        }
         for (col, m) in tm.matched_columns() {
             let Some(cell) = table.cell(row.row, col) else { continue };
             let Some(value) = ltee_types::parse_cell_as(cell, m.data_type) else { continue };
@@ -190,20 +183,18 @@ fn create_entity(
                     kbt.and_then(|k| k.get(&(row.table, col)).copied()).unwrap_or(0.5)
                 }
             };
-            candidates.entry(m.property.clone()).or_default().push(CandidateValue {
-                property: m.property.clone(),
-                value,
-                row,
-                score,
-            });
+            candidates.entry(m.property).or_default().push(CandidateValue { property: m.property, value, row, score });
         }
     }
+    let mut labels: Vec<(String, usize)> = label_counts.into_iter().collect();
+    labels.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let labels: Vec<String> = labels.into_iter().map(|(l, _)| l).collect();
 
     // --- Group, select, fuse ---------------------------------------------------
     let mut facts = Vec::new();
     for (property, cands) in candidates {
         let data_type = kb
-            .property_by_name(class, &property)
+            .property_by_name(class, property)
             .map(|p| p.data_type)
             .unwrap_or_else(|| cands[0].value.data_type());
         if let Some((value, support)) = fuse_candidates(&cands, data_type) {
@@ -316,8 +307,8 @@ mod tests {
     use ltee_types::Date;
     use ltee_webtables::TableId;
 
-    fn cand(property: &str, value: Value, score: f64, row: usize) -> CandidateValue {
-        CandidateValue { property: property.into(), value, row: RowRef::new(TableId(1), row), score }
+    fn cand(property: &'static str, value: Value, score: f64, row: usize) -> CandidateValue {
+        CandidateValue { property, value, row: RowRef::new(TableId(1), row), score }
     }
 
     #[test]
@@ -487,7 +478,7 @@ mod tests {
         let eq = EquivalenceConfig::default();
         for (&(table_id, col), score) in &full {
             let m = mapping.table(table_id).unwrap().correspondences[col].as_ref().unwrap();
-            let prop = world.kb().property_by_name(class, &m.property).unwrap();
+            let prop = world.kb().property_by_name(class, m.property).unwrap();
             let kb_values = world.kb().property_values(prop.id);
             let cells = &corpus.table(table_id).unwrap().columns[col].cells;
             let filled = cells.iter().filter(|c| !c.trim().is_empty());

@@ -95,6 +95,7 @@ macro_rules! heap_size {
 
 heap_size! {
     u8 {} u32 {} u64 {} usize {} f64 {}
+    &'static str {}
     crate::Sym {}
     crate::Interner { arena, spans, table }
     crate::TokenSeq { syms }

@@ -640,6 +640,22 @@ mod tests {
         }
     }
 
+    /// The KB's properties are the schema's, class by class and in order:
+    /// decoders resolve stored names through `class_schema` alone.
+    #[test]
+    fn kb_properties_are_exactly_the_schema() {
+        let w = tiny_world();
+        for class in CLASS_KEYS {
+            let properties = w.kb().class_property_slice(class);
+            assert_eq!(properties.len(), class_schema(class).len(), "{class}");
+            for (property, spec) in properties.iter().zip(class_schema(class)) {
+                assert!(std::ptr::eq(property.name, spec.name), "{class} {} is not the schema's entry", spec.name);
+                assert_eq!(property.data_type, spec.data_type);
+            }
+        }
+        assert_eq!(w.kb().properties().len(), CLASS_KEYS.iter().map(|&c| class_schema(c).len()).sum::<usize>());
+    }
+
     #[test]
     fn kb_covers_only_head_entities() {
         let w = tiny_world();

@@ -41,4 +41,4 @@ pub use generator::{generate_world, Facts, GeneratorConfig, Scale, World, WorldE
 pub use ids::{ClassId, EntityId, InstanceId, PropertyId};
 pub use model::{Fact, Instance, KnowledgeBase, KnowledgeBaseClass, Property, KB_OVERLAP_SAMPLE};
 pub use profile::{ClassProfile, PropertyDensity};
-pub use schema::{class_schema, ClassKey, PropertySpec, CLASS_KEYS};
+pub use schema::{class_schema, schema_property_name, ClassKey, PropertySpec, CLASS_KEYS};

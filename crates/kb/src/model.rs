@@ -1,6 +1,5 @@
 //! The in-memory knowledge base: classes, properties, instances and facts.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use ltee_index::{LabelIndex, SharedLabelIndex};
@@ -38,11 +37,11 @@ pub struct Property {
     /// Owning class.
     pub class: ClassKey,
     /// Property name (e.g. `birthDate`).
-    pub name: String,
+    pub name: &'static str,
     /// Data type of the property's values.
     pub data_type: DataType,
     /// Human readable label (used by the KB-Label matcher).
-    pub label: String,
+    pub label: &'static str,
 }
 
 /// A fact: a typed value for one property of one instance.
@@ -112,7 +111,7 @@ struct PropertyFacts {
 
 ltee_intern::heap_size! {
     KnowledgeBaseClass { name, ancestors }
-    Property { name, label }
+    Property {}
     Fact { value }
     Instance { texts, facts }
     PropertyFacts { positions, sample }
@@ -158,8 +157,6 @@ pub struct KnowledgeBase {
     /// Indexed by instance id: [`KnowledgeBase::add_instance`] mints an
     /// instance's position as its id.
     instances: Vec<Instance>,
-    /// (class, property name) -> property id.
-    property_lookup: HashMap<(ClassKey, String), PropertyId>,
     derived: Derived,
 }
 
@@ -183,17 +180,10 @@ impl KnowledgeBase {
     }
 
     /// Register a property of a class.
-    pub fn add_property(&mut self, class: ClassKey, name: &str, data_type: DataType, label: &str) -> PropertyId {
+    pub fn add_property(&mut self, class: ClassKey, name: &'static str, data_type: DataType, label: &'static str) -> PropertyId {
         self.derived = Derived::default();
         let id = PropertyId(self.properties.len() as u64);
-        self.properties.push(Property {
-            id,
-            class,
-            name: name.to_string(),
-            data_type,
-            label: label.to_string(),
-        });
-        self.property_lookup.insert((class, name.to_string()), id);
+        self.properties.push(Property { id, class, name, data_type, label });
         id
     }
 
@@ -248,11 +238,10 @@ impl KnowledgeBase {
         of_class(per_class, class).as_slice()
     }
 
-    /// Look up a property by class and name.
+    /// Look up a property by class and name: a scan of the class's few
+    /// properties.
     pub fn property_by_name(&self, class: ClassKey, name: &str) -> Option<&Property> {
-        self.property_lookup
-            .get(&(class, name.to_string()))
-            .and_then(|id| self.properties.get(id.0 as usize))
+        self.properties.iter().find(|p| p.class == class && p.name == name)
     }
 
     /// Look up a property by id.
@@ -340,7 +329,7 @@ impl KnowledgeBase {
         let (schema, derived) = (self.classes.heap_bytes() + self.properties.heap_bytes(), &self.derived);
         let memos = derived.class_properties.get().map_or(HeapBytes::ZERO, |memo| memo.heap_bytes())
             + derived.property_facts.get().map_or(HeapBytes::ZERO, |memo| memo.heap_bytes());
-        footprint.add("kb.schema", None, schema + self.property_lookup.heap_bytes() + memos, self.properties.len());
+        footprint.add("kb.schema", None, schema + memos, self.properties.len());
         footprint
     }
 

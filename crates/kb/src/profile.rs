@@ -7,7 +7,7 @@ use crate::schema::{class_schema, ClassKey};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PropertyDensity {
     /// Property name.
-    pub property: String,
+    pub property: &'static str,
     /// Number of facts for the property.
     pub facts: usize,
     /// Fraction of class instances with a fact for the property.
@@ -38,7 +38,7 @@ impl ClassProfile {
             if let Some(prop) = kb.property_by_name(class, spec.name) {
                 let count = kb.property_values(prop.id).len();
                 let density = if instances == 0 { 0.0 } else { count as f64 / instances as f64 };
-                densities.push(PropertyDensity { property: spec.name.to_string(), facts: count, density });
+                densities.push(PropertyDensity { property: spec.name, facts: count, density });
             }
         }
         densities.sort_by(|a, b| b.density.partial_cmp(&a.density).unwrap_or(std::cmp::Ordering::Equal));

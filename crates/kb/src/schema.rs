@@ -110,6 +110,13 @@ pub fn class_schema(class: ClassKey) -> &'static [PropertySpec] {
     }
 }
 
+/// The schema entry's name for `class`'s property `name`, if the class has
+/// one. Past the knowledge base a property is named by this `&'static str`;
+/// decoders resolve a stored name through here.
+pub fn schema_property_name(class: ClassKey, name: &str) -> Option<&'static str> {
+    class_schema(class).iter().find(|spec| spec.name == name).map(|spec| spec.name)
+}
+
 /// GridironFootballPlayer properties (11 properties, paper Table 2).
 static GF_PLAYER_SCHEMA: &[PropertySpec] = &[
     PropertySpec { name: "birthDate", data_type: DataType::Date, kb_density: 0.9743, table_density: 0.20, header_labels: &["birth date", "born", "date of birth", "dob"] },

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use ltee_kb::{ClassKey, KnowledgeBase, Property};
+use ltee_kb::{schema_property_name, ClassKey, KnowledgeBase, Property};
 use ltee_codec::{ByteReader, ByteWriter, CodecError, StringTable, StringTableWriter};
 use ltee_ml::{f1_from_counts, Dataset, GeneticConfig, Sample, WeightedAverageModel};
 use ltee_types::DetectedType;
@@ -40,8 +40,8 @@ impl Default for AttributeMatcherConfig {
 pub struct MatcherWeights {
     /// Per-class weights over [`MatcherKind::ALL`] in order.
     pub class_weights: HashMap<ClassKey, Vec<f64>>,
-    /// Per-property decision thresholds, by class and property name.
-    pub property_thresholds: HashMap<ClassKey, HashMap<String, f64>>,
+    /// Per-property decision thresholds, by class and property.
+    pub property_thresholds: HashMap<ClassKey, HashMap<&'static str, f64>>,
 }
 
 ltee_intern::heap_size!(MatcherWeights { class_weights, property_thresholds });
@@ -87,7 +87,7 @@ impl MatcherWeights {
         let mut thresholds: Vec<(u8, &str, f64)> = self
             .property_thresholds
             .iter()
-            .flat_map(|(class, of_class)| of_class.iter().map(|(p, t)| (class.code(), p.as_str(), *t)))
+            .flat_map(|(class, of_class)| of_class.iter().map(|(&p, &t)| (class.code(), p, t)))
             .collect();
         thresholds.sort_by_key(|&(class, property, _)| (class, property));
         w.write_seq(&thresholds, |w, &(class, property, threshold)| {
@@ -110,11 +110,14 @@ impl MatcherWeights {
         })?;
         let thresholds = r.read_seq("matcher.thresholds", 10, |r| {
             let class = class(r, "matcher.threshold.class")?;
-            let property = strings.read_ref(r, "matcher.threshold.property")?.to_string();
-            Ok::<_, CodecError>((class, property, r.read_f64("matcher.threshold.value")?))
+            let name = strings.read_ref(r, "matcher.threshold.property")?;
+            Ok::<_, CodecError>((class, name, r.read_f64("matcher.threshold.value")?))
         })?;
-        let mut property_thresholds: HashMap<ClassKey, HashMap<String, f64>> = HashMap::new();
-        for (class, property, threshold) in thresholds {
+        let mut property_thresholds: HashMap<ClassKey, HashMap<&'static str, f64>> = HashMap::new();
+        for (class, name, threshold) in thresholds {
+            let property = schema_property_name(class, name).ok_or_else(|| {
+                CodecError::Corrupted(format!("matcher threshold for unknown {class} property {name:?}"))
+            })?;
             property_thresholds.entry(class).or_default().insert(property, threshold);
         }
         Ok(Self { class_weights: class_weights.into_iter().collect(), property_thresholds })
@@ -214,13 +217,8 @@ pub fn match_attributes(
             }
         }
         if let Some((score, prop)) = best {
-            let threshold = weights.threshold_for(class, &prop.name, config.default_threshold);
-            if score >= threshold {
-                result[column] = Some(AttributeMatch {
-                    property: prop.name.clone(),
-                    data_type: prop.data_type,
-                    score,
-                });
+            if score >= weights.threshold_for(class, prop.name, config.default_threshold) {
+                result[column] = Some(AttributeMatch { property: prop.name, data_type: prop.data_type, score });
             }
         }
     }
@@ -248,14 +246,14 @@ pub fn learn_weights(
     let header_stats = feedback.map(|fb| HeaderStatistics::build(corpus, fb));
     // Classes learn independently, on the pool; their results are folded
     // in gold order, so a class given twice ends as it did sequentially.
-    let learned: Vec<ClassLearning<'_>> = golds
+    let learned: Vec<ClassLearning> = golds
         .par_iter()
         .map(|gold| learn_class(corpus, kb, gold, feedback, header_stats.as_ref()))
         .collect();
     let mut weights = MatcherWeights { class_weights: HashMap::new(), property_thresholds: HashMap::new() };
     for (class, class_weights, thresholds) in learned {
         for (property, threshold) in thresholds {
-            weights.property_thresholds.entry(class).or_default().insert(property.to_string(), threshold);
+            weights.property_thresholds.entry(class).or_default().insert(property, threshold);
         }
         weights.class_weights.insert(class, class_weights);
     }
@@ -263,23 +261,23 @@ pub fn learn_weights(
 }
 
 /// A class's matcher weights and its per-property thresholds.
-type ClassLearning<'k> = (ClassKey, Vec<f64>, Vec<(&'k str, f64)>);
+type ClassLearning = (ClassKey, Vec<f64>, Vec<(&'static str, f64)>);
 
 /// One gold standard's class weights and per-property thresholds (none
 /// when its tables hold no positive or no negative pair, in which case the
 /// weights are the defaults).
-fn learn_class<'k>(
+fn learn_class(
     corpus: &Corpus,
-    kb: &'k KnowledgeBase,
+    kb: &KnowledgeBase,
     gold: &GoldStandard,
     feedback: Option<&CorpusFeedback>,
     header_stats: Option<&HeaderStatistics>,
-) -> ClassLearning<'k> {
+) -> ClassLearning {
     let class = gold.class;
     let properties = kb.class_property_slice(class);
     // Gold correspondences keyed by (table, column).
     let gold_map: HashMap<(ltee_webtables::TableId, usize), &str> =
-        gold.attributes.iter().map(|a| ((a.table, a.column), a.property.as_str())).collect();
+        gold.attributes.iter().map(|a| ((a.table, a.column), a.property)).collect();
 
     let feature_names: Vec<String> = MatcherKind::ALL.iter().map(|m| m.name().to_string()).collect();
     let mut dataset = Dataset::new(feature_names);
@@ -305,8 +303,8 @@ fn learn_class<'k>(
                         continue;
                     }
                     let scores = matcher_scores(table, column, prop, kb, Some(corpus), feedback, header_stats);
-                    let is_gold = gold_map.get(&(table_id, column)) == Some(&prop.name.as_str());
-                    pairs.push((scores, prop.name.as_str(), is_gold));
+                    let is_gold = gold_map.get(&(table_id, column)) == Some(&prop.name);
+                    pairs.push((scores, prop.name, is_gold));
                 }
             }
             pairs
@@ -376,7 +374,7 @@ mod tests {
     fn threshold_falls_back_to_default() {
         let mut w = MatcherWeights::default();
         assert_eq!(w.threshold_for(ClassKey::Song, "genre", 0.3), 0.3);
-        w.property_thresholds.entry(ClassKey::Song).or_default().insert("genre".into(), 0.55);
+        w.property_thresholds.entry(ClassKey::Song).or_default().insert("genre", 0.55);
         assert_eq!(w.threshold_for(ClassKey::Song, "genre", 0.3), 0.55);
         assert_eq!(w.threshold_for(ClassKey::Settlement, "genre", 0.3), 0.3);
     }
@@ -391,9 +389,9 @@ mod tests {
     #[test]
     fn codec_round_trip_is_exact_and_byte_stable() {
         let mut w = MatcherWeights::default();
-        w.property_thresholds.entry(ClassKey::Song).or_default().insert("genre".into(), 0.55);
-        w.property_thresholds.entry(ClassKey::Settlement).or_default().insert("country".into(), 0.40);
-        w.property_thresholds.entry(ClassKey::Song).or_default().insert("album".into(), 0.35);
+        w.property_thresholds.entry(ClassKey::Song).or_default().insert("genre", 0.55);
+        w.property_thresholds.entry(ClassKey::Settlement).or_default().insert("country", 0.40);
+        w.property_thresholds.entry(ClassKey::Song).or_default().insert("album", 0.35);
 
         let stream = |weights: &MatcherWeights| {
             let mut strings = StringTableWriter::new();

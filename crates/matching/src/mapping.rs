@@ -10,8 +10,8 @@ use ltee_webtables::{Corpus, RowRef, TableId, WebTable};
 /// A correspondence between a table column and a knowledge base property.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeMatch {
-    /// The matched property name.
-    pub property: String,
+    /// The matched property: its schema entry's name.
+    pub property: &'static str,
     /// The data type of the matched property (the column's values are
     /// normalised to this type after matching).
     pub data_type: DataType,
@@ -38,7 +38,7 @@ pub struct TableMapping {
 }
 
 ltee_intern::heap_size! {
-    AttributeMatch { property }
+    AttributeMatch {}
     TableMapping { detected_types, correspondences }
     RowValues { label, values }
     CorpusMapping { tables }
@@ -58,6 +58,12 @@ impl TableMapping {
     pub fn matched_count(&self) -> usize {
         self.correspondences.iter().filter(|c| c.is_some()).count()
     }
+
+    /// A row's label: its cell in the label attribute, cleaned (empty when
+    /// the row has no such cell).
+    pub fn row_label(&self, table: &WebTable, row: usize) -> String {
+        table.cell(row, self.label_column).map(ltee_text::clean_label).unwrap_or_default()
+    }
 }
 
 /// Values of one row, extracted according to the schema mapping.
@@ -65,15 +71,15 @@ impl TableMapping {
 pub struct RowValues {
     /// The row's label (from the label attribute).
     pub label: String,
-    /// Property name → normalised value, for every matched column with a
+    /// Property → normalised value, for every matched column with a
     /// parseable, non-empty cell.
-    pub values: Vec<(String, Value)>,
+    pub values: Vec<(&'static str, Value)>,
 }
 
 impl RowValues {
     /// The value for a property, if present.
     pub fn value(&self, property: &str) -> Option<&Value> {
-        self.values.iter().find(|(p, _)| p == property).map(|(_, v)| v)
+        self.values.iter().find(|(p, _)| *p == property).map(|(_, v)| v)
     }
 }
 
@@ -149,15 +155,12 @@ impl CorpusMapping {
 
 /// Extract the label and mapped values of one row given its table's mapping.
 pub fn extract_row_values(table: &WebTable, mapping: &TableMapping, row: usize) -> RowValues {
-    let label = table
-        .cell(row, mapping.label_column)
-        .map(ltee_text::clean_label)
-        .unwrap_or_default();
+    let label = mapping.row_label(table, row);
     let mut values = Vec::new();
     for (col, m) in mapping.matched_columns() {
         if let Some(cell) = table.cell(row, col) {
             if let Some(value) = parse_cell_as(cell, m.data_type) {
-                values.push((m.property.clone(), value));
+                values.push((m.property, value));
             }
         }
     }
@@ -214,8 +217,8 @@ mod tests {
             detected_types: vec![DetectedType::Text, DetectedType::Text, DetectedType::Quantity],
             correspondences: vec![
                 None,
-                Some(AttributeMatch { property: "team".into(), data_type: DataType::InstanceReference, score: 0.8 }),
-                Some(AttributeMatch { property: "number".into(), data_type: DataType::NominalInteger, score: 0.7 }),
+                Some(AttributeMatch { property: "team", data_type: DataType::InstanceReference, score: 0.8 }),
+                Some(AttributeMatch { property: "number", data_type: DataType::NominalInteger, score: 0.7 }),
             ],
         };
         (table, mapping)
@@ -273,7 +276,7 @@ mod tests {
 
     #[test]
     fn row_values_value_lookup_missing_property() {
-        let rv = RowValues { label: "x".into(), values: vec![("a".into(), Value::Quantity(1.0))] };
+        let rv = RowValues { label: "x".into(), values: vec![("a", Value::Quantity(1.0))] };
         assert!(rv.value("b").is_none());
     }
 }

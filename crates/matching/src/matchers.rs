@@ -90,8 +90,8 @@ pub fn kb_label(table: &WebTable, column: usize, property: &Property) -> f64 {
     let header = &table.columns[column].header;
     let header_n = ltee_text::normalize_label(header);
     let candidates = [
-        ltee_text::normalize_label(&property.label),
-        camel_case_to_words(&property.name),
+        ltee_text::normalize_label(property.label),
+        camel_case_to_words(property.name),
     ];
     candidates
         .iter()
@@ -158,16 +158,16 @@ pub fn kb_duplicate(
 /// represents the likelihood that an attribute with a certain header row
 /// label corresponds to a certain candidate property".
 ///
-/// Headers and property names are interned: the count maps are keyed by
-/// dense `(Sym, Sym)` integers, and the (hot) [`HeaderStatistics::likelihood`]
-/// probe is a read-only interner lookup plus two integer map hits — no
-/// per-call `String` keys.
+/// Headers are interned and properties are their schema names: the count
+/// maps are keyed by `(Sym, &'static str)`, and the (hot)
+/// [`HeaderStatistics::likelihood`] probe is a read-only interner lookup
+/// plus two map hits — no per-call `String` keys.
 #[derive(Debug, Clone, Default)]
 pub struct HeaderStatistics {
-    /// Arena for normalised headers and property names.
+    /// Arena for normalised headers.
     interner: ltee_intern::Interner,
     /// (normalised header, property) → number of columns matched that way.
-    counts: HashMap<(ltee_intern::Sym, ltee_intern::Sym), usize>,
+    counts: HashMap<(ltee_intern::Sym, &'static str), usize>,
     /// normalised header → total matched columns with that header.
     totals: HashMap<ltee_intern::Sym, usize>,
 }
@@ -184,8 +184,7 @@ impl HeaderStatistics {
                     continue;
                 }
                 let header = stats.interner.intern(&header);
-                let property = stats.interner.intern(&m.property);
-                *stats.counts.entry((header, property)).or_insert(0) += 1;
+                *stats.counts.entry((header, m.property)).or_insert(0) += 1;
                 *stats.totals.entry(header).or_insert(0) += 1;
             }
         }
@@ -196,7 +195,7 @@ impl HeaderStatistics {
     /// property, i.e. `count(header, property) / count(header)`. A header
     /// or property never observed during [`HeaderStatistics::build`] has
     /// likelihood 0.
-    pub fn likelihood(&self, header: &str, property: &str) -> f64 {
+    pub fn likelihood(&self, header: &str, property: &'static str) -> f64 {
         let Some(header) = self.interner.get(&ltee_text::normalize_label(header)) else {
             return 0.0;
         };
@@ -204,7 +203,6 @@ impl HeaderStatistics {
         if total == 0 {
             return 0.0;
         }
-        let Some(property) = self.interner.get(property) else { return 0.0 };
         let hits = self.counts.get(&(header, property)).copied().unwrap_or(0);
         hits as f64 / total as f64
     }
@@ -212,7 +210,7 @@ impl HeaderStatistics {
 
 /// WT-Label: the header-to-property likelihood from the preliminary mapping.
 pub fn wt_label(table: &WebTable, column: usize, property: &Property, stats: &HeaderStatistics) -> f64 {
-    stats.likelihood(&table.columns[column].header, &property.name)
+    stats.likelihood(&table.columns[column].header, property.name)
 }
 
 /// WT-Duplicate: the proportion of non-empty cells for which an equal value,
@@ -244,7 +242,7 @@ pub fn wt_duplicate(
                 continue;
             }
             let other_values = feedback.mapping.row_values(corpus, *other);
-            if let Some(other_value) = other_values.value(&property.name) {
+            if let Some(other_value) = other_values.value(property.name) {
                 if value_equivalent(&value, other_value, property.data_type, &eq) {
                     found = true;
                     break;
@@ -384,10 +382,8 @@ mod tests {
     fn header_statistics_likelihood() {
         let mut stats = HeaderStatistics::default();
         let club = stats.interner.intern("club");
-        let team = stats.interner.intern("team");
-        let college = stats.interner.intern("college");
-        stats.counts.insert((club, team), 8);
-        stats.counts.insert((club, college), 2);
+        stats.counts.insert((club, "team"), 8);
+        stats.counts.insert((club, "college"), 2);
         stats.totals.insert(club, 10);
         assert!((stats.likelihood("Club", "team") - 0.8).abs() < 1e-12);
         assert!((stats.likelihood("club", "college") - 0.2).abs() < 1e-12);

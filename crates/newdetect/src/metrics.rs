@@ -99,7 +99,7 @@ pub struct EntityContext {
     pub bow: BowVector,
     /// Entity-level implicit attributes: (property, value, confidence);
     /// read through [`EntityContext::implicit`].
-    implicit: Vec<(String, Value, f64)>,
+    implicit: Vec<(&'static str, Value, f64)>,
     /// The values of `entity.facts` and of `implicit`, prepared for
     /// similarity scoring position by position: the `ATTRIBUTE` /
     /// `IMPLICIT_ATT` metrics compare these against every candidate
@@ -115,7 +115,7 @@ impl EntityContext {
     pub fn from_parts(
         entity: Entity,
         bow: BowVector,
-        implicit: Vec<(String, Value, f64)>,
+        implicit: Vec<(&'static str, Value, f64)>,
         interner: &mut Interner,
     ) -> Self {
         let label_tokens = entity
@@ -135,7 +135,7 @@ impl EntityContext {
     }
 
     /// Entity-level implicit attributes: (property, value, confidence).
-    pub fn implicit(&self) -> &[(String, Value, f64)] {
+    pub fn implicit(&self) -> &[(&'static str, Value, f64)] {
         &self.implicit
     }
 
@@ -151,17 +151,17 @@ impl EntityContext {
         // Entity-level implicit attributes: sum the table-level confidence of
         // equal (property, value) combinations over the entity's rows and
         // divide by the number of rows.
-        let mut acc: Vec<(String, Value, f64)> = Vec::new();
+        let mut acc: Vec<(&'static str, Value, f64)> = Vec::new();
         // How each entry of `acc` renders: combinations are equal when
         // their properties and rendered values are.
         let mut renders: Vec<String> = Vec::new();
         for row in &entity.rows {
-            for (prop, value, score) in implicit.of_table(row.table) {
+            for &(prop, ref value, score) in implicit.of_table(row.table) {
                 let render = value.render();
-                match acc.iter().zip(&renders).position(|((p, _, _), r)| p == prop && *r == render) {
+                match acc.iter().zip(&renders).position(|(&(p, _, _), r)| p == prop && *r == render) {
                     Some(i) => acc[i].2 += score,
                     None => {
-                        acc.push((prop.clone(), value.clone(), *score));
+                        acc.push((prop, value.clone(), score));
                         renders.push(render);
                     }
                 }
@@ -202,9 +202,9 @@ pub struct InstanceContext {
     pub class: ClassKey,
     /// Class ancestors (including the class itself).
     pub class_hierarchy: Vec<&'static str>,
-    /// Facts of the instance: (property name, value); read through
+    /// Facts of the instance: (property, value); read through
     /// [`InstanceContext::fact`].
-    facts: Vec<(String, Value)>,
+    facts: Vec<(&'static str, Value)>,
     /// The values of `facts` prepared for similarity scoring, position by
     /// position; written together with `facts`, by `InstanceContext::body`
     /// alone.
@@ -225,7 +225,7 @@ impl InstanceContext {
         let mut facts = Vec::new();
         for fact in &instance.facts {
             if let Some(prop) = kb.property(fact.property) {
-                facts.push((prop.name.clone(), fact.value.clone()));
+                facts.push((prop.name, fact.value.clone()));
             }
         }
         let prepared_facts = facts.iter().map(|(_, value)| PreparedValue::new(value)).collect();
@@ -285,7 +285,7 @@ impl InstanceContext {
 
     /// The fact value for a property.
     pub fn fact(&self, property: &str) -> Option<&Value> {
-        self.facts.iter().find(|(p, _)| p == property).map(|(_, v)| v)
+        self.facts.iter().find(|&&(p, _)| p == property).map(|(_, v)| v)
     }
 
     /// Share of `values` — (property, confidence, prepared value) — that
@@ -295,7 +295,7 @@ impl InstanceContext {
     fn agreement<'a>(&self, values: impl Iterator<Item = (&'a str, f64, &'a PreparedValue)>) -> (f64, f64) {
         let mut agreement = Agreement::default();
         for (prop, score, value) in values {
-            if let Some(i) = self.facts.iter().position(|(p, _)| p == prop) {
+            if let Some(i) = self.facts.iter().position(|&(p, _)| p == prop) {
                 agreement.compare(value, &self.prepared_facts[i], self.facts[i].1.data_type(), score);
             }
         }
@@ -347,11 +347,11 @@ pub fn entity_metric_score(
         EntityMetricKind::Bow => (cosine_similarity(&entity.bow, &instance.bow), 1.0),
         // Confidence: the number of overlapping properties (a sum of ones).
         EntityMetricKind::Attribute => instance.agreement(
-            entity.entity.facts.iter().zip(&entity.prepared_facts).map(|((p, _, _), v)| (p.as_str(), 1.0, v)),
+            entity.entity.facts.iter().zip(&entity.prepared_facts).map(|(&(p, _, _), v)| (p, 1.0, v)),
         ),
         // Confidence: the summed scores of the overlapping implicit attributes.
         EntityMetricKind::ImplicitAtt => instance.agreement(
-            entity.implicit.iter().zip(&entity.prepared_implicit).map(|((p, _, s), v)| (p.as_str(), *s, v)),
+            entity.implicit.iter().zip(&entity.prepared_implicit).map(|(&(p, _, s), v)| (p, s, v)),
         ),
         EntityMetricKind::Popularity => (popularity_score, 1.0),
     }
@@ -380,13 +380,13 @@ mod tests {
         interner: &mut Interner,
         class: ClassKey,
         label: &str,
-        facts: Vec<(&str, Value)>,
+        facts: Vec<(&'static str, Value)>,
     ) -> EntityContext {
         let entity = Entity {
             class,
             rows: vec![RowRef::new(TableId(1), 0)],
             labels: vec![label.to_string()],
-            facts: facts.into_iter().map(|(p, v)| (p.to_string(), v, 1.0)).collect(),
+            facts: facts.into_iter().map(|(p, v)| (p, v, 1.0)).collect(),
         };
         EntityContext::from_parts(entity, BowVector::from_text(label), vec![], interner)
     }
@@ -395,11 +395,10 @@ mod tests {
         interner: &mut Interner,
         class: ClassKey,
         label: &str,
-        facts: Vec<(&str, Value)>,
+        facts: Vec<(&'static str, Value)>,
         links: u64,
     ) -> InstanceContext {
         let bow = BowVector::from_texts(std::iter::once(label.to_string()).chain(facts.iter().map(|(_, v)| v.render())));
-        let facts: Vec<(String, Value)> = facts.into_iter().map(|(p, v)| (p.to_string(), v)).collect();
         InstanceContext {
             label_tokens: vec![tokenize_interned(&normalize_label(label), interner)],
             bow,
@@ -504,7 +503,7 @@ mod tests {
     fn implicit_metric_uses_entity_level_attributes() {
         let mut interner = Interner::new();
         let plain = entity_ctx(&mut interner, ClassKey::Song, "Hey Jude", vec![]);
-        let implicit = vec![("musicalArtist".into(), Value::InstanceRef("The Beatles".into()), 0.8)];
+        let implicit = vec![("musicalArtist", Value::InstanceRef("The Beatles".into()), 0.8)];
         let e = EntityContext::from_parts(plain.entity, plain.bow, implicit, &mut interner);
         let matching = instance_ctx(
             &mut interner,

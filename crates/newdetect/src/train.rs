@@ -122,7 +122,7 @@ mod tests {
         // Build an entity straight from the world's ground truth — a stand-in
         // for "perfect clustering and fusion" used to test new detection in
         // isolation.
-        let facts = e.facts.iter().map(|(p, v)| (p.to_string(), v.clone(), 1.0)).collect();
+        let facts = e.facts.iter().map(|(p, v)| (p, v.clone(), 1.0)).collect();
         let entity = Entity {
             class: e.class,
             rows: vec![RowRef::new(TableId(e.id.raw()), 0)],
@@ -227,7 +227,7 @@ mod tests {
                     .iter()
                     .step_by(2)
                     .enumerate()
-                    .map(|(i, (p, v, _))| (p.clone(), v.clone(), 0.5 + i as f64 / 10.0))
+                    .map(|(i, &(p, ref v, _))| (p, v.clone(), 0.5 + i as f64 / 10.0))
                     .collect();
                 entities.push(EntityContext::from_parts(plain.entity().clone(), plain.bow, implicit, &mut interner));
                 truth.push(world.instance_for_entity(e.id));

@@ -327,7 +327,7 @@ mod tests {
                 class: ClassKey::Song,
                 rows: vec![RowRef::new(TableId(3), 0), RowRef::new(TableId(1), 2)],
                 labels: vec!["Yellow Submarine".into()],
-                facts: vec![("runtime".into(), Value::Quantity(159.0), 2.0)],
+                facts: vec![("runtime", Value::Quantity(159.0), 2.0)],
             },
             Entity {
                 class: ClassKey::Song,

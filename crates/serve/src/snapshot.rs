@@ -59,7 +59,7 @@ pub struct EntityRecord {
     /// Labels extracted from the entity's rows, most frequent first.
     pub labels: Vec<String>,
     /// Fused facts: property → (value, support score).
-    pub facts: Vec<(String, Value, f64)>,
+    pub facts: Vec<(&'static str, Value, f64)>,
     /// The web table rows the entity was fused from (row-level provenance).
     pub rows: Vec<RowRef>,
     /// The distinct tables behind those rows, ascending (table provenance).
@@ -113,7 +113,7 @@ impl EntityRecord {
 
     /// The fused value of a property, if present.
     pub fn fact(&self, property: &str) -> Option<&Value> {
-        self.facts.iter().find(|(p, _, _)| p == property).map(|(_, v, _)| v)
+        self.facts.iter().find(|(p, _, _)| *p == property).map(|(_, v, _)| v)
     }
 }
 

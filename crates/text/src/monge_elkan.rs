@@ -182,12 +182,20 @@ mod tests {
             prop_assert!((0.0..=1.0 + 1e-12).contains(&s));
         }
 
-        /// Read off two normal forms, the tokens score as `tokenize`d.
+        /// Read off two normal forms, the tokens score as `tokenize`d;
+        /// `text` has the shape of the text values that `text_equivalent`
+        /// compares (titles with digits and punctuation).
         #[test]
-        fn normal_forms_score_as_their_tokens(a in ".{0,20}", b in "[a-zA-Zé ,.()]{0,20}") {
-            let (a, b) = (crate::normalize_label(&a), crate::normalize_label(&b));
-            let tokenized = monge_elkan_tokenized(&tokenize(&a), &tokenize(&b));
-            prop_assert_eq!(monge_elkan_normalized(&a, &b).to_bits(), tokenized.to_bits());
+        fn normal_forms_score_as_their_tokens(
+            a in ".{0,20}",
+            b in "[a-zA-Zé ,.()]{0,20}",
+            text in "[A-Za-z0-9 '&():,.!?/-]{0,30}",
+        ) {
+            let (a, b, text) = (crate::normalize_label(&a), crate::normalize_label(&b), crate::normalize_label(&text));
+            for (x, y) in [(&a, &b), (&text, &a), (&b, &text)] {
+                let tokenized = monge_elkan_tokenized(&tokenize(x), &tokenize(y));
+                prop_assert_eq!(monge_elkan_normalized(x, y).to_bits(), tokenized.to_bits());
+            }
         }
 
         #[test]

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use ltee_intern::{HeapBytes, HeapSize};
-use ltee_text::{clamp_unit, monge_elkan_normalized, monge_elkan_tokenized, normalize_label, tokenize};
+use ltee_text::{clamp_unit, monge_elkan_normalized, normalize_label};
 
 use crate::datatype::DataType;
 use crate::value::{Date, DateGranularity, Value};
@@ -200,7 +200,7 @@ impl Agreement {
 pub fn value_equivalent(a: &Value, b: &Value, dtype: DataType, cfg: &EquivalenceConfig) -> bool {
     match dtype {
         DataType::Text => match (a.as_str(), b.as_str()) {
-            (Some(x), Some(y)) => text_equivalent(&tokenize(&normalize_label(x)), &normalize_label(y), cfg),
+            (Some(x), Some(y)) => text_equivalent(&normalize_label(x), &normalize_label(y), cfg),
             // Mismatched payloads have similarity 0.
             _ => 0.0 >= cfg.text_threshold,
         },
@@ -226,12 +226,12 @@ pub fn value_equivalent(a: &Value, b: &Value, dtype: DataType, cfg: &Equivalence
 }
 
 // The per-type kernels of `value_equivalent`, over already extracted (and,
-// for text, already normalised, the probe side tokenised) payloads.
+// for text, already normalised) payloads.
 // `EquivalenceSet` probes run the same kernels against payloads it
 // extracted once, which is what makes the two agree by construction.
 
-fn text_equivalent(x_tokens: &[String], y_normalized: &str, cfg: &EquivalenceConfig) -> bool {
-    clamp_unit(monge_elkan_tokenized(x_tokens, &tokenize(y_normalized))) >= cfg.text_threshold
+fn text_equivalent(x_normalized: &str, y_normalized: &str, cfg: &EquivalenceConfig) -> bool {
+    clamp_unit(monge_elkan_normalized(x_normalized, y_normalized)) >= cfg.text_threshold
 }
 
 fn date_equivalent(x: Date, y: Date, cfg: &EquivalenceConfig) -> bool {
@@ -356,7 +356,7 @@ impl EquivalenceSet {
                 .and_then(|x| first_position.get(&normalize_label(x)))
                 .is_some_and(|&position| position < limit),
             Digest::Text(sample) => value.as_str().is_some_and(|x| {
-                let x = tokenize(&normalize_label(x));
+                let x = normalize_label(x);
                 sample.iter().take(limit).flatten().any(|y| text_equivalent(&x, y, &cfg))
             }),
             Digest::Dates(sample) => value
@@ -380,7 +380,7 @@ mod text_oracle;
 mod tests {
     use super::*;
     use crate::value::Date;
-    use ltee_text::monge_elkan_similarity;
+    use ltee_text::{monge_elkan_similarity, tokenize};
     use proptest::prelude::*;
 
     fn cfg() -> EquivalenceConfig {

@@ -139,7 +139,7 @@ pub struct TableTruth {
     pub label_column: usize,
     /// For each column, the knowledge base property it publishes (`None` for
     /// the label column and for noise columns).
-    pub column_property: Vec<Option<String>>,
+    pub column_property: Vec<Option<&'static str>>,
     /// For each row, the world entity it describes.
     pub row_entity: Vec<EntityId>,
 }
@@ -507,7 +507,7 @@ pub(crate) fn build_table(
         label
     });
     let mut columns = vec![Column { header: label_header.to_string(), cells: label_cells.collect() }];
-    let mut column_property: Vec<Option<String>> = vec![None];
+    let mut column_property: Vec<Option<&'static str>> = vec![None];
 
     // Per-column formatting decisions are made once per column so that a
     // column is internally consistent (like real web tables).
@@ -528,7 +528,7 @@ pub(crate) fn build_table(
             _ => String::new(),
         });
         columns.push(Column { header, cells: cells.collect() });
-        column_property.push(Some((*prop).to_string()));
+        column_property.push(Some(spec.name));
     }
 
     // Off-topic noise column.
@@ -654,7 +654,7 @@ mod tests {
         let truth = TableTruth {
             class,
             label_column: 0,
-            column_property: vec![None, Some("team".into())],
+            column_property: vec![None, Some("team")],
             row_entity: vec![EntityId(10 * id), EntityId(10 * id + 1)],
         };
         (table, truth)
@@ -760,7 +760,7 @@ mod tests {
         let mut checked = 0usize;
         for (table, truth) in corpus.annotated_tables() {
             for (ci, col) in table.columns.iter().enumerate() {
-                let Some(prop) = truth.column_property[ci].as_deref() else { continue };
+                let Some(prop) = truth.column_property[ci] else { continue };
                 for (ri, cell) in col.cells.iter().enumerate() {
                     if cell.is_empty() {
                         continue;

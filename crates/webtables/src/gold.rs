@@ -55,8 +55,8 @@ pub struct AttributeCorrespondence {
     pub table: TableId,
     /// The column index within the table.
     pub column: usize,
-    /// The knowledge base property name the column publishes.
-    pub property: String,
+    /// The knowledge base property the column publishes.
+    pub property: &'static str,
 }
 
 /// A gold fact: for one cluster and property, the correct value.
@@ -64,8 +64,8 @@ pub struct AttributeCorrespondence {
 pub struct GoldFact {
     /// Index of the cluster within [`GoldStandard::clusters`].
     pub cluster: usize,
-    /// Property name.
-    pub property: String,
+    /// The property.
+    pub property: &'static str,
     /// The correct value (world ground truth).
     pub correct_value: Value,
     /// Whether a (sufficiently) correct candidate value is present among the
@@ -132,8 +132,8 @@ impl GoldStandard {
                 rows_by_entity.entry(*entity).or_default().push(RowRef::new(table.id, row));
             }
             for (column, prop) in truth.column_property.iter().enumerate() {
-                if let Some(p) = prop {
-                    attributes.push(AttributeCorrespondence { table: table.id, column, property: p.clone() });
+                if let Some(property) = *prop {
+                    attributes.push(AttributeCorrespondence { table: table.id, column, property });
                 }
             }
         }
@@ -162,23 +162,23 @@ impl GoldStandard {
         let mut facts = Vec::new();
         for (ci, (cluster, entity)) in clusters.iter().zip(cluster_entities).enumerate() {
             // Collect candidate cells per property for this cluster.
-            let mut candidates: BTreeMap<String, Vec<String>> = BTreeMap::new();
+            let mut candidates: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
             for row in &cluster.rows {
                 let (Some(table), Some(truth)) = (corpus.table(row.table), corpus.truth(row.table)) else {
                     continue;
                 };
                 for (column, prop) in truth.column_property.iter().enumerate() {
-                    let Some(p) = prop else { continue };
+                    let Some(p) = *prop else { continue };
                     if let Some(cell) = table.cell(row.row, column) {
                         if !cell.trim().is_empty() {
-                            candidates.entry(p.clone()).or_default().push(cell.to_string());
+                            candidates.entry(p).or_default().push(cell.to_string());
                         }
                     }
                 }
             }
             for (property, cells) in candidates {
-                let Some(correct) = entity.fact(&property) else { continue };
-                let Some(&dtype) = prop_types.get(property.as_str()) else { continue };
+                let Some(correct) = entity.fact(property) else { continue };
+                let Some(&dtype) = prop_types.get(property) else { continue };
                 let value_present = cells.iter().any(|cell| {
                     parse_cell_as(cell, dtype)
                         .map(|v| value_equivalent(&v, correct, dtype, &eq))
@@ -294,7 +294,7 @@ mod tests {
         assert!(!gold.facts.is_empty());
         for f in &gold.facts {
             assert!(f.cluster < gold.clusters.len());
-            assert!(schema_props.contains(f.property.as_str()));
+            assert!(schema_props.contains(f.property));
         }
     }
 

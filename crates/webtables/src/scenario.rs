@@ -249,7 +249,7 @@ fn multilingual_headers(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
                     }
                     continue;
                 }
-                let Some(prop) = truth.column_property[ci].as_deref() else { continue };
+                let Some(prop) = truth.column_property[ci] else { continue };
                 let variants = multilingual_headers_for(prop);
                 if !variants.is_empty() && rng.gen::<f64>() < 0.8 {
                     if let Some(h) = variants.choose(&mut rng) {
@@ -344,7 +344,7 @@ fn scientific_tables(world: &World, seed: ScenarioSeed) -> GeneratedCorpus {
                     column.header = format!("{base} (Table {})", table_index + 1);
                     continue;
                 }
-                let Some(prop) = truth.column_property[ci].as_deref() else { continue };
+                let Some(prop) = truth.column_property[ci] else { continue };
                 if let Some(h) = scientific_header_for(prop) {
                     column.header = h.to_string();
                 }
@@ -618,7 +618,7 @@ mod tests {
                 }
             }
             for (ci, column) in table.columns.iter().enumerate() {
-                if let Some(prop) = truth.column_property[ci].as_deref() {
+                if let Some(prop) = truth.column_property[ci] {
                     if multilingual_headers_for(prop).contains(&column.header.as_str()) {
                         foreign_headers += 1;
                     }

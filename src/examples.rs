@@ -106,8 +106,8 @@ pub fn football_players(w: &mut dyn Write) -> io::Result<()> {
     let new_entities = class_output.new_entities();
     let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for entity in &new_entities {
-        for (prop, _, _) in &entity.facts {
-            *counts.entry(prop.as_str()).or_insert(0) += 1;
+        for &(prop, _, _) in &entity.facts {
+            *counts.entry(prop).or_insert(0) += 1;
         }
     }
     writeln!(w, "\nproperty densities of the {} new players:", new_entities.len())?;

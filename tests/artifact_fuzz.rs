@@ -188,6 +188,14 @@ enum Defect {
     /// An artifact entity model over LABEL whose weighted average names
     /// its one feature `genre`.
     EntityWeightedNames,
+    /// A checkpoint correspondence in a table that has no class.
+    CorrespondenceWithoutClass,
+    /// A checkpoint correspondence of a Song table naming `song`, which
+    /// is no Song property.
+    CorrespondenceOutsideSchema,
+    /// An artifact threshold naming `genre` for Settlement, which has no
+    /// such property.
+    ThresholdOutsideSchema,
 }
 
 const CHECKPOINT_DEFECTS: [Defect; 6] = [
@@ -210,6 +218,14 @@ const ARTIFACT_DEFECTS: [Defect; 10] = [
     Defect::BackwardChild,
     Defect::RowMetricsPastModel,
     Defect::EntityWeightedNames,
+];
+
+/// Stored property names the class schema does not know, each refused
+/// with the class (or its absence) and the name.
+const SCHEMA_DEFECTS: [(Defect, &str, &str); 3] = [
+    (Defect::CorrespondenceWithoutClass, "no class", "\"song\""),
+    (Defect::CorrespondenceOutsideSchema, "Song", "\"song\""),
+    (Defect::ThresholdOutsideSchema, "Settlement", "\"genre\""),
 ];
 
 /// A crafted stream's string table, `strings`; under
@@ -253,13 +269,24 @@ fn crafted_checkpoint_stream(defect: Option<Defect>) -> Vec<u8> {
     w.write_varint(2);
     w.write_varint(0); // "a"
     w.write_varint(0); // "b"
-    // mapping: table 1 is a Song table, no correspondence for its one column
+    // mapping: table 1 is a Song table, no correspondence for its one
+    // column; under the schema defects a correspondence naming "song"
+    // (three strings back), in a table without a class under the first
     w.write_varint(1);
     w.write_varint(1);
-    w.write_bool(true);
-    w.write_u8(ClassKey::Song.code());
+    let classless = defect == Some(Defect::CorrespondenceWithoutClass);
+    w.write_bool(!classless);
+    if !classless {
+        w.write_u8(ClassKey::Song.code());
+    }
     w.write_varint(1); // correspondences
-    w.write_bool(false);
+    let corresponds = classless || defect == Some(Defect::CorrespondenceOutsideSchema);
+    w.write_bool(corresponds);
+    if corresponds {
+        w.write_varint(3);
+        w.write_u8(0); // DataType::Text
+        w.write_f64(0.5);
+    }
     // class sections
     w.write_varint(CLASS_KEYS.len() as u64);
     for class in CLASS_KEYS {
@@ -296,14 +323,16 @@ fn crafted_checkpoint(defect: Option<Defect>) -> Vec<u8> {
 /// three-node tree; an entity model scored by a one-weight average.
 fn crafted_artifact_stream(defect: Option<Defect>) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    crafted_string_table(&mut w, defect, ["year", "genre", "LABEL"]);
-    // MatcherWeights: no class weights; Song thresholds for "year" and
-    // "genre", and under the bomb "genre" again and again.
+    crafted_string_table(&mut w, defect, ["album", "genre", "LABEL"]);
+    // MatcherWeights: no class weights; Song thresholds for "album" and
+    // "genre" ("genre" a Settlement one under its defect), and under the
+    // bomb "genre" again and again.
     w.write_varint(0);
     let bomb = if defect == Some(Defect::ExpansionBomb) { 4 * STRING_EXPANSION_LIMIT } else { 0 };
     w.write_varint(2 + bomb as u64);
-    for property in std::iter::repeat_n(0, 2).chain(std::iter::repeat_n(1, bomb)) {
-        w.write_u8(ClassKey::Song.code());
+    for (i, property) in std::iter::repeat_n(0, 2).chain(std::iter::repeat_n(1, bomb)).enumerate() {
+        let settlement = i == 1 && defect == Some(Defect::ThresholdOutsideSchema);
+        w.write_u8(if settlement { ClassKey::Settlement } else { ClassKey::Song }.code());
         w.write_varint(property);
         w.write_f64(0.5);
     }
@@ -1055,7 +1084,10 @@ fn crafted_artifacts_are_rejected_for_their_defect() {
             Defect::EntityWeightedNames => {
                 rejection == CodecError::MetricLayout { what: "entity_model.metrics", part: "weighted.feature_names" }
             }
-            Defect::NonAscendingGap => unreachable!("not an artifact defect"),
+            Defect::NonAscendingGap | Defect::CorrespondenceWithoutClass | Defect::CorrespondenceOutsideSchema => {
+                unreachable!("not an artifact defect")
+            }
+            Defect::ThresholdOutsideSchema => unreachable!("a schema defect"),
         };
         assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
     }
@@ -1063,5 +1095,24 @@ fn crafted_artifacts_are_rejected_for_their_defect() {
         let rejection = ModelArtifact::decode(&crafted_artifact_block(defect)).unwrap_err();
         let as_expected = is_block_refusal(defect, &rejection);
         assert!(as_expected, "{defect:?} was rejected as {rejection:?}");
+    }
+}
+
+/// A stored property name is resolved against its class's schema: a name
+/// the schema does not know, or a correspondence in a table without a
+/// class, is refused naming both instead of decoding to a property that
+/// never matches.
+#[test]
+fn stored_names_outside_the_schema_are_refused() {
+    for (defect, class, name) in SCHEMA_DEFECTS {
+        let rejection = if defect == Defect::ThresholdOutsideSchema {
+            ModelArtifact::decode(&crafted_artifact(Some(defect))).unwrap_err()
+        } else {
+            PipelineCheckpoint::decode(&crafted_checkpoint(Some(defect))).unwrap_err()
+        };
+        assert!(
+            matches!(&rejection, CodecError::Corrupted(why) if why.contains(class) && why.contains(name)),
+            "{defect:?} was rejected as {rejection:?}"
+        );
     }
 }

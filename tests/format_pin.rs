@@ -32,8 +32,8 @@ use deflate_bits::Bits;
 mod envelope;
 use envelope::framed;
 
-const ARTIFACT_FNV: u64 = 0x260fee4586e732ab;
-const CHECKPOINT_FNV: u64 = 0xd0ebf08efd3d4692;
+const ARTIFACT_FNV: u64 = 0x3b998b257b2d1d4a;
+const CHECKPOINT_FNV: u64 = 0x5966a69498774bbb;
 const WAL_FNV: u64 = 0xa3bd1d999d87bcdf;
 
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
@@ -53,7 +53,7 @@ const STRINGS: [&str; 8] = [
     "",                 // 2
     "year",             // 3
     "1966",             // 4
-    "releaseYear",      // 5  the mapping's correspondence
+    "releaseDate",      // 5  the mapping's correspondence
     "yellow",           // 6  Song interner arena
     "submarine",        // 7
 ];
@@ -185,7 +185,7 @@ fn checkpoint_payload() -> Vec<u8> {
     w.write_u8(2); // correspondences
     w.write_bool(false);
     w.write_bool(true);
-    w.write_u8(0); // "releaseYear", first used here
+    w.write_u8(0); // "releaseDate", first used here
     w.write_u8(3); // DataType::Date
     w.write_f64(0.5);
 
@@ -205,7 +205,7 @@ fn checkpoint_payload() -> Vec<u8> {
 
 /// The artifact's string table: the matcher's property, then the feature
 /// names in the order the row model first uses them.
-const ARTIFACT_STRINGS: [&str; 3] = ["releaseYear", "LABEL", "SAME_TABLE"];
+const ARTIFACT_STRINGS: [&str; 3] = ["releaseDate", "LABEL", "SAME_TABLE"];
 
 /// `count · f64*`, a float sequence under 128 long.
 fn f64s(w: &mut ByteWriter, values: &[f64]) {
@@ -233,7 +233,7 @@ fn artifact_payload() -> Vec<u8> {
     f64s(&mut w, &[0.1, 0.2, 0.3, 0.2, 0.2]);
     w.write_u8(1); // property thresholds
     w.write_u8(1); // Song
-    w.write_u8(0); // "releaseYear"
+    w.write_u8(0); // "releaseDate"
     w.write_f64(0.25);
 
     // RowSimilarityModel: metric codes, then the pairwise model

@@ -1,6 +1,7 @@
 //! Size guards for the types the resident state is made of: the facts,
-//! and the string lists, index entries and prepared values kept per
-//! label, per cell column and per stored value.
+//! the string lists, index entries and prepared values kept per label, per
+//! cell column and per stored value, and the per-property entries that
+//! name a property by its schema entry.
 //!
 //! The world's and the knowledge base's facts are the largest homogeneous
 //! blocks a process holds (`tests/golden/memory_ledger.txt`), so a field
@@ -15,6 +16,7 @@ use std::mem::size_of;
 use ltee_index::LabelEntry;
 use ltee_intern::StrList;
 use ltee_kb::{Fact, Facts, Instance, WorldEntity};
+use ltee_matching::AttributeMatch;
 use ltee_types::{PreparedValue, Value};
 use ltee_webtables::Column;
 
@@ -46,4 +48,14 @@ fn per_string_list_types_keep_their_sizes() {
     assert_eq!(size_of::<LabelEntry>(), 32, "index::LabelEntry");
     // The boxed normal form, a date or a number, and the tag.
     assert_eq!(size_of::<PreparedValue>(), 24, "types::PreparedValue");
+}
+
+#[test]
+fn per_property_types_keep_their_sizes() {
+    // The property's schema name (pointer and length), the score and the
+    // data type.
+    assert_eq!(size_of::<AttributeMatch>(), 32, "matching::AttributeMatch");
+    // A fused fact, implicit attribute or served fact: the schema name, the
+    // value and its score.
+    assert_eq!(size_of::<(&'static str, Value, f64)>(), 48, "(&'static str, Value, f64)");
 }

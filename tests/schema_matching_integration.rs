@@ -54,7 +54,7 @@ fn learned_weights_beat_or_match_default_weights() {
         let mut gold_set = std::collections::HashMap::new();
         for gold in &golds {
             for a in &gold.attributes {
-                gold_set.insert((a.table, a.column), a.property.clone());
+                gold_set.insert((a.table, a.column), a.property);
             }
         }
         let mut predicted = 0usize;
@@ -63,7 +63,7 @@ fn learned_weights_beat_or_match_default_weights() {
             for (col, corr) in tm.correspondences.iter().enumerate() {
                 if let Some(m) = corr {
                     predicted += 1;
-                    if gold_set.get(&(tm.table, col)).map(|p| p == &m.property).unwrap_or(false) {
+                    if gold_set.get(&(tm.table, col)).map(|&p| p == m.property).unwrap_or(false) {
                         correct += 1;
                     }
                 }
