@@ -9,7 +9,7 @@ use ltee_intern::{Interner, TokenSeq};
 use ltee_kb::{ClassKey, InstanceId, KnowledgeBase};
 use ltee_matching::{CorpusMapping, RowCandidates, RowValues, TableMapping, CANDIDATES_PER_ROW};
 use ltee_text::{normalize_label, tokenize_interned, BowVector};
-use ltee_types::{value_equivalent, EquivalenceConfig, PreparedValue, Value};
+use ltee_types::{EquivalenceConfig, PreparedValue, Value};
 use ltee_webtables::{Corpus, RowRef, TableId, WebTable};
 use rayon::prelude::*;
 
@@ -19,7 +19,7 @@ use rayon::prelude::*;
 pub struct RowContext {
     /// The row.
     pub row: RowRef,
-    /// The normalised form of `values().label`, the cleaned label from the
+    /// The normalised form of the row's label, the cleaned cell of the
     /// table's label attribute (blocking key).
     pub normalized_label: String,
     /// Interned tokens of the normalised label, minted by the pipeline
@@ -28,17 +28,12 @@ pub struct RowContext {
     pub label_tokens: TokenSeq,
     /// Binary bag-of-words vector over all cells of the row.
     pub bow: BowVector,
-    /// Schema-mapped values of the row (read through
-    /// [`RowContext::values`]).
-    values: RowValues,
-    /// `values.values` prepared for similarity scoring, position by
-    /// position: the `ATTRIBUTE` / `IMPLICIT_ATT` metrics compare these, so
-    /// a value's normal form is derived once per row instead of once per
-    /// scored pair. Only `RowContext::body` writes this and `values`, so
-    /// the two cannot fall out of step. Derived data — checkpoints persist
-    /// the table cells, and restoring rebuilds the contexts through
-    /// [`build_row_contexts`].
-    prepared: Vec<PreparedValue>,
+    /// The row's schema-mapped values, prepared for comparison: the
+    /// `ATTRIBUTE` / `IMPLICIT_ATT` metrics compare these, so a value's
+    /// normal form is derived once per row instead of once per scored
+    /// pair. Derived data — checkpoints persist the table cells, and
+    /// restoring rebuilds the contexts through [`build_row_contexts`].
+    values: Vec<(&'static str, PreparedValue)>,
 }
 
 impl RowContext {
@@ -54,15 +49,12 @@ impl RowContext {
     /// Everything of the context but its label tokens: no interner
     /// involved, so bodies can be built on the pool.
     fn body(row: RowRef, values: RowValues, bow: BowVector) -> Self {
-        let normalized_label = normalize_label(&values.label);
-        let prepared = values.values.iter().map(|(_, value)| PreparedValue::new(value)).collect();
         RowContext {
             row,
-            normalized_label,
+            normalized_label: normalize_label(&values.label),
             label_tokens: TokenSeq::default(),
             bow,
-            values,
-            prepared,
+            values: values.values.iter().map(|(property, value)| (*property, PreparedValue::new(value))).collect(),
         }
     }
 
@@ -70,20 +62,14 @@ impl RowContext {
         self.label_tokens = tokenize_interned(&self.normalized_label, interner);
     }
 
-    /// Schema-mapped values of the row.
-    pub fn values(&self) -> &RowValues {
+    /// The row's schema-mapped values, prepared, in column order.
+    pub fn values(&self) -> &[(&'static str, PreparedValue)] {
         &self.values
     }
 
-    /// The row's (property, value, prepared value) triples, in
-    /// `values().values` order.
-    pub(crate) fn prepared_values(&self) -> impl Iterator<Item = (&'static str, &Value, &PreparedValue)> {
-        self.values.values.iter().zip(&self.prepared).map(|(&(p, ref v), prepared)| (p, v, prepared))
-    }
-
-    /// The prepared form of the row's value for `property`, if it has one.
-    pub(crate) fn prepared_value(&self, property: &str) -> Option<&PreparedValue> {
-        self.values.values.iter().position(|&(p, _)| p == property).map(|i| &self.prepared[i])
+    /// The row's value for `property`, if it has one.
+    pub(crate) fn value(&self, property: &str) -> Option<&PreparedValue> {
+        self.values.iter().find(|&&(p, _)| p == property).map(|(_, value)| value)
     }
 }
 
@@ -126,31 +112,36 @@ pub fn build_row_contexts(
 /// with a score above a certain threshold."
 #[derive(Debug, Clone, Default)]
 pub struct ImplicitAttributes {
-    per_table: HashMap<TableId, TableAttributes>,
+    per_table: HashMap<TableId, Box<[ImplicitAttribute]>>,
 }
 
-/// The implicit attributes of one table.
-#[derive(Debug, Clone, Default)]
-struct TableAttributes {
-    /// (property, value, confidence score).
-    attributes: Vec<(&'static str, Value, f64)>,
-    /// The values of `attributes` prepared for similarity scoring, position
-    /// by position.
-    prepared: Vec<PreparedValue>,
+/// One implicit attribute of a table: a property-value combination and
+/// its confidence score, the share of the table's rows holding it.
+#[derive(Debug, Clone)]
+pub struct ImplicitAttribute {
+    /// The property.
+    pub property: &'static str,
+    /// The value as the knowledge base holds it (new detection merges the
+    /// combinations of an entity's tables by its render).
+    pub value: Value,
+    /// `value` prepared for comparison.
+    pub prepared: PreparedValue,
+    /// The confidence score.
+    pub score: f64,
 }
 
 ltee_intern::heap_size! {
     ImplicitAttributes { per_table }
-    TableAttributes { attributes, prepared }
-    RowContext { normalized_label, label_tokens, bow, values, prepared }
+    ImplicitAttribute { value, prepared }
+    RowContext { normalized_label, label_tokens, bow, values }
 }
 
-impl TableAttributes {
+impl ImplicitAttribute {
     /// The attributes of a table of `num_rows` rows whose rows retrieved
     /// `row_candidates`: every property-value combination held by at
     /// least one candidate of a row, scored by the share of rows holding
     /// it, kept above [`ImplicitAttributes::SCORE_THRESHOLD`].
-    fn derive(kb: &KnowledgeBase, num_rows: usize, row_candidates: &[Vec<InstanceId>]) -> Self {
+    fn derive(kb: &KnowledgeBase, num_rows: usize, row_candidates: &[Vec<InstanceId>]) -> Box<[Self]> {
         let eq = EquivalenceConfig::default();
         // For each row, the set of property-value combinations of its
         // candidate instances, keyed by (property, rendered value).
@@ -188,17 +179,18 @@ impl TableAttributes {
         // Deduplicate by property, keeping the highest-scoring value, and
         // verify consistency with the equivalence functions (two distinct
         // renders of the same value should not produce two entries).
-        let mut attributes: Vec<(&'static str, Value, f64)> = Vec::new();
-        for (prop, value, score, _render) in implicit {
-            let dtype = value.data_type();
-            let duplicate =
-                attributes.iter().any(|(p, v, _)| *p == prop && value_equivalent(v, &value, dtype, &eq));
+        let mut attributes: Vec<Self> = Vec::new();
+        for (property, value, score, _render) in implicit {
+            let prepared = PreparedValue::new(&value);
+            let dtype = prepared.data_type();
+            let duplicate = attributes
+                .iter()
+                .any(|a| a.property == property && a.prepared.equivalent(&prepared, dtype, &eq));
             if !duplicate {
-                attributes.push((prop, value, score));
+                attributes.push(Self { property, value, prepared, score });
             }
         }
-        let prepared = attributes.iter().map(|(_, value, _)| PreparedValue::new(value)).collect();
-        Self { attributes, prepared }
+        attributes.into_boxed_slice()
     }
 }
 
@@ -267,28 +259,19 @@ impl ImplicitAttributes {
             .filter_map(|tm| Some((corpus.table(tm.table)?, tm)))
             .filter(|(table, _)| table.num_rows() > 0)
             .collect();
-        let per_table: Vec<(TableId, TableAttributes)> = tables
+        let per_table: Vec<(TableId, Box<[ImplicitAttribute]>)> = tables
             .par_iter()
             .map(|&(table, table_mapping)| {
                 let rows = row_candidates(table, table_mapping);
-                (table.id, TableAttributes::derive(kb, table.num_rows(), &rows))
+                (table.id, ImplicitAttribute::derive(kb, table.num_rows(), &rows))
             })
             .collect();
         Self { per_table: per_table.into_iter().collect() }
     }
 
     /// The implicit attributes of a table.
-    pub fn of_table(&self, table: TableId) -> &[(&'static str, Value, f64)] {
-        self.prepared_of_table(table).0
-    }
-
-    /// The implicit attributes of a table and, position by position, their
-    /// values prepared for similarity scoring.
-    pub(crate) fn prepared_of_table(&self, table: TableId) -> (&[(&'static str, Value, f64)], &[PreparedValue]) {
-        match self.per_table.get(&table) {
-            Some(table) => (&table.attributes, &table.prepared),
-            None => (&[], &[]),
-        }
+    pub fn of_table(&self, table: TableId) -> &[ImplicitAttribute] {
+        self.per_table.get(&table).map_or(&[], |attributes| attributes)
     }
 
     /// Absorb another instance's per-table attributes (later entries win on
@@ -310,7 +293,7 @@ mod tests {
 
     /// Number of tables with at least one implicit attribute.
     fn tables_with_attributes(implicit: &ImplicitAttributes) -> usize {
-        implicit.per_table.values().filter(|table| !table.attributes.is_empty()).count()
+        implicit.per_table.values().filter(|attributes| !attributes.is_empty()).count()
     }
 
     fn setup() -> (ltee_kb::World, GeneratedCorpus, CorpusMapping) {
@@ -335,7 +318,7 @@ mod tests {
         let mut interner = Interner::new();
         let contexts = build_row_contexts(&corpus, &mapping, &rows, &mut interner);
         assert_eq!(contexts.len(), rows.len());
-        let with_labels = contexts.iter().filter(|c| !c.values().label.is_empty()).count();
+        let with_labels = contexts.iter().filter(|c| !c.normalized_label.is_empty()).count();
         assert!(with_labels as f64 > contexts.len() as f64 * 0.9);
         assert!(contexts.iter().all(|c| !c.bow.is_empty()));
         // Interned tokens mirror the normalised labels.
@@ -366,9 +349,9 @@ mod tests {
         let index = world.kb().label_index(class);
         let implicit = ImplicitAttributes::build(&corpus, &mapping, world.kb(), class, &index);
         for tm in mapping.tables_of_class(class) {
-            for (_, _, score) in implicit.of_table(tm.table) {
-                assert!(*score >= ImplicitAttributes::SCORE_THRESHOLD);
-                assert!(*score <= 1.0 + 1e-9);
+            for attribute in implicit.of_table(tm.table) {
+                assert!(attribute.score >= ImplicitAttributes::SCORE_THRESHOLD);
+                assert!(attribute.score <= 1.0 + 1e-9);
             }
         }
     }
@@ -396,10 +379,10 @@ mod tests {
                 let looked_up = ImplicitAttributes::build(&corpus, &mapping, kb, class, index);
                 let reused = ImplicitAttributes::from_candidates(&corpus, &mapping, kb, class, &candidates);
                 for tm in mapping.tables_of_class(class) {
-                    let expected = looked_up.prepared_of_table(tm.table);
-                    let got = reused.prepared_of_table(tm.table);
+                    let expected = looked_up.of_table(tm.table);
+                    let got = reused.of_table(tm.table);
                     assert_eq!(format!("{got:?}"), format!("{expected:?}"), "table {}", tm.table.raw());
-                    attributes += expected.0.len();
+                    attributes += expected.len();
                 }
                 assert_eq!(tables_with_attributes(&reused), tables_with_attributes(&looked_up));
             }

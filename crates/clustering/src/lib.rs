@@ -41,7 +41,7 @@ mod seeded_words;
 pub mod train;
 
 pub use cluster::{cluster_rows, Clustering, ClusteringConfig};
-pub use context::{build_row_contexts, ImplicitAttributes, RowContext};
+pub use context::{build_row_contexts, ImplicitAttribute, ImplicitAttributes, RowContext};
 pub use incremental::{StreamingClusterer, StreamingPhi};
 pub use metrics::{metric_features, RowMetricKind, RowProbe, RowSimilarityModel};
 pub use train::{build_pair_dataset, ROW_MODEL_TRAINING};

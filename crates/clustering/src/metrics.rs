@@ -6,10 +6,10 @@ use std::collections::HashMap;
 use ltee_intern::{Interner, Sym};
 use ltee_ml::{MetricKind, MetricModel, PairFeatures};
 use ltee_text::{cosine_similarity, monge_elkan_tokens};
-use ltee_types::{Agreement, PreparedValue, Value};
+use ltee_types::{Agreement, PreparedValue};
 use ltee_webtables::{Corpus, TableId};
 
-use crate::context::{ImplicitAttributes, RowContext};
+use crate::context::{ImplicitAttribute, ImplicitAttributes, RowContext};
 
 /// The six row similarity metrics of paper Section 3.2, in feature order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -310,10 +310,8 @@ pub struct RowProbe<'a> {
     /// Every table's implicit attributes (the other row's are looked up
     /// per pair).
     all_implicit: &'a ImplicitAttributes,
-    /// The implicit attributes of the row's table…
-    implicit: &'a [(&'static str, Value, f64)],
-    /// …and their prepared values, position by position.
-    implicit_prepared: &'a [PreparedValue],
+    /// The implicit attributes of the row's table.
+    implicit: &'a [ImplicitAttribute],
     /// What the row has to say about a property: its explicit (column)
     /// values, then its table's implicit ones. The first entry for a
     /// property is the one `IMPLICIT_ATT` compares against.
@@ -323,11 +321,10 @@ pub struct RowProbe<'a> {
 impl<'a> RowProbe<'a> {
     /// Look up what scoring reads of `ctx`'s table.
     pub fn new(ctx: &'a RowContext, all_implicit: &'a ImplicitAttributes) -> Self {
-        let (implicit, implicit_prepared) = all_implicit.prepared_of_table(ctx.row.table);
-        let explicit = ctx.prepared_values().map(|(p, _, prepared)| (p, prepared));
-        let own_values =
-            explicit.chain(implicit.iter().map(|&(p, _, _)| p).zip(implicit_prepared)).collect();
-        Self { ctx, all_implicit, implicit, implicit_prepared, own_values }
+        let implicit = all_implicit.of_table(ctx.row.table);
+        let explicit = ctx.values().iter().map(|(p, value)| (*p, value));
+        let own_values = explicit.chain(implicit.iter().map(|a| (a.property, &a.prepared))).collect();
+        Self { ctx, all_implicit, implicit, own_values }
     }
 
     /// The similarity (and confidence) of one metric for the pair
@@ -366,9 +363,9 @@ impl<'a> RowProbe<'a> {
     /// confidence = number of compared pairs (a sum of ones).
     fn attribute_score(&self, b: &RowContext) -> (f64, f64) {
         let mut agreement = Agreement::default();
-        for (prop, va, prepared) in self.ctx.prepared_values() {
-            if let Some(vb) = b.prepared_value(prop) {
-                agreement.compare(prepared, vb, va.data_type(), 1.0);
+        for (prop, va) in self.ctx.values() {
+            if let Some(vb) = b.value(prop) {
+                agreement.compare(va, vb, 1.0);
             }
         }
         agreement.score()
@@ -378,21 +375,21 @@ impl<'a> RowProbe<'a> {
     /// with the overlapping implicit and explicit attributes of the other
     /// row.
     fn implicit_score(&self, b: &RowContext) -> (f64, f64) {
-        let (b_implicit, b_implicit_prepared) = self.all_implicit.prepared_of_table(b.row.table);
+        let b_implicit = self.all_implicit.of_table(b.row.table);
         let mut agreement = Agreement::default();
-        for ((prop, value, score), prepared) in self.implicit.iter().zip(self.implicit_prepared) {
+        for attribute in self.implicit {
             // Overlap with the other row's explicit (column) attributes, or
             // with the other table's implicit attributes.
-            let other = b.prepared_value(prop).or_else(|| {
-                b_implicit.iter().position(|(p, _, _)| p == prop).map(|i| &b_implicit_prepared[i])
+            let other = b.value(attribute.property).or_else(|| {
+                b_implicit.iter().find(|a| a.property == attribute.property).map(|a| &a.prepared)
             });
             if let Some(other) = other {
-                agreement.compare(prepared, other, value.data_type(), *score);
+                agreement.compare(&attribute.prepared, other, attribute.score);
             }
         }
-        for ((prop, value, score), prepared) in b_implicit.iter().zip(b_implicit_prepared) {
-            if let Some((_, own)) = self.own_values.iter().find(|(p, _)| p == prop) {
-                agreement.compare(prepared, own, value.data_type(), *score);
+        for attribute in b_implicit {
+            if let Some((_, own)) = self.own_values.iter().find(|(p, _)| *p == attribute.property) {
+                agreement.compare(&attribute.prepared, own, attribute.score);
             }
         }
         agreement.score()
@@ -446,6 +443,7 @@ mod tests {
     use super::*;
     use ltee_matching::RowValues;
     use ltee_text::BowVector;
+    use ltee_types::Value;
     use ltee_webtables::RowRef;
 
     fn ctx(

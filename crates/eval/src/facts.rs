@@ -147,7 +147,6 @@ mod tests {
 
     fn kb_with_song_props() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
-        kb.add_class(ClassKey::Song);
         kb.add_property(ClassKey::Song, "runtime", DataType::Quantity, "length");
         kb.add_property(ClassKey::Song, "musicalArtist", DataType::InstanceReference, "artist");
         kb

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use ltee_kb::{ClassKey, KnowledgeBase};
 use ltee_matching::CorpusMapping;
-use ltee_types::{value_equivalent, DataType, EquivalenceConfig, Value};
+use ltee_types::{DataType, EquivalenceConfig, PreparedValue, Value};
 use ltee_webtables::{Corpus, RowRef, TableId};
 use rayon::prelude::*;
 
@@ -216,18 +216,21 @@ pub fn fuse_candidates(
         return None;
     }
     let eq = &EquivalenceConfig::default();
-    // Grouping.
-    let mut groups: Vec<Vec<&CandidateValue>> = Vec::new();
+    // Grouping: each candidate prepared once and compared with every
+    // group's first member (prepared).
+    let mut groups: Vec<(PreparedValue, Vec<&CandidateValue>)> = Vec::new();
     for cand in candidates {
-        match groups.iter_mut().find(|g| value_equivalent(&g[0].value, &cand.value, data_type, eq)) {
-            Some(group) => group.push(cand),
-            None => groups.push(vec![cand]),
+        let prepared = PreparedValue::new(&cand.value);
+        match groups.iter_mut().find(|(head, _)| head.equivalent(&prepared, data_type, eq)) {
+            Some((_, group)) => group.push(cand),
+            None => groups.push((prepared, vec![cand])),
         }
     }
     // Selection: highest sum of scores; ties broken towards the larger group
     // and then the first-seen group for determinism.
     let best = groups
         .iter()
+        .map(|(_, group)| group)
         .enumerate()
         .max_by(|(ia, a), (ib, b)| {
             let sa: f64 = a.iter().map(|c| c.score).sum();
@@ -304,7 +307,7 @@ fn weighted_median(mut pairs: Vec<(f64, f64)>) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltee_types::Date;
+    use ltee_types::{value_equivalent, Date};
     use ltee_webtables::TableId;
 
     fn cand(property: &'static str, value: Value, score: f64, row: usize) -> CandidateValue {

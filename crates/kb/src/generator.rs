@@ -363,7 +363,6 @@ pub fn generate_world(config: &GeneratorConfig) -> World {
     let mut kb = KnowledgeBase::new();
     let mut class_properties: Vec<(ClassKey, Vec<PropertyId>)> = Vec::new();
     for class in CLASS_KEYS {
-        kb.add_class(class);
         let schema = class_schema(class);
         let ids = schema.iter().map(|spec| kb.add_property(class, spec.name, spec.data_type, spec.header_labels[0]));
         class_properties.push((class, ids.collect()));

@@ -30,10 +30,6 @@ macro_rules! id_type {
 }
 
 id_type!(
-    /// Identifier of a class in the knowledge base class hierarchy.
-    ClassId
-);
-id_type!(
     /// Identifier of a property of a knowledge base class.
     PropertyId
 );
@@ -53,10 +49,10 @@ mod tests {
 
     #[test]
     fn ids_are_distinct_types() {
-        let c = ClassId(1);
+        let i = InstanceId(1);
         let p = PropertyId(1);
         // Compiles only because they are different types with equal raw values.
-        assert_eq!(c.raw(), p.raw());
+        assert_eq!(i.raw(), p.raw());
     }
 
     #[test]
@@ -72,6 +68,6 @@ mod tests {
 
     #[test]
     fn display_includes_type_name() {
-        assert_eq!(ClassId(7).to_string(), "ClassId(7)");
+        assert_eq!(PropertyId(7).to_string(), "PropertyId(7)");
     }
 }

@@ -38,7 +38,7 @@ pub mod schema;
 
 pub use footprint::{Footprint, FootprintRow, HeapBytes, HeapSize};
 pub use generator::{generate_world, Facts, GeneratorConfig, Scale, World, WorldEntity};
-pub use ids::{ClassId, EntityId, InstanceId, PropertyId};
-pub use model::{Fact, Instance, KnowledgeBase, KnowledgeBaseClass, Property, KB_OVERLAP_SAMPLE};
+pub use ids::{EntityId, InstanceId, PropertyId};
+pub use model::{Fact, Instance, KnowledgeBase, Property, KB_OVERLAP_SAMPLE};
 pub use profile::{ClassProfile, PropertyDensity};
 pub use schema::{class_schema, schema_property_name, ClassKey, PropertySpec, CLASS_KEYS};

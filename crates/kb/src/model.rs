@@ -7,7 +7,7 @@ use ltee_intern::{str_list, StrList};
 use ltee_types::{DataType, EquivalenceSet, Value};
 
 use crate::footprint::{Footprint, HeapBytes, HeapSize};
-use crate::ids::{ClassId, InstanceId, PropertyId};
+use crate::ids::{InstanceId, PropertyId};
 use crate::schema::{ClassKey, CLASS_KEYS};
 
 /// How many values of a property — the **first** this many in instance
@@ -15,19 +15,6 @@ use crate::schema::{ClassKey, CLASS_KEYS};
 /// compare a column against. The prefix is part of the matcher's
 /// definition: a later value that would have matched does not count.
 pub const KB_OVERLAP_SAMPLE: usize = 400;
-
-/// A class in the knowledge base with its position in the hierarchy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KnowledgeBaseClass {
-    /// Class identifier.
-    pub id: ClassId,
-    /// Which of the target classes this is.
-    pub key: ClassKey,
-    /// Class name.
-    pub name: String,
-    /// Names of all ancestor classes (most specific first, ending in Thing).
-    pub ancestors: Vec<String>,
-}
 
 /// A property of a knowledge base class.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +97,6 @@ struct PropertyFacts {
 }
 
 ltee_intern::heap_size! {
-    KnowledgeBaseClass { name, ancestors }
     Property {}
     Fact { value }
     Instance { texts, facts }
@@ -152,7 +138,6 @@ fn of_class<T>(per_class: &[(ClassKey, T)], class: ClassKey) -> &T {
 /// The knowledge base: the DBpedia stand-in the pipeline extends.
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
-    classes: Vec<KnowledgeBaseClass>,
     properties: Vec<Property>,
     /// Indexed by instance id: [`KnowledgeBase::add_instance`] mints an
     /// instance's position as its id.
@@ -164,19 +149,6 @@ impl KnowledgeBase {
     /// Create an empty knowledge base.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Register a class.
-    pub fn add_class(&mut self, key: ClassKey) -> ClassId {
-        self.derived = Derived::default();
-        let id = ClassId(self.classes.len() as u64);
-        self.classes.push(KnowledgeBaseClass {
-            id,
-            key,
-            name: key.name().to_string(),
-            ancestors: key.ancestors().iter().map(|s| s.to_string()).collect(),
-        });
-        id
     }
 
     /// Register a property of a class.
@@ -211,11 +183,6 @@ impl KnowledgeBase {
     /// to a known size keeps no spare slots.
     pub fn reserve_instances(&mut self, additional: usize) {
         self.instances.reserve_exact(additional);
-    }
-
-    /// All classes.
-    pub fn classes(&self) -> &[KnowledgeBaseClass] {
-        &self.classes
     }
 
     /// All properties.
@@ -326,7 +293,7 @@ impl KnowledgeBase {
                 footprint.add("kb.label_index", Some(*class), index.heap_bytes(), index.len());
             }
         }
-        let (schema, derived) = (self.classes.heap_bytes() + self.properties.heap_bytes(), &self.derived);
+        let (schema, derived) = (self.properties.heap_bytes(), &self.derived);
         let memos = derived.class_properties.get().map_or(HeapBytes::ZERO, |memo| memo.heap_bytes())
             + derived.property_facts.get().map_or(HeapBytes::ZERO, |memo| memo.heap_bytes());
         footprint.add("kb.schema", None, schema + memos, self.properties.len());
@@ -390,7 +357,6 @@ mod tests {
 
     fn tiny_kb() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
-        kb.add_class(ClassKey::Song);
         let artist = kb.add_property(ClassKey::Song, "musicalArtist", DataType::InstanceReference, "artist");
         let runtime = kb.add_property(ClassKey::Song, "runtime", DataType::Quantity, "length");
         kb.add_instance(
@@ -500,7 +466,6 @@ mod tests {
     #[test]
     fn value_sample_is_the_first_values_in_instance_order() {
         let mut kb = KnowledgeBase::new();
-        kb.add_class(ClassKey::Song);
         let runtime = kb.add_property(ClassKey::Song, "runtime", DataType::Quantity, "length");
         for i in 0..KB_OVERLAP_SAMPLE + 1 {
             let fact = Fact { property: runtime, value: Value::Quantity(1.5f64.powi(i as i32)) };

@@ -64,6 +64,17 @@ impl TableMapping {
     pub fn row_label(&self, table: &WebTable, row: usize) -> String {
         table.cell(row, self.label_column).map(ltee_text::clean_label).unwrap_or_default()
     }
+
+    /// A row's value for `property`: the first of the columns matched to
+    /// it, in column order, whose cell parses — the first entry for
+    /// `property` of [`extract_row_values`], without parsing the row's
+    /// other cells.
+    pub fn row_value(&self, table: &WebTable, row: usize, property: &str) -> Option<Value> {
+        self.correspondences.iter().enumerate().find_map(|(col, m)| {
+            let m = m.as_ref().filter(|m| m.property == property)?;
+            parse_cell_as(table.cell(row, col)?, m.data_type)
+        })
+    }
 }
 
 /// Values of one row, extracted according to the schema mapping.
@@ -74,13 +85,6 @@ pub struct RowValues {
     /// Property → normalised value, for every matched column with a
     /// parseable, non-empty cell.
     pub values: Vec<(&'static str, Value)>,
-}
-
-impl RowValues {
-    /// The value for a property, if present.
-    pub fn value(&self, property: &str) -> Option<&Value> {
-        self.values.iter().find(|(p, _)| *p == property).map(|(_, v)| v)
-    }
 }
 
 /// The schema matching result for a whole corpus.
@@ -132,6 +136,12 @@ impl CorpusMapping {
         let Some(mapping) = self.table(row.table) else { return RowValues::default() };
         let Some(table) = corpus.table(row.table) else { return RowValues::default() };
         extract_row_values(table, mapping, row.row)
+    }
+
+    /// A row's schema-mapped value for `property`
+    /// ([`TableMapping::row_value`]).
+    pub fn row_value(&self, corpus: &Corpus, row: RowRef, property: &str) -> Option<Value> {
+        self.table(row.table)?.row_value(corpus.table(row.table)?, row.row, property)
     }
 
     /// Absorb another mapping's tables into this one (later mappings win on
@@ -229,8 +239,8 @@ mod tests {
         let (table, mapping) = table_and_mapping();
         let rv = extract_row_values(&table, &mapping, 0);
         assert_eq!(rv.label, "Tom Brady");
-        assert_eq!(rv.value("team"), Some(&Value::InstanceRef("Patriots".into())));
-        assert_eq!(rv.value("number"), Some(&Value::NominalInt(12)));
+        let expected = [("team", Value::InstanceRef("Patriots".into())), ("number", Value::NominalInt(12))];
+        assert_eq!(rv.values, expected);
     }
 
     #[test]
@@ -238,8 +248,7 @@ mod tests {
         let (table, mapping) = table_and_mapping();
         let rv = extract_row_values(&table, &mapping, 1);
         assert_eq!(rv.label, "Eli Manning");
-        assert!(rv.value("team").is_none());
-        assert_eq!(rv.value("number"), Some(&Value::NominalInt(10)));
+        assert_eq!(rv.values, [("number", Value::NominalInt(10))]);
     }
 
     #[test]
@@ -276,7 +285,31 @@ mod tests {
 
     #[test]
     fn row_values_value_lookup_missing_property() {
-        let rv = RowValues { label: "x".into(), values: vec![("a", Value::Quantity(1.0))] };
-        assert!(rv.value("b").is_none());
+        let (table, mapping) = table_and_mapping();
+        assert!(mapping.row_value(&table, 0, "b").is_none());
+        assert!(mapping.row_value(&table, 1, "team").is_none());
+    }
+
+    /// `row_value` reads one property's first parseable cell, in column
+    /// order, as the row's extraction does — also where a table maps one
+    /// property twice and where the first such cell is empty or does not
+    /// parse.
+    #[test]
+    fn row_value_is_the_first_extracted_value_of_the_property() {
+        let (mut table, mut mapping) = table_and_mapping();
+        table.columns.push(Column { header: "no.".into(), cells: ["x", "7"].into_iter().collect() });
+        table.columns.push(Column { header: "club".into(), cells: ["", "Giants"].into_iter().collect() });
+        let number = AttributeMatch { property: "number", data_type: DataType::NominalInteger, score: 0.5 };
+        let team = AttributeMatch { property: "team", data_type: DataType::InstanceReference, score: 0.5 };
+        mapping.correspondences.extend([Some(number), Some(team)]);
+        mapping.detected_types.extend([DetectedType::Quantity, DetectedType::Text]);
+        for row in 0..table.num_rows() {
+            let extracted = extract_row_values(&table, &mapping, row);
+            for property in ["team", "number", "name"] {
+                let first = extracted.values.iter().find(|&&(p, _)| p == property).map(|(_, v)| v.clone());
+                assert_eq!(mapping.row_value(&table, row, property), first, "row {row}, {property}");
+            }
+        }
+        assert_eq!(mapping.row_value(&table, 1, "team"), Some(Value::InstanceRef("Giants".into())));
     }
 }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use ltee_kb::{KnowledgeBase, Property};
-use ltee_types::{parse_cell_as, value_equivalent, EquivalenceConfig};
+use ltee_types::{parse_cell_as, value_equivalent, EquivalenceConfig, PreparedValue};
 use ltee_webtables::{Corpus, RowRef, WebTable};
 
 use crate::mapping::CorpusFeedback;
@@ -234,21 +234,15 @@ pub fn wt_duplicate(
         let Some(cluster_idx) = feedback.cluster_of_row(row_ref) else { continue };
         total += 1;
         let Some(value) = parse_cell_as(cell, property.data_type) else { continue };
+        let value = PreparedValue::new(&value);
         // Look for an equal value for the same property among the other rows
         // of the same cluster, as mapped by the preliminary mapping.
-        let mut found = false;
-        for other in &feedback.clusters[cluster_idx] {
-            if *other == row_ref {
-                continue;
-            }
-            let other_values = feedback.mapping.row_values(corpus, *other);
-            if let Some(other_value) = other_values.value(property.name) {
-                if value_equivalent(&value, other_value, property.data_type, &eq) {
-                    found = true;
-                    break;
-                }
-            }
-        }
+        let found = feedback.clusters[cluster_idx].iter().filter(|&&other| other != row_ref).any(|&other| {
+            feedback
+                .mapping
+                .row_value(corpus, other, property.name)
+                .is_some_and(|other_value| value.equivalent(&PreparedValue::new(&other_value), property.data_type, &eq))
+        });
         if found {
             hits += 1;
         }

@@ -97,16 +97,15 @@ pub struct EntityContext {
     pub class_hierarchy: Vec<&'static str>,
     /// Combined bag-of-words vector of all the entity's rows.
     pub bow: BowVector,
-    /// Entity-level implicit attributes: (property, value, confidence);
-    /// read through [`EntityContext::implicit`].
-    implicit: Vec<(&'static str, Value, f64)>,
-    /// The values of `entity.facts` and of `implicit`, prepared for
-    /// similarity scoring position by position: the `ATTRIBUTE` /
-    /// `IMPLICIT_ATT` metrics compare these against every candidate
-    /// instance. Only [`EntityContext::from_parts`] writes the four fields,
-    /// so the prepared forms cannot fall out of step with their sources.
+    /// Entity-level implicit attributes: (property, prepared value,
+    /// confidence); read through [`EntityContext::implicit`].
+    implicit: Vec<(&'static str, PreparedValue, f64)>,
+    /// The values of `entity.facts` prepared for comparison, position by
+    /// position: the `ATTRIBUTE` metric compares these against every
+    /// candidate instance. The facts themselves stay on `entity`, the
+    /// record fusion serves; only [`EntityContext::from_parts`] writes the
+    /// two.
     prepared_facts: Vec<PreparedValue>,
-    prepared_implicit: Vec<PreparedValue>,
 }
 
 impl EntityContext {
@@ -115,7 +114,7 @@ impl EntityContext {
     pub fn from_parts(
         entity: Entity,
         bow: BowVector,
-        implicit: Vec<(&'static str, Value, f64)>,
+        implicit: Vec<(&'static str, PreparedValue, f64)>,
         interner: &mut Interner,
     ) -> Self {
         let label_tokens = entity
@@ -125,8 +124,7 @@ impl EntityContext {
             .collect();
         let class_hierarchy = class_hierarchy_of(entity.class);
         let prepared_facts = entity.facts.iter().map(|(_, value, _)| PreparedValue::new(value)).collect();
-        let prepared_implicit = implicit.iter().map(|(_, value, _)| PreparedValue::new(value)).collect();
-        Self { entity, label_tokens, class_hierarchy, bow, implicit, prepared_facts, prepared_implicit }
+        Self { entity, label_tokens, class_hierarchy, bow, implicit, prepared_facts }
     }
 
     /// The created entity.
@@ -134,8 +132,9 @@ impl EntityContext {
         &self.entity
     }
 
-    /// Entity-level implicit attributes: (property, value, confidence).
-    pub fn implicit(&self) -> &[(&'static str, Value, f64)] {
+    /// Entity-level implicit attributes: (property, prepared value,
+    /// confidence).
+    pub fn implicit(&self) -> &[(&'static str, PreparedValue, f64)] {
         &self.implicit
     }
 
@@ -151,17 +150,17 @@ impl EntityContext {
         // Entity-level implicit attributes: sum the table-level confidence of
         // equal (property, value) combinations over the entity's rows and
         // divide by the number of rows.
-        let mut acc: Vec<(&'static str, Value, f64)> = Vec::new();
+        let mut acc: Vec<(&'static str, PreparedValue, f64)> = Vec::new();
         // How each entry of `acc` renders: combinations are equal when
         // their properties and rendered values are.
         let mut renders: Vec<String> = Vec::new();
         for row in &entity.rows {
-            for &(prop, ref value, score) in implicit.of_table(row.table) {
-                let render = value.render();
+            for attribute in implicit.of_table(row.table) {
+                let (prop, render) = (attribute.property, attribute.value.render());
                 match acc.iter().zip(&renders).position(|(&(p, _, _), r)| p == prop && *r == render) {
-                    Some(i) => acc[i].2 += score,
+                    Some(i) => acc[i].2 += attribute.score,
                     None => {
-                        acc.push((prop, value.clone(), score));
+                        acc.push((prop, attribute.prepared.clone(), attribute.score));
                         renders.push(render);
                     }
                 }
@@ -202,13 +201,8 @@ pub struct InstanceContext {
     pub class: ClassKey,
     /// Class ancestors (including the class itself).
     pub class_hierarchy: Vec<&'static str>,
-    /// Facts of the instance: (property, value); read through
-    /// [`InstanceContext::fact`].
-    facts: Vec<(&'static str, Value)>,
-    /// The values of `facts` prepared for similarity scoring, position by
-    /// position; written together with `facts`, by `InstanceContext::body`
-    /// alone.
-    prepared_facts: Vec<PreparedValue>,
+    /// Facts of the instance: (property, value prepared for comparison).
+    facts: Vec<(&'static str, PreparedValue)>,
     /// Page-link popularity.
     pub page_links: u64,
     /// The instance id.
@@ -222,20 +216,17 @@ impl InstanceContext {
     fn body(instance: &Instance, kb: &KnowledgeBase) -> (Self, Vec<String>) {
         let texts = instance.labels_and_abstract().map(Cow::Borrowed);
         let bow = BowVector::from_texts(texts.chain(instance.facts.iter().map(|fact| rendered(&fact.value))));
-        let mut facts = Vec::new();
-        for fact in &instance.facts {
-            if let Some(prop) = kb.property(fact.property) {
-                facts.push((prop.name, fact.value.clone()));
-            }
-        }
-        let prepared_facts = facts.iter().map(|(_, value)| PreparedValue::new(value)).collect();
+        let facts = instance
+            .facts
+            .iter()
+            .filter_map(|fact| Some((kb.property(fact.property)?.name, PreparedValue::new(&fact.value))))
+            .collect();
         let context = Self {
             label_tokens: Vec::new(),
             bow,
             class: instance.class,
             class_hierarchy: class_hierarchy_of(instance.class),
             facts,
-            prepared_facts,
             page_links: instance.page_links,
             id: instance.id,
         };
@@ -283,11 +274,6 @@ impl InstanceContext {
         contexts
     }
 
-    /// The fact value for a property.
-    pub fn fact(&self, property: &str) -> Option<&Value> {
-        self.facts.iter().find(|&&(p, _)| p == property).map(|(_, v)| v)
-    }
-
     /// Share of `values` — (property, confidence, prepared value) — that
     /// agree with this instance's fact for the same property, under the
     /// fact's data type, and the summed confidence of the values that had a
@@ -295,8 +281,10 @@ impl InstanceContext {
     fn agreement<'a>(&self, values: impl Iterator<Item = (&'a str, f64, &'a PreparedValue)>) -> (f64, f64) {
         let mut agreement = Agreement::default();
         for (prop, score, value) in values {
-            if let Some(i) = self.facts.iter().position(|&(p, _)| p == prop) {
-                agreement.compare(value, &self.prepared_facts[i], self.facts[i].1.data_type(), score);
+            if let Some((_, fact)) = self.facts.iter().find(|&&(p, _)| p == prop) {
+                // Similarity is symmetric: comparing under the fact's type
+                // with the fact first scores what the reverse order does.
+                agreement.compare(fact, value, score);
             }
         }
         agreement.score()
@@ -350,9 +338,7 @@ pub fn entity_metric_score(
             entity.entity.facts.iter().zip(&entity.prepared_facts).map(|(&(p, _, _), v)| (p, 1.0, v)),
         ),
         // Confidence: the summed scores of the overlapping implicit attributes.
-        EntityMetricKind::ImplicitAtt => instance.agreement(
-            entity.implicit.iter().zip(&entity.prepared_implicit).map(|(&(p, _, s), v)| (p, s, v)),
-        ),
+        EntityMetricKind::ImplicitAtt => instance.agreement(entity.implicit.iter().map(|(p, v, s)| (*p, *s, v))),
         EntityMetricKind::Popularity => (popularity_score, 1.0),
     }
 }
@@ -404,8 +390,7 @@ mod tests {
             bow,
             class,
             class_hierarchy: super::class_hierarchy_of(class),
-            prepared_facts: facts.iter().map(|(_, v)| PreparedValue::new(v)).collect(),
-            facts,
+            facts: facts.iter().map(|&(p, ref v)| (p, PreparedValue::new(v))).collect(),
             page_links: links,
             id: ltee_kb::InstanceId(0),
         }
@@ -503,7 +488,7 @@ mod tests {
     fn implicit_metric_uses_entity_level_attributes() {
         let mut interner = Interner::new();
         let plain = entity_ctx(&mut interner, ClassKey::Song, "Hey Jude", vec![]);
-        let implicit = vec![("musicalArtist", Value::InstanceRef("The Beatles".into()), 0.8)];
+        let implicit = vec![("musicalArtist", PreparedValue::new(&Value::InstanceRef("The Beatles".into())), 0.8)];
         let e = EntityContext::from_parts(plain.entity, plain.bow, implicit, &mut interner);
         let matching = instance_ctx(
             &mut interner,

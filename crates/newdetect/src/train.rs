@@ -227,7 +227,7 @@ mod tests {
                     .iter()
                     .step_by(2)
                     .enumerate()
-                    .map(|(i, &(p, ref v, _))| (p, v.clone(), 0.5 + i as f64 / 10.0))
+                    .map(|(i, &(p, ref v, _))| (p, ltee_types::PreparedValue::new(v), 0.5 + i as f64 / 10.0))
                     .collect();
                 entities.push(EntityContext::from_parts(plain.entity().clone(), plain.bow, implicit, &mut interner));
                 truth.push(world.instance_for_entity(e.id));

@@ -314,7 +314,6 @@ mod tests {
     /// ("Octopus Garden", homonym label "Octopus's Garden") new.
     fn sample_snapshot() -> KbSnapshot {
         let mut kb = KnowledgeBase::new();
-        kb.add_class(ClassKey::Song);
         let linked = kb.add_instance(
             ClassKey::Song,
             vec!["Yellow Submarine".into()],

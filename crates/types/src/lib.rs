@@ -30,7 +30,5 @@ pub mod value;
 
 pub use datatype::{DataType, DetectedType};
 pub use detect::{detect_cell_type, detect_column_type, parse_cell_as};
-pub use similarity::{
-    value_equivalent, value_similarity, Agreement, EquivalenceConfig, EquivalenceSet, PreparedValue,
-};
+pub use similarity::{value_equivalent, Agreement, EquivalenceConfig, EquivalenceSet, PreparedValue};
 pub use value::{Date, DateGranularity, Value};

@@ -43,16 +43,6 @@ impl Default for EquivalenceConfig {
 }
 
 impl EquivalenceConfig {
-    /// A strict configuration (exact matches only, no tolerances), useful in
-    /// tests and for nominal-heavy properties.
-    pub fn strict() -> Self {
-        Self {
-            text_threshold: 1.0,
-            quantity_tolerance: 0.0,
-            date_day_tolerance_days: 0.0,
-        }
-    }
-
     /// A lenient configuration used when comparing noisy web-table-derived
     /// facts against possibly outdated knowledge base facts.
     pub fn lenient() -> Self {
@@ -64,57 +54,86 @@ impl EquivalenceConfig {
     }
 }
 
-/// Similarity of two values under the comparison type `dtype`, in `[0, 1]`.
+/// A [`Value`] digested once for comparison: string payloads in their
+/// normal form ([`normalize_label`]), date and numeric payloads as they
+/// are, one variant per [`DataType`]. Everything a similarity or an
+/// equivalence reads of a value is in here, so comparing two prepared
+/// values re-derives nothing: the tokens Monge-Elkan aligns are the normal
+/// form's alphanumeric runs, read off it on demand
+/// ([`monge_elkan_normalized`]).
 ///
-/// Values whose payloads cannot be interpreted under `dtype` score `0.0`.
-/// Prepares both values and compares them with
-/// [`PreparedValue::similarity`]; callers that score a value against many
-/// others prepare it once and call that directly.
-pub fn value_similarity(a: &Value, b: &Value, dtype: DataType) -> f64 {
-    PreparedValue::new(a).similarity(&PreparedValue::new(b), dtype)
-}
-
-/// A [`Value`] digested once for similarity scoring: string payloads in
-/// their normal form ([`normalize_label`]), date and numeric payloads as
-/// they are. Everything [`value_similarity`] reads of a value is in here,
-/// so comparing two prepared values re-derives nothing: the tokens
-/// Monge-Elkan aligns are the normal form's alphanumeric runs, read off it
-/// on demand ([`monge_elkan_normalized`]).
-///
-/// Which variant a value prepares to follows its payload accessors
-/// ([`Value::as_str`], [`Value::as_date`], [`Value::as_f64`]), not its data
-/// type — the comparison type is an argument of the comparison, as it is
-/// for [`value_similarity`].
+/// The comparison type is an argument of each comparison, and a payload
+/// that does not fit it (a string compared as a date, say) is a mismatch,
+/// as it is unprepared ([`Value::as_str`], [`Value::as_date`],
+/// [`Value::as_f64`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PreparedValue {
-    /// A text, nominal-string or instance-reference payload, in its
-    /// normal form. (Boxed: one of these is kept per stored value, for as
-    /// long as the row or table it belongs to.)
-    Normalized(Box<str>),
+    /// A text payload in its normal form. (Boxed: one of these is kept
+    /// per stored value, for as long as the row or table it belongs to.)
+    Text(Box<str>),
+    /// A nominal string payload in its normal form.
+    Nominal(Box<str>),
+    /// An instance reference payload in its normal form.
+    InstanceRef(Box<str>),
     /// A date payload.
     Date(Date),
-    /// A quantity payload, or a nominal integer as a float.
+    /// A quantity payload.
+    Quantity(f64),
+    /// A nominal integer payload.
+    NominalInt(i64),
+}
+
+/// What the comparison kernels read of a prepared value.
+#[derive(Clone, Copy)]
+enum Payload<'a> {
+    Normalized(&'a str),
+    Date(Date),
     Number(f64),
 }
 
 impl PreparedValue {
     /// Prepare `value`.
     pub fn new(value: &Value) -> Self {
+        let normalized = |s: &str| normalize_label(s).into_boxed_str();
         match value {
-            Value::Text(s) | Value::Nominal(s) | Value::InstanceRef(s) => {
-                PreparedValue::Normalized(normalize_label(s).into_boxed_str())
-            }
+            Value::Text(s) => PreparedValue::Text(normalized(s)),
+            Value::Nominal(s) => PreparedValue::Nominal(normalized(s)),
+            Value::InstanceRef(s) => PreparedValue::InstanceRef(normalized(s)),
             Value::Date(d) => PreparedValue::Date(*d),
-            Value::Quantity(q) => PreparedValue::Number(*q),
-            Value::NominalInt(i) => PreparedValue::Number(*i as f64),
+            Value::Quantity(q) => PreparedValue::Quantity(*q),
+            Value::NominalInt(i) => PreparedValue::NominalInt(*i),
+        }
+    }
+
+    /// The data type of the prepared value, as [`Value::data_type`].
+    pub fn data_type(&self) -> DataType {
+        match self {
+            PreparedValue::Text(_) => DataType::Text,
+            PreparedValue::Nominal(_) => DataType::NominalString,
+            PreparedValue::InstanceRef(_) => DataType::InstanceReference,
+            PreparedValue::Date(_) => DataType::Date,
+            PreparedValue::Quantity(_) => DataType::Quantity,
+            PreparedValue::NominalInt(_) => DataType::NominalInteger,
+        }
+    }
+
+    fn payload(&self) -> Payload<'_> {
+        match self {
+            PreparedValue::Text(s) | PreparedValue::Nominal(s) | PreparedValue::InstanceRef(s) => {
+                Payload::Normalized(s)
+            }
+            PreparedValue::Date(d) => Payload::Date(*d),
+            PreparedValue::Quantity(q) => Payload::Number(*q),
+            PreparedValue::NominalInt(i) => Payload::Number(*i as f64),
         }
     }
 
     /// Similarity of the two prepared values under the comparison type
     /// `dtype`, in `[0, 1]`; `0.0` where a payload does not fit `dtype`.
+    /// Symmetric, bit for bit.
     pub fn similarity(&self, other: &PreparedValue, dtype: DataType) -> f64 {
-        use PreparedValue::{Date, Normalized, Number};
-        match (dtype, self, other) {
+        use Payload::{Date, Normalized, Number};
+        match (dtype, self.payload(), other.payload()) {
             (DataType::Text, Normalized(x), Normalized(y)) => clamp_unit(monge_elkan_normalized(x, y)),
             (DataType::NominalString, Normalized(x), Normalized(y)) if x == y => 1.0,
             (DataType::InstanceReference, Normalized(x), Normalized(y)) => {
@@ -162,6 +181,22 @@ impl PreparedValue {
             _ => 0.0,
         }
     }
+
+    /// Whether the two prepared values are *equivalent* under the
+    /// comparison type `dtype` given the equivalence configuration.
+    pub fn equivalent(&self, other: &PreparedValue, dtype: DataType, cfg: &EquivalenceConfig) -> bool {
+        use Payload::{Date, Normalized, Number};
+        match (dtype, self.payload(), other.payload()) {
+            (DataType::Text, Normalized(x), Normalized(y)) => text_equivalent(x, y, cfg),
+            // Mismatched payloads have similarity 0.
+            (DataType::Text, _, _) => 0.0 >= cfg.text_threshold,
+            (DataType::NominalString | DataType::InstanceReference, Normalized(x), Normalized(y)) => x == y,
+            (DataType::Date, Date(x), Date(y)) => date_equivalent(x, y, cfg),
+            (DataType::Quantity, Number(x), Number(y)) => quantity_equivalent(x, y, cfg),
+            (DataType::NominalInteger, Number(x), Number(y)) => nominal_integer_equivalent(x, y),
+            _ => false,
+        }
+    }
 }
 
 /// Running tally of compared value pairs, the `ATTRIBUTE` and
@@ -176,10 +211,10 @@ pub struct Agreement {
 }
 
 impl Agreement {
-    /// Compare one value pair under `dtype`, adding `confidence` to the
-    /// summed confidence.
-    pub fn compare(&mut self, a: &PreparedValue, b: &PreparedValue, dtype: DataType, confidence: f64) {
-        self.agreeing += if a.similarity(b, dtype) >= 0.95 { 1.0 } else { 0.0 };
+    /// Compare one value pair under `typed`'s data type, adding
+    /// `confidence` to the summed confidence.
+    pub fn compare(&mut self, typed: &PreparedValue, other: &PreparedValue, confidence: f64) {
+        self.agreeing += if typed.similarity(other, typed.data_type()) >= 0.95 { 1.0 } else { 0.0 };
         self.confidence += confidence;
         self.compared += 1;
     }
@@ -196,37 +231,15 @@ impl Agreement {
 }
 
 /// Whether two values are *equivalent* under the comparison type `dtype`
-/// given the equivalence configuration.
+/// given the equivalence configuration: both prepared, then
+/// [`PreparedValue::equivalent`]. Callers that compare a value against
+/// many others prepare it once and call that directly.
 pub fn value_equivalent(a: &Value, b: &Value, dtype: DataType, cfg: &EquivalenceConfig) -> bool {
-    match dtype {
-        DataType::Text => match (a.as_str(), b.as_str()) {
-            (Some(x), Some(y)) => text_equivalent(&normalize_label(x), &normalize_label(y), cfg),
-            // Mismatched payloads have similarity 0.
-            _ => 0.0 >= cfg.text_threshold,
-        },
-        DataType::NominalString | DataType::InstanceReference => {
-            match (a.as_str(), b.as_str()) {
-                (Some(x), Some(y)) => normalize_label(x) == normalize_label(y),
-                _ => false,
-            }
-        }
-        DataType::Date => match (a.as_date(), b.as_date()) {
-            (Some(x), Some(y)) => date_equivalent(x, y, cfg),
-            _ => false,
-        },
-        DataType::Quantity => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => quantity_equivalent(x, y, cfg),
-            _ => false,
-        },
-        DataType::NominalInteger => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => nominal_integer_equivalent(x, y),
-            _ => false,
-        },
-    }
+    PreparedValue::new(a).equivalent(&PreparedValue::new(b), dtype, cfg)
 }
 
-// The per-type kernels of `value_equivalent`, over already extracted (and,
-// for text, already normalised) payloads.
+// The per-type kernels of `PreparedValue::equivalent`, over already
+// extracted (and, for text, already normalised) payloads.
 // `EquivalenceSet` probes run the same kernels against payloads it
 // extracted once, which is what makes the two agree by construction.
 
@@ -289,8 +302,8 @@ enum Digest {
 impl HeapSize for PreparedValue {
     fn heap_bytes(&self) -> HeapBytes {
         match self {
-            PreparedValue::Normalized(text) => text.heap_bytes(),
-            PreparedValue::Date(_) | PreparedValue::Number(_) => HeapBytes::ZERO,
+            PreparedValue::Text(s) | PreparedValue::Nominal(s) | PreparedValue::InstanceRef(s) => s.heap_bytes(),
+            PreparedValue::Date(_) | PreparedValue::Quantity(_) | PreparedValue::NominalInt(_) => HeapBytes::ZERO,
         }
     }
 }
@@ -387,11 +400,16 @@ mod tests {
         EquivalenceConfig::default()
     }
 
+    /// Similarity of two values, each prepared on the spot.
+    fn similarity_of(a: &Value, b: &Value, dtype: DataType) -> f64 {
+        PreparedValue::new(a).similarity(&PreparedValue::new(b), dtype)
+    }
+
     #[test]
     fn text_similarity_tolerates_small_edits() {
         let a = Value::Text("Tom Brady".into());
         let b = Value::Text("Tom Bradey".into());
-        assert!(value_similarity(&a, &b, DataType::Text) > 0.85);
+        assert!(similarity_of(&a, &b, DataType::Text) > 0.85);
         assert!(value_equivalent(&a, &b, DataType::Text, &cfg()));
     }
 
@@ -406,7 +424,7 @@ mod tests {
     fn nominal_requires_exact_normalised_match() {
         let a = Value::Nominal("54321".into());
         let b = Value::Nominal("54322".into());
-        assert_eq!(value_similarity(&a, &b, DataType::NominalString), 0.0);
+        assert_eq!(similarity_of(&a, &b, DataType::NominalString), 0.0);
         assert!(!value_equivalent(&a, &b, DataType::NominalString, &cfg()));
         let c = Value::Nominal("  54321 ".into());
         assert!(value_equivalent(&a, &c, DataType::NominalString, &cfg()));
@@ -456,7 +474,7 @@ mod tests {
     fn nominal_integer_adjacent_numbers_not_related() {
         let a = Value::NominalInt(3);
         let b = Value::NominalInt(4);
-        assert_eq!(value_similarity(&a, &b, DataType::NominalInteger), 0.0);
+        assert_eq!(similarity_of(&a, &b, DataType::NominalInteger), 0.0);
         assert!(!value_equivalent(&a, &b, DataType::NominalInteger, &cfg()));
         assert!(value_equivalent(&a, &a, DataType::NominalInteger, &cfg()));
     }
@@ -465,15 +483,16 @@ mod tests {
     fn mismatched_payloads_score_zero() {
         let a = Value::Text("abc".into());
         let b = Value::Quantity(4.0);
-        assert_eq!(value_similarity(&a, &b, DataType::Quantity), 0.0);
+        assert_eq!(similarity_of(&a, &b, DataType::Quantity), 0.0);
         assert!(!value_equivalent(&a, &b, DataType::Quantity, &cfg()));
     }
 
     #[test]
-    fn strict_config_rejects_near_quantities() {
+    fn tolerance_free_config_rejects_near_quantities() {
         let a = Value::Quantity(100.0);
         let b = Value::Quantity(100.5);
-        assert!(!value_equivalent(&a, &b, DataType::Quantity, &EquivalenceConfig::strict()));
+        let strict = EquivalenceConfig { text_threshold: 1.0, quantity_tolerance: 0.0, date_day_tolerance_days: 0.0 };
+        assert!(!value_equivalent(&a, &b, DataType::Quantity, &strict));
     }
 
     #[test]
@@ -508,7 +527,7 @@ mod tests {
         }
     }
 
-    /// `value_similarity` as it was before prepared values: every string
+    /// The similarity of two values as it was before prepared values: every string
     /// comparison normalises both payloads on the spot. The oracle
     /// [`PreparedValue::similarity`] must reproduce bit for bit.
     fn similarity_by_normalising(a: &Value, b: &Value, dtype: DataType) -> f64 {
@@ -578,7 +597,7 @@ mod tests {
     #[test]
     fn pool_has_instance_references_on_both_sides_of_the_partial_credit_cut() {
         let sim = |a: &str, b: &str| {
-            value_similarity(
+            similarity_of(
                 &Value::InstanceRef(a.into()),
                 &Value::InstanceRef(b.into()),
                 DataType::InstanceReference,
@@ -592,9 +611,38 @@ mod tests {
         assert_eq!(sim("Green Bay Packers", "Packers"), 0.0);
     }
 
+    /// `value_equivalent` as it was before values were held prepared:
+    /// every string comparison normalises both payloads on the spot. The
+    /// oracle [`PreparedValue::equivalent`] must reproduce.
+    fn equivalent_by_normalising(a: &Value, b: &Value, dtype: DataType, cfg: &EquivalenceConfig) -> bool {
+        match dtype {
+            DataType::Text => match (a.as_str(), b.as_str()) {
+                (Some(x), Some(y)) => text_equivalent(&normalize_label(x), &normalize_label(y), cfg),
+                // Mismatched payloads have similarity 0.
+                _ => 0.0 >= cfg.text_threshold,
+            },
+            DataType::NominalString | DataType::InstanceReference => match (a.as_str(), b.as_str()) {
+                (Some(x), Some(y)) => normalize_label(x) == normalize_label(y),
+                _ => false,
+            },
+            DataType::Date => match (a.as_date(), b.as_date()) {
+                (Some(x), Some(y)) => date_equivalent(x, y, cfg),
+                _ => false,
+            },
+            DataType::Quantity => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) => quantity_equivalent(x, y, cfg),
+                _ => false,
+            },
+            DataType::NominalInteger => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) => nominal_integer_equivalent(x, y),
+                _ => false,
+            },
+        }
+    }
+
     /// The definition `EquivalenceSet` must reproduce.
     fn oracle(probe: &Value, sample: &[Value], limit: usize, dtype: DataType) -> bool {
-        sample.iter().take(limit).any(|s| value_equivalent(probe, s, dtype, &cfg()))
+        sample.iter().take(limit).any(|s| equivalent_by_normalising(probe, s, dtype, &cfg()))
     }
 
     #[test]
@@ -613,7 +661,7 @@ mod tests {
         fn similarity_in_unit_interval(x in -1e6f64..1e6, y in -1e6f64..1e6) {
             let a = Value::Quantity(x);
             let b = Value::Quantity(y);
-            let s = value_similarity(&a, &b, DataType::Quantity);
+            let s = similarity_of(&a, &b, DataType::Quantity);
             prop_assert!((0.0..=1.0).contains(&s));
         }
 
@@ -621,8 +669,8 @@ mod tests {
         fn quantity_similarity_symmetric(x in -1e6f64..1e6, y in -1e6f64..1e6) {
             let a = Value::Quantity(x);
             let b = Value::Quantity(y);
-            let ab = value_similarity(&a, &b, DataType::Quantity);
-            let ba = value_similarity(&b, &a, DataType::Quantity);
+            let ab = similarity_of(&a, &b, DataType::Quantity);
+            let ba = similarity_of(&b, &a, DataType::Quantity);
             prop_assert!((ab - ba).abs() < 1e-12);
         }
 
@@ -636,7 +684,7 @@ mod tests {
         fn text_similarity_reflexive(s in "[a-zA-Z ]{1,20}") {
             prop_assume!(!ltee_text::tokenize(&s).is_empty());
             let v = Value::Text(s.as_str().into());
-            let sim = value_similarity(&v, &v, DataType::Text);
+            let sim = similarity_of(&v, &v, DataType::Text);
             prop_assert!(sim > 0.999);
         }
 
@@ -661,7 +709,39 @@ mod tests {
                         pa.similarity(&pb, dtype).to_bits(), expected.to_bits(),
                         "{:?} vs {:?} as {:?}", a, b, dtype
                     );
-                    prop_assert_eq!(value_similarity(a, b, dtype).to_bits(), expected.to_bits());
+                    prop_assert_eq!(pb.similarity(&pa, dtype).to_bits(), expected.to_bits(), "symmetric");
+                }
+            }
+        }
+
+        /// A prepared value keeps its value's data type, and its
+        /// equivalence check answers as the unprepared one did, under
+        /// every comparison type, payload variant and configuration.
+        #[test]
+        fn prepared_equivalence_matches_normalising_per_comparison(
+            codes in proptest::collection::vec(0usize..840 * 840, 1usize..60),
+            x in -1e6f64..1e6,
+            y in -1e6f64..1e6,
+            text in "[a-zA-Z .'-]{0,16}",
+        ) {
+            let mut pairs: Vec<(Value, Value)> =
+                codes.iter().map(|&c| (pool_value(c / 840), pool_value(c % 840))).collect();
+            pairs.push((Value::Quantity(x), Value::Quantity(y)));
+            pairs.push((Value::Quantity(x), Value::NominalInt(y as i64)));
+            pairs.push((Value::Text(text.as_str().into()), Value::Text(text.to_uppercase().into())));
+            pairs.push((Value::Nominal(text.as_str().into()), Value::InstanceRef(text.to_lowercase().into())));
+            for (a, b) in &pairs {
+                let (pa, pb) = (PreparedValue::new(a), PreparedValue::new(b));
+                prop_assert_eq!(pa.data_type(), a.data_type());
+                prop_assert_eq!(pb.data_type(), b.data_type());
+                for cfg in [EquivalenceConfig::default(), EquivalenceConfig::lenient()] {
+                    for dtype in DataType::ALL {
+                        prop_assert_eq!(
+                            pa.equivalent(&pb, dtype, &cfg),
+                            equivalent_by_normalising(a, b, dtype, &cfg),
+                            "{:?} vs {:?} as {:?} under {:?}", a, b, dtype, cfg
+                        );
+                    }
                 }
             }
         }

@@ -13,6 +13,7 @@
 
 use std::mem::size_of;
 
+use ltee_clustering::RowContext;
 use ltee_index::LabelEntry;
 use ltee_intern::StrList;
 use ltee_kb::{Fact, Facts, Instance, WorldEntity};
@@ -48,6 +49,9 @@ fn per_string_list_types_keep_their_sizes() {
     assert_eq!(size_of::<LabelEntry>(), 32, "index::LabelEntry");
     // The boxed normal form, a date or a number, and the tag.
     assert_eq!(size_of::<PreparedValue>(), 24, "types::PreparedValue");
+    // The row, its normalised label and label tokens, the bag of words
+    // and the prepared values.
+    assert_eq!(size_of::<RowContext>(), 120, "clustering::RowContext");
 }
 
 #[test]
